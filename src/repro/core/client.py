@@ -32,7 +32,7 @@ from repro.core.config import DieselConfig
 from repro.core.dist_cache import CacheClient, TaskCache
 from repro.core.meta import FileRecord
 from repro.core.meta_journal import JournalEntry
-from repro.core.prefetch import ChunkPrefetcher
+from repro.core.prefetch import WINDOW_HIT_S, ChunkPrefetcher, ChunkWindow
 from repro.core.server import DieselServer
 from repro.core.shuffle import EpochPlan, chunkwise_shuffle, full_shuffle
 from repro.core.snapshot import MetadataSnapshot, SnapshotIndex
@@ -167,15 +167,13 @@ class DieselClient:
         self._index: Optional[SnapshotIndex] = None
         self._cache: Optional[TaskCache] = None
         self._cache_identity: Optional[CacheClient] = None
-        # Chunk-wise shuffle state.
+        # Chunk-wise shuffle state: the §4.3 working set (group cache)
+        # and its read-ahead pipeline live in one ChunkWindow.
         self._shuffle_enabled = False
-        self._shuffle_group_size = self.config.shuffle_group_size
-        self._group_cache: "OrderedDict[str, Chunk]" = OrderedDict()
-        #: In-flight chunk fetches (single-flight): encoded cid -> Event.
-        #: Shared by demand reads and the prefetch pipeline, so a chunk
-        #: is never transferred twice no matter who asks first.
-        self._inflight: Dict[str, Any] = {}
-        self._prefetcher: Optional["ChunkPrefetcher"] = None
+        self._window = ChunkWindow(
+            env, self._fetch_chunk, self.config.shuffle_group_size,
+            self.stats, name=self.name, node_name=node.name,
+        )
         #: Lazy async ingest sink (only when ingest_pipeline_depth > 1).
         self._ingest: Optional[ChunkPipeline] = None
         self._epoch = 0
@@ -229,8 +227,9 @@ class DieselClient:
         cache = self._cache
         if cache is None or self._closed:
             return
-        if self._prefetcher is not None and self._prefetcher.active:
-            self._prefetcher.repin(cache.chunk_owner_node)
+        prefetcher = self._window.prefetcher
+        if prefetcher is not None and prefetcher.active:
+            prefetcher.repin(cache.chunk_owner_node)
             self.stats.membership_repins += 1
 
     # -------------------------------------------------------------- DL_put
@@ -296,10 +295,6 @@ class DieselClient:
         if n > self.stats.ingest_inflight_hwm:
             self.stats.ingest_inflight_hwm = n
 
-    def _note_fetch_inflight(self, n: int) -> None:
-        if n > self.stats.fetch_inflight_hwm:
-            self.stats.fetch_inflight_hwm = n
-
     def _dispatch_chunk(self, chunk: Chunk) -> Generator[Event, Any, None]:
         """Ship a sealed chunk — synchronously at depth 1 (the legacy
         path, byte-identical timing), else through the ingest pipeline."""
@@ -350,11 +345,10 @@ class DieselClient:
         # 1. Chunk-wise-shuffle working set (client-local memory).
         if record is not None and self._shuffle_enabled:
             if rec is not None:
-                layer = (
-                    "group_cache"
-                    if record.chunk_id.encode() in self._group_cache
-                    else "server"
-                )
+                if record.chunk_id.encode() in self._window.resident:
+                    layer = "group_cache"
+                else:
+                    layer = "server" if self._cache is None else "task_cache"
             payload = yield from self._get_via_group_cache(record)
             self.stats.bytes_read += len(payload)
             if rec is not None:
@@ -441,21 +435,14 @@ class DieselClient:
             else:
                 resolved = {}
                 for encoded, records in by_chunk.items():
-                    resident = encoded in self._group_cache
-                    if self._prefetcher is not None:
-                        self._prefetcher.on_access(
-                            encoded, resident=resident,
-                            in_flight=encoded in self._inflight,
-                        )
-                    if resident:
-                        chunk = self._group_cache[encoded]
-                        self._group_cache.move_to_end(encoded)
+                    chunk = self._window.access(encoded)
+                    if chunk is not None:
                         self.stats.local_hits += len(records)
                         if rec is not None:
                             rec.count("read", "group_cache", len(records))
-                        yield self.env.timeout(2e-7 * len(records))
+                        yield self.env.timeout(WINDOW_HIT_S * len(records))
                     else:
-                        chunk = yield from self._ensure_chunk(encoded)
+                        chunk = yield from self._window.ensure(encoded)
                         self.stats.local_hits += len(records) - 1
                         if rec is not None:
                             # One file pays the chunk fetch; the rest of
@@ -491,7 +478,7 @@ class DieselClient:
                     ],
                     self.config.read_fanout,
                     name="cache_fanout",
-                    watermark=self._note_fetch_inflight,
+                    watermark=self._window.note_inflight,
                 )
                 for record, payload in zip(records, payloads):
                     self.stats.cache_hits += 1
@@ -542,25 +529,19 @@ class DieselClient:
         Residents are served inline (same accounting as the serial
         path); the misses fetch with up to ``read_fanout`` transfers in
         flight.  Single-flight still holds — concurrent batches and the
-        prefetcher share ``_inflight``, so no chunk moves twice.
+        prefetcher share the window's in-flight map, so no chunk moves
+        twice.
         """
         rec = self.recorder
         resolved: Dict[str, Chunk] = {}
         missing: list[str] = []
         for encoded, records in by_chunk.items():
-            resident = encoded in self._group_cache
-            if self._prefetcher is not None:
-                self._prefetcher.on_access(
-                    encoded, resident=resident,
-                    in_flight=encoded in self._inflight,
-                )
-            if resident:
-                chunk = self._group_cache[encoded]
-                self._group_cache.move_to_end(encoded)
+            chunk = self._window.access(encoded)
+            if chunk is not None:
                 self.stats.local_hits += len(records)
                 if rec is not None:
                     rec.count("read", "group_cache", len(records))
-                yield self.env.timeout(2e-7 * len(records))
+                yield self.env.timeout(WINDOW_HIT_S * len(records))
                 resolved[encoded] = chunk
             else:
                 self.stats.local_hits += len(records) - 1
@@ -572,7 +553,7 @@ class DieselClient:
         if missing:
             chunks = yield from fan_out(
                 self.env,
-                [self._ensure_chunk(e) for e in missing],
+                [self._window.ensure(e) for e in missing],
                 self.config.read_fanout,
                 name="read_fanout",
             )
@@ -634,56 +615,24 @@ class DieselClient:
         yield from self.put(path, data)
         yield from self.flush()
 
-    def _cache_capacity(self) -> int:
-        """Group-cache chunk budget: the §4.3 bound, plus the pipeline's
-        look-ahead window while a prefetcher is active."""
-        extra = (
-            self._prefetcher.depth
-            if self._prefetcher is not None and self._prefetcher.active
-            else 0
-        )
-        return self._shuffle_group_size + extra
+    def _fetch_chunk(self, encoded: str) -> Generator[Event, Any, Chunk]:
+        """The window's fetch: one whole chunk, down the Fig 4 chain.
 
-    def _admit_chunk(self, encoded: str, chunk: Chunk) -> None:
-        while len(self._group_cache) >= self._cache_capacity():
-            # LRU, but skip chunks the pipeline fetched ahead and the
-            # consumer has not reached yet (evicting those would waste
-            # the transfer and force a duplicate fetch).
-            victim = next(
-                (
-                    key for key in self._group_cache
-                    if self._prefetcher is None
-                    or not self._prefetcher.protects(key)
-                ),
-                next(iter(self._group_cache)),
-            )
-            del self._group_cache[victim]
-            if self._prefetcher is not None:
-                self._prefetcher.on_evict(victim)
-        self._group_cache[encoded] = chunk
-
-    def _ensure_chunk(self, encoded: str) -> Generator[Event, Any, Chunk]:
-        """Resolve one chunk into the group cache (single-flight).
-
-        Used by both demand reads and the prefetch pipeline.  If another
-        fetch of the same chunk is in flight, waits for it instead of
-        duplicating the 4 MB transfer; if the chunk was evicted while
-        waiting, loops and re-fetches.
+        A group-cache miss resolves through the task cache when one is
+        attached and plans this chunk (node-local copy, one-hop peer, or
+        its own server fall-through); otherwise straight from a server.
         """
-        while True:
-            chunk = self._group_cache.get(encoded)
-            if chunk is not None:
-                self._group_cache.move_to_end(encoded)
-                return chunk
-            pending = self._inflight.get(encoded)
-            if pending is not None:
-                yield pending
-                continue  # re-check: hit, or evicted-while-waiting
-            done = self.env.event()
-            self._inflight[encoded] = done
-            self._note_fetch_inflight(len(self._inflight))
-            rec = self.recorder
-            t0 = self.env.now if rec is not None else 0.0
+        rec = self.recorder
+        t0 = self.env.now if rec is not None else 0.0
+        cache = self._cache
+        if cache is not None and cache.chunk_owner_node(encoded) is not None:
+            chunk, tier = yield from cache.read_chunk(
+                self.as_cache_client(), encoded
+            )
+            cache.credit_read(tier)
+            self.stats.cache_hits += 1
+            layer = "task_cache"
+        else:
             # Scattered fetches use stable placement; the serial default
             # keeps the legacy round-robin pick (identical behavior).
             server = (
@@ -691,54 +640,42 @@ class DieselClient:
                 if self.config.read_fanout > 1
                 else self._server()
             )
-            try:
-                blob = yield from server.call(
-                    self.node,
-                    "get_chunk",
-                    self.dataset,
-                    encoded,
-                    response_bytes=None,
-                )
-                chunk = Chunk.decode(blob)
-                self._admit_chunk(encoded, chunk)
-                self.stats.server_reads += 1
-            finally:
-                del self._inflight[encoded]
-                done.succeed()
-            if rec is not None:
-                rec.record("chunk_fetch", "server", self.env.now - t0,
-                           actor=self.name, chunk=encoded[:12])
-            return chunk
+            blob = yield from server.call(
+                self.node,
+                "get_chunk",
+                self.dataset,
+                encoded,
+                response_bytes=None,
+            )
+            chunk = Chunk.decode(blob)
+            self.stats.server_reads += 1
+            layer = "server"
+        if rec is not None:
+            rec.record("chunk_fetch", layer, self.env.now - t0,
+                       actor=self.name, chunk=encoded[:12])
+        return chunk
 
     def _get_via_group_cache(
         self, record: FileRecord
     ) -> Generator[Event, Any, bytes]:
         """Serve from the per-group chunk working set, fetching whole chunks.
 
-        The cache holds at most ``shuffle_group_size`` chunks — exactly
+        The window holds at most ``shuffle_group_size`` chunks — exactly
         the §4.3 memory bound (group_size × chunk_size), ~2 GB for the
         paper's ImageNet-1K run vs the 150 GB dataset — plus the
         prefetch pipeline's ``prefetch_depth`` look-ahead when enabled.
         """
         encoded = record.chunk_id.encode()
-        resident = encoded in self._group_cache
-        if self._prefetcher is not None:
-            self._prefetcher.on_access(
-                encoded, resident=resident,
-                in_flight=encoded in self._inflight,
-            )
-        if resident:
-            chunk = self._group_cache[encoded]
-            self._group_cache.move_to_end(encoded)
+        chunk = self._window.access(encoded)
+        if chunk is not None:
             self.stats.local_hits += 1
-            # In-memory extraction: negligible but non-zero.
-            yield self.env.timeout(2e-7)
+            yield self.env.timeout(WINDOW_HIT_S)
         else:
-            chunk = yield from self._ensure_chunk(encoded)
+            chunk = yield from self._window.ensure(encoded)
         return chunk.payload(record.path, verify=False)
 
     def working_set_bytes(self) -> int:
-        return sum(len(c.data) for c in self._group_cache.values())
+        return sum(len(c.data) for c in self._window.resident.values())
 
     # ------------------------------------------------------------- metadata
     def stat(self, path: str) -> Generator[Event, Any, dict]:
@@ -863,13 +800,13 @@ class DieselClient:
         if group_size is not None:
             if group_size < 1:
                 raise DieselError("group_size must be >= 1")
-            self._shuffle_group_size = group_size
+            self._window.group_size = group_size
         self._shuffle_enabled = True
 
     def disable_shuffle(self) -> None:
         self.cancel_prefetch()
         self._shuffle_enabled = False
-        self._group_cache.clear()
+        self._window.resident.clear()
 
     @property
     def shuffle_enabled(self) -> bool:
@@ -878,7 +815,7 @@ class DieselClient:
     @property
     def prefetcher(self) -> Optional[ChunkPrefetcher]:
         """The active chunk prefetch pipeline, if any."""
-        return self._prefetcher
+        return self._window.prefetcher
 
     def start_prefetch(
         self, plan: EpochPlan, depth: Optional[int] = None
@@ -891,17 +828,15 @@ class DieselClient:
         self._check_open()
         if not self._shuffle_enabled:
             raise DieselError("prefetch requires shuffle mode (DL_shuffle)")
-        self.cancel_prefetch()
-        self._prefetcher = ChunkPrefetcher(
-            self, plan, depth if depth is not None else self.config.prefetch_depth
+        return self._window.start(
+            plan,
+            depth if depth is not None else self.config.prefetch_depth,
+            self.recorder,
         )
-        return self._prefetcher
 
     def cancel_prefetch(self) -> None:
         """Stop the prefetch pipeline and interrupt in-flight fetches."""
-        if self._prefetcher is not None:
-            self._prefetcher.cancel()
-            self._prefetcher = None
+        self._window.cancel()
 
     def _epoch_seed(self, seed: Optional[int]) -> int:
         """Per-epoch RNG seed.  A caller-fixed seed is *mixed with* the
@@ -936,7 +871,7 @@ class DieselClient:
         ):
             owner_of = self._cache.chunk_owner_node
         plan = chunkwise_shuffle(
-            self.index.files_by_chunk(), self._shuffle_group_size, rng,
+            self.index.files_by_chunk(), self._window.group_size, rng,
             owner_of=owner_of,
         )
         if self.config.prefetch_depth > 0:
@@ -978,7 +913,7 @@ class DieselClient:
             self._ingest.cancel()
             self._ingest = None
         self._closed = True
-        self._group_cache.clear()
+        self._window.resident.clear()
 
 
 class SyncDieselClient:

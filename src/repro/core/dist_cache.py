@@ -14,7 +14,9 @@ Each DLT task caches *its own* dataset across *its own* worker nodes:
   master and skip the network hop entirely;
 * any client reaches any file in **one hop** via the owning master, and
   a chunk resident on the reader's *own* master is served as a local
-  memory copy (no RPC);
+  memory copy (no RPC) — per file (``read_file``) for unplanned reads,
+  per whole chunk (``read_chunk``) behind a plan-ordered reader's §4.3
+  chunk window, over one shared chain;
 * concurrent pulls of one chunk coalesce into a single backend fetch
   (per-master single-flight), and chunks read remotely often enough
   (``hot_chunk_threshold``) are replicated onto the readers' local
@@ -45,6 +47,7 @@ from repro.calibration import Calibration, DEFAULT
 from repro.core.meta import FileRecord
 from repro.core.server import DieselServer
 from repro.core.chunk import Chunk
+from repro.core.prefetch import WindowStats
 from repro.core.chunk_store import (
     DEFAULT_DISK_BANDWIDTH_BPS,
     DEFAULT_DISK_LATENCY_S,
@@ -123,6 +126,14 @@ class TaskCacheStats:
     disk_hits: int = 0
     #: Reads served by the server because the owning peer was down.
     degraded_reads: int = 0
+    #: Chunk-granular path: whole chunks resolved by ``read_chunk``
+    #: (each file read above is still credited to its chunk's tier),
+    #: and the readers' §4.3 read-ahead — chunks found resident or in
+    #: flight on first access / demand-fetched / fetched but never read.
+    chunk_fetches: int = 0
+    readahead_hits: int = 0
+    readahead_misses: int = 0
+    readahead_wasted: int = 0
     coalesced_pulls: int = 0
     replicated_chunks: int = 0
     #: Hedged-read counters (0 unless hedging is configured): backups
@@ -237,16 +248,14 @@ class CacheMaster:
             return len(self._held)
         return self.store.count
 
-    def _shared_peek(self, encoded_cid: str, path: str) -> Optional[bytes]:
-        """Serve a file from the shared tier's warm pool (another task's
-        resident chunk) when this task's own reference set misses."""
-        if self.shared is None:
-            return None
-        chunk = self.shared.peek(self.dataset, encoded_cid)
-        if chunk is None or path not in chunk:
-            return None
-        self.shared.note_cross_task_read()
-        return chunk.payload(path, verify=False)
+    def nbytes_of(self, encoded_cid: str) -> int:
+        """Encoded size of a chunk this master can serve (0 = none) —
+        what a peer's ``get_chunk`` reply weighs on the wire."""
+        if self.shared is not None:
+            return self._held.get(encoded_cid) or self.shared.nbytes_of(
+                self.dataset, encoded_cid
+            )
+        return self.store.nbytes_of(encoded_cid)
 
     def _ram_chunk(self, encoded_cid: str) -> Optional[Chunk]:
         """This master's RAM-resident copy of a chunk (free to read);
@@ -279,62 +288,41 @@ class CacheMaster:
         got = yield from self.store.load(encoded_cid)
         return got[0] if got is not None else None
 
-    def _get_file_tiered(
-        self, encoded_cid: str, path: str
-    ) -> Generator[Event, Any, Optional[bytes]]:
-        """Serve a remote ``get_file`` from a disk-resident chunk: the
-        endpoint runs this generator so the caller's RPC charges the
-        disk read (Fig 4's chain gains a tier between RAM and server)."""
-        chunk = yield from self._read_resident(encoded_cid)
-        if chunk is None or path not in chunk:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return chunk.payload(path, verify=False)
-
     def _handle(self, method: str, *args: Any) -> Any:
-        if method == "get_file":
-            encoded_cid, path = args
-            chunk = self._ram_chunk(encoded_cid)
-            if chunk is None or path not in chunk:
-                if self._disk_resident(encoded_cid):
-                    return self._get_file_tiered(encoded_cid, path)
-                payload = self._shared_peek(encoded_cid, path)
-                if payload is not None:
-                    self.stats.hits += 1
-                    return payload
-                self.stats.misses += 1
-                return None
-            self.stats.hits += 1
-            return chunk.payload(path, verify=False)
+        if method in ("get_file", "get_chunk"):
+            return self._serve(*args)
         if method == "has_chunk":
             return self.has_chunk(args[0])
         if method == "pull_chunk":
             return self._pull_chunk(args[0])
-        if method == "get_chunk":
-            return self._serve_chunk(args[0])
         raise DieselError(f"unknown cache method {method!r}")
 
-    def _serve_chunk(self, encoded_cid: str):
-        """Serve a whole resident chunk to a peer master (drain/warm path).
+    def _serve(
+        self, encoded_cid: str, path: Optional[str] = None
+    ) -> Generator[Event, Any, Any]:
+        """Answer a peer's ``get_file`` (one payload) or ``get_chunk``
+        (the resident :class:`Chunk` itself, by reference — the caller
+        sizes the reply from :meth:`nbytes_of`).
 
-        RAM-resident chunks return their encoded blob immediately;
-        disk-resident chunks hand back a generator so the caller's RPC
-        charges the device read.  ``None`` when not resident — the
-        caller falls back to the backend.
+        RAM first; a disk-resident chunk charges its device read to the
+        caller's RPC (Fig 4's chain gains a tier between RAM and
+        server); with a shared tier, another task's resident copy
+        serves too.  ``None`` when not resident — the caller falls back
+        to the backend.
         """
         chunk = self._ram_chunk(encoded_cid)
-        if chunk is not None:
-            return chunk.encode()
-        if self._disk_resident(encoded_cid):
-            return self._serve_chunk_tiered(encoded_cid)
-        return None
-
-    def _serve_chunk_tiered(
-        self, encoded_cid: str
-    ) -> Generator[Event, Any, Optional[bytes]]:
-        chunk = yield from self._read_resident(encoded_cid)
-        return chunk.encode() if chunk is not None else None
+        if chunk is None:
+            if self._disk_resident(encoded_cid):
+                chunk = yield from self._read_resident(encoded_cid)
+            elif self.shared is not None:
+                chunk = self.shared.peek(self.dataset, encoded_cid)
+                if chunk is not None:
+                    self.shared.note_cross_task_read()
+        if chunk is None or (path is not None and path not in chunk):
+            self.stats.misses += 1
+            return None
+        self.stats.hits += 1
+        return chunk if path is None else chunk.payload(path, verify=False)
 
     def admit_from_peer(
         self, donor: Optional["CacheMaster"], encoded_cid: str
@@ -366,17 +354,18 @@ class CacheMaster:
         done = self.env.event()
         self._pull_inflight[encoded_cid] = done
         try:
-            blob = None
+            chunk = None
             if donor is not None and donor.up:
+                nbytes = donor.nbytes_of(encoded_cid)
                 try:
-                    blob = yield from donor.endpoint.call(
+                    chunk = yield from donor.endpoint.call(
                         self.node, "get_chunk", encoded_cid,
-                        response_bytes=None,
+                        response_bytes=nbytes or None,
                     )
                 except (NodeDownError, CachePeerDownError):
-                    blob = None
-            from_peer = blob is not None
-            if blob is None:
+                    chunk = None
+            from_peer = chunk is not None
+            if chunk is None:
                 blob = yield from self.server.call(
                     self.node,
                     "get_chunk",
@@ -384,35 +373,17 @@ class CacheMaster:
                     encoded_cid,
                     response_bytes=None,
                 )
-            tier = yield from self.store.put(
-                encoded_cid, Chunk.decode(blob), len(blob)
-            )
+                chunk, nbytes = Chunk.decode(blob), len(blob)
+            tier = yield from self.store.put(encoded_cid, chunk, nbytes)
             if tier is None:
                 self.stats.skipped_no_memory += 1
                 return False, from_peer
             self.stats.chunks_loaded += 1
-            self.stats.bytes_cached += len(blob)
+            self.stats.bytes_cached += nbytes
             return True, from_peer
         finally:
             del self._pull_inflight[encoded_cid]
             done.succeed()
-
-    def local_payload(self, encoded_cid: str, path: str) -> Optional[bytes]:
-        """Serve one file from a RAM-resident chunk without an RPC.
-
-        The node-local fast path: when the reader sits on this master's
-        own node, :class:`TaskCache` calls this directly and charges the
-        intra-node memory-copy cost itself.  Returns ``None`` when the
-        chunk is absent, the file is not in it, or the chunk sits on
-        the disk tier (a free peek must not hide a disk read — the
-        caller's tiered path charges it) — the caller then takes the
-        regular one-hop/fall-through route.
-        """
-        chunk = self._ram_chunk(encoded_cid)
-        if chunk is None or path not in chunk:
-            return None
-        self.stats.hits += 1
-        return chunk.payload(path, verify=False)
 
     def _pull_chunk(self, encoded_cid: str) -> Generator[Event, Any, bool]:
         """Fetch one chunk from the server into memory (single-flight).
@@ -774,6 +745,10 @@ class TaskCache:
         #: copy, no RPC) vs hits that paid the one-hop peer fetch.
         self.local_hits = 0
         self.remote_hits = 0
+        #: Whole chunks resolved by ``read_chunk``, and the read-ahead
+        #: accounting every reader's chunk window of this task shares.
+        self.chunk_fetches = 0
+        self.readahead = WindowStats()
         #: Remote-read tallies per (encoded cid, reader node) feeding
         #: hot-chunk replication, and the replication kicks in flight.
         self._remote_reads: Dict[tuple, int] = {}
@@ -812,6 +787,10 @@ class TaskCache:
             shared_hits=self.shared_hits,
             disk_hits=self.disk_hits,
             degraded_reads=self.degraded_reads,
+            chunk_fetches=self.chunk_fetches,
+            readahead_hits=self.readahead.prefetch_hits,
+            readahead_misses=self.readahead.prefetch_misses,
+            readahead_wasted=self.readahead.prefetch_wasted,
             coalesced_pulls=sum(
                 m.stats.coalesced_pulls for m in self.masters.values()
             ),
@@ -1120,10 +1099,26 @@ class TaskCache:
             ) from None
 
     # ------------------------------------------------------------- data path
+    #: Span layer of each tier a read is credited to (else "server").
+    _LAYER_OF = {
+        "local_hits": "local_master",
+        "disk_hits": "disk_tier",
+        "shared_hits": "shared_tier",
+        "remote_hits": "task_cache",
+    }
+
+    def credit_read(self, tier: str) -> None:
+        """Count one file read against the tier its chunk resolved from
+        (a hit-counter name; ``""`` = a clean miss the server served)."""
+        if tier:
+            setattr(self, tier, getattr(self, tier) + 1)
+
     def read_file(
         self, client: CacheClient, record: FileRecord
     ) -> Generator[Event, Any, bytes]:
-        """Read one file through the cache (one-hop peer fetch).
+        """Read one file through the cache (one-hop peer fetch) — the
+        path for unplanned single-file reads; plan-ordered readers take
+        :meth:`read_chunk` behind a chunk window.
 
         Miss and peer-failure behaviour follows Fig 4: the file read falls
         through to the DIESEL server; under ``on-demand`` the owning
@@ -1135,9 +1130,94 @@ class TaskCache:
         t0 = self.env.now if rec is not None else 0.0
         encoded_cid = record.chunk_id.encode()
         master = self.owner_of(encoded_cid)
-        # Node-local fast path: the reader's own master holds the chunk
-        # (its locality partition, or a hot-chunk replica) — serve it as
-        # an intra-node memory copy, no RPC hop at all.
+        chunk, tier = yield from self._local_chunk(
+            client, master, encoded_cid, record.path
+        )
+        if chunk is not None:
+            payload = chunk.payload(record.path, verify=False)
+            self.credit_read(tier)
+            yield self.env.timeout(
+                self.fabric.local_latency_s
+                + len(payload) / self.fabric.local_bandwidth_bps
+            )
+        else:
+            def from_server():
+                return self.server.call(
+                    client.node, "get_file", self.dataset, record.path,
+                    response_bytes=record.length,
+                )
+
+            payload, tier = yield from self._ask_owner(
+                client, master, "get_file", (encoded_cid, record.path),
+                record.length, from_server,
+            )
+            self.credit_read(tier)
+            if payload is None:
+                payload = yield from from_server()
+        if rec is not None:
+            self.last_resolution = self._LAYER_OF.get(tier, "server")
+            rec.record("cache_read", self.last_resolution,
+                       self.env.now - t0, actor=client.name,
+                       path=record.path)
+        return payload
+
+    def read_chunk(
+        self, client: CacheClient, encoded_cid: str
+    ) -> Generator[Event, Any, Tuple[Chunk, str]]:
+        """:meth:`read_file`'s chain at the granularity §4.2 caches and
+        §4.3 schedules.  Returns ``(chunk, tier)``: the resident
+        :class:`Chunk` itself (aliased, never copied) and the tier to
+        :meth:`credit_read` for each file then served out of it.
+        """
+        if not self._registered:
+            raise DieselError("task cache not registered")
+        rec = self._recorder
+        t0 = self.env.now if rec is not None else 0.0
+        self.chunk_fetches += 1
+        master = self.owner_of(encoded_cid)
+        chunk, tier = yield from self._local_chunk(client, master, encoded_cid)
+        if chunk is not None:
+            yield self.env.timeout(
+                self.fabric.local_latency_s
+                + chunk.data_size / self.fabric.local_bandwidth_bps
+            )
+        else:
+            def from_server():
+                blob = yield from self.server.call(
+                    client.node, "get_chunk", self.dataset, encoded_cid,
+                    response_bytes=None,
+                )
+                return Chunk.decode(blob)
+
+            chunk, tier = yield from self._ask_owner(
+                client, master, "get_chunk", (encoded_cid,),
+                master.nbytes_of(encoded_cid) or None, from_server,
+            )
+            if chunk is None:
+                chunk = yield from from_server()
+        if rec is not None:
+            rec.record("chunk_fetch", self._LAYER_OF.get(tier, "server"),
+                       self.env.now - t0, actor=client.name,
+                       chunk=encoded_cid[:12])
+        return chunk, tier
+
+    def _local_chunk(
+        self,
+        client: CacheClient,
+        master: CacheMaster,
+        encoded_cid: str,
+        path: Optional[str] = None,
+    ) -> Generator[Event, Any, Tuple[Optional[Chunk], str]]:
+        """The node-local head of the Fig 4 chain, RAM before disk.
+
+        The reader's own node's master (its partition, or a hot-chunk
+        replica) serves from memory with no RPC hop, or from its disk
+        tier for a device read (+ decompress, promoting when memory
+        allows); with a shared tier, a chunk *any* task admitted on the
+        node serves the same two ways.  ``path`` restricts a hit to
+        chunks holding that file.  Returns ``(chunk, tier)`` or
+        ``(None, "")``; the caller charges the intra-node copy.
+        """
         local = self.masters.get(client.node.name)
         serving = master
         if (
@@ -1148,180 +1228,104 @@ class TaskCache:
         ):
             serving = local
         if serving.node is client.node and serving.up:
-            payload = serving.local_payload(encoded_cid, record.path)
-            if payload is not None:
-                self.local_hits += 1
-                yield self.env.timeout(
-                    self.fabric.local_latency_s
-                    + len(payload) / self.fabric.local_bandwidth_bps
-                )
-                if rec is not None:
-                    self.last_resolution = "local_master"
-                    rec.record("cache_read", "local_master",
-                               self.env.now - t0, actor=client.name,
-                               path=record.path)
-                return payload
-            # Disk-tier fast path: the chunk is resident on the node's
-            # own master but demoted/overflowed to the simulated NVMe
-            # tier — serve it for a device read (+ decompress), still
-            # cheaper than a backend fetch, promoting when memory
-            # allows.
-            if self.shared is None and serving._disk_resident(encoded_cid):
+            chunk = serving._ram_chunk(encoded_cid)
+            tier = "local_hits"
+            if (
+                chunk is None
+                and self.shared is None
+                and serving._disk_resident(encoded_cid)
+            ):
                 chunk = yield from serving._read_resident(encoded_cid)
-                if chunk is not None and record.path in chunk:
-                    payload = chunk.payload(record.path, verify=False)
-                    serving.stats.hits += 1
-                    self.disk_hits += 1
-                    yield self.env.timeout(
-                        self.fabric.local_latency_s
-                        + len(payload) / self.fabric.local_bandwidth_bps
-                    )
-                    if rec is not None:
-                        self.last_resolution = "disk_tier"
-                        rec.record("cache_read", "disk_tier",
-                                   self.env.now - t0, actor=client.name,
-                                   path=record.path)
-                    return payload
-        # Shared-tier fast path: a chunk some *other* task admitted on
-        # the reader's node serves this read as a node-local memory copy
-        # — the cross-task hit that makes N tasks × 1 dataset cheap.
+                tier = "disk_hits"
+            if chunk is not None and (path is None or path in chunk):
+                serving.stats.hits += 1
+                return chunk, tier
         if self.shared is not None and client.node.alive:
-            tier = self.shared.for_node(client.node)
-            chunk = tier.peek(self.dataset, encoded_cid)
-            if chunk is not None and record.path in chunk:
-                payload = chunk.payload(record.path, verify=False)
-                tier.note_cross_task_read()
-                self.shared_hits += 1
-                yield self.env.timeout(
-                    self.fabric.local_latency_s
-                    + len(payload) / self.fabric.local_bandwidth_bps
-                )
-                if rec is not None:
-                    self.last_resolution = "shared_tier"
-                    rec.record("cache_read", "shared_tier",
-                               self.env.now - t0, actor=client.name,
-                               path=record.path)
-                return payload
-            # Shared-tier *disk* hit: the chunk is resident on this
-            # node but demoted to the NVMe tier — pay the device read
-            # (+ decompress, + promote when memory allows) instead of
-            # a backend round-trip.
-            if tier.disk_resident(self.dataset, encoded_cid):
-                chunk = yield from tier.read_resident(
+            node_tier = self.shared.for_node(client.node)
+            chunk = node_tier.peek(self.dataset, encoded_cid)
+            tier = "shared_hits"
+            if chunk is None and node_tier.disk_resident(
+                self.dataset, encoded_cid
+            ):
+                chunk = yield from node_tier.read_resident(
                     self.dataset, encoded_cid
                 )
-                if chunk is not None and record.path in chunk:
-                    payload = chunk.payload(record.path, verify=False)
-                    tier.note_cross_task_read()
-                    self.disk_hits += 1
-                    yield self.env.timeout(
-                        self.fabric.local_latency_s
-                        + len(payload) / self.fabric.local_bandwidth_bps
-                    )
-                    if rec is not None:
-                        self.last_resolution = "disk_tier"
-                        rec.record("cache_read", "disk_tier",
-                                   self.env.now - t0, actor=client.name,
-                                   path=record.path)
-                    return payload
-        payload = None
-        peer_answered = False
-        hedge_source = ""
+                tier = "disk_hits"
+            if chunk is not None and (path is None or path in chunk):
+                node_tier.note_cross_task_read()
+                return chunk, tier
+        return None, ""
+
+    def _ask_owner(
+        self,
+        client: CacheClient,
+        master: CacheMaster,
+        method: str,
+        args: tuple,
+        response_bytes: Optional[int],
+        from_server,
+    ) -> Generator[Event, Any, Tuple[Any, str]]:
+        """The owner-peer leg: one ``method(*args)`` call (``args[0]``
+        the encoded chunk id) hedged for remote owners, else under
+        retry + breaker, else a single attempt.
+
+        Returns ``(value, tier)``; tier is ``""`` when the backend won a
+        hedge.  ``None`` sends the caller to the server: tier
+        ``"degraded_reads"`` when the owner is down, died mid-call or
+        its breaker is open (feeding the detector now collapses
+        detection latency to the first read that noticed), ``""`` for a
+        clean miss — ``on-demand`` then pulls the chunk in background.
+        """
+        value, source, cause = None, "degraded", None
         if master.up:
             try:
                 if self._hedge_enabled and master.node is not client.node:
-                    payload, hedge_source = yield from self._hedged_read(
-                        client, master, encoded_cid, record
+                    value, source = yield from self._hedged_read(
+                        client, master, method, args, response_bytes,
+                        from_server,
                     )
-                    peer_answered = hedge_source == "peer"
                 elif self._retry_policy is not None:
-                    payload = yield from master.endpoint.call_with_retry(
-                        self._retry_policy,
-                        client.node,
-                        "get_file",
-                        encoded_cid,
-                        record.path,
-                        rng=self._rng,
-                        breaker=self._breaker_for(master),
-                        response_bytes=record.length,
+                    value = yield from master.endpoint.call_with_retry(
+                        self._retry_policy, client.node, method, *args,
+                        rng=self._rng, breaker=self._breaker_for(master),
+                        response_bytes=response_bytes,
                     )
-                    peer_answered = True
+                    source = "peer"
                 else:
-                    payload = yield from master.endpoint.call(
-                        client.node,
-                        "get_file",
-                        encoded_cid,
-                        record.path,
-                        response_bytes=record.length,
+                    value = yield from master.endpoint.call(
+                        client.node, method, *args,
+                        response_bytes=response_bytes,
                     )
-                    peer_answered = True
+                    source = "peer"
             except CircuitOpenError as exc:
                 # Known-bad peer: short-circuit straight to the server
                 # without paying another attempt.
-                self.degraded_reads += 1
-                if not self.fallback_to_server:
-                    raise CachePeerDownError(master.client.name) from exc
+                cause = exc
             except (NodeDownError, DeadlineExceededError) as exc:
-                # Master died mid-call: degrade to the server path
-                # (Fig 4 fall-through) and feed the detector now.
-                self.degraded_reads += 1
+                cause = exc
                 self._note_peer_failure(master)
-                if not self.fallback_to_server:
-                    raise CachePeerDownError(master.client.name) from exc
         else:
-            # Peer already known down: this read degrades to the server;
-            # telling the detector collapses detection latency to the
-            # first read that noticed.
-            self.degraded_reads += 1
             self._note_peer_failure(master)
+        if source == "degraded":
             if not self.fallback_to_server:
-                raise CachePeerDownError(master.client.name)
-        if hedge_source == "replica":
-            # A backup replica beat (or replaced) the straggling owner.
-            self.remote_hits += 1
-            if rec is not None:
-                self.last_resolution = "task_cache"
-                rec.record("cache_read", "task_cache", self.env.now - t0,
-                           actor=client.name, path=record.path)
-            return payload
-        if hedge_source == "server":
-            # The backend won the hedge race outright.
-            if rec is not None:
-                self.last_resolution = "server"
-                rec.record("cache_read", "server", self.env.now - t0,
-                           actor=client.name, path=record.path)
-            return payload
-        if peer_answered:
-            if payload is not None:
-                if master.node is client.node:
-                    self.local_hits += 1
-                else:
-                    self.remote_hits += 1
-                    self._note_remote_read(client, master, encoded_cid)
-                if rec is not None:
-                    self.last_resolution = "task_cache"
-                    rec.record("cache_read", "task_cache",
-                               self.env.now - t0, actor=client.name,
-                               path=record.path)
-                return payload
+                self.degraded_reads += 1
+                raise CachePeerDownError(master.client.name) from cause
+            return None, "degraded_reads"
+        if value is None:
             if self.policy == "on-demand" and master.up:
                 # Kick a background chunk pull; don't wait for it.
                 self.env.process(
-                    self._background_pull(client, master, encoded_cid),
-                    name=f"pull:{encoded_cid[:8]}",
+                    self._background_pull(client, master, args[0]),
+                    name=f"pull:{args[0][:8]}",
                 )
-        payload = yield from self.server.call(
-            client.node,
-            "get_file",
-            self.dataset,
-            record.path,
-            response_bytes=record.length,
-        )
-        if rec is not None:
-            self.last_resolution = "server"
-            rec.record("cache_read", "server", self.env.now - t0,
-                       actor=client.name, path=record.path)
-        return payload
+            return None, ""
+        if source == "server":
+            return value, ""
+        if source == "peer":
+            if master.node is client.node:
+                return value, "local_hits"
+            self._note_remote_read(client, master, args[0])
+        return value, "remote_hits"
 
     def _background_pull(
         self, client: CacheClient, master: CacheMaster, encoded_cid: str
@@ -1345,25 +1349,22 @@ class TaskCache:
                 rec.count("ft_dropped_pull", "task_cache")
 
     # ---------------------------------------------------------- hedged reads
-    def _peer_get_file(
+    def _peer_attempt(
         self,
         client: CacheClient,
         master: CacheMaster,
-        encoded_cid: str,
-        record: FileRecord,
-    ) -> Generator[Event, Any, Optional[bytes]]:
-        """One peer ``get_file`` attempt, feeding the latency tracker."""
+        method: str,
+        args: tuple,
+        response_bytes: Optional[int],
+    ) -> Generator[Event, Any, Any]:
+        """One unprotected peer call, feeding the latency tracker."""
         t0 = self.env.now
-        payload = yield from master.endpoint.call(
-            client.node,
-            "get_file",
-            encoded_cid,
-            record.path,
-            response_bytes=record.length,
+        value = yield from master.endpoint.call(
+            client.node, method, *args, response_bytes=response_bytes
         )
         if self.peer_latency is not None:
             self.peer_latency.observe(master.client.name, self.env.now - t0)
-        return payload
+        return value
 
     def _hedge_backup_target(
         self, client: CacheClient, master: CacheMaster, encoded_cid: str
@@ -1391,40 +1392,38 @@ class TaskCache:
         self,
         client: CacheClient,
         master: CacheMaster,
-        encoded_cid: str,
-        record: FileRecord,
-    ) -> Generator[Event, Any, Tuple[str, bytes]]:
+        method: str,
+        args: tuple,
+        response_bytes: Optional[int],
+        from_server,
+    ) -> Generator[Event, Any, Tuple[str, Any]]:
         """The backup leg of a hedge: replica master if one holds the
         chunk (EWMA-steered), else the backend."""
-        replica = self._hedge_backup_target(client, master, encoded_cid)
+        replica = self._hedge_backup_target(client, master, args[0])
         if replica is not None:
             try:
-                payload = yield from self._peer_get_file(
-                    client, replica, encoded_cid, record
+                value = yield from self._peer_attempt(
+                    client, replica, method, args, response_bytes
                 )
             except (NodeDownError, CachePeerDownError):
-                payload = None
-            if payload is not None:
-                return "replica", payload
-        payload = yield from self.server.call(
-            client.node,
-            "get_file",
-            self.dataset,
-            record.path,
-            response_bytes=record.length,
-        )
-        return "server", payload
+                value = None
+            if value is not None:
+                return "replica", value
+        value = yield from from_server()
+        return "server", value
 
     def _hedged_read(
         self,
         client: CacheClient,
         master: CacheMaster,
-        encoded_cid: str,
-        record: FileRecord,
-    ) -> Generator[Event, Any, Tuple[Optional[bytes], str]]:
+        method: str,
+        args: tuple,
+        response_bytes: Optional[int],
+        from_server,
+    ) -> Generator[Event, Any, Tuple[Any, str]]:
         """Remote read with a hedge: race the owner against a delayed
-        backup.  Returns ``(payload, source)`` with source ``"peer"``
-        (owner answered — payload None means a clean miss), ``"replica"``
+        backup.  Returns ``(value, source)`` with source ``"peer"``
+        (owner answered — value None means a clean miss), ``"replica"``
         or ``"server"`` (the backup won or the owner failed mid-race).
 
         Until the peer's latency tracker is calibrated (or with an
@@ -1435,20 +1434,20 @@ class TaskCache:
         if delay <= 0.0:
             calibrated = self.peer_latency.hedge_delay(master.client.name)
             if calibrated is None:
-                payload = yield from self._peer_get_file(
-                    client, master, encoded_cid, record
+                value = yield from self._peer_attempt(
+                    client, master, method, args, response_bytes
                 )
-                return payload, "peer"
+                return value, "peer"
             delay = calibrated
         outcome = yield from self._hedged_call(
             self.env,
-            self._peer_get_file(client, master, encoded_cid, record),
+            self._peer_attempt(client, master, method, args, response_bytes),
             lambda: self._hedge_backup_read(
-                client, master, encoded_cid, record
+                client, master, method, args, response_bytes, from_server
             ),
             delay,
             stats=self.hedge_stats,
-            name=f"hedge:{encoded_cid[:8]}",
+            name=f"hedge:{args[0][:8]}",
         )
         err = outcome.primary_error
         if err is not None and isinstance(
@@ -1459,8 +1458,8 @@ class TaskCache:
             self._note_peer_failure(master)
         if outcome.winner == "primary":
             return outcome.value, "peer"
-        source, payload = outcome.value
-        return payload, source
+        source, value = outcome.value
+        return value, source
 
     # ------------------------------------------------- hot-chunk replication
     def _note_remote_read(

@@ -639,8 +639,6 @@ class DieselServer:
         full = Chunk.decode(blob)
         index = full._by_path[path]
         crec = self._chunk_record(dataset, rec.chunk_id).with_deleted(index)
-        ts = self._next_ts(dataset)
-        dsrec = self._dataset_record(dataset)
         self.kv.local_put(meta.chunk_key(dataset, rec.chunk_id), crec.encode())
         # Patch the on-storage header bitmap (small in-place write).
         patched = Chunk(full.chunk_id, full.files, full.data, crec.bitmap.copy())
@@ -656,6 +654,10 @@ class DieselServer:
         self.kv.local_delete(
             meta.dir_entry_key(dataset, dirname(path), basename(path), False)
         )
+        # Version the dataset record as it stands *now*: a chunk ingested
+        # during the device write above must stay in ``chunk_ids``.
+        ts = self._next_ts(dataset)
+        dsrec = self._dataset_record(dataset)
         self.kv.local_put(
             meta.dataset_key(dataset),
             meta.DatasetRecord(dataset, ts, dsrec.chunk_ids).encode(),

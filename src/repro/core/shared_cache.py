@@ -179,6 +179,11 @@ class SharedChunkCache:
         entry = self._entries.get(self._key(dataset, encoded_cid))
         return len(entry.tasks) if entry is not None else 0
 
+    def nbytes_of(self, dataset: str, encoded_cid: str) -> int:
+        """Encoded size of a resident chunk (0 when not resident)."""
+        entry = self._entries.get(self._key(dataset, encoded_cid))
+        return entry.nbytes if entry is not None else 0
+
     def tenant_usage(self, tenant: str) -> int:
         """Resident bytes ``tenant`` currently references on this node."""
         return self._tenant_usage.get(tenant, 0)

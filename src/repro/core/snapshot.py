@@ -188,14 +188,20 @@ class SnapshotIndex:
         return len(self._files)
 
     def __contains__(self, path: str) -> bool:
-        return normalize(path) in self._files
+        return path in self._files or normalize(path) in self._files
 
     def lookup(self, path: str) -> FileRecord:
-        """O(1) file-record lookup (the Fig 10b fast path)."""
-        try:
-            return self._files[normalize(path)]
-        except KeyError:
-            raise FileNotFoundInDatasetError(path) from None
+        """O(1) file-record lookup (the Fig 10b fast path).
+
+        Keys are normalized, so an exact hit needs no ``normalize()``;
+        only a miss pays for it before giving up.
+        """
+        rec = self._files.get(path)
+        if rec is None:
+            rec = self._files.get(normalize(path))
+            if rec is None:
+                raise FileNotFoundInDatasetError(path)
+        return rec
 
     def stat(self, path: str) -> dict:
         """Table 3's DL_stat payload: size, upload time, etc.

@@ -110,6 +110,11 @@ class EpochScheduler:
     def n_workers(self) -> int:
         return len(self._worker_nodes)
 
+    @property
+    def group_size(self) -> int:
+        """Chunks per shuffle group — a reader's §4.3 working set."""
+        return self._group_size
+
     def affinity(self) -> Dict[str, int]:
         """Owner-node → worker-index map for ``EpochPlan.partition``."""
         return {name: i for i, name in enumerate(self._worker_nodes)}

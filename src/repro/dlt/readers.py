@@ -13,6 +13,7 @@ from typing import Any, Generator, Protocol, Sequence
 
 from repro.baselines.lustre import LustreFS
 from repro.core.fuse import FuseMount
+from repro.core.prefetch import WINDOW_HIT_S, ChunkWindow
 from repro.core.shuffle import full_shuffle
 from repro.cluster.node import Node
 from repro.sim.engine import Event
@@ -28,6 +29,8 @@ class EpochReader(Protocol):  # pragma: no cover - typing aid
     backends that can resolve a whole mini-batch in one round trip (the
     DIESEL ``get_many()`` path) provide it, and the dataloader/trainer
     workers prefer it over per-file ``read`` calls when present.
+    ``cancel_epoch()`` is optional too: the trainer calls it when its
+    process is cancelled mid-epoch, so a backend that reads ahead stops.
     """
 
     def begin_epoch(self, epoch: int) -> Generator[Event, Any, list[str]]: ...
@@ -41,9 +44,15 @@ class CacheReader:
     Epoch order comes from the shared
     :class:`~repro.dlt.dataloader.EpochScheduler` — this worker's shard
     of the task-wide plan, affinity-pinned to the co-located cache
-    master under locality placement.  Each read resolves through
-    :meth:`TaskCache.read_file`: local master (memory copy), one-hop
-    peer fetch, or the Fig 4 server fall-through.
+    master under locality placement.  §4.2 and §4.3 compose here: files
+    are served out of a :class:`~repro.core.prefetch.ChunkWindow` holding
+    the current shuffle group's chunks plus one group of look-ahead
+    (≤ 2 × group size chunks), filled through
+    :meth:`TaskCache.read_chunk` — local master (memory copy), one-hop
+    peer fetch, or the Fig 4 server fall-through, one chunk at a time —
+    and read ahead in plan order, so the worker's I/O processes stall
+    only on an epoch's first group.  A ``read`` outside the plan (or
+    before any ``begin_epoch``) demand-fetches its chunk.
     """
 
     def __init__(self, scheduler, cache, cache_client, index, worker: int):
@@ -55,17 +64,43 @@ class CacheReader:
         #: Shard served by the most recent ``begin_epoch`` (for tests
         #: and working-set accounting).
         self.last_plan = None
+        #: ``encoded cid -> (chunk, tier)``, shared by the I/O workers.
+        self.window = ChunkWindow(
+            cache.env, self._fetch, scheduler.group_size, cache.readahead,
+            name=cache_client.name, node_name=cache_client.node.name,
+        )
+        cache.add_membership_listener(self._on_membership)
+
+    def _fetch(self, encoded_cid: str):
+        return self.cache.read_chunk(self.cache_client, encoded_cid)
+
+    def _on_membership(self, event: str, names) -> None:
+        prefetcher = self.window.prefetcher
+        if prefetcher is not None:
+            prefetcher.repin(self.cache.chunk_owner_node)
 
     def begin_epoch(self, epoch: int) -> Generator[Event, Any, list[str]]:
         plan = self.scheduler.shard(epoch, self.worker)
         self.last_plan = plan
+        self.window.start(plan, self.window.group_size, self.cache.recorder)
         yield self.cache.env.timeout(plan.file_count * SHUFFLE_PER_FILE_S)
         return plan.files
 
+    def cancel_epoch(self) -> None:
+        """Stop reading ahead; chunks fetched but never read are wasted."""
+        self.window.cancel()
+
     def read(self, path: str) -> Generator[Event, Any, bytes]:
         record = self.index.lookup(path)
-        data = yield from self.cache.read_file(self.cache_client, record)
-        return data
+        encoded_cid = record.chunk_id.encode()
+        entry = self.window.access(encoded_cid)
+        if entry is not None:
+            yield self.cache.env.timeout(WINDOW_HIT_S)
+        else:
+            entry = yield from self.window.ensure(encoded_cid)
+        chunk, tier = entry
+        self.cache.credit_read(tier)
+        return chunk.payload(record.path, verify=False)
 
 
 class LustreReader:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Generator, List, Sequence
 
 from repro.calibration import ModelProfile
+from repro.errors import InterruptError
 from repro.sim.engine import Environment, Event
 from repro.sim.resources import Store
 
@@ -127,18 +128,30 @@ def run_training(
             env.process(io_worker(), name=f"io{w}") for w in range(io_workers)
         ]
 
-        for iteration in range(len(batches)):
-            t0 = env.now
-            fetch_time = yield ready.get()
-            data_time = env.now - t0
-            yield env.timeout(model.compute_s)
-            result.timings.append(
-                IterationTiming(
-                    epoch, iteration, data_time, model.compute_s, fetch_time
+        try:
+            for iteration in range(len(batches)):
+                t0 = env.now
+                fetch_time = yield ready.get()
+                data_time = env.now - t0
+                yield env.timeout(model.compute_s)
+                result.timings.append(
+                    IterationTiming(
+                        epoch, iteration, data_time, model.compute_s,
+                        fetch_time,
+                    )
                 )
-            )
-        # Workers drain their sentinels and exit.
-        yield env.all_of(workers)
+            # Workers drain their sentinels and exit.
+            yield env.all_of(workers)
+        except InterruptError:
+            # Training cancelled mid-epoch: take the I/O workers and the
+            # reader's read-ahead down too, nothing may keep fetching.
+            for worker in workers:
+                if worker.is_alive:
+                    worker.interrupt("training cancelled")
+            cancel_epoch = getattr(reader, "cancel_epoch", None)
+            if cancel_epoch is not None:
+                cancel_epoch()
+            raise
         result.epoch_walls.append(env.now - epoch_start)
     return result
 

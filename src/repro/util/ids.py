@@ -30,6 +30,7 @@ import os
 import threading
 import uuid
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 _TS_BYTES = 4
@@ -82,6 +83,11 @@ class ChunkId:
 
     def encode(self) -> str:
         """Order-preserving printable encoding (base32hex, lowercase-free)."""
+        return self._encoded
+
+    @cached_property
+    def _encoded(self) -> str:
+        # Memoised: every read resolves its chunk by this string.
         return base64.b32hexencode(self.raw).decode("ascii").rstrip("=")
 
     def encode_base64(self) -> str:

@@ -206,7 +206,7 @@ class TestShuffleMode:
         def proc():
             for path in plan.files:
                 yield from client.get(path)
-                assert len(client._group_cache) <= 2
+                assert len(client._window.resident) <= 2
 
         deployment.run(proc())
         assert client.working_set_bytes() <= 2 * 16 * 1024

@@ -88,7 +88,7 @@ class TestFullPipeline:
 
         tb.run(read_epoch())
         # Bounded working set throughout.
-        assert len(client._group_cache) <= 2
+        assert len(client._window.resident) <= 2
 
     def test_failure_then_recovery_preserves_integrity(self, pipeline):
         tb, files, clients = pipeline

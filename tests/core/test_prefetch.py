@@ -2,7 +2,7 @@
 
 Covers the three layers of the pipelined read path:
 
-* the single-flight ``_inflight`` map (no duplicate chunk transfers,
+* the window's single-flight ``inflight`` map (no duplicate chunk transfers,
   including the evicted-while-waiting re-fetch branch);
 * the :class:`~repro.core.prefetch.ChunkPrefetcher` (bounded working
   set, hit/miss/wasted accounting, clean cancellation);
@@ -125,7 +125,7 @@ class TestPrefetcher:
             for path in plan.files:
                 data = yield from client.get(path)
                 assert data == files[path]
-                assert len(client._group_cache) <= group + depth
+                assert len(client._window.resident) <= group + depth
 
         deployment.run(consume())
         assert client.working_set_bytes() <= (group + depth) * CHUNK
@@ -185,7 +185,7 @@ class TestPrefetcher:
         # In-flight fetch processes unwind cleanly when the sim drains.
         deployment.env.run()
         assert prefetcher.in_flight == 0
-        assert client._inflight == {}
+        assert client._window.inflight == {}
         assert client.working_set_bytes() == 0
 
     def test_close_cancels_pipeline(self, deployment):

@@ -234,6 +234,43 @@ class TestHousekeeping:
         crec = deployment.server._chunk_record("ds", dsrec.chunk_ids[0])
         assert crec.ndeleted == 1
 
+    def test_delete_keeps_a_concurrently_ingested_chunk(self, deployment):
+        """delete_file must not rewrite the dataset record it read
+        before its device write: a chunk ingested meanwhile stays."""
+        files = small_files(8)
+        write_dataset(deployment, "ds", files, chunk_size=1024 * 1024)
+        victim = next(iter(files))
+        late = Chunk.build(
+            ChunkIdGenerator(machine=b"\x09" * 6, pid=9).next(),
+            [("/late/x.bin", b"L" * 5000)],
+        )
+        node = deployment.client_nodes[0]
+        server = deployment.server
+        env = deployment.env
+        delete = env.process(server.call(node, "delete_file", "ds", victim))
+        ingest = env.process(
+            server.call(node, "ingest_chunk", "ds", late.encode())
+        )
+        env.run(until=env.all_of([delete, ingest]))
+        # The race actually happened: the ingest landed mid-delete.
+        assert ingest.ok and delete.ok
+        dsrec = server.dataset_info("ds")
+        assert late.chunk_id in dsrec.chunk_ids
+        assert len(dsrec.chunk_ids) == 2
+
+        def read_back():
+            data = yield from server.call(node, "get_file", "ds", "/late/x.bin")
+            blob = yield from server.call(
+                node, "get_chunk", "ds", late.chunk_id.encode()
+            )
+            return data, blob
+
+        data, blob = deployment.run(read_back())
+        assert data == b"L" * 5000
+        assert Chunk.decode(blob).chunk_id == late.chunk_id
+        assert deployment.kv.local_get_or_none(
+            meta.file_key("ds", victim)) is None
+
     def test_deleted_file_not_listed(self, deployment):
         files = {"/d/a": b"1" * 100, "/d/b": b"2" * 100}
         write_dataset(deployment, "ds", files)

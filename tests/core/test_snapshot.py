@@ -76,6 +76,19 @@ class TestIndex:
         with pytest.raises(FileNotFoundInDatasetError):
             idx.lookup("/missing")
 
+    def test_unnormalised_paths_still_resolve(self):
+        idx = SnapshotIndex(make_snapshot())
+        exact = idx.lookup("/train/class0/img000.jpg")
+        for spelling in ("train//class0/./img000.jpg",
+                         "/train/class0//img000.jpg/"):
+            assert idx.lookup(spelling) is exact
+            assert spelling in idx
+        assert "train//missing" not in idx
+        with pytest.raises(FileNotFoundInDatasetError):
+            idx.lookup("train//missing")
+        with pytest.raises(ValueError):
+            idx.lookup("/train/../etc")
+
     def test_stat_file_and_dir(self):
         idx = SnapshotIndex(make_snapshot())
         st_f = idx.stat("/train/class1/img001.jpg")

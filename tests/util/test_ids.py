@@ -86,6 +86,17 @@ class TestCodec:
         cid = ChunkId(b"\xab" * 16)
         assert len(cid.encode()) == ENCODED_LENGTH
 
+    @given(st.binary(min_size=16, max_size=16))
+    def test_memoised_encoding_is_the_base32hex_form(self, raw):
+        import base64
+
+        cid = ChunkId(raw)
+        expected = base64.b32hexencode(raw).decode("ascii").rstrip("=")
+        assert cid.encode() == expected
+        assert cid.encode() is cid.encode()  # computed once
+        # The memo is not part of the value.
+        assert cid == ChunkId(raw) and hash(cid) == hash(ChunkId(raw))
+
     def test_base64_roundtrip_via_manual_decode(self):
         import base64
 
