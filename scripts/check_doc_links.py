@@ -34,7 +34,6 @@ DEFAULT_FILES = [
     "EXPERIMENTS.md",
     "ROADMAP.md",
     "CONTRIBUTING.md",
-    "CHANGELOG.md",
     *sorted(str(p.relative_to(REPO)) for p in (REPO / "docs").glob("*.md")),
 ]
 

@@ -2257,7 +2257,7 @@ def capacity(
     """Datasets larger than memory: the tiered chunk store under load.
 
     Cache nodes get ``ram_bytes`` of memory each and a simulated
-    node-local NVMe tier (``cache_store='tiered'``,
+    node-local NVMe tier (a ``store='tiered'`` registry,
     :mod:`repro.core.chunk_store`).  For each dataset:RAM ratio in
     ``ratios`` — 0.5× (fits comfortably) through 10× (RAM covers a
     sliver) — one task warms the dataset and reads every file for one

@@ -1,16 +1,16 @@
 """Pluggable chunk-residency stores: RAM tier + simulated-NVMe disk tier.
 
-The task cache (:mod:`repro.core.dist_cache`) and the shared chunk tier
-(:mod:`repro.core.shared_cache`) both used to hold resident chunks in a
-bare in-memory dict charged against the node's memory ``Container`` —
-which made "dataset larger than aggregate RAM" inexpressible: once
-memory ran out, every further chunk stayed server-resident forever.
-This module extracts that residency decision behind one interface with
-two backends, selected by ``DieselConfig.cache_store``:
+What a node chunk tier (:mod:`repro.core.shared_cache`) keeps its
+resident chunks *in*.  A bare in-memory map charged against the node's
+memory ``Container`` makes "dataset larger than aggregate RAM"
+inexpressible: once memory runs out, every further chunk stays
+server-resident forever.  This module puts the residency decision
+behind one interface with two backends, selected by the registry
+(``SharedCacheRegistry(env, store=...)``):
 
-* :class:`RamStore` (``"ram"``) — the legacy behaviour, bit-compatible:
-  chunks live in node memory in LRU order; a chunk that does not fit is
-  refused (``put`` returns ``None``) and stays server-resident.
+* :class:`RamStore` (``"ram"``) — chunks live in node memory in LRU
+  order; a chunk that does not fit is refused (``put`` returns
+  ``None``) and stays server-resident.
 * :class:`TieredStore` (``"tiered"``) — adds a simulated node-local
   NVMe tier (a :class:`~repro.cluster.devices.Device` queueing station,
   latency/bandwidth from ``disk_latency_s`` / ``disk_bandwidth_bps``,
@@ -50,7 +50,7 @@ from repro.cluster.devices import Device
 from repro.core.chunk import Chunk
 from repro.sim.engine import Environment, Event
 
-#: Selectable store backends (``DieselConfig.cache_store``).
+#: Selectable store backends (``SharedCacheRegistry(store=...)``).
 STORE_KINDS = ("ram", "tiered")
 
 #: Default per-operation latency of the simulated node-local NVMe tier.
@@ -123,28 +123,24 @@ def make_spec(
 def make_store(
     env: Environment,
     node,
-    spec: Optional[Dict[str, Any]] = None,
+    spec: Dict[str, Any],
     on_evict: Optional[Callable[[str], None]] = None,
 ) -> "RamStore":
-    """Build the store a spec describes (``None`` → plain RAM store)."""
-    spec = spec or {"kind": "ram"}
-    kind = spec.get("kind", "ram")
-    if kind == "ram":
+    """Build the store a :func:`make_spec` spec describes."""
+    if spec["kind"] == "ram":
         return RamStore(env, node, on_evict=on_evict)
-    if kind == "tiered":
-        return TieredStore(
-            env,
-            node,
-            capacity_bytes=spec.get("disk_tier_bytes", 0),
-            disk_latency_s=spec.get("disk_latency_s", DEFAULT_DISK_LATENCY_S),
-            disk_bandwidth_bps=spec.get(
-                "disk_bandwidth_bps", DEFAULT_DISK_BANDWIDTH_BPS
-            ),
-            compression=spec.get("chunk_compression", False),
-            compression_seed=spec.get("compression_seed", 0),
-            on_evict=on_evict,
-        )
-    raise ValueError(f"unknown chunk store kind {kind!r}")
+    if spec["kind"] != "tiered":
+        raise ValueError(f"unknown chunk store kind {spec['kind']!r}")
+    return TieredStore(
+        env,
+        node,
+        capacity_bytes=spec["disk_tier_bytes"],
+        disk_latency_s=spec["disk_latency_s"],
+        disk_bandwidth_bps=spec["disk_bandwidth_bps"],
+        compression=spec["chunk_compression"],
+        compression_seed=spec["compression_seed"],
+        on_evict=on_evict,
+    )
 
 
 @dataclass(slots=True)
@@ -186,7 +182,7 @@ class ChunkStoreStats:
 
 
 class RamStore:
-    """RAM-only chunk residency (the legacy behaviour, bit-compatible).
+    """RAM-only chunk residency.
 
     Chunks are charged against ``node.memory`` and kept in LRU order.
     All cost-bearing methods (``put`` / ``load`` / ``displace``) are
@@ -219,30 +215,9 @@ class RamStore:
         s.chunks_ram = len(self._ram)
         return s
 
-    @property
-    def count(self) -> int:
-        """Resident chunks across all tiers."""
-        return len(self._ram)
-
-    def contains(self, key: str) -> bool:
-        return key in self._ram
-
     def tier_of(self, key: str) -> Optional[str]:
         """``"ram"`` / ``"disk"`` / ``None``."""
         return "ram" if key in self._ram else None
-
-    def nbytes_of(self, key: str) -> int:
-        item = self._ram.get(key)
-        return item[1] if item is not None else 0
-
-    def chunk_object(self, key: str) -> Optional[Chunk]:
-        """The resident Chunk object on any tier — bookkeeping only (no
-        touch, no cost); cost-bearing reads go through :meth:`load`."""
-        item = self._ram.get(key)
-        return item[0] if item is not None else None
-
-    def keys(self) -> List[str]:
-        return list(self._ram)
 
     def ram_lru(self) -> List[str]:
         """RAM-resident keys, least-recently-used first (a snapshot —
@@ -400,36 +375,12 @@ class TieredStore(RamStore):
         s.chunks_disk = len(self._disk)
         return s
 
-    @property
-    def count(self) -> int:
-        return len(self._ram) + len(self._disk)
-
-    def contains(self, key: str) -> bool:
-        return key in self._ram or key in self._disk
-
     def tier_of(self, key: str) -> Optional[str]:
         if key in self._ram:
             return "ram"
         if key in self._disk:
             return "disk"
         return None
-
-    def nbytes_of(self, key: str) -> int:
-        item = self._ram.get(key)
-        if item is not None:
-            return item[1]
-        entry = self._disk.get(key)
-        return entry[1] if entry is not None else 0
-
-    def chunk_object(self, key: str) -> Optional[Chunk]:
-        item = self._ram.get(key)
-        if item is not None:
-            return item[0]
-        entry = self._disk.get(key)
-        return entry[0] if entry is not None else None
-
-    def keys(self) -> List[str]:
-        return list(self._ram) + list(self._disk)
 
     def stored_size(self, key: str, nbytes: int) -> int:
         """On-disk footprint of a chunk (post-compression when enabled)."""

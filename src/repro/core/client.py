@@ -357,20 +357,14 @@ class DieselClient:
                 rec.count("read", layer)
             return payload
         # 2. Task-grained distributed cache (one-hop peer fetch), backed
-        #    by the node-level shared chunk tier when one is attached —
-        #    a read can then resolve from a chunk another task admitted.
+        #    by the node chunk tier — where other tasks share it, a read
+        #    can resolve from a chunk another task admitted.
         if record is not None and self._cache is not None:
-            shared_before = (
-                self._cache.shared_hits
-                if self._cache.shared is not None else 0
-            )
+            shared_before = self._cache.shared_hits
             payload = yield from self._cache.read_file(
                 self.as_cache_client(), record
             )
-            if (
-                self._cache.shared is not None
-                and self._cache.shared_hits > shared_before
-            ):
+            if self._cache.shared_hits > shared_before:
                 self.stats.shared_hits += 1
             self.stats.cache_hits += 1
             self.stats.bytes_read += len(payload)

@@ -20,67 +20,12 @@ class DieselConfig:
 
     #: Target chunk payload size; the paper mandates ≥ 4 MB.
     chunk_size: int = DEFAULT_CHUNK_SIZE
-    #: Task-grained cache policy: 'oneshot' prefetches at registration;
-    #: 'on-demand' fills on first miss (§4.2 "Cache Policies").
-    cache_policy: str = "oneshot"
-    #: Chunk-placement policy across the task's cache masters: 'hash'
-    #: round-robins chunks over the ring (the paper's consistent-hash
-    #: spread — every node owns ~1/p, so (p−1)/p of reads pay a network
-    #: hop); 'locality' assigns each worker's shuffle-group chunks to
-    #: the master co-located with that worker, turning steady-state hits
-    #: into node-local memory reads (Hoard/FanStore layout).
-    cache_placement: str = "hash"
-    #: Fraction of a node's free memory the locality partition may
-    #: claim before further chunks spill to the hash ring.  Only
-    #: consulted under ``cache_placement='locality'``.
-    locality_spill_ratio: float = 0.9
-    #: Remote reads of one chunk from one node before the cache
-    #: replicates it onto that node's local master (read-skew
-    #: mitigation).  0 disables hot-chunk replication.
-    hot_chunk_threshold: int = 0
-    #: Route task-cache admissions through the node-level shared chunk
-    #: tier (``repro.core.shared_cache``): chunks are reference-counted
-    #: across tasks, a second task warms from the first task's resident
-    #: chunks, eviction only reclaims refcount-0 chunks.  False keeps
-    #: the legacy task-private cache.
-    shared_cache: bool = False
-    #: Per-node resident-byte quota charged to this task's tenant at
-    #: the shared tier (0 = unlimited).  Only consulted when
-    #: ``shared_cache`` is on.
-    tenant_quota_bytes: int = 0
-    #: Shared-tier admission priority: 'interactive' admissions may
-    #: evict any refcount-0 chunk to make room, 'batch' admissions may
-    #: not reclaim the interactive warm pool.
-    qos_class: str = "batch"
-    #: Chunk-residency store backing the task cache and the shared
-    #: tier: 'ram' keeps every resident chunk in node memory (legacy —
-    #: chunks that do not fit stay server-resident); 'tiered' adds a
-    #: simulated node-local NVMe tier that absorbs the overflow, demotes
-    #: cold refcount-0 chunks under memory pressure and promotes them
-    #: back on access (``repro.core.chunk_store``).
-    cache_store: str = "ram"
-    #: Disk-tier capacity in stored bytes per node (0 = unbounded).
-    #: Only consulted when ``cache_store='tiered'``.
-    disk_tier_bytes: int = 0
-    #: Fixed per-operation latency of the simulated NVMe disk tier.
-    disk_latency_s: float = 8e-05
-    #: Streaming bandwidth of the simulated disk tier (bytes/s).
-    disk_bandwidth_bps: float = 2147483648.0
-    #: Transparently compress chunks written to the disk tier
-    #: (FanStore-style): pays a modeled compress/decompress CPU cost in
-    #: exchange for capacity and disk-bandwidth savings; the per-chunk
-    #: ratio is seeded deterministically from the chunk key.
-    chunk_compression: bool = False
     #: Chunk-wise shuffle group size (chunks per group, §4.3/Fig 13).
     shuffle_group_size: int = 100
     #: Chunks kept in flight ahead of the shuffle-mode consumer (§4.3's
     #: "sequential chunk reads hidden behind compute").  0 disables the
     #: pipeline: every group-cache miss stalls for a full chunk fetch.
     prefetch_depth: int = 0
-    #: Enable the server-side HDD→SSD cache tier (Fig 4).
-    server_cache: bool = True
-    #: DIESEL clients spawned per FUSE mount (§5 multi-client FUSE loop).
-    fuse_clients: int = 4
     #: Sealed chunks DL_put keeps in flight across round-robin servers
     #: (§4.1.1's write overlap, the Fig 9 discipline).  1 = ship each
     #: chunk synchronously before packing the next (legacy serial path).
@@ -89,15 +34,6 @@ class DieselConfig:
     #: scatters across servers and cache masters.  1 = resolve the
     #: batch's chunk groups serially (legacy).
     read_fanout: int = 1
-    #: Concurrent chunk pulls per cache master during oneshot warmup and
-    #: recovery; all masters always stream concurrently, this bounds the
-    #: per-master overlap (Fig 11b).  1 = serial per-master stream.
-    warmup_fanout: int = 1
-    #: Chunk pulls admitted per vectorized server call during oneshot
-    #: warmup and recovery (``DieselServer.call_batch``): one scheduler
-    #: entry per batch instead of per chunk.  1 = one RPC per chunk
-    #: (legacy per-request admission).
-    admission_batch: int = 1
     #: Discrete-event scheduler backing the simulation Environment:
     #: 'calendar' (calendar-queue/timer-wheel, near-O(1) under the
     #: fabric's bimodal delays) or 'heap' (flat binary heap baseline
@@ -136,11 +72,6 @@ class DieselConfig:
     #: EWMA smoothing factor for the per-peer latency tracker feeding
     #: hedge-delay calibration and replica steering.
     hedge_ewma_alpha: float = 0.2
-    #: Failure-detector probe de-synchronization: each probe round
-    #: sleeps the heartbeat interval scaled by a seeded uniform factor
-    #: in ``[1 - jitter, 1 + jitter]`` so large fleets do not probe in
-    #: lockstep bursts.  0 keeps the exact fixed-interval schedule.
-    heartbeat_jitter: float = 0.1
     #: Mutation-journal entries retained per dataset (the delta metadata
     #: plane, ``repro.core.meta_journal``): a client whose snapshot is at
     #: most this many versions old refreshes by applying the delta
@@ -160,42 +91,14 @@ class DieselConfig:
     def __post_init__(self) -> None:
         if self.chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
-        if self.cache_policy not in ("oneshot", "on-demand"):
-            raise ValueError(f"unknown cache policy: {self.cache_policy!r}")
-        if self.cache_placement not in ("hash", "locality"):
-            raise ValueError(
-                f"unknown cache placement: {self.cache_placement!r}"
-            )
-        if not 0.0 < self.locality_spill_ratio <= 1.0:
-            raise ValueError("locality_spill_ratio must be in (0, 1]")
-        if self.hot_chunk_threshold < 0:
-            raise ValueError("hot_chunk_threshold must be >= 0")
-        if self.tenant_quota_bytes < 0:
-            raise ValueError("tenant_quota_bytes must be >= 0")
-        if self.qos_class not in ("interactive", "batch"):
-            raise ValueError(f"unknown QoS class: {self.qos_class!r}")
-        if self.cache_store not in ("ram", "tiered"):
-            raise ValueError(f"unknown cache store: {self.cache_store!r}")
-        if self.disk_tier_bytes < 0:
-            raise ValueError("disk_tier_bytes must be >= 0")
-        if self.disk_latency_s < 0:
-            raise ValueError("disk_latency_s must be >= 0")
-        if self.disk_bandwidth_bps <= 0:
-            raise ValueError("disk_bandwidth_bps must be positive")
         if self.shuffle_group_size < 1:
             raise ValueError("shuffle_group_size must be >= 1")
         if self.prefetch_depth < 0:
             raise ValueError("prefetch_depth must be >= 0")
-        if self.fuse_clients < 1:
-            raise ValueError("fuse_clients must be >= 1")
         if self.ingest_pipeline_depth < 1:
             raise ValueError("ingest_pipeline_depth must be >= 1")
         if self.read_fanout < 1:
             raise ValueError("read_fanout must be >= 1")
-        if self.warmup_fanout < 1:
-            raise ValueError("warmup_fanout must be >= 1")
-        if self.admission_batch < 1:
-            raise ValueError("admission_batch must be >= 1")
         if self.sim_scheduler not in ("calendar", "heap"):
             raise ValueError(f"unknown sim scheduler: {self.sim_scheduler!r}")
         if self.heartbeat_interval_s <= 0:
@@ -218,8 +121,6 @@ class DieselConfig:
             raise ValueError("hedge_delay_s must be >= 0")
         if not 0.0 < self.hedge_ewma_alpha <= 1.0:
             raise ValueError("hedge_ewma_alpha must be in (0, 1]")
-        if not 0.0 <= self.heartbeat_jitter < 1.0:
-            raise ValueError("heartbeat_jitter must be in [0, 1)")
         if self.meta_journal_horizon < 0:
             raise ValueError("meta_journal_horizon must be >= 0")
         if self.pscan_page_size < 1:

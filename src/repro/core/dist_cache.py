@@ -17,16 +17,25 @@ Each DLT task caches *its own* dataset across *its own* worker nodes:
   memory copy (no RPC) — per file (``read_file``) for unplanned reads,
   per whole chunk (``read_chunk``) behind a plan-ordered reader's §4.3
   chunk window, over one shared chain;
-* concurrent pulls of one chunk coalesce into a single backend fetch
-  (per-master single-flight), and chunks read remotely often enough
+* residency has one model: every master admits chunks through its
+  node's chunk tier (:mod:`repro.core.shared_cache`) and holds
+  *references* into it —
+
+      master ──_held refs──▶ node tier (refcounts, quota, QoS,
+                              single-flight) ──▶ store (RAM | RAM+disk)
+
+  A tier several tasks share makes admissions reference-counted
+  *across tasks* (a second task registering the same dataset warms
+  from the first task's resident chunks instead of the object store,
+  reads can resolve from chunks other tasks admitted on the reader's
+  node, per-tenant quotas / QoS classes govern admission); a
+  task-private cache is the same tier with one task in it, built by
+  the task and emptied when the task lets go (the lifetime rule,
+  :meth:`TaskCache._retire` — the only place the two differ);
+* concurrent pulls of one chunk coalesce into a single fetch (the
+  tier's single-flight map), and chunks read remotely often enough
   (``hot_chunk_threshold``) are replicated onto the readers' local
   masters;
-* with a node-level shared chunk tier attached
-  (:mod:`repro.core.shared_cache`), admissions are reference-counted
-  *across tasks*: a second task registering the same dataset warms from
-  the first task's resident chunks instead of the object store, reads
-  can resolve from chunks other tasks admitted on the reader's node,
-  and per-tenant quotas / QoS classes govern admission;
 * cache policies (§4.2): ``oneshot`` prefetches the full partition in the
   background right after registration; ``on-demand`` pulls a chunk the
   first time one of its files misses;
@@ -48,12 +57,7 @@ from repro.core.meta import FileRecord
 from repro.core.server import DieselServer
 from repro.core.chunk import Chunk
 from repro.core.prefetch import WindowStats
-from repro.core.chunk_store import (
-    DEFAULT_DISK_BANDWIDTH_BPS,
-    DEFAULT_DISK_LATENCY_S,
-    make_spec,
-    make_store,
-)
+from repro.core.shared_cache import SharedCacheRegistry
 from repro.errors import (
     CachePeerDownError,
     CircuitOpenError,
@@ -87,11 +91,11 @@ class CacheMasterStats:
     bytes_cached: int = 0
     #: Chunks left uncached because the node's memory budget ran out.
     skipped_no_memory: int = 0
-    #: Most chunk pulls ever concurrently in flight on this master
-    #: (stays 0/1 with ``warmup_fanout`` at its serial default).
+    #: Most warm-up / recovery pulls ever concurrently in flight on this
+    #: master (1 with ``warmup_fanout`` at its serial default).
     pull_inflight_hwm: int = 0
-    #: Pull requests that joined an in-flight backend fetch instead of
-    #: issuing their own (the per-master single-flight map).
+    #: Pull requests that joined an in-flight fetch instead of issuing
+    #: their own (the node tier's single-flight map).
     coalesced_pulls: int = 0
     #: Hot chunks replicated onto this master from another owner's
     #: partition (read-skew mitigation).
@@ -118,11 +122,11 @@ class TaskCacheStats:
     local_hits: int = 0
     #: Cache hits that paid the one-hop peer RPC.
     remote_hits: int = 0
-    #: Reads served node-locally from the shared chunk tier — a chunk
-    #: another task admitted (cross-task hit; 0 without a shared tier).
+    #: Reads served node-locally from a chunk in the node tier that the
+    #: reader's own master does not hold — one another task admitted.
     shared_hits: int = 0
     #: Reads served from the node-local *disk* tier (device read +
-    #: optional decompress; 0 without ``cache_store="tiered"``).
+    #: optional decompress; 0 on a RAM-store tier).
     disk_hits: int = 0
     #: Reads served by the server because the owning peer was down.
     degraded_reads: int = 0
@@ -157,7 +161,16 @@ class TaskCacheStats:
 
 
 class CacheMaster:
-    """The master client on one node: holds a chunk partition in memory."""
+    """The master client on one node: owns a chunk partition, held as
+    references into the node's chunk tier.
+
+    Residency lives in exactly one place — the node's
+    :class:`~repro.core.shared_cache.SharedChunkCache` (``tier``) and
+    the store behind it; the master only records which chunks its task
+    references there (``_held``: encoded cid → nbytes).  ``task`` is
+    the registry-issued key the tier refcounts under; ``tenant`` /
+    ``qos`` govern quota charging and eviction priority.
+    """
 
     def __init__(
         self,
@@ -167,7 +180,10 @@ class CacheMaster:
         server: DieselServer,
         dataset: str,
         calibration: Calibration,
-        store_spec: Optional[dict] = None,
+        tier,
+        task: str,
+        tenant: str = "default",
+        qos: str = "batch",
     ) -> None:
         self.env = env
         self.client = client
@@ -175,25 +191,13 @@ class CacheMaster:
         self.server = server
         self.dataset = dataset
         self.cal = calibration
+        self.tier = tier
+        self.task = task
+        self.tenant = tenant
+        self.qos = qos
         self.assigned: List[str] = []  # encoded chunk ids
-        #: Private chunk residency (RAM or RAM+disk tiers, see
-        #: :mod:`repro.core.chunk_store`).  Unused once a shared tier
-        #: is attached — residency then lives in the node's
-        #: SharedChunkCache store and this master only tracks the
-        #: references it holds (``_held``: encoded cid → nbytes).
-        self.store = make_store(env, client.node, store_spec)
         self._held: Dict[str, int] = {}
-        #: Single-flight map: encoded cid -> completion event of the
-        #: backend fetch currently streaming that chunk.
-        self._pull_inflight: Dict[str, Event] = {}
         self.stats = CacheMasterStats()
-        #: Node-level shared chunk tier (None = private chunks, the
-        #: legacy mode).  When attached, admission/eviction/memory are
-        #: owned by the shared tier (see ``attach_shared``).
-        self.shared = None
-        self._shared_task = ""
-        self._shared_tenant = "default"
-        self._shared_qos = "batch"
         self._recorder = None
         self.endpoint = RpcEndpoint(
             env,
@@ -210,6 +214,11 @@ class CacheMaster:
         return self.endpoint.up
 
     @property
+    def store(self):
+        """The chunk store behind this master's node tier (read-only)."""
+        return self.tier.store
+
+    @property
     def recorder(self):
         """Attached observability recorder (propagated by TaskCache)."""
         return self._recorder
@@ -217,76 +226,29 @@ class CacheMaster:
     @recorder.setter
     def recorder(self, value) -> None:
         self._recorder = value
-        self.store.recorder = value
-
-    def attach_shared(
-        self, shared, task: str, tenant: str, qos_class: str
-    ) -> None:
-        """Route this master's admissions through a node-level
-        :class:`~repro.core.shared_cache.SharedChunkCache`.
-
-        ``task`` is the registry-issued task key the shared tier
-        refcounts under; ``tenant`` / ``qos_class`` govern its quota
-        charging and eviction priority.  Must be called before any
-        chunk is pulled (the two admission modes do not mix).
-        """
-        if self._held or self.store.count:
-            raise DieselError("attach_shared before any chunk is cached")
-        self.shared = shared
-        self._shared_task = task
-        self._shared_tenant = tenant
-        self._shared_qos = qos_class
+        self.tier.recorder = value
 
     def has_chunk(self, encoded_cid: str) -> bool:
-        if self.shared is not None:
-            return encoded_cid in self._held
-        return self.store.contains(encoded_cid)
+        return encoded_cid in self._held
 
     @property
     def cached_chunk_count(self) -> int:
-        if self.shared is not None:
-            return len(self._held)
-        return self.store.count
+        return len(self._held)
 
     def nbytes_of(self, encoded_cid: str) -> int:
         """Encoded size of a chunk this master can serve (0 = none) —
         what a peer's ``get_chunk`` reply weighs on the wire."""
-        if self.shared is not None:
-            return self._held.get(encoded_cid) or self.shared.nbytes_of(
-                self.dataset, encoded_cid
-            )
-        return self.store.nbytes_of(encoded_cid)
+        return self._held.get(encoded_cid) or self.tier.nbytes_of(
+            self.dataset, encoded_cid
+        )
 
     def _ram_chunk(self, encoded_cid: str) -> Optional[Chunk]:
         """This master's RAM-resident copy of a chunk (free to read);
-        ``None`` when absent — or resident on the disk tier only, which
-        must charge a device read (:meth:`_read_resident`)."""
-        if self.shared is not None:
-            if encoded_cid not in self._held:
-                return None
-            return self.shared.peek(self.dataset, encoded_cid)
-        got = self.store.get(encoded_cid)
-        return got[0] if got is not None else None
-
-    def _disk_resident(self, encoded_cid: str) -> bool:
-        """Whether a resident chunk lives on the disk tier only."""
-        if self.shared is not None:
-            return self.shared.disk_resident(self.dataset, encoded_cid)
-        return self.store.tier_of(encoded_cid) == "disk"
-
-    def _read_resident(
-        self, encoded_cid: str
-    ) -> Generator[Event, Any, Optional[Chunk]]:
-        """Cost-charging read of a resident chunk on any tier (disk
-        reads pay the device + decompress cost and promote when node
-        memory allows)."""
-        if self.shared is not None:
-            chunk = yield from self.shared.read_resident(
-                self.dataset, encoded_cid
-            )
-            return chunk
-        got = yield from self.store.load(encoded_cid)
-        return got[0] if got is not None else None
+        ``None`` when not held — or resident on the disk tier only,
+        which must charge a device read (``tier.read_resident``)."""
+        if encoded_cid not in self._held:
+            return None
+        return self.tier.peek(self.dataset, encoded_cid)
 
     def _handle(self, method: str, *args: Any) -> Any:
         if method in ("get_file", "get_chunk"):
@@ -294,7 +256,7 @@ class CacheMaster:
         if method == "has_chunk":
             return self.has_chunk(args[0])
         if method == "pull_chunk":
-            return self._pull_chunk(args[0])
+            return self._pull_group(args)
         raise DieselError(f"unknown cache method {method!r}")
 
     def _serve(
@@ -306,316 +268,151 @@ class CacheMaster:
 
         RAM first; a disk-resident chunk charges its device read to the
         caller's RPC (Fig 4's chain gains a tier between RAM and
-        server); with a shared tier, another task's resident copy
-        serves too.  ``None`` when not resident — the caller falls back
-        to the backend.
+        server); a copy only other tasks reference serves too.  ``None``
+        when not resident — the caller falls back to the backend.
         """
+        tier = self.tier
         chunk = self._ram_chunk(encoded_cid)
         if chunk is None:
-            if self._disk_resident(encoded_cid):
-                chunk = yield from self._read_resident(encoded_cid)
-            elif self.shared is not None:
-                chunk = self.shared.peek(self.dataset, encoded_cid)
+            if tier.disk_resident(self.dataset, encoded_cid):
+                chunk = yield from tier.read_resident(
+                    self.dataset, encoded_cid
+                )
+            else:
+                chunk = tier.peek(self.dataset, encoded_cid)
                 if chunk is not None:
-                    self.shared.note_cross_task_read()
+                    tier.note_cross_task_read()
         if chunk is None or (path is not None and path not in chunk):
             self.stats.misses += 1
             return None
         self.stats.hits += 1
         return chunk if path is None else chunk.payload(path, verify=False)
 
-    def admit_from_peer(
-        self, donor: Optional["CacheMaster"], encoded_cid: str
-    ) -> Generator[Event, Any, Tuple[bool, bool]]:
-        """Warm-admit one chunk, preferring a peer master over the backend.
-
-        The elastic-membership pull: a new master warming its share, or
-        a successor draining a departing master, fetches the chunk from
-        ``donor`` (which still holds it) instead of re-reading the
-        object store; the backend is only the fallback.  Single-flight
-        via the same in-flight map as backend pulls, so a concurrent
-        warmup or on-demand fill of the chunk coalesces.
-
-        In shared-tier mode, admission must stay refcounted in the node
-        tier, so the pull is delegated to :meth:`_pull_chunk` — the
-        shared tier already warm-admits from any task's resident copy.
-        Returns ``(cached, from_peer)``.
+    def _fetch(
+        self,
+        cids: Sequence[str],
+        donor: Optional["CacheMaster"],
+        from_peer: List[str],
+    ) -> Generator[Event, Any, List[Tuple[Chunk, int]]]:
+        """Bring cold chunks to this node: from ``donor`` (a peer master
+        still holding them — the elastic-membership source, so scale
+        events never re-read the object store for resident data) with
+        the backend behind it, else straight from the backend — one
+        ``get_chunk``, or one vectorized ``call_batch`` for a group.
+        Cids the donor served are appended to ``from_peer``.
         """
-        if self.has_chunk(encoded_cid):
-            return True, False
-        if self.shared is not None:
-            cached = yield from self._pull_chunk(encoded_cid)
-            return cached, False
-        pending = self._pull_inflight.get(encoded_cid)
-        if pending is not None:
-            self.stats.coalesced_pulls += 1
-            yield pending
-            return self.has_chunk(encoded_cid), False
-        done = self.env.event()
-        self._pull_inflight[encoded_cid] = done
-        try:
-            chunk = None
-            if donor is not None and donor.up:
-                nbytes = donor.nbytes_of(encoded_cid)
+        got: Dict[str, Tuple[Chunk, int]] = {}
+        if donor is not None and donor.up:
+            for cid in cids:
+                nbytes = donor.nbytes_of(cid)
                 try:
                     chunk = yield from donor.endpoint.call(
-                        self.node, "get_chunk", encoded_cid,
+                        self.node, "get_chunk", cid,
                         response_bytes=nbytes or None,
                     )
                 except (NodeDownError, CachePeerDownError):
-                    chunk = None
-            from_peer = chunk is not None
-            if chunk is None:
-                blob = yield from self.server.call(
-                    self.node,
-                    "get_chunk",
-                    self.dataset,
-                    encoded_cid,
-                    response_bytes=None,
-                )
-                chunk, nbytes = Chunk.decode(blob), len(blob)
-            tier = yield from self.store.put(encoded_cid, chunk, nbytes)
-            if tier is None:
-                self.stats.skipped_no_memory += 1
-                return False, from_peer
-            self.stats.chunks_loaded += 1
-            self.stats.bytes_cached += nbytes
-            return True, from_peer
-        finally:
-            del self._pull_inflight[encoded_cid]
-            done.succeed()
-
-    def _pull_chunk(self, encoded_cid: str) -> Generator[Event, Any, bool]:
-        """Fetch one chunk from the server into memory (single-flight).
-
-        Concurrent pulls of the same chunk — n clients faulting it at
-        once, warmup racing an on-demand fill, a hot-chunk replication —
-        coalesce onto one backend fetch: late arrivals wait on the
-        in-flight event and are counted as ``coalesced_pulls``.
-
-        The cache aggregates the node's *free* memory (§4.2): a chunk is
-        only cached if the node's memory budget covers it; otherwise it
-        stays server-resident (reads for it fall through, Fig 4) and the
-        skip is counted.  Returns whether the chunk is now cached.
-
-        With a shared tier attached the admission is delegated: the
-        tier owns single-flight (cross-task), memory and eviction; this
-        master just records the reference it was granted.
-        """
-        if self.has_chunk(encoded_cid):
-            return True
-        if self.shared is not None:
-            held = yield from self.shared.acquire(self, encoded_cid)
-            if held is None:
-                self.stats.skipped_no_memory += 1
-                return False
-            _, nbytes = held
-            self._held[encoded_cid] = nbytes
-            self.stats.chunks_loaded += 1
-            self.stats.bytes_cached += nbytes
-            return True
-        pending = self._pull_inflight.get(encoded_cid)
-        if pending is not None:
-            self.stats.coalesced_pulls += 1
-            yield pending
-            return self.has_chunk(encoded_cid)
-        done = self.env.event()
-        self._pull_inflight[encoded_cid] = done
-        try:
+                    break
+                if chunk is not None:
+                    got[cid] = (chunk, nbytes)
+                    from_peer.append(cid)
+        backend = [cid for cid in cids if cid not in got]
+        blobs: List[bytes] = []
+        if len(backend) == 1:
             blob = yield from self.server.call(
-                self.node,
-                "get_chunk",
-                self.dataset,
-                encoded_cid,
+                self.node, "get_chunk", self.dataset, backend[0],
                 response_bytes=None,  # sized from the returned bytes
             )
-            tier = yield from self.store.put(
-                encoded_cid, Chunk.decode(blob), len(blob)
+            blobs = [blob]
+        elif backend:
+            blobs = yield from self.server.call_batch(
+                self.node,
+                [("get_chunk", self.dataset, cid) for cid in backend],
             )
-            if tier is None:
-                self.stats.skipped_no_memory += 1
-                return False
-            self.stats.chunks_loaded += 1
-            self.stats.bytes_cached += len(blob)
-            return True
-        finally:
-            del self._pull_inflight[encoded_cid]
-            done.succeed()
+        for cid, blob in zip(backend, blobs):
+            got[cid] = (Chunk.decode(blob), len(blob))
+        return [got[cid] for cid in cids]
 
-    def _pull_chunks_batched(
-        self, cids: Sequence[str]
-    ) -> Generator[Event, Any, int]:
-        """Pull a group of chunks with one vectorized server admission.
+    def pull(
+        self, cids: Sequence[str], donor: Optional["CacheMaster"] = None
+    ) -> Generator[Event, Any, Tuple[int, int]]:
+        """Admit ``cids`` through the node tier and record the
+        references granted — the one way this master comes to hold a
+        chunk (warmup, recovery, on-demand fill, hot-chunk replication,
+        scale-event warm/drain).
 
-        The whole group rides a single :meth:`DieselServer.call_batch`
-        — one scheduler entry per RPC phase for the batch instead of
-        per chunk — while keeping :meth:`_pull_chunk` semantics: the
-        single-flight map still coalesces concurrent pulls per chunk,
-        memory-skipped chunks stay server-resident, and the same stats
-        counters move.  Returns how many of ``cids`` are now cached.
+        The tier owns single-flight (n clients faulting a chunk at
+        once, warmup racing an on-demand fill, another task's pull —
+        late arrivals wait and count as ``coalesced_pulls``), quota,
+        QoS and placement; a chunk it refuses stays server-resident
+        (reads for it fall through, Fig 4) and counts as
+        ``skipped_no_memory``.  Returns ``(held, from_peer)``: how many
+        of ``cids`` are now held, and how many of those ``donor``
+        supplied instead of the backend.
         """
-        if self.shared is not None:
-            missing = [c for c in cids if c not in self._held]
-            held = yield from self.shared.acquire_batch(self, missing)
-            for cid, (_, nbytes) in held.items():
+        missing = [cid for cid in cids if cid not in self._held]
+        if missing:
+            from_peer: List[str] = []
+            admitted = yield from self.tier.admit(
+                self, missing,
+                lambda cold: self._fetch(cold, donor, from_peer),
+            )
+            for cid, nbytes in admitted.items():
+                if cid in self._held:
+                    continue  # a concurrent pull of ours landed it first
                 self._held[cid] = nbytes
                 self.stats.chunks_loaded += 1
                 self.stats.bytes_cached += nbytes
-            self.stats.skipped_no_memory += len(missing) - len(held)
-            return len(cids) - len(missing) + len(held)
-        cached = 0
-        fetch: List[str] = []
-        dones: List[Event] = []
-        waits: List[Tuple[str, Event]] = []
-        for cid in cids:
-            if self.store.contains(cid):
-                cached += 1
-                continue
-            pending = self._pull_inflight.get(cid)
-            if pending is not None:
-                self.stats.coalesced_pulls += 1
-                waits.append((cid, pending))
-                continue
-            done = self.env.event()
-            self._pull_inflight[cid] = done
-            fetch.append(cid)
-            dones.append(done)
-        try:
-            if fetch:
-                blobs = yield from self.server.call_batch(
-                    self.node,
-                    [("get_chunk", self.dataset, cid) for cid in fetch],
-                )
-                for cid, blob in zip(fetch, blobs):
-                    tier = yield from self.store.put(
-                        cid, Chunk.decode(blob), len(blob)
-                    )
-                    if tier is None:
-                        self.stats.skipped_no_memory += 1
-                        continue
-                    self.stats.chunks_loaded += 1
-                    self.stats.bytes_cached += len(blob)
-                    cached += 1
-        finally:
-            for cid, done in zip(fetch, dones):
-                del self._pull_inflight[cid]
-                done.succeed()
-        for cid, pending in waits:
-            yield pending
-            cached += self.store.contains(cid)
-        return cached
+            self.stats.skipped_no_memory += len(missing) - len(admitted)
+            held = len(cids) - len(missing) + len(admitted)
+            return held, sum(cid in admitted for cid in from_peer)
+        return len(cids), 0
 
     def _pull_group(self, cids: Sequence[str]) -> Generator[Event, Any, int]:
-        """One fan-out worker over a chunk group (see ``_pull_one``)."""
+        """One fan-out worker: pull a chunk group unless the node died."""
         if not self.node.alive:
             return 0
-        cached = yield from self._pull_chunks_batched(cids)
-        return cached
+        held, _ = yield from self.pull(cids)
+        return held
 
     def _note_pull_inflight(self, n: int) -> None:
         if n > self.stats.pull_inflight_hwm:
             self.stats.pull_inflight_hwm = n
 
-    def _pull_one(self, encoded_cid: str) -> Generator[Event, Any, bool]:
-        """One fan-out worker: pull a chunk unless the node died."""
-        if not self.node.alive:
-            return False
-        cached = yield from self._pull_chunk(encoded_cid)
-        return cached
-
-    def _stream(
-        self, cids: Sequence[str], fanout: int, batch: int, name: str
+    def fill(
+        self, fanout: int, batch: int, op: str
     ) -> Generator[Event, Any, int]:
-        """Pull ``cids`` with ``fanout`` concurrent streams of batches of
-        ``batch`` chunks — the shared engine behind warmup and recovery.
+        """Pull every assigned chunk not yet held — the oneshot warm-up
+        at registration (``op="warmup"``) and the re-stream at recovery
+        (``op="recover"``).
 
-        ``fanout=1, batch=1`` is the legacy serial chunk-by-chunk
-        stream; ``batch>1`` admits each group as one vectorized server
-        call (:meth:`_pull_chunks_batched`).
-        """
-        if batch <= 1:
-            if fanout <= 1:
-                loaded = 0
-                for encoded_cid in cids:
-                    if not self.node.alive:
-                        break
-                    cached = yield from self._pull_chunk(encoded_cid)
-                    loaded += bool(cached)
-                return loaded
-            results = yield from fan_out(
-                self.env,
-                [self._pull_one(cid) for cid in cids],
-                fanout,
-                name=f"{name}:{self.client.name}",
-                watermark=self._note_pull_inflight,
-            )
-            return sum(bool(r) for r in results)
-        groups = [cids[i : i + batch] for i in range(0, len(cids), batch)]
-        if fanout <= 1:
-            loaded = 0
-            for group in groups:
-                if not self.node.alive:
-                    break
-                loaded += yield from self._pull_chunks_batched(group)
-            return loaded
-        results = yield from fan_out(
-            self.env,
-            [self._pull_group(g) for g in groups],
-            fanout,
-            name=f"{name}:{self.client.name}",
-            watermark=self._note_pull_inflight,
-        )
-        return sum(r for r in results if r)
-
-    def prefetch_all(
-        self, fanout: int = 1, batch: int = 1
-    ) -> Generator[Event, Any, int]:
-        """Oneshot policy: stream every assigned chunk from the server.
-
-        ``fanout`` bounds how many pulls this master keeps in flight
-        (``DieselConfig.warmup_fanout``); 1 is the legacy serial stream.
-        ``batch`` groups pulls into vectorized server admissions
-        (``DieselConfig.admission_batch``).  Returns the number of
-        chunks actually cached (memory-skipped chunks do not count).
+        ``fanout`` bounds how many pulls this master keeps in flight;
+        ``batch`` groups them into vectorized server admissions.
+        Returns the number of chunks actually cached (refused chunks do
+        not count).
         """
         rec = self.recorder
         t0 = self.env.now if rec is not None else 0.0
-        loaded = yield from self._stream(self.assigned, fanout, batch, "warm")
+        missing = [cid for cid in self.assigned if cid not in self._held]
+        results = yield from fan_out(
+            self.env,
+            [self._pull_group(missing[i : i + batch])
+             for i in range(0, len(missing), batch)],
+            fanout,
+            name=f"{op}:{self.client.name}",
+            watermark=self._note_pull_inflight,
+        )
+        loaded = sum(results)
         if rec is not None:
-            rec.record("warmup", "master", self.env.now - t0,
+            rec.record(op, "master", self.env.now - t0,
                        actor=self.client.name, chunks=loaded)
         return loaded
 
-    def reload_missing(
-        self, fanout: int = 1, batch: int = 1
-    ) -> Generator[Event, Any, int]:
-        """Recovery: pull every assigned chunk not yet resident.
-
-        Same bounded fan-out and batching discipline as
-        :meth:`prefetch_all`; returns the number of chunks actually
-        cached.
-        """
-        rec = self.recorder
-        t0 = self.env.now if rec is not None else 0.0
-        missing = [cid for cid in self.assigned if not self.has_chunk(cid)]
-        reloaded = yield from self._stream(missing, fanout, batch, "recover")
-        if rec is not None:
-            rec.record("recover", "master", self.env.now - t0,
-                       actor=self.client.name, chunks=reloaded)
-        return reloaded
-
-    def drop_all(self) -> None:
-        """Release all cached chunks and return their memory.
-
-        In shared mode, "release" means dropping this task's references
-        — the chunks stay resident as the tier's warm pool (memory is
-        reclaimed by shared-tier eviction, not here).
-        """
-        if self.shared is not None:
-            self.shared.release_task(self._shared_task, self._shared_tenant)
-            self._held.clear()
-            return
-        self.store.clear()
+    def release(self) -> None:
+        """Drop every reference this master holds.  The chunks stay
+        resident at refcount 0; what becomes of them is the tier
+        owner's call (``TaskCache._retire``)."""
+        self.tier.release_task(self.task, self.tenant)
+        self._held.clear()
 
 
 class TaskCache:
@@ -639,11 +436,6 @@ class TaskCache:
         shared=None,
         tenant: str = "default",
         qos_class: str = "batch",
-        cache_store: str = "ram",
-        disk_tier_bytes: int = 0,
-        disk_latency_s: Optional[float] = None,
-        disk_bandwidth_bps: Optional[float] = None,
-        chunk_compression: bool = False,
     ) -> None:
         if not clients:
             raise DieselError("a task cache needs at least one client")
@@ -664,23 +456,6 @@ class TaskCache:
         names = [c.name for c in clients]
         if len(set(names)) != len(names):
             raise DieselError("client names must be unique")
-        try:
-            #: Chunk-residency spec for this task's *private* masters
-            #: (``cache_store="tiered"`` overflows/demotes cold chunks
-            #: to a simulated node-local NVMe tier instead of leaving
-            #: them server-resident).  With a shared tier attached the
-            #: per-node store comes from the registry's spec instead.
-            self.store_spec = make_spec(
-                cache_store,
-                disk_tier_bytes,
-                DEFAULT_DISK_LATENCY_S if disk_latency_s is None
-                else disk_latency_s,
-                DEFAULT_DISK_BANDWIDTH_BPS if disk_bandwidth_bps is None
-                else disk_bandwidth_bps,
-                chunk_compression,
-            )
-        except ValueError as exc:
-            raise DieselError(str(exc)) from None
         self.env = env
         self.fabric = fabric
         self.server = server
@@ -695,26 +470,29 @@ class TaskCache:
         self.hot_chunk_threshold = hot_chunk_threshold
         self.cal = calibration
         self.fallback_to_server = fallback_to_server
-        #: Per-master chunk-pull concurrency for warmup and recovery
-        #: (``DieselConfig.warmup_fanout``); masters always run
-        #: concurrently with each other, this bounds each stream.
+        #: Per-master chunk-pull concurrency for warmup and recovery;
+        #: masters always run concurrently with each other, this bounds
+        #: each one's stream.
         self.warmup_fanout = warmup_fanout
         #: Chunk pulls admitted per vectorized server call during warmup
-        #: and recovery (``DieselConfig.admission_batch``); 1 = one RPC
-        #: per chunk (legacy).
+        #: and recovery (1 = one RPC per chunk).
         self.admission_batch = admission_batch
-        #: Node-level shared chunk tier registry
-        #: (:class:`~repro.core.shared_cache.SharedCacheRegistry`);
-        #: None keeps the legacy task-private cache.  ``tenant`` names
-        #: the quota account this task's resident bytes charge;
-        #: ``qos_class`` sets its admission priority at the shared tier
-        #: (interactive admissions may evict the batch warm pool, not
-        #: vice versa).
-        self.shared = shared
+        #: Node chunk-tier registry every master of this task admits
+        #: through (:class:`~repro.core.shared_cache.SharedCacheRegistry`).
+        #: A task given none builds its own — one tenant, one task, RAM
+        #: store — and that is the whole of "task-private": the one
+        #: difference is lifetime (:meth:`_retire`).  For a private
+        #: tiered cache, pass a ``store="tiered"`` registry no other
+        #: task uses.  ``tenant`` names the quota account this task's
+        #: resident bytes charge; ``qos_class`` sets its admission
+        #: priority (interactive admissions may evict the batch warm
+        #: pool, not vice versa).
+        self.shared = shared or SharedCacheRegistry(env)
+        self._owns_tier = self.shared is not shared
         self.tenant = tenant
         self.qos_class = qos_class
-        #: Registry-issued key the shared tier refcounts this task
-        #: under (assigned at register()).
+        #: Registry-issued key the tier refcounts this task under
+        #: (assigned at register()).
         self.task_key: Optional[str] = None
         #: Reads served node-locally from the shared tier — a chunk
         #: another task admitted (the cross-task hit path).
@@ -813,7 +591,8 @@ class TaskCache:
 
     @recorder.setter
     def recorder(self, value) -> None:
-        """Propagate the recorder to every cache master and its endpoint."""
+        """Propagate the recorder to every cache master (and through it
+        the node tier it admits into) and its endpoint."""
         self._recorder = value
         for m in self.masters.values():
             m.recorder = value
@@ -929,29 +708,8 @@ class TaskCache:
             leader.node, "register", self.dataset, leader.name,
             self.tenant, self.qos_class,
         )
-        # Master election: lowest rank per physical node (§4.2).
-        by_node: Dict[str, CacheClient] = {}
-        for c in self.clients:
-            cur = by_node.get(c.node.name)
-            if cur is None or (c.rank, c.name) < (cur.rank, cur.name):
-                by_node[c.node.name] = c
-        if self.shared is not None:
-            self.task_key = self.shared.next_task_id()
-        for node_name in sorted(by_node):
-            elected = by_node[node_name]
-            master = CacheMaster(
-                self.env, self.fabric, elected, self.server, self.dataset,
-                self.cal, store_spec=self.store_spec,
-            )
-            if self.shared is not None:
-                master.attach_shared(
-                    self.shared.for_node(elected.node),
-                    self.task_key, self.tenant, self.qos_class,
-                )
-            if self._recorder is not None:
-                master.recorder = self._recorder
-                master.endpoint.recorder = self._recorder
-            self.masters[node_name] = master
+        self.task_key = self.shared.next_task_id()
+        self._elect_masters(self.clients)
         # Deterministic chunk partitioning over sorted masters.
         master_list = [self.masters[k] for k in sorted(self.masters)]
         chunk_ids = summary["chunk_ids"]
@@ -972,12 +730,52 @@ class TaskCache:
         if self.policy == "oneshot":
             for m in master_list:
                 proc = self.env.process(
-                    m.prefetch_all(self.warmup_fanout, self.admission_batch),
+                    m.fill(self.warmup_fanout, self.admission_batch, "warmup"),
                     name=f"prefetch:{m.client.name}",
                 )
                 self._prefetch_procs.append(proc)
         self._registered = True
         return summary
+
+    def _elect_masters(
+        self, clients: Sequence[CacheClient]
+    ) -> List[CacheMaster]:
+        """Master election (§4.2): on every node of ``clients`` that has
+        no master yet, the lowest-ranked client becomes one, admitting
+        through that node's chunk tier.  Returns the new masters in
+        node order."""
+        by_node: Dict[str, CacheClient] = {}
+        for c in clients:
+            if c.node.name in self.masters:
+                continue
+            cur = by_node.get(c.node.name)
+            if cur is None or (c.rank, c.name) < (cur.rank, cur.name):
+                by_node[c.node.name] = c
+        elected = []
+        for node_name in sorted(by_node):
+            client = by_node[node_name]
+            master = CacheMaster(
+                self.env, self.fabric, client, self.server, self.dataset,
+                self.cal, self.shared.for_node(client.node),
+                self.task_key, self.tenant, self.qos_class,
+            )
+            if self._recorder is not None:
+                master.recorder = self._recorder
+                master.endpoint.recorder = self._recorder
+            self.masters[node_name] = master
+            elected.append(master)
+        return elected
+
+    def _retire(self, master: CacheMaster) -> None:
+        """A master leaves (deregistration, scale-down): drop its
+        references.  The lifetime rule — the one thing that tells a
+        task-private cache from a shared one: a tier this task built
+        for itself has no other user, so it is emptied and its memory
+        returned to the node; a tier passed in keeps the chunks as its
+        warm pool (refcount 0, reclaimed by eviction)."""
+        master.release()
+        if self._owns_tier:
+            master.tier.clear()
 
     def _partition_locality(
         self,
@@ -1051,20 +849,20 @@ class TaskCache:
         return total
 
     def deregister(self) -> int:
-        """Tear the task down: drop every cached chunk (or, with a
-        shared tier, every shared-tier reference this task holds).
+        """Tear the task down: drop every tier reference it holds.
 
-        Safe mid-epoch: chunks this task admitted stay resident in the
-        shared tier's warm pool at refcount 0, so concurrent tasks keep
-        hitting them and a later task re-warms instead of re-fetching.
-        Returns the number of chunks that were held.
+        Safe mid-epoch.  On a tier other tasks share, the chunks this
+        task admitted stay resident as the warm pool at refcount 0, so
+        concurrent tasks keep hitting them and a later task re-warms
+        instead of re-fetching; a tier of the task's own is emptied
+        (:meth:`_retire`).  Returns the number of chunks that were held.
         """
         if not self._registered:
             raise DieselError("task cache not registered")
         held = 0
         for m in self.masters.values():
             held += m.cached_chunk_count
-            m.drop_all()
+            self._retire(m)
         self._registered = False
         return held
 
@@ -1211,12 +1009,13 @@ class TaskCache:
         """The node-local head of the Fig 4 chain, RAM before disk.
 
         The reader's own node's master (its partition, or a hot-chunk
-        replica) serves from memory with no RPC hop, or from its disk
-        tier for a device read (+ decompress, promoting when memory
-        allows); with a shared tier, a chunk *any* task admitted on the
-        node serves the same two ways.  ``path`` restricts a hit to
-        chunks holding that file.  Returns ``(chunk, tier)`` or
-        ``(None, "")``; the caller charges the intra-node copy.
+        replica) serves a chunk it holds from memory with no RPC hop;
+        anything else resident in the node's tier — demoted to its
+        disk tier (a device read + decompress, promoting when memory
+        allows), or admitted by another task — serves from there.
+        ``path`` restricts a hit to chunks holding that file.  Returns
+        ``(chunk, tier)`` or ``(None, "")``; the caller charges the
+        intra-node copy.
         """
         local = self.masters.get(client.node.name)
         serving = master
@@ -1229,18 +1028,10 @@ class TaskCache:
             serving = local
         if serving.node is client.node and serving.up:
             chunk = serving._ram_chunk(encoded_cid)
-            tier = "local_hits"
-            if (
-                chunk is None
-                and self.shared is None
-                and serving._disk_resident(encoded_cid)
-            ):
-                chunk = yield from serving._read_resident(encoded_cid)
-                tier = "disk_hits"
             if chunk is not None and (path is None or path in chunk):
                 serving.stats.hits += 1
-                return chunk, tier
-        if self.shared is not None and client.node.alive:
+                return chunk, "local_hits"
+        if client.node.alive:
             node_tier = self.shared.for_node(client.node)
             chunk = node_tier.peek(self.dataset, encoded_cid)
             tier = "shared_hits"
@@ -1357,20 +1148,26 @@ class TaskCache:
         args: tuple,
         response_bytes: Optional[int],
     ) -> Generator[Event, Any, Any]:
-        """One unprotected peer call, feeding the latency tracker."""
+        """One unprotected peer call, feeding the latency tracker —
+        keyed by ``(peer, method)``: a ``get_file`` reply is KBs and a
+        ``get_chunk`` reply MiBs, so one EWMA over both would calibrate
+        a hedge delay that is wrong for each."""
         t0 = self.env.now
         value = yield from master.endpoint.call(
             client.node, method, *args, response_bytes=response_bytes
         )
         if self.peer_latency is not None:
-            self.peer_latency.observe(master.client.name, self.env.now - t0)
+            self.peer_latency.observe(
+                (master.client.name, method), self.env.now - t0
+            )
         return value
 
     def _hedge_backup_target(
-        self, client: CacheClient, master: CacheMaster, encoded_cid: str
+        self, master: CacheMaster, method: str, encoded_cid: str
     ) -> Optional[CacheMaster]:
         """The replica master a hedge backup should hit: any other up
-        master holding the chunk, steered to the lowest-EWMA peer."""
+        master holding the chunk, steered to the peer with the lowest
+        EWMA for ``method``."""
         candidates = [
             m
             for m in self.masters.values()
@@ -1380,13 +1177,8 @@ class TaskCache:
             return None
         if len(candidates) == 1 or self.peer_latency is None:
             return candidates[0]
-        fastest = self.peer_latency.fastest(
-            [m.client.name for m in candidates]
-        )
-        for m in candidates:
-            if m.client.name == fastest:
-                return m
-        return candidates[0]
+        by_key = {(m.client.name, method): m for m in candidates}
+        return by_key[self.peer_latency.fastest(by_key)]
 
     def _hedge_backup_read(
         self,
@@ -1399,7 +1191,7 @@ class TaskCache:
     ) -> Generator[Event, Any, Tuple[str, Any]]:
         """The backup leg of a hedge: replica master if one holds the
         chunk (EWMA-steered), else the backend."""
-        replica = self._hedge_backup_target(client, master, args[0])
+        replica = self._hedge_backup_target(master, method, args[0])
         if replica is not None:
             try:
                 value = yield from self._peer_attempt(
@@ -1432,7 +1224,9 @@ class TaskCache:
         """
         delay = self._hedge_delay_s
         if delay <= 0.0:
-            calibrated = self.peer_latency.hedge_delay(master.client.name)
+            calibrated = self.peer_latency.hedge_delay(
+                (master.client.name, method)
+            )
             if calibrated is None:
                 value = yield from self._peer_attempt(
                     client, master, method, args, response_bytes
@@ -1500,12 +1294,12 @@ class TaskCache:
         """Background pull of a hot chunk onto the reader's master.
 
         Pure opportunism like :meth:`_background_pull`: failures are
-        dropped (the owner keeps serving), and the single-flight map
-        inside ``_pull_chunk`` already coalesces a concurrent warmup or
-        on-demand fill of the same chunk.
+        dropped (the owner keeps serving), and the tier's single-flight
+        map already coalesces a concurrent warmup or on-demand fill of
+        the same chunk.
         """
         try:
-            cached = yield from local._pull_chunk(encoded_cid)
+            cached, _ = yield from local.pull([encoded_cid])
         except (NodeDownError, CachePeerDownError, DieselError):
             return
         if cached:
@@ -1526,7 +1320,7 @@ class TaskCache:
         Chunk-granular recovery: survivors stream whole chunks from the
         object store, exploiting sequential bandwidth (Fig 11b).
         ``fanout`` (default: this cache's ``warmup_fanout``) bounds each
-        survivor's pull concurrency; when > 1 all survivors re-stream
+        survivor's pull concurrency; the survivors re-stream
         concurrently, so recovery time scales with the *largest
         partition*, not the orphaned total.  Returns the number of
         chunks re-loaded.
@@ -1538,13 +1332,12 @@ class TaskCache:
         survivors = [m for m in self.masters.values() if m.up]
         if not survivors:
             raise CachePeerDownError("all cache masters are down")
-        if self.shared is not None:
-            # Forget the crashed nodes' shared-tier residency (their
-            # memory died with them).  Survivors' re-pulls go through
-            # the shared tier: chunks another task already holds on a
-            # survivor warm-admit — refcounts are rebuilt, chunks are
-            # not duplicated and the backend is not re-read for them.
-            self.shared.purge_dead()
+        # Forget the crashed nodes' tier residency (their memory died
+        # with them; a disk tier survives).  Survivors re-pull through
+        # their own tiers: chunks another task already holds there
+        # warm-admit — refcounts are rebuilt, chunks are not duplicated
+        # and the backend is not re-read for them.
+        self.shared.purge_dead()
         orphaned: list[str] = []
         for m in dead:
             orphaned.extend(m.assigned)
@@ -1575,23 +1368,14 @@ class TaskCache:
                 self._owner_of[encoded_cid] = owner
         rec = self._recorder
         t0 = self.env.now if rec is not None else 0.0
-        if limit <= 1 and self.admission_batch <= 1:
-            # Legacy serial re-stream: survivor after survivor.
-            reloaded = 0
-            for m in survivors:
-                for encoded_cid in m.assigned:
-                    if not m.has_chunk(encoded_cid):
-                        cached = yield from m._pull_chunk(encoded_cid)
-                        reloaded += bool(cached)
-        else:
-            per_master = yield from fan_out(
-                self.env,
-                [m.reload_missing(limit, self.admission_batch)
-                 for m in survivors],
-                len(survivors),
-                name="recover",
-            )
-            reloaded = sum(per_master)
+        per_master = yield from fan_out(
+            self.env,
+            [m.fill(limit, self.admission_batch, "recover")
+             for m in survivors],
+            len(survivors),
+            name="recover",
+        )
+        reloaded = sum(per_master)
         if rec is not None:
             rec.record("recover", "total", self.env.now - t0,
                        chunks=reloaded, survivors=len(survivors))
@@ -1628,31 +1412,7 @@ class TaskCache:
             if c.name in taken:
                 raise DieselError(f"client name {c.name!r} already in task")
             taken.add(c.name)
-        # Master election on nodes that do not have one yet.
-        by_node: Dict[str, CacheClient] = {}
-        for c in new_clients:
-            if c.node.name in self.masters:
-                continue
-            cur = by_node.get(c.node.name)
-            if cur is None or (c.rank, c.name) < (cur.rank, cur.name):
-                by_node[c.node.name] = c
-        new_masters: List[CacheMaster] = []
-        for node_name in sorted(by_node):
-            elected = by_node[node_name]
-            master = CacheMaster(
-                self.env, self.fabric, elected, self.server, self.dataset,
-                self.cal, store_spec=self.store_spec,
-            )
-            if self.shared is not None:
-                master.attach_shared(
-                    self.shared.for_node(elected.node),
-                    self.task_key, self.tenant, self.qos_class,
-                )
-            if self._recorder is not None:
-                master.recorder = self._recorder
-                master.endpoint.recorder = self._recorder
-            self.masters[node_name] = master
-            new_masters.append(master)
+        new_masters = self._elect_masters(new_clients)
         # Mesh growth: new clients ↔ all masters, old clients ↔ new masters.
         all_masters = [self.masters[k] for k in sorted(self.masters)]
         for c in new_clients:
@@ -1716,8 +1476,8 @@ class TaskCache:
             if not master.node.alive:
                 break
             try:
-                cached, from_peer = yield from master.admit_from_peer(
-                    donor, encoded_cid
+                cached, from_peer = yield from master.pull(
+                    [encoded_cid], donor
                 )
             except (NodeDownError, CachePeerDownError, DieselError):
                 continue
@@ -1795,7 +1555,7 @@ class TaskCache:
         # Remove the departing masters and clients from the mesh.
         for m in departing:
             m.assigned = []
-            m.drop_all()
+            self._retire(m)
             del self.masters[m.node.name]
             self.connections.drop_endpoint(m.client.name)
             self._breakers.pop(m.client.name, None)
@@ -1831,8 +1591,8 @@ class TaskCache:
         for encoded_cid, donor in items:
             cached, from_peer = False, False
             try:
-                cached, from_peer = yield from succ.admit_from_peer(
-                    donor, encoded_cid
+                cached, from_peer = yield from succ.pull(
+                    [encoded_cid], donor
                 )
             except (NodeDownError, CachePeerDownError, DieselError):
                 cached = False

@@ -1,39 +1,43 @@
-"""Node-level shared chunk tier: one cache crossing task boundaries.
+"""The node chunk tier: where every resident chunk lives.
 
-DIESEL's task-grained cache (§4.2) is private to one training job, so a
-hyperparameter sweep of N tasks over the same dataset pays N× backend
-fetches and N× memory.  This module adds the Hoard-style remedy: every
-node runs **one** :class:`SharedChunkCache`, and each task's
-:class:`~repro.core.dist_cache.CacheMaster` on that node admits chunks
-*through* it instead of into private memory:
+DIESEL's task-grained cache (§4.2) gives each training job its own
+cache; Hoard puts one cache layer under every job.  Here both are the
+same thing: every node runs one :class:`SharedChunkCache` per registry,
+and every task's :class:`~repro.core.dist_cache.CacheMaster` on that
+node admits chunks *through* it and holds references into it.  Hand N
+tasks one :class:`SharedCacheRegistry` and a sweep over one dataset
+pays the backend fetch and the memory once; give a task none and it
+builds a registry for itself — the same tier with one task in it.
 
-* chunks are **reference-counted** per task — the first task's cold
-  admission fetches from the object store, every later task's admission
-  of the same chunk is a warm ref-bump (no fetch, no extra memory);
-* **single-flight is cross-task**: two tasks racing the same cold chunk
-  coalesce onto one backend fetch, exactly like the per-master map they
-  replace;
-* a task deregistering drops its refs; refcount-0 chunks stay resident
+* chunks are **reference-counted** per task — a cold admission fetches
+  the chunk, every later admission of it is a warm ref-bump (no fetch,
+  no extra memory);
+* admission exists once (:meth:`SharedChunkCache.admit`, over
+  ``(cids, fetch)``) and owns **single-flight** across tasks, the
+  tenant quota, QoS-governed placement and the counters; ``fetch``
+  only says where the bytes come from;
+* a task letting go drops its refs; refcount-0 chunks stay resident
   as a **warm pool** (a later task re-warms from them) until eviction
-  reclaims them for space — eviction never touches a referenced chunk;
+  reclaims them for space — eviction never touches a referenced chunk.
+  Only a tier whose one task built it is emptied outright
+  (:meth:`SharedChunkCache.clear`, called by the lifetime rule in
+  ``TaskCache._retire``);
 * **per-tenant byte quotas** bound how many resident bytes one tenant
   may pin per node (0 = unlimited; admission at exactly the quota is
   allowed, one byte past it is rejected);
 * two **QoS classes**: an ``interactive`` admission may evict any
   refcount-0 chunk to make room, a ``batch`` admission may only reclaim
-  refcount-0 chunks last pinned by batch tasks — it cannot steal the
-  warm pool an interactive task left behind;
-* chunk *residency* is delegated to a pluggable
-  :mod:`~repro.core.chunk_store` backend: the default ``ram`` store
-  keeps the legacy all-in-memory behaviour, while ``tiered`` adds a
-  simulated node-local NVMe tier — under memory pressure, refcount-0
-  chunks are **demoted** to disk (LRU-first) instead of dropped,
-  disk-resident chunks are promoted back on access, and the disk tier
-  *survives a node crash* so recovery re-admits by reference instead
-  of re-fetching from the backend.
+  refcount-0 chunks last pinned by batch tasks;
+* chunk *residency* is delegated to a
+  :mod:`~repro.core.chunk_store` backend: ``ram`` keeps everything in
+  node memory, ``tiered`` adds a simulated node-local NVMe tier —
+  under memory pressure, refcount-0 chunks are **demoted** to disk
+  (LRU-first) instead of dropped, promoted back on access, and the
+  disk tier *survives a node crash* so recovery re-admits by reference
+  instead of re-fetching from the backend.
 
-:class:`SharedCacheRegistry` is the deployment-wide handle: it lazily
-creates the per-node caches (each with its own store built from the
+:class:`SharedCacheRegistry` is the handle tasks are given: it lazily
+creates the per-node tiers (each with its own store built from the
 registry's spec), owns the tenant quota table, hands out task keys,
 and aggregates stats for benchmarks and ``dlcmd tenants`` / ``dlcmd
 tiers``.
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from repro.core.chunk import Chunk
 from repro.core.chunk_store import (
@@ -126,7 +130,8 @@ class _Entry:
 
 
 class SharedChunkCache:
-    """The shared chunk tier on one node (all tasks, all datasets)."""
+    """The chunk tier on one node (every task of its registry, all
+    datasets)."""
 
     def __init__(self, env: Environment, node, registry: "SharedCacheRegistry") -> None:
         self.env = env
@@ -272,9 +277,10 @@ class SharedChunkCache:
         return ok
 
     def _pick_victims(self, needed: int, qos: str):
-        """Refcount-0 RAM chunks to displace, LRU-first, honouring QoS:
-        ``batch`` may not touch chunks the interactive class left warm.
+        """Refcount-0 RAM chunks to displace, LRU-first, honouring QoS
+        (:meth:`_evictable_for`).
         Returns ``(victims, freed_bytes, blocked_by_qos)``."""
+        allowed = self._evictable_for(qos)
         victims: List[str] = []
         blocked_by_qos = False
         freed = 0
@@ -282,7 +288,7 @@ class SharedChunkCache:
             entry = self._entries.get(key)
             if entry is None or entry.tasks:
                 continue
-            if qos != "interactive" and entry.qos == "interactive":
+            if not allowed(key):
                 blocked_by_qos = True
                 continue
             victims.append(key)
@@ -323,182 +329,123 @@ class SharedChunkCache:
                 self._stats.skipped_no_memory += 1
         return tier
 
-    def acquire(
-        self, master, encoded_cid: str
-    ) -> Generator[Event, Any, Optional[Tuple[Chunk, int]]]:
-        """Admit one chunk on behalf of ``master``'s task (ref-counted).
+    def admit(
+        self, holder, cids: Sequence[str], fetch
+    ) -> Generator[Event, Any, Dict[str, int]]:
+        """Admit ``cids`` on behalf of ``holder``'s task (ref-counted) —
+        the one way a chunk becomes resident on this node.
 
-        ``master`` is a :class:`~repro.core.dist_cache.CacheMaster`
-        attached via ``attach_shared`` (the call site supplies node,
-        server, dataset, task key, tenant and QoS class; its
-        ``stats.coalesced_pulls`` moves when this acquire joins another
-        task's in-flight fetch, preserving the task-level counter).
+        ``holder`` is the admitting
+        :class:`~repro.core.dist_cache.CacheMaster`: its ``dataset``,
+        ``task`` key, ``tenant`` and ``qos`` class say who is charged,
+        and its ``stats.coalesced_pulls`` moves with the tier's, keeping
+        the task-level counter.  ``fetch(cold_cids)`` is a generator
+        returning one ``(chunk, nbytes)`` per cold cid, in order — the
+        caller decides *where* the bytes come from (backend, or a donor
+        peer with the backend behind it); everything else is decided
+        here, once per round over the still-unresolved cids:
 
-        Resident → warm ref-bump.  In flight → wait (cross-task
-        single-flight), then ref-bump.  Miss → fetch from the object
-        store, make room (QoS-governed eviction of the warm pool),
-        charge the tenant quota, admit.  Returns ``(chunk, nbytes)``,
-        or ``None`` when the quota, QoS policy or node memory refused
-        the admission (the chunk stays server-resident; reads for it
-        fall through, Fig 4).
+        * resident → warm ref-bump (quota-checked), no fetch;
+        * in flight under any task → wait for that fetch (cross-task
+          single-flight), then re-classify: a refused fetch leaves the
+          chunk cold and this task retries it itself;
+        * cold → one ``fetch`` for the whole cold subset, then per chunk
+          the tenant quota check, QoS-governed placement
+          (:meth:`_place`) and the reference entry.
+
+        Returns ``{cid: nbytes}`` for the chunks ``holder``'s task now
+        references; a cid the quota, QoS policy or node memory refused
+        is absent (it stays server-resident; reads for it fall through,
+        Fig 4).
         """
-        key = self._key(master.dataset, encoded_cid)
-        task = master._shared_task
-        tenant = master._shared_tenant
-        qos = master._shared_qos
-        while True:
-            entry = self._entries.get(key)
-            if entry is not None:
-                if not self._charge_ref(entry, task, tenant, qos):
-                    return None
-                self.store.touch(key)
-                self._stats.warm_admissions += 1
-                rec = self.recorder
-                if rec is not None:
-                    rec.count("shared_warm_admit", "shared_tier")
-                return self.store.chunk_object(key), entry.nbytes
-            pending = self._inflight.get(key)
-            if pending is None:
-                break
-            self._stats.coalesced_pulls += 1
-            master.stats.coalesced_pulls += 1
-            yield pending
-            # Re-check: the fetch may have been refused (quota/memory),
-            # in which case this task retries the cold path itself.
-        done = self.env.event()
-        self._inflight[key] = done
-        try:
-            blob = yield from master.server.call(
-                self.node,
-                "get_chunk",
-                master.dataset,
-                encoded_cid,
-                response_bytes=None,  # sized from the returned bytes
-            )
-            nbytes = len(blob)
-            if not self._quota_room(tenant, nbytes):
-                self._stats.quota_rejections += 1
-                return None
-            chunk = Chunk.decode(blob)
-            tier = yield from self._place(key, chunk, nbytes, qos)
-            if tier is None:
-                return None
-            entry = _Entry(nbytes=nbytes, qos=qos)
-            entry.tasks.add(task)
-            entry.tenants[tenant] = 1
-            self._entries[key] = entry
-            self._tenant_usage[tenant] = (
-                self._tenant_usage.get(tenant, 0) + nbytes
-            )
-            self._stats.cold_admissions += 1
-            rec = self.recorder
-            if rec is not None:
-                rec.count("shared_cold_admit", "shared_tier")
-            return chunk, nbytes
-        finally:
-            del self._inflight[key]
-            done.succeed()
-
-    def acquire_batch(
-        self, master, cids: Sequence[str]
-    ) -> Generator[Event, Any, Dict[str, Tuple[Chunk, int]]]:
-        """Batched :meth:`acquire`: one vectorized server admission.
-
-        The cold subset rides a single
-        :meth:`~repro.core.server.DieselServer.call_batch`; warm chunks
-        ref-bump immediately and chunks in flight under another task are
-        awaited afterwards — the same classification discipline as the
-        per-master ``_pull_chunks_batched`` it replaces.  Returns the
-        chunks now held by ``master``'s task, keyed by encoded cid.
-        """
-        task = master._shared_task
-        tenant = master._shared_tenant
-        qos = master._shared_qos
-        held: Dict[str, Tuple[Chunk, int]] = {}
-        fetch: List[str] = []
-        dones: List[Event] = []
-        waits: List[str] = []
-        for cid in cids:
-            key = self._key(master.dataset, cid)
-            entry = self._entries.get(key)
-            if entry is not None:
-                if self._charge_ref(entry, task, tenant, qos):
-                    self.store.touch(key)
-                    self._stats.warm_admissions += 1
-                    held[cid] = (self.store.chunk_object(key), entry.nbytes)
-                continue
-            if key in self._inflight:
-                self._stats.coalesced_pulls += 1
-                master.stats.coalesced_pulls += 1
-                waits.append(cid)
-                continue
-            done = self.env.event()
-            self._inflight[key] = done
-            fetch.append(cid)
-            dones.append(done)
-        try:
-            if fetch:
-                blobs = yield from master.server.call_batch(
-                    self.node,
-                    [("get_chunk", master.dataset, cid) for cid in fetch],
-                )
-                for cid, blob in zip(fetch, blobs):
-                    nbytes = len(blob)
+        task, tenant, qos = holder.task, holder.tenant, holder.qos
+        keys = {cid: self._key(holder.dataset, cid) for cid in cids}
+        rec = self.recorder
+        held: Dict[str, int] = {}
+        pending = list(cids)
+        while pending:
+            cold: List[str] = []
+            waits: List[str] = []
+            for cid in pending:
+                key = keys[cid]
+                entry = self._entries.get(key)
+                if entry is not None:
+                    if self._charge_ref(entry, task, tenant, qos):
+                        self.store.touch(key)
+                        self._stats.warm_admissions += 1
+                        if rec is not None:
+                            rec.count("shared_warm_admit", "shared_tier")
+                        held[cid] = entry.nbytes
+                elif key in self._inflight:
+                    self._stats.coalesced_pulls += 1
+                    holder.stats.coalesced_pulls += 1
+                    waits.append(cid)
+                else:
+                    self._inflight[key] = self.env.event()
+                    cold.append(cid)
+            try:
+                fetched = (yield from fetch(cold)) if cold else ()
+                for cid, (chunk, nbytes) in zip(cold, fetched):
                     if not self._quota_room(tenant, nbytes):
                         self._stats.quota_rejections += 1
                         continue
-                    chunk = Chunk.decode(blob)
-                    key = self._key(master.dataset, cid)
-                    tier = yield from self._place(key, chunk, nbytes, qos)
+                    tier = yield from self._place(
+                        keys[cid], chunk, nbytes, qos
+                    )
                     if tier is None:
                         continue
                     entry = _Entry(nbytes=nbytes, qos=qos)
                     entry.tasks.add(task)
                     entry.tenants[tenant] = 1
-                    self._entries[key] = entry
+                    self._entries[keys[cid]] = entry
                     self._tenant_usage[tenant] = (
                         self._tenant_usage.get(tenant, 0) + nbytes
                     )
                     self._stats.cold_admissions += 1
-                    held[cid] = (chunk, nbytes)
-        finally:
-            for cid, done in zip(fetch, dones):
-                del self._inflight[self._key(master.dataset, cid)]
-                done.succeed()
-        for cid in waits:
-            result = yield from self.acquire(master, cid)
-            if result is not None:
-                held[cid] = result
-                # acquire already counted the warm admission.
+                    if rec is not None:
+                        rec.count("shared_cold_admit", "shared_tier")
+                    held[cid] = nbytes
+            finally:
+                for cid in cold:
+                    self._inflight.pop(keys[cid]).succeed()
+            for cid in waits:
+                racing = self._inflight.get(keys[cid])
+                if racing is not None:
+                    yield racing
+            pending = waits
         return held
 
     # ---------------------------------------------------------------- release
-    def release(self, dataset: str, encoded_cid: str, task: str, tenant: str) -> None:
-        """Drop one task's reference; the chunk stays warm (refcount-0
-        chunks are reclaimed by eviction, not by release)."""
-        entry = self._entries.get(self._key(dataset, encoded_cid))
-        if entry is None or task not in entry.tasks:
-            return
-        entry.tasks.discard(task)
-        left = entry.tenants.get(tenant, 0) - 1
-        if left <= 0:
-            entry.tenants.pop(tenant, None)
-            self._tenant_usage[tenant] = max(
-                0, self._tenant_usage.get(tenant, 0) - entry.nbytes
-            )
-        else:
-            entry.tenants[tenant] = left
-        self._stats.released_refs += 1
-
     def release_task(self, task: str, tenant: str) -> int:
-        """Drop every reference ``task`` holds; returns how many."""
+        """Drop every reference ``task`` holds; returns how many.  The
+        chunks stay warm (refcount-0 chunks are reclaimed by eviction,
+        not by release)."""
         released = 0
-        for key, entry in self._entries.items():
-            if task in entry.tasks:
-                dataset, _, encoded_cid = key.rpartition("/")
-                self.release(dataset, encoded_cid, task, tenant)
-                released += 1
+        for entry in self._entries.values():
+            if task not in entry.tasks:
+                continue
+            entry.tasks.discard(task)
+            left = entry.tenants.get(tenant, 0) - 1
+            if left <= 0:
+                entry.tenants.pop(tenant, None)
+                self._tenant_usage[tenant] = max(
+                    0, self._tenant_usage.get(tenant, 0) - entry.nbytes
+                )
+            else:
+                entry.tenants[tenant] = left
+            released += 1
+        self._stats.released_refs += released
         return released
+
+    def clear(self) -> None:
+        """Empty the tier: forget every chunk on every tier of the store
+        and return its RAM to ``node.memory``.  For a tier whose only
+        task is gone (the lifetime rule, see
+        :class:`~repro.core.dist_cache.TaskCache`) — never for one other
+        tasks still reference."""
+        self.store.clear()
+        self._entries.clear()
+        self._tenant_usage.clear()
 
     def purge_crashed(self) -> int:
         """Node died: forget RAM residency without returning memory (the
@@ -518,18 +465,16 @@ class SharedChunkCache:
                 entry.tenants.clear()
                 kept[key] = entry
         self._entries = kept
-        self._inflight.clear()
         self._tenant_usage.clear()
         return before - len(kept)
 
 
 class SharedCacheRegistry:
-    """Deployment-wide shared-tier handle: per-node caches + quotas.
+    """The handle tasks are given: per-node chunk tiers + quotas.
 
-    The store keyword arguments mirror the ``DieselConfig`` fields
-    ``cache_store`` / ``disk_tier_bytes`` / ``disk_latency_s`` /
-    ``disk_bandwidth_bps`` / ``chunk_compression``; every lazily
-    created node cache builds its residency store from this one spec.
+    The store keyword arguments (validated by
+    :func:`~repro.core.chunk_store.make_spec`) say what every lazily
+    created node tier keeps its chunks in.
     """
 
     def __init__(

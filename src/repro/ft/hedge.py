@@ -26,7 +26,7 @@ Everything runs on the simulation clock; no wall-clock, no randomness.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, Generator, Iterable, Optional
+from typing import Any, Callable, Dict, Generator, Hashable, Iterable, Optional
 
 from repro.errors import InterruptError
 from repro.sim.engine import Environment, Event
@@ -79,6 +79,10 @@ class HedgeOutcome:
 class PeerLatencyTracker:
     """EWMA latency model per peer, with a p95-ish hedge-delay estimate.
 
+    A "peer" is any hashable key naming one latency population — the
+    task cache keys by ``(peer name, method)`` so replies of different
+    sizes never share an estimate.
+
     ``observe(peer, latency)`` folds a sample in:
     ``err = x - mean; mean += alpha·err; dev += alpha·(|err| - dev)``
     (first sample seeds ``mean = x, dev = x/2``, as TCP does for RTT).
@@ -99,11 +103,11 @@ class PeerLatencyTracker:
         self.alpha = alpha
         self.dev_mult = dev_mult
         self.min_samples = min_samples
-        self._mean: Dict[str, float] = {}
-        self._dev: Dict[str, float] = {}
-        self._count: Dict[str, int] = {}
+        self._mean: Dict[Hashable, float] = {}
+        self._dev: Dict[Hashable, float] = {}
+        self._count: Dict[Hashable, int] = {}
 
-    def observe(self, peer: str, latency_s: float) -> None:
+    def observe(self, peer: Hashable, latency_s: float) -> None:
         """Fold one completed-call latency sample for ``peer``."""
         if latency_s < 0:
             raise ValueError("latency_s must be >= 0")
@@ -117,16 +121,16 @@ class PeerLatencyTracker:
             self._dev[peer] += self.alpha * (abs(err) - self._dev[peer])
         self._count[peer] = n + 1
 
-    def samples(self, peer: str) -> int:
+    def samples(self, peer: Hashable) -> int:
         return self._count.get(peer, 0)
 
-    def mean(self, peer: str) -> Optional[float]:
+    def mean(self, peer: Hashable) -> Optional[float]:
         return self._mean.get(peer)
 
-    def deviation(self, peer: str) -> Optional[float]:
+    def deviation(self, peer: Hashable) -> Optional[float]:
         return self._dev.get(peer)
 
-    def hedge_delay(self, peer: str, floor_s: float = 0.0) -> Optional[float]:
+    def hedge_delay(self, peer: Hashable, floor_s: float = 0.0) -> Optional[float]:
         """Calibrated hedge delay for ``peer`` — ``mean + dev_mult·dev``,
         or ``None`` until ``min_samples`` observations exist (hedging
         with an uncalibrated delay just duplicates every call)."""
@@ -134,7 +138,7 @@ class PeerLatencyTracker:
             return None
         return max(floor_s, self._mean[peer] + self.dev_mult * self._dev[peer])
 
-    def fastest(self, peers: Iterable[str]) -> Optional[str]:
+    def fastest(self, peers: Iterable[Hashable]) -> Optional[Hashable]:
         """The peer with the lowest EWMA mean; never-observed peers rank
         first (optimistically — one call prices them in)."""
         best = None

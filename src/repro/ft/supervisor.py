@@ -112,8 +112,7 @@ class CacheSupervisor:
                 if not dead:
                     return
                 t0 = self.env.now
-                shared = getattr(self.cache, "shared", None)
-                before = shared.stats if shared is not None else None
+                before = self.cache.shared.stats
                 try:
                     reloaded = yield from self.cache.recover(self.fanout)
                 except CachePeerDownError as exc:
@@ -133,22 +132,21 @@ class CacheSupervisor:
                     "chunks_reloaded": reloaded,
                     "masters": sorted(m.client.name for m in dead),
                 }
-                if shared is not None:
-                    # Layer attribution for the re-pull: warm admissions
-                    # rebuilt refcounts onto surviving residents, cold
-                    # ones actually re-fetched from the object store.
-                    # Registry-wide deltas over this heal's window — when
-                    # several tasks heal concurrently the windows overlap
-                    # and each record sees the union of their admissions
-                    # (the backend-fetch count is still deduplicated by
-                    # the cross-task single-flight map).
-                    after = shared.stats
-                    record["shared_warm_admissions"] = (
-                        after.warm_admissions - before.warm_admissions
-                    )
-                    record["shared_cold_admissions"] = (
-                        after.cold_admissions - before.cold_admissions
-                    )
+                # Layer attribution for the re-pull: warm admissions
+                # rebuilt refcounts onto surviving residents, cold ones
+                # actually re-fetched from the object store.
+                # Registry-wide deltas over this heal's window — when
+                # several tasks heal concurrently the windows overlap
+                # and each record sees the union of their admissions
+                # (the backend-fetch count is still deduplicated by the
+                # cross-task single-flight map).
+                after = self.cache.shared.stats
+                record["shared_warm_admissions"] = (
+                    after.warm_admissions - before.warm_admissions
+                )
+                record["shared_cold_admissions"] = (
+                    after.cold_admissions - before.cold_admissions
+                )
                 self.recoveries.append(record)
                 rec = self.recorder
                 if rec is not None:

@@ -708,8 +708,13 @@ _TIMEOUT_POOL_MAX = 4096
 
 #: Weak registry of live environments + a creation counter, so the bench
 #: harness can aggregate engine throughput for the envs one experiment
-#: created (see repro.bench.harness.timer).
+#: created (see repro.bench.harness.timer).  An environment the
+#: collector has already finalized leaves its counters in
+#: ``_retired_envs`` (creation stamp → scheduler, events, run wall,
+#: queue peak), so the aggregate does not depend on when the collector
+#: ran.
 _env_registry: "weakref.WeakSet[Environment]" = weakref.WeakSet()
+_retired_envs: "dict[int, tuple[str, int, float, int]]" = {}
 _env_next_stamp = 0
 
 
@@ -744,19 +749,28 @@ class EngineStats:
 
 
 def aggregate_engine_stats(since: int = 0) -> Optional[EngineStats]:
-    """Combined :class:`EngineStats` over live environments created at or
-    after registry stamp ``since`` that have processed events; ``None``
-    when there is nothing to report."""
-    envs = [e for e in _env_registry
-            if e._gen_stamp >= since and e._nevents]
-    if not envs:
+    """Combined :class:`EngineStats` over every environment created at
+    or after registry stamp ``since`` that has processed events — live
+    or already finalized; ``None`` when there is nothing to report."""
+    # Hold the live environments first (none of them can retire below),
+    # then take the retired tally in one C-level copy: a finalizer
+    # running mid-scan may add to it.
+    live = [e for e in _env_registry if e._gen_stamp >= since]
+    by_stamp = _retired_envs.copy()
+    for e in live:
+        by_stamp[e._gen_stamp] = (
+            e.scheduler, e._nevents, e._run_wall, e._q.peak
+        )
+    tallies = [
+        t for stamp, t in by_stamp.items() if stamp >= since and t[1]
+    ]
+    if not tallies:
         return None
-    schedulers = sorted({e.scheduler for e in envs})
     return EngineStats(
-        scheduler="+".join(schedulers),
-        sim_events=sum(e._nevents for e in envs),
-        run_wall_s=sum(e._run_wall for e in envs),
-        peak_occupancy=max(e._q.peak for e in envs),
+        scheduler="+".join(sorted({t[0] for t in tallies})),
+        sim_events=sum(t[1] for t in tallies),
+        run_wall_s=sum(t[2] for t in tallies),
+        peak_occupancy=max(t[3] for t in tallies),
     )
 
 
@@ -802,6 +816,14 @@ class Environment:
         self._gen_stamp = _env_next_stamp
         _env_next_stamp += 1
         _env_registry.add(self)
+
+    def __del__(self, _retired=_retired_envs) -> None:
+        # Keep this kernel's counters for aggregate_engine_stats; the
+        # default argument keeps the tally reachable at interpreter exit.
+        if self._nevents:
+            _retired[self._gen_stamp] = (
+                self.scheduler, self._nevents, self._run_wall, self._q.peak
+            )
 
     @property
     def now(self) -> float:

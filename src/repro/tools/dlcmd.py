@@ -747,8 +747,9 @@ def cmd_chaos(ws: DieselWorkspace, dataset: str, args) -> str:
     lines.append("peer latency (EWMA, slowest first):")
     for row in cache.peer_latency.rows():
         delay = row["hedge_delay_s"]
+        peer, method = row["peer"]
         lines.append(
-            f"  {row['peer']}: {row['samples']} sample(s), "
+            f"  {peer} {method}: {row['samples']} sample(s), "
             f"ewma {row['ewma_s'] * 1e3:.3f}ms, "
             f"dev {row['dev_s'] * 1e3:.3f}ms, hedge delay "
             + (f"{delay * 1e3:.3f}ms" if delay is not None else "n/a")

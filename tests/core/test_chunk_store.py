@@ -25,9 +25,13 @@ def make_chunk(key="c0", size=CHUNK):
 def rig(memory_bytes=4 * CHUNK, scheduler="calendar", **spec_kw):
     env = Environment(scheduler=scheduler)
     node = Node(env, "n0", memory_bytes=memory_bytes)
-    spec = make_spec(**spec_kw) if spec_kw else None
-    store = make_store(env, node, spec)
+    store = make_store(env, node, make_spec(**spec_kw))
     return env, node, store
+
+
+def resident(store):
+    """Chunks the store holds across all tiers."""
+    return store.stats.chunks_ram + store.stats.chunks_disk
 
 
 def run(env, gen):
@@ -101,7 +105,7 @@ class TestRamStore:
     def test_put_refuses_when_memory_is_short(self):
         env, node, store = rig(memory_bytes=CHUNK // 2)
         assert run(env, store.put("c0", make_chunk(), CHUNK)) is None
-        assert store.count == 0
+        assert resident(store) == 0
 
     def test_get_refreshes_lru_order(self):
         env, node, store = rig(memory_bytes=4 * CHUNK)
@@ -120,7 +124,7 @@ class TestRamStore:
         store.drop("c0")
         assert node.memory.level == CHUNK
         assert store.crash() == 1
-        assert store.count == 0
+        assert resident(store) == 0
         # The container died with the node: no memory handed back.
         assert node.memory.level == CHUNK
 
@@ -244,7 +248,7 @@ class TestTieredStore:
         assert store.crash() == 1
         assert store.tier_of("c0") is None
         assert store.tier_of("c1") == "disk"
-        assert store.count == 1
+        assert resident(store) == 1
 
     def test_concurrent_loads_single_flight_the_promotion(self):
         env, node, store = rig(memory_bytes=CHUNK, cache_store="tiered")

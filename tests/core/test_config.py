@@ -9,16 +9,13 @@ class TestDieselConfig:
     def test_defaults_match_paper(self):
         cfg = DieselConfig()
         assert cfg.chunk_size == 4 * 1024 * 1024  # >= 4MB chunks
-        assert cfg.cache_policy == "oneshot"
         assert cfg.shuffle_group_size == 100  # ImageNet group size (Fig 13)
 
     @pytest.mark.parametrize(
         "kw",
         [
             {"chunk_size": 0},
-            {"cache_policy": "never"},
             {"shuffle_group_size": 0},
-            {"fuse_clients": 0},
         ],
     )
     def test_validation(self, kw):

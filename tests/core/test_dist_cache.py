@@ -333,13 +333,12 @@ class TestMemoryAccounting:
         # Uncached chunks fall through to the server (Fig 4): all correct.
         assert dep.run(read_all()) == len(files)
 
-    def test_drop_all_returns_memory(self):
+    def test_deregister_of_an_own_tier_returns_memory(self):
         dep, cache, client, files, index = self._tight_setup(
             memory_bytes=10 * 2**20
         )
         dep.run(cache.wait_warm())
-        master = next(iter(cache.masters.values()))
         assert client.node.memory.level < 10 * 2**20
-        master.drop_all()
+        cache.deregister()
         dep.env.run()  # deliver the memory put
         assert client.node.memory.level == 10 * 2**20

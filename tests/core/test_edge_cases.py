@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.chunk import Chunk
-from repro.core.config import DieselConfig
 from repro.errors import ChunkFormatError, DieselError
 from repro.util.ids import ChunkIdGenerator
 
@@ -167,13 +166,3 @@ class TestClientEdges:
         deployment.run(load())
         with pytest.raises(DieselError):
             client.enable_shuffle(group_size=0)
-
-
-class TestConfigEdges:
-    def test_fuse_clients_config_consumed(self):
-        cfg = DieselConfig(fuse_clients=3)
-        assert cfg.fuse_clients == 3
-
-    def test_on_demand_policy_accepted(self):
-        assert DieselConfig(cache_policy="on-demand").cache_policy == \
-            "on-demand"

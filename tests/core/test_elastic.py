@@ -3,13 +3,20 @@
 import pytest
 
 from repro.core.dist_cache import CacheClient, TaskCache
+from repro.core.shared_cache import SharedCacheRegistry
 from repro.errors import DieselError
 from repro.ft import CacheSupervisor, FailureDetector
 
 from tests.core.conftest import build_deployment, small_files, write_dataset
 
 
-def setup_cache(n_nodes=4, cache_nodes=2, n_files=24, policy="oneshot"):
+#: Where the masters keep their chunks: a tier of the task's own, or a
+#: passed-in tiered registry — the scale paths are the same code.
+TIERS = ["own", "passed-in"]
+
+
+def setup_cache(n_nodes=4, cache_nodes=2, n_files=24, policy="oneshot",
+                tier="own"):
     """A cache over the first ``cache_nodes`` nodes of a larger cluster,
     leaving the rest free to join via scale_up."""
     dep = build_deployment(n_client_nodes=n_nodes)
@@ -25,8 +32,13 @@ def setup_cache(n_nodes=4, cache_nodes=2, n_files=24, policy="oneshot"):
         CacheClient(f"cc{i}", dep.client_nodes[i % cache_nodes], i)
         for i in range(cache_nodes * 2)
     ]
+    shared = (
+        SharedCacheRegistry(dep.env, store="tiered")
+        if tier == "passed-in" else None
+    )
     cache = TaskCache(
-        dep.env, dep.fabric, dep.server, "ds", clients, policy=policy
+        dep.env, dep.fabric, dep.server, "ds", clients, policy=policy,
+        shared=shared,
     )
     dep.run(cache.register())
     dep.run(cache.wait_warm())
@@ -47,8 +59,9 @@ def joiners(dep, nodes, start_rank=100):
 
 
 class TestScaleUp:
-    def test_new_nodes_take_an_equal_share_warm(self):
-        dep, cache, clients, files, index = setup_cache()
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_new_nodes_take_an_equal_share_warm(self, tier):
+        dep, cache, clients, files, index = setup_cache(tier=tier)
         n_chunks = len(index.chunk_ids())
         v0 = cache.membership_version
         fetches_before = dep.server.stats.chunk_reads
@@ -118,19 +131,22 @@ class TestScaleUp:
 
 
 class TestScaleDown:
-    def grown(self):
-        dep, cache, clients, files, index = setup_cache()
+    def grown(self, tier="own"):
+        dep, cache, clients, files, index = setup_cache(tier=tier)
         dep.run(cache.scale_up(joiners(dep, [2, 3])))
         return dep, cache, clients, files, index
 
-    def test_drain_rehomes_every_chunk(self):
-        dep, cache, clients, files, index = self.grown()
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_drain_rehomes_every_chunk(self, tier):
+        dep, cache, clients, files, index = self.grown(tier)
         n_chunks = len(index.chunk_ids())
         v0 = cache.membership_version
+        fetches_before = dep.server.stats.chunk_reads
         res = dep.run(cache.scale_down([dep.client_nodes[2],
                                         dep.client_nodes[3]]))
         assert res["lost_chunks"] == 0
         assert res["drained_chunks"] > 0
+        assert dep.server.stats.chunk_reads == fetches_before
         assert sorted(res["removed_masters"]) == ["joiner100", "joiner101"]
         assert len(cache.masters) == 2
         assert cache.membership_version == v0 + 1

@@ -206,18 +206,22 @@ class TestPullCoalescing:
         before = dep.server.stats.chunk_reads
         n = 5
         procs = [
-            dep.env.process(master._pull_chunk(cid), name=f"pull{i}")
+            dep.env.process(master.pull([cid]), name=f"pull{i}")
             for i in range(n)
         ]
 
         def wait_all():
             for p in procs:
-                assert (yield p)
+                held, from_peer = yield p
+                assert (held, from_peer) == (1, 0)
 
         dep.run(wait_all())
         assert dep.server.stats.chunk_reads - before == 1
         assert master.stats.coalesced_pulls == n - 1
         assert cache.stats.coalesced_pulls == n - 1
+        # The chunk landed once, however many pulls were granted a ref.
+        assert master.stats.chunks_loaded == 1
+        assert master.stats.bytes_cached == master.nbytes_of(cid)
 
     def test_sequential_pulls_do_not_coalesce(self):
         dep, cache, clients, files, index = setup_cache(
@@ -228,8 +232,8 @@ class TestPullCoalescing:
 
         def proc():
             for cid in summary["chunk_ids"]:
-                yield from master._pull_chunk(cid)
-                yield from master._pull_chunk(cid)  # resident: no refetch
+                yield from master.pull([cid])
+                yield from master.pull([cid])  # resident: no refetch
 
         dep.run(proc())
         assert master.stats.coalesced_pulls == 0

@@ -239,14 +239,16 @@ class TestWarmupRecoveryFanout:
             if fanout > 1:
                 assert hwm > 1
             else:
-                assert hwm == 0
+                assert hwm == 1
         assert warmed[4] == warmed[1] == cache.cached_chunks() > 0
         assert times[4] < times[1]
 
     def test_concurrent_recovery_restores_coverage(self):
         times = {}
         for fanout in (1, 4):
-            dep, cache = setup_cache(warmup_fanout=fanout)
+            # Several orphaned chunks per survivor: survivors always
+            # re-stream concurrently, the fan-out bounds each one's pulls.
+            dep, cache = setup_cache(warmup_fanout=fanout, n_files=96)
             summary = dep.run(cache.register())
             dep.run(cache.wait_warm())
             victim = cache.masters[sorted(cache.masters)[0]]

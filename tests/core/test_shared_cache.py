@@ -2,15 +2,14 @@
 
 Cross-task refcounting, warm admission, cross-task single-flight,
 per-tenant quotas, QoS-governed eviction and deregistration semantics —
-both at the :class:`SharedChunkCache` unit level (fake masters against
+both at the :class:`SharedChunkCache` unit level (bare masters against
 the real server) and through full :class:`TaskCache` integration.
 """
 
-from types import SimpleNamespace
-
 import pytest
 
-from repro.core.dist_cache import CacheClient, TaskCache
+from repro.calibration import DEFAULT
+from repro.core.dist_cache import CacheClient, CacheMaster, TaskCache
 from repro.core.shared_cache import SharedCacheRegistry
 from repro.cluster.node import Node
 from repro.errors import DieselError
@@ -46,13 +45,20 @@ def shared_rig(n_nodes=2, n_files=24, n_tasks=2, tenants=None, qos=None,
     return dep, registry, caches, files, writer.index
 
 
-def fake_master(server, dataset, task, tenant="default", qos="batch"):
-    """Duck-typed CacheMaster for unit-driving SharedChunkCache.acquire."""
-    return SimpleNamespace(
-        server=server, dataset=dataset, _shared_task=task,
-        _shared_tenant=tenant, _shared_qos=qos,
-        stats=SimpleNamespace(coalesced_pulls=0),
+def fake_master(dep, tier, task, tenant="default", qos="batch"):
+    """A bare CacheMaster (no TaskCache around it) for unit-driving one
+    node tier's admission as task ``task``."""
+    return CacheMaster(
+        dep.env, dep.fabric, CacheClient(f"m-{task}", tier.node, 0),
+        dep.server, "ds", DEFAULT, tier, task, tenant, qos,
     )
+
+
+def acquire(master, cid):
+    """Pull one chunk through ``master``'s tier: the bytes now held, or
+    ``None`` when the tier refused the admission."""
+    held, _ = yield from master.pull([cid])
+    return master.nbytes_of(cid) if held else None
 
 
 class TestCrossTaskWarmup:
@@ -128,19 +134,19 @@ class TestSingleFlightAcrossTasks:
         node = dep.client_nodes[0]
         tier = registry.for_node(node)
         cid = index.chunk_ids()[0].encode()
-        m1 = fake_master(dep.server, "ds", "taskA")
-        m2 = fake_master(dep.server, "ds", "taskB")
+        m1 = fake_master(dep, tier, "taskA")
+        m2 = fake_master(dep, tier, "taskB")
         got = {}
 
         def racer(name, master):
-            held = yield from tier.acquire(master, cid)
+            held = yield from acquire(master, cid)
             got[name] = held
 
         p1 = dep.env.process(racer("a", m1))
         p2 = dep.env.process(racer("b", m2))
         dep.env.run(until=dep.env.all_of([p1, p2]))
         assert got["a"] is not None and got["b"] is not None
-        assert got["a"][0] is got["b"][0]  # the same resident object
+        assert tier.stats.chunks_resident == 1  # one copy, two refs
         assert dep.server.stats.chunk_reads == 1
         assert tier.refcount("ds", cid) == 2
         s = tier.stats
@@ -205,11 +211,11 @@ class TestDeregistration:
 class TestTenantQuotas:
     def _admit_all(self, dep, tier, index, task, tenant):
         cids = [c.encode() for c in index.chunk_ids()]
-        master = fake_master(dep.server, "ds", task, tenant=tenant)
+        master = fake_master(dep, tier, task, tenant=tenant)
 
         def admit():
             for cid in cids:
-                yield from tier.acquire(master, cid)
+                yield from acquire(master, cid)
 
         dep.run(admit())
         return cids
@@ -251,10 +257,10 @@ class TestTenantQuotas:
         cid = index.chunk_ids()[0].encode()
         self._admit_all(dep, tier, index, "rich-task", "rich")
         registry.set_quota("poor", 1)  # one byte: nothing fits
-        master = fake_master(dep.server, "ds", "poor-task", tenant="poor")
+        master = fake_master(dep, tier, "poor-task", tenant="poor")
 
         def admit():
-            return (yield from tier.acquire(master, cid))
+            return (yield from acquire(master, cid))
 
         assert dep.run(admit()) is None
         assert tier.stats.quota_rejections == 1
@@ -279,11 +285,11 @@ class TestQosEviction:
 
     def test_batch_cannot_evict_interactive_warm_pool(self):
         dep, registry, tier, node, cids = self._tiny_node_rig()
-        inter = fake_master(dep.server, "ds", "iq", qos="interactive")
-        batch = fake_master(dep.server, "ds", "bq", qos="batch")
+        inter = fake_master(dep, tier, "iq", qos="interactive")
+        batch = fake_master(dep, tier, "bq", qos="batch")
 
         def admit(master, cid):
-            return (yield from tier.acquire(master, cid))
+            return (yield from acquire(master, cid))
 
         assert dep.run(admit(inter, cids[0])) is not None
         tier.release_task("iq", "default")  # leave an interactive warm pool
@@ -297,11 +303,11 @@ class TestQosEviction:
 
     def test_interactive_may_evict_any_warm_chunk(self):
         dep, registry, tier, node, cids = self._tiny_node_rig()
-        inter = fake_master(dep.server, "ds", "iq", qos="interactive")
-        inter2 = fake_master(dep.server, "ds", "iq2", qos="interactive")
+        inter = fake_master(dep, tier, "iq", qos="interactive")
+        inter2 = fake_master(dep, tier, "iq2", qos="interactive")
 
         def admit(master, cid):
-            return (yield from tier.acquire(master, cid))
+            return (yield from acquire(master, cid))
 
         assert dep.run(admit(inter, cids[0])) is not None
         tier.release_task("iq", "default")
@@ -312,11 +318,11 @@ class TestQosEviction:
 
     def test_referenced_chunks_are_never_evicted(self):
         dep, registry, tier, node, cids = self._tiny_node_rig()
-        batch = fake_master(dep.server, "ds", "bq", qos="batch")
-        other = fake_master(dep.server, "ds", "bq2", qos="batch")
+        batch = fake_master(dep, tier, "bq", qos="batch")
+        other = fake_master(dep, tier, "bq2", qos="batch")
 
         def admit(master, cid):
-            return (yield from tier.acquire(master, cid))
+            return (yield from acquire(master, cid))
 
         assert dep.run(admit(batch, cids[0])) is not None  # still referenced
         self._drain(dep, node)
@@ -335,17 +341,17 @@ class TestLruEvictionOrder:
         node = dep.fabric.add_node(Node(dep.env, "tiny"))
         tier = registry.for_node(node)
         cids = [c.encode() for c in index.chunk_ids()]
-        warmer = fake_master(dep.server, "ds", "warmer", qos="interactive")
+        warmer = fake_master(dep, tier, "warmer", qos="interactive")
 
         def admit(master, cid):
-            return (yield from tier.acquire(master, cid))
+            return (yield from acquire(master, cid))
 
         # Insertion order: c0 then c1; both left refcount-0 (warm).
         assert dep.run(admit(warmer, cids[0])) is not None
         assert dep.run(admit(warmer, cids[1])) is not None
         tier.release_task("warmer", "default")
         # Re-reading c0 must refresh its recency: LRU is now [c1, c0].
-        toucher = fake_master(dep.server, "ds", "toucher", qos="interactive")
+        toucher = fake_master(dep, tier, "toucher", qos="interactive")
         assert dep.run(admit(toucher, cids[0])) is not None
         tier.release_task("toucher", "default")
 
@@ -354,7 +360,7 @@ class TestLruEvictionOrder:
 
         dep.run(sip())
         # Under pressure the admission evicts c1 (LRU), not c0 (first-in).
-        other = fake_master(dep.server, "ds", "iq", qos="interactive")
+        other = fake_master(dep, tier, "iq", qos="interactive")
         assert dep.run(admit(other, cids[2])) is not None
         assert tier.resident("ds", cids[0])
         assert not tier.resident("ds", cids[1])
@@ -382,10 +388,10 @@ class TestTieredSharedTier:
     def test_cold_admission_overflows_to_disk_under_pressure(self):
         dep, registry, tier, node, cids = self._tiered_rig()
         self._drain(dep, node)
-        batch = fake_master(dep.server, "ds", "bq", qos="batch")
+        batch = fake_master(dep, tier, "bq", qos="batch")
 
         def admit(cid):
-            return (yield from tier.acquire(batch, cid))
+            return (yield from acquire(batch, cid))
 
         assert dep.run(admit(cids[0])) is not None
         assert tier.resident("ds", cids[0])
@@ -395,12 +401,12 @@ class TestTieredSharedTier:
 
     def test_pressure_demotes_warm_chunk_but_not_pinned_interactive(self):
         dep, registry, tier, node, cids = self._tiered_rig()
-        inter = fake_master(dep.server, "ds", "iq", qos="interactive")
-        batch = fake_master(dep.server, "ds", "bq", qos="batch")
-        batch2 = fake_master(dep.server, "ds", "bq2", qos="batch")
+        inter = fake_master(dep, tier, "iq", qos="interactive")
+        batch = fake_master(dep, tier, "bq", qos="batch")
+        batch2 = fake_master(dep, tier, "bq2", qos="batch")
 
         def admit(master, cid):
-            return (yield from tier.acquire(master, cid))
+            return (yield from acquire(master, cid))
 
         # cids[0] is pinned (interactive, still referenced); cids[1] is
         # a refcount-0 batch warm chunk.

@@ -35,26 +35,27 @@ TIERS = ("local_hits", "remote_hits", "shared_hits", "disk_hits",
          "degraded_reads")
 
 
-def make_files(seed, n=60):
+def make_files(seed, n=60, sizes=(600, 1500)):
     rng = random.Random(seed)
     return {
-        f"/ds/c{i % 5}/f{i:03d}.bin": rng.randbytes(rng.randint(600, 1500))
+        f"/ds/c{i % 5}/f{i:03d}.bin": rng.randbytes(rng.randint(*sizes))
         for i in range(n)
     }
 
 
 def make_task(seed=0, placement="hash", store="ram", group_size=2,
-              n_nodes=3, n_files=60, **cache_kw):
+              n_nodes=3, n_files=60, file_sizes=(600, 1500),
+              chunk_size=CHUNK, **cache_kw):
     """A warmed task cache with one CacheReader per node.
 
-    ``store``: ``ram`` (private, everything fits), ``tiered`` (private
-    RAM+disk, RAM holds about half of each node's share) or ``shared``
-    (node-level shared tier, tiered and compressed, same squeeze).
+    ``store``: ``ram`` (the task's own RAM tier, everything fits) or
+    ``tiered`` (a passed-in RAM+disk tier with compression, RAM holding
+    about half of each node's share) — one residency model either way.
     """
-    files = make_files(seed, n_files)
+    files = make_files(seed, n_files, file_sizes)
     tb = make_testbed(n_compute=1)
     add_diesel(tb, n_servers=1)
-    chunks = bulk_load_diesel(tb, "ds", files, chunk_size=CHUNK)
+    chunks = bulk_load_diesel(tb, "ds", files, chunk_size=chunk_size)
     ram = 256 * 2**30
     if store != "ram":
         ram = sum(c.data_size for c in chunks) // (2 * n_nodes)
@@ -68,14 +69,14 @@ def make_task(seed=0, placement="hash", store="ram", group_size=2,
         for i, node in enumerate(nodes)
     ]
     registry = None
-    if store == "shared":
+    if store == "tiered":
         registry = SharedCacheRegistry(
             tb.env, store="tiered", chunk_compression=True)
     cache = TaskCache(
         tb.env, tb.fabric, tb.diesel, "ds",
         [c.as_cache_client() for c in clients],
         calibration=tb.cal, placement=placement, shared=registry,
-        cache_store="tiered" if store == "tiered" else "ram", **cache_kw,
+        **cache_kw,
     )
     tb.run(cache.register())
     tb.run(cache.wait_warm())
@@ -114,7 +115,7 @@ class TestWindowEpoch:
     @given(
         seed=st.integers(0, 2**16),
         placement=st.sampled_from(["hash", "locality"]),
-        store=st.sampled_from(["ram", "tiered", "shared"]),
+        store=st.sampled_from(["ram", "tiered"]),
         group_size=st.integers(1, 4),
     )
     def test_epoch_matches_read_file(self, seed, placement, store,
@@ -203,26 +204,28 @@ class TestWindowEpoch:
             cache.read_chunk(reader.cache_client, cid.encode()))
         assert tier == "remote_hits"
         # Aliased, not copied; the wire carried the encoded size once.
-        assert chunk is owner.store.chunk_object(cid.encode())
+        assert chunk is owner.tier.peek("ds", cid.encode())
         assert owner.endpoint.stats.calls == 1
         assert owner.endpoint.stats.response_bytes == len(chunk.encode())
         assert tb.fabric.stats.bytes_moved - moved == 128 + len(chunk.encode())
 
 
-class TestFaults:
-    def _remote_chunks(self, cache, reader, index):
-        node = reader.cache_client.node.name
-        by_owner = {}
-        for cid in index.chunk_ids():
-            owner = cache.chunk_owner_node(cid)
-            if owner != node:
-                by_owner.setdefault(owner, []).append(cid.encode())
-        return max(by_owner.items(), key=lambda kv: len(kv[1]))
+def remote_chunks(cache, reader, index):
+    """(owner node, its chunks) for the remote owner holding the most."""
+    node = reader.cache_client.node.name
+    by_owner = {}
+    for cid in index.chunk_ids():
+        owner = cache.chunk_owner_node(cid)
+        if owner != node:
+            by_owner.setdefault(owner, []).append(cid.encode())
+    return max(by_owner.items(), key=lambda kv: len(kv[1]))
 
+
+class TestFaults:
     def test_owner_killed_mid_get_chunk_degrades_to_server(self):
         tb, cache, readers, files, index = make_task()
         reader = readers[0]
-        victim_name, cids = self._remote_chunks(cache, reader, index)
+        victim_name, cids = remote_chunks(cache, reader, index)
         victim = cache.masters[victim_name]
         reported = []
 
@@ -319,6 +322,46 @@ class TestFaults:
         assert tb.run(reader.read(path)) == files[path]
 
 
+class TestHedging:
+    def test_mixed_granularity_reads_of_a_healthy_owner_fire_no_hedge(self):
+        """Regression: the latency tracker was keyed by peer alone, so a
+        run of KB ``get_file`` replies calibrated a hedge delay far
+        below what a MiB ``get_chunk`` reply takes — every chunk read
+        after it hedged against a perfectly healthy owner."""
+        tb, cache, readers, files, index = make_task(
+            n_nodes=4, n_files=480, file_sizes=(12_000, 20_000),
+            chunk_size=512 * 1024)
+        cache.configure_hedging(enabled=True)
+        reader = readers[0]
+        owner, cids = remote_chunks(cache, reader, index)
+        assert len(cids) >= 3
+        by_chunk = {cid: [] for cid in cids}
+        for path in files:
+            cid = index.lookup(path).chunk_id.encode()
+            if cid in by_chunk:
+                by_chunk[cid].append(path)
+
+        def reads():
+            cc = reader.cache_client
+            for rnd in range(4):
+                for cid in cids:
+                    for path in by_chunk[cid][rnd * 4:rnd * 4 + 4]:
+                        data = yield from cache.read_file(
+                            cc, index.lookup(path))
+                        assert data == files[path]
+                    chunk, tier = yield from cache.read_chunk(cc, cid)
+                    assert tier == "remote_hits"
+
+        tb.run(reads())
+        assert cache.hedge_stats.reads > 0
+        assert cache.hedge_stats.hedges_fired == 0
+        assert cache.degraded_reads == 0
+        # Both populations are calibrated, each on its own samples.
+        master = cache.masters[owner].client.name
+        assert cache.peer_latency.hedge_delay((master, "get_chunk")) > \
+            2 * cache.peer_latency.hedge_delay((master, "get_file"))
+
+
 class TestClientChain:
     """Fig 4 in DieselClient: with shuffle on *and* a task cache attached,
     a group-cache miss resolves through the cache, not the server."""
@@ -360,7 +403,7 @@ class TestClientChain:
         assert client.stats.server_reads == 1
 
 
-@pytest.mark.parametrize("store", ["ram", "shared"])
+@pytest.mark.parametrize("store", ["ram", "tiered"])
 def test_strict_mode_raises_and_counts(store):
     from repro.errors import CachePeerDownError
 
