@@ -198,7 +198,9 @@ class CacheMaster:
         self.assigned: List[str] = []  # encoded chunk ids
         self._held: Dict[str, int] = {}
         self.stats = CacheMasterStats()
-        self._recorder = None
+        #: Observability recorder for this master's own spans
+        #: (propagated by TaskCache; the tier's comes from its registry).
+        self.recorder = None
         self.endpoint = RpcEndpoint(
             env,
             fabric,
@@ -217,16 +219,6 @@ class CacheMaster:
     def store(self):
         """The chunk store behind this master's node tier (read-only)."""
         return self.tier.store
-
-    @property
-    def recorder(self):
-        """Attached observability recorder (propagated by TaskCache)."""
-        return self._recorder
-
-    @recorder.setter
-    def recorder(self, value) -> None:
-        self._recorder = value
-        self.tier.recorder = value
 
     def has_chunk(self, encoded_cid: str) -> bool:
         return encoded_cid in self._held
@@ -297,9 +289,9 @@ class CacheMaster:
         """Bring cold chunks to this node: from ``donor`` (a peer master
         still holding them — the elastic-membership source, so scale
         events never re-read the object store for resident data) with
-        the backend behind it, else straight from the backend — one
-        ``get_chunk``, or one vectorized ``call_batch`` for a group.
-        Cids the donor served are appended to ``from_peer``.
+        the backend behind it, else straight from the backend in one
+        vectorized ``call_batch`` of ``get_chunk``s.  Cids the donor
+        served are appended to ``from_peer``.
         """
         got: Dict[str, Tuple[Chunk, int]] = {}
         if donor is not None and donor.up:
@@ -316,20 +308,13 @@ class CacheMaster:
                     got[cid] = (chunk, nbytes)
                     from_peer.append(cid)
         backend = [cid for cid in cids if cid not in got]
-        blobs: List[bytes] = []
-        if len(backend) == 1:
-            blob = yield from self.server.call(
-                self.node, "get_chunk", self.dataset, backend[0],
-                response_bytes=None,  # sized from the returned bytes
-            )
-            blobs = [blob]
-        elif backend:
+        if backend:
             blobs = yield from self.server.call_batch(
                 self.node,
                 [("get_chunk", self.dataset, cid) for cid in backend],
             )
-        for cid, blob in zip(backend, blobs):
-            got[cid] = (Chunk.decode(blob), len(blob))
+            for cid, blob in zip(backend, blobs):
+                got[cid] = (Chunk.decode(blob), len(blob))
         return [got[cid] for cid in cids]
 
     def pull(
@@ -591,9 +576,13 @@ class TaskCache:
 
     @recorder.setter
     def recorder(self, value) -> None:
-        """Propagate the recorder to every cache master (and through it
-        the node tier it admits into) and its endpoint."""
+        """Propagate the recorder to every cache master and its
+        endpoint — and to the node tiers when this task owns them; a
+        registry passed in is attached on its own (it outlives, and is
+        shared beyond, any one task)."""
         self._recorder = value
+        if self._owns_tier:
+            self.shared.recorder = value
         for m in self.masters.values():
             m.recorder = value
             m.endpoint.recorder = value
@@ -1026,7 +1015,12 @@ class TaskCache:
             and local.has_chunk(encoded_cid)
         ):
             serving = local
-        if serving.node is client.node and serving.up:
+        mine = (
+            serving.node is client.node
+            and serving.up
+            and serving.has_chunk(encoded_cid)
+        )
+        if mine:
             chunk = serving._ram_chunk(encoded_cid)
             if chunk is not None and (path is None or path in chunk):
                 serving.stats.hits += 1
@@ -1043,7 +1037,10 @@ class TaskCache:
                 )
                 tier = "disk_hits"
             if chunk is not None and (path is None or path in chunk):
-                node_tier.note_cross_task_read()
+                if mine:  # this task's own chunk, off the disk tier
+                    serving.stats.hits += 1
+                else:
+                    node_tier.note_cross_task_read()
                 return chunk, tier
         return None, ""
 

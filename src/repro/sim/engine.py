@@ -709,17 +709,28 @@ _TIMEOUT_POOL_MAX = 4096
 #: Weak registry of live environments + a creation counter, so the bench
 #: harness can aggregate engine throughput for the envs one experiment
 #: created (see repro.bench.harness.timer).  An environment the
-#: collector has already finalized leaves its counters in
+#: collector finalizes inside a counting window leaves its counters in
 #: ``_retired_envs`` (creation stamp → scheduler, events, run wall,
 #: queue peak), so the aggregate does not depend on when the collector
-#: ran.
+#: ran.  ``_retired_since`` is the stamp the latest window opened at;
+#: ``None`` (nobody is counting) keeps nothing.
 _env_registry: "weakref.WeakSet[Environment]" = weakref.WeakSet()
 _retired_envs: "dict[int, tuple[str, int, float, int]]" = {}
+_retired_since: Optional[int] = None
 _env_next_stamp = 0
 
 
 def env_generation() -> int:
-    """Creation stamp the next Environment will receive (registry cursor)."""
+    """Open a counting window: the creation stamp the next Environment
+    will receive, to pass as ``aggregate_engine_stats(since=…)``.
+
+    Windows are sequential, not nested — opening one drops the retired
+    tallies of the ones before it, so a long process holds counters for
+    one window's environments at most.
+    """
+    global _retired_since
+    _retired_since = _env_next_stamp
+    _retired_envs.clear()
     return _env_next_stamp
 
 
@@ -750,8 +761,9 @@ class EngineStats:
 
 def aggregate_engine_stats(since: int = 0) -> Optional[EngineStats]:
     """Combined :class:`EngineStats` over every environment created at
-    or after registry stamp ``since`` that has processed events — live
-    or already finalized; ``None`` when there is nothing to report."""
+    or after registry stamp ``since`` that has processed events — live,
+    or finalized since the window :func:`env_generation` last opened;
+    ``None`` when there is nothing to report."""
     # Hold the live environments first (none of them can retire below),
     # then take the retired tally in one C-level copy: a finalizer
     # running mid-scan may add to it.
@@ -787,6 +799,8 @@ class Environment:
     ) -> None:
         self._now = float(initial_time)
         self._seq = 0
+        self._nevents = 0  # first: __del__ reads it even if we raise below
+        self._run_wall = 0.0
         self._active_process: Optional[Process] = None
         if scheduler is None:
             scheduler = os.environ.get("REPRO_SIM_SCHEDULER", "calendar")
@@ -805,8 +819,6 @@ class Environment:
         #: Which scheduler implementation this kernel runs on.
         self.scheduler: str = q.name
         self._tpool: list[Timeout] = []
-        self._nevents = 0
-        self._run_wall = 0.0
         #: Optional event observer (see repro.sim.trace.Tracer.attach).
         self._tracer_obj = None
         # Pre-bound step: the untraced body has no observability branch
@@ -818,9 +830,10 @@ class Environment:
         _env_registry.add(self)
 
     def __del__(self, _retired=_retired_envs) -> None:
-        # Keep this kernel's counters for aggregate_engine_stats; the
+        # Keep this kernel's counters for the open counting window; the
         # default argument keeps the tally reachable at interpreter exit.
-        if self._nevents:
+        since = _retired_since
+        if self._nevents and since is not None and self._gen_stamp >= since:
             _retired[self._gen_stamp] = (
                 self.scheduler, self._nevents, self._run_wall, self._q.peak
             )

@@ -418,3 +418,35 @@ def test_strict_mode_raises_and_counts(store):
     with pytest.raises(CachePeerDownError):
         tb.run(cache.read_chunk(reader.cache_client, cid))
     assert cache.degraded_reads == 1
+
+
+def test_own_disk_hit_is_a_master_hit_not_a_cross_task_read():
+    """A task reading its own chunk off the node's disk tier is served
+    by its own master — no other task was involved."""
+    tb, cache, readers, files, index = make_task(store="tiered")
+    tiers = []
+    for reader in readers:
+        client = reader.cache_client
+        master = cache.masters[client.node.name]
+        for cid in list(master._held):
+            tiers.append(tb.run(cache.read_chunk(client, cid))[1])
+    assert set(tiers) == {"local_hits", "disk_hits"}
+    assert cache.shared.stats.cross_task_reads == 0
+    assert sum(m.stats.hits for m in cache.masters.values()) == len(tiers)
+
+
+def test_recorder_reaches_an_own_tier_but_not_a_passed_in_one():
+    from repro.obs import SpanRecorder
+
+    tb, own, *_ = make_task(store="ram")
+    rec = SpanRecorder.attach(own)
+    assert all(t.recorder is rec for t in own.shared.node_caches)
+    SpanRecorder.detach(own)
+    assert all(t.recorder is None for t in own.shared.node_caches)
+
+    tb, guest, *_ = make_task(store="tiered")
+    registry_rec = SpanRecorder.attach(guest.shared)
+    task_rec = SpanRecorder.attach(guest)
+    assert all(m.recorder is task_rec for m in guest.masters.values())
+    SpanRecorder.detach(guest)
+    assert all(t.recorder is registry_rec for t in guest.shared.node_caches)

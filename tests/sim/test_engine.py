@@ -383,5 +383,21 @@ class TestAggregateEngineStats:
         assert after.sim_events == live.sim_events
         assert after.peak_occupancy == peak
         assert after.scheduler == scheduler
-        # Environments created before the window stay out of it.
+        # Environments created before the window stay out of it, and
+        # opening it dropped the previous window's tally.
         assert aggregate_engine_stats(since=env_generation()) is None
+        from repro.sim import engine
+
+        assert engine._retired_envs == {}
+
+    def test_failed_construction_finalizes_quietly(self, monkeypatch):
+        """__del__ runs on an Environment whose __init__ raised."""
+        import gc
+        import sys
+
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with pytest.raises(SimulationError):
+            Environment(scheduler="bogus")
+        gc.collect()
+        assert unraisable == []
