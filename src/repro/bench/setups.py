@@ -187,11 +187,15 @@ def bulk_load_diesel(
         sim_id_generator(f"bulkload:{dataset}", clock=lambda: tb.env.now),
         chunk_size=chunk_size,
     )
-    chunks = builder.build_all(files.items())
     server = tb.diesel
-    for chunk in chunks:
-        tb.store.load([(object_key(dataset, chunk.chunk_id), chunk.encode())])
+    chunks = []
+    for chunk in builder.build_stream(files.items()):
+        blob = chunk.encode()
+        # One copy per chunk: the returned chunk views the stored blob.
+        chunk.data = memoryview(blob)[len(blob) - chunk.data_size:]
+        tb.store.load([(object_key(dataset, chunk.chunk_id), blob)])
         server.ingest_metadata(dataset, chunk)
+        chunks.append(chunk)
     return chunks
 
 

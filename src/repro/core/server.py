@@ -702,12 +702,7 @@ class DieselServer:
         return rewritten
 
     def _drop_chunk(self, dataset: str, cid: ChunkId) -> Generator[Event, Any, None]:
-        key = object_key(dataset, cid)
-        if isinstance(self.store, ObjectStore):
-            yield from self.store.delete(key)
-        else:
-            self.store._base.pop(key, None)
-            yield self.env.timeout(0)
+        yield from self.store.delete(object_key(dataset, cid))
         self.kv.local_delete(meta.chunk_key(dataset, cid))
         ts = self._next_ts(dataset)
         dsrec = self._dataset_record(dataset).without_chunks([cid], ts)
@@ -744,27 +739,24 @@ class DieselServer:
         """Fig 4: "If a cache miss occurs on the server-side, the server
         will start to cache the dataset in the background."
 
-        Spawns a process that streams every one of the dataset's chunks
-        through the tiered store's promotion path.  No-op for untiered
-        stores.  Returns the process (an event that yields the number of
-        chunks promoted), or None if there is nothing to do.
+        Spawns a process that offers every one of the dataset's chunks to
+        the tiered store's fill path, one at a time; the store's admission
+        guard stops it at the tier's capacity.  No-op for untiered stores.
+        Returns the process (an event that yields the number of chunks
+        cached), or None if there is nothing to do.
         """
         if not isinstance(self.store, TieredStore):
             return None
         dsrec = self._dataset_record(dataset)
 
         def warm():
-            promoted = 0
+            cached = 0
             for cid in dsrec.chunk_ids:
                 key = object_key(dataset, cid)
-                if key in self.store._base and not self.store.in_ssd(key):
-                    size = len(self.store.peek(key))
-                    # Explicit promotion, independent of the per-read
-                    # promote_on_miss policy: stream from HDD, write SSD.
-                    yield from self.store.hdd.read(size)
-                    yield from self.store._promote(key, size)
-                    promoted += 1
-            return promoted
+                fill = self.store.fill(key) if key in self.store else None
+                if fill is not None:
+                    cached += yield fill
+            return cached
 
         return self.env.process(warm(), name=f"servercache:{dataset}")
 

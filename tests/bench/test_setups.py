@@ -95,6 +95,23 @@ class TestBulkLoads:
         assert len(chunks) >= 3
         assert len(tb.store.list_keys()) == len(chunks)
 
+    def test_bulk_load_diesel_keeps_one_copy_per_chunk(self):
+        from repro.core.server import object_key
+
+        tb = make_testbed(n_compute=1)
+        add_diesel(tb)
+        files = {f"/f{i}": bytes([i]) * 100 for i in range(20)}
+        chunks = bulk_load_diesel(tb, "ds", files, chunk_size=512)
+        assert sum(c.data_size for c in chunks) == 20 * 100
+        for chunk in chunks:
+            blob = tb.store.peek(object_key("ds", chunk.chunk_id))
+            # The returned chunk's data section is a view of the stored
+            # blob, not a second copy, and still decodes file by file.
+            assert chunk.data.obj is blob
+            assert chunk.encode() == blob
+            for path in chunk.paths:
+                assert chunk.payload(path) == files[path]
+
     def test_snapshot_client_preloaded(self):
         tb = make_testbed(n_compute=1)
         add_diesel(tb)

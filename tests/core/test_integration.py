@@ -168,12 +168,15 @@ class TestTieredServerCache:
             return tb.env.now - t0
 
         cold = tb.run(epoch())
+        tb.env.run()  # the fills the misses left behind
+        assert all(tb.store.in_ssd(k) for k in tb.store.list_keys())
+        hits = tb.store.stats.ssd_hits
         warm = tb.run(epoch())
-        # First epoch faulted chunks from HDD and promoted them; the
-        # second is served from the SSD tier.
+        # First epoch faulted chunks from HDD and filled the tier behind
+        # the reads; the second is served from the SSD tier.
         assert warm < cold / 3
-        assert tb.store.stats.promotions > 0
-        assert tb.store.stats.ssd_hits > 0
+        assert tb.store.stats.promotions == len(tb.store)
+        assert tb.store.stats.ssd_hits - hits == len(files)
 
     def test_correctness_through_tiers(self):
         tb, files = self._setup()
@@ -209,6 +212,57 @@ class TestTieredServerCache:
 
         tb.run(epoch())
         assert tb.store.stats.ssd_hits >= len(files)
+
+    def test_background_caching_stops_at_capacity(self):
+        tb, _ = self._setup()
+        keys = tb.store.list_keys()
+        sizes = [tb.store.object_size(k) for k in keys]
+        tb.store.ssd_capacity_bytes = sum(sizes[:3]) + 1
+        cached = tb.env.run(until=tb.diesel.start_background_caching("ds"))
+        # The first chunks that fit stay; later ones do not push them out.
+        assert cached == 3
+        assert [k for k in keys if tb.store.in_ssd(k)] == keys[:3]
+        assert tb.store.stats.evictions == 0
+        assert tb.store.stats.rejections == len(keys) - 3
+        assert tb.store.ssd.stats.write_bytes == sum(sizes[:3])
+
+    def _warm_tier(self, tb):
+        tb.env.run(until=tb.diesel.start_background_caching("ds"))
+        assert tb.store.ssd_used_bytes() == tb.store.size_bytes() > 0
+
+    def test_delete_dataset_returns_the_tiers_bytes(self):
+        tb, _ = self._setup()
+        self._warm_tier(tb)
+        n = len(tb.store)
+        node = tb.compute_nodes[0]
+        assert tb.run(tb.diesel.call(node, "delete_dataset", "ds")) == n
+        assert len(tb.store) == 0
+        assert tb.store.ssd_used_bytes() == 0
+
+    def test_purge_returns_the_tiers_bytes(self):
+        tb, files = self._setup()
+        self._warm_tier(tb)
+        node = tb.compute_nodes[0]
+        doomed = sorted(files)[::2]
+
+        def delete_and_purge():
+            for path in doomed:
+                yield from tb.diesel.call(node, "delete_file", "ds", path)
+            n = yield from tb.diesel.call(node, "purge", "ds")
+            return n
+
+        assert tb.run(delete_and_purge()) > 0
+        # Every old chunk is gone from both tiers; the rewritten ones are
+        # on the HDD only until somebody reads them.
+        assert not any(tb.store.in_ssd(k) for k in tb.store.list_keys())
+        assert tb.store.ssd_used_bytes() == 0
+
+        def read_back():
+            for path in sorted(set(files) - set(doomed)):
+                data = yield from tb.diesel.call(node, "get_file", "ds", path)
+                assert data == files[path]
+
+        tb.run(read_back())
 
     def test_background_caching_noop_for_flat_store(self):
         tb = make_testbed(n_compute=1)

@@ -104,6 +104,10 @@ class TestObjectStore:
         assert store.object_size("a") == 5
 
 
+#: Longer than any background fill in these tests takes.
+FILL_S = 1.0
+
+
 def make_tiered(ssd_capacity=10_000, promote=True):
     env = Environment()
     ssd = Device(env, "ssd", per_op_s=1e-4, bandwidth_bps=1e9, queue_depth=8)
@@ -117,7 +121,9 @@ class TestTieredStore:
 
         def proc(env):
             yield from store.put("k", b"x" * 1000)
-            yield from store.get("k")  # miss + promote
+            yield from store.get("k")  # miss; the fill runs behind it
+            assert not store.in_ssd("k")
+            yield env.timeout(FILL_S)
             yield from store.get("k")  # hit
             return None
 
@@ -138,6 +144,7 @@ class TestTieredStore:
         def proc(env):
             yield from store.put("k", b"x" * 1000)
             miss_t = yield from timed_get(env, "k")
+            yield env.timeout(FILL_S)
             hit_t = yield from timed_get(env, "k")
             return miss_t, hit_t
 
@@ -152,13 +159,20 @@ class TestTieredStore:
                 yield from store.put(key, b"x" * 1000)
             yield from store.get("a")
             yield from store.get("b")
-            yield from store.get("c")  # evicts a (LRU)
+            # The tier is full: c has to be read three times while a sits
+            # idle before it may take a's place (a is the LRU).
+            for _ in range(3):
+                yield env.timeout(FILL_S)
+                assert store.in_ssd("a") and store.in_ssd("b")
+                yield from store.get("c")
+            yield env.timeout(FILL_S)
             return None
 
         run_sync(env, proc(env))
         assert not store.in_ssd("a")
         assert store.in_ssd("b") and store.in_ssd("c")
         assert store.stats.evictions == 1
+        assert store.stats.rejections == 2
         assert store.ssd_used_bytes() == 2000
 
     def test_oversized_object_never_promoted(self):
@@ -167,6 +181,7 @@ class TestTieredStore:
         def proc(env):
             yield from store.put("big", b"x" * 1000)
             yield from store.get("big")
+            yield env.timeout(FILL_S)
             return None
 
         run_sync(env, proc(env))
@@ -179,6 +194,7 @@ class TestTieredStore:
         def proc(env):
             yield from store.put("k", b"x")
             yield from store.get("k")
+            yield env.timeout(FILL_S)
             yield from store.get("k")
             return None
 
@@ -212,6 +228,7 @@ class TestTieredStore:
             yield from store.put("k", b"z")
             for _ in range(4):
                 yield from store.get("k")
+                yield env.timeout(FILL_S)
             return None
 
         run_sync(env, proc(env))
