@@ -1521,7 +1521,9 @@ def fig_faults(
     steady-state throughput back within 10% of the pre-kill window.
     """
     from repro.core.recovery import verify_rebuild
-    from repro.ft import CacheSupervisor, FailureDetector, KVSupervisor
+    from repro.ft import (
+        CacheSupervisor, FailureDetector, KVSupervisor, RetryPolicy,
+    )
     from repro.obs import SpanRecorder
 
     result = ExperimentResult(
@@ -1548,15 +1550,11 @@ def fig_faults(
         )
         tb.run(cache.register())
         tb.run(cache.wait_warm())
-        ft_cfg = DieselConfig(
-            heartbeat_interval_s=heartbeat_s,
-            failure_timeout_s=failure_timeout_s,
-        )
-        cache.configure_ft(ft_cfg)
+        cache.configure_ft(RetryPolicy())
         recorder = SpanRecorder.attach(cache)
         detector = FailureDetector(
-            tb.env, heartbeat_interval_s=ft_cfg.heartbeat_interval_s,
-            failure_timeout_s=ft_cfg.failure_timeout_s, recorder=recorder,
+            tb.env, heartbeat_interval_s=heartbeat_s,
+            failure_timeout_s=failure_timeout_s, recorder=recorder,
         )
         cache_sup = CacheSupervisor(detector, cache, fanout=2,
                                     recorder=recorder)

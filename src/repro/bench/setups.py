@@ -68,10 +68,9 @@ def make_testbed(
     n_compute: int = 10,
     n_storage: int = 6,
     cal: Calibration = DEFAULT,
-    scheduler: Optional[str] = None,
+    scheduler: str = "calendar",
 ) -> Testbed:
-    """Wire the shared fabric; ``scheduler`` picks the DES queue
-    (``DieselConfig.sim_scheduler``; None = the environment default)."""
+    """Wire the shared fabric; ``scheduler`` picks the DES queue."""
     env = Environment(scheduler=scheduler)
     fabric = NetworkFabric(env, cal.network)
     storage = [

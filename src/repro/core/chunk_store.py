@@ -1,22 +1,22 @@
-"""Pluggable chunk-residency stores: RAM tier + simulated-NVMe disk tier.
+"""The chunk-residency store: a RAM tier + an optional simulated-NVMe tier.
 
 What a node chunk tier (:mod:`repro.core.shared_cache`) keeps its
 resident chunks *in*.  A bare in-memory map charged against the node's
 memory ``Container`` makes "dataset larger than aggregate RAM"
 inexpressible: once memory runs out, every further chunk stays
-server-resident forever.  This module puts the residency decision
-behind one interface with two backends, selected by the registry
+server-resident forever.  :class:`ChunkStore` puts the residency
+decision in one place; the registry picks its shape
 (``SharedCacheRegistry(env, store=...)``):
 
-* :class:`RamStore` (``"ram"``) — chunks live in node memory in LRU
-  order; a chunk that does not fit is refused (``put`` returns
-  ``None``) and stays server-resident.
-* :class:`TieredStore` (``"tiered"``) — adds a simulated node-local
-  NVMe tier (a :class:`~repro.cluster.devices.Device` queueing station,
-  latency/bandwidth from ``disk_latency_s`` / ``disk_bandwidth_bps``,
-  capacity from ``disk_tier_bytes``).  Admissions overflow RAM→disk,
-  cold chunks are *demoted* to disk under memory pressure
-  (:meth:`~TieredStore.displace`), and disk-resident chunks are
+* ``"ram"`` — no disk tier: chunks live in node memory in LRU order; a
+  chunk that does not fit is refused (``put`` returns ``None``) and
+  stays server-resident, and ``displace`` can only evict.
+* ``"tiered"`` — adds a simulated node-local NVMe tier (a
+  :class:`~repro.cluster.devices.Device` queueing station at
+  ``DISK_LATENCY_S`` / ``DISK_BANDWIDTH_BPS``, capacity from
+  ``disk_tier_bytes``).  Admissions overflow RAM→disk, cold chunks are
+  *demoted* to disk under memory pressure
+  (:meth:`~ChunkStore.displace`), and disk-resident chunks are
   *promoted* back to RAM on access when memory allows — otherwise the
   read streams through without displacing the RAM working set.
 
@@ -29,14 +29,14 @@ and disk bandwidth.  Chunk *payload bytes are never transformed*; only
 the simulated costs and stored-byte accounting change, so checksums and
 reads behave identically either way.
 
-Both stores publish :class:`ChunkStoreStats` and emit ``tier_hit``
+The store publishes :class:`ChunkStoreStats` and emits ``tier_hit``
 (ram/disk), ``tier_promote`` / ``tier_demote`` / ``tier_compress``
 spans through an attached :class:`~repro.obs.SpanRecorder`.
 
-Crash semantics mirror real hardware: :meth:`~RamStore.crash` forgets
+Crash semantics mirror real hardware: :meth:`~ChunkStore.crash` forgets
 RAM without returning memory (the container died with the node), while
-a :class:`TieredStore`'s disk contents *survive* — recovery re-admits
-survivors by reference instead of re-fetching them from the backend.
+the disk tier's contents *survive* — recovery re-admits survivors by
+reference instead of re-fetching them from the backend.
 """
 
 from __future__ import annotations
@@ -44,24 +44,21 @@ from __future__ import annotations
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.cluster.devices import Device
 from repro.core.chunk import Chunk
 from repro.sim.engine import Environment, Event
 
-#: Selectable store backends (``SharedCacheRegistry(store=...)``).
-STORE_KINDS = ("ram", "tiered")
-
-#: Default per-operation latency of the simulated node-local NVMe tier.
+#: Per-operation latency of the simulated node-local NVMe tier.
 #: Higher than the storage cluster's 27.7 µs (Table 2): one commodity
 #: drive behind a filesystem, not a striped all-flash array.
-DEFAULT_DISK_LATENCY_S = 8e-05
-#: Default streaming bandwidth of the disk tier: 2 GiB/s — a single
+DISK_LATENCY_S = 8e-05
+#: Streaming bandwidth of the disk tier: 2 GiB/s — a single
 #: local NVMe, deliberately slower than the 3.3 GB/s aggregated
 #: storage-cluster profile so the tier ordering RAM > disk > backend
 #: holds.
-DEFAULT_DISK_BANDWIDTH_BPS = 2147483648.0
+DISK_BANDWIDTH_BPS = 2147483648.0
 #: Simulated compressor throughput (LZ4-class: fast, asymmetric).
 COMPRESS_BPS = 1.5 * 2**30
 #: Simulated decompressor throughput (decompression is ~4× cheaper).
@@ -87,68 +84,12 @@ def compression_ratio(key: str, seed: int = 0) -> float:
     )
 
 
-def make_spec(
-    cache_store: str = "ram",
-    disk_tier_bytes: int = 0,
-    disk_latency_s: float = DEFAULT_DISK_LATENCY_S,
-    disk_bandwidth_bps: float = DEFAULT_DISK_BANDWIDTH_BPS,
-    chunk_compression: bool = False,
-    compression_seed: int = 0,
-) -> Dict[str, Any]:
-    """Validate store parameters into a spec dict for :func:`make_store`.
-
-    Raises ``ValueError`` on an invalid combination (callers that need a
-    :class:`~repro.errors.DieselError` wrap this themselves).
-    """
-    if cache_store not in STORE_KINDS:
-        raise ValueError(
-            f"cache_store must be one of {STORE_KINDS}, got {cache_store!r}"
-        )
-    if disk_tier_bytes < 0:
-        raise ValueError("disk_tier_bytes must be >= 0 (0 = unbounded)")
-    if disk_latency_s < 0:
-        raise ValueError("disk_latency_s must be >= 0")
-    if disk_bandwidth_bps <= 0:
-        raise ValueError("disk_bandwidth_bps must be > 0")
-    return {
-        "kind": cache_store,
-        "disk_tier_bytes": disk_tier_bytes,
-        "disk_latency_s": disk_latency_s,
-        "disk_bandwidth_bps": disk_bandwidth_bps,
-        "chunk_compression": chunk_compression,
-        "compression_seed": compression_seed,
-    }
-
-
-def make_store(
-    env: Environment,
-    node,
-    spec: Dict[str, Any],
-    on_evict: Optional[Callable[[str], None]] = None,
-) -> "RamStore":
-    """Build the store a :func:`make_spec` spec describes."""
-    if spec["kind"] == "ram":
-        return RamStore(env, node, on_evict=on_evict)
-    if spec["kind"] != "tiered":
-        raise ValueError(f"unknown chunk store kind {spec['kind']!r}")
-    return TieredStore(
-        env,
-        node,
-        capacity_bytes=spec["disk_tier_bytes"],
-        disk_latency_s=spec["disk_latency_s"],
-        disk_bandwidth_bps=spec["disk_bandwidth_bps"],
-        compression=spec["chunk_compression"],
-        compression_seed=spec["compression_seed"],
-        on_evict=on_evict,
-    )
-
-
 @dataclass(slots=True)
 class ChunkStoreStats:
     """Tier counters and residency gauges (the bench-reporting seam).
 
     Cumulative counters move as the store runs; the gauge fields are
-    refreshed on every :attr:`RamStore.stats` access.
+    refreshed on every :attr:`ChunkStore.stats` access.
     """
 
     #: Lookups served from the RAM tier.
@@ -181,23 +122,71 @@ class ChunkStoreStats:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-class RamStore:
-    """RAM-only chunk residency.
+class ChunkStore:
+    """RAM + optional simulated-NVMe tiers with transparent compression.
 
     Chunks are charged against ``node.memory`` and kept in LRU order.
     All cost-bearing methods (``put`` / ``load`` / ``displace``) are
-    generators so both backends share one calling convention; for the
-    RAM store only ``put`` ever yields (the memory ``Container.get``).
+    generators; without a disk tier only ``put`` ever yields (the
+    memory ``Container.get``).
+
+    Placement policy:
+
+    * :meth:`put` fills RAM first; when memory cannot cover the chunk
+      it overflows to disk (paying compress + device write), and only
+      refuses when there is no disk tier or it is full of unevictable
+      chunks too.
+    * :meth:`displace` *demotes* RAM→disk under memory pressure instead
+      of dropping, so a cold chunk costs a disk read later — not a full
+      backend re-fetch; without disk room it evicts.
+    * :meth:`load` serves disk-resident chunks by charging a device
+      read (+ decompress); when node memory allows, the chunk is
+      *promoted* back to RAM, otherwise it streams through and stays
+      disk-resident (a scan larger than RAM cannot thrash the tier).
+
+    Concurrent promote/demote of one chunk is single-flighted through
+    ``_moving``: the second mover waits for the first and then re-reads
+    the (settled) tier state instead of racing the byte accounting.
+    Reads are chunk-granular — one file read from a disk-resident chunk
+    charges the whole stored chunk, the same unit the backend fetch
+    path uses.
     """
 
-    kind = "ram"
-
-    def __init__(self, env: Environment, node, on_evict=None) -> None:
+    def __init__(
+        self,
+        env: Environment,
+        node,
+        kind: str = "ram",
+        disk_tier_bytes: int = 0,
+        compression: bool = False,
+        on_evict=None,
+    ) -> None:
+        if kind not in ("ram", "tiered"):
+            raise ValueError(
+                f"store must be 'ram' or 'tiered', got {kind!r}"
+            )
+        if disk_tier_bytes < 0:
+            raise ValueError("disk_tier_bytes must be >= 0 (0 = unbounded)")
         self.env = env
         self.node = node
+        self.kind = kind
         #: key → (chunk, nbytes) in LRU order (oldest first).
         self._ram: "OrderedDict[str, Tuple[Chunk, int]]" = OrderedDict()
         self._ram_bytes = 0
+        #: Disk-tier capacity in *stored* bytes (0 = unbounded).
+        self.capacity_bytes = disk_tier_bytes
+        self.compression = compression
+        #: The NVMe tier's queueing station; ``None`` = no disk tier.
+        self.device = Device(
+            env, f"nvme:{node.name}", DISK_LATENCY_S, DISK_BANDWIDTH_BPS,
+            queue_depth=4,
+        ) if kind == "tiered" else None
+        #: key → (chunk, nbytes, stored_bytes) in LRU order.
+        self._disk: "OrderedDict[str, Tuple[Chunk, int, int]]" = OrderedDict()
+        self._disk_bytes = 0
+        self._disk_stored = 0
+        #: Promote/demote single-flight: key → completion event.
+        self._moving: Dict[str, Event] = {}
         #: Called with the key whenever the store drops a chunk from
         #: every tier on its own initiative (disk-capacity eviction) —
         #: lets the owner drop its metadata in step.
@@ -213,16 +202,29 @@ class RamStore:
         s = self._stats
         s.ram_bytes = self._ram_bytes
         s.chunks_ram = len(self._ram)
+        s.disk_bytes = self._disk_bytes
+        s.disk_stored_bytes = self._disk_stored
+        s.chunks_disk = len(self._disk)
         return s
 
     def tier_of(self, key: str) -> Optional[str]:
         """``"ram"`` / ``"disk"`` / ``None``."""
-        return "ram" if key in self._ram else None
+        if key in self._ram:
+            return "ram"
+        if key in self._disk:
+            return "disk"
+        return None
 
     def ram_lru(self) -> List[str]:
         """RAM-resident keys, least-recently-used first (a snapshot —
         safe to displace while iterating)."""
         return list(self._ram)
+
+    def stored_size(self, key: str, nbytes: int) -> int:
+        """On-disk footprint of a chunk (post-compression when enabled)."""
+        if not self.compression:
+            return nbytes
+        return max(1, int(nbytes / compression_ratio(key)))
 
     # ------------------------------------------------------------ cheap reads
     def get(self, key: str) -> Optional[Tuple[Chunk, int]]:
@@ -248,150 +250,10 @@ class RamStore:
             self._ram.move_to_end(key)
 
     # -------------------------------------------------------------- admission
-    def put(
-        self, key: str, chunk: Chunk, nbytes: int, evictable=None
-    ) -> Generator[Event, Any, Optional[str]]:
-        """Admit a chunk; returns the tier it landed on or ``None``.
-
-        The RAM store refuses (``None``) when node memory cannot cover
-        the chunk *right now* — callers free memory first (the shared
-        tier displaces victims, see ``evictable`` on the tiered store).
-        """
-        if self.node.memory.level < nbytes:
-            return None
-        yield self.node.memory.get(nbytes)
-        self._ram[key] = (chunk, nbytes)
-        self._ram_bytes += nbytes
-        return "ram"
-
-    def load(
-        self, key: str
-    ) -> Generator[Event, Any, Optional[Tuple[Chunk, int]]]:
-        """Cost-charging lookup across all tiers (generator).
-
-        RAM store: identical to :meth:`get` (never yields).
-        """
-        return self.get(key)
-        yield  # pragma: no cover - marks this function as a generator
-
-    def displace(
-        self, key: str, evictable=None
-    ) -> Generator[Event, Any, str]:
-        """Push a RAM-resident chunk out of memory.
-
-        The RAM store can only *evict* (drop + return memory); the
-        tiered store demotes to disk when the disk tier has room.
-        Returns where the chunk ended up (``"evicted"`` here).
-        """
-        self.drop(key)
-        return "evicted"
-        yield  # pragma: no cover - marks this function as a generator
-
-    # ---------------------------------------------------------------- removal
-    def drop(self, key: str) -> None:
-        """Forget a chunk, returning its memory if it was RAM-resident."""
-        item = self._ram.pop(key, None)
-        if item is not None:
-            self._ram_bytes -= item[1]
-            if self.node.alive:
-                self.node.memory.put(item[1])
-
-    def clear(self) -> None:
-        """Forget everything, returning RAM (graceful teardown)."""
-        for key in list(self._ram):
-            self.drop(key)
-
-    def crash(self) -> int:
-        """Node died: forget RAM *without* returning memory (the memory
-        container died with the node).  Returns chunks lost."""
-        n = len(self._ram)
-        self._ram.clear()
-        self._ram_bytes = 0
-        return n
-
-
-class TieredStore(RamStore):
-    """RAM + simulated-NVMe tiers with optional transparent compression.
-
-    Placement policy:
-
-    * :meth:`put` fills RAM first; when memory cannot cover the chunk
-      it overflows to disk (paying compress + device write), and only
-      refuses when the disk tier is full of unevictable chunks too.
-    * :meth:`displace` *demotes* RAM→disk under memory pressure instead
-      of dropping, so a cold chunk costs a disk read later — not a full
-      backend re-fetch.
-    * :meth:`load` serves disk-resident chunks by charging a device
-      read (+ decompress); when node memory allows, the chunk is
-      *promoted* back to RAM, otherwise it streams through and stays
-      disk-resident (a scan larger than RAM cannot thrash the tier).
-
-    Concurrent promote/demote of one chunk is single-flighted through
-    ``_moving``: the second mover waits for the first and then re-reads
-    the (settled) tier state instead of racing the byte accounting.
-    Reads are chunk-granular — one file read from a disk-resident chunk
-    charges the whole stored chunk, the same unit the backend fetch
-    path uses.
-    """
-
-    kind = "tiered"
-
-    def __init__(
-        self,
-        env: Environment,
-        node,
-        capacity_bytes: int = 0,
-        disk_latency_s: float = DEFAULT_DISK_LATENCY_S,
-        disk_bandwidth_bps: float = DEFAULT_DISK_BANDWIDTH_BPS,
-        compression: bool = False,
-        compression_seed: int = 0,
-        on_evict=None,
-    ) -> None:
-        super().__init__(env, node, on_evict=on_evict)
-        #: Disk-tier capacity in *stored* bytes (0 = unbounded).
-        self.capacity_bytes = capacity_bytes
-        self.compression = compression
-        self.compression_seed = compression_seed
-        self.device = Device(
-            env,
-            f"nvme:{node.name}",
-            disk_latency_s,
-            disk_bandwidth_bps,
-            queue_depth=4,
-        )
-        #: key → (chunk, nbytes, stored_bytes) in LRU order.
-        self._disk: "OrderedDict[str, Tuple[Chunk, int, int]]" = OrderedDict()
-        self._disk_bytes = 0
-        self._disk_stored = 0
-        #: Promote/demote single-flight: key → completion event.
-        self._moving: Dict[str, Event] = {}
-
-    # ------------------------------------------------------------- inspection
-    @property
-    def stats(self) -> ChunkStoreStats:
-        s = super().stats
-        s.disk_bytes = self._disk_bytes
-        s.disk_stored_bytes = self._disk_stored
-        s.chunks_disk = len(self._disk)
-        return s
-
-    def tier_of(self, key: str) -> Optional[str]:
-        if key in self._ram:
-            return "ram"
-        if key in self._disk:
-            return "disk"
-        return None
-
-    def stored_size(self, key: str, nbytes: int) -> int:
-        """On-disk footprint of a chunk (post-compression when enabled)."""
-        if not self.compression:
-            return nbytes
-        ratio = compression_ratio(key, self.compression_seed)
-        return max(1, int(nbytes / ratio))
-
-    # -------------------------------------------------------------- admission
     def _fit_disk(self, stored: int, evictable) -> bool:
         """Make room on the disk tier, LRU-evicting allowed victims."""
+        if self.device is None:
+            return False
         if self.capacity_bytes <= 0:
             return True
         if stored > self.capacity_bytes:
@@ -437,7 +299,8 @@ class TieredStore(RamStore):
 
         ``evictable(key) -> bool`` gates which disk-resident chunks may
         be LRU-evicted for capacity (``None`` = any).  Returns the tier
-        the chunk landed on, or ``None`` when both tiers refused.
+        the chunk landed on, or ``None`` when both tiers refused —
+        callers free memory first (the node tier displaces victims).
         """
         if self.node.memory.level >= nbytes:
             yield self.node.memory.get(nbytes)
@@ -555,19 +418,29 @@ class TieredStore(RamStore):
             self._disk_stored -= entry[2]
 
     def drop(self, key: str) -> None:
-        if key in self._ram:
-            super().drop(key)
-        else:
+        """Forget a chunk, returning its memory if it was RAM-resident."""
+        item = self._ram.pop(key, None)
+        if item is None:
             self._drop_disk(key)
+            return
+        self._ram_bytes -= item[1]
+        if self.node.alive:
+            self.node.memory.put(item[1])
 
     def clear(self) -> None:
-        super().clear()
+        """Forget everything, returning RAM (graceful teardown)."""
+        for key in list(self._ram):
+            self.drop(key)
         self._disk.clear()
         self._disk_bytes = 0
         self._disk_stored = 0
 
     def crash(self) -> int:
-        """Node died: RAM is lost (no memory returned), the disk tier
-        *survives* — recovery warm-admits the survivors by reference
-        instead of re-fetching them from the backend."""
-        return super().crash()
+        """Node died: forget RAM *without* returning memory (the memory
+        container died with the node); the disk tier *survives* —
+        recovery warm-admits the survivors by reference instead of
+        re-fetching them from the backend.  Returns chunks lost."""
+        n = len(self._ram)
+        self._ram.clear()
+        self._ram_bytes = 0
+        return n

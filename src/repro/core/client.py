@@ -360,14 +360,7 @@ class DieselClient:
         #    by the node chunk tier — where other tasks share it, a read
         #    can resolve from a chunk another task admitted.
         if record is not None and self._cache is not None:
-            shared_before = self._cache.shared_hits
-            payload = yield from self._cache.read_file(
-                self.as_cache_client(), record
-            )
-            if self._cache.shared_hits > shared_before:
-                self.stats.shared_hits += 1
-            self.stats.cache_hits += 1
-            self.stats.bytes_read += len(payload)
+            payload = yield from self._cache_read(record)
             if rec is not None:
                 # Exact attribution (cache hit vs server fall-through)
                 # requires the recorder to be attached to the TaskCache
@@ -424,6 +417,8 @@ class DieselClient:
                     by_chunk.setdefault(
                         record.chunk_id.encode(), []
                     ).append(record)
+            # Kept apart from the serial walk below: the fanned arm serves
+            # residents before misses, which at width 1 moves BENCH_prefetch.
             if self.config.read_fanout > 1:
                 resolved = yield from self._resolve_groups_fanout(by_chunk)
             else:
@@ -463,31 +458,17 @@ class DieselClient:
                     remote.append(path)
                 else:
                     records.append(record)
-            if self.config.read_fanout > 1 and records:
+            if records:
                 payloads = yield from fan_out(
                     self.env,
-                    [
-                        self._cache.read_file(self.as_cache_client(), r)
-                        for r in records
-                    ],
+                    [self._cache_read(r) for r in records],
                     self.config.read_fanout,
                     name="cache_fanout",
                     watermark=self._window.note_inflight,
                 )
-                for record, payload in zip(records, payloads):
-                    self.stats.cache_hits += 1
-                    out[record.path] = payload
-                    self.stats.bytes_read += len(payload)
-            else:
-                for record in records:
-                    payload = yield from self._cache.read_file(
-                        self.as_cache_client(), record
-                    )
-                    self.stats.cache_hits += 1
-                    out[record.path] = payload
-                    self.stats.bytes_read += len(payload)
-            if rec is not None and records:
-                rec.count("read", "task_cache", len(records))
+                out.update(zip((r.path for r in records), payloads))
+                if rec is not None:
+                    rec.count("read", "task_cache", len(records))
         else:
             remote = list(paths)
         if remote:
@@ -609,6 +590,22 @@ class DieselClient:
         yield from self.put(path, data)
         yield from self.flush()
 
+    def _credit_cache_read(self, tier: str) -> None:
+        """Count one read the task cache resolved, by the tier it
+        resolved at (what ``TaskCache.credit_read`` is given)."""
+        self.stats.cache_hits += 1
+        if tier == "shared_hits":
+            self.stats.shared_hits += 1
+
+    def _cache_read(self, record: FileRecord) -> Generator[Event, Any, bytes]:
+        """One file through the task cache, credited to this client."""
+        payload, tier = yield from self._cache.resolve_file(
+            self.as_cache_client(), record
+        )
+        self._credit_cache_read(tier)
+        self.stats.bytes_read += len(payload)
+        return payload
+
     def _fetch_chunk(self, encoded: str) -> Generator[Event, Any, Chunk]:
         """The window's fetch: one whole chunk, down the Fig 4 chain.
 
@@ -624,17 +621,10 @@ class DieselClient:
                 self.as_cache_client(), encoded
             )
             cache.credit_read(tier)
-            self.stats.cache_hits += 1
+            self._credit_cache_read(tier)
             layer = "task_cache"
         else:
-            # Scattered fetches use stable placement; the serial default
-            # keeps the legacy round-robin pick (identical behavior).
-            server = (
-                self.preferred_server(encoded)
-                if self.config.read_fanout > 1
-                else self._server()
-            )
-            blob = yield from server.call(
+            blob = yield from self.preferred_server(encoded).call(
                 self.node,
                 "get_chunk",
                 self.dataset,

@@ -72,6 +72,11 @@ from repro.rpc.endpoint import RpcEndpoint
 from repro.sim.engine import Environment, Event, fan_out
 
 
+#: Share of a node's free memory ``locality`` placement fills before
+#: spilling the rest of the node's slice to the ring (§4.2).
+LOCALITY_SPILL_RATIO = 0.9
+
+
 @dataclass(frozen=True)
 class CacheClient:
     """One DIESEL client instance participating in the task."""
@@ -412,11 +417,9 @@ class TaskCache:
         clients: Sequence[CacheClient],
         policy: str = "oneshot",
         calibration: Calibration = DEFAULT,
-        fallback_to_server: bool = True,
         warmup_fanout: int = 1,
         admission_batch: int = 1,
         placement: str = "hash",
-        locality_spill_ratio: float = 0.9,
         hot_chunk_threshold: int = 0,
         shared=None,
         tenant: str = "default",
@@ -430,8 +433,6 @@ class TaskCache:
             raise DieselError(f"unknown cache placement {placement!r}")
         if qos_class not in ("interactive", "batch"):
             raise DieselError(f"unknown QoS class {qos_class!r}")
-        if not 0.0 < locality_spill_ratio <= 1.0:
-            raise DieselError("locality_spill_ratio must be in (0, 1]")
         if hot_chunk_threshold < 0:
             raise DieselError("hot_chunk_threshold must be >= 0")
         if warmup_fanout < 1:
@@ -449,12 +450,10 @@ class TaskCache:
         #: Chunk-placement policy: ``hash`` (round-robin ring) or
         #: ``locality`` (co-located contiguous slices, ring spill).
         self.placement = placement
-        self.locality_spill_ratio = locality_spill_ratio
         #: Remote reads of one chunk from one node before it is
         #: replicated onto that node's master (0 = off).
         self.hot_chunk_threshold = hot_chunk_threshold
         self.cal = calibration
-        self.fallback_to_server = fallback_to_server
         #: Per-master chunk-pull concurrency for warmup and recovery;
         #: masters always run concurrently with each other, this bounds
         #: each one's stream.
@@ -498,8 +497,7 @@ class TaskCache:
         self.failure_listener = None
         self._retry_policy = None
         self._breakers: Dict[str, Any] = {}  # master client name -> breaker
-        self._breaker_threshold = 5
-        self._breaker_reset_s = 1.0
+        self._breaker_args: tuple = ()  # (threshold, reset_s) once configured
         self._rng = None
         #: Reads served by the server because the owning peer failed
         #: mid-call or its breaker was open (Fig 4 fall-through).
@@ -528,9 +526,8 @@ class TaskCache:
         self.scale_down_count = 0
         self.drained_chunks = 0
         self.peer_warmed_chunks = 0
-        #: Hedged-read machinery (None/off = legacy single-attempt peer
-        #: path; see ``configure_hedging``).
-        self._hedge_enabled = False
+        #: Hedged-read machinery (None = single-attempt peer path; see
+        #: ``configure_hedging``).
         self._hedge_delay_s = 0.0
         self._hedged_call = None
         self.peer_latency = None
@@ -588,43 +585,32 @@ class TaskCache:
             m.endpoint.recorder = value
 
     # ------------------------------------------------------- fault tolerance
-    def configure_ft(self, config) -> None:
-        """Enable retry + per-master circuit breakers on the peer path.
-
-        ``config`` is a :class:`~repro.core.config.DieselConfig`; its
-        ``rpc_retries`` / ``rpc_backoff_base_s`` / ``rpc_deadline_s``
-        fields shape the retry policy and ``breaker_threshold`` /
-        ``breaker_reset_s`` the per-peer breakers.  Without this call
-        the data path behaves exactly as before (single attempt, no
-        breaker) except that mid-call peer death degrades to the server
-        instead of erroring.
+    def configure_ft(
+        self,
+        policy,
+        breaker_threshold: int = 5,
+        breaker_reset_s: float = 1.0,
+    ) -> None:
+        """Wrap every peer fetch in ``policy`` (a
+        :class:`repro.ft.retry.RetryPolicy`) with per-master circuit
+        breakers — ``ShardedKV.configure_ft``'s signature.  Without
+        this call the peer path is a single attempt with no breaker;
+        either way a mid-call peer death degrades to the server.
         """
         import random
 
-        from repro.ft.retry import RetryPolicy
-
-        self._retry_policy = RetryPolicy.from_config(config)
-        self._breaker_threshold = config.breaker_threshold
-        self._breaker_reset_s = config.breaker_reset_s
+        self._retry_policy = policy
+        self._breaker_args = (breaker_threshold, breaker_reset_s)
         self._breakers.clear()
         # Seeded: retry jitter must not vary run to run.
         self._rng = random.Random(0xD1E5E1)
-        if config.hedge_enabled:
-            self.configure_hedging(config)
 
-    def configure_hedging(
-        self,
-        config=None,
-        *,
-        enabled: bool = True,
-        delay_s: Optional[float] = None,
-        alpha: Optional[float] = None,
-    ) -> None:
+    def configure_hedging(self, delay_s: float = 0.0) -> None:
         """Enable hedged reads on the remote-peer path.
 
         Once a remote ``get_file`` outlives its hedge delay — fixed
-        (``hedge_delay_s > 0``) or calibrated per peer from the EWMA
-        latency tracker (``mean + 4·dev`` ≈ p95) — a backup request is
+        (``delay_s > 0``) or calibrated per peer from the EWMA latency
+        tracker (``mean + 4·dev`` ≈ p95) — a backup request is
         fired to a replica master holding the chunk (steered to the
         fastest peer by EWMA) or to the backend, and whichever answers
         first wins; the loser is cancelled so its NIC channels and RPC
@@ -634,16 +620,10 @@ class TaskCache:
         """
         from repro.ft.hedge import HedgeStats, PeerLatencyTracker, hedged_call
 
-        if config is not None:
-            enabled = config.hedge_enabled
-            delay_s = config.hedge_delay_s if delay_s is None else delay_s
-            alpha = config.hedge_ewma_alpha if alpha is None else alpha
-        self._hedge_enabled = bool(enabled)
-        self._hedge_delay_s = float(delay_s or 0.0)
-        self._hedged_call = hedged_call
-        if self.peer_latency is None:
-            self.peer_latency = PeerLatencyTracker(alpha=alpha or 0.2)
-        if self.hedge_stats is None:
+        self._hedge_delay_s = delay_s
+        if self._hedged_call is None:
+            self._hedged_call = hedged_call
+            self.peer_latency = PeerLatencyTracker()
             self.hedge_stats = HedgeStats()
 
     # --------------------------------------------------- elastic membership
@@ -667,8 +647,7 @@ class TaskCache:
             from repro.ft.breaker import CircuitBreaker
 
             breaker = CircuitBreaker(
-                self.env, self._breaker_threshold, self._breaker_reset_s,
-                name=master.client.name,
+                self.env, *self._breaker_args, name=master.client.name
             )
             self._breakers[master.client.name] = breaker
         return breaker
@@ -777,7 +756,7 @@ class TaskCache:
         Master *k* owns slice *k* of the chunk list, so each node's
         partition forms one owner bucket the owner-bucketed shuffle and
         the affinity scheduler keep aligned with the co-located worker.
-        A node only takes chunks up to ``locality_spill_ratio`` of its
+        A node only takes chunks up to ``LOCALITY_SPILL_RATIO`` of its
         free memory (budgeted in bytes via the registration summary's
         chunk sizes); overflow spills deterministically round-robin over
         the ring, to the first node with budget left.  When every budget
@@ -786,7 +765,7 @@ class TaskCache:
         """
         p = len(master_list)
         budgets = [
-            int(m.node.memory.level * self.locality_spill_ratio)
+            int(m.node.memory.level * LOCALITY_SPILL_RATIO)
             for m in master_list
         ]
         fills = [0] * p
@@ -903,9 +882,17 @@ class TaskCache:
     def read_file(
         self, client: CacheClient, record: FileRecord
     ) -> Generator[Event, Any, bytes]:
+        """:meth:`resolve_file`, payload only."""
+        payload, _ = yield from self.resolve_file(client, record)
+        return payload
+
+    def resolve_file(
+        self, client: CacheClient, record: FileRecord
+    ) -> Generator[Event, Any, Tuple[bytes, str]]:
         """Read one file through the cache (one-hop peer fetch) — the
         path for unplanned single-file reads; plan-ordered readers take
-        :meth:`read_chunk` behind a chunk window.
+        :meth:`read_chunk` behind a chunk window.  Returns ``(payload,
+        tier)``: the tier the read was credited to (:meth:`credit_read`).
 
         Miss and peer-failure behaviour follows Fig 4: the file read falls
         through to the DIESEL server; under ``on-demand`` the owning
@@ -946,7 +933,7 @@ class TaskCache:
             rec.record("cache_read", self.last_resolution,
                        self.env.now - t0, actor=client.name,
                        path=record.path)
-        return payload
+        return payload, tier
 
     def read_chunk(
         self, client: CacheClient, encoded_cid: str
@@ -1064,10 +1051,13 @@ class TaskCache:
         detection latency to the first read that noticed), ``""`` for a
         clean miss — ``on-demand`` then pulls the chunk in background.
         """
-        value, source, cause = None, "degraded", None
+        value, source = None, "degraded"
         if master.up:
             try:
-                if self._hedge_enabled and master.node is not client.node:
+                if (
+                    self._hedged_call is not None
+                    and master.node is not client.node
+                ):
                     value, source = yield from self._hedged_read(
                         client, master, method, args, response_bytes,
                         from_server,
@@ -1085,19 +1075,15 @@ class TaskCache:
                         response_bytes=response_bytes,
                     )
                     source = "peer"
-            except CircuitOpenError as exc:
+            except CircuitOpenError:
                 # Known-bad peer: short-circuit straight to the server
                 # without paying another attempt.
-                cause = exc
-            except (NodeDownError, DeadlineExceededError) as exc:
-                cause = exc
+                pass
+            except (NodeDownError, DeadlineExceededError):
                 self._note_peer_failure(master)
         else:
             self._note_peer_failure(master)
         if source == "degraded":
-            if not self.fallback_to_server:
-                self.degraded_reads += 1
-                raise CachePeerDownError(master.client.name) from cause
             return None, "degraded_reads"
         if value is None:
             if self.policy == "on-demand" and master.up:

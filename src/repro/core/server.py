@@ -58,6 +58,16 @@ from repro.util.pathutil import basename, dirname, normalize
 
 AnyStore = Union[ObjectStore, TieredStore]
 
+#: Mutation-journal entries retained per dataset (§4.1.3 incremental
+#: extension): a client at most this many versions behind refreshes by
+#: delta, an older one falls back to a full snapshot reload.
+META_JOURNAL_HORIZON = 256
+#: Keys per page of the server's paginated prefix scans (``ls``,
+#: snapshot assembly, dataset-removal sweeps; §4.1.1 readdir).
+PSCAN_PAGE_SIZE = 1024
+#: Shards the dataset registry spreads the namespace over.
+REGISTRY_SHARDS = 16
+
 #: Methods that are pure metadata (charged at the metadata service rate).
 _META_METHODS = frozenset(
     {
@@ -139,8 +149,8 @@ class DieselServer:
         self.registrations: list[dict] = []
         # Delta metadata plane: both live in the shared KV, so every
         # stateless server sees the same journal and registry.
-        self.journal = MetaJournal(kv, self.config.meta_journal_horizon)
-        self.registry = DatasetRegistry(kv, self.config.registry_shards)
+        self.journal = MetaJournal(kv, META_JOURNAL_HORIZON)
+        self.registry = DatasetRegistry(kv, REGISTRY_SHARDS)
         #: Optional user→key credentials checked by DL_connect; None
         #: means open access (the default in trusted-cluster deployments).
         self.access_keys = access_keys
@@ -183,32 +193,9 @@ class DieselServer:
 
     # ------------------------------------------------------------------ RPC
     def _handle(self, method: str, *args: Any) -> Any:
-        dispatch = {
-            "ingest_chunk": self._op_ingest_chunk,
-            "get_file": self._op_get_file,
-            "get_file_range": self._op_get_file_range,
-            "read_files": self._op_read_files,
-            "get_files": self._op_get_files,
-            "get_chunk": self._op_get_chunk,
-            "get_chunk_range": self._op_get_chunk_range,
-            "stat": self._op_stat,
-            "ls": self._op_ls,
-            "exists": self._op_exists,
-            "dataset_ts": self._op_dataset_ts,
-            "save_meta": self._op_save_meta,
-            "delete_file": self._op_delete_file,
-            "purge": self._op_purge,
-            "delete_dataset": self._op_delete_dataset,
-            "register": self._op_register,
-            "auth": self._op_auth,
-            "load_meta_delta": self._op_load_meta_delta,
-            "list_datasets": self._op_list_datasets,
-        }
-        try:
-            op = dispatch[method]
-        except KeyError:
-            raise DieselError(f"unknown server method {method!r}") from None
-        return op(*args)
+        if method not in _METHODS:
+            raise DieselError(f"unknown server method {method!r}")
+        return getattr(self, "_op_" + method)(*args)
 
     def call(
         self, client: Node, method: str, *args: Any, **kw: Any
@@ -505,16 +492,14 @@ class DieselServer:
     def _op_ls(self, dataset: str, path: str) -> list[str]:
         """readdir = pscan hash(dir)/d ∪ pscan hash(dir)/f (§4.1.1).
 
-        Scans page by page (``pscan_page_size``) so a directory with
+        Scans page by page (``PSCAN_PAGE_SIZE``) so a directory with
         millions of entries never materializes per-shard intermediate
         lists larger than one page.
         """
         names: list[str] = []
         for kind in ("d", "f"):
             prefix = meta.dir_scan_prefix(dataset, path, kind)
-            for page in self.kv.local_pscan_iter(
-                prefix, self.config.pscan_page_size
-            ):
+            for page in self.kv.local_pscan_iter(prefix, PSCAN_PAGE_SIZE):
                 names.extend(key[len(prefix):] for key, _ in page)
         return sorted(names)
 
@@ -581,7 +566,7 @@ class DieselServer:
         dsrec = self._dataset_record(dataset)
         files: list[meta.FileRecord] = []
         for page in self.kv.local_pscan_iter(
-            meta.file_key_prefix(dataset), self.config.pscan_page_size
+            meta.file_key_prefix(dataset), PSCAN_PAGE_SIZE
         ):
             files.extend(meta.FileRecord.decode(blob) for _, blob in page)
         return build_snapshot(dataset, dsrec.update_ts, files, dsrec.chunk_ids)
@@ -723,9 +708,7 @@ class DieselServer:
             meta.chunk_key_prefix(dataset),
             f"dir:{dataset}:",
         ):
-            for page in self.kv.local_pscan_iter(
-                prefix, self.config.pscan_page_size
-            ):
+            for page in self.kv.local_pscan_iter(prefix, PSCAN_PAGE_SIZE):
                 for key, _ in page:
                     self.kv.local_delete(key)
         self.journal.drop(dataset)
@@ -767,3 +750,9 @@ class DieselServer:
 
     def dataset_info(self, dataset: str) -> meta.DatasetRecord:
         return self._dataset_record(dataset)
+
+
+#: RPC method names ``_handle`` accepts: one per ``_op_<method>``.
+_METHODS = frozenset(
+    name[4:] for name in vars(DieselServer) if name.startswith("_op_")
+)

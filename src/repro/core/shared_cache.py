@@ -29,7 +29,7 @@ builds a registry for itself — the same tier with one task in it.
   refcount-0 chunk to make room, a ``batch`` admission may only reclaim
   refcount-0 chunks last pinned by batch tasks;
 * chunk *residency* is delegated to a
-  :mod:`~repro.core.chunk_store` backend: ``ram`` keeps everything in
+  :class:`~repro.core.chunk_store.ChunkStore`: ``ram`` keeps everything in
   node memory, ``tiered`` adds a simulated node-local NVMe tier —
   under memory pressure, refcount-0 chunks are **demoted** to disk
   (LRU-first) instead of dropped, promoted back on access, and the
@@ -38,7 +38,7 @@ builds a registry for itself — the same tier with one task in it.
 
 :class:`SharedCacheRegistry` is the handle tasks are given: it lazily
 creates the per-node tiers (each with its own store built from the
-registry's spec), owns the tenant quota table, hands out task keys,
+registry's arguments), owns the tenant quota table, hands out task keys,
 and aggregates stats for benchmarks and ``dlcmd tenants`` / ``dlcmd
 tiers``.
 """
@@ -50,13 +50,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from repro.core.chunk import Chunk
-from repro.core.chunk_store import (
-    ChunkStoreStats,
-    DEFAULT_DISK_BANDWIDTH_BPS,
-    DEFAULT_DISK_LATENCY_S,
-    make_spec,
-    make_store,
-)
+from repro.core.chunk_store import ChunkStore, ChunkStoreStats
 from repro.sim.engine import Environment, Event
 
 #: The two admission-priority classes (paper-less extension; see
@@ -140,11 +134,13 @@ class SharedChunkCache:
         #: ``"<dataset>/<encoded cid>"`` → reference entry.  Residency
         #: (payload, tier, LRU recency) is owned by :attr:`store`.
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
-        #: Chunk residency backend (RAM or RAM+disk), built from the
-        #: registry's store spec; its ``on_evict`` hook drops our
+        #: Chunk residency backend (RAM or RAM+disk), shaped by the
+        #: registry's store arguments; its ``on_evict`` hook drops our
         #: reference entry when the store sheds a chunk for capacity.
-        self.store = make_store(env, node, registry.store_spec,
-                                on_evict=self._forget)
+        self.store = ChunkStore(
+            env, node, registry.store, registry.disk_tier_bytes,
+            registry.chunk_compression, on_evict=self._forget,
+        )
         #: Cross-task single-flight map: key → completion event of the
         #: backend fetch currently streaming that chunk.
         self._inflight: Dict[str, Event] = {}
@@ -472,9 +468,9 @@ class SharedChunkCache:
 class SharedCacheRegistry:
     """The handle tasks are given: per-node chunk tiers + quotas.
 
-    The store keyword arguments (validated by
-    :func:`~repro.core.chunk_store.make_spec`) say what every lazily
-    created node tier keeps its chunks in.
+    The store keyword arguments say what every lazily created node
+    tier keeps its chunks in; :class:`~repro.core.chunk_store.ChunkStore`
+    validates them where the store is built.
     """
 
     def __init__(
@@ -483,16 +479,12 @@ class SharedCacheRegistry:
         *,
         store: str = "ram",
         disk_tier_bytes: int = 0,
-        disk_latency_s: float = DEFAULT_DISK_LATENCY_S,
-        disk_bandwidth_bps: float = DEFAULT_DISK_BANDWIDTH_BPS,
         chunk_compression: bool = False,
-        compression_seed: int = 0,
     ) -> None:
         self.env = env
-        self.store_spec = make_spec(
-            store, disk_tier_bytes, disk_latency_s,
-            disk_bandwidth_bps, chunk_compression, compression_seed,
-        )
+        self.store = store
+        self.disk_tier_bytes = disk_tier_bytes
+        self.chunk_compression = chunk_compression
         self._caches: Dict[str, SharedChunkCache] = {}  # node name → cache
         self._quotas: Dict[str, int] = {}  # tenant → per-node byte quota
         self._next_task = 0

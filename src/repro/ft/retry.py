@@ -74,15 +74,6 @@ class RetryPolicy:
             return base
         return base * rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
 
-    @classmethod
-    def from_config(cls, config) -> "RetryPolicy":
-        """Build a policy from a :class:`~repro.core.config.DieselConfig`."""
-        return cls(
-            retries=config.rpc_retries,
-            backoff_base_s=config.rpc_backoff_base_s,
-            deadline_s=config.rpc_deadline_s,
-        )
-
 
 def run_with_deadline(
     env: Environment,

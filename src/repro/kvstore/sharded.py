@@ -58,8 +58,7 @@ class ShardedKV:
         #: legacy single-attempt behaviour).
         self._retry = None
         self._breakers: Dict[str, Any] = {}  # instance name -> breaker
-        self._breaker_threshold = 5
-        self._breaker_reset_s = 1.0
+        self._breaker_args: tuple = ()  # (threshold, reset_s) once configured
         self._rng: Optional[random.Random] = None
 
     def configure_ft(
@@ -73,8 +72,7 @@ class ShardedKV:
         breakers.  The shard's liveness is re-probed on each attempt, so
         a retried call survives a shard restart mid-operation."""
         self._retry = policy
-        self._breaker_threshold = breaker_threshold
-        self._breaker_reset_s = breaker_reset_s
+        self._breaker_args = (breaker_threshold, breaker_reset_s)
         self._breakers.clear()
         # Seeded: retry jitter must not vary run to run.
         self._rng = random.Random(0x5A4D)
@@ -85,8 +83,7 @@ class ShardedKV:
             from repro.ft.breaker import CircuitBreaker
 
             breaker = CircuitBreaker(
-                inst.env, self._breaker_threshold, self._breaker_reset_s,
-                name=inst.name,
+                inst.env, *self._breaker_args, name=inst.name
             )
             self._breakers[inst.name] = breaker
         return breaker

@@ -16,8 +16,8 @@ API (selectable per :class:`Environment`, default ``"calendar"``):
   recalibrate automatically as the queue grows and shrinks, so both the
   dense near-term band and the sparse far tail of a bimodal delay
   distribution stay O(1)-ish.
-* ``"heap"`` — the flat ``heapq`` of the original kernel, kept as an A/B
-  baseline (``REPRO_SIM_SCHEDULER=heap`` flips the default).
+* ``"heap"`` — the flat ``heapq`` of the original kernel, kept as the
+  oracle of the scheduler differential tests.
 
 Same-tick FIFO is identical under both: entries carry a monotonically
 increasing ``seq`` and compare ``(time, seq)``, so events scheduled for
@@ -34,7 +34,6 @@ observability costs zero branches per event.
 
 from __future__ import annotations
 
-import os
 import weakref
 from collections import deque
 from heapq import heapify, heappop, heappush
@@ -790,20 +789,17 @@ class Environment:
     """The simulation kernel: clock + scheduler + process registry.
 
     ``scheduler`` picks the queue implementation (``"calendar"`` or
-    ``"heap"``); ``None`` reads ``REPRO_SIM_SCHEDULER`` and falls back to
-    the calendar queue.
+    ``"heap"``).
     """
 
     def __init__(
-        self, initial_time: float = 0.0, scheduler: Optional[str] = None
+        self, initial_time: float = 0.0, scheduler: str = "calendar"
     ) -> None:
         self._now = float(initial_time)
         self._seq = 0
         self._nevents = 0  # first: __del__ reads it even if we raise below
         self._run_wall = 0.0
         self._active_process: Optional[Process] = None
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_SIM_SCHEDULER", "calendar")
         try:
             queue_cls = _SCHEDULERS[scheduler]
         except KeyError:

@@ -817,7 +817,7 @@ def cmd_meta(ws: DieselWorkspace, dataset: str, args) -> str:
         f"registry:         {reg.count()} dataset(s) on "
         f"{occupied}/{reg.n_shards} shards "
         f"(max {max(occ, default=0)} per shard)",
-        f"journal horizon:  {server.config.meta_journal_horizon} "
+        f"journal horizon:  {server.journal.horizon} "
         f"version(s) retained per dataset",
     ]
     names = server.datasets()

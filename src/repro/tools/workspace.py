@@ -35,9 +35,7 @@ class DieselWorkspace:
 
     def __init__(self, config: Optional[DieselConfig] = None) -> None:
         self.config = config or DieselConfig()
-        self.tb: Testbed = make_testbed(
-            n_compute=1, n_storage=1, scheduler=self.config.sim_scheduler
-        )
+        self.tb: Testbed = make_testbed(n_compute=1, n_storage=1)
         add_diesel(self.tb, n_servers=1, config=self.config)
         self._clients: Dict[str, SyncDieselClient] = {}
 

@@ -1,4 +1,4 @@
-"""Unit tests for the pluggable chunk stores (RAM + tiered NVMe)."""
+"""Unit tests for the chunk store (RAM tier + optional NVMe tier)."""
 
 import pytest
 
@@ -7,12 +7,10 @@ from repro.core.chunk import Chunk
 from repro.core.chunk_store import (
     MAX_COMPRESSION_RATIO,
     MIN_COMPRESSION_RATIO,
-    RamStore,
-    TieredStore,
+    ChunkStore,
     compression_ratio,
-    make_spec,
-    make_store,
 )
+from repro.core.shared_cache import SharedCacheRegistry
 from repro.sim import Environment
 
 CHUNK = 64 * 1024
@@ -22,11 +20,10 @@ def make_chunk(key="c0", size=CHUNK):
     return Chunk.build(key, [(f"{key}/payload.bin", b"x" * (size - 256))])
 
 
-def rig(memory_bytes=4 * CHUNK, scheduler="calendar", **spec_kw):
+def rig(memory_bytes=4 * CHUNK, scheduler="calendar", **store_kw):
     env = Environment(scheduler=scheduler)
     node = Node(env, "n0", memory_bytes=memory_bytes)
-    store = make_store(env, node, make_spec(**spec_kw))
-    return env, node, store
+    return env, node, ChunkStore(env, node, **store_kw)
 
 
 def resident(store):
@@ -42,36 +39,25 @@ def run(env, gen):
 class TestSpecAndFactory:
     def test_defaults_build_a_ram_store(self):
         env, node, store = rig()
-        assert isinstance(store, RamStore)
-        assert not isinstance(store, TieredStore)
         assert store.kind == "ram"
+        assert store.device is None
 
     def test_tiered_spec_builds_a_tiered_store(self):
-        env, node, store = rig(
-            cache_store="tiered", disk_tier_bytes=10 * CHUNK
-        )
-        assert isinstance(store, TieredStore)
+        env, node, store = rig(kind="tiered", disk_tier_bytes=10 * CHUNK)
         assert store.kind == "tiered"
+        assert store.device is not None
         assert store.capacity_bytes == 10 * CHUNK
 
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            {"cache_store": "ssd"},
-            {"disk_tier_bytes": -1},
-            {"disk_latency_s": -0.1},
-            {"disk_bandwidth_bps": 0},
-        ],
-    )
+    @pytest.mark.parametrize("kw", [{"kind": "ssd"}, {"disk_tier_bytes": -1}])
     def test_invalid_spec_is_rejected(self, kw):
         with pytest.raises(ValueError):
-            make_spec(**kw)
+            rig(**kw)
 
-    def test_unknown_kind_in_spec_dict_is_rejected(self):
+    def test_registry_arguments_are_validated_by_the_store(self):
         env = Environment()
-        node = Node(env, "n0")
+        registry = SharedCacheRegistry(env, store="tape")
         with pytest.raises(ValueError):
-            make_store(env, node, {"kind": "tape"})
+            registry.for_node(Node(env, "n0"))
 
 
 class TestCompressionRatio:
@@ -90,9 +76,14 @@ class TestCompressionRatio:
         )
 
 
-class TestRamStore:
+class _RamTierCases:
+    """RAM-tier behaviour, the same with (``kind="tiered"``) and without
+    (``kind="ram"``) a disk tier behind it."""
+
+    kind: str
+
     def test_put_get_and_memory_accounting(self):
-        env, node, store = rig(memory_bytes=2 * CHUNK)
+        env, node, store = rig(memory_bytes=2 * CHUNK, kind=self.kind)
         chunk = make_chunk("c0")
         assert run(env, store.put("c0", chunk, CHUNK)) == "ram"
         assert node.memory.level == CHUNK
@@ -102,13 +93,8 @@ class TestRamStore:
         assert store.stats.ram_hits == 1
         assert store.stats.ram_bytes == CHUNK
 
-    def test_put_refuses_when_memory_is_short(self):
-        env, node, store = rig(memory_bytes=CHUNK // 2)
-        assert run(env, store.put("c0", make_chunk(), CHUNK)) is None
-        assert resident(store) == 0
-
     def test_get_refreshes_lru_order(self):
-        env, node, store = rig(memory_bytes=4 * CHUNK)
+        env, node, store = rig(memory_bytes=4 * CHUNK, kind=self.kind)
         for cid in ("c0", "c1", "c2"):
             run(env, store.put(cid, make_chunk(cid), CHUNK))
         assert store.ram_lru() == ["c0", "c1", "c2"]
@@ -118,7 +104,7 @@ class TestRamStore:
         assert store.ram_lru() == ["c2", "c0", "c1"]
 
     def test_drop_returns_memory_but_crash_does_not(self):
-        env, node, store = rig(memory_bytes=2 * CHUNK)
+        env, node, store = rig(memory_bytes=2 * CHUNK, kind=self.kind)
         run(env, store.put("c0", make_chunk("c0"), CHUNK))
         run(env, store.put("c1", make_chunk("c1"), CHUNK))
         store.drop("c0")
@@ -128,6 +114,15 @@ class TestRamStore:
         # The container died with the node: no memory handed back.
         assert node.memory.level == CHUNK
 
+
+class TestRamStore(_RamTierCases):
+    kind = "ram"
+
+    def test_put_refuses_when_memory_is_short(self):
+        env, node, store = rig(memory_bytes=CHUNK // 2)
+        assert run(env, store.put("c0", make_chunk(), CHUNK)) is None
+        assert resident(store) == 0
+
     def test_displace_evicts(self):
         env, node, store = rig(memory_bytes=2 * CHUNK)
         run(env, store.put("c0", make_chunk("c0"), CHUNK))
@@ -136,9 +131,11 @@ class TestRamStore:
         assert node.memory.level == 2 * CHUNK
 
 
-class TestTieredStore:
+class TestTieredStore(_RamTierCases):
+    kind = "tiered"
+
     def test_admission_overflows_to_disk(self):
-        env, node, store = rig(memory_bytes=CHUNK, cache_store="tiered")
+        env, node, store = rig(memory_bytes=CHUNK, kind="tiered")
         assert run(env, store.put("c0", make_chunk("c0"), CHUNK)) == "ram"
         t0 = env.now
         assert run(env, store.put("c1", make_chunk("c1"), CHUNK)) == "disk"
@@ -148,7 +145,7 @@ class TestTieredStore:
         assert store.stats.disk_bytes == CHUNK
 
     def test_load_promotes_when_memory_allows(self):
-        env, node, store = rig(memory_bytes=CHUNK, cache_store="tiered")
+        env, node, store = rig(memory_bytes=CHUNK, kind="tiered")
         run(env, store.put("c0", make_chunk("c0"), CHUNK))
         run(env, store.put("c1", make_chunk("c1"), CHUNK))
         store.drop("c0")  # free RAM
@@ -160,7 +157,7 @@ class TestTieredStore:
         assert store.stats.bytes_promoted == CHUNK
 
     def test_load_reads_through_when_memory_is_full(self):
-        env, node, store = rig(memory_bytes=CHUNK, cache_store="tiered")
+        env, node, store = rig(memory_bytes=CHUNK, kind="tiered")
         run(env, store.put("c0", make_chunk("c0"), CHUNK))
         run(env, store.put("c1", make_chunk("c1"), CHUNK))
         got = run(env, store.load("c1"))
@@ -172,7 +169,7 @@ class TestTieredStore:
         assert store.stats.disk_hits == 1
 
     def test_displace_demotes_and_returns_memory(self):
-        env, node, store = rig(memory_bytes=CHUNK, cache_store="tiered")
+        env, node, store = rig(memory_bytes=CHUNK, kind="tiered")
         run(env, store.put("c0", make_chunk("c0"), CHUNK))
         assert run(env, store.displace("c0")) == "disk"
         assert store.tier_of("c0") == "disk"
@@ -182,7 +179,7 @@ class TestTieredStore:
 
     def test_displace_evicts_when_disk_cannot_fit(self):
         env, node, store = rig(
-            memory_bytes=CHUNK, cache_store="tiered",
+            memory_bytes=CHUNK, kind="tiered",
             disk_tier_bytes=CHUNK // 2,
         )
         run(env, store.put("c0", make_chunk("c0"), CHUNK))
@@ -193,9 +190,8 @@ class TestTieredStore:
         evicted = []
         env = Environment()
         node = Node(env, "n0", memory_bytes=CHUNK)
-        store = make_store(
-            env, node,
-            make_spec(cache_store="tiered", disk_tier_bytes=2 * CHUNK),
+        store = ChunkStore(
+            env, node, "tiered", disk_tier_bytes=2 * CHUNK,
             on_evict=evicted.append,
         )
         run(env, store.put("hold", make_chunk("hold"), CHUNK))  # fills RAM
@@ -209,7 +205,7 @@ class TestTieredStore:
 
     def test_evictable_predicate_protects_disk_chunks(self):
         env, node, store = rig(
-            memory_bytes=CHUNK, cache_store="tiered",
+            memory_bytes=CHUNK, kind="tiered",
             disk_tier_bytes=CHUNK,
         )
         run(env, store.put("hold", make_chunk("hold"), CHUNK))
@@ -223,8 +219,8 @@ class TestTieredStore:
 
     def test_compression_shrinks_stored_bytes_deterministically(self):
         env, node, store = rig(
-            memory_bytes=CHUNK, cache_store="tiered",
-            chunk_compression=True,
+            memory_bytes=CHUNK, kind="tiered",
+            compression=True,
         )
         run(env, store.put("hold", make_chunk("hold"), CHUNK))
         run(env, store.put("d0", make_chunk("d0"), CHUNK))
@@ -234,15 +230,15 @@ class TestTieredStore:
         assert store.stats.compress_ops == 1
         # A second rig with the same seed stores the exact same bytes.
         env2, node2, store2 = rig(
-            memory_bytes=CHUNK, cache_store="tiered",
-            chunk_compression=True,
+            memory_bytes=CHUNK, kind="tiered",
+            compression=True,
         )
         run(env2, store2.put("hold", make_chunk("hold"), CHUNK))
         run(env2, store2.put("d0", make_chunk("d0"), CHUNK))
         assert store2.stats.disk_stored_bytes == stored
 
     def test_crash_loses_ram_but_disk_survives(self):
-        env, node, store = rig(memory_bytes=CHUNK, cache_store="tiered")
+        env, node, store = rig(memory_bytes=CHUNK, kind="tiered")
         run(env, store.put("c0", make_chunk("c0"), CHUNK))
         run(env, store.put("c1", make_chunk("c1"), CHUNK))
         assert store.crash() == 1
@@ -251,7 +247,7 @@ class TestTieredStore:
         assert resident(store) == 1
 
     def test_concurrent_loads_single_flight_the_promotion(self):
-        env, node, store = rig(memory_bytes=CHUNK, cache_store="tiered")
+        env, node, store = rig(memory_bytes=CHUNK, kind="tiered")
         run(env, store.put("c0", make_chunk("c0"), CHUNK))
         run(env, store.put("c1", make_chunk("c1"), CHUNK))
         store.drop("c0")
@@ -272,7 +268,7 @@ class TestTieredStore:
         assert store.tier_of("c1") == "ram"
 
     def test_displace_during_inflight_promote_waits_and_reports_ram(self):
-        env, node, store = rig(memory_bytes=CHUNK, cache_store="tiered")
+        env, node, store = rig(memory_bytes=CHUNK, kind="tiered")
         run(env, store.put("c0", make_chunk("c0"), CHUNK))
         run(env, store.put("c1", make_chunk("c1"), CHUNK))
         store.drop("c0")
@@ -303,8 +299,8 @@ class TestTieredStore:
         def episode(scheduler):
             env, node, store = rig(
                 memory_bytes=2 * CHUNK, scheduler=scheduler,
-                cache_store="tiered", disk_tier_bytes=8 * CHUNK,
-                chunk_compression=compression,
+                kind="tiered", disk_tier_bytes=8 * CHUNK,
+                compression=compression,
             )
             for cid in ("c0", "c1", "c2", "c3"):
                 run(env, store.put(cid, make_chunk(cid), CHUNK))

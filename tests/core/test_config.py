@@ -1,7 +1,12 @@
 """Tests for DieselConfig and the ETCD-like ConfigStore."""
 
+import ast
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.config import ConfigStore, DieselConfig
 
 
@@ -26,6 +31,24 @@ class TestDieselConfig:
         cfg = DieselConfig()
         with pytest.raises(Exception):
             cfg.chunk_size = 1
+
+    def test_every_field_is_read_by_a_component(self):
+        """docs/CONFIG.md: "a field exists only if some component reads
+        it" — as ``config.<field>`` / ``<obj>.config.<field>`` somewhere
+        in ``src/repro`` other than ``core/config.py`` and ``bench/``."""
+        src = Path(repro.__file__).parent
+        read = set()
+        for path in src.rglob("*.py"):
+            rel = path.relative_to(src).as_posix()
+            if rel == "core/config.py" or rel.startswith("bench/"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and "config" in (
+                    getattr(node.value, "id", None),
+                    getattr(node.value, "attr", None),
+                ):
+                    read.add(node.attr)
+        assert {f.name for f in fields(DieselConfig)} <= read
 
 
 class TestConfigStore:

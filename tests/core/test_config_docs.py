@@ -6,10 +6,12 @@ knob without documenting it (or letting a documented default rot)
 fails CI.
 """
 
+import inspect
 import re
 from dataclasses import MISSING, fields
 from pathlib import Path
 
+from repro.bench.experiments import ALL_EXPERIMENTS
 from repro.core.config import DieselConfig
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "CONFIG.md"
@@ -22,7 +24,7 @@ def doc_text():
 def doc_table_rows():
     """{field: row-cells} for the markdown field table."""
     rows = {}
-    for line in doc_text().splitlines():
+    for line in doc_text().split("## Fields")[1].split("\n## ")[0].splitlines():
         m = re.match(r"\|\s*`(\w+)`\s*\|", line)
         if m and m.group(1) != "field":
             rows[m.group(1)] = [c.strip() for c in line.split("|")[1:-1]]
@@ -46,6 +48,18 @@ class TestConfigDocsSync:
                 f"docs/CONFIG.md lacks a semantics section for {f.name}"
             )
 
+    def test_exercised_by_names_experiments_that_use_the_field(self):
+        """The ids before the cell's first ``;`` are experiments, and
+        each one's source mentions the field it is credited with."""
+        for name, cells in doc_table_rows().items():
+            ids = re.findall(r"`([^`]+)`", cells[4].split(";")[0])
+            assert ids, f"no experiment exercises {name}"
+            for exp in ids:
+                assert name in inspect.getsource(ALL_EXPERIMENTS[exp]), (
+                    f"docs/CONFIG.md credits {exp!r} with {name}, "
+                    f"which its source never mentions"
+                )
+
     def test_documented_defaults_match_code(self):
         rows = doc_table_rows()
         for f in fields(DieselConfig):
@@ -55,10 +69,6 @@ class TestConfigDocsSync:
                 # Documented symbolically; check the human-readable size.
                 assert "4 MiB" in cell
                 assert f.default == 4 * 1024 * 1024
-            elif isinstance(f.default, bool):
-                assert str(f.default) in cell
-            elif isinstance(f.default, str):
-                assert f'"{f.default}"' in cell
             else:
                 assert f"`{f.default}`" in cell, (
                     f"default for {f.name} documented as {cell!r}, "

@@ -5,19 +5,15 @@ dies mid-call must land on the DIESEL server instead of erroring, and
 an on-demand background fill must tolerate the master dying mid-pull.
 """
 
-import pytest
-
 from repro.cluster.failure import FailureInjector
-from repro.core.config import DieselConfig
-from repro.errors import CachePeerDownError, CircuitOpenError
+from repro.ft import RetryPolicy
 
 from tests.core.test_dist_cache import setup_cache
 
 
-def warm_rig(policy="oneshot", fallback=True, chunk_size=8 * 1024):
+def warm_rig(policy="oneshot", chunk_size=8 * 1024):
     dep, cache, clients, files, index = setup_cache(
-        n_nodes=3, clients_per_node=1, policy=policy, fallback=fallback,
-        chunk_size=chunk_size,
+        n_nodes=3, clients_per_node=1, policy=policy, chunk_size=chunk_size,
     )
     dep.run(cache.register())
     if policy == "oneshot":
@@ -49,15 +45,6 @@ class TestMidFlightDegradation:
         inj.kill_at(victim_node, dep.env.now + hit_s / 2)
         data = dep.run(cache.read_file(reader, record))
         assert data == files[path]  # served by the server, not an error
-        assert cache.degraded_reads == 1
-
-    def test_strict_mode_raises_instead_of_degrading(self):
-        dep, cache, reader, victim_node, path, files, index = warm_rig(
-            fallback=False
-        )
-        victim_node.kill()
-        with pytest.raises(CachePeerDownError):
-            dep.run(cache.read_file(reader, index.lookup(path)))
         assert cache.degraded_reads == 1
 
     def test_known_dead_peer_degrades_without_attempting(self):
@@ -106,10 +93,10 @@ class TestBreakerShortCircuit:
         dep, cache, reader, victim_node, path, files, index = warm_rig()
         # An impossible deadline makes every peer attempt time out; after
         # two failures the breaker opens and later reads skip the peer.
-        cache.configure_ft(DieselConfig(
-            rpc_retries=0, rpc_deadline_s=1e-7,
+        cache.configure_ft(
+            RetryPolicy(retries=0, deadline_s=1e-7),
             breaker_threshold=2, breaker_reset_s=100.0,
-        ))
+        )
         record = index.lookup(path)
         for _ in range(4):
             assert dep.run(cache.read_file(reader, record)) == files[path]
@@ -121,26 +108,9 @@ class TestBreakerShortCircuit:
         assert breaker.trips == 1
         assert breaker.rejections == 2  # reads 3 and 4 never hit the peer
 
-    def test_strict_mode_surfaces_breaker_rejections(self):
-        dep, cache, reader, victim_node, path, files, index = warm_rig(
-            fallback=False
-        )
-        cache.configure_ft(DieselConfig(
-            rpc_retries=0, rpc_deadline_s=1e-7,
-            breaker_threshold=1, breaker_reset_s=100.0,
-        ))
-        record = index.lookup(path)
-        with pytest.raises(CachePeerDownError):
-            dep.run(cache.read_file(reader, record))
-        with pytest.raises(CachePeerDownError) as exc_info:
-            dep.run(cache.read_file(reader, record))
-        assert isinstance(exc_info.value.__cause__, CircuitOpenError)
-
     def test_retry_rides_out_a_blip_without_degrading(self):
         dep, cache, reader, victim_node, path, files, index = warm_rig()
-        cache.configure_ft(DieselConfig(
-            rpc_retries=2, rpc_backoff_base_s=0.002,
-        ))
+        cache.configure_ft(RetryPolicy(retries=2, backoff_base_s=0.002))
         record = index.lookup(path)
         # Healthy peer + retry enabled: the warm hit is served normally.
         assert dep.run(cache.read_file(reader, record)) == files[path]

@@ -9,7 +9,7 @@ from tests.core.conftest import build_deployment, small_files, write_dataset
 
 
 def setup_cache(n_nodes=3, clients_per_node=2, n_files=24, policy="oneshot",
-                fallback=True, chunk_size=8 * 1024):
+                chunk_size=8 * 1024):
     dep = build_deployment(n_client_nodes=n_nodes)
     files = small_files(n_files, size=2048)
     writer = write_dataset(dep, "ds", files, chunk_size=chunk_size)
@@ -26,8 +26,7 @@ def setup_cache(n_nodes=3, clients_per_node=2, n_files=24, policy="oneshot",
             cache_clients.append(CacheClient(f"cc{rank}", node, rank))
             rank += 1
     cache = TaskCache(
-        dep.env, dep.fabric, dep.server, "ds", cache_clients,
-        policy=policy, fallback_to_server=fallback,
+        dep.env, dep.fabric, dep.server, "ds", cache_clients, policy=policy
     )
     return dep, cache, cache_clients, files, writer.index
 
@@ -154,24 +153,6 @@ class TestFailureContainment:
             return ok
 
         assert dep.run(proc()) == len(files)
-
-    def test_strict_mode_raises_on_dead_peer(self):
-        dep, cache, clients, files, index = setup_cache(fallback=False)
-        dep.run(cache.register())
-        dep.run(cache.wait_warm())
-        dep.client_nodes[1].kill()
-        dead_master = next(m for m in cache.masters.values() if not m.up)
-        victim_cid = dead_master.assigned[0]
-        victim_path = next(
-            p for p in files if index.lookup(p).chunk_id.encode() == victim_cid
-        )
-        reader = next(c for c in clients if c.node.alive)
-
-        def proc():
-            yield from cache.read_file(reader, index.lookup(victim_path))
-
-        with pytest.raises(CachePeerDownError):
-            dep.run(proc())
 
     def test_other_tasks_unaffected(self):
         """Containment: killing task A's node leaves task B's cache intact."""

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro.core.config import DieselConfig
+from repro.core.meta_journal import MetaJournal
 from repro.core.shuffle import tail_extend
 from repro.core.snapshot import SnapshotIndex
 from repro.errors import DeltaConflictError, DieselError
@@ -95,8 +95,8 @@ class TestRefreshMeta:
 
 class TestHorizonFallback:
     def test_past_horizon_falls_back_to_full_reload(self):
-        config = DieselConfig(meta_journal_horizon=2, chunk_size=CHUNK)
-        dep = build_deployment(config=config)
+        dep = build_deployment()
+        dep.server.journal = MetaJournal(dep.kv, 2)
         client = loaded_client(dep)
         # Each appended batch is one chunk = one journal entry; three
         # pushes compact the first one out of the horizon-2 journal.
@@ -109,8 +109,8 @@ class TestHorizonFallback:
         assert_index_equivalent(client.index, fresh)
 
     def test_journaling_disabled_always_full_reloads(self):
-        config = DieselConfig(meta_journal_horizon=0, chunk_size=CHUNK)
-        dep = build_deployment(config=config)
+        dep = build_deployment()
+        dep.server.journal = MetaJournal(dep.kv, 0)
         client = loaded_client(dep)
         append_files(dep, client, small_files(4, prefix="/new"))
         dep.run(client.refresh_meta())

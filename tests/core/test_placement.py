@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import Node
-from repro.core.dist_cache import CacheClient, TaskCache
+from repro.core.dist_cache import LOCALITY_SPILL_RATIO, CacheClient, TaskCache
 from repro.errors import DieselError
 
 from tests.core.conftest import build_deployment, small_files, write_dataset
@@ -11,7 +11,7 @@ from tests.core.conftest import build_deployment, small_files, write_dataset
 
 def setup_cache(n_nodes=3, clients_per_node=1, n_files=24, policy="oneshot",
                 placement="locality", chunk_size=8 * 1024,
-                hot_chunk_threshold=0, spill_ratio=0.9):
+                hot_chunk_threshold=0):
     dep = build_deployment(n_client_nodes=n_nodes)
     files = small_files(n_files, size=2048)
     writer = write_dataset(dep, "ds", files, chunk_size=chunk_size)
@@ -30,7 +30,6 @@ def setup_cache(n_nodes=3, clients_per_node=1, n_files=24, policy="oneshot",
     cache = TaskCache(
         dep.env, dep.fabric, dep.server, "ds", cache_clients,
         policy=policy, placement=placement,
-        locality_spill_ratio=spill_ratio,
         hot_chunk_threshold=hot_chunk_threshold,
     )
     return dep, cache, cache_clients, files, writer.index
@@ -133,9 +132,6 @@ class TestLocalityPlacement:
                       placement="bogus")
         with pytest.raises(DieselError):
             TaskCache(dep.env, dep.fabric, dep.server, "ds", [c],
-                      placement="locality", locality_spill_ratio=0.0)
-        with pytest.raises(DieselError):
-            TaskCache(dep.env, dep.fabric, dep.server, "ds", [c],
                       hot_chunk_threshold=-1)
 
 
@@ -168,7 +164,7 @@ class TestLocalitySpill:
     def test_spill_respects_memory_budget(self):
         dep, cache, summary = self._tight_setup(memory_bytes=18 * 1024)
         tight_master = cache.masters["aa-tight"]
-        budget = int(18 * 1024 * cache.locality_spill_ratio)
+        budget = int(18 * 1024 * LOCALITY_SPILL_RATIO)
         sizes = summary["chunk_sizes"]
         assert sum(sizes[c] for c in tight_master.assigned) <= budget
         # The overflow landed on the roomy node; nothing was dropped.

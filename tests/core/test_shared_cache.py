@@ -468,3 +468,50 @@ class TestRecoveryRefcounts:
 
         dep.run(epoch(c0))
         dep.run(epoch(c1))
+
+
+class TestClientSharedHitCredit:
+    """``ClientStats.shared_hits`` is credited per read from the tier it
+    resolved at — not inferred from the cache-wide counter, which a
+    concurrent reader of the same task also moves."""
+
+    def _rig(self):
+        """A warm task, and a cold on-demand one (two clients) on the
+        same registry: its reads of node-local chunks are shared hits."""
+        dep, registry, (warm,), files, index = shared_rig(n_tasks=1)
+        dep.run(warm.register())
+        dep.run(warm.wait_warm())
+        clients = [dep.new_client("ds", node_idx=i, rank=i) for i in range(2)]
+        cold = TaskCache(
+            dep.env, dep.fabric, dep.server, "ds",
+            [c.as_cache_client() for c in clients],
+            policy="on-demand", shared=registry,
+        )
+        dep.run(cold.register())
+        for client in clients:
+            dep.run(client.load_meta(dep.run(client.save_meta())))
+            client.attach_cache(cold)
+        cids = [index.lookup(p).chunk_id.encode() for p in files]
+        local = [
+            sum(registry.for_node(c.node).resident("ds", cid) for cid in cids)
+            for c in clients
+        ]
+        assert all(local)
+        return dep, cold, clients, files, local
+
+    def test_get_many_credits_shared_hits(self):
+        dep, cold, clients, files, local = self._rig()
+        assert dep.run(clients[0].get_many(list(files))) == files
+        assert clients[0].stats.shared_hits == local[0] == cold.shared_hits
+
+    def test_interleaved_gets_each_claim_only_their_own(self):
+        dep, cold, clients, files, local = self._rig()
+
+        def reads(client):
+            for path in files:
+                yield from client.get(path)
+
+        procs = [dep.env.process(reads(c)) for c in clients]
+        dep.env.run(until=dep.env.all_of(procs))
+        assert [c.stats.shared_hits for c in clients] == local
+        assert cold.shared_hits == sum(local)

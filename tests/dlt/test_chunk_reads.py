@@ -331,7 +331,7 @@ class TestHedging:
         tb, cache, readers, files, index = make_task(
             n_nodes=4, n_files=480, file_sizes=(12_000, 20_000),
             chunk_size=512 * 1024)
-        cache.configure_hedging(enabled=True)
+        cache.configure_hedging()
         reader = readers[0]
         owner, cids = remote_chunks(cache, reader, index)
         assert len(cids) >= 3
@@ -401,23 +401,6 @@ class TestClientChain:
             p for p in files if index.lookup(p).chunk_id.encode() == cid)
         assert tb.run(client.get(path)) == files[path]
         assert client.stats.server_reads == 1
-
-
-@pytest.mark.parametrize("store", ["ram", "tiered"])
-def test_strict_mode_raises_and_counts(store):
-    from repro.errors import CachePeerDownError
-
-    tb, cache, readers, files, index = make_task(
-        store=store, fallback_to_server=False)
-    reader = readers[0]
-    cid = next(
-        c.encode() for c in index.chunk_ids()
-        if cache.chunk_owner_node(c) != reader.cache_client.node.name
-    )
-    cache.owner_of(cid).node.kill()
-    with pytest.raises(CachePeerDownError):
-        tb.run(cache.read_chunk(reader.cache_client, cid))
-    assert cache.degraded_reads == 1
 
 
 def test_own_disk_hit_is_a_master_hit_not_a_cross_task_read():

@@ -58,14 +58,6 @@ class TestBackoff:
         with pytest.raises(ValueError):
             RetryPolicy(deadline_s=-1)
 
-    def test_from_config_maps_fields(self):
-        from repro.core.config import DieselConfig
-
-        cfg = DieselConfig(rpc_retries=5, rpc_backoff_base_s=0.01,
-                           rpc_deadline_s=0.5)
-        p = RetryPolicy.from_config(cfg)
-        assert (p.retries, p.backoff_base_s, p.deadline_s) == (5, 0.01, 0.5)
-
 
 class TestRetryCall:
     def test_transient_failures_are_retried_to_success(self):
