@@ -3,17 +3,19 @@
 Unlike the ``bench_fig*`` files (which reproduce the paper's simulated
 experiments), these measure the actual Python implementation: chunk
 encode/decode throughput, snapshot serialization, O(1) snapshot lookups,
-chunk-wise shuffle generation, consistent-hash lookups, and KV prefix
-scans.  They guard the data structures the simulation's fidelity rests
-on.
+chunk-wise shuffle generation, consistent-hash lookups, KV prefix scans,
+and the server's metadata write path (chunk ingest, tombstone delete).
+They guard the data structures the simulation's fidelity rests on.
 """
 
 import random
 
 import pytest
 
+from repro.bench.setups import add_diesel, make_testbed
 from repro.core.chunk import Chunk
 from repro.core.meta import FileRecord
+from repro.core.server import object_key
 from repro.core.shuffle import chunkwise_shuffle
 from repro.core.snapshot import MetadataSnapshot, SnapshotIndex, build_snapshot
 from repro.kvstore.kv import KVTable
@@ -182,3 +184,61 @@ def test_kv_pscan(benchmark):
 
     result = benchmark(table.pscan, "f:ds:/class042/")
     assert len(result) == 500
+
+
+def make_metadata_server(n_chunks=64, n_files=256, file_size=64):
+    """A server holding ``n_chunks`` depth-3 chunks of ``n_files`` files
+    (stored and ingested); returns ``(testbed, chunks)``."""
+    tb = make_testbed(n_compute=1)
+    add_diesel(tb)
+    chunks = []
+    for c in range(n_chunks):
+        chunk = Chunk.build(GEN.next(), [
+            (f"/r{c:03d}/d{i % 8}/f{i:05d}.bin", bytes([i % 256]) * file_size)
+            for i in range(n_files)
+        ])
+        tb.store.load([(object_key("bench", chunk.chunk_id), chunk.encode())])
+        tb.diesel.ingest_metadata("bench", chunk)
+        chunks.append(chunk)
+    return tb, chunks
+
+
+@pytest.mark.benchmark(group="micro-metadata")
+def test_ingest_metadata(benchmark):
+    """Server-side metadata extraction of one 256-file depth-3 chunk
+    into a 64-chunk dataset: the per-file cost of the write path."""
+    tb, chunks = make_metadata_server()
+    late = Chunk.build(GEN.next(), [
+        (f"/late/d{i % 8}/f{i:05d}.bin", b"x" * 64) for i in range(256)
+    ])
+    n_pairs = benchmark(tb.diesel.ingest_metadata, "bench", late)
+    # Charged: 256 x (record + 3 entries) + chunk + dataset + 2 journal.
+    assert n_pairs == 256 * 4 + 4
+    per_file = benchmark.stats["mean"] / 256
+    benchmark.extra_info["files_per_s"] = round(1 / per_file)
+    assert per_file < 3e-5, f"metadata ingest too slow: {per_file:.2e}s/file"
+
+
+@pytest.mark.benchmark(group="micro-metadata")
+def test_delete_file(benchmark):
+    """Tombstone deletes through the server RPC (KV chunk record, header
+    patch in place, dataset version bump, journal), 32 per round."""
+    tb, chunks = make_metadata_server(n_chunks=64)
+    victims = (f.path for chunk in chunks for f in chunk.files)
+    node = tb.compute_nodes[0]
+
+    def delete_batch():
+        def proc():
+            for _ in range(32):
+                yield from tb.diesel.call(
+                    node, "delete_file", "bench", next(victims))
+
+        tb.env.run(until=tb.env.process(proc()))
+
+    benchmark.pedantic(delete_batch, rounds=20, iterations=1)
+    per_op = benchmark.stats["mean"] / 32
+    benchmark.extra_info["ops_per_s"] = round(1 / per_op)
+    assert per_op < 6e-4, f"delete_file too slow: {per_op:.2e}s/op"
+    assert sum(
+        tb.diesel._chunk_record("bench", c.chunk_id).ndeleted for c in chunks
+    ) == 20 * 32

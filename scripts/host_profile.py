@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Function-level host profile of one perfbench workload's timed blocks.
+
+perfbench's traced run attributes host samples to *layers*
+(``core.meta.host_share`` ...); this prints the view underneath: which
+functions the samples land in (self) and pass through (cumulative).
+A 1 ms interval timer samples the Python stack while the workload's
+blocks 1..n run — the fixture, block 0 (task start) and the benchmark's
+reference loops are outside the sampled region, so the shares are of
+the program's steady-state work only.  ``ITIMER_REAL`` rather than
+``ITIMER_PROF``: the latter only fires at 250 Hz on this kernel
+(perfbench/trace.py made the same choice).
+
+Drives ``perfbench.workloads`` through perfbench's own op proxy,
+read-only; nothing is written.
+
+Usage::
+
+    python scripts/host_profile.py ingest_meta [--seed N] [--scale tiny] [--top K]
+"""
+
+from __future__ import annotations
+
+import argparse
+import signal
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLE_INTERVAL_S = 0.001
+
+
+class NoTicks:
+    """Stands in for perfbench's calibrator: no reference loops run, so
+    none can be sampled."""
+
+    def tick(self) -> None:
+        pass
+
+
+class Sampler:
+    """Counts, per function, the samples it was running in (``self``)
+    and the samples it was anywhere on the stack of (``cum``)."""
+
+    def __init__(self) -> None:
+        self.self_hits: Counter = Counter()
+        self.cum_hits: Counter = Counter()
+        self.samples = 0
+
+    @staticmethod
+    def _key(frame):
+        """The frame's code object — with the class of ``self`` beside it
+        for generated code (every dataclass ``__init__`` is
+        ``<string>:2``)."""
+        code = frame.f_code
+        if code.co_filename.startswith("<"):
+            return code, type(frame.f_locals.get("self")).__name__
+        return code, ""
+
+    def _on_sample(self, signum, frame) -> None:
+        self.samples += 1
+        self.self_hits[self._key(frame)] += 1
+        seen = set()
+        while frame is not None:
+            seen.add(self._key(frame))
+            frame = frame.f_back
+        self.cum_hits.update(seen)
+
+    def __enter__(self) -> "Sampler":
+        signal.signal(signal.SIGALRM, self._on_sample)
+        signal.setitimer(signal.ITIMER_REAL, SAMPLE_INTERVAL_S,
+                         SAMPLE_INTERVAL_S)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
+
+
+def _where(key) -> str:
+    code, owner = key
+    name = getattr(code, "co_qualname", code.co_name)
+    if owner:
+        return f"{owner}.{code.co_name}  (generated)"
+    path = Path(code.co_filename)
+    for base in (ROOT / "src", ROOT):
+        if path.is_relative_to(base):
+            path = path.relative_to(base)
+            break
+    return f"{name}  ({path}:{code.co_firstlineno})"
+
+
+def report(sampler: Sampler, top: int) -> list[str]:
+    total = sampler.samples or 1
+    lines = []
+    for title, hits in (("self", sampler.self_hits),
+                        ("cumulative", sampler.cum_hits)):
+        lines.append(f"\n{'share':>7}  {'samples':>7}  by {title}")
+        for key, n in hits.most_common(top):
+            lines.append(f"{n / total:7.1%}  {n:7d}  {_where(key)}")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    sys.path[:0] = [str(ROOT), str(ROOT / "src")]
+    from perfbench.harness import OpLog
+    from perfbench.workloads import WORKLOADS
+
+    ap = argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0],
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("workload", choices=sorted(WORKLOADS))
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--scale", default="full", choices=("full", "tiny"))
+    ap.add_argument("--top", type=int, default=25,
+                    help="functions listed per ranking (default: 25)")
+    args = ap.parse_args(argv)
+
+    wl = WORKLOADS[args.workload](args.seed, args.scale)
+    wl.make_inputs()
+    wl.setup()
+    log = OpLog(wl.tb.env, NoTicks(), wl.ops_per_loop)
+    wl.run_block(0, log)
+    warm_ops = log.attempted
+    sampler = Sampler()
+    for b in range(1, wl.n_blocks):
+        with sampler:
+            wl.run_block(b, log)
+    print(f"{args.workload} seed {args.seed} scale {args.scale}: "
+          f"{sampler.samples} samples at {SAMPLE_INTERVAL_S * 1e3:g} ms over "
+          f"blocks 1..{wl.n_blocks - 1} ({log.attempted - warm_ops} ops, "
+          f"{log.failed} failed)")
+    print("\n".join(log.errors + report(sampler, args.top)))
+    return 1 if log.failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -43,6 +43,14 @@ DEFAULT_CHUNK_SIZE = 4 * 1024 * 1024
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _ENTRY_TAIL = struct.Struct(">QQI")  # offset, length, crc32
+#: Where the deletion bitmap starts: after magic, chunk id and file count.
+_BITMAP_AT = len(MAGIC) + CHUNK_ID_BYTES + _U32.size
+
+
+def _truncated(blob) -> ChunkFormatError:
+    return ChunkFormatError(
+        f"truncated chunk: header runs past its {len(blob)} bytes"
+    )
 
 
 @dataclass(frozen=True)
@@ -100,12 +108,19 @@ class Chunk:
     def build(
         cls, chunk_id: ChunkId, items: Iterable[tuple[str, bytes]]
     ) -> "Chunk":
-        """Pack (path, payload) pairs into a chunk."""
+        """Pack (path, payload) pairs into a chunk, normalising paths."""
+        return cls.pack(chunk_id, ((normalize(p), d) for p, d in items))
+
+    @classmethod
+    def pack(
+        cls, chunk_id: ChunkId, items: Iterable[tuple[str, bytes]]
+    ) -> "Chunk":
+        """:meth:`build` for paths that are canonical already (the chunk
+        builder normalised them as they were added)."""
         files: list[ChunkFile] = []
         parts: list[bytes] = []
         offset = 0
         for path, payload in items:
-            path = normalize(path)
             payload = bytes(payload)
             files.append(
                 ChunkFile(path, offset, len(payload), zlib.crc32(payload))
@@ -206,43 +221,100 @@ class Chunk:
         metadata without touching payload bytes.
         """
         view = memoryview(blob)
-        pos = 0
-
-        def take(n: int) -> memoryview:
-            nonlocal pos
-            if pos + n > len(view):
-                raise ChunkFormatError(
-                    f"truncated chunk: need {pos + n} bytes, have {len(view)}"
-                )
-            piece = view[pos : pos + n]
-            pos += n
-            return piece
-
-        if bytes(take(4)) != MAGIC:
+        if view[: len(MAGIC)] != MAGIC:
             raise ChunkFormatError("bad chunk magic")
-        chunk_id = ChunkId(bytes(take(CHUNK_ID_BYTES)))
-        (nfiles,) = _U32.unpack(take(4))
-        bitmap = Bitmap.from_bytes(bytes(take((nfiles + 7) // 8)), nfiles)
+        u16, tail, tail_size = (
+            _U16.unpack_from, _ENTRY_TAIL.unpack_from, _ENTRY_TAIL.size,
+        )
         files: list[ChunkFile] = []
-        for _ in range(nfiles):
-            (name_len,) = _U16.unpack(take(2))
-            name = bytes(take(name_len)).decode("utf-8")
-            offset, length, crc = _ENTRY_TAIL.unpack(take(_ENTRY_TAIL.size))
-            files.append(ChunkFile(name, offset, length, crc))
-        header_end = pos
-        (stored_crc,) = _U32.unpack(take(4))
-        if zlib.crc32(bytes(view[:header_end])) != stored_crc:
+        try:
+            (nfiles,) = _U32.unpack_from(view, _BITMAP_AT - _U32.size)
+            pos = _BITMAP_AT + (nfiles + 7) // 8
+            if pos > len(view):
+                raise _truncated(view)
+            chunk_id = ChunkId(bytes(view[len(MAGIC) : len(MAGIC) + CHUNK_ID_BYTES]))
+            bitmap = Bitmap.from_bytes(bytes(view[_BITMAP_AT:pos]), nfiles)
+            for _ in range(nfiles):
+                name_end = pos + 2 + u16(view, pos)[0]
+                offset, length, crc = tail(view, name_end)
+                files.append(ChunkFile(
+                    str(view[pos + 2 : name_end], "utf-8"), offset, length, crc
+                ))
+                pos = name_end + tail_size
+            (stored_crc,) = _U32.unpack_from(view, pos)
+        except struct.error:
+            raise _truncated(view) from None
+        if zlib.crc32(view[:pos]) != stored_crc:
             raise ChunkChecksumError(
                 f"header checksum mismatch in chunk {chunk_id.encode()}"
             )
-        data_offset = pos
         shell = cls.__new__(cls)
         shell.chunk_id = chunk_id
         shell.files = tuple(files)
         shell.data = memoryview(b"")
         shell.deletion_bitmap = bitmap
         shell._by_path = {f.path: i for i, f in enumerate(files)}
-        return shell, data_offset
+        return shell, pos + _U32.size
+
+    @staticmethod
+    def find_in_header(blob: bytes, path: str) -> tuple[int, int]:
+        """``(index, header_size)`` of ``path`` in an encoded chunk's file
+        table, for a tombstone.
+
+        Walks the table without building anything per file, yet checks
+        what :meth:`decode_header` checks of the bytes it passes: the
+        magic and the header checksum.  A path the table does not hold is
+        a :class:`ChunkFormatError`.
+        """
+        if blob[: len(MAGIC)] != MAGIC:
+            raise ChunkFormatError("bad chunk magic")
+        want = path.encode("utf-8")
+        index = -1
+        try:
+            (nfiles,) = _U32.unpack_from(blob, _BITMAP_AT - _U32.size)
+            pos = _BITMAP_AT + (nfiles + 7) // 8
+            step = 2 + _ENTRY_TAIL.size
+            for i in range(nfiles):
+                name_len = blob[pos] << 8 | blob[pos + 1]
+                if (
+                    name_len == len(want)
+                    and index < 0
+                    and blob.startswith(want, pos + 2)
+                ):
+                    index = i
+                pos += name_len + step
+            (stored_crc,) = _U32.unpack_from(blob, pos)
+        except (struct.error, IndexError):
+            raise _truncated(blob) from None
+        if zlib.crc32(memoryview(blob)[:pos]) != stored_crc:
+            raise ChunkChecksumError(
+                "header checksum mismatch in chunk "
+                + ChunkId(blob[len(MAGIC) : len(MAGIC) + CHUNK_ID_BYTES]).encode()
+            )
+        if index < 0:
+            raise ChunkFormatError(f"path not in chunk: {path!r}")
+        return index, pos + _U32.size
+
+    @staticmethod
+    def with_bitmap(blob: bytes, bitmap: Bitmap, header_size: int) -> bytes:
+        """The encoded chunk ``blob`` with ``bitmap`` as its header's
+        deletion bitmap and the header checksum rewritten.
+
+        Byte-equal to re-encoding the decoded chunk with that bitmap, for
+        one copy of the blob; ``header_size`` is what
+        :meth:`find_in_header` returned for it.
+        """
+        (nfiles,) = _U32.unpack_from(blob, _BITMAP_AT - _U32.size)
+        if len(bitmap) != nfiles:
+            raise ChunkFormatError(
+                f"bitmap size {len(bitmap)} != file count {nfiles}"
+            )
+        view = memoryview(blob)
+        bits = bitmap.to_bytes()
+        crc_at = header_size - _U32.size
+        head, table = view[:_BITMAP_AT], view[_BITMAP_AT + len(bits) : crc_at]
+        crc = zlib.crc32(table, zlib.crc32(bits, zlib.crc32(head)))
+        return b"".join((head, bits, table, _U32.pack(crc), view[header_size:]))
 
     @classmethod
     def decode(cls, blob: bytes) -> "Chunk":

@@ -74,7 +74,7 @@ class ChunkBuilder:
         return self._seal()
 
     def _seal(self) -> Chunk:
-        chunk = Chunk.build(self._ids.next(), self._pending)
+        chunk = Chunk.pack(self._ids.next(), self._pending)
         self._pending = []
         self._pending_paths = set()
         self._pending_bytes = 0

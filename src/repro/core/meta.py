@@ -20,20 +20,27 @@ key                                       value
 ``readdir(/folderA)`` is exactly the paper's
 ``pscan hash(/folderA)/d ∪ pscan hash(/folderA)/f``.
 All records serialize to compact binary so the KV store holds real bytes.
+
+Key builders *format*: the paths they take are canonical already (the API
+boundaries normalise — DESIGN §6), so a key costs one f-string.  Only
+:func:`dir_hash` still accepts any spelling, because its values are
+pinned for every input and its memo makes the check free.
 """
 
 from __future__ import annotations
 
+import bisect
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import lru_cache
+from typing import Optional, Sequence
 
 from repro.errors import DieselError
 from repro.util.bitmap import Bitmap
 from repro.util.ids import CHUNK_ID_BYTES, ChunkId
 from repro.util.hashing import stable_hash
-from repro.util.pathutil import dirname, normalize
+from repro.util.pathutil import normalize
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
@@ -55,15 +62,20 @@ def chunk_key_prefix(dataset: str) -> str:
 
 
 def file_key(dataset: str, path: str) -> str:
-    return f"f:{dataset}:{normalize(path)}"
+    return f"f:{dataset}:{path}"
 
 
 def file_key_prefix(dataset: str) -> str:
     return f"f:{dataset}:"
 
 
+@lru_cache(maxsize=4096)
 def dir_hash(path: str) -> str:
-    """Printable stable hash of a directory path (the paper's hash(...))."""
+    """Printable stable hash of a directory path (the paper's hash(...)).
+
+    Memoised (bounded): a dataset has few directories and every entry
+    key under one of them needs its hash.
+    """
     return f"{stable_hash(normalize(path)):016x}"
 
 
@@ -91,18 +103,38 @@ class FileRecord:
     crc32: int
 
     def encode(self) -> bytes:
-        tail = _FILE_REC.pack(
-            self.chunk_id.raw, self.offset, self.length, self.crc32
+        return self.pack(
+            self.path, self.chunk_id.raw, self.offset, self.length, self.crc32
         )
-        name = self.path.encode("utf-8")
-        return _U32.pack(len(name)) + name + tail
+
+    @staticmethod
+    def pack(
+        path: str, cid_raw: bytes, offset: int, length: int, crc32: int
+    ) -> bytes:
+        """:meth:`encode` from bare fields (ingest builds no instances)."""
+        name = path.encode("utf-8")
+        return b"".join((
+            _U32.pack(len(name)), name,
+            _FILE_REC.pack(cid_raw, offset, length, crc32),
+        ))
 
     @classmethod
-    def decode(cls, blob: bytes) -> "FileRecord":
+    def decode(
+        cls, blob: bytes, chunk_ids: Optional[dict[bytes, ChunkId]] = None
+    ) -> "FileRecord":
+        """Decode one record.  ``chunk_ids`` (raw id -> instance) makes
+        the files of one chunk share one :class:`ChunkId` — and so its
+        memoised ``encode()``; an id it lacks is added."""
         (name_len,) = _U32.unpack_from(blob, 0)
         name = blob[4 : 4 + name_len].decode("utf-8")
         cid_raw, offset, length, crc = _FILE_REC.unpack_from(blob, 4 + name_len)
-        return cls(name, ChunkId(cid_raw), offset, length, crc)
+        if chunk_ids is None:
+            cid = ChunkId(cid_raw)
+        else:
+            cid = chunk_ids.get(cid_raw)
+            if cid is None:
+                cid = chunk_ids[cid_raw] = ChunkId(cid_raw)
+        return cls(name, cid, offset, length, crc)
 
 
 @dataclass(frozen=True)
@@ -184,6 +216,29 @@ class DatasetRecord:
             pos += CHUNK_ID_BYTES
         return cls(name, ts, tuple(cids))
 
+    @staticmethod
+    def bump(blob: bytes, add: Optional[ChunkId] = None) -> tuple[int, bytes]:
+        """The next version of the encoded record ``blob``: ``(ts, blob')``
+        with ``update_ts + 1`` stamped in and ``add`` spliced into the
+        sorted id list unless it is there.
+
+        Byte-equal to ``decode(blob).with_chunks([add], ts).encode()``
+        without materialising an id: the timestamp is read where it sits,
+        the splice is O(log chunks) compares and one copy.
+        """
+        (name_len,) = _U32.unpack_from(blob, 0)
+        ts = _U64.unpack_from(blob, 4 + name_len)[0] + 1
+        ids = blob[4 + name_len + _U64.size + _U32.size :]
+        if add is not None:
+            at = CHUNK_ID_BYTES * bisect.bisect_left(
+                range(len(ids) // CHUNK_ID_BYTES), add.raw,
+                key=lambda i: ids[i * CHUNK_ID_BYTES : (i + 1) * CHUNK_ID_BYTES],
+            )
+            if ids[at : at + CHUNK_ID_BYTES] != add.raw:
+                ids = b"".join((ids[:at], add.raw, ids[at:]))
+        count = _U32.pack(len(ids) // CHUNK_ID_BYTES)
+        return ts, b"".join((blob[: 4 + name_len], _U64.pack(ts), count, ids))
+
     def with_chunks(self, new_ids: Sequence[ChunkId], ts: int) -> "DatasetRecord":
         merged = tuple(sorted(set(self.chunk_ids) | set(new_ids)))
         return DatasetRecord(self.name, ts, merged)
@@ -195,19 +250,19 @@ class DatasetRecord:
 
 
 def directory_entry_pairs(dataset: str, path: str) -> list[tuple[str, bytes]]:
-    """All dir-entry KV pairs implied by one file path.
+    """All dir-entry KV pairs implied by one file at canonical ``path``.
 
     Links the file into its parent and every ancestor directory into its
-    own parent, so the hierarchy is reconstructible by pscan alone.
+    own parent, so the hierarchy is reconstructible by pscan alone.  This
+    is the per-file reference expansion: ``DieselServer.ingest_metadata``
+    charges its length for every file and writes the same keys, each
+    distinct one once per chunk.
     """
-    path = normalize(path)
-    pairs = [(dir_entry_key(dataset, dirname(path), path.rsplit("/", 1)[-1] or path, False), b"")]
-    current = dirname(path)
-    while current != "/":
-        parent = dirname(current)
-        name = current.rsplit("/", 1)[-1]
-        pairs.append((dir_entry_key(dataset, parent, name, True), b""))
-        current = parent
+    parent, _, name = path.rpartition("/")
+    pairs = [(dir_entry_key(dataset, parent or "/", name or path, False), b"")]
+    while parent:
+        parent, _, name = parent.rpartition("/")
+        pairs.append((dir_entry_key(dataset, parent or "/", name, True), b""))
     return pairs
 
 

@@ -42,6 +42,7 @@ from repro.core.meta_journal import (
 from repro.core.registry import DatasetRegistry
 from repro.core.snapshot import MetadataSnapshot, build_snapshot
 from repro.errors import (
+    ChunkFormatError,
     DatasetNotFoundError,
     DieselError,
     FileNotFoundInDatasetError,
@@ -54,7 +55,7 @@ from repro.objectstore.tiered import TieredStore
 from repro.rpc.endpoint import RpcEndpoint
 from repro.sim.engine import Environment, Event
 from repro.util.ids import ChunkId, decode_chunk_id, sim_id_generator
-from repro.util.pathutil import basename, dirname, normalize
+from repro.util.pathutil import normalize
 
 AnyStore = Union[ObjectStore, TieredStore]
 
@@ -261,12 +262,6 @@ class DieselServer:
             raise DieselError(f"missing chunk record for {cid.encode()}")
         return meta.ChunkRecord.decode(blob)
 
-    def _next_ts(self, dataset: str) -> int:
-        blob = self.kv.local_get_or_none(meta.dataset_key(dataset))
-        if blob is None:
-            return 1
-        return meta.DatasetRecord.decode(blob).update_ts + 1
-
     def ingest_metadata(
         self, dataset: str, chunk: Chunk, data_size: int | None = None
     ) -> int:
@@ -276,39 +271,72 @@ class DieselServer:
         :meth:`_kv_pipeline_cost` for it.  ``data_size`` overrides the
         chunk's payload size when ingesting from a header-only decode
         (recovery scans read headers, not payloads).
+
+        The count is what the chunk *implies*: per live file its record
+        plus one directory entry per path component
+        (:func:`meta.directory_entry_pairs`), the chunk and dataset
+        records, the journal keys.  What is *written* is each distinct
+        key once, in the order that per-file expansion would first have
+        written it (docs/METADATA.md "Write path").
         """
+        cid, cid_raw = chunk.chunk_id, chunk.chunk_id.raw
+        bitmap = chunk.deletion_bitmap
+        ndeleted = bitmap.count()
+        file_prefix = meta.file_key_prefix(dataset)
+        #: Directory -> key prefix of its file entries, as first seen.
+        entry_prefix: dict[str, str] = {}
+        linked: set[str] = set()  # directories already linked into their parent
         pairs: list[tuple[str, bytes]] = []
         ops: list[JournalOp] = []
+        implied = 2
+        pack = meta.FileRecord.pack
         for i, f in enumerate(chunk.files):
-            if chunk.deletion_bitmap.get(i):
+            if ndeleted and bitmap.get(i):
                 continue  # tombstoned files must not resurrect on rescan
-            rec = meta.FileRecord(f.path, chunk.chunk_id, f.offset, f.length, f.crc32)
-            pairs.append((meta.file_key(dataset, f.path), rec.encode()))
-            pairs.extend(meta.directory_entry_pairs(dataset, f.path))
-            ops.append(JournalOp(OP_APPEND, f.path, rec.encode()))
-        ops.append(JournalOp(OP_CHUNK_ADD, "", chunk.chunk_id.raw))
-        ts = self._next_ts(dataset)
+            path = f.path
+            blob = pack(path, cid_raw, f.offset, f.length, f.crc32)
+            pairs.append((file_prefix + path, blob))
+            ops.append(JournalOp(OP_APPEND, path, blob))
+            implied += 1 + path.count("/")
+            parent, _, name = path.rpartition("/")
+            prefix = entry_prefix.get(parent)
+            if prefix is not None:
+                pairs.append((prefix + name, b""))
+                continue
+            prefix = entry_prefix[parent] = meta.dir_scan_prefix(
+                dataset, parent or "/", "f"
+            )
+            pairs.append((prefix + (name or path), b""))
+            while parent and parent not in linked:
+                linked.add(parent)
+                parent, _, name = parent.rpartition("/")
+                pairs.append(
+                    (meta.dir_entry_key(dataset, parent or "/", name, True), b"")
+                )
+        ops.append(JournalOp(OP_CHUNK_ADD, "", cid_raw))
+        ds_key = meta.dataset_key(dataset)
+        old = self.kv.local_get_or_none(ds_key)
+        if old is None:
+            ts, dsrec = 1, meta.DatasetRecord(dataset, 1, (cid,)).encode()
+        else:
+            ts, dsrec = meta.DatasetRecord.bump(old, add=cid)
         crec = meta.ChunkRecord(
-            chunk.chunk_id,
+            cid,
             ts,
             data_size if data_size is not None else chunk.data_size,
             len(chunk.files),
-            chunk.deleted_count,
-            chunk.deletion_bitmap.copy(),
+            ndeleted,
+            bitmap.copy(),
         )
-        pairs.append((meta.chunk_key(dataset, chunk.chunk_id), crec.encode()))
-        old = self.kv.local_get_or_none(meta.dataset_key(dataset))
-        if old is None:
-            dsrec = meta.DatasetRecord(dataset, ts, (chunk.chunk_id,))
-        else:
-            dsrec = meta.DatasetRecord.decode(old).with_chunks([chunk.chunk_id], ts)
-        pairs.append((meta.dataset_key(dataset), dsrec.encode()))
+        pairs.append((meta.chunk_key(dataset, cid), crec.encode()))
+        pairs.append((ds_key, dsrec))
+        put = self.kv.local_put
         for k, v in pairs:
-            self.kv.local_put(k, v)
+            put(k, v)
         n_journal = self.journal.record(dataset, ts, ops)
         if old is None:
             self.registry.add(dataset)
-        return len(pairs) + n_journal
+        return implied + n_journal
 
     # ------------------------------------------------------------ operations
     def _op_ingest_chunk(
@@ -325,6 +353,10 @@ class DieselServer:
         rec = self._recorder
         t0 = self.env.now if rec is not None else 0.0
         chunk = Chunk.decode(chunk_bytes)
+        # The header's paths become keys as they are: hold the sender to
+        # the canonical form its chunk builder writes.
+        if any(normalize(f.path) != f.path for f in chunk.files):
+            raise ChunkFormatError("chunk header holds a non-canonical path")
         key = object_key(dataset, chunk.chunk_id)
         yield self.env.timeout(
             len(chunk_bytes) / self.cal.diesel.ingest_journal_bps
@@ -361,7 +393,7 @@ class DieselServer:
         self, dataset: str, path: str
     ) -> Generator[Event, Any, bytes]:
         """Read one file: KV lookup + chunk range read."""
-        rec = self._file_record(dataset, path)
+        rec = self._file_record(dataset, normalize(path))
         yield self.env.timeout(1.0 / self.cal.redis.cluster_qps)
         key = object_key(dataset, rec.chunk_id)
         data_offset = self._header_size(key)
@@ -399,7 +431,9 @@ class DieselServer:
     def _batched_read(
         self, dataset: str, paths: Sequence[str]
     ) -> Generator[Event, Any, Dict[str, bytes]]:
-        records = [(p, self._file_record(dataset, p)) for p in paths]
+        records = [
+            (p, self._file_record(dataset, normalize(p))) for p in paths
+        ]
         yield self.env.timeout(len(records) / self.cal.redis.cluster_qps)
         records.sort(key=lambda pr: (pr[1].chunk_id, pr[1].offset))
         out: Dict[str, bytes] = {}
@@ -433,7 +467,7 @@ class DieselServer:
 
         Reads past EOF are clamped, matching read(2) semantics.
         """
-        rec = self._file_record(dataset, path)
+        rec = self._file_record(dataset, normalize(path))
         if offset < 0 or length < 0:
             raise DieselError("offset and length must be non-negative")
         yield self.env.timeout(1.0 / self.cal.redis.cluster_qps)
@@ -504,7 +538,8 @@ class DieselServer:
         return sorted(names)
 
     def _op_exists(self, dataset: str, path: str) -> bool:
-        return self.kv.local_get_or_none(meta.file_key(dataset, path)) is not None
+        key = meta.file_key(dataset, normalize(path))
+        return self.kv.local_get_or_none(key) is not None
 
     def _op_dataset_ts(self, dataset: str) -> int:
         return self._dataset_record(dataset).update_ts
@@ -564,11 +599,15 @@ class DieselServer:
         whole keyspace slice.
         """
         dsrec = self._dataset_record(dataset)
+        # Every file of a chunk points at the dataset record's ChunkId.
+        chunk_ids = {cid.raw: cid for cid in dsrec.chunk_ids}
         files: list[meta.FileRecord] = []
         for page in self.kv.local_pscan_iter(
             meta.file_key_prefix(dataset), PSCAN_PAGE_SIZE
         ):
-            files.extend(meta.FileRecord.decode(blob) for _, blob in page)
+            files.extend(
+                meta.FileRecord.decode(blob, chunk_ids) for _, blob in page
+            )
         return build_snapshot(dataset, dsrec.update_ts, files, dsrec.chunk_ids)
 
     def _op_load_meta_delta(
@@ -617,36 +656,31 @@ class DieselServer:
         files.
         """
         path = normalize(path)
-        rec = self._file_record(dataset, path)
-        # Find the file's index within its chunk from the stored header.
-        key = object_key(dataset, rec.chunk_id)
+        cid = self._file_record(dataset, path).chunk_id
+        key = object_key(dataset, cid)
         blob = self.store.peek(key)
-        full = Chunk.decode(blob)
-        index = full._by_path[path]
-        crec = self._chunk_record(dataset, rec.chunk_id).with_deleted(index)
-        self.kv.local_put(meta.chunk_key(dataset, rec.chunk_id), crec.encode())
-        # Patch the on-storage header bitmap (small in-place write).
-        patched = Chunk(full.chunk_id, full.files, full.data, crec.bitmap.copy())
-        header = patched.header_bytes()
-        device = (
-            self.store.device
-            if isinstance(self.store, ObjectStore)
-            else self.store.hdd
+        index, header_size = Chunk.find_in_header(blob, path)
+        crec = self._chunk_record(dataset, cid).with_deleted(index)
+        self.kv.local_put(meta.chunk_key(dataset, cid), crec.encode())
+        # Rewrite the stored header's bitmap in place (a header-sized
+        # write) from the KV record's: that one already holds the bit of
+        # a delete still waiting on its own write to this chunk.
+        yield from self.store.patch(
+            key, Chunk.with_bitmap(blob, crec.bitmap, header_size), header_size
         )
-        yield from device.write(len(header))
-        self.store.patch(key, b"".join((header, full.data)))
         self.kv.local_delete(meta.file_key(dataset, path))
+        parent, _, name = path.rpartition("/")
         self.kv.local_delete(
-            meta.dir_entry_key(dataset, dirname(path), basename(path), False)
+            meta.dir_entry_key(dataset, parent or "/", name, False)
         )
         # Version the dataset record as it stands *now*: a chunk ingested
-        # during the device write above must stay in ``chunk_ids``.
-        ts = self._next_ts(dataset)
-        dsrec = self._dataset_record(dataset)
-        self.kv.local_put(
-            meta.dataset_key(dataset),
-            meta.DatasetRecord(dataset, ts, dsrec.chunk_ids).encode(),
-        )
+        # during the device write above must stay in its id list.
+        ds_key = meta.dataset_key(dataset)
+        old = self.kv.local_get_or_none(ds_key)
+        if old is None:
+            raise DatasetNotFoundError(dataset)
+        ts, dsrec = meta.DatasetRecord.bump(old)
+        self.kv.local_put(ds_key, dsrec)
         n_journal = self.journal.record(
             dataset, ts, [JournalOp(OP_DELETE, path)]
         )
@@ -689,9 +723,11 @@ class DieselServer:
     def _drop_chunk(self, dataset: str, cid: ChunkId) -> Generator[Event, Any, None]:
         yield from self.store.delete(object_key(dataset, cid))
         self.kv.local_delete(meta.chunk_key(dataset, cid))
-        ts = self._next_ts(dataset)
-        dsrec = self._dataset_record(dataset).without_chunks([cid], ts)
-        self.kv.local_put(meta.dataset_key(dataset), dsrec.encode())
+        dsrec = self._dataset_record(dataset)
+        ts = dsrec.update_ts + 1
+        self.kv.local_put(
+            meta.dataset_key(dataset), dsrec.without_chunks([cid], ts).encode()
+        )
         self.journal.record(
             dataset, ts, [JournalOp(OP_CHUNK_DROP, "", cid.raw)]
         )

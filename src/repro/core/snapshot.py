@@ -27,7 +27,7 @@ from repro.errors import (
     FileNotFoundInDatasetError,
 )
 from repro.util.ids import CHUNK_ID_BYTES, ChunkId
-from repro.util.pathutil import dirname, normalize
+from repro.util.pathutil import normalize
 
 MAGIC = b"DSNP"
 _U32 = struct.Struct(">I")
@@ -148,31 +148,43 @@ class SnapshotIndex:
     originally loaded blob.  ``snapshot`` therefore records what was
     loaded, while ``update_ts`` / ``chunk_ids()`` / lookups reflect every
     applied delta.
+
+    Record and journal paths are canonical (the server wrote them from
+    validated chunk headers), so the index keys on them as they are;
+    only the caller-facing lookups normalise.
     """
 
     def __init__(self, snapshot: MetadataSnapshot) -> None:
         self.snapshot = snapshot
         self._update_ts = snapshot.update_ts
         self._chunk_ids: list[ChunkId] = sorted(snapshot.chunk_ids)
-        self._files: dict[str, FileRecord] = {}
+        #: Raw id -> the one ChunkId every record of that chunk shares
+        #: (so its memoised ``encode()`` is per chunk, not per file).
+        self._cid_of: dict[bytes, ChunkId] = {
+            cid.raw: cid for cid in self._chunk_ids
+        }
+        self._files: dict[str, FileRecord] = {
+            rec.path: rec for rec in snapshot.files
+        }
         self._dirs: dict[str, set[str]] = {"/": set()}
-        for rec in snapshot.files:
-            path = normalize(rec.path)
-            self._files[path] = rec
+        for path in self._files:
             self._link(path)
         self._by_chunk: Optional[dict[ChunkId, list[str]]] = None
 
     def _link(self, path: str) -> None:
+        dirs = self._dirs
         child = path
-        parent = dirname(path)
         while True:
-            children = self._dirs.setdefault(parent, set())
-            if child in children:
+            parent = child.rpartition("/")[0] or "/"
+            children = dirs.get(parent)
+            if children is None:
+                children = dirs[parent] = set()
+            elif child in children:
                 break  # this ancestor chain is already linked
             children.add(child)
             if parent == "/":
                 break
-            child, parent = parent, dirname(parent)
+            child = parent
 
     @property
     def dataset(self) -> str:
@@ -289,8 +301,8 @@ class SnapshotIndex:
 
     def _apply_op(self, op: "mj.JournalOp") -> None:
         if op.kind == mj.OP_APPEND:
-            rec = FileRecord.decode(op.payload)
-            path = normalize(rec.path)
+            rec = FileRecord.decode(op.payload, self._cid_of)
+            path = rec.path
             old = self._files.get(path)
             self._files[path] = rec
             if old is None:
@@ -306,7 +318,7 @@ class SnapshotIndex:
                     key=lambda p: self._files[p].offset,
                 )
         elif op.kind == mj.OP_DELETE:
-            path = normalize(op.path)
+            path = op.path
             rec = self._files.pop(path, None)
             if rec is None:
                 raise DeltaConflictError(
@@ -319,7 +331,8 @@ class SnapshotIndex:
                 if group is not None and path in group:
                     group.remove(path)
         elif op.kind == mj.OP_CHUNK_ADD:
-            cid = ChunkId(op.payload)
+            # The entry's appends came first and interned the id.
+            cid = self._cid_of.get(op.payload) or ChunkId(op.payload)
             i = bisect.bisect_left(self._chunk_ids, cid)
             if i == len(self._chunk_ids) or self._chunk_ids[i] != cid:
                 self._chunk_ids.insert(i, cid)
@@ -328,6 +341,7 @@ class SnapshotIndex:
             i = bisect.bisect_left(self._chunk_ids, cid)
             if i < len(self._chunk_ids) and self._chunk_ids[i] == cid:
                 del self._chunk_ids[i]
+            self._cid_of.pop(op.payload, None)
             if self._by_chunk is not None:
                 self._by_chunk.pop(cid, None)
         else:  # pragma: no cover - JournalOp validates kinds
@@ -339,8 +353,9 @@ class SnapshotIndex:
     def _unlink(self, path: str) -> None:
         """Remove ``path`` from its parent, pruning emptied ancestors —
         mirrors what a fresh rebuild would (not) contain."""
-        child, parent = path, dirname(path)
+        child = path
         while True:
+            parent = child.rpartition("/")[0] or "/"
             children = self._dirs.get(parent)
             if children is not None:
                 children.discard(child)
@@ -349,7 +364,7 @@ class SnapshotIndex:
                 del self._dirs[parent]
             if parent == "/":
                 break
-            child, parent = parent, dirname(parent)
+            child = parent
 
 
 def build_snapshot(

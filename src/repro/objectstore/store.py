@@ -84,6 +84,17 @@ class ObjectStore:
         del self._objects[key]
         self._sorted = None
 
+    def patch(
+        self, key: str, data: bytes, rewritten: int
+    ) -> Generator[Event, Any, None]:
+        """Replace an object whose bytes changed in place in ``rewritten``
+        of them (a tombstone's header): charges one device write of that
+        many bytes, then swaps the object.
+        """
+        yield from self.device.write(rewritten)
+        self._peek(key)
+        self._objects[key] = bytes(data)
+
     # -- zero-cost inspection ----------------------------------------------
     def _peek(self, key: str) -> bytes:
         try:
@@ -94,15 +105,6 @@ class ObjectStore:
     def peek(self, key: str) -> bytes:
         """Read object bytes without charging simulated time (tests/tools)."""
         return self._peek(key)
-
-    def patch(self, key: str, data: bytes) -> None:
-        """Replace an object's bytes without charging device time.
-
-        For small in-place header updates whose cost the caller charges
-        explicitly (e.g. tombstone-bitmap patches on delete).
-        """
-        self._peek(key)
-        self._objects[key] = bytes(data)
 
     def object_size(self, key: str) -> int:
         return len(self._peek(key))

@@ -114,13 +114,12 @@ class TieredStore:
         self._drop(key)
         return flush
 
-    def patch(self, key: str, data: bytes) -> None:
-        """In-place replace without device charge (see ObjectStore.patch).
-
-        The caller charges the base tier's write only, so the cached copy
-        is dropped rather than rewritten.
-        """
-        self._base.patch(key, data)
+    def patch(
+        self, key: str, data: bytes, rewritten: int
+    ) -> Generator[Event, Any, None]:
+        """In-place rewrite on the base tier (see ObjectStore.patch); the
+        cached copy is dropped rather than rewritten."""
+        yield from self._base.patch(key, data, rewritten)
         self._drop(key)
 
     def delete(self, key: str) -> Generator[Event, Any, None]:

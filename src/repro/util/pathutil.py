@@ -21,6 +21,15 @@ def normalize(path: str) -> str:
     """
     if not isinstance(path, str):
         raise TypeError(f"path must be str, got {type(path).__name__}")
+    # Already canonical: hand the same string back.  The "/." probe also
+    # sends hidden names ("/.git") through the loop, which is only slower.
+    if (
+        path.startswith("/")
+        and not path.endswith("/")
+        and "//" not in path
+        and "/." not in path
+    ):
+        return path
     parts = []
     for part in path.split("/"):
         if part in ("", "."):
@@ -46,16 +55,12 @@ def join(*parts: str) -> str:
 
 def dirname(path: str) -> str:
     """Parent directory of a normalized path (root's parent is root)."""
-    comps = split(path)
-    if len(comps) <= 1:
-        return "/"
-    return "/" + "/".join(comps[:-1])
+    return normalize(path).rpartition("/")[0] or "/"
 
 
 def basename(path: str) -> str:
     """Final component ('' for root)."""
-    comps = split(path)
-    return comps[-1] if comps else ""
+    return normalize(path).rpartition("/")[2]
 
 
 def iter_ancestors(path: str) -> Iterator[str]:

@@ -8,6 +8,7 @@ from repro.core import meta
 from repro.errors import DieselError
 from repro.util.bitmap import Bitmap
 from repro.util.ids import ChunkId, ChunkIdGenerator
+from repro.util.pathutil import dirname
 
 GEN = ChunkIdGenerator(machine=b"\x03" * 6, pid=9)
 CID = GEN.next()
@@ -27,7 +28,9 @@ class TestKeys:
     def test_key_shapes(self):
         assert meta.dataset_key("imagenet") == "ds:imagenet"
         assert meta.chunk_key("imagenet", CID) == f"ck:imagenet:{CID.encode()}"
-        assert meta.file_key("ds", "a//b") == "f:ds:/a/b"
+        # Key builders format canonical paths; the API boundaries are
+        # what normalise (test_server.py::TestPathBoundary).
+        assert meta.file_key("ds", "/a/b") == "f:ds:/a/b"
         assert meta.file_key_prefix("ds") == "f:ds:"
 
     def test_dir_entry_key_kinds(self):
@@ -67,6 +70,18 @@ class TestFileRecord:
     def test_roundtrip_property(self, path, offset, length, crc):
         rec = meta.FileRecord(path, CID, offset, length, crc)
         assert meta.FileRecord.decode(rec.encode()) == rec
+
+    def test_decode_maps_raw_ids_onto_the_callers_instances(self):
+        other = GEN.next()
+        blobs = [meta.FileRecord(f"/f{i}", cid, i, 1, 0).encode()
+                 for i, cid in enumerate((CID, other, CID, other))]
+        table = {CID.raw: CID}
+        recs = [meta.FileRecord.decode(blob, table) for blob in blobs]
+        assert recs[0].chunk_id is CID and recs[2].chunk_id is CID
+        # An id the table lacked is built once, added, and shared.
+        assert recs[1].chunk_id == other
+        assert recs[1].chunk_id is recs[3].chunk_id is table[other.raw]
+        assert [r.path for r in recs] == ["/f0", "/f1", "/f2", "/f3"]
 
 
 class TestChunkRecord:
@@ -119,7 +134,27 @@ class TestDatasetRecord:
         assert rec2.chunk_ids == (b,)
 
 
+def reference_directory_entry_pairs(dataset, path):
+    """The expansion as it was written before it took canonical paths:
+    ``dirname`` (split, normalize, join) per ancestor."""
+    pairs = [(meta.dir_entry_key(
+        dataset, dirname(path), path.rsplit("/", 1)[-1] or path, False), b"")]
+    current = dirname(path)
+    while current != "/":
+        parent = dirname(current)
+        pairs.append((meta.dir_entry_key(
+            dataset, parent, current.rsplit("/", 1)[-1], True), b""))
+        current = parent
+    return pairs
+
+
 class TestDirectoryPairs:
+    @given(paths)
+    def test_matches_the_dirname_expansion(self, path):
+        assert meta.directory_entry_pairs("ds", path) == (
+            reference_directory_entry_pairs("ds", path)
+        )
+
     def test_file_and_ancestors_linked(self):
         pairs = meta.directory_entry_pairs("ds", "/a/b/c.jpg")
         keys = [k for k, _ in pairs]

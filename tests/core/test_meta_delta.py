@@ -60,6 +60,14 @@ class TestRefreshMeta:
         assert client.stats.delta_ops_applied > 0
         fresh = SnapshotIndex(dep.server.build_snapshot("ds"))
         assert_index_equivalent(client.index, fresh)
+        # One ChunkId per chunk — so one memoised encode() — whichever
+        # way the records arrived: snapshot build, blob, or delta.
+        for index in (client.index, fresh):
+            shared = {cid: cid for cid in index.chunk_ids()}
+            assert len(shared) > 2
+            for path in index.all_paths():
+                cid = index.lookup(path).chunk_id
+                assert cid is shared[cid]
 
     def test_delta_moves_far_fewer_bytes_than_snapshot(self):
         dep = build_deployment()

@@ -7,6 +7,7 @@ from repro.core import meta
 from repro.core.chunk import Chunk
 from repro.core.server import object_key, parse_object_key
 from repro.errors import (
+    ChunkFormatError,
     DatasetNotFoundError,
     DieselError,
     FileNotFoundInDatasetError,
@@ -213,6 +214,57 @@ class TestMetadataOps:
         snap = MetadataSnapshot.deserialize(deployment.run(proc()))
         assert snap.file_count == 10
         assert {f.path for f in snap.files} == set(files)
+
+
+class TestPathBoundary:
+    """The RPC entry points are where a path is normalised (and ``..``
+    refused); below them keys are built from canonical paths as is."""
+
+    SPELLINGS = ("img//class0/./file0000.jpg", "/img/class0/file0000.jpg/")
+
+    def call(self, dep, method, *args):
+        return dep.run(dep.server.call(dep.client_nodes[0], method, "ds", *args))
+
+    def test_every_spelling_reaches_the_same_file(self, deployment):
+        files = small_files(8)
+        write_dataset(deployment, "ds", files)
+        payload = files["/img/class0/file0000.jpg"]
+        for path in self.SPELLINGS:
+            assert self.call(deployment, "get_file", path) == payload
+            assert self.call(deployment, "get_file_range", path, 1, 5) == payload[1:6]
+            assert self.call(deployment, "read_files", [path]) == {path: payload}
+            assert self.call(deployment, "get_files", [path]) == {path: payload}
+            assert self.call(deployment, "exists", path) is True
+            assert self.call(deployment, "stat", path)["size"] == len(payload)
+        assert self.call(deployment, "ls", "img//class0/") == [
+            "file0000.jpg", "file0004.jpg"
+        ]
+        self.call(deployment, "delete_file", self.SPELLINGS[0])
+        assert self.call(deployment, "exists", self.SPELLINGS[1]) is False
+
+    @pytest.mark.parametrize("method,extra", [
+        ("get_file", ()), ("get_file_range", (0, 1)), ("exists", ()),
+        ("stat", ()), ("ls", ()), ("delete_file", ()),
+    ])
+    def test_dotdot_and_non_str_are_refused(self, deployment, method, extra):
+        write_dataset(deployment, "ds", small_files(4))
+        with pytest.raises(ValueError):
+            self.call(deployment, method, "/img/../etc", *extra)
+        with pytest.raises(TypeError):
+            self.call(deployment, method, 7, *extra)
+        with pytest.raises(ValueError):
+            self.call(deployment, "read_files", ["/img/../etc"])
+
+    def test_ingest_refuses_a_header_with_an_uncanonical_path(self, deployment):
+        gen = ChunkIdGenerator(machine=b"\x06" * 6, pid=2)
+        for path, error in (("img//a.jpg", ChunkFormatError),
+                            ("/img/../a.jpg", ValueError)):
+            blob = Chunk.pack(gen.next(), [(path, b"x")]).encode()
+            with pytest.raises(error):
+                self.call(deployment, "ingest_chunk", blob)
+        # Refused before anything was stored or recorded.
+        assert deployment.store.list_keys() == []
+        assert deployment.kv.total_keys() == 0
 
 
 class TestHousekeeping:

@@ -171,7 +171,7 @@ class TestFill:
         env, store = make_tiered()
         (key,) = load(store, "a", 1)
         fill = store.fill(key)
-        store.patch(key, b"n" * (SIZE // 2))
+        run_sync(env, store.patch(key, b"n" * (SIZE // 2), 64))
         assert env.run(until=fill) is False
         assert not store.in_ssd(key)
         assert store.ssd_used_bytes() == 0
@@ -262,9 +262,16 @@ class TierMachine(RuleBasedStateMachine):
 
     @rule(key=st.sampled_from(KEYS), data=payloads)
     def patch(self, key, data):
-        if self._live(key):
-            self.store.patch(key, data)
+        if not self._live(key):
+            return
+        self.busy.add(key)
+
+        def proc():
+            yield from self.store.patch(key, data, 16)
             self.model[key] = data
+            self.busy.discard(key)
+
+        self._spawn(proc())
 
     @rule(key=st.sampled_from(KEYS))
     def delete(self, key):

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.hashing import ConsistentHashRing, fnv1a_64, stable_hash
+from repro.core.meta import dir_hash
+from repro.kvstore.sharded import NUM_SLOTS
+from repro.util.hashing import ConsistentHashRing, fnv1a_64, mix64, stable_hash
+from repro.util.pathutil import normalize
 
 
 class TestFnv:
@@ -28,6 +31,73 @@ class TestFnv:
     def test_stable_hash_bad_buckets(self):
         with pytest.raises(ValueError):
             stable_hash("x", 0)
+
+
+#: ``stable_hash`` and ``ShardedKV.slot`` of each key, computed at the
+#: commit before the metadata write path was rebuilt (PR 20).  KV slots
+#: and ring points feed every workload's sim figures: these never move.
+PINNED = {
+    "": (0xF52A15E9A9B5E89B, 10395),
+    "/": (0x7FACE396AE054C7D, 3197),
+    "/a": (0xE37FD2B7554830FB, 12539),
+    "/a/b": (0x8374DA075F5BDF85, 8069),
+    "/train/class0": (0xFDB5B16E71BF8D44, 3396),
+    "/r003/d4": (0x5F625DB73CEDEF20, 12064),
+    "/données/été": (0x6C3118D89FC22BA4, 11172),
+    "ds:imagenet": (0x6A14617CB83A506C, 4204),
+    "f:ds:/r001/d3/w0f00001.bin": (0xECF89668E41DC3DB, 987),
+    "dir:ds:0123456789abcdef/f:x": (0xC358552A5574F5D7, 13783),
+    "jr:ds:00000000000000000042": (0xBA5194BEBB2B1EEC, 7916),
+    "reg:0003:ds": (0x2027B16FF1CDBF3E, 16190),
+}
+#: ``meta.dir_hash`` at the same commit, for every spelling of a path.
+PINNED_DIR_HASH = {
+    "/": "7face396ae054c7d",
+    "": "7face396ae054c7d",
+    "/a": "e37fd2b7554830fb",
+    "a": "e37fd2b7554830fb",
+    "/a/b": "8374da075f5bdf85",
+    "a//b/": "8374da075f5bdf85",
+    "/a/./b": "8374da075f5bdf85",
+    "/train/class0": "fdb5b16e71bf8d44",
+    "/r003/d4": "5f625db73cedef20",
+    "/données/été": "6c3118d89fc22ba4",
+    "/.git": "906044ad156a9045",
+    "/a/..b": "eb08648abc663c87",
+}
+
+
+class TestPinnedValues:
+    def test_stable_hash_and_kv_slot(self):
+        for key, (full, slot) in PINNED.items():
+            assert stable_hash(key) == full
+            assert stable_hash(key, NUM_SLOTS) == slot
+        assert fnv1a_64("diesel") == 0xEC240AB641D4D6CF
+        assert mix64(12345) == 0xF36CF1164265DD51
+
+    def test_ring_lookup(self):
+        ring = ConsistentHashRing([f"n{i}" for i in range(5)], replicas=64)
+        owners = {key: ring.lookup(key) for key in list(PINNED)[:6]}
+        assert owners == {"": "n1", "/": "n4", "/a": "n0", "/a/b": "n1",
+                          "/train/class0": "n4", "/r003/d4": "n2"}
+
+    def test_dir_hash(self):
+        dir_hash.cache_clear()
+        for path, hashed in PINNED_DIR_HASH.items():
+            assert dir_hash(path) == hashed  # a memo miss
+            assert dir_hash(path) == hashed  # a memo hit
+
+    @given(st.lists(st.sampled_from(["a", "é", ".", ".git", "", "b c"]),
+                    max_size=5).map("/".join))
+    def test_memoised_dir_hash_is_the_formula(self, path):
+        assert dir_hash(path) == f"{stable_hash(normalize(path)):016x}"
+
+    def test_dir_hash_memo_is_bounded_and_rejects_as_before(self):
+        assert dir_hash.cache_info().maxsize is not None
+        with pytest.raises(ValueError):
+            dir_hash("/a/../b")
+        with pytest.raises(TypeError):
+            dir_hash(7)
 
 
 class TestRing:

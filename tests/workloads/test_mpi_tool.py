@@ -70,7 +70,7 @@ class TestDieselRoundtrip:
         key = tb.store.list_keys()[0]
         blob = bytearray(tb.store.peek(key))
         blob[-1] ^= 0xFF
-        tb.store.patch(key, bytes(blob))
+        tb.store.load([(key, bytes(blob))])
         r = tool.run_read_phase()
         assert r.corrupted >= 1
         assert not r.clean
