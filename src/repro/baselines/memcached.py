@@ -22,7 +22,6 @@ from repro.calibration import MemcachedProfile
 from repro.errors import NodeDownError
 from repro.cluster.network import NetworkFabric
 from repro.cluster.node import Node
-from repro.rpc.connections import ConnectionTable
 from repro.rpc.endpoint import RpcEndpoint
 from repro.sim.engine import Environment, Event
 from repro.util.hashing import ConsistentHashRing
@@ -78,9 +77,6 @@ class MemcachedNode:
     def up(self) -> bool:
         return self.endpoint.up
 
-    def item_count(self) -> int:
-        return len(self._data)
-
     def flush(self) -> None:
         self._data.clear()
 
@@ -108,16 +104,9 @@ class MemcachedCluster:
                 env, fabric, node, name, self.profile, threads_per_server
             )
         self.ring = ConsistentHashRing(self.servers.keys(), replicas=ring_replicas)
-        self.connections = ConnectionTable()
 
     def server_for(self, key: str) -> MemcachedNode:
         return self.servers[self.ring.lookup(key)]
-
-    def register_client(self, client_name: str) -> int:
-        """A client connects to every server (full mesh); returns fan-out."""
-        for name in self.servers:
-            self.connections.connect(client_name, name)
-        return self.connections.fan_out(client_name)
 
     def get(
         self, client: Node, key: str
@@ -222,11 +211,3 @@ class MemcachedCluster:
         """Disable one memcached instance (its node stays up)."""
         server = self.servers[name]
         server.endpoint._up = False
-        self.connections.drop_endpoint(name)
-
-    def live_fraction(self) -> float:
-        live = sum(1 for s in self.servers.values() if s.up)
-        return live / len(self.servers)
-
-    def total_items(self) -> int:
-        return sum(s.item_count() for s in self.servers.values())

@@ -25,6 +25,6 @@ printed with :func:`repro.bench.reporting.format_table`.
 """
 
 from repro.bench.harness import ExperimentResult
-from repro.bench.reporting import format_table, shape_check
+from repro.bench.reporting import format_table
 
-__all__ = ["ExperimentResult", "format_table", "shape_check"]
+__all__ = ["ExperimentResult", "format_table"]

@@ -1045,23 +1045,20 @@ def fig15_training_time(
     with timer(result):
         runs = _training_comparison(models, epochs, n_files, file_size,
                                     batch_size, lustre_contention=12.0)
-        from repro.dlt.models import TrainingJob, model_profile
-
+        # The §6.6 job: ImageNet-1K for 90 epochs.
+        job_files, job_epochs = 1_281_167, 90
         for model_name, by_system in runs.items():
-            job = TrainingJob(model_profile(model_name),
-                              n_files=1_281_167, batch_size=256, epochs=90)
             # Project the 90-epoch job from measured epoch wall times:
             # per-file wall × full dataset size × 90 epochs.
             totals, ios = {}, {}
             for system, tr in by_system.items():
                 per_file_wall = float(np.mean(tr.epoch_walls)) / n_files
-                totals[system] = per_file_wall * job.n_files * job.epochs
+                totals[system] = per_file_wall * job_files * job_epochs
                 per_file_compute = tr.total_compute_time() / (
                     len(tr.timings) * batch_size
                 )
                 ios[system] = (
-                    (per_file_wall - per_file_compute)
-                    * job.n_files * job.epochs
+                    (per_file_wall - per_file_compute) * job_files * job_epochs
                 )
             result.add(
                 model=model_name,

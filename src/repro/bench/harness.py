@@ -6,7 +6,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-from repro.sim.engine import aggregate_engine_stats, env_generation
+from repro.sim.engine import tally_runs
 
 
 @dataclass
@@ -18,10 +18,9 @@ class ExperimentResult:
     rows: List[Dict[str, Any]] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
     wall_seconds: float = 0.0
-    #: Engine throughput over the experiment's environments — scheduler,
-    #: sim_events, events_per_sec, peak_occupancy (see
-    #: :func:`repro.sim.engine.aggregate_engine_stats`); stamped by
-    #: :class:`timer`, empty when no environment ran inside it.
+    #: Engine throughput over the experiment's ``Environment.run`` calls
+    #: — scheduler, sim_events, events_per_sec, peak_occupancy; stamped
+    #: by :class:`timer`, empty when no environment ran inside it.
     engine: Dict[str, Any] = field(default_factory=dict)
 
     def add(self, **row: Any) -> None:
@@ -51,20 +50,20 @@ class ExperimentResult:
 
 
 class timer:
-    """Context manager stamping wall time — and engine throughput for
-    every Environment created inside the block — onto an
-    ExperimentResult."""
+    """Context manager stamping wall time — and engine throughput of
+    every ``Environment.run`` inside the block (one block at a time) —
+    onto an ExperimentResult."""
 
     def __init__(self, result: ExperimentResult) -> None:
         self.result = result
 
     def __enter__(self) -> ExperimentResult:
-        self._gen0 = env_generation()
+        tally_runs(True)
         self._t0 = time.perf_counter()
         return self.result
 
     def __exit__(self, *exc) -> None:
         self.result.wall_seconds = time.perf_counter() - self._t0
-        stats = aggregate_engine_stats(since=self._gen0)
+        stats = tally_runs(False)
         if stats is not None:
             self.result.engine = stats.to_dict()

@@ -11,7 +11,7 @@ Everything an experiment emits goes through this module:
   ``obs.SpanRecorder``) into experiment rows.  Anything exposing
   ``to_dict()`` works, so per-layer latency columns from a recorder
   merge into the same row as plain counters;
-* :func:`shape_check` / :func:`ratio` — paper-vs-measured verdicts.
+* :func:`ratio` — safe speedup ratios.
 """
 
 from __future__ import annotations
@@ -121,23 +121,6 @@ def stats_row(
     if keys is None:
         keys = list(counters)
     return {f"{prefix}{k}": counters[k] for k in keys}
-
-
-def shape_check(
-    label: str, measured: float, expected: float, rel_tol: float
-) -> Dict[str, Any]:
-    """One paper-vs-measured comparison row with a pass/fail verdict."""
-    if expected == 0:
-        ok = abs(measured) <= rel_tol
-    else:
-        ok = abs(measured - expected) / abs(expected) <= rel_tol
-    return {
-        "check": label,
-        "paper": expected,
-        "measured": measured,
-        "tolerance": f"±{rel_tol:.0%}",
-        "ok": "PASS" if ok else "FAIL",
-    }
 
 
 def ratio(a: float, b: float) -> float:

@@ -28,8 +28,6 @@ from repro.kvstore import KVInstance, ShardedKV
 from repro.objectstore import ObjectStore
 from repro.sim import Environment
 from repro.util.ids import sim_id_generator
-from repro.workloads.datasets import DatasetSpec
-from repro.workloads.filegen import generate_file
 
 
 @dataclass
@@ -161,18 +159,6 @@ def add_diesel(
 
 
 # ---------------------------------------------------------------- population
-def dataset_files(
-    spec: DatasetSpec, content: bool = False, seed: int = 0
-) -> Dict[str, bytes | int]:
-    """path → payload (content=True) or path → size (content=False)."""
-    if content:
-        return {
-            path: generate_file(path, size, seed)
-            for path, size in spec.iter_files()
-        }
-    return dict(spec.iter_files())
-
-
 def bulk_load_diesel(
     tb: Testbed,
     dataset: str,

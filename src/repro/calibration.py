@@ -73,8 +73,6 @@ class NetworkProfile:
 
     bandwidth_bps: float = 100e9 / 8  # 12.5 GB/s
     latency_s: float = 5e-6
-    #: Per-connection memory footprint, used for connection accounting only.
-    connection_overhead_bytes: int = 256 * KB
 
 
 @dataclass(frozen=True)

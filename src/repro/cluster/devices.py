@@ -19,8 +19,7 @@ from typing import Any, Generator
 
 from repro.calibration import HddProfile, NvmeProfile
 from repro.errors import NodeDownError
-from repro.sim.engine import Environment, Event
-from repro.sim.resources import Resource
+from repro.sim.engine import Environment, Event, Semaphore
 
 
 class DeviceStats:
@@ -55,7 +54,7 @@ class Device:
         self.name = name
         self.per_op_s = per_op_s
         self.bandwidth_bps = bandwidth_bps
-        self._station = Resource(env, queue_depth)
+        self._station = Semaphore(env, queue_depth)
         self.stats = DeviceStats()
         self._alive = True
 
@@ -119,10 +118,6 @@ class Device:
         yield from self._do_op(nbytes, op_multiplier)
         self.stats.write_ops += 1
         self.stats.write_bytes += nbytes
-
-    @property
-    def queue_length(self) -> int:
-        return self._station.queue_length
 
     def __repr__(self) -> str:
         return (

@@ -104,14 +104,14 @@ class NetworkFabric:
             latency += extra
             self.stats.degraded_transfers += 1
         # Ordered acquisition: egress first, then ingress (deadlock-free).
-        egress_req = src.egress._station.request()
+        egress_req = src.egress._station.acquire()
         try:
             yield egress_req
         except BaseException:
             src.egress._station.abandon(egress_req)
             raise
         try:
-            ingress_req = dst.ingress._station.request()
+            ingress_req = dst.ingress._station.acquire()
             try:
                 yield ingress_req
             except BaseException:
@@ -127,7 +127,3 @@ class NetworkFabric:
             raise NodeDownError(dst.name, "receiver died during transfer")
         self.stats.transfers += 1
         self.stats.bytes_moved += nbytes
-
-    def message_time(self, nbytes: int) -> float:
-        """Unloaded one-way time for ``nbytes`` (no contention)."""
-        return self.profile.latency_s + nbytes / self.profile.bandwidth_bps

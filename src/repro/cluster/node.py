@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import ClusterError
-from repro.sim.engine import Environment
-from repro.sim.resources import Container, Resource
+from repro.sim.engine import Environment, Semaphore
+from repro.sim.resources import Container
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.network import NetworkFabric
@@ -28,11 +28,7 @@ class Nic:
         if bandwidth_bps <= 0:
             raise ValueError("NIC bandwidth must be positive")
         self.bandwidth_bps = bandwidth_bps
-        self._station = Resource(env, channels)
-
-    def occupy(self, nbytes: int):
-        """Hold one channel for the serialization time of ``nbytes``."""
-        yield from self._station.use(nbytes / self.bandwidth_bps)
+        self._station = Semaphore(env, channels)
 
 
 class Node:

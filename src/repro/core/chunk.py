@@ -169,13 +169,6 @@ class Chunk:
     def is_deleted(self, path: str) -> bool:
         return self.deletion_bitmap.get(self.index_of(path))
 
-    def live_files(self) -> list[ChunkFile]:
-        return [
-            f
-            for i, f in enumerate(self.files)
-            if not self.deletion_bitmap.get(i)
-        ]
-
     @property
     def deleted_count(self) -> int:
         return self.deletion_bitmap.count()
@@ -183,9 +176,6 @@ class Chunk:
     @property
     def data_size(self) -> int:
         return len(self.data)
-
-    def live_bytes(self) -> int:
-        return sum(f.length for f in self.live_files())
 
     # -- codec ----------------------------------------------------------------
     def header_bytes(self) -> bytes:
@@ -204,10 +194,6 @@ class Chunk:
             out += _ENTRY_TAIL.pack(f.offset, f.length, f.crc32)
         out += _U32.pack(zlib.crc32(bytes(out)))
         return bytes(out)
-
-    def data_bytes(self) -> bytes:
-        """Materialize the data section as ``bytes`` (copies)."""
-        return bytes(self.data)
 
     def encode(self) -> bytes:
         """Serialize the whole chunk (header + data section)."""

@@ -43,14 +43,6 @@ class ChunkBuilder:
         self._pending_bytes = 0
         self.sealed_count = 0
 
-    @property
-    def pending_files(self) -> int:
-        return len(self._pending)
-
-    @property
-    def pending_bytes(self) -> int:
-        return self._pending_bytes
-
     def add(self, path: str, payload: bytes) -> Optional[Chunk]:
         """Buffer one file; returns a sealed chunk when the size threshold
         is crossed, else None."""

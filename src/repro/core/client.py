@@ -200,10 +200,6 @@ class DieselClient:
         return self.servers[stable_hash(encoded_cid, len(self.servers))]
 
     @property
-    def snapshot_loaded(self) -> bool:
-        return self._index is not None
-
-    @property
     def index(self) -> SnapshotIndex:
         if self._index is None:
             raise DieselError("no metadata snapshot loaded (call DL_load_meta)")
@@ -786,15 +782,6 @@ class DieselClient:
                 raise DieselError("group_size must be >= 1")
             self._window.group_size = group_size
         self._shuffle_enabled = True
-
-    def disable_shuffle(self) -> None:
-        self.cancel_prefetch()
-        self._shuffle_enabled = False
-        self._window.resident.clear()
-
-    @property
-    def shuffle_enabled(self) -> bool:
-        return self._shuffle_enabled
 
     @property
     def prefetcher(self) -> Optional[ChunkPrefetcher]:

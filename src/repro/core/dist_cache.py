@@ -847,9 +847,6 @@ class TaskCache:
     def cached_chunks(self) -> int:
         return sum(m.cached_chunk_count for m in self.masters.values())
 
-    def cached_bytes(self) -> int:
-        return sum(m.stats.bytes_cached for m in self.masters.values())
-
     def hit_ratio(self) -> float:
         hits = sum(m.stats.hits for m in self.masters.values())
         misses = sum(m.stats.misses for m in self.masters.values())

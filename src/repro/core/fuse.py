@@ -18,7 +18,7 @@ from typing import Any, Generator, Optional, Sequence
 
 from repro.calibration import Calibration, DEFAULT
 from repro.core.client import DieselClient
-from repro.errors import DieselError
+from repro.errors import DieselError, FileNotFoundInDatasetError
 from repro.sim.engine import Event
 
 
@@ -124,10 +124,6 @@ class FuseMount:
     @property
     def env(self):
         return self.clients[0].env
-
-    @property
-    def mounted(self) -> bool:
-        return self._mounted
 
     def unmount(self) -> None:
         """§5's FUSE management API: tear the mount down.
@@ -243,7 +239,7 @@ class FuseMount:
         try:
             yield from self.getattr(path)
             return True
-        except Exception:
+        except FileNotFoundInDatasetError:
             return False
 
 

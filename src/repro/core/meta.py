@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import bisect
 import struct
-import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -264,8 +263,3 @@ def directory_entry_pairs(dataset: str, path: str) -> list[tuple[str, bytes]]:
         parent, _, name = parent.rpartition("/")
         pairs.append((dir_entry_key(dataset, parent or "/", name, True), b""))
     return pairs
-
-
-def file_checksum(payload: bytes) -> int:
-    """The checksum stored in file records (crc32, matching chunk entries)."""
-    return zlib.crc32(payload)

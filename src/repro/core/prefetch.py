@@ -239,15 +239,6 @@ class ChunkPrefetcher:
         """Prefetch fetch processes currently running."""
         return len(self._procs)
 
-    @property
-    def outstanding(self) -> int:
-        """Chunks issued ahead of the consumer (≤ depth)."""
-        return len(self._outstanding)
-
-    @property
-    def schedule_length(self) -> int:
-        return len(self._schedule)
-
     # ----------------------------------------------------------- pipeline
     def _top_up(self) -> None:
         """Issue fetches until ``depth`` chunks are ahead of the consumer."""

@@ -12,9 +12,7 @@ Each shard is one contiguous, independently pageable key range; the
 keys themselves still slot-hash across the KV instances, so shard
 ranges are spread over the cluster.  ``list_page`` k-way merges the
 per-shard streams into globally name-sorted pages without ever
-materializing the whole namespace, and ``rebalance`` re-spreads every
-entry when the deployment changes its shard count (e.g. after growing
-the KV fleet).
+materializing the whole namespace.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ def registry_key(shard: int, name: str) -> str:
 
 
 class DatasetRegistry:
-    """Paginated, rebalance-able index of every dataset root."""
+    """Paginated index of every dataset root."""
 
     def __init__(self, kv: ShardedKV, n_shards: int) -> None:
         if not 1 <= n_shards <= MAX_REGISTRY_SHARDS:
@@ -124,33 +122,3 @@ class DatasetRegistry:
     def dataset_names(self) -> list[str]:
         """Every dataset name, sorted (materializes: prefer list_page)."""
         return self.list_page()[0]
-
-    # --------------------------------------------------------- rebalancing
-    def rebalance(self, new_n_shards: int) -> int:
-        """Re-spread every entry over ``new_n_shards`` registry shards.
-
-        Run on membership change (the shard count tracks the KV fleet).
-        Streams the old shard ranges page by page and moves only entries
-        whose shard assignment changed; returns how many moved.
-        """
-        if not 1 <= new_n_shards <= MAX_REGISTRY_SHARDS:
-            raise ValueError(
-                f"registry shards must be in [1, {MAX_REGISTRY_SHARDS}]"
-            )
-        if new_n_shards == self.n_shards:
-            return 0
-        old_shards = self.n_shards
-        moved = 0
-        for shard in range(old_shards):
-            prefix = shard_prefix(shard)
-            for page in self.kv.local_pscan_iter(prefix, 1024):
-                for key, _ in page:
-                    name = key[len(prefix):]
-                    new_shard = stable_hash(name, new_n_shards)
-                    if new_shard == shard:
-                        continue
-                    self.kv.local_delete(key)
-                    self.kv.local_put(registry_key(new_shard, name), b"")
-                    moved += 1
-        self.n_shards = new_n_shards
-        return moved

@@ -753,32 +753,6 @@ class DieselServer:
         yield self.env.timeout(self._kv_pipeline_cost(max(1, n)))
         return n
 
-    # ------------------------------------------------------ server caching
-    def start_background_caching(self, dataset: str):
-        """Fig 4: "If a cache miss occurs on the server-side, the server
-        will start to cache the dataset in the background."
-
-        Spawns a process that offers every one of the dataset's chunks to
-        the tiered store's fill path, one at a time; the store's admission
-        guard stops it at the tier's capacity.  No-op for untiered stores.
-        Returns the process (an event that yields the number of chunks
-        cached), or None if there is nothing to do.
-        """
-        if not isinstance(self.store, TieredStore):
-            return None
-        dsrec = self._dataset_record(dataset)
-
-        def warm():
-            cached = 0
-            for cid in dsrec.chunk_ids:
-                key = object_key(dataset, cid)
-                fill = self.store.fill(key) if key in self.store else None
-                if fill is not None:
-                    cached += yield fill
-            return cached
-
-        return self.env.process(warm(), name=f"servercache:{dataset}")
-
     # ----------------------------------------------------------- inspection
     def datasets(self) -> list[str]:
         """Every dataset name, via the sharded registry (sorted)."""

@@ -80,22 +80,6 @@ class EpochPlan:
     def file_count(self) -> int:
         return sum(len(g.files) for g in self.groups)
 
-    def group_of(self, index: int) -> int:
-        """Group index containing the ``index``-th file of the epoch."""
-        if index < 0:
-            raise IndexError(index)
-        for gi, g in enumerate(self.groups):
-            if index < len(g.files):
-                return gi
-            index -= len(g.files)
-        raise IndexError("file index beyond epoch length")
-
-    def peak_working_set_bytes(self, chunk_sizes: Mapping[ChunkId, int]) -> int:
-        """Max bytes of chunk cache needed at any point in the epoch."""
-        if not self.groups:
-            return 0
-        return max(g.working_set_bytes(chunk_sizes) for g in self.groups)
-
     def repin(
         self, owner_of: Callable[[ChunkId], Optional[str]]
     ) -> "EpochPlan":

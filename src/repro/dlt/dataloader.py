@@ -58,12 +58,6 @@ class LoaderStats:
     total_wait_s: float = 0.0
     total_fetch_s: float = 0.0
 
-    def mean_wait(self) -> float:
-        return self.total_wait_s / self.batches if self.batches else 0.0
-
-    def mean_fetch(self) -> float:
-        return self.total_fetch_s / self.batches if self.batches else 0.0
-
 
 class EpochScheduler:
     """Task-wide affinity epoch scheduler (§4.3 meets §4.2 placement).
@@ -167,7 +161,7 @@ class EpochScheduler:
 
 
 class SimDataLoader:
-    """Worker-pool prefetching loader over an EpochReader backend."""
+    """Worker-pool prefetching loader over a :mod:`repro.dlt.readers` backend."""
 
     def __init__(
         self,
@@ -273,7 +267,3 @@ class SimDataLoader:
             out.append(batch)
         yield self.env.all_of(self._workers)
         return out
-
-    @property
-    def batches_remaining(self) -> int:
-        return self._remaining

@@ -3,13 +3,21 @@
 A reader provides (a) the epoch's file order — including the shuffle
 generation work charged at epoch start, visible as the first-iteration
 spike in Fig 14 — and (b) a per-file read path against one backend
-(Lustre or DIESEL-FUSE).
+(Lustre or DIESEL-FUSE): ``begin_epoch(epoch)`` and ``read(path)``, both
+generators.
+
+``read_batch(paths) -> {path: bytes}`` is an *optional* extra method:
+backends that can resolve a whole mini-batch in one round trip (the
+DIESEL ``get_many()`` path) provide it, and the dataloader/trainer
+workers prefer it over per-file ``read`` calls when present.
+``cancel_epoch()`` is optional too: the trainer calls it when its
+process is cancelled mid-epoch, so a backend that reads ahead stops.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Generator, Protocol, Sequence
+from typing import Any, Generator, Sequence
 
 from repro.baselines.lustre import LustreFS
 from repro.core.fuse import FuseMount
@@ -20,22 +28,6 @@ from repro.sim.engine import Event
 
 #: CPU cost per file name when shuffling the name list at epoch start.
 SHUFFLE_PER_FILE_S = 60e-9
-
-
-class EpochReader(Protocol):  # pragma: no cover - typing aid
-    """Storage backend for the training pipeline.
-
-    ``read_batch(paths) -> {path: bytes}`` is an *optional* extra method:
-    backends that can resolve a whole mini-batch in one round trip (the
-    DIESEL ``get_many()`` path) provide it, and the dataloader/trainer
-    workers prefer it over per-file ``read`` calls when present.
-    ``cancel_epoch()`` is optional too: the trainer calls it when its
-    process is cancelled mid-epoch, so a backend that reads ahead stops.
-    """
-
-    def begin_epoch(self, epoch: int) -> Generator[Event, Any, list[str]]: ...
-
-    def read(self, path: str) -> Generator[Event, Any, bytes]: ...
 
 
 class CacheReader:

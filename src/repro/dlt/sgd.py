@@ -54,9 +54,6 @@ class SoftmaxClassifier:
     def scores(self, X: np.ndarray) -> np.ndarray:
         return X @ self.W + self.b
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.scores(X).argmax(axis=1)
-
     def loss(self, X: np.ndarray, y: np.ndarray) -> float:
         p = _softmax(self.scores(X))
         nll = -np.log(np.clip(p[np.arange(len(y)), y], 1e-12, None))
@@ -79,68 +76,6 @@ class SoftmaxClassifier:
         batch_size: int = 32,
     ) -> None:
         """One pass over the data in the *given* order."""
-        order = np.asarray(order)
-        if order.shape[0] != len(y):
-            raise ValueError("order must index every sample exactly once")
-        for start in range(0, len(order), batch_size):
-            idx = order[start : start + batch_size]
-            self._step(X[idx], y[idx])
-
-
-class MlpClassifier:
-    """One-hidden-layer ReLU MLP with SGD (a stronger Fig 13 subject)."""
-
-    def __init__(
-        self,
-        n_features: int,
-        n_classes: int,
-        hidden: int = 64,
-        lr: float = 0.05,
-        weight_decay: float = 1e-4,
-        seed: int = 0,
-    ) -> None:
-        rng = np.random.default_rng(seed)
-        scale1 = np.sqrt(2.0 / n_features)
-        scale2 = np.sqrt(2.0 / hidden)
-        self.W1 = rng.normal(0, scale1, size=(n_features, hidden))
-        self.b1 = np.zeros(hidden)
-        self.W2 = rng.normal(0, scale2, size=(hidden, n_classes))
-        self.b2 = np.zeros(n_classes)
-        self.lr = lr
-        self.weight_decay = weight_decay
-
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        h = np.maximum(X @ self.W1 + self.b1, 0.0)
-        return h @ self.W2 + self.b2
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.scores(X).argmax(axis=1)
-
-    def _step(self, X: np.ndarray, y: np.ndarray) -> None:
-        n = len(y)
-        h_pre = X @ self.W1 + self.b1
-        h = np.maximum(h_pre, 0.0)
-        p = _softmax(h @ self.W2 + self.b2)
-        p[np.arange(n), y] -= 1.0
-        p /= n
-        grad_W2 = h.T @ p + self.weight_decay * self.W2
-        grad_b2 = p.sum(axis=0)
-        dh = p @ self.W2.T
-        dh[h_pre <= 0] = 0.0
-        grad_W1 = X.T @ dh + self.weight_decay * self.W1
-        grad_b1 = dh.sum(axis=0)
-        self.W2 -= self.lr * grad_W2
-        self.b2 -= self.lr * grad_b2
-        self.W1 -= self.lr * grad_W1
-        self.b1 -= self.lr * grad_b1
-
-    def train_epoch(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        order: Sequence[int],
-        batch_size: int = 32,
-    ) -> None:
         order = np.asarray(order)
         if order.shape[0] != len(y):
             raise ValueError("order must index every sample exactly once")

@@ -88,17 +88,3 @@ class SyntheticDataset:
                 encode_sample(self.X[i], int(self.y[i]))
             for i in range(len(self.y))
         }
-
-    @classmethod
-    def from_files(cls, files: dict[str, bytes], n_classes: int) -> "SyntheticDataset":
-        """Rebuild (in path order) from per-sample files."""
-        feats, labels = [], []
-        for path in sorted(files):
-            f, l = decode_sample(files[path])
-            feats.append(f)
-            labels.append(l)
-        return cls(
-            np.stack(feats) if feats else np.zeros((0, 0), np.float32),
-            np.asarray(labels, dtype=np.int64),
-            n_classes,
-        )

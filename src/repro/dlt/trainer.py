@@ -69,9 +69,6 @@ class TrainingResult:
             out[t.epoch].append(t.data_time_s)
         return out
 
-    def total_data_time(self) -> float:
-        return sum(t.data_time_s for t in self.timings)
-
     def total_compute_time(self) -> float:
         return sum(t.compute_time_s for t in self.timings)
 
@@ -88,8 +85,8 @@ def run_training(
 ) -> Generator[Event, Any, TrainingResult]:
     """Run a pipelined training job; returns a :class:`TrainingResult`.
 
-    ``reader`` follows :class:`repro.dlt.readers.EpochReader`: it yields
-    the epoch file order (charging shuffle cost) and reads single files.
+    ``reader`` is one of :mod:`repro.dlt.readers`: it yields the epoch
+    file order (charging shuffle cost) and reads single files.
     """
     if epochs < 1 or batch_size < 1 or io_workers < 1 or prefetch_depth < 1:
         raise ValueError("epochs/batch_size/io_workers/prefetch_depth must be >= 1")

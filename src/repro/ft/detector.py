@@ -125,10 +125,6 @@ class FailureDetector:
             self._proc.interrupt("detector stopped")
         self._proc = None
 
-    @property
-    def running(self) -> bool:
-        return self._proc is not None and self._proc.is_alive
-
     def _loop(self):
         interval = self.heartbeat_interval_s
         jitter = self.jitter
@@ -191,10 +187,6 @@ class FailureDetector:
                            actor=w.name)
         for cb in self._callbacks:
             cb(w.name, state, now)
-
-    # ------------------------------------------------------------ reporting
-    def dead_peers(self) -> list[str]:
-        return sorted(n for n, w in self._watches.items() if w.state == DEAD)
 
     def detection_latency_s(self, name: str) -> Optional[float]:
         """Unreachable-to-declared-dead gap for ``name``'s most recent

@@ -127,9 +127,6 @@ class PeerLatencyTracker:
     def mean(self, peer: Hashable) -> Optional[float]:
         return self._mean.get(peer)
 
-    def deviation(self, peer: Hashable) -> Optional[float]:
-        return self._dev.get(peer)
-
     def hedge_delay(self, peer: Hashable, floor_s: float = 0.0) -> Optional[float]:
         """Calibrated hedge delay for ``peer`` — ``mean + dev_mult·dev``,
         or ``None`` until ``min_samples`` observations exist (hedging

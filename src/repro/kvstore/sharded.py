@@ -192,15 +192,15 @@ class ShardedKV:
         merged.sort()
         return merged
 
-    def pscan_page(
+    def local_pscan_page(
         self,
-        client: Node,
         prefix: str,
         cursor: Optional[str] = None,
         limit: Optional[int] = None,
         skip_dead: bool = False,
-    ) -> Generator[Event, Any, Tuple[list[tuple[str, bytes]], Optional[str]]]:
-        """One bounded page of a cross-shard prefix scan.
+    ) -> Tuple[list[tuple[str, bytes]], Optional[str]]:
+        """One bounded page of a cross-shard prefix scan, at zero sim
+        cost (co-located server logic).
 
         Each live shard returns at most ``limit`` pairs past ``cursor``;
         the per-shard pages (already sorted) are k-way merged and
@@ -210,34 +210,6 @@ class ShardedKV:
         page (``None`` = the scan is complete).  Liveness and
         ``skip_dead`` semantics match :meth:`pscan`.
         """
-        down = [i.name for i in self._instances if not i.up]
-        if down and not skip_dead:
-            raise ShardUnavailableError(
-                f"shards down: {', '.join(sorted(down))}"
-            )
-        parts: list[list[tuple[str, bytes]]] = []
-        for inst in self._instances:
-            if not inst.up and skip_dead:
-                continue
-            try:
-                part = yield from self._call_inst(
-                    client, inst, "pscan", prefix, limit, cursor
-                )
-            except (NodeDownError, ShardUnavailableError, CircuitOpenError):
-                if skip_dead:
-                    continue
-                raise
-            parts.append(part)
-        return _merge_page(parts, limit)
-
-    def local_pscan_page(
-        self,
-        prefix: str,
-        cursor: Optional[str] = None,
-        limit: Optional[int] = None,
-        skip_dead: bool = False,
-    ) -> Tuple[list[tuple[str, bytes]], Optional[str]]:
-        """Zero-cost :meth:`pscan_page` for co-located server logic."""
         down = [i.name for i in self._instances if not i.up]
         if down and not skip_dead:
             raise ShardUnavailableError(

@@ -7,8 +7,7 @@ breakdown first-class for the reproduction:
 
 * :class:`~repro.obs.span.Span` / :class:`~repro.obs.span.SpanRecorder`
   — sim-clock-timed spans tagged with the layer that resolved each
-  request, zero-cost when no recorder is attached (the
-  ``sim.trace.Tracer`` attach pattern);
+  request, zero-cost when no recorder is attached;
 * :class:`~repro.obs.histogram.Histogram` — log-bucketed latency
   histograms with p50/p90/p99, one per (op, layer);
 * :func:`~repro.obs.export.write_chrome_trace` — span dump loadable in

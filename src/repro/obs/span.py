@@ -1,10 +1,9 @@
 """Sim-clock spans and the zero-cost-when-detached span recorder.
 
-The recorder follows :class:`repro.sim.trace.Tracer`'s attach pattern:
-instrumented components carry a ``recorder`` attribute that defaults to
-``None``, and every instrumentation site is guarded by a single
-``if recorder is None`` check — with no recorder attached the hot path
-pays one attribute read and allocates nothing.
+The attach pattern: instrumented components carry a ``recorder``
+attribute that defaults to ``None``, and every instrumentation site is
+guarded by a single ``if recorder is None`` check — with no recorder
+attached the hot path pays one attribute read and allocates nothing.
 
 A :class:`Span` times one operation on the simulation clock and is
 tagged with the **layer** that resolved it (for reads: ``group_cache |
@@ -176,11 +175,6 @@ class SpanRecorder:
     def histogram(self, op: str, layer: str = "") -> Histogram:
         """The ``(op, layer)`` latency histogram (empty one if unseen)."""
         return self._hist.get((op, layer)) or Histogram()
-
-    @property
-    def histograms(self) -> Dict[Tuple[str, str], Histogram]:
-        """All per-(op, layer) histograms."""
-        return dict(self._hist)
 
     @property
     def counts(self) -> Dict[Tuple[str, str], int]:

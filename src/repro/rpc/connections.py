@@ -4,20 +4,17 @@
 connections (n = DIESEL client instances); electing one master client per
 physical node cuts this to p×(n−1) (p = physical nodes).  The table
 tracks live (client, server) pairs so tests and experiments can assert
-those exact counts and estimate per-connection memory overhead.
+those exact counts.
 """
 
 from __future__ import annotations
-
-from repro.calibration import NetworkProfile
 
 
 class ConnectionTable:
     """A registry of directed client→server connections."""
 
-    def __init__(self, profile: NetworkProfile | None = None) -> None:
+    def __init__(self) -> None:
         self._conns: set[tuple[str, str]] = set()
-        self._profile = profile or NetworkProfile()
 
     def connect(self, client: str, server: str) -> bool:
         """Record a connection; returns False if it already existed."""
@@ -29,9 +26,6 @@ class ConnectionTable:
         self._conns.add(key)
         return True
 
-    def disconnect(self, client: str, server: str) -> None:
-        self._conns.discard((client, server))
-
     def drop_endpoint(self, name: str) -> int:
         """Remove every connection touching ``name``; returns count dropped."""
         dead = {c for c in self._conns if name in c}
@@ -40,17 +34,6 @@ class ConnectionTable:
 
     def count(self) -> int:
         return len(self._conns)
-
-    def fan_in(self, server: str) -> int:
-        """Number of clients connected to ``server``."""
-        return sum(1 for _, s in self._conns if s == server)
-
-    def fan_out(self, client: str) -> int:
-        return sum(1 for c, _ in self._conns if c == client)
-
-    def memory_overhead_bytes(self) -> int:
-        """Estimated aggregate memory pinned by connections."""
-        return self.count() * self._profile.connection_overhead_bytes
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
         return pair in self._conns

@@ -9,8 +9,7 @@ from repro.calibration import RpcProfile
 from repro.errors import NodeDownError
 from repro.cluster.network import NetworkFabric
 from repro.cluster.node import Node
-from repro.sim.engine import Environment, Event
-from repro.sim.resources import Resource
+from repro.sim.engine import Environment, Event, Semaphore
 
 
 @dataclass(slots=True)
@@ -59,7 +58,7 @@ class RpcEndpoint:
         self.name = name
         self._handler = handler
         self._service_s = service_s
-        self._pool = Resource(env, workers)
+        self._pool = Semaphore(env, workers)
         self.profile = profile or RpcProfile()
         self.stats = RpcStats()
         #: Attached observability recorder (None = zero-cost hot path).
@@ -175,7 +174,7 @@ class RpcEndpoint:
         # Server-side queue + service; the handler's real logic runs when
         # the worker picks the request up.
         t_arrive = self.env.now if rec is not None else 0.0
-        req = self._pool.request()
+        req = self._pool.acquire()
         try:
             yield req
         except BaseException:
@@ -259,7 +258,7 @@ class RpcEndpoint:
         if not self.up:
             raise NodeDownError(self.node.name, f"endpoint {self.name!r} down")
         t_arrive = self.env.now if rec is not None else 0.0
-        req = self._pool.request()
+        req = self._pool.acquire()
         try:
             yield req
         except BaseException:

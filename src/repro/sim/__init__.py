@@ -3,7 +3,7 @@
 This package provides the simulated-time substrate for every performance
 experiment in the reproduction: a SimPy-flavoured event loop with
 generator-based processes, composable events, and contention primitives
-(:class:`Resource`, :class:`Container`, :class:`Store`).
+(:class:`Semaphore`, :class:`Container`, :class:`Store`).
 
 Why a DES?  The paper's results are *contention shapes* measured on a
 16-node InfiniBand cluster — saturation of a metadata server, queueing on
@@ -37,7 +37,7 @@ from repro.sim.engine import (
     fan_out,
     run_sync,
 )
-from repro.sim.resources import Container, Resource, Store
+from repro.sim.resources import Container, Store
 
 __all__ = [
     "AllOf",
@@ -46,7 +46,6 @@ __all__ = [
     "Environment",
     "Event",
     "Process",
-    "Resource",
     "Semaphore",
     "Store",
     "Timeout",

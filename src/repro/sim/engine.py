@@ -27,14 +27,12 @@ The hot path is deliberately low-churn: ``Environment.timeout`` recycles
 :class:`Timeout` objects through a free list (an event is returned to the
 pool only when ``step`` can prove, by refcount, that nobody else holds
 it); a process resuming on an already-processed event continues inline
-instead of allocating a bridge event; and ``step`` itself is pre-bound to
-a traced or untraced body when a tracer attaches/detaches, so detached
-observability costs zero branches per event.
+instead of allocating a bridge event; and ``step`` has no observability
+branch at all — ``run`` pre-binds it once per call.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
 from heapq import heapify, heappop, heappush
 from sys import getrefcount
@@ -73,10 +71,6 @@ class Event:
         return self._value is not _PENDING
 
     @property
-    def processed(self) -> bool:
-        return self._processed
-
-    @property
     def ok(self) -> bool:
         if self._value is _PENDING:
             raise SimulationError("event has not been triggered yet")
@@ -107,13 +101,6 @@ class Event:
         self._value = exception
         self.env._schedule(self)
         return self
-
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
-        assert callbacks is not None
-        for cb in callbacks:
-            cb(self)
 
     def __repr__(self) -> str:
         state = (
@@ -321,35 +308,37 @@ class AnyOf(_Condition):
 
 
 class Semaphore:
-    """A counting semaphore over plain events (bounded fan-out).
+    """A counting semaphore over plain events: a k-slot FIFO station.
 
-    ``acquire()`` returns an event that fires once one of ``slots`` is
-    granted; ``release(evt)`` frees the slot and grants the next
-    non-withdrawn waiter in FIFO order.  ``abandon(evt)`` gives a slot
-    request up whatever its state — releases if granted, withdraws if
-    still queued — the safe cleanup when the acquiring process is
-    interrupted at its ``yield`` (it cannot know whether the grant raced
-    the interrupt).  ``high_water`` records the most slots ever held at
-    once, the observable proof that overlap actually happened.
+    The one contention primitive for slots — device queue depths, NIC
+    channels, RPC worker pools, prefetch and ingest windows, bounded
+    fan-out.  ``acquire()`` returns an event that fires once one of
+    ``capacity`` slots is granted; ``release(evt)`` frees the slot and
+    grants the next non-withdrawn waiter in FIFO order.  ``abandon(evt)``
+    gives a slot request up whatever its state — releases if granted,
+    withdraws if still queued — the safe cleanup when the acquiring
+    process is interrupted at its ``yield`` (it cannot know whether the
+    grant raced the interrupt).  ``use(duration)`` is acquire, hold,
+    release.  ``high_water`` records the most slots ever held at once,
+    the observable proof that overlap actually happened.
 
     Slot accounting is a plain held-count plus a per-event grant flag
     (``Event._granted``); the grant/release common path never mutates a
     shared holder set.  Withdrawn-but-queued entries are compacted away
     once they outnumber live waiters, so a semaphore that is never
     released again cannot pin abandoned events forever.
-
-    Lives in the engine (unlike :class:`repro.sim.resources.Resource`)
-    so :func:`fan_out` has no import cycle.
     """
 
-    __slots__ = ("env", "slots", "_held", "_queue", "_withdrawn",
+    __slots__ = ("env", "capacity", "_held", "_queue", "_withdrawn",
                  "high_water")
 
-    def __init__(self, env: "Environment", slots: int) -> None:
-        if slots < 1:
-            raise SimulationError(f"semaphore needs >= 1 slot, got {slots}")
+    def __init__(self, env: "Environment", capacity: int = 1) -> None:
+        if capacity < 1:
+            raise SimulationError(
+                f"semaphore capacity must be >= 1, got {capacity}"
+            )
         self.env = env
-        self.slots = slots
+        self.capacity = capacity
         self._held = 0
         self._queue: deque[Event] = deque()
         self._withdrawn: set[Event] = set()
@@ -362,13 +351,14 @@ class Semaphore:
 
     @property
     def queue_length(self) -> int:
+        """Requests waiting, withdrawn-but-not-yet-compacted included."""
         return len(self._queue)
 
     def acquire(self) -> Event:
         """Event that fires once a slot is held (immediately if free)."""
         evt = Event(self.env)
         held = self._held
-        if held < self.slots:
+        if held < self.capacity:
             held += 1
             self._held = held
             if held > self.high_water:
@@ -412,6 +402,19 @@ class Semaphore:
         withdrawn = self._withdrawn
         self._queue = deque(e for e in self._queue if e not in withdrawn)
         withdrawn.clear()
+
+    def use(self, duration: float) -> Generator[Event, Any, None]:
+        """Acquire one slot, hold it for ``duration``, release it."""
+        slot = self.acquire()
+        try:
+            yield slot
+        except BaseException:
+            self.abandon(slot)
+            raise
+        try:
+            yield self.env.timeout(duration)
+        finally:
+            self.release(slot)
 
 
 def fan_out(
@@ -699,38 +702,10 @@ class _CalendarQueue:
         self._active = active
 
 
-_SCHEDULERS = {"calendar": _CalendarQueue, "heap": _HeapQueue,
-               "heapq": _HeapQueue}
+_SCHEDULERS = {"calendar": _CalendarQueue, "heap": _HeapQueue}
 
 #: Free-list bound: recycled Timeout events kept per environment.
 _TIMEOUT_POOL_MAX = 4096
-
-#: Weak registry of live environments + a creation counter, so the bench
-#: harness can aggregate engine throughput for the envs one experiment
-#: created (see repro.bench.harness.timer).  An environment the
-#: collector finalizes inside a counting window leaves its counters in
-#: ``_retired_envs`` (creation stamp → scheduler, events, run wall,
-#: queue peak), so the aggregate does not depend on when the collector
-#: ran.  ``_retired_since`` is the stamp the latest window opened at;
-#: ``None`` (nobody is counting) keeps nothing.
-_env_registry: "weakref.WeakSet[Environment]" = weakref.WeakSet()
-_retired_envs: "dict[int, tuple[str, int, float, int]]" = {}
-_retired_since: Optional[int] = None
-_env_next_stamp = 0
-
-
-def env_generation() -> int:
-    """Open a counting window: the creation stamp the next Environment
-    will receive, to pass as ``aggregate_engine_stats(since=…)``.
-
-    Windows are sequential, not nested — opening one drops the retired
-    tallies of the ones before it, so a long process holds counters for
-    one window's environments at most.
-    """
-    global _retired_since
-    _retired_since = _env_next_stamp
-    _retired_envs.clear()
-    return _env_next_stamp
 
 
 class EngineStats:
@@ -749,40 +724,23 @@ class EngineStats:
         self.peak_occupancy = peak_occupancy
 
     def to_dict(self) -> dict:
-        return {
-            "scheduler": self.scheduler,
-            "sim_events": self.sim_events,
-            "run_wall_s": self.run_wall_s,
-            "events_per_sec": self.events_per_sec,
-            "peak_occupancy": self.peak_occupancy,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
-def aggregate_engine_stats(since: int = 0) -> Optional[EngineStats]:
-    """Combined :class:`EngineStats` over every environment created at
-    or after registry stamp ``since`` that has processed events — live,
-    or finalized since the window :func:`env_generation` last opened;
-    ``None`` when there is nothing to report."""
-    # Hold the live environments first (none of them can retire below),
-    # then take the retired tally in one C-level copy: a finalizer
-    # running mid-scan may add to it.
-    live = [e for e in _env_registry if e._gen_stamp >= since]
-    by_stamp = _retired_envs.copy()
-    for e in live:
-        by_stamp[e._gen_stamp] = (
-            e.scheduler, e._nevents, e._run_wall, e._q.peak
-        )
-    tallies = [
-        t for stamp, t in by_stamp.items() if stamp >= since and t[1]
-    ]
-    if not tallies:
+#: The tally ``repro.bench.harness.timer`` has open — [scheduler names,
+#: events, run wall seconds, queue peak] over every
+#: :meth:`Environment.run` call since — or ``None`` (nobody is counting).
+_run_tally: Optional[list] = None
+
+
+def tally_runs(counting: bool) -> Optional[EngineStats]:
+    """Open a fresh tally (``True``) or stop counting (``False``); returns
+    what the one open until now counted (``None``: no environment ran)."""
+    global _run_tally
+    tally, _run_tally = _run_tally, [set(), 0, 0.0, 0] if counting else None
+    if tally is None or not tally[1]:
         return None
-    return EngineStats(
-        scheduler="+".join(sorted({t[0] for t in tallies})),
-        sim_events=sum(t[1] for t in tallies),
-        run_wall_s=sum(t[2] for t in tallies),
-        peak_occupancy=max(t[3] for t in tallies),
-    )
+    return EngineStats("+".join(sorted(tally[0])), *tally[1:])
 
 
 class Environment:
@@ -797,7 +755,7 @@ class Environment:
     ) -> None:
         self._now = float(initial_time)
         self._seq = 0
-        self._nevents = 0  # first: __del__ reads it even if we raise below
+        self._nevents = 0
         self._run_wall = 0.0
         self._active_process: Optional[Process] = None
         try:
@@ -815,24 +773,6 @@ class Environment:
         #: Which scheduler implementation this kernel runs on.
         self.scheduler: str = q.name
         self._tpool: list[Timeout] = []
-        #: Optional event observer (see repro.sim.trace.Tracer.attach).
-        self._tracer_obj = None
-        # Pre-bound step: the untraced body has no observability branch
-        # at all; attaching a tracer swaps in the traced body.
-        self.step = self._step_untraced
-        global _env_next_stamp
-        self._gen_stamp = _env_next_stamp
-        _env_next_stamp += 1
-        _env_registry.add(self)
-
-    def __del__(self, _retired=_retired_envs) -> None:
-        # Keep this kernel's counters for the open counting window; the
-        # default argument keeps the tally reachable at interpreter exit.
-        since = _retired_since
-        if self._nevents and since is not None and self._gen_stamp >= since:
-            _retired[self._gen_stamp] = (
-                self.scheduler, self._nevents, self._run_wall, self._q.peak
-            )
 
     @property
     def now(self) -> float:
@@ -842,15 +782,6 @@ class Environment:
     @property
     def active_process(self) -> Optional[Process]:
         return self._active_process
-
-    @property
-    def _tracer(self):
-        return self._tracer_obj
-
-    @_tracer.setter
-    def _tracer(self, value) -> None:
-        self._tracer_obj = value
-        self.step = self._step_untraced if value is None else self._step_traced
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         seq = self._seq
@@ -869,18 +800,14 @@ class Environment:
         pool = self._tpool
         if pool:
             evt = pool.pop()
-            evt.callbacks = []
-            evt._value = value
-            evt._processed = False
-            evt.delay = delay
         else:
             evt = Timeout.__new__(Timeout)
             evt.env = self
-            evt.callbacks = []
             evt._ok = True
-            evt._value = value
-            evt._processed = False
-            evt.delay = delay
+        evt.callbacks = []
+        evt._value = value
+        evt._processed = False
+        evt.delay = delay
         seq = self._seq
         self._seq = seq + 1
         self._qpush(self._now + delay, seq, evt)
@@ -898,8 +825,8 @@ class Environment:
         return AnyOf(self, events)
 
     # -- execution ---------------------------------------------------------
-    def _step_untraced(self) -> None:
-        """Process the next scheduled event (no tracer attached)."""
+    def step(self) -> None:
+        """Process the next scheduled event."""
         try:
             t, _, event = self._qpop()
         except IndexError:
@@ -915,28 +842,6 @@ class Environment:
             cb(event)
         # Recycle delivered timeouts nobody else holds: the only live
         # references are our local and getrefcount's argument.
-        if event.__class__ is Timeout and getrefcount(event) == 2:
-            pool = self._tpool
-            if len(pool) < _TIMEOUT_POOL_MAX:
-                event._value = None
-                pool.append(event)
-
-    def _step_traced(self) -> None:
-        """Process the next scheduled event through the tracer."""
-        try:
-            t, _, event = self._qpop()
-        except IndexError:
-            raise DeadlockError("event queue is empty") from None
-        if t < self._now:
-            raise SimulationError("scheduled time is in the past")
-        self._now = t
-        self._nevents += 1
-        self._tracer_obj.observe(t, event)
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._processed = True
-        for cb in callbacks:
-            cb(event)
         if event.__class__ is Timeout and getrefcount(event) == 2:
             pool = self._tpool
             if len(pool) < _TIMEOUT_POOL_MAX:
@@ -967,6 +872,7 @@ class Environment:
           first.
         """
         t0 = perf_counter()
+        n0 = self._nevents
         try:
             step = self.step
             if until is None:
@@ -1000,7 +906,14 @@ class Environment:
             self._now = deadline
             return None
         finally:
-            self._run_wall += perf_counter() - t0
+            wall = perf_counter() - t0
+            self._run_wall += wall
+            tally = _run_tally
+            if tally is not None:
+                tally[0].add(self.scheduler)
+                tally[1] += self._nevents - n0
+                tally[2] += wall
+                tally[3] = max(tally[3], self._q.peak)
 
 
 def run_sync(

@@ -1,123 +1,18 @@
-"""Contention primitives: Resource, Container, Store.
+"""Contention primitives beside the engine's Semaphore: Container, Store.
 
-These model the shared hardware and software capacities in the cluster:
-a :class:`Resource` with capacity *k* is a k-server FIFO queueing station
-(device queue depths, server worker pools, RPC service threads); a
-:class:`Container` tracks a divisible quantity (memory bytes); a
+A :class:`Container` tracks a divisible quantity (memory bytes); a
 :class:`Store` is a FIFO queue of Python objects (mailboxes, request
-queues).
+queues).  The k-slot FIFO station (device queue depths, worker pools) is
+:class:`repro.sim.engine.Semaphore`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator
+from typing import Any, Deque
 
 from repro.errors import SimulationError
 from repro.sim.engine import Environment, Event
-
-
-class Request(Event):
-    """A pending or granted claim on one slot of a :class:`Resource`."""
-
-    __slots__ = ("resource", "granted", "cancelled")
-
-    def __init__(self, env: Environment, resource: "Resource") -> None:
-        super().__init__(env)
-        self.resource = resource
-        self.granted = False
-        self.cancelled = False
-
-
-class Resource:
-    """A FIFO multi-server resource.
-
-    Usage inside a process::
-
-        req = resource.request()
-        yield req
-        try:
-            yield env.timeout(service_time)
-        finally:
-            resource.release(req)
-
-    or equivalently ``yield from resource.use(service_time)``.
-    """
-
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
-        self.env = env
-        self.capacity = capacity
-        # Slot accounting mirrors the engine's Semaphore: a held count
-        # plus a per-request grant flag, no shared user set to mutate on
-        # every grant/release (the RPC worker-pool hot path).
-        self._count = 0
-        self._queue: Deque[Request] = deque()
-
-    @property
-    def count(self) -> int:
-        """Number of granted slots."""
-        return self._count
-
-    @property
-    def queue_length(self) -> int:
-        """Number of waiting requests."""
-        return len(self._queue)
-
-    def request(self) -> Request:
-        req = Request(self.env, self)
-        if self._count < self.capacity:
-            self._count += 1
-            req.granted = True
-            req.succeed()
-        else:
-            self._queue.append(req)
-        return req
-
-    def cancel(self, request: Request) -> None:
-        """Withdraw a not-yet-granted request (no-op if already granted)."""
-        if request.granted:
-            return
-        request.cancelled = True
-
-    def abandon(self, request: Request) -> None:
-        """Give a request up whatever its state: release if granted,
-        withdraw if still queued.  The safe cleanup when a process is
-        interrupted at ``yield request()`` (it cannot know whether the
-        grant raced the interrupt).
-        """
-        if request.granted:
-            self.release(request)
-        else:
-            request.cancelled = True
-
-    def release(self, request: Request) -> None:
-        if not request.granted:
-            raise SimulationError("releasing a request that does not hold the resource")
-        request.granted = False
-        while self._queue:
-            nxt = self._queue.popleft()
-            if nxt.cancelled:
-                continue
-            # Hand the slot straight over: held count is unchanged.
-            nxt.granted = True
-            nxt.succeed()
-            return
-        self._count -= 1
-
-    def use(self, duration: float) -> Generator[Event, Any, None]:
-        """Acquire one slot, hold it for ``duration``, release it."""
-        req = self.request()
-        try:
-            yield req
-        except BaseException:
-            self.abandon(req)
-            raise
-        try:
-            yield self.env.timeout(duration)
-        finally:
-            self.release(req)
 
 
 class Container:

@@ -346,6 +346,50 @@ def _traced_sample_reads(ws: DieselWorkspace, dataset: str, limit: int):
     return recorder
 
 
+def _warm_probe_caches(
+    ws: DieselWorkspace, dataset: str, tag: str, nodes: int,
+    tasks: Sequence[dict] = ({},), memory_bytes: Optional[int] = None,
+    **cache_kwargs,
+):
+    """The preamble every probe command shares.
+
+    Loads the dataset's index (an empty dataset is an error), adds
+    ``nodes`` probe nodes ``<tag>-n<i>`` to the workspace fabric
+    (``memory_bytes`` of RAM each, if given), builds one oneshot
+    :class:`TaskCache` per entry of ``tasks`` spanning all of them —
+    ``cache_kwargs`` plus the entry's own keywords — lets the
+    registrations race and waits until every cache is warm.  Returns
+    ``(index, caches)``; nothing about the workspace is mutated.
+    """
+    from repro.cluster.node import Node
+    from repro.core.dist_cache import CacheClient, TaskCache
+
+    sync = ws.client(dataset)
+    index = sync.load_meta(sync.save_meta())
+    if not index.all_paths():
+        raise ReproError(f"dataset {dataset!r} has no files to probe")
+    env, fabric = ws.tb.env, ws.tb.fabric
+    node_kwargs = {} if memory_bytes is None else {"memory_bytes": memory_bytes}
+    probe_nodes = [
+        fabric.add_node(Node(env, f"{tag}-n{i}", **node_kwargs))
+        for i in range(nodes)
+    ]
+    caches = []
+    for t, task_kwargs in enumerate(tasks):
+        client_tag = f"{tag}-c" if len(tasks) == 1 else f"{tag}-t{t}c"
+        caches.append(TaskCache(
+            env, fabric, ws.server, dataset,
+            [
+                CacheClient(f"{client_tag}{i}", node, i)
+                for i, node in enumerate(probe_nodes)
+            ],
+            policy="oneshot", **cache_kwargs, **task_kwargs,
+        ))
+    for step in (TaskCache.register, TaskCache.wait_warm):
+        env.run(until=env.all_of([env.process(step(c)) for c in caches]))
+    return index, caches
+
+
 def _locality_probe(
     ws: DieselWorkspace, dataset: str, n_nodes: int, placement: str, tag: str
 ):
@@ -357,41 +401,19 @@ def _locality_probe(
     owner-aligned epoch plan.  Returns ``(cache, elapsed_s, files)``;
     nothing about the workspace is mutated.
     """
-    from repro.cluster.node import Node
-    from repro.core.dist_cache import CacheClient, TaskCache
     from repro.dlt.dataloader import EpochScheduler
 
     if n_nodes < 1:
         raise ReproError("--nodes must be >= 1")
-    sync = ws.client(dataset)
-    index = sync.load_meta(sync.save_meta())
-    if not index.all_paths():
-        raise ReproError(f"dataset {dataset!r} has no files to probe")
-    env, fabric = ws.tb.env, ws.tb.fabric
-    nodes = [
-        fabric.add_node(Node(env, f"{tag}-{placement}-n{i}"))
-        for i in range(n_nodes)
-    ]
-    cache = TaskCache(
-        env, fabric, ws.server, dataset,
-        [
-            CacheClient(f"{tag}-{placement}-c{i}", nodes[i], i)
-            for i in range(n_nodes)
-        ],
-        policy="oneshot", placement=placement,
+    index, (cache,) = _warm_probe_caches(
+        ws, dataset, f"{tag}-{placement}", n_nodes, placement=placement
     )
-
-    def run(gen):
-        proc = env.process(gen)
-        return env.run(until=proc)
-
-    run(cache.register())
-    run(cache.wait_warm())
+    env = ws.tb.env
     files_by_chunk = index.files_by_chunk()
     # ~4 groups per worker so hash placement still gets a balanced deal.
     group_size = max(1, -(-len(files_by_chunk) // (4 * n_nodes)))
     scheduler = EpochScheduler(
-        files_by_chunk, group_size, [n.name for n in nodes],
+        files_by_chunk, group_size, [c.node.name for c in cache.clients],
         cache=cache, seed=0,
     )
 
@@ -495,39 +517,26 @@ def _sharing_probe(
     the full dataset once.  Returns ``(registry, caches)``; nothing
     about the workspace is mutated.
     """
-    from repro.cluster.node import Node
-    from repro.core.dist_cache import CacheClient, TaskCache
     from repro.core.shared_cache import SharedCacheRegistry
 
     if n_tasks < 1:
         raise ReproError("--tasks must be >= 1")
     if quota_bytes < 0:
         raise ReproError("--quota must be >= 0")
-    sync = ws.client(dataset)
-    index = sync.load_meta(sync.save_meta())
-    if not index.all_paths():
-        raise ReproError(f"dataset {dataset!r} has no files to probe")
-    env, fabric = ws.tb.env, ws.tb.fabric
-    nodes = [fabric.add_node(Node(env, f"{tag}-n{i}")) for i in range(2)]
+    env = ws.tb.env
     registry = SharedCacheRegistry(env)
-    caches = []
-    for t in range(n_tasks):
-        tenant = f"tenant{t}"
-        if quota_bytes:
-            registry.set_quota(tenant, quota_bytes)
-        caches.append(TaskCache(
-            env, fabric, ws.server, dataset,
-            [
-                CacheClient(f"{tag}-t{t}c{i}", nodes[i], i)
-                for i in range(len(nodes))
-            ],
-            policy="oneshot", shared=registry, tenant=tenant,
-            qos_class="interactive" if t == 0 else "batch",
-        ))
-    regs = [env.process(c.register()) for c in caches]
-    env.run(until=env.all_of(regs))
-    warms = [env.process(c.wait_warm()) for c in caches]
-    env.run(until=env.all_of(warms))
+    if quota_bytes:
+        for t in range(n_tasks):
+            registry.set_quota(f"tenant{t}", quota_bytes)
+    index, caches = _warm_probe_caches(
+        ws, dataset, tag, 2,
+        tasks=[
+            dict(tenant=f"tenant{t}",
+                 qos_class="interactive" if t == 0 else "batch")
+            for t in range(n_tasks)
+        ],
+        shared=registry,
+    )
 
     def epoch(cache):
         cc = cache.clients[0]
@@ -579,42 +588,27 @@ def cmd_tiers(ws: DieselWorkspace, dataset: str, args) -> str:
     every file once, and reports where the chunks ended up and which
     tier served the reads.  Nothing about the workspace is mutated.
     """
-    from repro.cluster.node import Node
-    from repro.core.dist_cache import CacheClient, TaskCache
     from repro.core.shared_cache import SharedCacheRegistry
 
     if args.ram < 1:
         raise ReproError("--ram must be >= 1")
     if args.disk < 0:
         raise ReproError("--disk must be >= 0")
-    sync = ws.client(dataset)
-    index = sync.load_meta(sync.save_meta())
-    if not index.all_paths():
-        raise ReproError(f"dataset {dataset!r} has no files to probe")
-    env, fabric = ws.tb.env, ws.tb.fabric
-    nodes = [
-        fabric.add_node(Node(env, f"tiers-n{i}", memory_bytes=args.ram))
-        for i in range(2)
-    ]
+    env = ws.tb.env
     registry = SharedCacheRegistry(
         env, store="tiered", disk_tier_bytes=args.disk,
         chunk_compression=args.compress,
     )
-    cache = TaskCache(
-        env, fabric, ws.server, dataset,
-        [CacheClient(f"tiers-c{i}", n, i) for i, n in enumerate(nodes)],
-        policy="oneshot", shared=registry,
+    index, (cache,) = _warm_probe_caches(
+        ws, dataset, "tiers", 2, memory_bytes=args.ram, shared=registry
     )
 
     def probe():
-        yield from cache.register()
-        yield from cache.wait_warm()
         cc = cache.clients[0]
         for path in index.all_paths():
             yield from cache.read_file(cc, index.lookup(path))
 
-    proc = env.process(probe())
-    env.run(until=proc)
+    env.run(until=env.process(probe()))
 
     lines = [
         f"tiered-store probe: dataset {dataset!r}, 2 node(s), "
@@ -663,33 +657,20 @@ def cmd_chaos(ws: DieselWorkspace, dataset: str, args) -> str:
     """
     from repro.cluster.failure import ChaosSchedule
     from repro.cluster.node import Node
-    from repro.core.dist_cache import CacheClient, TaskCache
+    from repro.core.dist_cache import CacheClient
 
     if args.nodes < 1:
         raise ReproError("--nodes must be >= 1")
     if args.straggler_ms < 0:
         raise ReproError("--straggler-ms must be >= 0")
-    sync = ws.client(dataset)
-    index = sync.load_meta(sync.save_meta())
+    index, (cache,) = _warm_probe_caches(ws, dataset, "chaos", args.nodes)
     paths = index.all_paths()
-    if not paths:
-        raise ReproError(f"dataset {dataset!r} has no files to probe")
     env, fabric = ws.tb.env, ws.tb.fabric
-    nodes = [
-        fabric.add_node(Node(env, f"chaos-n{i}")) for i in range(args.nodes)
-    ]
-    cache = TaskCache(
-        env, fabric, ws.server, dataset,
-        [CacheClient(f"chaos-c{i}", nodes[i], i) for i in range(args.nodes)],
-        policy="oneshot",
-    )
 
     def run(gen):
         proc = env.process(gen)
         return env.run(until=proc)
 
-    run(cache.register())
-    run(cache.wait_warm())
     # Degrade the most-loaded master's node and read from another node,
     # so the probe's reads actually cross the hostile NIC.
     straggler_name = max(

@@ -4,30 +4,24 @@ from repro.util.bitmap import Bitmap
 from repro.util.hashing import ConsistentHashRing, fnv1a_64, stable_hash
 from repro.util.ids import ChunkId, ChunkIdGenerator, decode_chunk_id
 from repro.util.pathutil import (
-    basename,
     dirname,
-    iter_ancestors,
     join,
     normalize,
     split,
 )
-from repro.util.units import format_bytes, format_rate, parse_size
+from repro.util.units import format_bytes
 
 __all__ = [
     "Bitmap",
     "ChunkId",
     "ChunkIdGenerator",
     "ConsistentHashRing",
-    "basename",
     "decode_chunk_id",
     "dirname",
     "fnv1a_64",
     "format_bytes",
-    "format_rate",
-    "iter_ancestors",
     "join",
     "normalize",
-    "parse_size",
     "split",
     "stable_hash",
 ]

@@ -8,8 +8,6 @@ into snapshot and recovery paths, so it must round-trip exactly.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 
 class Bitmap:
     """A compact fixed-length bitmap backed by a bytearray."""
@@ -56,18 +54,6 @@ class Bitmap:
 
     def all(self) -> bool:
         return self.count() == self._size
-
-    def iter_set(self) -> Iterator[int]:
-        """Yield indices of set bits in ascending order."""
-        for i in range(self._size):
-            if self._bits[i >> 3] & (1 << (i & 7)):
-                yield i
-
-    def iter_clear(self) -> Iterator[int]:
-        """Yield indices of clear bits in ascending order."""
-        for i in range(self._size):
-            if not self._bits[i >> 3] & (1 << (i & 7)):
-                yield i
 
     def to_bytes(self) -> bytes:
         return bytes(self._bits)

@@ -90,10 +90,6 @@ class ChunkId:
         # Memoised: every read resolves its chunk by this string.
         return base64.b32hexencode(self.raw).decode("ascii").rstrip("=")
 
-    def encode_base64(self) -> str:
-        """Paper-style base64url encoding (NOT order-preserving)."""
-        return base64.urlsafe_b64encode(self.raw).decode("ascii").rstrip("=")
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.encode()
 
@@ -123,7 +119,7 @@ def decode_chunk_id(encoded: str) -> ChunkId:
     pad = "=" * (-len(encoded) % 8)
     try:
         raw = base64.b32hexdecode(encoded + pad)
-    except Exception as exc:  # binascii.Error subclasses ValueError
+    except ValueError as exc:  # binascii.Error subclasses ValueError
         raise ValueError(f"invalid chunk id encoding: {encoded!r}") from exc
     return ChunkId(raw)
 

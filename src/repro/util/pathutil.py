@@ -8,8 +8,6 @@ this module canonicalizes user input into that form.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 
 def normalize(path: str) -> str:
     """Canonicalize ``path`` to ``/a/b/c`` form.
@@ -56,30 +54,3 @@ def join(*parts: str) -> str:
 def dirname(path: str) -> str:
     """Parent directory of a normalized path (root's parent is root)."""
     return normalize(path).rpartition("/")[0] or "/"
-
-
-def basename(path: str) -> str:
-    """Final component ('' for root)."""
-    return normalize(path).rpartition("/")[2]
-
-
-def iter_ancestors(path: str) -> Iterator[str]:
-    """Yield every proper ancestor directory, nearest first, ending at '/'.
-
-    >>> list(iter_ancestors("/a/b/c"))
-    ['/a/b', '/a', '/']
-    """
-    comps = split(path)
-    for i in range(len(comps) - 1, 0, -1):
-        yield "/" + "/".join(comps[:i])
-    if comps:
-        yield "/"
-
-
-def is_under(path: str, directory: str) -> bool:
-    """True if ``path`` is strictly inside ``directory``."""
-    d = normalize(directory)
-    p = normalize(path)
-    if d == "/":
-        return p != "/"
-    return p.startswith(d + "/")

@@ -1,49 +1,6 @@
-"""Byte-size parsing and human-readable formatting."""
+"""Human-readable byte-size formatting."""
 
 from __future__ import annotations
-
-import re
-
-_UNITS = {
-    "": 1,
-    "b": 1,
-    "k": 1024,
-    "kb": 1024,
-    "kib": 1024,
-    "m": 1024**2,
-    "mb": 1024**2,
-    "mib": 1024**2,
-    "g": 1024**3,
-    "gb": 1024**3,
-    "gib": 1024**3,
-    "t": 1024**4,
-    "tb": 1024**4,
-    "tib": 1024**4,
-}
-
-_SIZE_RE = re.compile(r"^\s*([0-9]*\.?[0-9]+)\s*([a-zA-Z]*)\s*$")
-
-
-def parse_size(text: str | int | float) -> int:
-    """Parse a human size like ``"4MB"``, ``"128 KiB"`` or ``4096`` to bytes.
-
-    >>> parse_size("4MB")
-    4194304
-    >>> parse_size(512)
-    512
-    """
-    if isinstance(text, (int, float)):
-        if text < 0:
-            raise ValueError(f"size must be non-negative, got {text}")
-        return int(text)
-    m = _SIZE_RE.match(text)
-    if not m:
-        raise ValueError(f"cannot parse size: {text!r}")
-    value, unit = m.groups()
-    unit = unit.lower()
-    if unit not in _UNITS:
-        raise ValueError(f"unknown size unit {unit!r} in {text!r}")
-    return int(float(value) * _UNITS[unit])
 
 
 def format_bytes(n: float) -> str:
@@ -60,8 +17,3 @@ def format_bytes(n: float) -> str:
             return f"{n:.2f} {unit}"
         n /= 1024
     raise AssertionError("unreachable")
-
-
-def format_rate(bytes_per_s: float) -> str:
-    """Format a bandwidth as e.g. ``'3.30 GiB/s'``."""
-    return format_bytes(bytes_per_s) + "/s"

@@ -2,15 +2,14 @@
 
 Shapes from the paper's §1/§6: ImageNet-1K has ~1.28 M files averaging
 ~110 KB over 1000 classes; Open Images ~9 M files at ~60 KB; CIFAR-10 is
-60 K tiny records.  ``scaled()`` shrinks a spec for tractable experiment
-runs while preserving per-file statistics; experiment harnesses report
-*rates*, which are scale-invariant once steady state is reached.
+60 K tiny records.  Experiments build shrunken specs with the same
+per-file statistics; they report *rates*, which are scale-invariant once
+steady state is reached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,32 +37,10 @@ class DatasetSpec:
         """Approximate dataset size (mean × count)."""
         return self.n_files * self.mean_file_bytes
 
-    def scaled(self, factor: float, name: str | None = None) -> "DatasetSpec":
-        """A spec with ``factor`` × the file count (≥ n_classes kept)."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        n = max(self.n_classes, int(round(self.n_files * factor)))
-        return replace(self, n_files=n, name=name or f"{self.name}-x{factor:g}")
-
     def path_of(self, index: int) -> str:
         """Deterministic path for the ``index``-th file."""
         cls = index % self.n_classes
         return f"/{self.name}/train/class{cls:04d}/img{index:07d}.jpg"
-
-    def size_of(self, index: int) -> int:
-        """Deterministic per-file size drawn from a lognormal."""
-        if self.size_sigma == 0:
-            return self.mean_file_bytes
-        rng = np.random.default_rng(self.seed + index)
-        # lognormal with the requested mean: mean = exp(mu + sigma^2/2)
-        mu = np.log(self.mean_file_bytes) - self.size_sigma**2 / 2
-        size = int(rng.lognormal(mu, self.size_sigma))
-        return max(self.min_file_bytes, size)
-
-    def iter_files(self) -> Iterator[tuple[str, int]]:
-        """Yield (path, size) for every file in the dataset."""
-        for i in range(self.n_files):
-            yield self.path_of(i), self.size_of(i)
 
     def sizes(self) -> np.ndarray:
         """Vectorized per-file sizes (fast path for large specs)."""

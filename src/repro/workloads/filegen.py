@@ -39,8 +39,3 @@ def verify_file(data: bytes) -> bool:
         return False
     (stored,) = _CRC.unpack_from(data, 0)
     return zlib.crc32(data[HEADER_BYTES:]) == stored
-
-
-def expected_content(path: str, size: int, seed: int = 0) -> bytes:
-    """Alias making read-back comparisons self-documenting."""
-    return generate_file(path, size, seed)

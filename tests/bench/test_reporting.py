@@ -10,7 +10,6 @@ from repro.bench.reporting import (
     format_table,
     ratio,
     result_to_dict,
-    shape_check,
     stats_row,
     write_json,
 )
@@ -108,14 +107,6 @@ class TestJson:
 
 
 class TestVerdicts:
-    def test_shape_check_pass_fail(self):
-        assert shape_check("c", 1.05, 1.0, 0.10)["ok"] == "PASS"
-        assert shape_check("c", 1.25, 1.0, 0.10)["ok"] == "FAIL"
-
-    def test_shape_check_zero_expected(self):
-        assert shape_check("z", 0.0, 0.0, 0.01)["ok"] == "PASS"
-        assert shape_check("z", 0.5, 0.0, 0.01)["ok"] == "FAIL"
-
     def test_ratio(self):
         assert ratio(4.0, 2.0) == 2.0
         assert ratio(1.0, 0.0) == float("inf")

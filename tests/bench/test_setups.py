@@ -10,12 +10,10 @@ from repro.bench.setups import (
     bulk_load_diesel,
     bulk_load_lustre,
     bulk_load_memcached,
-    dataset_files,
     diesel_client_with_snapshot,
     make_testbed,
 )
 from repro.objectstore import ObjectStore, TieredStore
-from repro.workloads.datasets import CIFAR10
 
 
 class TestMakeTestbed:
@@ -118,18 +116,4 @@ class TestBulkLoads:
         bulk_load_diesel(tb, "ds", {"/a": b"123"})
         client = diesel_client_with_snapshot(tb, "ds", tb.compute_nodes[0],
                                              "c0")
-        assert client.snapshot_loaded
         assert client.index.file_count == 1
-
-
-class TestDatasetFiles:
-    def test_sizes_mode(self):
-        spec = CIFAR10.scaled(0.0002)
-        sizes = dataset_files(spec, content=False)
-        assert all(isinstance(v, int) for v in sizes.values())
-
-    def test_content_mode(self):
-        spec = CIFAR10.scaled(0.0002)
-        files = dataset_files(spec, content=True)
-        assert all(isinstance(v, bytes) for v in files.values())
-        assert all(len(v) == spec.mean_file_bytes for v in files.values())

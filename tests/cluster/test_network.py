@@ -3,7 +3,7 @@
 import pytest
 
 from repro.calibration import NetworkProfile
-from repro.cluster import Cluster, ClusterSpec, FailureInjector, NetworkFabric, Node
+from repro.cluster import FailureInjector, NetworkFabric, Node
 from repro.errors import ClusterError, NodeDownError
 from repro.sim import Environment, run_sync
 
@@ -186,21 +186,3 @@ class TestFailureInjector:
         assert not node.alive
         # killed around iteration 30, certainly before the end
         assert counter["iters"] == 100
-
-
-class TestCluster:
-    def test_default_topology_matches_table4(self):
-        c = Cluster()
-        assert len(c.storage_nodes) == 6
-        assert len(c.compute_nodes) == 10
-        assert c.ssd_pool.alive and c.hdd_pool.alive
-
-    def test_custom_spec(self):
-        c = Cluster(ClusterSpec(storage_nodes=2, compute_nodes=3))
-        assert len(c.compute_nodes) == 3
-        assert c.compute(2).name == "compute2"
-        assert c.storage(0).name == "storage0"
-
-    def test_invalid_spec(self):
-        with pytest.raises(ValueError):
-            ClusterSpec(storage_nodes=0)

@@ -19,13 +19,11 @@ class TestBuilder:
     def test_buffers_until_threshold(self):
         b = builder(chunk_size=100)
         assert b.add("/a", b"x" * 40) is None
-        assert b.pending_files == 1
-        assert b.pending_bytes == 40
         assert b.add("/b", b"x" * 40) is None
         sealed = b.add("/c", b"x" * 40)  # crosses 100
         assert sealed is not None
         assert sealed.paths == ("/a", "/b", "/c")
-        assert b.pending_files == 0
+        assert b.flush() is None  # nothing left pending
 
     def test_single_large_file_seals_immediately(self):
         b = builder(chunk_size=100)

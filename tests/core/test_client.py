@@ -78,7 +78,7 @@ class TestSnapshotFlow:
             return idx, st, listing
 
         idx, st, listing = deployment.run(proc())
-        assert client.snapshot_loaded
+        assert client.index is idx
         assert idx.file_count == 12
         assert st["size"] == 4096
         assert listing == ["/img/class0", "/img/class1", "/img/class2",
@@ -210,19 +210,6 @@ class TestShuffleMode:
 
         deployment.run(proc())
         assert client.working_set_bytes() <= 2 * 16 * 1024
-
-    def test_disable_shuffle_clears_cache(self, deployment):
-        client, files = self._loaded_client(deployment)
-        client.enable_shuffle(group_size=2)
-        plan = client.epoch_file_list()
-
-        def proc():
-            yield from client.get(plan.files[0])
-
-        deployment.run(proc())
-        client.disable_shuffle()
-        assert client.working_set_bytes() == 0
-        assert not client.shuffle_enabled
 
     def test_full_shuffle_list(self, deployment):
         client, files = self._loaded_client(deployment)

@@ -104,7 +104,8 @@ class TestOneshotPolicy:
         dep, cache, clients, files, index = setup_cache()
         dep.run(cache.register())
         dep.run(cache.wait_warm())
-        assert cache.cached_bytes() >= sum(len(d) for d in files.values())
+        cached = sum(m.stats.bytes_cached for m in cache.masters.values())
+        assert cached >= sum(len(d) for d in files.values())
 
 
 class TestOnDemandPolicy:
@@ -290,8 +291,8 @@ class TestMemoryAccounting:
         before = client.node.memory.level
         dep.run(cache.wait_warm())
         after = client.node.memory.level
-        assert before - after == cache.cached_bytes()
-        assert cache.cached_bytes() > 0
+        cached = sum(m.stats.bytes_cached for m in cache.masters.values())
+        assert before - after == cached > 0
 
     def test_insufficient_memory_skips_but_reads_still_work(self):
         # Budget for roughly two chunks out of ~9.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.fuse import FuseMount, mount
-from repro.errors import DieselError
+from repro.errors import ClosedError, DieselError, InterruptError, NodeDownError
 
 from tests.core.conftest import build_deployment, small_files, write_dataset
 
@@ -71,6 +71,56 @@ class TestMount:
             return yes, no
 
         assert deployment.run(proc()) == (True, False)
+
+    def test_exists_over_the_server_path(self, deployment):
+        """No snapshot loaded: stat is an RPC, absent is still False."""
+        files = small_files(4)
+        write_dataset(deployment, "ds", files)
+        m = mount([deployment.new_client("ds")])
+
+        def proc():
+            yes = yield from m.exists(next(iter(files)))
+            no = yield from m.exists("/ghost")
+            return yes, no
+
+        assert deployment.run(proc()) == (True, False)
+
+    def test_exists_against_a_dead_server_raises(self, deployment):
+        """A dead server is not "no such file"."""
+        files = small_files(4)
+        write_dataset(deployment, "ds", files)
+        m = mount([deployment.new_client("ds")])
+        deployment.server.node.kill()
+        with pytest.raises(NodeDownError):
+            deployment.run(m.exists(next(iter(files))))
+
+    def test_exists_on_a_closed_client_raises(self, deployment):
+        m, files = setup_mount(deployment, n_clients=1)
+        m.clients[0].close()
+        with pytest.raises(ClosedError):
+            deployment.run(m.exists(next(iter(files))))
+
+    def test_interrupt_during_exists_propagates(self, deployment):
+        """An interrupted caller must not resume as if the file were
+        absent."""
+        m, files = setup_mount(deployment)
+        env = deployment.env
+        outcome = []
+
+        def caller():
+            try:
+                outcome.append((yield from m.exists(next(iter(files)))))
+            except InterruptError:
+                outcome.append("interrupted")
+
+        def interrupter(victim):
+            yield env.timeout(0)  # the victim is blocked in the crossing
+            victim.interrupt("cancelled")
+
+        victim = env.process(caller())
+        env.process(interrupter(victim))
+        env.run()
+        assert outcome == ["interrupted"]
 
     def test_ls_recursive_counts(self, deployment):
         m, files = setup_mount(deployment, n_files=12)
@@ -142,9 +192,7 @@ class TestFuseOverhead:
 class TestMountLifecycle:
     def test_unmount_closes_clients_and_blocks_ops(self, deployment):
         m, files = setup_mount(deployment)
-        assert m.mounted
         m.unmount()
-        assert not m.mounted
         assert all(c._closed for c in m.clients)
 
         def proc():
@@ -157,7 +205,7 @@ class TestMountLifecycle:
         m, _ = setup_mount(deployment)
         m.unmount()
         m.unmount()  # no error
-        assert not m.mounted
+        assert all(c._closed for c in m.clients)
 
 
 class TestStatUploadTime:

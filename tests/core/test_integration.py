@@ -192,13 +192,22 @@ class TestTieredServerCache:
 
         tb.run(read_twice())
 
+    @staticmethod
+    def _fill_tier(tb):
+        """Offer every chunk to the tier's background fill path, one at
+        a time; returns how many were installed."""
+        cached = 0
+        for key in tb.store.list_keys():
+            fill = tb.store.fill(key)
+            if fill is not None:
+                cached += tb.env.run(until=fill)
+        return cached
+
     def test_background_caching_process(self):
         tb, files = self._setup()
         tb.store.promote_on_miss = False  # isolate the background path
-        proc = tb.diesel.start_background_caching("ds")
-        promoted = tb.run(lambda: None) if proc is None else tb.env.run(until=proc)
         n_chunks = len(tb.store.list_keys())
-        assert promoted == n_chunks
+        assert self._fill_tier(tb) == n_chunks
         assert all(tb.store.in_ssd(k) for k in tb.store.list_keys())
 
         # Reads now hit the SSD tier without per-read promotion.
@@ -218,16 +227,15 @@ class TestTieredServerCache:
         keys = tb.store.list_keys()
         sizes = [tb.store.object_size(k) for k in keys]
         tb.store.ssd_capacity_bytes = sum(sizes[:3]) + 1
-        cached = tb.env.run(until=tb.diesel.start_background_caching("ds"))
         # The first chunks that fit stay; later ones do not push them out.
-        assert cached == 3
+        assert self._fill_tier(tb) == 3
         assert [k for k in keys if tb.store.in_ssd(k)] == keys[:3]
         assert tb.store.stats.evictions == 0
         assert tb.store.stats.rejections == len(keys) - 3
         assert tb.store.ssd.stats.write_bytes == sum(sizes[:3])
 
     def _warm_tier(self, tb):
-        tb.env.run(until=tb.diesel.start_background_caching("ds"))
+        self._fill_tier(tb)
         assert tb.store.ssd_used_bytes() == tb.store.size_bytes() > 0
 
     def test_delete_dataset_returns_the_tiers_bytes(self):
@@ -263,9 +271,3 @@ class TestTieredServerCache:
                 assert data == files[path]
 
         tb.run(read_back())
-
-    def test_background_caching_noop_for_flat_store(self):
-        tb = make_testbed(n_compute=1)
-        add_diesel(tb, tiered=False)
-        bulk_load_diesel(tb, "ds", {"/x": b"1" * 100})
-        assert tb.diesel.start_background_caching("ds") is None

@@ -167,8 +167,3 @@ class TestDirectoryPairs:
         pairs = meta.directory_entry_pairs("ds", "/top.txt")
         assert len(pairs) == 1
         assert pairs[0][0] == meta.dir_entry_key("ds", "/", "top.txt", False)
-
-    def test_checksum_matches_zlib(self):
-        import zlib
-
-        assert meta.file_checksum(b"abc") == zlib.crc32(b"abc")

@@ -112,7 +112,7 @@ class TestPrefetcher:
         plan = client.epoch_file_list(seed=1)
         assert client.prefetcher is not None
         assert client.prefetcher.active
-        assert client.prefetcher.schedule_length == len(
+        assert len(client.prefetcher._schedule) == len(
             client.index.chunk_ids()
         )
 
@@ -174,20 +174,6 @@ class TestPrefetcher:
             <= client.stats.prefetch_issued
         )
 
-    def test_disable_shuffle_cancels_pipeline(self, deployment):
-        client, _ = self._pipelined(deployment, depth=2)
-        plan = client.epoch_file_list(seed=1)
-        prefetcher = client.prefetcher
-        assert prefetcher.active
-        client.disable_shuffle()
-        assert client.prefetcher is None
-        assert not prefetcher.active
-        # In-flight fetch processes unwind cleanly when the sim drains.
-        deployment.env.run()
-        assert prefetcher.in_flight == 0
-        assert client._window.inflight == {}
-        assert client.working_set_bytes() == 0
-
     def test_close_cancels_pipeline(self, deployment):
         client, _ = self._pipelined(deployment, depth=2)
         client.epoch_file_list(seed=1)
@@ -238,21 +224,21 @@ class TestRepin:
         client, files, plan = self._started(deployment, depth=2)
         prefetcher = client.prefetcher
         issued = prefetcher._next
-        tail = prefetcher.schedule_length - issued
+        tail = len(prefetcher._schedule) - issued
         assert tail > 0
         skipped = prefetcher.repin(lambda enc: client.node.name)
         assert skipped == tail
-        assert prefetcher.schedule_length == issued
+        assert len(prefetcher._schedule) == issued
         assert prefetcher.repins == 1
         assert prefetcher.repin_skipped == tail
 
     def test_remote_owned_entries_are_kept(self, deployment):
         client, files, plan = self._started(deployment)
         prefetcher = client.prefetcher
-        before = prefetcher.schedule_length
+        before = len(prefetcher._schedule)
         skipped = prefetcher.repin(lambda enc: "somewhere-else")
         assert skipped == 0
-        assert prefetcher.schedule_length == before
+        assert len(prefetcher._schedule) == before
         assert prefetcher.repins == 1
 
     def test_skipped_chunks_still_read_without_miss_penalty(self, deployment):

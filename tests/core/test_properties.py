@@ -91,10 +91,9 @@ class TestEpochPlanProperties:
         plan = chunkwise_shuffle(data, group_size, random.Random(seed))
         flat = plan.files
         pos = 0
-        for gi, group in enumerate(plan.groups):
+        for group in plan.groups:
             for f in group.files:
                 assert flat[pos] == f
-                assert plan.group_of(pos) == gi
                 pos += 1
         assert pos == plan.file_count
 

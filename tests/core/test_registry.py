@@ -6,7 +6,6 @@ from repro.core.registry import (
     MAX_REGISTRY_SHARDS,
     DatasetRegistry,
     registry_key,
-    shard_prefix,
 )
 
 from tests.kvstore.test_kv import build_cluster
@@ -81,33 +80,3 @@ class TestListing:
         _, reg, names = self.populated(n=40, n_shards=16)
         page, _ = reg.list_page(limit=10)
         assert page == sorted(names)[:10]
-
-
-class TestRebalance:
-    def test_rebalance_preserves_the_name_set(self):
-        _, reg, names = TestListing().populated(n=60, n_shards=4)
-        moved = reg.rebalance(11)
-        assert moved > 0
-        assert reg.n_shards == 11
-        assert reg.dataset_names() == sorted(names)
-        # Every key now sits in its new hash shard.
-        occ = reg.occupancy()
-        assert sum(occ) == 60
-
-    def test_rebalance_to_same_count_moves_nothing(self):
-        kv, reg, _ = TestListing().populated(n=20, n_shards=4)
-        before = kv.local_pscan("reg:")
-        assert reg.rebalance(4) == 0
-        assert kv.local_pscan("reg:") == before
-
-    def test_rebalance_down_clears_emptied_shards(self):
-        kv, reg, names = TestListing().populated(n=30, n_shards=10)
-        reg.rebalance(2)
-        for shard in range(2, 10):
-            assert kv.local_pscan(shard_prefix(shard)) == []
-        assert reg.dataset_names() == sorted(names)
-
-    def test_rebalance_validates_bounds(self):
-        _, reg = make_registry()
-        with pytest.raises(ValueError):
-            reg.rebalance(0)

@@ -114,24 +114,13 @@ class TestChunkwiseShuffle:
 
 
 class TestEpochPlan:
-    def test_group_of(self):
-        data = make_dataset(n_chunks=4, files_per_chunk=5)
-        plan = chunkwise_shuffle(data, 2, random.Random(0))
-        assert plan.group_of(0) == 0
-        assert plan.group_of(9) == 0
-        assert plan.group_of(10) == 1
-        with pytest.raises(IndexError):
-            plan.group_of(20)
-        with pytest.raises(IndexError):
-            plan.group_of(-1)
-
     def test_memory_bound(self):
         """Peak working set ≤ group_size × max chunk size (§4.3)."""
         data = make_dataset(n_chunks=20, files_per_chunk=3)
         chunk_sizes = {cid: 4_000_000 for cid in data}
         for group_size in (1, 5, 10):
             plan = chunkwise_shuffle(data, group_size, random.Random(0))
-            peak = plan.peak_working_set_bytes(chunk_sizes)
+            peak = max(g.working_set_bytes(chunk_sizes) for g in plan.groups)
             assert peak <= group_size * 4_000_000
 
     def test_file_count(self):

@@ -146,7 +146,7 @@ class TestWindowEpoch:
                 pipeline = reader.window.prefetcher
                 assert reader.window.inflight == {}
                 assert pipeline.in_flight == 0
-                assert pipeline.outstanding == 0
+                assert len(pipeline._outstanding) == 0
                 assert pipeline._sem.in_flight == 0
         stats = cache.stats
         assert stats.chunk_fetches == cache.chunk_fetches > 0
@@ -308,8 +308,8 @@ class TestFaults:
             tb.env, reader, model, epochs=1, batch_size=2, io_workers=1))
         tb.env.run(until=tb.env.now + 12e-3)
         pipeline = reader.window.prefetcher
-        assert proc.is_alive and pipeline.outstanding > 0
-        unread = pipeline.outstanding
+        assert proc.is_alive and len(pipeline._outstanding) > 0
+        unread = len(pipeline._outstanding)
         proc.interrupt("job cancelled")
         tb.env.run()
         assert not proc.ok

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.dlt.sgd import (
-    MlpClassifier,
     SoftmaxClassifier,
     top_k_accuracy,
     train_with_orders,
@@ -57,10 +56,10 @@ class TestSynthetic:
         ds = SyntheticDataset.make(n_samples=50, n_features=4)
         files = ds.as_files()
         assert len(files) == 50
-        rebuilt = SyntheticDataset.from_files(files, ds.n_classes)
-        # Same multiset of (features, label) pairs.
-        assert sorted(rebuilt.y.tolist()) == sorted(ds.y.tolist())
-        assert rebuilt.X.shape == ds.X.shape
+        samples = [decode_sample(blob) for blob in files.values()]
+        # Same multiset of labels, same feature width.
+        assert sorted(label for _, label in samples) == sorted(ds.y.tolist())
+        assert {feats.shape for feats, _ in samples} == {ds.X.shape[1:]}
 
 
 class TestTopK:
@@ -90,7 +89,7 @@ class TestTopK:
 
 
 class TestClassifiers:
-    @pytest.mark.parametrize("cls", [SoftmaxClassifier, MlpClassifier])
+    @pytest.mark.parametrize("cls", [SoftmaxClassifier])
     def test_training_reduces_error(self, cls):
         ds = SyntheticDataset.make(n_samples=1500, class_sep=3.0, seed=2)
         train, test = ds.split()

@@ -9,19 +9,19 @@ from repro.sim import Environment, Semaphore
 
 class TestPeerLatencyTracker:
     def test_first_sample_seeds_mean_and_half_deviation(self):
-        t = PeerLatencyTracker()
+        t = PeerLatencyTracker(dev_mult=1.0, min_samples=1)
         t.observe("p", 0.010)
         assert t.mean("p") == pytest.approx(0.010)
-        assert t.deviation("p") == pytest.approx(0.005)
+        assert t.hedge_delay("p") == pytest.approx(0.010 + 0.005)
         assert t.samples("p") == 1
 
     def test_jacobson_update(self):
-        t = PeerLatencyTracker(alpha=0.5)
+        t = PeerLatencyTracker(alpha=0.5, dev_mult=1.0, min_samples=1)
         t.observe("p", 0.010)  # mean=0.010 dev=0.005
         t.observe("p", 0.020)
         # err = 0.010; mean += 0.5*err; dev += 0.5*(|err| - dev)
         assert t.mean("p") == pytest.approx(0.015)
-        assert t.deviation("p") == pytest.approx(0.0075)
+        assert t.hedge_delay("p") == pytest.approx(0.015 + 0.0075)
 
     def test_hedge_delay_needs_min_samples(self):
         t = PeerLatencyTracker(alpha=1.0, dev_mult=4.0, min_samples=3)
@@ -41,7 +41,6 @@ class TestPeerLatencyTracker:
     def test_unknown_peer_has_no_estimate(self):
         t = PeerLatencyTracker()
         assert t.mean("ghost") is None
-        assert t.deviation("ghost") is None
         assert t.hedge_delay("ghost") is None
         assert t.samples("ghost") == 0
 
@@ -258,7 +257,7 @@ class TestHedgeResourceDiscipline:
     def test_cancelled_loser_frees_its_semaphore_slot(self):
         env = Environment()
         # Two slots so the backup can actually race the primary.
-        sem = Semaphore(env, slots=2)
+        sem = Semaphore(env, capacity=2)
         fetches = []
 
         def guarded(duration, tag):
@@ -287,7 +286,7 @@ class TestHedgeResourceDiscipline:
 
     def test_interrupt_during_hedge_leaves_semaphore_clean(self):
         env = Environment()
-        sem = Semaphore(env, slots=2)
+        sem = Semaphore(env, capacity=2)
 
         def guarded(duration):
             def gen():

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.sim import run_sync
 from repro.kvstore import KVTable
 
 from tests.kvstore.test_kv import build_cluster
@@ -76,22 +75,6 @@ class TestShardedPages:
                 if cursor is None:
                     break
             assert walked == kv.local_pscan("k/")
-
-    def test_rpc_page_walk_equals_unpaginated(self):
-        env, kv, client = self.populated()
-
-        def walk(env):
-            walked, cursor = [], None
-            while True:
-                page, cursor = yield from kv.pscan_page(
-                    client, "k/", cursor=cursor, limit=13
-                )
-                walked.extend(page)
-                if cursor is None:
-                    break
-            return walked
-
-        assert run_sync(env, walk(env)) == kv.local_pscan("k/")
 
     def test_no_limit_returns_everything_with_no_cursor(self):
         _, kv, _ = self.populated(20)

@@ -71,14 +71,14 @@ class TestReadPath:
         )
         rec = SpanRecorder.attach(client, *tb.diesel_servers)
         tb.run(client.get(sorted(FILES)[0]))
-        ops = {op for op, _ in rec.histograms}
+        ops = {op for op, _ in rec._hist}
         assert any(op.startswith("rpc_") for op in ops)
         # Both queue and service sides of at least one RPC were timed.
-        rpc_layers = {layer for op, layer in rec.histograms
+        rpc_layers = {layer for op, layer in rec._hist
                       if op.startswith("rpc_")}
         assert {"queue", "service"} <= rpc_layers
         # The server attributed its store read to the objectstore layer.
-        assert any(layer == "objectstore" for _, layer in rec.histograms)
+        assert any(layer == "objectstore" for _, layer in rec._hist)
 
 
 class TestWritePath:

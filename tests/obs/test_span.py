@@ -85,7 +85,7 @@ class TestRecording:
         assert rec.histogram("get", "server").count == 2
         assert rec.histogram("get", "group_cache").count == 1
         assert rec.histogram("get", "nope").count == 0
-        assert set(rec.histograms) == {("get", "server"),
+        assert set(rec._hist) == {("get", "server"),
                                        ("get", "group_cache")}
 
     def test_counters_and_layers(self):

@@ -158,14 +158,6 @@ class TestConnectionTable:
         assert not t.connect("a", "a")
         assert t.count() == 0
 
-    def test_fan_in_out(self):
-        t = ConnectionTable()
-        t.connect("c1", "s")
-        t.connect("c2", "s")
-        t.connect("c1", "s2")
-        assert t.fan_in("s") == 2
-        assert t.fan_out("c1") == 2
-
     def test_drop_endpoint(self):
         t = ConnectionTable()
         t.connect("c1", "s")
@@ -183,9 +175,3 @@ class TestConnectionTable:
             for b in names:
                 t.connect(a, b)
         assert t.count() == n * (n - 1)
-
-    def test_memory_overhead(self):
-        t = ConnectionTable(NetworkProfile(connection_overhead_bytes=100))
-        t.connect("a", "b")
-        t.connect("b", "a")
-        assert t.memory_overhead_bytes() == 200

@@ -355,49 +355,3 @@ class TestRun:
         env = Environment()
         with pytest.raises(SimulationError):
             _ = env.event().value
-
-
-class TestAggregateEngineStats:
-    def test_collected_environment_still_counts(self):
-        """The aggregate is a function of the run, not of the collector:
-        an environment that was dropped and finalized keeps its events."""
-        import gc
-
-        from repro.sim.engine import aggregate_engine_stats, env_generation
-
-        gen0 = env_generation()
-
-        def ticker(env):
-            for _ in range(10):
-                yield env.timeout(1)
-
-        env = Environment()
-        env.process(ticker(env))  # process <-> env cycle: needs the GC
-        env.run()
-        live = aggregate_engine_stats(since=gen0)
-        assert live.sim_events == env.engine_stats().sim_events > 10
-        peak, scheduler = live.peak_occupancy, env.scheduler
-        del env
-        gc.collect()
-        after = aggregate_engine_stats(since=gen0)
-        assert after.sim_events == live.sim_events
-        assert after.peak_occupancy == peak
-        assert after.scheduler == scheduler
-        # Environments created before the window stay out of it, and
-        # opening it dropped the previous window's tally.
-        assert aggregate_engine_stats(since=env_generation()) is None
-        from repro.sim import engine
-
-        assert engine._retired_envs == {}
-
-    def test_failed_construction_finalizes_quietly(self, monkeypatch):
-        """__del__ runs on an Environment whose __init__ raised."""
-        import gc
-        import sys
-
-        unraisable = []
-        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-        with pytest.raises(SimulationError):
-            Environment(scheduler="bogus")
-        gc.collect()
-        assert unraisable == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, Resource, run_sync
+from repro.sim import Environment, Semaphore, run_sync
 
 
 class TestTimeOrderingProperties:
@@ -71,14 +71,14 @@ class TestResourceConservation:
     )
     def test_never_exceeds_capacity_and_all_jobs_finish(self, capacity, jobs):
         env = Environment()
-        res = Resource(env, capacity=capacity)
+        res = Semaphore(env, capacity=capacity)
         peak = [0]
         done = []
 
         def job(env, hold):
-            req = res.request()
+            req = res.acquire()
             yield req
-            peak[0] = max(peak[0], res.count)
+            peak[0] = max(peak[0], res.in_flight)
             try:
                 yield env.timeout(hold)
             finally:
@@ -90,7 +90,7 @@ class TestResourceConservation:
         env.run()
         assert peak[0] <= capacity
         assert len(done) == len(jobs)
-        assert res.count == 0 and res.queue_length == 0
+        assert res.in_flight == 0 and res.queue_length == 0
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -101,7 +101,7 @@ class TestResourceConservation:
     def test_makespan_is_wave_count_times_hold(self, capacity, n_jobs, hold):
         """Identical jobs on a k-server: makespan = ceil(n/k) × hold."""
         env = Environment()
-        res = Resource(env, capacity=capacity)
+        res = Semaphore(env, capacity=capacity)
 
         def job(env):
             yield from res.use(hold)
@@ -153,7 +153,7 @@ class TestDeterminismProperty:
     def test_seeded_contention_is_bit_identical(self, seed):
         def run_once():
             env = Environment()
-            res = Resource(env, capacity=2)
+            res = Semaphore(env, capacity=2)
             rng = random.Random(seed)
             trace = []
 

@@ -1,24 +1,28 @@
-"""Tests for Resource / Container / Store contention primitives."""
+"""Tests for the Semaphore / Container / Store contention primitives.
+
+The k-slot station cases here and the ``TestSemaphore`` cases of
+``test_fanout.py`` run against the one class, ``repro.sim.Semaphore``.
+"""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Container, Environment, Resource, Store, run_sync
+from repro.sim import Container, Environment, Semaphore, Store, run_sync
 
 
 class TestResource:
     def test_capacity_validation(self):
         env = Environment()
         with pytest.raises(SimulationError):
-            Resource(env, capacity=0)
+            Semaphore(env, capacity=0)
 
     def test_grant_within_capacity_is_immediate(self):
         env = Environment()
-        res = Resource(env, capacity=2)
+        res = Semaphore(env, capacity=2)
 
         def proc(env, res):
-            r1 = res.request()
-            r2 = res.request()
+            r1 = res.acquire()
+            r2 = res.acquire()
             yield env.all_of([r1, r2])
             return env.now
 
@@ -27,11 +31,11 @@ class TestResource:
     def test_fifo_queueing(self):
         """Capacity-1 resource serializes holders in arrival order."""
         env = Environment()
-        res = Resource(env, capacity=1)
+        res = Semaphore(env, capacity=1)
         log = []
 
         def worker(env, res, tag, hold):
-            req = res.request()
+            req = res.acquire()
             yield req
             log.append((tag, "start", env.now))
             yield env.timeout(hold)
@@ -53,7 +57,7 @@ class TestResource:
 
     def test_use_helper(self):
         env = Environment()
-        res = Resource(env, capacity=1)
+        res = Semaphore(env, capacity=1)
 
         def worker(env, res):
             yield from res.use(4)
@@ -66,7 +70,7 @@ class TestResource:
     def test_multi_server_throughput(self):
         """k-server station: n jobs of time t finish in ceil(n/k)*t."""
         env = Environment()
-        res = Resource(env, capacity=4)
+        res = Semaphore(env, capacity=4)
 
         def job(env, res):
             yield from res.use(10)
@@ -77,10 +81,10 @@ class TestResource:
 
     def test_release_without_hold_rejected(self):
         env = Environment()
-        res = Resource(env, capacity=1)
+        res = Semaphore(env, capacity=1)
 
         def bad(env, res):
-            req = res.request()
+            req = res.acquire()
             yield req
             res.release(req)
             res.release(req)
@@ -90,23 +94,23 @@ class TestResource:
 
     def test_cancel_queued_request(self):
         env = Environment()
-        res = Resource(env, capacity=1)
+        res = Semaphore(env, capacity=1)
         granted = []
 
         def holder(env, res):
-            req = res.request()
+            req = res.acquire()
             yield req
             yield env.timeout(5)
             res.release(req)
 
         def impatient(env, res):
-            req = res.request()
+            req = res.acquire()
             yield env.timeout(1)  # give up before grant
-            res.cancel(req)
+            res.abandon(req)
 
         def patient(env, res):
             yield env.timeout(0.5)
-            req = res.request()
+            req = res.acquire()
             yield req
             granted.append(env.now)
             res.release(req)
@@ -120,17 +124,17 @@ class TestResource:
 
     def test_counters(self):
         env = Environment()
-        res = Resource(env, capacity=1)
+        res = Semaphore(env, capacity=1)
 
         def holder(env, res):
-            req = res.request()
+            req = res.acquire()
             yield req
-            assert res.count == 1
+            assert res.in_flight == 1
             yield env.timeout(1)
             res.release(req)
 
         def queuer(env, res):
-            req = res.request()
+            req = res.acquire()
             yield req
             res.release(req)
 
@@ -139,7 +143,33 @@ class TestResource:
         env.run(until=0.5)
         assert res.queue_length == 1
         env.run()
-        assert res.count == 0 and res.queue_length == 0
+        assert res.in_flight == 0 and res.queue_length == 0
+
+    def test_cancelled_waiters_are_not_pinned(self):
+        """N requests cancelled on a station that is never released
+        again leave the wait queue bounded, not N long."""
+        env = Environment()
+        res = Semaphore(env, capacity=1)
+        res.acquire()  # held for good
+        survivor = res.acquire()
+        for _ in range(1000):
+            res.abandon(res.acquire())
+            assert res.queue_length <= 3
+        assert res.queue_length == 1 and not survivor.triggered
+
+    def test_release_after_cancellations_grants_first_live_waiter(self):
+        env = Environment()
+        res = Semaphore(env, capacity=1)
+        held = res.acquire()
+        gone = [res.acquire() for _ in range(3)]
+        first, second = res.acquire(), res.acquire()
+        for req in gone[:2]:  # two withdrawn: below the compaction bound
+            res.abandon(req)
+        res.abandon(gone[2])  # third tips it: the queue compacts
+        res.release(held)
+        assert first.triggered and not second.triggered
+        assert not any(req.triggered for req in gone)
+        assert res.in_flight == 1 and res.queue_length == 1
 
 
 class TestContainer:
@@ -278,7 +308,7 @@ class TestInterruptSafety:
         from repro.errors import InterruptError
 
         env = Environment()
-        res = Resource(env, capacity=1)
+        res = Semaphore(env, capacity=1)
         log = []
 
         def holder(env):
@@ -302,24 +332,24 @@ class TestInterruptSafety:
         assert ("interrupted", 2.0) in log
         # The waiter got the slot right after the interrupt, not at t=100.
         assert ("waiter-done", 3.0) in log
-        assert res.count == 0
+        assert res.in_flight == 0
 
     def test_interrupt_while_queued_then_cancel(self):
         from repro.errors import InterruptError
 
         env = Environment()
-        res = Resource(env, capacity=1)
+        res = Semaphore(env, capacity=1)
         outcome = []
 
         def holder(env):
             yield from res.use(5.0)
 
         def impatient(env):
-            req = res.request()
+            req = res.acquire()
             try:
                 yield req
             except InterruptError:
-                res.cancel(req)
+                res.abandon(req)
                 outcome.append("gave-up")
 
         def killer(env, victim):
@@ -331,4 +361,4 @@ class TestInterruptSafety:
         env.process(killer(env, victim))
         env.run()
         assert outcome == ["gave-up"]
-        assert res.count == 0 and res.queue_length == 0
+        assert res.in_flight == 0 and res.queue_length == 0

@@ -53,7 +53,7 @@ def _run_workload(scheduler: str, seed: int) -> tuple:
         if victim.is_alive:
             victim.interrupt(cause="diff-test")
 
-    sem = Semaphore(env, slots=rng.randint(1, 3))
+    sem = Semaphore(env, capacity=rng.randint(1, 3))
     for tag in range(rng.randint(5, 25)):
         kind = rng.randrange(4)
         if kind == 0:

@@ -14,7 +14,6 @@ PUBLIC_MODULES = [
     "repro.errors",
     "repro.util",
     "repro.sim",
-    "repro.sim.trace",
     "repro.obs",
     "repro.ft",
     "repro.cluster",
@@ -32,10 +31,8 @@ PUBLIC_MODULES = [
     "repro.dlt",
     "repro.dlt.sweep",
     "repro.workloads",
-    "repro.workloads.mpi_tool",
     "repro.bench",
     "repro.bench.experiments",
-    "repro.bench.metrics",
     "repro.bench.runner",
     "repro.bench.setups",
 ]

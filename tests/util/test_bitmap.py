@@ -52,13 +52,6 @@ class TestBasics:
             bm.set(i)
         assert bm.all()
 
-    def test_iter_set_and_clear_partition(self):
-        bm = Bitmap(20)
-        for i in (0, 7, 8, 19):
-            bm.set(i)
-        assert list(bm.iter_set()) == [0, 7, 8, 19]
-        assert sorted(list(bm.iter_set()) + list(bm.iter_clear())) == list(range(20))
-
     def test_equality_and_copy(self):
         a = Bitmap(12)
         a.set(5)

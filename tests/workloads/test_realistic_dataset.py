@@ -1,6 +1,8 @@
 """Integration with realistic dataset shapes (lognormal sizes, classed
 paths): a scaled ImageNet-1K spec driven through the full DIESEL stack."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.setups import (
@@ -15,13 +17,15 @@ from repro.workloads.filegen import generate_file, verify_file
 
 @pytest.fixture(scope="module")
 def scaled_imagenet():
-    # scaled() keeps at least one file per class: 1000 files here,
-    # with the real lognormal size distribution.
-    spec = IMAGENET_1K.scaled(0.0002)
+    # One file per class: 1000 files here, with the real lognormal
+    # size distribution.
+    spec = replace(IMAGENET_1K, n_files=IMAGENET_1K.n_classes,
+                   name="imagenet-1k-small")
     tb = make_testbed(n_compute=2)
     add_diesel(tb)
     files = {
-        path: generate_file(path, size) for path, size in spec.iter_files()
+        spec.path_of(i): generate_file(spec.path_of(i), int(size))
+        for i, size in enumerate(spec.sizes())
     }
     bulk_load_diesel(tb, spec.name, files, chunk_size=4 * 1024 * 1024)
     client = diesel_client_with_snapshot(
@@ -33,7 +37,7 @@ def scaled_imagenet():
 class TestScaledImagenet:
     def test_spec_scale(self, scaled_imagenet):
         spec, tb, files, client = scaled_imagenet
-        assert spec.n_files == len(files) == 1000  # class floor
+        assert spec.n_files == len(files) == 1000
         # Lognormal sizes: genuinely heterogeneous.
         sizes = {len(d) for d in files.values()}
         assert len(sizes) > 100
@@ -83,7 +87,6 @@ class TestScaledImagenet:
 
 class TestCifarShape:
     def test_cifar_files_constant_size(self):
-        spec = CIFAR10.scaled(0.001)
-        files = dict(spec.iter_files())
-        assert len(set(files.values())) == 1  # sigma=0: constant sizes
-        assert all(s == CIFAR10.mean_file_bytes for s in files.values())
+        sizes = replace(CIFAR10, n_files=60).sizes()
+        assert len(set(sizes.tolist())) == 1  # sigma=0: constant sizes
+        assert all(s == CIFAR10.mean_file_bytes for s in sizes)
