@@ -107,9 +107,9 @@ def test_snapshot_apply_delta(benchmark):
     base = make_snapshot()
     cid = base.chunk_ids[0]
     index = SnapshotIndex(base)
-    blobs = [
+    bodies = [
         JournalEntry(
-            i,  # placeholder ts; re-stamped per round below
+            0,  # placeholder ts; re-stamped per round below
             (
                 JournalOp(
                     OP_APPEND,
@@ -119,14 +119,15 @@ def test_snapshot_apply_delta(benchmark):
                     ).encode(),
                 ),
             ),
-        ).ops
+        ).encode()[8:]
         for i in range(100)
     ]
 
     def apply():
         ts = index.update_ts
         entries = [
-            JournalEntry(ts + 1 + i, ops) for i, ops in enumerate(blobs)
+            (ts + 1 + i).to_bytes(8, "big") + body
+            for i, body in enumerate(bodies)
         ]
         return index.apply_delta(entries)
 
@@ -217,6 +218,63 @@ def test_ingest_metadata(benchmark):
     per_file = benchmark.stats["mean"] / 256
     benchmark.extra_info["files_per_s"] = round(1 / per_file)
     assert per_file < 3e-5, f"metadata ingest too slow: {per_file:.2e}s/file"
+
+
+@pytest.mark.benchmark(group="micro-metadata")
+def test_kv_slots_for_a_chunk(benchmark):
+    """KV slots for a 256-file depth-3 chunk: the two keys of each file
+    (record, directory entry) routed as the write path routes them — the
+    FNV state of each directory's two key prefixes carried over the
+    basename.  Hashing both keys in full (``kv.slot``, the reference the
+    result is checked against) costs ~8 us/file."""
+    from repro.core import meta
+    from repro.kvstore.sharded import NUM_SLOTS
+    from repro.util.hashing import fnv1a_64, mix64
+
+    tb = make_testbed(n_compute=1)
+    add_diesel(tb)
+    paths = [f"/late/d{i % 8}/f{i:05d}.bin" for i in range(256)]
+
+    def slots():
+        out, states = [], {}
+        for path in paths:
+            parent, _, name = path.rpartition("/")
+            carried = states.get(parent)
+            if carried is None:
+                carried = states[parent] = (
+                    fnv1a_64(meta.file_key("bench", parent + "/")),
+                    fnv1a_64(meta.dir_scan_prefix("bench", parent, "f")),
+                )
+            for state in carried:
+                out.append(mix64(fnv1a_64(name, state)) % NUM_SLOTS)
+        return out
+
+    assert benchmark(slots) == [
+        tb.kv.slot(key) for path in paths for key in (
+            meta.file_key("bench", path),
+            meta.dir_entry_key("bench", *path.rpartition("/")[::2], False),
+        )
+    ]
+    per_file = benchmark.stats["mean"] / 256
+    assert per_file < 5.5e-6, f"carried KV slots too slow: {per_file:.2e}s/file"
+
+
+@pytest.mark.benchmark(group="micro-metadata")
+def test_load_meta_delta_server_side(benchmark):
+    """``load_meta_delta`` of 16 retained entries (256 files each),
+    server side: the stored blobs are forwarded, none decoded."""
+    tb, _ = make_metadata_server(n_chunks=16)
+    node = tb.compute_nodes[0]
+
+    def serve():
+        return tb.env.run(until=tb.env.process(
+            tb.diesel.call(node, "load_meta_delta", "bench", 0)
+        ))
+
+    resp = benchmark(serve)
+    assert resp["mode"] == "delta" and len(resp["entries"]) == 16
+    per_entry = benchmark.stats["mean"] / 16
+    assert per_entry < 1e-4, f"delta serve too slow: {per_entry:.2e}s/entry"
 
 
 @pytest.mark.benchmark(group="micro-metadata")

@@ -12,16 +12,21 @@ the program's steady-state work only.  ``ITIMER_REAL`` rather than
 (perfbench/trace.py made the same choice).
 
 Drives ``perfbench.workloads`` through perfbench's own op proxy,
-read-only; nothing is written.
+read-only; nothing is written but the ``--json`` file.  ``--diff`` reads
+two such files — a parent clone's and the change's — and prints the
+per-function before/after table: functions are matched by qualified
+name and file, not line, so an edit above one does not split its row.
 
 Usage::
 
-    python scripts/host_profile.py ingest_meta [--seed N] [--scale tiny] [--top K]
+    python scripts/host_profile.py ingest_meta [--seed N] [--scale tiny] [--top K] [--json OUT]
+    python scripts/host_profile.py --diff A.json B.json [--top K]
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import signal
 import sys
 from collections import Counter
@@ -78,7 +83,7 @@ class Sampler:
         signal.signal(signal.SIGALRM, signal.SIG_DFL)
 
 
-def _where(key) -> str:
+def _where(key, line: bool = True) -> str:
     code, owner = key
     name = getattr(code, "co_qualname", code.co_name)
     if owner:
@@ -88,7 +93,8 @@ def _where(key) -> str:
         if path.is_relative_to(base):
             path = path.relative_to(base)
             break
-    return f"{name}  ({path}:{code.co_firstlineno})"
+    at = f"{path}:{code.co_firstlineno}" if line else path
+    return f"{name}  ({at})"
 
 
 def report(sampler: Sampler, top: int) -> list[str]:
@@ -102,6 +108,40 @@ def report(sampler: Sampler, top: int) -> list[str]:
     return lines
 
 
+def to_json(sampler: Sampler, header: dict) -> dict:
+    """The whole profile, keyed for ``--diff``: ``{function: [self, cum]}``."""
+    functions: dict[str, list[int]] = {}
+    for column, hits in enumerate((sampler.self_hits, sampler.cum_hits)):
+        for key, n in hits.items():
+            functions.setdefault(_where(key, line=False), [0, 0])[column] += n
+    return {**header, "samples": sampler.samples, "functions": functions}
+
+
+def diff(before: dict, after: dict, top: int) -> list[str]:
+    """Before/after shares of each function's self and cumulative samples,
+    the ``top`` largest moves of self share first."""
+    lines = [
+        f"{side}: {p['workload']} seed {p['seed']} scale {p['scale']}, "
+        f"{p['samples']} samples over {p['ops']} ops"
+        for side, p in (("before", before), ("after", after))
+    ]
+    total_a, total_b = before["samples"] or 1, after["samples"] or 1
+    rows = []
+    for name in before["functions"].keys() | after["functions"].keys():
+        (sa, ca), (sb, cb) = (
+            p["functions"].get(name, (0, 0)) for p in (before, after)
+        )
+        rows.append((abs(sa / total_a - sb / total_b), name, sa, sb, ca, cb))
+    rows.sort(key=lambda r: (-r[0], r[1]))
+    lines.append(f"\n{'self before -> after':>30}  {'cum before -> after':>30}")
+    for _, name, sa, sb, ca, cb in rows[:top]:
+        lines.append(
+            f"{sa / total_a:6.1%} {sa:5d} -> {sb / total_b:6.1%} {sb:5d}  "
+            f"{ca / total_a:6.1%} {ca:5d} -> {cb / total_b:6.1%} {cb:5d}  {name}"
+        )
+    return lines
+
+
 def main(argv: list[str]) -> int:
     sys.path[:0] = [str(ROOT), str(ROOT / "src")]
     from perfbench.harness import OpLog
@@ -110,12 +150,22 @@ def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0],
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("workload", choices=sorted(WORKLOADS))
+    ap.add_argument("workload", nargs="?", choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--scale", default="full", choices=("full", "tiny"))
     ap.add_argument("--top", type=int, default=25,
                     help="functions listed per ranking (default: 25)")
+    ap.add_argument("--json", metavar="OUT", type=Path,
+                    help="also write the whole profile to OUT")
+    ap.add_argument("--diff", nargs=2, metavar=("A.json", "B.json"), type=Path,
+                    help="print the before/after table of two --json files")
     args = ap.parse_args(argv)
+    if args.diff:
+        before, after = (json.loads(path.read_text()) for path in args.diff)
+        print("\n".join(diff(before, after, args.top)))
+        return 0
+    if args.workload is None:
+        ap.error("a workload is required unless --diff is given")
 
     wl = WORKLOADS[args.workload](args.seed, args.scale)
     wl.make_inputs()
@@ -132,6 +182,10 @@ def main(argv: list[str]) -> int:
           f"blocks 1..{wl.n_blocks - 1} ({log.attempted - warm_ops} ops, "
           f"{log.failed} failed)")
     print("\n".join(log.errors + report(sampler, args.top)))
+    if args.json:
+        header = {"workload": args.workload, "seed": args.seed,
+                  "scale": args.scale, "ops": log.attempted - warm_ops}
+        args.json.write_text(json.dumps(to_json(sampler, header), indent=1))
     return 1 if log.failed else 0
 
 

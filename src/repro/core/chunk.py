@@ -199,12 +199,15 @@ class Chunk:
         """Serialize the whole chunk (header + data section)."""
         return b"".join((self.header_bytes(), self.data))
 
-    @classmethod
-    def decode_header(cls, blob: bytes) -> tuple["Chunk", int]:
-        """Parse a header from ``blob``; returns (chunk-with-empty-data,
-        data_offset).  The returned chunk has ``data=b''`` — use
-        :meth:`decode` for the full object.  Recovery uses this to rebuild
-        metadata without touching payload bytes.
+    @staticmethod
+    def read_header(
+        blob: bytes,
+    ) -> tuple[ChunkId, Bitmap, list[tuple[str, int, int, int]], int]:
+        """One pass over an encoded chunk's header: ``(chunk_id, bitmap,
+        [(path, offset, length, crc32), ...], data_offset)``.
+
+        Checks the magic, truncation and the header checksum, and builds
+        nothing per file but its tuple.
         """
         view = memoryview(blob)
         if view[: len(MAGIC)] != MAGIC:
@@ -212,7 +215,7 @@ class Chunk:
         u16, tail, tail_size = (
             _U16.unpack_from, _ENTRY_TAIL.unpack_from, _ENTRY_TAIL.size,
         )
-        files: list[ChunkFile] = []
+        entries: list[tuple[str, int, int, int]] = []
         try:
             (nfiles,) = _U32.unpack_from(view, _BITMAP_AT - _U32.size)
             pos = _BITMAP_AT + (nfiles + 7) // 8
@@ -223,9 +226,9 @@ class Chunk:
             for _ in range(nfiles):
                 name_end = pos + 2 + u16(view, pos)[0]
                 offset, length, crc = tail(view, name_end)
-                files.append(ChunkFile(
-                    str(view[pos + 2 : name_end], "utf-8"), offset, length, crc
-                ))
+                entries.append(
+                    (str(view[pos + 2 : name_end], "utf-8"), offset, length, crc)
+                )
                 pos = name_end + tail_size
             (stored_crc,) = _U32.unpack_from(view, pos)
         except struct.error:
@@ -234,13 +237,44 @@ class Chunk:
             raise ChunkChecksumError(
                 f"header checksum mismatch in chunk {chunk_id.encode()}"
             )
+        return chunk_id, bitmap, entries, pos + _U32.size
+
+    @classmethod
+    def read_entries(
+        cls, blob: bytes
+    ) -> tuple[ChunkId, Bitmap, list[tuple[str, int, int, int]], int]:
+        """:meth:`read_header` of a whole chunk with the rest of what
+        :meth:`decode` checks — no duplicate paths, every file inside the
+        data section — and the data section's size in place of its
+        offset: what ingest needs, with no object per file.
+        """
+        chunk_id, bitmap, entries, data_offset = cls.read_header(blob)
+        data_size = len(blob) - data_offset
+        if len({e[0] for e in entries}) != len(entries):
+            raise ChunkFormatError("duplicate paths within one chunk")
+        for path, offset, length, _ in entries:
+            if offset + length > data_size:
+                raise ChunkFormatError(
+                    f"file {path!r} extends past data section "
+                    f"({offset}+{length} > {data_size})"
+                )
+        return chunk_id, bitmap, entries, data_size
+
+    @classmethod
+    def decode_header(cls, blob: bytes) -> tuple["Chunk", int]:
+        """Parse a header from ``blob``; returns (chunk-with-empty-data,
+        data_offset).  The returned chunk has ``data=b''`` — use
+        :meth:`decode` for the full object.  Recovery uses this to rebuild
+        metadata without touching payload bytes.
+        """
+        chunk_id, bitmap, entries, data_offset = cls.read_header(blob)
         shell = cls.__new__(cls)
         shell.chunk_id = chunk_id
-        shell.files = tuple(files)
+        shell.files = tuple([ChunkFile(*e) for e in entries])
         shell.data = memoryview(b"")
         shell.deletion_bitmap = bitmap
-        shell._by_path = {f.path: i for i, f in enumerate(files)}
-        return shell, pos + _U32.size
+        shell._by_path = {f.path: i for i, f in enumerate(shell.files)}
+        return shell, data_offset
 
     @staticmethod
     def find_in_header(blob: bytes, path: str) -> tuple[int, int]:
@@ -309,12 +343,12 @@ class Chunk:
         The returned chunk's data section is a zero-copy view over
         ``blob`` (which therefore stays alive as long as the chunk does).
         """
-        shell, data_offset = cls.decode_header(blob)
+        chunk_id, bitmap, entries, data_offset = cls.read_header(blob)
         return cls(
-            shell.chunk_id,
-            shell.files,
+            chunk_id,
+            [ChunkFile(*e) for e in entries],
             memoryview(blob)[data_offset:],
-            shell.deletion_bitmap,
+            bitmap,
         )
 
     def __repr__(self) -> str:

@@ -31,7 +31,6 @@ from repro.core.chunk_builder import ChunkBuilder, ChunkPipeline
 from repro.core.config import DieselConfig
 from repro.core.dist_cache import CacheClient, TaskCache
 from repro.core.meta import FileRecord
-from repro.core.meta_journal import JournalEntry
 from repro.core.prefetch import WINDOW_HIT_S, ChunkPrefetcher, ChunkWindow
 from repro.core.server import DieselServer
 from repro.core.shuffle import EpochPlan, chunkwise_shuffle, full_shuffle
@@ -40,6 +39,7 @@ from repro.errors import (
     ClosedError,
     DeltaConflictError,
     DieselError,
+    JournalFormatError,
     StaleSnapshotError,
 )
 from repro.cluster.node import Node
@@ -743,12 +743,12 @@ class DieselClient:
         )
         if resp["mode"] == "delta":
             blobs = resp["entries"]
-            entries = [JournalEntry.decode(b) for b in blobs]
             try:
-                applied = self._index.apply_delta(entries)
-            except DeltaConflictError:
+                applied = self._index.apply_delta(blobs)
+            except (DeltaConflictError, JournalFormatError):
                 # Journal and index disagree (e.g. a competing refresh
-                # already applied part of the range): reload in full.
+                # already applied part of the range) or an entry arrived
+                # damaged: reload in full.
                 pass
             else:
                 self.stats.delta_reloads += 1

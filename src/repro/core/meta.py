@@ -117,6 +117,11 @@ class FileRecord:
             _FILE_REC.pack(cid_raw, offset, length, crc32),
         ))
 
+    @staticmethod
+    def packed_path(blob: bytes) -> bytes:
+        """The UTF-8 path inside a packed record, undecoded."""
+        return blob[_U32.size : -_FILE_REC.size]
+
     @classmethod
     def decode(
         cls, blob: bytes, chunk_ids: Optional[dict[bytes, ChunkId]] = None

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
-from repro.errors import DieselError
+from repro.core.meta import FileRecord
+from repro.errors import DieselError, JournalFormatError
 from repro.kvstore.sharded import ShardedKV
 
-_U32 = struct.Struct(">I")
 _ENTRY_HEAD = struct.Struct(">QI")  # ts, op count
 _OP_HEAD = struct.Struct(">BII")  # kind, path len, payload len
 _META = struct.Struct(">QQI")  # oldest ts, newest ts, count
@@ -98,18 +98,59 @@ class JournalEntry:
 
     @classmethod
     def decode(cls, blob: bytes) -> "JournalEntry":
-        ts, n_ops = _ENTRY_HEAD.unpack_from(blob, 0)
-        pos = _ENTRY_HEAD.size
-        ops = []
-        for _ in range(n_ops):
-            kind, path_len, payload_len = _OP_HEAD.unpack_from(blob, pos)
-            pos += _OP_HEAD.size
-            path = blob[pos : pos + path_len].decode("utf-8")
-            pos += path_len
-            payload = blob[pos : pos + payload_len]
-            pos += payload_len
-            ops.append(JournalOp(kind, path, payload))
-        return cls(ts, tuple(ops))
+        ts, ops = read_entry(blob)
+        return cls(ts, tuple(JournalOp(*op) for op in ops))
+
+
+def read_entry(blob: bytes) -> tuple[int, Iterator[tuple[int, str, bytes]]]:
+    """``(ts, ops)`` of an encoded entry, ``ops`` yielding each op's
+    ``(kind, path, payload)``.
+
+    Only the head is read here.  The iterator validates as it walks: an
+    op whose extent leaves the blob, an unknown kind, or bytes left
+    after the last op raise :class:`JournalFormatError` — a slice past
+    the end would otherwise come back short and apply as a record.
+    """
+    if len(blob) < _ENTRY_HEAD.size:
+        raise JournalFormatError(f"journal entry of {len(blob)} bytes has no head")
+    ts, n_ops = _ENTRY_HEAD.unpack_from(blob, 0)
+    return ts, _iter_ops(blob, n_ops)
+
+
+def _iter_ops(blob: bytes, n_ops: int) -> Iterator[tuple[int, str, bytes]]:
+    pos, end = _ENTRY_HEAD.size, len(blob)
+    for _ in range(n_ops):
+        path_at = pos + _OP_HEAD.size
+        if path_at > end:
+            raise JournalFormatError(f"journal op head at {pos} leaves the entry")
+        kind, path_len, payload_len = _OP_HEAD.unpack_from(blob, pos)
+        payload_at = path_at + path_len
+        pos = payload_at + payload_len
+        if pos > end:
+            raise JournalFormatError(
+                f"journal op at {path_at} runs to {pos}, entry ends at {end}"
+            )
+        if kind not in _KINDS:
+            raise JournalFormatError(f"unknown journal op kind {kind!r}")
+        yield kind, blob[path_at:payload_at].decode("utf-8"), blob[payload_at:pos]
+    if pos != end:
+        raise JournalFormatError(f"{end - pos} bytes follow the entry's last op")
+
+
+def chunk_entry(ts: int, records: Sequence[bytes], cid_raw: bytes) -> bytes:
+    """The encoded entry of one chunk ingest: an ``OP_APPEND`` per packed
+    :class:`FileRecord` of ``records``, then the ``OP_CHUNK_ADD``.
+
+    Byte-equal to ``JournalEntry(ts, ops).encode()`` of those ops, built
+    from the blobs the KV pairs already hold with no op materialised.
+    """
+    head = _OP_HEAD.pack
+    parts = [_ENTRY_HEAD.pack(ts, len(records) + 1)]
+    for rec in records:
+        path = FileRecord.packed_path(rec)
+        parts += (head(OP_APPEND, len(path), len(rec)), path, rec)
+    parts += (head(OP_CHUNK_ADD, 0, len(cid_raw)), cid_raw)
+    return b"".join(parts)
 
 
 class MetaJournal:
@@ -136,10 +177,18 @@ class MetaJournal:
     def record(
         self, dataset: str, ts: int, ops: Sequence[JournalOp]
     ) -> int:
-        """Journal one mutation at version ``ts``; compacts past the
-        horizon.  Returns the number of KV pairs written (0 when
-        journaling is disabled, i.e. ``horizon == 0``)."""
-        if self.horizon == 0 or not ops:
+        """:meth:`record_encoded` of ``ops`` (nothing when empty)."""
+        if not ops:
+            return 0
+        return self.record_encoded(
+            dataset, ts, JournalEntry(ts, tuple(ops)).encode()
+        )
+
+    def record_encoded(self, dataset: str, ts: int, entry: bytes) -> int:
+        """Journal one mutation — ``entry``, encoded — at version ``ts``;
+        compacts past the horizon.  Returns the number of KV pairs
+        written (0 when journaling is disabled, i.e. ``horizon == 0``)."""
+        if self.horizon == 0:
             return 0
         meta = self._meta(dataset)
         if meta is None:
@@ -152,8 +201,7 @@ class MetaJournal:
                     f"cannot record ts {ts}"
                 )
             count += 1
-        entry = JournalEntry(ts, tuple(ops))
-        self.kv.local_put(journal_key(dataset, ts), entry.encode())
+        self.kv.local_put(journal_key(dataset, ts), entry)
         while count > self.horizon:
             self.kv.local_delete(journal_key(dataset, oldest))
             oldest += 1
@@ -208,8 +256,9 @@ class MetaJournal:
 
     def entries_since(
         self, dataset: str, from_ts: int
-    ) -> Optional[list[JournalEntry]]:
-        """Entries covering versions ``(from_ts, newest]``, oldest first.
+    ) -> Optional[list[bytes]]:
+        """Encoded entries of versions ``(from_ts, newest]``, oldest first,
+        as stored: only each head is read, to check it is that version's.
 
         Returns ``None`` when the journal cannot serve the delta — the
         horizon has compacted past ``from_ts`` (or the dataset was never
@@ -228,7 +277,7 @@ class MetaJournal:
         entries = []
         for ts in range(from_ts + 1, newest + 1):
             blob = self.kv.local_get_or_none(journal_key(dataset, ts))
-            if blob is None:
+            if blob is None or read_entry(blob)[0] != ts:
                 return None  # hole (concurrent compaction): full reload
-            entries.append(JournalEntry.decode(blob))
+            entries.append(blob)
         return entries

@@ -32,12 +32,11 @@ from repro.core import meta
 from repro.core.chunk import Chunk
 from repro.core.config import DieselConfig
 from repro.core.meta_journal import (
-    OP_APPEND,
-    OP_CHUNK_ADD,
     OP_CHUNK_DROP,
     OP_DELETE,
     JournalOp,
     MetaJournal,
+    chunk_entry,
 )
 from repro.core.registry import DatasetRegistry
 from repro.core.snapshot import MetadataSnapshot, build_snapshot
@@ -54,6 +53,8 @@ from repro.objectstore.store import ObjectStore
 from repro.objectstore.tiered import TieredStore
 from repro.rpc.endpoint import RpcEndpoint
 from repro.sim.engine import Environment, Event
+from repro.util.bitmap import Bitmap
+from repro.util.hashing import fnv1a_64
 from repro.util.ids import ChunkId, decode_chunk_id, sim_id_generator
 from repro.util.pathutil import normalize
 
@@ -271,49 +272,68 @@ class DieselServer:
         :meth:`_kv_pipeline_cost` for it.  ``data_size`` overrides the
         chunk's payload size when ingesting from a header-only decode
         (recovery scans read headers, not payloads).
+        """
+        return self._ingest_entries(
+            dataset, chunk.chunk_id, chunk.deletion_bitmap,
+            [(f.path, f.offset, f.length, f.crc32) for f in chunk.files],
+            data_size if data_size is not None else chunk.data_size,
+        )
+
+    def _ingest_entries(
+        self,
+        dataset: str,
+        cid: ChunkId,
+        bitmap: Bitmap,
+        entries: Sequence[Tuple[str, int, int, int]],
+        data_size: int,
+    ) -> int:
+        """:meth:`ingest_metadata` of a chunk given as its id, deletion
+        bitmap and ``(path, offset, length, crc32)`` file table.
 
         The count is what the chunk *implies*: per live file its record
         plus one directory entry per path component
         (:func:`meta.directory_entry_pairs`), the chunk and dataset
         records, the journal keys.  What is *written* is each distinct
         key once, in the order that per-file expansion would first have
-        written it (docs/METADATA.md "Write path").
+        written it, its KV slot hashed from the state its directory's
+        keys share (docs/METADATA.md "Write path").
         """
-        cid, cid_raw = chunk.chunk_id, chunk.chunk_id.raw
-        bitmap = chunk.deletion_bitmap
+        cid_raw = cid.raw
         ndeleted = bitmap.count()
         file_prefix = meta.file_key_prefix(dataset)
-        #: Directory -> key prefix of its file entries, as first seen.
-        entry_prefix: dict[str, str] = {}
+        #: Path up to its last "/" -> (FNV state of the file keys under
+        #: it, key prefix of its file entries, that prefix's FNV state).
+        dirs: dict[str, tuple[int, str, int]] = {}
         linked: set[str] = set()  # directories already linked into their parent
-        pairs: list[tuple[str, bytes]] = []
-        ops: list[JournalOp] = []
+        pairs: list[tuple[str, bytes, int]] = []  # key, value, fnv1a_64(key)
+        records: list[bytes] = []
         implied = 2
-        pack = meta.FileRecord.pack
-        for i, f in enumerate(chunk.files):
+        pack, fnv, add = meta.FileRecord.pack, fnv1a_64, pairs.append
+        for i, (path, offset, length, crc) in enumerate(entries):
             if ndeleted and bitmap.get(i):
                 continue  # tombstoned files must not resurrect on rescan
-            path = f.path
-            blob = pack(path, cid_raw, f.offset, f.length, f.crc32)
-            pairs.append((file_prefix + path, blob))
-            ops.append(JournalOp(OP_APPEND, path, blob))
+            blob = pack(path, cid_raw, offset, length, crc)
+            records.append(blob)
             implied += 1 + path.count("/")
-            parent, _, name = path.rpartition("/")
-            prefix = entry_prefix.get(parent)
-            if prefix is not None:
-                pairs.append((prefix + name, b""))
-                continue
-            prefix = entry_prefix[parent] = meta.dir_scan_prefix(
-                dataset, parent or "/", "f"
-            )
-            pairs.append((prefix + (name or path), b""))
+            head = path[: path.rfind("/") + 1]
+            name = path[len(head) :]
+            carried = dirs.get(head)
+            fresh = carried is None
+            if fresh:
+                prefix = meta.dir_scan_prefix(dataset, head[:-1] or "/", "f")
+                carried = dirs[head] = (
+                    fnv(file_prefix + head), prefix, fnv(prefix)
+                )
+            file_state, prefix, entry_state = carried
+            leaf = name or path
+            add((file_prefix + path, blob, fnv(name, file_state)))
+            add((prefix + leaf, b"", fnv(leaf, entry_state)))
+            parent = head[:-1] if fresh else ""
             while parent and parent not in linked:
                 linked.add(parent)
-                parent, _, name = parent.rpartition("/")
-                pairs.append(
-                    (meta.dir_entry_key(dataset, parent or "/", name, True), b"")
-                )
-        ops.append(JournalOp(OP_CHUNK_ADD, "", cid_raw))
+                parent, _, child = parent.rpartition("/")
+                key = meta.dir_entry_key(dataset, parent or "/", child, True)
+                add((key, b"", fnv(key)))
         ds_key = meta.dataset_key(dataset)
         old = self.kv.local_get_or_none(ds_key)
         if old is None:
@@ -321,19 +341,15 @@ class DieselServer:
         else:
             ts, dsrec = meta.DatasetRecord.bump(old, add=cid)
         crec = meta.ChunkRecord(
-            cid,
-            ts,
-            data_size if data_size is not None else chunk.data_size,
-            len(chunk.files),
-            ndeleted,
-            bitmap.copy(),
+            cid, ts, data_size, len(entries), ndeleted, bitmap.copy()
         )
-        pairs.append((meta.chunk_key(dataset, cid), crec.encode()))
-        pairs.append((ds_key, dsrec))
-        put = self.kv.local_put
-        for k, v in pairs:
-            put(k, v)
-        n_journal = self.journal.record(dataset, ts, ops)
+        ck_key = meta.chunk_key(dataset, cid)
+        add((ck_key, crec.encode(), fnv(ck_key)))
+        add((ds_key, dsrec, fnv(ds_key)))
+        self.kv.local_put_hashed(pairs)
+        n_journal = self.journal.record_encoded(
+            dataset, ts, chunk_entry(ts, records, cid_raw)
+        )
         if old is None:
             self.registry.add(dataset)
         return implied + n_journal
@@ -352,24 +368,24 @@ class DieselServer:
         """
         rec = self._recorder
         t0 = self.env.now if rec is not None else 0.0
-        chunk = Chunk.decode(chunk_bytes)
+        cid, bitmap, entries, data_size = Chunk.read_entries(chunk_bytes)
         # The header's paths become keys as they are: hold the sender to
         # the canonical form its chunk builder writes.
-        if any(normalize(f.path) != f.path for f in chunk.files):
+        if any(normalize(e[0]) != e[0] for e in entries):
             raise ChunkFormatError("chunk header holds a non-canonical path")
-        key = object_key(dataset, chunk.chunk_id)
+        key = object_key(dataset, cid)
         yield self.env.timeout(
             len(chunk_bytes) / self.cal.diesel.ingest_journal_bps
         )
         flush = self.store.put_journaled(key, chunk_bytes)
-        self.env.process(flush, name=f"flush:{chunk.chunk_id.encode()[:8]}")
-        n_pairs = self.ingest_metadata(dataset, chunk)
+        self.env.process(flush, name=f"flush:{cid.encode()[:8]}")
+        n_pairs = self._ingest_entries(dataset, cid, bitmap, entries, data_size)
         yield self.env.timeout(self._kv_pipeline_cost(n_pairs))
         self.stats.ingests += 1
         if rec is not None:
             rec.record("ingest", "objectstore", self.env.now - t0,
                        actor=self.name, bytes=len(chunk_bytes))
-        return chunk.chunk_id.encode()
+        return cid.encode()
 
     def _read_range(
         self, key: str, offset: int, length: int
@@ -385,8 +401,7 @@ class DieselServer:
     def _header_size(self, chunk_bytes_key: str) -> int:
         # Range reads address the data section; its start is where the
         # header ends.
-        blob = self.store.peek(chunk_bytes_key)
-        _, data_offset = Chunk.decode_header(blob)
+        *_, data_offset = Chunk.read_header(self.store.peek(chunk_bytes_key))
         return data_offset
 
     def _op_get_file(
@@ -631,11 +646,7 @@ class DieselServer:
             yield self.env.timeout(self._kv_pipeline_cost(1))
             return {"mode": "full", "ts": current}
         yield self.env.timeout(self._kv_pipeline_cost(max(1, len(entries))))
-        return {
-            "mode": "delta",
-            "ts": current,
-            "entries": tuple(e.encode() for e in entries),
-        }
+        return {"mode": "delta", "ts": current, "entries": tuple(entries)}
 
     def _op_list_datasets(
         self, cursor: Optional[str] = None, limit: Optional[int] = None

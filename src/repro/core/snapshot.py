@@ -275,33 +275,36 @@ class SnapshotIndex:
         return tuple(self._chunk_ids)
 
     # ------------------------------------------------------------- deltas
-    def apply_delta(self, entries: Sequence["mj.JournalEntry"]) -> int:
-        """Patch the index in place from journal ``entries``; O(delta).
+    def apply_delta(self, entries: Sequence[bytes]) -> int:
+        """Patch the index in place from encoded journal ``entries``
+        (:func:`mj.read_entry` walks each blob; no op is built); O(delta).
 
         ``entries`` must be the contiguous run of mutations immediately
         following this index's version — the first entry at
         ``update_ts + 1``, each next one ts-consecutive.  Anything else
         (a gap past the journal horizon, or re-applying an already
         applied delta) raises :class:`DeltaConflictError` instead of
-        silently corrupting the index.  Updates ``_files``, ``_dirs``
-        and the ``files_by_chunk`` grouping in place — no rebuild.
-        Returns the number of ops applied.
+        silently corrupting the index; a malformed blob raises
+        :class:`~repro.errors.JournalFormatError` where the walk meets it, and
+        like a conflict leaves an index only a full reload repairs.
+        Updates ``_files``, ``_dirs`` and the ``files_by_chunk``
+        grouping in place — no rebuild.  Returns the number of ops
+        applied.
         """
         applied = 0
-        for entry in entries:
-            if entry.ts != self._update_ts + 1:
-                raise DeltaConflictError(
-                    self.dataset, self._update_ts, entry.ts
-                )
-            for op in entry.ops:
-                self._apply_op(op)
+        for blob in entries:
+            ts, ops = mj.read_entry(blob)
+            if ts != self._update_ts + 1:
+                raise DeltaConflictError(self.dataset, self._update_ts, ts)
+            for kind, path, payload in ops:
+                self._apply_op(kind, path, payload)
                 applied += 1
-            self._update_ts = entry.ts
+            self._update_ts = ts
         return applied
 
-    def _apply_op(self, op: "mj.JournalOp") -> None:
-        if op.kind == mj.OP_APPEND:
-            rec = FileRecord.decode(op.payload, self._cid_of)
+    def _apply_op(self, kind: int, path: str, payload: bytes) -> None:
+        if kind == mj.OP_APPEND:
+            rec = FileRecord.decode(payload, self._cid_of)
             path = rec.path
             old = self._files.get(path)
             self._files[path] = rec
@@ -317,8 +320,7 @@ class SnapshotIndex:
                     path,
                     key=lambda p: self._files[p].offset,
                 )
-        elif op.kind == mj.OP_DELETE:
-            path = op.path
+        elif kind == mj.OP_DELETE:
             rec = self._files.pop(path, None)
             if rec is None:
                 raise DeltaConflictError(
@@ -330,25 +332,20 @@ class SnapshotIndex:
                 group = self._by_chunk.get(rec.chunk_id)
                 if group is not None and path in group:
                     group.remove(path)
-        elif op.kind == mj.OP_CHUNK_ADD:
+        elif kind == mj.OP_CHUNK_ADD:
             # The entry's appends came first and interned the id.
-            cid = self._cid_of.get(op.payload) or ChunkId(op.payload)
+            cid = self._cid_of.get(payload) or ChunkId(payload)
             i = bisect.bisect_left(self._chunk_ids, cid)
             if i == len(self._chunk_ids) or self._chunk_ids[i] != cid:
                 self._chunk_ids.insert(i, cid)
-        elif op.kind == mj.OP_CHUNK_DROP:
-            cid = ChunkId(op.payload)
+        else:  # OP_CHUNK_DROP: read_entry let no other kind through
+            cid = ChunkId(payload)
             i = bisect.bisect_left(self._chunk_ids, cid)
             if i < len(self._chunk_ids) and self._chunk_ids[i] == cid:
                 del self._chunk_ids[i]
-            self._cid_of.pop(op.payload, None)
+            self._cid_of.pop(payload, None)
             if self._by_chunk is not None:
                 self._by_chunk.pop(cid, None)
-        else:  # pragma: no cover - JournalOp validates kinds
-            raise DeltaConflictError(
-                self.dataset, self._update_ts, self._update_ts + 1,
-                detail=f"unknown journal op kind {op.kind!r}",
-            )
 
     def _unlink(self, path: str) -> None:
         """Remove ``path`` from its parent, pruning emptied ancestors —

@@ -139,6 +139,11 @@ class DeltaConflictError(DieselError):
         self.entry_ts = entry_ts
 
 
+class JournalFormatError(DieselError):
+    """Raised when an encoded journal entry fails structural validation
+    (truncated, padded, unknown op kind).  Recovery is a full reload."""
+
+
 class ChunkFormatError(DieselError):
     """Raised when chunk bytes fail structural validation."""
 

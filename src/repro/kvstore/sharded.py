@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Any, Dict, Generator, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, Iterable, Optional, Sequence, Tuple
 
 from repro.errors import (
     CircuitOpenError,
@@ -14,7 +14,7 @@ from repro.errors import (
 from repro.cluster.node import Node
 from repro.kvstore.kv import KVInstance
 from repro.sim.engine import Event
-from repro.util.hashing import stable_hash
+from repro.util.hashing import mix64, stable_hash
 
 #: Redis cluster uses 16384 hash slots; we keep the same constant.
 NUM_SLOTS = 16384
@@ -261,6 +261,27 @@ class ShardedKV:
     def local_put(self, key: str, value: bytes) -> None:
         """Write bypassing RPC cost; for processes co-located with the shard."""
         self._live_owner(key).table.put(key, value)
+
+    def local_put_hashed(
+        self, entries: Iterable[tuple[str, bytes, int]]
+    ) -> None:
+        """:meth:`local_put` of each ``(key, value, fnv1a_64(key))``, in
+        order.
+
+        The caller carries the FNV state of a key prefix over the keys
+        that share it; the slot is that state mixed as :meth:`slot`
+        mixes it.  No sim time passes in here, so each shard's liveness
+        is read once, and a dead shard still leaves exactly the pairs
+        ahead of its first key written.
+        """
+        instances = self._instances
+        tables = [inst.table if inst.up else None for inst in instances]
+        n = len(tables)
+        for key, value, h in entries:
+            table = tables[mix64(h) % NUM_SLOTS % n]
+            if table is None:
+                self._live_owner(key)  # raises, naming the shard and the key
+            table.put(key, value)
 
     def local_get(self, key: str) -> bytes:
         return self._live_owner(key).table.get(key)

@@ -17,14 +17,17 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
 
-def fnv1a_64(data: bytes | str) -> int:
-    """64-bit FNV-1a hash, deterministic across processes."""
+def fnv1a_64(data: bytes | str, state: int = _FNV_OFFSET) -> int:
+    """64-bit FNV-1a hash, deterministic across processes.
+
+    ``state`` continues an earlier hash: ``fnv1a_64(a + b) ==
+    fnv1a_64(b, fnv1a_64(a))``, so keys sharing a prefix hash it once.
+    """
     if isinstance(data, str):
         data = data.encode("utf-8")
-    h = _FNV_OFFSET
+    h = state
     for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
+        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
     return h
 
 

@@ -130,6 +130,71 @@ class TestCodec:
         assert restored.payload("/b/z", verify=False) != c.payload("/b/z")
 
 
+def encoded(files, data):
+    """Header + data as given: what ``Chunk(...)`` would refuse to build."""
+    shell = Chunk.__new__(Chunk)
+    shell.chunk_id, shell.files = GEN.next(), tuple(files)
+    shell.deletion_bitmap = Bitmap(len(files))
+    return shell.header_bytes() + data
+
+
+class TestReadEntries:
+    """The reader ingest uses builds no object per file and refuses what
+    ``decode`` refuses."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.dictionaries(
+            st.sampled_from(["/a", "/a/b", "/données/été.bin", "/火/x", "/.git"]),
+            st.binary(max_size=20), min_size=1,
+        ),
+        st.data(),
+    )
+    def test_agrees_with_decode(self, items, data):
+        built = Chunk.build(GEN.next(), items.items())
+        dead = data.draw(st.sets(st.integers(0, len(items) - 1)))
+        bitmap = Bitmap(len(items))
+        for i in dead:
+            bitmap.set(i)
+        blob = Chunk(built.chunk_id, built.files, built.data, bitmap).encode()
+        chunk = Chunk.decode(blob)
+        cid, bits, entries, data_size = Chunk.read_entries(blob)
+        assert (cid, bits, data_size) == (
+            chunk.chunk_id, chunk.deletion_bitmap, chunk.data_size
+        )
+        assert entries == [
+            (f.path, f.offset, f.length, f.crc32) for f in chunk.files
+        ]
+        assert Chunk.read_header(blob)[:3] == (cid, bits, entries)
+        assert Chunk.read_header(blob)[3] == len(blob) - data_size
+
+    @pytest.mark.parametrize("damage,error", [
+        (lambda b: b"XSL1" + b[4:], ChunkFormatError),  # magic
+        (lambda b: b[:40], ChunkFormatError),  # truncated inside the table
+        (lambda b: b[:22], ChunkFormatError),  # truncated before the bitmap
+        (lambda b: b[:45] + bytes([b[45] ^ 0x01]) + b[46:], ChunkChecksumError),
+    ])
+    def test_refuses_a_damaged_header(self, damage, error):
+        blob = damage(make_chunk().encode())
+        for read in (Chunk.decode, Chunk.read_entries, Chunk.read_header):
+            with pytest.raises(error) as caught:
+                read(blob)
+            assert type(caught.value) is error
+
+    @pytest.mark.parametrize("files,data,match", [
+        ([ChunkFile("/a", 0, 2, 0), ChunkFile("/a", 2, 2, 0)], b"xxyy",
+         "duplicate paths"),
+        ([ChunkFile("/a", 0, 2, 0), ChunkFile("/b", 2, 3, 0)], b"xxyy",
+         "'/b' extends past data section"),
+    ])
+    def test_refuses_what_the_constructor_refuses(self, files, data, match):
+        blob = encoded(files, data)
+        Chunk.read_header(blob)  # the header alone is well formed
+        for read in (Chunk.decode, Chunk.read_entries):
+            with pytest.raises(ChunkFormatError, match=match):
+                read(blob)
+
+
 class TestDeletion:
     def test_fresh_chunk_nothing_deleted(self):
         c = make_chunk()

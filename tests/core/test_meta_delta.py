@@ -9,10 +9,10 @@ import random
 
 import pytest
 
-from repro.core.meta_journal import MetaJournal
+from repro.core.meta_journal import MetaJournal, journal_key, read_entry
 from repro.core.shuffle import tail_extend
 from repro.core.snapshot import SnapshotIndex
-from repro.errors import DeltaConflictError, DieselError
+from repro.errors import DeltaConflictError, DieselError, JournalFormatError
 
 from tests.core.conftest import build_deployment, small_files, write_dataset
 
@@ -123,6 +123,27 @@ class TestHorizonFallback:
         append_files(dep, client, small_files(4, prefix="/new"))
         dep.run(client.refresh_meta())
         assert client.stats.full_reloads == 1
+
+    @pytest.mark.parametrize(
+        "damage", [lambda b: b[:-5], lambda b: b[:-12], lambda b: b + b"junk"]
+    )
+    def test_damaged_entry_falls_back_to_full_reload(self, damage):
+        dep = build_deployment()
+        client = loaded_client(dep)
+        v0 = client.index.update_ts
+        append_files(dep, client, small_files(4, prefix="/a"))
+        append_files(dep, client, small_files(4, prefix="/b"))
+        # The head still names its version, so the server forwards the
+        # blob; the client's walk meets the damage after applying /a.
+        key = journal_key("ds", v0 + 2)
+        dep.kv.local_put(key, damage(dep.kv.local_get(key)))
+        with pytest.raises(JournalFormatError):
+            list(read_entry(dep.kv.local_get(key))[1])
+        dep.run(client.refresh_meta())
+        assert client.stats.full_reloads == 1
+        assert client.stats.delta_reloads == 0
+        fresh = SnapshotIndex(dep.server.build_snapshot("ds"))
+        assert_index_equivalent(client.index, fresh)
 
     def test_server_reports_client_ahead(self):
         dep = build_deployment()

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import meta
 from repro.core import meta_journal as mj
+from repro.core import server as server_module
 from repro.core.chunk import Chunk
 from repro.core.server import object_key
 from repro.errors import ChunkChecksumError, ChunkFormatError
@@ -118,18 +119,20 @@ class TestAgainstThePerFileExpansion:
             expected.update(pairs)
             assert server.ingest_metadata(DS, chunk, data_size) == count + 2
             assert metadata_pairs(dep.kv) == expected
-            (entry,) = server.journal.entries_since(DS, ts - 1)
-            live = [
-                f for i, f in enumerate(chunk.files)
+            # A wrong carried hash state would strand a key on a shard
+            # ``local_get`` never asks.
+            for inst in dep.kv.instances:
+                assert all(dep.kv.owner(k) is inst for k in inst.table.keys())
+            (blob,) = server.journal.entries_since(DS, ts - 1)
+            ops = [
+                mj.JournalOp(
+                    mj.OP_APPEND, f.path, expected[meta.file_key(DS, f.path)]
+                )
+                for i, f in enumerate(chunk.files)
                 if not chunk.deletion_bitmap.get(i)
             ]
-            assert [op.kind for op in entry.ops] == (
-                [mj.OP_APPEND] * len(live) + [mj.OP_CHUNK_ADD]
-            )
-            for op, f in zip(entry.ops, live):
-                assert op.path == f.path
-                assert op.payload == expected[meta.file_key(DS, f.path)]
-            assert entry.ops[-1].payload == cid.raw
+            ops.append(mj.JournalOp(mj.OP_CHUNK_ADD, "", cid.raw))
+            assert blob == mj.JournalEntry(ts, tuple(ops)).encode()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -178,19 +181,44 @@ class TestWorkIsCountedNotTimed:
         chunk = depth3_chunk(ChunkIdGenerator(b"\x09" * 6, 5).next(),
                              self.N_FILES, self.N_DIRS)
         meta.dir_hash.cache_clear()
-        hashes = counting(monkeypatch, hashing, "fnv1a_64")
+        hashed = [0]  # bytes fed to the hash: calls no longer bound the work
+        fnv = hashing.fnv1a_64
+
+        def counted(data, *state):
+            hashed[0] += len(data.encode("utf-8") if isinstance(data, str) else data)
+            return fnv(data, *state)
+
+        for module in (hashing, server_module):
+            monkeypatch.setattr(module, "fnv1a_64", counted)
         puts = counting(monkeypatch, KVTable, "put")
         dep.server.ingest_metadata(DS, chunk)
         # Two keys per file (its record, its directory entry) are hashed
-        # for their KV slot; every directory — the eight leaves, /r000 —
-        # costs its own hash, its link's slot and its parent's hash; the
-        # chunk, dataset, journal and registry keys are a constant.
+        # for their KV slot over the basename alone, each continuing a
+        # state its directory's keys share; every directory — the eight
+        # leaves, /r000 — costs its two key prefixes, its own hash and
+        # its link's key; the chunk, dataset, journal and registry keys
+        # are a constant.  (The parent commit fed 2 × Σ len(key) ≈ 16 kB.)
+        basenames = sum(len(f.path.rpartition("/")[2]) for f in chunk.files)
         directories = self.N_DIRS + 1
-        assert hashes[0] <= 2 * self.N_FILES + 3 * directories + 16
-        assert hashes[0] >= 2 * self.N_FILES
+        assert 2 * basenames <= hashed[0]
+        assert hashed[0] <= 2 * basenames + 128 * directories + 256
         # Nothing is written twice: one put per key the store now holds.
         assert puts[0] == dep.kv.total_keys()
         assert puts[0] == 2 * self.N_FILES + directories + 2 + 2 + 1
+
+    def test_load_meta_delta_builds_no_journal_op(self, monkeypatch):
+        dep = build_deployment()
+        gen = ChunkIdGenerator(b"\x0c" * 6, 8)
+        for _ in range(3):
+            dep.server.ingest_metadata(DS, depth3_chunk(gen.next(), 16, 2))
+        built = counting(monkeypatch, mj.JournalOp, "__post_init__")
+        resp = dep.run(dep.server.call(
+            dep.client_nodes[0], "load_meta_delta", DS, 0
+        ))
+        assert resp["mode"] == "delta" and len(resp["entries"]) == 3
+        assert built[0] == 0
+        mj.JournalEntry.decode(resp["entries"][0])
+        assert built[0] == 17  # the counter does see the decoder's ops
 
     @pytest.mark.parametrize("op", ["ingest_chunk", "delete_file"])
     def test_chunk_id_constructions_do_not_grow_with_the_dataset(

@@ -7,6 +7,7 @@ from repro.core import meta
 from repro.core.chunk import Chunk
 from repro.core.server import object_key, parse_object_key
 from repro.errors import (
+    ChunkChecksumError,
     ChunkFormatError,
     DatasetNotFoundError,
     DieselError,
@@ -263,6 +264,26 @@ class TestPathBoundary:
             with pytest.raises(error):
                 self.call(deployment, "ingest_chunk", blob)
         # Refused before anything was stored or recorded.
+        assert deployment.store.list_keys() == []
+        assert deployment.kv.total_keys() == 0
+
+
+    def test_ingest_refuses_what_chunk_decode_refuses(self, deployment):
+        """The object-free header read keeps decode's checks: nothing is
+        stored or recorded on the way to the error."""
+        good = Chunk.pack(
+            ChunkIdGenerator(machine=b"\x06" * 6, pid=3).next(),
+            [("/img/a.jpg", b"aa"), ("/img/b.jpg", b"bbb")],
+        ).encode()
+        twice = good.replace(b"/img/b.jpg", b"/img/a.jpg")  # CRC now stale
+        for blob, error in (
+            (b"XSL1" + good[4:], ChunkFormatError),
+            (good[:40], ChunkFormatError),
+            (good[:-1], ChunkFormatError),  # last file leaves the data section
+            (twice, ChunkChecksumError),
+        ):
+            with pytest.raises(error):
+                self.call(deployment, "ingest_chunk", blob)
         assert deployment.store.list_keys() == []
         assert deployment.kv.total_keys() == 0
 

@@ -9,6 +9,7 @@ from repro.cluster import NetworkFabric, Node
 from repro.errors import KeyNotFoundError, NodeDownError, ShardUnavailableError
 from repro.kvstore import KVInstance, KVTable, ShardedKV
 from repro.sim import Environment, run_sync
+from repro.util.hashing import fnv1a_64
 
 
 class TestKVTable:
@@ -254,6 +255,38 @@ class TestShardFailover:
                     kv.local_get(k)
             else:
                 assert kv.local_get(k) == k.encode()
+
+    def test_hashed_batch_is_the_per_key_loop(self):
+        """Same pairs written, same error, whichever shard is dead — and
+        with none dead."""
+        pairs = [(f"f:ds:/d{i % 3}/n{i}", bytes([i])) for i in range(40)]
+        batch = [(k, v, fnv1a_64(k)) for k, v in pairs]
+
+        def state_after(write, victim):
+            _, _, kv, _ = build_cluster(n_instances=4)
+            if victim is not None:
+                kv.instances[victim].node.kill()
+            try:
+                write(kv)
+            except ShardUnavailableError as exc:
+                error = str(exc)
+            else:
+                error = None
+            return [sorted(i.table.pscan("")) for i in kv.instances], error
+
+        def loop(kv):
+            for k, v in pairs:
+                kv.local_put(k, v)
+
+        prefixes = []
+        for victim in (None, 0, 1, 2, 3):
+            looped = state_after(loop, victim)
+            assert state_after(lambda kv: kv.local_put_hashed(batch), victim) == looped
+            written = sum(len(t) for t in looped[0])
+            assert (looped[1] is None) == (victim is None) == (written == len(pairs))
+            prefixes.append(written)
+        # The dead shard's first key comes at a different point each time.
+        assert len(set(prefixes)) == len(prefixes) and min(prefixes) < 5
 
     def test_pscan_refuses_partial_views(self):
         """A merged scan must never silently drop a dead shard's range."""

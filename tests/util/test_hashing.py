@@ -24,6 +24,26 @@ class TestFnv:
     def test_distinct_inputs_differ(self):
         assert fnv1a_64("a") != fnv1a_64("b")
 
+    @given(st.binary(max_size=40), st.binary(max_size=40))
+    def test_state_carries_over_a_split_of_bytes(self, a, b):
+        assert fnv1a_64(a + b) == fnv1a_64(b, fnv1a_64(a))
+
+    @given(
+        st.lists(st.sampled_from(["a", "données", "été", "火", ".git", "b c"]),
+                 max_size=4),
+        st.sampled_from(["x.bin", "ñ.jpg", "文件", "🙂", ""]),
+    )
+    def test_state_carries_over_a_path_split_at_a_slash(self, dirs, name):
+        # ``dirs == []`` is a root-level file: parent "", key head "/".
+        head = "".join(f"/{d}" for d in dirs) + "/"
+        for prefix in ("f:ds:", "dir:ds:0123456789abcdef/f:"):
+            assert fnv1a_64(prefix + head + name) == fnv1a_64(
+                name, fnv1a_64(prefix + head)
+            )
+            assert fnv1a_64((prefix + head + name).encode("utf-8")) == fnv1a_64(
+                name.encode("utf-8"), fnv1a_64(prefix + head)
+            )
+
     def test_stable_hash_buckets(self):
         for key in ("x", "y", "z"):
             assert 0 <= stable_hash(key, 10) < 10
