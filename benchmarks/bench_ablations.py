@@ -41,7 +41,9 @@ def test_chunk_size_ablation(benchmark):
     Same dataset packed as 64 KB vs 4 MB chunks; measures (a) task-cache
     oneshot warm-up and (b) full metadata rebuild after losing the KV
     store.  Both are dominated by per-chunk fixed costs, so small chunks
-    lose badly.
+    lose — badly on the serial rebuild; on warm-up the masters' pull
+    pipeline overlaps eight chunks' fixed costs, which narrows 2.8x
+    (one pull at a time, before PR 23) to 1.8x without closing it.
     """
 
     def run():
@@ -84,7 +86,7 @@ def test_chunk_size_ablation(benchmark):
     print(f"4MB  chunks: n={n_big}, warm={warm_big * 1e3:.1f}ms, "
           f"rebuild={rec_big * 1e3:.1f}ms")
     assert n_small > 50 * n_big
-    assert warm_big < warm_small / 2
+    assert warm_big < warm_small / 1.5
     assert rec_big < rec_small / 3
 
 

@@ -11,6 +11,12 @@ the program's steady-state work only.  ``ITIMER_REAL`` rather than
 ``ITIMER_PROF``: the latter only fires at 250 Hz on this kernel
 (perfbench/trace.py made the same choice).
 
+CPython runs the handler at the next eval-breaker check, not when the
+timer fires, and a C-level operation (a ``bytes`` compare, a copy) has
+none: the tick that fell inside it is delivered at the ``RESUME`` of the
+next Python function called.  A sample whose innermost frame has not run
+past that first instruction is therefore charged to the caller.
+
 Drives ``perfbench.workloads`` through perfbench's own op proxy,
 read-only; nothing is written but the ``--json`` file.  ``--diff`` reads
 two such files — a parent clone's and the change's — and prints the
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import opcode
 import signal
 import sys
 from collections import Counter
@@ -34,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_INTERVAL_S = 0.001
+_RESUME = opcode.opmap.get("RESUME")  # None before Python 3.11
 
 
 class NoTicks:
@@ -52,6 +60,7 @@ class Sampler:
         self.self_hits: Counter = Counter()
         self.cum_hits: Counter = Counter()
         self.samples = 0
+        self._entry: dict = {}  # code object -> offset of its first RESUME
 
     @staticmethod
     def _key(frame):
@@ -63,8 +72,21 @@ class Sampler:
             return code, type(frame.f_locals.get("self")).__name__
         return code, ""
 
+    def _just_entered(self, frame) -> bool:
+        """Whether ``frame`` has run nothing yet: it sits on its first
+        ``RESUME`` (3.11+) or before its first instruction (3.10), where
+        a tick that fired in the caller's C-level work is delivered."""
+        code = frame.f_code
+        entry = self._entry.get(code)
+        if entry is None:
+            entry = self._entry[code] = (
+                -1 if _RESUME is None else 2 * code.co_code[::2].index(_RESUME))
+        return frame.f_lasti <= entry
+
     def _on_sample(self, signum, frame) -> None:
         self.samples += 1
+        if frame.f_back is not None and self._just_entered(frame):
+            frame = frame.f_back
         self.self_hits[self._key(frame)] += 1
         seen = set()
         while frame is not None:

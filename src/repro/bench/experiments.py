@@ -1278,12 +1278,14 @@ def fanout_scatter_gather(
 ) -> ExperimentResult:
     """Scatter-gather reads: warmup, recovery and batched-get fan-out.
 
-    Three measurements per knob value.  *Warmup*: oneshot cache masters
-    stream their partitions with ``warmup_fanout`` pulls in flight each
-    (all masters always concurrent).  *Recovery*: one master's node is
-    killed and the survivors re-stream the orphaned chunks (Fig 11b —
-    with fan-out, recovery time scales with the largest partition, not
-    the orphaned total).  *Cold batched read*: ``get_many`` over a batch
+    Three measurements per width.  *Warmup*: oneshot cache masters
+    stream their partitions with ``register(fanout=)`` pulls in flight
+    each (all masters always concurrent; the product width is the
+    node's ingress channel count, this sweep pins it per arm).
+    *Recovery*: one master's node is killed and the survivors re-stream
+    the orphaned chunks at ``recover(fanout=)`` (Fig 11b — with fan-out,
+    recovery time scales with the largest partition, not the orphaned
+    total).  *Cold batched read*: ``get_many`` over a batch
     spanning every chunk with ``read_fanout`` concurrent fetches;
     ``duplicate_reads`` must stay 0 (single-flight preserved under
     concurrency).
@@ -1313,9 +1315,9 @@ def fanout_scatter_gather(
             cache = TaskCache(
                 tb.env, tb.fabric, tb.diesel, "sg",
                 [c.as_cache_client() for c in clients],
-                policy="oneshot", calibration=tb.cal, warmup_fanout=f,
+                policy="oneshot", calibration=tb.cal,
             )
-            tb.run(cache.register())
+            tb.run(cache.register(fanout=f))
             t0 = tb.env.now
             tb.run(cache.wait_warm())
             warm_s = tb.env.now - t0
@@ -1328,7 +1330,7 @@ def fanout_scatter_gather(
             victim = cache.masters[sorted(cache.masters)[0]]
             victim.node.kill()
             t0 = tb.env.now
-            reloaded = tb.run(cache.recover())
+            reloaded = tb.run(cache.recover(fanout=f))
             recover_s = tb.env.now - t0
 
             # --- cold batched read through get_many ---

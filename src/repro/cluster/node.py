@@ -30,6 +30,11 @@ class Nic:
         self.bandwidth_bps = bandwidth_bps
         self._station = Semaphore(env, channels)
 
+    @property
+    def channels(self) -> int:
+        """Transfers this direction carries at once; more only queue."""
+        return self._station.capacity
+
 
 class Node:
     """A machine in the simulated cluster."""

@@ -50,6 +50,7 @@ Each DLT task caches *its own* dataset across *its own* worker nodes:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.calibration import Calibration, DEFAULT
@@ -96,8 +97,8 @@ class CacheMasterStats:
     bytes_cached: int = 0
     #: Chunks left uncached because the node's memory budget ran out.
     skipped_no_memory: int = 0
-    #: Most warm-up / recovery pulls ever concurrently in flight on this
-    #: master (1 with ``warmup_fanout`` at its serial default).
+    #: Most bulk pulls (warm-up, recovery, scale moves) ever concurrently
+    #: in flight on this master — at most its node's ingress channels.
     pull_inflight_hwm: int = 0
     #: Pull requests that joined an in-flight fetch instead of issuing
     #: their own (the node tier's single-flight map).
@@ -253,7 +254,7 @@ class CacheMaster:
         if method == "has_chunk":
             return self.has_chunk(args[0])
         if method == "pull_chunk":
-            return self._pull_group(args)
+            return self._handle_pull(args)
         raise DieselError(f"unknown cache method {method!r}")
 
     def _serve(
@@ -357,8 +358,9 @@ class CacheMaster:
             return held, sum(cid in admitted for cid in from_peer)
         return len(cids), 0
 
-    def _pull_group(self, cids: Sequence[str]) -> Generator[Event, Any, int]:
-        """One fan-out worker: pull a chunk group unless the node died."""
+    def _handle_pull(self, cids: Sequence[str]) -> Generator[Event, Any, int]:
+        """A peer's ``pull_chunk`` (the on-demand fill); a dead node
+        pulls nothing."""
         if not self.node.alive:
             return 0
         held, _ = yield from self.pull(cids)
@@ -368,30 +370,68 @@ class CacheMaster:
         if n > self.stats.pull_inflight_hwm:
             self.stats.pull_inflight_hwm = n
 
-    def fill(
-        self, fanout: int, batch: int, op: str
-    ) -> Generator[Event, Any, int]:
-        """Pull every assigned chunk not yet held — the oneshot warm-up
-        at registration (``op="warmup"``) and the re-stream at recovery
-        (``op="recover"``).
+    def _bring(
+        self, cid: str, donor: Optional["CacheMaster"], landed
+    ) -> Generator[Event, Any, Tuple[int, int]]:
+        """One :meth:`pull_all` worker.  A chunk that cannot be brought
+        — this node, the donor and the backend behind it, or the server
+        died — is simply not held: reads for it fall through (Fig 4)."""
+        got = (0, 0)
+        if self.node.alive:
+            try:
+                got = yield from self.pull([cid], donor)
+            except (NodeDownError, CachePeerDownError, DieselError):
+                pass
+        if landed is not None:
+            landed(cid)
+        return got
 
-        ``fanout`` bounds how many pulls this master keeps in flight;
-        ``batch`` groups them into vectorized server admissions.
-        Returns the number of chunks actually cached (refused chunks do
-        not count).
+    def pull_all(
+        self,
+        moves: Sequence[Tuple[str, Optional["CacheMaster"]]],
+        op: str,
+        width: Optional[int] = None,
+        landed=None,
+    ) -> Generator[Event, Any, Tuple[int, int]]:
+        """The bulk-pull pipeline: bring ``moves`` — ``(cid, donor)``
+        pairs, ``donor`` as in :meth:`pull` — to this node, as many in
+        flight as the node can receive.  Warm-up, recovery and both
+        scale moves all go through here.
+
+        The width is this node's ingress channel count: a chunk more
+        than that in flight would only queue at the NIC.  ``width``
+        replaces it for a caller measuring the shape (the Fig 11b
+        sweep).  ``landed(cid)`` runs after each chunk's own pull, held
+        or not — the drain's per-chunk ownership flip.  Returns
+        ``(held, from_peer)`` summed over ``moves``.
         """
-        rec = self.recorder
-        t0 = self.env.now if rec is not None else 0.0
-        missing = [cid for cid in self.assigned if cid not in self._held]
+        if not moves:
+            return 0, 0
+        if width is None:
+            width = self.node.ingress.channels
         results = yield from fan_out(
             self.env,
-            [self._pull_group(missing[i : i + batch])
-             for i in range(0, len(missing), batch)],
-            fanout,
+            [self._bring(cid, donor, landed) for cid, donor in moves],
+            min(width, len(moves)),
             name=f"{op}:{self.client.name}",
             watermark=self._note_pull_inflight,
         )
-        loaded = sum(results)
+        return sum(r[0] for r in results), sum(r[1] for r in results)
+
+    def fill(
+        self, op: str, width: Optional[int] = None
+    ) -> Generator[Event, Any, int]:
+        """Pull every assigned chunk not yet held — the oneshot warm-up
+        at registration (``op="warmup"``) and the re-stream at recovery
+        (``op="recover"``).  Returns the number of chunks actually
+        cached (refused chunks do not count).
+        """
+        rec = self.recorder
+        t0 = self.env.now if rec is not None else 0.0
+        loaded, _ = yield from self.pull_all(
+            [(cid, None) for cid in self.assigned if cid not in self._held],
+            op, width,
+        )
         if rec is not None:
             rec.record(op, "master", self.env.now - t0,
                        actor=self.client.name, chunks=loaded)
@@ -417,8 +457,6 @@ class TaskCache:
         clients: Sequence[CacheClient],
         policy: str = "oneshot",
         calibration: Calibration = DEFAULT,
-        warmup_fanout: int = 1,
-        admission_batch: int = 1,
         placement: str = "hash",
         hot_chunk_threshold: int = 0,
         shared=None,
@@ -435,10 +473,6 @@ class TaskCache:
             raise DieselError(f"unknown QoS class {qos_class!r}")
         if hot_chunk_threshold < 0:
             raise DieselError("hot_chunk_threshold must be >= 0")
-        if warmup_fanout < 1:
-            raise DieselError("warmup_fanout must be >= 1")
-        if admission_batch < 1:
-            raise DieselError("admission_batch must be >= 1")
         names = [c.name for c in clients]
         if len(set(names)) != len(names):
             raise DieselError("client names must be unique")
@@ -454,13 +488,6 @@ class TaskCache:
         #: replicated onto that node's master (0 = off).
         self.hot_chunk_threshold = hot_chunk_threshold
         self.cal = calibration
-        #: Per-master chunk-pull concurrency for warmup and recovery;
-        #: masters always run concurrently with each other, this bounds
-        #: each one's stream.
-        self.warmup_fanout = warmup_fanout
-        #: Chunk pulls admitted per vectorized server call during warmup
-        #: and recovery (1 = one RPC per chunk).
-        self.admission_batch = admission_batch
         #: Node chunk-tier registry every master of this task admits
         #: through (:class:`~repro.core.shared_cache.SharedCacheRegistry`).
         #: A task given none builds its own — one tenant, one task, RAM
@@ -661,12 +688,17 @@ class TaskCache:
             rec.count("ft_peer_failure", "task_cache")
 
     # ------------------------------------------------------------ lifecycle
-    def register(self) -> Generator[Event, Any, dict]:
+    def register(
+        self, fanout: Optional[int] = None
+    ) -> Generator[Event, Any, dict]:
         """Register the task: elect masters, partition chunks, connect.
 
         Returns the server's registration summary.  Under the ``oneshot``
         policy, background prefetch processes are started (registration
-        does not wait for them; see :meth:`wait_warm`).
+        does not wait for them; see :meth:`wait_warm`), every master
+        filling its partition through :meth:`CacheMaster.pull_all` at
+        the width its node can receive; ``fanout`` replaces that width
+        for this one warm-up.
         """
         if self._registered:
             raise DieselError("task cache already registered")
@@ -698,7 +730,7 @@ class TaskCache:
         if self.policy == "oneshot":
             for m in master_list:
                 proc = self.env.process(
-                    m.fill(self.warmup_fanout, self.admission_batch, "warmup"),
+                    m.fill("warmup", fanout),
                     name=f"prefetch:{m.client.name}",
                 )
                 self._prefetch_procs.append(proc)
@@ -1299,13 +1331,12 @@ class TaskCache:
 
         Chunk-granular recovery: survivors stream whole chunks from the
         object store, exploiting sequential bandwidth (Fig 11b).
-        ``fanout`` (default: this cache's ``warmup_fanout``) bounds each
-        survivor's pull concurrency; the survivors re-stream
-        concurrently, so recovery time scales with the *largest
+        The survivors re-stream concurrently, each as wide as its node
+        can receive (``fanout`` replaces that width for this one
+        recovery), so recovery time scales with the *largest
         partition*, not the orphaned total.  Returns the number of
         chunks re-loaded.
         """
-        limit = self.warmup_fanout if fanout is None else fanout
         dead = self.dead_masters()
         if not dead:
             return 0
@@ -1350,8 +1381,7 @@ class TaskCache:
         t0 = self.env.now if rec is not None else 0.0
         per_master = yield from fan_out(
             self.env,
-            [m.fill(limit, self.admission_batch, "recover")
-             for m in survivors],
+            [m.fill("recover", fanout) for m in survivors],
             len(survivors),
             name="recover",
         )
@@ -1430,14 +1460,12 @@ class TaskCache:
         if warm and moves:
             results = yield from fan_out(
                 self.env,
-                [self._warm_moves(nm, items) for nm, items in moves.items()],
+                [nm.pull_all(items, "scale_up") for nm, items in moves.items()],
                 len(moves),
                 name="scale_up",
             )
-            for r in results:
-                if r:
-                    warmed += r[0]
-                    peer_warmed += r[1]
+            warmed = sum(r[0] for r in results)
+            peer_warmed = sum(r[1] for r in results)
         self.peer_warmed_chunks += peer_warmed
         return {
             "new_masters": [m.client.name for m in new_masters],
@@ -1446,25 +1474,6 @@ class TaskCache:
             "peer_warmed": peer_warmed,
             "membership_version": self.membership_version,
         }
-
-    def _warm_moves(
-        self, master: CacheMaster, items: Sequence[Tuple[str, CacheMaster]]
-    ) -> Generator[Event, Any, Tuple[int, int]]:
-        """One new master warming its stolen share from its donors."""
-        warmed = peer_warmed = 0
-        for encoded_cid, donor in items:
-            if not master.node.alive:
-                break
-            try:
-                cached, from_peer = yield from master.pull(
-                    [encoded_cid], donor
-                )
-            except (NodeDownError, CachePeerDownError, DieselError):
-                continue
-            if cached:
-                warmed += 1
-                peer_warmed += bool(from_peer)
-        return warmed, peer_warmed
 
     def scale_down(
         self, nodes: Sequence[Any], drain: bool = True
@@ -1512,26 +1521,30 @@ class TaskCache:
         drained = peer_drained = lost = 0
         if plan:
             if drain:
+                # Ownership flips per chunk *after* that chunk's own
+                # copy lands (or is given up: the chunk goes
+                # server-resident), so reads in flight keep resolving
+                # against whichever master currently holds the chunk.
                 results = yield from fan_out(
                     self.env,
                     [
-                        self._drain_into(succ, items)
+                        succ.pull_all(
+                            items, "scale_down",
+                            landed=partial(self._rehome, succ),
+                        )
                         for succ, items in plan.items()
                     ],
                     len(plan),
                     name="scale_down",
                 )
-                for r in results:
-                    if r:
-                        drained += r[0]
-                        peer_drained += r[1]
-                        lost += r[2]
+                drained = sum(r[0] for r in results)
+                peer_drained = sum(r[1] for r in results)
+                lost = sum(map(len, plan.values())) - drained
             else:
                 # No drain: flip ownership only; chunks go server-resident.
                 for succ, items in plan.items():
                     for encoded_cid, _donor in items:
-                        self._owner_of[encoded_cid] = succ
-                        succ.assigned.append(encoded_cid)
+                        self._rehome(succ, encoded_cid)
         # Remove the departing masters and clients from the mesh.
         for m in departing:
             m.assigned = []
@@ -1558,29 +1571,7 @@ class TaskCache:
             "membership_version": self.membership_version,
         }
 
-    def _drain_into(
-        self, succ: CacheMaster, items: Sequence[Tuple[str, CacheMaster]]
-    ) -> Generator[Event, Any, Tuple[int, int, int]]:
-        """One successor draining chunks off a departing master.
-
-        Ownership flips per chunk *after* the copy lands, so reads in
-        flight keep resolving against whichever master currently holds
-        the chunk.
-        """
-        drained = peer_drained = lost = 0
-        for encoded_cid, donor in items:
-            cached, from_peer = False, False
-            try:
-                cached, from_peer = yield from succ.pull(
-                    [encoded_cid], donor
-                )
-            except (NodeDownError, CachePeerDownError, DieselError):
-                cached = False
-            self._owner_of[encoded_cid] = succ
-            succ.assigned.append(encoded_cid)
-            if cached:
-                drained += 1
-                peer_drained += bool(from_peer)
-            else:
-                lost += 1
-        return drained, peer_drained, lost
+    def _rehome(self, owner: CacheMaster, encoded_cid: str) -> None:
+        """Scale-down's ownership flip of one chunk to its successor."""
+        self._owner_of[encoded_cid] = owner
+        owner.assigned.append(encoded_cid)

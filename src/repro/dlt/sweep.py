@@ -75,8 +75,6 @@ def build_sweep_task(
     placement: str = "hash",
     group_size: int = 2,
     seed: int = 0,
-    admission_batch: int = 1,
-    warmup_fanout: int = 1,
 ) -> SweepTask:
     """Wire one sweep task: a TaskCache over ``clients`` plus readers.
 
@@ -98,8 +96,6 @@ def build_sweep_task(
         shared=shared,
         tenant=tenant,
         qos_class=qos_class,
-        admission_batch=admission_batch,
-        warmup_fanout=warmup_fanout,
         calibration=clients[0].cal,
     )
     for c in clients:

@@ -238,8 +238,8 @@ class RpcEndpoint:
         :meth:`call` (same handlers, same counters via ``stats.calls``),
         just admitted together; ``stats.batches`` counts the admissions.
 
-        Feeds the warmup/recovery chunk pulls (``admission_batch``) and
-        any fan-out that targets one endpoint with many small calls.
+        Feeds the cache masters' chunk pulls and any fan-out that
+        targets one endpoint with many small calls.
         """
         if not calls:
             return []

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from repro.bench.experiments import ALL_EXPERIMENTS
 from repro.core.config import DieselConfig
+from repro.core.dist_cache import TaskCache
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "CONFIG.md"
 
@@ -74,3 +75,15 @@ class TestConfigDocsSync:
                     f"default for {f.name} documented as {cell!r}, "
                     f"code says {f.default!r}"
                 )
+
+    def test_cache_arguments_name_real_parameters(self):
+        """Every ``name=`` the page gives ``TaskCache(...)`` is a
+        parameter of its constructor, and no optional one is left out."""
+        call = re.search(r"`TaskCache\(\.\.\.,([^)]*)\)`", doc_text()).group(1)
+        documented = set(re.findall(r"(\w+)=", call))
+        params = inspect.signature(TaskCache.__init__).parameters
+        optional = {
+            n for n, p in params.items()
+            if p.default is not inspect.Parameter.empty and n != "calibration"
+        }
+        assert documented == optional

@@ -1,18 +1,24 @@
 """Tests for scatter-gather parallel I/O: pipelined ingest, fan-out
 reads, concurrent warmup/recovery, and the stats plumbing behind them."""
 
+import inspect
+import random
+
 import pytest
 
+from repro.cluster.node import Node
 from repro.core import recovery
 from repro.core.chunk_builder import ChunkBuilder, ChunkPipeline
 from repro.core.client import ClientStats
 from repro.core.config import DieselConfig
 from repro.core.dist_cache import CacheClient, CacheMasterStats, TaskCache
 from repro.core.server import ServerStats
-from repro.errors import DieselError
+from repro.core.shared_cache import SharedCacheRegistry
+from repro.errors import SimulationError
 from repro.util.ids import ChunkIdGenerator
 
 from tests.core.conftest import build_deployment, small_files, write_dataset
+from tests.core.test_residency_invariants import check_invariants
 
 CHUNK = 16 * 1024
 
@@ -202,72 +208,171 @@ class TestReadFanout:
         assert sum(s.stats.chunk_reads for s in dep.servers) == len(touched)
 
 
-def setup_cache(warmup_fanout=1, n_nodes=3, n_files=24):
-    dep = build_deployment(n_client_nodes=n_nodes)
+def setup_cache(n_nodes=3, n_files=96, ram_chunks=None, tasks=1):
+    """Oneshot task caches over ``n_nodes`` worker nodes, not yet
+    registered.  ``ram_chunks`` caps each node's memory (in 8 KiB
+    chunks); ``tasks`` > 1 share one :class:`SharedCacheRegistry`."""
+    dep = build_deployment(n_client_nodes=1)  # the writer's node
     files = small_files(n_files, size=2048)
-    writer = write_dataset(dep, "ds", files, chunk_size=8 * 1024)
-    cache_clients = [
-        CacheClient(f"cc{i}", node, i)
-        for i, node in enumerate(dep.client_nodes)
+    write_dataset(dep, "ds", files, chunk_size=8 * 1024)
+    kw = {} if ram_chunks is None else {
+        "memory_bytes": ram_chunks * (8 * 1024 + 1024)}
+    nodes = [dep.fabric.add_node(Node(dep.env, f"w{i}", **kw))
+             for i in range(n_nodes)]
+    shared = SharedCacheRegistry(dep.env) if tasks > 1 else None
+    caches = [
+        TaskCache(
+            dep.env, dep.fabric, dep.server, "ds",
+            [CacheClient(f"t{t}c{i}", node, i) for i, node in enumerate(nodes)],
+            shared=shared,
+        )
+        for t in range(tasks)
     ]
-    cache = TaskCache(
-        dep.env, dep.fabric, dep.server, "ds", cache_clients,
-        policy="oneshot", warmup_fanout=warmup_fanout,
-    )
-    return dep, cache
+    return dep, nodes, caches
+
+
+def warm(dep, caches, fanout=None):
+    """Register every cache at once (the warm-ups race), wait for all."""
+    for c in caches:
+        dep.env.process(c.register(fanout=fanout))
+    dep.env.run()
+    return sum(dep.run(c.wait_warm()) for c in caches)
+
+
+def assert_nothing_left_held(dep, nodes, caches):
+    """No NIC channel, RPC worker slot or single-flight entry outlives
+    the pulls that took it — whatever died underneath them."""
+    dep.env.run()
+    for node in dep.fabric.nodes:
+        assert node.ingress._station.in_flight == 0, node.name
+        assert node.egress._station.in_flight == 0, node.name
+    assert dep.server.endpoint._pool.in_flight == 0
+    check_invariants(nodes, caches)
 
 
 class TestWarmupRecoveryFanout:
-    def test_warmup_fanout_validation(self):
-        dep = build_deployment()
-        c = CacheClient("x", dep.client_nodes[0], 0)
-        with pytest.raises(DieselError):
-            TaskCache(dep.env, dep.fabric, dep.server, "ds", [c],
-                      warmup_fanout=0)
+    def test_width_is_derived_not_configured(self):
+        params = list(inspect.signature(TaskCache.__init__).parameters)[1:]
+        assert len(params) == 12
+        assert not {"warmup_fanout", "admission_batch"} & set(params)
+        dep, nodes, (cache,) = setup_cache()
+        warm(dep, [cache])
+        for m in cache.masters.values():
+            assert len(m.assigned) > m.node.ingress.channels
+            assert m.stats.pull_inflight_hwm == m.node.ingress.channels > 1
+        with pytest.raises(SimulationError):
+            dep.run(cache.masters["w0"].pull_all([("x", None)], "t", width=0))
 
     def test_concurrent_warmup_same_chunks_faster(self):
-        warmed = {}
-        times = {}
-        for fanout in (1, 4):
-            dep, cache = setup_cache(warmup_fanout=fanout)
-            dep.run(cache.register())
+        warmed, times = {}, {}
+        for fanout in (1, 4, None):
+            dep, nodes, (cache,) = setup_cache()
+            dep.run(cache.register(fanout=fanout))
             t0 = dep.env.now
-            n = dep.run(cache.wait_warm())
+            warmed[fanout] = dep.run(cache.wait_warm())
             times[fanout] = dep.env.now - t0
-            warmed[fanout] = n
             hwm = max(m.stats.pull_inflight_hwm for m in cache.masters.values())
-            if fanout > 1:
-                assert hwm > 1
-            else:
-                assert hwm == 1
-        assert warmed[4] == warmed[1] == cache.cached_chunks() > 0
-        assert times[4] < times[1]
+            assert hwm == (fanout or nodes[0].ingress.channels)
+            assert warmed[fanout] == cache.cached_chunks() > 0
+        assert warmed[4] == warmed[1] == warmed[None]
+        assert times[None] <= times[4] < times[1]
 
     def test_concurrent_recovery_restores_coverage(self):
         times = {}
-        for fanout in (1, 4):
+        for fanout in (1, 4, None):
             # Several orphaned chunks per survivor: survivors always
-            # re-stream concurrently, the fan-out bounds each one's pulls.
-            dep, cache = setup_cache(warmup_fanout=fanout, n_files=96)
+            # re-stream concurrently, the width bounds each one's pulls.
+            dep, nodes, (cache,) = setup_cache()
             summary = dep.run(cache.register())
             dep.run(cache.wait_warm())
-            victim = cache.masters[sorted(cache.masters)[0]]
-            victim.node.kill()
-
-            def recover():
-                n = yield from cache.recover()
-                return n
-
+            nodes[0].kill()
             t0 = dep.env.now
-            reloaded = dep.run(recover())
+            assert dep.run(cache.recover(fanout=fanout)) > 0
             times[fanout] = dep.env.now - t0
-            assert reloaded > 0
             # Every chunk is owned by a live master again.
             for cid in summary["chunk_ids"]:
                 owner = cache.owner_of(cid)
                 assert owner.up
                 assert owner.has_chunk(cid)
-        assert times[4] < times[1]
+        assert times[None] <= times[4] < times[1]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pipelined_fill_matches_width_one(self, seed):
+        """The same chunks end up held on the same masters, each read
+        from the backend once, whatever the width — with two tasks
+        racing through one registry, and under a RAM budget that
+        refuses part of every partition."""
+        rng = random.Random(seed)
+        n_nodes, n_files = rng.choice([2, 3, 4]), rng.choice([48, 72, 96])
+        tasks = 1 + seed % 2
+        for ram_chunks in (None, n_files // 4 // n_nodes // 2):
+            outcome = {}
+            for fanout in (1, None):
+                dep, nodes, caches = setup_cache(
+                    n_nodes, n_files, ram_chunks, tasks)
+                reads = dep.server.stats.chunk_reads
+                loaded = warm(dep, caches, fanout)
+                reads = dep.server.stats.chunk_reads - reads
+                assert_nothing_left_held(dep, nodes, caches)
+                masters = [m for c in caches for m in c.masters.values()]
+                assert loaded == sum(len(m._held) for m in masters)
+                outcome[fanout] = (
+                    [(m.client.name, sorted(m._held)) for m in masters],
+                    [m.stats.skipped_no_memory for m in masters],
+                    reads,
+                )
+            assert outcome[1] == outcome[None]
+            held, skipped, reads = outcome[None]
+            n_chunks = len(caches[0]._owner_of)
+            if ram_chunks is None:
+                assert sum(skipped) == 0 and reads == n_chunks
+                assert all(len(h) for _, h in held)
+            else:
+                assert sum(skipped) > 0 and reads >= n_chunks
+
+    def test_node_killed_mid_warmup_leaks_nothing_and_recovers(self):
+        dep, nodes, (cache,) = setup_cache()
+        summary = dep.run(cache.register())
+        victim = cache.masters["w1"]
+        while victim.cached_chunk_count < 2:
+            dep.env.step()
+        assert victim.endpoint.up and dep.env.peek() < float("inf")
+        nodes[1].kill()
+        dep.run(cache.wait_warm())  # the dead master's fill just ends short
+        assert 2 <= victim.cached_chunk_count < len(victim.assigned)
+        assert_nothing_left_held(dep, nodes, [cache])
+        share = len(victim.assigned)
+        assert dep.run(cache.recover()) == share
+        assert_nothing_left_held(dep, nodes, [cache])
+        assert cache.cached_chunks() == len(summary["chunk_ids"])
+        assert all(cache.owner_of(c).up for c in summary["chunk_ids"])
+
+    def test_successor_killed_mid_drain_leaks_nothing_and_recovers(self):
+        dep, nodes, (cache,) = setup_cache(n_files=192)
+        summary = dep.run(cache.register())
+        dep.run(cache.wait_warm())
+        succ = cache.masters["w1"]
+        before = succ.cached_chunk_count
+        drain = dep.env.process(cache.scale_down([nodes[0]]))
+        while succ.cached_chunk_count < before + 2:
+            dep.env.step()
+        assert drain.is_alive
+        nodes[1].kill()
+        out = dep.run(_wait(drain))
+        assert out["lost_chunks"] > 0 and out["drained_chunks"] > 0
+        assert_nothing_left_held(dep, nodes, [cache])
+        # Ownership flipped even for the chunks the dead successor never
+        # got: recover re-homes its whole share onto the survivor.
+        assert sorted(cache.masters) == ["w1", "w2"]
+        assert dep.run(cache.recover()) > 0
+        assert_nothing_left_held(dep, nodes, [cache])
+        assert sorted(cache.masters) == ["w2"]
+        assert cache.cached_chunks() == len(summary["chunk_ids"])
+
+
+def _wait(proc):
+    value = yield proc
+    return value
 
 
 class TestRecoveryFanout:

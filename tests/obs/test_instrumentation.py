@@ -110,11 +110,11 @@ class TestWritePath:
 
 
 class TestCachePath:
-    def _cache(self, tb, clients, **kw):
+    def _cache(self, tb, clients):
         return TaskCache(
             tb.env, tb.fabric, tb.diesel, "obs",
             [c.as_cache_client() for c in clients],
-            policy="oneshot", calibration=tb.cal, **kw,
+            policy="oneshot", calibration=tb.cal,
         )
 
     def test_warmup_and_recover_spans(self):
@@ -125,9 +125,8 @@ class TestCachePath:
             )
             for c in range(2)
         ]
-        # warmup_fanout > 1 takes the fan-out recovery path, where each
-        # surviving master times its own re-stream.
-        cache = self._cache(tb, clients, warmup_fanout=2)
+        # Each surviving master times its own re-stream.
+        cache = self._cache(tb, clients)
         rec = SpanRecorder.attach(clients[0], cache)
         tb.run(cache.register())
         tb.run(cache.wait_warm())
