@@ -19,16 +19,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.bench.setups import (
-    add_diesel,
-    bulk_load_diesel,
-    diesel_client_with_snapshot,
-    make_testbed,
-)
+from repro.bench.setups import deploy, make_task, make_testbed, warm, warmed_task
 from repro.calibration import KB, MB
-from repro.core.client import DieselClient
-from repro.core.config import DieselConfig
-from repro.core.dist_cache import CacheClient, TaskCache
 from repro.dlt.sgd import SoftmaxClassifier, train_with_orders
 from repro.dlt.synthetic import SyntheticDataset
 
@@ -52,30 +44,13 @@ def test_chunk_size_ablation(benchmark):
         out = {}
         files = {f"/a/f{i:04d}": b"q" * (16 * KB) for i in range(2000)}
         for chunk_size in (64 * KB, 4 * MB):
-            tb = make_testbed(n_compute=2)
-            add_diesel(tb)
-            bulk_load_diesel(tb, "ds", files, chunk_size=chunk_size)
-            n_chunks = len(tb.store.list_keys())
-            clients = [
-                diesel_client_with_snapshot(
-                    tb, "ds", tb.compute_nodes[r % 2], f"c{r}", rank=r
-                )
-                for r in range(4)
-            ]
-            cache = TaskCache(
-                tb.env, tb.fabric, tb.diesel, "ds",
-                [c.as_cache_client() for c in clients],
-            )
-            t0 = tb.env.now
-            tb.run(cache.register())
-            tb.run(cache.wait_warm())
-            warm_s = tb.env.now - t0
+            tb = deploy(2, "ds", files, chunk_size)
+            task = make_task(tb, "ds", [tb.compute_nodes[r % 2] for r in range(4)])
+            warm_s = warm(tb, [task])
 
             tb.kv.lose_all()
-            t0 = tb.env.now
-            tb.run(recovery.rebuild_dataset(tb.diesel, "ds"))
-            rebuild_s = tb.env.now - t0
-            out[chunk_size] = (n_chunks, warm_s, rebuild_s)
+            rebuild_s = tb.timed([recovery.rebuild_dataset(tb.diesel, "ds")])
+            out[chunk_size] = (len(tb.chunks), warm_s, rebuild_s)
         return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -95,25 +70,17 @@ def test_request_executor_merge_ablation(benchmark):
     """Batched sort+merge reads vs per-file reads (§4 request executor)."""
 
     def run():
-        tb = make_testbed(n_compute=1)
-        add_diesel(tb)
         files = {f"/d/f{i:04d}": b"y" * 4096 for i in range(256)}
-        bulk_load_diesel(tb, "ds", files, chunk_size=4 * MB)
+        tb = deploy(1, "ds", files)
         node = tb.compute_nodes[0]
         paths = list(files)
 
-        def batched():
-            t0 = tb.env.now
-            yield from tb.diesel.call(node, "read_files", "ds", paths)
-            return tb.env.now - t0
-
         def individual():
-            t0 = tb.env.now
             for p in paths:
                 yield from tb.diesel.call(node, "get_file", "ds", p)
-            return tb.env.now - t0
 
-        return tb.run(batched()), tb.run(individual())
+        batched = tb.diesel.call(node, "read_files", "ds", paths)
+        return tb.timed([batched]), tb.timed([individual()])
 
     t_batched, t_individual = benchmark.pedantic(run, rounds=1, iterations=1)
     print(f"\n256-file batch: merged={t_batched * 1e3:.2f}ms, "
@@ -127,17 +94,13 @@ def test_master_election_connection_ablation(benchmark):
     """p×(n−1) with masters vs n×(n−1) full mesh (§4.2, Fig 7)."""
 
     def run():
-        tb = make_testbed(n_compute=8)
-        add_diesel(tb)
         files = {f"/c/f{i:03d}": b"z" * 2048 for i in range(64)}
-        bulk_load_diesel(tb, "ds", files, chunk_size=16 * KB)
-        clients = [
-            CacheClient(f"cc{r}", tb.compute_nodes[r % 8], r)
-            for r in range(8 * 8)  # 8 nodes x 8 I/O procs
-        ]
-        cache = TaskCache(tb.env, tb.fabric, tb.diesel, "ds", clients)
-        tb.run(cache.register())
-        return cache
+        tb = deploy(8, "ds", files, chunk_size=16 * KB)
+        task = make_task(  # 8 nodes x 8 I/O procs
+            tb, "ds", [tb.compute_nodes[r % 8] for r in range(8 * 8)], "cc"
+        )
+        warm(tb, [task], wait_warm=False)
+        return task.cache
 
     cache = benchmark.pedantic(run, rounds=1, iterations=1)
     p, n = 8, 64
@@ -219,23 +182,18 @@ def test_server_cache_tier_ablation(benchmark):
     def run():
         times = {}
         for cached in (False, True):
-            tb = make_testbed(n_compute=1)
-            add_diesel(tb, tiered=True)
-            tb.store.promote_on_miss = cached
             files = {f"/s/f{i:03d}": b"h" * (64 * KB) for i in range(64)}
-            bulk_load_diesel(tb, "ds", files, chunk_size=1 * MB)
+            tb = deploy(1, "ds", files, chunk_size=1 * MB, tiered=True)
+            tb.store.promote_on_miss = cached
             node = tb.compute_nodes[0]
 
             def epoch():
-                t0 = tb.env.now
                 for path in files:
                     yield from tb.diesel.call(node, "get_file", "ds", path)
-                return tb.env.now - t0
 
-            cold = tb.run(epoch())
+            cold_s = tb.timed([epoch()])
             tb.env.run()  # let the write-behind fills land
-            warm = tb.run(epoch())
-            times[cached] = (cold, warm)
+            times[cached] = (cold_s, tb.timed([epoch()]))
         return times
 
     times = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -260,7 +218,6 @@ def test_lustre_dne_ablation(benchmark):
     visit every stripe.  Both drawbacks the paper calls out emerge here.
     """
     from repro.baselines.lustre import LustreFS
-    from repro.bench.setups import make_testbed
     from repro.calibration import LustreProfile
     from repro.cluster.devices import Device
 
@@ -283,16 +240,8 @@ def test_lustre_dne_ablation(benchmark):
                 for i in range(N_FILES // N_WRITERS):
                     yield from fs.write_file(node, f"/hot/w{w}f{i}", b"x")
 
-            t0 = tb.env.now
-            tb.run_all(writer(w) for w in range(N_WRITERS))
-            create_rate = N_FILES / (tb.env.now - t0)
-
-            def timed_readdir(fs=fs, tb=tb):
-                t0 = tb.env.now
-                yield from fs.readdir(tb.compute_nodes[0], "/hot")
-                return tb.env.now - t0
-
-            readdir_s = tb.run(timed_readdir())
+            create_rate = N_FILES / tb.timed(writer(w) for w in range(N_WRITERS))
+            readdir_s = tb.timed([fs.readdir(tb.compute_nodes[0], "/hot")])
             out[dne] = (create_rate, readdir_s)
         return out
 
@@ -322,7 +271,6 @@ def test_failure_containment_vs_global_cache(benchmark):
 
     from repro.bench.setups import (
         add_lustre, add_memcached, bulk_load_lustre, bulk_load_memcached,
-        diesel_client_with_snapshot, make_testbed,
     )
 
     N_NODES, FILES, ITER_FILES, ITERS = 6, 600, 24, 30
@@ -336,19 +284,9 @@ def test_failure_containment_vs_global_cache(benchmark):
         out = {}
 
         # --- DIESEL task-grained cache ---
-        tb = make_testbed(n_compute=N_NODES)
-        add_diesel(tb)
-        bulk_load_diesel(tb, "ds", file_map, chunk_size=1 * MB)
-        clients = [
-            diesel_client_with_snapshot(tb, "ds", tb.compute_nodes[c],
-                                        f"c{c}", rank=c)
-            for c in range(N_NODES)
-        ]
-        cache = TaskCache(tb.env, tb.fabric, tb.diesel, "ds",
-                          [c.as_cache_client() for c in clients])
-        tb.run(cache.register())
-        tb.run(cache.wait_warm())
-        reader = clients[1]
+        tb = deploy(N_NODES, "ds", file_map, chunk_size=1 * MB)
+        task = warmed_task(tb, "ds", tb.compute_nodes)
+        cache, reader = task.cache, task.clients[1]
         index = reader.index
         rng = _random.Random(0)
         paths = list(file_map)

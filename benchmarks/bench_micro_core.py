@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.bench.setups import add_diesel, make_testbed
+from repro.bench.setups import deploy
 from repro.core.chunk import Chunk
 from repro.core.meta import FileRecord
 from repro.core.server import object_key
@@ -190,8 +190,7 @@ def test_kv_pscan(benchmark):
 def make_metadata_server(n_chunks=64, n_files=256, file_size=64):
     """A server holding ``n_chunks`` depth-3 chunks of ``n_files`` files
     (stored and ingested); returns ``(testbed, chunks)``."""
-    tb = make_testbed(n_compute=1)
-    add_diesel(tb)
+    tb = deploy(1)
     chunks = []
     for c in range(n_chunks):
         chunk = Chunk.build(GEN.next(), [
@@ -231,8 +230,7 @@ def test_kv_slots_for_a_chunk(benchmark):
     from repro.kvstore.sharded import NUM_SLOTS
     from repro.util.hashing import fnv1a_64, mix64
 
-    tb = make_testbed(n_compute=1)
-    add_diesel(tb)
+    tb = deploy(1)
     paths = [f"/late/d{i % 8}/f{i:05d}.bin" for i in range(256)]
 
     def slots():
@@ -267,9 +265,7 @@ def test_load_meta_delta_server_side(benchmark):
     node = tb.compute_nodes[0]
 
     def serve():
-        return tb.env.run(until=tb.env.process(
-            tb.diesel.call(node, "load_meta_delta", "bench", 0)
-        ))
+        return tb.run(tb.diesel.call(node, "load_meta_delta", "bench", 0))
 
     resp = benchmark(serve)
     assert resp["mode"] == "delta" and len(resp["entries"]) == 16
@@ -291,7 +287,7 @@ def test_delete_file(benchmark):
                 yield from tb.diesel.call(
                     node, "delete_file", "bench", next(victims))
 
-        tb.env.run(until=tb.env.process(proc()))
+        tb.run(proc())
 
     benchmark.pedantic(delete_batch, rounds=20, iterations=1)
     per_op = benchmark.stats["mean"] / 32

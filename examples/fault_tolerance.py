@@ -12,39 +12,23 @@ Three scenes:
 Run:  python examples/fault_tolerance.py
 """
 
-from repro.bench.setups import (
-    add_diesel,
-    bulk_load_diesel,
-    diesel_client_with_snapshot,
-    make_testbed,
-)
+from repro.bench.setups import bulk_load_diesel, deploy, warmed_task
 from repro.core import recovery
-from repro.core.dist_cache import TaskCache
 
 
 def main() -> None:
-    tb = make_testbed(n_compute=6)
-    add_diesel(tb)
-
     files_a = {f"/a/f{i:03d}": bytes([i % 251]) * 4096 for i in range(120)}
     files_b = {f"/b/f{i:03d}": bytes([(i * 7) % 251]) * 4096 for i in range(120)}
-    bulk_load_diesel(tb, "task-a", files_a, chunk_size=64 * 1024)
+    tb = deploy(6, "task-a", files_a, chunk_size=64 * 1024)
     bulk_load_diesel(tb, "task-b", files_b, chunk_size=64 * 1024)
 
     # Task A on nodes 0-2, task B on nodes 3-5; 2 clients per node.
     def build_task(dataset, nodes, prefix):
-        clients = [
-            diesel_client_with_snapshot(tb, dataset, tb.compute_nodes[n],
-                                        f"{prefix}{r}", rank=r)
-            for r, n in enumerate(n for n in nodes for _ in range(2))
-        ]
-        cache = TaskCache(
-            tb.env, tb.fabric, tb.diesel, dataset,
-            [c.as_cache_client() for c in clients], policy="oneshot",
+        task = warmed_task(
+            tb, dataset,
+            [tb.compute_nodes[n] for n in nodes for _ in range(2)], prefix,
         )
-        tb.run(cache.register())
-        tb.run(cache.wait_warm())
-        return clients, cache
+        return task.clients, task.cache
 
     clients_a, cache_a = build_task("task-a", (0, 1, 2), "a")
     clients_b, cache_b = build_task("task-b", (3, 4, 5), "b")

@@ -17,12 +17,7 @@ import random
 
 import numpy as np
 
-from repro.bench.setups import (
-    add_diesel,
-    bulk_load_diesel,
-    diesel_client_with_snapshot,
-    make_testbed,
-)
+from repro.bench.setups import deploy, diesel_client_with_snapshot
 from repro.core.shuffle import chunk_adjacency
 from repro.dlt.sgd import SoftmaxClassifier, top_k_accuracy
 from repro.dlt.synthetic import SyntheticDataset, decode_sample
@@ -35,9 +30,7 @@ def main() -> None:
     train, test = data.split(test_fraction=0.25, seed=3)
     files = train.as_files(prefix="/synth")
 
-    tb = make_testbed(n_compute=1)
-    add_diesel(tb)
-    bulk_load_diesel(tb, "synth", files, chunk_size=8 * 1024)
+    tb = deploy(1, "synth", files, chunk_size=8 * 1024)
     client = diesel_client_with_snapshot(tb, "synth", tb.compute_nodes[0],
                                          "trainer")
     n_chunks = len(client.index.chunk_ids())

@@ -8,24 +8,19 @@ NVMe-backed object store.
 Run:  python examples/quickstart.py
 """
 
-from repro.bench.setups import add_diesel, make_testbed
-from repro.core.client import DieselClient, SyncDieselClient
+from repro.bench.setups import deploy, diesel_client
+from repro.core.client import SyncDieselClient
 from repro.core.config import DieselConfig
 
 
 def main() -> None:
     # 1. Build a small simulated cluster and deploy DIESEL on it.
-    tb = make_testbed(n_compute=2, n_storage=2)
-    add_diesel(tb, n_servers=1)
+    tb = deploy(n_compute=2, n_storage=2, n_servers=1)
 
     # 2. DL_connect: a client context bound to the 'demo' dataset.
     client = SyncDieselClient(
-        DieselClient(
-            tb.env,
-            tb.compute_nodes[0],
-            tb.diesel_servers,
-            dataset="demo",
-            name="quickstart",
+        diesel_client(
+            tb, "demo", tb.compute_nodes[0], "quickstart",
             config=DieselConfig(chunk_size=64 * 1024),  # small for the demo
         )
     )

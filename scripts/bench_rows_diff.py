@@ -8,8 +8,9 @@ change from run to run.  This compares only the former, so a refactor
 can show it left every counter where it was.
 
 Exit status: 0 when every compared file agrees, 1 otherwise (each
-differing key is printed as ``name rows[i].key: A -> B``), 2 when a
-file is missing.
+differing key is printed as ``name rows[i].key: A -> B``; two files
+whose top-level key sets differ — one schema for every BENCH file —
+count as differing), 2 when a file is missing.
 
 Usage::
 
@@ -69,6 +70,8 @@ def main(argv: list[str]) -> int:
         lines = diff_rows(a["rows"], b["rows"]) + diff_notes(
             a.get("notes", []), b.get("notes", [])
         )
+        if set(a) != set(b):
+            lines.append(f"schema: keys {sorted(a)} -> {sorted(b)}")
         for line in lines:
             print(f"{name} {line}")
         if lines:

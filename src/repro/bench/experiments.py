@@ -9,34 +9,41 @@ Every function returns an :class:`~repro.bench.harness.ExperimentResult`.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.baselines.localfs import LocalXfs
 from repro.bench.harness import ExperimentResult, timer
+from repro.bench.reporting import add_relative, ratio, stats_row
 from repro.bench.setups import (
-    Testbed,
-    add_diesel,
     add_lustre,
     add_memcached,
-    bulk_load_diesel,
     bulk_load_lustre,
     bulk_load_memcached,
+    deploy,
+    diesel_client,
     diesel_client_with_snapshot,
+    make_task,
     make_testbed,
+    warm,
+    warmed_task,
 )
 from repro.calibration import DEFAULT, KB, MB, MODEL_ZOO
 from repro.core.config import DieselConfig
-from repro.core.dist_cache import CacheClient, TaskCache
+from repro.core.dist_cache import CacheClient
 from repro.core.fuse import FuseMount
+from repro.core.shared_cache import SharedCacheRegistry
 from repro.core.shuffle import chunk_adjacency, chunkwise_shuffle, full_shuffle
 from repro.cluster.devices import Device
 from repro.cluster.node import Node
+from repro.dlt.dataloader import EpochScheduler, SimDataLoader
 from repro.dlt.readers import FuseReader, LustreReader
 from repro.dlt.sgd import SoftmaxClassifier, train_with_orders
 from repro.dlt.synthetic import SyntheticDataset
 from repro.dlt.trainer import run_training
+from repro.errors import ReproError
+from repro.obs import SpanRecorder
 from repro.sim import Environment
 from repro.workloads.filegen import generate_file
 
@@ -150,15 +157,11 @@ def fig9_write_throughput(
             payload = b"\xab" * size
 
             # --- DIESEL ---
-            from repro.core.client import DieselClient
-
-            tb = make_testbed(n_compute=n_client_nodes)
-            add_diesel(tb)
+            tb = deploy(n_client_nodes)
             clients = [
-                DieselClient(
-                    tb.env, tb.compute_nodes[p % n_client_nodes],
-                    tb.diesel_servers, "writeset", name=f"w{p}", rank=p,
-                    calibration=tb.cal,
+                diesel_client(
+                    tb, "writeset", tb.compute_nodes[p % n_client_nodes],
+                    f"w{p}", rank=p,
                 )
                 for p in range(n_client_nodes * procs_per_node)
             ]
@@ -168,11 +171,9 @@ def fig9_write_throughput(
                     yield from client.put(path, payload)
                 yield from client.flush()
 
-            t0 = tb.env.now
-            tb.run_all(
+            rates["diesel"] = total_files / tb.timed(
                 diesel_writer(c, p) for p, c in enumerate(clients)
             )
-            rates["diesel"] = total_files / (tb.env.now - t0)
 
             # --- Memcached ---
             tb = make_testbed(n_compute=n_client_nodes + 10)
@@ -183,12 +184,10 @@ def fig9_write_throughput(
                 for path in paths_for(proc_id):
                     yield from mc.set(node, path, payload)
 
-            t0 = tb.env.now
-            tb.run_all(
+            rates["memcached"] = total_files / tb.timed(
                 mc_writer(writer_nodes[p % n_client_nodes], p)
                 for p in range(n_client_nodes * procs_per_node)
             )
-            rates["memcached"] = total_files / (tb.env.now - t0)
 
             # --- Lustre ---
             tb = make_testbed(n_compute=n_client_nodes)
@@ -198,12 +197,10 @@ def fig9_write_throughput(
                 for path in paths_for(proc_id):
                     yield from fs.write_file(node, path, payload)
 
-            t0 = tb.env.now
-            tb.run_all(
+            rates["lustre"] = total_files / tb.timed(
                 lustre_writer(tb.compute_nodes[p % n_client_nodes], p)
                 for p in range(n_client_nodes * procs_per_node)
             )
-            rates["lustre"] = total_files / (tb.env.now - t0)
 
             result.add(
                 file_size=size,
@@ -240,10 +237,10 @@ def fig10a_metadata_scaling(
     with timer(result):
         for n_servers in server_counts:
             for n_nodes in node_counts:
-                tb = make_testbed(n_compute=n_nodes)
-                add_diesel(tb, n_servers=n_servers)
                 files = {f"/m/f{i:04d}": b"x" * 64 for i in range(256)}
-                bulk_load_diesel(tb, "meta", files, chunk_size=64 * 1024)
+                tb = deploy(
+                    n_nodes, "meta", files, chunk_size=64 * KB, n_servers=n_servers
+                )
                 paths = list(files)
                 servers = tb.diesel_servers
 
@@ -257,15 +254,12 @@ def fig10a_metadata_scaling(
                         yield tb.env.timeout(think)
 
                 total = n_nodes * threads_per_node * queries_per_thread
-                t0 = tb.env.now
-                tb.run_all(
+                elapsed = tb.timed(
                     client(tb.compute_nodes[t % n_nodes], t)
                     for t in range(n_nodes * threads_per_node)
                 )
                 result.add(
-                    servers=n_servers,
-                    client_nodes=n_nodes,
-                    qps=total / (tb.env.now - t0),
+                    servers=n_servers, client_nodes=n_nodes, qps=total / elapsed,
                 )
         result.note("paper: 1 server flattens ~2 nodes, 3 ~7 nodes, "
                     "5 approach the 0.97M QPS Redis cap")
@@ -344,12 +338,10 @@ def fig10c_ls_elapsed(
         node = tb.compute_nodes[0]
 
         def lustre_ls(with_sizes):
-            t0 = tb.env.now
-            yield from fs.ls_recursive(node, "/imagenet", with_sizes=with_sizes)
-            return tb.env.now - t0
+            return fs.ls_recursive(node, "/imagenet", with_sizes=with_sizes)
 
-        lustre_plain = tb.run(lustre_ls(False)) * scale
-        lustre_sizes = tb.run(lustre_ls(True)) * scale
+        lustre_plain = tb.timed([lustre_ls(False)]) * scale
+        lustre_sizes = tb.timed([lustre_ls(True)]) * scale
 
         # --- XFS ---
         env = Environment()
@@ -368,21 +360,17 @@ def fig10c_ls_elapsed(
         xfs_sizes = env.run(until=proc) * scale
 
         # --- DIESEL-FUSE (snapshot loaded) ---
-        tb = make_testbed(n_compute=1)
-        add_diesel(tb)
-        bulk_load_diesel(tb, "imagenet", tree_files())
+        tb = deploy(1, "imagenet", tree_files())
         client = diesel_client_with_snapshot(
             tb, "imagenet", tb.compute_nodes[0], "lsclient"
         )
         fuse = FuseMount([client], tb.cal)
 
         def fuse_ls(with_sizes):
-            t0 = tb.env.now
-            yield from fuse.ls_recursive("/imagenet", with_sizes=with_sizes)
-            return tb.env.now - t0
+            return fuse.ls_recursive("/imagenet", with_sizes=with_sizes)
 
-        fuse_plain = tb.run(fuse_ls(False)) * scale
-        fuse_sizes = tb.run(fuse_ls(True)) * scale
+        fuse_plain = tb.timed([fuse_ls(False)]) * scale
+        fuse_sizes = tb.timed([fuse_ls(True)]) * scale
 
         for system, plain, sizes in (
             ("lustre", lustre_plain, lustre_sizes),
@@ -442,7 +430,7 @@ def fig6_cache_degradation(
             node = client_nodes[cid % len(client_nodes)]
             rng = random.Random(cid)
             for it in range(iterations):
-                t0 = tb.env.now
+                t0 = tb.env.now  # one client's iteration, inside its loop
                 hits = 0
                 for _ in range(files_per_iteration):
                     path = rng.choice(paths)
@@ -523,24 +511,11 @@ def fig11a_read_scaling(
 
             # --- DIESEL (API and FUSE share one warmed deployment) ---
             for flavor in ("api", "fuse"):
-                tb = make_testbed(n_compute=n_nodes)
-                add_diesel(tb)
-                bulk_load_diesel(tb, "ds", files, chunk_size=4 * MB)
-                clients = [
-                    diesel_client_with_snapshot(
-                        tb, "ds", tb.compute_nodes[c % n_nodes], f"c{c}", rank=c
-                    )
-                    for c in range(n_clients)
-                ]
-                cache = TaskCache(
-                    tb.env, tb.fabric, tb.diesel, "ds",
-                    [c.as_cache_client() for c in clients],
-                    policy="oneshot", calibration=tb.cal,
-                )
-                tb.run(cache.register())
-                tb.run(cache.wait_warm())
-                for c in clients:
-                    c.attach_cache(cache)
+                tb = deploy(n_nodes, "ds", files)
+                clients = warmed_task(
+                    tb, "ds",
+                    [tb.compute_nodes[c % n_nodes] for c in range(n_clients)],
+                ).clients
                 mounts = (
                     [FuseMount([c], tb.cal) for c in clients]
                     if flavor == "fuse" else None
@@ -555,9 +530,9 @@ def fig11a_read_scaling(
                         else:
                             yield from mounts[cid].read_file(path)
 
-                t0 = tb.env.now
-                tb.run_all(reader(c) for c in range(n_clients))
-                qps[f"diesel-{flavor}"] = total_reads / (tb.env.now - t0)
+                qps[f"diesel-{flavor}"] = total_reads / tb.timed(
+                    reader(c) for c in range(n_clients)
+                )
 
             # --- Memcached ---
             tb = make_testbed(n_compute=10 + n_nodes)
@@ -571,9 +546,9 @@ def fig11a_read_scaling(
                 for _ in range(reads_per_client):
                     yield from mc.get(node, rng.choice(paths))
 
-            t0 = tb.env.now
-            tb.run_all(mc_reader(c) for c in range(n_clients))
-            qps["memcached"] = total_reads / (tb.env.now - t0)
+            qps["memcached"] = total_reads / tb.timed(
+                mc_reader(c) for c in range(n_clients)
+            )
 
             # --- Lustre ---
             tb = make_testbed(n_compute=n_nodes)
@@ -586,9 +561,9 @@ def fig11a_read_scaling(
                 for _ in range(reads_per_client):
                     yield from fs.read_file(node, rng.choice(paths))
 
-            t0 = tb.env.now
-            tb.run_all(lustre_reader(c) for c in range(n_clients))
-            qps["lustre"] = total_reads / (tb.env.now - t0)
+            qps["lustre"] = total_reads / tb.timed(
+                lustre_reader(c) for c in range(n_clients)
+            )
 
             result.add(
                 client_nodes=n_nodes,
@@ -634,21 +609,10 @@ def fig11b_cache_recovery(
     paths = list(payload_files)
     with timer(result):
         # --- DIESEL: 0% -> 100% via background chunk prefetch ---
-        tb = make_testbed(n_compute=n_nodes)
-        add_diesel(tb)
-        bulk_load_diesel(tb, "ds", payload_files, chunk_size=4 * MB)
-        clients = [
-            diesel_client_with_snapshot(
-                tb, "ds", tb.compute_nodes[c % n_nodes], f"c{c}", rank=c
-            )
-            for c in range(n_nodes)
-        ]
-        cache = TaskCache(
-            tb.env, tb.fabric, tb.diesel, "ds",
-            [c.as_cache_client() for c in clients],
-            policy="oneshot", calibration=tb.cal,
-        )
-        tb.run(cache.register())  # prefetch begins in the background
+        tb = deploy(n_nodes, "ds", payload_files)
+        task = make_task(tb, "ds", tb.compute_nodes)
+        cache = task.cache
+        warm(tb, [task], wait_warm=False)  # prefetch begins in the background
         warm_done: Dict[str, float] = {}
 
         def warm_waiter():
@@ -657,27 +621,26 @@ def fig11b_cache_recovery(
 
         tb.env.process(warm_waiter())
 
+        def timed_batch(tb, rng, read_one):
+            # Per-batch latency inside one long-running reader: the loop
+            # being timed is a slice of a process, not a run to completion.
+            t0 = tb.env.now
+            for _ in range(batch_size):
+                yield from read_one(rng.choice(paths))
+            return tb.env.now, tb.env.now - t0
+
         def diesel_reader():
             rng = random.Random(0)
             records = []
-            index = clients[0].index
-            while cache.cached_chunks() < len(index.chunk_ids()):
-                t0 = tb.env.now
-                for _ in range(batch_size):
-                    rec = index.lookup(rng.choice(paths))
-                    yield from cache.read_file(
-                        clients[0].as_cache_client(), rec
-                    )
-                records.append((tb.env.now, tb.env.now - t0))
+
+            def read_one(path):
+                return task.read(0, [path])
+
+            while cache.cached_chunks() < len(task.index.chunk_ids()):
+                records.append((yield from timed_batch(tb, rng, read_one)))
             # A few steady-state batches after full warm-up.
             for _ in range(5):
-                t0 = tb.env.now
-                for _ in range(batch_size):
-                    rec = index.lookup(rng.choice(paths))
-                    yield from cache.read_file(
-                        clients[0].as_cache_client(), rec
-                    )
-                records.append((tb.env.now, tb.env.now - t0))
+                records.append((yield from timed_batch(tb, rng, read_one)))
             return records
 
         records = tb.run(diesel_reader())
@@ -691,24 +654,26 @@ def fig11b_cache_recovery(
         mc = add_memcached(tb, n_servers=10)
         fs = add_lustre(tb)
         bulk_load_lustre(tb, payload_files)
-        warm = dict(list(payload_files.items())[: int(n_files * memcached_start_hit)])
-        bulk_load_memcached(tb, warm)
+        resident = dict(
+            list(payload_files.items())[: int(n_files * memcached_start_hit)]
+        )
+        bulk_load_memcached(tb, resident)
         node = tb.compute_nodes[10]
 
         def mc_reader():
             rng = random.Random(0)
             records = []
-            missing = set(paths) - set(warm)
+            missing = set(paths) - set(resident)
+
+            def read_one(path):
+                value = yield from mc.get(node, path)
+                if value is None:
+                    data = yield from fs.read_file(node, path)
+                    yield from mc.set(node, path, data)
+                    missing.discard(path)
+
             while missing:
-                t0 = tb.env.now
-                for _ in range(batch_size):
-                    path = rng.choice(paths)
-                    value = yield from mc.get(node, path)
-                    if value is None:
-                        data = yield from fs.read_file(node, path)
-                        yield from mc.set(node, path, data)
-                        missing.discard(path)
-                records.append((tb.env.now, tb.env.now - t0))
+                records.append((yield from timed_batch(tb, rng, read_one)))
             return records
 
         mc_records = tb.run(mc_reader())
@@ -762,9 +727,7 @@ def fig12_shuffle_bandwidth(
             rates: Dict[str, float] = {}
 
             for flavor in ("api", "fuse"):
-                tb = make_testbed(n_compute=n_nodes)
-                add_diesel(tb)
-                bulk_load_diesel(tb, "ds", files, chunk_size=4 * MB)
+                tb = deploy(n_nodes, "ds", files)
                 node_clients = [
                     diesel_client_with_snapshot(
                         tb, "ds", tb.compute_nodes[n], f"mount{n}", rank=n
@@ -789,13 +752,11 @@ def fig12_shuffle_bandwidth(
                         else:
                             yield from mounts[node_idx].read_file(path)
 
-                t0 = tb.env.now
-                tb.run_all(
+                rates[f"diesel-{flavor}"] = total_bytes / tb.timed(
                     reader(n, t)
                     for n in range(n_nodes)
                     for t in range(threads_per_node)
                 )
-                rates[f"diesel-{flavor}"] = total_bytes / (tb.env.now - t0)
 
             # --- Lustre, fully shuffled order ---
             tb = make_testbed(n_compute=n_nodes)
@@ -809,9 +770,9 @@ def fig12_shuffle_bandwidth(
                 for path in order[lo : lo + files_per_thread]:
                     yield from fs.read_file(node, path)
 
-            t0 = tb.env.now
-            tb.run_all(lustre_reader(t) for t in range(n_threads))
-            rates["lustre"] = total_bytes / (tb.env.now - t0)
+            rates["lustre"] = total_bytes / tb.timed(
+                lustre_reader(t) for t in range(n_threads)
+            )
 
             result.add(
                 file_size=size,
@@ -970,9 +931,7 @@ def _training_comparison(
         )
 
         # --- DIESEL-FUSE, chunk-wise shuffle ---
-        tb = make_testbed(n_compute=n_nodes)
-        add_diesel(tb)
-        bulk_load_diesel(tb, "im", files, chunk_size=4 * MB)
+        tb = deploy(n_nodes, "im", files)
         client = diesel_client_with_snapshot(
             tb, "im", tb.compute_nodes[0], "trainer",
             config=DieselConfig(shuffle_group_size=group_size),
@@ -1097,16 +1056,12 @@ def prefetch_pipeline(
     while the pipeline and demand fetches race, so ``duplicate_reads``
     should be 0 at every depth.
     """
-    from repro.dlt.dataloader import SimDataLoader
-
     result = ExperimentResult("prefetch pipeline stall", "§4.3 / Fig 14")
     payload = b"\x22" * file_size
     files = {f"/im/f{i:06d}.jpg": payload for i in range(n_files)}
     with timer(result):
         for depth in depths:
-            tb = make_testbed(n_compute=2)
-            add_diesel(tb)
-            chunks = bulk_load_diesel(tb, "im", files, chunk_size=4 * MB)
+            tb = deploy(2, "im", files)
             client = diesel_client_with_snapshot(
                 tb, "im", tb.compute_nodes[0], "trainer",
                 config=DieselConfig(
@@ -1144,7 +1099,7 @@ def prefetch_pipeline(
                 # Cold epoch needs exactly one transfer per chunk; any
                 # excess is a duplicate the single-flight map should
                 # have prevented.
-                duplicate_reads=first_epoch_reads - len(chunks),
+                duplicate_reads=first_epoch_reads - len(tb.chunks),
                 prefetch_hits=client.stats.prefetch_hits,
                 prefetch_misses=client.stats.prefetch_misses,
                 prefetch_wasted=client.stats.prefetch_wasted,
@@ -1180,9 +1135,7 @@ def ingest_pipeline(
     otherwise — and ``server_ingests`` proves every chunk still arrives
     exactly once.
     """
-    from repro.bench.reporting import ratio, stats_row
     from repro.core.chunk_builder import ChunkBuilder, ChunkPipeline
-    from repro.core.client import DieselClient
     from repro.util.ids import sim_id_generator
 
     result = ExperimentResult("pipelined chunk ingest", "§4.1.1 / Fig 9")
@@ -1193,15 +1146,12 @@ def ingest_pipeline(
     ]
 
     def fresh_client(depth: int):
-        tb = make_testbed(n_compute=1)
-        add_diesel(tb, n_servers=n_servers)
-        client = DieselClient(
-            tb.env, tb.compute_nodes[0], tb.diesel_servers, "ing",
-            name="ingester",
+        tb = deploy(1, n_servers=n_servers)
+        client = diesel_client(
+            tb, "ing", tb.compute_nodes[0], "ingester",
             config=DieselConfig(
                 chunk_size=chunk_size, ingest_pipeline_depth=depth
             ),
-            calibration=tb.cal,
         )
         return tb, client
 
@@ -1228,9 +1178,7 @@ def ingest_pipeline(
                     yield from pipe.submit(chunk)
                 yield from pipe.drain()
 
-            t0 = tb.env.now
-            tb.run(ship())
-            ship_s = tb.env.now - t0
+            ship_s = tb.timed([ship()])
             ship_hwm = max(1, client.stats.ingest_inflight_hwm)
             server_ingests = sum(
                 s.stats.ingests for s in tb.diesel_servers
@@ -1238,24 +1186,25 @@ def ingest_pipeline(
 
             # --- put phase: end-to-end DL_put/DL_flush pipeline ---
             tb, client = fresh_client(depth)
-            t0 = tb.env.now
-            shipped = tb.run(client.put_many(items))
-            put_s = tb.env.now - t0
+            put = {}
+
+            def put_all():
+                put["chunks"] = yield from client.put_many(items)
+
             result.add(
                 depth=depth,
                 ship_s=ship_s,
                 ship_hwm=ship_hwm,
-                put_s=put_s,
+                put_s=tb.timed([put_all()]),
                 put_hwm=max(1, client.stats.ingest_inflight_hwm),
-                chunks_shipped=shipped,
+                chunks_shipped=put["chunks"],
                 server_ingests=server_ingests,
                 **stats_row(client.stats, ["puts", "chunks_sent"]),
             )
-        base = result.one(depth=depths[0])
-        for depth in depths:
-            row = result.one(depth=depth)
-            row["ship_speedup"] = ratio(base["ship_s"], row["ship_s"])
-            row["put_speedup"] = ratio(base["put_s"], row["put_s"])
+        add_relative(
+            result, result.one(depth=depths[0]),
+            {"ship_speedup": "ship_s", "put_speedup": "put_s"}, speedup=True,
+        )
         best = result.rows[-1]
         result.note(
             f"depth {best['depth']}: ship {best['ship_speedup']:.2f}x, "
@@ -1290,7 +1239,6 @@ def fanout_scatter_gather(
     ``duplicate_reads`` must stay 0 (single-flight preserved under
     concurrency).
     """
-    from repro.bench.reporting import ratio, stats_row
 
     result = ExperimentResult(
         "scatter-gather fan-out", "§4.2 / Fig 11b"
@@ -1303,24 +1251,10 @@ def fanout_scatter_gather(
     with timer(result):
         for f in fanouts:
             # --- oneshot warmup across masters ---
-            tb = make_testbed(n_compute=n_nodes)
-            add_diesel(tb)
-            bulk_load_diesel(tb, "sg", payload_files, chunk_size=4 * MB)
-            clients = [
-                diesel_client_with_snapshot(
-                    tb, "sg", tb.compute_nodes[c], f"c{c}", rank=c
-                )
-                for c in range(n_nodes)
-            ]
-            cache = TaskCache(
-                tb.env, tb.fabric, tb.diesel, "sg",
-                [c.as_cache_client() for c in clients],
-                policy="oneshot", calibration=tb.cal,
-            )
-            tb.run(cache.register(fanout=f))
-            t0 = tb.env.now
-            tb.run(cache.wait_warm())
-            warm_s = tb.env.now - t0
+            tb = deploy(n_nodes, "sg", payload_files)
+            cache = make_task(tb, "sg", tb.compute_nodes).cache
+            tb.run(cache.register(fanout=f))  # this sweep pins the width
+            warm_s = tb.timed([cache.wait_warm()])
             pull_hwm = max(
                 max(1, m.stats.pull_inflight_hwm)
                 for m in cache.masters.values()
@@ -1329,30 +1263,31 @@ def fanout_scatter_gather(
             # --- recovery: kill one master, survivors re-stream ---
             victim = cache.masters[sorted(cache.masters)[0]]
             victim.node.kill()
-            t0 = tb.env.now
-            reloaded = tb.run(cache.recover(fanout=f))
-            recover_s = tb.env.now - t0
+            reloaded = {}
+
+            def recover():
+                reloaded["chunks"] = yield from cache.recover(fanout=f)
+
+            recover_s = tb.timed([recover()])
 
             # --- cold batched read through get_many ---
-            tb = make_testbed(n_compute=1)
-            add_diesel(tb, n_servers=2)
-            chunks = bulk_load_diesel(
-                tb, "sg", payload_files, chunk_size=4 * MB
-            )
+            tb = deploy(1, "sg", payload_files, n_servers=2)
             reader = diesel_client_with_snapshot(
                 tb, "sg", tb.compute_nodes[0], "reader",
                 config=DieselConfig(
-                    shuffle_group_size=len(chunks), read_fanout=f
+                    shuffle_group_size=len(tb.chunks), read_fanout=f
                 ),
             )
             reader.enable_shuffle()
             touched = {
                 reader.index.lookup(p).chunk_id for p in batch_paths
             }
-            t0 = tb.env.now
-            got = tb.run(reader.get_many(batch_paths))
-            read_s = tb.env.now - t0
-            assert len(got) == len(batch_paths)
+
+            def cold_read():
+                got = yield from reader.get_many(batch_paths)
+                assert len(got) == len(batch_paths)
+
+            read_s = tb.timed([cold_read()])
             chunk_reads = sum(
                 s.stats.chunk_reads for s in tb.diesel_servers
             )
@@ -1361,7 +1296,7 @@ def fanout_scatter_gather(
                 warm_s=warm_s,
                 pull_hwm=pull_hwm,
                 recover_s=recover_s,
-                chunks_reloaded=reloaded,
+                chunks_reloaded=reloaded["chunks"],
                 read_s=read_s,
                 fetch_hwm=max(1, reader.stats.fetch_inflight_hwm),
                 duplicate_reads=chunk_reads - len(touched),
@@ -1370,14 +1305,12 @@ def fanout_scatter_gather(
                     prefix="rd_",
                 ),
             )
-        base = result.one(fanout=fanouts[0])
-        for f in fanouts:
-            row = result.one(fanout=f)
-            row["warm_speedup"] = ratio(base["warm_s"], row["warm_s"])
-            row["recover_speedup"] = ratio(
-                base["recover_s"], row["recover_s"]
-            )
-            row["read_speedup"] = ratio(base["read_s"], row["read_s"])
+        add_relative(
+            result, result.one(fanout=fanouts[0]),
+            {"warm_speedup": "warm_s", "recover_speedup": "recover_s",
+             "read_speedup": "read_s"},
+            speedup=True,
+        )
         best = result.rows[-1]
         result.note(
             f"fanout {best['fanout']}: warmup {best['warm_speedup']:.2f}x, "
@@ -1415,8 +1348,6 @@ def latency_breakdown(
     experiment uses.  docs/OBSERVABILITY.md walks through reading the
     output.
     """
-    from repro.bench.reporting import stats_row
-    from repro.obs import SpanRecorder
 
     result = ExperimentResult(
         "per-layer read latency", "§4 / Fig 4 read chain"
@@ -1425,9 +1356,7 @@ def latency_breakdown(
         f"/lat/f{i:05d}.jpg": b"\x55" * file_size for i in range(n_files)
     }
     with timer(result):
-        tb = make_testbed(n_compute=1)
-        add_diesel(tb, n_servers=2)
-        bulk_load_diesel(tb, "lat", files, chunk_size=4 * MB)
+        tb = deploy(1, "lat", files, n_servers=2)
         reader = diesel_client_with_snapshot(
             tb, "lat", tb.compute_nodes[0], "reader",
             config=DieselConfig(
@@ -1452,12 +1381,9 @@ def latency_breakdown(
             stride = max(1, len(plan.files) // batch)
             sample = plan.files[::stride][:batch]
             got = yield from reader.get_many(sample)
-            return len(got)
+            assert len(got) == batch
 
-        t0 = tb.env.now
-        batched = tb.run(job())
-        elapsed = tb.env.now - t0
-        assert batched == batch
+        elapsed = tb.timed([job()])
         layer_keys = [
             k for k in recorder.to_dict()
             if k.startswith(("read_", "get_", "prefetch_"))
@@ -1523,7 +1449,6 @@ def fig_faults(
     from repro.ft import (
         CacheSupervisor, FailureDetector, KVSupervisor, RetryPolicy,
     )
-    from repro.obs import SpanRecorder
 
     result = ExperimentResult(
         "self-healing fault tolerance", "§4.1.2 failure scenarios"
@@ -1533,22 +1458,9 @@ def fig_faults(
     }
     paths = list(files)
     with timer(result):
-        tb = make_testbed(n_compute=n_nodes)
-        add_diesel(tb, n_servers=1, n_kv=8)
-        bulk_load_diesel(tb, "ds", files, chunk_size=chunk_size)
-        clients = [
-            diesel_client_with_snapshot(
-                tb, "ds", tb.compute_nodes[c], f"c{c}", rank=c
-            )
-            for c in range(n_nodes)
-        ]
-        cache = TaskCache(
-            tb.env, tb.fabric, tb.diesel, "ds",
-            [c.as_cache_client() for c in clients],
-            policy="oneshot", calibration=tb.cal,
-        )
-        tb.run(cache.register())
-        tb.run(cache.wait_warm())
+        tb = deploy(n_nodes, "ds", files, chunk_size, n_servers=1, n_kv=8)
+        task = warmed_task(tb, "ds", tb.compute_nodes)
+        cache, clients = task.cache, task.clients
         cache.configure_ft(RetryPolicy())
         recorder = SpanRecorder.attach(cache)
         detector = FailureDetector(
@@ -1590,7 +1502,7 @@ def fig_faults(
                 try:
                     yield from cache.read_file(reader_cc, rec)
                     completions.append(tb.env.now)
-                except Exception:
+                except ReproError:
                     failed_reads += 1
                 yield tb.env.timeout(pace_s)
 
@@ -1695,9 +1607,6 @@ def fig_locality(
        replicated onto the reader's local master and the next read
        resolves locally.
     """
-    from repro.bench.reporting import stats_row
-    from repro.dlt.dataloader import EpochScheduler
-    from repro.obs import SpanRecorder
 
     result = ExperimentResult(
         "locality-aware cache placement",
@@ -1710,42 +1619,17 @@ def fig_locality(
         # ---------------------------------------- phase 1: placement
         epoch_elapsed = {}
         for placement in ("hash", "locality"):
-            tb = make_testbed(n_compute=n_nodes)
-            add_diesel(tb, n_servers=1)
-            bulk_load_diesel(tb, "ds", files, chunk_size=chunk_size)
-            clients = [
-                diesel_client_with_snapshot(
-                    tb, "ds", tb.compute_nodes[c], f"{placement}-c{c}", rank=c
-                )
-                for c in range(n_nodes)
-            ]
-            cache = TaskCache(
-                tb.env, tb.fabric, tb.diesel, "ds",
-                [c.as_cache_client() for c in clients],
-                policy="oneshot", calibration=tb.cal, placement=placement,
+            tb = deploy(n_nodes, "ds", files, chunk_size, n_servers=1)
+            task = warmed_task(
+                tb, "ds", tb.compute_nodes, f"{placement}-c",
+                placement=placement, group_size=group_size, seed=7,
             )
-            tb.run(cache.register())
-            tb.run(cache.wait_warm())
+            cache = task.cache
             recorder = SpanRecorder.attach(cache)
-            worker_nodes = [n.name for n in tb.compute_nodes[:n_nodes]]
-            scheduler = EpochScheduler(
-                clients[0].index.files_by_chunk(), group_size,
-                worker_nodes, cache=cache, seed=7,
+            scheduler = task.scheduler()
+            elapsed = epoch_elapsed[placement] = tb.timed(
+                task.read(w, scheduler.shard(0, w).files) for w in range(n_nodes)
             )
-            index = clients[0].index
-
-            def worker(w, cc, scheduler=scheduler, index=index, cache=cache):
-                shard = scheduler.shard(0, w)
-                for path in shard.files:
-                    yield from cache.read_file(cc, index.lookup(path))
-
-            t0 = tb.env.now
-            tb.run_all(
-                worker(w, c.as_cache_client())
-                for w, c in enumerate(clients)
-            )
-            elapsed = tb.env.now - t0
-            epoch_elapsed[placement] = elapsed
             stats = cache.stats
             served = stats.local_hits + stats.remote_hits
             local_frac = stats.local_hits / served if served else 0.0
@@ -1768,23 +1652,16 @@ def fig_locality(
         )
 
         # --------------------------------------- phase 2: pull storm
-        tb = make_testbed(n_compute=n_nodes)
-        add_diesel(tb, n_servers=1)
-        chunks = bulk_load_diesel(tb, "ds", files, chunk_size=chunk_size)
-        storm = [
-            diesel_client_with_snapshot(
-                tb, "ds", tb.compute_nodes[c % n_nodes], f"s{c}", rank=c
-            )
-            for c in range(storm_clients)
-        ]
-        cache = TaskCache(
-            tb.env, tb.fabric, tb.diesel, "ds",
-            [c.as_cache_client() for c in storm],
-            policy="on-demand", calibration=tb.cal, placement="locality",
+        tb = deploy(n_nodes, "ds", files, chunk_size, n_servers=1)
+        task = make_task(
+            tb, "ds",
+            [tb.compute_nodes[c % n_nodes] for c in range(storm_clients)], "s",
+            policy="on-demand", placement="locality",
             hot_chunk_threshold=hot_threshold,
         )
-        tb.run(cache.register())
-        all_cids = [c.chunk_id.encode() for c in chunks]
+        cache, storm = task.cache, task.clients
+        warm(tb, [task], wait_warm=False)
+        all_cids = [c.chunk_id.encode() for c in tb.chunks]
         fetches_before = tb.diesel.stats.chunk_reads
 
         def puller(cc):
@@ -1809,25 +1686,19 @@ def fig_locality(
         )
 
         # -------------------------------- phase 3: hot-chunk replication
-        index = storm[0].index
+        index = task.index
         reader = next(
-            c for c in storm
+            w for w, c in enumerate(storm)
             if c.node.name != cache.owner_of(all_cids[0]).node.name
         )
-        hot_paths = [
+        hot_path = next(
             p for p in index.all_paths()
             if index.lookup(p).chunk_id.encode() == all_cids[0]
-        ]
-        cc = reader.as_cache_client()
-
-        def hammer():
-            for _ in range(hot_threshold):
-                yield from cache.read_file(cc, index.lookup(hot_paths[0]))
-
-        tb.run(hammer())
+        )
+        tb.run(task.read(reader, [hot_path] * hot_threshold))
         tb.env.run()  # drain the background replication pull
         local_before = cache.local_hits
-        tb.run(cache.read_file(cc, index.lookup(hot_paths[0])))
+        tb.run(task.read(reader, [hot_path]))
         stats = cache.stats
         result.add(
             event="hot_replication", threshold=hot_threshold,
@@ -1930,7 +1801,6 @@ def scale_engine(
     events/sec ratio.  Defaults are the full-scale epoch; CI smoke mode
     runs ``scale_engine(n_nodes=50, n_requests=10_000)``.
     """
-    from repro.bench.reporting import ratio
     from repro.cluster.network import NetworkFabric
     from repro.rpc.endpoint import RpcEndpoint
 
@@ -2094,10 +1964,8 @@ def model_selection(
        and the task's reads past the quota fall through to the server
        instead of failing.
     """
-    from repro.bench.reporting import stats_row
     from repro.calibration import ModelProfile
-    from repro.core.shared_cache import SharedCacheRegistry
-    from repro.dlt.sweep import build_sweep_task, run_sweep
+    from repro.dlt.sweep import run_sweep
 
     result = ExperimentResult(
         "cross-task shared cache (model selection)",
@@ -2108,39 +1976,26 @@ def model_selection(
     }
     model = ModelProfile("sweep-toy", compute_s=1e-4)
 
-    def build_sweep(tb, registry, n_tasks, tenant_of, qos_of, n_workers=n_nodes):
-        tasks = []
-        for t in range(n_tasks):
-            clients = [
-                diesel_client_with_snapshot(
-                    tb, "ds", tb.compute_nodes[c], f"t{t}c{c}", rank=c
-                )
-                for c in range(n_workers)
-            ]
-            tasks.append(build_sweep_task(
-                f"task{t}", tb.env, tb.fabric, tb.diesel, "ds", clients,
-                shared=registry, tenant=tenant_of(t), qos_class=qos_of(t),
-            ))
-        return tasks
+    def build_sweep(tb, registry, n_tasks, tenant_of, qos_of):
+        return [
+            make_task(
+                tb, "ds", tb.compute_nodes, f"t{t}c", shared=registry,
+                tenant=tenant_of(t), qos_class=qos_of(t),
+            )
+            for t in range(n_tasks)
+        ]
 
     with timer(result):
         # ------------------------------------ phase 1: warm register
-        tb = make_testbed(n_compute=n_nodes)
-        add_diesel(tb, n_servers=1)
-        chunks = bulk_load_diesel(tb, "ds", files, chunk_size=chunk_size)
+        tb = deploy(n_nodes, "ds", files, chunk_size, n_servers=1)
+        chunks = tb.chunks
         dataset_bytes = sum(len(c.encode()) for c in chunks)
         registry = SharedCacheRegistry(tb.env)
         cold_task, warm_task = build_sweep(
             tb, registry, 2, lambda t: f"tenant{t}", lambda t: "batch"
         )
-        t0 = tb.env.now
-        tb.run(cold_task.cache.register())
-        tb.run(cold_task.cache.wait_warm())
-        cold_s = tb.env.now - t0
-        t0 = tb.env.now
-        tb.run(warm_task.cache.register())
-        tb.run(warm_task.cache.wait_warm())
-        warm_s = tb.env.now - t0
+        cold_s = warm(tb, [cold_task])
+        warm_s = warm(tb, [warm_task])
         warm_ratio = warm_s / cold_s if cold_s else 0.0
         s = registry.stats
         result.add(
@@ -2157,11 +2012,8 @@ def model_selection(
         )
 
         # ------------------------------------ phase 2: sweep scaling
-        single_task_fetches = None
         for n_tasks in task_counts:
-            tb = make_testbed(n_compute=n_nodes)
-            add_diesel(tb, n_servers=1)
-            bulk_load_diesel(tb, "ds", files, chunk_size=chunk_size)
+            tb = deploy(n_nodes, "ds", files, chunk_size, n_servers=1)
             registry = SharedCacheRegistry(tb.env)
             # Two tenant accounts (interactive search jobs vs batch
             # retrains), each with headroom for the whole dataset.
@@ -2173,57 +2025,45 @@ def model_selection(
                 lambda t: "interactive" if t % 2 == 0 else "batch",
             )
             fetches_before = tb.diesel.stats.chunk_reads
-            t0 = tb.env.now
-            tb.run(run_sweep(
-                tb.env, tasks, model, epochs=1, batch_size=8
-            ))
-            elapsed = tb.env.now - t0
-            fetches = tb.diesel.stats.chunk_reads - fetches_before
-            if single_task_fetches is None:
-                single_task_fetches = fetches
+            elapsed = tb.timed(
+                [run_sweep(tb.env, tasks, model, epochs=1, batch_size=8)]
+            )
             rows = registry.tenant_rows()
-            s = registry.stats
             result.add(
                 event="sweep", tasks=n_tasks, chunks=len(chunks),
-                backend_chunk_fetches=fetches,
-                fetch_ratio_vs_single=fetches / single_task_fetches,
+                backend_chunk_fetches=tb.diesel.stats.chunk_reads - fetches_before,
+                fetch_ratio_vs_single=None,  # relative to the first sweep, below
                 sweep_s=elapsed,
                 quota_ok=all(r["within_quota"] for r in rows),
                 max_node_usage_bytes=max(
                     r["max_node_usage_bytes"] for r in rows
                 ),
                 quota_bytes=dataset_bytes,
-                **stats_row(s, prefix="shared_"),
+                **stats_row(registry.stats, prefix="shared_"),
             )
+        sweeps = result.where(event="sweep")
+        add_relative(
+            result, sweeps[0], {"fetch_ratio_vs_single": "backend_chunk_fetches"}
+        )
+        for row in sweeps:
             result.note(
-                f"{n_tasks:>2} task(s): {fetches} backend fetches "
-                f"({fetches / single_task_fetches:.2f}x single-task), "
-                f"{s.warm_admissions} warm admissions, "
-                f"{s.coalesced_pulls} coalesced, quota "
-                f"{'respected' if all(r['within_quota'] for r in rows) else 'EXCEEDED'}"
+                f"{row['tasks']:>2} task(s): {row['backend_chunk_fetches']} "
+                f"backend fetches ({row['fetch_ratio_vs_single']:.2f}x "
+                f"single-task), {row['shared_warm_admissions']} warm "
+                f"admissions, {row['shared_coalesced_pulls']} coalesced, quota "
+                f"{'respected' if row['quota_ok'] else 'EXCEEDED'}"
             )
 
         # ---------------------------- phase 3: tenant quota pressure
-        tb = make_testbed(n_compute=1)
-        add_diesel(tb, n_servers=1)
-        chunks = bulk_load_diesel(tb, "ds", files, chunk_size=chunk_size)
+        tb = deploy(1, "ds", files, chunk_size, n_servers=1)
         registry = SharedCacheRegistry(tb.env)
         quota = int(dataset_bytes * constrained_fraction)
         registry.set_quota("capped", quota)
         (task,) = build_sweep(
-            tb, registry, 1, lambda t: "capped", lambda t: "batch",
-            n_workers=1,
+            tb, registry, 1, lambda t: "capped", lambda t: "batch"
         )
-
-        def one_epoch():
-            yield from task.cache.register()
-            yield from task.cache.wait_warm()
-            cc = task.cache.clients[0]
-            index = task.clients[0].index
-            for path in index.all_paths():
-                yield from task.cache.read_file(cc, index.lookup(path))
-
-        tb.run(one_epoch())
+        warm(tb, [task])
+        tb.run(task.read(0, task.index.all_paths()))
         usage = max(
             tier.tenant_usage("capped") for tier in registry.node_caches
         )
@@ -2277,9 +2117,6 @@ def capacity(
     ``lost_chunks`` (chunks resident on no tier at epoch end — always
     0: the disk tier absorbs the overflow).
     """
-    from repro.bench.reporting import stats_row
-    from repro.core.shared_cache import SharedCacheRegistry
-    from repro.dlt.sweep import build_sweep_task
 
     result = ExperimentResult(
         "tiered cache store capacity sweep",
@@ -2293,9 +2130,8 @@ def capacity(
             f"/ds/f{i:05d}.jpg": bytes([i % 251]) * file_size
             for i in range(n_files)
         }
-        tb = make_testbed(n_compute=1)
-        add_diesel(tb, n_servers=1)
-        chunks = bulk_load_diesel(tb, "ds", files, chunk_size=chunk_size)
+        tb = deploy(1, "ds", files, chunk_size, n_servers=1)
+        chunks = tb.chunks
         dataset_bytes = sum(len(c.encode()) for c in chunks)
         cap_nodes = [
             tb.fabric.add_node(Node(
@@ -2307,19 +2143,9 @@ def capacity(
             tb.env, store="tiered", disk_tier_bytes=disk_tier_bytes,
             chunk_compression=compression,
         )
-        clients = [
-            diesel_client_with_snapshot(tb, "ds", node, f"w{i}", rank=i)
-            for i, node in enumerate(cap_nodes)
-        ]
-        task = build_sweep_task(
-            "cap", tb.env, tb.fabric, tb.diesel, "ds", clients,
-            shared=registry,
-        )
-        t0 = tb.env.now
-        tb.run(task.cache.register())
-        tb.run(task.cache.wait_warm())
-        warmup_s = tb.env.now - t0
-        index = clients[0].index
+        task = make_task(tb, "ds", cap_nodes, "w", shared=registry)
+        warmup_s = warm(tb, [task])
+        index = task.index
         paths = list(files)
         failed = [0]
 
@@ -2331,9 +2157,7 @@ def capacity(
                     failed[0] += 1
 
         fetches_before = tb.diesel.stats.chunk_reads
-        t0 = tb.env.now
-        tb.run_all([worker(w) for w in range(n_nodes)])
-        epoch_s = tb.env.now - t0
+        epoch_s = tb.timed(worker(w) for w in range(n_nodes))
         rows = registry.tier_rows()
         resident = sum(r["chunks_ram"] + r["chunks_disk"] for r in rows)
         return {
@@ -2426,11 +2250,7 @@ def fig_elastic(
        shared chunk tier: cross-task admission + single-flight keep
        backend fetches within 1.2× of a single task's.
     """
-    from repro.bench.reporting import stats_row
     from repro.cluster.failure import ChaosSchedule
-    from repro.core.shared_cache import SharedCacheRegistry
-    from repro.dlt.dataloader import EpochScheduler
-    from repro.dlt.sweep import build_sweep_task
 
     result = ExperimentResult(
         "elastic & hostile worlds",
@@ -2443,23 +2263,11 @@ def fig_elastic(
 
     with timer(result):
         # ------------------------------- phase 1: scale-up mid-epoch
-        tb = make_testbed(n_compute=4)
-        add_diesel(tb, n_servers=1)
-        bulk_load_diesel(tb, "ds", files, chunk_size=chunk_size)
-        clients = [
-            diesel_client_with_snapshot(
-                tb, "ds", tb.compute_nodes[c], f"el{c}", rank=c
-            )
-            for c in range(2)
-        ]
-        cache = TaskCache(
-            tb.env, tb.fabric, tb.diesel, "ds",
-            [c.as_cache_client() for c in clients],
-            policy="oneshot", calibration=tb.cal, placement="locality",
+        tb = deploy(4, "ds", files, chunk_size, n_servers=1)
+        task = warmed_task(
+            tb, "ds", tb.compute_nodes[:2], "el", placement="locality"
         )
-        tb.run(cache.register())
-        tb.run(cache.wait_warm())
-        index = clients[0].index
+        cache, index = task.cache, task.index
         worker_nodes = [n.name for n in tb.compute_nodes]
         scheduler = EpochScheduler(
             index.files_by_chunk(), group_size, worker_nodes,
@@ -2468,7 +2276,7 @@ def fig_elastic(
         joiners = [
             CacheClient(f"el{r}", tb.compute_nodes[r], r) for r in (2, 3)
         ]
-        read_ccs = [c.as_cache_client() for c in clients] + joiners
+        read_ccs = cache.clients + joiners
         scale_rows: List[dict] = []
 
         def worker(epoch, w):
@@ -2488,11 +2296,7 @@ def fig_elastic(
             )
             scale_rows.append(res)
 
-        t0 = tb.env.now
-        tb.run_all(
-            [worker(0, w) for w in range(4)] + [controller()]
-        )
-        epoch0_s = tb.env.now - t0
+        epoch0_s = tb.timed([worker(0, w) for w in range(4)] + [controller()])
         served0 = cache.local_hits + cache.remote_hits
         local0 = cache.local_hits
         scale = scale_rows[0]
@@ -2512,9 +2316,7 @@ def fig_elastic(
             "fetches (no cold restart)"
         )
         fetches_before = tb.diesel.stats.chunk_reads
-        t0 = tb.env.now
-        tb.run_all([worker(1, w) for w in range(4)])
-        epoch1_s = tb.env.now - t0
+        epoch1_s = tb.timed(worker(1, w) for w in range(4))
         served1 = (cache.local_hits + cache.remote_hits) - served0
         local1 = cache.local_hits - local0
         local_frac0 = local0 / served0 if served0 else 0.0
@@ -2536,23 +2338,9 @@ def fig_elastic(
         )
 
         # ----------------------------------- phase 2: churn drain loop
-        tb = make_testbed(n_compute=4)
-        add_diesel(tb, n_servers=1)
-        bulk_load_diesel(tb, "ds", files, chunk_size=chunk_size)
-        clients = [
-            diesel_client_with_snapshot(
-                tb, "ds", tb.compute_nodes[c], f"ch{c}", rank=c
-            )
-            for c in range(4)
-        ]
-        cache = TaskCache(
-            tb.env, tb.fabric, tb.diesel, "ds",
-            [c.as_cache_client() for c in clients],
-            policy="oneshot", calibration=tb.cal,
-        )
-        tb.run(cache.register())
-        tb.run(cache.wait_warm())
-        index = clients[0].index
+        tb = deploy(4, "ds", files, chunk_size, n_servers=1)
+        task = warmed_task(tb, "ds", tb.compute_nodes, "ch")
+        cache, index = task.cache, task.index
         churn_node = tb.compute_nodes[3]
         losses: List[int] = []
         rejoin = {"n": 0}
@@ -2580,7 +2368,7 @@ def fig_elastic(
         failed = [0]
 
         def reader(w):
-            cc = clients[w].as_cache_client()
+            cc = cache.clients[w]
             for _ in range(churn_passes):
                 for path, expected in files.items():
                     data = yield from cache.read_file(
@@ -2610,29 +2398,15 @@ def fig_elastic(
 
         # ------------------------------- phase 3: straggler hedging A/B
         def straggler_run(hedge_on: bool) -> dict:
-            tb = make_testbed(n_compute=3)
-            add_diesel(tb, n_servers=1)
-            bulk_load_diesel(tb, "ds", files, chunk_size=chunk_size)
-            clients = [
-                diesel_client_with_snapshot(
-                    tb, "ds", tb.compute_nodes[c], f"st{c}", rank=c
-                )
-                for c in range(3)
-            ]
-            cache = TaskCache(
-                tb.env, tb.fabric, tb.diesel, "ds",
-                [c.as_cache_client() for c in clients],
-                policy="oneshot", calibration=tb.cal,
-            )
-            tb.run(cache.register())
-            tb.run(cache.wait_warm())
-            index = clients[0].index
-            cc = clients[0].as_cache_client()
+            tb = deploy(3, "ds", files, chunk_size, n_servers=1)
+            task = warmed_task(tb, "ds", tb.compute_nodes, "st")
+            cache, index = task.cache, task.index
+            cc = cache.clients[0]
             lat: List[float] = []
             paths = list(files)
 
             def reads(order):
-                for path in order:
+                for path in order:  # per-read latency, for the percentiles
                     t0 = tb.env.now
                     yield from cache.read_file(cc, index.lookup(path))
                     lat.append(tb.env.now - t0)
@@ -2688,31 +2462,17 @@ def fig_elastic(
 
         # ----------------------------------- phase 4: flash crowd
         def crowd_run(n_tasks: int) -> tuple:
-            tb = make_testbed(n_compute=4)
-            add_diesel(tb, n_servers=1)
-            bulk_load_diesel(tb, "ds", files, chunk_size=chunk_size)
+            tb = deploy(4, "ds", files, chunk_size, n_servers=1)
             registry = SharedCacheRegistry(tb.env)
-            tasks = []
-            for t in range(n_tasks):
-                tclients = [
-                    diesel_client_with_snapshot(
-                        tb, "ds", tb.compute_nodes[c], f"fc{t}w{c}",
-                        rank=c,
-                    )
-                    for c in range(4)
-                ]
-                tasks.append(build_sweep_task(
-                    f"crowd{t}", tb.env, tb.fabric, tb.diesel, "ds",
-                    tclients, shared=registry,
-                ))
+            tasks = [
+                make_task(tb, "ds", tb.compute_nodes, f"fc{t}w", shared=registry)
+                for t in range(n_tasks)
+            ]
 
             def stampede(task):
                 yield from task.cache.register()
                 yield from task.cache.wait_warm()
-                index = task.clients[0].index
-                cc = task.cache.clients[0]
-                for path in index.all_paths():
-                    yield from task.cache.read_file(cc, index.lookup(path))
+                yield from task.read(0, task.index.all_paths())
 
             fetches_before = tb.diesel.stats.chunk_reads
             chaos = ChaosSchedule(tb.env).flash_crowd(
@@ -2775,7 +2535,6 @@ def fig_metaplane(
        ``tail_extend``s its plan: the committed read order stays
        bit-identical and every file (old and late) is read exactly once.
     """
-    from repro.core.client import DieselClient
     from repro.core.shuffle import tail_extend
 
     result = ExperimentResult(
@@ -2790,17 +2549,10 @@ def fig_metaplane(
 
     with timer(result):
         # --------------------------------------- phase 1: delta reload
-        tb = make_testbed(n_compute=2)
-        add_diesel(tb, n_servers=1)
-        bulk_load_diesel(tb, "ds", files, chunk_size=chunk_size)
-        client = DieselClient(
-            tb.env, tb.compute_nodes[0], tb.diesel_servers, "ds",
-            name="mp0", calibration=tb.cal,
-        )
+        tb = deploy(2, "ds", files, chunk_size, n_servers=1)
+        client = diesel_client(tb, "ds", tb.compute_nodes[0], "mp0")
         blob = tb.run(client.save_meta())
-        t0 = tb.env.now
-        tb.run(client.load_meta(blob))
-        full_load_s = tb.env.now - t0
+        full_load_s = tb.timed([client.load_meta(blob)])
         n_append = max(1, int(n_files * append_frac))
         late = {
             f"/ds/late/img{i:06d}.jpg": bytes([i % 251]) * file_size
@@ -2813,9 +2565,7 @@ def fig_metaplane(
             yield from client.flush()
 
         tb.run(push())
-        t0 = tb.env.now
-        tb.run(client.refresh_meta())
-        delta_refresh_s = tb.env.now - t0
+        delta_refresh_s = tb.timed([client.refresh_meta()])
         assert client.stats.delta_reloads == 1, "delta path did not engage"
         byte_ratio = client.stats.delta_bytes / len(blob)
         result.add(
@@ -2854,72 +2604,58 @@ def fig_metaplane(
         )
 
         # ------------------------------------- phase 3: registry scale
-        tb = make_testbed(n_compute=2)
-        add_diesel(tb, n_servers=1)
         probe_files = {
             f"/p/img{i:04d}.jpg": bytes([i % 251]) * file_size
             for i in range(200)
         }
-        bulk_load_diesel(tb, "probe-ds", probe_files, chunk_size=chunk_size)
+        tb = deploy(2, "probe-ds", probe_files, chunk_size, n_servers=1)
         registry = tb.diesel.registry
         probe_paths = sorted(probe_files)[:probe_stats]
         node = tb.compute_nodes[0]
 
         def probe_round():
-            """(stat_s, load_s, page_s) per-client metadata costs."""
-            t0 = tb.env.now
+            """Per-client metadata costs at the registry's current size."""
 
             def stats():
                 for p in probe_paths:
                     yield from tb.diesel.call(node, "stat", "probe-ds", p)
 
-            tb.run(stats())
-            stat_s = (tb.env.now - t0) / len(probe_paths)
-            c = DieselClient(
-                tb.env, node, tb.diesel_servers, "probe-ds",
-                name="mp-probe", calibration=tb.cal,
-            )
+            stat_s = tb.timed([stats()]) / len(probe_paths)
+            c = diesel_client(tb, "probe-ds", node, "mp-probe")
 
             def reload():
                 snap = yield from c.save_meta()
                 yield from c.load_meta(snap)
 
-            t0 = tb.env.now
-            tb.run(reload())
-            load_s = tb.env.now - t0
+            load_s = tb.timed([reload()])
+            page = {}
 
             def one_page():
-                page = yield from tb.diesel.call(
+                page["names"], _ = yield from tb.diesel.call(
                     node, "list_datasets", None, page_limit
                 )
-                return page
 
-            t0 = tb.env.now
-            names, _ = tb.run(one_page())
-            page_s = tb.env.now - t0
-            return stat_s, load_s, page_s, len(names)
+            page_s = tb.timed([one_page()])
+            return dict(
+                stat_s=stat_s, load_meta_s=load_s, page_s=page_s,
+                page_names=len(page["names"]),
+            )
 
         grown = 0
-        baseline: Optional[dict] = None
         for size in registry_sizes:
             while grown < size - 1:  # probe-ds itself occupies one slot
                 registry.add(f"reg-ds-{grown:07d}")
                 grown += 1
-            stat_s, load_s, page_s, page_names = probe_round()
-            row = dict(
-                event="registry_scale", datasets=size,
-                stat_s=stat_s, load_meta_s=load_s, page_s=page_s,
-                page_names=page_names,
+            result.add(
+                event="registry_scale", datasets=size, **probe_round(),
                 shards=registry.n_shards,
                 max_shard_occupancy=max(registry.occupancy()),
             )
-            if baseline is None:
-                baseline = row
-                row["stat_ratio"] = row["load_meta_ratio"] = 1.0
-            else:
-                row["stat_ratio"] = stat_s / baseline["stat_s"]
-                row["load_meta_ratio"] = load_s / baseline["load_meta_s"]
-            result.add(**row)
+        add_relative(
+            result, result.where(event="registry_scale")[0],
+            {"stat_ratio": "stat_s", "load_meta_ratio": "load_meta_s"},
+        )
+        row = result.rows[-1]
         result.note(
             f"registry {registry_sizes[0]} → {registry_sizes[-1]} "
             f"datasets: stat {row['stat_ratio']:.2f}x, "
@@ -2927,17 +2663,12 @@ def fig_metaplane(
         )
 
         # -------------------------------------- phase 4: online ingest
-        tb = make_testbed(n_compute=2)
-        add_diesel(tb, n_servers=1)
         online = {
             f"/o/img{i:04d}.jpg": bytes([i % 251]) * 4096
             for i in range(online_files)
         }
-        bulk_load_diesel(tb, "online", online, chunk_size=32 * KB)
-        reader = DieselClient(
-            tb.env, tb.compute_nodes[0], tb.diesel_servers, "online",
-            name="mp-reader", calibration=tb.cal,
-        )
+        tb = deploy(2, "online", online, 32 * KB, n_servers=1)
+        reader = diesel_client(tb, "online", tb.compute_nodes[0], "mp-reader")
         snap = tb.run(reader.save_meta())
         tb.run(reader.load_meta(snap))
         reader.enable_shuffle(group_size=online_group)
@@ -2957,10 +2688,7 @@ def fig_metaplane(
 
         tb.run(read_span(committed))
         # New data lands mid-epoch from a separate writer.
-        writer = DieselClient(
-            tb.env, tb.compute_nodes[1], tb.diesel_servers, "online",
-            name="mp-writer", calibration=tb.cal,
-        )
+        writer = diesel_client(tb, "online", tb.compute_nodes[1], "mp-writer")
 
         def push_late():
             for path, data in late_files.items():

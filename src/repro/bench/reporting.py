@@ -126,3 +126,21 @@ def stats_row(
 def ratio(a: float, b: float) -> float:
     """Safe a/b for speedup reporting."""
     return a / b if b else float("inf")
+
+
+def add_relative(
+    result: ExperimentResult, base: Dict[str, Any], columns: Dict[str, str],
+    speedup: bool = False,
+) -> None:
+    """The "columns relative to the base row" step of a sweep.
+
+    For each ``new: src`` in ``columns``, every row of ``result`` that
+    carries ``src`` gains ``new = row[src] / base[src]`` — or, with
+    ``speedup`` (``src`` is a time: smaller is faster), ``base[src] /
+    row[src]``.  The base row itself reads 1.0.
+    """
+    for row in result.rows:
+        for new, src in columns.items():
+            if src in row:
+                a, b = row[src], base[src]
+                row[new] = ratio(b, a) if speedup else ratio(a, b)

@@ -1,16 +1,22 @@
-"""Shared experiment testbed builders.
+"""The scenario kit: the one place a scenario is put together.
 
-Each experiment wires the systems it compares onto one simulated fabric
-mirroring the paper's testbed (Table 4).  Builders also provide
-*zero-cost population* helpers: experiment setup (writing the fixture
-dataset) happens outside measured time, exactly like the paper's data
-preparation step, so only the measured phase spends simulated time.
+Every table and figure of §6 runs one recipe on one testbed (Table 4):
+deploy, load the dataset, connect clients, register the task cache,
+measure a closed loop.  The recipe's steps live here once —
+:func:`deploy` (fabric + DIESEL + fixture dataset), :func:`make_task` /
+:func:`warm` / :func:`warmed_task` (snapshot clients → task cache →
+registration → warm-up, several tasks racing when asked) and
+:meth:`Testbed.timed` (a run-to-completion loop on the sim clock) — so
+an experiment is a kit call, a measurement and its rows.  Population is
+*zero-cost*: writing the fixture dataset happens outside measured time,
+exactly like the paper's data preparation step, so only the measured
+phase spends simulated time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.baselines.lustre import LustreFS
 from repro.baselines.memcached import MemcachedCluster
@@ -24,6 +30,7 @@ from repro.core.snapshot import SnapshotIndex
 from repro.cluster.devices import Device
 from repro.cluster.network import NetworkFabric
 from repro.cluster.node import Node
+from repro.dlt.sweep import SweepTask, build_sweep_task, register_sweep
 from repro.kvstore import KVInstance, ShardedKV
 from repro.objectstore import ObjectStore
 from repro.sim import Environment
@@ -48,6 +55,8 @@ class Testbed:
     store: Optional[object] = None  # ObjectStore or TieredStore
     diesel_servers: List[DieselServer] = field(default_factory=list)
     config_store: Optional[object] = None  # core.config.ConfigStore
+    #: The fixture dataset :func:`deploy` loaded, in written order.
+    chunks: List[Chunk] = field(default_factory=list)
 
     @property
     def diesel(self) -> DieselServer:
@@ -60,6 +69,12 @@ class Testbed:
     def run_all(self, gens) -> None:
         procs = [self.env.process(g) for g in gens]
         self.env.run(until=self.env.all_of(procs))
+
+    def timed(self, gens) -> float:
+        """Run ``gens`` to completion; the simulated seconds that took."""
+        t0 = self.env.now
+        self.run_all(gens)
+        return self.env.now - t0
 
 
 def make_testbed(
@@ -158,6 +173,24 @@ def add_diesel(
     return tb.diesel_servers
 
 
+def deploy(
+    n_compute: int = 10,
+    dataset: Optional[str] = None,
+    files: Optional[Dict[str, bytes]] = None,
+    chunk_size: int = 4 * 1024 * 1024,
+    n_storage: int = 6,
+    **diesel,
+) -> Testbed:
+    """A testbed with DIESEL on it (``diesel``: :func:`add_diesel`'s
+    keywords) and, when ``files`` is given, ``dataset`` loaded outside
+    measured time — its chunks are ``tb.chunks``."""
+    tb = make_testbed(n_compute=n_compute, n_storage=n_storage)
+    add_diesel(tb, **diesel)
+    if files is not None:
+        tb.chunks = bulk_load_diesel(tb, dataset, files, chunk_size)
+    return tb
+
+
 # ---------------------------------------------------------------- population
 def bulk_load_diesel(
     tb: Testbed,
@@ -198,6 +231,21 @@ def bulk_load_memcached(tb: Testbed, files: Dict[str, bytes]) -> None:
         tb.memcached.server_for(path)._data[path] = data
 
 
+def diesel_client(
+    tb: Testbed,
+    dataset: str,
+    node: Node,
+    name: str,
+    rank: int = 0,
+    config: DieselConfig | None = None,
+) -> DieselClient:
+    """DL_connect: a client of the deployment on ``tb``, no snapshot yet."""
+    return DieselClient(
+        tb.env, node, tb.diesel_servers, dataset,
+        name=name, rank=rank, config=config, calibration=tb.cal,
+    )
+
+
 def diesel_client_with_snapshot(
     tb: Testbed,
     dataset: str,
@@ -207,10 +255,42 @@ def diesel_client_with_snapshot(
     config: DieselConfig | None = None,
 ) -> DieselClient:
     """A client with the dataset snapshot pre-loaded (zero-cost fixture)."""
-    client = DieselClient(
-        tb.env, node, tb.diesel_servers, dataset,
-        name=name, rank=rank, config=config, calibration=tb.cal,
-    )
-    snapshot = tb.diesel.build_snapshot(dataset)
-    client._index = SnapshotIndex(snapshot)
+    client = diesel_client(tb, dataset, node, name, rank, config)
+    client._index = SnapshotIndex(tb.diesel.build_snapshot(dataset))
     return client
+
+
+# --------------------------------------------------------------- task caches
+def make_task(
+    tb: Testbed, dataset: str, nodes: Iterable[Node], name: str = "c", **cache
+) -> SweepTask:
+    """An unregistered task over ``nodes``: one snapshot client
+    ``<name><i>`` of rank ``i`` per entry (a node may repeat), one
+    :class:`TaskCache` spanning them with the caller's ``cache``
+    keywords (:func:`build_sweep_task`'s: ``policy``, ``placement``,
+    ``shared``, ``tenant``, ``qos_class``, ``hot_chunk_threshold``, …).
+    ``task.clients`` / ``task.cache.clients`` are the DIESEL clients and
+    their cache identities, in ``nodes`` order."""
+    clients = [
+        diesel_client_with_snapshot(tb, dataset, node, f"{name}{i}", rank=i)
+        for i, node in enumerate(nodes)
+    ]
+    return build_sweep_task(
+        name, tb.env, tb.fabric, tb.diesel, dataset, clients, **cache
+    )
+
+
+def warm(tb: Testbed, tasks: Sequence[SweepTask], wait_warm: bool = True) -> float:
+    """Register ``tasks`` concurrently — their warm-ups race — and, with
+    ``wait_warm``, run until every cache is warm.  Returns the simulated
+    seconds that took."""
+    return tb.timed([register_sweep(tb.env, tasks, wait_warm)])
+
+
+def warmed_task(
+    tb: Testbed, dataset: str, nodes: Iterable[Node], name: str = "c", **cache
+) -> SweepTask:
+    """:func:`make_task`, registered and warm — the common case."""
+    task = make_task(tb, dataset, nodes, name, **cache)
+    warm(tb, [task])
+    return task

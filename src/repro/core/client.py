@@ -813,9 +813,11 @@ class DieselClient:
         """Per-epoch RNG seed.  A caller-fixed seed is *mixed with* the
         epoch counter: the epoch sequence is reproducible, yet successive
         epochs still get different orders (§2.1's anti-overfitting
-        contract — a bare fixed seed used to repeat the same order)."""
+        contract — a bare fixed seed used to repeat the same order).
+        Without a seed the dataset name stands in, through a process-
+        independent hash (``hash(str)`` is salted per ``PYTHONHASHSEED``)."""
         if seed is None:
-            return hash((self.dataset, self._epoch))
+            seed = stable_hash(self.dataset)
         return hash((seed, self._epoch))
 
     def epoch_file_list(self, seed: Optional[int] = None) -> EpochPlan:

@@ -198,7 +198,7 @@ class SimDataLoader:
         if self._remaining:
             raise DieselError(
                 f"epoch {self._epoch} still has {self._remaining} undelivered "
-                f"batches; drain them (or call abort()) first"
+                f"batches; drain() them first"
             )
         order = yield from self.reader.begin_epoch(epoch)
         batches = [

@@ -42,19 +42,34 @@ class SweepTask:
     seed: int = 0
     readers: List[CacheReader] = field(default_factory=list)
 
-    def make_readers(self) -> List[CacheReader]:
-        """Build one :class:`CacheReader` per worker over a shared
-        affinity :class:`EpochScheduler` (requires a registered cache)."""
-        index = self.clients[0].index
-        scheduler = EpochScheduler(
-            index.files_by_chunk(),
+    @property
+    def index(self):
+        """The dataset snapshot every worker of the task holds."""
+        return self.clients[0].index
+
+    def scheduler(self) -> EpochScheduler:
+        """The task's affinity scheduler: one owner-aligned shard per
+        worker per epoch (requires a registered cache)."""
+        return EpochScheduler(
+            self.index.files_by_chunk(),
             self.group_size,
             [c.node.name for c in self.clients],
             cache=self.cache,
             seed=self.seed,
         )
+
+    def read(self, w: int, paths) -> Generator[Event, Any, None]:
+        """Worker ``w`` reads ``paths``, in order, through the task cache."""
+        cc, index = self.cache.clients[w], self.index
+        for path in paths:
+            yield from self.cache.read_file(cc, index.lookup(path))
+
+    def make_readers(self) -> List[CacheReader]:
+        """Build one :class:`CacheReader` per worker over the shared
+        :meth:`scheduler`."""
+        scheduler = self.scheduler()
         self.readers = [
-            CacheReader(scheduler, self.cache, c.as_cache_client(), index, w)
+            CacheReader(scheduler, self.cache, c.as_cache_client(), self.index, w)
             for w, c in enumerate(self.clients)
         ]
         return self.readers
@@ -73,6 +88,7 @@ def build_sweep_task(
     qos_class: str = "batch",
     policy: str = "oneshot",
     placement: str = "hash",
+    hot_chunk_threshold: int = 0,
     group_size: int = 2,
     seed: int = 0,
 ) -> SweepTask:
@@ -93,6 +109,7 @@ def build_sweep_task(
         [c.as_cache_client() for c in clients],
         policy=policy,
         placement=placement,
+        hot_chunk_threshold=hot_chunk_threshold,
         shared=shared,
         tenant=tenant,
         qos_class=qos_class,

@@ -346,48 +346,35 @@ def _traced_sample_reads(ws: DieselWorkspace, dataset: str, limit: int):
     return recorder
 
 
-def _warm_probe_caches(
+def _probe_caches(
     ws: DieselWorkspace, dataset: str, tag: str, nodes: int,
-    tasks: Sequence[dict] = ({},), memory_bytes: Optional[int] = None,
-    **cache_kwargs,
+    tasks: Sequence[dict] = ({},), **node_kwargs,
 ):
-    """The preamble every probe command shares.
-
-    Loads the dataset's index (an empty dataset is an error), adds
-    ``nodes`` probe nodes ``<tag>-n<i>`` to the workspace fabric
-    (``memory_bytes`` of RAM each, if given), builds one oneshot
-    :class:`TaskCache` per entry of ``tasks`` spanning all of them —
-    ``cache_kwargs`` plus the entry's own keywords — lets the
-    registrations race and waits until every cache is warm.  Returns
-    ``(index, caches)``; nothing about the workspace is mutated.
+    """The preamble every probe command shares: ``nodes`` probe nodes
+    ``<tag>-n<i>`` on the workspace fabric (``node_kwargs``: e.g.
+    ``memory_bytes``), one warmed task per entry of ``tasks`` — its
+    :func:`~repro.bench.setups.make_task` keywords — spanning all of
+    them, registrations racing.  Returns the tasks; an empty dataset
+    is an error, and nothing about the workspace is mutated.
     """
+    from repro.bench.setups import make_task, warm
     from repro.cluster.node import Node
-    from repro.core.dist_cache import CacheClient, TaskCache
 
-    sync = ws.client(dataset)
-    index = sync.load_meta(sync.save_meta())
-    if not index.all_paths():
-        raise ReproError(f"dataset {dataset!r} has no files to probe")
-    env, fabric = ws.tb.env, ws.tb.fabric
-    node_kwargs = {} if memory_bytes is None else {"memory_bytes": memory_bytes}
     probe_nodes = [
-        fabric.add_node(Node(env, f"{tag}-n{i}", **node_kwargs))
+        ws.tb.fabric.add_node(Node(ws.tb.env, f"{tag}-n{i}", **node_kwargs))
         for i in range(nodes)
     ]
-    caches = []
-    for t, task_kwargs in enumerate(tasks):
-        client_tag = f"{tag}-c" if len(tasks) == 1 else f"{tag}-t{t}c"
-        caches.append(TaskCache(
-            env, fabric, ws.server, dataset,
-            [
-                CacheClient(f"{client_tag}{i}", node, i)
-                for i, node in enumerate(probe_nodes)
-            ],
-            policy="oneshot", **cache_kwargs, **task_kwargs,
-        ))
-    for step in (TaskCache.register, TaskCache.wait_warm):
-        env.run(until=env.all_of([env.process(step(c)) for c in caches]))
-    return index, caches
+    built = [
+        make_task(
+            ws.tb, dataset, probe_nodes,
+            f"{tag}-c" if len(tasks) == 1 else f"{tag}-t{t}c", **kwargs,
+        )
+        for t, kwargs in enumerate(tasks)
+    ]
+    if not built[0].index.all_paths():
+        raise ReproError(f"dataset {dataset!r} has no files to probe")
+    warm(ws.tb, built)
+    return built
 
 
 def _locality_probe(
@@ -401,34 +388,18 @@ def _locality_probe(
     owner-aligned epoch plan.  Returns ``(cache, elapsed_s, files)``;
     nothing about the workspace is mutated.
     """
-    from repro.dlt.dataloader import EpochScheduler
-
     if n_nodes < 1:
         raise ReproError("--nodes must be >= 1")
-    index, (cache,) = _warm_probe_caches(
-        ws, dataset, f"{tag}-{placement}", n_nodes, placement=placement
+    (task,) = _probe_caches(
+        ws, dataset, f"{tag}-{placement}", n_nodes, [dict(placement=placement)]
     )
-    env = ws.tb.env
-    files_by_chunk = index.files_by_chunk()
     # ~4 groups per worker so hash placement still gets a balanced deal.
-    group_size = max(1, -(-len(files_by_chunk) // (4 * n_nodes)))
-    scheduler = EpochScheduler(
-        files_by_chunk, group_size, [c.node.name for c in cache.clients],
-        cache=cache, seed=0,
+    task.group_size = max(1, -(-len(task.index.chunk_ids()) // (4 * n_nodes)))
+    scheduler = task.scheduler()
+    elapsed = ws.tb.timed(
+        task.read(w, scheduler.shard(0, w).files) for w in range(n_nodes)
     )
-
-    def worker(w, cc):
-        shard = scheduler.shard(0, w)
-        for path in shard.files:
-            yield from cache.read_file(cc, index.lookup(path))
-
-    t0 = env.now
-    procs = [
-        env.process(worker(w, c), name=f"{tag}-{placement}-w{w}")
-        for w, c in enumerate(cache.clients)
-    ]
-    env.run(until=env.all_of(procs))
-    return cache, env.now - t0, index.file_count
+    return task.cache, elapsed, task.index.file_count
 
 
 def _locality_counters(cache) -> str:
@@ -528,24 +499,17 @@ def _sharing_probe(
     if quota_bytes:
         for t in range(n_tasks):
             registry.set_quota(f"tenant{t}", quota_bytes)
-    index, caches = _warm_probe_caches(
+    tasks = _probe_caches(
         ws, dataset, tag, 2,
-        tasks=[
-            dict(tenant=f"tenant{t}",
+        [
+            dict(shared=registry, tenant=f"tenant{t}",
                  qos_class="interactive" if t == 0 else "batch")
             for t in range(n_tasks)
         ],
-        shared=registry,
     )
 
-    def epoch(cache):
-        cc = cache.clients[0]
-        for path in index.all_paths():
-            yield from cache.read_file(cc, index.lookup(path))
-
-    readers = [env.process(epoch(c)) for c in caches]
-    env.run(until=env.all_of(readers))
-    return registry, caches
+    ws.tb.run_all(task.read(0, task.index.all_paths()) for task in tasks)
+    return registry, [task.cache for task in tasks]
 
 
 def cmd_tenants(ws: DieselWorkspace, dataset: str, args) -> str:
@@ -599,16 +563,10 @@ def cmd_tiers(ws: DieselWorkspace, dataset: str, args) -> str:
         env, store="tiered", disk_tier_bytes=args.disk,
         chunk_compression=args.compress,
     )
-    index, (cache,) = _warm_probe_caches(
-        ws, dataset, "tiers", 2, memory_bytes=args.ram, shared=registry
+    (task,) = _probe_caches(
+        ws, dataset, "tiers", 2, [dict(shared=registry)], memory_bytes=args.ram
     )
-
-    def probe():
-        cc = cache.clients[0]
-        for path in index.all_paths():
-            yield from cache.read_file(cc, index.lookup(path))
-
-    env.run(until=env.process(probe()))
+    ws.tb.run(task.read(0, task.index.all_paths()))
 
     lines = [
         f"tiered-store probe: dataset {dataset!r}, 2 node(s), "
@@ -663,13 +621,10 @@ def cmd_chaos(ws: DieselWorkspace, dataset: str, args) -> str:
         raise ReproError("--nodes must be >= 1")
     if args.straggler_ms < 0:
         raise ReproError("--straggler-ms must be >= 0")
-    index, (cache,) = _warm_probe_caches(ws, dataset, "chaos", args.nodes)
+    (task,) = _probe_caches(ws, dataset, "chaos", args.nodes)
+    cache, index = task.cache, task.index
     paths = index.all_paths()
-    env, fabric = ws.tb.env, ws.tb.fabric
-
-    def run(gen):
-        proc = env.process(gen)
-        return env.run(until=proc)
+    env, fabric, run = ws.tb.env, ws.tb.fabric, ws.tb.run
 
     # Degrade the most-loaded master's node and read from another node,
     # so the probe's reads actually cross the hostile NIC.

@@ -19,9 +19,9 @@ import struct
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.bench.setups import Testbed, add_diesel, make_testbed
+from repro.bench.setups import Testbed, deploy, diesel_client
 from repro.core import recovery
-from repro.core.client import DieselClient, SyncDieselClient
+from repro.core.client import SyncDieselClient
 from repro.core.config import DieselConfig
 from repro.errors import ChunkFormatError
 
@@ -35,8 +35,7 @@ class DieselWorkspace:
 
     def __init__(self, config: Optional[DieselConfig] = None) -> None:
         self.config = config or DieselConfig()
-        self.tb: Testbed = make_testbed(n_compute=1, n_storage=1)
-        add_diesel(self.tb, n_servers=1, config=self.config)
+        self.tb: Testbed = deploy(1, n_storage=1, n_servers=1, config=self.config)
         self._clients: Dict[str, SyncDieselClient] = {}
 
     @property
@@ -47,13 +46,9 @@ class DieselWorkspace:
         """A synchronous client bound to ``dataset`` (cached per dataset)."""
         if dataset not in self._clients:
             self._clients[dataset] = SyncDieselClient(
-                DieselClient(
-                    self.tb.env,
-                    self.tb.compute_nodes[0],
-                    self.tb.diesel_servers,
-                    dataset,
-                    name=f"dlcmd:{dataset}",
-                    config=self.config,
+                diesel_client(
+                    self.tb, dataset, self.tb.compute_nodes[0],
+                    f"dlcmd:{dataset}", config=self.config,
                 )
             )
         return self._clients[dataset]

@@ -216,6 +216,33 @@ class TestShuffleMode:
         order = client.full_shuffle_list(seed=1)
         assert sorted(order) == sorted(files)
 
+    def test_seedless_order_is_independent_of_pythonhashseed(self):
+        """A seedless epoch order derives from the dataset name through a
+        stable hash, so two interpreters agree whatever their str-hash salt."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.bench.setups import *\n"
+            "files = {f'/s/f{i:03d}': b'x' * 512 for i in range(64)}\n"
+            "tb = make_testbed(1); add_diesel(tb)\n"
+            "bulk_load_diesel(tb, 'ds', files, chunk_size=4096)\n"
+            "c = diesel_client_with_snapshot(tb, 'ds', tb.compute_nodes[0], 'c')\n"
+            "c.enable_shuffle(group_size=2)\n"
+            "print(c.epoch_file_list().files, c.full_shuffle_list())\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        orders = {
+            subprocess.run(
+                [sys.executable, "-c", script], check=True, text=True,
+                capture_output=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": salt},
+            ).stdout
+            for salt in ("1", "2")
+        }
+        assert len(orders) == 1 and "/s/f000" in orders.pop()
+
 
 class TestHousekeepingApi:
     def test_delete_purge(self, deployment):

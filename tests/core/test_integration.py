@@ -10,13 +10,7 @@ code for correctness", §6.1).
 
 import pytest
 
-from repro.bench.setups import (
-    add_diesel,
-    bulk_load_diesel,
-    diesel_client_with_snapshot,
-    make_testbed,
-)
-from repro.core.dist_cache import TaskCache
+from repro.bench.setups import deploy, diesel_client_with_snapshot, warmed_task
 from repro.core.fuse import mount
 from repro.workloads.filegen import generate_file, verify_file
 
@@ -25,32 +19,23 @@ N_FILES = 60
 
 @pytest.fixture
 def pipeline():
-    tb = make_testbed(n_compute=4)
-    add_diesel(tb, n_servers=2)
     files = {
         f"/ds/class{i % 5}/img{i:04d}.jpg": generate_file(f"img{i}", 2048 + i)
         for i in range(N_FILES)
     }
-    bulk_load_diesel(tb, "ds", files, chunk_size=16 * 1024)
-    clients = [
-        diesel_client_with_snapshot(tb, "ds", tb.compute_nodes[c % 4],
-                                    f"c{c}", rank=c)
-        for c in range(8)
-    ]
-    return tb, files, clients
+    return deploy(4, "ds", files, chunk_size=16 * 1024, n_servers=2), files
+
+
+def cached_task(tb):
+    """A warmed task of 8 clients over the 4 nodes."""
+    return warmed_task(tb, "ds", [tb.compute_nodes[c % 4] for c in range(8)])
 
 
 class TestFullPipeline:
     def test_every_hop_preserves_checksums(self, pipeline):
-        tb, files, clients = pipeline
-        cache = TaskCache(
-            tb.env, tb.fabric, tb.diesel, "ds",
-            [c.as_cache_client() for c in clients],
-        )
-        tb.run(cache.register())
-        tb.run(cache.wait_warm())
-        for c in clients:
-            c.attach_cache(cache)
+        tb, files = pipeline
+        task = cached_task(tb)
+        cache, clients = task.cache, task.clients
         fuse = mount([clients[0]])
 
         def verify_all():
@@ -74,8 +59,8 @@ class TestFullPipeline:
         assert cache.hit_ratio() == 1.0
 
     def test_shuffled_epoch_verifies(self, pipeline):
-        tb, files, clients = pipeline
-        client = clients[0]
+        tb, files = pipeline
+        client = diesel_client_with_snapshot(tb, "ds", tb.compute_nodes[0], "c0")
         client.enable_shuffle(group_size=2)
         plan = client.epoch_file_list(seed=42)
         assert sorted(plan.files) == sorted(files)
@@ -91,21 +76,16 @@ class TestFullPipeline:
         assert len(client._window.resident) <= 2
 
     def test_failure_then_recovery_preserves_integrity(self, pipeline):
-        tb, files, clients = pipeline
-        cache = TaskCache(
-            tb.env, tb.fabric, tb.diesel, "ds",
-            [c.as_cache_client() for c in clients],
-        )
-        tb.run(cache.register())
-        tb.run(cache.wait_warm())
+        tb, files = pipeline
+        task = cached_task(tb)
         tb.compute_nodes[0].kill()
-        tb.run(cache.recover())
-        survivor = next(c for c in clients if c.node.alive)
+        tb.run(task.cache.recover())
+        survivor = next(c for c in task.clients if c.node.alive)
 
         def verify():
             for path, expected in files.items():
-                data = yield from cache.read_file(
-                    survivor.as_cache_client(), survivor.index.lookup(path)
+                data = yield from task.cache.read_file(
+                    survivor.as_cache_client(), task.index.lookup(path)
                 )
                 assert data == expected and verify_file(data)
 
@@ -114,7 +94,7 @@ class TestFullPipeline:
     def test_metadata_wipe_then_rebuild_preserves_integrity(self, pipeline):
         from repro.core import recovery
 
-        tb, files, clients = pipeline
+        tb, files = pipeline
         tb.kv.lose_all()
         tb.run(recovery.rebuild_dataset(tb.diesel, "ds"))
 
@@ -128,7 +108,7 @@ class TestFullPipeline:
         tb.run(verify())
 
     def test_multi_server_consistency(self, pipeline):
-        tb, files, clients = pipeline
+        tb, files = pipeline
         path = next(iter(files))
 
         def via(server_idx):
@@ -144,12 +124,9 @@ class TestTieredServerCache:
     """The Fig 4 server cache: HDD base + SSD tier."""
 
     def _setup(self):
-        tb = make_testbed(n_compute=1)
-        add_diesel(tb, tiered=True)
         files = {f"/t/f{i:03d}": generate_file(f"t{i}", 4096)
                  for i in range(40)}
-        bulk_load_diesel(tb, "ds", files, chunk_size=32 * 1024)
-        return tb, files
+        return deploy(1, "ds", files, chunk_size=32 * 1024, tiered=True), files
 
     def test_config_store_published(self):
         tb, _ = self._setup()

@@ -15,19 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.setups import (
-    add_diesel,
-    bulk_load_diesel,
-    diesel_client_with_snapshot,
-    make_testbed,
-)
+from repro.bench.setups import deploy, diesel_client_with_snapshot, warmed_task
 from repro.calibration import ModelProfile
 from repro.cluster.failure import FailureInjector
 from repro.cluster.node import Node
-from repro.core.dist_cache import TaskCache
 from repro.core.shared_cache import SharedCacheRegistry
-from repro.dlt.dataloader import EpochScheduler
-from repro.dlt.readers import CacheReader
 from repro.dlt.trainer import run_training
 
 CHUNK = 6 * 1024
@@ -45,7 +37,7 @@ def make_files(seed, n=60, sizes=(600, 1500)):
 
 def make_task(seed=0, placement="hash", store="ram", group_size=2,
               n_nodes=3, n_files=60, file_sizes=(600, 1500),
-              chunk_size=CHUNK, **cache_kw):
+              chunk_size=CHUNK):
     """A warmed task cache with one CacheReader per node.
 
     ``store``: ``ram`` (the task's own RAM tier, everything fits) or
@@ -53,43 +45,24 @@ def make_task(seed=0, placement="hash", store="ram", group_size=2,
     about half of each node's share) — one residency model either way.
     """
     files = make_files(seed, n_files, file_sizes)
-    tb = make_testbed(n_compute=1)
-    add_diesel(tb, n_servers=1)
-    chunks = bulk_load_diesel(tb, "ds", files, chunk_size=chunk_size)
+    tb = deploy(1, "ds", files, chunk_size, n_servers=1)
     ram = 256 * 2**30
     if store != "ram":
-        ram = sum(c.data_size for c in chunks) // (2 * n_nodes)
+        ram = sum(c.data_size for c in tb.chunks) // (2 * n_nodes)
     nodes = [
         tb.fabric.add_node(
             Node(tb.env, f"w{i}", memory_bytes=ram, nic_channels=8))
         for i in range(n_nodes)
     ]
-    clients = [
-        diesel_client_with_snapshot(tb, "ds", node, f"c{i}", rank=i)
-        for i, node in enumerate(nodes)
-    ]
     registry = None
     if store == "tiered":
         registry = SharedCacheRegistry(
             tb.env, store="tiered", chunk_compression=True)
-    cache = TaskCache(
-        tb.env, tb.fabric, tb.diesel, "ds",
-        [c.as_cache_client() for c in clients],
-        calibration=tb.cal, placement=placement, shared=registry,
-        **cache_kw,
+    task = warmed_task(
+        tb, "ds", nodes, placement=placement, shared=registry,
+        group_size=group_size, seed=seed,
     )
-    tb.run(cache.register())
-    tb.run(cache.wait_warm())
-    index = clients[0].index
-    scheduler = EpochScheduler(
-        index.files_by_chunk(), group_size, [n.name for n in nodes],
-        cache=cache, seed=seed,
-    )
-    readers = [
-        CacheReader(scheduler, cache, c.as_cache_client(), index, w)
-        for w, c in enumerate(clients)
-    ]
-    return tb, cache, readers, files, index
+    return tb, task.cache, task.make_readers(), files, task.index
 
 
 def count_fetches(cache):

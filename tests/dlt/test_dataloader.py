@@ -1,5 +1,7 @@
 """Tests for the PyTorch-style SimDataLoader."""
 
+import re
+
 import pytest
 
 from repro.dlt.dataloader import SimDataLoader
@@ -106,8 +108,11 @@ class TestLoader:
             yield from loader.begin_epoch(0)
             yield from loader.begin_epoch(1)
 
-        with pytest.raises(DieselError):
+        with pytest.raises(DieselError) as err:
             run_sync(env, proc())
+        # Every method the message names exists on the loader.
+        named = re.findall(r"(\w+)\(\)", str(err.value))
+        assert named and all(hasattr(loader, m) for m in named)
 
     def test_epoch_orders_differ(self):
         env, loader = make_loader(n_files=8, batch=8)

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.bench.setups import (
-    add_diesel,
     add_lustre,
-    bulk_load_diesel,
     bulk_load_lustre,
+    deploy,
     diesel_client_with_snapshot,
     make_testbed,
 )
@@ -24,9 +23,7 @@ def make_lustre_reader():
 
 
 def make_fuse_reader(chunk_wise=True):
-    tb = make_testbed(n_compute=1)
-    add_diesel(tb)
-    bulk_load_diesel(tb, "ds", FILES, chunk_size=8 * 1024)
+    tb = deploy(1, "ds", FILES, chunk_size=8 * 1024)
     client = diesel_client_with_snapshot(tb, "ds", tb.compute_nodes[0], "c0")
     client.enable_shuffle(group_size=2)
     return tb, FuseReader(mount([client]), chunk_wise=chunk_wise, seed=1)

@@ -2,16 +2,9 @@
 
 import pytest
 
-from repro.bench.setups import (
-    add_diesel,
-    bulk_load_diesel,
-    diesel_client_with_snapshot,
-    make_testbed,
-)
+from repro.bench.setups import deploy, warmed_task
 from repro.calibration import ModelProfile
-from repro.core.dist_cache import TaskCache
 from repro.dlt.dataloader import EpochScheduler
-from repro.dlt.readers import CacheReader
 from repro.dlt.trainer import run_task_training
 from repro.errors import DieselError
 from repro.util.ids import ChunkIdGenerator
@@ -31,34 +24,13 @@ def make_dataset(n_chunks=8, files_per_chunk=6):
 def make_locality_task(n_nodes=2, placement="locality", group_size=2,
                        hot_chunk_threshold=0):
     """A warmed multi-node task cache plus scheduler and per-node readers."""
-    tb = make_testbed(n_compute=n_nodes)
-    add_diesel(tb, n_servers=1)
-    bulk_load_diesel(tb, "ds", FILES, chunk_size=8 * 1024)
-    clients = [
-        diesel_client_with_snapshot(
-            tb, "ds", tb.compute_nodes[c], f"tc{c}", rank=c
-        )
-        for c in range(n_nodes)
-    ]
-    cache = TaskCache(
-        tb.env, tb.fabric, tb.diesel, "ds",
-        [c.as_cache_client() for c in clients],
-        policy="oneshot", calibration=tb.cal, placement=placement,
-        hot_chunk_threshold=hot_chunk_threshold,
+    tb = deploy(n_nodes, "ds", FILES, chunk_size=8 * 1024, n_servers=1)
+    task = warmed_task(
+        tb, "ds", tb.compute_nodes, "tc", placement=placement,
+        hot_chunk_threshold=hot_chunk_threshold, group_size=group_size, seed=11,
     )
-    tb.run(cache.register())
-    tb.run(cache.wait_warm())
-    worker_nodes = [n.name for n in tb.compute_nodes[:n_nodes]]
-    scheduler = EpochScheduler(
-        clients[0].index.files_by_chunk(), group_size,
-        worker_nodes, cache=cache, seed=11,
-    )
-    readers = [
-        CacheReader(scheduler, cache, c.as_cache_client(),
-                    clients[0].index, w)
-        for w, c in enumerate(clients)
-    ]
-    return tb, cache, scheduler, readers
+    readers = task.make_readers()
+    return tb, task.cache, readers[0].scheduler, readers
 
 
 class TestEpochScheduler:

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.bench.setups import (
-    add_diesel,
-    bulk_load_diesel,
-    diesel_client_with_snapshot,
-    make_testbed,
-)
+from repro.bench.setups import deploy, make_task
 from repro.calibration import ModelProfile
 from repro.core.shared_cache import SharedCacheRegistry
 from repro.dlt.sweep import build_sweep_task, run_sweep
@@ -17,21 +12,16 @@ FILES = {f"/d/f{i:03d}": bytes([i % 251]) * 2000 for i in range(64)}
 
 
 def sweep_rig(n_tasks=3, n_nodes=4, shared=True, chunk_size=20_000):
-    tb = make_testbed(n_nodes)
-    add_diesel(tb, 2)
-    chunks = bulk_load_diesel(tb, "ds", FILES, chunk_size=chunk_size)
+    tb = deploy(n_nodes, "ds", FILES, chunk_size, n_servers=2)
     registry = SharedCacheRegistry(tb.env) if shared else None
-    tasks = []
-    for t in range(n_tasks):
-        clients = [
-            diesel_client_with_snapshot(tb, "ds", node, f"t{t}c{i}", i)
-            for i, node in enumerate(tb.compute_nodes)
-        ]
-        tasks.append(build_sweep_task(
-            f"task{t}", tb.env, tb.fabric, tb.diesel, "ds", clients,
+    tasks = [
+        make_task(
+            tb, "ds", tb.compute_nodes, f"t{t}c",
             shared=registry, tenant=f"tenant{t % 2}",
-        ))
-    return tb, registry, tasks, chunks
+        )
+        for t in range(n_tasks)
+    ]
+    return tb, registry, tasks, tb.chunks
 
 
 class TestRunSweep:

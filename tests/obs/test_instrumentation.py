@@ -1,24 +1,21 @@
 """Integration tests: spans recorded across the instrumented stack."""
 
 from repro.bench.setups import (
-    add_diesel,
-    bulk_load_diesel,
+    deploy,
+    diesel_client,
     diesel_client_with_snapshot,
-    make_testbed,
+    make_task,
+    warm,
 )
 from repro.calibration import KB, MB
 from repro.core.config import DieselConfig
-from repro.core.dist_cache import TaskCache
 from repro.obs import SpanRecorder
 
 FILES = {f"/obs/f{i:04d}.bin": b"\x11" * (64 * KB) for i in range(128)}
 
 
 def loaded_testbed(n_compute=1, n_servers=2):
-    tb = make_testbed(n_compute=n_compute)
-    add_diesel(tb, n_servers=n_servers)
-    bulk_load_diesel(tb, "obs", FILES, chunk_size=1 * MB)
-    return tb
+    return deploy(n_compute, "obs", FILES, chunk_size=1 * MB, n_servers=n_servers)
 
 
 class TestReadPath:
@@ -83,14 +80,8 @@ class TestReadPath:
 
 class TestWritePath:
     def test_put_flush_spans(self):
-        tb = make_testbed(n_compute=1)
-        add_diesel(tb, n_servers=2)
-        from repro.core.client import DieselClient
-
-        client = DieselClient(
-            tb.env, tb.compute_nodes[0], tb.diesel_servers, "w",
-            name="writer", calibration=tb.cal,
-        )
+        tb = deploy(1, n_servers=2)
+        client = diesel_client(tb, "w", tb.compute_nodes[0], "writer")
         rec = SpanRecorder.attach(client, *tb.diesel_servers)
 
         def job():
@@ -110,26 +101,13 @@ class TestWritePath:
 
 
 class TestCachePath:
-    def _cache(self, tb, clients):
-        return TaskCache(
-            tb.env, tb.fabric, tb.diesel, "obs",
-            [c.as_cache_client() for c in clients],
-            policy="oneshot", calibration=tb.cal,
-        )
-
     def test_warmup_and_recover_spans(self):
         tb = loaded_testbed(n_compute=2)
-        clients = [
-            diesel_client_with_snapshot(
-                tb, "obs", tb.compute_nodes[c], f"c{c}", rank=c
-            )
-            for c in range(2)
-        ]
+        task = make_task(tb, "obs", tb.compute_nodes)
         # Each surviving master times its own re-stream.
-        cache = self._cache(tb, clients)
-        rec = SpanRecorder.attach(clients[0], cache)
-        tb.run(cache.register())
-        tb.run(cache.wait_warm())
+        cache = task.cache
+        rec = SpanRecorder.attach(task.clients[0], cache)
+        warm(tb, [task])
         assert rec.histogram("warmup", "master").count == len(cache.masters)
         victim = cache.masters[sorted(cache.masters)[0]]
         victim.node.kill()
@@ -139,18 +117,10 @@ class TestCachePath:
 
     def test_task_cache_resolution_layers(self):
         tb = loaded_testbed(n_compute=2)
-        clients = [
-            diesel_client_with_snapshot(
-                tb, "obs", tb.compute_nodes[c], f"c{c}", rank=c
-            )
-            for c in range(2)
-        ]
-        cache = self._cache(tb, clients)
-        reader = clients[1]
-        reader.attach_cache(cache)
+        task = make_task(tb, "obs", tb.compute_nodes)
+        cache, reader = task.cache, task.clients[1]
         rec = SpanRecorder.attach(reader, cache)
-        tb.run(cache.register())
-        tb.run(cache.wait_warm())
+        warm(tb, [task])
 
         def job():
             for path in sorted(FILES)[:16]:

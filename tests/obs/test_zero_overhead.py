@@ -7,14 +7,8 @@ produce byte-identical stats counters and identical simulated elapsed
 time whether or not a recorder is attached.
 """
 
-from repro.bench.setups import (
-    add_diesel,
-    bulk_load_diesel,
-    diesel_client_with_snapshot,
-    make_testbed,
-)
+from repro.bench.setups import deploy, diesel_client, diesel_client_with_snapshot
 from repro.calibration import KB, MB
-from repro.core.client import DieselClient
 from repro.core.config import DieselConfig
 from repro.obs import SpanRecorder
 from repro.util import ids as _ids
@@ -34,9 +28,7 @@ def _pin_id_counter():
 def read_workload(attach: bool):
     """A Fig 14-style shuffled read epoch plus a batched get_many."""
     _pin_id_counter()
-    tb = make_testbed(n_compute=1)
-    add_diesel(tb, n_servers=2)
-    bulk_load_diesel(tb, "zc", FILES, chunk_size=1 * MB)
+    tb = deploy(1, "zc", FILES, chunk_size=1 * MB, n_servers=2)
     client = diesel_client_with_snapshot(
         tb, "zc", tb.compute_nodes[0], "reader",
         config=DieselConfig(
@@ -53,10 +45,8 @@ def read_workload(attach: bool):
             yield from client.get(path)
         yield from client.get_many(sorted(FILES)[::7][:10])
 
-    t0 = tb.env.now
-    tb.run(job())
     return (
-        tb.env.now - t0,
+        tb.timed([job()]),
         client.stats.to_dict(),
         [s.stats.to_dict() for s in tb.diesel_servers],
         [s.endpoint.stats.to_dict() for s in tb.diesel_servers],
@@ -66,21 +56,16 @@ def read_workload(attach: bool):
 def write_workload(attach: bool):
     """A Fig 9-style pipelined ingest."""
     _pin_id_counter()
-    tb = make_testbed(n_compute=1)
-    add_diesel(tb, n_servers=2)
-    client = DieselClient(
-        tb.env, tb.compute_nodes[0], tb.diesel_servers, "zw",
-        name="writer",
+    tb = deploy(1, n_servers=2)
+    client = diesel_client(
+        tb, "zw", tb.compute_nodes[0], "writer",
         config=DieselConfig(ingest_pipeline_depth=2),
-        calibration=tb.cal,
     )
     if attach:
         SpanRecorder.attach(client, *tb.diesel_servers)
     items = [(f"/zw/f{i:04d}.bin", b"\x66" * (256 * KB)) for i in range(24)]
-    t0 = tb.env.now
-    tb.run(client.put_many(items))
     return (
-        tb.env.now - t0,
+        tb.timed([client.put_many(items)]),
         client.stats.to_dict(),
         [s.stats.to_dict() for s in tb.diesel_servers],
     )
@@ -98,9 +83,7 @@ class TestZeroOverhead:
         assert plain == observed
 
     def test_detached_hot_path_records_nothing(self):
-        tb = make_testbed(n_compute=1)
-        add_diesel(tb)
-        bulk_load_diesel(tb, "zc", FILES, chunk_size=1 * MB)
+        tb = deploy(1, "zc", FILES, chunk_size=1 * MB)
         client = diesel_client_with_snapshot(
             tb, "zc", tb.compute_nodes[0], "reader"
         )

@@ -5,12 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.setups import (
-    add_diesel,
-    bulk_load_diesel,
-    diesel_client_with_snapshot,
-    make_testbed,
-)
+from repro.bench.setups import deploy, diesel_client_with_snapshot
 from repro.workloads.datasets import CIFAR10, IMAGENET_1K
 from repro.workloads.filegen import generate_file, verify_file
 
@@ -21,13 +16,11 @@ def scaled_imagenet():
     # size distribution.
     spec = replace(IMAGENET_1K, n_files=IMAGENET_1K.n_classes,
                    name="imagenet-1k-small")
-    tb = make_testbed(n_compute=2)
-    add_diesel(tb)
     files = {
         spec.path_of(i): generate_file(spec.path_of(i), int(size))
         for i, size in enumerate(spec.sizes())
     }
-    bulk_load_diesel(tb, spec.name, files, chunk_size=4 * 1024 * 1024)
+    tb = deploy(2, spec.name, files)
     client = diesel_client_with_snapshot(
         tb, spec.name, tb.compute_nodes[0], "reader"
     )
