@@ -79,7 +79,7 @@ def test_request_executor_merge_ablation(benchmark):
             for p in paths:
                 yield from tb.diesel.call(node, "get_file", "ds", p)
 
-        batched = tb.diesel.call(node, "read_files", "ds", paths)
+        batched = tb.diesel.call(node, "get_files", "ds", paths)
         return tb.timed([batched]), tb.timed([individual()])
 
     t_batched, t_individual = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -8,9 +8,10 @@ change from run to run.  This compares only the former, so a refactor
 can show it left every counter where it was.
 
 Exit status: 0 when every compared file agrees, 1 otherwise (each
-differing key is printed as ``name rows[i].key: A -> B``; two files
-whose top-level key sets differ — one schema for every BENCH file —
-count as differing), 2 when a file is missing.
+differing key is printed as ``name rows[i].key: A -> B``; a row whose
+shared columns come in another order — every printed table changes —
+and two files whose top-level key sets differ — one schema for every
+BENCH file — count as differing), 2 when a file is missing.
 
 Usage::
 
@@ -34,6 +35,10 @@ def diff_rows(a: list, b: list) -> list[str]:
     if len(a) != len(b):
         out.append(f"rows: {len(a)} rows -> {len(b)} rows")
     for i, (ra, rb) in enumerate(zip(a, b)):
+        order_a = [k for k in ra if k in rb]
+        order_b = [k for k in rb if k in ra]
+        if order_a != order_b:
+            out.append(f"rows[{i}]: column order {order_a} -> {order_b}")
         for key in list(ra) + [k for k in rb if k not in ra]:
             va, vb = ra.get(key, _MISSING), rb.get(key, _MISSING)
             if va != vb:

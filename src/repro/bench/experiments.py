@@ -9,6 +9,7 @@ Every function returns an :class:`~repro.bench.harness.ExperimentResult`.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.calibration import DEFAULT, KB, MB, MODEL_ZOO
 from repro.core.config import DieselConfig
 from repro.core.dist_cache import CacheClient
 from repro.core.fuse import FuseMount
+from repro.core.server import ServerStats
 from repro.core.shared_cache import SharedCacheRegistry
 from repro.core.shuffle import chunk_adjacency, chunkwise_shuffle, full_shuffle
 from repro.cluster.devices import Device
@@ -44,6 +46,7 @@ from repro.dlt.synthetic import SyntheticDataset
 from repro.dlt.trainer import run_training
 from repro.errors import ReproError
 from repro.obs import SpanRecorder
+from repro.obs.counters import Counters
 from repro.sim import Environment
 from repro.workloads.filegen import generate_file
 
@@ -1180,9 +1183,9 @@ def ingest_pipeline(
 
             ship_s = tb.timed([ship()])
             ship_hwm = max(1, client.stats.ingest_inflight_hwm)
-            server_ingests = sum(
-                s.stats.ingests for s in tb.diesel_servers
-            )
+            server_ingests = ServerStats.total(
+                s.stats for s in tb.diesel_servers
+            ).ingests
 
             # --- put phase: end-to-end DL_put/DL_flush pipeline ---
             tb, client = fresh_client(depth)
@@ -1288,9 +1291,9 @@ def fanout_scatter_gather(
                 assert len(got) == len(batch_paths)
 
             read_s = tb.timed([cold_read()])
-            chunk_reads = sum(
-                s.stats.chunk_reads for s in tb.diesel_servers
-            )
+            chunk_reads = ServerStats.total(
+                s.stats for s in tb.diesel_servers
+            ).chunk_reads
             result.add(
                 fanout=f,
                 warm_s=warm_s,
@@ -1533,7 +1536,7 @@ def fig_faults(
             detection_s=detection_s,
             recovery_s=recovery["elapsed_s"],
             chunks_reloaded=recovery["chunks_reloaded"],
-            degraded_reads=cache.degraded_reads,
+            degraded_reads=cache.stats.degraded_reads,
             pre_reads_per_s=pre, degraded_reads_per_s=degraded,
             post_reads_per_s=post, post_over_pre=post / pre,
         )
@@ -1697,18 +1700,18 @@ def fig_locality(
         )
         tb.run(task.read(reader, [hot_path] * hot_threshold))
         tb.env.run()  # drain the background replication pull
-        local_before = cache.local_hits
+        local_before = cache.stats.local_hits
         tb.run(task.read(reader, [hot_path]))
         stats = cache.stats
         result.add(
             event="hot_replication", threshold=hot_threshold,
             replicated_chunks=stats.replicated_chunks,
-            post_replication_local=cache.local_hits - local_before,
+            post_replication_local=stats.local_hits - local_before,
         )
         result.note(
             f"hot chunk replicated after {hot_threshold} remote reads "
             f"({stats.replicated_chunks} replicas); next read resolved "
-            "locally" if cache.local_hits > local_before else
+            "locally" if stats.local_hits > local_before else
             "hot chunk replication did not trigger"
         )
     return result
@@ -1731,15 +1734,13 @@ def _scale_hits_below(x: int) -> int:
     )
 
 
-class _ScaleCounters:
+@dataclass(slots=True)
+class _ScaleCounters(Counters):
     """Per-server read/hit/stat counters for the scale workload."""
 
-    __slots__ = ("reads", "hits", "stat_calls")
-
-    def __init__(self) -> None:
-        self.reads = 0
-        self.hits = 0
-        self.stat_calls = 0
+    reads: int = 0
+    hits: int = 0
+    stat_calls: int = 0
 
 
 def _scale_handler(ctr: "_ScaleCounters"):
@@ -1878,9 +1879,7 @@ def scale_engine(
                 requests_per_sec=(
                     n_requests / es.run_wall_s if es.run_wall_s else 0.0
                 ),
-                reads=sum(c.reads for c in ctrs),
-                hits=sum(c.hits for c in ctrs),
-                stat_calls=sum(c.stat_calls for c in ctrs),
+                **_ScaleCounters.total(ctrs).to_dict(),
             )
         base = result.one(variant="heap+per-request")
         fast = result.one(variant="calendar+batched")
@@ -2287,7 +2286,7 @@ def fig_elastic(
         def controller():
             # Trigger once the epoch is ~half served (workload-progress
             # trigger, like FailureInjector.on_trigger).
-            while cache.local_hits + cache.remote_hits < n_files // 2:
+            while cache.stats.local_hits + cache.stats.remote_hits < n_files // 2:
                 yield tb.env.timeout(1e-4)
             before = tb.diesel.stats.chunk_reads
             res = yield from cache.scale_up(joiners)
@@ -2297,8 +2296,9 @@ def fig_elastic(
             scale_rows.append(res)
 
         epoch0_s = tb.timed([worker(0, w) for w in range(4)] + [controller()])
-        served0 = cache.local_hits + cache.remote_hits
-        local0 = cache.local_hits
+        stats = cache.stats
+        served0 = stats.local_hits + stats.remote_hits
+        local0 = stats.local_hits
         scale = scale_rows[0]
         result.add(
             event="scale_up", nodes_before=2, nodes_after=4,
@@ -2317,8 +2317,9 @@ def fig_elastic(
         )
         fetches_before = tb.diesel.stats.chunk_reads
         epoch1_s = tb.timed(worker(1, w) for w in range(4))
-        served1 = (cache.local_hits + cache.remote_hits) - served0
-        local1 = cache.local_hits - local0
+        stats = cache.stats
+        served1 = (stats.local_hits + stats.remote_hits) - served0
+        local1 = stats.local_hits - local0
         local_frac0 = local0 / served0 if served0 else 0.0
         local_frac1 = local1 / served1 if served1 else 0.0
         result.add(
@@ -2384,8 +2385,7 @@ def fig_elastic(
             event="churn", cycles=churn_cycles,
             reads=2 * churn_passes * n_files,
             failed_reads=failed[0], lost_chunks=sum(losses),
-            drained_chunks=stats.drained_chunks,
-            scale_downs=stats.scale_downs, scale_ups=stats.scale_ups,
+            **stats_row(stats, ["drained_chunks", "scale_downs", "scale_ups"]),
             membership_version=cache.membership_version,
             chaos_events=len(chaos.log),
         )

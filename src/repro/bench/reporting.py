@@ -6,11 +6,8 @@ Everything an experiment emits goes through this module:
   tables for the runner's stdout;
 * :func:`result_to_dict` / :func:`write_json` — the machine-readable
   ``BENCH_<id>.json`` artifacts;
-* :func:`stats_row` — the one sanctioned path from a stats object
-  (``ClientStats`` / ``ServerStats`` / ``CacheMasterStats`` / an
-  ``obs.SpanRecorder``) into experiment rows.  Anything exposing
-  ``to_dict()`` works, so per-layer latency columns from a recorder
-  merge into the same row as plain counters;
+* :func:`stats_row` (from :mod:`repro.obs.counters`) — the one path
+  from a stats object or an ``obs.SpanRecorder`` into experiment rows;
 * :func:`ratio` — safe speedup ratios.
 """
 
@@ -19,6 +16,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Sequence
 
 from repro.bench.harness import ExperimentResult
+from repro.obs.counters import stats_row
 
 
 def _fmt(value: Any) -> str:
@@ -101,26 +99,6 @@ def write_json(result: ExperimentResult, path) -> None:
     Path(path).write_text(
         json.dumps(result_to_dict(result), indent=2, sort_keys=False) + "\n"
     )
-
-
-def stats_row(
-    stats: Any, keys: Sequence[str] | None = None, prefix: str = ""
-) -> Dict[str, Any]:
-    """Select counters from a stats object's ``to_dict()`` as table cells.
-
-    The one sanctioned path from ``ClientStats`` / ``ServerStats`` /
-    ``CacheMasterStats`` — or an :class:`repro.obs.SpanRecorder`, whose
-    ``to_dict()`` flattens per-(op, layer) latency percentiles — into
-    experiment rows; no ad-hoc attribute plucking.  Since every stats
-    class derives ``to_dict()`` from its dataclass fields, a counter
-    added to a stats class automatically appears here.  ``keys=None``
-    takes every counter; ``prefix`` namespaces the columns (e.g.
-    ``"srv_"``).
-    """
-    counters = stats.to_dict()
-    if keys is None:
-        keys = list(counters)
-    return {f"{prefix}{k}": counters[k] for k in keys}
 
 
 def ratio(a: float, b: float) -> float:

@@ -15,24 +15,24 @@ the behaviour DIESEL's ≥4 MB chunks exploit.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Generator
 
 from repro.calibration import HddProfile, NvmeProfile
 from repro.errors import NodeDownError
+from repro.obs.counters import Counters
 from repro.sim.engine import Environment, Event, Semaphore
 
 
-class DeviceStats:
+@dataclass(slots=True)
+class DeviceStats(Counters):
     """Cumulative operation counters for a device."""
 
-    __slots__ = ("read_ops", "read_bytes", "write_ops", "write_bytes", "busy_time")
-
-    def __init__(self) -> None:
-        self.read_ops = 0
-        self.read_bytes = 0
-        self.write_ops = 0
-        self.write_bytes = 0
-        self.busy_time = 0.0
+    read_ops: int = 0
+    read_bytes: int = 0
+    write_ops: int = 0
+    write_bytes: int = 0
+    busy_time: float = 0.0
 
 
 class Device:

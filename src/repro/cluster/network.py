@@ -12,25 +12,25 @@ egress).  Incast onto a hot receiver therefore queues on its ingress NIC
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, Generator
 
 from repro.calibration import NetworkProfile
 from repro.errors import ClusterError, NodeDownError
+from repro.obs.counters import Counters
 from repro.sim.engine import Environment, Event
 from repro.cluster.node import Node
 
 
-class FabricStats:
+@dataclass(slots=True)
+class FabricStats(Counters):
     """Cumulative transfer counters."""
 
-    __slots__ = ("transfers", "bytes_moved", "intra_node", "degraded_transfers")
-
-    def __init__(self) -> None:
-        self.transfers = 0
-        self.bytes_moved = 0
-        self.intra_node = 0
-        #: Transfers that touched a chaos-degraded NIC.
-        self.degraded_transfers = 0
+    transfers: int = 0
+    bytes_moved: int = 0
+    intra_node: int = 0
+    #: Transfers that touched a chaos-degraded NIC.
+    degraded_transfers: int = 0
 
 
 class NetworkFabric:

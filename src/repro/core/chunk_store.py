@@ -43,11 +43,12 @@ from __future__ import annotations
 
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.cluster.devices import Device
 from repro.core.chunk import Chunk
+from repro.obs.counters import Counters
 from repro.sim.engine import Environment, Event
 
 #: Per-operation latency of the simulated node-local NVMe tier.
@@ -85,11 +86,12 @@ def compression_ratio(key: str, seed: int = 0) -> float:
 
 
 @dataclass(slots=True)
-class ChunkStoreStats:
+class ChunkStoreStats(Counters):
     """Tier counters and residency gauges (the bench-reporting seam).
 
-    Cumulative counters move as the store runs; the gauge fields are
-    refreshed on every :attr:`ChunkStore.stats` access.
+    Cumulative counters and the byte gauges move as the store runs;
+    the chunk counts are refreshed on every :attr:`ChunkStore.stats`
+    access.
     """
 
     #: Lookups served from the RAM tier.
@@ -108,18 +110,13 @@ class ChunkStoreStats:
     compress_ops: int = 0
     bytes_demoted: int = 0
     bytes_promoted: int = 0
-    #: Gauges (refreshed on stats access).  ``disk_bytes`` is logical
-    #: chunk bytes; ``disk_stored_bytes`` is post-compression on-disk.
+    #: Gauges.  ``disk_bytes`` is logical chunk bytes;
+    #: ``disk_stored_bytes`` is post-compression on-disk.
     ram_bytes: int = 0
     disk_bytes: int = 0
     disk_stored_bytes: int = 0
     chunks_ram: int = 0
     chunks_disk: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        """All counters as ``{name: value}``, derived from the dataclass
-        fields so a new counter can never silently drop out of rows."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class ChunkStore:
@@ -172,7 +169,6 @@ class ChunkStore:
         self.kind = kind
         #: key → (chunk, nbytes) in LRU order (oldest first).
         self._ram: "OrderedDict[str, Tuple[Chunk, int]]" = OrderedDict()
-        self._ram_bytes = 0
         #: Disk-tier capacity in *stored* bytes (0 = unbounded).
         self.capacity_bytes = disk_tier_bytes
         self.compression = compression
@@ -183,8 +179,6 @@ class ChunkStore:
         ) if kind == "tiered" else None
         #: key → (chunk, nbytes, stored_bytes) in LRU order.
         self._disk: "OrderedDict[str, Tuple[Chunk, int, int]]" = OrderedDict()
-        self._disk_bytes = 0
-        self._disk_stored = 0
         #: Promote/demote single-flight: key → completion event.
         self._moving: Dict[str, Event] = {}
         #: Called with the key whenever the store drops a chunk from
@@ -198,12 +192,9 @@ class ChunkStore:
     # ------------------------------------------------------------- inspection
     @property
     def stats(self) -> ChunkStoreStats:
-        """Counters with the residency gauges refreshed."""
+        """Counters with the chunk-count gauges refreshed."""
         s = self._stats
-        s.ram_bytes = self._ram_bytes
         s.chunks_ram = len(self._ram)
-        s.disk_bytes = self._disk_bytes
-        s.disk_stored_bytes = self._disk_stored
         s.chunks_disk = len(self._disk)
         return s
 
@@ -258,7 +249,7 @@ class ChunkStore:
             return True
         if stored > self.capacity_bytes:
             return False
-        while self._disk_stored + stored > self.capacity_bytes:
+        while self._stats.disk_stored_bytes + stored > self.capacity_bytes:
             victim = None
             for key in self._disk:
                 if key in self._moving:
@@ -289,8 +280,8 @@ class ChunkStore:
                 rec.count("tier_compress", "disk")
         yield from self.device.write(stored)
         self._disk[key] = (chunk, nbytes, stored)
-        self._disk_bytes += nbytes
-        self._disk_stored += stored
+        self._stats.disk_bytes += nbytes
+        self._stats.disk_stored_bytes += stored
 
     def put(
         self, key: str, chunk: Chunk, nbytes: int, evictable=None
@@ -305,7 +296,7 @@ class ChunkStore:
         if self.node.memory.level >= nbytes:
             yield self.node.memory.get(nbytes)
             self._ram[key] = (chunk, nbytes)
-            self._ram_bytes += nbytes
+            self._stats.ram_bytes += nbytes
             return "ram"
         stored = self.stored_size(key, nbytes)
         if not self._fit_disk(stored, evictable):
@@ -356,7 +347,7 @@ class ChunkStore:
                 yield self.node.memory.get(nbytes)
                 self._drop_disk(key)
                 self._ram[key] = (chunk, nbytes)
-                self._ram_bytes += nbytes
+                self._stats.ram_bytes += nbytes
                 self._stats.promotions += 1
                 self._stats.bytes_promoted += nbytes
                 if rec is not None:
@@ -396,7 +387,7 @@ class ChunkStore:
             yield from self._write_disk(key, chunk, nbytes, stored)
             item = self._ram.pop(key, None)
             if item is not None:
-                self._ram_bytes -= nbytes
+                self._stats.ram_bytes -= nbytes
                 if self.node.alive:
                     self.node.memory.put(nbytes)
             self._stats.demotions += 1
@@ -414,8 +405,8 @@ class ChunkStore:
     def _drop_disk(self, key: str) -> None:
         entry = self._disk.pop(key, None)
         if entry is not None:
-            self._disk_bytes -= entry[1]
-            self._disk_stored -= entry[2]
+            self._stats.disk_bytes -= entry[1]
+            self._stats.disk_stored_bytes -= entry[2]
 
     def drop(self, key: str) -> None:
         """Forget a chunk, returning its memory if it was RAM-resident."""
@@ -423,7 +414,7 @@ class ChunkStore:
         if item is None:
             self._drop_disk(key)
             return
-        self._ram_bytes -= item[1]
+        self._stats.ram_bytes -= item[1]
         if self.node.alive:
             self.node.memory.put(item[1])
 
@@ -432,8 +423,8 @@ class ChunkStore:
         for key in list(self._ram):
             self.drop(key)
         self._disk.clear()
-        self._disk_bytes = 0
-        self._disk_stored = 0
+        self._stats.disk_bytes = 0
+        self._stats.disk_stored_bytes = 0
 
     def crash(self) -> int:
         """Node died: forget RAM *without* returning memory (the memory
@@ -442,5 +433,5 @@ class ChunkStore:
         re-fetching them from the backend.  Returns chunks lost."""
         n = len(self._ram)
         self._ram.clear()
-        self._ram_bytes = 0
+        self._stats.ram_bytes = 0
         return n

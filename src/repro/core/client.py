@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional, Sequence
 
 from repro.calibration import Calibration, DEFAULT
@@ -43,6 +43,7 @@ from repro.errors import (
     StaleSnapshotError,
 )
 from repro.cluster.node import Node
+from repro.obs.counters import Counters, hwm
 from repro.sim.engine import Environment, Event, fan_out
 from repro.util.hashing import stable_hash
 from repro.util.ids import sim_id_generator
@@ -81,7 +82,7 @@ def connect(
 
 
 @dataclass(slots=True)
-class ClientStats:
+class ClientStats(Counters):
     """Cumulative libDIESEL counters (the bench-reporting seam)."""
 
     puts: int = 0
@@ -106,8 +107,8 @@ class ClientStats:
     #: chunk+file fetches ever concurrently in flight.  Stay 0/1
     #: with the fan-out knobs at their serial defaults — the proof
     #: that the knobs really change overlap and nothing else.
-    ingest_inflight_hwm: int = 0
-    fetch_inflight_hwm: int = 0
+    ingest_inflight_hwm: int = hwm()
+    fetch_inflight_hwm: int = hwm()
     #: Times a live prefetch pipeline was re-steered at a new chunk→
     #: master map after an elastic membership change.
     membership_repins: int = 0
@@ -119,14 +120,6 @@ class ClientStats:
     delta_ops_applied: int = 0
     delta_bytes: int = 0
     full_reloads: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        """All counters as ``{name: value}`` (the bench-reporting seam).
-
-        Derived from the dataclass fields, so a newly added counter can
-        never silently drop out of benchmark rows.
-        """
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class DieselClient:

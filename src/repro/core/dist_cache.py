@@ -49,7 +49,7 @@ Each DLT task caches *its own* dataset across *its own* worker nodes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -68,6 +68,7 @@ from repro.errors import (
 )
 from repro.cluster.network import NetworkFabric
 from repro.cluster.node import Node
+from repro.obs.counters import Counters, hwm
 from repro.rpc.connections import ConnectionTable
 from repro.rpc.endpoint import RpcEndpoint
 from repro.sim.engine import Environment, Event, fan_out
@@ -88,7 +89,7 @@ class CacheClient:
 
 
 @dataclass(slots=True)
-class CacheMasterStats:
+class CacheMasterStats(Counters):
     """Per-master cache counters (the bench-reporting seam)."""
 
     hits: int = 0
@@ -99,7 +100,7 @@ class CacheMasterStats:
     skipped_no_memory: int = 0
     #: Most bulk pulls (warm-up, recovery, scale moves) ever concurrently
     #: in flight on this master — at most its node's ingress channels.
-    pull_inflight_hwm: int = 0
+    pull_inflight_hwm: int = hwm()
     #: Pull requests that joined an in-flight fetch instead of issuing
     #: their own (the node tier's single-flight map).
     coalesced_pulls: int = 0
@@ -107,20 +108,17 @@ class CacheMasterStats:
     #: partition (read-skew mitigation).
     replicated_chunks: int = 0
 
-    def to_dict(self) -> Dict[str, int]:
-        """All counters as ``{name: value}``, derived from the dataclass
-        fields so a new counter can never silently drop out of rows."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(slots=True)
-class TaskCacheStats:
+class TaskCacheStats(Counters):
     """Task-wide read-locality counters (the bench-reporting seam).
 
-    Snapshot built by :attr:`TaskCache.stats`: ``local_hits`` /
-    ``remote_hits`` / ``degraded_reads`` are cache-level, while
-    ``coalesced_pulls`` / ``replicated_chunks`` sum over the live
-    masters.
+    The task cache moves its one instance directly; on every
+    :attr:`TaskCache.stats` access the read-ahead fields are refreshed
+    from the readers' shared :class:`WindowStats`, the hedge fields
+    from the task's :class:`~repro.ft.hedge.HedgeStats`, and
+    ``coalesced_pulls`` / ``replicated_chunks`` from every master the
+    task has had, departed ones included.
     """
 
     #: Cache hits served from the reader's own node's master — a memory
@@ -159,11 +157,6 @@ class TaskCacheStats:
     scale_downs: int = 0
     drained_chunks: int = 0
     peer_warmed_chunks: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        """All counters as ``{name: value}``, derived from the dataclass
-        fields so a new counter can never silently drop out of rows."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class CacheMaster:
@@ -505,11 +498,10 @@ class TaskCache:
         #: Registry-issued key the tier refcounts this task under
         #: (assigned at register()).
         self.task_key: Optional[str] = None
-        #: Reads served node-locally from the shared tier — a chunk
-        #: another task admitted (the cross-task hit path).
-        self.shared_hits = 0
-        #: Reads served from the node-local disk tier (tiered store).
-        self.disk_hits = 0
+        #: The task's counters, moved in place (read :attr:`stats`), and
+        #: the counters of the masters that have left the task.
+        self._stats = TaskCacheStats()
+        self._departed = CacheMasterStats()
         self.clients = list(clients)
         self.connections = ConnectionTable()
         self.masters: Dict[str, CacheMaster] = {}  # node name -> master
@@ -526,16 +518,8 @@ class TaskCache:
         self._breakers: Dict[str, Any] = {}  # master client name -> breaker
         self._breaker_args: tuple = ()  # (threshold, reset_s) once configured
         self._rng = None
-        #: Reads served by the server because the owning peer failed
-        #: mid-call or its breaker was open (Fig 4 fall-through).
-        self.degraded_reads = 0
-        #: Cache hits served from the reader's own node's master (memory
-        #: copy, no RPC) vs hits that paid the one-hop peer fetch.
-        self.local_hits = 0
-        self.remote_hits = 0
-        #: Whole chunks resolved by ``read_chunk``, and the read-ahead
-        #: accounting every reader's chunk window of this task shares.
-        self.chunk_fetches = 0
+        #: The read-ahead accounting every reader's chunk window of this
+        #: task shares.
         self.readahead = WindowStats()
         #: Remote-read tallies per (encoded cid, reader node) feeding
         #: hot-chunk replication, and the replication kicks in flight.
@@ -549,10 +533,6 @@ class TaskCache:
         #: ``(time, event, names)`` for every live membership change.
         self.scale_events: List[tuple] = []
         self._membership_listeners: List[Any] = []
-        self.scale_up_count = 0
-        self.scale_down_count = 0
-        self.drained_chunks = 0
-        self.peer_warmed_chunks = 0
         #: Hedged-read machinery (None = single-attempt peer path; see
         #: ``configure_hedging``).
         self._hedge_delay_s = 0.0
@@ -566,31 +546,29 @@ class TaskCache:
 
     @property
     def stats(self) -> TaskCacheStats:
-        """Aggregated locality counters (plugs into ``stats_row``)."""
+        """The task's counters with the derived fields refreshed
+        (plugs into ``stats_row``)."""
+        s = self._stats
+        ra = self.readahead
+        s.readahead_hits = ra.prefetch_hits
+        s.readahead_misses = ra.prefetch_misses
+        s.readahead_wasted = ra.prefetch_wasted
         hs = self.hedge_stats
-        return TaskCacheStats(
-            local_hits=self.local_hits,
-            remote_hits=self.remote_hits,
-            shared_hits=self.shared_hits,
-            disk_hits=self.disk_hits,
-            degraded_reads=self.degraded_reads,
-            chunk_fetches=self.chunk_fetches,
-            readahead_hits=self.readahead.prefetch_hits,
-            readahead_misses=self.readahead.prefetch_misses,
-            readahead_wasted=self.readahead.prefetch_wasted,
-            coalesced_pulls=sum(
-                m.stats.coalesced_pulls for m in self.masters.values()
-            ),
-            replicated_chunks=sum(
-                m.stats.replicated_chunks for m in self.masters.values()
-            ),
-            hedges_fired=hs.hedges_fired if hs is not None else 0,
-            hedge_wins=hs.backup_wins if hs is not None else 0,
-            hedge_duplicates=hs.duplicate_transfers if hs is not None else 0,
-            scale_ups=self.scale_up_count,
-            scale_downs=self.scale_down_count,
-            drained_chunks=self.drained_chunks,
-            peer_warmed_chunks=self.peer_warmed_chunks,
+        if hs is not None:
+            s.hedges_fired = hs.hedges_fired
+            s.hedge_wins = hs.backup_wins
+            s.hedge_duplicates = hs.duplicate_transfers
+        masters = self._master_totals()
+        s.coalesced_pulls = masters.coalesced_pulls
+        s.replicated_chunks = masters.replicated_chunks
+        return s
+
+    def _master_totals(self) -> CacheMasterStats:
+        """Every master's counters since registration, departed ones
+        included — cumulative counters never drop on a membership
+        change."""
+        return CacheMasterStats.total(
+            [self._departed, *(m.stats for m in self.masters.values())]
         )
 
     @property
@@ -777,6 +755,13 @@ class TaskCache:
         if self._owns_tier:
             master.tier.clear()
 
+    def _drop(self, master: CacheMaster) -> None:
+        """Take a dead or departing master out of the task; its counters
+        fold into the task's cumulative totals."""
+        del self.masters[master.node.name]
+        self.connections.drop_endpoint(master.client.name)
+        self._departed = CacheMasterStats.total((self._departed, master.stats))
+
     def _partition_locality(
         self,
         chunk_ids: Sequence[str],
@@ -880,10 +865,9 @@ class TaskCache:
         return sum(m.cached_chunk_count for m in self.masters.values())
 
     def hit_ratio(self) -> float:
-        hits = sum(m.stats.hits for m in self.masters.values())
-        misses = sum(m.stats.misses for m in self.masters.values())
-        total = hits + misses
-        return hits / total if total else 0.0
+        m = self._master_totals()
+        total = m.hits + m.misses
+        return m.hits / total if total else 0.0
 
     def owner_of(self, encoded_cid: str) -> CacheMaster:
         try:
@@ -906,7 +890,8 @@ class TaskCache:
         """Count one file read against the tier its chunk resolved from
         (a hit-counter name; ``""`` = a clean miss the server served)."""
         if tier:
-            setattr(self, tier, getattr(self, tier) + 1)
+            s = self._stats
+            setattr(s, tier, getattr(s, tier) + 1)
 
     def read_file(
         self, client: CacheClient, record: FileRecord
@@ -976,7 +961,7 @@ class TaskCache:
             raise DieselError("task cache not registered")
         rec = self._recorder
         t0 = self.env.now if rec is not None else 0.0
-        self.chunk_fetches += 1
+        self._stats.chunk_fetches += 1
         master = self.owner_of(encoded_cid)
         chunk, tier = yield from self._local_chunk(client, master, encoded_cid)
         if chunk is not None:
@@ -1353,8 +1338,7 @@ class TaskCache:
         for m in dead:
             orphaned.extend(m.assigned)
             m.assigned = []
-            del self.masters[m.node.name]
-            self.connections.drop_endpoint(m.client.name)
+            self._drop(m)
         survivors.sort(key=lambda m: m.node.name)
         if self.placement == "locality":
             # Policy-preserving re-home: survivors' own partitions are
@@ -1451,7 +1435,7 @@ class TaskCache:
                 if items:
                     moves[nm] = items
                     moved += len(items)
-        self.scale_up_count += 1
+        self._stats.scale_ups += 1
         self.membership_version += 1
         self._notify_membership(
             "scale_up", [m.client.name for m in new_masters]
@@ -1466,7 +1450,7 @@ class TaskCache:
             )
             warmed = sum(r[0] for r in results)
             peer_warmed = sum(r[1] for r in results)
-        self.peer_warmed_chunks += peer_warmed
+        self._stats.peer_warmed_chunks += peer_warmed
         return {
             "new_masters": [m.client.name for m in new_masters],
             "moved_chunks": moved,
@@ -1549,8 +1533,7 @@ class TaskCache:
         for m in departing:
             m.assigned = []
             self._retire(m)
-            del self.masters[m.node.name]
-            self.connections.drop_endpoint(m.client.name)
+            self._drop(m)
             self._breakers.pop(m.client.name, None)
         master_names = {m.client.name for m in departing}
         for c in self.clients:
@@ -1559,8 +1542,8 @@ class TaskCache:
         self.clients = [c for c in self.clients if c.node.name not in names]
         if not self.clients:
             raise DieselError("scale_down removed every client")
-        self.scale_down_count += 1
-        self.drained_chunks += drained
+        self._stats.scale_downs += 1
+        self._stats.drained_chunks += drained
         self.membership_version += 1
         self._notify_membership("scale_down", sorted(names))
         return {

@@ -14,22 +14,22 @@ but FUSE still lands at ~60-85 % of the native API's throughput
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Any, Generator, Optional, Sequence
 
 from repro.calibration import Calibration, DEFAULT
 from repro.core.client import DieselClient
 from repro.errors import DieselError, FileNotFoundInDatasetError
+from repro.obs.counters import Counters
 from repro.sim.engine import Event
 
 
-class FuseStats:
-    __slots__ = ("reads", "crossings", "getattrs", "readdirs")
-
-    def __init__(self) -> None:
-        self.reads = 0
-        self.crossings = 0
-        self.getattrs = 0
-        self.readdirs = 0
+@dataclass(slots=True)
+class FuseStats(Counters):
+    reads: int = 0
+    crossings: int = 0
+    getattrs: int = 0
+    readdirs: int = 0
 
 
 class FuseFile:

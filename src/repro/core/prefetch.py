@@ -19,19 +19,9 @@ generator: :class:`~repro.core.client.DieselClient` fetches from a server
 read-ahead share its single-flight map, so a chunk is never transferred
 twice, whoever asks first.  The window may grow by ``depth`` entries
 beyond ``group_size`` while a pipeline is active, which bounds the
-working set at ``(group_size + depth) × chunk_size``.
-
-Accounting (:class:`~repro.core.client.ClientStats` or
-:class:`WindowStats`):
-
-* ``prefetch_issued`` — fetches the pipeline started;
-* ``prefetch_hits``   — consumer found its chunk resident or in flight
-  thanks to the pipeline;
-* ``prefetch_misses`` — consumer had to demand-fetch (pipeline too far
-  behind, or the chunk was never scheduled in time);
-* ``prefetch_wasted`` — prefetched chunks evicted or cancelled before
-  any consumer touched them;
-* ``fetch_inflight_hwm`` — most fetches ever concurrently in flight.
+working set at ``(group_size + depth) × chunk_size``.  A window moves
+the :class:`WindowStats` fields, which
+:class:`~repro.core.client.ClientStats` carries under the same names.
 """
 
 from __future__ import annotations
@@ -42,6 +32,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Set
 
 from repro.core.shuffle import EpochPlan
 from repro.errors import DieselError, InterruptError
+from repro.obs.counters import Counters, hwm
 from repro.sim.engine import Environment, Event, Process, Semaphore
 
 #: Serving one file out of a window-resident chunk: an in-memory
@@ -50,14 +41,21 @@ WINDOW_HIT_S = 2e-7
 
 
 @dataclass(slots=True)
-class WindowStats:
+class WindowStats(Counters):
     """The counters a window moves, for owners without a ``ClientStats``."""
 
+    #: Fetches the pipeline started.
     prefetch_issued: int = 0
+    #: First accesses that found the chunk resident or in flight thanks
+    #: to the pipeline.
     prefetch_hits: int = 0
+    #: First accesses that had to demand-fetch: the pipeline was too far
+    #: behind, or never scheduled the chunk in time.
     prefetch_misses: int = 0
+    #: Prefetched chunks evicted or cancelled before any read.
     prefetch_wasted: int = 0
-    fetch_inflight_hwm: int = 0
+    #: Most fetches ever concurrently in flight.
+    fetch_inflight_hwm: int = hwm()
 
 
 class ChunkWindow:

@@ -24,7 +24,7 @@ Responsibilities implemented here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 from repro.calibration import Calibration, DEFAULT
@@ -49,6 +49,7 @@ from repro.errors import (
 from repro.cluster.network import NetworkFabric
 from repro.cluster.node import Node
 from repro.kvstore.sharded import ShardedKV
+from repro.obs.counters import Counters
 from repro.objectstore.store import ObjectStore
 from repro.objectstore.tiered import TieredStore
 from repro.rpc.endpoint import RpcEndpoint
@@ -94,7 +95,7 @@ def parse_object_key(key: str) -> tuple[str, ChunkId]:
 
 
 @dataclass(slots=True)
-class ServerStats:
+class ServerStats(Counters):
     """Data-path read counters (chunk transfers, batched reads).
 
     ``chunk_reads`` counts whole-chunk transfers served to clients; the
@@ -105,7 +106,7 @@ class ServerStats:
     chunk_reads: int = 0
     file_reads: int = 0
     range_reads: int = 0
-    #: get_files/read_files RPCs served.
+    #: get_files RPCs served.
     batch_reads: int = 0
     #: Files delivered through batched RPCs.
     batch_files: int = 0
@@ -114,11 +115,6 @@ class ServerStats:
     ingests: int = 0
     #: Task registrations served (one per TaskCache.register()).
     registrations: int = 0
-
-    def to_dict(self) -> dict:
-        """All counters as ``{name: value}``, derived from the dataclass
-        fields so a new counter can never silently drop out of rows."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class DieselServer:
@@ -418,27 +414,15 @@ class DieselServer:
         self.stats.file_reads += 1
         return payload
 
-    def _op_read_files(
-        self, dataset: str, paths: Sequence[str]
-    ) -> Generator[Event, Any, Dict[str, bytes]]:
-        """Request executor: batch-read files as merged chunk-wise ranges.
-
-        Files are sorted by (chunk, offset); runs of files adjacent in one
-        chunk collapse into a single range read, so a shuffled mini-batch
-        that happens to share chunks costs a handful of large reads.
-        """
-        out = yield from self._batched_read(dataset, paths)
-        return out
-
     def _op_get_files(
         self, dataset: str, paths: Sequence[str]
     ) -> Generator[Event, Any, Dict[str, bytes]]:
         """Batched multi-get: the RPC behind the client's ``get_many()``.
 
-        Same request-executor machinery as ``read_files`` — paths are
-        grouped by chunk server-side and each resident chunk is read
-        once (one merged range per chunk), however many of its files the
-        batch asks for.
+        The request executor: files are sorted by (chunk, offset) and
+        each resident chunk is read once (one merged range per chunk),
+        however many of its files the batch asks for, so a shuffled
+        mini-batch that shares chunks costs a handful of large reads.
         """
         out = yield from self._batched_read(dataset, paths)
         return out
@@ -510,13 +494,6 @@ class DieselServer:
             rec.record("chunk_read", "objectstore", self.env.now - t0,
                        actor=self.name, bytes=len(blob))
         return blob
-
-    def _op_get_chunk_range(
-        self, dataset: str, encoded_cid: str, offset: int, length: int
-    ) -> Generator[Event, Any, bytes]:
-        key = f"{dataset}/{encoded_cid}"
-        result = yield from self._read_range(key, offset, length)
-        return result
 
     def _op_stat(self, dataset: str, path: str) -> dict:
         path = normalize(path)

@@ -46,20 +46,27 @@ tiers``.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from repro.core.chunk import Chunk
 from repro.core.chunk_store import ChunkStore, ChunkStoreStats
+from repro.obs.counters import Counters, stats_row
 from repro.sim.engine import Environment, Event
 
 #: The two admission-priority classes (paper-less extension; see
 #: DESIGN §11).  ``interactive`` outranks ``batch`` at eviction time.
 QOS_CLASSES = ("interactive", "batch")
+#: ``tier_rows`` columns after the node and store kind: residency
+#: gauges, then read traffic.
+_TIER_COLUMNS = (
+    "chunks_ram", "chunks_disk", "ram_bytes", "disk_bytes",
+    "disk_stored_bytes", "ram_hits", "disk_hits", "promotions", "demotions",
+)
 
 
 @dataclass(slots=True)
-class SharedCacheStats:
+class SharedCacheStats(Counters):
     """Shared-tier counters (the bench-reporting seam).
 
     Cumulative counters move as the cache runs; the gauge fields
@@ -95,11 +102,6 @@ class SharedCacheStats:
     bytes_resident: int = 0
     chunks_resident: int = 0
     refs: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        """All counters as ``{name: value}``, derived from the dataclass
-        fields so a new counter can never silently drop out of rows."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(slots=True)
@@ -550,42 +552,22 @@ class SharedCacheRegistry:
     @property
     def stats(self) -> SharedCacheStats:
         """Counters summed over every node cache (gauges included)."""
-        total = SharedCacheStats()
-        for cache in self._caches.values():
-            snap = cache.stats
-            for f in fields(total):
-                setattr(total, f.name, getattr(total, f.name) + getattr(snap, f.name))
-        return total
+        return SharedCacheStats.total(c.stats for c in self._caches.values())
 
     @property
     def store_stats(self) -> ChunkStoreStats:
         """Tier counters summed over every node cache's chunk store."""
-        total = ChunkStoreStats()
-        for cache in self._caches.values():
-            snap = cache.store.stats
-            for f in fields(total):
-                setattr(total, f.name, getattr(total, f.name) + getattr(snap, f.name))
-        return total
+        return ChunkStoreStats.total(
+            c.store.stats for c in self._caches.values()
+        )
 
     def tier_rows(self) -> List[dict]:
         """Per-node tier residency summary (``dlcmd tiers`` / bench rows)."""
-        rows = []
-        for cache in self.node_caches:
-            s = cache.store.stats
-            rows.append({
-                "node": cache.node.name,
-                "store": cache.store.kind,
-                "chunks_ram": s.chunks_ram,
-                "chunks_disk": s.chunks_disk,
-                "ram_bytes": s.ram_bytes,
-                "disk_bytes": s.disk_bytes,
-                "disk_stored_bytes": s.disk_stored_bytes,
-                "ram_hits": s.ram_hits,
-                "disk_hits": s.disk_hits,
-                "promotions": s.promotions,
-                "demotions": s.demotions,
-            })
-        return rows
+        return [
+            {"node": c.node.name, "store": c.store.kind,
+             **stats_row(c.store.stats, _TIER_COLUMNS)}
+            for c in self.node_caches
+        ]
 
     @property
     def recorder(self):

@@ -25,6 +25,7 @@ from typing import Any, Dict, Generator, List, Mapping, Optional, Sequence, Tupl
 
 from repro.core.shuffle import EpochPlan, chunkwise_shuffle
 from repro.errors import DieselError
+from repro.obs.counters import Counters
 from repro.sim.engine import Environment, Event
 from repro.sim.resources import Store
 
@@ -50,8 +51,8 @@ class Batch:
         return sum(len(d) for _, d in self.items)
 
 
-@dataclass
-class LoaderStats:
+@dataclass(slots=True)
+class LoaderStats(Counters):
     batches: int = 0
     files: int = 0
     bytes: int = 0

@@ -25,15 +25,16 @@ Everything runs on the simulation clock; no wall-clock, no randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, Hashable, Iterable, Optional
 
 from repro.errors import InterruptError
+from repro.obs.counters import Counters
 from repro.sim.engine import Environment, Event
 
 
-@dataclass
-class HedgeStats:
+@dataclass(slots=True)
+class HedgeStats(Counters):
     """Counters for hedged calls (one instance per task cache)."""
 
     #: Hedge-wrapped calls issued (whether or not the hedge fired).
@@ -54,9 +55,6 @@ class HedgeStats:
     primary_failures: int = 0
     #: Backup attempts that raised.
     backup_failures: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -163,28 +161,22 @@ class PeerLatencyTracker:
         return out
 
 
-def _settle_loser(
-    proc, role: str, out: HedgeOutcome, stats: Optional[HedgeStats]
-) -> None:
+def _settle_loser(proc, role: str, out: HedgeOutcome, stats: HedgeStats) -> None:
     """Cancel (or account) the racer that lost."""
     if proc.is_alive:
         proc.interrupt("hedge lost")
-        if stats is not None:
-            stats.cancelled_losers += 1
+        stats.cancelled_losers += 1
     elif proc.ok:
         out.duplicate = True
-        if stats is not None:
-            stats.duplicate_transfers += 1
+        stats.duplicate_transfers += 1
     else:
         err = proc.value
         if role == "primary":
             out.primary_error = err
-            if stats is not None:
-                stats.primary_failures += 1
+            stats.primary_failures += 1
         else:
             out.backup_error = err
-            if stats is not None:
-                stats.backup_failures += 1
+            stats.backup_failures += 1
 
 
 def hedged_call(
@@ -210,8 +202,9 @@ def hedged_call(
     both racers down and propagates — hedging never leaks processes.
     """
     out = HedgeOutcome()
-    if stats is not None:
-        stats.reads += 1
+    if stats is None:
+        stats = HedgeStats()  # counted, then dropped
+    stats.reads += 1
     t0 = env.now
     pproc = env.process(primary, name=f"{name}:primary")
     timer = env.timeout(delay_s)
@@ -228,8 +221,7 @@ def hedged_call(
         out.winner = "primary"
         out.value = pproc.value
         out.primary_latency_s = env.now - t0
-        if stats is not None:
-            stats.primary_wins += 1
+        stats.primary_wins += 1
         return out
 
     if pproc.triggered:
@@ -237,9 +229,8 @@ def hedged_call(
         # immediately.  This is a failover, not a hedge — the duplicate
         # counters stay untouched.
         out.primary_error = pproc.value
-        if stats is not None:
-            stats.primary_failures += 1
-            stats.failovers += 1
+        stats.primary_failures += 1
+        stats.failovers += 1
         bproc = env.process(backup(), name=f"{name}:failover")
         try:
             out.value = yield bproc
@@ -249,16 +240,14 @@ def hedged_call(
             raise
         except Exception as exc:
             out.backup_error = exc
-            if stats is not None:
-                stats.backup_failures += 1
+            stats.backup_failures += 1
             raise out.primary_error from exc
         out.winner = "backup"
         return out
 
     # The delay elapsed with the primary still in flight: hedge.
     out.hedged = True
-    if stats is not None:
-        stats.hedges_fired += 1
+    stats.hedges_fired += 1
     bproc = env.process(backup(), name=f"{name}:backup")
     try:
         yield env.any_of([pproc, bproc])
@@ -274,15 +263,13 @@ def hedged_call(
         out.winner = "primary"
         out.value = pproc.value
         out.primary_latency_s = env.now - t0
-        if stats is not None:
-            stats.primary_wins += 1
+        stats.primary_wins += 1
         _settle_loser(bproc, "backup", out, stats)
         return out
     if bproc.triggered and bproc.ok:
         out.winner = "backup"
         out.value = bproc.value
-        if stats is not None:
-            stats.backup_wins += 1
+        stats.backup_wins += 1
         _settle_loser(pproc, "primary", out, stats)
         return out
 
@@ -290,9 +277,8 @@ def hedged_call(
     if pproc.triggered and bproc.triggered:
         out.primary_error = pproc.value
         out.backup_error = bproc.value
-        if stats is not None:
-            stats.primary_failures += 1
-            stats.backup_failures += 1
+        stats.primary_failures += 1
+        stats.backup_failures += 1
         raise out.primary_error
     survivor, role = (pproc, "primary") if pproc.is_alive else (bproc, "backup")
     fallen, fallen_role = (bproc, "backup") if role == "primary" else (pproc, "primary")
@@ -306,18 +292,15 @@ def hedged_call(
     except Exception as exc:
         if role == "primary":
             out.primary_error = exc
-            if stats is not None:
-                stats.primary_failures += 1
+            stats.primary_failures += 1
             raise
         out.backup_error = exc
-        if stats is not None:
-            stats.backup_failures += 1
+        stats.backup_failures += 1
         raise out.primary_error from exc
     out.winner = role
     if role == "primary":
         out.primary_latency_s = env.now - t0
-        if stats is not None:
-            stats.primary_wins += 1
-    elif stats is not None:
+        stats.primary_wins += 1
+    else:
         stats.backup_wins += 1
     return out

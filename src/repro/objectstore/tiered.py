@@ -18,28 +18,27 @@ tier over on its third pass, however long the old one was pinned.
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Any, Generator, Iterable, Optional
 
 from repro.cluster.devices import Device
 from repro.objectstore.store import ObjectStore
+from repro.obs.counters import Counters
 from repro.sim.engine import Event, Process
 
 #: Read history of a key nobody has read yet.
 _NEVER = (0, 0, 0)
 
 
-class TieredStats:
-    __slots__ = ("ssd_hits", "ssd_misses", "promotions", "evictions",
-                 "rejections")
-
-    def __init__(self) -> None:
-        self.ssd_hits = 0
-        self.ssd_misses = 0
-        #: Fills that installed their object on the SSD tier.
-        self.promotions = 0
-        self.evictions = 0
-        #: Fills the admission guard turned down (nothing was written).
-        self.rejections = 0
+@dataclass(slots=True)
+class TieredStats(Counters):
+    ssd_hits: int = 0
+    ssd_misses: int = 0
+    #: Fills that installed their object on the SSD tier.
+    promotions: int = 0
+    evictions: int = 0
+    #: Fills the admission guard turned down (nothing was written).
+    rejections: int = 0
 
     @property
     def hit_ratio(self) -> float:

@@ -11,8 +11,8 @@ breakdown first-class for the reproduction:
 * :class:`~repro.obs.histogram.Histogram` — log-bucketed latency
   histograms with p50/p90/p99, one per (op, layer);
 * :func:`~repro.obs.export.write_chrome_trace` — span dump loadable in
-  ``chrome://tracing``; ``SpanRecorder.to_dict()`` merges into
-  ``bench.reporting.stats_row`` for experiment tables.
+  ``chrome://tracing``; ``SpanRecorder.to_dict()`` merges, like every
+  ``*Stats`` class on :mod:`repro.obs.counters`, into ``stats_row``.
 
 Fault tolerance reports through the same recorder under ``ft_*`` ops:
 retries and backoff (``ft_retry``, ``ft_backoff``, ``ft_deadline``,

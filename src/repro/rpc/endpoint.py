@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
 from repro.calibration import RpcProfile
 from repro.errors import NodeDownError
 from repro.cluster.network import NetworkFabric
 from repro.cluster.node import Node
+from repro.obs.counters import Counters
 from repro.sim.engine import Environment, Event, Semaphore
 
 
 @dataclass(slots=True)
-class RpcStats:
+class RpcStats(Counters):
     """Cumulative per-endpoint call counters."""
 
     calls: int = 0
@@ -25,11 +26,6 @@ class RpcStats:
     #: Vectorized admissions (one ``call_batch`` = one batch, however
     #: many calls it carried; ``calls`` still counts every call).
     batches: int = 0
-
-    def to_dict(self) -> dict:
-        """All counters as ``{name: value}``, derived from the dataclass
-        fields so a new counter can never silently drop out of rows."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class RpcEndpoint:

@@ -34,12 +34,14 @@ branch at all — ``run`` pre-binds it once per call.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from sys import getrefcount
 from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import DeadlockError, InterruptError, SimulationError
+from repro.obs.counters import Counters
 
 _PENDING = object()
 _INF = float("inf")
@@ -708,23 +710,19 @@ _SCHEDULERS = {"calendar": _CalendarQueue, "heap": _HeapQueue}
 _TIMEOUT_POOL_MAX = 4096
 
 
-class EngineStats:
-    """Kernel throughput snapshot; ``to_dict()`` plugs into
-    :func:`repro.bench.reporting.stats_row` like any other stats object."""
+@dataclass(slots=True)
+class EngineStats(Counters):
+    """Kernel throughput snapshot; ``events_per_sec`` is derived."""
 
-    __slots__ = ("scheduler", "sim_events", "run_wall_s", "events_per_sec",
-                 "peak_occupancy")
+    scheduler: str
+    sim_events: int
+    run_wall_s: float
+    events_per_sec: float = field(init=False)
+    peak_occupancy: int
 
-    def __init__(self, scheduler: str, sim_events: int, run_wall_s: float,
-                 peak_occupancy: int) -> None:
-        self.scheduler = scheduler
-        self.sim_events = sim_events
-        self.run_wall_s = run_wall_s
-        self.events_per_sec = sim_events / run_wall_s if run_wall_s > 0 else 0.0
-        self.peak_occupancy = peak_occupancy
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+    def __post_init__(self) -> None:
+        wall = self.run_wall_s
+        self.events_per_sec = self.sim_events / wall if wall > 0 else 0.0
 
 
 #: The tally ``repro.bench.harness.timer`` has open — [scheduler names,

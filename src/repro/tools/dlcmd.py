@@ -51,6 +51,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.core.config import DieselConfig
 from repro.errors import ReproError
+from repro.obs.counters import stats_row
 from repro.tools.workspace import DieselWorkspace
 from repro.util.units import format_bytes
 
@@ -403,12 +404,8 @@ def _locality_probe(
 
 
 def _locality_counters(cache) -> str:
-    s = cache.stats
-    return (
-        f"local_hits {s.local_hits}  remote_hits {s.remote_hits}  "
-        f"coalesced_pulls {s.coalesced_pulls}  "
-        f"replicated_chunks {s.replicated_chunks}"
-    )
+    keys = ["local_hits", "remote_hits", "coalesced_pulls", "replicated_chunks"]
+    return "  ".join(f"{k} {v}" for k, v in stats_row(cache.stats, keys).items())
 
 
 def cmd_stats(ws: DieselWorkspace, dataset: str, args) -> str:
@@ -514,8 +511,6 @@ def _sharing_probe(
 
 def cmd_tenants(ws: DieselWorkspace, dataset: str, args) -> str:
     """Per-tenant shared-tier usage over an ephemeral multi-task probe."""
-    from repro.bench.reporting import stats_row
-
     registry, caches = _sharing_probe(
         ws, dataset, args.tasks, args.quota
     )

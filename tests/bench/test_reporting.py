@@ -69,18 +69,39 @@ class TestStatsRow:
         assert row == {"rd_local_hits": 7}
 
     def test_every_stats_class_derives_keys_from_fields(self):
-        # The satellite fix: to_dict() must track dataclass fields, so a
-        # new counter can never silently drop out of experiment rows.
-        from dataclasses import fields, is_dataclass
+        # One counter vocabulary: every stats class is declared on the
+        # Counters base, whose to_dict() follows the fields in order, so
+        # a new counter can never silently drop out of experiment rows.
+        from dataclasses import fields
+        from repro.bench.experiments import _ScaleCounters
+        from repro.cluster.devices import DeviceStats
+        from repro.cluster.network import FabricStats
+        from repro.core.chunk_store import ChunkStoreStats
         from repro.core.client import ClientStats
-        from repro.core.dist_cache import CacheMasterStats
+        from repro.core.dist_cache import CacheMasterStats, TaskCacheStats
+        from repro.core.fuse import FuseStats
+        from repro.core.prefetch import WindowStats
         from repro.core.server import ServerStats
+        from repro.core.shared_cache import SharedCacheStats
+        from repro.dlt.dataloader import LoaderStats
+        from repro.ft.hedge import HedgeStats
+        from repro.objectstore.tiered import TieredStats
+        from repro.obs.counters import Counters
         from repro.rpc.endpoint import RpcStats
+        from repro.sim.engine import EngineStats
 
-        for cls in (ClientStats, CacheMasterStats, ServerStats, RpcStats):
-            assert is_dataclass(cls)
-            inst = cls()
-            assert set(inst.to_dict()) == {f.name for f in fields(cls)}
+        instances = [
+            cls() for cls in (
+                ServerStats, CacheMasterStats, TaskCacheStats,
+                SharedCacheStats, ClientStats, ChunkStoreStats, RpcStats,
+                HedgeStats, WindowStats, TieredStats, FabricStats,
+                DeviceStats, FuseStats, LoaderStats, _ScaleCounters,
+            )
+        ] + [EngineStats("calendar", 0, 0.0, 0)]
+        for inst in instances:
+            assert isinstance(inst, Counters)
+            assert not hasattr(inst, "__dict__")  # slots: no stray attrs
+            assert list(inst.to_dict()) == [f.name for f in fields(inst)]
 
     def test_accepts_span_recorder(self):
         from repro.obs import SpanRecorder

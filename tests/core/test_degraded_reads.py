@@ -38,14 +38,14 @@ class TestMidFlightDegradation:
         assert dep.run(cache.read_file(reader, record)) == files[path]
         hit_s = dep.env.now - t0
         assert hit_s > 0
-        assert cache.degraded_reads == 0
+        assert cache.stats.degraded_reads == 0
 
         # Kill the owner halfway through the next, identical call.
         inj = FailureInjector(dep.env)
         inj.kill_at(victim_node, dep.env.now + hit_s / 2)
         data = dep.run(cache.read_file(reader, record))
         assert data == files[path]  # served by the server, not an error
-        assert cache.degraded_reads == 1
+        assert cache.stats.degraded_reads == 1
 
     def test_known_dead_peer_degrades_without_attempting(self):
         dep, cache, reader, victim_node, path, files, index = warm_rig()
@@ -54,7 +54,7 @@ class TestMidFlightDegradation:
             assert dep.run(
                 cache.read_file(reader, index.lookup(path))
             ) == files[path]
-        assert cache.degraded_reads == 3
+        assert cache.stats.degraded_reads == 3
 
 
 class TestTolerantBackgroundPull:
@@ -100,7 +100,7 @@ class TestBreakerShortCircuit:
         record = index.lookup(path)
         for _ in range(4):
             assert dep.run(cache.read_file(reader, record)) == files[path]
-        assert cache.degraded_reads == 4
+        assert cache.stats.degraded_reads == 4
         breaker = cache._breakers[
             cache.masters[victim_node.name].client.name
         ]
@@ -114,4 +114,4 @@ class TestBreakerShortCircuit:
         record = index.lookup(path)
         # Healthy peer + retry enabled: the warm hit is served normally.
         assert dep.run(cache.read_file(reader, record)) == files[path]
-        assert cache.degraded_reads == 0
+        assert cache.stats.degraded_reads == 0

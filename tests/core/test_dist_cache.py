@@ -223,6 +223,30 @@ class TestRecovery:
 
         dep.run(read_all())
 
+    def test_hit_ratio_keeps_the_dead_masters_share(self):
+        """Cumulative since registration: recovery drops the dead master,
+        not the hits and misses it served."""
+        dep, cache, clients, files, index = setup_cache(policy="on-demand")
+        dep.run(cache.register())
+        reader = clients[2]  # on node 1
+
+        def read(paths):
+            for path in paths:
+                yield from cache.read_file(reader, index.lookup(path))
+
+        dep.run(read(files))  # cold: every read misses its owner
+        dep.env.run()  # the background pulls land
+        victim = cache.masters[dep.client_nodes[0].name]
+        dep.run(read(
+            p for p in files
+            if cache.owner_of(index.lookup(p).chunk_id.encode()) is victim
+        ))  # only the victim's chunks are read warm
+        ratio = cache.hit_ratio()
+        assert ratio > 0
+        dep.client_nodes[0].kill()
+        dep.run(cache.recover())
+        assert cache.hit_ratio() == ratio
+
     def test_recover_noop_when_healthy(self):
         dep, cache, *_ = setup_cache()
         dep.run(cache.register())

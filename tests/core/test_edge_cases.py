@@ -43,7 +43,7 @@ class TestServerEdges:
 
         def proc():
             result = yield from deployment.server.call(
-                deployment.client_nodes[0], "read_files", "ds", []
+                deployment.client_nodes[0], "get_files", "ds", []
             )
             return result
 
@@ -56,7 +56,7 @@ class TestServerEdges:
 
         def proc():
             result = yield from deployment.server.call(
-                deployment.client_nodes[0], "read_files", "ds",
+                deployment.client_nodes[0], "get_files", "ds",
                 [path, path, path],
             )
             return result

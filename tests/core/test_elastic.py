@@ -156,6 +156,26 @@ class TestScaleDown:
         assert sum(len(m.assigned) for m in cache.masters.values()) == n_chunks
         dep.run(read_all(cache, clients[0], files, index))
 
+    def test_departed_masters_pulls_stay_counted(self):
+        """``coalesced_pulls`` is cumulative: a scale-down removes the
+        master, not the pulls it coalesced."""
+        dep, cache, clients, files, index = setup_cache(policy="on-demand")
+        cids = [cid.encode() for cid in index.chunk_ids()]
+
+        def pull(cc, cid):
+            owner = cache.owner_of(cid)
+            yield from owner.endpoint.call(cc.node, "pull_chunk", cid)
+
+        for cid in cids:  # two clients fault every chunk at once
+            for cc in clients[:2]:
+                dep.env.process(pull(cc, cid))
+        dep.env.run()
+        leaving = cache.masters[dep.client_nodes[1].name]
+        assert leaving.stats.coalesced_pulls > 0
+        before = cache.stats.coalesced_pulls
+        dep.run(cache.scale_down([dep.client_nodes[1]]))
+        assert cache.stats.coalesced_pulls >= before
+
     def test_accepts_node_names_as_well_as_nodes(self):
         dep, cache, clients, files, index = self.grown()
         res = dep.run(cache.scale_down([dep.client_nodes[2].name]))

@@ -50,7 +50,7 @@ class TestFullPipeline:
             # Path 3: server request executor (batched).
             batch = list(files)[:20]
             result = yield from tb.diesel.call(
-                tb.compute_nodes[0], "read_files", "ds", batch
+                tb.compute_nodes[0], "get_files", "ds", batch
             )
             for p in batch:
                 assert result[p] == files[p] and verify_file(result[p])

@@ -84,9 +84,8 @@ class TestLocalityPlacement:
             return data
 
         assert dep.run(proc()) == files[path]
-        assert cache.local_hits == 1
-        assert cache.remote_hits == 0
         assert cache.stats.local_hits == 1
+        assert cache.stats.remote_hits == 0
 
     def test_remote_read_counts_as_remote_hit(self):
         dep, cache, clients, files, index = setup_cache()
@@ -101,8 +100,8 @@ class TestLocalityPlacement:
             return data
 
         assert dep.run(proc()) == files[path]
-        assert cache.local_hits == 0
-        assert cache.remote_hits == 1
+        assert cache.stats.local_hits == 0
+        assert cache.stats.remote_hits == 1
 
     def test_local_read_is_faster_than_remote(self):
         dep, cache, clients, files, index = setup_cache()
@@ -268,13 +267,13 @@ class TestHotReplication:
         dep, cache, clients, index, reader, path = self._skewed_read(
             threshold=3, reads=3
         )
-        before = cache.local_hits
+        before = cache.stats.local_hits
 
         def proc():
             yield from cache.read_file(reader, index.lookup(path))
 
         dep.run(proc())
-        assert cache.local_hits == before + 1
+        assert cache.stats.local_hits == before + 1
 
     def test_below_threshold_no_replication(self):
         dep, cache, *_ = self._skewed_read(threshold=3, reads=2)

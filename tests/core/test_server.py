@@ -111,7 +111,7 @@ class TestRequestExecutor:
 
         def proc():
             result = yield from deployment.server.call(
-                deployment.client_nodes[0], "read_files", "ds", paths
+                deployment.client_nodes[0], "get_files", "ds", paths
             )
             return result
 
@@ -130,7 +130,7 @@ class TestRequestExecutor:
 
         def proc():
             result = yield from deployment.server.call(
-                deployment.client_nodes[0], "read_files", "ds", list(files)
+                deployment.client_nodes[0], "get_files", "ds", list(files)
             )
             return result
 
@@ -146,7 +146,7 @@ class TestRequestExecutor:
         def batched():
             t0 = deployment.env.now
             yield from deployment.server.call(
-                node, "read_files", "ds", list(files)
+                node, "get_files", "ds", list(files)
             )
             return deployment.env.now - t0
 
@@ -233,7 +233,7 @@ class TestPathBoundary:
         for path in self.SPELLINGS:
             assert self.call(deployment, "get_file", path) == payload
             assert self.call(deployment, "get_file_range", path, 1, 5) == payload[1:6]
-            assert self.call(deployment, "read_files", [path]) == {path: payload}
+            assert self.call(deployment, "get_files", [path]) == {path: payload}
             assert self.call(deployment, "get_files", [path]) == {path: payload}
             assert self.call(deployment, "exists", path) is True
             assert self.call(deployment, "stat", path)["size"] == len(payload)
@@ -254,7 +254,7 @@ class TestPathBoundary:
         with pytest.raises(TypeError):
             self.call(deployment, method, 7, *extra)
         with pytest.raises(ValueError):
-            self.call(deployment, "read_files", ["/img/../etc"])
+            self.call(deployment, "get_files", ["/img/../etc"])
 
     def test_ingest_refuses_a_header_with_an_uncanonical_path(self, deployment):
         gen = ChunkIdGenerator(machine=b"\x06" * 6, pid=2)

@@ -502,7 +502,7 @@ class TestClientSharedHitCredit:
     def test_get_many_credits_shared_hits(self):
         dep, cold, clients, files, local = self._rig()
         assert dep.run(clients[0].get_many(list(files))) == files
-        assert clients[0].stats.shared_hits == local[0] == cold.shared_hits
+        assert clients[0].stats.shared_hits == local[0] == cold.stats.shared_hits
 
     def test_interleaved_gets_each_claim_only_their_own(self):
         dep, cold, clients, files, local = self._rig()
@@ -514,4 +514,4 @@ class TestClientSharedHitCredit:
         procs = [dep.env.process(reads(c)) for c in clients]
         dep.env.run(until=dep.env.all_of(procs))
         assert [c.stats.shared_hits for c in clients] == local
-        assert cold.shared_hits == sum(local)
+        assert cold.stats.shared_hits == sum(local)

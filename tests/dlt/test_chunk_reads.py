@@ -80,7 +80,7 @@ def count_fetches(cache):
 
 
 def tier_reads(cache):
-    return sum(getattr(cache, tier) for tier in TIERS)
+    return sum(getattr(cache.stats, tier) for tier in TIERS)
 
 
 class TestWindowEpoch:
@@ -122,7 +122,7 @@ class TestWindowEpoch:
                 assert len(pipeline._outstanding) == 0
                 assert pipeline._sem.in_flight == 0
         stats = cache.stats
-        assert stats.chunk_fetches == cache.chunk_fetches > 0
+        assert stats.chunk_fetches > 0
         assert stats.readahead_wasted == 0
         assert stats.readahead_hits + stats.readahead_misses > 0
         # Drain promotions the last reads kicked, then the oracle.
@@ -146,8 +146,8 @@ class TestWindowEpoch:
 
         procs = [tb.env.process(epoch(r)) for r in readers]
         tb.env.run(until=tb.env.all_of(procs))
-        assert cache.local_hits == len(files)
-        assert cache.remote_hits == 0
+        assert cache.stats.local_hits == len(files)
+        assert cache.stats.remote_hits == 0
         assert all(m.endpoint.stats.calls == 0
                    for m in cache.masters.values())
 
@@ -158,10 +158,10 @@ class TestWindowEpoch:
         # Before any begin_epoch there is no plan at all.
         assert tb.run(reader.read(path)) == files[path]
         assert reader.window.prefetcher is None
-        assert cache.chunk_fetches == 1
+        assert cache.stats.chunk_fetches == 1
         assert cache.stats.readahead_hits == cache.stats.readahead_misses == 0
         assert tb.run(reader.read(path)) == files[path]
-        assert cache.chunk_fetches == 1  # second read: window hit
+        assert cache.stats.chunk_fetches == 1  # second read: window hit
         assert tier_reads(cache) == 2
 
     def test_remote_chunk_moves_once_by_reference(self):
@@ -229,7 +229,7 @@ class TestFaults:
         tb.run(read_all())  # zero failed reads
         assert reported == [victim]
         assert tb.diesel.stats.chunk_reads == backend + 1
-        assert cache.degraded_reads == len(paths)
+        assert cache.stats.degraded_reads == len(paths)
         assert cache.stats.degraded_reads == len(paths)
 
     def test_scale_down_mid_epoch_serves_on_and_repins(self):
@@ -251,13 +251,13 @@ class TestFaults:
             # pipeline was steered at the new chunk→master map.
             kept = [k for k in resident if k in reader.window.resident]
             assert kept
-            fetches = cache.chunk_fetches
+            fetches = cache.stats.chunk_fetches
             again = next(
                 p for p in order
                 if index.lookup(p).chunk_id.encode() == kept[-1]
             )
             assert (yield from reader.read(again)) == files[again]
-            assert cache.chunk_fetches == fetches
+            assert cache.stats.chunk_fetches == fetches
             assert reader.window.prefetcher is pipeline
             assert pipeline.repins == 1
             for path in order[half:]:
@@ -268,7 +268,7 @@ class TestFaults:
         assert leaving.name not in cache.masters
         assert all(data == files[path] for path, data in seen)
         assert len(seen) == len(reader.last_plan.files)
-        assert cache.degraded_reads == 0
+        assert cache.stats.degraded_reads == 0
         assert reader.window.inflight == {}
 
     def test_cancelled_training_cancels_read_ahead(self):
@@ -328,7 +328,7 @@ class TestHedging:
         tb.run(reads())
         assert cache.hedge_stats.reads > 0
         assert cache.hedge_stats.hedges_fired == 0
-        assert cache.degraded_reads == 0
+        assert cache.stats.degraded_reads == 0
         # Both populations are calibrated, each on its own samples.
         master = cache.masters[owner].client.name
         assert cache.peer_latency.hedge_delay((master, "get_chunk")) > \
@@ -358,7 +358,7 @@ class TestClientChain:
         assert tb.diesel.stats.chunk_reads == warm
         assert client.stats.server_reads == 0
         assert client.stats.cache_hits == len(index.chunk_ids())
-        assert cache.chunk_fetches == len(index.chunk_ids())
+        assert cache.stats.chunk_fetches == len(index.chunk_ids())
         assert client.stats.local_hits == len(files) - client.stats.cache_hits
 
     def test_chunk_unknown_to_the_cache_still_reads_from_the_server(self):

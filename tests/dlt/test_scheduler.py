@@ -148,7 +148,7 @@ class TestCacheReader:
 
         path, data = tb.run(proc())
         assert data == FILES[path]
-        assert cache.local_hits == 1  # affinity: the shard is co-located
+        assert cache.stats.local_hits == 1  # affinity: the shard is co-located
 
 
 class TestTaskTraining:
@@ -168,8 +168,8 @@ class TestTaskTraining:
         assert total_iters == 2 * len(FILES) / 4  # 2 epochs, batch 4
         # Every hit in a locality-placed, affinity-scheduled task is
         # node-local; nothing paid the cross-node hop.
-        assert cache.local_hits == 2 * len(FILES)
-        assert cache.remote_hits == 0
+        assert cache.stats.local_hits == 2 * len(FILES)
+        assert cache.stats.remote_hits == 0
 
     def test_validation(self):
         tb, cache, sched, readers = make_locality_task()

@@ -6,11 +6,14 @@ benchmarks/ examples/`` plus the module-level statements of ``src/repro``
 (package ``__init__`` re-exports excluded: importing a name to re-export
 it is not calling it).  A def is live once live code *mentions* its name
 — as a ``Name``, an ``Attribute``, an imported name or an
-identifier-shaped string, so perfbench's by-name proxies and
-``getattr(self, "_op_" + method)`` dispatch count as callers — and a
-live def's own body then counts as live code.  A method is live only if
+identifier-shaped string, so perfbench's by-name proxies count as
+callers; behind ``getattr(self, "_op_" + method)`` dispatch an
+``_op_<m>`` is live once live code names ``"<m>"`` — and a live def's
+own body then counts as live code.  A method is live only if
 its class is; dunder methods come with their class.  Matching is by bare
-name, so the walk errs towards keeping.
+name, so the walk errs towards keeping.  A kept def's body counts as
+live code too: what a kept verb calls (the server side of a Table 3
+call) stays with it.
 
 The keep-list is closed: (i) the paper's client surface, (ii) reference
 implementations and invariant probes tests compare against, (iii) the
@@ -78,7 +81,8 @@ def _mentions(nodes):
                   and n.func.id == "getattr" and len(n.args) > 1
                   and isinstance(n.args[1], ast.BinOp)
                   and isinstance(n.args[1].left, ast.Constant)):
-                # getattr(self, "_op_" + method) reaches every "_op_…"
+                # getattr(self, "_op_" + method) reaches "_op_<m>" once
+                # live code names "<m>"
                 out.add(str(n.args[1].left.value) + "*")
     return out
 
@@ -97,8 +101,9 @@ class _Def:
         self.mentions = _mentions(own)
 
 
-def unreached():
-    """Qualified names of the defs in ``src/repro`` nothing live reaches."""
+def unreached(keep=()):
+    """Qualified names of the defs in ``src/repro`` nothing live — nor
+    any def named in ``keep`` — reaches."""
     defs, names = [], set()
     for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
         toplevel = []
@@ -123,7 +128,11 @@ def unreached():
             if d in live or (d.owner is not None and d.owner not in live):
                 continue
             dunder = d.owner is not None and d.name.startswith("__")
-            if d.name in names or dunder or d.name.startswith(prefixes):
+            dispatched = any(
+                d.name.startswith(p) and d.name[len(p):] in names
+                for p in prefixes
+            )
+            if d.name in names or dunder or dispatched or d.qual in keep:
                 live.add(d)
                 names |= d.mentions
                 grew = True
@@ -133,12 +142,11 @@ def unreached():
 
 
 def test_every_def_is_reached_or_kept_with_a_reason():
-    dead = unreached()
-    assert sorted(dead - set(KEEP)) == [], (
+    assert sorted(unreached(KEEP)) == [], (
         "no caller outside tests/: delete these (with the tests that check "
         "only them) or give them a caller"
     )
-    assert sorted(set(KEEP) - dead) == [], (
+    assert sorted(set(KEEP) - unreached()) == [], (
         "stale keep-list entries (deleted, or reached by now): remove them"
     )
 
