@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.baselines.localfs import LocalXfs
 from repro.bench.harness import ExperimentResult, timer
-from repro.bench.reporting import add_relative, ratio, stats_row
+from repro.bench.reporting import add_relative, ratio
 from repro.bench.setups import (
     add_lustre,
     add_memcached,
@@ -30,25 +30,23 @@ from repro.bench.setups import (
     warm,
     warmed_task,
 )
-from repro.calibration import DEFAULT, KB, MB, MODEL_ZOO
+from repro.calibration import DEFAULT, KB, MB, MODEL_ZOO, ModelProfile
 from repro.core.config import DieselConfig
 from repro.core.dist_cache import CacheClient
 from repro.core.fuse import FuseMount
 from repro.core.server import ServerStats
 from repro.core.shared_cache import SharedCacheRegistry
-from repro.core.shuffle import chunk_adjacency, chunkwise_shuffle, full_shuffle
+from repro.core.shuffle import full_shuffle
 from repro.cluster.devices import Device
 from repro.cluster.node import Node
-from repro.dlt.dataloader import EpochScheduler, SimDataLoader
-from repro.dlt.readers import FuseReader, LustreReader
+from repro.dlt.readers import EpochScheduler, FuseReader, LustreReader
 from repro.dlt.sgd import SoftmaxClassifier, train_with_orders
 from repro.dlt.synthetic import SyntheticDataset
 from repro.dlt.trainer import run_training
 from repro.errors import ReproError
 from repro.obs import SpanRecorder
-from repro.obs.counters import Counters
+from repro.obs.counters import Counters, stats_row
 from repro.sim import Environment
-from repro.workloads.filegen import generate_file
 
 # Paper-reported reference values used for shape annotations.
 PAPER = {
@@ -941,7 +939,7 @@ def _training_comparison(
         )
         client.enable_shuffle(group_size=group_size)
         mount = FuseMount([client], tb.cal)
-        reader = FuseReader(mount, chunk_wise=True)
+        reader = FuseReader(mount)
         out[model_name]["diesel-fuse"] = tb.run(
             run_training(tb.env, reader, profile, epochs=epochs,
                          batch_size=batch_size, io_workers=io_workers,
@@ -1038,6 +1036,21 @@ def fig15_training_time(
     return result
 
 
+class _FirstEpochReads(FuseReader):
+    """A FUSE reader that notes the server's chunk reads as epoch 1 starts."""
+
+    def __init__(self, mount: FuseMount, seed: int, server_stats: ServerStats):
+        super().__init__(mount, seed=seed)
+        self._server_stats = server_stats
+        self.first_epoch_reads = 0
+
+    def begin_epoch(self, epoch: int):
+        if epoch == 1:
+            self.first_epoch_reads = self._server_stats.chunk_reads
+        order = yield from super().begin_epoch(epoch)
+        return order
+
+
 def prefetch_pipeline(
     depths: Sequence[int] = (0, 1, 2, 4),
     epochs: int = 2,
@@ -1053,11 +1066,11 @@ def prefetch_pipeline(
 
     A Fig-14-style DIESEL-FUSE run repeated at several prefetch depths
     on the *same* epoch plan (fixed seed; depth 0 is the on-demand
-    baseline).  Reports the dataloader's per-batch consumer stall
-    (``Batch.wait_s``) and the server's chunk-read counter: with the
-    single-flight map, each chunk moves at most once per epoch even
-    while the pipeline and demand fetches race, so ``duplicate_reads``
-    should be 0 at every depth.
+    baseline), driven by :func:`run_training`.  Reports the per-iteration
+    consumer stall (``IterationTiming.data_time_s``) and the server's
+    chunk-read counter: with the single-flight map, each chunk moves at
+    most once per epoch even while the pipeline and demand fetches race,
+    so ``duplicate_reads`` should be 0 at every depth.
     """
     result = ExperimentResult("prefetch pipeline stall", "§4.3 / Fig 14")
     payload = b"\x22" * file_size
@@ -1072,27 +1085,14 @@ def prefetch_pipeline(
                 ),
             )
             client.enable_shuffle(group_size=group_size)
-            mount = FuseMount([client], tb.cal)
-            reader = FuseReader(mount, chunk_wise=True, seed=seed)
-            loader = SimDataLoader(
-                tb.env, reader, batch_size=batch_size,
-                num_workers=io_workers,
+            reader = _FirstEpochReads(
+                FuseMount([client], tb.cal), seed, tb.diesel.stats
             )
-
-            def job():
-                waits: List[float] = []
-                first_epoch_reads = 0
-                for epoch in range(epochs):
-                    n = yield from loader.begin_epoch(epoch)
-                    for _ in range(n):
-                        batch = yield from loader.next_batch()
-                        waits.append(batch.wait_s)
-                        yield tb.env.timeout(compute_per_batch_s)
-                    if epoch == 0:
-                        first_epoch_reads = tb.diesel.stats.chunk_reads
-                return waits, first_epoch_reads
-
-            waits, first_epoch_reads = tb.run(job())
+            trained = tb.run(run_training(
+                tb.env, reader, ModelProfile("prefetch", compute_per_batch_s),
+                epochs=epochs, batch_size=batch_size, io_workers=io_workers,
+            ))
+            waits = [t.data_time_s for t in trained.timings]
             result.add(
                 prefetch_depth=depth,
                 mean_wait_s=float(np.mean(waits)),
@@ -1102,7 +1102,7 @@ def prefetch_pipeline(
                 # Cold epoch needs exactly one transfer per chunk; any
                 # excess is a duplicate the single-flight map should
                 # have prevented.
-                duplicate_reads=first_epoch_reads - len(tb.chunks),
+                duplicate_reads=reader.first_epoch_reads - len(tb.chunks),
                 prefetch_hits=client.stats.prefetch_hits,
                 prefetch_misses=client.stats.prefetch_misses,
                 prefetch_wasted=client.stats.prefetch_wasted,
@@ -1347,7 +1347,7 @@ def latency_breakdown(
     client counters with the recorder's flattened per-(op, layer)
     histogram — ``read_<layer>_count`` resolution counts and
     ``get_<layer>_p50_ms`` / ``get_<layer>_p99_ms`` percentiles — via
-    the same :func:`~repro.bench.reporting.stats_row` seam every other
+    the same :func:`~repro.obs.counters.stats_row` seam every other
     experiment uses.  docs/OBSERVABILITY.md walks through reading the
     output.
     """
@@ -1963,7 +1963,6 @@ def model_selection(
        and the task's reads past the quota fall through to the server
        instead of failing.
     """
-    from repro.calibration import ModelProfile
     from repro.dlt.sweep import run_sweep
 
     result = ExperimentResult(

@@ -1,4 +1,4 @@
-"""Experiment reporting: tables, JSON artifacts, and the stats seam.
+"""Experiment reporting: tables and JSON artifacts.
 
 Everything an experiment emits goes through this module:
 
@@ -6,17 +6,14 @@ Everything an experiment emits goes through this module:
   tables for the runner's stdout;
 * :func:`result_to_dict` / :func:`write_json` — the machine-readable
   ``BENCH_<id>.json`` artifacts;
-* :func:`stats_row` (from :mod:`repro.obs.counters`) — the one path
-  from a stats object or an ``obs.SpanRecorder`` into experiment rows;
 * :func:`ratio` — safe speedup ratios.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Sequence
 
 from repro.bench.harness import ExperimentResult
-from repro.obs.counters import stats_row
 
 
 def _fmt(value: Any) -> str:

@@ -21,7 +21,6 @@ shuffle working set) → task-grained distributed cache → DIESEL server
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional, Sequence
 
@@ -33,7 +32,7 @@ from repro.core.dist_cache import CacheClient, TaskCache
 from repro.core.meta import FileRecord
 from repro.core.prefetch import WINDOW_HIT_S, ChunkPrefetcher, ChunkWindow
 from repro.core.server import DieselServer
-from repro.core.shuffle import EpochPlan, chunkwise_shuffle, full_shuffle
+from repro.core.shuffle import EpochPlan, chunkwise_shuffle
 from repro.core.snapshot import MetadataSnapshot, SnapshotIndex
 from repro.errors import (
     ClosedError,
@@ -397,7 +396,7 @@ class DieselClient:
         remote: list[str] = []
         if self._shuffle_enabled and self._index is not None:
             # Group the batch by chunk; resolve each chunk once.
-            by_chunk: "OrderedDict[str, list[FileRecord]]" = OrderedDict()
+            by_chunk: Dict[str, list[FileRecord]] = {}
             for path in paths:
                 record = self._record_for(path)
                 if record is None:
@@ -406,34 +405,44 @@ class DieselClient:
                     by_chunk.setdefault(
                         record.chunk_id.encode(), []
                     ).append(record)
-            # Kept apart from the serial walk below: the fanned arm serves
-            # residents before misses, which at width 1 moves BENCH_prefetch.
-            if self.config.read_fanout > 1:
-                resolved = yield from self._resolve_groups_fanout(by_chunk)
-            else:
-                resolved = {}
-                for encoded, records in by_chunk.items():
-                    chunk = self._window.access(encoded)
-                    if chunk is not None:
-                        self.stats.local_hits += len(records)
-                        if rec is not None:
-                            rec.count("read", "group_cache", len(records))
-                        yield self.env.timeout(WINDOW_HIT_S * len(records))
+            # One walk: a resident chunk is served inline; a miss is
+            # fetched inline at width 1, else deferred to one fan_out.
+            # The width fork stays because deferring serves residents
+            # before misses, which at width 1 moves BENCH_prefetch.
+            fanned = self.config.read_fanout > 1
+            resolved: Dict[str, Optional[Chunk]] = {}
+            missing: list[str] = []
+            for encoded, records in by_chunk.items():
+                n = len(records)
+                chunk = self._window.access(encoded)
+                if chunk is not None:
+                    self.stats.local_hits += n
+                    if rec is not None:
+                        rec.count("read", "group_cache", n)
+                    yield self.env.timeout(WINDOW_HIT_S * n)
+                else:
+                    # One file pays the chunk fetch; the rest of the
+                    # chunk's files read locally.
+                    self.stats.local_hits += n - 1
+                    if rec is not None:
+                        rec.count("read", "server")
+                        if n > 1:
+                            rec.count("read", "group_cache", n - 1)
+                    if fanned:
+                        missing.append(encoded)  # filled in after the walk
                     else:
                         chunk = yield from self._window.ensure(encoded)
-                        self.stats.local_hits += len(records) - 1
-                        if rec is not None:
-                            # One file pays the chunk fetch; the rest of
-                            # the chunk's files read locally.
-                            rec.count("read", "server")
-                            if len(records) > 1:
-                                rec.count(
-                                    "read", "group_cache", len(records) - 1
-                                )
-                    resolved[encoded] = chunk
-            for encoded, records in by_chunk.items():
-                chunk = resolved[encoded]
-                for record in records:
+                resolved[encoded] = chunk
+            if missing:
+                chunks = yield from fan_out(
+                    self.env,
+                    [self._window.ensure(e) for e in missing],
+                    self.config.read_fanout,
+                    name="read_fanout",
+                )
+                resolved.update(zip(missing, chunks))
+            for encoded, chunk in resolved.items():
+                for record in by_chunk[encoded]:
                     payload = chunk.payload(record.path, verify=False)
                     out[record.path] = payload
                     self.stats.bytes_read += len(payload)
@@ -484,45 +493,6 @@ class DieselClient:
             rec.record("get_many", "total", self.env.now - t0,
                        actor=self.name, files=len(paths))
         return out
-
-    def _resolve_groups_fanout(
-        self, by_chunk: "OrderedDict[str, list[FileRecord]]"
-    ) -> Generator[Event, Any, Dict[str, Chunk]]:
-        """Scatter a batch's chunk-group misses across servers.
-
-        Residents are served inline (same accounting as the serial
-        path); the misses fetch with up to ``read_fanout`` transfers in
-        flight.  Single-flight still holds — concurrent batches and the
-        prefetcher share the window's in-flight map, so no chunk moves
-        twice.
-        """
-        rec = self.recorder
-        resolved: Dict[str, Chunk] = {}
-        missing: list[str] = []
-        for encoded, records in by_chunk.items():
-            chunk = self._window.access(encoded)
-            if chunk is not None:
-                self.stats.local_hits += len(records)
-                if rec is not None:
-                    rec.count("read", "group_cache", len(records))
-                yield self.env.timeout(WINDOW_HIT_S * len(records))
-                resolved[encoded] = chunk
-            else:
-                self.stats.local_hits += len(records) - 1
-                if rec is not None:
-                    rec.count("read", "server")
-                    if len(records) > 1:
-                        rec.count("read", "group_cache", len(records) - 1)
-                missing.append(encoded)
-        if missing:
-            chunks = yield from fan_out(
-                self.env,
-                [self._window.ensure(e) for e in missing],
-                self.config.read_fanout,
-                name="read_fanout",
-            )
-            resolved.update(zip(missing, chunks))
-        return resolved
 
     def get_range(
         self, path: str, offset: int, length: int
@@ -839,13 +809,6 @@ class DieselClient:
         if self.config.prefetch_depth > 0:
             self.start_prefetch(plan)
         return plan
-
-    def full_shuffle_list(self, seed: Optional[int] = None) -> list[str]:
-        """Baseline shuffle-over-dataset order (for comparisons)."""
-        self._check_open()
-        rng = random.Random(self._epoch_seed(seed))
-        self._epoch += 1
-        return full_shuffle(self.index.all_paths(), rng)
 
     # ---------------------------------------------------------- housekeeping
     def delete(self, path: str) -> Generator[Event, Any, None]:

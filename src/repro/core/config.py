@@ -8,7 +8,7 @@ strongly-consistent key-value config service with watch callbacks;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List
 
 from repro.core.chunk import DEFAULT_CHUNK_SIZE

@@ -26,7 +26,6 @@ from repro.core.chunk import Chunk
 from repro.core.server import DieselServer, parse_object_key
 from repro.errors import ReproError
 from repro.sim.engine import Event, fan_out
-from repro.util.ids import ChunkId
 
 #: Conservative bound on header bytes fetched per chunk during a scan.
 HEADER_READ_BYTES = 64 * 1024

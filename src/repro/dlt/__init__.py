@@ -12,15 +12,12 @@ Two distinct concerns, matching how the paper evaluates:
   shuffle-over-dataset against chunk-wise shuffle orders.
 """
 
-from repro.dlt.dataloader import Batch, SimDataLoader
 from repro.dlt.sgd import SoftmaxClassifier, top_k_accuracy
 from repro.dlt.synthetic import SyntheticDataset, decode_sample, encode_sample
 from repro.dlt.trainer import IterationTiming, TrainingResult, run_training
 
 __all__ = [
-    "Batch",
     "IterationTiming",
-    "SimDataLoader",
     "SoftmaxClassifier",
     "SyntheticDataset",
     "TrainingResult",

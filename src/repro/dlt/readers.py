@@ -8,33 +8,131 @@ generators.
 
 ``read_batch(paths) -> {path: bytes}`` is an *optional* extra method:
 backends that can resolve a whole mini-batch in one round trip (the
-DIESEL ``get_many()`` path) provide it, and the dataloader/trainer
-workers prefer it over per-file ``read`` calls when present.
+DIESEL ``get_many()`` path) provide it, and the trainer's I/O workers
+prefer it over per-file ``read`` calls when present.
 ``cancel_epoch()`` is optional too: the trainer calls it when its
 process is cancelled mid-epoch, so a backend that reads ahead stops.
+:class:`EpochScheduler` deals the task-wide plan whose per-worker
+shards :class:`CacheReader` serves.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Generator, Sequence
+from typing import Any, Dict, Generator, List, Mapping, Sequence
 
 from repro.baselines.lustre import LustreFS
 from repro.core.fuse import FuseMount
 from repro.core.prefetch import WINDOW_HIT_S, ChunkWindow
-from repro.core.shuffle import full_shuffle
+from repro.core.shuffle import EpochPlan, chunkwise_shuffle, full_shuffle
 from repro.cluster.node import Node
+from repro.errors import DieselError
 from repro.sim.engine import Event
 
 #: CPU cost per file name when shuffling the name list at epoch start.
 SHUFFLE_PER_FILE_S = 60e-9
 
 
+class EpochScheduler:
+    """Task-wide affinity epoch scheduler (§4.3 meets §4.2 placement).
+
+    A multi-worker task draws **one** chunk-wise plan per epoch and
+    splits it into per-worker shards.  With a locality-placed
+    :class:`~repro.core.dist_cache.TaskCache` attached, the plan is
+    owner-bucketed and each shuffle group is pinned to the worker
+    co-located with the master owning its chunks — so steady-state
+    reads are node-local memory copies — while the group order inside
+    every shard is still permuted per epoch (the Fig 13 shuffle
+    contract).  Without a cache (or under hash placement) shards are
+    dealt least-loaded, reproducing a plain balanced split.
+
+    Shards are built lazily per epoch and cached, so workers may call
+    :meth:`shard` out of order; ``worker_nodes[i]`` names the node
+    worker *i* runs on (the affinity key).
+    """
+
+    def __init__(
+        self,
+        files_by_chunk: Mapping,
+        group_size: int,
+        worker_nodes: Sequence[str],
+        cache=None,
+        seed: int = 0,
+    ) -> None:
+        if group_size < 1:
+            raise DieselError("group_size must be >= 1")
+        if not worker_nodes:
+            raise DieselError("need at least one worker node")
+        self._files_by_chunk = dict(files_by_chunk)
+        self._group_size = group_size
+        self._worker_nodes = list(worker_nodes)
+        self._cache = cache
+        self._seed = seed
+        self._shards: Dict[int, List[EpochPlan]] = {}
+        #: Cache membership version each cached epoch was built against.
+        self._shard_versions: Dict[int, int] = {}
+        #: Epochs whose cached shards were re-pinned after a scale event.
+        self.repins = 0
+
+    @property
+    def n_workers(self) -> int:
+        return len(self._worker_nodes)
+
+    @property
+    def group_size(self) -> int:
+        """Chunks per shuffle group — a reader's §4.3 working set."""
+        return self._group_size
+
+    def affinity(self) -> Dict[str, int]:
+        """Owner-node → worker-index map for ``EpochPlan.partition``."""
+        return {name: i for i, name in enumerate(self._worker_nodes)}
+
+    def _membership_version(self) -> int:
+        cache = self._cache
+        return cache.membership_version if cache is not None else 0
+
+    def shard(self, epoch: int, worker: int) -> EpochPlan:
+        """This worker's slice of the epoch's shared plan."""
+        if not 0 <= worker < self.n_workers:
+            raise DieselError(f"worker index {worker} out of range")
+        if epoch not in self._shards:
+            self._shards[epoch] = self._build(epoch)
+            self._shard_versions[epoch] = self._membership_version()
+            # Bound memory: workers only ever straddle two epochs.
+            for old in [e for e in self._shards if e < epoch - 1]:
+                del self._shards[old]
+                self._shard_versions.pop(old, None)
+        elif self._shard_versions.get(epoch) != self._membership_version():
+            # Elastic membership changed under a cached plan: re-pin the
+            # shards' owner tags to the new chunk→master map without
+            # reshuffling (the epoch's read order is already committed;
+            # a reshuffle would re-read some files and drop others).
+            owner_of = self._cache.chunk_owner_node
+            self._shards[epoch] = [
+                plan.repin(owner_of) for plan in self._shards[epoch]
+            ]
+            self.repins += 1
+            self._shard_versions[epoch] = self._membership_version()
+        return self._shards[epoch][worker]
+
+    def _build(self, epoch: int) -> List[EpochPlan]:
+        # Seed mixing mirrors DieselClient._epoch_seed: the epoch
+        # sequence is reproducible, successive epochs differ.
+        rng = random.Random(hash((self._seed, epoch)))
+        cache = self._cache
+        owner_of = cache.affinity_owner_of if cache is not None else None
+        affinity = self.affinity() if owner_of is not None else None
+        plan = chunkwise_shuffle(
+            self._files_by_chunk, self._group_size, rng, owner_of=owner_of
+        )
+        return plan.partition(self.n_workers, rng, affinity=affinity)
+
+
 class CacheReader:
     """One task worker reading through the distributed task cache (§4.2).
 
     Epoch order comes from the shared
-    :class:`~repro.dlt.dataloader.EpochScheduler` — this worker's shard
+    :class:`EpochScheduler` — this worker's shard
     of the task-wide plan, affinity-pinned to the co-located cache
     master under locality placement.  §4.2 and §4.3 compose here: files
     are served out of a :class:`~repro.core.prefetch.ChunkWindow` holding
@@ -116,20 +214,21 @@ class LustreReader:
 
 
 class FuseReader:
-    """Reads through DIESEL-FUSE; chunk-wise or full shuffle per config."""
+    """Reads through DIESEL-FUSE in chunk-wise shuffle order (§4.3)."""
 
-    def __init__(self, mount: FuseMount, chunk_wise: bool = True, seed: int = 0):
+    def __init__(self, mount: FuseMount, seed: int = 0):
         self.mount = mount
-        self.chunk_wise = chunk_wise
         self._seed = seed
 
     def begin_epoch(self, epoch: int) -> Generator[Event, Any, list[str]]:
         client = self.mount.clients[0]
         n = client.index.file_count
         yield self.mount.env.timeout(n * SHUFFLE_PER_FILE_S)
-        if self.chunk_wise:
-            return client.epoch_file_list(seed=self._seed + epoch).files
-        return client.full_shuffle_list(seed=self._seed + epoch)
+        return client.epoch_file_list(seed=self._seed + epoch).files
+
+    def cancel_epoch(self) -> None:
+        """Stop the read-ahead ``begin_epoch`` started on the client."""
+        self.mount.clients[0].cancel_prefetch()
 
     def read(self, path: str) -> Generator[Event, Any, bytes]:
         data = yield from self.mount.read_file(path)

@@ -23,8 +23,7 @@ from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from repro.calibration import ModelProfile
 from repro.core.dist_cache import TaskCache
-from repro.dlt.dataloader import EpochScheduler
-from repro.dlt.readers import CacheReader
+from repro.dlt.readers import CacheReader, EpochScheduler
 from repro.dlt.trainer import TrainingResult, run_task_training
 from repro.errors import DieselError
 from repro.sim.engine import Environment, Event

@@ -168,7 +168,7 @@ def run_task_training(
     The multi-worker execution model behind affinity epoch scheduling:
     each reader (typically a :class:`~repro.dlt.readers.CacheReader`
     bound to one worker's shard of the shared
-    :class:`~repro.dlt.dataloader.EpochScheduler` plan) drives its own
+    :class:`~repro.dlt.readers.EpochScheduler` plan) drives its own
     :func:`run_training` loop; all workers advance in parallel in
     simulated time.  Returns the per-worker results in reader order.
     """

@@ -17,7 +17,7 @@ Usage::
 
     rec = SpanRecorder.attach(client, server, cache)
     ... run the workload ...
-    rec.to_dict()                  # flat row for bench.reporting.stats_row
+    rec.to_dict()                  # flat row for obs.counters.stats_row
     rec.histogram("get", "server").p99
     write_chrome_trace(rec, "trace.json")
     SpanRecorder.detach(client, server, cache)
@@ -198,7 +198,7 @@ class SpanRecorder:
         For every timed ``(op, layer)``: ``{op}_{layer}_n``,
         ``{op}_{layer}_p50_ms`` and ``{op}_{layer}_p99_ms``; for every
         counter: ``{op}_{layer}_count``.  The format
-        ``bench.reporting.stats_row`` consumes — a recorder can be
+        ``obs.counters.stats_row`` consumes — a recorder can be
         passed to it exactly like a stats object.
         """
         out: Dict[str, Any] = {}

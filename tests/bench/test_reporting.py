@@ -10,9 +10,9 @@ from repro.bench.reporting import (
     format_table,
     ratio,
     result_to_dict,
-    stats_row,
     write_json,
 )
+from repro.obs.counters import stats_row
 
 
 class TestFormatTable:
@@ -83,7 +83,6 @@ class TestStatsRow:
         from repro.core.prefetch import WindowStats
         from repro.core.server import ServerStats
         from repro.core.shared_cache import SharedCacheStats
-        from repro.dlt.dataloader import LoaderStats
         from repro.ft.hedge import HedgeStats
         from repro.objectstore.tiered import TieredStats
         from repro.obs.counters import Counters
@@ -95,7 +94,7 @@ class TestStatsRow:
                 ServerStats, CacheMasterStats, TaskCacheStats,
                 SharedCacheStats, ClientStats, ChunkStoreStats, RpcStats,
                 HedgeStats, WindowStats, TieredStats, FabricStats,
-                DeviceStats, FuseStats, LoaderStats, _ScaleCounters,
+                DeviceStats, FuseStats, _ScaleCounters,
             )
         ] + [EngineStats("calendar", 0, 0.0, 0)]
         for inst in instances:

@@ -211,11 +211,6 @@ class TestShuffleMode:
         deployment.run(proc())
         assert client.working_set_bytes() <= 2 * 16 * 1024
 
-    def test_full_shuffle_list(self, deployment):
-        client, files = self._loaded_client(deployment)
-        order = client.full_shuffle_list(seed=1)
-        assert sorted(order) == sorted(files)
-
     def test_seedless_order_is_independent_of_pythonhashseed(self):
         """A seedless epoch order derives from the dataset name through a
         stable hash, so two interpreters agree whatever their str-hash salt."""
@@ -230,7 +225,7 @@ class TestShuffleMode:
             "bulk_load_diesel(tb, 'ds', files, chunk_size=4096)\n"
             "c = diesel_client_with_snapshot(tb, 'ds', tb.compute_nodes[0], 'c')\n"
             "c.enable_shuffle(group_size=2)\n"
-            "print(c.epoch_file_list().files, c.full_shuffle_list())\n"
+            "print(c.epoch_file_list().files)\n"
         )
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         orders = {

@@ -284,12 +284,6 @@ class TestEpochSeedMixing:
         seq_b = [client_b.epoch_file_list(seed=4).files for _ in range(3)]
         assert seq_a == seq_b
 
-    def test_full_shuffle_fixed_seed_epochs_differ(self, deployment):
-        client, _ = loaded_client(deployment)
-        o1 = client.full_shuffle_list(seed=9)
-        o2 = client.full_shuffle_list(seed=9)
-        assert o1 != o2
-
 
 class TestGetMany:
     def test_batched_server_path(self, deployment):

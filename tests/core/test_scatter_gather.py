@@ -182,6 +182,23 @@ class TestReadFanout:
         # Second pass is served from the resident chunk cache.
         assert sum(s.stats.chunk_reads for s in dep.servers) == before
 
+    @pytest.mark.parametrize("fanout", [1, 4])
+    def test_order_each_width_serves_a_resident_behind_a_miss(self, fanout):
+        """Width 1 fetches a miss where the walk meets it; wider defers it
+        past the residents.  The window's recency order shows which."""
+        dep, reader, files = self.setup_reader(fanout)
+        chunk_of = {p: reader.index.lookup(p).chunk_id.encode() for p in files}
+        by_chunk = {}
+        for path, cid in chunk_of.items():
+            by_chunk.setdefault(cid, path)
+        (miss, a), (resident, b) = list(by_chunk.items())[:2]
+        self.batch_read(dep, reader, [b])
+        out, _ = self.batch_read(dep, reader, [a, b])
+        # Payloads come back in batch order at every width.
+        assert list(out.items()) == [(a, files[a]), (b, files[b])]
+        order = list(reader._window.resident)
+        assert order == ([miss, resident] if fanout == 1 else [resident, miss])
+
     def test_preferred_server_is_deterministic_and_spreads(self):
         dep = build_deployment(n_servers=3)
         client = dep.new_client("ds")
@@ -432,7 +449,7 @@ class TestStatsToDict:
         assert d["pull_inflight_hwm"] == 4
 
     def test_stats_row_selects_and_prefixes(self):
-        from repro.bench.reporting import stats_row
+        from repro.obs.counters import stats_row
 
         stats = ClientStats()
         stats.puts = 7

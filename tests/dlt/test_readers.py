@@ -1,7 +1,5 @@
 """Tests for the trainer's storage readers (Lustre / DIESEL-FUSE)."""
 
-import pytest
-
 from repro.bench.setups import (
     add_lustre,
     bulk_load_lustre,
@@ -9,8 +7,11 @@ from repro.bench.setups import (
     diesel_client_with_snapshot,
     make_testbed,
 )
+from repro.calibration import ModelProfile
+from repro.core.config import DieselConfig
 from repro.core.fuse import mount
 from repro.dlt.readers import FuseReader, LustreReader
+from repro.dlt.trainer import run_training
 
 FILES = {f"/r/f{i:03d}": bytes([i]) * 1024 for i in range(30)}
 
@@ -22,11 +23,11 @@ def make_lustre_reader():
     return tb, LustreReader(fs, tb.compute_nodes[0], list(FILES), seed=1)
 
 
-def make_fuse_reader(chunk_wise=True):
+def make_fuse_reader():
     tb = deploy(1, "ds", FILES, chunk_size=8 * 1024)
     client = diesel_client_with_snapshot(tb, "ds", tb.compute_nodes[0], "c0")
     client.enable_shuffle(group_size=2)
-    return tb, FuseReader(mount([client]), chunk_wise=chunk_wise, seed=1)
+    return tb, FuseReader(mount([client]), seed=1)
 
 
 class TestLustreReader:
@@ -72,9 +73,8 @@ class TestLustreReader:
 
 
 class TestFuseReader:
-    @pytest.mark.parametrize("chunk_wise", [True, False])
-    def test_epoch_order_is_permutation(self, chunk_wise):
-        tb, reader = make_fuse_reader(chunk_wise)
+    def test_epoch_order_is_permutation(self):
+        tb, reader = make_fuse_reader()
 
         def proc():
             order = yield from reader.begin_epoch(0)
@@ -83,7 +83,7 @@ class TestFuseReader:
         assert sorted(tb.run(proc())) == sorted(FILES)
 
     def test_chunkwise_order_groups_chunks(self):
-        tb, reader = make_fuse_reader(chunk_wise=True)
+        tb, reader = make_fuse_reader()
         client = reader.mount.clients[0]
         grouping = client.index.files_by_chunk()
         chunk_of = {f: cid for cid, fl in grouping.items() for f in fl}
@@ -107,3 +107,29 @@ class TestFuseReader:
             return data
 
         assert tb.run(proc()) == FILES["/r/f010"]
+
+    def test_cancelled_training_stops_read_ahead(self):
+        # Chunks big enough that the read-ahead is mid-transfer at 1 ms.
+        files = {f"/r/g{i:03d}": bytes([i]) * 100_000 for i in range(160)}
+        tb = deploy(2, "ds", files, chunk_size=2 * 1024 * 1024)
+        client = diesel_client_with_snapshot(
+            tb, "ds", tb.compute_nodes[0], "c0",
+            config=DieselConfig(shuffle_group_size=4, prefetch_depth=4),
+        )
+        client.enable_shuffle(group_size=4)
+        reader = FuseReader(mount([client]), seed=1)
+        proc = tb.env.process(run_training(
+            tb.env, reader, ModelProfile("slow", 5e-3), epochs=1,
+            batch_size=8))
+        tb.env.run(until=tb.env.now + 1e-3)
+        unread = len(client.prefetcher._outstanding)
+        assert unread > 0
+        proc.interrupt("job cancelled")
+        reads = tb.diesel.stats.chunk_reads
+        tb.env.run(until=tb.env.now + 1.0)
+        assert not proc.ok
+        # Nothing keeps fetching for a job that is gone ...
+        assert tb.diesel.stats.chunk_reads == reads
+        # ... and what it fetched ahead but never read is waste.
+        assert client.stats.prefetch_wasted == unread
+        assert client.prefetcher is None

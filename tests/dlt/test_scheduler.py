@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench.setups import deploy, warmed_task
 from repro.calibration import ModelProfile
-from repro.dlt.dataloader import EpochScheduler
+from repro.dlt.readers import EpochScheduler
 from repro.dlt.trainer import run_task_training
 from repro.errors import DieselError
 from repro.util.ids import ChunkIdGenerator

@@ -27,12 +27,23 @@ class FakeReader:
         return b"x"
 
 
+class BatchReader(FakeReader):
+    """Also offers the optional batched path a ``get_many()`` backend has."""
+
+    batch_calls = 0
+
+    def read_batch(self, paths):
+        self.batch_calls += 1
+        yield self.env.timeout(self.read_s)
+        return {p: b"x" for p in paths}
+
+
 class TestPipelinedTrainer:
     def run(self, read_s, compute_s, n_files=64, batch=8, workers=4, epochs=1,
-            prefetch=2, shuffle_s=0.0):
+            prefetch=2, shuffle_s=0.0, reader_cls=FakeReader):
         env = Environment()
         model = ModelProfile("toy", compute_s=compute_s)
-        reader = FakeReader(env, [f"/f{i}" for i in range(n_files)], read_s,
+        reader = reader_cls(env, [f"/f{i}" for i in range(n_files)], read_s,
                             shuffle_s)
         result = run_sync(
             env,
@@ -45,6 +56,20 @@ class TestPipelinedTrainer:
         env, reader, result = self.run(read_s=1e-4, compute_s=1e-3, epochs=2)
         assert reader.reads == 2 * 64
         assert len(result.timings) == 2 * 8
+
+    def test_short_last_batch_is_read(self):
+        env, reader, result = self.run(read_s=1e-4, compute_s=1e-3,
+                                       n_files=10, batch=4)
+        assert reader.reads == 10
+        assert len(result.timings) == 3  # 4 + 4 + 2
+
+    def test_batched_reader_preferred(self):
+        """One read_batch per mini-batch, zero per-file reads."""
+        env, reader, result = self.run(read_s=1e-3, compute_s=1e-3,
+                                       n_files=10, batch=4,
+                                       reader_cls=BatchReader)
+        assert reader.batch_calls == 3
+        assert reader.reads == 0
 
     def test_compute_bound_hides_io(self):
         """Fast I/O + slow compute → stalls only on the cold first batch."""

@@ -131,7 +131,7 @@ class TestFlattening:
         assert "rpc_get_file_queue_fast_n" in keys
 
     def test_stats_row_accepts_recorder(self):
-        from repro.bench.reporting import stats_row
+        from repro.obs.counters import stats_row
 
         env, comp, rec = make_recorder()
         rec.record("get", "server", 0.2)

@@ -5,9 +5,9 @@ An AST fixpoint.  Roots are the whole of ``perfbench/ scripts/
 benchmarks/ examples/`` plus the module-level statements of ``src/repro``
 (package ``__init__`` re-exports excluded: importing a name to re-export
 it is not calling it).  A def is live once live code *mentions* its name
-— as a ``Name``, an ``Attribute``, an imported name or an
-identifier-shaped string, so perfbench's by-name proxies count as
-callers; behind ``getattr(self, "_op_" + method)`` dispatch an
+— as a ``Name``, an ``Attribute``, an identifier-shaped string or an
+imported name its module uses (an unused import calls nothing), so
+perfbench's by-name proxies count as callers; behind ``getattr(self, "_op_" + method)`` dispatch an
 ``_op_<m>`` is live once live code names ``"<m>"`` — and a live def's
 own body then counts as live code.  A method is live only if
 its class is; dunder methods come with their class.  Matching is by bare
@@ -63,7 +63,27 @@ KEEP = {
 }
 
 
-def _mentions(nodes):
+def _bound(alias):
+    return alias.asname or alias.name.split(".")[0]
+
+
+def _used(tree):
+    """Names a module reads: ``Name`` loads, plus the names inside string
+    annotations (``"dict[str, Chunk]"``) and ``__all__`` entries."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            try:
+                expr = ast.parse(n.value, mode="eval")
+            except SyntaxError:
+                continue
+            out |= {m.id for m in ast.walk(expr) if isinstance(m, ast.Name)}
+    return out
+
+
+def _mentions(nodes, used):
     out = set()
     for top in nodes:
         for n in ast.walk(top):
@@ -73,7 +93,8 @@ def _mentions(nodes):
                 out.add(n.attr)
             elif isinstance(n, (ast.Import, ast.ImportFrom)):
                 for a in n.names:
-                    out.update(a.name.split("."))
+                    if _bound(a) in used:
+                        out.update(a.name.split("."))
             elif isinstance(n, ast.Constant) and isinstance(n.value, str):
                 if _IDENT.match(n.value):
                     out.add(n.value)
@@ -88,7 +109,7 @@ def _mentions(nodes):
 
 
 class _Def:
-    def __init__(self, node, owner):
+    def __init__(self, node, owner, used):
         self.owner = owner
         self.name = node.name
         self.qual = f"{owner.name}.{node.name}" if owner else node.name
@@ -98,7 +119,7 @@ class _Def:
                    *(s for s in node.body if not isinstance(s, _DEF))]
         else:
             own = [node]
-        self.mentions = _mentions(own)
+        self.mentions = _mentions(own, used)
 
 
 def unreached(keep=()):
@@ -106,20 +127,24 @@ def unreached(keep=()):
     any def named in ``keep`` — reaches."""
     defs, names = [], set()
     for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = _used(tree)
         toplevel = []
-        for stmt in ast.parse(path.read_text()).body:
+        for stmt in tree.body:
             if not isinstance(stmt, _DEF):
                 toplevel.append(stmt)
                 continue
-            d = _Def(stmt, None)
+            d = _Def(stmt, None, used)
             defs.append(d)
             if isinstance(stmt, ast.ClassDef):
-                defs += [_Def(s, d) for s in stmt.body if isinstance(s, _DEF)]
+                defs += [_Def(s, d, used)
+                         for s in stmt.body if isinstance(s, _DEF)]
         if path.name != "__init__.py":
-            names |= _mentions(toplevel)
+            names |= _mentions(toplevel, used)
     for caller in CALLER_DIRS:
         for path in sorted((ROOT / caller).rglob("*.py")):
-            names |= _mentions([ast.parse(path.read_text())])
+            tree = ast.parse(path.read_text())
+            names |= _mentions([tree], _used(tree))
     live, grew = set(), True
     while grew:
         grew = False
@@ -149,6 +174,24 @@ def test_every_def_is_reached_or_kept_with_a_reason():
     assert sorted(set(KEEP) - unreached()) == [], (
         "stale keep-list entries (deleted, or reached by now): remove them"
     )
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # ruff's selected rules (E9, F63, F7, F82) leave unused imports to
+    # this walk; package __init__ files import to re-export.
+    unused = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = _used(tree)
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and n.module == "__future__":
+                continue
+            if isinstance(n, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.relative_to(ROOT)}: {_bound(a)}"
+                           for a in n.names if _bound(a) not in used]
+    assert unused == []
 
 
 def test_keep_list_is_small_and_reasoned():
