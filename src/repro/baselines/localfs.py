@@ -42,7 +42,7 @@ class LocalXfs:
     def write_file(self, path: str, data: bytes) -> None:
         """Populate without simulated cost (fixture setup)."""
         path = pathutil.normalize(path)
-        comps = pathutil.split(path)
+        comps = path[1:].split("/")
         for depth in range(1, len(comps)):
             d = "/" + "/".join(comps[:depth])
             self._dirs.setdefault(d, set())

@@ -46,7 +46,7 @@ class _Namespace:
 
     def _ensure_parents(self, path: str) -> None:
         """Create every ancestor directory and link it to its parent."""
-        comps = pathutil.split(path)
+        comps = path[1:].split("/")
         for depth in range(1, len(comps)):
             p = "/" + "/".join(comps[:depth])
             self._dirs.setdefault(p, set())

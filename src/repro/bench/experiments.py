@@ -1779,22 +1779,20 @@ def scale_engine(
     n_servers: int = 8,
     epoch_s: float = 10.0,
 ) -> ExperimentResult:
-    """Engine scale: a 1000-node, 10⁶-request epoch under both kernels.
+    """Engine scale: a 1000-node, 10⁶-request epoch under two admissions.
 
-    Two variants of the same workload run in one call and must produce
-    identical read/hit/stat counters:
+    Two variants of the same workload run on the one kernel in one call
+    and must produce identical read/hit/stat counters; admission is the
+    only difference between them:
 
-    * ``heap+per-request`` — the flat-binary-heap scheduler with one
-      admitted RPC per request, every arrival pre-scheduled up front
-      (peak occupancy ≈ the full epoch, the regime the old kernel lived
-      in);
-    * ``calendar+batched`` — the calendar-queue scheduler with arrivals
-      admitted per *batch* through ``RpcEndpoint.call_batch`` and the
-      vectorized range handler.
+    * ``per-request`` — one admitted RPC per request, every arrival
+      pre-scheduled up front (peak occupancy ≈ the full epoch);
+    * ``batched`` — arrivals admitted per *batch* through
+      ``RpcEndpoint.call_batch`` and the vectorized range handler.
 
     Reported per variant: actual kernel events (``sim_events``), wall
     seconds, raw kernel event rate (``kernel_events_per_sec``), peak
-    scheduler occupancy and requests/sec.  ``events_per_sec`` is the
+    event-heap occupancy and requests/sec.  ``events_per_sec`` is the
     *epoch-normalized* rate — the reference variant's event count
     divided by this variant's wall time — so the two rates compare
     delivery of the same epoch (reference-machine normalization; for
@@ -1807,11 +1805,8 @@ def scale_engine(
 
     result = ExperimentResult("engine scale", "simulation substrate")
     with timer(result):
-        for variant, scheduler, admit in (
-            ("heap+per-request", "heap", 1),
-            ("calendar+batched", "calendar", batch),
-        ):
-            env = Environment(scheduler=scheduler)
+        for variant, admit in (("per-request", 1), ("batched", batch)):
+            env = Environment()
             fabric = NetworkFabric(env, DEFAULT.network)
             servers = [
                 fabric.add_node(Node(env, f"srv{i}", nic_channels=8))
@@ -1868,7 +1863,6 @@ def scale_engine(
             es = env.engine_stats()
             result.add(
                 variant=variant,
-                scheduler=es.scheduler,
                 n_nodes=n_nodes,
                 n_requests=n_requests,
                 admission_batch=admit,
@@ -1881,8 +1875,8 @@ def scale_engine(
                 ),
                 **_ScaleCounters.total(ctrs).to_dict(),
             )
-        base = result.one(variant="heap+per-request")
-        fast = result.one(variant="calendar+batched")
+        base = result.one(variant="per-request")
+        fast = result.one(variant="batched")
         for key in ("reads", "hits", "stat_calls"):
             if base[key] != fast[key]:
                 raise AssertionError(
@@ -1891,11 +1885,11 @@ def scale_engine(
                 )
         # Epoch-normalized sim-events/sec: both variants deliver the
         # *same* epoch (identical counters), so rates are comparable
-        # only against a common event count — the reference (baseline)
-        # variant's.  events_per_sec = base_events / wall: for the
-        # baseline this is its raw kernel rate; for the optimized
-        # variant it is the rate at which it retires baseline-equivalent
-        # event work (reference-machine normalization).
+        # only against a common event count — the per-request variant's.
+        # events_per_sec = base_events / wall: for per-request admission
+        # this is its raw kernel rate; for batched admission it is the
+        # rate at which it retires per-request-equivalent event work
+        # (reference-machine normalization).
         for row in (base, fast):
             row["events_per_sec"] = (
                 base["sim_events"] / row["wall_s"] if row["wall_s"] else 0.0
@@ -1914,13 +1908,13 @@ def scale_engine(
             requests_per_sec=req_speedup,
         )
         result.note(
-            f"calendar+batched delivers {speedup:.1f}x the sim-events/sec of "
-            f"the heapq baseline on the same {n_nodes}-node, "
-            f"{n_requests:,}-request epoch (epoch-normalized: the batch "
-            f"admission retires the baseline's {base['sim_events']:,}-event "
-            f"epoch in {fast['wall_s']:.3f}s vs {base['wall_s']:.1f}s; raw "
-            f"kernel rate {kernel_speedup:.2f}x, requests/sec "
-            f"{req_speedup:,.0f}x)"
+            f"batched admission delivers {speedup:.1f}x the sim-events/sec "
+            f"of per-request admission on the same kernel and the same "
+            f"{n_nodes}-node, {n_requests:,}-request epoch "
+            f"(epoch-normalized: it retires per-request admission's "
+            f"{base['sim_events']:,}-event epoch in {fast['wall_s']:.3f}s "
+            f"vs {base['wall_s']:.1f}s; raw kernel rate "
+            f"{kernel_speedup:.2f}x, requests/sec {req_speedup:,.0f}x)"
         )
         result.note(
             f"identical read/hit/stat counters across variants: "

@@ -19,7 +19,7 @@ class ExperimentResult:
     notes: List[str] = field(default_factory=list)
     wall_seconds: float = 0.0
     #: Engine throughput over the experiment's ``Environment.run`` calls
-    #: — scheduler, sim_events, events_per_sec, peak_occupancy; stamped
+    #: — sim_events, run_wall_s, events_per_sec, peak_occupancy; stamped
     #: by :class:`timer`, empty when no environment ran inside it.
     engine: Dict[str, Any] = field(default_factory=dict)
 

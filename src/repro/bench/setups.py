@@ -81,10 +81,9 @@ def make_testbed(
     n_compute: int = 10,
     n_storage: int = 6,
     cal: Calibration = DEFAULT,
-    scheduler: str = "calendar",
 ) -> Testbed:
-    """Wire the shared fabric; ``scheduler`` picks the DES queue."""
-    env = Environment(scheduler=scheduler)
+    """Wire the shared fabric."""
+    env = Environment()
     fabric = NetworkFabric(env, cal.network)
     storage = [
         fabric.add_node(Node(env, f"storage{i}", nic_channels=8))

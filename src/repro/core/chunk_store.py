@@ -75,8 +75,8 @@ def compression_ratio(key: str, seed: int = 0) -> float:
     """Deterministic per-chunk compression ratio in [1.4, 3.6].
 
     Seeded from the chunk key via ``zlib.crc32`` — *not* the builtin
-    ``hash()``, which is process-seeded and would break run-to-run and
-    scheduler-variant determinism.
+    ``hash()``, which is process-seeded and would break run-to-run
+    determinism.
     """
     h = zlib.crc32(f"{seed}:{key}".encode())
     frac = (h % 1000) / 999.0

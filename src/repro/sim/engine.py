@@ -1,27 +1,14 @@
 """Event loop, events and generator-based processes.
 
-The design follows the classic DES structure: a scheduler of
-``(time, seq, event)`` entries; an :class:`Event` fires its callbacks when
-popped; a :class:`Process` wraps a generator whose ``yield``-ed events
-decide when it resumes.  ``return value`` inside a process generator
-becomes the process's :attr:`~Event.value`.
+The design follows the classic DES structure: one binary heap
+(``heapq``) of ``(time, seq, event)`` entries; an :class:`Event` fires
+its callbacks when popped; a :class:`Process` wraps a generator whose
+``yield``-ed events decide when it resumes.  ``return value`` inside a
+process generator becomes the process's :attr:`~Event.value`.
 
-Two schedulers sit behind the same ``_schedule``/``step``/``peek``/``run``
-API (selectable per :class:`Environment`, default ``"calendar"``):
-
-* ``"calendar"`` — a calendar queue (Brown 1988) with a small binary heap
-  over the *current* bucket-year only.  Enqueue of a future event is a
-  plain list append into its bucket; dequeue pops the active heap and
-  harvests the next bucket-year when it drains.  Bucket count and width
-  recalibrate automatically as the queue grows and shrinks, so both the
-  dense near-term band and the sparse far tail of a bimodal delay
-  distribution stay O(1)-ish.
-* ``"heap"`` — the flat ``heapq`` of the original kernel, kept as the
-  oracle of the scheduler differential tests.
-
-Same-tick FIFO is identical under both: entries carry a monotonically
-increasing ``seq`` and compare ``(time, seq)``, so events scheduled for
-the same instant fire in creation order.
+Entries carry a monotonically increasing ``seq`` and compare
+``(time, seq)``, so events scheduled for the same instant fire in
+creation order (same-tick FIFO).
 
 The hot path is deliberately low-churn: ``Environment.timeout`` recycles
 :class:`Timeout` objects through a free list (an event is returned to the
@@ -35,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from sys import getrefcount
 from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -202,7 +189,7 @@ class Process(Event):
         env._active_process = self
         # Trampoline: yielding an already-processed event (a finished
         # process, a triggered timeout held from earlier) resumes the
-        # generator inline — no bridge event, no scheduler round-trip.
+        # generator inline — no bridge event, no event-heap round-trip.
         while True:
             try:
                 if event._ok:
@@ -477,235 +464,6 @@ def fan_out(
     return results
 
 
-# --------------------------------------------------------------------------
-# Schedulers.  Both hold (time, seq, Event) entries and expose the same
-# push/pop/peek_time surface; ``seq`` ties same-tick FIFO order to event
-# creation order under either implementation.
-# --------------------------------------------------------------------------
-
-
-class _HeapQueue:
-    """The flat binary heap of the original kernel (A/B baseline)."""
-
-    __slots__ = ("_heap", "peak")
-
-    name = "heap"
-
-    def __init__(self, anchor: float = 0.0) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
-        self.peak = 0
-
-    def push(self, t: float, seq: int, event: Event) -> None:
-        heap = self._heap
-        heappush(heap, (t, seq, event))
-        if len(heap) > self.peak:
-            self.peak = len(heap)
-
-    def pop(self) -> tuple[float, int, Event]:
-        return heappop(self._heap)
-
-    def peek_time(self) -> float:
-        heap = self._heap
-        return heap[0][0] if heap else _INF
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
-class _CalendarQueue:
-    """Calendar queue with a heap over the current bucket-year only.
-
-    Every entry is classified by its integer *year* ``int(t / width)``;
-    the same expression everywhere, so no entry can straddle a year
-    boundary through float rounding.  Invariants:
-
-    * every entry whose year is ``<= _year`` lives in ``_active`` (a
-      small binary heap; same ``(time, seq)`` ordering as the flat
-      heap);
-    * every other entry lives in bucket ``year % nbuckets`` as an
-      unsorted list — enqueue is an append, O(1).
-
-    When ``_active`` drains, the next non-empty bucket-year is split out,
-    heapified (timsort-grade C work on a handful of entries) and becomes
-    the new active heap.  A full fruitless revolution falls back to a
-    direct minimum search and jumps the calendar there, so sparse far
-    tails cannot spin the harvest loop.  Bucket count doubles/halves with
-    occupancy and the bucket width recalibrates from the observed
-    inter-event gaps at every resize.
-    """
-
-    __slots__ = ("_buckets", "_nbuckets", "_mask", "_width", "_inv_width",
-                 "_year", "_active", "_count", "_grow_at",
-                 "_shrink_at", "peak")
-
-    name = "calendar"
-
-    #: Bucket-count bounds; growth doubles within, shrink halves within.
-    MIN_BUCKETS = 64
-    MAX_BUCKETS = 1 << 17
-
-    def __init__(
-        self, anchor: float = 0.0, nbuckets: int = 256, width: float = 1e-3
-    ) -> None:
-        self._nbuckets = nbuckets
-        self._mask = nbuckets - 1
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._buckets: list[list[tuple[float, int, Event]]] = [
-            [] for _ in range(nbuckets)
-        ]
-        #: Current bucket-year: ``_active`` holds every entry with
-        #: ``int(t * _inv_width) <= _year``.
-        self._year = int(anchor * self._inv_width)
-        self._active: list[tuple[float, int, Event]] = []
-        self._count = 0
-        self._grow_at = nbuckets * 4
-        self._shrink_at = nbuckets // 4
-        self.peak = 0
-
-    def push(self, t: float, seq: int, event: Event) -> None:
-        count = self._count + 1
-        self._count = count
-        if count > self.peak:
-            self.peak = count
-        year = int(t * self._inv_width)
-        if year <= self._year:
-            heappush(self._active, (t, seq, event))
-        else:
-            self._buckets[year & self._mask].append((t, seq, event))
-        if count > self._grow_at and self._nbuckets < self.MAX_BUCKETS:
-            nb = self._nbuckets
-            while count > nb * 4 and nb < self.MAX_BUCKETS:
-                nb <<= 1
-            self._rebuild(nb)
-
-    def pop(self) -> tuple[float, int, Event]:
-        active = self._active
-        if not active:
-            if not self._count:
-                raise IndexError("pop from empty calendar queue")
-            self._advance()
-            active = self._active
-        count = self._count - 1
-        self._count = count
-        if count < self._shrink_at and self._nbuckets > self.MIN_BUCKETS:
-            entry = heappop(active)
-            nb = self._nbuckets
-            while count < nb // 4 and nb > self.MIN_BUCKETS:
-                nb >>= 1
-            self._rebuild(nb)
-            return entry
-        return heappop(active)
-
-    def peek_time(self) -> float:
-        active = self._active
-        if not active:
-            if not self._count:
-                return _INF
-            self._advance()
-            active = self._active
-        return active[0][0]
-
-    def __len__(self) -> int:
-        return self._count
-
-    # -- internals --------------------------------------------------------
-    def _harvest(self, k: int) -> bool:
-        """Split year ``k``'s entries out of its bucket into ``_active``;
-        returns whether any were found."""
-        inv = self._inv_width
-        i = k & self._mask
-        bucket = self._buckets[i]
-        due = [e for e in bucket if int(e[0] * inv) == k]
-        if not due:
-            return False
-        if len(due) == len(bucket):
-            bucket.clear()
-        else:
-            self._buckets[i] = [e for e in bucket if int(e[0] * inv) != k]
-        heapify(due)
-        self._active = due
-        self._year = k
-        return True
-
-    def _advance(self) -> None:
-        """Refill the active heap from the next non-empty bucket-year."""
-        buckets = self._buckets
-        mask = self._mask
-        k = self._year
-        for _ in range(self._nbuckets):
-            k += 1
-            if buckets[k & mask] and self._harvest(k):
-                return
-        # A full revolution found nothing due: the pending set is sparse
-        # relative to the calendar span.  Jump straight to the earliest
-        # entry's bucket-year.
-        tmin = _INF
-        for bucket in buckets:
-            for e in bucket:
-                if e[0] < tmin:
-                    tmin = e[0]
-        if tmin is _INF:
-            raise IndexError("pop from empty calendar queue")
-        self._harvest(int(tmin * self._inv_width))
-
-    def _calibrate_width(
-        self, entries: list[tuple[float, int, Event]]
-    ) -> float:
-        """Bucket width from observed inter-event gaps (Brown's rule,
-        de-biased for stride sampling, targeting a handful of entries
-        per bucket-year)."""
-        n = len(entries)
-        if n < 8:
-            return self._width
-        stride = max(1, n // 64)
-        sample = sorted(entries[i][0] for i in range(0, n, stride))
-        gaps = [b - a for a, b in zip(sample, sample[1:]) if b > a]
-        if not gaps:
-            return self._width
-        gaps.sort()
-        median = gaps[len(gaps) // 2] / stride
-        return max(median * 8.0, 1e-9)
-
-    def _rebuild(self, nbuckets: int) -> None:
-        entries = self._active
-        for bucket in self._buckets:
-            if bucket:
-                entries.extend(bucket)
-        self._nbuckets = nbuckets
-        self._mask = nbuckets - 1
-        self._grow_at = nbuckets * 4
-        self._shrink_at = nbuckets // 4
-        buckets: list[list[tuple[float, int, Event]]] = [
-            [] for _ in range(nbuckets)
-        ]
-        self._buckets = buckets
-        if not entries:
-            # Keep the year (width is unchanged with nothing to sample);
-            # the next push or advance re-anchors naturally.
-            self._active = []
-            return
-        width = self._calibrate_width(entries)
-        self._width = width
-        inv = 1.0 / width
-        self._inv_width = inv
-        tmin = min(e[0] for e in entries)
-        k = int(tmin * inv)
-        self._year = k
-        mask = self._mask
-        active: list[tuple[float, int, Event]] = []
-        append = active.append
-        for e in entries:
-            if int(e[0] * inv) <= k:
-                append(e)
-            else:
-                buckets[int(e[0] * inv) & mask].append(e)
-        heapify(active)
-        self._active = active
-
-
-_SCHEDULERS = {"calendar": _CalendarQueue, "heap": _HeapQueue}
-
 #: Free-list bound: recycled Timeout events kept per environment.
 _TIMEOUT_POOL_MAX = 4096
 
@@ -714,7 +472,6 @@ _TIMEOUT_POOL_MAX = 4096
 class EngineStats(Counters):
     """Kernel throughput snapshot; ``events_per_sec`` is derived."""
 
-    scheduler: str
     sim_events: int
     run_wall_s: float
     events_per_sec: float = field(init=False)
@@ -725,9 +482,9 @@ class EngineStats(Counters):
         self.events_per_sec = self.sim_events / wall if wall > 0 else 0.0
 
 
-#: The tally ``repro.bench.harness.timer`` has open — [scheduler names,
-#: events, run wall seconds, queue peak] over every
-#: :meth:`Environment.run` call since — or ``None`` (nobody is counting).
+#: The tally ``repro.bench.harness.timer`` has open — [events, run wall
+#: seconds, queue peak] over every :meth:`Environment.run` call since —
+#: or ``None`` (nobody is counting).
 _run_tally: Optional[list] = None
 
 
@@ -735,41 +492,24 @@ def tally_runs(counting: bool) -> Optional[EngineStats]:
     """Open a fresh tally (``True``) or stop counting (``False``); returns
     what the one open until now counted (``None``: no environment ran)."""
     global _run_tally
-    tally, _run_tally = _run_tally, [set(), 0, 0.0, 0] if counting else None
-    if tally is None or not tally[1]:
+    tally, _run_tally = _run_tally, [0, 0.0, 0] if counting else None
+    if tally is None or not tally[0]:
         return None
-    return EngineStats("+".join(sorted(tally[0])), *tally[1:])
+    return EngineStats(*tally)
 
 
 class Environment:
-    """The simulation kernel: clock + scheduler + process registry.
+    """The simulation kernel: clock + event heap + process registry."""
 
-    ``scheduler`` picks the queue implementation (``"calendar"`` or
-    ``"heap"``).
-    """
-
-    def __init__(
-        self, initial_time: float = 0.0, scheduler: str = "calendar"
-    ) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._seq = 0
         self._nevents = 0
         self._run_wall = 0.0
         self._active_process: Optional[Process] = None
-        try:
-            queue_cls = _SCHEDULERS[scheduler]
-        except KeyError:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r} "
-                f"(expected one of {sorted(_SCHEDULERS)})"
-            ) from None
-        q = queue_cls(anchor=self._now)
-        self._q = q
-        self._qpush = q.push
-        self._qpop = q.pop
-        self._qpeek = q.peek_time
-        #: Which scheduler implementation this kernel runs on.
-        self.scheduler: str = q.name
+        self._heap: list[tuple[float, int, Event]] = []
+        #: Most entries ever queued at once.
+        self._peak = 0
         self._tpool: list[Timeout] = []
 
     @property
@@ -784,7 +524,10 @@ class Environment:
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         seq = self._seq
         self._seq = seq + 1
-        self._qpush(self._now + delay, seq, event)
+        heap = self._heap
+        heappush(heap, (self._now + delay, seq, event))
+        if len(heap) > self._peak:
+            self._peak = len(heap)
 
     # -- public factories -------------------------------------------------
     def event(self) -> Event:
@@ -808,7 +551,10 @@ class Environment:
         evt.delay = delay
         seq = self._seq
         self._seq = seq + 1
-        self._qpush(self._now + delay, seq, evt)
+        heap = self._heap
+        heappush(heap, (self._now + delay, seq, evt))
+        if len(heap) > self._peak:
+            self._peak = len(heap)
         return evt
 
     def process(
@@ -826,7 +572,7 @@ class Environment:
     def step(self) -> None:
         """Process the next scheduled event."""
         try:
-            t, _, event = self._qpop()
+            t, _, event = heappop(self._heap)
         except IndexError:
             raise DeadlockError("event queue is empty") from None
         if t < self._now:
@@ -848,16 +594,16 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next event, or ``float('inf')`` if none."""
-        return self._qpeek()
+        heap = self._heap
+        return heap[0][0] if heap else _INF
 
     def engine_stats(self) -> EngineStats:
         """Throughput counters for this kernel (events processed, wall
-        seconds inside :meth:`run`, peak scheduler occupancy)."""
+        seconds inside :meth:`run`, peak event-heap occupancy)."""
         return EngineStats(
-            scheduler=self.scheduler,
             sim_events=self._nevents,
             run_wall_s=self._run_wall,
-            peak_occupancy=self._q.peak,
+            peak_occupancy=self._peak,
         )
 
     def run(self, until: "float | Event | None" = None) -> Any:
@@ -873,16 +619,15 @@ class Environment:
         n0 = self._nevents
         try:
             step = self.step
+            heap = self._heap
             if until is None:
-                pending = self._q.__len__
-                while pending():
+                while heap:
                     step()
                 return None
             if isinstance(until, Event):
                 sentinel = until
-                pending = self._q.__len__
                 while not sentinel.triggered:
-                    if not pending():
+                    if not heap:
                         raise DeadlockError(
                             f"simulation ran dry before {sentinel!r} triggered"
                         )
@@ -895,7 +640,7 @@ class Environment:
                 raise SimulationError(
                     f"run(until={deadline}) is in the past (now={self._now})"
                 )
-            peek = self._qpeek
+            peek = self.peek
             # Re-check the queue head after *every* step: a callback in
             # the final step may schedule new work at exactly the
             # deadline, and it must still run before the clock pins.
@@ -908,10 +653,9 @@ class Environment:
             self._run_wall += wall
             tally = _run_tally
             if tally is not None:
-                tally[0].add(self.scheduler)
-                tally[1] += self._nevents - n0
-                tally[2] += wall
-                tally[3] = max(tally[3], self._q.peak)
+                tally[0] += self._nevents - n0
+                tally[1] += wall
+                tally[2] = max(tally[2], self._peak)
 
 
 def run_sync(

@@ -38,19 +38,6 @@ def normalize(path: str) -> str:
     return "/" + "/".join(parts)
 
 
-def split(path: str) -> tuple[str, ...]:
-    """Split a normalized path into components (root → empty tuple)."""
-    norm = normalize(path)
-    if norm == "/":
-        return ()
-    return tuple(norm[1:].split("/"))
-
-
-def join(*parts: str) -> str:
-    """Join components into a normalized path."""
-    return normalize("/".join(parts))
-
-
 def dirname(path: str) -> str:
     """Parent directory of a normalized path (root's parent is root)."""
     return normalize(path).rpartition("/")[0] or "/"

@@ -56,8 +56,8 @@ class TestExperimentResult:
             for _ in range(n):
                 yield env.timeout(1)
 
-        def run(n, scheduler="calendar"):
-            env = Environment(scheduler=scheduler)
+        def run(n):
+            env = Environment()
             env.process(ticker(env, n))  # process <-> env cycle: needs the GC
             env.run()
             return env.engine_stats()
@@ -67,13 +67,12 @@ class TestExperimentResult:
         with timer(r):
             first = run(10)
             gc.collect()  # first's environment is gone by now
-            kept = Environment(scheduler="heap")
+            kept = Environment()
             kept.process(ticker(kept, 20))
             kept.run(until=5)
             kept.run()
         second = kept.engine_stats()
         assert r.engine["sim_events"] == first.sim_events + second.sim_events
-        assert r.engine["scheduler"] == "calendar+heap"
         assert r.engine["peak_occupancy"] == max(
             first.peak_occupancy, second.peak_occupancy)
         assert r.engine["run_wall_s"] > 0

@@ -96,7 +96,7 @@ class TestStatsRow:
                 HedgeStats, WindowStats, TieredStats, FabricStats,
                 DeviceStats, FuseStats, _ScaleCounters,
             )
-        ] + [EngineStats("calendar", 0, 0.0, 0)]
+        ] + [EngineStats(0, 0.0, 0)]
         for inst in instances:
             assert isinstance(inst, Counters)
             assert not hasattr(inst, "__dict__")  # slots: no stray attrs

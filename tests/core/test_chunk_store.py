@@ -20,8 +20,8 @@ def make_chunk(key="c0", size=CHUNK):
     return Chunk.build(key, [(f"{key}/payload.bin", b"x" * (size - 256))])
 
 
-def rig(memory_bytes=4 * CHUNK, scheduler="calendar", **store_kw):
-    env = Environment(scheduler=scheduler)
+def rig(memory_bytes=4 * CHUNK, **store_kw):
+    env = Environment()
     node = Node(env, "n0", memory_bytes=memory_bytes)
     return env, node, ChunkStore(env, node, **store_kw)
 
@@ -291,25 +291,3 @@ class TestTieredStore(_RamTierCases):
         assert outcome["displace"] == "ram"
         assert store.stats.demotions == 0
         assert store.tier_of("c1") == "ram"
-
-    @pytest.mark.parametrize("compression", [False, True])
-    def test_identical_timeline_across_schedulers(self, compression):
-        """Compression round-trip determinism across scheduler variants."""
-
-        def episode(scheduler):
-            env, node, store = rig(
-                memory_bytes=2 * CHUNK, scheduler=scheduler,
-                kind="tiered", disk_tier_bytes=8 * CHUNK,
-                compression=compression,
-            )
-            for cid in ("c0", "c1", "c2", "c3"):
-                run(env, store.put(cid, make_chunk(cid), CHUNK))
-            run(env, store.displace("c0"))
-            got = run(env, store.load("c2"))
-            payload = bytes(got[0].payload(got[0].paths[0]))
-            s = store.stats
-            return (env.now, payload, s.disk_stored_bytes, s.to_dict())
-
-        a = episode("calendar")
-        b = episode("heap")
-        assert a == b

@@ -1,9 +1,87 @@
 """Tests for the DES kernel: events, timeouts, processes, conditions."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.errors import DeadlockError, InterruptError, SimulationError
-from repro.sim import AllOf, AnyOf, Environment, run_sync
+from repro.sim import AllOf, AnyOf, Environment, Semaphore, run_sync
+
+
+def _run_workload(seed: int) -> tuple:
+    """One randomized mixed workload; returns its full observable trace.
+
+    ``TestPinnedTrace`` pins the trace's digest, so any edit here (even
+    the interrupt cause) changes every pinned value."""
+    rng = random.Random(seed)
+    env = Environment()
+    trace = []
+
+    def sleeper(env, tag, delay):
+        try:
+            yield env.timeout(delay)
+            trace.append(("slept", tag, env.now))
+        except InterruptError as exc:
+            trace.append(("interrupted", tag, env.now, exc.cause))
+
+    def condition_waiter(env, tag, delays, mode):
+        events = [env.timeout(d) for d in delays]
+        yield (env.all_of(events) if mode == "all" else env.any_of(events))
+        trace.append((mode, tag, env.now))
+
+    def sem_user(env, tag, sem, hold):
+        slot = sem.acquire()
+        yield slot
+        trace.append(("acquired", tag, env.now))
+        try:
+            yield env.timeout(hold)
+        finally:
+            sem.release(slot)
+        trace.append(("released", tag, env.now))
+
+    def killer(env, victim, delay):
+        yield env.timeout(delay)
+        if victim.is_alive:
+            victim.interrupt(cause="diff-test")
+
+    sem = Semaphore(env, capacity=rng.randint(1, 3))
+    for tag in range(rng.randint(5, 25)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            # Mixed magnitudes: sub-millisecond, second-scale and
+            # far-future delays.
+            delay = rng.choice([rng.uniform(0, 1e-4),
+                                rng.uniform(0, 1.0),
+                                rng.uniform(0, 500.0)])
+            victim = env.process(sleeper(env, tag, delay))
+            if rng.random() < 0.3:
+                env.process(killer(env, victim, rng.uniform(0, 500.0)))
+        elif kind == 1:
+            delays = [rng.uniform(0, 50) for _ in range(rng.randint(1, 5))]
+            mode = rng.choice(["all", "any"])
+            env.process(condition_waiter(env, tag, delays, mode))
+        else:
+            env.process(sem_user(env, tag, sem, rng.uniform(0.01, 20)))
+    env.run()
+    stats = env.engine_stats()
+    return tuple(trace), env.now, stats.sim_events, sem.high_water
+
+
+class TestPinnedTrace:
+    """Delivery order is pinned: the digest of a randomized workload's
+    trace (timeouts, interrupts, AllOf/AnyOf, a semaphore) must not move."""
+
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "1f1577cdcfad80b7"),
+        (1, "2ee02d85a6be24ef"),
+        (2, "cb44ffbe529a5d55"),
+        (3, "bfd37cc60200573e"),
+        (42, "ce7769c57d815e16"),
+    ])
+    def test_trace_digest(self, seed, digest):
+        result = _run_workload(seed)
+        assert hashlib.sha256(repr(result).encode()).hexdigest()[:16] == digest
 
 
 class TestClockAndTimeouts:
@@ -355,3 +433,13 @@ class TestRun:
         env = Environment()
         with pytest.raises(SimulationError):
             _ = env.event().value
+
+    def test_peak_tracks_occupancy(self):
+        env = Environment()
+        for i in range(10):
+            env.timeout(float(i))
+        for _ in range(5):
+            env.step()
+        for i in range(3):
+            env.timeout(100.0 + i)
+        assert env.engine_stats().peak_occupancy == 10

@@ -5,15 +5,18 @@ An AST fixpoint.  Roots are the whole of ``perfbench/ scripts/
 benchmarks/ examples/`` plus the module-level statements of ``src/repro``
 (package ``__init__`` re-exports excluded: importing a name to re-export
 it is not calling it).  A def is live once live code *mentions* its name
-— as a ``Name``, an ``Attribute``, an identifier-shaped string or an
-imported name its module uses (an unused import calls nothing), so
-perfbench's by-name proxies count as callers; behind ``getattr(self, "_op_" + method)`` dispatch an
-``_op_<m>`` is live once live code names ``"<m>"`` — and a live def's
-own body then counts as live code.  A method is live only if
-its class is; dunder methods come with their class.  Matching is by bare
-name, so the walk errs towards keeping.  A kept def's body counts as
-live code too: what a kept verb calls (the server side of a Table 3
-call) stays with it.
+— as a ``Name``, an identifier-shaped string or an imported name its
+module uses (an unused import calls nothing), so perfbench's by-name
+proxies count as callers; behind ``getattr(self, "_op_" + method)``
+dispatch an ``_op_<m>`` is live once live code names ``"<m>"`` — and a
+live def's own body then counts as live code.  An attribute ``x.name``
+reaches methods called ``name``; it reaches a module-level def only when
+``x`` is a name the file imports (``pathutil.normalize``), so
+``"/".join`` keeps no ``join`` alive.  A method is live only if its
+class is; dunder methods come with their class.  Within those kinds
+matching is by bare name, so the walk errs towards keeping.  A kept
+def's body counts as live code too: what a kept verb calls (the server
+side of a Table 3 call) stays with it.
 
 The keep-list is closed: (i) the paper's client surface, (ii) reference
 implementations and invariant probes tests compare against, (iii) the
@@ -33,6 +36,7 @@ _DEF = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 KEEP = {
     # (i) the paper's client surface: Table 3 and the §5 FUSE facade
+    "connect": "(i) Table 3 DL_connect",
     "DieselClient.put_overwrite": "(i) Table 3 modify (§4.1.1 delete-then-write)",
     "DieselClient.delete_dataset": "(i) Table 3 DL_delete_dataset",
     "SyncDieselClient.delete_dataset": "(i) Table 3, blocking facade",
@@ -83,14 +87,25 @@ def _used(tree):
     return out
 
 
-def _mentions(nodes, used):
+def _imported(tree):
+    """Names a module binds by ``import``."""
+    return {_bound(a) for n in ast.walk(tree)
+            if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+
+
+def _mentions(nodes, used, imported):
+    """Names ``nodes`` mention; ``".name"`` reaches methods only."""
     out = set()
     for top in nodes:
         for n in ast.walk(top):
             if isinstance(n, ast.Name):
                 out.add(n.id)
             elif isinstance(n, ast.Attribute):
-                out.add(n.attr)
+                # x.name reaches a module-level def only when x is an
+                # imported name (pathutil.normalize); otherwise methods
+                via_import = (isinstance(n.value, ast.Name)
+                              and n.value.id in imported)
+                out.add(n.attr if via_import else "." + n.attr)
             elif isinstance(n, (ast.Import, ast.ImportFrom)):
                 for a in n.names:
                     if _bound(a) in used:
@@ -109,7 +124,7 @@ def _mentions(nodes, used):
 
 
 class _Def:
-    def __init__(self, node, owner, used):
+    def __init__(self, node, owner, used, imported):
         self.owner = owner
         self.name = node.name
         self.qual = f"{owner.name}.{node.name}" if owner else node.name
@@ -119,7 +134,7 @@ class _Def:
                    *(s for s in node.body if not isinstance(s, _DEF))]
         else:
             own = [node]
-        self.mentions = _mentions(own, used)
+        self.mentions = _mentions(own, used, imported)
 
 
 def unreached(keep=()):
@@ -128,23 +143,23 @@ def unreached(keep=()):
     defs, names = [], set()
     for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
         tree = ast.parse(path.read_text())
-        used = _used(tree)
+        used, imported = _used(tree), _imported(tree)
         toplevel = []
         for stmt in tree.body:
             if not isinstance(stmt, _DEF):
                 toplevel.append(stmt)
                 continue
-            d = _Def(stmt, None, used)
+            d = _Def(stmt, None, used, imported)
             defs.append(d)
             if isinstance(stmt, ast.ClassDef):
-                defs += [_Def(s, d, used)
+                defs += [_Def(s, d, used, imported)
                          for s in stmt.body if isinstance(s, _DEF)]
         if path.name != "__init__.py":
-            names |= _mentions(toplevel, used)
+            names |= _mentions(toplevel, used, imported)
     for caller in CALLER_DIRS:
         for path in sorted((ROOT / caller).rglob("*.py")):
             tree = ast.parse(path.read_text())
-            names |= _mentions([tree], _used(tree))
+            names |= _mentions([tree], _used(tree), _imported(tree))
     live, grew = set(), True
     while grew:
         grew = False
@@ -157,7 +172,9 @@ def unreached(keep=()):
                 d.name.startswith(p) and d.name[len(p):] in names
                 for p in prefixes
             )
-            if d.name in names or dunder or dispatched or d.qual in keep:
+            named = d.name in names or (
+                d.owner is not None and "." + d.name in names)
+            if named or dunder or dispatched or d.qual in keep:
                 live.add(d)
                 names |= d.mentions
                 grew = True
