@@ -210,51 +210,6 @@ class LustreFS:
         yield from self.oss.read(len(data))
         return data
 
-    def read_files(
-        self, client: Node, paths: Sequence[str], admission_batch: int = 1
-    ) -> Generator[Event, Any, Dict[str, bytes]]:
-        """Batched reads: up to ``admission_batch`` lookups per MDS RPC.
-
-        ``admission_batch=1`` loops :meth:`read_file` (the legacy
-        one-round-trip-per-open POSIX path); larger values admit the
-        opens of a batch to their MDT as one vectorized call — statahead
-        -style metadata pipelining — so the baseline's admission
-        discipline matches DIESEL's ``admission_batch`` in batched-read
-        comparisons.  Data still moves per file through the OSS: only
-        the metadata round trips amortize, which is exactly why the
-        chunk-grained systems keep their edge.
-        """
-        if admission_batch < 1:
-            raise ValueError("admission_batch must be >= 1")
-        results: Dict[str, bytes] = {}
-        if admission_batch == 1:
-            for path in paths:
-                results[path] = yield from self.read_file(client, path)
-            return results
-        p = self.profile
-        groups: Dict[str, list] = {}
-        for path in paths:
-            groups.setdefault(self._mdt_for(path).name, []).append(path)
-        mdts = {m.name: m for m in self._mdts}
-        extra_ops = int(round(p.open_mds_ops - 1.0))
-        for name, group in groups.items():
-            mdt = mdts[name]
-            for i in range(0, len(group), admission_batch):
-                batch = group[i:i + admission_batch]
-                # POSIX open() overhead is per file regardless of how
-                # the metadata traffic is admitted.
-                yield self.env.timeout(p.client_posix_s * len(batch))
-                calls: list[tuple] = []
-                for path in batch:
-                    calls.append(("lookup", path))
-                    calls.extend(("noop",) for _ in range(extra_ops))
-                yield from mdt.call_batch(client, calls)
-                for path in batch:
-                    data = self.ns.read_file(path)
-                    yield from self.oss.read(len(data))
-                    results[path] = data
-        return results
-
     def unlink(self, client: Node, path: str) -> Generator[Event, Any, None]:
         yield self.env.timeout(self.profile.client_posix_s)
         yield from self._mds_call(client, path, "unlink", path, ops=1.0)

@@ -130,50 +130,6 @@ class MemcachedCluster:
             return None
         return value
 
-    def get_many(
-        self, client: Node, keys: Sequence[str], admission_batch: int = 1
-    ) -> Generator[Event, Any, Dict[str, Optional[bytes]]]:
-        """Batched GETs: up to ``admission_batch`` keys per server RPC.
-
-        ``admission_batch=1`` reproduces libMemcached's one-RPC-per-GET
-        behaviour exactly (loops :meth:`get`); larger values model a
-        multi-get pipeline (``memcached_get_multi``) so the baseline's
-        admission discipline matches DIESEL's ``admission_batch`` — the
-        apples-to-apples configuration for batched-read comparisons.
-        Keys are grouped by owning server first; a dead server's keys
-        all come back None (miss → backing-store fallback), same as
-        :meth:`get`.
-        """
-        if admission_batch < 1:
-            raise ValueError("admission_batch must be >= 1")
-        results: Dict[str, Optional[bytes]] = {}
-        if admission_batch == 1:
-            for key in keys:
-                results[key] = yield from self.get(client, key)
-            return results
-        by_server: Dict[str, list] = {}
-        for key in keys:
-            by_server.setdefault(self.ring.lookup(key), []).append(key)
-        for name, group in by_server.items():
-            server = self.servers[name]
-            if not server.up:
-                for key in group:
-                    results[key] = None
-                continue
-            for i in range(0, len(group), admission_batch):
-                batch = group[i:i + admission_batch]
-                try:
-                    values = yield from server.endpoint.call_batch(
-                        client,
-                        [("get", k) for k in batch],
-                        request_bytes_each=64 + max(len(k) for k in batch),
-                    )
-                except NodeDownError:
-                    values = [None] * len(batch)
-                for k, v in zip(batch, values):
-                    results[k] = v
-        return results
-
     def set(
         self, client: Node, key: str, value: bytes
     ) -> Generator[Event, Any, bool]:

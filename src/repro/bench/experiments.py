@@ -1449,9 +1449,7 @@ def fig_faults(
     steady-state throughput back within 10% of the pre-kill window.
     """
     from repro.core.recovery import verify_rebuild
-    from repro.ft import (
-        CacheSupervisor, FailureDetector, KVSupervisor, RetryPolicy,
-    )
+    from repro.ft import CacheSupervisor, FailureDetector, KVSupervisor
 
     result = ExperimentResult(
         "self-healing fault tolerance", "§4.1.2 failure scenarios"
@@ -1464,7 +1462,7 @@ def fig_faults(
         tb = deploy(n_nodes, "ds", files, chunk_size, n_servers=1, n_kv=8)
         task = warmed_task(tb, "ds", tb.compute_nodes)
         cache, clients = task.cache, task.clients
-        cache.configure_ft(RetryPolicy())
+        cache.configure_ft()
         recorder = SpanRecorder.attach(cache)
         detector = FailureDetector(
             tb.env, heartbeat_interval_s=heartbeat_s,
@@ -2277,8 +2275,8 @@ def fig_elastic(
                 yield from cache.read_file(read_ccs[w], index.lookup(path))
 
         def controller():
-            # Trigger once the epoch is ~half served (workload-progress
-            # trigger, like FailureInjector.on_trigger).
+            # Trigger once the epoch is ~half served (a workload-progress
+            # trigger, not a sim time).
             while cache.stats.local_hits + cache.stats.remote_hits < n_files // 2:
                 yield tb.env.timeout(1e-4)
             before = tb.diesel.stats.chunk_reads

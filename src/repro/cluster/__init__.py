@@ -8,13 +8,11 @@ realistic saturation shapes.
 """
 
 from repro.cluster.devices import Device
-from repro.cluster.failure import FailureInjector
 from repro.cluster.network import NetworkFabric
 from repro.cluster.node import Node
 
 __all__ = [
     "Device",
-    "FailureInjector",
     "NetworkFabric",
     "Node",
 ]

@@ -1,18 +1,16 @@
-"""Failure injection and scenario-driven chaos for cluster experiments.
+"""Scenario-driven chaos for cluster experiments.
 
 The paper's failure experiments (Fig 6, Fig 11b, §4.2) kill cache
-instances mid-run.  :class:`FailureInjector` schedules node/device kills
-at simulated times or on iteration triggers, and records what it did so
-experiments can annotate their output.
-
-:class:`ChaosSchedule` goes beyond clean crashes into the *hostile
-world*: timed windows of slow nodes and degraded/lossy NICs, latency
-spikes, flash-crowd read bursts against one hot dataset, and churn
-loops (repeated scale-down/scale-up).  Scenarios are declared up front,
-``start()`` arms them, and every applied/reverted action lands in one
-ordered log so experiments and the ``dlcmd chaos`` probe can show what
-the cluster was suffering at any instant.  All timing and randomness
-run on the sim clock and a seeded RNG — chaos runs are reproducible.
+instances mid-run; :class:`ChaosSchedule` declares such adversity up
+front and goes beyond clean crashes into the *hostile world*: timed
+windows of slow nodes and degraded/lossy NICs, latency spikes,
+flash-crowd read bursts against one hot dataset, churn loops (repeated
+scale-down/scale-up), and arbitrary actions (a node kill) at a given
+time.  ``start()`` arms the scenarios, and every applied/reverted action
+lands in one ordered log so experiments and the ``dlcmd chaos`` probe
+can show what the cluster was suffering at any instant.  All timing and
+randomness run on the sim clock and a seeded RNG — chaos runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -22,62 +20,6 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.cluster.node import Node
 from repro.sim.engine import Environment, Process
-
-
-class FailureInjector:
-    """Schedules and logs failures against a set of nodes."""
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self.log: List[Tuple[float, str, str]] = []
-
-    def kill_at(self, node: Node, when: float) -> None:
-        """Kill ``node`` at absolute simulated time ``when``."""
-        if when < self.env.now:
-            raise ValueError(f"kill time {when} is in the past (now={self.env.now})")
-
-        def killer(env):
-            yield env.timeout(when - env.now)
-            if node.alive:
-                node.kill()
-                self.log.append((env.now, "kill", node.name))
-
-        self.env.process(killer(self.env), name=f"kill:{node.name}")
-
-    def restore_at(self, node: Node, when: float) -> None:
-        """Bring ``node`` back at absolute simulated time ``when``."""
-        if when < self.env.now:
-            raise ValueError(f"restore time {when} is in the past")
-
-        def restorer(env):
-            yield env.timeout(when - env.now)
-            if not node.alive:
-                node.restore()
-                self.log.append((env.now, "restore", node.name))
-
-        self.env.process(restorer(self.env), name=f"restore:{node.name}")
-
-    def kill_now(self, node: Node) -> None:
-        node.kill()
-        self.log.append((self.env.now, "kill", node.name))
-
-    def on_trigger(self, node: Node, predicate_done: Callable[[], bool]) -> None:
-        """Poll ``predicate_done`` each simulated millisecond; kill on True.
-
-        Used for iteration-count triggers ("disable the instance at
-        iteration 30", Fig 6) where the trigger is workload progress, not
-        wall-clock time.
-        """
-
-        def watcher(env):
-            while node.alive:
-                if predicate_done():
-                    node.kill()
-                    self.log.append((env.now, "kill", node.name))
-                    return
-                yield env.timeout(1e-3)
-
-        self.env.process(watcher(self.env), name=f"watch:{node.name}")
 
 
 class ChaosSchedule:
@@ -97,7 +39,6 @@ class ChaosSchedule:
     def __init__(self, env: Environment, seed: int = 0xC4A05) -> None:
         self.env = env
         self.rng = random.Random(seed)
-        self.injector = FailureInjector(env)
         self.log: List[Tuple[float, str, str]] = []
         self._scenarios: List[Dict[str, Any]] = []
         self._active: Dict[int, Dict[str, Any]] = {}

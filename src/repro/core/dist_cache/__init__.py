@@ -158,10 +158,10 @@ class TaskCache(ReadChain, Membership, Placement):
         #: in-flight peer call fails — the CacheSupervisor wires itself
         #: in here so detection does not wait for the next heartbeat.
         self.failure_listener = None
-        self._retry_policy = None
-        self._breakers: Dict[str, Any] = {}  # master client name -> breaker
-        self._breaker_args: tuple = ()  # (threshold, reset_s) once configured
+        #: Seeded retry jitter once ``configure_ft`` ran (None = a
+        #: single peer attempt, no breaker).
         self._rng = None
+        self._breakers: Dict[str, Any] = {}  # master client name -> breaker
         #: The read-ahead accounting every reader's chunk window of this
         #: task shares.
         self.readahead = WindowStats()
@@ -233,39 +233,32 @@ class TaskCache(ReadChain, Membership, Placement):
             m.recorder = m.endpoint.recorder = value
 
     # ------------------------------------------------------- fault tolerance
-    def configure_ft(
-        self,
-        policy,
-        breaker_threshold: int = 5,
-        breaker_reset_s: float = 1.0,
-    ) -> None:
-        """Wrap every peer fetch in ``policy`` (a
-        :class:`repro.ft.retry.RetryPolicy`) with per-master circuit
-        breakers — ``ShardedKV.configure_ft``'s signature.  Without
-        this call the peer path is a single attempt with no breaker;
-        either way a mid-call peer death degrades to the server.
+    def configure_ft(self) -> None:
+        """Retry every peer fetch (:func:`repro.ft.retry.retry_call`)
+        behind one circuit breaker per master.  Without this call the
+        peer path is a single attempt with no breaker; either way a
+        mid-call peer death degrades to the server.
         """
         import random
 
-        self._retry_policy = policy
-        self._breaker_args = (breaker_threshold, breaker_reset_s)
         self._breakers.clear()
         # Seeded: retry jitter must not vary run to run.
         self._rng = random.Random(0xD1E5E1)
 
-    def configure_hedging(self, delay_s: float = 0.0) -> None:
+    def configure_hedging(self, delay_s: float) -> None:
         """Enable hedged reads on the remote-peer path.
 
-        Once a remote ``get_file`` outlives its hedge delay — fixed
-        (``delay_s > 0``) or calibrated per peer from the EWMA latency
-        tracker (``mean + 4·dev`` ≈ p95) — a backup request is
+        Once a remote read outlives ``delay_s`` a backup request is
         fired to a replica master holding the chunk (steered to the
-        fastest peer by EWMA) or to the backend, and whichever answers
-        first wins; the loser is cancelled so its NIC channels and RPC
-        worker slots drain through their ``finally`` blocks.  While a
-        read is hedged it bypasses retry/breaker (the backup *is* the
-        recovery path); local fast paths are never hedged.
+        fastest peer by the EWMA latency tracker) or to the backend,
+        and whichever answers first wins; the loser is cancelled so its
+        NIC channels and RPC worker slots drain through their
+        ``finally`` blocks.  While a read is hedged it bypasses
+        retry/breaker (the backup *is* the recovery path); local fast
+        paths are never hedged.
         """
+        if delay_s <= 0:
+            raise ValueError("delay_s must be positive")
         from repro.ft.hedge import HedgeStats, PeerLatencyTracker, hedged_call
 
         self._hedge_delay_s = delay_s

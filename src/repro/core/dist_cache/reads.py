@@ -17,7 +17,6 @@ from repro.core.meta import FileRecord
 from repro.errors import (
     CachePeerDownError,
     CircuitOpenError,
-    DeadlineExceededError,
     DieselError,
     NodeDownError,
 )
@@ -225,11 +224,19 @@ class ReadChain:
                         client, master, method, args, response_bytes,
                         from_server,
                     )
-                elif self._retry_policy is not None:
-                    value = yield from master.endpoint.call_with_retry(
-                        self._retry_policy, client.node, method, *args,
+                elif self._rng is not None:
+                    from repro.ft.retry import retry_call
+
+                    endpoint = master.endpoint
+                    value = yield from retry_call(
+                        self.env,
+                        lambda: endpoint.call(
+                            client.node, method, *args,
+                            response_bytes=response_bytes,
+                        ),
                         rng=self._rng, breaker=self._breaker_for(master),
-                        response_bytes=response_bytes,
+                        recorder=endpoint.recorder, op=f"rpc_{method}",
+                        actor=endpoint.name,
                     )
                     source = "peer"
                 else:
@@ -242,7 +249,7 @@ class ReadChain:
                 # Known-bad peer: short-circuit straight to the server
                 # without paying another attempt.
                 pass
-            except (NodeDownError, DeadlineExceededError):
+            except NodeDownError:
                 self._note_peer_failure(master)
         else:
             self._note_peer_failure(master)
@@ -269,9 +276,7 @@ class ReadChain:
         if breaker is None:
             from repro.ft.breaker import CircuitBreaker
 
-            breaker = CircuitBreaker(
-                self.env, *self._breaker_args, name=master.client.name
-            )
+            breaker = CircuitBreaker(self.env, master.client.name)
             self._breakers[master.client.name] = breaker
         return breaker
 
@@ -364,39 +369,24 @@ class ReadChain:
         response_bytes: Optional[int],
         from_server,
     ) -> Generator[Event, Any, Tuple[Any, str]]:
-        """Remote read with a hedge: race the owner against a delayed
-        backup.  Returns ``(value, source)`` with source ``"peer"``
-        (owner answered — value None means a clean miss), ``"replica"``
-        or ``"server"`` (the backup won or the owner failed mid-race).
-
-        Until the peer's latency tracker is calibrated (or with an
-        uncalibratable fixed delay of 0), reads stay unhedged — they
-        just feed the tracker.
+        """Remote read with a hedge: race the owner against a backup
+        delayed by the configured hedge delay.  Returns ``(value,
+        source)`` with source ``"peer"`` (owner answered — value None
+        means a clean miss), ``"replica"`` or ``"server"`` (the backup
+        won or the owner failed mid-race).
         """
-        delay = self._hedge_delay_s
-        if delay <= 0.0:
-            calibrated = self.peer_latency.hedge_delay(
-                (master.client.name, method)
-            )
-            if calibrated is None:
-                value = yield from self._peer_attempt(
-                    client, master, method, args, response_bytes
-                )
-                return value, "peer"
-            delay = calibrated
         outcome = yield from self._hedged_call(
             self.env,
             self._peer_attempt(client, master, method, args, response_bytes),
             lambda: self._hedge_backup_read(
                 client, master, method, args, response_bytes, from_server
             ),
-            delay,
-            stats=self.hedge_stats,
+            self._hedge_delay_s,
+            self.hedge_stats,
             name=f"hedge:{args[0][:8]}",
         )
-        err = outcome.primary_error
-        if err is not None and isinstance(
-            err, (NodeDownError, CachePeerDownError, DeadlineExceededError)
+        if isinstance(
+            outcome.primary_error, (NodeDownError, CachePeerDownError)
         ):
             # The owner failed while the backup saved the read: feed the
             # detector exactly like the unhedged failure path.

@@ -136,9 +136,6 @@ class MetadataSnapshot:
     def file_count(self) -> int:
         return len(self.files)
 
-    def total_bytes(self) -> int:
-        return sum(f.length for f in self.files)
-
 
 class SnapshotIndex:
     """A loaded snapshot: O(1) file lookup + reconstructed hierarchy.

@@ -168,17 +168,6 @@ class FaultToleranceError(ReproError):
     """Base class for failures raised by the fault-tolerance layer."""
 
 
-class DeadlineExceededError(FaultToleranceError):
-    """Raised when an RPC attempt overruns its per-call deadline."""
-
-    def __init__(self, deadline_s: float, detail: str = "") -> None:
-        msg = f"call exceeded deadline of {deadline_s}s"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-        self.deadline_s = deadline_s
-
-
 class CircuitOpenError(FaultToleranceError):
     """Raised when a peer's circuit breaker is open (fast-fail, no RPC)."""
 

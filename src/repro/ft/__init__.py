@@ -8,14 +8,13 @@ deployment:
 * :class:`~repro.ft.detector.FailureDetector` — heartbeat/probe loop
   marking peers alive → suspect → dead, with data-path failure reports
   for instant detection;
-* :class:`~repro.ft.retry.RetryPolicy` /
-  :func:`~repro.ft.retry.retry_call` — exponential backoff + jitter and
-  per-call deadlines around any RPC generator;
-* :class:`~repro.ft.breaker.CircuitBreaker` — per-peer fast-fail once a
-  peer is known bad;
+* :func:`~repro.ft.retry.retry_call` — capped exponential backoff with
+  seeded jitter around any RPC generator, behind a
+  :class:`~repro.ft.breaker.CircuitBreaker` that fast-fails once a peer
+  is known bad;
 * :func:`~repro.ft.hedge.hedged_call` /
   :class:`~repro.ft.hedge.PeerLatencyTracker` — hedged requests after a
-  calibrated p95 delay, hiding stragglers the detector never flags;
+  fixed delay, hiding stragglers the detector never flags;
 * :class:`~repro.ft.supervisor.CacheSupervisor` /
   :class:`~repro.ft.supervisor.KVSupervisor` — detector-driven
   ``TaskCache.recover()`` and ``rebuild_dataset(from_timestamp)`` with
@@ -32,12 +31,7 @@ from repro.ft.hedge import (
     PeerLatencyTracker,
     hedged_call,
 )
-from repro.ft.retry import (
-    TRANSIENT_ERRORS,
-    RetryPolicy,
-    retry_call,
-    run_with_deadline,
-)
+from repro.ft.retry import TRANSIENT_ERRORS, retry_call
 from repro.ft.supervisor import CacheSupervisor, KVSupervisor
 
 __all__ = [
@@ -52,8 +46,6 @@ __all__ = [
     "HedgeStats",
     "KVSupervisor",
     "PeerLatencyTracker",
-    "RetryPolicy",
     "hedged_call",
     "retry_call",
-    "run_with_deadline",
 ]

@@ -1,10 +1,10 @@
 """Per-peer circuit breaker (closed → open → half-open, sim clock).
 
-Once a peer has failed ``threshold`` consecutive calls there is no
+Once a peer has failed :data:`THRESHOLD` consecutive calls there is no
 information left in calling it again — every further attempt just pays
 the timeout before taking the degraded path anyway.  The breaker makes
-that decision once: it *opens* for ``reset_s`` simulated seconds during
-which calls fast-fail, then allows a single half-open probe whose
+that decision once: it *opens* for :data:`RESET_S` simulated seconds
+during which calls fast-fail, then allows a single half-open probe whose
 outcome either closes it again or re-opens it for another window.
 """
 
@@ -16,6 +16,11 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
 
+#: Consecutive failures that trip a breaker.
+THRESHOLD = 5
+#: Seconds a tripped breaker stays open before its half-open probe.
+RESET_S = 1.0
+
 
 class CircuitBreaker:
     """Tracks consecutive failures against one peer.
@@ -24,7 +29,7 @@ class CircuitBreaker:
     call :meth:`allow` before an attempt — a falsy return means
     fast-fail, a truthy one is the *attempt token* for that call — then
     report the outcome with :meth:`record_failure(token)` /
-    :meth:`record_success(token)`.
+    :meth:`record_success`.
 
     The token lets the breaker tell a failed half-open probe apart from
     a straggler: a slow call admitted *before* the trip whose failure
@@ -34,20 +39,8 @@ class CircuitBreaker:
     again.
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        threshold: int = 5,
-        reset_s: float = 1.0,
-        name: str = "",
-    ) -> None:
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        if reset_s <= 0:
-            raise ValueError("reset_s must be positive")
+    def __init__(self, env: Environment, name: str) -> None:
         self.env = env
-        self.threshold = threshold
-        self.reset_s = reset_s
         self.name = name
         self._failures = 0
         self._opened_at: float | None = None
@@ -69,7 +62,7 @@ class CircuitBreaker:
         """Current state, advancing open → half-open by the sim clock."""
         if self._opened_at is None:
             return CLOSED
-        if self.env.now - self._opened_at >= self.reset_s:
+        if self.env.now - self._opened_at >= RESET_S:
             return HALF_OPEN
         return OPEN
 
@@ -77,8 +70,7 @@ class CircuitBreaker:
         """Admit or fast-fail a call.
 
         Returns an attempt token (a positive int, so truthy) when the
-        call may proceed, or ``0`` when it must fast-fail — existing
-        ``if not breaker.allow()`` call sites keep working unchanged.
+        call may proceed, or ``0`` when it must fast-fail.
         """
         state = self.state
         if state == CLOSED:
@@ -93,7 +85,7 @@ class CircuitBreaker:
         self.rejections += 1
         return 0
 
-    def record_success(self, token: int | None = None) -> None:
+    def record_success(self) -> None:
         """A call completed: close the breaker and forget past failures.
 
         Even a stale success closes the breaker — a peer that answered
@@ -104,29 +96,27 @@ class CircuitBreaker:
         self._probing = False
         self._probe_token = None
 
-    def record_failure(self, token: int | None = None) -> None:
+    def record_failure(self, token: int) -> None:
         """A call failed: trip if at threshold or if the probe failed.
 
         ``token`` is the value :meth:`allow` returned for this attempt.
         Failures whose token predates the current window (admitted
         before the last trip) are stale stragglers: the trip already
         priced that peer in, so they neither restart an open window nor
-        re-trip a breaker the probe has since closed.  ``None`` keeps
-        the legacy always-counts behaviour for callers that cannot
-        identify their attempt.
+        re-trip a breaker the probe has since closed.
         """
-        if token is not None and token < self._window_start:
+        if token < self._window_start:
             self.stale_reports += 1
             return
         if self._opened_at is not None:
-            if token is None or token == self._probe_token:
+            if token == self._probe_token:
                 # The half-open probe failed: start a fresh open window.
                 self._open()
             else:
                 self.stale_reports += 1
             return
         self._failures += 1
-        if self._failures >= self.threshold:
+        if self._failures >= THRESHOLD:
             self._open()
 
     def _open(self) -> None:

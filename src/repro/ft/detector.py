@@ -1,9 +1,7 @@
 """Heartbeat/probe-based failure detector.
 
 A single sim process probes every watched peer once per
-``heartbeat_interval_s`` (optionally de-synchronized by a seeded
-``jitter`` factor so large fleets do not probe in lockstep bursts).  A
-peer that stops answering is first marked
+``heartbeat_interval_s``.  A peer that stops answering is first marked
 **suspect** (it may be a transient blip); once it has been unreachable
 for ``failure_timeout_s`` it is declared **dead** and the registered
 transition callbacks fire — that is the hook the self-healing
@@ -24,7 +22,6 @@ an attached detector cannot perturb benchmark results.
 
 from __future__ import annotations
 
-import random
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -59,24 +56,14 @@ class FailureDetector:
         heartbeat_interval_s: float = 0.05,
         failure_timeout_s: float = 0.25,
         recorder=None,
-        jitter: float = 0.0,
-        seed: int = 0xBEA7,
     ) -> None:
         if heartbeat_interval_s <= 0:
             raise ValueError("heartbeat_interval_s must be positive")
         if failure_timeout_s <= heartbeat_interval_s:
             raise ValueError("failure_timeout_s must exceed heartbeat_interval_s")
-        if not 0.0 <= jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
         self.env = env
         self.heartbeat_interval_s = heartbeat_interval_s
         self.failure_timeout_s = failure_timeout_s
-        #: Probe de-synchronization: each round sleeps the interval scaled
-        #: by a seeded uniform factor in ``[1 - jitter, 1 + jitter]``, so a
-        #: fleet of detectors does not probe in lockstep bursts.  ``0``
-        #: (the default) keeps the exact fixed-interval schedule.
-        self.jitter = jitter
-        self._rng = random.Random(seed)
         #: Attached observability recorder (None = disabled).
         self.recorder = recorder
         self._watches: Dict[str, _Watch] = {}
@@ -124,14 +111,8 @@ class FailureDetector:
 
     def _loop(self):
         interval = self.heartbeat_interval_s
-        jitter = self.jitter
-        if jitter == 0.0:
-            while True:
-                yield self.env.timeout(interval)
-                self.probe_now()
-        uniform = self._rng.uniform
         while True:
-            yield self.env.timeout(interval * uniform(1.0 - jitter, 1.0 + jitter))
+            yield self.env.timeout(interval)
             self.probe_now()
 
     # -------------------------------------------------------------- probing

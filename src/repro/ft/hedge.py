@@ -3,22 +3,22 @@
 A straggling peer is not *down* — the failure detector and circuit
 breaker never fire — yet one 10×-slow node can dominate read tail
 latency.  The classic cure ("The Tail at Scale", Dean & Barroso) is the
-*hedged request*: wait a calibrated delay roughly at the peer's p95
-latency, then fire a backup request to another replica (or the backend)
-and take whichever answers first, cancelling the loser so the duplicate
-work is suppressed rather than paid.
+*hedged request*: wait a fixed delay above the healthy tail latency,
+then fire a backup request to another replica (or the backend) and take
+whichever answers first, cancelling the loser so the duplicate work is
+suppressed rather than paid.
 
 Two pieces live here:
 
 * :class:`PeerLatencyTracker` — EWMA mean + mean-absolute-deviation of
   observed per-peer call latency (Jacobson-style, like TCP RTO).  Its
-  :meth:`~PeerLatencyTracker.hedge_delay` is ``mean + dev_mult·dev``, a
-  cheap p95-ish bound that needs no histogram; :meth:`~PeerLatencyTracker.fastest`
-  steers replica fan-out away from slow peers.
+  :meth:`~PeerLatencyTracker.fastest` steers replica fan-out away from
+  slow peers, and :meth:`~PeerLatencyTracker.rows` (with the p95-ish
+  ``mean + DEV_MULT·dev`` bound) is the operator's per-peer view.
 * :func:`hedged_call` — the race combinator: drives the primary as a
   child process, arms the backup after ``delay_s``, returns a
-  :class:`HedgeOutcome` describing who won and whether the loser was
-  cancelled in time or completed anyway (a counted duplicate).
+  :class:`HedgeOutcome` naming the winner; :class:`HedgeStats` counts
+  hedges, cancelled losers and duplicates paid.
 
 Everything runs on the simulation clock; no wall-clock, no randomness.
 """
@@ -28,9 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, Hashable, Iterable, Optional
 
-from repro.errors import InterruptError
+from repro.errors import InterruptError, ReproError
 from repro.obs.counters import Counters
 from repro.sim.engine import Environment, Event
+
+#: EWMA gain of each new latency sample.
+ALPHA = 0.2
+#: Deviations above the mean of :meth:`PeerLatencyTracker.hedge_delay`.
+DEV_MULT = 4.0
+#: Samples before a peer has a hedge-delay estimate.
+MIN_SAMPLES = 3
 
 
 @dataclass(slots=True)
@@ -59,19 +66,13 @@ class HedgeStats(Counters):
 
 @dataclass
 class HedgeOutcome:
-    """What one :func:`hedged_call` did, for the caller's accounting."""
+    """What one :func:`hedged_call` returned, for the caller."""
 
     value: Any = None
     #: ``"primary"`` or ``"backup"``.
     winner: str = ""
-    #: True when the backup was launched by the delay timer.
-    hedged: bool = False
-    #: True when the loser completed anyway (duplicate transfer paid).
-    duplicate: bool = False
+    #: The primary's failure when the backup saved the call.
     primary_error: Optional[BaseException] = None
-    backup_error: Optional[BaseException] = None
-    #: Wall time of a successful primary (feed to the latency tracker).
-    primary_latency_s: Optional[float] = None
 
 
 class PeerLatencyTracker:
@@ -82,41 +83,25 @@ class PeerLatencyTracker:
     sizes never share an estimate.
 
     ``observe(peer, latency)`` folds a sample in:
-    ``err = x - mean; mean += alpha·err; dev += alpha·(|err| - dev)``
+    ``err = x - mean; mean += ALPHA·err; dev += ALPHA·(|err| - dev)``
     (first sample seeds ``mean = x, dev = x/2``, as TCP does for RTT).
     """
 
-    def __init__(
-        self,
-        alpha: float = 0.2,
-        dev_mult: float = 4.0,
-        min_samples: int = 3,
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if dev_mult <= 0:
-            raise ValueError("dev_mult must be positive")
-        if min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
-        self.alpha = alpha
-        self.dev_mult = dev_mult
-        self.min_samples = min_samples
+    def __init__(self) -> None:
         self._mean: Dict[Hashable, float] = {}
         self._dev: Dict[Hashable, float] = {}
         self._count: Dict[Hashable, int] = {}
 
     def observe(self, peer: Hashable, latency_s: float) -> None:
         """Fold one completed-call latency sample for ``peer``."""
-        if latency_s < 0:
-            raise ValueError("latency_s must be >= 0")
         n = self._count.get(peer, 0)
         if n == 0:
             self._mean[peer] = latency_s
             self._dev[peer] = latency_s / 2.0
         else:
             err = latency_s - self._mean[peer]
-            self._mean[peer] += self.alpha * err
-            self._dev[peer] += self.alpha * (abs(err) - self._dev[peer])
+            self._mean[peer] += ALPHA * err
+            self._dev[peer] += ALPHA * (abs(err) - self._dev[peer])
         self._count[peer] = n + 1
 
     def samples(self, peer: Hashable) -> int:
@@ -125,13 +110,12 @@ class PeerLatencyTracker:
     def mean(self, peer: Hashable) -> Optional[float]:
         return self._mean.get(peer)
 
-    def hedge_delay(self, peer: Hashable, floor_s: float = 0.0) -> Optional[float]:
-        """Calibrated hedge delay for ``peer`` — ``mean + dev_mult·dev``,
-        or ``None`` until ``min_samples`` observations exist (hedging
-        with an uncalibrated delay just duplicates every call)."""
-        if self._count.get(peer, 0) < self.min_samples:
+    def hedge_delay(self, peer: Hashable) -> Optional[float]:
+        """``mean + DEV_MULT·dev`` for ``peer``, or ``None`` until
+        :data:`MIN_SAMPLES` observations exist."""
+        if self._count.get(peer, 0) < MIN_SAMPLES:
             return None
-        return max(floor_s, self._mean[peer] + self.dev_mult * self._dev[peer])
+        return self._mean[peer] + DEV_MULT * self._dev[peer]
 
     def fastest(self, peers: Iterable[Hashable]) -> Optional[Hashable]:
         """The peer with the lowest EWMA mean; never-observed peers rank
@@ -161,22 +145,27 @@ class PeerLatencyTracker:
         return out
 
 
+def _tear_down(*procs) -> None:
+    """Interrupt every racer still in flight, so what it holds (NIC
+    channels, RPC worker slots, semaphore slots) drains through its
+    ``finally`` blocks."""
+    for proc in procs:
+        if proc.is_alive:
+            proc.interrupt("hedge torn down")
+
+
 def _settle_loser(proc, role: str, out: HedgeOutcome, stats: HedgeStats) -> None:
     """Cancel (or account) the racer that lost."""
     if proc.is_alive:
         proc.interrupt("hedge lost")
         stats.cancelled_losers += 1
     elif proc.ok:
-        out.duplicate = True
         stats.duplicate_transfers += 1
+    elif role == "primary":
+        out.primary_error = proc.value
+        stats.primary_failures += 1
     else:
-        err = proc.value
-        if role == "primary":
-            out.primary_error = err
-            stats.primary_failures += 1
-        else:
-            out.backup_error = err
-            stats.backup_failures += 1
+        stats.backup_failures += 1
 
 
 def hedged_call(
@@ -184,7 +173,7 @@ def hedged_call(
     primary: Generator[Event, Any, Any],
     backup: Callable[[], Generator[Event, Any, Any]],
     delay_s: float,
-    stats: Optional[HedgeStats] = None,
+    stats: HedgeStats,
     name: str = "hedge",
 ) -> Generator[Event, Any, Any]:
     """Race ``primary`` against a ``delay_s``-delayed ``backup``.
@@ -195,32 +184,29 @@ def hedged_call(
     which case the backup runs immediately as a failover).
 
     First *success* wins and the loser is interrupted so its held
-    resources (NIC channels, RPC worker slots, semaphore slots) drain
-    through their ``finally`` blocks; a loser that completed in the same
-    tick is counted as a duplicate instead.  If both racers fail, the
-    primary's error is re-raised.  An interrupt of the *caller* tears
+    resources drain through their ``finally`` blocks; a loser that
+    completed in the same tick is counted as a duplicate instead.  A
+    racer that fails with a :class:`~repro.errors.ReproError` loses the
+    race; if both do, the primary's error is re-raised.  Any other
+    error is a bug, not an outage: it propagates at once and the other
+    racer never hides it.  An interrupt of the *caller* likewise tears
     both racers down and propagates — hedging never leaks processes.
     """
     out = HedgeOutcome()
-    if stats is None:
-        stats = HedgeStats()  # counted, then dropped
     stats.reads += 1
-    t0 = env.now
     pproc = env.process(primary, name=f"{name}:primary")
     timer = env.timeout(delay_s)
     try:
         yield env.any_of([pproc, timer])
     except InterruptError:
-        if pproc.is_alive:
-            pproc.interrupt("hedge torn down")
+        _tear_down(pproc)
         raise
-    except Exception:
+    except ReproError:
         pass  # primary failed before the timer; inspected below
 
     if pproc.triggered and pproc.ok:
         out.winner = "primary"
         out.value = pproc.value
-        out.primary_latency_s = env.now - t0
         stats.primary_wins += 1
         return out
 
@@ -235,34 +221,31 @@ def hedged_call(
         try:
             out.value = yield bproc
         except InterruptError:
-            if bproc.is_alive:
-                bproc.interrupt("hedge torn down")
+            _tear_down(bproc)
             raise
-        except Exception as exc:
-            out.backup_error = exc
+        except ReproError as exc:
             stats.backup_failures += 1
             raise out.primary_error from exc
         out.winner = "backup"
         return out
 
     # The delay elapsed with the primary still in flight: hedge.
-    out.hedged = True
     stats.hedges_fired += 1
     bproc = env.process(backup(), name=f"{name}:backup")
     try:
         yield env.any_of([pproc, bproc])
     except InterruptError:
-        for proc in (pproc, bproc):
-            if proc.is_alive:
-                proc.interrupt("hedge torn down")
+        _tear_down(pproc, bproc)
         raise
-    except Exception:
+    except ReproError:
         pass  # one racer failed; the other may still win
+    except BaseException:
+        _tear_down(pproc, bproc)  # a racer's bug: stop the other first
+        raise
 
     if pproc.triggered and pproc.ok:
         out.winner = "primary"
         out.value = pproc.value
-        out.primary_latency_s = env.now - t0
         stats.primary_wins += 1
         _settle_loser(bproc, "backup", out, stats)
         return out
@@ -275,31 +258,25 @@ def hedged_call(
 
     # No winner yet — at least one racer failed.  Wait out the survivor.
     if pproc.triggered and bproc.triggered:
-        out.primary_error = pproc.value
-        out.backup_error = bproc.value
         stats.primary_failures += 1
         stats.backup_failures += 1
-        raise out.primary_error
+        raise pproc.value
     survivor, role = (pproc, "primary") if pproc.is_alive else (bproc, "backup")
     fallen, fallen_role = (bproc, "backup") if role == "primary" else (pproc, "primary")
     _settle_loser(fallen, fallen_role, out, stats)
     try:
         out.value = yield survivor
     except InterruptError:
-        if survivor.is_alive:
-            survivor.interrupt("hedge torn down")
+        _tear_down(survivor)
         raise
-    except Exception as exc:
+    except ReproError as exc:
         if role == "primary":
-            out.primary_error = exc
             stats.primary_failures += 1
             raise
-        out.backup_error = exc
         stats.backup_failures += 1
         raise out.primary_error from exc
     out.winner = role
     if role == "primary":
-        out.primary_latency_s = env.now - t0
         stats.primary_wins += 1
     else:
         stats.backup_wins += 1

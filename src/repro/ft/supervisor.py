@@ -14,8 +14,8 @@ The supervisors close the loop:
   ``failure_listener`` hook, collapsing detection latency to the first
   failed call.
 * :class:`KVSupervisor` watches every KV shard.  On DEAD it records the
-  shard's last-known-good probe time, optionally restarts the node +
-  instance after ``restart_delay_s`` (an in-memory store restarts
+  shard's last-known-good probe time, restarts the node + instance
+  after ``restart_delay_s`` (an in-memory store restarts
   *empty*), and once **all** shards answer again replays
   ``rebuild_dataset(from_timestamp=last_good)`` for each supervised
   dataset — scenario (a)'s incremental rescan, with no operator call.
@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.dist_cache import CacheMaster, TaskCache
 from repro.core.recovery import rebuild_dataset
 from repro.core.server import DieselServer
-from repro.errors import CachePeerDownError, ClusterError
+from repro.errors import CachePeerDownError
 from repro.ft.detector import DEAD, FailureDetector
 from repro.kvstore.sharded import ShardedKV
 
@@ -154,8 +154,6 @@ class KVSupervisor:
         kv: ShardedKV,
         datasets: Sequence[str],
         restart_delay_s: float = 0.0,
-        auto_restart: bool = True,
-        fanout: int = 1,
         recorder=None,
     ) -> None:
         if restart_delay_s < 0:
@@ -166,8 +164,6 @@ class KVSupervisor:
         self.env = server.env
         self.datasets = list(datasets)
         self.restart_delay_s = restart_delay_s
-        self.auto_restart = auto_restart
-        self.fanout = fanout
         self.recorder = recorder
         #: One dict per completed rebuild (see :meth:`_rebuild`).
         self.rebuilds: List[dict] = []
@@ -187,10 +183,9 @@ class KVSupervisor:
             # §4.1.2 scenario (a): everything ingested before it is
             # safely in other shards' memories or on storage.
             self._pending[name] = self.detector.last_alive(name)
-            if self.auto_restart:
-                self.env.process(
-                    self._restart(inst), name=f"ft:restart-{inst.name}"
-                )
+            self.env.process(
+                self._restart(inst), name=f"ft:restart-{inst.name}"
+            )
         elif name in self._pending and all(i.up for i in self.kv.instances):
             # The last missing shard answered again; replay from the
             # earliest loss so every restarted shard is covered.
@@ -203,12 +198,9 @@ class KVSupervisor:
 
     def _restart(self, inst):
         yield self.env.timeout(self.restart_delay_s)
-        if not inst.node.alive:
-            try:
-                inst.node.restore()
-            except ClusterError:
-                pass  # restored by the injector or another shard's restart
-        if inst.node.alive and not inst.up:
+        if not inst.node.alive:  # else another shard's restart got there
+            inst.node.restore()
+        if not inst.up:
             inst.restart()
             # The next heartbeat probe flips the shard back to ALIVE,
             # which triggers the rebuild once all shards answer.
@@ -218,7 +210,7 @@ class KVSupervisor:
         scanned = 0
         for ds in self.datasets:
             n = yield from rebuild_dataset(
-                self.server, ds, from_timestamp=from_ts, fanout=self.fanout
+                self.server, ds, from_timestamp=from_ts
             )
             scanned += n
         self.rebuilds.append({

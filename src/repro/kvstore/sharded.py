@@ -3,14 +3,9 @@
 from __future__ import annotations
 
 import heapq
-import random
-from typing import Any, Dict, Generator, Iterable, Optional, Sequence, Tuple
+from typing import Any, Generator, Iterable, Optional, Sequence, Tuple
 
-from repro.errors import (
-    CircuitOpenError,
-    NodeDownError,
-    ShardUnavailableError,
-)
+from repro.errors import ShardUnavailableError
 from repro.cluster.node import Node
 from repro.kvstore.kv import KVInstance
 from repro.sim.engine import Event
@@ -46,7 +41,7 @@ class ShardedKV:
     """Routes keys to KV instances by hash slot.
 
     Mirrors how a Redis cluster (or twemproxy'd pool) spreads a keyspace.
-    ``pscan`` fans out to every live shard and merges, since a prefix may
+    ``pscan`` fans out to every shard and merges, since a prefix may
     span shards.
     """
 
@@ -54,67 +49,15 @@ class ShardedKV:
         if not instances:
             raise ValueError("ShardedKV needs at least one instance")
         self._instances = list(instances)
-        #: Fault tolerance (opt-in via :meth:`configure_ft`; None =
-        #: legacy single-attempt behaviour).
-        self._retry = None
-        self._breakers: Dict[str, Any] = {}  # instance name -> breaker
-        self._breaker_args: tuple = ()  # (threshold, reset_s) once configured
-        self._rng: Optional[random.Random] = None
-
-    def configure_ft(
-        self,
-        policy,
-        breaker_threshold: int = 5,
-        breaker_reset_s: float = 1.0,
-    ) -> None:
-        """Wrap every shard RPC in ``policy`` (a
-        :class:`repro.ft.retry.RetryPolicy`) with per-shard circuit
-        breakers.  The shard's liveness is re-probed on each attempt, so
-        a retried call survives a shard restart mid-operation."""
-        self._retry = policy
-        self._breaker_args = (breaker_threshold, breaker_reset_s)
-        self._breakers.clear()
-        # Seeded: retry jitter must not vary run to run.
-        self._rng = random.Random(0x5A4D)
-
-    def _breaker_for(self, inst: KVInstance):
-        breaker = self._breakers.get(inst.name)
-        if breaker is None:
-            from repro.ft.breaker import CircuitBreaker
-
-            breaker = CircuitBreaker(
-                inst.env, *self._breaker_args, name=inst.name
-            )
-            self._breakers[inst.name] = breaker
-        return breaker
 
     def _call_inst(
         self, client: Node, inst: KVInstance, method: str, *args: Any,
         **kw: Any,
     ) -> Generator[Event, Any, Any]:
-        """One shard RPC, retried under the configured policy (if any)."""
-        if self._retry is None:
-            if not inst.up:
-                raise ShardUnavailableError(f"shard {inst.name!r} is down")
-            result = yield from inst.call(client, method, *args, **kw)
-            return result
-        from repro.ft.retry import retry_call
-
-        def attempt():
-            if not inst.up:
-                raise ShardUnavailableError(f"shard {inst.name!r} is down")
-            return inst.call(client, method, *args, **kw)
-
-        result = yield from retry_call(
-            inst.env,
-            self._retry,
-            attempt,
-            rng=self._rng,
-            breaker=self._breaker_for(inst),
-            recorder=inst.recorder,
-            op=f"kv_{method}",
-            actor=inst.name,
-        )
+        """One shard RPC; a shard already down fails before any cost."""
+        if not inst.up:
+            raise ShardUnavailableError(f"shard {inst.name!r} is down")
+        result = yield from inst.call(client, method, *args, **kw)
         return result
 
     @property
@@ -157,38 +100,32 @@ class ShardedKV:
     def delete(self, client: Node, key: str) -> Generator[Event, Any, None]:
         yield from self._call_inst(client, self.owner(key), "delete", key)
 
+    def _check_all_up(self) -> None:
+        """A scan needs every shard: name all the dead ones at once."""
+        down = [i.name for i in self._instances if not i.up]
+        if down:
+            raise ShardUnavailableError(
+                f"shards down: {', '.join(sorted(down))}"
+            )
+
     def pscan(
-        self, client: Node, prefix: str, skip_dead: bool = False
+        self, client: Node, prefix: str
     ) -> Generator[Event, Any, list[tuple[str, bytes]]]:
         """Prefix scan across all shards, merged in key order.
 
         Liveness is validated **up front**, before any shard is charged
         RPC cost — a scan never pays for half the cluster and then
-        raises on a shard it could have checked for free.
-        ``skip_dead=True`` is the degraded mode: scan whatever shards
-        answer and merge what exists (the caller owns the completeness
-        caveat); a shard dying *mid-scan* is likewise skipped.
+        raises on a shard it could have checked for free.  A shard
+        dying *mid-scan* raises too: a scan is complete or it fails.
         """
-        down = [i.name for i in self._instances if not i.up]
-        if down and not skip_dead:
-            raise ShardUnavailableError(
-                f"shards down: {', '.join(sorted(down))}"
-            )
+        self._check_all_up()
         merged: list[tuple[str, bytes]] = []
         for inst in self._instances:
-            if not inst.up and skip_dead:
-                continue
-            try:
-                part = yield from self._call_inst(client, inst, "pscan", prefix)
-            except (NodeDownError, ShardUnavailableError, CircuitOpenError):
-                if skip_dead:
-                    continue
-                raise
+            part = yield from self._call_inst(client, inst, "pscan", prefix)
             merged.extend(part)
         # Sort the full (key, value) pair, not the key alone: a stable
-        # key-only sort leaves equal keys in shard-iteration order, so a
-        # degraded skip_dead scan would interleave differently depending
-        # on *which* shard died.  The pair sort is shard-order-free.
+        # key-only sort leaves a key held by two shards in
+        # shard-iteration order.  The pair sort is shard-order-free.
         merged.sort()
         return merged
 
@@ -197,34 +134,26 @@ class ShardedKV:
         prefix: str,
         cursor: Optional[str] = None,
         limit: Optional[int] = None,
-        skip_dead: bool = False,
     ) -> Tuple[list[tuple[str, bytes]], Optional[str]]:
         """One bounded page of a cross-shard prefix scan, at zero sim
         cost (co-located server logic).
 
-        Each live shard returns at most ``limit`` pairs past ``cursor``;
-        the per-shard pages (already sorted) are k-way merged and
-        truncated to ``limit``, so neither the shards nor the caller ever
+        Each shard returns at most ``limit`` pairs past ``cursor``; the
+        per-shard pages (already sorted) are k-way merged and truncated
+        to ``limit``, so neither the shards nor the caller ever
         materialize the full prefix range.  Returns ``(pairs,
         next_cursor)``; pass ``next_cursor`` back to fetch the following
-        page (``None`` = the scan is complete).  Liveness and
-        ``skip_dead`` semantics match :meth:`pscan`.
+        page (``None`` = the scan is complete).  Liveness is checked as
+        in :meth:`pscan`.
         """
-        down = [i.name for i in self._instances if not i.up]
-        if down and not skip_dead:
-            raise ShardUnavailableError(
-                f"shards down: {', '.join(sorted(down))}"
-            )
+        self._check_all_up()
         parts = [
             inst.table.pscan(prefix, limit, cursor)
             for inst in self._instances
-            if inst.up
         ]
         return _merge_page(parts, limit)
 
-    def local_pscan_iter(
-        self, prefix: str, page_size: int, skip_dead: bool = False
-    ):
+    def local_pscan_iter(self, prefix: str, page_size: int):
         """Iterate a prefix range page by page (zero-cost, bounded RAM).
 
         Yields lists of at most ``page_size`` pairs in global key order;
@@ -236,23 +165,17 @@ class ShardedKV:
         cursor: Optional[str] = None
         while True:
             page, cursor = self.local_pscan_page(
-                prefix, cursor=cursor, limit=page_size, skip_dead=skip_dead
+                prefix, cursor=cursor, limit=page_size
             )
             if page:
                 yield page
             if cursor is None:
                 return
 
-    def local_pcount(self, prefix: str, skip_dead: bool = False) -> int:
+    def local_pcount(self, prefix: str) -> int:
         """Count keys under ``prefix`` without materializing any pair."""
-        down = [i.name for i in self._instances if not i.up]
-        if down and not skip_dead:
-            raise ShardUnavailableError(
-                f"shards down: {', '.join(sorted(down))}"
-            )
-        return sum(
-            inst.table.pcount(prefix) for inst in self._instances if inst.up
-        )
+        self._check_all_up()
+        return sum(inst.table.pcount(prefix) for inst in self._instances)
 
     # -- direct (zero-cost) access for co-located server logic ------------
     # These bypass the RPC *cost* (the DIESEL server's service rate
@@ -292,22 +215,14 @@ class ShardedKV:
     def local_delete(self, key: str) -> None:
         self._live_owner(key).table.delete(key)
 
-    def local_pscan(
-        self, prefix: str, skip_dead: bool = False
-    ) -> list[tuple[str, bytes]]:
-        """Zero-cost prefix scan; same up-front liveness validation and
-        degraded ``skip_dead`` semantics as :meth:`pscan`."""
-        down = [i.name for i in self._instances if not i.up]
-        if down and not skip_dead:
-            raise ShardUnavailableError(
-                f"shards down: {', '.join(sorted(down))}"
-            )
+    def local_pscan(self, prefix: str) -> list[tuple[str, bytes]]:
+        """Zero-cost prefix scan; same up-front liveness validation as
+        :meth:`pscan`."""
+        self._check_all_up()
         merged: list[tuple[str, bytes]] = []
         for inst in self._instances:
-            if not inst.up:
-                continue
             merged.extend(inst.table.pscan(prefix))
-        merged.sort()  # full-pair sort: order must not depend on shard fate
+        merged.sort()  # full-pair sort: order must not depend on shard order
         return merged
 
     def total_keys(self) -> int:

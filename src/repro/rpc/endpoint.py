@@ -302,35 +302,5 @@ class RpcEndpoint:
         self.stats.response_bytes += resp_nbytes
         return results
 
-    def call_with_retry(
-        self,
-        policy,
-        client: Node,
-        method: str,
-        *args: Any,
-        rng=None,
-        breaker=None,
-        **kw: Any,
-    ) -> Generator[Event, Any, Any]:
-        """:meth:`call` under a :class:`repro.ft.retry.RetryPolicy`.
-
-        Each attempt is a fresh :meth:`call` generator; backoff, per-call
-        deadlines, and the optional per-peer ``breaker`` follow the
-        policy.  A generator — drive it with ``yield from``.
-        """
-        from repro.ft.retry import retry_call
-
-        result = yield from retry_call(
-            self.env,
-            policy,
-            lambda: self.call(client, method, *args, **kw),
-            rng=rng,
-            breaker=breaker,
-            recorder=self.recorder,
-            op=f"rpc_{method}",
-            actor=self.name,
-        )
-        return result
-
     def __repr__(self) -> str:
         return f"RpcEndpoint({self.name!r} on {self.node.name!r})"

@@ -33,10 +33,6 @@ class DatasetSpec:
         if self.mean_file_bytes < self.min_file_bytes:
             raise ValueError("mean_file_bytes below min_file_bytes")
 
-    def total_bytes(self) -> int:
-        """Approximate dataset size (mean × count)."""
-        return self.n_files * self.mean_file_bytes
-
     def path_of(self, index: int) -> str:
         """Deterministic path for the ``index``-th file."""
         cls = index % self.n_classes

@@ -189,66 +189,3 @@ class TestDne:
         used = sum(1 for m in fs._mdts if m.stats.calls > 0)
         assert used >= 3
 
-
-class TestBatchedReads:
-    def _populate(self, env, fs, client, n=16):
-        files = {f"/d{i % 4}/f{i}.bin": bytes([i]) * 256 for i in range(n)}
-
-        def proc(env):
-            for p, b in files.items():
-                yield from fs.write_file(client, p, b)
-
-        run_sync(env, proc(env))
-        return files
-
-    def test_read_files_matches_per_file_reads(self):
-        env, fs, client = make_lustre(n_mds=2, dne="dne1")
-        files = self._populate(env, fs, client)
-
-        def proc(env):
-            one = yield from fs.read_files(client, list(files))
-            batched = yield from fs.read_files(
-                client, list(files), admission_batch=4
-            )
-            return one, batched
-
-        one, batched = run_sync(env, proc(env))
-        assert one == files
-        assert batched == files
-
-    def test_batched_admission_is_faster(self):
-        env, fs, client = make_lustre()
-        files = self._populate(env, fs, client, n=32)
-
-        def proc(env):
-            t0 = env.now
-            yield from fs.read_files(client, list(files))
-            serial = env.now - t0
-            t0 = env.now
-            yield from fs.read_files(client, list(files), admission_batch=8)
-            batched = env.now - t0
-            return serial, batched
-
-        serial, batched = run_sync(env, proc(env))
-        assert batched < serial
-
-    def test_missing_file_raises(self):
-        env, fs, client = make_lustre()
-        self._populate(env, fs, client, n=4)
-
-        def proc(env):
-            yield from fs.read_files(
-                client, ["/nope.bin"], admission_batch=2
-            )
-
-        with pytest.raises(FileNotFoundInDatasetError):
-            run_sync(env, proc(env))
-
-    def test_validation(self):
-        env, fs, client = make_lustre()
-
-        def proc(env):
-            yield from fs.read_files(client, ["/x"], admission_batch=0)
-
-        with pytest.raises(ValueError):
-            run_sync(env, proc(env))

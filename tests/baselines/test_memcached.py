@@ -135,67 +135,3 @@ class TestMemcached:
         t_big = run_sync(env, timed_set(env, 4 * 2**20))
         assert t_big > 3 * t_small
 
-
-class TestBatchedGets:
-    def test_get_many_matches_per_key_gets(self):
-        env, mc, client = make_cluster()
-        files = {f"/k{i}": bytes([i]) * 64 for i in range(16)}
-
-        def proc(env):
-            for k, v in files.items():
-                yield from mc.set(client, k, v)
-            one = yield from mc.get_many(client, list(files))
-            batched = yield from mc.get_many(
-                client, list(files), admission_batch=4
-            )
-            return one, batched
-
-        one, batched = run_sync(env, proc(env))
-        assert one == files
-        assert batched == files
-
-    def test_batched_admission_is_faster(self):
-        env, mc, client = make_cluster()
-        keys = [f"/k{i}" for i in range(32)]
-
-        def proc(env):
-            for k in keys:
-                yield from mc.set(client, k, b"x" * 64)
-            t0 = env.now
-            yield from mc.get_many(client, keys, admission_batch=1)
-            serial = env.now - t0
-            t0 = env.now
-            yield from mc.get_many(client, keys, admission_batch=8)
-            batched = env.now - t0
-            return serial, batched
-
-        serial, batched = run_sync(env, proc(env))
-        assert batched < serial
-
-    def test_dead_server_keys_come_back_none(self):
-        env, mc, client = make_cluster()
-        keys = [f"/k{i}" for i in range(24)]
-
-        def proc(env):
-            for k in keys:
-                yield from mc.set(client, k, b"v")
-            victim = mc.server_for(keys[0]).name
-            mc.kill_server(victim)
-            result = yield from mc.get_many(client, keys, admission_batch=4)
-            return victim, result
-
-        victim, result = run_sync(env, proc(env))
-        dead = [k for k in keys if mc.ring.lookup(k) == victim]
-        assert dead
-        for k in keys:
-            expected = None if k in dead else b"v"
-            assert result[k] == expected
-
-    def test_validation(self):
-        env, mc, client = make_cluster()
-
-        def proc(env):
-            yield from mc.get_many(client, ["k"], admission_batch=0)
-
-        with pytest.raises(ValueError):
-            run_sync(env, proc(env))

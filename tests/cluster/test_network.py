@@ -1,9 +1,9 @@
-"""Tests for nodes, the network fabric and failure injection."""
+"""Tests for nodes and the network fabric."""
 
 import pytest
 
 from repro.calibration import NetworkProfile
-from repro.cluster import FailureInjector, NetworkFabric, Node
+from repro.cluster import NetworkFabric, Node
 from repro.errors import ClusterError, NodeDownError
 from repro.sim import Environment, run_sync
 
@@ -137,52 +137,3 @@ class TestNode:
             return n.memory.level
 
         assert run_sync(env, proc(env)) == 600
-
-
-class TestFailureInjector:
-    def test_kill_at(self):
-        env = Environment()
-        node = Node(env, "victim")
-        inj = FailureInjector(env)
-        inj.kill_at(node, when=5.0)
-        env.run(until=4.9)
-        assert node.alive
-        env.run(until=5.1)
-        assert not node.alive
-        assert inj.log == [(5.0, "kill", "victim")]
-
-    def test_restore_at(self):
-        env = Environment()
-        node = Node(env, "victim")
-        inj = FailureInjector(env)
-        inj.kill_at(node, when=1.0)
-        inj.restore_at(node, when=2.0)
-        env.run()
-        assert node.alive
-        assert [e[1] for e in inj.log] == ["kill", "restore"]
-
-    def test_past_kill_rejected(self):
-        env = Environment()
-        env.timeout(10)
-        env.run()
-        node = Node(env, "v")
-        inj = FailureInjector(env)
-        with pytest.raises(ValueError):
-            inj.kill_at(node, when=5.0)
-
-    def test_trigger_kill(self):
-        env = Environment()
-        node = Node(env, "victim")
-        inj = FailureInjector(env)
-        counter = {"iters": 0}
-
-        def workload(env):
-            for _ in range(100):
-                yield env.timeout(1e-3)
-                counter["iters"] += 1
-
-        inj.on_trigger(node, lambda: counter["iters"] >= 30)
-        run_sync(env, workload(env))
-        assert not node.alive
-        # killed around iteration 30, certainly before the end
-        assert counter["iters"] == 100

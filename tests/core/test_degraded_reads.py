@@ -5,8 +5,8 @@ dies mid-call must land on the DIESEL server instead of erroring, and
 an on-demand background fill must tolerate the master dying mid-pull.
 """
 
-from repro.cluster.failure import FailureInjector
-from repro.ft import RetryPolicy
+from repro.cluster.failure import ChaosSchedule
+from repro.ft.breaker import THRESHOLD
 
 from tests.core.test_dist_cache import setup_cache
 
@@ -41,8 +41,8 @@ class TestMidFlightDegradation:
         assert cache.stats.degraded_reads == 0
 
         # Kill the owner halfway through the next, identical call.
-        inj = FailureInjector(dep.env)
-        inj.kill_at(victim_node, dep.env.now + hit_s / 2)
+        ChaosSchedule(dep.env).at(
+            dep.env.now + hit_s / 2, victim_node.kill, "kill").start()
         data = dep.run(cache.read_file(reader, record))
         assert data == files[path]  # served by the server, not an error
         assert cache.stats.degraded_reads == 1
@@ -70,8 +70,8 @@ class TestTolerantBackgroundPull:
         assert data == files[path]  # miss: fell through to the server
         # The on-demand fill is still in flight.
         assert not victim.has_chunk(record.chunk_id.encode())
-        inj = FailureInjector(dep.env)
-        inj.kill_at(victim_node, dep.env.now + 1e-6)
+        ChaosSchedule(dep.env).at(
+            dep.env.now + 1e-6, victim_node.kill, "kill").start()
         dep.env.run()  # drain: the orphan pull must not blow up the sim
         assert cache.dropped_pulls == 1
         assert not victim.has_chunk(record.chunk_id.encode())
@@ -91,26 +91,26 @@ class TestTolerantBackgroundPull:
 class TestBreakerShortCircuit:
     def test_tripped_breaker_skips_the_peer_and_still_serves_data(self):
         dep, cache, reader, victim_node, path, files, index = warm_rig()
-        # An impossible deadline makes every peer attempt time out; after
-        # two failures the breaker opens and later reads skip the peer.
-        cache.configure_ft(
-            RetryPolicy(retries=0, deadline_s=1e-7),
-            breaker_threshold=2, breaker_reset_s=100.0,
-        )
+        cache.configure_ft()
+        victim = cache.masters[victim_node.name]
+        breaker = cache._breaker_for(victim)
+        # THRESHOLD failed calls trip the breaker; while it is open, the
+        # reads skip the (healthy) peer and the server serves them.
+        for _ in range(THRESHOLD):
+            breaker.record_failure(breaker.allow())
+        peer_calls = victim.endpoint.stats.calls
         record = index.lookup(path)
-        for _ in range(4):
+        for _ in range(2):
             assert dep.run(cache.read_file(reader, record)) == files[path]
-        assert cache.stats.degraded_reads == 4
-        breaker = cache._breakers[
-            cache.masters[victim_node.name].client.name
-        ]
+        assert cache.stats.degraded_reads == 2
+        assert victim.endpoint.stats.calls == peer_calls
         assert breaker.state == "open"
         assert breaker.trips == 1
-        assert breaker.rejections == 2  # reads 3 and 4 never hit the peer
+        assert breaker.rejections == 2  # neither read hit the peer
 
     def test_retry_rides_out_a_blip_without_degrading(self):
         dep, cache, reader, victim_node, path, files, index = warm_rig()
-        cache.configure_ft(RetryPolicy(retries=2, backoff_base_s=0.002))
+        cache.configure_ft()
         record = index.lookup(path)
         # Healthy peer + retry enabled: the warm hit is served normally.
         assert dep.run(cache.read_file(reader, record)) == files[path]

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.dist_cache import CacheClient, TaskCache
 from repro.errors import CachePeerDownError, DieselError
-from repro.ft import RetryPolicy
 
 from tests.core.conftest import build_deployment, small_files, write_dataset
 
@@ -231,7 +230,7 @@ class TestRecovery:
             n_nodes=4, clients_per_node=1)
         dep.run(cache.register())
         dep.run(cache.wait_warm())
-        cache.configure_ft(RetryPolicy())
+        cache.configure_ft()
         dep.run(read_all(cache, clients[1], files, index))  # arms breakers
         assert clients[0].name in cache._breakers
         seen = []

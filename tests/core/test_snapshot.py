@@ -64,7 +64,7 @@ class TestSerialization:
     def test_totals(self):
         snap = make_snapshot(n_files=10)
         assert snap.file_count == 10
-        assert snap.total_bytes() == 1000
+        assert sum(f.length for f in snap.files) == 1000
 
 
 class TestIndex:

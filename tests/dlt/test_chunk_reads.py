@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.bench.setups import deploy, diesel_client_with_snapshot, warmed_task
 from repro.calibration import ModelProfile
-from repro.cluster.failure import FailureInjector
+from repro.cluster.failure import ChaosSchedule
 from repro.cluster.node import Node
 from repro.core.shared_cache import SharedCacheRegistry
 from repro.dlt.trainer import run_training
@@ -213,7 +213,8 @@ class TestFaults:
         _, tier = tb.run(cache.read_chunk(reader.cache_client, cids[0]))
         assert tier == "remote_hits"
         hop_s = tb.env.now - t0
-        FailureInjector(tb.env).kill_at(victim.node, tb.env.now + hop_s / 2)
+        ChaosSchedule(tb.env).at(
+            tb.env.now + hop_s / 2, victim.node.kill, "kill").start()
         backend = tb.diesel.stats.chunk_reads
         target = cids[1]
         paths = [
@@ -298,13 +299,14 @@ class TestFaults:
 class TestHedging:
     def test_mixed_granularity_reads_of_a_healthy_owner_fire_no_hedge(self):
         """Regression: the latency tracker was keyed by peer alone, so a
-        run of KB ``get_file`` replies calibrated a hedge delay far
-        below what a MiB ``get_chunk`` reply takes — every chunk read
-        after it hedged against a perfectly healthy owner."""
+        run of KB ``get_file`` replies priced a MiB ``get_chunk`` reply
+        far too low.  Hedging is on with a delay nothing reaches (as in
+        ``dlcmd chaos``' calibration pass): every read feeds the tracker
+        and each population keeps its own estimate."""
         tb, cache, readers, files, index = make_task(
             n_nodes=4, n_files=480, file_sizes=(12_000, 20_000),
             chunk_size=512 * 1024)
-        cache.configure_hedging()
+        cache.configure_hedging(delay_s=60.0)
         reader = readers[0]
         owner, cids = remote_chunks(cache, reader, index)
         assert len(cids) >= 3

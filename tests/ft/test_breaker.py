@@ -1,15 +1,24 @@
 """Tests for the per-peer circuit breaker state machine."""
 
-import pytest
-
 from repro.ft import CircuitBreaker
-from repro.ft.breaker import CLOSED, HALF_OPEN, OPEN
+from repro.ft.breaker import CLOSED, HALF_OPEN, OPEN, RESET_S, THRESHOLD
 from repro.sim import Environment
 
 
-def make(threshold=3, reset_s=1.0):
+def make():
     env = Environment()
-    return env, CircuitBreaker(env, threshold=threshold, reset_s=reset_s)
+    return env, CircuitBreaker(env, "peer")
+
+
+def fail(b, n=1):
+    """``n`` admitted calls that each failed."""
+    for _ in range(n):
+        b.record_failure(b.allow())
+
+
+def trip(b):
+    fail(b, THRESHOLD)
+    assert b.state == OPEN
 
 
 class TestBreaker:
@@ -19,65 +28,55 @@ class TestBreaker:
         assert b.allow()
 
     def test_trips_after_threshold_consecutive_failures(self):
-        _, b = make(threshold=3)
-        b.record_failure()
-        b.record_failure()
+        _, b = make()
+        fail(b, THRESHOLD - 1)
         assert b.state == CLOSED
-        b.record_failure()
+        fail(b)
         assert b.state == OPEN
         assert b.trips == 1
         assert not b.allow()
         assert b.rejections == 1
 
     def test_success_resets_the_failure_streak(self):
-        _, b = make(threshold=2)
-        b.record_failure()
+        _, b = make()
+        fail(b, THRESHOLD - 1)
         b.record_success()
-        b.record_failure()
-        assert b.state == CLOSED  # streak broken: 1+1 non-consecutive
+        fail(b)
+        assert b.state == CLOSED  # streak broken: not consecutive
 
     def test_half_open_after_reset_window(self):
-        env, b = make(threshold=1, reset_s=1.0)
-        b.record_failure()
-        assert b.state == OPEN
-        env.run(until=1.5)
+        env, b = make()
+        trip(b)
+        env.run(until=RESET_S * 1.5)
         assert b.state == HALF_OPEN
 
     def test_half_open_allows_exactly_one_probe(self):
-        env, b = make(threshold=1, reset_s=1.0)
-        b.record_failure()
-        env.run(until=1.5)
+        env, b = make()
+        trip(b)
+        env.run(until=RESET_S * 1.5)
         assert b.allow()       # the probe
         assert not b.allow()   # concurrent calls still rejected
 
     def test_probe_success_closes(self):
-        env, b = make(threshold=1, reset_s=1.0)
-        b.record_failure()
-        env.run(until=1.5)
+        env, b = make()
+        trip(b)
+        env.run(until=RESET_S * 1.5)
         assert b.allow()
         b.record_success()
         assert b.state == CLOSED
         assert b.allow()
 
     def test_probe_failure_reopens_for_a_fresh_window(self):
-        env, b = make(threshold=1, reset_s=1.0)
-        b.record_failure()
-        env.run(until=1.5)
-        assert b.allow()
-        b.record_failure()
+        env, b = make()
+        trip(b)
+        env.run(until=RESET_S * 1.5)
+        fail(b)  # the probe
         assert b.state == OPEN
         assert b.trips == 2
-        env.run(until=2.0)  # 0.5s into the new window: still open
+        env.run(until=RESET_S * 2.0)  # half a window in: still open
         assert b.state == OPEN
-        env.run(until=2.6)
+        env.run(until=RESET_S * 2.6)
         assert b.state == HALF_OPEN
-
-    def test_validation(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            CircuitBreaker(env, threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(env, reset_s=0.0)
 
 
 class TestAttemptTokens:
@@ -89,14 +88,12 @@ class TestAttemptTokens:
         assert t1 and t2 and t1 != t2
 
     def test_pre_open_straggler_cannot_retrip_recovered_breaker(self):
-        env, b = make(threshold=2, reset_s=1.0)
+        env, b = make()
         straggler = b.allow()       # slow call admitted while healthy
-        b.record_failure(b.allow())
-        b.record_failure(b.allow())
-        assert b.state == OPEN
-        env.run(until=1.5)
-        probe = b.allow()
-        b.record_success(probe)
+        trip(b)
+        env.run(until=RESET_S * 1.5)
+        b.allow()                   # the probe
+        b.record_success()
         assert b.state == CLOSED
         # The straggler's failure finally lands — the trip already priced
         # that peer in, so the recovered breaker must stay closed.
@@ -106,45 +103,33 @@ class TestAttemptTokens:
         assert b.stale_reports == 1
 
     def test_stale_failure_does_not_restart_open_window(self):
-        env, b = make(threshold=1, reset_s=1.0)
+        env, b = make()
         straggler = b.allow()
-        b.record_failure(b.allow())
-        assert b.state == OPEN
-        env.run(until=0.8)
+        trip(b)
+        env.run(until=RESET_S * 0.8)
         b.record_failure(straggler)  # lands mid-window
         assert b.stale_reports == 1
-        env.run(until=1.2)
+        env.run(until=RESET_S * 1.2)
         # Window measured from the original trip, not the stale report.
         assert b.state == HALF_OPEN
         assert b.trips == 1
 
     def test_non_probe_failure_while_open_is_stale(self):
-        env, b = make(threshold=1, reset_s=1.0)
-        b.record_failure(b.allow())
-        env.run(until=1.5)
+        env, b = make()
+        trip(b)
+        env.run(until=RESET_S * 1.5)
         probe = b.allow()
-        # A different in-flight call (admitted this window via no token
-        # path is legacy; here simulate a post-trip token that is not the
-        # probe) failing must not count as the probe's outcome.
+        # A post-trip token that is not the probe's failing must not
+        # count as the probe's outcome.
         b.record_failure(probe + 1000)
         assert b.state == HALF_OPEN
         assert b.stale_reports == 1
-        b.record_success(probe)
+        b.record_success()
         assert b.state == CLOSED
 
-    def test_tokenless_failure_keeps_legacy_behaviour(self):
-        env, b = make(threshold=1, reset_s=1.0)
-        b.record_failure(b.allow())
-        env.run(until=1.5)
-        assert b.allow()
-        b.record_failure()  # legacy caller: counts as the probe failing
-        assert b.state == OPEN
-        assert b.trips == 2
-
     def test_stale_success_still_closes(self):
-        env, b = make(threshold=1, reset_s=1.0)
-        straggler = b.allow()
-        b.record_failure(b.allow())
-        assert b.state == OPEN
-        b.record_success(straggler)  # the peer answered: it is reachable
+        env, b = make()
+        b.allow()                   # a straggler, admitted while healthy
+        trip(b)
+        b.record_success()          # the peer answered: it is reachable
         assert b.state == CLOSED

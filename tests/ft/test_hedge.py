@@ -2,41 +2,44 @@
 
 import pytest
 
-from repro.errors import InterruptError
-from repro.ft.hedge import HedgeStats, PeerLatencyTracker, hedged_call
+from repro.errors import InterruptError, NodeDownError
+from repro.ft.hedge import (
+    ALPHA,
+    DEV_MULT,
+    MIN_SAMPLES,
+    HedgeStats,
+    PeerLatencyTracker,
+    hedged_call,
+)
 from repro.sim import Environment, Semaphore
 
 
 class TestPeerLatencyTracker:
     def test_first_sample_seeds_mean_and_half_deviation(self):
-        t = PeerLatencyTracker(dev_mult=1.0, min_samples=1)
+        t = PeerLatencyTracker()
         t.observe("p", 0.010)
         assert t.mean("p") == pytest.approx(0.010)
-        assert t.hedge_delay("p") == pytest.approx(0.010 + 0.005)
+        assert t.rows()[0]["dev_s"] == pytest.approx(0.005)
         assert t.samples("p") == 1
 
     def test_jacobson_update(self):
-        t = PeerLatencyTracker(alpha=0.5, dev_mult=1.0, min_samples=1)
+        t = PeerLatencyTracker()
         t.observe("p", 0.010)  # mean=0.010 dev=0.005
         t.observe("p", 0.020)
-        # err = 0.010; mean += 0.5*err; dev += 0.5*(|err| - dev)
-        assert t.mean("p") == pytest.approx(0.015)
-        assert t.hedge_delay("p") == pytest.approx(0.015 + 0.0075)
+        # err = 0.010; mean += ALPHA*err; dev += ALPHA*(|err| - dev)
+        assert t.mean("p") == pytest.approx(0.010 + ALPHA * 0.010)
+        assert t.rows()[0]["dev_s"] == pytest.approx(
+            0.005 + ALPHA * (0.010 - 0.005))
 
     def test_hedge_delay_needs_min_samples(self):
-        t = PeerLatencyTracker(alpha=1.0, dev_mult=4.0, min_samples=3)
+        t = PeerLatencyTracker()
+        for _ in range(MIN_SAMPLES - 1):
+            t.observe("p", 0.010)
+            assert t.hedge_delay("p") is None
         t.observe("p", 0.010)
-        assert t.hedge_delay("p") is None
-        t.observe("p", 0.010)
-        assert t.hedge_delay("p") is None
-        t.observe("p", 0.010)
-        # alpha=1: mean=0.010, dev=0.0 after identical samples
-        assert t.hedge_delay("p") == pytest.approx(0.010)
-
-    def test_hedge_delay_applies_floor(self):
-        t = PeerLatencyTracker(min_samples=1)
-        t.observe("p", 0.001)
-        assert t.hedge_delay("p", floor_s=0.5) == 0.5
+        # identical samples: the mean holds, the deviation decays
+        dev = 0.005 * (1 - ALPHA) ** (MIN_SAMPLES - 1)
+        assert t.hedge_delay("p") == pytest.approx(0.010 + DEV_MULT * dev)
 
     def test_unknown_peer_has_no_estimate(self):
         t = PeerLatencyTracker()
@@ -45,7 +48,7 @@ class TestPeerLatencyTracker:
         assert t.samples("ghost") == 0
 
     def test_fastest_prefers_unobserved_then_lowest_mean(self):
-        t = PeerLatencyTracker(min_samples=1)
+        t = PeerLatencyTracker()
         t.observe("slow", 0.100)
         t.observe("quick", 0.001)
         assert t.fastest(["slow", "quick"]) == "quick"
@@ -54,25 +57,13 @@ class TestPeerLatencyTracker:
         assert t.fastest([]) is None
 
     def test_rows_sorted_slowest_first(self):
-        t = PeerLatencyTracker(min_samples=3)
+        t = PeerLatencyTracker()
         t.observe("a", 0.001)
         t.observe("b", 0.100)
         rows = t.rows()
         assert [r["peer"] for r in rows] == ["b", "a"]
         assert rows[0]["samples"] == 1
-        assert rows[0]["hedge_delay_s"] is None  # below min_samples
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PeerLatencyTracker(alpha=0.0)
-        with pytest.raises(ValueError):
-            PeerLatencyTracker(alpha=1.5)
-        with pytest.raises(ValueError):
-            PeerLatencyTracker(dev_mult=0.0)
-        with pytest.raises(ValueError):
-            PeerLatencyTracker(min_samples=0)
-        with pytest.raises(ValueError):
-            PeerLatencyTracker().observe("p", -1.0)
+        assert rows[0]["hedge_delay_s"] is None  # below MIN_SAMPLES
 
 
 def call(env, duration, value, log=None, tag="", error=None):
@@ -101,7 +92,7 @@ def drive(env, primary, backup, delay_s, stats=None):
     def driver():
         try:
             box["out"] = yield from hedged_call(
-                env, primary(), backup, delay_s, stats=stats
+                env, primary(), backup, delay_s, stats or HedgeStats()
             )
         except BaseException as exc:  # noqa: BLE001 - recorded for asserts
             box["err"] = exc
@@ -123,8 +114,7 @@ class TestHedgedCall:
         assert err is None
         assert out.winner == "primary"
         assert out.value == "data"
-        assert not out.hedged and not out.duplicate
-        assert out.primary_latency_s == pytest.approx(0.01)
+        assert t_done == pytest.approx(0.01)
         assert stats.reads == 1
         assert stats.primary_wins == 1
         assert stats.hedges_fired == 0
@@ -144,7 +134,6 @@ class TestHedgedCall:
         assert err is None
         assert out.winner == "backup"
         assert out.value == "fast"
-        assert out.hedged and not out.duplicate
         assert t_done == pytest.approx(0.15)  # delay + backup, not 10s
         assert stats.hedges_fired == 1
         assert stats.backup_wins == 1
@@ -163,7 +152,7 @@ class TestHedgedCall:
         )
         assert err is None
         assert out.winner == "primary"
-        assert out.duplicate
+        assert stats.hedges_fired == 1
         assert stats.duplicate_transfers == 1
         assert stats.cancelled_losers == 0
 
@@ -172,7 +161,7 @@ class TestHedgedCall:
         stats = HedgeStats()
         out, err, t_done = drive(
             env,
-            call(env, 0.01, None, error=RuntimeError("peer down")),
+            call(env, 0.01, None, error=NodeDownError("peer")),
             call(env, 0.05, "rescued"),
             1.0,
             stats,
@@ -180,18 +169,17 @@ class TestHedgedCall:
         assert err is None
         assert out.winner == "backup"
         assert out.value == "rescued"
-        assert not out.hedged  # failover, not a hedge
-        assert isinstance(out.primary_error, RuntimeError)
+        assert isinstance(out.primary_error, NodeDownError)
         assert stats.failovers == 1
         assert stats.primary_failures == 1
-        assert stats.hedges_fired == 0
+        assert stats.hedges_fired == 0  # failover, not a hedge
 
     def test_primary_failure_after_hedge_backup_survives(self):
         env = Environment()
         stats = HedgeStats()
         out, err, t_done = drive(
             env,
-            call(env, 0.2, None, error=RuntimeError("late fail")),
+            call(env, 0.2, None, error=NodeDownError("peer")),
             call(env, 0.5, "backup-data"),
             0.1,
             stats,
@@ -206,11 +194,11 @@ class TestHedgedCall:
     def test_both_fail_raises_primary_error(self):
         env = Environment()
         stats = HedgeStats()
-        primary_err = RuntimeError("primary boom")
+        primary_err = NodeDownError("primary")
         out, err, t_done = drive(
             env,
             call(env, 0.2, None, error=primary_err),
-            call(env, 0.3, None, error=RuntimeError("backup boom")),
+            call(env, 0.3, None, error=NodeDownError("backup")),
             0.1,
             stats,
         )
@@ -218,6 +206,26 @@ class TestHedgedCall:
         assert err is primary_err
         assert stats.primary_failures == 1
         assert stats.backup_failures == 1
+
+    @pytest.mark.parametrize("fails_at", [0.01, 0.2])
+    def test_a_racers_bug_propagates_and_is_never_hidden(self, fails_at):
+        """A non-ReproError is a bug, not an outage: before the delay
+        (no failover) or after the hedge fired (the backup is torn
+        down), it propagates although the backup would have succeeded."""
+        env = Environment()
+        log = []
+        out, err, t_done = drive(
+            env,
+            call(env, fails_at, None, error=ValueError("bug")),
+            call(env, 0.5, "would succeed", log, "backup"),
+            0.1,
+        )
+        assert out is None
+        assert isinstance(err, ValueError)
+        assert t_done == pytest.approx(fails_at)
+        assert ("backup", pytest.approx(0.6)) not in log
+        if fails_at > 0.1:
+            assert log == [("backup:cancelled", pytest.approx(fails_at))]
 
     def test_caller_interrupt_tears_down_both_racers(self):
         env = Environment()
@@ -232,7 +240,7 @@ class TestHedgedCall:
                     call(env, 10.0, "p", log, "primary")(),
                     call(env, 10.0, "b", log, "backup"),
                     0.1,
-                    stats=stats,
+                    stats,
                 )
             except InterruptError as exc:
                 box["err"] = exc
@@ -303,7 +311,7 @@ class TestHedgeResourceDiscipline:
         def driver():
             try:
                 yield from hedged_call(
-                    env, guarded(10.0)(), guarded(10.0), 0.1
+                    env, guarded(10.0)(), guarded(10.0), 0.1, HedgeStats()
                 )
             except InterruptError:
                 pass

@@ -135,35 +135,6 @@ class TestKVSupervisor:
         expected = {p: len(b) for p, b in files.items()}
         assert verify_rebuild(dep.server, "ds", expected) == []
 
-    def test_no_auto_restart_defers_until_operator_restore(self):
-        dep = build_deployment()
-        files = small_files(20, size=1024)
-        write_dataset(dep, "ds", files, chunk_size=8 * 1024)
-        det = FailureDetector(dep.env, heartbeat_interval_s=0.05,
-                              failure_timeout_s=0.2)
-        sup = KVSupervisor(det, dep.server, dep.kv, ["ds"],
-                           auto_restart=False)
-        det.start()
-        victim = dep.kv.instances[2]
-
-        def scenario():
-            yield dep.env.timeout(0.1)
-            victim.node.kill()
-            yield dep.env.timeout(1.0)
-            assert not victim.up  # supervisor did not touch it
-            assert sup.rebuilds == []
-            # Operator brings it back; the supervisor takes over.
-            victim.node.restore()
-            victim.restart()
-            yield dep.env.timeout(2.0)
-
-        dep.run(scenario())
-        det.stop()
-        dep.env.run()
-        assert len(sup.rebuilds) == 1
-        expected = {p: len(b) for p, b in files.items()}
-        assert verify_rebuild(dep.server, "ds", expected) == []
-
     def test_restart_validation(self):
         dep = build_deployment()
         det = FailureDetector(dep.env)

@@ -1,9 +1,8 @@
-"""Liveness semantics of sharded scans and retry-wrapped shard RPCs."""
+"""Liveness semantics of sharded scans and shard RPCs."""
 
 import pytest
 
-from repro.errors import ShardUnavailableError
-from repro.ft import RetryPolicy
+from repro.errors import NodeDownError, ShardUnavailableError
 from repro.sim import run_sync
 
 from tests.kvstore.test_kv import build_cluster
@@ -38,8 +37,6 @@ class TestUpFrontValidation:
         kv.instances[1].node.kill()
         with pytest.raises(ShardUnavailableError):
             kv.local_pscan("k/")
-        survivors = kv.local_pscan("k/", skip_dead=True)
-        assert 0 < len(survivors) < 40
 
     def test_all_alive_scan_is_complete_and_sorted(self):
         env, _, kv, (client,) = build_cluster(n_instances=4)
@@ -47,21 +44,18 @@ class TestUpFrontValidation:
         out = run_sync(env, kv.pscan(client, "k/"))
         assert [k for k, _ in out] == sorted(f"k/{i:03d}" for i in range(25))
 
+    def test_dead_shard_get_fails_before_any_cost(self):
+        env, _, kv, (client,) = build_cluster(n_instances=2)
+        populate(env, kv, client, n=10)
+        kv.owner("k/000").node.kill()
+        t0 = env.now
+        with pytest.raises(ShardUnavailableError):
+            run_sync(env, kv.get(client, "k/000"))
+        assert env.now == t0  # single up-check, nothing paid
 
-class TestSkipDeadDegradedMode:
-    def test_skip_dead_returns_surviving_shards_only(self):
-        env, _, kv, (client,) = build_cluster(n_instances=4)
-        populate(env, kv, client)
-        victim = kv.instances[1]
-        lost = len(victim.table)
-        assert lost > 0  # the victim actually owns some keys
-        victim.node.kill()
-        out = run_sync(env, kv.pscan(client, "k/", skip_dead=True))
-        assert len(out) == 40 - lost
-        local = kv.local_pscan("k/", skip_dead=True)
-        assert [k for k, _ in out] == [k for k, _ in local]
 
-    def test_shard_dying_mid_scan_is_skipped_not_fatal(self):
+class TestMidScanDeath:
+    def test_shard_dying_mid_scan_raises(self):
         # Slow shards so the scan is in flight long enough to kill one.
         env, _, kv, (client,) = build_cluster(n_instances=4, qps=100)
         populate(env, kv, client)
@@ -73,72 +67,8 @@ class TestSkipDeadDegradedMode:
                 victim.node.kill()
 
             env.process(killer(env))
-            result = yield from kv.pscan(client, "k/", skip_dead=True)
-            return result
-
-        out = run_sync(env, scan_and_kill(env))
-        # The dead shard's keys are absent; everything else merged fine.
-        assert 0 < len(out) < 40
-
-    def test_shard_dying_mid_scan_raises_in_strict_mode(self):
-        env, _, kv, (client,) = build_cluster(n_instances=4, qps=100)
-        populate(env, kv, client)
-        victim = kv.instances[3]
-
-        def scan_and_kill(env):
-            def killer(env):
-                yield env.timeout(1e-4)
-                victim.node.kill()
-
-            env.process(killer(env))
             result = yield from kv.pscan(client, "k/")
             return result
 
-        with pytest.raises(Exception) as exc_info:
+        with pytest.raises((NodeDownError, ShardUnavailableError)):
             run_sync(env, scan_and_kill(env))
-        assert exc_info.type.__name__ in (
-            "NodeDownError", "ShardUnavailableError"
-        )
-
-
-class TestRetryWrappedOps:
-    def test_get_survives_a_shard_blip(self):
-        env, _, kv, (client,) = build_cluster(n_instances=2)
-        populate(env, kv, client, n=10)
-        kv.configure_ft(RetryPolicy(retries=3, backoff_base_s=0.01,
-                                    jitter=0.0))
-        victim = kv.owner("k/000")
-        victim.node.kill()
-
-        def restore_soon(env):
-            yield env.timeout(0.015)  # back before retries run out
-            victim.node.restore()
-            victim.restart()
-
-        env.process(restore_soon(env))
-
-        def read(env):
-            value = yield from kv.get_or_none(client, "k/000")
-            return value
-
-        # The pair was wiped by the cold restart, but the *call* succeeds
-        # where the legacy path would have raised ShardUnavailableError.
-        assert run_sync(env, read(env)) is None
-
-    def test_exhausted_retries_surface_the_shard_error(self):
-        env, _, kv, (client,) = build_cluster(n_instances=2)
-        populate(env, kv, client, n=10)
-        kv.configure_ft(RetryPolicy(retries=2, backoff_base_s=0.005,
-                                    jitter=0.0))
-        kv.owner("k/000").node.kill()
-        with pytest.raises(ShardUnavailableError):
-            run_sync(env, kv.get(client, "k/000"))
-
-    def test_legacy_path_unchanged_without_configure_ft(self):
-        env, _, kv, (client,) = build_cluster(n_instances=2)
-        populate(env, kv, client, n=10)
-        kv.owner("k/000").node.kill()
-        t0 = env.now
-        with pytest.raises(ShardUnavailableError):
-            run_sync(env, kv.get(client, "k/000"))
-        assert env.now == t0  # single up-check, no backoff paid

@@ -1,5 +1,7 @@
 """Tests for the DLCMD command-line tool."""
 
+import hashlib
+
 import pytest
 
 from repro.tools import dlcmd
@@ -285,6 +287,21 @@ class TestDlcmd:
         assert run(tmp_path, "chaos", "-N", "1") == 0
         out = capsys.readouterr().out
         assert "membership (version 1): 2 master(s)" in out
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["chaos"],
+         "312e20c0d742c2eeddfdb64b444fcd7750a1e6616cc0b578e6f2b5c6a0ae061c"),
+        (["chaos", "-N", "1"],
+         "cad0ea8be80da8deb2422c798a84b1f7b38e729b7f874f0228ed8a16cee43970"),
+    ], ids=["chaos", "chaos-N1"])
+    def test_chaos_operator_view_is_pinned(self, tmp_path, local_tree,
+                                           capsys, argv, digest):
+        """The probe is deterministic: its whole stdout, byte for byte."""
+        run(tmp_path, "put", str(local_tree), "/t")
+        capsys.readouterr()
+        assert run(tmp_path, *argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
     def test_chaos_rejects_bad_args(self, tmp_path, local_tree, capsys):
         run(tmp_path, "put", str(local_tree), "/t")

@@ -56,7 +56,7 @@ class TestDatasetSpec:
 
     def test_total_bytes_imagenet_is_about_150gb(self):
         """§6.5: ImageNet-1K is 'around 150GB'."""
-        gb = IMAGENET_1K.total_bytes() / 2**30
+        gb = IMAGENET_1K.n_files * IMAGENET_1K.mean_file_bytes / 2**30
         assert 100 < gb < 180
 
     def test_validation(self):
