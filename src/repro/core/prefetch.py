@@ -9,7 +9,8 @@ ahead of the consumer, keeping up to ``depth`` chunks fetched-but-not-yet
 -consumed at all times, so by the time the training loop asks for a file
 its chunk is (usually) already resident in the window — or at least
 already in flight, so the consumer waits only for the *remaining* part of
-the transfer.
+the transfer.  Given the plan that comes next, it reads on into that
+plan's first chunks once the epoch is issued in full.
 
 :class:`ChunkWindow` is the one residency implementation behind every
 plan-ordered reader, parameterised only by a ``fetch(encoded_cid)``
@@ -18,9 +19,10 @@ generator: :class:`~repro.core.client.DieselClient` fetches from a server
 :meth:`~repro.core.dist_cache.TaskCache.read_chunk`.  Demand reads and
 read-ahead share its single-flight map, so a chunk is never transferred
 twice, whoever asks first.  The window may grow by ``depth`` entries
-beyond ``group_size`` while a pipeline is active, which bounds the
-working set at ``(group_size + depth) × chunk_size``.  A window moves
-the :class:`WindowStats` fields, which
+beyond ``group_size`` while a pipeline is active: that one budget bounds
+both the working set, at ``(group_size + depth) × chunk_size``, and the
+chunks read-ahead keeps in flight.  A window moves the
+:class:`WindowStats` fields, which
 :class:`~repro.core.client.ClientStats` carries under the same names.
 """
 
@@ -33,7 +35,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Set
 from repro.core.shuffle import EpochPlan
 from repro.errors import DieselError, InterruptError
 from repro.obs.counters import Counters, hwm
-from repro.sim.engine import Environment, Event, Process, Semaphore
+from repro.sim.engine import Environment, Event, Process
 
 #: Serving one file out of a window-resident chunk: an in-memory
 #: extraction, negligible but non-zero.
@@ -160,13 +162,20 @@ class ChunkWindow:
         self.resident[encoded] = value
 
     def start(
-        self, plan: EpochPlan, depth: int, recorder: Any = None
+        self, plan: EpochPlan, depth: int, recorder: Any = None,
+        then: Optional[EpochPlan] = None,
     ) -> "ChunkPrefetcher":
         """(Re)start the read-ahead pipeline over ``plan``; ``recorder``
-        receives its lead-time spans."""
-        self.cancel()
-        self.prefetcher = ChunkPrefetcher(self, plan, depth, recorder)
-        return self.prefetcher
+        receives its lead-time spans.  ``then`` is the plan expected
+        next: the pipeline reads on into it, and a later ``start`` on
+        that very plan keeps what was read instead of restarting."""
+        pf = self.prefetcher
+        if pf is None or not pf.active or pf.then is not plan:
+            self.cancel()
+            pf = self.prefetcher = ChunkPrefetcher(self, plan, depth)
+        pf.recorder = recorder
+        pf.roll(then)
+        return pf
 
     def cancel(self) -> None:
         """Stop the pipeline and interrupt its in-flight fetches."""
@@ -175,107 +184,108 @@ class ChunkWindow:
             self.prefetcher = None
 
 
-class ChunkPrefetcher:
-    """Keeps the next ``depth`` chunks of an epoch plan in flight.
+def _chunk_order(plan: Optional[EpochPlan]) -> List[str]:
+    """``plan``'s chunks, deduplicated keeping first occurrence: group
+    after group, exactly the order the consumer drains them."""
+    groups = plan.groups if plan is not None else ()
+    return list(dict.fromkeys(c.encode() for g in groups for c in g.chunk_ids))
 
-    One instance serves one epoch plan; :meth:`ChunkWindow.start`
-    replaces the previous instance (cancelling whatever it still had in
-    flight) whenever a new plan is generated.
+
+class ChunkPrefetcher:
+    """Keeps the next ``depth`` chunks of an epoch plan fetched ahead.
+
+    A new instance holds ``plan`` as its continuation; each
+    :meth:`roll` serves the continuation and takes the plan that comes
+    next as the new one.  :meth:`ChunkWindow.start` on any other plan
+    replaces the instance, cancelling whatever it still had in flight.
     """
 
     def __init__(
-        self,
-        window: ChunkWindow,
-        plan: EpochPlan,
-        depth: int,
-        recorder: Any = None,
+        self, window: ChunkWindow, plan: EpochPlan, depth: int
     ) -> None:
         if depth < 1:
             raise DieselError("prefetch depth must be >= 1")
         self.window = window
         self.env = window.env
         self.depth = depth
-        self.recorder = recorder
-        # The future chunk order, deduplicated keeping first occurrence:
-        # group after group, exactly the order the consumer drains them.
-        order: List[str] = []
-        seen: Set[str] = set()
-        for group in plan.groups:
-            for cid in group.chunk_ids:
-                encoded = cid.encode()
-                if encoded not in seen:
-                    seen.add(encoded)
-                    order.append(encoded)
-        self._schedule = order
-        self._scheduled = seen
-        self._next = 0  # next schedule index to issue
+        #: Receives the lead-time spans (set by :meth:`ChunkWindow.start`).
+        self.recorder: Any = None
         #: Issue timestamps for the issue→consume lead-time histogram
         #: (only populated while a recorder is attached).
         self._issue_ts: Dict[str, float] = {}
-        #: Issued but not yet consumed (bounds the pipeline window).
-        self._outstanding: Set[str] = set()
-        self._consumed: Set[str] = set()
         self._procs: Dict[str, Process] = {}
-        #: Caps concurrent *transfers* at ``depth``.  The window can
-        #: issue a replacement fetch while a consumed chunk's transfer
-        #: is still finishing, so without this the pipeline could
-        #: briefly exceed depth-K concurrency.
-        self._sem = Semaphore(window.env, depth)
         self._active = True
         #: Elastic-membership steering (see :meth:`repin`).
         self.repins = 0
         self.repin_skipped = 0
-        self._top_up()
+        # ``plan`` enters as a continuation nothing was read from yet.
+        self.then, self._then_order = plan, _chunk_order(plan)
+        self._ahead: Set[str] = set()
+        self._ahead_n = 0
+        self._outstanding: Set[str] = set()
 
     # ------------------------------------------------------------- status
     @property
     def active(self) -> bool:
         return self._active
 
-    @property
-    def in_flight(self) -> int:
-        """Prefetch fetch processes currently running."""
-        return len(self._procs)
-
     # ----------------------------------------------------------- pipeline
+    def roll(self, then: Optional[EpochPlan]) -> None:
+        """Serve the continuation: what was read of it becomes the
+        epoch's issued-but-unconsumed chunks, and ``then`` the next one."""
+        self._waste(len(self._outstanding - self._ahead))
+        self._schedule = self._then_order
+        self._scheduled = set(self._schedule)
+        self._next = self._ahead_n  # next schedule index to issue
+        #: Issued but not yet consumed (bounds the pipeline window).
+        self._outstanding = self._ahead
+        self._consumed: Set[str] = set()
+        self.then, self._then_order = then, _chunk_order(then)
+        #: Continuation chunks issued and not evicted; ``_ahead_n`` of
+        #: them were issued, a prefix of ``_then_order``.
+        self._ahead = set()
+        self._ahead_n = 0
+        self._top_up()
+
     def _top_up(self) -> None:
-        """Issue fetches until ``depth`` chunks are ahead of the consumer."""
+        """Issue fetches while fewer than ``depth`` chunks are ahead of
+        the consumer and fewer than the window's ``capacity()`` are in
+        flight, demand fetches included."""
+        window = self.window
         while (
             self._active
-            and len(self._outstanding) < self.depth
-            and self._next < len(self._schedule)
+            and len(self._outstanding) + len(self._ahead) < self.depth
+            and len(window.inflight) < window.capacity()
         ):
-            encoded = self._schedule[self._next]
-            self._next += 1
-            if encoded in self._consumed:
-                continue  # demand path beat us to it
-            self._outstanding.add(encoded)
-            self.window.stats.prefetch_issued += 1
+            if self._next < len(self._schedule):
+                encoded = self._schedule[self._next]
+                self._next += 1
+                if encoded in self._consumed:
+                    continue  # demand path beat us to it
+                self._outstanding.add(encoded)
+            elif self._ahead_n < len(self._then_order):
+                # The epoch is issued in full: read on into the next.
+                encoded = self._then_order[self._ahead_n]
+                self._ahead_n += 1
+                self._ahead.add(encoded)
+            else:
+                return
+            window.stats.prefetch_issued += 1
             if self.recorder is not None:
                 self._issue_ts[encoded] = self.env.now
-            self._procs[encoded] = self.env.process(
-                self._fetch(encoded), name=f"prefetch:{encoded[:8]}"
-            )
+            if encoded not in self._procs:  # else that fetch lands it
+                self._procs[encoded] = self.env.process(
+                    self._fetch(encoded), name=f"prefetch:{encoded[:8]}"
+                )
 
     def _fetch(self, encoded: str) -> Generator[Event, Any, None]:
-        slot = self._sem.acquire()
-        try:
-            if not slot.triggered:
-                yield slot
-        except InterruptError:
-            # Interrupted while queued (or racing the grant): give the
-            # request up without ever holding a slot.
-            self._sem.abandon(slot)
-            self._procs.pop(encoded, None)
-            return
-        self.window.note_inflight(self._sem.in_flight)
         try:
             yield from self.window.ensure(encoded)
         except InterruptError:
             return  # cancelled: single-flight cleanup already ran
         finally:
-            self._sem.release(slot)
             self._procs.pop(encoded, None)
+        self._top_up()  # a slot of the in-flight budget came free
 
     def repin(self, owner_of) -> int:
         """Drop not-yet-issued schedule entries that became node-local.
@@ -316,8 +326,11 @@ class ChunkPrefetcher:
         consumer keeps refreshing the current group's chunks, so plain
         LRU would evict exactly the chunks the pipeline just paid to
         transfer — turning each prefetch into a wasted+duplicate read.
+        The continuation's chunks are protected the same way.
         """
-        return self._active and encoded in self._outstanding
+        return self._active and (
+            encoded in self._outstanding or encoded in self._ahead
+        )
 
     # ------------------------------------------------------ window hooks
     def on_access(self, encoded: str, resident: bool, in_flight: bool) -> None:
@@ -359,13 +372,19 @@ class ChunkPrefetcher:
 
     def on_evict(self, encoded: str) -> None:
         """A chunk fell out of the window before being consumed."""
-        if encoded in self._outstanding:
+        if encoded in self._outstanding or encoded in self._ahead:
             self._outstanding.discard(encoded)
-            self.window.stats.prefetch_wasted += 1
-            if self.recorder is not None:
-                self._issue_ts.pop(encoded, None)
-                self.recorder.count("prefetch", "wasted")
+            self._ahead.discard(encoded)
+            self._issue_ts.pop(encoded, None)
+            self._waste(1)
             self._top_up()
+
+    def _waste(self, n: int) -> None:
+        """``n`` chunks fetched ahead will never be read."""
+        if n:
+            self.window.stats.prefetch_wasted += n
+            if self.recorder is not None:
+                self.recorder.count("prefetch", "wasted", n)
 
     # ------------------------------------------------------------- cancel
     def cancel(self) -> None:
@@ -374,7 +393,8 @@ class ChunkPrefetcher:
         Idempotent.  In-flight fetch processes are interrupted; their
         single-flight entries are cleaned up by ``ChunkWindow.ensure``'s
         ``finally`` so waiting demand readers simply re-fetch.  Chunks
-        issued but never consumed count as wasted.
+        issued but never consumed, the continuation's included, count
+        as wasted.
         """
         if not self._active:
             return
@@ -383,10 +403,7 @@ class ChunkPrefetcher:
             if proc.is_alive:
                 proc.interrupt("prefetch cancelled")
         self._procs.clear()
-        self.window.stats.prefetch_wasted += len(self._outstanding)
-        if self.recorder is not None and self._outstanding:
-            self.recorder.count(
-                "prefetch", "wasted", len(self._outstanding)
-            )
+        self._waste(len(self._outstanding | self._ahead))
         self._outstanding.clear()
+        self._ahead.clear()
         self._issue_ts.clear()

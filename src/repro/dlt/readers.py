@@ -11,7 +11,7 @@ backends that can resolve a whole mini-batch in one round trip (the
 DIESEL ``get_many()`` path) provide it, and the trainer's I/O workers
 prefer it over per-file ``read`` calls when present.
 ``cancel_epoch()`` is optional too: the trainer calls it when its
-process is cancelled mid-epoch, so a backend that reads ahead stops.
+process is cancelled or its last epoch ends, so read-ahead stops.
 :class:`EpochScheduler` deals the task-wide plan whose per-worker
 shards :class:`CacheReader` serves.
 """
@@ -71,6 +71,8 @@ class EpochScheduler:
         self._shards: Dict[int, List[EpochPlan]] = {}
         #: Cache membership version each cached epoch was built against.
         self._shard_versions: Dict[int, int] = {}
+        #: Latest epoch some reader began (not just drew to read ahead).
+        self._begun = -1
         #: Epochs whose cached shards were re-pinned after a scale event.
         self.repins = 0
 
@@ -91,19 +93,22 @@ class EpochScheduler:
         cache = self._cache
         return cache.membership_version if cache is not None else 0
 
-    def shard(self, epoch: int, worker: int) -> EpochPlan:
-        """This worker's slice of the epoch's shared plan."""
+    def shard(self, epoch: int, worker: int, ahead: bool = False) -> EpochPlan:
+        """This worker's slice of the epoch's shared plan; ``ahead``
+        draws it only to read ahead, so the epoch is not yet begun."""
         if not 0 <= worker < self.n_workers:
             raise DieselError(f"worker index {worker} out of range")
-        if epoch not in self._shards:
+        stale = self._shard_versions.get(epoch) != self._membership_version()
+        if epoch not in self._shards or (stale and epoch > self._begun):
+            # No reader has begun it: build it for the current members.
             self._shards[epoch] = self._build(epoch)
             self._shard_versions[epoch] = self._membership_version()
-            # Bound memory: workers only ever straddle two epochs.
-            for old in [e for e in self._shards if e < epoch - 1]:
+            # Bound memory: workers straddle two epochs and read one on.
+            for old in [e for e in self._shards if e < epoch - 2]:
                 del self._shards[old]
                 self._shard_versions.pop(old, None)
-        elif self._shard_versions.get(epoch) != self._membership_version():
-            # Elastic membership changed under a cached plan: re-pin the
+        elif stale:
+            # Elastic membership changed under a begun plan: re-pin the
             # shards' owner tags to the new chunk→master map without
             # reshuffling (the epoch's read order is already committed;
             # a reshuffle would re-read some files and drop others).
@@ -113,6 +118,8 @@ class EpochScheduler:
             ]
             self.repins += 1
             self._shard_versions[epoch] = self._membership_version()
+        if not ahead:
+            self._begun = max(self._begun, epoch)
         return self._shards[epoch][worker]
 
     def _build(self, epoch: int) -> List[EpochPlan]:
@@ -140,9 +147,10 @@ class CacheReader:
     (≤ 2 × group size chunks), filled through
     :meth:`TaskCache.read_chunk` — local master (memory copy), one-hop
     peer fetch, or the Fig 4 server fall-through, one chunk at a time —
-    and read ahead in plan order, so the worker's I/O processes stall
-    only on an epoch's first group.  A ``read`` outside the plan (or
-    before any ``begin_epoch``) demand-fetches its chunk.
+    and read ahead in plan order, on into the next epoch's shard, so the
+    worker's I/O processes stall only on the first epoch's first group.
+    A ``read`` outside the plan (or before any ``begin_epoch``)
+    demand-fetches its chunk.
     """
 
     def __init__(self, scheduler, cache, cache_client, index, worker: int):
@@ -172,12 +180,16 @@ class CacheReader:
     def begin_epoch(self, epoch: int) -> Generator[Event, Any, list[str]]:
         plan = self.scheduler.shard(epoch, self.worker)
         self.last_plan = plan
-        self.window.start(plan, self.window.group_size, self.cache.recorder)
+        # Read on into the next shard: the next begin_epoch keeps what
+        # was read ahead unless its shard is another (e.g. rebuilt) one.
+        then = self.scheduler.shard(epoch + 1, self.worker, ahead=True)
+        self.window.start(plan, self.window.group_size, self.cache.recorder, then)
         yield self.cache.env.timeout(plan.file_count * SHUFFLE_PER_FILE_S)
         return plan.files
 
     def cancel_epoch(self) -> None:
-        """Stop reading ahead; chunks fetched but never read are wasted."""
+        """Stop reading ahead, into the next epoch too; chunks fetched
+        but never read are wasted."""
         self.window.cancel()
 
     def read(self, path: str) -> Generator[Event, Any, bytes]:

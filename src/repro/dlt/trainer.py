@@ -91,6 +91,7 @@ def run_training(
     if epochs < 1 or batch_size < 1 or io_workers < 1 or prefetch_depth < 1:
         raise ValueError("epochs/batch_size/io_workers/prefetch_depth must be >= 1")
     result = TrainingResult(model_name or model.name)
+    cancel_epoch = getattr(reader, "cancel_epoch", None)
 
     for epoch in range(epochs):
         epoch_start = env.now
@@ -145,11 +146,13 @@ def run_training(
             for worker in workers:
                 if worker.is_alive:
                     worker.interrupt("training cancelled")
-            cancel_epoch = getattr(reader, "cancel_epoch", None)
             if cancel_epoch is not None:
                 cancel_epoch()
             raise
         result.epoch_walls.append(env.now - epoch_start)
+    # The job is done: stop reading ahead into an epoch it never runs.
+    if cancel_epoch is not None:
+        cancel_epoch()
     return result
 
 

@@ -300,7 +300,7 @@ class Semaphore:
     """A counting semaphore over plain events: a k-slot FIFO station.
 
     The one contention primitive for slots — device queue depths, NIC
-    channels, RPC worker pools, prefetch and ingest windows, bounded
+    channels, RPC worker pools, ingest windows, bounded
     fan-out.  ``acquire()`` returns an event that fires once one of
     ``capacity`` slots is granted; ``release(evt)`` frees the slot and
     grants the next non-withdrawn waiter in FIFO order.  ``abandon(evt)``

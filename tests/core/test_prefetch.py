@@ -181,7 +181,7 @@ class TestPrefetcher:
         client.close()
         assert not prefetcher.active
         deployment.env.run()
-        assert prefetcher.in_flight == 0
+        assert len(client._window.inflight) == 0
         with pytest.raises(ClosedError):
             client.epoch_file_list()
 

@@ -3,10 +3,16 @@
 
 * a differential property: an epoch through the window is byte-identical
   to ``read_file`` over placements × stores × group sizes, the window
-  stays within 2 × group size, no chunk is fetched twice, nothing is left
-  in flight, and every read lands in exactly one tier counter;
+  stays within 2 × group size, no epoch's plan fetches a chunk twice,
+  only the next epoch's read-ahead is left in flight, and every read
+  lands in exactly one tier counter;
 * faults: owner death mid-``get_chunk``, ``scale_down`` mid-epoch, a
-  cancelled training process.
+  cancelled training process;
+* the window budget, over both window owners: resident and in-flight
+  chunks each stay within ``group + depth``, no chunk has two transfers
+  at once, and read-ahead waits while demand fetches fill the budget;
+* read-ahead into the next epoch: kept by the next ``begin_epoch``,
+  wasted by any other, cancelled with the epoch and at a job's end.
 """
 
 import random
@@ -19,7 +25,10 @@ from repro.bench.setups import deploy, diesel_client_with_snapshot, warmed_task
 from repro.calibration import ModelProfile
 from repro.cluster.failure import ChaosSchedule
 from repro.cluster.node import Node
+from repro.core.config import DieselConfig
+from repro.core.prefetch import WINDOW_HIT_S
 from repro.core.shared_cache import SharedCacheRegistry
+from repro.dlt.readers import EpochScheduler
 from repro.dlt.trainer import run_training
 
 CHUNK = 6 * 1024
@@ -95,7 +104,21 @@ class TestWindowEpoch:
                                      group_size):
         tb, cache, readers, files, index = make_task(
             seed, placement, store, group_size)
-        fetched = count_fetches(cache)
+        # (client name, encoded cid, epoch) -> read_chunk calls.  A fetch
+        # the read-ahead starts for the next epoch's shard counts there.
+        fetched, current = {}, [0]
+        pipelines = {r.cache_client.name: r.window for r in readers}
+        inner = cache.read_chunk
+
+        def counting(client, encoded_cid):
+            pf = pipelines[client.name].prefetcher
+            ahead = (encoded_cid in pf._ahead
+                     and encoded_cid not in pf._outstanding)
+            key = (client.name, encoded_cid, current[0] + ahead)
+            fetched[key] = fetched.get(key, 0) + 1
+            return inner(client, encoded_cid)
+
+        cache.read_chunk = counting
 
         def epoch(reader, e, seen):
             order = yield from reader.begin_epoch(e)
@@ -106,7 +129,7 @@ class TestWindowEpoch:
                 seen.append(path)
 
         for e in range(2):
-            fetched.clear()
+            current[0] = e
             before = tier_reads(cache)
             seen = []
             procs = [tb.env.process(epoch(r, e, seen)) for r in readers]
@@ -114,13 +137,17 @@ class TestWindowEpoch:
             assert sorted(seen) == sorted(files)
             # Everything warm: each read is credited to exactly one tier.
             assert tier_reads(cache) - before == len(files)
-            assert max(fetched.values(), default=1) == 1
             for reader in readers:
+                # The epoch is consumed; only the next epoch's first
+                # chunks, at most one group, may still be in flight.
                 pipeline = reader.window.prefetcher
-                assert reader.window.inflight == {}
-                assert pipeline.in_flight == 0
                 assert len(pipeline._outstanding) == 0
-                assert pipeline._sem.in_flight == 0
+                assert len(pipeline._ahead) <= group_size
+                assert set(reader.window.inflight) <= pipeline._ahead
+                assert set(pipeline._procs) <= pipeline._ahead
+        # No reader fetches a chunk twice for one epoch, whether the
+        # fetch ran in that epoch or read ahead during the one before.
+        assert max(fetched.values()) == 1
         stats = cache.stats
         assert stats.chunk_fetches > 0
         assert stats.readahead_wasted == 0
@@ -270,6 +297,9 @@ class TestFaults:
         assert all(data == files[path] for path, data in seen)
         assert len(seen) == len(reader.last_plan.files)
         assert cache.stats.degraded_reads == 0
+        # What is still in flight is epoch 1's read-ahead, and it lands.
+        assert set(reader.window.inflight) <= reader.window.prefetcher._ahead
+        tb.env.run()
         assert reader.window.inflight == {}
 
     def test_cancelled_training_cancels_read_ahead(self):
@@ -288,12 +318,265 @@ class TestFaults:
         tb.env.run()
         assert not proc.ok
         assert reader.window.prefetcher is None and not pipeline.active
-        assert pipeline.in_flight == 0
         assert reader.window.inflight == {}
         assert cache.stats.readahead_wasted == unread
         # The reader still works afterwards, by demand fetch.
         path = reader.last_plan.files[-1]
         assert tb.run(reader.read(path)) == files[path]
+
+
+def watch_budget(window, bound):
+    """Check the window budget at every fetch start and end: resident and
+    in-flight chunks within ``bound``, one transfer per chunk at a time."""
+    fetch, moving = window._fetch, set()
+
+    def check():
+        assert len(window.resident) <= bound
+        assert len(window.inflight) <= bound
+
+    def watched(encoded):
+        assert encoded not in moving
+        moving.add(encoded)
+        check()
+        try:
+            value = yield from fetch(encoded)
+        finally:
+            moving.discard(encoded)
+        check()
+        return value
+
+    window._fetch = watched
+    return check
+
+
+class TestBudget:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        group=st.integers(1, 3),
+        depth=st.integers(1, 4),
+        threads=st.integers(1, 3),
+    )
+    def test_stream_window(self, seed, group, depth, threads):
+        """``DieselClient``: N reader threads (at most one group's worth)
+        share one window over a chunk-wise epoch."""
+        threads = min(threads, group)
+        files = make_files(seed, n=48, sizes=(600, 1500))
+        tb = deploy(1, "ds", files, chunk_size=4 * 1024)
+        client = diesel_client_with_snapshot(
+            tb, "ds", tb.compute_nodes[0], "c0",
+            config=DieselConfig(prefetch_depth=depth))
+        client.enable_shuffle(group)
+        check = watch_budget(client._window, group + depth)
+        plan = client.epoch_file_list(seed=seed)
+
+        def reader(paths):
+            for path in paths:
+                assert (yield from client.get(path)) == files[path]
+                check()
+
+        tb.run_all(reader(plan.files[t::threads]) for t in range(threads))
+        assert client.stats.fetch_inflight_hwm <= group + depth
+        assert client.stats.prefetch_wasted == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        store=st.sampled_from(["ram", "tiered"]),
+        group=st.integers(2, 3),
+        io_workers=st.integers(2, 3),
+    )
+    def test_cache_reader_under_training(self, seed, store, group,
+                                         io_workers):
+        """``CacheReader`` under ``run_training``, three epochs, so the
+        read-ahead crosses two epoch boundaries."""
+        io_workers = min(io_workers, group)
+        tb, cache, readers, files, index = make_task(
+            seed, store=store, group_size=group)
+        for r in readers:
+            def checked(path, read=r.read,
+                        check=watch_budget(r.window, 2 * group)):
+                data = yield from read(path)
+                assert data == files[path]
+                check()
+                return data
+
+            r.read = checked
+        procs = [
+            tb.env.process(run_training(
+                tb.env, r, ModelProfile("toy", 1e-4), epochs=3,
+                batch_size=4, io_workers=io_workers))
+            for r in readers
+        ]
+        tb.env.run(until=tb.env.all_of(procs))
+        tb.env.run()
+        assert all(r.window.prefetcher is None and r.window.inflight == {}
+                   for r in readers)
+        # The job's end cancels each reader's read-ahead into a fourth
+        # epoch: at most one group of it each is wasted.
+        assert cache.stats.readahead_wasted <= group * len(readers)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_read_ahead_waits_while_demand_fills_the_budget(self, seed):
+        """More reader threads than a group has chunks: their demand
+        fetches alone fill the window's budget, and read-ahead then
+        starts no fetch until one lands."""
+        files = make_files(seed, n=48, sizes=(600, 1500))
+        tb = deploy(1, "ds", files, chunk_size=4 * 1024)
+        client = diesel_client_with_snapshot(
+            tb, "ds", tb.compute_nodes[0], "c0",
+            config=DieselConfig(prefetch_depth=1))
+        client.enable_shuffle(1)
+        window = client._window
+        plan = client.epoch_file_list(seed=seed)
+        pipeline, starts = window.prefetcher, []
+        fetch = pipeline._fetch
+
+        def noted(encoded):
+            starts.append((len(window.inflight), window.capacity()))
+            return fetch(encoded)
+
+        pipeline._fetch = noted
+
+        def reader(paths):
+            for path in paths:
+                assert (yield from client.get(path)) == files[path]
+
+        tb.run_all(reader(plan.files[t::8]) for t in range(8))
+        assert client.stats.fetch_inflight_hwm > window.capacity()
+        assert starts
+        assert all(inflight < capacity for inflight, capacity in starts)
+
+
+class TestRollover:
+    def test_only_the_first_epoch_stalls(self):
+        tb, cache, readers, files, index = make_task(
+            group_size=2, n_files=120)
+        # Compute-bound: 5 ms a batch of two files.
+        result = tb.run(run_training(
+            tb.env, readers[0], ModelProfile("slow", 5e-3), epochs=3,
+            batch_size=2, io_workers=2))
+        first = [times[0] for times in result.epoch_data_times()]
+        # Epoch 0 waits for a chunk transfer; later epochs find their
+        # first chunks resident and pay the in-memory extraction only.
+        assert first[0] > 20 * 2 * WINDOW_HIT_S
+        for stall in first[1:]:
+            assert stall == pytest.approx(2 * WINDOW_HIT_S)
+        assert cache.stats.readahead_misses == 0
+
+    @pytest.mark.parametrize("where", ["mid_epoch", "after_last_group"])
+    def test_cancel_epoch_stops_every_fetch(self, where):
+        tb, cache, readers, files, index = make_task(
+            group_size=2, n_files=180)
+        reader = readers[0]
+        fetched = count_fetches(cache)
+
+        def epoch():
+            order = yield from reader.begin_epoch(0)
+            stop = len(order) // 3 if where == "mid_epoch" else len(order)
+            for path in order[:stop]:
+                assert (yield from reader.read(path)) == files[path]
+
+        tb.run(epoch())
+        pipeline = reader.window.prefetcher
+        procs = list(pipeline._procs.values())
+        assert procs  # something is still being read ahead
+        assert bool(pipeline._ahead) == (where == "after_last_group")
+        unread = len(pipeline._outstanding | pipeline._ahead)
+        reader.cancel_epoch()
+        tb.env.run()
+        assert reader.window.inflight == {}
+        assert not any(p.is_alive for p in procs)
+        assert cache.stats.readahead_wasted == unread
+        # Nothing fetches for the cancelled epoch any more.
+        n = sum(fetched.values())
+        tb.env.run(until=tb.env.now + 1.0)
+        assert sum(fetched.values()) == n
+
+    def _read_epoch(self, tb, reader, files, epoch):
+        def run():
+            order = yield from reader.begin_epoch(epoch)
+            for path in order:
+                assert (yield from reader.read(path)) == files[path]
+
+        tb.run(run())
+
+    def test_next_epoch_keeps_the_continuation(self):
+        tb, cache, readers, files, index = make_task(group_size=2)
+        reader = readers[0]
+        self._read_epoch(tb, reader, files, 0)
+        tb.env.run()
+        pipeline = reader.window.prefetcher
+        ahead = set(pipeline._ahead)
+        assert len(ahead) == 2 and ahead <= set(reader.window.resident)
+        hits = cache.stats.readahead_hits
+        self._read_epoch(tb, reader, files, 1)
+        assert reader.window.prefetcher is pipeline
+        assert cache.stats.readahead_wasted == 0
+        assert cache.stats.readahead_misses == 0
+        assert cache.stats.readahead_hits - hits == len(
+            {c for g in reader.last_plan.groups for c in g.chunk_ids})
+
+    def test_skipped_epoch_restarts_and_wastes_the_continuation_once(self):
+        tb, cache, readers, files, index = make_task(group_size=2)
+        reader = readers[0]
+        self._read_epoch(tb, reader, files, 0)
+        tb.env.run()
+        pipeline = reader.window.prefetcher
+        ahead = len(pipeline._ahead)
+        assert ahead == 2 and cache.stats.readahead_wasted == 0
+        self._read_epoch(tb, reader, files, 2)
+        assert reader.window.prefetcher is not pipeline
+        assert not pipeline.active
+        assert cache.stats.readahead_wasted == ahead
+
+    def test_job_end_cancels_the_continuation(self):
+        tb, cache, readers, files, index = make_task(
+            group_size=2, n_files=120)
+        reader = readers[0]
+        fetched = count_fetches(cache)
+        ahead, cancel = [], reader.cancel_epoch
+
+        def noted():
+            ahead.append(len(reader.window.prefetcher._ahead))
+            cancel()
+
+        reader.cancel_epoch = noted
+        tb.run(run_training(
+            tb.env, reader, ModelProfile("toy", 1e-4), epochs=2,
+            batch_size=4, io_workers=2))
+        # Called once, after the last epoch, with epoch 2's first
+        # chunks read ahead: they are wasted and nothing fetches on.
+        assert len(ahead) == 1 and ahead[0] > 0
+        assert reader.window.prefetcher is None
+        assert cache.stats.readahead_wasted == ahead[0]
+        n = sum(fetched.values())
+        tb.env.run()
+        assert reader.window.inflight == {} and sum(fetched.values()) == n
+
+    def test_scale_down_between_epochs_serves_a_rebuilt_plan(self):
+        """Epoch 1 was drawn only to read ahead, so a scale event before
+        it begins builds it afresh for the new members, as a new
+        scheduler would, instead of re-pinning the old deal."""
+        tb, cache, readers, files, index = make_task(
+            placement="locality", group_size=2, n_files=120)
+        reader, sched = readers[0], readers[0].scheduler
+        leaving = readers[2].cache_client.node
+        self._read_epoch(tb, reader, files, 0)
+        pipeline = reader.window.prefetcher
+        continuation = pipeline.then
+        tb.run(cache.scale_down([leaving]))
+        self._read_epoch(tb, reader, files, 1)
+        served = reader.last_plan
+        fresh = EpochScheduler(
+            sched._files_by_chunk, sched.group_size, sched._worker_nodes,
+            cache=cache, seed=sched._seed)
+        assert sched.repins == 0 and served is not continuation
+        assert served.files == fresh.shard(1, 0).files
+        assert reader.window.prefetcher is not pipeline
+        owners = {g.owner for g in served.groups}
+        assert owners == {reader.cache_client.node.name}
+        assert cache.stats.degraded_reads == 0
 
 
 class TestHedging:

@@ -96,6 +96,39 @@ class TestEpochScheduler:
         sched.shard(1, 0)
         assert sched.repins == 1
 
+    def test_plan_drawn_ahead_is_rebuilt_after_membership_change(self):
+        class FakeCache:
+            membership_version = 0
+
+            def __init__(self):
+                self.owners = {}
+
+            def affinity_owner_of(self, cid):
+                return self.owners.get(cid, "n0")
+
+            chunk_owner_node = affinity_owner_of
+
+        data = make_dataset(n_chunks=8)
+        cache = FakeCache()
+        sched = EpochScheduler(data, 2, ["n0", "n1"], cache=cache)
+        sched.shard(0, 0)
+        ahead = sched.shard(1, 0, ahead=True)
+        assert sched.shard(1, 0, ahead=True) is ahead
+        # A scale event moves half the chunks to n1 before epoch 1 begins.
+        for cid in sorted(data)[::2]:
+            cache.owners[cid] = "n1"
+        cache.membership_version += 1
+        begun = sched.shard(1, 0)
+        fresh = EpochScheduler(data, 2, ["n0", "n1"], cache=cache)
+        assert begun is not ahead and sched.repins == 0
+        assert [g.chunk_ids for g in begun.groups] == [
+            g.chunk_ids for g in fresh.shard(1, 0).groups]
+        assert {g.owner for g in begun.groups} == {"n0"}
+        # Begun, it is re-pinned, not redrawn, by the next change.
+        cache.membership_version += 1
+        assert sched.shard(1, 0).files == begun.files
+        assert sched.repins == 1
+
     def test_epochs_differ_but_are_deterministic(self):
         data = make_dataset()
         a = EpochScheduler(data, 2, ["n0", "n1"], seed=3)
