@@ -1,55 +1,36 @@
-"""The chunk-residency store: a RAM tier + an optional simulated-NVMe tier.
+"""What a node chunk tier keeps its chunks in: a RAM
+:class:`~repro.sim.resources.Residency` over an optional simulated-NVMe
+one (``SharedCacheRegistry(store="ram" | "tiered")``), both holding the
+tier's reference entries as values.
 
-What a node chunk tier (:mod:`repro.core.shared_cache`) keeps its
-resident chunks *in*.  A bare in-memory map charged against the node's
-memory ``Container`` makes "dataset larger than aggregate RAM"
-inexpressible: once memory runs out, every further chunk stays
-server-resident forever.  :class:`ChunkStore` puts the residency
-decision in one place; the registry picks its shape
-(``SharedCacheRegistry(env, store=...)``):
+* **RAM — budget:** ``node.memory``.  **Admission** (quota + QoS) and
+  **protection** are the node tier's; :meth:`ChunkStore.put` files a
+  chunk here when memory covers it.
+* **Disk — budget:** ``capacity_bytes`` of *stored* bytes (0 =
+  unbounded).  **Admission:** what RAM cannot cover overflows here, and
+  what the node tier displaces is demoted here; a disk read promotes
+  back to RAM when memory covers the chunk after the read.
+  **Protection:** the node tier's rule, and a move in flight.
 
-* ``"ram"`` — no disk tier: chunks live in node memory in LRU order; a
-  chunk that does not fit is refused (``put`` returns ``None``) and
-  stays server-resident, and ``displace`` can only evict.
-* ``"tiered"`` — adds a simulated node-local NVMe tier (a
-  :class:`~repro.cluster.devices.Device` queueing station at
-  ``DISK_LATENCY_S`` / ``DISK_BANDWIDTH_BPS``, capacity from
-  ``disk_tier_bytes``).  Admissions overflow RAM→disk, cold chunks are
-  *demoted* to disk under memory pressure
-  (:meth:`~ChunkStore.displace`), and disk-resident chunks are
-  *promoted* back to RAM on access when memory allows — otherwise the
-  read streams through without displacing the RAM working set.
-
-Optional **transparent chunk compression** (``chunk_compression=True``,
-FanStore-style) shrinks what the disk tier stores and transfers: each
-chunk gets a deterministic per-chunk ratio seeded from its key
-(:func:`compression_ratio`), writes pay a modeled compress cost and
-reads a (much cheaper) decompress cost — trading CPU time for capacity
-and disk bandwidth.  Chunk *payload bytes are never transformed*; only
-the simulated costs and stored-byte accounting change, so checksums and
-reads behave identically either way.
-
-The store publishes :class:`ChunkStoreStats` and emits ``tier_hit``
-(ram/disk), ``tier_promote`` / ``tier_demote`` / ``tier_compress``
-spans through an attached :class:`~repro.obs.SpanRecorder`.
-
-Crash semantics mirror real hardware: :meth:`~ChunkStore.crash` forgets
-RAM without returning memory (the container died with the node), while
-the disk tier's contents *survive* — recovery re-admits survivors by
-reference instead of re-fetching them from the backend.
+The disk is a :class:`~repro.cluster.devices.Device` at
+``DISK_LATENCY_S`` / ``DISK_BANDWIDTH_BPS``.  With ``compression`` a
+chunk is stored at a deterministic per-chunk ratio
+(:func:`compression_ratio`), paying compress on write and decompress on
+read; payload bytes are never transformed.  A move (promote / demote)
+files its result only if the entry it started from is still resident.
+A node crash forgets RAM without returning memory; the disk survives.
 """
 
 from __future__ import annotations
 
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, Optional, Tuple
 
 from repro.cluster.devices import Device
-from repro.core.chunk import Chunk
 from repro.obs.counters import Counters
 from repro.sim.engine import Environment, Event
+from repro.sim.resources import Residency
 
 #: Per-operation latency of the simulated node-local NVMe tier.
 #: Higher than the storage cluster's 27.7 µs (Table 2): one commodity
@@ -89,8 +70,8 @@ def compression_ratio(key: str, seed: int = 0) -> float:
 class ChunkStoreStats(Counters):
     """Tier counters and residency gauges (the bench-reporting seam).
 
-    Cumulative counters and the byte gauges move as the store runs;
-    the chunk counts are refreshed on every :attr:`ChunkStore.stats`
+    Counters and ``disk_bytes`` move as the store runs; the other gauges
+    are read off the residencies on every :attr:`ChunkStore.stats`
     access.
     """
 
@@ -120,33 +101,14 @@ class ChunkStoreStats(Counters):
 
 
 class ChunkStore:
-    """RAM + optional simulated-NVMe tiers with transparent compression.
+    """RAM + optional simulated-NVMe residencies for one node.
 
-    Chunks are charged against ``node.memory`` and kept in LRU order.
-    All cost-bearing methods (``put`` / ``load`` / ``displace``) are
-    generators; without a disk tier only ``put`` ever yields (the
-    memory ``Container.get``).
-
-    Placement policy:
-
-    * :meth:`put` fills RAM first; when memory cannot cover the chunk
-      it overflows to disk (paying compress + device write), and only
-      refuses when there is no disk tier or it is full of unevictable
-      chunks too.
-    * :meth:`displace` *demotes* RAM→disk under memory pressure instead
-      of dropping, so a cold chunk costs a disk read later — not a full
-      backend re-fetch; without disk room it evicts.
-    * :meth:`load` serves disk-resident chunks by charging a device
-      read (+ decompress); when node memory allows, the chunk is
-      *promoted* back to RAM, otherwise it streams through and stays
-      disk-resident (a scan larger than RAM cannot thrash the tier).
-
-    Concurrent promote/demote of one chunk is single-flighted through
-    ``_moving``: the second mover waits for the first and then re-reads
-    the (settled) tier state instead of racing the byte accounting.
-    Reads are chunk-granular — one file read from a disk-resident chunk
-    charges the whole stored chunk, the same unit the backend fetch
-    path uses.
+    ``ram`` maps a key to ``(value, nbytes)``; ``disk`` to
+    ``((value, nbytes), stored_bytes)``, so its book counts stored bytes.
+    ``ram.flights`` are the owner's admissions in flight, ``disk.flights``
+    the moves between the two.  ``spare(value)`` arguments are the
+    owner's protection rule.  Reads are chunk-granular: a disk hit
+    charges the whole stored chunk.
     """
 
     def __init__(
@@ -156,7 +118,6 @@ class ChunkStore:
         kind: str = "ram",
         disk_tier_bytes: int = 0,
         compression: bool = False,
-        on_evict=None,
     ) -> None:
         if kind not in ("ram", "tiered"):
             raise ValueError(
@@ -167,8 +128,8 @@ class ChunkStore:
         self.env = env
         self.node = node
         self.kind = kind
-        #: key → (chunk, nbytes) in LRU order (oldest first).
-        self._ram: "OrderedDict[str, Tuple[Chunk, int]]" = OrderedDict()
+        self.ram = Residency(env)
+        self.disk = Residency(env)
         #: Disk-tier capacity in *stored* bytes (0 = unbounded).
         self.capacity_bytes = disk_tier_bytes
         self.compression = compression
@@ -177,14 +138,6 @@ class ChunkStore:
             env, f"nvme:{node.name}", DISK_LATENCY_S, DISK_BANDWIDTH_BPS,
             queue_depth=4,
         ) if kind == "tiered" else None
-        #: key → (chunk, nbytes, stored_bytes) in LRU order.
-        self._disk: "OrderedDict[str, Tuple[Chunk, int, int]]" = OrderedDict()
-        #: Promote/demote single-flight: key → completion event.
-        self._moving: Dict[str, Event] = {}
-        #: Called with the key whenever the store drops a chunk from
-        #: every tier on its own initiative (disk-capacity eviction) —
-        #: lets the owner drop its metadata in step.
-        self.on_evict = on_evict
         self._stats = ChunkStoreStats()
         #: Attached observability recorder (None = disabled).
         self.recorder = None
@@ -192,24 +145,28 @@ class ChunkStore:
     # ------------------------------------------------------------- inspection
     @property
     def stats(self) -> ChunkStoreStats:
-        """Counters with the chunk-count gauges refreshed."""
+        """Counters with the residency gauges read off the books."""
         s = self._stats
-        s.chunks_ram = len(self._ram)
-        s.chunks_disk = len(self._disk)
+        s.ram_bytes, s.chunks_ram = self.ram.bytes, len(self.ram.entries)
+        s.disk_stored_bytes = self.disk.bytes
+        s.chunks_disk = len(self.disk.entries)
         return s
 
     def tier_of(self, key: str) -> Optional[str]:
         """``"ram"`` / ``"disk"`` / ``None``."""
-        if key in self._ram:
+        if key in self.ram.entries:
             return "ram"
-        if key in self._disk:
+        if key in self.disk.entries:
             return "disk"
         return None
 
-    def ram_lru(self) -> List[str]:
-        """RAM-resident keys, least-recently-used first (a snapshot —
-        safe to displace while iterating)."""
-        return list(self._ram)
+    def lookup(self, key: str) -> Optional[Tuple[Any, int]]:
+        """``(value, nbytes)`` of a chunk on either tier, recency untouched."""
+        item = self.ram.entries.get(key)
+        if item is None:
+            on_disk = self.disk.entries.get(key)
+            item = on_disk[0] if on_disk is not None else None
+        return item
 
     def stored_size(self, key: str, nbytes: int) -> int:
         """On-disk footprint of a chunk (post-compression when enabled)."""
@@ -217,61 +174,43 @@ class ChunkStore:
             return nbytes
         return max(1, int(nbytes / compression_ratio(key)))
 
-    # ------------------------------------------------------------ cheap reads
-    def get(self, key: str) -> Optional[Tuple[Chunk, int]]:
-        """RAM-tier lookup: free (a memory copy), touches LRU order.
-
-        Returns ``(chunk, nbytes)`` or ``None`` when the chunk is not
-        RAM-resident — disk-resident chunks are *not* served here; use
-        :meth:`load` (which charges the disk read) for those.
-        """
-        item = self._ram.get(key)
-        if item is None:
-            return None
-        self._ram.move_to_end(key)
-        self._stats.ram_hits += 1
-        rec = self.recorder
-        if rec is not None:
-            rec.count("tier_hit", "ram")
+    def get(self, key: str) -> Optional[Tuple[Any, int]]:
+        """A RAM hit: ``(value, nbytes)``, free, recency refreshed;
+        ``None`` off RAM (:meth:`load` charges the disk read)."""
+        item = self.ram.get(key)
+        if item is not None:
+            self._stats.ram_hits += 1
+            rec = self.recorder
+            if rec is not None:
+                rec.count("tier_hit", "ram")
         return item
 
-    def touch(self, key: str) -> None:
-        """Refresh a chunk's LRU recency without serving it."""
-        if key in self._ram:
-            self._ram.move_to_end(key)
-
     # -------------------------------------------------------------- admission
-    def _fit_disk(self, stored: int, evictable) -> bool:
-        """Make room on the disk tier, LRU-evicting allowed victims."""
+    def _fit_disk(self, stored: int, spare: Callable[[Any], bool]) -> bool:
+        """Make room for ``stored`` bytes on the disk tier, evicting
+        least recently used chunks neither ``spare`` nor a move protects."""
         if self.device is None:
             return False
         if self.capacity_bytes <= 0:
             return True
         if stored > self.capacity_bytes:
             return False
-        while self._stats.disk_stored_bytes + stored > self.capacity_bytes:
-            victim = None
-            for key in self._disk:
-                if key in self._moving:
-                    continue
-                if evictable is None or evictable(key):
-                    victim = key
-                    break
-            if victim is None:
-                return False
+        disk = self.disk
+        need = disk.bytes + stored - self.capacity_bytes
+        rec = self.recorder
+        for victim in disk.victims(need, lambda key: (
+            key in disk.flights or spare(disk.entries[key][0][0])
+        )):
             self._drop_disk(victim)
             self._stats.disk_evictions += 1
-            rec = self.recorder
             if rec is not None:
                 rec.count("tier_evict", "disk")
-            if self.on_evict is not None:
-                self.on_evict(victim)
-        return True
+        return disk.bytes + stored <= self.capacity_bytes
 
     def _write_disk(
-        self, key: str, chunk: Chunk, nbytes: int, stored: int
+        self, nbytes: int, stored: int
     ) -> Generator[Event, Any, None]:
-        """Charge the compress + device-write cost and file the chunk."""
+        """Charge the compress + device-write cost of one chunk."""
         if self.compression:
             yield self.env.timeout(nbytes / COMPRESS_BPS)
             self._stats.compress_ops += 1
@@ -279,29 +218,25 @@ class ChunkStore:
             if rec is not None:
                 rec.count("tier_compress", "disk")
         yield from self.device.write(stored)
-        self._disk[key] = (chunk, nbytes, stored)
-        self._stats.disk_bytes += nbytes
-        self._stats.disk_stored_bytes += stored
 
     def put(
-        self, key: str, chunk: Chunk, nbytes: int, evictable=None
+        self, key: str, value: Any, nbytes: int, spare: Callable[[Any], bool]
     ) -> Generator[Event, Any, Optional[str]]:
         """Admit a chunk: RAM if memory covers it, else overflow to disk.
 
-        ``evictable(key) -> bool`` gates which disk-resident chunks may
-        be LRU-evicted for capacity (``None`` = any).  Returns the tier
-        the chunk landed on, or ``None`` when both tiers refused —
-        callers free memory first (the node tier displaces victims).
+        Returns the tier the chunk landed on, or ``None`` when both
+        refused — the owner frees memory first (it displaces victims).
         """
         if self.node.memory.level >= nbytes:
             yield self.node.memory.get(nbytes)
-            self._ram[key] = (chunk, nbytes)
-            self._stats.ram_bytes += nbytes
+            self.ram.add(key, value, nbytes)
             return "ram"
         stored = self.stored_size(key, nbytes)
-        if not self._fit_disk(stored, evictable):
+        if not self._fit_disk(stored, spare):
             return None
-        yield from self._write_disk(key, chunk, nbytes, stored)
+        yield from self._write_disk(nbytes, stored)
+        self.disk.add(key, (value, nbytes), stored)
+        self._stats.disk_bytes += nbytes
         self._stats.disk_admits += 1
         rec = self.recorder
         if rec is not None:
@@ -311,85 +246,80 @@ class ChunkStore:
     # ------------------------------------------------------- promote / demote
     def load(
         self, key: str
-    ) -> Generator[Event, Any, Optional[Tuple[Chunk, int]]]:
-        """Serve a chunk from whichever tier holds it, charging costs.
-
-        RAM: free.  Disk: one device read of the stored bytes plus the
-        decompress cost; the chunk is promoted to RAM when node memory
-        covers it *after* the read (memory may have filled meanwhile),
-        else it stays disk-resident (read-through).
-        """
+    ) -> Generator[Event, Any, Optional[Tuple[Any, int]]]:
+        """Serve a chunk from either tier: a disk hit charges one device
+        read of the stored bytes (+ decompress) and is promoted to RAM
+        when memory covers it after the read."""
         got = self.get(key)
-        if got is not None:
-            return got
-        while key in self._moving:
-            yield self._moving[key]
+        while got is None and key in self.disk.entries:
+            running = self.disk.claim(key)
+            if running is None:
+                try:
+                    return (yield from self._promote(key))
+                finally:
+                    self.disk.settle(key)
+            yield running
             got = self.get(key)
-            if got is not None:
-                return got
-        entry = self._disk.get(key)
-        if entry is None:
-            return None
-        chunk, nbytes, stored = entry
-        self._disk.move_to_end(key)
-        done = self.env.event()
-        self._moving[key] = done
-        try:
-            t0 = self.env.now
-            yield from self.device.read(stored)
-            if self.compression:
-                yield self.env.timeout(nbytes / DECOMPRESS_BPS)
-            self._stats.disk_hits += 1
-            rec = self.recorder
+        return got
+
+    def _promote(self, key: str) -> Generator[Event, Any, Tuple[Any, int]]:
+        entry = self.disk.get(key)
+        (value, nbytes), stored = entry
+        t0 = self.env.now
+        yield from self.device.read(stored)
+        if self.compression:
+            yield self.env.timeout(nbytes / DECOMPRESS_BPS)
+        self._stats.disk_hits += 1
+        rec = self.recorder
+        if rec is not None:
+            rec.count("tier_hit", "disk")
+        if self.node.alive and self.node.memory.level >= nbytes:
+            yield self.node.memory.get(nbytes)
+            if self.disk.entries.get(key) is not entry:
+                self.node.memory.put(nbytes)  # cleared meanwhile
+                return entry[0]
+            self._drop_disk(key)
+            self.ram.add(key, value, nbytes)
+            self._stats.promotions += 1
+            self._stats.bytes_promoted += nbytes
             if rec is not None:
-                rec.count("tier_hit", "disk")
-            if self.node.alive and self.node.memory.level >= nbytes:
-                yield self.node.memory.get(nbytes)
-                self._drop_disk(key)
-                self._ram[key] = (chunk, nbytes)
-                self._stats.ram_bytes += nbytes
-                self._stats.promotions += 1
-                self._stats.bytes_promoted += nbytes
-                if rec is not None:
-                    rec.record("tier_promote", "disk",
-                               self.env.now - t0, nbytes=nbytes)
-            return chunk, nbytes
-        finally:
-            del self._moving[key]
-            done.succeed()
+                rec.record("tier_promote", "disk",
+                           self.env.now - t0, nbytes=nbytes)
+        return entry[0]
 
     def displace(
-        self, key: str, evictable=None
-    ) -> Generator[Event, Any, str]:
+        self, key: str, spare: Callable[[Any], bool]
+    ) -> Generator[Event, Any, Optional[str]]:
         """Demote a RAM-resident chunk to disk (evict only as last resort).
 
-        Single-flighted per key: racing a concurrent promote/demote of
-        the same chunk waits for it to settle, then reports the settled
-        tier.  Returns ``"disk"`` (demoted), ``"evicted"`` (no disk
-        room) or the tier the racer left the chunk on.
+        Racing a move of the same chunk waits for it to settle, then
+        reports the settled tier.  Returns ``"disk"`` (demoted),
+        ``"evicted"`` (no disk room) or the tier the chunk is on —
+        ``None`` once it was forgotten meanwhile (``clear``, a crash).
         """
-        pending = self._moving.get(key)
-        if pending is not None:
-            yield pending
+        running = self.disk.flights.get(key)
+        if running is not None:
+            yield running
             return self.tier_of(key) or "evicted"
-        item = self._ram.get(key)
+        item = self.ram.entries.get(key)
         if item is None:
             return self.tier_of(key) or "evicted"
-        chunk, nbytes = item
+        nbytes = item[1]
         stored = self.stored_size(key, nbytes)
-        if not self._fit_disk(stored, evictable):
+        if not self._fit_disk(stored, spare):
             self.drop(key)
             return "evicted"
-        done = self.env.event()
-        self._moving[key] = done
+        self.disk.claim(key)
         try:
             t0 = self.env.now
-            yield from self._write_disk(key, chunk, nbytes, stored)
-            item = self._ram.pop(key, None)
-            if item is not None:
-                self._stats.ram_bytes -= nbytes
-                if self.node.alive:
-                    self.node.memory.put(nbytes)
+            yield from self._write_disk(nbytes, stored)
+            if self.ram.entries.get(key) is not item:
+                return self.tier_of(key)
+            self.ram.pop(key)
+            if self.node.alive:
+                self.node.memory.put(nbytes)
+            self.disk.add(key, item, stored)
+            self._stats.disk_bytes += nbytes
             self._stats.demotions += 1
             self._stats.bytes_demoted += nbytes
             rec = self.recorder
@@ -398,40 +328,34 @@ class ChunkStore:
                            self.env.now - t0, nbytes=nbytes)
             return "disk"
         finally:
-            del self._moving[key]
-            done.succeed()
+            self.disk.settle(key)
 
     # ---------------------------------------------------------------- removal
     def _drop_disk(self, key: str) -> None:
-        entry = self._disk.pop(key, None)
+        entry = self.disk.pop(key)
         if entry is not None:
-            self._stats.disk_bytes -= entry[1]
-            self._stats.disk_stored_bytes -= entry[2]
+            self._stats.disk_bytes -= entry[0][1]
 
     def drop(self, key: str) -> None:
         """Forget a chunk, returning its memory if it was RAM-resident."""
-        item = self._ram.pop(key, None)
+        item = self.ram.pop(key)
         if item is None:
             self._drop_disk(key)
-            return
-        self._stats.ram_bytes -= item[1]
-        if self.node.alive:
+        elif self.node.alive:
             self.node.memory.put(item[1])
 
     def clear(self) -> None:
         """Forget everything, returning RAM (graceful teardown)."""
-        for key in list(self._ram):
+        for key in list(self.ram.entries):
             self.drop(key)
-        self._disk.clear()
+        self.disk.clear()
         self._stats.disk_bytes = 0
-        self._stats.disk_stored_bytes = 0
 
     def crash(self) -> int:
         """Node died: forget RAM *without* returning memory (the memory
         container died with the node); the disk tier *survives* —
         recovery warm-admits the survivors by reference instead of
         re-fetching them from the backend.  Returns chunks lost."""
-        n = len(self._ram)
-        self._ram.clear()
-        self._stats.ram_bytes = 0
+        n = len(self.ram.entries)
+        self.ram.clear()
         return n

@@ -333,7 +333,7 @@ class DieselClient:
         # 1. Chunk-wise-shuffle working set (client-local memory).
         if record is not None and self._shuffle_enabled:
             if rec is not None:
-                if record.chunk_id.encode() in self._window.resident:
+                if record.chunk_id.encode() in self._window.chunks.entries:
                     layer = "group_cache"
                 else:
                     layer = "server" if self._cache is None else "task_cache"
@@ -618,7 +618,7 @@ class DieselClient:
         return chunk.payload(record.path, verify=False)
 
     def working_set_bytes(self) -> int:
-        return sum(len(c.data) for c in self._window.resident.values())
+        return sum(len(c.data) for c, _ in self._window.chunks.entries.values())
 
     # ------------------------------------------------------------- metadata
     def stat(self, path: str) -> Generator[Event, Any, dict]:
@@ -838,7 +838,7 @@ class DieselClient:
             self._ingest.cancel()
             self._ingest = None
         self._closed = True
-        self._window.resident.clear()
+        self._window.chunks.clear()
 
 
 class SyncDieselClient:

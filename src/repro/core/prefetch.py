@@ -1,34 +1,17 @@
-"""The §4.3 chunk window: bounded working set + plan-driven read-ahead.
+"""The §4.3 chunk window and its plan-driven read-ahead, on one
+:class:`~repro.sim.resources.Residency` of chunks.
 
-The whole point of chunk-wise shuffle is that an epoch's reads become
-*sequential chunk reads whose latency hides behind compute* (Figs 12/14).
-The :class:`~repro.core.shuffle.EpochPlan` makes the future explicit: the
-concatenated per-group chunk lists are exactly the order in which the
-consumer will need chunks.  :class:`ChunkPrefetcher` walks that schedule
-ahead of the consumer, keeping up to ``depth`` chunks fetched-but-not-yet
--consumed at all times, so by the time the training loop asks for a file
-its chunk is (usually) already resident in the window — or at least
-already in flight, so the consumer waits only for the *remaining* part of
-the transfer.  Given the plan that comes next, it reads on into that
-plan's first chunks once the epoch is issued in full.
-
-:class:`ChunkWindow` is the one residency implementation behind every
-plan-ordered reader, parameterised only by a ``fetch(encoded_cid)``
-generator: :class:`~repro.core.client.DieselClient` fetches from a server
-(or its task cache), :class:`~repro.dlt.readers.CacheReader` through
-:meth:`~repro.core.dist_cache.TaskCache.read_chunk`.  Demand reads and
-read-ahead share its single-flight map, so a chunk is never transferred
-twice, whoever asks first.  The window may grow by ``depth`` entries
-beyond ``group_size`` while a pipeline is active: that one budget bounds
-both the working set, at ``(group_size + depth) × chunk_size``, and the
-chunks read-ahead keeps in flight.  A window moves the
-:class:`WindowStats` fields, which
-:class:`~repro.core.client.ClientStats` carries under the same names.
+* **Budget:** ``capacity()`` chunks: the shuffle group, plus ``depth``
+  while a :class:`ChunkPrefetcher` runs — a working set of at most
+  ``(group_size + depth) × chunk_size``.
+* **Admission:** always; demand reads and read-ahead share one flight
+  per chunk.
+* **Protection:** chunks read ahead that the consumer has not reached
+  (:meth:`ChunkPrefetcher.protects`); the oldest goes when all are.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Set
 
@@ -36,6 +19,7 @@ from repro.core.shuffle import EpochPlan
 from repro.errors import DieselError, InterruptError
 from repro.obs.counters import Counters, hwm
 from repro.sim.engine import Environment, Event, Process
+from repro.sim.resources import Residency
 
 #: Serving one file out of a window-resident chunk: an in-memory
 #: extraction, negligible but non-zero.
@@ -64,8 +48,13 @@ class ChunkWindow:
     """A reader's resident chunks, LRU-bounded at the §4.3 working set.
 
     ``fetch(encoded_cid)`` is a generator returning whatever the owner
-    keeps per chunk (never ``None``); ``node_name`` is where the reader
-    runs — :meth:`ChunkPrefetcher.repin` drops chunks that moved there.
+    keeps per chunk (never ``None``): :class:`~repro.core.client.DieselClient`
+    fetches from a server or its task cache,
+    :class:`~repro.dlt.readers.CacheReader` through
+    :meth:`~repro.core.dist_cache.TaskCache.read_chunk`.  ``node_name``
+    is where the reader runs — :meth:`ChunkPrefetcher.repin` drops
+    chunks that moved there.  ``stats`` takes the :class:`WindowStats`
+    fields (:class:`~repro.core.client.ClientStats` carries them too).
     """
 
     def __init__(
@@ -83,11 +72,8 @@ class ChunkWindow:
         self.stats = stats
         self.name = name
         self.node_name = node_name
-        #: encoded cid -> fetched value, least recently used first.
-        self.resident: "OrderedDict[str, Any]" = OrderedDict()
-        #: In-flight fetches (single-flight): encoded cid -> Event.
-        #: Shared by demand reads and the read-ahead pipeline.
-        self.inflight: Dict[str, Event] = {}
+        #: encoded cid -> (fetched value, 1): the budget counts chunks.
+        self.chunks = Residency(env)
         self.prefetcher: Optional[ChunkPrefetcher] = None
 
     def capacity(self) -> int:
@@ -106,60 +92,36 @@ class ChunkWindow:
         """The consumer is about to read a file of chunk ``encoded``:
         scores the pipeline, refreshes recency; returns the resident
         value, or ``None`` when the caller has to :meth:`ensure` it."""
-        value = self.resident.get(encoded)
+        chunks = self.chunks
+        item = chunks.entries.get(encoded)
         if self.prefetcher is not None:
             self.prefetcher.on_access(
-                encoded, value is not None, encoded in self.inflight
+                encoded, item is not None, encoded in chunks.flights
             )
-        if value is not None:
-            self.resident.move_to_end(encoded)
-        return value
+        if item is None:
+            return None
+        chunks.entries.move_to_end(encoded)
+        return item[0]
 
     def ensure(self, encoded: str) -> Generator[Event, Any, Any]:
-        """Resolve one chunk into the window (single-flight).
+        """Resolve one chunk into the window, one transfer however many
+        demand reads and read-ahead fetches ask for it."""
+        return self.chunks.ensure(encoded, self._load)
 
-        Used by both demand reads and the read-ahead pipeline.  If
-        another fetch of the same chunk is in flight, waits for it
-        instead of duplicating the transfer; if the chunk was evicted
-        while waiting, loops and re-fetches.
-        """
-        while True:
-            value = self.resident.get(encoded)
-            if value is not None:
-                self.resident.move_to_end(encoded)
-                return value
-            pending = self.inflight.get(encoded)
-            if pending is not None:
-                yield pending
-                continue  # re-check: hit, or evicted-while-waiting
-            done = self.env.event()
-            self.inflight[encoded] = done
-            self.note_inflight(len(self.inflight))
-            try:
-                value = yield from self._fetch(encoded)
-                self._admit(encoded, value)
-            finally:
-                del self.inflight[encoded]
-                done.succeed()
-            return value
-
-    def _admit(self, encoded: str, value: Any) -> None:
+    def _load(self, encoded: str) -> Generator[Event, Any, Any]:
+        chunks = self.chunks
+        self.note_inflight(len(chunks.flights))
+        value = yield from self._fetch(encoded)
         pf = self.prefetcher
-        while len(self.resident) >= self.capacity():
-            # LRU, but skip chunks the pipeline fetched ahead and the
-            # consumer has not reached yet (evicting those would waste
-            # the transfer and force a duplicate fetch).
-            victim = next(
-                (
-                    key for key in self.resident
-                    if pf is None or not pf.protects(key)
-                ),
-                next(iter(self.resident)),
-            )
-            del self.resident[victim]
+        spare = pf.protects if pf is not None else (lambda key: False)
+        while chunks.bytes >= self.capacity():
+            victims = chunks.victims(1, spare)
+            victim = victims[0] if victims else next(iter(chunks.entries))
+            chunks.pop(victim)
             if pf is not None:
                 pf.on_evict(victim)
-        self.resident[encoded] = value
+        chunks.add(encoded, value, 1)
+        return value
 
     def start(
         self, plan: EpochPlan, depth: int, recorder: Any = None,
@@ -171,17 +133,22 @@ class ChunkWindow:
         that very plan keeps what was read instead of restarting."""
         pf = self.prefetcher
         if pf is None or not pf.active or pf.then is not plan:
-            self.cancel()
+            if pf is not None:
+                pf.cancel()
             pf = self.prefetcher = ChunkPrefetcher(self, plan, depth)
         pf.recorder = recorder
         pf.roll(then)
         return pf
 
     def cancel(self) -> None:
-        """Stop the pipeline and interrupt its in-flight fetches."""
+        """Stop the pipeline, interrupt its in-flight fetches and drop
+        the least recently used chunks past the idle budget."""
         if self.prefetcher is not None:
             self.prefetcher.cancel()
             self.prefetcher = None
+            chunks = self.chunks
+            while chunks.bytes > self.capacity():
+                chunks.pop(next(iter(chunks.entries)))
 
 
 def _chunk_order(plan: Optional[EpochPlan]) -> List[str]:
@@ -214,7 +181,8 @@ class ChunkPrefetcher:
         #: (only populated while a recorder is attached).
         self._issue_ts: Dict[str, float] = {}
         self._procs: Dict[str, Process] = {}
-        self._active = True
+        #: False once cancelled.
+        self.active = True
         #: Elastic-membership steering (see :meth:`repin`).
         self.repins = 0
         self.repin_skipped = 0
@@ -223,11 +191,6 @@ class ChunkPrefetcher:
         self._ahead: Set[str] = set()
         self._ahead_n = 0
         self._outstanding: Set[str] = set()
-
-    # ------------------------------------------------------------- status
-    @property
-    def active(self) -> bool:
-        return self._active
 
     # ----------------------------------------------------------- pipeline
     def roll(self, then: Optional[EpochPlan]) -> None:
@@ -253,9 +216,9 @@ class ChunkPrefetcher:
         flight, demand fetches included."""
         window = self.window
         while (
-            self._active
+            self.active
             and len(self._outstanding) + len(self._ahead) < self.depth
-            and len(window.inflight) < window.capacity()
+            and len(window.chunks.flights) < window.capacity()
         ):
             if self._next < len(self._schedule):
                 encoded = self._schedule[self._next]
@@ -300,7 +263,7 @@ class ChunkPrefetcher:
         ``owner_of`` maps an encoded chunk id to its owner node name.
         Returns how many entries were skipped.
         """
-        if not self._active or self._next >= len(self._schedule):
+        if not self.active or self._next >= len(self._schedule):
             return 0
         local = self.window.node_name
         keep: List[str] = []
@@ -319,16 +282,10 @@ class ChunkPrefetcher:
         return skipped
 
     def protects(self, encoded: str) -> bool:
-        """True while ``encoded`` is prefetched-ahead but not yet consumed.
-
-        The window's eviction loop skips protected chunks: a prefetched
-        chunk sits at its insertion position in the LRU order while the
-        consumer keeps refreshing the current group's chunks, so plain
-        LRU would evict exactly the chunks the pipeline just paid to
-        transfer — turning each prefetch into a wasted+duplicate read.
-        The continuation's chunks are protected the same way.
-        """
-        return self._active and (
+        """The window's protection rule: ``encoded`` was read ahead, for
+        this epoch or the next, and the consumer has not reached it —
+        plain LRU would evict exactly the chunks just paid for."""
+        return self.active and (
             encoded in self._outstanding or encoded in self._ahead
         )
 
@@ -341,7 +298,7 @@ class ChunkPrefetcher:
         pipeline achieved.  First access to each chunk scores the
         pipeline (hit vs miss) and frees one window slot.
         """
-        if not self._active or encoded in self._consumed:
+        if not self.active or encoded in self._consumed:
             return
         if encoded not in self._scheduled:
             return  # out-of-plan read (e.g. a stray get()); not ours
@@ -388,17 +345,13 @@ class ChunkPrefetcher:
 
     # ------------------------------------------------------------- cancel
     def cancel(self) -> None:
-        """Stop the pipeline and interrupt in-flight fetches.
-
-        Idempotent.  In-flight fetch processes are interrupted; their
-        single-flight entries are cleaned up by ``ChunkWindow.ensure``'s
-        ``finally`` so waiting demand readers simply re-fetch.  Chunks
-        issued but never consumed, the continuation's included, count
-        as wasted.
-        """
-        if not self._active:
+        """Stop the pipeline (idempotent).  Its fetches are interrupted —
+        their flights end, and a demand read waiting on one fetches
+        anew — and chunks issued but never consumed, the continuation's
+        included, count as wasted."""
+        if not self.active:
             return
-        self._active = False
+        self.active = False
         for proc in list(self._procs.values()):
             if proc.is_alive:
                 proc.interrupt("prefetch cancelled")

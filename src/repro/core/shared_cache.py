@@ -1,53 +1,23 @@
-"""The node chunk tier: where every resident chunk lives.
+"""The node chunk tier: one :class:`SharedChunkCache` per node per
+registry, which every task's :class:`~repro.core.dist_cache.CacheMaster`
+on the node admits through and holds references into (§4.2's
+task-grained cache is this tier with one task in it).  Its chunks and
+their reference entries live in a
+:class:`~repro.core.chunk_store.ChunkStore`'s two residencies.
 
-DIESEL's task-grained cache (§4.2) gives each training job its own
-cache; Hoard puts one cache layer under every job.  Here both are the
-same thing: every node runs one :class:`SharedChunkCache` per registry,
-and every task's :class:`~repro.core.dist_cache.CacheMaster` on that
-node admits chunks *through* it and holds references into it.  Hand N
-tasks one :class:`SharedCacheRegistry` and a sweep over one dataset
-pays the backend fetch and the memory once; give a task none and it
-builds a registry for itself — the same tier with one task in it.
-
-* chunks are **reference-counted** per task — a cold admission fetches
-  the chunk, every later admission of it is a warm ref-bump (no fetch,
-  no extra memory);
-* admission exists once (:meth:`SharedChunkCache.admit`, over
-  ``(cids, fetch)``) and owns **single-flight** across tasks, the
-  tenant quota, QoS-governed placement and the counters; ``fetch``
-  only says where the bytes come from;
-* a task letting go drops its refs; refcount-0 chunks stay resident
-  as a **warm pool** (a later task re-warms from them) until eviction
-  reclaims them for space — eviction never touches a referenced chunk.
-  Only a tier whose one task built it is emptied outright
-  (:meth:`SharedChunkCache.clear`, called by the lifetime rule in
-  ``TaskCache._retire``);
-* **per-tenant byte quotas** bound how many resident bytes one tenant
-  may pin per node (0 = unlimited; admission at exactly the quota is
-  allowed, one byte past it is rejected);
-* two **QoS classes**: an ``interactive`` admission may evict any
-  refcount-0 chunk to make room, a ``batch`` admission may only reclaim
-  refcount-0 chunks last pinned by batch tasks;
-* chunk *residency* is delegated to a
-  :class:`~repro.core.chunk_store.ChunkStore`: ``ram`` keeps everything in
-  node memory, ``tiered`` adds a simulated node-local NVMe tier —
-  under memory pressure, refcount-0 chunks are **demoted** to disk
-  (LRU-first) instead of dropped, promoted back on access, and the
-  disk tier *survives a node crash* so recovery re-admits by reference
-  instead of re-fetching from the backend.
-
-:class:`SharedCacheRegistry` is the handle tasks are given: it lazily
-creates the per-node tiers (each with its own store built from the
-registry's arguments), owns the tenant quota table, hands out task keys,
-and aggregates stats for benchmarks and ``dlcmd tenants`` / ``dlcmd
-tiers``.
+* **Budget:** ``node.memory``, then the store's disk tier.
+* **Admission:** a resident chunk is a warm ref-bump, a cold one is
+  fetched once across tasks; either is charged to the tenant's per-node
+  byte quota (0 = unlimited; exactly the quota is allowed).
+* **Protection:** a chunk any task references, and — against a
+  ``batch`` admission — the warm pool an ``interactive`` task pinned.
+  Displacing demotes to disk when the store has one, else evicts.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, Generator, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.chunk import Chunk
 from repro.core.chunk_store import ChunkStore, ChunkStoreStats
@@ -70,8 +40,8 @@ class SharedCacheStats(Counters):
     """Shared-tier counters (the bench-reporting seam).
 
     Cumulative counters move as the cache runs; the gauge fields
-    (``bytes_resident`` / ``chunks_resident`` / ``refs``) are refreshed
-    on every :attr:`SharedChunkCache.stats` access.
+    (``bytes_resident`` / ``chunks_resident`` / ``refs``) are read off
+    the store on every :attr:`SharedChunkCache.stats` access.
     """
 
     #: Admissions that fetched the chunk from the object store.
@@ -85,7 +55,8 @@ class SharedCacheStats(Counters):
     #: File reads served from a resident chunk held only by *other*
     #: tasks (the shared-tier read hit in the Fig 4 chain).
     cross_task_reads: int = 0
-    #: Refcount-0 chunks reclaimed to make room for a new admission.
+    #: Refcount-0 chunks reclaimed to make room for a new admission, off
+    #: RAM or (the store's ``disk_evictions``) off the disk tier.
     evictions: int = 0
     #: Admissions refused because they would push the tenant past its
     #: byte quota on this node.
@@ -106,23 +77,19 @@ class SharedCacheStats(Counters):
 
 @dataclass(slots=True)
 class _Entry:
-    """One resident chunk's cross-task reference bookkeeping.
+    """A resident chunk and who references it: the value the store's
+    RAM or disk residency holds under ``"<dataset>/<encoded cid>"``."""
 
-    The payload itself lives in the node cache's chunk *store* (RAM or
-    tiered, see :mod:`repro.core.chunk_store`) under the same key; this
-    entry only tracks who references it."""
-
-    nbytes: int
+    chunk: Chunk
+    #: QoS class protecting this chunk: the highest class that ever
+    #: pinned it ("interactive" wins and sticks).
+    qos: str
     #: Task keys currently holding a reference.
     tasks: set = field(default_factory=set)
     #: Tenant → number of that tenant's tasks referencing this chunk
     #: (quota is charged on the tenant's first ref, released on its
     #: last).
     tenants: Dict[str, int] = field(default_factory=dict)
-    #: QoS class protecting this chunk at eviction time: the highest
-    #: class that ever pinned it ("interactive" wins and sticks, so a
-    #: batch task cannot reclaim an interactive task's warm pool).
-    qos: str = "batch"
 
 
 class SharedChunkCache:
@@ -130,80 +97,63 @@ class SharedChunkCache:
     datasets)."""
 
     def __init__(self, env: Environment, node, registry: "SharedCacheRegistry") -> None:
-        self.env = env
         self.node = node
         self.registry = registry
-        #: ``"<dataset>/<encoded cid>"`` → reference entry.  Residency
-        #: (payload, tier, LRU recency) is owned by :attr:`store`.
-        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
-        #: Chunk residency backend (RAM or RAM+disk), shaped by the
-        #: registry's store arguments; its ``on_evict`` hook drops our
-        #: reference entry when the store sheds a chunk for capacity.
+        #: Where the chunks and their reference entries live; its
+        #: ``ram.flights`` are this tier's admissions in flight.
         self.store = ChunkStore(
             env, node, registry.store, registry.disk_tier_bytes,
-            registry.chunk_compression, on_evict=self._forget,
+            registry.chunk_compression,
         )
-        #: Cross-task single-flight map: key → completion event of the
-        #: backend fetch currently streaming that chunk.
-        self._inflight: Dict[str, Event] = {}
         #: Tenant → resident bytes the tenant references on this node.
         self._tenant_usage: Dict[str, int] = {}
         self._stats = SharedCacheStats()
-        self._recorder = None
-
-    @property
-    def recorder(self):
-        """Attached observability recorder (propagated by the registry)."""
-        return self._recorder
-
-    @recorder.setter
-    def recorder(self, value) -> None:
-        self._recorder = value
-        self.store.recorder = value
+        #: The registry's observability recorder (the store's too).
+        self.recorder = None
 
     @staticmethod
     def _key(dataset: str, encoded_cid: str) -> str:
         return f"{dataset}/{encoded_cid}"
 
+    def _resident(self) -> Iterator[Tuple[_Entry, int]]:
+        """``(entry, nbytes)`` of every resident chunk, RAM then disk."""
+        yield from self.store.ram.entries.values()
+        for item, _ in self.store.disk.entries.values():
+            yield item
+
     # ------------------------------------------------------------- inspection
     @property
     def stats(self) -> SharedCacheStats:
-        """Counters with the residency gauges refreshed."""
-        s = self._stats
-        s.chunks_resident = len(self._entries)
-        s.bytes_resident = sum(e.nbytes for e in self._entries.values())
-        s.refs = sum(len(e.tasks) for e in self._entries.values())
-        return s
-
-    def resident(self, dataset: str, encoded_cid: str) -> bool:
-        return self._key(dataset, encoded_cid) in self._entries
+        """Counters, the disk tier's evictions and the residency gauges."""
+        store = self.store.stats
+        return replace(
+            self._stats,
+            evictions=self._stats.evictions + store.disk_evictions,
+            chunks_resident=store.chunks_ram + store.chunks_disk,
+            bytes_resident=store.ram_bytes + store.disk_bytes,
+            refs=sum(len(e.tasks) for e, _ in self._resident()),
+        )
 
     def refcount(self, dataset: str, encoded_cid: str) -> int:
-        entry = self._entries.get(self._key(dataset, encoded_cid))
-        return len(entry.tasks) if entry is not None else 0
+        got = self.store.lookup(self._key(dataset, encoded_cid))
+        return len(got[0].tasks) if got is not None else 0
 
     def nbytes_of(self, dataset: str, encoded_cid: str) -> int:
         """Encoded size of a resident chunk (0 when not resident)."""
-        entry = self._entries.get(self._key(dataset, encoded_cid))
-        return entry.nbytes if entry is not None else 0
+        got = self.store.lookup(self._key(dataset, encoded_cid))
+        return got[1] if got is not None else 0
 
     def tenant_usage(self, tenant: str) -> int:
         """Resident bytes ``tenant`` currently references on this node."""
         return self._tenant_usage.get(tenant, 0)
 
     def peek(self, dataset: str, encoded_cid: str) -> Optional[Chunk]:
-        """RAM-resident chunk for a read, whoever admitted it (no ref
-        taken, no cost charged).
-
-        The shared-tier read hit: a task whose own master does not hold
-        the chunk can still serve the file from another task's resident
-        copy.  Touches LRU order; the caller counts the hit via
-        :meth:`note_cross_task_read`.  Disk-resident chunks are *not*
-        returned here — a free peek must not hide a disk read; use
-        :meth:`read_resident` for those.
-        """
+        """The RAM-resident chunk, whoever admitted it: no ref taken, no
+        cost charged, recency refreshed (the caller counts a cross-task
+        hit, :meth:`note_cross_task_read`).  A disk-resident chunk is
+        not returned — :meth:`read_resident` charges its read."""
         got = self.store.get(self._key(dataset, encoded_cid))
-        return got[0] if got is not None else None
+        return got[0].chunk if got is not None else None
 
     def disk_resident(self, dataset: str, encoded_cid: str) -> bool:
         """Whether the chunk is resident on the disk tier only."""
@@ -212,15 +162,10 @@ class SharedChunkCache:
     def read_resident(
         self, dataset: str, encoded_cid: str
     ) -> Generator[Event, Any, Optional[Chunk]]:
-        """Cost-charging read of a resident chunk on *any* tier.
-
-        Disk-resident chunks pay the device read (+ decompress) and are
-        promoted back to RAM when node memory allows — the tier hit that
-        makes datasets larger than memory serveable without a backend
-        round-trip.
-        """
+        """Read a resident chunk on either tier, charging a disk read
+        (and promoting it when memory allows)."""
         got = yield from self.store.load(self._key(dataset, encoded_cid))
-        return got[0] if got is not None else None
+        return got[0].chunk if got is not None else None
 
     def note_cross_task_read(self) -> None:
         self._stats.cross_task_reads += 1
@@ -232,94 +177,65 @@ class SharedChunkCache:
             return True
         return self._tenant_usage.get(tenant, 0) + nbytes <= quota
 
-    def _charge_ref(self, entry: _Entry, task: str, tenant: str, qos: str) -> bool:
+    def _charge_ref(
+        self, entry: _Entry, nbytes: int, task: str, tenant: str, qos: str
+    ) -> bool:
         """Add ``task``'s reference; False iff the tenant quota refuses."""
         if task in entry.tasks:
             return True
         first_for_tenant = tenant not in entry.tenants
-        if first_for_tenant and not self._quota_room(tenant, entry.nbytes):
+        if first_for_tenant and not self._quota_room(tenant, nbytes):
             self._stats.quota_rejections += 1
             return False
         entry.tasks.add(task)
         entry.tenants[tenant] = entry.tenants.get(tenant, 0) + 1
         if first_for_tenant:
             self._tenant_usage[tenant] = (
-                self._tenant_usage.get(tenant, 0) + entry.nbytes
+                self._tenant_usage.get(tenant, 0) + nbytes
             )
         if qos == "interactive":
             entry.qos = "interactive"
         return True
 
-    def _forget(self, key: str) -> None:
-        """Drop the reference entry for a chunk the store no longer
-        holds in RAM-or-disk (eviction); victims are refcount-0, so no
-        tenant usage needs releasing."""
-        if self._entries.pop(key, None) is None:
-            return
-        self._stats.evictions += 1
-        rec = self.recorder
-        if rec is not None:
-            rec.count("shared_evict", "shared_tier")
-
-    def _evictable_for(self, qos: str):
-        """Predicate gating which chunks an admission may push out:
-        referenced chunks never, and ``batch`` may not reclaim the
-        interactive warm pool."""
-        def ok(key: str) -> bool:
-            entry = self._entries.get(key)
-            if entry is None:
-                return True
-            if entry.tasks:
-                return False
-            return qos == "interactive" or entry.qos != "interactive"
-        return ok
-
-    def _pick_victims(self, needed: int, qos: str):
-        """Refcount-0 RAM chunks to displace, LRU-first, honouring QoS
-        (:meth:`_evictable_for`).
-        Returns ``(victims, freed_bytes, blocked_by_qos)``."""
-        allowed = self._evictable_for(qos)
-        victims: List[str] = []
-        blocked_by_qos = False
-        freed = 0
-        for key in self.store.ram_lru():
-            entry = self._entries.get(key)
-            if entry is None or entry.tasks:
-                continue
-            if not allowed(key):
-                blocked_by_qos = True
-                continue
-            victims.append(key)
-            freed += entry.nbytes
-            if freed >= needed:
-                break
-        return victims, freed, blocked_by_qos
-
     def _place(
-        self, key: str, chunk: Chunk, nbytes: int, qos: str
+        self, key: str, entry: _Entry, nbytes: int, qos: str
     ) -> Generator[Event, Any, Optional[str]]:
         """Find a home for a cold admission; returns its tier or ``None``.
 
-        Memory pressure displaces refcount-0 RAM chunks LRU-first
-        (QoS-governed): the RAM store evicts them outright, the tiered
-        store *demotes* them to disk and overflows the admission itself
-        to disk when RAM still cannot cover it.  A refusal moves the
-        ``qos_denied`` / ``skipped_no_memory`` counter, exactly like
-        the eviction scan it replaces.
+        Memory pressure displaces RAM chunks the protection rule leaves,
+        LRU-first — all of them or none — and the store overflows the
+        admission itself to disk when RAM still cannot cover it.  A
+        refusal counts as ``qos_denied`` when the walk met a chunk QoS
+        alone protected, else as ``skipped_no_memory``.
         """
+        store, rec = self.store, self.recorder
+        batch = qos != "interactive"
+
+        def spare(e: _Entry) -> bool:
+            return bool(e.tasks) or (batch and e.qos == "interactive")
+
         room = self.node.memory.level
         blocked = False
         if room < nbytes:
-            victims, freed, blocked = self._pick_victims(nbytes - room, qos)
-            if freed >= nbytes - room:
-                allowed = self._evictable_for(qos)
+            ram = store.ram
+
+            def walked(k: str) -> bool:
+                nonlocal blocked
+                e = ram.entries[k][0]
+                if not spare(e):
+                    return False
+                blocked = blocked or not e.tasks
+                return True
+
+            victims = ram.victims(nbytes - room, walked)
+            if sum(ram.entries[k][1] for k in victims) >= nbytes - room:
                 for vkey in victims:
-                    outcome = yield from self.store.displace(vkey, allowed)
+                    outcome = yield from store.displace(vkey, spare)
                     if outcome == "evicted":
-                        self._forget(vkey)
-        tier = yield from self.store.put(
-            key, chunk, nbytes, self._evictable_for(qos)
-        )
+                        self._stats.evictions += 1
+                        if rec is not None:
+                            rec.count("shared_evict", "shared_tier")
+        tier = yield from store.put(key, entry, nbytes, spare)
         if tier is None:
             if blocked:
                 self._stats.qos_denied += 1
@@ -330,35 +246,25 @@ class SharedChunkCache:
     def admit(
         self, holder, cids: Sequence[str], fetch
     ) -> Generator[Event, Any, Dict[str, int]]:
-        """Admit ``cids`` on behalf of ``holder``'s task (ref-counted) —
-        the one way a chunk becomes resident on this node.
+        """Admit ``cids`` for ``holder``'s task — the one way a chunk
+        becomes resident on this node.
 
         ``holder`` is the admitting
-        :class:`~repro.core.dist_cache.CacheMaster`: its ``dataset``,
-        ``task`` key, ``tenant`` and ``qos`` class say who is charged,
-        and its ``stats.coalesced_pulls`` moves with the tier's, keeping
-        the task-level counter.  ``fetch(cold_cids)`` is a generator
-        returning one ``(chunk, nbytes)`` per cold cid, in order — the
-        caller decides *where* the bytes come from (backend, or a donor
-        peer with the backend behind it); everything else is decided
-        here, once per round over the still-unresolved cids:
-
-        * resident → warm ref-bump (quota-checked), no fetch;
-        * in flight under any task → wait for that fetch (cross-task
-          single-flight), then re-classify: a refused fetch leaves the
-          chunk cold and this task retries it itself;
-        * cold → one ``fetch`` for the whole cold subset, then per chunk
-          the tenant quota check, QoS-governed placement
-          (:meth:`_place`) and the reference entry.
-
-        Returns ``{cid: nbytes}`` for the chunks ``holder``'s task now
-        references; a cid the quota, QoS policy or node memory refused
-        is absent (it stays server-resident; reads for it fall through,
-        Fig 4).
+        :class:`~repro.core.dist_cache.CacheMaster` (``dataset``,
+        ``task``, ``tenant``, ``qos``; its ``stats.coalesced_pulls``
+        moves with the tier's).  ``fetch(cold_cids)`` yields one
+        ``(chunk, nbytes)`` per cold cid, in order: it only says where
+        the bytes come from.  Each round, a resident cid is ref-bumped, a
+        cid another fetch is bringing is waited for and looked at again,
+        and the cold ones are fetched together, then quota-checked and
+        placed (:meth:`_place`).  Returns ``{cid: nbytes}`` for the
+        chunks the task now references; a refused cid stays
+        server-resident (Fig 4).
         """
         task, tenant, qos = holder.task, holder.tenant, holder.qos
         keys = {cid: self._key(holder.dataset, cid) for cid in cids}
-        rec = self.recorder
+        store, rec = self.store, self.recorder
+        ram = store.ram  # its flights are the admissions in flight
         held: Dict[str, int] = {}
         pending = list(cids)
         while pending:
@@ -366,20 +272,20 @@ class SharedChunkCache:
             waits: List[str] = []
             for cid in pending:
                 key = keys[cid]
-                entry = self._entries.get(key)
-                if entry is not None:
-                    if self._charge_ref(entry, task, tenant, qos):
-                        self.store.touch(key)
+                got = store.lookup(key)
+                if got is not None:
+                    entry, nbytes = got
+                    if self._charge_ref(entry, nbytes, task, tenant, qos):
+                        ram.get(key)
                         self._stats.warm_admissions += 1
                         if rec is not None:
                             rec.count("shared_warm_admit", "shared_tier")
-                        held[cid] = entry.nbytes
-                elif key in self._inflight:
+                        held[cid] = nbytes
+                elif ram.claim(key) is not None:
                     self._stats.coalesced_pulls += 1
                     holder.stats.coalesced_pulls += 1
                     waits.append(cid)
                 else:
-                    self._inflight[key] = self.env.event()
                     cold.append(cid)
             try:
                 fetched = (yield from fetch(cold)) if cold else ()
@@ -387,15 +293,14 @@ class SharedChunkCache:
                     if not self._quota_room(tenant, nbytes):
                         self._stats.quota_rejections += 1
                         continue
+                    entry = _Entry(chunk, qos)
                     tier = yield from self._place(
-                        keys[cid], chunk, nbytes, qos
+                        keys[cid], entry, nbytes, qos
                     )
                     if tier is None:
                         continue
-                    entry = _Entry(nbytes=nbytes, qos=qos)
                     entry.tasks.add(task)
                     entry.tenants[tenant] = 1
-                    self._entries[keys[cid]] = entry
                     self._tenant_usage[tenant] = (
                         self._tenant_usage.get(tenant, 0) + nbytes
                     )
@@ -405,9 +310,9 @@ class SharedChunkCache:
                     held[cid] = nbytes
             finally:
                 for cid in cold:
-                    self._inflight.pop(keys[cid]).succeed()
+                    ram.settle(keys[cid])
             for cid in waits:
-                racing = self._inflight.get(keys[cid])
+                racing = ram.flights.get(keys[cid])
                 if racing is not None:
                     yield racing
             pending = waits
@@ -419,15 +324,15 @@ class SharedChunkCache:
         chunks stay warm (refcount-0 chunks are reclaimed by eviction,
         not by release)."""
         released = 0
-        for entry in self._entries.values():
+        for entry, nbytes in self._resident():
             if task not in entry.tasks:
                 continue
             entry.tasks.discard(task)
             left = entry.tenants.get(tenant, 0) - 1
             if left <= 0:
                 entry.tenants.pop(tenant, None)
-                self._tenant_usage[tenant] = max(
-                    0, self._tenant_usage.get(tenant, 0) - entry.nbytes
+                self._tenant_usage[tenant] = (
+                    self._tenant_usage.get(tenant, 0) - nbytes
                 )
             else:
                 entry.tenants[tenant] = left
@@ -442,7 +347,6 @@ class SharedChunkCache:
         :class:`~repro.core.dist_cache.TaskCache`) — never for one other
         tasks still reference."""
         self.store.clear()
-        self._entries.clear()
         self._tenant_usage.clear()
 
     def purge_crashed(self) -> int:
@@ -454,17 +358,12 @@ class SharedChunkCache:
         dropped (RAM-only residents)."""
         if self.node.alive:
             return 0
-        before = len(self._entries)
-        self.store.crash()
-        kept: "OrderedDict[str, _Entry]" = OrderedDict()
-        for key, entry in self._entries.items():
-            if self.store.tier_of(key) == "disk":
-                entry.tasks.clear()
-                entry.tenants.clear()
-                kept[key] = entry
-        self._entries = kept
+        lost = self.store.crash()
+        for entry, _ in self._resident():
+            entry.tasks.clear()
+            entry.tenants.clear()
         self._tenant_usage.clear()
-        return before - len(kept)
+        return lost
 
 
 class SharedCacheRegistry:
@@ -497,7 +396,7 @@ class SharedCacheRegistry:
         cache = self._caches.get(node.name)
         if cache is None:
             cache = SharedChunkCache(self.env, node, self)
-            cache.recorder = self._recorder
+            cache.recorder = cache.store.recorder = self._recorder
             self._caches[node.name] = cache
         return cache
 
@@ -578,7 +477,7 @@ class SharedCacheRegistry:
     def recorder(self, value) -> None:
         self._recorder = value
         for cache in self._caches.values():
-            cache.recorder = value
+            cache.recorder = cache.store.recorder = value
 
     # --------------------------------------------------------------- recovery
     def purge_dead(self) -> int:

@@ -1,30 +1,35 @@
 """HDD base tier + SSD cache tier (the DIESEL server cache, Fig 4).
 
-Reads check the SSD tier first.  A miss is served by the HDD and returns
-as soon as the HDD has delivered the requested bytes; the SSD copy is
-written *behind* it by one background :meth:`TieredStore.fill` per key
-("the server will start to cache the dataset in the background"), so a
-read never waits on the cache tier.
+The SSD copies live in one :class:`~repro.sim.resources.Residency`,
+kept in the order of last reads.
 
-Admission is scan resistant.  Free space always admits.  Otherwise the
-candidate has to have been read three times since the least recently
-read resident object was last read: an epoch sweep (every object once
-per epoch, fresh random order) can show two such reads but never three,
-so a dataset larger than the tier converges to a pinned subset instead
-of rewriting the SSD every epoch, while a new working set takes the
-tier over on its third pass, however long the old one was pinned.
+* **Budget:** ``ssd_capacity_bytes``, less the bytes fills in flight
+  have claimed (``_reserved``): space is claimed when a fill starts.
+* **Admission:** a miss is served by the HDD and returns as soon as the
+  requested bytes are read; one background fill per key writes the SSD
+  copy behind it ("the server will start to cache the dataset in the
+  background").  Free space always admits; otherwise the candidate must
+  have been read three times since the least recently read resident was
+  last read (the LRU-3 test over ``_reads``).  An epoch sweep shows at
+  most two such reads, so a dataset larger than the tier pins a subset
+  instead of rewriting the SSD every epoch, while a new working set
+  takes the tier over on its third pass.
+* **Protection:** a resident read since the candidate's third-last
+  read.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Any, Generator, Iterable, Optional
 
 from repro.cluster.devices import Device
 from repro.objectstore.store import ObjectStore
 from repro.obs.counters import Counters
 from repro.sim.engine import Event, Process
+from repro.sim.resources import Residency
 
 #: Read history of a key nobody has read yet.
 _NEVER = (0, 0, 0)
@@ -63,13 +68,10 @@ class TieredStore:
         self.ssd_capacity_bytes = ssd_capacity_bytes
         self.promote_on_miss = promote_on_miss
         self._base = ObjectStore(hdd)
-        #: Objects readable from the SSD tier (key -> size).
-        self._resident: dict[str, int] = {}
-        self._used = 0
-        #: Fills in flight (single flight per key) and the SSD bytes they
-        #: hold: space is claimed when a fill starts, so it cannot be
-        #: promised twice.
-        self._filling: dict[str, Process] = {}
+        #: Objects readable from the SSD tier: key -> (None, size).  Its
+        #: flights are the fill processes in flight.
+        self.cache = Residency(hdd.env)
+        #: SSD bytes the fills in flight have claimed.
         self._reserved = 0
         #: Logical-clock ticks of each key's last three reads, newest
         #: first, ordered least recently read key first.  Holds residents
@@ -105,12 +107,12 @@ class TieredStore:
         """Write to the base tier (writes go to HDD; the cache fills on
         read).  A cached copy of the key's old bytes is dropped."""
         yield from self._base.put(key, data)
-        self._drop(key)
+        self.cache.pop(key)
 
     def put_journaled(self, key: str, data: bytes):
         """Write-back put (see :meth:`ObjectStore.put_journaled`)."""
         flush = self._base.put_journaled(key, data)
-        self._drop(key)
+        self.cache.pop(key)
         return flush
 
     def patch(
@@ -119,38 +121,33 @@ class TieredStore:
         """In-place rewrite on the base tier (see ObjectStore.patch); the
         cached copy is dropped rather than rewritten."""
         yield from self._base.patch(key, data, rewritten)
-        self._drop(key)
+        self.cache.pop(key)
 
     def delete(self, key: str) -> Generator[Event, Any, None]:
         """Remove the object from both tiers."""
         yield from self._base.delete(key)
-        self._drop(key)
+        self.cache.pop(key)
         self._reads.pop(key, None)
 
     # -- SSD tier ------------------------------------------------------------
     def in_ssd(self, key: str) -> bool:
-        return key in self._resident
+        return key in self.cache.entries
 
     def ssd_used_bytes(self) -> int:
-        return self._used
-
-    def _drop(self, key: str) -> None:
-        size = self._resident.pop(key, None)
-        if size is not None:
-            self._used -= size
+        return self.cache.bytes
 
     def _touch(self, key: str) -> bool:
         """Note one read of ``key``; returns whether the SSD serves it."""
-        reads = self._reads
+        reads, cache = self._reads, self.cache.entries
         self._tick += 1
         last, prev, _ = reads.pop(key, _NEVER)
         reads[key] = (self._tick, last, prev)
-        if self._resident:
+        if cache:
             # A history older than every resident's last read can never
             # win admission again: forget it.
-            while next(iter(reads)) not in self._resident:
+            while next(iter(reads)) not in cache:
                 reads.popitem(last=False)
-        hit = key in self._resident
+        hit = self.cache.get(key) is not None
         if hit:
             self.stats.ssd_hits += 1
         else:
@@ -161,52 +158,39 @@ class TieredStore:
         """Claim ``size`` SSD bytes for ``key``, evicting least recently
         read residents only if ``key`` was read three times since each of
         them was last read."""
-        need = self._used + self._reserved + size - self.ssd_capacity_bytes
-        victims = []
+        cache = self.cache
+        need = cache.bytes + self._reserved + size - self.ssd_capacity_bytes
         if need > 0:
-            third_last = self._reads.get(key, _NEVER)[2]
-            for other, (last, _, _) in self._reads.items():
-                if last >= third_last:
-                    break
-                other_size = self._resident.get(other)
-                if other_size is not None:
-                    victims.append(other)
-                    need -= other_size
-                    if need <= 0:
-                        break
-            if need > 0:
+            reads = self._reads
+            third_last = reads.get(key, _NEVER)[2]
+            victims = cache.victims(
+                need, lambda other: reads[other][0] >= third_last)
+            if sum(cache.entries[v][1] for v in victims) < need:
                 return False
-        for other in victims:
-            self._drop(other)
-            self.stats.evictions += 1
+            for other in victims:
+                cache.pop(other)
+                self.stats.evictions += 1
         self._reserved += size
         return True
-
-    def fill(self, key: str) -> Optional[Process]:
-        """Cache ``key`` on the SSD tier in the background.
-
-        Returns the fill's process (its value: whether the object was
-        installed) — the one already in flight for ``key`` if there is
-        one — or ``None`` when there is nothing to start: the object is
-        resident, or admission said no.
-        """
-        return self._start_fill(key, self._base.peek(key), 0)
 
     def _start_fill(
         self, key: str, data: bytes, have: int
     ) -> Optional[Process]:
-        """The one way onto the SSD tier.  ``have`` is how many of
-        ``data``'s bytes the caller has just read from the HDD; the fill
-        reads the rest, so it writes nothing it has not read."""
-        proc = self._filling.get(key)
+        """The one way onto the SSD tier: the fill in flight for ``key``
+        (its value: whether it installed the object), or ``None`` when
+        the object is resident or admission said no.  ``have`` is how
+        many of ``data``'s bytes the caller has just read from the HDD;
+        the fill reads the rest, so it writes nothing it has not read."""
+        flights = self.cache.flights
+        proc = flights.get(key)
         if proc is not None:
             return proc
-        if key in self._resident:
+        if key in self.cache.entries:
             return None
         if not self._reserve(key, len(data)):
             self.stats.rejections += 1
             return None
-        proc = self._filling[key] = self.hdd.env.process(
+        proc = flights[key] = self.hdd.env.process(
             self._fill(key, data, have), name=f"fill:{key}"
         )
         return proc
@@ -221,16 +205,21 @@ class TieredStore:
             yield from self.ssd.write(size)
         finally:
             self._reserved -= size
-            del self._filling[key]
+            del self.cache.flights[key]
         # Deleted or replaced while the fill ran: the copy is stale.
         if key not in self._base or self._base.peek(key) is not data:
             return False
-        self._resident[key] = size
-        self._used += size
-        if key not in self._reads:
+        reads, cache = self._reads, self.cache
+        if key not in reads:
             # Filled without ever being read: first in line to go.
-            self._reads[key] = _NEVER
-            self._reads.move_to_end(key, last=False)
+            reads[key] = _NEVER
+            reads.move_to_end(key, last=False)
+        # Residents read since ``key`` was last read stay behind it.
+        later = list(takewhile(lambda other: other != key, reversed(reads)))
+        cache.add(key, None, size)
+        for other in reversed(later):
+            if other in cache.entries:
+                cache.entries.move_to_end(other)
         self.stats.promotions += 1
         return True
 

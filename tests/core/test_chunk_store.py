@@ -36,6 +36,11 @@ def run(env, gen):
     return env.run(until=proc)
 
 
+def spare_none(value):
+    """The owner's protection rule when nothing is protected."""
+    return False
+
+
 class TestSpecAndFactory:
     def test_defaults_build_a_ram_store(self):
         env, node, store = rig()
@@ -85,7 +90,7 @@ class _RamTierCases:
     def test_put_get_and_memory_accounting(self):
         env, node, store = rig(memory_bytes=2 * CHUNK, kind=self.kind)
         chunk = make_chunk("c0")
-        assert run(env, store.put("c0", chunk, CHUNK)) == "ram"
+        assert run(env, store.put("c0", chunk, CHUNK, spare_none)) == "ram"
         assert node.memory.level == CHUNK
         got = store.get("c0")
         assert got is not None and got[0] is chunk
@@ -96,17 +101,17 @@ class _RamTierCases:
     def test_get_refreshes_lru_order(self):
         env, node, store = rig(memory_bytes=4 * CHUNK, kind=self.kind)
         for cid in ("c0", "c1", "c2"):
-            run(env, store.put(cid, make_chunk(cid), CHUNK))
-        assert store.ram_lru() == ["c0", "c1", "c2"]
+            run(env, store.put(cid, make_chunk(cid), CHUNK, spare_none))
+        assert list(store.ram.entries) == ["c0", "c1", "c2"]
         store.get("c0")
-        assert store.ram_lru() == ["c1", "c2", "c0"]
-        store.touch("c1")
-        assert store.ram_lru() == ["c2", "c0", "c1"]
+        assert list(store.ram.entries) == ["c1", "c2", "c0"]
+        store.ram.get("c1")
+        assert list(store.ram.entries) == ["c2", "c0", "c1"]
 
     def test_drop_returns_memory_but_crash_does_not(self):
         env, node, store = rig(memory_bytes=2 * CHUNK, kind=self.kind)
-        run(env, store.put("c0", make_chunk("c0"), CHUNK))
-        run(env, store.put("c1", make_chunk("c1"), CHUNK))
+        run(env, store.put("c0", make_chunk("c0"), CHUNK, spare_none))
+        run(env, store.put("c1", make_chunk("c1"), CHUNK, spare_none))
         store.drop("c0")
         assert node.memory.level == CHUNK
         assert store.crash() == 1
@@ -120,13 +125,13 @@ class TestRamStore(_RamTierCases):
 
     def test_put_refuses_when_memory_is_short(self):
         env, node, store = rig(memory_bytes=CHUNK // 2)
-        assert run(env, store.put("c0", make_chunk(), CHUNK)) is None
+        assert run(env, store.put("c0", make_chunk(), CHUNK, spare_none)) is None
         assert resident(store) == 0
 
     def test_displace_evicts(self):
         env, node, store = rig(memory_bytes=2 * CHUNK)
-        run(env, store.put("c0", make_chunk("c0"), CHUNK))
-        assert run(env, store.displace("c0")) == "evicted"
+        run(env, store.put("c0", make_chunk("c0"), CHUNK, spare_none))
+        assert run(env, store.displace("c0", spare_none)) == "evicted"
         assert store.tier_of("c0") is None
         assert node.memory.level == 2 * CHUNK
 
@@ -136,9 +141,9 @@ class TestTieredStore(_RamTierCases):
 
     def test_admission_overflows_to_disk(self):
         env, node, store = rig(memory_bytes=CHUNK, kind="tiered")
-        assert run(env, store.put("c0", make_chunk("c0"), CHUNK)) == "ram"
+        assert run(env, store.put("c0", make_chunk("c0"), CHUNK, spare_none)) == "ram"
         t0 = env.now
-        assert run(env, store.put("c1", make_chunk("c1"), CHUNK)) == "disk"
+        assert run(env, store.put("c1", make_chunk("c1"), CHUNK, spare_none)) == "disk"
         assert env.now > t0  # the device write charged simulated time
         assert store.tier_of("c1") == "disk"
         assert store.stats.disk_admits == 1
@@ -146,8 +151,8 @@ class TestTieredStore(_RamTierCases):
 
     def test_load_promotes_when_memory_allows(self):
         env, node, store = rig(memory_bytes=CHUNK, kind="tiered")
-        run(env, store.put("c0", make_chunk("c0"), CHUNK))
-        run(env, store.put("c1", make_chunk("c1"), CHUNK))
+        run(env, store.put("c0", make_chunk("c0"), CHUNK, spare_none))
+        run(env, store.put("c1", make_chunk("c1"), CHUNK, spare_none))
         store.drop("c0")  # free RAM
         got = run(env, store.load("c1"))
         assert got is not None and got[1] == CHUNK
@@ -158,8 +163,8 @@ class TestTieredStore(_RamTierCases):
 
     def test_load_reads_through_when_memory_is_full(self):
         env, node, store = rig(memory_bytes=CHUNK, kind="tiered")
-        run(env, store.put("c0", make_chunk("c0"), CHUNK))
-        run(env, store.put("c1", make_chunk("c1"), CHUNK))
+        run(env, store.put("c0", make_chunk("c0"), CHUNK, spare_none))
+        run(env, store.put("c1", make_chunk("c1"), CHUNK, spare_none))
         got = run(env, store.load("c1"))
         assert got is not None
         # RAM is full: the read streams through without displacing c0.
@@ -170,8 +175,8 @@ class TestTieredStore(_RamTierCases):
 
     def test_displace_demotes_and_returns_memory(self):
         env, node, store = rig(memory_bytes=CHUNK, kind="tiered")
-        run(env, store.put("c0", make_chunk("c0"), CHUNK))
-        assert run(env, store.displace("c0")) == "disk"
+        run(env, store.put("c0", make_chunk("c0"), CHUNK, spare_none))
+        assert run(env, store.displace("c0", spare_none)) == "disk"
         assert store.tier_of("c0") == "disk"
         assert node.memory.level == CHUNK
         assert store.stats.demotions == 1
@@ -182,22 +187,20 @@ class TestTieredStore(_RamTierCases):
             memory_bytes=CHUNK, kind="tiered",
             disk_tier_bytes=CHUNK // 2,
         )
-        run(env, store.put("c0", make_chunk("c0"), CHUNK))
-        assert run(env, store.displace("c0")) == "evicted"
+        run(env, store.put("c0", make_chunk("c0"), CHUNK, spare_none))
+        assert run(env, store.displace("c0", spare_none)) == "evicted"
         assert store.tier_of("c0") is None
 
-    def test_disk_capacity_evicts_lru_and_notifies_owner(self):
-        evicted = []
-        env = Environment()
-        node = Node(env, "n0", memory_bytes=CHUNK)
-        store = ChunkStore(
-            env, node, "tiered", disk_tier_bytes=2 * CHUNK,
-            on_evict=evicted.append,
+    def test_disk_capacity_evicts_lru(self):
+        env, node, store = rig(
+            memory_bytes=CHUNK, kind="tiered", disk_tier_bytes=2 * CHUNK,
         )
-        run(env, store.put("hold", make_chunk("hold"), CHUNK))  # fills RAM
+        run(env, store.put("hold", make_chunk("hold"), CHUNK, spare_none))
         for cid in ("d0", "d1", "d2"):
-            assert run(env, store.put(cid, make_chunk(cid), CHUNK)) == "disk"
-        assert evicted == ["d0"]
+            assert run(
+                env, store.put(cid, make_chunk(cid), CHUNK, spare_none)
+            ) == "disk"
+        assert list(store.disk.entries) == ["d1", "d2"]
         assert store.stats.disk_evictions == 1
         assert store.tier_of("d0") is None
         assert store.tier_of("d1") == "disk"
@@ -208,11 +211,11 @@ class TestTieredStore(_RamTierCases):
             memory_bytes=CHUNK, kind="tiered",
             disk_tier_bytes=CHUNK,
         )
-        run(env, store.put("hold", make_chunk("hold"), CHUNK))
-        assert run(env, store.put("d0", make_chunk("d0"), CHUNK)) == "disk"
+        run(env, store.put("hold", make_chunk("hold"), CHUNK, spare_none))
+        assert run(env, store.put("d0", make_chunk("d0"), CHUNK, spare_none)) == "disk"
         # d0 is pinned: the next disk admission has no victim and fails.
         tier = run(
-            env, store.put("d1", make_chunk("d1"), CHUNK, lambda k: False)
+            env, store.put("d1", make_chunk("d1"), CHUNK, lambda v: True)
         )
         assert tier is None
         assert store.tier_of("d0") == "disk"
@@ -222,8 +225,8 @@ class TestTieredStore(_RamTierCases):
             memory_bytes=CHUNK, kind="tiered",
             compression=True,
         )
-        run(env, store.put("hold", make_chunk("hold"), CHUNK))
-        run(env, store.put("d0", make_chunk("d0"), CHUNK))
+        run(env, store.put("hold", make_chunk("hold"), CHUNK, spare_none))
+        run(env, store.put("d0", make_chunk("d0"), CHUNK, spare_none))
         stored = store.stats.disk_stored_bytes
         assert stored < CHUNK
         assert stored == store.stored_size("d0", CHUNK)
@@ -233,14 +236,14 @@ class TestTieredStore(_RamTierCases):
             memory_bytes=CHUNK, kind="tiered",
             compression=True,
         )
-        run(env2, store2.put("hold", make_chunk("hold"), CHUNK))
-        run(env2, store2.put("d0", make_chunk("d0"), CHUNK))
+        run(env2, store2.put("hold", make_chunk("hold"), CHUNK, spare_none))
+        run(env2, store2.put("d0", make_chunk("d0"), CHUNK, spare_none))
         assert store2.stats.disk_stored_bytes == stored
 
     def test_crash_loses_ram_but_disk_survives(self):
         env, node, store = rig(memory_bytes=CHUNK, kind="tiered")
-        run(env, store.put("c0", make_chunk("c0"), CHUNK))
-        run(env, store.put("c1", make_chunk("c1"), CHUNK))
+        run(env, store.put("c0", make_chunk("c0"), CHUNK, spare_none))
+        run(env, store.put("c1", make_chunk("c1"), CHUNK, spare_none))
         assert store.crash() == 1
         assert store.tier_of("c0") is None
         assert store.tier_of("c1") == "disk"
@@ -248,8 +251,8 @@ class TestTieredStore(_RamTierCases):
 
     def test_concurrent_loads_single_flight_the_promotion(self):
         env, node, store = rig(memory_bytes=CHUNK, kind="tiered")
-        run(env, store.put("c0", make_chunk("c0"), CHUNK))
-        run(env, store.put("c1", make_chunk("c1"), CHUNK))
+        run(env, store.put("c0", make_chunk("c0"), CHUNK, spare_none))
+        run(env, store.put("c1", make_chunk("c1"), CHUNK, spare_none))
         store.drop("c0")
         results = []
 
@@ -269,8 +272,8 @@ class TestTieredStore(_RamTierCases):
 
     def test_displace_during_inflight_promote_waits_and_reports_ram(self):
         env, node, store = rig(memory_bytes=CHUNK, kind="tiered")
-        run(env, store.put("c0", make_chunk("c0"), CHUNK))
-        run(env, store.put("c1", make_chunk("c1"), CHUNK))
+        run(env, store.put("c0", make_chunk("c0"), CHUNK, spare_none))
+        run(env, store.put("c1", make_chunk("c1"), CHUNK, spare_none))
         store.drop("c0")
         outcome = {}
 
@@ -280,7 +283,7 @@ class TestTieredStore(_RamTierCases):
 
         def demoter():
             # Starts while the promote's device read is in flight.
-            tier = yield from store.displace("c1")
+            tier = yield from store.displace("c1", spare_none)
             outcome["displace"] = tier
 
         p1 = env.process(promoter())
@@ -291,3 +294,52 @@ class TestTieredStore(_RamTierCases):
         assert outcome["displace"] == "ram"
         assert store.stats.demotions == 0
         assert store.tier_of("c1") == "ram"
+
+    def test_clear_mid_demotion_files_nothing_on_disk(self):
+        """Regression: a demotion whose RAM entry was cleared while it
+        wrote still filed the chunk on disk, an orphan nothing held."""
+        env, node, store = rig(memory_bytes=CHUNK, kind="tiered")
+        run(env, store.put("c0", make_chunk("c0"), CHUNK, spare_none))
+        demotion = env.process(store.displace("c0", spare_none))
+        env.run(until=store.device.op_time(CHUNK) / 2)
+        store.clear()
+        assert env.run(until=demotion) is None
+        assert store.tier_of("c0") is None
+        assert store.stats.disk_bytes == store.stats.disk_stored_bytes == 0
+        assert store.stats.demotions == 0
+        assert node.memory.level == CHUNK
+
+    def test_clear_mid_promotion_files_nothing_in_ram(self):
+        """A promotion whose disk entry was cleared during its read
+        serves the chunk but files nothing, and hands its memory back."""
+        env, node, store = rig(memory_bytes=CHUNK, kind="tiered")
+        run(env, store.put("c0", make_chunk("c0"), CHUNK, spare_none))
+        run(env, store.put("c1", make_chunk("c1"), CHUNK, spare_none))
+        store.drop("c0")
+        load = env.process(store.load("c1"))
+        env.run(until=env.now + store.device.op_time(CHUNK) / 2)
+        store.clear()
+        assert env.run(until=load) is not None
+        assert store.tier_of("c1") is None
+        assert store.stats.promotions == 0 and store.stats.ram_bytes == 0
+        assert node.memory.level == CHUNK
+
+    def test_a_chunk_with_a_move_in_flight_is_not_evicted(self):
+        """Disk-capacity eviction spares chunks whose promotion read is
+        still in flight: with every disk chunk moving, an overflow
+        admission is refused instead."""
+        env, node, store = rig(
+            memory_bytes=CHUNK, kind="tiered", disk_tier_bytes=2 * CHUNK,
+        )
+        run(env, store.put("hold", make_chunk("hold"), CHUNK, spare_none))
+        for cid in ("d0", "d1"):
+            run(env, store.put(cid, make_chunk(cid), CHUNK, spare_none))
+        loads = [env.process(store.load(cid)) for cid in ("d0", "d1")]
+        env.run(until=env.now + store.device.op_time(CHUNK) / 2)
+        assert run(
+            env, store.put("d2", make_chunk("d2"), CHUNK, spare_none)
+        ) is None
+        env.run(until=env.all_of(loads))
+        assert [store.tier_of(c) for c in ("d0", "d1", "d2")] == [
+            "disk", "disk", None]
+        assert store.stats.disk_evictions == 0

@@ -73,7 +73,7 @@ class TestFullPipeline:
 
         tb.run(read_epoch())
         # Bounded working set throughout.
-        assert len(client._window.resident) <= 2
+        assert len(client._window.chunks.entries) <= 2
 
     def test_failure_then_recovery_preserves_integrity(self, pipeline):
         tb, files = pipeline
@@ -175,7 +175,7 @@ class TestTieredServerCache:
         a time; returns how many were installed."""
         cached = 0
         for key in tb.store.list_keys():
-            fill = tb.store.fill(key)
+            fill = tb.store._start_fill(key, tb.store.peek(key), 0)
             if fill is not None:
                 cached += tb.env.run(until=fill)
         return cached

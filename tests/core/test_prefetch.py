@@ -125,7 +125,7 @@ class TestPrefetcher:
             for path in plan.files:
                 data = yield from client.get(path)
                 assert data == files[path]
-                assert len(client._window.resident) <= group + depth
+                assert len(client._window.chunks.entries) <= group + depth
 
         deployment.run(consume())
         assert client.working_set_bytes() <= (group + depth) * CHUNK
@@ -181,7 +181,7 @@ class TestPrefetcher:
         client.close()
         assert not prefetcher.active
         deployment.env.run()
-        assert len(client._window.inflight) == 0
+        assert len(client._window.chunks.flights) == 0
         with pytest.raises(ClosedError):
             client.epoch_file_list()
 

@@ -5,20 +5,10 @@ same conservation laws must hold for a task-private cache (a tier the
 task built for itself), a tiered tier used by one task, and a tiered
 tier two tasks share — through a whole task life: register → reads →
 scale_up → scale_down → master crash + recover → deregister.  After
-every step, on every live node:
-
-* memory is conserved: ``node.memory.level`` + the tier store's RAM
-  bytes == the node's memory capacity;
-* references are conserved: the tier's ``refs`` == Σ ``len(_held)`` over
-  the live masters admitting through it;
-* each tenant's usage == Σ ``nbytes`` of the entries it references;
-* nothing is left in a single-flight map (tier admissions, store moves);
-* every chunk has exactly one owner, an up master in ``masters`` whose
-  ``assigned`` lists it, and no chunk is in two lists;
-* the mesh is the paper's p×(n−1): ``connection_count()`` ==
-  ``expected_connection_count()``;
-
-and every read returned the ingested bytes.  The one place the three
+every step, :func:`tests.invariants.check_invariants` holds on every
+node — memory, references, tenant usage, the store's books, empty
+single-flight maps, one owner per chunk, the p×(n−1) mesh — and every
+read returned the ingested bytes.  The one place the three
 configurations differ is the end: an own tier is emptied with its task,
 a passed-in tier keeps the chunks resident at refcount 0.
 """
@@ -33,6 +23,7 @@ from repro.core.dist_cache import CacheClient, TaskCache
 from repro.core.shared_cache import SharedCacheRegistry
 
 from tests.core.conftest import build_deployment, small_files, write_dataset
+from tests.invariants import check_invariants
 
 CHUNK = 8 * 1024
 N_NODES = 5  # three start in the task, two join via scale_up
@@ -73,37 +64,6 @@ def build(config, ram_chunks, seed):
         for t in range(n_tasks)
     ]
     return dep, nodes, caches, files, writer.index
-
-
-def check_invariants(nodes, caches):
-    for c in caches:
-        listed = {cid: m for m in c.masters.values() for cid in m.assigned}
-        assert len(listed) == sum(len(m.assigned) for m in c.masters.values())
-        assert listed == c._owner_of
-        assert c.connection_count() == c.expected_connection_count()
-    registries = {id(c.shared): c.shared for c in caches}
-    for node in nodes:
-        if not node.alive:
-            continue
-        tiers = [r.for_node(node) for r in registries.values()]
-        ram = sum(t.store.stats.ram_bytes for t in tiers)
-        assert node.memory.level + ram == node.memory.capacity, node.name
-        for tier in tiers:
-            masters = [
-                m for c in caches for m in c.masters.values()
-                if m.tier is tier and m.up
-            ]
-            assert tier.stats.refs == sum(len(m._held) for m in masters)
-            for m in masters:
-                for cid in m._held:
-                    assert tier.refcount("ds", cid) >= 1
-            for tenant, usage in tier._tenant_usage.items():
-                assert usage == sum(
-                    e.nbytes for e in tier._entries.values()
-                    if tenant in e.tenants
-                ), (node.name, tenant)
-            assert tier._inflight == {}
-            assert getattr(tier.store, "_moving", {}) == {}
 
 
 def reads(cache, files, index, rng, n=12):

@@ -196,7 +196,7 @@ class TestReadFanout:
         out, _ = self.batch_read(dep, reader, [a, b])
         # Payloads come back in batch order at every width.
         assert list(out.items()) == [(a, files[a]), (b, files[b])]
-        order = list(reader._window.resident)
+        order = list(reader._window.chunks.entries)
         assert order == ([miss, resident] if fanout == 1 else [resident, miss])
 
     def test_preferred_server_is_deterministic_and_spreads(self):

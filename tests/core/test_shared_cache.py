@@ -14,6 +14,7 @@ from repro.cluster.node import Node
 from repro.errors import DieselError
 
 from tests.core.conftest import build_deployment, small_files, write_dataset
+from tests.invariants import check_node_tier
 
 
 def shared_rig(n_nodes=2, n_files=24, n_tasks=2, tenants=None, qos=None,
@@ -43,6 +44,12 @@ def fake_master(dep, tier, task, tenant="default", qos="batch"):
     node tier's admission as task ``task``."""
     return CacheMaster(CacheClient(f"m-{task}", tier.node, 0), dep.server,
                        "ds", tier, task, tenant, qos)
+
+
+def resident(tier, cid):
+    """Whether ``cid`` of dataset ``ds`` is resident on either of the
+    tier's residencies."""
+    return tier.store.tier_of(f"ds/{cid}") is not None
 
 
 def acquire(master, cid):
@@ -290,7 +297,7 @@ class TestQosEviction:
         assert dep.run(admit(batch, cids[1])) is None
         assert tier.stats.qos_denied == 1
         assert tier.stats.evictions == 0
-        assert tier.resident("ds", cids[0])
+        assert resident(tier, cids[0])
 
     def test_interactive_may_evict_any_warm_chunk(self):
         dep, registry, tier, node, cids = self._tiny_node_rig()
@@ -305,7 +312,7 @@ class TestQosEviction:
         self._drain(dep, node)
         assert dep.run(admit(inter2, cids[1])) is not None
         assert tier.stats.evictions >= 1
-        assert not tier.resident("ds", cids[0])
+        assert not resident(tier, cids[0])
 
     def test_referenced_chunks_are_never_evicted(self):
         dep, registry, tier, node, cids = self._tiny_node_rig()
@@ -320,7 +327,7 @@ class TestQosEviction:
         assert dep.run(admit(other, cids[1])) is None
         assert tier.stats.skipped_no_memory == 1
         assert tier.stats.evictions == 0
-        assert tier.resident("ds", cids[0])
+        assert resident(tier, cids[0])
 
 
 class TestLruEvictionOrder:
@@ -353,8 +360,8 @@ class TestLruEvictionOrder:
         # Under pressure the admission evicts c1 (LRU), not c0 (first-in).
         other = fake_master(dep, tier, "iq", qos="interactive")
         assert dep.run(admit(other, cids[2])) is not None
-        assert tier.resident("ds", cids[0])
-        assert not tier.resident("ds", cids[1])
+        assert resident(tier, cids[0])
+        assert not resident(tier, cids[1])
         assert tier.stats.evictions >= 1
 
 
@@ -385,7 +392,7 @@ class TestTieredSharedTier:
             return (yield from acquire(batch, cid))
 
         assert dep.run(admit(cids[0])) is not None
-        assert tier.resident("ds", cids[0])
+        assert resident(tier, cids[0])
         assert tier.disk_resident("ds", cids[0])
         assert tier.stats.skipped_no_memory == 0
         assert registry.store_stats.disk_admits == 1
@@ -410,7 +417,7 @@ class TestTieredSharedTier:
         assert dep.run(admit(batch2, cids[2])) is not None
         assert tier.store.tier_of(f"ds/{cids[0]}") == "ram"
         assert tier.disk_resident("ds", cids[1])
-        assert tier.resident("ds", cids[1])  # still a shared-tier entry
+        assert resident(tier, cids[1])  # still a shared-tier entry
         assert tier.stats.evictions == 0
         assert tier.stats.qos_denied == 0
         assert registry.store_stats.demotions == 1
@@ -424,6 +431,39 @@ class TestTieredSharedTier:
 
         dep.run(read())
         assert registry.store_stats.disk_hits == 1
+
+
+    def test_crash_mid_demotion_leaves_no_orphan_on_disk(self):
+        """Regression: a node crash + ``purge_crashed`` while a demotion
+        wrote dropped the chunk's reference entry, and the demotion then
+        filed the chunk on disk anyway — held by the store, resident by
+        ``disk_resident`` and by no reference."""
+        dep, registry, tier, node, cids = self._tiered_rig()
+        batch = fake_master(dep, tier, "bq", qos="batch")
+        batch2 = fake_master(dep, tier, "bq2", qos="batch")
+
+        def admit(master, cid):
+            return (yield from acquire(master, cid))
+
+        assert dep.run(admit(batch, cids[0])) is not None
+        tier.release_task("bq", "default")
+        self._drain(dep, node)
+        # The pressure demotes cids[0]; the node dies during its write.
+        device, write = tier.store.device, tier.store.device.write
+
+        def crash_then_write(nbytes):
+            device.write = write
+            node.kill()
+            tier.purge_crashed()
+            yield from write(nbytes)
+
+        device.write = crash_then_write
+        dep.run(admit(batch2, cids[1]))
+        assert device.write is write  # the demotion did write
+        assert not tier.disk_resident("ds", cids[0])
+        assert not resident(tier, cids[0])
+        assert registry.store_stats.demotions == 0
+        check_node_tier(tier, [])
 
 
 class TestRecoveryRefcounts:
@@ -481,7 +521,7 @@ class TestClientSharedHitCredit:
             client.attach_cache(cold)
         cids = [index.lookup(p).chunk_id.encode() for p in files]
         local = [
-            sum(registry.for_node(c.node).resident("ds", cid) for cid in cids)
+            sum(resident(registry.for_node(c.node), cid) for cid in cids)
             for c in clients
         ]
         assert all(local)

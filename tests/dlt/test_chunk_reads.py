@@ -31,6 +31,8 @@ from repro.core.shared_cache import SharedCacheRegistry
 from repro.dlt.readers import EpochScheduler
 from repro.dlt.trainer import run_training
 
+from tests.invariants import check_invariants, check_window
+
 CHUNK = 6 * 1024
 TIERS = ("local_hits", "remote_hits", "shared_hits", "disk_hits",
          "degraded_reads")
@@ -125,7 +127,7 @@ class TestWindowEpoch:
             for path in order:
                 data = yield from reader.read(path)
                 assert data == files[path]
-                assert len(reader.window.resident) <= 2 * group_size
+                assert len(reader.window.chunks.entries) <= 2 * group_size
                 seen.append(path)
 
         for e in range(2):
@@ -143,7 +145,7 @@ class TestWindowEpoch:
                 pipeline = reader.window.prefetcher
                 assert len(pipeline._outstanding) == 0
                 assert len(pipeline._ahead) <= group_size
-                assert set(reader.window.inflight) <= pipeline._ahead
+                assert set(reader.window.chunks.flights) <= pipeline._ahead
                 assert set(pipeline._procs) <= pipeline._ahead
         # No reader fetches a chunk twice for one epoch, whether the
         # fetch ran in that epoch or read ahead during the one before.
@@ -272,12 +274,12 @@ class TestFaults:
             half = len(order) // 4
             for path in order[:half]:
                 seen.append((path, (yield from reader.read(path))))
-            resident = list(reader.window.resident)
+            resident = list(reader.window.chunks.entries)
             pipeline = reader.window.prefetcher
             yield from cache.scale_down([leaving])
             # The window keeps serving its (aliased) chunks, and the live
             # pipeline was steered at the new chunk→master map.
-            kept = [k for k in resident if k in reader.window.resident]
+            kept = [k for k in resident if k in reader.window.chunks.entries]
             assert kept
             fetches = cache.stats.chunk_fetches
             again = next(
@@ -290,7 +292,7 @@ class TestFaults:
             assert pipeline.repins == 1
             for path in order[half:]:
                 seen.append((path, (yield from reader.read(path))))
-                assert len(reader.window.resident) <= 4
+                assert len(reader.window.chunks.entries) <= 4
 
         tb.run(epoch())
         assert leaving.name not in cache.masters
@@ -298,9 +300,9 @@ class TestFaults:
         assert len(seen) == len(reader.last_plan.files)
         assert cache.stats.degraded_reads == 0
         # What is still in flight is epoch 1's read-ahead, and it lands.
-        assert set(reader.window.inflight) <= reader.window.prefetcher._ahead
+        assert set(reader.window.chunks.flights) <= reader.window.prefetcher._ahead
         tb.env.run()
-        assert reader.window.inflight == {}
+        assert reader.window.chunks.flights == {}
 
     def test_cancelled_training_cancels_read_ahead(self):
         tb, cache, readers, files, index = make_task(
@@ -318,7 +320,7 @@ class TestFaults:
         tb.env.run()
         assert not proc.ok
         assert reader.window.prefetcher is None and not pipeline.active
-        assert reader.window.inflight == {}
+        assert reader.window.chunks.flights == {}
         assert cache.stats.readahead_wasted == unread
         # The reader still works afterwards, by demand fetch.
         path = reader.last_plan.files[-1]
@@ -331,8 +333,9 @@ def watch_budget(window, bound):
     fetch, moving = window._fetch, set()
 
     def check():
-        assert len(window.resident) <= bound
-        assert len(window.inflight) <= bound
+        check_window(window, quiescent=False)
+        assert len(window.chunks.entries) <= bound
+        assert len(window.chunks.flights) <= bound
 
     def watched(encoded):
         assert encoded not in moving
@@ -410,8 +413,9 @@ class TestBudget:
         ]
         tb.env.run(until=tb.env.all_of(procs))
         tb.env.run()
-        assert all(r.window.prefetcher is None and r.window.inflight == {}
-                   for r in readers)
+        assert all(r.window.prefetcher is None for r in readers)
+        # The job's end also shrank each window to its idle budget.
+        check_invariants(caches=[cache], windows=[r.window for r in readers])
         # The job's end cancels each reader's read-ahead into a fourth
         # epoch: at most one group of it each is wasted.
         assert cache.stats.readahead_wasted <= group * len(readers)
@@ -433,7 +437,7 @@ class TestBudget:
         fetch = pipeline._fetch
 
         def noted(encoded):
-            starts.append((len(window.inflight), window.capacity()))
+            starts.append((len(window.chunks.flights), window.capacity()))
             return fetch(encoded)
 
         pipeline._fetch = noted
@@ -485,7 +489,7 @@ class TestRollover:
         unread = len(pipeline._outstanding | pipeline._ahead)
         reader.cancel_epoch()
         tb.env.run()
-        assert reader.window.inflight == {}
+        assert reader.window.chunks.flights == {}
         assert not any(p.is_alive for p in procs)
         assert cache.stats.readahead_wasted == unread
         # Nothing fetches for the cancelled epoch any more.
@@ -508,7 +512,7 @@ class TestRollover:
         tb.env.run()
         pipeline = reader.window.prefetcher
         ahead = set(pipeline._ahead)
-        assert len(ahead) == 2 and ahead <= set(reader.window.resident)
+        assert len(ahead) == 2 and ahead <= set(reader.window.chunks.entries)
         hits = cache.stats.readahead_hits
         self._read_epoch(tb, reader, files, 1)
         assert reader.window.prefetcher is pipeline
@@ -552,7 +556,7 @@ class TestRollover:
         assert cache.stats.readahead_wasted == ahead[0]
         n = sum(fetched.values())
         tb.env.run()
-        assert reader.window.inflight == {} and sum(fetched.values()) == n
+        assert reader.window.chunks.flights == {} and sum(fetched.values()) == n
 
     def test_scale_down_between_epochs_serves_a_rebuilt_plan(self):
         """Epoch 1 was drawn only to read ahead, so a scale event before

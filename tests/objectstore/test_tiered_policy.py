@@ -23,6 +23,7 @@ from repro.cluster.devices import Device
 from repro.objectstore import TieredStore
 from repro.sim import Environment, run_sync
 
+from tests.invariants import check_invariants
 from tests.objectstore.test_store import make_tiered as make_store
 
 SIZE = 1000
@@ -36,6 +37,12 @@ def load(store, prefix, n):
     keys = [f"{prefix}{i:02d}" for i in range(n)]
     store.load((k, (k.encode() * SIZE)[:SIZE]) for k in keys)
     return keys
+
+
+def fill_of(store, key):
+    """Start caching ``key`` on the SSD tier, as a miss does once the HDD
+    has delivered nothing yet: the fill process, or ``None``."""
+    return store._start_fill(key, store.peek(key), 0)
 
 
 def sweep(env, store, keys, rng):
@@ -170,7 +177,7 @@ class TestFill:
     def test_fill_of_an_object_replaced_meanwhile_is_discarded(self):
         env, store = make_tiered()
         (key,) = load(store, "a", 1)
-        fill = store.fill(key)
+        fill = fill_of(store, key)
         run_sync(env, store.patch(key, b"n" * (SIZE // 2), 64))
         assert env.run(until=fill) is False
         assert not store.in_ssd(key)
@@ -183,10 +190,10 @@ class TestFill:
     def test_fill_is_single_flight_and_skips_residents(self):
         env, store = make_tiered()
         (key,) = load(store, "a", 1)
-        fill = store.fill(key)
-        assert store.fill(key) is fill
+        fill = fill_of(store, key)
+        assert fill_of(store, key) is fill
         assert env.run(until=fill) is True
-        assert store.fill(key) is None
+        assert fill_of(store, key) is None
         assert store.hdd.stats.read_bytes == SIZE
 
     def test_delete_returns_the_tiers_bytes(self):
@@ -319,7 +326,7 @@ class TierMachine(RuleBasedStateMachine):
     @rule(key=st.sampled_from(KEYS))
     def fill(self, key):
         if self._live(key):
-            self.store.fill(key)
+            fill_of(self.store, key)
 
     @rule(dt=st.sampled_from([1e-4, 1e-3, 5e-3, 5e-2]))
     def advance(self, dt):
@@ -330,7 +337,7 @@ class TierMachine(RuleBasedStateMachine):
     def drain(self):
         self.env.run()
         assert not self.busy
-        assert self.store._filling == {} and self.store._reserved == 0
+        check_invariants(stores=[self.store])
 
     @invariant()
     def books_balance(self):
@@ -338,13 +345,8 @@ class TierMachine(RuleBasedStateMachine):
         for proc in self.procs:
             if proc.triggered and not proc.ok:
                 raise proc.value
-        resident = store._resident
-        assert store.ssd_used_bytes() == sum(resident.values())
-        assert (store.ssd_used_bytes() + store._reserved
-                <= store.ssd_capacity_bytes)
-        assert store._reserved >= 0
-        for key, size in resident.items():
-            assert key in store and store.object_size(key) == size
+        check_invariants(stores=[store], quiescent=False)
+        resident = store.cache.entries
         assert set(resident) <= set(store._reads)
         assert store.ssd.stats.write_bytes <= store.hdd.stats.read_bytes
         stats = store.stats
