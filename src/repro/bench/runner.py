@@ -10,8 +10,13 @@ Regenerate any paper table/figure from the command line::
 Prints each experiment's paper-style table and notes; ``--csv DIR``
 additionally writes one ``<experiment>.csv`` per artifact (the series a
 plotting tool would consume) and ``--json DIR`` one
-``BENCH_<experiment>.json`` (rows + notes, machine-readable).  Exits
-non-zero if an experiment raises.
+``BENCH_<experiment>.json`` (rows + notes, machine-readable).
+
+An experiment that fails — a :class:`~repro.errors.ReproError` from the
+simulated system, or an ``AssertionError`` from its own consistency
+checks — is reported and the run goes on to the next one, exiting
+non-zero at the end; any other exception is a bug and propagates with
+its traceback.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from typing import Optional, Sequence
 from repro.bench.experiments import ALL_EXPERIMENTS
 from repro.bench.harness import ExperimentResult
 from repro.bench.reporting import format_result, write_json
+from repro.errors import ReproError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,7 +97,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for name in names:
         try:
             result = ALL_EXPERIMENTS[name]()
-        except Exception as exc:  # surface, keep going
+        except (ReproError, AssertionError) as exc:
             print(f"== {name} FAILED: {exc!r}", file=sys.stderr)
             failures += 1
             continue

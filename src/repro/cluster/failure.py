@@ -7,10 +7,9 @@ windows of slow nodes and degraded/lossy NICs, latency spikes,
 flash-crowd read bursts against one hot dataset, churn loops (repeated
 scale-down/scale-up), and arbitrary actions (a node kill) at a given
 time.  ``start()`` arms the scenarios, and every applied/reverted action
-lands in one ordered log so experiments and the ``dlcmd chaos`` probe
-can show what the cluster was suffering at any instant.  All timing and
-randomness run on the sim clock and a seeded RNG — chaos runs are
-reproducible.
+lands in one ordered log so experiments can show what the cluster was
+suffering at any instant.  All timing and randomness run on the sim
+clock and a seeded RNG — chaos runs are reproducible.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ class ChaosSchedule:
     windowed scenarios — reverts it after ``duration_s``.
 
     :attr:`log` records ``(time, action, target)`` for every applied and
-    reverted step; :meth:`active` lists the windows currently in force;
-    :meth:`describe` dumps the full declared schedule.
+    reverted step.
     """
 
     def __init__(self, env: Environment, seed: int = 0xC4A05) -> None:
@@ -41,7 +39,6 @@ class ChaosSchedule:
         self.rng = random.Random(seed)
         self.log: List[Tuple[float, str, str]] = []
         self._scenarios: List[Dict[str, Any]] = []
-        self._active: Dict[int, Dict[str, Any]] = {}
         self._procs: List[Process] = []
         self._started = False
 
@@ -198,35 +195,21 @@ class ChaosSchedule:
         if self._started:
             raise RuntimeError("chaos schedule already started")
         self._started = True
-        for idx, sc in enumerate(self._scenarios):
+        for sc in self._scenarios:
             self._procs.append(
-                self.env.process(self._run(idx, sc), name=f"chaos:{sc['label']}")
+                self.env.process(self._run(sc), name=f"chaos:{sc['label']}")
             )
         return self
 
-    def _run(self, idx: int, sc: Dict[str, Any]):
+    def _run(self, sc: Dict[str, Any]):
         delay = sc["at"] - self.env.now
         if delay > 0:
             yield self.env.timeout(delay)
         self.log.append((self.env.now, "apply", sc["label"]))
-        self._active[idx] = sc
         try:
             yield from sc["body"](self)
         finally:
-            self._active.pop(idx, None)
             self.log.append((self.env.now, "revert", sc["label"]))
-
-    # ------------------------------------------------------------ reporting
-    def active(self) -> List[str]:
-        """Labels of scenario windows currently in force."""
-        return sorted(sc["label"] for sc in self._active.values())
-
-    def describe(self) -> List[Dict[str, Any]]:
-        """The declared schedule, in scheduled order."""
-        return [
-            {"at": sc["at"], "label": sc["label"]}
-            for sc in sorted(self._scenarios, key=lambda s: s["at"])
-        ]
 
     @property
     def done(self) -> bool:

@@ -7,9 +7,10 @@ tier's reference entries as values.
   **protection** are the node tier's; :meth:`ChunkStore.put` files a
   chunk here when memory covers it.
 * **Disk — budget:** ``capacity_bytes`` of *stored* bytes (0 =
-  unbounded).  **Admission:** what RAM cannot cover overflows here, and
-  what the node tier displaces is demoted here; a disk read promotes
-  back to RAM when memory covers the chunk after the read.
+  unbounded), less what writes in flight have claimed (``_reserved``).
+  **Admission:** what RAM cannot cover overflows here, and what the
+  node tier displaces is demoted here; a disk read promotes back to RAM
+  when memory covers the chunk after the read.
   **Protection:** the node tier's rule, and a move in flight.
 
 The disk is a :class:`~repro.cluster.devices.Device` at
@@ -132,6 +133,9 @@ class ChunkStore:
         self.disk = Residency(env)
         #: Disk-tier capacity in *stored* bytes (0 = unbounded).
         self.capacity_bytes = disk_tier_bytes
+        #: Stored bytes the disk writes in flight have claimed (bounded
+        #: tier only).
+        self._reserved = 0
         self.compression = compression
         #: The NVMe tier's queueing station; ``None`` = no disk tier.
         self.device = Device(
@@ -187,8 +191,9 @@ class ChunkStore:
 
     # -------------------------------------------------------------- admission
     def _fit_disk(self, stored: int, spare: Callable[[Any], bool]) -> bool:
-        """Make room for ``stored`` bytes on the disk tier, evicting
-        least recently used chunks neither ``spare`` nor a move protects."""
+        """Claim ``stored`` bytes on the disk tier for one write, evicting
+        least recently used chunks neither ``spare`` nor a move protects;
+        :meth:`_write_disk` releases the claim when the write settles."""
         if self.device is None:
             return False
         if self.capacity_bytes <= 0:
@@ -196,7 +201,7 @@ class ChunkStore:
         if stored > self.capacity_bytes:
             return False
         disk = self.disk
-        need = disk.bytes + stored - self.capacity_bytes
+        need = disk.bytes + self._reserved + stored - self.capacity_bytes
         rec = self.recorder
         for victim in disk.victims(need, lambda key: (
             key in disk.flights or spare(disk.entries[key][0][0])
@@ -205,19 +210,27 @@ class ChunkStore:
             self._stats.disk_evictions += 1
             if rec is not None:
                 rec.count("tier_evict", "disk")
-        return disk.bytes + stored <= self.capacity_bytes
+        if disk.bytes + self._reserved + stored > self.capacity_bytes:
+            return False
+        self._reserved += stored
+        return True
 
     def _write_disk(
         self, nbytes: int, stored: int
     ) -> Generator[Event, Any, None]:
-        """Charge the compress + device-write cost of one chunk."""
-        if self.compression:
-            yield self.env.timeout(nbytes / COMPRESS_BPS)
-            self._stats.compress_ops += 1
-            rec = self.recorder
-            if rec is not None:
-                rec.count("tier_compress", "disk")
-        yield from self.device.write(stored)
+        """Charge the compress + device-write cost of one chunk admitted
+        by :meth:`_fit_disk`, then release its claim."""
+        try:
+            if self.compression:
+                yield self.env.timeout(nbytes / COMPRESS_BPS)
+                self._stats.compress_ops += 1
+                rec = self.recorder
+                if rec is not None:
+                    rec.count("tier_compress", "disk")
+            yield from self.device.write(stored)
+        finally:
+            if self.capacity_bytes > 0:
+                self._reserved -= stored
 
     def put(
         self, key: str, value: Any, nbytes: int, spare: Callable[[Any], bool]

@@ -245,7 +245,7 @@ class MetaJournal:
 
     # ------------------------------------------------------------- reading
     def depth(self, dataset: str) -> int:
-        """Number of retained entries (the dlcmd/occupancy probe)."""
+        """Number of retained entries (``dlcmd meta``)."""
         meta = self._meta(dataset)
         return meta[2] if meta is not None else 0
 

@@ -109,22 +109,19 @@ def rebuild_dataset(
 
 
 def rebuild_all(
-    server: DieselServer,
-    from_timestamp: Optional[int] = None,
-    fanout: int = 1,
+    server: DieselServer, from_timestamp: Optional[int] = None
 ) -> Generator[Event, Any, dict[str, int]]:
     """Rebuild every dataset found in the object store.
 
     Returns ``{dataset: chunks_scanned}``.  Dataset names come from the
     object-key prefix (chunks themselves are dataset-agnostic).
-    ``fanout`` is passed through to each dataset's rebuild.
     """
     datasets: dict[str, int] = {}
     for key in server.store.list_keys():
         ds, _ = parse_object_key(key)
         datasets.setdefault(ds, 0)
     for ds in sorted(datasets):
-        n = yield from rebuild_dataset(server, ds, from_timestamp, fanout)
+        n = yield from rebuild_dataset(server, ds, from_timestamp)
         datasets[ds] = n
     return datasets
 

@@ -73,7 +73,7 @@ class DatasetRegistry:
         return self.kv.local_pcount(REG_PREFIX)
 
     def occupancy(self) -> list[int]:
-        """Datasets per registry shard (the dlcmd/balance probe)."""
+        """Datasets per registry shard (``dlcmd meta``)."""
         return [
             self.kv.local_pcount(shard_prefix(s))
             for s in range(self.n_shards)

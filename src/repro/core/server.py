@@ -143,7 +143,7 @@ class DieselServer:
         self.name = name
         self.stats = ServerStats()
         #: Registration log: one dict per task registration (dataset,
-        #: client, tenant, qos_class, at) — the ``dlcmd tenants`` seam.
+        #: client, tenant, qos_class, at).
         self.registrations: list[dict] = []
         # Delta metadata plane: both live in the shared KV, so every
         # stateless server sees the same journal and registry.
@@ -554,8 +554,8 @@ class DieselServer:
         ``chunk_sizes`` lets capacity-aware placement (locality policy)
         budget each node's partition in bytes rather than chunk counts.
         Multi-tenant callers identify themselves with ``tenant`` /
-        ``qos_class`` (defaults keep single-tenant callers unchanged);
-        the registration log feeds the ``dlcmd tenants`` view.
+        ``qos_class`` (defaults keep single-tenant callers unchanged),
+        and each registration lands in the registration log.
         """
         rec = self._dataset_record(dataset)
         sizes = {

@@ -427,7 +427,7 @@ class SharedCacheRegistry:
         return sorted(names)
 
     def tenant_rows(self) -> List[dict]:
-        """Per-tenant usage summary (``dlcmd tenants`` / bench rows).
+        """Per-tenant usage summary (the ``sharing`` bench rows).
 
         ``max_node_usage_bytes`` is the enforcement-relevant number:
         quotas bound each node independently, so the busiest node is the
@@ -461,7 +461,7 @@ class SharedCacheRegistry:
         )
 
     def tier_rows(self) -> List[dict]:
-        """Per-node tier residency summary (``dlcmd tiers`` / bench rows)."""
+        """Per-node tier residency summary (the ``capacity`` bench rows)."""
         return [
             {"node": c.node.name, "store": c.store.kind,
              **stats_row(c.store.stats, _TIER_COLUMNS)}

@@ -10,11 +10,9 @@ suppressed rather than paid.
 
 Two pieces live here:
 
-* :class:`PeerLatencyTracker` — EWMA mean + mean-absolute-deviation of
-  observed per-peer call latency (Jacobson-style, like TCP RTO).  Its
-  :meth:`~PeerLatencyTracker.fastest` steers replica fan-out away from
-  slow peers, and :meth:`~PeerLatencyTracker.rows` (with the p95-ish
-  ``mean + DEV_MULT·dev`` bound) is the operator's per-peer view.
+* :class:`PeerLatencyTracker` — EWMA mean of observed per-peer call
+  latency.  Its :meth:`~PeerLatencyTracker.fastest` steers a hedge's
+  backup away from slow peers.
 * :func:`hedged_call` — the race combinator: drives the primary as a
   child process, arms the backup after ``delay_s``, returns a
   :class:`HedgeOutcome` naming the winner; :class:`HedgeStats` counts
@@ -34,10 +32,6 @@ from repro.sim.engine import Environment, Event
 
 #: EWMA gain of each new latency sample.
 ALPHA = 0.2
-#: Deviations above the mean of :meth:`PeerLatencyTracker.hedge_delay`.
-DEV_MULT = 4.0
-#: Samples before a peer has a hedge-delay estimate.
-MIN_SAMPLES = 3
 
 
 @dataclass(slots=True)
@@ -76,46 +70,26 @@ class HedgeOutcome:
 
 
 class PeerLatencyTracker:
-    """EWMA latency model per peer, with a p95-ish hedge-delay estimate.
+    """EWMA latency mean per peer.
 
     A "peer" is any hashable key naming one latency population — the
     task cache keys by ``(peer name, method)`` so replies of different
     sizes never share an estimate.
 
     ``observe(peer, latency)`` folds a sample in:
-    ``err = x - mean; mean += ALPHA·err; dev += ALPHA·(|err| - dev)``
-    (first sample seeds ``mean = x, dev = x/2``, as TCP does for RTT).
+    ``mean += ALPHA·(x - mean)``; the first sample seeds ``mean = x``.
     """
 
     def __init__(self) -> None:
         self._mean: Dict[Hashable, float] = {}
-        self._dev: Dict[Hashable, float] = {}
-        self._count: Dict[Hashable, int] = {}
 
     def observe(self, peer: Hashable, latency_s: float) -> None:
         """Fold one completed-call latency sample for ``peer``."""
-        n = self._count.get(peer, 0)
-        if n == 0:
+        mean = self._mean.get(peer)
+        if mean is None:
             self._mean[peer] = latency_s
-            self._dev[peer] = latency_s / 2.0
         else:
-            err = latency_s - self._mean[peer]
-            self._mean[peer] += ALPHA * err
-            self._dev[peer] += ALPHA * (abs(err) - self._dev[peer])
-        self._count[peer] = n + 1
-
-    def samples(self, peer: Hashable) -> int:
-        return self._count.get(peer, 0)
-
-    def mean(self, peer: Hashable) -> Optional[float]:
-        return self._mean.get(peer)
-
-    def hedge_delay(self, peer: Hashable) -> Optional[float]:
-        """``mean + DEV_MULT·dev`` for ``peer``, or ``None`` until
-        :data:`MIN_SAMPLES` observations exist."""
-        if self._count.get(peer, 0) < MIN_SAMPLES:
-            return None
-        return self._mean[peer] + DEV_MULT * self._dev[peer]
+            self._mean[peer] = mean + ALPHA * (latency_s - mean)
 
     def fastest(self, peers: Iterable[Hashable]) -> Optional[Hashable]:
         """The peer with the lowest EWMA mean; never-observed peers rank
@@ -127,22 +101,6 @@ class PeerLatencyTracker:
             if best is None or key < best_key:
                 best, best_key = p, key
         return best
-
-    def rows(self) -> list:
-        """Per-peer view for probes/CLI: sorted by EWMA mean descending
-        (slowest first, since those are the ones worth looking at)."""
-        out = [
-            {
-                "peer": p,
-                "samples": self._count[p],
-                "ewma_s": self._mean[p],
-                "dev_s": self._dev[p],
-                "hedge_delay_s": self.hedge_delay(p),
-            }
-            for p in self._count
-        ]
-        out.sort(key=lambda r: -r["ewma_s"])
-        return out
 
 
 def _tear_down(*procs) -> None:

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.bench.setups import Testbed, deploy, diesel_client
 from repro.core import recovery
 from repro.core.client import SyncDieselClient
-from repro.core.config import DieselConfig
 from repro.errors import ChunkFormatError
 
 MAGIC = b"DSWS"
@@ -33,9 +32,8 @@ _U64 = struct.Struct(">Q")
 class DieselWorkspace:
     """A single-node DIESEL deployment with on-disk persistence."""
 
-    def __init__(self, config: Optional[DieselConfig] = None) -> None:
-        self.config = config or DieselConfig()
-        self.tb: Testbed = deploy(1, n_storage=1, n_servers=1, config=self.config)
+    def __init__(self) -> None:
+        self.tb: Testbed = deploy(1, n_storage=1, n_servers=1)
         self._clients: Dict[str, SyncDieselClient] = {}
 
     @property
@@ -45,12 +43,9 @@ class DieselWorkspace:
     def client(self, dataset: str) -> SyncDieselClient:
         """A synchronous client bound to ``dataset`` (cached per dataset)."""
         if dataset not in self._clients:
-            self._clients[dataset] = SyncDieselClient(
-                diesel_client(
-                    self.tb, dataset, self.tb.compute_nodes[0],
-                    f"dlcmd:{dataset}", config=self.config,
-                )
-            )
+            self._clients[dataset] = SyncDieselClient(diesel_client(
+                self.tb, dataset, self.tb.compute_nodes[0], f"dlcmd:{dataset}"
+            ))
         return self._clients[dataset]
 
     def datasets(self) -> List[str]:
@@ -79,13 +74,12 @@ class DieselWorkspace:
         return len(out)
 
     @classmethod
-    def load(cls, path: str | Path, config: Optional[DieselConfig] = None
-             ) -> "DieselWorkspace":
+    def load(cls, path: str | Path) -> "DieselWorkspace":
         """Open a workspace file, rebuilding all metadata from chunks."""
         blob = Path(path).read_bytes()
         if blob[:4] != MAGIC:
             raise ChunkFormatError(f"not a DIESEL workspace file: {path}")
-        ws = cls(config)
+        ws = cls()
         pos = 4
         (count,) = _U32.unpack_from(blob, pos)
         pos += 4
@@ -102,19 +96,15 @@ class DieselWorkspace:
         if pos != len(blob):
             raise ChunkFormatError("trailing garbage in workspace file")
         ws.tb.store.load(items)
-        # Rebuild KV metadata by scanning the chunks (§4.1.2 scenario b);
-        # the read_fanout knob overlaps the header reads across chunks.
-        proc = ws.tb.env.process(
-            recovery.rebuild_all(ws.server, fanout=ws.config.read_fanout)
-        )
+        # Rebuild KV metadata by scanning the chunks (§4.1.2 scenario b).
+        proc = ws.tb.env.process(recovery.rebuild_all(ws.server))
         ws.tb.env.run(until=proc)
         return ws
 
     @classmethod
-    def open(cls, path: str | Path, config: Optional[DieselConfig] = None
-             ) -> "DieselWorkspace":
+    def open(cls, path: str | Path) -> "DieselWorkspace":
         """Load if ``path`` exists, else a fresh workspace."""
         p = Path(path)
         if p.exists():
-            return cls.load(p, config)
-        return cls(config)
+            return cls.load(p)
+        return cls()

@@ -1,93 +1,85 @@
 """Fast smoke tests of every experiment function at reduced scale.
 
-The full-scale runs live in ``benchmarks/``; these scaled-down variants
-keep `pytest tests/` self-contained — every artifact still executes and
-its most basic shape property still holds.
+The sizes come from :data:`tests.bench.smoke.SMOKE`; at them every
+artifact still executes and its most basic shape property still holds.
+The scenarios without a shape test here run in
+``test_scenario_invariants.py``.
 """
 
 import pytest
 
-from repro.bench import experiments as E
+from repro.bench.experiments import ALL_EXPERIMENTS
 from repro.calibration import KB
+
+from tests.bench.smoke import SMOKE, run_smoke
+
+
+def test_the_smoke_table_covers_every_experiment():
+    assert sorted(SMOKE) == sorted(ALL_EXPERIMENTS)
 
 
 class TestExperimentSmoke:
     def test_table2(self):
-        r = E.table2_read_bandwidth(reads_per_size=20)
+        r = run_smoke("table2")
         assert len(r.rows) == 7
 
     def test_fig6(self):
-        r = E.fig6_cache_degradation(
-            n_servers=6, n_clients=8, files_per_iteration=8,
-            iterations=20, kill_at=(8,), n_files=200,
-        )
+        r = run_smoke("fig6")
         assert len(r.rows) == 20
         assert r.rows[-1]["hit_ratio"] < 1.0
 
     def test_fig9(self):
-        r = E.fig9_write_throughput(files_per_proc=20, procs_per_node=4,
-                                    sizes=(4 * KB,))
+        r = run_smoke("fig9")
         row = r.one(file_size=4 * KB)
         assert row["diesel_files_per_s"] > row["lustre_files_per_s"]
 
     def test_fig10a(self):
-        r = E.fig10a_metadata_scaling(
-            server_counts=(1,), node_counts=(1, 4),
-            threads_per_node=8, queries_per_thread=20,
-        )
+        r = run_smoke("fig10a")
         assert r.one(servers=1, client_nodes=4)["qps"] >= \
             r.one(servers=1, client_nodes=1)["qps"]
 
     def test_fig10b(self):
-        r = E.fig10b_snapshot_scaling(node_counts=(1, 2))
+        r = run_smoke("fig10b")
         assert r.rows[1]["qps"] == pytest.approx(2 * r.rows[0]["qps"],
                                                  rel=0.01)
 
     def test_fig10c(self):
-        r = E.fig10c_ls_elapsed(n_files=400, n_dirs=20)
+        r = run_smoke("fig10c")
         lustre = r.one(system="lustre")
         assert lustre["ls_lR_seconds"] > lustre["ls_R_seconds"]
 
     def test_fig11a(self):
-        r = E.fig11a_read_scaling(node_counts=(1,), clients_per_node=4,
-                                  reads_per_client=10, n_files=200)
+        r = run_smoke("fig11a")
         row = r.rows[0]
         assert row["diesel_api_qps"] > row["lustre_qps"]
 
     def test_fig11b(self):
-        r = E.fig11b_cache_recovery(n_files=300, n_nodes=2)
+        r = run_smoke("fig11b")
         assert any(x["system"] == "diesel" for x in r.rows)
         assert any(x["system"] == "memcached" for x in r.rows)
 
     def test_fig12(self):
-        r = E.fig12_shuffle_bandwidth(
-            n_nodes=2, threads_per_node=4, sizes=(4 * KB,),
-            files_per_thread=15,
-        )
+        r = run_smoke("fig12")
         row = r.one(file_size=4 * KB)
         assert row["diesel_api_mbps"] > row["lustre_mbps"]
 
     def test_fig13(self):
-        r = E.fig13_shuffle_accuracy(n_samples=800, epochs=6,
-                                     group_sizes=(4,))
+        r = run_smoke("fig13")
         assert {x["strategy"] for x in r.rows} == {"shuffle dataset",
                                                    "chunk-wise g=4"}
 
     def test_fig14(self):
-        r = E.fig14_data_access_time(models=("alexnet",), epochs=2,
-                                     n_files=300)
+        r = run_smoke("fig14")
         lus = r.one(model="alexnet", system="lustre")
         dfu = r.one(model="alexnet", system="diesel-fuse")
         assert dfu["mean_fetch_s"] < lus["mean_fetch_s"]
 
     def test_fig15(self):
-        r = E.fig15_training_time(models=("alexnet",), epochs=2,
-                                  n_files=300)
+        r = run_smoke("fig15")
         assert r.one(model="alexnet")["normalized_total"] < 1.0
 
     def test_ingest(self):
-        r = E.ingest_pipeline(depths=(1, 4), n_chunks=8,
-                              files_per_chunk=4, file_size=64 * KB)
+        r = run_smoke("ingest")
         deep = r.one(depth=4)
         assert deep["ship_speedup"] > 1.0
         assert deep["ship_hwm"] > 1
@@ -95,10 +87,7 @@ class TestExperimentSmoke:
             assert row["server_ingests"] == row["chunks_shipped"]
 
     def test_fanout(self):
-        # 256 x 128 KB = 8 chunks of 4 MB: enough per-master work for
-        # the fan-out to overlap at reduced scale.
-        r = E.fanout_scatter_gather(fanouts=(1, 4), n_files=256,
-                                    file_size=128 * KB, batch=24)
+        r = run_smoke("fanout")
         deep = r.one(fanout=4)
         assert deep["warm_speedup"] > 1.0
         assert deep["read_speedup"] > 1.0
@@ -107,10 +96,7 @@ class TestExperimentSmoke:
             assert row["duplicate_reads"] == 0
 
     def test_faults(self):
-        r = E.fig_faults(
-            n_files=80, n_nodes=3, kill_cache_at=0.1, kill_kv_at=0.3,
-            run_s=0.5, window_s=0.08,
-        )
+        r = run_smoke("faults")
         cache_row = r.one(event="cache_master_killed")
         kv_row = r.one(event="kv_shards_killed")
         # Detector fired and recovery ran with no operator call.
@@ -125,10 +111,7 @@ class TestExperimentSmoke:
         assert kv_row["chunks_scanned"] > 0
 
     def test_metaplane(self):
-        r = E.fig_metaplane(
-            n_files=400, registry_sizes=(200, 5000), page_limit=100,
-            probe_stats=10, online_files=32, online_late=8,
-        )
+        r = run_smoke("metaplane")
         delta = r.one(event="delta_reload")
         assert delta["delta_bytes_ratio"] <= 0.05
         assert delta["delta_refresh_s"] < delta["full_load_s"]
@@ -142,7 +125,7 @@ class TestExperimentSmoke:
         assert online["committed_order_preserved"] is True
 
     def test_latency(self):
-        r = E.latency_breakdown(n_files=128, batch=16)
+        r = run_smoke("latency")
         row = r.rows[0]
         # Per-layer read-resolution tallies cover every file read.
         assert row["read_group_cache_count"] + row["read_server_count"] \
@@ -153,3 +136,20 @@ class TestExperimentSmoke:
             assert col in row and row[col] > 0.0
         # With prefetch_depth=4 most reads resolve locally.
         assert row["read_group_cache_count"] > row["read_server_count"]
+
+    def test_prefetch(self):
+        r = run_smoke("prefetch")
+        on_demand, ahead = r.one(prefetch_depth=0), r.one(prefetch_depth=2)
+        assert ahead["total_stall_s"] < on_demand["total_stall_s"]
+        assert ahead["prefetch_hits"] > 0
+        for row in r.rows:
+            assert row["duplicate_reads"] == 0
+
+    def test_scale(self):
+        r = run_smoke("scale")
+        per_request = r.one(variant="per-request")
+        batched = r.one(variant="batched")
+        # Both admission variants deliver the identical epoch.
+        for col in ("reads", "hits", "stat_calls"):
+            assert batched[col] == per_request[col]
+        assert batched["sim_events"] < per_request["sim_events"]

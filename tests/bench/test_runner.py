@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench import runner
 from repro.bench.experiments import ALL_EXPERIMENTS
+from repro.errors import ReproError
 
 
 class TestRunnerCli:
@@ -35,11 +36,29 @@ class TestRunnerCli:
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         def boom():
-            raise RuntimeError("injected")
+            raise ReproError("injected")
 
         monkeypatch.setitem(ALL_EXPERIMENTS, "table2", boom)
+        assert runner.main(["table2", "fig10b"]) == 1
+        captured = capsys.readouterr()
+        assert "table2 FAILED" in captured.err
+        assert "Fig 10b" in captured.out  # the run went on
+
+    def test_a_failed_consistency_check_is_reported(self, capsys, monkeypatch):
+        def inconsistent():
+            raise AssertionError("variants disagree")
+
+        monkeypatch.setitem(ALL_EXPERIMENTS, "table2", inconsistent)
         assert runner.main(["table2"]) == 1
-        assert "FAILED" in capsys.readouterr().err
+        assert "variants disagree" in capsys.readouterr().err
+
+    def test_a_bug_in_an_experiment_propagates(self, monkeypatch):
+        def typo():
+            raise TypeError("injected")
+
+        monkeypatch.setitem(ALL_EXPERIMENTS, "table2", typo)
+        with pytest.raises(TypeError, match="injected"):
+            runner.main(["table2"])
 
     def test_csv_export(self, capsys, tmp_path):
         out_dir = tmp_path / "csvs"

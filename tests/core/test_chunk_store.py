@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.setups import deploy, make_task, warm
 from repro.cluster import Node
 from repro.core.chunk import Chunk
 from repro.core.chunk_store import (
@@ -12,6 +13,8 @@ from repro.core.chunk_store import (
 )
 from repro.core.shared_cache import SharedCacheRegistry
 from repro.sim import Environment
+
+from tests.invariants import check_invariants
 
 CHUNK = 64 * 1024
 
@@ -343,3 +346,31 @@ class TestTieredStore(_RamTierCases):
         assert [store.tier_of(c) for c in ("d0", "d1", "d2")] == [
             "disk", "disk", None]
         assert store.stats.disk_evictions == 0
+
+
+class TestBoundedDiskTier:
+    def test_concurrent_overflow_admissions_stay_within_the_bound(self):
+        """Regression: ``_fit_disk`` checked for room before the write
+        yielded, so a warm-up's concurrent overflow admissions each
+        passed the check and the disk tier filed 8 chunks against a
+        6-chunk ``disk_tier_bytes``.  An admission now claims its stored
+        bytes until the write settles."""
+        files = {f"/d/f{i:03d}.bin": bytes([i]) * (CHUNK // 4)
+                 for i in range(96)}
+        tb = deploy(1, "ds", files, chunk_size=CHUNK)
+        nodes = [
+            tb.fabric.add_node(Node(tb.env, f"t{i}", memory_bytes=2 * CHUNK))
+            for i in range(2)
+        ]
+        bound = 6 * CHUNK
+        registry = SharedCacheRegistry(
+            tb.env, store="tiered", disk_tier_bytes=bound
+        )
+        task = make_task(tb, "ds", nodes, shared=registry)
+        warm(tb, [task])
+        tb.run(task.read(0, task.index.all_paths()))
+        tb.env.run()
+        for tier in registry.node_caches:
+            # The bound binds: one more chunk would not fit.
+            assert bound - CHUNK < tier.store.disk.bytes <= bound
+        check_invariants(nodes, [task.cache])

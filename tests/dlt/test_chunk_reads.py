@@ -587,9 +587,9 @@ class TestHedging:
     def test_mixed_granularity_reads_of_a_healthy_owner_fire_no_hedge(self):
         """Regression: the latency tracker was keyed by peer alone, so a
         run of KB ``get_file`` replies priced a MiB ``get_chunk`` reply
-        far too low.  Hedging is on with a delay nothing reaches (as in
-        ``dlcmd chaos``' calibration pass): every read feeds the tracker
-        and each population keeps its own estimate."""
+        far too low.  Hedging is on with a delay nothing reaches: every
+        read feeds the tracker and each population keeps its own
+        estimate."""
         tb, cache, readers, files, index = make_task(
             n_nodes=4, n_files=480, file_sizes=(12_000, 20_000),
             chunk_size=512 * 1024)
@@ -618,10 +618,10 @@ class TestHedging:
         assert cache.hedge_stats.reads > 0
         assert cache.hedge_stats.hedges_fired == 0
         assert cache.stats.degraded_reads == 0
-        # Both populations are calibrated, each on its own samples.
+        # Both populations are estimated, each on its own samples.
         master = cache.masters[owner].client.name
-        assert cache.peer_latency.hedge_delay((master, "get_chunk")) > \
-            2 * cache.peer_latency.hedge_delay((master, "get_file"))
+        means = cache.peer_latency._mean
+        assert means[(master, "get_chunk")] > 2 * means[(master, "get_file")]
 
 
 class TestClientChain:

@@ -5,8 +5,6 @@ import pytest
 from repro.errors import InterruptError, NodeDownError
 from repro.ft.hedge import (
     ALPHA,
-    DEV_MULT,
-    MIN_SAMPLES,
     HedgeStats,
     PeerLatencyTracker,
     hedged_call,
@@ -15,37 +13,19 @@ from repro.sim import Environment, Semaphore
 
 
 class TestPeerLatencyTracker:
-    def test_first_sample_seeds_mean_and_half_deviation(self):
-        t = PeerLatencyTracker()
-        t.observe("p", 0.010)
-        assert t.mean("p") == pytest.approx(0.010)
-        assert t.rows()[0]["dev_s"] == pytest.approx(0.005)
-        assert t.samples("p") == 1
-
     def test_jacobson_update(self):
         t = PeerLatencyTracker()
-        t.observe("p", 0.010)  # mean=0.010 dev=0.005
+        t.observe("p", 0.010)  # the first sample seeds the mean
+        assert t._mean["p"] == pytest.approx(0.010)
         t.observe("p", 0.020)
-        # err = 0.010; mean += ALPHA*err; dev += ALPHA*(|err| - dev)
-        assert t.mean("p") == pytest.approx(0.010 + ALPHA * 0.010)
-        assert t.rows()[0]["dev_s"] == pytest.approx(
-            0.005 + ALPHA * (0.010 - 0.005))
-
-    def test_hedge_delay_needs_min_samples(self):
-        t = PeerLatencyTracker()
-        for _ in range(MIN_SAMPLES - 1):
-            t.observe("p", 0.010)
-            assert t.hedge_delay("p") is None
-        t.observe("p", 0.010)
-        # identical samples: the mean holds, the deviation decays
-        dev = 0.005 * (1 - ALPHA) ** (MIN_SAMPLES - 1)
-        assert t.hedge_delay("p") == pytest.approx(0.010 + DEV_MULT * dev)
+        # err = 0.010; mean += ALPHA*err
+        assert t._mean["p"] == pytest.approx(0.010 + ALPHA * 0.010)
 
     def test_unknown_peer_has_no_estimate(self):
         t = PeerLatencyTracker()
-        assert t.mean("ghost") is None
-        assert t.hedge_delay("ghost") is None
-        assert t.samples("ghost") == 0
+        t.observe("p", 0.010)
+        assert "ghost" not in t._mean
+        assert t.fastest(["p", "ghost"]) == "ghost"
 
     def test_fastest_prefers_unobserved_then_lowest_mean(self):
         t = PeerLatencyTracker()
@@ -55,15 +35,6 @@ class TestPeerLatencyTracker:
         # A never-observed peer ranks first (optimistically priced at 0).
         assert t.fastest(["slow", "quick", "new"]) == "new"
         assert t.fastest([]) is None
-
-    def test_rows_sorted_slowest_first(self):
-        t = PeerLatencyTracker()
-        t.observe("a", 0.001)
-        t.observe("b", 0.100)
-        rows = t.rows()
-        assert [r["peer"] for r in rows] == ["b", "a"]
-        assert rows[0]["samples"] == 1
-        assert rows[0]["hedge_delay_s"] is None  # below MIN_SAMPLES
 
 
 def call(env, duration, value, log=None, tag="", error=None):

@@ -13,7 +13,9 @@ come with them), the chunk windows and the server stores.
 * a window holds at most ``capacity()`` chunks;
 * the SSD tier: ``ssd_used_bytes() + _reserved ≤ capacity``, its copies
   are current objects, kept in the order of their last reads;
-* a node tier: no chunk on both tiers, memory conserved on a live node
+* a node tier: no chunk on both tiers, a bounded disk tier's
+  ``disk.bytes + _reserved ≤ capacity_bytes`` (no claim left at a
+  quiescent point), memory conserved on a live node
   (``node.memory.level`` + every tier's RAM == capacity), each tenant's
   usage == Σ nbytes of the chunks it references, and its ``refs`` ==
   Σ ``len(_held)`` over the live masters admitting through it;
@@ -59,6 +61,10 @@ def check_node_tier(tier, masters, quiescent=True):
     check_residency(store.ram, quiescent)
     check_residency(store.disk, quiescent)
     assert not store.ram.entries.keys() & store.disk.entries.keys()
+    if store.capacity_bytes:
+        assert store.disk.bytes + store._reserved <= store.capacity_bytes
+    if quiescent:
+        assert store._reserved == 0
     on_disk = [item for item, _ in store.disk.entries.values()]
     assert store.stats.disk_bytes == sum(n for _, n in on_disk)
     resident = list(store.ram.entries.values()) + on_disk

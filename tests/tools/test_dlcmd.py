@@ -1,7 +1,5 @@
 """Tests for the DLCMD command-line tool."""
 
-import hashlib
-
 import pytest
 
 from repro.tools import dlcmd
@@ -102,7 +100,7 @@ class TestDlcmd:
     def test_stats_prints_layer_table(self, tmp_path, local_tree, capsys):
         run(tmp_path, "put", str(local_tree), "/t")
         capsys.readouterr()
-        assert run(tmp_path, "-j", "2", "stats", "-n", "2") == 0
+        assert run(tmp_path, "stats", "-n", "2") == 0
         out = capsys.readouterr().out
         header = out.splitlines()[0].split()
         assert header[:2] == ["op", "layer"]
@@ -146,99 +144,6 @@ class TestDlcmd:
         assert run(tmp_path, "verify") == 1
         assert "no such dataset" in capsys.readouterr().err
 
-    def test_locality_compares_placements(self, tmp_path, local_tree, capsys):
-        run(tmp_path, "put", str(local_tree), "/t")
-        capsys.readouterr()
-        assert run(tmp_path, "locality", "-N", "2") == 0
-        out = capsys.readouterr().out
-        assert "placement probe: 2 task node(s)" in out
-        assert "hash:" in out and "locality:" in out
-        assert "local_hits" in out and "coalesced_pulls" in out
-        assert "chunks per master:" in out
-
-    def test_locality_empty_dataset_errors(self, tmp_path, capsys):
-        assert run(tmp_path, "locality") == 1
-        assert "no such dataset" in capsys.readouterr().err
-
-    def test_stats_includes_locality_counters(self, tmp_path, local_tree, capsys):
-        run(tmp_path, "put", str(local_tree), "/t")
-        capsys.readouterr()
-        assert run(tmp_path, "stats", "-n", "2") == 0
-        out = capsys.readouterr().out
-        assert "task cache locality" in out
-        assert "local_hits" in out and "replicated_chunks" in out
-
-    def test_scale_probe_needs_no_workspace(self, tmp_path, capsys):
-        # Pure simulation-substrate probe: runs against a nonexistent
-        # workspace file and prints the two-variant comparison table.
-        assert run(tmp_path, "scale", "-n", "500", "-N", "10", "-b", "16") == 0
-        out = capsys.readouterr().out
-        assert "engine scale" in out
-        assert "per-request" in out and "batched" in out
-        assert "events_per_sec" in out and "speedup" in out
-
-    def test_scale_rejects_bad_sizes(self, tmp_path, capsys):
-        assert run(tmp_path, "scale", "-n", "0") == 1
-        assert "must be >= 1" in capsys.readouterr().err
-
-    def test_tenants_probe_prints_usage_and_counters(self, tmp_path,
-                                                     local_tree, capsys):
-        run(tmp_path, "put", str(local_tree), "/t")
-        capsys.readouterr()
-        assert run(tmp_path, "tenants", "-N", "3") == 0
-        out = capsys.readouterr().out
-        assert "shared-tier probe: 3 concurrent task(s)" in out
-        assert "tenant0" in out and "tenant2" in out
-        assert "interactive" in out and "batch" in out
-        assert "warm_admissions" in out and "qos_denied" in out
-        assert "quota_rejections" in out
-        assert "NO" not in out  # every tenant within quota
-
-    def test_tenants_quota_flag_is_reported(self, tmp_path, local_tree,
-                                            capsys):
-        run(tmp_path, "put", str(local_tree), "/t")
-        capsys.readouterr()
-        assert run(tmp_path, "tenants", "-N", "2", "-q", "1000000") == 0
-        out = capsys.readouterr().out
-        assert "976.56 KiB" in out  # the quota column, humanized
-
-    def test_tenants_rejects_bad_args(self, tmp_path, local_tree, capsys):
-        run(tmp_path, "put", str(local_tree), "/t")
-        capsys.readouterr()
-        assert run(tmp_path, "tenants", "-N", "0") == 1
-        assert "--tasks must be >= 1" in capsys.readouterr().err
-
-    def test_tenants_empty_dataset_errors(self, tmp_path, capsys):
-        assert run(tmp_path, "tenants") == 1
-        assert "no such dataset" in capsys.readouterr().err
-
-    def test_tiers_probe_reports_disk_overflow(self, tmp_path, local_tree,
-                                               capsys):
-        run(tmp_path, "put", str(local_tree), "/t")
-        capsys.readouterr()
-        # A RAM budget far below the dataset: chunks overflow to disk.
-        assert run(tmp_path, "tiers", "-m", "64") == 0
-        out = capsys.readouterr().out
-        assert "tiered-store probe" in out
-        assert "tiers-n0" in out and "tiers-n1" in out
-        assert "disk admits" in out
-        assert "compression off" in out
-
-    def test_tiers_compression_summary(self, tmp_path, local_tree, capsys):
-        run(tmp_path, "put", str(local_tree), "/t")
-        capsys.readouterr()
-        assert run(tmp_path, "tiers", "-m", "64", "-z") == 0
-        out = capsys.readouterr().out
-        assert "compression on" in out
-        assert "chunks compressed" in out
-        assert "logical stored as" in out
-
-    def test_tiers_rejects_bad_args(self, tmp_path, local_tree, capsys):
-        run(tmp_path, "put", str(local_tree), "/t")
-        capsys.readouterr()
-        assert run(tmp_path, "tiers", "-m", "0") == 1
-        assert "--ram must be >= 1" in capsys.readouterr().err
-
     def test_meta_probe_reports_journal_and_registry(self, tmp_path,
                                                      local_tree, capsys):
         run(tmp_path, "put", str(local_tree), "/t")
@@ -259,68 +164,3 @@ class TestDlcmd:
         out = capsys.readouterr().out
         assert "registry:         0 dataset(s)" in out
         assert "(no datasets)" in out
-
-    def test_chaos_probe_prints_the_operator_view(self, tmp_path, local_tree,
-                                                  capsys):
-        run(tmp_path, "put", str(local_tree), "/t")
-        capsys.readouterr()
-        assert run(tmp_path, "chaos") == 0
-        out = capsys.readouterr().out
-        assert "chaos probe: 3 task node(s) + 1 live joiner" in out
-        # Membership grew by the live joiner and records the scale event.
-        assert "membership (version 1): 4 master(s)" in out
-        assert "scale event" in out and "scale_up chaos-j3" in out
-        assert "[NIC degraded]" in out
-        # EWMA rows and hedge counters populated by the three passes.
-        assert "peer latency (EWMA, slowest first):" in out
-        assert "sample(s), ewma" in out
-        assert "hedge counters:" in out
-        assert "hedges fired" in out
-        # The armed schedule with its applied window.
-        assert "chaos schedule:" in out
-        assert "degrade_nic:" in out
-        assert "apply degrade_nic" in out
-
-    def test_chaos_probe_single_node(self, tmp_path, local_tree, capsys):
-        run(tmp_path, "put", str(local_tree / "a.bin"), "/a")
-        capsys.readouterr()
-        assert run(tmp_path, "chaos", "-N", "1") == 0
-        out = capsys.readouterr().out
-        assert "membership (version 1): 2 master(s)" in out
-
-    @pytest.mark.parametrize("argv, digest", [
-        (["chaos"],
-         "312e20c0d742c2eeddfdb64b444fcd7750a1e6616cc0b578e6f2b5c6a0ae061c"),
-        (["chaos", "-N", "1"],
-         "cad0ea8be80da8deb2422c798a84b1f7b38e729b7f874f0228ed8a16cee43970"),
-    ], ids=["chaos", "chaos-N1"])
-    def test_chaos_operator_view_is_pinned(self, tmp_path, local_tree,
-                                           capsys, argv, digest):
-        """The probe is deterministic: its whole stdout, byte for byte."""
-        run(tmp_path, "put", str(local_tree), "/t")
-        capsys.readouterr()
-        assert run(tmp_path, *argv) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
-
-    def test_chaos_rejects_bad_args(self, tmp_path, local_tree, capsys):
-        run(tmp_path, "put", str(local_tree), "/t")
-        capsys.readouterr()
-        assert run(tmp_path, "chaos", "-N", "0") == 1
-        assert "--nodes must be >= 1" in capsys.readouterr().err
-
-    def test_chaos_empty_dataset_errors(self, tmp_path, local_tree, capsys):
-        run(tmp_path, "put", str(local_tree / "a.bin"), "/a")
-        run(tmp_path, "rm", "/a")
-        capsys.readouterr()
-        assert run(tmp_path, "chaos") == 1
-        assert "no files to probe" in capsys.readouterr().err
-
-    def test_chaos_does_not_mutate_the_workspace(self, tmp_path, local_tree,
-                                                 capsys):
-        run(tmp_path, "put", str(local_tree / "a.bin"), "/a")
-        capsys.readouterr()
-        ws_file = tmp_path / "test.workspace"
-        before = ws_file.read_bytes()
-        assert run(tmp_path, "chaos") == 0
-        assert ws_file.read_bytes() == before
