@@ -1,7 +1,7 @@
 """Real wall-clock micro-benchmarks of the library's hot paths.
 
-Unlike the ``bench_fig*`` files (which reproduce the paper's simulated
-experiments), these measure the actual Python implementation: chunk
+Unlike the registered experiments (which reproduce the paper's
+simulated figures behind ``python -m repro.bench.runner``), these measure the actual Python implementation: chunk
 encode/decode throughput, snapshot serialization, O(1) snapshot lookups,
 chunk-wise shuffle generation, consistent-hash lookups, KV prefix scans,
 and the server's metadata write path (chunk ingest, tombstone delete).

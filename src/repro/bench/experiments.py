@@ -1780,8 +1780,8 @@ def scale_engine(
     """Engine scale: a 1000-node, 10⁶-request epoch under two admissions.
 
     Two variants of the same workload run on the one kernel in one call
-    and must produce identical read/hit/stat counters; admission is the
-    only difference between them:
+    and must produce identical read/hit/stat counters (the first ``scale``
+    claim); admission is the only difference between them:
 
     * ``per-request`` — one admitted RPC per request, every arrival
       pre-scheduled up front (peak occupancy ≈ the full epoch);
@@ -1875,12 +1875,6 @@ def scale_engine(
             )
         base = result.one(variant="per-request")
         fast = result.one(variant="batched")
-        for key in ("reads", "hits", "stat_calls"):
-            if base[key] != fast[key]:
-                raise AssertionError(
-                    f"variant counters diverge on {key}: "
-                    f"{base[key]} != {fast[key]}"
-                )
         # Epoch-normalized sim-events/sec: both variants deliver the
         # *same* epoch (identical counters), so rates are comparable
         # only against a common event count — the per-request variant's.

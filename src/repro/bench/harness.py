@@ -29,9 +29,6 @@ class ExperimentResult:
     def note(self, text: str) -> None:
         self.notes.append(text)
 
-    def column(self, key: str) -> list:
-        return [r[key] for r in self.rows]
-
     def where(self, **conditions: Any) -> List[Dict[str, Any]]:
         out = []
         for r in self.rows:

@@ -16,7 +16,8 @@ from typing import Any, Dict, Sequence
 from repro.bench.harness import ExperimentResult
 
 
-def _fmt(value: Any) -> str:
+def format_value(value: Any) -> str:
+    """One table cell: floats rounded to a readable width."""
     if isinstance(value, float):
         if value == 0:
             return "0"
@@ -37,7 +38,7 @@ def format_table(rows: Sequence[Dict[str, Any]], title: str = "") -> str:
         for key in row:
             if key not in columns:
                 columns.append(key)
-    cells = [[_fmt(row.get(c, "")) for c in columns] for row in rows]
+    cells = [[format_value(row.get(c, "")) for c in columns] for row in rows]
     widths = [
         max(len(col), *(len(r[i]) for r in cells)) for i, col in enumerate(columns)
     ]

@@ -7,16 +7,18 @@ Regenerate any paper table/figure from the command line::
     python -m repro.bench.runner --list            # what's available
     python -m repro.bench.runner fig12 --csv out/  # also dump rows as CSV
 
-Prints each experiment's paper-style table and notes; ``--csv DIR``
-additionally writes one ``<experiment>.csv`` per artifact (the series a
-plotting tool would consume) and ``--json DIR`` one
-``BENCH_<experiment>.json`` (rows + notes, machine-readable).
+Prints each experiment's paper-style table and notes, then one
+``claim ✓``/``claim ✗`` line per claim :data:`~repro.bench.claims.CLAIMS`
+makes about its rows; ``--csv DIR`` additionally writes one
+``<experiment>.csv`` per artifact (the series a plotting tool would
+consume) and ``--json DIR`` one ``BENCH_<experiment>.json`` (rows +
+notes, machine-readable).
 
-An experiment that fails — a :class:`~repro.errors.ReproError` from the
-simulated system, or an ``AssertionError`` from its own consistency
-checks — is reported and the run goes on to the next one, exiting
-non-zero at the end; any other exception is a bug and propagates with
-its traceback.
+An experiment that fails — a false claim, a
+:class:`~repro.errors.ReproError` from the simulated system, or an
+``AssertionError`` from its own consistency checks — is reported and the
+run goes on to the next one, exiting non-zero at the end; any other
+exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.bench.claims import CLAIMS
 from repro.bench.experiments import ALL_EXPERIMENTS
 from repro.bench.harness import ExperimentResult
 from repro.bench.reporting import format_result, write_json
@@ -102,6 +105,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             failures += 1
             continue
         print(format_result(result))
+        for claim in CLAIMS[name](result):
+            if claim.ok:
+                print(f"claim ✓ {claim.text}")
+            else:
+                print(f"claim ✗ {claim.text}: {claim.measured}")
+                failures += 1
         if csv_dir is not None:
             target = csv_dir / f"{name}.csv"
             write_csv(result, target)

@@ -18,7 +18,7 @@ import random
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.cluster.node import Node
-from repro.sim.engine import Environment, Process
+from repro.sim.engine import Environment
 
 
 class ChaosSchedule:
@@ -39,7 +39,6 @@ class ChaosSchedule:
         self.rng = random.Random(seed)
         self.log: List[Tuple[float, str, str]] = []
         self._scenarios: List[Dict[str, Any]] = []
-        self._procs: List[Process] = []
         self._started = False
 
     # ----------------------------------------------------------- builders
@@ -196,9 +195,7 @@ class ChaosSchedule:
             raise RuntimeError("chaos schedule already started")
         self._started = True
         for sc in self._scenarios:
-            self._procs.append(
-                self.env.process(self._run(sc), name=f"chaos:{sc['label']}")
-            )
+            self.env.process(self._run(sc), name=f"chaos:{sc['label']}")
         return self
 
     def _run(self, sc: Dict[str, Any]):
@@ -210,8 +207,3 @@ class ChaosSchedule:
             yield from sc["body"](self)
         finally:
             self.log.append((self.env.now, "revert", sc["label"]))
-
-    @property
-    def done(self) -> bool:
-        """Whether every armed scenario has finished."""
-        return self._started and all(not p.is_alive for p in self._procs)

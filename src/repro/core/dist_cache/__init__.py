@@ -284,10 +284,7 @@ class TaskCache(ReadChain, Membership, Placement):
             raise DieselError("task cache already registered")
         # Any client can perform registration; use the global lowest rank.
         leader = min(self.clients, key=lambda c: (c.rank, c.name))
-        summary = yield from self.server.call(
-            leader.node, "register", self.dataset, leader.name,
-            self.tenant, self.qos_class,
-        )
+        summary = yield from self.server.call(leader.node, "register", self.dataset)
         self.task_key = self.shared.next_task_id()
         master_list = self._elect_masters(self.clients)
         self._deal(

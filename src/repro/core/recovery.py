@@ -25,7 +25,7 @@ from typing import Any, Generator, Optional
 from repro.core.chunk import Chunk
 from repro.core.server import DieselServer, parse_object_key
 from repro.errors import ReproError
-from repro.sim.engine import Event, fan_out
+from repro.sim.engine import Event
 
 #: Conservative bound on header bytes fetched per chunk during a scan.
 HEADER_READ_BYTES = 64 * 1024
@@ -58,7 +58,6 @@ def rebuild_dataset(
     server: DieselServer,
     dataset: str,
     from_timestamp: Optional[int] = None,
-    fanout: int = 1,
 ) -> Generator[Event, Any, int]:
     """Rebuild KV metadata for one dataset by scanning its chunks.
 
@@ -66,9 +65,7 @@ def rebuild_dataset(
     a value is scenario (a) — incremental rescan of chunks whose ID
     timestamp is ≥ the given (simulated-clock) second.
 
-    ``fanout > 1`` overlaps the header *reads* (the device-bound part of
-    the scan) with up to that many in flight; the metadata replay itself
-    always happens serially in written order — the dataset record's
+    Chunks are replayed serially in written order: the dataset record's
     chunk list must come out exactly as ingest appended it, or shuffle
     plans built from a rebuilt index would diverge.
 
@@ -84,19 +81,6 @@ def rebuild_dataset(
     """
     server.journal.reset(dataset)
     keys = _scan_keys(server, dataset, from_timestamp)
-    if fanout > 1 and len(keys) > 1:
-        headers = yield from fan_out(
-            server.env,
-            [_read_header(server, key) for key in keys],
-            fanout,
-            name=f"rebuild:{dataset}",
-        )
-        for shell, data_offset, blob_len in headers:
-            n_pairs = server.ingest_metadata(
-                dataset, shell, data_size=blob_len - data_offset
-            )
-            yield server.env.timeout(server._kv_pipeline_cost(n_pairs))
-        return len(keys)
     scanned = 0
     for key in keys:
         shell, data_offset, blob_len = yield from _read_header(server, key)

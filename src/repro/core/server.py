@@ -99,8 +99,8 @@ class ServerStats(Counters):
     """Data-path read counters (chunk transfers, batched reads).
 
     ``chunk_reads`` counts whole-chunk transfers served to clients; the
-    pipelined-prefetch benchmarks assert against it to prove the
-    single-flight map eliminates duplicate chunk fetches.
+    ``prefetch`` experiment's claims read it to show the single-flight
+    map eliminates duplicate chunk fetches.
     """
 
     chunk_reads: int = 0
@@ -142,9 +142,6 @@ class DieselServer:
         self.cal = calibration
         self.name = name
         self.stats = ServerStats()
-        #: Registration log: one dict per task registration (dataset,
-        #: client, tenant, qos_class, at).
-        self.registrations: list[dict] = []
         # Delta metadata plane: both live in the shared KV, so every
         # stateless server sees the same journal and registry.
         self.journal = MetaJournal(kv, META_JOURNAL_HORIZON)
@@ -542,20 +539,11 @@ class DieselServer:
             return True
         return self.access_keys.get(user) == key
 
-    def _op_register(
-        self,
-        dataset: str,
-        client_name: str,
-        tenant: str = "default",
-        qos_class: str = "batch",
-    ) -> dict:
+    def _op_register(self, dataset: str) -> dict:
         """Task registration: returns dataset summary for cache planning.
 
         ``chunk_sizes`` lets capacity-aware placement (locality policy)
         budget each node's partition in bytes rather than chunk counts.
-        Multi-tenant callers identify themselves with ``tenant`` /
-        ``qos_class`` (defaults keep single-tenant callers unchanged),
-        and each registration lands in the registration log.
         """
         rec = self._dataset_record(dataset)
         sizes = {
@@ -563,13 +551,6 @@ class DieselServer:
             for c in rec.chunk_ids
         }
         self.stats.registrations += 1
-        self.registrations.append({
-            "dataset": dataset,
-            "client": client_name,
-            "tenant": tenant,
-            "qos_class": qos_class,
-            "at": self.env.now,
-        })
         return {
             "dataset": dataset,
             "update_ts": rec.update_ts,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
 from repro.calibration import RpcProfile
-from repro.errors import NodeDownError
+from repro.errors import NodeDownError, ReproError
 from repro.cluster.network import NetworkFabric
 from repro.cluster.node import Node
 from repro.obs.counters import Counters
@@ -187,7 +187,7 @@ class RpcEndpoint:
                     # simulated I/O (device reads, nested RPCs) while holding
                     # its pool slot — a blocked thread, as in a real server.
                     result = yield from result
-            except Exception:
+            except ReproError:
                 self.stats.errors += 1
                 raise
             resp_nbytes = (
@@ -269,7 +269,7 @@ class RpcEndpoint:
                     if hasattr(result, "send") and hasattr(result, "throw"):
                         result = yield from result
                     results.append(result)
-            except Exception:
+            except ReproError:
                 self.stats.errors += 1
                 raise
             if response_bytes is not None:

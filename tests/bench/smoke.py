@@ -1,6 +1,6 @@
 """Smoke-size arguments for every experiment, in one table.
 
-The full-scale runs live in ``benchmarks/`` and behind
+The full-scale runs, judged by their claims, live behind
 ``python -m repro.bench.runner``; these reduced sizes keep
 ``pytest tests/`` self-contained.  ``test_experiments_smoke.py`` checks
 each artifact's basic shape at these sizes, and

@@ -14,9 +14,9 @@ class TestExperimentResult:
         r.add(system="a", size=8, qps=80.0)
         return r
 
-    def test_add_and_column(self):
+    def test_add(self):
         r = self.make()
-        assert r.column("qps") == [100.0, 50.0, 80.0]
+        assert [row["qps"] for row in r.rows] == [100.0, 50.0, 80.0]
 
     def test_where(self):
         r = self.make()

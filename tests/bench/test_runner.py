@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench import runner
+from repro.bench.claims import CLAIMS, Claim
 from repro.bench.experiments import ALL_EXPERIMENTS
 from repro.errors import ReproError
 
@@ -28,6 +29,7 @@ class TestRunnerCli:
         out = capsys.readouterr().out
         assert "Table 2" in out
         assert "files_per_s" in out
+        assert out.count("claim ✓") == 3 and "claim ✗" not in out
 
     def test_runs_multiple(self, capsys):
         assert runner.main(["table2", "fig10b"]) == 0
@@ -51,6 +53,18 @@ class TestRunnerCli:
         monkeypatch.setitem(ALL_EXPERIMENTS, "table2", inconsistent)
         assert runner.main(["table2"]) == 1
         assert "variants disagree" in capsys.readouterr().err
+
+    def test_a_failed_claim_fails_the_run(self, capsys, monkeypatch):
+        def wrong(result):
+            return [Claim("table2 reads 1 GB/s", "35.7k", False),
+                    Claim("table2 has rows", "7", True)]
+
+        monkeypatch.setitem(CLAIMS, "table2", wrong)
+        assert runner.main(["table2", "fig10b"]) == 1
+        out = capsys.readouterr().out
+        assert "claim ✗ table2 reads 1 GB/s: 35.7k" in out
+        assert "claim ✓ table2 has rows" in out
+        assert "Fig 10b" in out  # the run went on
 
     def test_a_bug_in_an_experiment_propagates(self, monkeypatch):
         def typo():

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from repro.cluster.node import Node
-from repro.core import recovery
 from repro.core.chunk_builder import ChunkBuilder, ChunkPipeline
 from repro.core.client import ClientStats
 from repro.core.config import DieselConfig
@@ -390,39 +389,6 @@ class TestWarmupRecoveryFanout:
 def _wait(proc):
     value = yield proc
     return value
-
-
-class TestRecoveryFanout:
-    def test_parallel_rebuild_matches_serial_metadata(self, deployment):
-        files = small_files(30)
-        write_dataset(deployment, "ds", files, chunk_size=8 * 1024)
-        from tests.core.test_recovery import snapshot_kv_state
-
-        before = snapshot_kv_state(deployment, "ds")
-        deployment.kv.lose_all()
-
-        def proc():
-            n = yield from recovery.rebuild_dataset(
-                deployment.server, "ds", fanout=4
-            )
-            return n
-
-        t0 = deployment.env.now
-        scanned = deployment.run(proc())
-        parallel_time = deployment.env.now - t0
-        assert scanned == len(before[1])
-        assert snapshot_kv_state(deployment, "ds") == before
-
-        # Serial rebuild of the same chunks takes strictly longer.
-        deployment.kv.lose_all()
-
-        def serial():
-            yield from recovery.rebuild_dataset(deployment.server, "ds")
-
-        t0 = deployment.env.now
-        deployment.run(serial())
-        assert deployment.env.now - t0 > parallel_time
-        assert snapshot_kv_state(deployment, "ds") == before
 
 
 class TestStatsToDict:

@@ -21,7 +21,9 @@ def setup_rpc(service_s=0.0, workers=16, latency=0.0):
         if method == "echo":
             return args[0]
         if method == "boom":
-            raise ValueError("handler exploded")
+            raise NodeDownError("disk", "handler exploded")
+        if method == "bug":
+            raise TypeError("handler bug")
         return None
 
     ep = RpcEndpoint(
@@ -54,8 +56,27 @@ class TestRpcEndpoint:
         def proc(env):
             yield from ep.call(client, "boom")
 
-        with pytest.raises(ValueError, match="handler exploded"):
+        with pytest.raises(NodeDownError, match="handler exploded"):
             run_sync(env, proc(env))
+        assert ep.stats.errors == 1
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_only_a_modelled_failure_counts_as_an_error(self, batched):
+        # A ReproError is the simulated system failing and is counted; a
+        # TypeError is a bug in the handler: it propagates, uncounted.
+        env, _, client, _, ep, _ = setup_rpc()
+
+        def proc(env, method):
+            if batched:
+                yield from ep.call_batch(client, [("echo", b"x"), (method,)])
+            else:
+                yield from ep.call(client, method)
+
+        with pytest.raises(TypeError, match="handler bug"):
+            run_sync(env, proc(env, "bug"))
+        assert ep.stats.errors == 0
+        with pytest.raises(NodeDownError):
+            run_sync(env, proc(env, "boom"))
         assert ep.stats.errors == 1
 
     def test_service_time_charged(self):

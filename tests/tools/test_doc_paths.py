@@ -1,0 +1,60 @@
+"""The docs name only repo files that exist.
+
+Every inline code span in ``README.md``, ``DESIGN.md``,
+``CONTRIBUTING.md`` and ``docs/*.md`` is searched for repo paths under
+``benchmarks/``, ``src/``, ``scripts/`` or ``tests/`` (a ``::test`` or
+``:line`` suffix is dropped, a ``*`` is a glob, a ``<placeholder>`` is
+skipped); each must exist.  A span that is a bare ``name.py`` must name
+some file in the repo.  ``CHANGES.md``, ``EXPERIMENTS.md`` and
+``ROADMAP.md`` are history and are skipped.
+"""
+
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "CONTRIBUTING.md",
+        *sorted((ROOT / "docs").glob("*.md"))]
+
+_SPAN = re.compile(r"(?<!`)`([^`\n]+)`(?!`)")
+_PATH = re.compile(r"(?:^|(?<=[\s(]))((?:benchmarks|src|scripts|tests)/[^\s:`,)]*)")
+_BARE = re.compile(r"[\w.-]+\.py")
+
+
+def missing(text, py_names):
+    """Repo paths and bare ``*.py`` names in ``text``'s code spans that
+    name nothing."""
+    found = []
+    for span in _SPAN.findall(text):
+        if _BARE.fullmatch(span.strip()):
+            if span.strip() not in py_names:
+                found.append(span.strip())
+            continue
+        for path in _PATH.findall(span):
+            if "<" in path:
+                continue
+            if not (any(ROOT.glob(path)) if "*" in path else (ROOT / path).exists()):
+                found.append(path)
+    return found
+
+
+def repo_py_names():
+    return {p.name for p in ROOT.rglob("*.py") if ".git" not in p.parts}
+
+
+def test_docs_name_only_files_that_exist():
+    names = repo_py_names()
+    problems = [f"{doc.name}: {path}" for doc in DOCS
+                for path in missing(doc.read_text(), names)]
+    assert problems == []
+
+
+def test_a_deleted_file_is_caught():
+    names = repo_py_names()
+    text = ("run `tests/bench/test_gone.py::test_x` or "
+            "`python scripts/gone.py --all`, see `gone_module.py`; "
+            "`tests/bench/test_runner.py`, `benchmarks/bench_*.py`, "
+            "`tests/<package>/` and `runner.py` exist")
+    assert missing(text, names) == [
+        "tests/bench/test_gone.py", "scripts/gone.py", "gone_module.py",
+    ]
