@@ -17,6 +17,7 @@ from repro.bench.experiments import PAPER
 from repro.bench.harness import ExperimentResult as Result
 from repro.bench.reporting import format_value
 from repro.calibration import KB, MB
+from repro.ft.detector import FAILURE_TIMEOUT_S, HEARTBEAT_S
 
 
 class Claim(NamedTuple):
@@ -351,7 +352,7 @@ def _faults(r: Result) -> Claims:
         "verify_problems", "chunks_scanned", "failed_reads"))
     return _claims(
         ("detected within timeout + one heartbeat of the kill",
-         0 < detect <= 0.04 + 0.01 + 1e-9, detect),
+         0 < detect <= FAILURE_TIMEOUT_S + HEARTBEAT_S + 1e-9, detect),
         ("healing re-streams the orphaned chunks", reloaded > 0, reloaded),
         ("recovery takes simulated time", recovery > 0, recovery),
         ("the server serves degraded reads meanwhile", degraded > 0, degraded),

@@ -1426,14 +1426,11 @@ def fig_faults(
     file_size: int = 8 * KB,
     n_nodes: int = 4,
     chunk_size: int = 64 * KB,
-    heartbeat_s: float = 0.01,
-    failure_timeout_s: float = 0.04,
     kill_cache_at: float = 0.25,
     kill_kv_at: float = 0.75,
     run_s: float = 1.25,
     window_s: float = 0.2,
     pace_s: float = 2e-4,
-    restart_delay_s: float = 0.05,
 ) -> ExperimentResult:
     """Self-healing under injected failures (§4.1.2 scenario (a), Fig 4).
 
@@ -1450,6 +1447,7 @@ def fig_faults(
     """
     from repro.core.recovery import verify_rebuild
     from repro.ft import CacheSupervisor, FailureDetector, KVSupervisor
+    from repro.ft.supervisor import RESTART_DELAY_S
 
     result = ExperimentResult(
         "self-healing fault tolerance", "§4.1.2 failure scenarios"
@@ -1462,18 +1460,11 @@ def fig_faults(
         tb = deploy(n_nodes, "ds", files, chunk_size, n_servers=1, n_kv=8)
         task = warmed_task(tb, "ds", tb.compute_nodes)
         cache, clients = task.cache, task.clients
-        cache.configure_ft()
         recorder = SpanRecorder.attach(cache)
-        detector = FailureDetector(
-            tb.env, heartbeat_interval_s=heartbeat_s,
-            failure_timeout_s=failure_timeout_s, recorder=recorder,
-        )
-        cache_sup = CacheSupervisor(detector, cache, fanout=2,
-                                    recorder=recorder)
-        kv_sup = KVSupervisor(
-            detector, tb.diesel, tb.kv, ["ds"],
-            restart_delay_s=restart_delay_s, recorder=recorder,
-        )
+        detector = FailureDetector(tb.env, recorder=recorder)
+        cache_sup = CacheSupervisor(detector, cache, recorder=recorder)
+        kv_sup = KVSupervisor(detector, tb.diesel, tb.kv, ["ds"],
+                              recorder=recorder)
         detector.start()
 
         # The victim master lives on compute0; the reader on compute1.
@@ -1560,7 +1551,7 @@ def fig_faults(
         )
         result.note(
             f"{len(kv_victims)} Redis shards died at t={kill_kv_at:.2f}s: "
-            f"auto-restarted cold after {restart_delay_s:.2f}s, metadata "
+            f"auto-restarted cold after {RESTART_DELAY_S:.2f}s, metadata "
             f"replayed from t={rebuild['from_timestamp']} "
             f"({rebuild['chunks_scanned']} chunks scanned), "
             f"verify_rebuild: {len(problems)} problems"

@@ -67,11 +67,6 @@ class Node:
     def alive(self) -> bool:
         return self._alive
 
-    @property
-    def degraded(self) -> bool:
-        """Whether any NIC degradation is currently applied."""
-        return self.nic_slow_factor != 1.0 or self.nic_extra_latency_s != 0.0
-
     def degrade(
         self, slow_factor: float = 1.0, extra_latency_s: float = 0.0
     ) -> None:

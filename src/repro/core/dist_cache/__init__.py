@@ -27,6 +27,7 @@ from repro.core.prefetch import WindowStats
 from repro.core.server import DieselServer
 from repro.core.shared_cache import SharedCacheRegistry
 from repro.errors import DieselError
+from repro.ft.hedge import HedgeStats
 from repro.obs.counters import Counters
 from repro.rpc.connections import ConnectionTable
 from repro.sim.engine import Event
@@ -153,15 +154,11 @@ class TaskCache(ReadChain, Membership, Placement):
         self._registered = False
         self._prefetch_procs: list = []
         self._recorder = None
-        #: Fault-tolerance hooks (all optional; None = legacy behaviour).
-        #: ``failure_listener.report_failure(master)`` is called when an
-        #: in-flight peer call fails — the CacheSupervisor wires itself
-        #: in here so detection does not wait for the next heartbeat.
+        #: ``failure_listener.report_failure(master)`` is called when a
+        #: peer read finds its owner down or sees it die mid-call — the
+        #: CacheSupervisor wires itself in here so detection does not
+        #: wait for the next heartbeat (None = nobody listens).
         self.failure_listener = None
-        #: Seeded retry jitter once ``configure_ft`` ran (None = a
-        #: single peer attempt, no breaker).
-        self._rng = None
-        self._breakers: Dict[str, Any] = {}  # master client name -> breaker
         #: The read-ahead accounting every reader's chunk window of this
         #: task shares.
         self.readahead = WindowStats()
@@ -177,12 +174,10 @@ class TaskCache(ReadChain, Membership, Placement):
         #: ``(time, event, names)`` for every live membership change.
         self.scale_events: List[tuple] = []
         self._membership_listeners: List[Any] = []
-        #: Hedged-read machinery (None = single-attempt peer path; see
-        #: ``configure_hedging``).
+        #: Hedged remote reads, set by ``configure_hedging`` (None = one
+        #: peer call per read).
         self._hedge_delay_s = 0.0
-        self._hedged_call = None
-        self.peer_latency = None
-        self.hedge_stats = None
+        self.hedge_stats: Optional[HedgeStats] = None
         #: Which layer served the most recent read_file — published for
         #: the client's span attribution (only updated while a recorder
         #: is attached, so the bare hot path stays untouched).
@@ -233,38 +228,19 @@ class TaskCache(ReadChain, Membership, Placement):
             m.recorder = m.endpoint.recorder = value
 
     # ------------------------------------------------------- fault tolerance
-    def configure_ft(self) -> None:
-        """Retry every peer fetch (:func:`repro.ft.retry.retry_call`)
-        behind one circuit breaker per master.  Without this call the
-        peer path is a single attempt with no breaker; either way a
-        mid-call peer death degrades to the server.
-        """
-        import random
-
-        self._breakers.clear()
-        # Seeded: retry jitter must not vary run to run.
-        self._rng = random.Random(0xD1E5E1)
-
     def configure_hedging(self, delay_s: float) -> None:
         """Enable hedged reads on the remote-peer path.
 
         Once a remote read outlives ``delay_s`` a backup request is
-        fired to a replica master holding the chunk (steered to the
-        fastest peer by the EWMA latency tracker) or to the backend,
-        and whichever answers first wins; the loser is cancelled so its
-        NIC channels and RPC worker slots drain through their
-        ``finally`` blocks.  While a read is hedged it bypasses
-        retry/breaker (the backup *is* the recovery path); local fast
-        paths are never hedged.
+        fired to the DIESEL server and whichever answers first wins; the
+        loser is cancelled so its NIC channels and RPC worker slots drain
+        through their ``finally`` blocks.  Local fast paths are never
+        hedged.
         """
         if delay_s <= 0:
             raise ValueError("delay_s must be positive")
-        from repro.ft.hedge import HedgeStats, PeerLatencyTracker, hedged_call
-
         self._hedge_delay_s = delay_s
-        if self._hedged_call is None:
-            self._hedged_call = hedged_call
-            self.peer_latency = PeerLatencyTracker()
+        if self.hedge_stats is None:
             self.hedge_stats = HedgeStats()
 
     # ------------------------------------------------------------ lifecycle

@@ -84,15 +84,14 @@ class Membership:
     ) -> None:
         """The one "masters leave" step, once their chunks have new
         owners: ``leaving`` and every client on ``nodes`` drop out of
-        the task and the connection mesh, their breakers go, their
-        counters fold into the task totals, and the change is published
+        the task and the connection mesh, their counters fold into the
+        task totals, and the change is published
         (``membership_version``, ``scale_events``, listeners).  The
         references are the caller's to settle first: a departing master
         releases its own (:meth:`_retire`); a dead one's went with its
         node (``purge_dead``)."""
         for m in leaving:
             del self.masters[m.node.name]
-            self._breakers.pop(m.client.name, None)
             self._departed = CacheMasterStats.total((self._departed, m.stats))
         for c in self.clients:
             if c.node.name in nodes:

@@ -1,10 +1,10 @@
 """The read chain (Fig 4): a file (``read_file``) or a whole chunk
 (``read_chunk``, behind a §4.3 chunk window) resolves from the reader's
-own node (no RPC), else in one hop from the owning master (hedged,
-retried or single), else from the DIESEL server — the cache never
-blocks the training loop.  Under ``on-demand`` a miss pulls the chunk
-in the background; chunks one node reads remotely often enough are
-replicated onto its master.
+own node (no RPC), else in one hop from the owning master (one call,
+hedged against the server when asked), else from the DIESEL server —
+the cache never blocks the training loop.  Under ``on-demand`` a miss
+pulls the chunk in the background; chunks one node reads remotely often
+enough are replicated onto its master.
 """
 
 from __future__ import annotations
@@ -14,12 +14,8 @@ from typing import Any, Generator, Optional, Tuple
 from repro.core.chunk import Chunk
 from repro.core.dist_cache.master import CacheClient, CacheMaster
 from repro.core.meta import FileRecord
-from repro.errors import (
-    CachePeerDownError,
-    CircuitOpenError,
-    DieselError,
-    NodeDownError,
-)
+from repro.errors import CachePeerDownError, DieselError, NodeDownError
+from repro.ft.hedge import hedged_call
 from repro.sim.engine import Event
 
 
@@ -203,57 +199,41 @@ class ReadChain:
         from_server,
     ) -> Generator[Event, Any, Tuple[Any, str]]:
         """The owner-peer leg: one ``method(*args)`` call (``args[0]``
-        the encoded chunk id) hedged for remote owners, else under
-        retry + breaker, else a single attempt.
+        the encoded chunk id), raced against ``from_server`` once
+        :meth:`configure_hedging` ran and the owner is remote.
 
-        Returns ``(value, tier)``; tier is ``""`` when the backend won a
+        Returns ``(value, tier)``; tier is ``""`` when the server won a
         hedge.  ``None`` sends the caller to the server: tier
-        ``"degraded_reads"`` when the owner is down, died mid-call or
-        its breaker is open (feeding the detector now collapses
-        detection latency to the first read that noticed), ``""`` for a
-        clean miss — ``on-demand`` then pulls the chunk in background.
+        ``"degraded_reads"`` when the owner is down or died mid-call
+        (feeding the detector now collapses detection latency to the
+        first read that noticed), ``""`` for a clean miss —
+        ``on-demand`` then pulls the chunk in background.
         """
-        value, source = None, "degraded"
-        if master.up:
-            try:
-                if (
-                    self._hedged_call is not None
-                    and master.node is not client.node
-                ):
-                    value, source = yield from self._hedged_read(
-                        client, master, method, args, response_bytes,
-                        from_server,
-                    )
-                elif self._rng is not None:
-                    from repro.ft.retry import retry_call
-
-                    endpoint = master.endpoint
-                    value = yield from retry_call(
-                        self.env,
-                        lambda: endpoint.call(
-                            client.node, method, *args,
-                            response_bytes=response_bytes,
-                        ),
-                        rng=self._rng, breaker=self._breaker_for(master),
-                        recorder=endpoint.recorder, op=f"rpc_{method}",
-                        actor=endpoint.name,
-                    )
-                    source = "peer"
-                else:
-                    value = yield from master.endpoint.call(
-                        client.node, method, *args,
-                        response_bytes=response_bytes,
-                    )
-                    source = "peer"
-            except CircuitOpenError:
-                # Known-bad peer: short-circuit straight to the server
-                # without paying another attempt.
-                pass
-            except NodeDownError:
-                self._note_peer_failure(master)
-        else:
+        if not master.up:
             self._note_peer_failure(master)
-        if source == "degraded":
+            return None, "degraded_reads"
+        call = master.endpoint.call(
+            client.node, method, *args, response_bytes=response_bytes
+        )
+        try:
+            if self.hedge_stats is not None and master.node is not client.node:
+                outcome = yield from hedged_call(
+                    self.env, call, from_server, self._hedge_delay_s,
+                    self.hedge_stats, name=f"hedge:{args[0][:8]}",
+                )
+                if isinstance(
+                    outcome.primary_error, (NodeDownError, CachePeerDownError)
+                ):
+                    # The owner failed while the server saved the read:
+                    # feed the detector like the unhedged failure path.
+                    self._note_peer_failure(master)
+                if outcome.winner == "backup":
+                    return outcome.value, ""
+                value = outcome.value
+            else:
+                value = yield from call
+        except NodeDownError:
+            self._note_peer_failure(master)
             return None, "degraded_reads"
         if value is None:
             if self.policy == "on-demand" and master.up:
@@ -263,22 +243,10 @@ class ReadChain:
                     name=f"pull:{args[0][:8]}",
                 )
             return None, ""
-        if source == "server":
-            return value, ""
-        if source == "peer":
-            if master.node is client.node:
-                return value, "local_hits"
-            self._note_remote_read(client, master, args[0])
+        if master.node is client.node:
+            return value, "local_hits"
+        self._note_remote_read(client, master, args[0])
         return value, "remote_hits"
-
-    def _breaker_for(self, master: CacheMaster):
-        breaker = self._breakers.get(master.client.name)
-        if breaker is None:
-            from repro.ft.breaker import CircuitBreaker
-
-            breaker = CircuitBreaker(self.env, master.client.name)
-            self._breakers[master.client.name] = breaker
-        return breaker
 
     def _note_peer_failure(self, master: CacheMaster) -> None:
         listener = self.failure_listener
@@ -308,93 +276,6 @@ class ReadChain:
             rec = self._recorder
             if rec is not None:
                 rec.count("ft_dropped_pull", "task_cache")
-
-    # ---------------------------------------------------------- hedged reads
-    def _peer_attempt(
-        self,
-        client: CacheClient,
-        master: CacheMaster,
-        method: str,
-        args: tuple,
-        response_bytes: Optional[int],
-    ) -> Generator[Event, Any, Any]:
-        """One unprotected peer call, feeding the latency tracker —
-        keyed by ``(peer, method)``: a ``get_file`` reply is KBs and a
-        ``get_chunk`` reply MiBs, so one EWMA over both would calibrate
-        a hedge delay that is wrong for each."""
-        t0 = self.env.now
-        value = yield from master.endpoint.call(
-            client.node, method, *args, response_bytes=response_bytes
-        )
-        self.peer_latency.observe(
-            (master.client.name, method), self.env.now - t0
-        )
-        return value
-
-    def _hedge_backup_read(
-        self,
-        client: CacheClient,
-        master: CacheMaster,
-        method: str,
-        args: tuple,
-        response_bytes: Optional[int],
-        from_server,
-    ) -> Generator[Event, Any, Tuple[str, Any]]:
-        """The backup leg of a hedge: another up master holding the
-        chunk — the one with the lowest EWMA for ``method`` — else the
-        backend."""
-        replicas = {
-            (m.client.name, method): m for m in self.masters.values()
-            if m is not master and m.up and m.has_chunk(args[0])
-        }
-        if replicas:
-            replica = replicas[self.peer_latency.fastest(replicas)]
-            try:
-                value = yield from self._peer_attempt(
-                    client, replica, method, args, response_bytes
-                )
-            except (NodeDownError, CachePeerDownError):
-                value = None
-            if value is not None:
-                return "replica", value
-        value = yield from from_server()
-        return "server", value
-
-    def _hedged_read(
-        self,
-        client: CacheClient,
-        master: CacheMaster,
-        method: str,
-        args: tuple,
-        response_bytes: Optional[int],
-        from_server,
-    ) -> Generator[Event, Any, Tuple[Any, str]]:
-        """Remote read with a hedge: race the owner against a backup
-        delayed by the configured hedge delay.  Returns ``(value,
-        source)`` with source ``"peer"`` (owner answered — value None
-        means a clean miss), ``"replica"`` or ``"server"`` (the backup
-        won or the owner failed mid-race).
-        """
-        outcome = yield from self._hedged_call(
-            self.env,
-            self._peer_attempt(client, master, method, args, response_bytes),
-            lambda: self._hedge_backup_read(
-                client, master, method, args, response_bytes, from_server
-            ),
-            self._hedge_delay_s,
-            self.hedge_stats,
-            name=f"hedge:{args[0][:8]}",
-        )
-        if isinstance(
-            outcome.primary_error, (NodeDownError, CachePeerDownError)
-        ):
-            # The owner failed while the backup saved the read: feed the
-            # detector exactly like the unhedged failure path.
-            self._note_peer_failure(master)
-        if outcome.winner == "primary":
-            return outcome.value, "peer"
-        source, value = outcome.value
-        return value, source
 
     # ------------------------------------------------- hot-chunk replication
     def _note_remote_read(

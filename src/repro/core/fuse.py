@@ -97,10 +97,6 @@ class FuseFile:
     def close(self) -> None:
         self._closed = True
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
 
 class FuseMount:
     """A mounted DIESEL dataset exposing POSIX-ish operations."""

@@ -164,18 +164,6 @@ class AuthError(DieselError):
         self.user = user
 
 
-class FaultToleranceError(ReproError):
-    """Base class for failures raised by the fault-tolerance layer."""
-
-
-class CircuitOpenError(FaultToleranceError):
-    """Raised when a peer's circuit breaker is open (fast-fail, no RPC)."""
-
-    def __init__(self, peer: str) -> None:
-        super().__init__(f"circuit breaker for peer {peer!r} is open")
-        self.peer = peer
-
-
 class CacheError(ReproError):
     """Base class for distributed-cache failures."""
 

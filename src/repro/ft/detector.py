@@ -1,9 +1,9 @@
 """Heartbeat/probe-based failure detector.
 
 A single sim process probes every watched peer once per
-``heartbeat_interval_s``.  A peer that stops answering is first marked
+:data:`HEARTBEAT_S`.  A peer that stops answering is first marked
 **suspect** (it may be a transient blip); once it has been unreachable
-for ``failure_timeout_s`` it is declared **dead** and the registered
+for :data:`FAILURE_TIMEOUT_S` it is declared **dead** and the registered
 transition callbacks fire — that is the hook the self-healing
 supervisors (:mod:`repro.ft.supervisor`) use to trigger
 ``TaskCache.recover()`` and KV metadata rebuilds with no operator call.
@@ -31,6 +31,12 @@ ALIVE = "alive"
 SUSPECT = "suspect"
 DEAD = "dead"
 
+#: Seconds between probe rounds.
+HEARTBEAT_S = 0.01
+#: Seconds a peer stays unreachable before it is declared dead; a death
+#: is detected within ``FAILURE_TIMEOUT_S + HEARTBEAT_S``.
+FAILURE_TIMEOUT_S = 0.04
+
 #: Transition callback: ``(peer_name, new_state, sim_time)``.
 TransitionCallback = Callable[[str, str, float], None]
 
@@ -50,20 +56,8 @@ class _Watch:
 class FailureDetector:
     """Probes registered peers and publishes alive/suspect/dead state."""
 
-    def __init__(
-        self,
-        env: Environment,
-        heartbeat_interval_s: float = 0.05,
-        failure_timeout_s: float = 0.25,
-        recorder=None,
-    ) -> None:
-        if heartbeat_interval_s <= 0:
-            raise ValueError("heartbeat_interval_s must be positive")
-        if failure_timeout_s <= heartbeat_interval_s:
-            raise ValueError("failure_timeout_s must exceed heartbeat_interval_s")
+    def __init__(self, env: Environment, recorder=None) -> None:
         self.env = env
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.failure_timeout_s = failure_timeout_s
         #: Attached observability recorder (None = disabled).
         self.recorder = recorder
         self._watches: Dict[str, _Watch] = {}
@@ -89,6 +83,7 @@ class FailureDetector:
         self._callbacks.append(callback)
 
     def state(self, name: str) -> str:
+        """``name``'s current state: ALIVE, SUSPECT or DEAD."""
         return self._watches[name].state
 
     def last_alive(self, name: str) -> float:
@@ -110,9 +105,8 @@ class FailureDetector:
         self._proc = None
 
     def _loop(self):
-        interval = self.heartbeat_interval_s
         while True:
-            yield self.env.timeout(interval)
+            yield self.env.timeout(HEARTBEAT_S)
             self.probe_now()
 
     # -------------------------------------------------------------- probing
@@ -146,7 +140,7 @@ class FailureDetector:
         self._maybe_dead(w, self.env.now)
 
     def _maybe_dead(self, w: _Watch, now: float) -> None:
-        if now - w.last_alive >= self.failure_timeout_s:
+        if now - w.last_alive >= FAILURE_TIMEOUT_S:
             self._transition(w, DEAD)
 
     def _transition(self, w: _Watch, state: str) -> None:

@@ -1,22 +1,17 @@
-"""Hedged requests and per-peer latency tracking (straggler mitigation).
+"""Hedged requests (straggler mitigation).
 
-A straggling peer is not *down* — the failure detector and circuit
-breaker never fire — yet one 10×-slow node can dominate read tail
-latency.  The classic cure ("The Tail at Scale", Dean & Barroso) is the
-*hedged request*: wait a fixed delay above the healthy tail latency,
-then fire a backup request to another replica (or the backend) and take
-whichever answers first, cancelling the loser so the duplicate work is
-suppressed rather than paid.
+A straggling peer is not *down* — the failure detector never fires —
+yet one 10×-slow node can dominate read tail latency.  The classic cure
+("The Tail at Scale", Dean & Barroso) is the *hedged request*: wait a
+fixed delay above the healthy tail latency, then fire a backup request
+(the task cache sends it to the DIESEL server) and take whichever answers first,
+cancelling the loser so the duplicate work is suppressed rather than
+paid.
 
-Two pieces live here:
-
-* :class:`PeerLatencyTracker` — EWMA mean of observed per-peer call
-  latency.  Its :meth:`~PeerLatencyTracker.fastest` steers a hedge's
-  backup away from slow peers.
-* :func:`hedged_call` — the race combinator: drives the primary as a
-  child process, arms the backup after ``delay_s``, returns a
-  :class:`HedgeOutcome` naming the winner; :class:`HedgeStats` counts
-  hedges, cancelled losers and duplicates paid.
+:func:`hedged_call` is the race combinator: it drives the primary as a
+child process, arms the backup after ``delay_s`` and returns a
+:class:`HedgeOutcome` naming the winner; :class:`HedgeStats` counts
+hedges, cancelled losers and duplicates paid.
 
 Everything runs on the simulation clock; no wall-clock, no randomness.
 """
@@ -24,14 +19,11 @@ Everything runs on the simulation clock; no wall-clock, no randomness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Hashable, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.errors import InterruptError, ReproError
 from repro.obs.counters import Counters
 from repro.sim.engine import Environment, Event
-
-#: EWMA gain of each new latency sample.
-ALPHA = 0.2
 
 
 @dataclass(slots=True)
@@ -67,40 +59,6 @@ class HedgeOutcome:
     winner: str = ""
     #: The primary's failure when the backup saved the call.
     primary_error: Optional[BaseException] = None
-
-
-class PeerLatencyTracker:
-    """EWMA latency mean per peer.
-
-    A "peer" is any hashable key naming one latency population — the
-    task cache keys by ``(peer name, method)`` so replies of different
-    sizes never share an estimate.
-
-    ``observe(peer, latency)`` folds a sample in:
-    ``mean += ALPHA·(x - mean)``; the first sample seeds ``mean = x``.
-    """
-
-    def __init__(self) -> None:
-        self._mean: Dict[Hashable, float] = {}
-
-    def observe(self, peer: Hashable, latency_s: float) -> None:
-        """Fold one completed-call latency sample for ``peer``."""
-        mean = self._mean.get(peer)
-        if mean is None:
-            self._mean[peer] = latency_s
-        else:
-            self._mean[peer] = mean + ALPHA * (latency_s - mean)
-
-    def fastest(self, peers: Iterable[Hashable]) -> Optional[Hashable]:
-        """The peer with the lowest EWMA mean; never-observed peers rank
-        first (optimistically — one call prices them in)."""
-        best = None
-        best_key = None
-        for p in peers:
-            key = self._mean.get(p, 0.0)
-            if best is None or key < best_key:
-                best, best_key = p, key
-        return best
 
 
 def _tear_down(*procs) -> None:

@@ -15,7 +15,7 @@ The supervisors close the loop:
   failed call.
 * :class:`KVSupervisor` watches every KV shard.  On DEAD it records the
   shard's last-known-good probe time, restarts the node + instance
-  after ``restart_delay_s`` (an in-memory store restarts
+  after :data:`RESTART_DELAY_S` (an in-memory store restarts
   *empty*), and once **all** shards answer again replays
   ``rebuild_dataset(from_timestamp=last_good)`` for each supervised
   dataset — scenario (a)'s incremental rescan, with no operator call.
@@ -26,14 +26,20 @@ Both record their work through the ``repro.obs`` span layer under
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
-from repro.core.dist_cache import CacheMaster, TaskCache
 from repro.core.recovery import rebuild_dataset
-from repro.core.server import DieselServer
 from repro.errors import CachePeerDownError
 from repro.ft.detector import DEAD, FailureDetector
-from repro.kvstore.sharded import ShardedKV
+
+if TYPE_CHECKING:  # pragma: no cover - the task cache imports repro.ft
+    from repro.core.dist_cache import CacheMaster, TaskCache
+    from repro.core.server import DieselServer
+    from repro.kvstore.sharded import ShardedKV
+
+#: Seconds a dead KV shard stays down before its node and instance
+#: restart.
+RESTART_DELAY_S = 0.05
 
 
 class CacheSupervisor:
@@ -43,13 +49,11 @@ class CacheSupervisor:
         self,
         detector: FailureDetector,
         cache: TaskCache,
-        fanout: Optional[int] = None,
         recorder=None,
     ) -> None:
         self.detector = detector
         self.cache = cache
         self.env = cache.env
-        self.fanout = fanout
         self.recorder = recorder
         #: One dict per completed recovery (see :meth:`_heal`).
         self.recoveries: List[dict] = []
@@ -104,7 +108,7 @@ class CacheSupervisor:
                 t0 = self.env.now
                 before = self.cache.shared.stats
                 try:
-                    reloaded = yield from self.cache.recover(self.fanout)
+                    reloaded = yield from self.cache.recover()
                 except CachePeerDownError as exc:
                     # No survivors: nothing to re-partition onto.  Leave
                     # the record so experiments can report the outage.
@@ -153,17 +157,13 @@ class KVSupervisor:
         server: DieselServer,
         kv: ShardedKV,
         datasets: Sequence[str],
-        restart_delay_s: float = 0.0,
         recorder=None,
     ) -> None:
-        if restart_delay_s < 0:
-            raise ValueError("restart_delay_s must be >= 0")
         self.detector = detector
         self.server = server
         self.kv = kv
         self.env = server.env
         self.datasets = list(datasets)
-        self.restart_delay_s = restart_delay_s
         self.recorder = recorder
         #: One dict per completed rebuild (see :meth:`_rebuild`).
         self.rebuilds: List[dict] = []
@@ -197,7 +197,7 @@ class KVSupervisor:
             )
 
     def _restart(self, inst):
-        yield self.env.timeout(self.restart_delay_s)
+        yield self.env.timeout(RESTART_DELAY_S)
         if not inst.node.alive:  # else another shard's restart got there
             inst.node.restore()
         if not inst.up:

@@ -15,9 +15,7 @@ breakdown first-class for the reproduction:
   ``*Stats`` class on :mod:`repro.obs.counters`, into ``stats_row``.
 
 Fault tolerance reports through the same recorder under ``ft_*`` ops:
-retries and backoff (``ft_retry``, ``ft_backoff``,
-``ft_attempt_failed``, ``ft_exhausted``), breakers
-(``ft_breaker_reject``), detector transitions (``ft_alive`` /
+detector transitions (``ft_alive`` /
 ``ft_suspect`` / ``ft_dead``, ``ft_detect``), degraded-path events
 (``ft_peer_failure``, ``ft_dropped_pull``) and healing
 (``ft_recover``, ``ft_rebuild``).  Same zero-overhead contract: every

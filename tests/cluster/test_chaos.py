@@ -18,12 +18,12 @@ class TestWindows:
         env, (node, _), chaos = rig()
         chaos.slow_node(node, factor=8.0, at=1.0, duration_s=2.0).start()
         env.run(until=0.5)
-        assert not node.degraded
+        assert (node.nic_slow_factor, node.nic_extra_latency_s) == (1.0, 0.0)
         env.run(until=1.5)
         assert node.nic_slow_factor == 8.0
         assert chaos.log == [(1.0, "apply", "slow_node:n0x8")]
         env.run(until=3.5)
-        assert not node.degraded
+        assert (node.nic_slow_factor, node.nic_extra_latency_s) == (1.0, 0.0)
         assert chaos.log[-1] == (3.0, "revert", "slow_node:n0x8")
 
     def test_degrade_nic_sets_both_knobs(self):
@@ -35,7 +35,7 @@ class TestWindows:
         assert node.nic_slow_factor == 4.0
         assert node.nic_extra_latency_s == 0.002
         env.run()
-        assert not node.degraded
+        assert (node.nic_slow_factor, node.nic_extra_latency_s) == (1.0, 0.0)
 
     def test_latency_spikes_fire_inside_the_window(self):
         env, nodes, chaos = rig()

@@ -1,4 +1,4 @@
-"""Degraded read paths: mid-flight peer death, breakers, tolerant pulls.
+"""Degraded read paths: mid-flight peer death, tolerant pulls.
 
 Covers the Fig 4 fall-through under failure: a read whose owning master
 dies mid-call must land on the DIESEL server instead of erroring, and
@@ -6,7 +6,6 @@ an on-demand background fill must tolerate the master dying mid-pull.
 """
 
 from repro.cluster.failure import ChaosSchedule
-from repro.ft.breaker import THRESHOLD
 
 from tests.core.test_dist_cache import setup_cache
 
@@ -86,32 +85,3 @@ class TestTolerantBackgroundPull:
         dep.env.run()  # let the pull finish undisturbed
         assert victim.has_chunk(record.chunk_id.encode())
         assert cache.dropped_pulls == 0
-
-
-class TestBreakerShortCircuit:
-    def test_tripped_breaker_skips_the_peer_and_still_serves_data(self):
-        dep, cache, reader, victim_node, path, files, index = warm_rig()
-        cache.configure_ft()
-        victim = cache.masters[victim_node.name]
-        breaker = cache._breaker_for(victim)
-        # THRESHOLD failed calls trip the breaker; while it is open, the
-        # reads skip the (healthy) peer and the server serves them.
-        for _ in range(THRESHOLD):
-            breaker.record_failure(breaker.allow())
-        peer_calls = victim.endpoint.stats.calls
-        record = index.lookup(path)
-        for _ in range(2):
-            assert dep.run(cache.read_file(reader, record)) == files[path]
-        assert cache.stats.degraded_reads == 2
-        assert victim.endpoint.stats.calls == peer_calls
-        assert breaker.state == "open"
-        assert breaker.trips == 1
-        assert breaker.rejections == 2  # neither read hit the peer
-
-    def test_retry_rides_out_a_blip_without_degrading(self):
-        dep, cache, reader, victim_node, path, files, index = warm_rig()
-        cache.configure_ft()
-        record = index.lookup(path)
-        # Healthy peer + retry enabled: the warm hit is served normally.
-        assert dep.run(cache.read_file(reader, record)) == files[path]
-        assert cache.stats.degraded_reads == 0

@@ -265,9 +265,7 @@ class TestSupervisorMembership:
 
     def rig(self):
         dep, cache, clients, files, index = setup_cache()
-        det = FailureDetector(
-            dep.env, heartbeat_interval_s=0.02, failure_timeout_s=0.05
-        )
+        det = FailureDetector(dep.env)
         sup = CacheSupervisor(det, cache)
         return dep, cache, clients, files, index, det, sup
 

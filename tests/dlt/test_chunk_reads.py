@@ -585,11 +585,9 @@ class TestRollover:
 
 class TestHedging:
     def test_mixed_granularity_reads_of_a_healthy_owner_fire_no_hedge(self):
-        """Regression: the latency tracker was keyed by peer alone, so a
-        run of KB ``get_file`` replies priced a MiB ``get_chunk`` reply
-        far too low.  Hedging is on with a delay nothing reaches: every
-        read feeds the tracker and each population keeps its own
-        estimate."""
+        """Hedging is on with a delay nothing reaches: KB ``get_file``
+        and MiB ``get_chunk`` replies of a healthy remote owner all come
+        from the owner, and no backup fires."""
         tb, cache, readers, files, index = make_task(
             n_nodes=4, n_files=480, file_sizes=(12_000, 20_000),
             chunk_size=512 * 1024)
@@ -618,10 +616,41 @@ class TestHedging:
         assert cache.hedge_stats.reads > 0
         assert cache.hedge_stats.hedges_fired == 0
         assert cache.stats.degraded_reads == 0
-        # Both populations are estimated, each on its own samples.
-        master = cache.masters[owner].client.name
-        means = cache.peer_latency._mean
-        assert means[(master, "get_chunk")] > 2 * means[(master, "get_file")]
+
+    @pytest.mark.parametrize("granularity", ["file", "chunk"])
+    def test_a_straggling_owners_backup_is_served_by_the_server(
+        self, granularity
+    ):
+        """A hot-chunk replica on a third master is no hedge target: the
+        backup of a read that outlives the hedge delay on a straggling
+        owner goes to the DIESEL server."""
+        tb, cache, readers, files, index = make_task()
+        cc = readers[0].cache_client
+        owner, cids = remote_chunks(cache, readers[0], index)
+        cid = cids[0]
+        third = next(m for n, m in cache.masters.items()
+                     if n not in (owner, cc.node.name))
+        tb.run(third.pull([cid]))  # what hot-chunk replication does
+        assert third.has_chunk(cid)
+        path = next(
+            p for p in files if index.lookup(p).chunk_id.encode() == cid)
+        cache.configure_hedging(delay_s=1e-4)
+        cache.masters[owner].node.degrade(extra_latency_s=0.05)
+        replica_calls = third.endpoint.stats.calls
+        server = tb.diesel.stats
+        served = server.file_reads + server.chunk_reads
+
+        if granularity == "file":
+            data, tier = tb.run(cache.resolve_file(cc, index.lookup(path)))
+        else:
+            chunk, tier = tb.run(cache.read_chunk(cc, cid))
+            data = chunk.payload(path)
+        assert data == files[path]
+        assert tier == ""  # the server won the race
+        assert cache.hedge_stats.hedges_fired == 1
+        assert cache.hedge_stats.backup_wins == 1
+        assert server.file_reads + server.chunk_reads == served + 1
+        assert third.endpoint.stats.calls == replica_calls
 
 
 class TestClientChain:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.ft import ALIVE, DEAD, SUSPECT, FailureDetector
+from repro.ft.detector import FAILURE_TIMEOUT_S, HEARTBEAT_S
 from repro.sim import Environment
 
 
@@ -14,12 +15,9 @@ class Peer:
         self.up = up
 
 
-def make(interval=0.05, timeout=0.25):
+def make():
     env = Environment()
-    det = FailureDetector(
-        env, heartbeat_interval_s=interval, failure_timeout_s=timeout
-    )
-    return env, det
+    return env, FailureDetector(env)
 
 
 class TestStateMachine:
@@ -32,13 +30,14 @@ class TestStateMachine:
         assert det.events == []
 
     def test_dead_peer_goes_suspect_then_dead(self):
-        env, det = make(interval=0.05, timeout=0.25)
+        env, det = make()
         peer = Peer()
         det.watch("p", peer)
         det.start()
-        env.run(until=0.11)
+        env.run(until=2.5 * HEARTBEAT_S)
         peer.up = False
-        env.run(until=0.2)
+        # One missed probe, still inside the failure timeout.
+        env.run(until=3.5 * HEARTBEAT_S)
         assert det.state("p") == SUSPECT
         env.run(until=1.0)
         assert det.state("p") == DEAD
@@ -46,22 +45,22 @@ class TestStateMachine:
         assert states == [SUSPECT, DEAD]
 
     def test_detection_latency_bounded_by_timeout_plus_interval(self):
-        env, det = make(interval=0.05, timeout=0.25)
+        env, det = make()
         peer = Peer()
         det.watch("p", peer)
         det.start()
-        env.run(until=0.11)
+        env.run(until=2.5 * HEARTBEAT_S)
         peer.up = False
         env.run(until=2.0)
         lat = det.detection_latency_s("p")
-        assert 0.25 <= lat <= 0.25 + 0.05 + 1e-9
+        assert FAILURE_TIMEOUT_S <= lat <= FAILURE_TIMEOUT_S + HEARTBEAT_S + 1e-9
 
     def test_recovered_peer_transitions_back_to_alive(self):
         env, det = make()
         peer = Peer()
         det.watch("p", peer)
         det.start()
-        env.run(until=0.11)
+        env.run(until=2.5 * HEARTBEAT_S)
         peer.up = False
         env.run(until=1.0)
         assert det.state("p") == DEAD
@@ -89,7 +88,7 @@ class TestReportFailure:
         peer = Peer()
         det.watch("p", peer)
         det.start()
-        env.run(until=0.11)
+        env.run(until=2.5 * HEARTBEAT_S)
         peer.up = False
         # No heartbeat has seen the death yet; a data-path report
         # flips the state without waiting for the next probe.
@@ -97,7 +96,7 @@ class TestReportFailure:
         assert det.state("p") == SUSPECT
 
     def test_report_after_grace_window_declares_dead(self):
-        env, det = make(interval=0.05, timeout=0.25)
+        env, det = make()
         peer = Peer()
         det.watch("p", peer)  # last successful probe: now (t=0)
         # Detector not started: only data-path reports drive the state.
@@ -105,7 +104,7 @@ class TestReportFailure:
         det.report_failure("p")
         assert det.state("p") == SUSPECT  # within the grace window
         # Advance past the grace window, then report again.
-        env.run(until=0.3)
+        env.run(until=FAILURE_TIMEOUT_S + HEARTBEAT_S)
         det.report_failure("p")
         assert det.state("p") == DEAD
 
@@ -155,15 +154,6 @@ class TestLifecycle:
         with pytest.raises(SimulationError):
             det.start()
 
-    def test_bad_intervals_rejected(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            FailureDetector(env, heartbeat_interval_s=0.0)
-        with pytest.raises(ValueError):
-            FailureDetector(
-                env, heartbeat_interval_s=0.1, failure_timeout_s=0.1
-            )
-
 
 def probe_times(det, env, until):
     """Run the detector, recording the sim time of every probe round."""
@@ -185,9 +175,9 @@ class TestHeartbeatJitter:
     """Probes carry no jitter: every round lands on the interval."""
 
     def test_zero_jitter_keeps_fixed_interval_schedule(self):
-        env = Environment()
-        det = FailureDetector(env, heartbeat_interval_s=0.05)
+        env, det = make()
         det.watch("p", Peer())
-        times = probe_times(det, env, until=0.5)
-        assert times == pytest.approx([0.05 * (i + 1) for i in range(len(times))])
+        times = probe_times(det, env, until=10 * HEARTBEAT_S)
+        assert times == pytest.approx(
+            [HEARTBEAT_S * (i + 1) for i in range(len(times))])
         assert len(times) >= 9

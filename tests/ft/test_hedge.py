@@ -1,40 +1,10 @@
-"""Tests for hedged reads and the per-peer EWMA latency tracker."""
+"""Tests for the hedged-call race combinator."""
 
 import pytest
 
 from repro.errors import InterruptError, NodeDownError
-from repro.ft.hedge import (
-    ALPHA,
-    HedgeStats,
-    PeerLatencyTracker,
-    hedged_call,
-)
+from repro.ft.hedge import HedgeStats, hedged_call
 from repro.sim import Environment, Semaphore
-
-
-class TestPeerLatencyTracker:
-    def test_jacobson_update(self):
-        t = PeerLatencyTracker()
-        t.observe("p", 0.010)  # the first sample seeds the mean
-        assert t._mean["p"] == pytest.approx(0.010)
-        t.observe("p", 0.020)
-        # err = 0.010; mean += ALPHA*err
-        assert t._mean["p"] == pytest.approx(0.010 + ALPHA * 0.010)
-
-    def test_unknown_peer_has_no_estimate(self):
-        t = PeerLatencyTracker()
-        t.observe("p", 0.010)
-        assert "ghost" not in t._mean
-        assert t.fastest(["p", "ghost"]) == "ghost"
-
-    def test_fastest_prefers_unobserved_then_lowest_mean(self):
-        t = PeerLatencyTracker()
-        t.observe("slow", 0.100)
-        t.observe("quick", 0.001)
-        assert t.fastest(["slow", "quick"]) == "quick"
-        # A never-observed peer ranks first (optimistically priced at 0).
-        assert t.fastest(["slow", "quick", "new"]) == "new"
-        assert t.fastest([]) is None
 
 
 def call(env, duration, value, log=None, tag="", error=None):

@@ -1,14 +1,12 @@
 """End-to-end self-healing: detector-driven cache + KV recovery."""
 
-import pytest
-
 from repro.core.dist_cache import CacheClient, TaskCache
 from repro.core.recovery import verify_rebuild
 from repro.ft import CacheSupervisor, FailureDetector, KVSupervisor, SUSPECT
 from tests.core.conftest import build_deployment, small_files, write_dataset
 
 
-def cache_rig(n_nodes=3, n_files=24, interval=0.02, timeout=0.05):
+def cache_rig(n_nodes=3, n_files=24):
     dep = build_deployment(n_client_nodes=n_nodes)
     files = small_files(n_files, size=2048)
     writer = write_dataset(dep, "ds", files, chunk_size=8 * 1024)
@@ -20,9 +18,8 @@ def cache_rig(n_nodes=3, n_files=24, interval=0.02, timeout=0.05):
     cache = TaskCache(dep.server, "ds", clients)
     dep.run(cache.register())
     dep.run(cache.wait_warm())
-    det = FailureDetector(dep.env, heartbeat_interval_s=interval,
-                          failure_timeout_s=timeout)
-    sup = CacheSupervisor(det, cache, fanout=2)
+    det = FailureDetector(dep.env)
+    sup = CacheSupervisor(det, cache)
     det.start()
     return dep, cache, clients, files, writer.index, det, sup
 
@@ -75,10 +72,9 @@ class TestCacheSupervisor:
         assert len(sup.recoveries) == 1
 
     def test_inflight_failure_reports_into_the_detector(self):
-        dep, cache, clients, files, index, det, sup = cache_rig(
-            interval=10.0, timeout=20.0  # probes effectively never fire
-        )
+        dep, cache, clients, files, index, det, sup = cache_rig()
         victim_node = dep.client_nodes[0]
+        t_kill = dep.env.now
         victim_node.kill()
         reader = next(c for c in clients
                       if c.node.name != victim_node.name)
@@ -94,20 +90,19 @@ class TestCacheSupervisor:
             return data
 
         assert dep.run(read()) == files[path]
-        # No heartbeat ran, yet the failed read flagged the master.
-        assert det.state("cache:cc0") == SUSPECT
+        # The failed read flagged the master at the kill, before the
+        # first heartbeat could.
+        assert det.events[0] == (t_kill, "cache:cc0", SUSPECT)
         det.stop()
 
 
 class TestKVSupervisor:
-    def heal_rig(self, restart_delay=0.1):
+    def heal_rig(self):
         dep = build_deployment()
         files = small_files(30, size=1024)
         write_dataset(dep, "ds", files, chunk_size=8 * 1024)
-        det = FailureDetector(dep.env, heartbeat_interval_s=0.05,
-                              failure_timeout_s=0.2)
-        sup = KVSupervisor(det, dep.server, dep.kv, ["ds"],
-                           restart_delay_s=restart_delay)
+        det = FailureDetector(dep.env)
+        sup = KVSupervisor(det, dep.server, dep.kv, ["ds"])
         det.start()
         return dep, files, det, sup
 
@@ -135,13 +130,6 @@ class TestKVSupervisor:
         expected = {p: len(b) for p, b in files.items()}
         assert verify_rebuild(dep.server, "ds", expected) == []
 
-    def test_restart_validation(self):
-        dep = build_deployment()
-        det = FailureDetector(dep.env)
-        with pytest.raises(ValueError):
-            KVSupervisor(det, dep.server, dep.kv, ["ds"],
-                         restart_delay_s=-1.0)
-
 
 class TestSharedTierRecovery:
     def shared_rig(self, n_nodes=3, n_files=24):
@@ -152,8 +140,7 @@ class TestSharedTierRecovery:
         writer = write_dataset(dep, "ds", files, chunk_size=8 * 1024)
         dep.load_meta(writer)
         registry = SharedCacheRegistry(dep.env)
-        det = FailureDetector(dep.env, heartbeat_interval_s=0.02,
-                              failure_timeout_s=0.05)
+        det = FailureDetector(dep.env)
         caches, sups = [], []
         for t in range(2):
             clients = [
@@ -164,7 +151,7 @@ class TestSharedTierRecovery:
             dep.run(cache.register())
             dep.run(cache.wait_warm())
             caches.append(cache)
-            sups.append(CacheSupervisor(det, cache, fanout=2))
+            sups.append(CacheSupervisor(det, cache))
         det.start()
         return dep, registry, caches, sups, files, writer.index, det
 
@@ -248,9 +235,8 @@ class TestDiskTierRecovery:
         disk_before = tier1.store.stats.chunks_disk
         assert disk_before > 0  # the drained node overflowed to disk
 
-        det = FailureDetector(dep.env, heartbeat_interval_s=0.02,
-                              failure_timeout_s=0.05)
-        sup = CacheSupervisor(det, cache, fanout=2)
+        det = FailureDetector(dep.env)
+        sup = CacheSupervisor(det, cache)
         det.start()
 
         def scenario():

@@ -21,8 +21,24 @@ come with them), the chunk windows and the server stores.
   Σ ``len(_held)`` over the live masters admitting through it;
 * ownership: every chunk has exactly one owner, an up master whose
   ``assigned`` lists it, and the mesh is the paper's p×(n−1).
+
+:func:`check_stations` and :func:`check_journals` look past the caches
+at a whole testbed, at a quiescent point:
+
+* no :class:`~repro.sim.engine.Semaphore` holds a slot or a waiter:
+  every NIC direction, every device (the server's pools, each node
+  tier's disk) and every RPC worker pool (servers, KV instances, cache
+  masters);
+* every server journal is contiguous — ``depth == newest − oldest + 1``
+  and each retained entry's head is its own version — and every
+  snapshot a client holds is current, past the journal horizon, or
+  brought to ``build_snapshot``'s file set by
+  ``apply_delta(entries_since(ts))``.
 """
 
+import copy
+
+from repro.core.meta_journal import journal_key, journal_meta_key, read_entry
 from repro.objectstore import TieredStore
 
 
@@ -119,3 +135,62 @@ def check_invariants(nodes=(), caches=(), windows=(), stores=(),
     for store in stores:
         if isinstance(store, TieredStore):
             check_server_tier(store, quiescent)
+
+
+def _stations(tb, caches):
+    """``(name, semaphore)`` of every NIC direction, device and RPC
+    worker pool on ``tb`` and behind ``caches``."""
+    for node in tb.fabric.nodes:
+        yield f"{node.name}.egress", node.egress._station
+        yield f"{node.name}.ingress", node.ingress._station
+    store = tb.store
+    devices = [tb.ssd_pool, getattr(store, "device", None),
+               getattr(store, "ssd", None), getattr(store, "hdd", None)]
+    for cache in caches:
+        devices += [tier.store.device for tier in cache.shared.node_caches]
+    for device in {id(d): d for d in devices if d is not None}.values():
+        yield device.name, device._station
+    endpoints = [ep for s in tb.diesel_servers
+                 for ep in (s.endpoint, s.meta_endpoint)]
+    endpoints += [i.endpoint for i in tb.kv.instances]
+    endpoints += [m.endpoint for c in caches for m in c.masters.values()]
+    for ep in endpoints:
+        yield ep.name, ep._pool
+
+
+def check_stations(tb, caches=()):
+    """At a quiescent point no slot is held and nobody waits for one."""
+    for name, sem in _stations(tb, caches):
+        assert (sem.in_flight, sem.queue_length) == (0, 0), name
+
+
+def check_journals(tb, clients=()):
+    """Every journal contiguous; every client snapshot current, past the
+    horizon, or one delta away from the server's."""
+    server = tb.diesel
+    journal = server.journal
+    prefix = journal_meta_key("")
+    datasets = [key[len(prefix):] for key, _ in tb.kv.local_pscan(prefix)]
+    for ds in datasets:
+        oldest, newest = journal.span(ds)
+        assert journal.depth(ds) == newest - oldest + 1, ds
+        for ts in range(oldest, newest + 1):
+            blob = tb.kv.local_get_or_none(journal_key(ds, ts))
+            assert blob is not None and read_entry(blob)[0] == ts, (ds, ts)
+    for client in clients:
+        index = client._index
+        if index is None:
+            continue
+        want = server.build_snapshot(client.dataset)
+        if index.update_ts != want.update_ts:
+            entries = journal.entries_since(client.dataset, index.update_ts)
+            if entries is None:
+                continue  # past the horizon: the next refresh reloads
+            index = copy.deepcopy(index)
+            index.apply_delta(entries)
+        assert index.update_ts == want.update_ts, client.name
+        assert index.chunk_ids() == tuple(sorted(want.chunk_ids)), client.name
+        assert sorted(index.all_paths()) == sorted(
+            r.path for r in want.files), client.name
+        for rec in want.files:
+            assert index.lookup(rec.path) == rec, (client.name, rec.path)

@@ -5,10 +5,13 @@ Every inline code span in ``README.md``, ``DESIGN.md``,
 ``benchmarks/``, ``src/``, ``scripts/`` or ``tests/`` (a ``::test`` or
 ``:line`` suffix is dropped, a ``*`` is a glob, a ``<placeholder>`` is
 skipped); each must exist.  A span that is a bare ``name.py`` must name
-some file in the repo.  ``CHANGES.md``, ``EXPERIMENTS.md`` and
-``ROADMAP.md`` are history and are skipped.
+some file in the repo.  A dotted ``repro.…`` name in a span must
+resolve: its longest importable module prefix, then ``getattr`` for the
+rest.  ``CHANGES.md``, ``EXPERIMENTS.md`` and ``ROADMAP.md`` are history
+and are skipped.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -19,6 +22,7 @@ DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "CONTRIBUTING.md",
 _SPAN = re.compile(r"(?<!`)`([^`\n]+)`(?!`)")
 _PATH = re.compile(r"(?:^|(?<=[\s(]))((?:benchmarks|src|scripts|tests)/[^\s:`,)]*)")
 _BARE = re.compile(r"[\w.-]+\.py")
+_DOTTED = re.compile(r"(?<![\w./])repro(?:\.\w+)+")
 
 
 def missing(text, py_names):
@@ -36,6 +40,33 @@ def missing(text, py_names):
             if not (any(ROOT.glob(path)) if "*" in path else (ROOT / path).exists()):
                 found.append(path)
     return found
+
+
+def resolves(name):
+    """Whether the dotted ``repro.…`` ``name`` names a module or an
+    attribute reachable from one."""
+    parts = name.split(".")
+    for i in range(len(parts), 0, -1):
+        module = ".".join(parts[:i])
+        try:
+            obj = importlib.import_module(module)
+        except ModuleNotFoundError as exc:
+            if not module.startswith(exc.name or "\0"):
+                raise  # a real module whose own import failed
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def unresolved(text):
+    """Dotted ``repro.…`` names in ``text``'s code spans that name
+    nothing."""
+    return [name for span in _SPAN.findall(text)
+            for name in _DOTTED.findall(span) if not resolves(name)]
 
 
 def repo_py_names():
@@ -57,4 +88,20 @@ def test_a_deleted_file_is_caught():
             "`tests/<package>/` and `runner.py` exist")
     assert missing(text, names) == [
         "tests/bench/test_gone.py", "scripts/gone.py", "gone_module.py",
+    ]
+
+
+def test_docs_name_only_symbols_that_exist():
+    problems = [f"{doc.name}: {name}" for doc in DOCS
+                for name in unresolved(doc.read_text())]
+    assert problems == []
+
+
+def test_a_deleted_symbol_is_caught():
+    text = ("`repro.ft.gone_module.f`, `repro.ft.FailureDetector.gone`, "
+            "`from repro.ft import Gone`; `repro.ft.FailureDetector.watch`, "
+            "`python -m repro.bench.runner --all`, `src/repro/ft/` and "
+            "`repro.ft.detector` exist")
+    assert unresolved(text) == [
+        "repro.ft.gone_module.f", "repro.ft.FailureDetector.gone",
     ]
