@@ -224,28 +224,30 @@ def test_kv_slots_for_a_chunk(benchmark):
     """KV slots for a 256-file depth-3 chunk: the two keys of each file
     (record, directory entry) routed as the write path routes them — the
     FNV state of each directory's two key prefixes carried over the
-    basename.  Hashing both keys in full (``kv.slot``, the reference the
-    result is checked against) costs ~8 us/file."""
+    basename, every tail in one ``fnv1a_64_many`` call, every slot in one
+    ``mix64_many``.  Hashing both keys in full (``kv.slot``, the
+    reference the result is checked against) costs ~8 us/file."""
     from repro.core import meta
     from repro.kvstore.sharded import NUM_SLOTS
-    from repro.util.hashing import fnv1a_64, mix64
+    from repro.util.hashing import fnv1a_64, fnv1a_64_many, mix64_many
 
     tb = deploy(1)
     paths = [f"/late/d{i % 8}/f{i:05d}.bin" for i in range(256)]
 
     def slots():
-        out, states = [], {}
+        tails, states, carried = [], [], {}
         for path in paths:
             parent, _, name = path.rpartition("/")
-            carried = states.get(parent)
-            if carried is None:
-                carried = states[parent] = (
+            pair = carried.get(parent)
+            if pair is None:
+                pair = carried[parent] = (
                     fnv1a_64(meta.file_key("bench", parent + "/")),
                     fnv1a_64(meta.dir_scan_prefix("bench", parent, "f")),
                 )
-            for state in carried:
-                out.append(mix64(fnv1a_64(name, state)) % NUM_SLOTS)
-        return out
+            tail = name.encode()
+            tails += (tail, tail)
+            states += pair
+        return (mix64_many(fnv1a_64_many(tails, states)) % NUM_SLOTS).tolist()
 
     assert benchmark(slots) == [
         tb.kv.slot(key) for path in paths for key in (

@@ -207,10 +207,7 @@ def bulk_load_diesel(
     server = tb.diesel
     chunks = []
     for chunk in builder.build_stream(files.items()):
-        blob = chunk.encode()
-        # One copy per chunk: the returned chunk views the stored blob.
-        chunk.data = memoryview(blob)[len(blob) - chunk.data_size:]
-        tb.store.load([(object_key(dataset, chunk.chunk_id), blob)])
+        tb.store.load([(object_key(dataset, chunk.chunk_id), chunk.encode())])
         server.ingest_metadata(dataset, chunk)
         chunks.append(chunk)
     return chunks

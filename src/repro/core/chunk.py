@@ -22,6 +22,11 @@ Binary layout::
 
 The header checksum detects torn/corrupt chunks during recovery scans;
 per-file checksums let clients verify payload integrity end to end.
+
+A chunk is sealed once: :meth:`Chunk.pack` joins the header and the
+payloads into one blob whose tail is the chunk's data section, a decoded
+chunk keeps the blob it came from, and :meth:`Chunk.encode` returns that
+blob instead of copying the data section into a new one.
 """
 
 from __future__ import annotations
@@ -45,6 +50,30 @@ _U32 = struct.Struct(">I")
 _ENTRY_TAIL = struct.Struct(">QQI")  # offset, length, crc32
 #: Where the deletion bitmap starts: after magic, chunk id and file count.
 _BITMAP_AT = len(MAGIC) + CHUNK_ID_BYTES + _U32.size
+
+
+def _seal(
+    chunk_id: ChunkId,
+    bitmap: Bitmap,
+    files: Sequence[ChunkFile],
+    payloads: Sequence["bytes | memoryview"],
+) -> tuple[bytes, int]:
+    """``(blob, header size)``: the encoded chunk of a file table and the
+    data section's parts, joined in one copy."""
+    header = bytearray(MAGIC)
+    header += chunk_id.raw
+    header += _U32.pack(len(files))
+    header += bitmap.to_bytes()
+    u16, tail = _U16.pack, _ENTRY_TAIL.pack
+    for f in files:
+        name = f.path.encode("utf-8")
+        if len(name) > 0xFFFF:
+            raise ChunkFormatError(f"path too long: {f.path!r}")
+        header += u16(len(name))
+        header += name
+        header += tail(f.offset, f.length, f.crc32)
+    header += _U32.pack(zlib.crc32(header))
+    return b"".join([header, *payloads]), len(header)
 
 
 def _truncated(blob) -> ChunkFormatError:
@@ -82,6 +111,9 @@ class Chunk:
     ) -> None:
         self.chunk_id = chunk_id
         self.files = tuple(files)
+        #: The encoded chunk ``data`` views, when it was packed or
+        #: decoded from one (:meth:`encode` returns it).
+        self._blob: bytes | None = None
         # Held as a memoryview so decode can alias the wire blob's data
         # section instead of copying 4 MB per chunk on the read hot path.
         self.data = data if isinstance(data, memoryview) else memoryview(data)
@@ -118,18 +150,36 @@ class Chunk:
         """:meth:`build` for paths that are canonical already (the chunk
         builder normalised them as they were added)."""
         files: list[ChunkFile] = []
-        parts: list[bytes] = []
+        payloads: list[bytes] = []
         offset = 0
         for path, payload in items:
             payload = bytes(payload)
             files.append(
                 ChunkFile(path, offset, len(payload), zlib.crc32(payload))
             )
-            parts.append(payload)
+            payloads.append(payload)
             offset += len(payload)
         if not files:
             raise ChunkFormatError("a chunk must contain at least one file")
-        return cls(chunk_id, files, b"".join(parts))
+        bitmap = Bitmap(len(files))
+        blob, header_size = _seal(chunk_id, bitmap, files, payloads)
+        return cls._viewing(blob, chunk_id, files, header_size, bitmap)
+
+    @classmethod
+    def _viewing(
+        cls,
+        blob: bytes,
+        chunk_id: ChunkId,
+        files: Sequence[ChunkFile],
+        data_offset: int,
+        bitmap: Bitmap,
+    ) -> "Chunk":
+        """The chunk whose data section is a view of ``blob`` from
+        ``data_offset`` on; :meth:`encode` returns ``blob`` itself."""
+        chunk = cls(chunk_id, files, memoryview(blob)[data_offset:], bitmap)
+        if type(blob) is bytes:
+            chunk._blob = blob
+        return chunk
 
     # -- queries --------------------------------------------------------------
     def __len__(self) -> int:
@@ -178,26 +228,14 @@ class Chunk:
         return len(self.data)
 
     # -- codec ----------------------------------------------------------------
-    def header_bytes(self) -> bytes:
-        """Encode the header (everything before the data section)."""
-        out = bytearray()
-        out += MAGIC
-        out += self.chunk_id.raw
-        out += _U32.pack(len(self.files))
-        out += self.deletion_bitmap.to_bytes()
-        for f in self.files:
-            name = f.path.encode("utf-8")
-            if len(name) > 0xFFFF:
-                raise ChunkFormatError(f"path too long: {f.path!r}")
-            out += _U16.pack(len(name))
-            out += name
-            out += _ENTRY_TAIL.pack(f.offset, f.length, f.crc32)
-        out += _U32.pack(zlib.crc32(bytes(out)))
-        return bytes(out)
-
     def encode(self) -> bytes:
-        """Serialize the whole chunk (header + data section)."""
-        return b"".join((self.header_bytes(), self.data))
+        """Serialize the whole chunk (header + data section): the blob it
+        was packed or decoded from, else one sealed now."""
+        if self._blob is not None:
+            return self._blob
+        return _seal(
+            self.chunk_id, self.deletion_bitmap, self.files, [self.data]
+        )[0]
 
     @staticmethod
     def read_header(
@@ -272,6 +310,7 @@ class Chunk:
         shell.chunk_id = chunk_id
         shell.files = tuple([ChunkFile(*e) for e in entries])
         shell.data = memoryview(b"")
+        shell._blob = None
         shell.deletion_bitmap = bitmap
         shell._by_path = {f.path: i for i, f in enumerate(shell.files)}
         return shell, data_offset
@@ -344,10 +383,8 @@ class Chunk:
         ``blob`` (which therefore stays alive as long as the chunk does).
         """
         chunk_id, bitmap, entries, data_offset = cls.read_header(blob)
-        return cls(
-            chunk_id,
-            [ChunkFile(*e) for e in entries],
-            memoryview(blob)[data_offset:],
+        return cls._viewing(
+            blob, chunk_id, [ChunkFile(*e) for e in entries], data_offset,
             bitmap,
         )
 

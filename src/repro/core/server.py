@@ -55,7 +55,7 @@ from repro.objectstore.tiered import TieredStore
 from repro.rpc.endpoint import RpcEndpoint
 from repro.sim.engine import Environment, Event
 from repro.util.bitmap import Bitmap
-from repro.util.hashing import fnv1a_64
+from repro.util.hashing import FNV_OFFSET, fnv1a_64, fnv1a_64_many
 from repro.util.ids import ChunkId, decode_chunk_id, sim_id_generator
 from repro.util.pathutil import normalize
 
@@ -289,7 +289,8 @@ class DieselServer:
         records, the journal keys.  What is *written* is each distinct
         key once, in the order that per-file expansion would first have
         written it, its KV slot hashed from the state its directory's
-        keys share (docs/METADATA.md "Write path").
+        keys share, all the chunk's keys in one batch (docs/METADATA.md
+        "Write path").
         """
         cid_raw = cid.raw
         ndeleted = bitmap.count()
@@ -298,10 +299,12 @@ class DieselServer:
         #: it, key prefix of its file entries, that prefix's FNV state).
         dirs: dict[str, tuple[int, str, int]] = {}
         linked: set[str] = set()  # directories already linked into their parent
-        pairs: list[tuple[str, bytes, int]] = []  # key, value, fnv1a_64(key)
+        #: key, value, the key's tail still to hash, the FNV state of
+        #: the head before it.
+        rows: list[tuple[str, bytes, bytes, int]] = []
         records: list[bytes] = []
         implied = 2
-        pack, fnv, add = meta.FileRecord.pack, fnv1a_64, pairs.append
+        pack, fnv, add = meta.FileRecord.pack, fnv1a_64, rows.append
         for i, (path, offset, length, crc) in enumerate(entries):
             if ndeleted and bitmap.get(i):
                 continue  # tombstoned files must not resurrect on rescan
@@ -319,14 +322,14 @@ class DieselServer:
                 )
             file_state, prefix, entry_state = carried
             leaf = name or path
-            add((file_prefix + path, blob, fnv(name, file_state)))
-            add((prefix + leaf, b"", fnv(leaf, entry_state)))
+            add((file_prefix + path, blob, name.encode(), file_state))
+            add((prefix + leaf, b"", leaf.encode(), entry_state))
             parent = head[:-1] if fresh else ""
             while parent and parent not in linked:
                 linked.add(parent)
                 parent, _, child = parent.rpartition("/")
                 key = meta.dir_entry_key(dataset, parent or "/", child, True)
-                add((key, b"", fnv(key)))
+                add((key, b"", key.encode(), FNV_OFFSET))
         ds_key = meta.dataset_key(dataset)
         old = self.kv.local_get_or_none(ds_key)
         if old is None:
@@ -337,9 +340,10 @@ class DieselServer:
             cid, ts, data_size, len(entries), ndeleted, bitmap.copy()
         )
         ck_key = meta.chunk_key(dataset, cid)
-        add((ck_key, crec.encode(), fnv(ck_key)))
-        add((ds_key, dsrec, fnv(ds_key)))
-        self.kv.local_put_hashed(pairs)
+        add((ck_key, crec.encode(), ck_key.encode(), FNV_OFFSET))
+        add((ds_key, dsrec, ds_key.encode(), FNV_OFFSET))
+        keys, values, tails, states = zip(*rows)
+        self.kv.local_put_hashed(keys, values, fnv1a_64_many(tails, states))
         n_journal = self.journal.record_encoded(
             dataset, ts, chunk_entry(ts, records, cid_raw)
         )

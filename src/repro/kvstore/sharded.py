@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Generator, Iterable, Optional, Sequence, Tuple
+from typing import Any, Generator, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ShardUnavailableError
 from repro.cluster.node import Node
 from repro.kvstore.kv import KVInstance
 from repro.sim.engine import Event
-from repro.util.hashing import mix64, stable_hash
+from repro.util.hashing import mix64_many, stable_hash
 
 #: Redis cluster uses 16384 hash slots; we keep the same constant.
 NUM_SLOTS = 16384
@@ -186,22 +188,23 @@ class ShardedKV:
         self._live_owner(key).table.put(key, value)
 
     def local_put_hashed(
-        self, entries: Iterable[tuple[str, bytes, int]]
+        self,
+        keys: Sequence[str],
+        values: Sequence[bytes],
+        hashes: np.ndarray,
     ) -> None:
-        """:meth:`local_put` of each ``(key, value, fnv1a_64(key))``, in
-        order.
+        """:meth:`local_put` of each ``(keys[i], values[i])``, in order,
+        given ``hashes[i] == fnv1a_64(keys[i])`` (a uint64 array).
 
-        The caller carries the FNV state of a key prefix over the keys
-        that share it; the slot is that state mixed as :meth:`slot`
-        mixes it.  No sim time passes in here, so each shard's liveness
-        is read once, and a dead shard still leaves exactly the pairs
-        ahead of its first key written.
+        Every slot is ``hashes`` mixed and reduced as :meth:`slot` does
+        it, in one vectorised step.  No sim time passes in here, so each
+        shard's liveness is read once, and a dead shard still leaves
+        exactly the pairs ahead of its first key written.
         """
-        instances = self._instances
-        tables = [inst.table if inst.up else None for inst in instances]
-        n = len(tables)
-        for key, value, h in entries:
-            table = tables[mix64(h) % NUM_SLOTS % n]
+        tables = [inst.table if inst.up else None for inst in self._instances]
+        shards = (mix64_many(hashes) % NUM_SLOTS % len(tables)).tolist()
+        for key, value, shard in zip(keys, values, shards):
+            table = tables[shard]
             if table is None:
                 self._live_owner(key)  # raises, naming the shard and the key
             table.put(key, value)

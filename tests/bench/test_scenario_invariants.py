@@ -8,7 +8,8 @@ whole lot with :func:`tests.invariants.check_invariants` — the node
 tiers behind every task cache, every reader's and client's chunk window,
 every server store — then each testbed's semaphores
 (:func:`~tests.invariants.check_stations`) and journal and client
-snapshots (:func:`~tests.invariants.check_journals`).
+snapshots (:func:`~tests.invariants.check_journals`) and the placement
+of every KV key (:func:`~tests.invariants.check_kv_routing`).
 """
 
 import pytest
@@ -18,7 +19,12 @@ from repro.bench import setups
 from repro.core.meta_journal import journal_key
 
 from tests.bench.smoke import run_smoke
-from tests.invariants import check_invariants, check_journals, check_stations
+from tests.invariants import (
+    check_invariants,
+    check_journals,
+    check_kv_routing,
+    check_stations,
+)
 
 #: The scenarios whose committed ``BENCH_*.json`` the rows gate diffs.
 SCENARIOS = ("sharing", "capacity", "elastic", "locality", "faults",
@@ -59,6 +65,7 @@ def test_books_balance_at_the_end(kit, scenario):
         if tb.diesel_servers:
             check_stations(tb, [c for c in caches if c.env is tb.env])
             check_journals(tb, [c for c in clients if c.env is tb.env])
+            check_kv_routing(tb.kv)
 
 
 def test_a_held_slot_a_journal_hole_and_a_stale_snapshot_are_caught():
@@ -88,3 +95,17 @@ def test_a_held_slot_a_journal_hole_and_a_stale_snapshot_are_caught():
     client._index._files.pop("/ds/f0")
     with pytest.raises(AssertionError, match="c0"):
         check_journals(tb, [client])
+
+
+def test_kv_routing_on_an_odd_shard_count_and_a_stranded_key_is_caught():
+    # Six shards do not divide the slot count, so a router that skipped
+    # the slot reduction would place keys where ``owner`` never looks.
+    files = {f"/ds/d{i % 5}/f{i}": bytes([i]) * 64 for i in range(60)}
+    tb = setups.deploy(1, "ds", files, 1024, n_kv=6)
+    assert tb.kv.total_keys() > 100
+    check_kv_routing(tb.kv)
+
+    key, value = next(iter(tb.kv.instances[0].table.pscan("")))
+    tb.kv.instances[1].table.put(key, value)  # a second copy, off its slot
+    with pytest.raises(AssertionError, match="redis1"):
+        check_kv_routing(tb.kv)

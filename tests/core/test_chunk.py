@@ -1,12 +1,13 @@
 """Tests for the self-contained chunk format (Fig 5a)."""
 
+import hashlib
 import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.chunk import Chunk, ChunkFile
+from repro.core.chunk import Chunk, ChunkFile, _seal
 from repro.errors import ChunkChecksumError, ChunkFormatError
 from repro.util.bitmap import Bitmap
 from repro.util.ids import ChunkId, ChunkIdGenerator
@@ -95,6 +96,39 @@ class TestCodec:
         for path, data in items:
             assert restored.payload(path) == data
 
+    def test_wire_format_is_pinned(self):
+        """The bytes of a fixed chunk, packed and re-sealed with a
+        tombstone, hash to what the two-copy encoder gave before the
+        seal-once pack (sha256 pinned then, never edited)."""
+        cid = ChunkId(bytes(range(16)))
+        items = [(f"/pin/d{i % 3}/é{i:03d}.bin", bytes([i]) * (7 * i + 1))
+                 for i in range(40)]
+        packed = Chunk.build(cid, items)
+        bitmap = Bitmap(len(items))
+        for i in (0, 9, 39):
+            bitmap.set(i)
+        marked = Chunk(cid, packed.files, packed.data, bitmap)
+        assert hashlib.sha256(packed.encode()).hexdigest() == (
+            "c6e65b787e8ab627f42d7f0821090262cc005a85c83377289c2b0a66ff37039d"
+        )
+        assert hashlib.sha256(marked.encode()).hexdigest() == (
+            "7528c6a34887381fd4b43772f965de88333b1c79804bdbadd964884d84395231"
+        )
+
+    def test_sealed_once(self):
+        """A packed chunk's data section views its encoding, and a
+        decoded chunk encodes to the very blob it came from."""
+        c = make_chunk()
+        blob = c.encode()
+        assert c.data.obj is blob and c.encode() is blob
+        assert Chunk.decode(blob).encode() is blob
+        # A mutable buffer is not handed back: encode() seals a copy.
+        resealed = Chunk.decode(bytearray(blob)).encode()
+        assert type(resealed) is bytes and resealed == blob
+        # A chunk built from parts seals a fresh, equal blob.
+        rebuilt = Chunk(c.chunk_id, c.files, bytes(c.data))
+        assert rebuilt.encode() == blob and rebuilt.encode() is not blob
+
     def test_header_only_decode(self):
         c = make_chunk()
         blob = c.encode()
@@ -132,10 +166,7 @@ class TestCodec:
 
 def encoded(files, data):
     """Header + data as given: what ``Chunk(...)`` would refuse to build."""
-    shell = Chunk.__new__(Chunk)
-    shell.chunk_id, shell.files = GEN.next(), tuple(files)
-    shell.deletion_bitmap = Bitmap(len(files))
-    return shell.header_bytes() + data
+    return _seal(GEN.next(), Bitmap(len(files)), files, [data])[0]
 
 
 class TestReadEntries:

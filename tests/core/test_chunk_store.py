@@ -13,14 +13,16 @@ from repro.core.chunk_store import (
 )
 from repro.core.shared_cache import SharedCacheRegistry
 from repro.sim import Environment
+from repro.util.ids import ChunkIdGenerator
 
 from tests.invariants import check_invariants
 
 CHUNK = 64 * 1024
+GEN = ChunkIdGenerator(machine=b"\x0d" * 6, pid=13)
 
 
 def make_chunk(key="c0", size=CHUNK):
-    return Chunk.build(key, [(f"{key}/payload.bin", b"x" * (size - 256))])
+    return Chunk.build(GEN.next(), [(f"{key}/payload.bin", b"x" * (size - 256))])
 
 
 def rig(memory_bytes=4 * CHUNK, **store_kw):

@@ -1,8 +1,10 @@
 """Edge-case coverage across core components."""
 
+import zlib
+
 import pytest
 
-from repro.core.chunk import Chunk
+from repro.core.chunk import Chunk, ChunkFile
 from repro.errors import ChunkFormatError, DieselError
 from repro.util.ids import ChunkIdGenerator
 
@@ -13,7 +15,12 @@ GEN = ChunkIdGenerator(machine=b"\x0e" * 6, pid=19)
 
 class TestChunkEdges:
     def test_very_long_path_rejected_at_encode(self):
-        c = Chunk.build(GEN.next(), [("/" + "x" * 70_000, b"1")])
+        path = "/" + "x" * 70_000
+        # Packing a chunk encodes it: the path is refused as it seals.
+        with pytest.raises(ChunkFormatError):
+            Chunk.build(GEN.next(), [(path, b"1")])
+        # A chunk assembled from parts is refused when it encodes.
+        c = Chunk(GEN.next(), [ChunkFile(path, 0, 1, zlib.crc32(b"1"))], b"1")
         with pytest.raises(ChunkFormatError):
             c.encode()
 

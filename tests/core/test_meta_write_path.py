@@ -182,16 +182,25 @@ class TestWorkIsCountedNotTimed:
                              self.N_FILES, self.N_DIRS)
         meta.dir_hash.cache_clear()
         hashed = [0]  # bytes fed to the hash: calls no longer bound the work
-        fnv = hashing.fnv1a_64
+        batches = [0]  # calls of the batch kernel
+        fnv, fnv_many = hashing.fnv1a_64, hashing.fnv1a_64_many
 
         def counted(data, *state):
             hashed[0] += len(data.encode("utf-8") if isinstance(data, str) else data)
             return fnv(data, *state)
 
+        def counted_many(tails, states):
+            batches[0] += 1
+            hashed[0] += sum(map(len, tails))
+            return fnv_many(tails, states)
+
         for module in (hashing, server_module):
             monkeypatch.setattr(module, "fnv1a_64", counted)
+            monkeypatch.setattr(module, "fnv1a_64_many", counted_many)
         puts = counting(monkeypatch, KVTable, "put")
         dep.server.ingest_metadata(DS, chunk)
+        # The chunk's keys are hashed in one kernel call, not key by key.
+        assert batches[0] == 1
         # Two keys per file (its record, its directory entry) are hashed
         # for their KV slot over the basename alone, each continuing a
         # state its directory's keys share; every directory — the eight
@@ -283,8 +292,8 @@ class TestTombstonePatch:
         assert after.is_deleted(victim) and after.deleted_count == 1
         assert after.payload(list(files)[4]) == files[list(files)[4]]
         # Charged as the header write it models, to the same device.
-        assert dep.store.device.stats.write_bytes - written == len(
-            expected.header_bytes()
+        assert dep.store.device.stats.write_bytes - written == (
+            len(expected.encode()) - expected.data_size
         )
 
     def test_two_deletes_interleaved_across_the_device_write(self, one_chunk):
@@ -350,7 +359,7 @@ class TestTombstonePatch:
         dead = data.draw(st.sets(st.integers(0, len(paths) - 1)))
         index, header_size = Chunk.find_in_header(blob, target)
         assert index == chunk.index_of(target)
-        assert header_size == len(chunk.header_bytes())
+        assert header_size == len(blob) - chunk.data_size
         marked = tombstoned(chunk, dead)
         assert Chunk.with_bitmap(
             blob, marked.deletion_bitmap, header_size

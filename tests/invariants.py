@@ -34,6 +34,11 @@ at a whole testbed, at a quiescent point:
   snapshot a client holds is current, past the journal horizon, or
   brought to ``build_snapshot``'s file set by
   ``apply_delta(entries_since(ts))``.
+
+:func:`check_kv_routing` checks the KV cluster's placement: every key a
+shard's table holds is one the scalar read-side router
+(``ShardedKV.owner``) sends to that shard — a key the batch write path
+routed elsewhere is one no read can find.
 """
 
 import copy
@@ -194,3 +199,10 @@ def check_journals(tb, clients=()):
             r.path for r in want.files), client.name
         for rec in want.files:
             assert index.lookup(rec.path) == rec, (client.name, rec.path)
+
+
+def check_kv_routing(kv):
+    """Every key lives on the shard ``kv.owner(key)`` names."""
+    for inst in kv.instances:
+        for key in inst.table.keys():
+            assert kv.owner(key) is inst, (inst.name, key)

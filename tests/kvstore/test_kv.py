@@ -9,7 +9,7 @@ from repro.cluster import NetworkFabric, Node
 from repro.errors import KeyNotFoundError, NodeDownError, ShardUnavailableError
 from repro.kvstore import KVInstance, KVTable, ShardedKV
 from repro.sim import Environment, run_sync
-from repro.util.hashing import fnv1a_64
+from repro.util.hashing import FNV_OFFSET, fnv1a_64_many
 
 
 class TestKVTable:
@@ -260,7 +260,8 @@ class TestShardFailover:
         """Same pairs written, same error, whichever shard is dead — and
         with none dead."""
         pairs = [(f"f:ds:/d{i % 3}/n{i}", bytes([i])) for i in range(40)]
-        batch = [(k, v, fnv1a_64(k)) for k, v in pairs]
+        keys, values = zip(*pairs)
+        hashes = fnv1a_64_many([k.encode() for k in keys], [FNV_OFFSET] * len(keys))
 
         def state_after(write, victim):
             _, _, kv, _ = build_cluster(n_instances=4)
@@ -281,7 +282,9 @@ class TestShardFailover:
         prefixes = []
         for victim in (None, 0, 1, 2, 3):
             looped = state_after(loop, victim)
-            assert state_after(lambda kv: kv.local_put_hashed(batch), victim) == looped
+            assert state_after(
+                lambda kv: kv.local_put_hashed(keys, values, hashes), victim
+            ) == looped
             written = sum(len(t) for t in looped[0])
             assert (looped[1] is None) == (victim is None) == (written == len(pairs))
             prefixes.append(written)

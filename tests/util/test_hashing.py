@@ -1,12 +1,21 @@
 """Tests for stable hashing and the consistent-hash ring."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.meta import dir_hash
 from repro.kvstore.sharded import NUM_SLOTS
-from repro.util.hashing import ConsistentHashRing, fnv1a_64, mix64, stable_hash
+from repro.util.hashing import (
+    FNV_OFFSET,
+    ConsistentHashRing,
+    fnv1a_64,
+    fnv1a_64_many,
+    mix64,
+    mix64_many,
+    stable_hash,
+)
 from repro.util.pathutil import normalize
 
 
@@ -118,6 +127,54 @@ class TestPinnedValues:
             dir_hash("/a/../b")
         with pytest.raises(TypeError):
             dir_hash(7)
+
+
+#: A tail as the write path hashes one: raw bytes, or a UTF-8 name.
+tails = st.one_of(
+    st.binary(max_size=24),
+    st.text(max_size=10).map(lambda t: t.encode("utf-8")),
+    st.sampled_from([b"", b"\0", b"a\0\0", "données/été".encode(), "火🙂".encode()]),
+)
+#: A 64-bit state, high bit set as often as not.
+states = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.integers(2**63, 2**64 - 1),
+    st.just(FNV_OFFSET),
+)
+
+
+class TestBatchKernel:
+    """``fnv1a_64_many`` / ``mix64_many`` against the scalar functions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(tails, states), max_size=40))
+    def test_fnv1a_64_many_is_the_scalar_loop(self, rows):
+        got = fnv1a_64_many([t for t, _ in rows], [s for _, s in rows])
+        assert got.dtype == np.uint64 and got.shape == (len(rows),)
+        assert got.tolist() == [fnv1a_64(t, s) for t, s in rows]
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [(b"", FNV_OFFSET)],
+        [(b"", 2**64 - 1), (b"", 0)],
+        [("é".encode(), 2**63)],
+        [(b"x" * 30, 1), (b"", 2**64 - 1), ("名前".encode(), 2**63 + 5)],
+    ], ids=["empty-batch", "one-empty-tail", "all-empty", "one", "ragged"])
+    def test_edges(self, rows):
+        got = fnv1a_64_many([t for t, _ in rows], [s for _, s in rows])
+        assert got.tolist() == [fnv1a_64(t, s) for t, s in rows]
+
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+    def test_mix64_many_is_the_scalar(self, values):
+        h = np.array(values, dtype=np.uint64)
+        assert mix64_many(h).tolist() == [mix64(v) for v in values]
+        assert h.tolist() == values  # the input array is left as it was
+
+    def test_pinned_slots_through_the_kernel(self):
+        keys = [k.encode("utf-8") for k in PINNED]
+        mixed = mix64_many(fnv1a_64_many(keys, [FNV_OFFSET] * len(keys)))
+        assert mixed.tolist() == [full for full, _ in PINNED.values()]
+        assert (mixed % NUM_SLOTS).tolist() == [s for _, s in PINNED.values()]
 
 
 class TestRing:
