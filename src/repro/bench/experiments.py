@@ -1577,11 +1577,10 @@ def fig_locality(
     chunk_size: int = 64 * KB,
     group_size: int = 2,
     storm_clients: int = 6,
-    hot_threshold: int = 3,
 ) -> ExperimentResult:
     """Locality-aware placement vs the hash ring (§4.2, Hoard layout).
 
-    Three phases on a balanced multi-node task:
+    Two phases on a balanced multi-node task:
 
     1. **Placement** — the same warmed task cache under ``hash`` and
        ``locality`` placement serves one affinity-scheduled epoch from
@@ -1594,10 +1593,6 @@ def fig_locality(
        on-demand cache concurrently; the per-master single-flight map
        coalesces them so the backend sees exactly one fetch per chunk
        (``duplicate_backend_fetches == 0``).
-    3. **Hot-chunk replication** — one node hammers a chunk owned by a
-       remote master past ``hot_chunk_threshold``; the chunk is
-       replicated onto the reader's local master and the next read
-       resolves locally.
     """
 
     result = ExperimentResult(
@@ -1649,7 +1644,6 @@ def fig_locality(
             tb, "ds",
             [tb.compute_nodes[c % n_nodes] for c in range(storm_clients)], "s",
             policy="on-demand", placement="locality",
-            hot_chunk_threshold=hot_threshold,
         )
         cache, storm = task.cache, task.clients
         warm(tb, [task], wait_warm=False)
@@ -1675,33 +1669,6 @@ def fig_locality(
             f"→ {fetches} backend fetches "
             f"({fetches - len(all_cids)} duplicates), "
             f"{stats.coalesced_pulls} pulls coalesced in flight"
-        )
-
-        # -------------------------------- phase 3: hot-chunk replication
-        index = task.index
-        reader = next(
-            w for w, c in enumerate(storm)
-            if c.node.name != cache.owner_of(all_cids[0]).node.name
-        )
-        hot_path = next(
-            p for p in index.all_paths()
-            if index.lookup(p).chunk_id.encode() == all_cids[0]
-        )
-        tb.run(task.read(reader, [hot_path] * hot_threshold))
-        tb.env.run()  # drain the background replication pull
-        local_before = cache.stats.local_hits
-        tb.run(task.read(reader, [hot_path]))
-        stats = cache.stats
-        result.add(
-            event="hot_replication", threshold=hot_threshold,
-            replicated_chunks=stats.replicated_chunks,
-            post_replication_local=stats.local_hits - local_before,
-        )
-        result.note(
-            f"hot chunk replicated after {hot_threshold} remote reads "
-            f"({stats.replicated_chunks} replicas); next read resolved "
-            "locally" if stats.local_hits > local_before else
-            "hot chunk replication did not trigger"
         )
     return result
 
@@ -1944,18 +1911,18 @@ def model_selection(
 
     result = ExperimentResult(
         "cross-task shared cache (model selection)",
-        "shared chunk tier: N trainers × 1 dataset, quotas, QoS",
+        "shared chunk tier: N trainers × 1 dataset, quotas",
     )
     files = {
         f"/ds/f{i:05d}.jpg": b"\x5a" * file_size for i in range(n_files)
     }
     model = ModelProfile("sweep-toy", compute_s=1e-4)
 
-    def build_sweep(tb, registry, n_tasks, tenant_of, qos_of):
+    def build_sweep(tb, registry, n_tasks, tenant_of):
         return [
             make_task(
                 tb, "ds", tb.compute_nodes, f"t{t}c", shared=registry,
-                tenant=tenant_of(t), qos_class=qos_of(t),
+                tenant=tenant_of(t),
             )
             for t in range(n_tasks)
         ]
@@ -1967,7 +1934,7 @@ def model_selection(
         dataset_bytes = sum(len(c.encode()) for c in chunks)
         registry = SharedCacheRegistry(tb.env)
         cold_task, warm_task = build_sweep(
-            tb, registry, 2, lambda t: f"tenant{t}", lambda t: "batch"
+            tb, registry, 2, lambda t: f"tenant{t}"
         )
         cold_s = warm(tb, [cold_task])
         warm_s = warm(tb, [warm_task])
@@ -1990,14 +1957,13 @@ def model_selection(
         for n_tasks in task_counts:
             tb = deploy(n_nodes, "ds", files, chunk_size, n_servers=1)
             registry = SharedCacheRegistry(tb.env)
-            # Two tenant accounts (interactive search jobs vs batch
-            # retrains), each with headroom for the whole dataset.
+            # Two tenant accounts (search jobs vs retrains), each with
+            # headroom for the whole dataset.
             for tenant in ("search", "retrain"):
                 registry.set_quota(tenant, dataset_bytes)
             tasks = build_sweep(
                 tb, registry, n_tasks,
                 lambda t: "search" if t % 2 == 0 else "retrain",
-                lambda t: "interactive" if t % 2 == 0 else "batch",
             )
             fetches_before = tb.diesel.stats.chunk_reads
             elapsed = tb.timed(
@@ -2034,9 +2000,7 @@ def model_selection(
         registry = SharedCacheRegistry(tb.env)
         quota = int(dataset_bytes * constrained_fraction)
         registry.set_quota("capped", quota)
-        (task,) = build_sweep(
-            tb, registry, 1, lambda t: "capped", lambda t: "batch"
-        )
+        (task,) = build_sweep(tb, registry, 1, lambda t: "capped")
         warm(tb, [task])
         tb.run(task.read(0, task.index.all_paths()))
         usage = max(
@@ -2192,15 +2156,13 @@ def fig_elastic(
     file_size: int = 8 * KB,
     chunk_size: int = 64 * KB,
     group_size: int = 2,
-    straggler_slow: float = 10.0,
-    straggler_extra_s: float = 1e-3,
     churn_cycles: int = 2,
     churn_passes: int = 4,
     crowd_tasks: int = 16,
 ) -> ExperimentResult:
-    """Elastic membership + hostile-world chaos (scale, stragglers, crowds).
+    """Elastic membership + hostile-world chaos (scale, churn, crowds).
 
-    Four phases, each on a fresh testbed:
+    Three phases, each on a fresh testbed:
 
     1. **Scale-up mid-epoch** — a locality-placed task cache on 2 of 4
        nodes serves an affinity-scheduled epoch; halfway through,
@@ -2214,13 +2176,7 @@ def fig_elastic(
        re-admits it (``scale_up``) while readers hammer the dataset.
        Every drained chunk lands on a successor before ownership flips:
        0 lost chunks, 0 failed reads.
-    3. **Straggler hedging** — one node's NIC turns hostile (``slow ×``
-       + per-transfer extra latency).  A/B: the same read storm with
-       hedged reads off vs on (delay calibrated at 2× the healthy p99).
-       Hedging fires a backup to a replica/the backend after the delay
-       and cancels the loser: p99 collapses at near-zero duplicate
-       transfers.
-    4. **Flash crowd** — ``crowd_tasks`` tasks stampede one dataset
+    3. **Flash crowd** — ``crowd_tasks`` tasks stampede one dataset
        simultaneously (``ChaosSchedule.flash_crowd``) through the
        shared chunk tier: cross-task admission + single-flight keep
        backend fetches within 1.2× of a single task's.
@@ -2229,7 +2185,7 @@ def fig_elastic(
 
     result = ExperimentResult(
         "elastic & hostile worlds",
-        "live scale-up/down, churn drains, hedged reads, flash crowds",
+        "live scale-up/down, churn drains, flash crowds",
     )
     files = {
         f"/ds/f{i:05d}.jpg": bytes([i % 251]) * file_size
@@ -2372,71 +2328,7 @@ def fig_elastic(
             f"{sum(losses)} lost, {failed[0]} failed reads"
         )
 
-        # ------------------------------- phase 3: straggler hedging A/B
-        def straggler_run(hedge_on: bool) -> dict:
-            tb = deploy(3, "ds", files, chunk_size, n_servers=1)
-            task = warmed_task(tb, "ds", tb.compute_nodes, "st")
-            cache, index = task.cache, task.index
-            cc = cache.clients[0]
-            lat: List[float] = []
-            paths = list(files)
-
-            def reads(order):
-                for path in order:  # per-read latency, for the percentiles
-                    t0 = tb.env.now
-                    yield from cache.read_file(cc, index.lookup(path))
-                    lat.append(tb.env.now - t0)
-
-            tb.run(reads(paths))  # healthy pass: calibrates the delay
-            healthy_p99 = float(np.percentile(lat, 99))
-            if hedge_on:
-                cache.configure_hedging(delay_s=2 * healthy_p99)
-            chaos = ChaosSchedule(tb.env).degrade_nic(
-                tb.compute_nodes[1], factor=straggler_slow,
-                extra_latency_s=straggler_extra_s,
-                at=tb.env.now, duration_s=60.0,
-            )
-            chaos.start()
-            lat.clear()
-            tb.run(reads(paths * 2))
-            row = {
-                "event": "straggler", "hedge": hedge_on,
-                "healthy_p99_s": healthy_p99,
-                "p50_s": float(np.percentile(lat, 50)),
-                "p99_s": float(np.percentile(lat, 99)),
-                "reads": len(lat),
-            }
-            if hedge_on:
-                hs = cache.hedge_stats
-                row.update(
-                    duplicate_rate=
-                        hs.duplicate_transfers / max(1, hs.reads),
-                    **{f"hedge_{k}": v for k, v in hs.to_dict().items()},
-                )
-            return row
-
-        off = straggler_run(False)
-        on = straggler_run(True)
-        result.add(**off)
-        result.add(**on)
-        p99_gain = off["p99_s"] / on["p99_s"] if on["p99_s"] else 0.0
-        result.add(
-            event="straggler_gain", p99_ratio=p99_gain,
-            duplicate_rate=on["duplicate_rate"],
-            hedges_fired=on["hedge_hedges_fired"],
-            backup_wins=on["hedge_backup_wins"],
-            cancelled_losers=on["hedge_cancelled_losers"],
-        )
-        result.note(
-            f"straggler ({straggler_slow:g}x NIC + "
-            f"{straggler_extra_s * 1e3:g}ms): hedging cut p99 "
-            f"{off['p99_s'] * 1e3:.2f}ms → {on['p99_s'] * 1e3:.2f}ms "
-            f"({p99_gain:.1f}x) — {on['hedge_hedges_fired']} hedges, "
-            f"{on['hedge_backup_wins']} backup wins, "
-            f"{on['duplicate_rate']:.1%} duplicate transfers"
-        )
-
-        # ----------------------------------- phase 4: flash crowd
+        # ----------------------------------- phase 3: flash crowd
         def crowd_run(n_tasks: int) -> tuple:
             tb = deploy(4, "ds", files, chunk_size, n_servers=1)
             registry = SharedCacheRegistry(tb.env)

@@ -263,8 +263,9 @@ def make_task(
     """An unregistered task over ``nodes``: one snapshot client
     ``<name><i>`` of rank ``i`` per entry (a node may repeat), one
     :class:`TaskCache` spanning them with the caller's ``cache``
-    keywords (:func:`build_sweep_task`'s: ``policy``, ``placement``,
-    ``shared``, ``tenant``, ``qos_class``, ``hot_chunk_threshold``, …).
+    keywords (:func:`build_sweep_task`'s ``group_size`` / ``seed``; the
+    rest — ``policy``, ``placement``, ``shared``, ``tenant`` — go to
+    :class:`TaskCache`).
     ``task.clients`` / ``task.cache.clients`` are the DIESEL clients and
     their cache identities, in ``nodes`` order."""
     clients = [

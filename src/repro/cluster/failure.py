@@ -3,12 +3,12 @@
 The paper's failure experiments (Fig 6, Fig 11b, §4.2) kill cache
 instances mid-run; :class:`ChaosSchedule` declares such adversity up
 front and goes beyond clean crashes into the *hostile world*: timed
-windows of slow nodes and degraded/lossy NICs, latency spikes,
-flash-crowd read bursts against one hot dataset, churn loops (repeated
-scale-down/scale-up), and arbitrary actions (a node kill) at a given
-time.  ``start()`` arms the scenarios, and every applied/reverted action
-lands in one ordered log so experiments can show what the cluster was
-suffering at any instant.  All timing and randomness run on the sim
+windows of slow nodes and latency spikes, flash-crowd read bursts
+against one hot dataset, churn loops (repeated scale-down/scale-up),
+and arbitrary actions (a node kill) at a given time.  ``start()`` arms
+the scenarios, and every applied/reverted action lands in one ordered
+log so experiments can show what the cluster was suffering at any
+instant.  All timing and randomness run on the sim
 clock and a seeded RNG — chaos runs are reproducible.
 """
 
@@ -24,8 +24,8 @@ from repro.sim.engine import Environment
 class ChaosSchedule:
     """Declarative adversity: timed degradations, bursts, and churn.
 
-    Declare scenarios with the ``slow_node`` / ``degrade_nic`` /
-    ``latency_spikes`` / ``flash_crowd`` / ``churn`` / ``at`` builders
+    Declare scenarios with the ``slow_node`` / ``latency_spikes`` /
+    ``flash_crowd`` / ``churn`` / ``at`` builders
     (each returns ``self`` for chaining), then call :meth:`start`.  One
     sim process per scenario applies it at its scheduled time and — for
     windowed scenarios — reverts it after ``duration_s``.
@@ -63,25 +63,6 @@ class ChaosSchedule:
             node.undegrade()
 
         return self._add(at, f"slow_node:{node.name}x{factor:g}", body)
-
-    def degrade_nic(
-        self,
-        node: Node,
-        factor: float,
-        extra_latency_s: float,
-        at: float,
-        duration_s: float,
-    ) -> "ChaosSchedule":
-        """A lossy/renegotiated NIC: bandwidth cut by ``factor`` *and*
-        per-transfer latency inflated by ``extra_latency_s`` (the
-        effective shape of retransmissions on a lossy link)."""
-
-        def body(sched: "ChaosSchedule"):
-            node.degrade(slow_factor=factor, extra_latency_s=extra_latency_s)
-            yield sched.env.timeout(duration_s)
-            node.undegrade()
-
-        return self._add(at, f"degrade_nic:{node.name}", body)
 
     def latency_spikes(
         self,

@@ -27,7 +27,6 @@ from repro.core.prefetch import WindowStats
 from repro.core.server import DieselServer
 from repro.core.shared_cache import SharedCacheRegistry
 from repro.errors import DieselError
-from repro.ft.hedge import HedgeStats
 from repro.obs.counters import Counters
 from repro.rpc.connections import ConnectionTable
 from repro.sim.engine import Event
@@ -39,10 +38,9 @@ class TaskCacheStats(Counters):
 
     The task cache moves its one instance directly; on every
     :attr:`TaskCache.stats` access the read-ahead fields are refreshed
-    from the readers' shared :class:`WindowStats`, the hedge fields
-    from the task's :class:`~repro.ft.hedge.HedgeStats`, and
-    ``coalesced_pulls`` / ``replicated_chunks`` from every master the
-    task has had, departed ones included.
+    from the readers' shared :class:`WindowStats`, and
+    ``coalesced_pulls`` from every master the task has had, departed
+    ones included.
     """
 
     #: Cache hits served from the reader's own node's master — a memory
@@ -67,13 +65,6 @@ class TaskCacheStats(Counters):
     readahead_misses: int = 0
     readahead_wasted: int = 0
     coalesced_pulls: int = 0
-    replicated_chunks: int = 0
-    #: Hedged-read counters (0 unless hedging is configured): backups
-    #: launched, races the backup won, and losers that completed anyway
-    #: (duplicate transfers actually paid).
-    hedges_fired: int = 0
-    hedge_wins: int = 0
-    hedge_duplicates: int = 0
     #: Elastic-membership counters: live scale events survived and
     #: chunks drained peer-to-peer (scale-down) or warm-admitted from a
     #: peer instead of the backend (scale-up).
@@ -96,10 +87,8 @@ class TaskCache(ReadChain, Membership, Placement):
         clients: Sequence[CacheClient],
         policy: str = "oneshot",
         placement: str = "hash",
-        hot_chunk_threshold: int = 0,
         shared=None,
         tenant: str = "default",
-        qos_class: str = "batch",
     ) -> None:
         if not clients:
             raise DieselError("a task cache needs at least one client")
@@ -107,10 +96,6 @@ class TaskCache(ReadChain, Membership, Placement):
             raise DieselError(f"unknown cache policy {policy!r}")
         if placement not in PLACEMENTS:
             raise DieselError(f"unknown cache placement {placement!r}")
-        if qos_class not in ("interactive", "batch"):
-            raise DieselError(f"unknown QoS class {qos_class!r}")
-        if hot_chunk_threshold < 0:
-            raise DieselError("hot_chunk_threshold must be >= 0")
         names = [c.name for c in clients]
         if len(set(names)) != len(names):
             raise DieselError("client names must be unique")
@@ -123,9 +108,6 @@ class TaskCache(ReadChain, Membership, Placement):
         #: ``locality`` (co-located contiguous slices, ring spill);
         #: only :mod:`.placement` reads it.
         self.placement = placement
-        #: Remote reads of one chunk from one node before it is
-        #: replicated onto that node's master (0 = off).
-        self.hot_chunk_threshold = hot_chunk_threshold
         #: Node chunk-tier registry every master of this task admits
         #: through (:class:`~repro.core.shared_cache.SharedCacheRegistry`).
         #: A task given none builds its own — one tenant, one task, RAM
@@ -133,13 +115,10 @@ class TaskCache(ReadChain, Membership, Placement):
         #: difference is lifetime (:meth:`_retire`).  For a private
         #: tiered cache, pass a ``store="tiered"`` registry no other
         #: task uses.  ``tenant`` names the quota account this task's
-        #: resident bytes charge; ``qos_class`` sets its admission
-        #: priority (interactive admissions may evict the batch warm
-        #: pool, not vice versa).
+        #: resident bytes charge.
         self.shared = shared or SharedCacheRegistry(server.env)
         self._owns_tier = self.shared is not shared
         self.tenant = tenant
-        self.qos_class = qos_class
         #: Registry-issued key the tier refcounts this task under
         #: (assigned at register()).
         self.task_key: Optional[str] = None
@@ -162,10 +141,6 @@ class TaskCache(ReadChain, Membership, Placement):
         #: The read-ahead accounting every reader's chunk window of this
         #: task shares.
         self.readahead = WindowStats()
-        #: Remote-read tallies per (encoded cid, reader node) feeding
-        #: hot-chunk replication, and the replication kicks in flight.
-        self._remote_reads: Dict[tuple, int] = {}
-        self._replicating: set = set()
         #: On-demand background pulls dropped because the master died.
         self.dropped_pulls = 0
         #: Bumped on every live membership change (scale_up, scale_down,
@@ -174,10 +149,6 @@ class TaskCache(ReadChain, Membership, Placement):
         #: ``(time, event, names)`` for every live membership change.
         self.scale_events: List[tuple] = []
         self._membership_listeners: List[Any] = []
-        #: Hedged remote reads, set by ``configure_hedging`` (None = one
-        #: peer call per read).
-        self._hedge_delay_s = 0.0
-        self.hedge_stats: Optional[HedgeStats] = None
         #: Which layer served the most recent read_file — published for
         #: the client's span attribution (only updated while a recorder
         #: is attached, so the bare hot path stays untouched).
@@ -192,14 +163,7 @@ class TaskCache(ReadChain, Membership, Placement):
         s.readahead_hits = ra.prefetch_hits
         s.readahead_misses = ra.prefetch_misses
         s.readahead_wasted = ra.prefetch_wasted
-        hs = self.hedge_stats
-        if hs is not None:
-            s.hedges_fired = hs.hedges_fired
-            s.hedge_wins = hs.backup_wins
-            s.hedge_duplicates = hs.duplicate_transfers
-        masters = self._master_totals()
-        s.coalesced_pulls = masters.coalesced_pulls
-        s.replicated_chunks = masters.replicated_chunks
+        s.coalesced_pulls = self._master_totals().coalesced_pulls
         return s
 
     def _master_totals(self) -> CacheMasterStats:
@@ -226,22 +190,6 @@ class TaskCache(ReadChain, Membership, Placement):
             self.shared.recorder = value
         for m in self.masters.values():
             m.recorder = m.endpoint.recorder = value
-
-    # ------------------------------------------------------- fault tolerance
-    def configure_hedging(self, delay_s: float) -> None:
-        """Enable hedged reads on the remote-peer path.
-
-        Once a remote read outlives ``delay_s`` a backup request is
-        fired to the DIESEL server and whichever answers first wins; the
-        loser is cancelled so its NIC channels and RPC worker slots drain
-        through their ``finally`` blocks.  Local fast paths are never
-        hedged.
-        """
-        if delay_s <= 0:
-            raise ValueError("delay_s must be positive")
-        self._hedge_delay_s = delay_s
-        if self.hedge_stats is None:
-            self.hedge_stats = HedgeStats()
 
     # ------------------------------------------------------------ lifecycle
     def register(
@@ -316,7 +264,8 @@ class TaskCache(ReadChain, Membership, Placement):
         return p * n - p  # each master's self-connection is not counted
 
     def cached_chunks(self) -> int:
-        """Chunks held over every master (hot-chunk replicas included)."""
+        """Chunks held over every master (scale-up donors' replicas
+        included)."""
         return sum(m.cached_chunk_count for m in self.masters.values())
 
     def hit_ratio(self) -> float:

@@ -42,9 +42,6 @@ class CacheMasterStats(Counters):
     #: Pull requests that joined an in-flight fetch instead of issuing
     #: their own (the node tier's single-flight map).
     coalesced_pulls: int = 0
-    #: Hot chunks replicated onto this master from another owner's
-    #: partition (read-skew mitigation).
-    replicated_chunks: int = 0
 
 
 class CacheMaster:
@@ -55,9 +52,9 @@ class CacheMaster:
     :class:`~repro.core.shared_cache.SharedChunkCache` (``tier``) and
     the store behind it; the master only records which chunks its task
     references there (``_held``: encoded cid → nbytes).  ``task`` is
-    the registry-issued key the tier refcounts under; ``tenant`` /
-    ``qos`` govern quota charging and eviction priority.  The clock,
-    fabric and calibration are the ``server``'s.
+    the registry-issued key the tier refcounts under; ``tenant`` names
+    the quota account it charges.  The clock, fabric and calibration
+    are the ``server``'s.
     """
 
     def __init__(
@@ -68,7 +65,6 @@ class CacheMaster:
         tier,
         task: str,
         tenant: str = "default",
-        qos: str = "batch",
     ) -> None:
         self.env = server.env
         self.client = client
@@ -78,7 +74,6 @@ class CacheMaster:
         self.tier = tier
         self.task = task
         self.tenant = tenant
-        self.qos = qos
         self.assigned: List[str] = []  # encoded chunk ids
         self._held: Dict[str, int] = {}
         self.stats = CacheMasterStats()
@@ -207,13 +202,13 @@ class CacheMaster:
     ) -> Generator[Event, Any, Tuple[int, int]]:
         """Admit ``cids`` through the node tier and record the
         references granted — the one way this master comes to hold a
-        chunk (warmup, recovery, on-demand fill, hot-chunk replication,
-        scale-event warm/drain).
+        chunk (warmup, recovery, on-demand fill, scale-event
+        warm/drain).
 
         The tier owns single-flight (n clients faulting a chunk at
         once, warmup racing an on-demand fill, another task's pull —
-        late arrivals wait and count as ``coalesced_pulls``), quota,
-        QoS and placement; a chunk it refuses stays server-resident
+        late arrivals wait and count as ``coalesced_pulls``), quota and
+        placement; a chunk it refuses stays server-resident
         (reads for it fall through, Fig 4) and counts as
         ``skipped_no_memory``.  Returns ``(held, from_peer)``: how many
         of ``cids`` are now held, and how many of those ``donor``

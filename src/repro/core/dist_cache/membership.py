@@ -55,7 +55,7 @@ class Membership:
             master = CacheMaster(
                 client, self.server, self.dataset,
                 self.shared.for_node(client.node),
-                self.task_key, self.tenant, self.qos_class,
+                self.task_key, self.tenant,
             )
             master.recorder = master.endpoint.recorder = self._recorder
             self.masters[node_name] = master
@@ -161,9 +161,10 @@ class Membership:
         the new masters then admit their share *peer-to-peer* from the
         donors still holding those chunks (falling back to the backend),
         so warm-up never re-reads the object store for resident data;
-        the donor keeps its copy as a replica, exactly like hot-chunk
-        replication.  Reads of a moved chunk before it lands simply fall
-        through to the server (Fig 4) — never an error.
+        the donor keeps its copy as a replica, which the successor rule
+        prefers should the new owner leave.  Reads of a moved chunk
+        before it lands simply fall through to the server (Fig 4) —
+        never an error.
 
         Bumps :attr:`membership_version` and fires membership listeners
         so epoch plans re-pin on the fly.  Returns a summary dict.

@@ -142,10 +142,10 @@ class Placement:
         """The successor rule for masters that leave, dead or departing.
 
         Each of ``leaving``'s chunks goes to a survivor already holding
-        a replica of it (a hot-chunk copy, or a scale-up donor's) when
-        one exists, else round-robin over ``survivors`` (sorted by node
-        name) — survivors' own partitions are untouched, so their nodes
-        keep reading locally.  A plan only: ``leaving`` own their chunks
+        a replica of it (a scale-up donor's copy) when one exists, else
+        round-robin over ``survivors`` (sorted by node name) —
+        survivors' own partitions are untouched, so their nodes keep
+        reading locally.  A plan only: ``leaving`` own their chunks
         until the caller moves each with :meth:`_rehome` — at once, or
         once its copy lands.
         """

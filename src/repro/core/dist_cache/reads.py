@@ -1,10 +1,8 @@
 """The read chain (Fig 4): a file (``read_file``) or a whole chunk
 (``read_chunk``, behind a §4.3 chunk window) resolves from the reader's
-own node (no RPC), else in one hop from the owning master (one call,
-hedged against the server when asked), else from the DIESEL server —
-the cache never blocks the training loop.  Under ``on-demand`` a miss
-pulls the chunk in the background; chunks one node reads remotely often
-enough are replicated onto its master.
+own node (no RPC), else in one hop from the owning master (one call),
+else from the DIESEL server — the cache never blocks the training loop.
+Under ``on-demand`` a miss pulls the chunk in the background.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from repro.core.chunk import Chunk
 from repro.core.dist_cache.master import CacheClient, CacheMaster
 from repro.core.meta import FileRecord
 from repro.errors import CachePeerDownError, DieselError, NodeDownError
-from repro.ft.hedge import hedged_call
 from repro.sim.engine import Event
 
 
@@ -73,19 +70,16 @@ class ReadChain:
                 + len(payload) / self.fabric.local_bandwidth_bps
             )
         else:
-            def from_server():
-                return self.server.call(
-                    client.node, "get_file", self.dataset, record.path,
-                    response_bytes=record.length,
-                )
-
             payload, tier = yield from self._ask_owner(
                 client, master, "get_file", (encoded_cid, record.path),
-                record.length, from_server,
+                record.length,
             )
             self.credit_read(tier)
             if payload is None:
-                payload = yield from from_server()
+                payload = yield from self.server.call(
+                    client.node, "get_file", self.dataset, record.path,
+                    response_bytes=record.length,
+                )
         if rec is not None:
             self.last_resolution = self._LAYER_OF.get(tier, "server")
             rec.record("cache_read", self.last_resolution,
@@ -114,19 +108,16 @@ class ReadChain:
                 + chunk.data_size / self.fabric.local_bandwidth_bps
             )
         else:
-            def from_server():
+            chunk, tier = yield from self._ask_owner(
+                client, master, "get_chunk", (encoded_cid,),
+                master.nbytes_of(encoded_cid) or None,
+            )
+            if chunk is None:
                 blob = yield from self.server.call(
                     client.node, "get_chunk", self.dataset, encoded_cid,
                     response_bytes=None,
                 )
-                return Chunk.decode(blob)
-
-            chunk, tier = yield from self._ask_owner(
-                client, master, "get_chunk", (encoded_cid,),
-                master.nbytes_of(encoded_cid) or None, from_server,
-            )
-            if chunk is None:
-                chunk = yield from from_server()
+                chunk = Chunk.decode(blob)
         if rec is not None:
             rec.record("chunk_fetch", self._LAYER_OF.get(tier, "server"),
                        self.env.now - t0, actor=client.name,
@@ -142,8 +133,8 @@ class ReadChain:
     ) -> Generator[Event, Any, Tuple[Optional[Chunk], str]]:
         """The node-local head of the Fig 4 chain, RAM before disk.
 
-        The reader's own node's master (its partition, or a hot-chunk
-        replica) serves a chunk it holds from memory with no RPC hop;
+        The reader's own node's master (its partition, or a scale-up
+        donor's replica) serves a chunk it holds from memory with no RPC hop;
         anything else resident in the node's tier — demoted to its
         disk tier (a device read + decompress, promoting when memory
         allows), or admitted by another task — serves from there.
@@ -196,42 +187,23 @@ class ReadChain:
         method: str,
         args: tuple,
         response_bytes: Optional[int],
-        from_server,
     ) -> Generator[Event, Any, Tuple[Any, str]]:
         """The owner-peer leg: one ``method(*args)`` call (``args[0]``
-        the encoded chunk id), raced against ``from_server`` once
-        :meth:`configure_hedging` ran and the owner is remote.
+        the encoded chunk id).
 
-        Returns ``(value, tier)``; tier is ``""`` when the server won a
-        hedge.  ``None`` sends the caller to the server: tier
-        ``"degraded_reads"`` when the owner is down or died mid-call
-        (feeding the detector now collapses detection latency to the
-        first read that noticed), ``""`` for a clean miss —
+        Returns ``(value, tier)``.  ``None`` sends the caller to the
+        server: tier ``"degraded_reads"`` when the owner is down or died
+        mid-call (feeding the detector now collapses detection latency
+        to the first read that noticed), ``""`` for a clean miss —
         ``on-demand`` then pulls the chunk in background.
         """
         if not master.up:
             self._note_peer_failure(master)
             return None, "degraded_reads"
-        call = master.endpoint.call(
-            client.node, method, *args, response_bytes=response_bytes
-        )
         try:
-            if self.hedge_stats is not None and master.node is not client.node:
-                outcome = yield from hedged_call(
-                    self.env, call, from_server, self._hedge_delay_s,
-                    self.hedge_stats, name=f"hedge:{args[0][:8]}",
-                )
-                if isinstance(
-                    outcome.primary_error, (NodeDownError, CachePeerDownError)
-                ):
-                    # The owner failed while the server saved the read:
-                    # feed the detector like the unhedged failure path.
-                    self._note_peer_failure(master)
-                if outcome.winner == "backup":
-                    return outcome.value, ""
-                value = outcome.value
-            else:
-                value = yield from call
+            value = yield from master.endpoint.call(
+                client.node, method, *args, response_bytes=response_bytes
+            )
         except NodeDownError:
             self._note_peer_failure(master)
             return None, "degraded_reads"
@@ -245,7 +217,6 @@ class ReadChain:
             return None, ""
         if master.node is client.node:
             return value, "local_hits"
-        self._note_remote_read(client, master, args[0])
         return value, "remote_hits"
 
     def _note_peer_failure(self, master: CacheMaster) -> None:
@@ -276,56 +247,3 @@ class ReadChain:
             rec = self._recorder
             if rec is not None:
                 rec.count("ft_dropped_pull", "task_cache")
-
-    # ------------------------------------------------- hot-chunk replication
-    def _note_remote_read(
-        self, client: CacheClient, master: CacheMaster, encoded_cid: str
-    ) -> None:
-        """Tally a cross-node hit; replicate the chunk once it runs hot.
-
-        When one node keeps paying the RPC hop for the same chunk
-        (``hot_chunk_threshold`` remote reads), the chunk is pulled onto
-        that node's master in the background so later reads take the
-        local fast path.  Replicas live in the master's chunk map but
-        not in ``assigned`` — ownership is unchanged, though the
-        successor rule prefers a replica holder when the owner leaves.
-        """
-        if self.hot_chunk_threshold <= 0:
-            return
-        local = self.masters.get(client.node.name)
-        if (
-            local is None
-            or local is master
-            or not local.up
-            or local.has_chunk(encoded_cid)
-        ):
-            return
-        key = (encoded_cid, client.node.name)
-        n = self._remote_reads.get(key, 0) + 1
-        self._remote_reads[key] = n
-        if n >= self.hot_chunk_threshold and key not in self._replicating:
-            self._replicating.add(key)
-            self.env.process(
-                self._replicate(local, encoded_cid),
-                name=f"replicate:{encoded_cid[:8]}",
-            )
-
-    def _replicate(
-        self, local: CacheMaster, encoded_cid: str
-    ) -> Generator[Event, Any, None]:
-        """Background pull of a hot chunk onto the reader's master.
-
-        Pure opportunism like :meth:`_background_pull`: failures are
-        dropped (the owner keeps serving), and the tier's single-flight
-        map already coalesces a concurrent warmup or on-demand fill of
-        the same chunk.
-        """
-        try:
-            cached, _ = yield from local.pull([encoded_cid])
-        except (NodeDownError, CachePeerDownError, DieselError):
-            return
-        if cached:
-            local.stats.replicated_chunks += 1
-            rec = self._recorder
-            if rec is not None:
-                rec.count("hot_replicate", "task_cache")

@@ -9,9 +9,9 @@ their reference entries live in a
 * **Admission:** a resident chunk is a warm ref-bump, a cold one is
   fetched once across tasks; either is charged to the tenant's per-node
   byte quota (0 = unlimited; exactly the quota is allowed).
-* **Protection:** a chunk any task references, and — against a
-  ``batch`` admission — the warm pool an ``interactive`` task pinned.
-  Displacing demotes to disk when the store has one, else evicts.
+* **Protection:** a chunk any task references is never displaced; the
+  refcount-0 warm pool is displaced LRU-first, demoted to disk when the
+  store has one, else evicted.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ from repro.core.chunk_store import ChunkStore, ChunkStoreStats
 from repro.obs.counters import Counters, stats_row
 from repro.sim.engine import Environment, Event
 
-#: The two admission-priority classes (paper-less extension; see
-#: DESIGN §11).  ``interactive`` outranks ``batch`` at eviction time.
-QOS_CLASSES = ("interactive", "batch")
 #: ``tier_rows`` columns after the node and store kind: residency
 #: gauges, then read traffic.
 _TIER_COLUMNS = (
@@ -61,9 +58,6 @@ class SharedCacheStats(Counters):
     #: Admissions refused because they would push the tenant past its
     #: byte quota on this node.
     quota_rejections: int = 0
-    #: Batch admissions refused because the only reclaimable chunks
-    #: were the interactive warm pool (QoS protection).
-    qos_denied: int = 0
     #: Admissions refused because the node's memory could not cover the
     #: chunk even after every evictable chunk was reclaimed.
     skipped_no_memory: int = 0
@@ -81,9 +75,6 @@ class _Entry:
     RAM or disk residency holds under ``"<dataset>/<encoded cid>"``."""
 
     chunk: Chunk
-    #: QoS class protecting this chunk: the highest class that ever
-    #: pinned it ("interactive" wins and sticks).
-    qos: str
     #: Task keys currently holding a reference.
     tasks: set = field(default_factory=set)
     #: Tenant → number of that tenant's tasks referencing this chunk
@@ -178,7 +169,7 @@ class SharedChunkCache:
         return self._tenant_usage.get(tenant, 0) + nbytes <= quota
 
     def _charge_ref(
-        self, entry: _Entry, nbytes: int, task: str, tenant: str, qos: str
+        self, entry: _Entry, nbytes: int, task: str, tenant: str
     ) -> bool:
         """Add ``task``'s reference; False iff the tenant quota refuses."""
         if task in entry.tasks:
@@ -193,41 +184,29 @@ class SharedChunkCache:
             self._tenant_usage[tenant] = (
                 self._tenant_usage.get(tenant, 0) + nbytes
             )
-        if qos == "interactive":
-            entry.qos = "interactive"
         return True
 
     def _place(
-        self, key: str, entry: _Entry, nbytes: int, qos: str
+        self, key: str, entry: _Entry, nbytes: int
     ) -> Generator[Event, Any, Optional[str]]:
         """Find a home for a cold admission; returns its tier or ``None``.
 
         Memory pressure displaces RAM chunks the protection rule leaves,
         LRU-first — all of them or none — and the store overflows the
         admission itself to disk when RAM still cannot cover it.  A
-        refusal counts as ``qos_denied`` when the walk met a chunk QoS
-        alone protected, else as ``skipped_no_memory``.
+        refusal counts as ``skipped_no_memory``.
         """
         store, rec = self.store, self.recorder
-        batch = qos != "interactive"
 
         def spare(e: _Entry) -> bool:
-            return bool(e.tasks) or (batch and e.qos == "interactive")
+            return bool(e.tasks)
 
         room = self.node.memory.level
-        blocked = False
         if room < nbytes:
             ram = store.ram
-
-            def walked(k: str) -> bool:
-                nonlocal blocked
-                e = ram.entries[k][0]
-                if not spare(e):
-                    return False
-                blocked = blocked or not e.tasks
-                return True
-
-            victims = ram.victims(nbytes - room, walked)
+            victims = ram.victims(
+                nbytes - room, lambda k: spare(ram.entries[k][0])
+            )
             if sum(ram.entries[k][1] for k in victims) >= nbytes - room:
                 for vkey in victims:
                     outcome = yield from store.displace(vkey, spare)
@@ -237,10 +216,7 @@ class SharedChunkCache:
                             rec.count("shared_evict", "shared_tier")
         tier = yield from store.put(key, entry, nbytes, spare)
         if tier is None:
-            if blocked:
-                self._stats.qos_denied += 1
-            else:
-                self._stats.skipped_no_memory += 1
+            self._stats.skipped_no_memory += 1
         return tier
 
     def admit(
@@ -251,7 +227,7 @@ class SharedChunkCache:
 
         ``holder`` is the admitting
         :class:`~repro.core.dist_cache.CacheMaster` (``dataset``,
-        ``task``, ``tenant``, ``qos``; its ``stats.coalesced_pulls``
+        ``task``, ``tenant``; its ``stats.coalesced_pulls``
         moves with the tier's).  ``fetch(cold_cids)`` yields one
         ``(chunk, nbytes)`` per cold cid, in order: it only says where
         the bytes come from.  Each round, a resident cid is ref-bumped, a
@@ -261,7 +237,7 @@ class SharedChunkCache:
         chunks the task now references; a refused cid stays
         server-resident (Fig 4).
         """
-        task, tenant, qos = holder.task, holder.tenant, holder.qos
+        task, tenant = holder.task, holder.tenant
         keys = {cid: self._key(holder.dataset, cid) for cid in cids}
         store, rec = self.store, self.recorder
         ram = store.ram  # its flights are the admissions in flight
@@ -275,7 +251,7 @@ class SharedChunkCache:
                 got = store.lookup(key)
                 if got is not None:
                     entry, nbytes = got
-                    if self._charge_ref(entry, nbytes, task, tenant, qos):
+                    if self._charge_ref(entry, nbytes, task, tenant):
                         ram.get(key)
                         self._stats.warm_admissions += 1
                         if rec is not None:
@@ -293,10 +269,8 @@ class SharedChunkCache:
                     if not self._quota_room(tenant, nbytes):
                         self._stats.quota_rejections += 1
                         continue
-                    entry = _Entry(chunk, qos)
-                    tier = yield from self._place(
-                        keys[cid], entry, nbytes, qos
-                    )
+                    entry = _Entry(chunk)
+                    tier = yield from self._place(keys[cid], entry, nbytes)
                     if tier is None:
                         continue
                     entry.tasks.add(task)

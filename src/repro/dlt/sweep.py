@@ -82,37 +82,26 @@ def build_sweep_task(
     dataset: str,
     clients: Sequence[Any],
     *,
-    shared=None,
-    tenant: str = "default",
-    qos_class: str = "batch",
-    policy: str = "oneshot",
-    placement: str = "hash",
-    hot_chunk_threshold: int = 0,
     group_size: int = 2,
     seed: int = 0,
+    **cache,
 ) -> SweepTask:
     """Wire one sweep task: a TaskCache over ``clients`` plus readers.
 
     ``clients`` are :class:`~repro.core.client.DieselClient` instances
-    with the dataset snapshot loaded (one per worker).  ``shared`` is
-    the sweep-wide :class:`~repro.core.shared_cache.SharedCacheRegistry`
-    (None = task-private caches, the pre-sharing behaviour); ``tenant``
-    and ``qos_class`` flow through to shared-tier quota charging and
-    eviction priority.  The cache is attached to every client so their
-    ``DL_get`` path resolves through it.  ``env`` and ``fabric`` are the
-    ``server``'s, which the cache takes them from.
+    with the dataset snapshot loaded (one per worker).  ``cache`` is
+    passed to :class:`~repro.core.dist_cache.TaskCache` as is
+    (``policy``, ``placement``, ``shared`` — the sweep-wide
+    :class:`~repro.core.shared_cache.SharedCacheRegistry`, None =
+    task-private caches — and ``tenant``).  The cache is attached to
+    every client so their ``DL_get`` path resolves through it.  ``env``
+    and ``fabric`` are the ``server``'s, which the cache takes them
+    from.
     """
     if not clients:
         raise DieselError("a sweep task needs at least one client")
     cache = TaskCache(
-        server, dataset,
-        [c.as_cache_client() for c in clients],
-        policy=policy,
-        placement=placement,
-        hot_chunk_threshold=hot_chunk_threshold,
-        shared=shared,
-        tenant=tenant,
-        qos_class=qos_class,
+        server, dataset, [c.as_cache_client() for c in clients], **cache
     )
     for c in clients:
         c.attach_cache(cache)

@@ -1,4 +1,4 @@
-"""Fault tolerance: failure detection, hedged reads, self-healing.
+"""Fault tolerance: failure detection and self-healing.
 
 The paper's robustness story (§4.1.2 metadata recovery, §4.2 failure
 containment, Fig 6/11b) assumes failures are *noticed* and recovery is
@@ -8,8 +8,6 @@ deployment:
 * :class:`~repro.ft.detector.FailureDetector` — heartbeat/probe loop
   marking peers alive → suspect → dead, with data-path failure reports
   for instant detection;
-* :func:`~repro.ft.hedge.hedged_call` — a hedged request after a fixed
-  delay, hiding stragglers the detector never flags;
 * :class:`~repro.ft.supervisor.CacheSupervisor` /
   :class:`~repro.ft.supervisor.KVSupervisor` — detector-driven
   ``TaskCache.recover()`` and ``rebuild_dataset(from_timestamp)`` with
@@ -23,7 +21,6 @@ See ``docs/FAULTS.md`` for the model and a worked example.
 """
 
 from repro.ft.detector import ALIVE, DEAD, SUSPECT, FailureDetector
-from repro.ft.hedge import HedgeOutcome, HedgeStats, hedged_call
 from repro.ft.supervisor import CacheSupervisor, KVSupervisor
 
 __all__ = [
@@ -32,8 +29,5 @@ __all__ = [
     "SUSPECT",
     "CacheSupervisor",
     "FailureDetector",
-    "HedgeOutcome",
-    "HedgeStats",
     "KVSupervisor",
-    "hedged_call",
 ]

@@ -28,7 +28,6 @@ Typical usage::
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
     Process,
@@ -41,7 +40,6 @@ from repro.sim.resources import Container, Store
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Container",
     "Environment",
     "Event",

@@ -235,7 +235,7 @@ class Process(Event):
 
 
 class _Condition(Event):
-    """Base for AllOf / AnyOf composite events."""
+    """Base for composite events (:class:`AllOf`)."""
 
     __slots__ = ("events", "_remaining")
 
@@ -280,20 +280,6 @@ class AllOf(_Condition):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed(self._collect())
-
-
-class AnyOf(_Condition):
-    """Triggers when the first child event triggers."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self.succeed(self._collect())
 
 
 class Semaphore:
@@ -564,9 +550,6 @@ class Environment:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- execution ---------------------------------------------------------
     def step(self) -> None:

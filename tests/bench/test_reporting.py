@@ -83,7 +83,6 @@ class TestStatsRow:
         from repro.core.prefetch import WindowStats
         from repro.core.server import ServerStats
         from repro.core.shared_cache import SharedCacheStats
-        from repro.ft.hedge import HedgeStats
         from repro.objectstore.tiered import TieredStats
         from repro.obs.counters import Counters
         from repro.rpc.endpoint import RpcStats
@@ -93,8 +92,8 @@ class TestStatsRow:
             cls() for cls in (
                 ServerStats, CacheMasterStats, TaskCacheStats,
                 SharedCacheStats, ClientStats, ChunkStoreStats, RpcStats,
-                HedgeStats, WindowStats, TieredStats, FabricStats,
-                DeviceStats, FuseStats, _ScaleCounters,
+                WindowStats, TieredStats, FabricStats, DeviceStats,
+                FuseStats, _ScaleCounters,
             )
         ] + [EngineStats(0, 0.0, 0)]
         for inst in instances:

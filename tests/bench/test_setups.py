@@ -183,7 +183,7 @@ def _probe_nodes(tb):
 @pytest.mark.parametrize("nodes_of, registry_kwargs, specs", [
     (_compute, None, [("c", dict(placement="hash"))]),
     (_compute, None, [("c", dict(placement="locality"))]),
-    (_compute, {}, [("c", dict(tenant="t0", qos_class="interactive"))]),
+    (_compute, {}, [("c", dict(tenant="t0"))]),
     (_probe_nodes, dict(store="tiered", chunk_compression=True), [("p", {})]),
     (_compute, {}, [("a", dict(tenant="t0")), ("b", dict(tenant="t1"))]),
 ], ids=["hash", "locality", "registry", "probe-nodes", "racing"])

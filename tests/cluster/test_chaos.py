@@ -26,17 +26,6 @@ class TestWindows:
         assert (node.nic_slow_factor, node.nic_extra_latency_s) == (1.0, 0.0)
         assert chaos.log[-1] == (3.0, "revert", "slow_node:n0x8")
 
-    def test_degrade_nic_sets_both_knobs(self):
-        env, (node, _), chaos = rig()
-        chaos.degrade_nic(
-            node, factor=4.0, extra_latency_s=0.002, at=0.0, duration_s=1.0
-        ).start()
-        env.run(until=0.5)
-        assert node.nic_slow_factor == 4.0
-        assert node.nic_extra_latency_s == 0.002
-        env.run()
-        assert (node.nic_slow_factor, node.nic_extra_latency_s) == (1.0, 0.0)
-
     def test_latency_spikes_fire_inside_the_window(self):
         env, nodes, chaos = rig()
         chaos.latency_spikes(

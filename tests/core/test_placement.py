@@ -1,4 +1,5 @@
-"""Tests for chunk-placement policies, pull coalescing, hot replication."""
+"""Tests for chunk-placement policies, pull coalescing and the successor
+rule."""
 
 import ast
 from pathlib import Path
@@ -111,8 +112,6 @@ class TestLocalityPlacement:
         c = CacheClient("x", dep.client_nodes[0], 0)
         with pytest.raises(DieselError):
             TaskCache(dep.server, "ds", [c], placement="bogus")
-        with pytest.raises(DieselError):
-            TaskCache(dep.server, "ds", [c], hot_chunk_threshold=-1)
 
 
 class TestLocalitySpill:
@@ -205,56 +204,6 @@ class TestPullCoalescing:
         assert master.stats.coalesced_pulls == 0
 
 
-class TestHotReplication:
-    def _skewed_read(self, threshold, reads):
-        dep, cache, clients, files, index = setup_cache(
-            n_nodes=2, hot_chunk_threshold=threshold
-        )
-        dep.run(cache.register())
-        dep.run(cache.wait_warm())
-        reader = clients[0]
-        other = next(n for n in cache.masters if n != reader.node.name)
-        path = paths_owned_by(cache, index, other)[0]
-
-        def proc():
-            for _ in range(reads):
-                yield from cache.read_file(reader, index.lookup(path))
-
-        dep.run(proc())
-        dep.env.run()  # drain the background replication pull
-        return dep, cache, clients, index, reader, path
-
-    def test_hot_chunk_replicates_to_reading_node(self):
-        dep, cache, clients, index, reader, path = self._skewed_read(
-            threshold=3, reads=3
-        )
-        assert cache.stats.replicated_chunks == 1
-        cid = index.lookup(path).chunk_id.encode()
-        assert cache.masters[reader.node.name].has_chunk(cid)
-        # Ownership did not move: the replica serves, the owner owns.
-        assert cache.chunk_owner_node(cid) != reader.node.name
-
-    def test_post_replication_reads_are_local(self):
-        dep, cache, clients, index, reader, path = self._skewed_read(
-            threshold=3, reads=3
-        )
-        before = cache.stats.local_hits
-
-        def proc():
-            yield from cache.read_file(reader, index.lookup(path))
-
-        dep.run(proc())
-        assert cache.stats.local_hits == before + 1
-
-    def test_below_threshold_no_replication(self):
-        dep, cache, *_ = self._skewed_read(threshold=3, reads=2)
-        assert cache.stats.replicated_chunks == 0
-
-    def test_disabled_by_default(self):
-        dep, cache, *_ = self._skewed_read(threshold=0, reads=10)
-        assert cache.stats.replicated_chunks == 0
-
-
 class TestLocalityRecovery:
     def _kill_and_recover(self):
         dep, cache, clients, files, index = setup_cache(n_nodes=3)
@@ -298,25 +247,21 @@ class TestLocalityRecovery:
         assert dep.run(proc()) == len(files)
 
     def test_orphan_prefers_survivor_with_replica(self):
-        dep, cache, clients, files, index = setup_cache(
-            n_nodes=3, hot_chunk_threshold=1
-        )
+        dep, cache, clients, files, index = setup_cache(n_nodes=3)
         dep.run(cache.register())
         dep.run(cache.wait_warm())
-        reader = clients[0]
-        victim = next(n for n in cache.masters if n != reader.node.name)
-        path = paths_owned_by(cache, index, victim)[0]
-        cid = index.lookup(path).chunk_id.encode()
-
-        def proc():
-            yield from cache.read_file(reader, index.lookup(path))
-
-        dep.run(proc())
-        dep.env.run()  # replica of cid now on the reader's node
-        assert cache.masters[reader.node.name].has_chunk(cid)
+        victim = sorted(cache.masters)[0]
+        survivors = sorted(n for n in cache.masters if n != victim)
+        cid = cache.masters[victim].assigned[0]
+        # Round-robin would hand the victim's first chunk to
+        # survivors[0]; plant a replica of it on survivors[1], as a
+        # scale-up donor leaves one behind.
+        holder = cache.masters[survivors[1]]
+        dep.run(holder.pull([cid]))
+        assert holder.has_chunk(cid)
         next(n for n in dep.client_nodes if n.name == victim).kill()
         dep.run(cache.recover(fanout=2))
-        assert cache.chunk_owner_node(cid) == reader.node.name
+        assert cache.chunk_owner_node(cid) == survivors[1]
 
 
 def test_placement_is_the_one_ownership_seam():

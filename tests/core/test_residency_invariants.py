@@ -59,7 +59,6 @@ def build(config, ram_chunks, seed):
              for i, node in enumerate(nodes[:3])],
             shared=registry, tenant=f"tenant{t}",
             placement="locality" if seed % 3 == 0 else "hash",
-            hot_chunk_threshold=2 if seed % 5 == 0 else 0,
         )
         for t in range(n_tasks)
     ]
@@ -97,7 +96,7 @@ def test_task_life_conserves_memory_refs_and_bytes(config, ram_chunks, seed):
     def step(gen=None):
         if gen is not None:
             dep.run(gen)
-        dep.env.run()  # drain background pulls / replications
+        dep.env.run()  # drain background pulls
         for c in caches:
             if c._registered:
                 dep.run(reads(c, files, index, rng))

@@ -1,7 +1,7 @@
 """Tests for the node-level shared chunk tier (DESIGN §11).
 
 Cross-task refcounting, warm admission, cross-task single-flight,
-per-tenant quotas, QoS-governed eviction and deregistration semantics —
+per-tenant quotas, warm-pool eviction and deregistration semantics —
 both at the :class:`SharedChunkCache` unit level (bare masters against
 the real server) and through full :class:`TaskCache` integration.
 """
@@ -17,7 +17,7 @@ from tests.core.conftest import build_deployment, small_files, write_dataset
 from tests.invariants import check_node_tier
 
 
-def shared_rig(n_nodes=2, n_files=24, n_tasks=2, tenants=None, qos=None,
+def shared_rig(n_nodes=2, n_files=24, n_tasks=2, tenants=None,
                policy="oneshot", chunk_size=8 * 1024):
     """A deployment + registry + ``n_tasks`` TaskCaches over one dataset."""
     dep = build_deployment(n_client_nodes=n_nodes)
@@ -34,16 +34,15 @@ def shared_rig(n_nodes=2, n_files=24, n_tasks=2, tenants=None, qos=None,
         caches.append(TaskCache(
             dep.server, "ds", clients, policy=policy, shared=registry,
             tenant=tenants[t] if tenants else "default",
-            qos_class=qos[t] if qos else "batch",
         ))
     return dep, registry, caches, files, writer.index
 
 
-def fake_master(dep, tier, task, tenant="default", qos="batch"):
+def fake_master(dep, tier, task, tenant="default"):
     """A bare CacheMaster (no TaskCache around it) for unit-driving one
     node tier's admission as task ``task``."""
     return CacheMaster(CacheClient(f"m-{task}", tier.node, 0), dep.server,
-                       "ds", tier, task, tenant, qos)
+                       "ds", tier, task, tenant)
 
 
 def resident(tier, cid):
@@ -266,7 +265,7 @@ class TestTenantQuotas:
         assert tier.refcount("ds", cid) == 1  # only the rich task's ref
 
 
-class TestQosEviction:
+class TestWarmPoolEviction:
     def _tiny_node_rig(self):
         """A node drained so cold admissions must evict to fit."""
         dep, registry, _, files, index = shared_rig(n_tasks=0)
@@ -281,43 +280,26 @@ class TestQosEviction:
 
         dep.run(sip())
 
-    def test_batch_cannot_evict_interactive_warm_pool(self):
+    def test_a_warm_chunk_is_evicted_for_a_new_admission(self):
         dep, registry, tier, node, cids = self._tiny_node_rig()
-        inter = fake_master(dep, tier, "iq", qos="interactive")
-        batch = fake_master(dep, tier, "bq", qos="batch")
+        first = fake_master(dep, tier, "t1")
+        second = fake_master(dep, tier, "t2")
 
         def admit(master, cid):
             return (yield from acquire(master, cid))
 
-        assert dep.run(admit(inter, cids[0])) is not None
-        tier.release_task("iq", "default")  # leave an interactive warm pool
+        assert dep.run(admit(first, cids[0])) is not None
+        tier.release_task("t1", "default")  # leave a warm pool
         assert tier.refcount("ds", cids[0]) == 0
         self._drain(dep, node)
-        # Batch admission: the only reclaimable chunk is interactive.
-        assert dep.run(admit(batch, cids[1])) is None
-        assert tier.stats.qos_denied == 1
-        assert tier.stats.evictions == 0
-        assert resident(tier, cids[0])
-
-    def test_interactive_may_evict_any_warm_chunk(self):
-        dep, registry, tier, node, cids = self._tiny_node_rig()
-        inter = fake_master(dep, tier, "iq", qos="interactive")
-        inter2 = fake_master(dep, tier, "iq2", qos="interactive")
-
-        def admit(master, cid):
-            return (yield from acquire(master, cid))
-
-        assert dep.run(admit(inter, cids[0])) is not None
-        tier.release_task("iq", "default")
-        self._drain(dep, node)
-        assert dep.run(admit(inter2, cids[1])) is not None
+        assert dep.run(admit(second, cids[1])) is not None
         assert tier.stats.evictions >= 1
         assert not resident(tier, cids[0])
 
     def test_referenced_chunks_are_never_evicted(self):
         dep, registry, tier, node, cids = self._tiny_node_rig()
-        batch = fake_master(dep, tier, "bq", qos="batch")
-        other = fake_master(dep, tier, "bq2", qos="batch")
+        batch = fake_master(dep, tier, "bq")
+        other = fake_master(dep, tier, "bq2")
 
         def admit(master, cid):
             return (yield from acquire(master, cid))
@@ -339,7 +321,7 @@ class TestLruEvictionOrder:
         node = dep.fabric.add_node(Node(dep.env, "tiny"))
         tier = registry.for_node(node)
         cids = [c.encode() for c in index.chunk_ids()]
-        warmer = fake_master(dep, tier, "warmer", qos="interactive")
+        warmer = fake_master(dep, tier, "warmer")
 
         def admit(master, cid):
             return (yield from acquire(master, cid))
@@ -349,7 +331,7 @@ class TestLruEvictionOrder:
         assert dep.run(admit(warmer, cids[1])) is not None
         tier.release_task("warmer", "default")
         # Re-reading c0 must refresh its recency: LRU is now [c1, c0].
-        toucher = fake_master(dep, tier, "toucher", qos="interactive")
+        toucher = fake_master(dep, tier, "toucher")
         assert dep.run(admit(toucher, cids[0])) is not None
         tier.release_task("toucher", "default")
 
@@ -358,7 +340,7 @@ class TestLruEvictionOrder:
 
         dep.run(sip())
         # Under pressure the admission evicts c1 (LRU), not c0 (first-in).
-        other = fake_master(dep, tier, "iq", qos="interactive")
+        other = fake_master(dep, tier, "iq")
         assert dep.run(admit(other, cids[2])) is not None
         assert resident(tier, cids[0])
         assert not resident(tier, cids[1])
@@ -386,7 +368,7 @@ class TestTieredSharedTier:
     def test_cold_admission_overflows_to_disk_under_pressure(self):
         dep, registry, tier, node, cids = self._tiered_rig()
         self._drain(dep, node)
-        batch = fake_master(dep, tier, "bq", qos="batch")
+        batch = fake_master(dep, tier, "bq")
 
         def admit(cid):
             return (yield from acquire(batch, cid))
@@ -397,29 +379,29 @@ class TestTieredSharedTier:
         assert tier.stats.skipped_no_memory == 0
         assert registry.store_stats.disk_admits == 1
 
-    def test_pressure_demotes_warm_chunk_but_not_pinned_interactive(self):
+    def test_pressure_demotes_warm_chunk_but_not_pinned(self):
         dep, registry, tier, node, cids = self._tiered_rig()
-        inter = fake_master(dep, tier, "iq", qos="interactive")
-        batch = fake_master(dep, tier, "bq", qos="batch")
-        batch2 = fake_master(dep, tier, "bq2", qos="batch")
+        holder = fake_master(dep, tier, "pin")
+        batch = fake_master(dep, tier, "bq")
+        batch2 = fake_master(dep, tier, "bq2")
 
         def admit(master, cid):
             return (yield from acquire(master, cid))
 
-        # cids[0] is pinned (interactive, still referenced); cids[1] is
-        # a refcount-0 batch warm chunk.
-        assert dep.run(admit(inter, cids[0])) is not None
+        # cids[0] is pinned (still referenced) and least recently used;
+        # cids[1] is a refcount-0 warm chunk.
+        assert dep.run(admit(holder, cids[0])) is not None
         assert dep.run(admit(batch, cids[1])) is not None
         tier.release_task("bq", "default")
         self._drain(dep, node)
-        # The batch admission demotes the warm chunk to disk instead of
-        # forgetting it — and never touches the pinned interactive one.
+        # The admission demotes the warm chunk to disk instead of
+        # forgetting it — and never touches the pinned one.
         assert dep.run(admit(batch2, cids[2])) is not None
         assert tier.store.tier_of(f"ds/{cids[0]}") == "ram"
         assert tier.disk_resident("ds", cids[1])
         assert resident(tier, cids[1])  # still a shared-tier entry
         assert tier.stats.evictions == 0
-        assert tier.stats.qos_denied == 0
+        assert tier.stats.skipped_no_memory == 0
         assert registry.store_stats.demotions == 1
 
         # The demoted chunk still serves reads (charging the disk).
@@ -439,8 +421,8 @@ class TestTieredSharedTier:
         filed the chunk on disk anyway — held by the store, resident by
         ``disk_resident`` and by no reference."""
         dep, registry, tier, node, cids = self._tiered_rig()
-        batch = fake_master(dep, tier, "bq", qos="batch")
-        batch2 = fake_master(dep, tier, "bq2", qos="batch")
+        batch = fake_master(dep, tier, "bq")
+        batch2 = fake_master(dep, tier, "bq2")
 
         def admit(master, cid):
             return (yield from acquire(master, cid))

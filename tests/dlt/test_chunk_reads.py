@@ -583,76 +583,6 @@ class TestRollover:
         assert cache.stats.degraded_reads == 0
 
 
-class TestHedging:
-    def test_mixed_granularity_reads_of_a_healthy_owner_fire_no_hedge(self):
-        """Hedging is on with a delay nothing reaches: KB ``get_file``
-        and MiB ``get_chunk`` replies of a healthy remote owner all come
-        from the owner, and no backup fires."""
-        tb, cache, readers, files, index = make_task(
-            n_nodes=4, n_files=480, file_sizes=(12_000, 20_000),
-            chunk_size=512 * 1024)
-        cache.configure_hedging(delay_s=60.0)
-        reader = readers[0]
-        owner, cids = remote_chunks(cache, reader, index)
-        assert len(cids) >= 3
-        by_chunk = {cid: [] for cid in cids}
-        for path in files:
-            cid = index.lookup(path).chunk_id.encode()
-            if cid in by_chunk:
-                by_chunk[cid].append(path)
-
-        def reads():
-            cc = reader.cache_client
-            for rnd in range(4):
-                for cid in cids:
-                    for path in by_chunk[cid][rnd * 4:rnd * 4 + 4]:
-                        data = yield from cache.read_file(
-                            cc, index.lookup(path))
-                        assert data == files[path]
-                    chunk, tier = yield from cache.read_chunk(cc, cid)
-                    assert tier == "remote_hits"
-
-        tb.run(reads())
-        assert cache.hedge_stats.reads > 0
-        assert cache.hedge_stats.hedges_fired == 0
-        assert cache.stats.degraded_reads == 0
-
-    @pytest.mark.parametrize("granularity", ["file", "chunk"])
-    def test_a_straggling_owners_backup_is_served_by_the_server(
-        self, granularity
-    ):
-        """A hot-chunk replica on a third master is no hedge target: the
-        backup of a read that outlives the hedge delay on a straggling
-        owner goes to the DIESEL server."""
-        tb, cache, readers, files, index = make_task()
-        cc = readers[0].cache_client
-        owner, cids = remote_chunks(cache, readers[0], index)
-        cid = cids[0]
-        third = next(m for n, m in cache.masters.items()
-                     if n not in (owner, cc.node.name))
-        tb.run(third.pull([cid]))  # what hot-chunk replication does
-        assert third.has_chunk(cid)
-        path = next(
-            p for p in files if index.lookup(p).chunk_id.encode() == cid)
-        cache.configure_hedging(delay_s=1e-4)
-        cache.masters[owner].node.degrade(extra_latency_s=0.05)
-        replica_calls = third.endpoint.stats.calls
-        server = tb.diesel.stats
-        served = server.file_reads + server.chunk_reads
-
-        if granularity == "file":
-            data, tier = tb.run(cache.resolve_file(cc, index.lookup(path)))
-        else:
-            chunk, tier = tb.run(cache.read_chunk(cc, cid))
-            data = chunk.payload(path)
-        assert data == files[path]
-        assert tier == ""  # the server won the race
-        assert cache.hedge_stats.hedges_fired == 1
-        assert cache.hedge_stats.backup_wins == 1
-        assert server.file_reads + server.chunk_reads == served + 1
-        assert third.endpoint.stats.calls == replica_calls
-
-
 class TestClientChain:
     """Fig 4 in DieselClient: with shuffle on *and* a task cache attached,
     a group-cache miss resolves through the cache, not the server."""

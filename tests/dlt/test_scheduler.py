@@ -21,13 +21,12 @@ def make_dataset(n_chunks=8, files_per_chunk=6):
     }
 
 
-def make_locality_task(n_nodes=2, placement="locality", group_size=2,
-                       hot_chunk_threshold=0):
+def make_locality_task(n_nodes=2, placement="locality", group_size=2):
     """A warmed multi-node task cache plus scheduler and per-node readers."""
     tb = deploy(n_nodes, "ds", FILES, chunk_size=8 * 1024, n_servers=1)
     task = warmed_task(
         tb, "ds", tb.compute_nodes, "tc", placement=placement,
-        hot_chunk_threshold=hot_chunk_threshold, group_size=group_size, seed=11,
+        group_size=group_size, seed=11,
     )
     readers = task.make_readers()
     return tb, task.cache, readers[0].scheduler, readers

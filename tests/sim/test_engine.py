@@ -6,7 +6,20 @@ import random
 import pytest
 
 from repro.errors import DeadlockError, InterruptError, SimulationError
-from repro.sim import AllOf, AnyOf, Environment, Semaphore, run_sync
+from repro.sim import AllOf, Environment, Semaphore, run_sync
+
+
+def _first_of(env, events):
+    """An event that fires when the first of ``events`` fires."""
+    first = env.event()
+
+    def fire(_):
+        if not first.triggered:
+            first.succeed()
+
+    for evt in events:
+        evt.callbacks.append(fire)
+    return first
 
 
 def _run_workload(seed: int) -> tuple:
@@ -27,7 +40,7 @@ def _run_workload(seed: int) -> tuple:
 
     def condition_waiter(env, tag, delays, mode):
         events = [env.timeout(d) for d in delays]
-        yield (env.all_of(events) if mode == "all" else env.any_of(events))
+        yield (env.all_of(events) if mode == "all" else _first_of(env, events))
         trace.append((mode, tag, env.now))
 
     def sem_user(env, tag, sem, hold):
@@ -70,7 +83,8 @@ def _run_workload(seed: int) -> tuple:
 
 class TestPinnedTrace:
     """Delivery order is pinned: the digest of a randomized workload's
-    trace (timeouts, interrupts, AllOf/AnyOf, a semaphore) must not move."""
+    trace (timeouts, interrupts, all-of and first-of waits, a semaphore)
+    must not move."""
 
     @pytest.mark.parametrize("seed,digest", [
         (0, "1f1577cdcfad80b7"),
@@ -358,17 +372,6 @@ class TestConditions:
             return (env.now, sorted(results.values()))
 
         assert run_sync(env, proc(env)) == (5, ["a", "b"])
-
-    def test_any_of_returns_on_first(self):
-        env = Environment()
-
-        def proc(env):
-            t1 = env.timeout(1, value="fast")
-            t2 = env.timeout(5, value="slow")
-            results = yield AnyOf(env, [t1, t2])
-            return (env.now, list(results.values()))
-
-        assert run_sync(env, proc(env)) == (1, ["fast"])
 
     def test_empty_all_of_fires_immediately(self):
         env = Environment()

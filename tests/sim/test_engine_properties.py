@@ -116,21 +116,14 @@ class TestConditionAlgebra:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(0.1, 10, allow_nan=False), min_size=1,
                     max_size=10))
-    def test_all_of_completes_at_max_any_of_at_min(self, delays):
+    def test_all_of_completes_at_max(self, delays):
         env = Environment()
 
         def proc(env):
-            t_any = env.any_of([env.timeout(d) for d in delays])
-            yield t_any
-            any_at = env.now
-            t_all = env.all_of([env.timeout(d) for d in delays])
-            yield t_all
-            all_at = env.now - any_at
-            return any_at, all_at
+            yield env.all_of([env.timeout(d) for d in delays])
+            return env.now
 
-        any_at, all_at = run_sync(env, proc(env))
-        assert any_at == pytest.approx(min(delays))
-        assert all_at == pytest.approx(max(delays))
+        assert run_sync(env, proc(env)) == pytest.approx(max(delays))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 8), st.integers(0, 1000))
