@@ -2377,13 +2377,10 @@ def fig_metaplane(
     page_limit: int = 1000,
     registry_sizes: Sequence[int] = (1_000, 1_000_000),
     probe_stats: int = 50,
-    online_files: int = 64,
-    online_late: int = 16,
-    online_group: int = 2,
 ) -> ExperimentResult:
     """The delta metadata plane: journal deltas, pagination, registry scale.
 
-    Four phases, each on a fresh testbed:
+    Three phases, each on a fresh testbed:
 
     1. **Delta reload** — a client holding a ``n_files`` snapshot sees
        ``append_frac`` of the dataset appended; ``refresh_meta()``
@@ -2398,13 +2395,7 @@ def fig_metaplane(
        real dataset's per-client metadata costs (server stat,
        save+load_meta, one registry page) are measured at each size:
        namespace growth must not tax per-dataset operations.
-    4. **Online ingest** — a training client commits to half an epoch,
-       new chunks land mid-epoch, the client picks up the delta and
-       ``tail_extend``s its plan: the committed read order stays
-       bit-identical and every file (old and late) is read exactly once.
     """
-    from repro.core.shuffle import tail_extend
-
     result = ExperimentResult(
         "delta metadata plane",
         "incremental snapshots, paginated pscan, sharded registry "
@@ -2528,68 +2519,6 @@ def fig_metaplane(
             f"registry {registry_sizes[0]} → {registry_sizes[-1]} "
             f"datasets: stat {row['stat_ratio']:.2f}x, "
             f"load_meta {row['load_meta_ratio']:.2f}x (flat = 1.0x)"
-        )
-
-        # -------------------------------------- phase 4: online ingest
-        online = {
-            f"/o/img{i:04d}.jpg": bytes([i % 251]) * 4096
-            for i in range(online_files)
-        }
-        tb = deploy(2, "online", online, 32 * KB, n_servers=1)
-        reader = diesel_client(tb, "online", tb.compute_nodes[0], "mp-reader")
-        snap = tb.run(reader.save_meta())
-        tb.run(reader.load_meta(snap))
-        reader.enable_shuffle(group_size=online_group)
-        plan = reader.epoch_file_list(seed=7)
-        committed = plan.files[: len(plan.files) // 2]
-        late_files = {
-            f"/o/late{i:04d}.jpg": bytes([(i * 7) % 251]) * 4096
-            for i in range(online_late)
-        }
-        read_order: List[str] = []
-
-        def read_span(paths):
-            for path in paths:
-                payload = yield from reader.get(path)
-                assert payload == (online.get(path) or late_files[path])
-                read_order.append(path)
-
-        tb.run(read_span(committed))
-        # New data lands mid-epoch from a separate writer.
-        writer = diesel_client(tb, "online", tb.compute_nodes[1], "mp-writer")
-
-        def push_late():
-            for path, data in late_files.items():
-                yield from writer.put(path, data)
-            yield from writer.flush()
-
-        tb.run(push_late())
-        tb.run(reader.refresh_meta())
-        extended = tail_extend(
-            plan, reader.index.files_by_chunk(), online_group,
-            random.Random(11),
-        )
-        tb.run(read_span(extended.files[len(committed):]))
-        lost = (set(online) | set(late_files)) - set(read_order)
-        dup = len(read_order) - len(set(read_order))
-        order_preserved = (
-            read_order[: len(committed)] == committed
-            and extended.files[: len(plan.files)] == plan.files
-        )
-        result.add(
-            event="online_ingest", n_files=online_files,
-            late_files=online_late,
-            delta_reloads=reader.stats.delta_reloads,
-            delta_ops=reader.stats.delta_ops_applied,
-            lost_reads=len(lost), duplicate_reads=dup,
-            committed_order_preserved=order_preserved,
-            epoch_reads=len(read_order),
-        )
-        result.note(
-            f"online ingest: {online_late} files appended mid-epoch, "
-            f"picked up via delta ({reader.stats.delta_ops_applied} ops) "
-            f"— {len(lost)} lost reads, committed order preserved: "
-            f"{order_preserved}"
         )
     return result
 

@@ -108,9 +108,6 @@ class ClientStats(Counters):
     #: that the knobs really change overlap and nothing else.
     ingest_inflight_hwm: int = hwm()
     fetch_inflight_hwm: int = hwm()
-    #: Times a live prefetch pipeline was re-steered at a new chunk→
-    #: master map after an elastic membership change.
-    membership_repins: int = 0
     #: Delta metadata plane: refresh_meta() rounds resolved with an
     #: incremental journal delta vs full-snapshot fallbacks, the ops
     #: applied in place, and the delta bytes transferred (compare with
@@ -164,7 +161,7 @@ class DieselClient:
         self._shuffle_enabled = False
         self._window = ChunkWindow(
             env, self._fetch_chunk, self.config.shuffle_group_size,
-            self.stats, name=self.name, node_name=node.name,
+            self.stats, name=self.name,
         )
         #: Lazy async ingest sink (only when ingest_pipeline_depth > 1).
         self._ingest: Optional[ChunkPipeline] = None
@@ -204,21 +201,7 @@ class DieselClient:
 
     def attach_cache(self, cache: TaskCache) -> None:
         """Join a task-grained distributed cache (after its register())."""
-        if cache is self._cache:
-            return
         self._cache = cache
-        # Elastic membership: when scale_up/scale_down move chunk
-        # ownership, steer the live prefetch pipeline at the new map.
-        cache.add_membership_listener(self._on_cache_membership)
-
-    def _on_cache_membership(self, event: str, names) -> None:
-        cache = self._cache
-        if cache is None or self._closed:
-            return
-        prefetcher = self._window.prefetcher
-        if prefetcher is not None and prefetcher.active:
-            prefetcher.repin(cache.chunk_owner_node)
-            self.stats.membership_repins += 1
 
     # -------------------------------------------------------------- DL_put
     def put(self, path: str, data: bytes) -> Generator[Event, Any, None]:

@@ -15,7 +15,7 @@ lifetime rule, ``TaskCache._retire``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Sequence
+from typing import Any, Dict, Generator, Optional, Sequence
 
 from repro.core.dist_cache.master import CacheClient, CacheMaster, CacheMasterStats
 from repro.core.dist_cache.membership import Membership
@@ -133,22 +133,21 @@ class TaskCache(ReadChain, Membership, Placement):
         self._registered = False
         self._prefetch_procs: list = []
         self._recorder = None
-        #: ``failure_listener.report_failure(master)`` is called when a
-        #: peer read finds its owner down or sees it die mid-call — the
-        #: CacheSupervisor wires itself in here so detection does not
-        #: wait for the next heartbeat (None = nobody listens).
-        self.failure_listener = None
+        #: The task's one listener, a
+        #: :class:`~repro.ft.supervisor.CacheSupervisor` (None = none):
+        #: ``report_failure(master)`` when a peer read finds its owner
+        #: down or sees it die mid-call, so detection does not wait for
+        #: the next heartbeat, and ``sync_watches()`` on every
+        #: membership change.
+        self.supervisor = None
         #: The read-ahead accounting every reader's chunk window of this
         #: task shares.
         self.readahead = WindowStats()
         #: On-demand background pulls dropped because the master died.
         self.dropped_pulls = 0
         #: Bumped on every live membership change (scale_up, scale_down,
-        #: recover) so epoch schedulers and prefetchers re-pin their plans.
+        #: recover).
         self.membership_version = 0
-        #: ``(time, event, names)`` for every live membership change.
-        self.scale_events: List[tuple] = []
-        self._membership_listeners: List[Any] = []
         #: Which layer served the most recent read_file — published for
         #: the client's span attribution (only updated while a recorder
         #: is attached, so the bare hot path stays untouched).
@@ -264,7 +263,7 @@ class TaskCache(ReadChain, Membership, Placement):
         return p * n - p  # each master's self-connection is not counted
 
     def cached_chunks(self) -> int:
-        """Chunks held over every master (scale-up donors' replicas
+        """Chunks held over every master (scale-up donors' copies
         included)."""
         return sum(m.cached_chunk_count for m in self.masters.values())
 

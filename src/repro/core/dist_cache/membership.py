@@ -3,6 +3,12 @@ is p×(n−1) connections, not n×(n−1)) and the three live changes —
 ``scale_up``, ``scale_down`` and ``recover`` (Fig 11b).  The last two
 share one successor rule (:mod:`.placement`) and one leave step
 (:meth:`Membership._leave`); only where the references went differs.
+
+A change is published in one place, :meth:`Membership._notify_membership`:
+``membership_version`` bumps and the task's supervisor, if any, resyncs
+its watches.  Nothing outside the cache follows a change: epoch plans
+already drawn keep their order, and their reads resolve against
+whoever owns each chunk at read time.
 """
 
 from __future__ import annotations
@@ -21,22 +27,15 @@ from repro.sim.engine import Event, fan_out
 class Membership:
     """The membership of :class:`~repro.core.dist_cache.TaskCache`."""
 
-    def add_membership_listener(self, callback) -> None:
-        """Register ``callback(event, names)``, fired on every live
-        membership change: ``scale_up`` with the new masters' client
-        names, ``scale_down`` / ``recover`` with the node names that
-        left."""
-        self._membership_listeners.append(callback)
-
-    def _notify_membership(self, event: str, names: Sequence[str]) -> None:
-        """Publish a membership change: version, event log, listeners."""
+    def _notify_membership(self, event: str) -> None:
+        """Publish a membership change: bump the version and tell the
+        supervisor, which keeps its watches equal to the masters."""
         self.membership_version += 1
-        self.scale_events.append((self.env.now, event, tuple(names)))
         rec = self._recorder
         if rec is not None:
             rec.count(f"cache_{event}", "task_cache")
-        for cb in list(self._membership_listeners):
-            cb(event, names)
+        if self.supervisor is not None:
+            self.supervisor.sync_watches()
 
     def _elect_masters(
         self, clients: Sequence[CacheClient]
@@ -86,7 +85,7 @@ class Membership:
         owners: ``leaving`` and every client on ``nodes`` drop out of
         the task and the connection mesh, their counters fold into the
         task totals, and the change is published
-        (``membership_version``, ``scale_events``, listeners).  The
+        (``membership_version``, the supervisor).  The
         references are the caller's to settle first: a departing master
         releases its own (:meth:`_retire`); a dead one's went with its
         node (``purge_dead``)."""
@@ -97,7 +96,7 @@ class Membership:
             if c.node.name in nodes:
                 self.connections.drop_endpoint(c.name)
         self.clients = [c for c in self.clients if c.node.name not in nodes]
-        self._notify_membership(event, sorted(nodes))
+        self._notify_membership(event)
 
     def dead_masters(self) -> list[CacheMaster]:
         """The masters whose endpoint no longer answers."""
@@ -149,7 +148,7 @@ class Membership:
         return reloaded
 
     def scale_up(
-        self, new_clients: Sequence[CacheClient], warm: bool = True
+        self, new_clients: Sequence[CacheClient]
     ) -> Generator[Event, Any, dict]:
         """Grow the task's membership live (no cold restart).
 
@@ -157,17 +156,16 @@ class Membership:
         (lowest rank per node, as at registration); each new master
         takes an equal share of chunks stolen from the most-loaded
         donors' partition tails — minimal movement: everything else
-        stays owned, resident, and serving throughout.  With ``warm``,
-        the new masters then admit their share *peer-to-peer* from the
-        donors still holding those chunks (falling back to the backend),
-        so warm-up never re-reads the object store for resident data;
-        the donor keeps its copy as a replica, which the successor rule
-        prefers should the new owner leave.  Reads of a moved chunk
-        before it lands simply fall through to the server (Fig 4) —
-        never an error.
+        stays owned, resident, and serving throughout.  The new masters
+        then admit their share *peer-to-peer* from the donors still
+        holding those chunks (falling back to the backend), so warm-up
+        never re-reads the object store for resident data; the donor
+        keeps its copy, which still serves its own node's reads.  Reads
+        of a moved chunk before it lands simply fall through to the
+        server (Fig 4) — never an error.
 
-        Bumps :attr:`membership_version` and fires membership listeners
-        so epoch plans re-pin on the fly.  Returns a summary dict.
+        Bumps :attr:`membership_version`; epoch plans already drawn are
+        left alone.  Returns a summary dict.
         """
         if not self._registered:
             raise DieselError("task cache not registered")
@@ -185,11 +183,9 @@ class Membership:
         self._mesh()
         moves = self._steal(new_masters, donors)
         self._stats.scale_ups += 1
-        self._notify_membership(
-            "scale_up", [m.client.name for m in new_masters]
-        )
+        self._notify_membership("scale_up")
         warmed = peer_warmed = 0
-        if warm and moves:
+        if moves:
             results = yield from fan_out(
                 self.env,
                 [nm.pull_all(items, "scale_up") for nm, items in moves.items()],
@@ -208,17 +204,17 @@ class Membership:
         }
 
     def scale_down(
-        self, nodes: Sequence[Any], drain: bool = True
+        self, nodes: Sequence[Any]
     ) -> Generator[Event, Any, dict]:
         """Shrink the task's membership live, draining owned chunks.
 
         ``nodes`` are :class:`~repro.cluster.node.Node`\\ s or node
         names.  Each departing master's chunks are re-homed by the
-        successor rule recovery uses, and with ``drain`` the successor
-        pulls each chunk *from the departing master* before ownership
-        flips, so at every instant the chunk is resident and owned
-        somewhere: reads keep resolving against the old owner until the
-        copy lands, then against the new one.  Zero lost chunks, zero
+        successor rule recovery uses, and the successor pulls each chunk
+        *from the departing master* before ownership flips, so at every
+        instant the chunk is resident and owned somewhere: reads keep
+        resolving against the old owner until the copy lands, then
+        against the new one.  Zero lost chunks, zero
         failed reads, no cold restart.  Departing clients leave the mesh
         afterwards.
 
@@ -239,7 +235,7 @@ class Membership:
             raise DieselError("scale_down would remove every cache master")
         plan = self._successors(departing, survivors)
         drained = peer_drained = lost = 0
-        if plan and drain:
+        if plan:
             # Ownership flips per chunk *after* that chunk's own copy
             # lands (or is given up: the chunk goes server-resident), so
             # reads in flight keep resolving against whichever master
@@ -257,9 +253,6 @@ class Membership:
             drained = sum(r[0] for r in results)
             peer_drained = sum(r[1] for r in results)
             lost = sum(map(len, plan.values())) - drained
-        else:
-            # No drain: flip ownership only; chunks go server-resident.
-            self._rehome_all(plan)
         for m in departing:
             self._retire(m)
         self._stats.scale_downs += 1

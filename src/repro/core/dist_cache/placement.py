@@ -41,8 +41,7 @@ class Placement:
     def chunk_owner_node(self, chunk_id) -> Optional[str]:
         """Name of the node whose master owns ``chunk_id`` (or ``None``).
 
-        Accepts a :class:`~repro.util.ids.ChunkId` or its encoded form;
-        what a plan re-pins its owner tags to after a membership change.
+        Accepts a :class:`~repro.util.ids.ChunkId` or its encoded form.
         """
         encoded = chunk_id if isinstance(chunk_id, str) else chunk_id.encode()
         master = self._owner_of.get(encoded)
@@ -141,25 +140,16 @@ class Placement:
     ) -> Moves:
         """The successor rule for masters that leave, dead or departing.
 
-        Each of ``leaving``'s chunks goes to a survivor already holding
-        a replica of it (a scale-up donor's copy) when one exists, else
-        round-robin over ``survivors`` (sorted by node name) —
-        survivors' own partitions are untouched, so their nodes keep
-        reading locally.  A plan only: ``leaving`` own their chunks
-        until the caller moves each with :meth:`_rehome` — at once, or
-        once its copy lands.
+        ``leaving``'s chunks are dealt round-robin over ``survivors``
+        (sorted by node name) — survivors' own partitions are untouched,
+        so their nodes keep reading locally.  A plan only: ``leaving``
+        own their chunks until the caller moves each with
+        :meth:`_rehome` — at once, or once its copy lands.
         """
         moves: Moves = {}
-        rr = 0
-        for m in leaving:
-            for encoded_cid in m.assigned:
-                succ = next(
-                    (s for s in survivors if s.has_chunk(encoded_cid)), None
-                )
-                if succ is None:
-                    succ = survivors[rr % len(survivors)]
-                    rr += 1
-                moves.setdefault(succ, []).append((encoded_cid, m))
+        orphans = [(cid, m) for m in leaving for cid in m.assigned]
+        for i, item in enumerate(orphans):
+            moves.setdefault(survivors[i % len(survivors)], []).append(item)
         return moves
 
     def _steal(

@@ -134,7 +134,7 @@ class ReadChain:
         """The node-local head of the Fig 4 chain, RAM before disk.
 
         The reader's own node's master (its partition, or a scale-up
-        donor's replica) serves a chunk it holds from memory with no RPC hop;
+        donor's copy) serves a chunk it holds from memory with no RPC hop;
         anything else resident in the node's tier — demoted to its
         disk tier (a device read + decompress, promoting when memory
         allows), or admitted by another task — serves from there.
@@ -220,9 +220,8 @@ class ReadChain:
         return value, "remote_hits"
 
     def _note_peer_failure(self, master: CacheMaster) -> None:
-        listener = self.failure_listener
-        if listener is not None:
-            listener.report_failure(master)
+        if self.supervisor is not None:
+            self.supervisor.report_failure(master)
         rec = self._recorder
         if rec is not None:
             rec.count("ft_peer_failure", "task_cache")

@@ -8,6 +8,10 @@
   per chunk.
 * **Protection:** chunks read ahead that the consumer has not reached
   (:meth:`ChunkPrefetcher.protects`); the oldest goes when all are.
+
+The pipeline follows its plan as drawn.  A cache membership change does
+not re-steer it: each fetch resolves against whoever owns the chunk
+when it is issued.
 """
 
 from __future__ import annotations
@@ -51,10 +55,9 @@ class ChunkWindow:
     keeps per chunk (never ``None``): :class:`~repro.core.client.DieselClient`
     fetches from a server or its task cache,
     :class:`~repro.dlt.readers.CacheReader` through
-    :meth:`~repro.core.dist_cache.TaskCache.read_chunk`.  ``node_name``
-    is where the reader runs — :meth:`ChunkPrefetcher.repin` drops
-    chunks that moved there.  ``stats`` takes the :class:`WindowStats`
-    fields (:class:`~repro.core.client.ClientStats` carries them too).
+    :meth:`~repro.core.dist_cache.TaskCache.read_chunk`.  ``stats``
+    takes the :class:`WindowStats` fields
+    (:class:`~repro.core.client.ClientStats` carries them too).
     """
 
     def __init__(
@@ -64,14 +67,12 @@ class ChunkWindow:
         group_size: int,
         stats: Any,
         name: str = "",
-        node_name: str = "",
     ) -> None:
         self.env = env
         self._fetch = fetch
         self.group_size = group_size
         self.stats = stats
         self.name = name
-        self.node_name = node_name
         #: encoded cid -> (fetched value, 1): the budget counts chunks.
         self.chunks = Residency(env)
         self.prefetcher: Optional[ChunkPrefetcher] = None
@@ -85,6 +86,7 @@ class ChunkWindow:
         )
 
     def note_inflight(self, n: int) -> None:
+        """Raise the ``fetch_inflight_hwm`` mark to ``n`` fetches."""
         if n > self.stats.fetch_inflight_hwm:
             self.stats.fetch_inflight_hwm = n
 
@@ -183,9 +185,6 @@ class ChunkPrefetcher:
         self._procs: Dict[str, Process] = {}
         #: False once cancelled.
         self.active = True
-        #: Elastic-membership steering (see :meth:`repin`).
-        self.repins = 0
-        self.repin_skipped = 0
         # ``plan`` enters as a continuation nothing was read from yet.
         self.then, self._then_order = plan, _chunk_order(plan)
         self._ahead: Set[str] = set()
@@ -249,37 +248,6 @@ class ChunkPrefetcher:
         finally:
             self._procs.pop(encoded, None)
         self._top_up()  # a slot of the in-flight budget came free
-
-    def repin(self, owner_of) -> int:
-        """Drop not-yet-issued schedule entries that became node-local.
-
-        After an elastic scale event moves chunk ownership, chunks the
-        schedule planned to pull over the network may now live on the
-        reader's own node — their demand read is already an intra-node
-        memory copy, so spending a pipeline slot (and a transfer window)
-        prefetching them is pure waste.  Issued and in-flight fetches
-        are left alone; skipped chunks are unscheduled, so a later
-        demand read neither scores a miss nor holds a window slot.
-        ``owner_of`` maps an encoded chunk id to its owner node name.
-        Returns how many entries were skipped.
-        """
-        if not self.active or self._next >= len(self._schedule):
-            return 0
-        local = self.window.node_name
-        keep: List[str] = []
-        skipped = 0
-        for encoded in self._schedule[self._next:]:
-            if encoded not in self._consumed and owner_of(encoded) == local:
-                self._scheduled.discard(encoded)
-                skipped += 1
-            else:
-                keep.append(encoded)
-        if skipped:
-            del self._schedule[self._next:]
-            self._schedule.extend(keep)
-            self.repin_skipped += skipped
-        self.repins += 1
-        return skipped
 
     def protects(self, encoded: str) -> bool:
         """The window's protection rule: ``encoded`` was read ahead, for

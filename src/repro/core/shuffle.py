@@ -49,6 +49,8 @@ class ShuffleGroup:
     owner: Optional[str] = None
 
     def working_set_bytes(self, chunk_sizes: Mapping[ChunkId, int]) -> int:
+        """Bytes the group's chunks occupy: a reader's §4.3 working set
+        while it drains this group."""
         return sum(chunk_sizes[c] for c in self.chunk_ids)
 
 
@@ -58,6 +60,10 @@ class EpochPlan:
 
     ``files`` is the flat read order handed to the training framework;
     ``groups`` drives the client's chunk prefetch/evict schedule.
+    Only :func:`chunkwise_shuffle` and :meth:`partition` build one, and
+    a drawn plan is never rewritten: a membership change leaves its
+    ``owner`` tags stale (affinity only), never its reads — each read
+    resolves against whoever owns the chunk at read time.
     """
 
     groups: tuple[ShuffleGroup, ...]
@@ -78,52 +84,8 @@ class EpochPlan:
 
     @property
     def file_count(self) -> int:
+        """Files the plan reads, over every group."""
         return sum(len(g.files) for g in self.groups)
-
-    def repin(
-        self, owner_of: Callable[[ChunkId], Optional[str]]
-    ) -> "EpochPlan":
-        """Same epoch content with refreshed group→owner tags.
-
-        After an elastic membership change, chunk ownership moves but
-        the epoch's read order must not: reshuffling mid-epoch would
-        re-read some files and skip others.  ``repin`` keeps every
-        group's chunks and file order bit-identical and only re-derives
-        :attr:`ShuffleGroup.owner` from the current ownership map (the
-        majority owner of the group's chunks; first-chunk owner breaks
-        ties deterministically), so affinity scheduling and prefetch
-        steering follow the chunks to their new masters.
-        """
-        groups = []
-        for g in self.groups:
-            owners = [owner_of(c) for c in g.chunk_ids]
-            known = [o for o in owners if o is not None]
-            if not known:
-                owner = None
-            else:
-                counts: dict[str, int] = {}
-                for o in known:
-                    counts[o] = counts.get(o, 0) + 1
-                best = max(counts.values())
-                # First chunk whose owner hit the majority count wins.
-                owner = next(o for o in known if counts[o] == best)
-            groups.append(
-                g if owner == g.owner
-                else ShuffleGroup(g.chunk_ids, g.files, owner)
-            )
-        return EpochPlan(tuple(groups))
-
-    def extended(self, new_groups: Sequence[ShuffleGroup]) -> "EpochPlan":
-        """This plan plus ``new_groups`` appended at the tail.
-
-        The online-ingest discipline mirrors :meth:`repin`: the already
-        planned portion of the epoch stays bit-identical (committed
-        reads must not move), and newly ingested data only ever joins
-        at the end of the order.
-        """
-        if not new_groups:
-            return self
-        return EpochPlan(self.groups + tuple(new_groups))
 
     def partition(
         self,
@@ -212,35 +174,6 @@ def chunkwise_shuffle(
     if owner_of is not None:
         rng.shuffle(groups)  # owner buckets must not imply epoch order
     return EpochPlan(tuple(groups))
-
-
-def tail_extend(
-    plan: EpochPlan,
-    files_by_chunk: Mapping[ChunkId, Sequence[str]],
-    group_size: int,
-    rng: random.Random,
-    owner_of: Optional[Callable[[ChunkId], Optional[str]]] = None,
-) -> EpochPlan:
-    """Fold newly ingested chunks into a live epoch, tail-only.
-
-    ``files_by_chunk`` is the dataset's *current* grouping (e.g. from a
-    delta-refreshed index).  Chunks already scheduled in ``plan`` are
-    left untouched — their position, grouping and file order stay
-    bit-identical, so everything a training client has committed to
-    reading keeps its order.  Only chunks the plan has never seen are
-    chunk-wise shuffled (same three steps as a fresh epoch) and appended
-    as new tail groups.  Returns ``plan`` itself when nothing is new.
-    """
-    seen = {cid for g in plan.groups for cid in g.chunk_ids}
-    fresh = {
-        cid: files
-        for cid, files in files_by_chunk.items()
-        if cid not in seen and files
-    }
-    if not fresh:
-        return plan
-    tail = chunkwise_shuffle(fresh, group_size, rng, owner_of=owner_of)
-    return plan.extended(tail.groups)
 
 
 def shuffle_quality(

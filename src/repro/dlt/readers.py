@@ -13,7 +13,9 @@ prefer it over per-file ``read`` calls when present.
 ``cancel_epoch()`` is optional too: the trainer calls it when its
 process is cancelled or its last epoch ends, so read-ahead stops.
 :class:`EpochScheduler` deals the task-wide plan whose per-worker
-shards :class:`CacheReader` serves.
+shards :class:`CacheReader` serves.  Each epoch's plan is drawn once:
+a cache membership change leaves it as drawn, and every chunk read
+resolves against the chunk's owner at read time.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ class EpochScheduler:
 
     Shards are built lazily per epoch and cached, so workers may call
     :meth:`shard` out of order; ``worker_nodes[i]`` names the node
-    worker *i* runs on (the affinity key).
+    worker *i* runs on (the affinity key).  A shard is built once: a
+    membership change after it was drawn stales only its affinity.
     """
 
     def __init__(
@@ -69,15 +72,10 @@ class EpochScheduler:
         self._cache = cache
         self._seed = seed
         self._shards: Dict[int, List[EpochPlan]] = {}
-        #: Cache membership version each cached epoch was built against.
-        self._shard_versions: Dict[int, int] = {}
-        #: Latest epoch some reader began (not just drew to read ahead).
-        self._begun = -1
-        #: Epochs whose cached shards were re-pinned after a scale event.
-        self.repins = 0
 
     @property
     def n_workers(self) -> int:
+        """Workers the plan is split over, one shard each."""
         return len(self._worker_nodes)
 
     @property
@@ -89,37 +87,16 @@ class EpochScheduler:
         """Owner-node → worker-index map for ``EpochPlan.partition``."""
         return {name: i for i, name in enumerate(self._worker_nodes)}
 
-    def _membership_version(self) -> int:
-        cache = self._cache
-        return cache.membership_version if cache is not None else 0
-
-    def shard(self, epoch: int, worker: int, ahead: bool = False) -> EpochPlan:
-        """This worker's slice of the epoch's shared plan; ``ahead``
-        draws it only to read ahead, so the epoch is not yet begun."""
+    def shard(self, epoch: int, worker: int) -> EpochPlan:
+        """This worker's slice of the epoch's shared plan, built the
+        first time any worker asks for the epoch and kept as drawn."""
         if not 0 <= worker < self.n_workers:
             raise DieselError(f"worker index {worker} out of range")
-        stale = self._shard_versions.get(epoch) != self._membership_version()
-        if epoch not in self._shards or (stale and epoch > self._begun):
-            # No reader has begun it: build it for the current members.
+        if epoch not in self._shards:
             self._shards[epoch] = self._build(epoch)
-            self._shard_versions[epoch] = self._membership_version()
             # Bound memory: workers straddle two epochs and read one on.
             for old in [e for e in self._shards if e < epoch - 2]:
                 del self._shards[old]
-                self._shard_versions.pop(old, None)
-        elif stale:
-            # Elastic membership changed under a begun plan: re-pin the
-            # shards' owner tags to the new chunk→master map without
-            # reshuffling (the epoch's read order is already committed;
-            # a reshuffle would re-read some files and drop others).
-            owner_of = self._cache.chunk_owner_node
-            self._shards[epoch] = [
-                plan.repin(owner_of) for plan in self._shards[epoch]
-            ]
-            self.repins += 1
-            self._shard_versions[epoch] = self._membership_version()
-        if not ahead:
-            self._begun = max(self._begun, epoch)
         return self._shards[epoch][worker]
 
     def _build(self, epoch: int) -> List[EpochPlan]:
@@ -165,24 +142,21 @@ class CacheReader:
         #: ``encoded cid -> (chunk, tier)``, shared by the I/O workers.
         self.window = ChunkWindow(
             cache.env, self._fetch, scheduler.group_size, cache.readahead,
-            name=cache_client.name, node_name=cache_client.node.name,
+            name=cache_client.name,
         )
-        cache.add_membership_listener(self._on_membership)
 
     def _fetch(self, encoded_cid: str):
         return self.cache.read_chunk(self.cache_client, encoded_cid)
 
-    def _on_membership(self, event: str, names) -> None:
-        prefetcher = self.window.prefetcher
-        if prefetcher is not None:
-            prefetcher.repin(self.cache.chunk_owner_node)
-
     def begin_epoch(self, epoch: int) -> Generator[Event, Any, list[str]]:
+        """Start serving this worker's shard of ``epoch``, reading ahead
+        on into the next epoch's; returns the shard's file order after
+        charging the shuffle's CPU cost."""
         plan = self.scheduler.shard(epoch, self.worker)
         self.last_plan = plan
         # Read on into the next shard: the next begin_epoch keeps what
-        # was read ahead unless its shard is another (e.g. rebuilt) one.
-        then = self.scheduler.shard(epoch + 1, self.worker, ahead=True)
+        # was read ahead.
+        then = self.scheduler.shard(epoch + 1, self.worker)
         self.window.start(plan, self.window.group_size, self.cache.recorder, then)
         yield self.cache.env.timeout(plan.file_count * SHUFFLE_PER_FILE_S)
         return plan.files
@@ -193,6 +167,8 @@ class CacheReader:
         self.window.cancel()
 
     def read(self, path: str) -> Generator[Event, Any, bytes]:
+        """One file out of its chunk in the window, fetching the chunk
+        through the task cache's read chain when it is not resident."""
         record = self.index.lookup(path)
         encoded_cid = record.chunk_id.encode()
         entry = self.window.access(encoded_cid)
@@ -217,10 +193,12 @@ class LustreReader:
         self._seed = seed
 
     def begin_epoch(self, epoch: int) -> Generator[Event, Any, list[str]]:
+        """A full shuffle of every path, after charging its CPU cost."""
         yield self.fs.env.timeout(len(self.paths) * SHUFFLE_PER_FILE_S)
         return full_shuffle(self.paths, random.Random(self._seed + epoch))
 
     def read(self, path: str) -> Generator[Event, Any, bytes]:
+        """One file straight from Lustre."""
         data = yield from self.fs.read_file(self.node, path)
         return data
 
@@ -233,6 +211,8 @@ class FuseReader:
         self._seed = seed
 
     def begin_epoch(self, epoch: int) -> Generator[Event, Any, list[str]]:
+        """The mount client's chunk-wise shuffled order for ``epoch``,
+        after charging the shuffle's CPU cost."""
         client = self.mount.clients[0]
         n = client.index.file_count
         yield self.mount.env.timeout(n * SHUFFLE_PER_FILE_S)
@@ -243,6 +223,7 @@ class FuseReader:
         self.mount.clients[0].cancel_prefetch()
 
     def read(self, path: str) -> Generator[Event, Any, bytes]:
+        """One file through the FUSE mount."""
         data = yield from self.mount.read_file(path)
         return data
 

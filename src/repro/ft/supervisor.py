@@ -9,10 +9,11 @@ The supervisors close the loop:
 * :class:`CacheSupervisor` watches every cache master through a
   :class:`~repro.ft.detector.FailureDetector`; a DEAD transition spawns
   one healing process that calls ``TaskCache.recover()`` (repeating
-  while further masters die mid-recovery).  In-flight reads that hit the
-  dying master report straight into the detector via the cache's
-  ``failure_listener`` hook, collapsing detection latency to the first
-  failed call.
+  while further masters die mid-recovery).  It is the cache's one
+  listener, ``TaskCache.supervisor``: in-flight reads that hit the
+  dying master report straight into the detector through it, collapsing
+  detection latency to the first failed call, and every membership
+  change resyncs its watches to the masters.
 * :class:`KVSupervisor` watches every KV shard.  On DEAD it records the
   shard's last-known-good probe time, restarts the node + instance
   after :data:`RESTART_DELAY_S` (an in-memory store restarts
@@ -61,28 +62,26 @@ class CacheSupervisor:
         #: Watch names of this cache's masters (a detector may be shared
         #: by several supervisors and KV shards).
         self._watching: Dict[str, CacheMaster] = {}
-        self._sync_watches()
+        self.sync_watches()
         detector.on_transition(self._on_transition)
-        # Data-path feedback: reads that hit a dead master mid-flight
-        # report here instead of waiting for the next heartbeat.
-        cache.failure_listener = self
-        # Elastic membership: start probing masters added by scale_up,
-        # stop probing ones that left through scale_down or recover (a
-        # drained master must not linger as a phantom DEAD entry that
-        # trips healing).
-        cache.add_membership_listener(self._sync_watches)
+        cache.supervisor = self
 
     @staticmethod
     def _watch_name(master: CacheMaster) -> str:
         return f"cache:{master.client.name}"
 
     def report_failure(self, master: CacheMaster) -> None:
-        """Called by ``TaskCache`` when an in-flight peer call failed."""
+        """Called by ``TaskCache`` when an in-flight peer call failed:
+        reads that hit a dead master mid-flight report here instead of
+        waiting for the next heartbeat."""
         self.detector.report_failure(self._watch_name(master))
 
-    def _sync_watches(self, *_event) -> None:
-        """Keep the detector's watches equal to the cache's masters (as a
-        membership listener it needs neither the event nor its names)."""
+    def sync_watches(self) -> None:
+        """Keep the detector's watches equal to the cache's masters;
+        called by ``TaskCache`` on every membership change.  Masters
+        added by ``scale_up`` start being probed; ones that left through
+        ``scale_down`` or ``recover`` stop (a drained master must not
+        linger as a phantom DEAD entry that trips healing)."""
         live = {self._watch_name(m): m for m in self.cache.masters.values()}
         for wname in self._watching.keys() - live.keys():
             self.detector.unwatch(wname)

@@ -47,8 +47,7 @@ SMOKE = {
     "elastic": dict(n_files=64, churn_cycles=1, churn_passes=2,
                     crowd_tasks=4),
     "metaplane": dict(n_files=400, registry_sizes=(200, 5000),
-                      page_limit=100, probe_stats=10, online_files=32,
-                      online_late=8),
+                      page_limit=100, probe_stats=10),
 }
 
 

@@ -119,10 +119,6 @@ class TestExperimentSmoke:
         grown = r.one(event="registry_scale", datasets=5000)
         assert grown["stat_ratio"] <= 1.2
         assert grown["load_meta_ratio"] <= 1.2
-        online = r.one(event="online_ingest")
-        assert online["lost_reads"] == 0
-        assert online["duplicate_reads"] == 0
-        assert online["committed_order_preserved"] is True
 
     def test_latency(self):
         r = run_smoke("latency")

@@ -9,13 +9,17 @@ tiers behind every task cache, every reader's and client's chunk window,
 every server store — then each testbed's semaphores
 (:func:`~tests.invariants.check_stations`) and journal and client
 snapshots (:func:`~tests.invariants.check_journals`) and the placement
-of every KV key (:func:`~tests.invariants.check_kv_routing`).
+of every KV key (:func:`~tests.invariants.check_kv_routing`).  Ownership
+(:func:`~tests.invariants.check_ownership`) is also checked at every
+membership change during the run: one live owner per chunk per
+``membership_version``, listed once, and the p×(n−1) mesh.
 """
 
 import pytest
 
 from repro.bench import experiments as E
 from repro.bench import setups
+from repro.core.dist_cache.membership import Membership
 from repro.core.meta_journal import journal_key
 
 from tests.bench.smoke import run_smoke
@@ -23,6 +27,7 @@ from tests.invariants import (
     check_invariants,
     check_journals,
     check_kv_routing,
+    check_ownership,
     check_stations,
 )
 
@@ -46,9 +51,29 @@ def kit(monkeypatch):
     return built
 
 
+@pytest.fixture
+def changes(monkeypatch):
+    """Checks ownership after every membership change; the
+    ``membership_version`` of each check, in order."""
+    checked = []
+    publish = Membership._notify_membership
+
+    def published(cache, event):
+        before = cache.membership_version
+        publish(cache, event)
+        assert cache.membership_version == before + 1
+        check_ownership(cache, live=True)
+        checked.append(cache.membership_version)
+
+    monkeypatch.setattr(Membership, "_notify_membership", published)
+    return checked
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_books_balance_at_the_end(kit, scenario):
+def test_books_balance_at_the_end(kit, changes, scenario):
     run_smoke(scenario)
+    if scenario in ("elastic", "faults"):
+        assert changes, "no membership change was checked"
     tasks = kit["make_task"]
     assert kit["make_testbed"]
     for tb in kit["make_testbed"]:

@@ -224,23 +224,28 @@ class TestRecovery:
 
     def test_recover_is_a_membership_change(self):
         """The dead node's clients leave the task with its master — the
-        mesh, version, events and listeners agree with a scale_down —
+        mesh, version, masters and supervisor agree with a scale_down —
         and the restored node rejoins under its old names."""
         dep, cache, clients, files, index = setup_cache(
             n_nodes=4, clients_per_node=1)
         dep.run(cache.register())
         dep.run(cache.wait_warm())
         dep.run(read_all(cache, clients[1], files, index))
-        seen = []
-        cache.add_membership_listener(lambda e, n: seen.append((e, tuple(n))))
+        synced = []
+
+        class Supervisor:
+            def sync_watches(self):
+                synced.append(sorted(cache.masters))
+
+        cache.supervisor = Supervisor()
         victim, v0 = dep.client_nodes[0], cache.membership_version
         victim.kill()
         dep.run(cache.recover())
         assert cache.connection_count() == cache.expected_connection_count() == 6
         assert clients[0] not in cache.clients
+        assert victim.name not in cache.masters
         assert cache.membership_version == v0 + 1
-        assert seen == [("recover", (victim.name,))]
-        assert cache.scale_events[-1][1:] == ("recover", (victim.name,))
+        assert synced == [sorted(cache.masters)]
         victim.restore()
         dep.run(cache.scale_up([clients[0]]))
         assert cache.connection_count() == cache.expected_connection_count() == 12

@@ -1,4 +1,5 @@
-"""Tests for live membership changes: scale_up / scale_down / listeners."""
+"""Tests for live membership changes: scale_up / scale_down and the
+supervisor that follows them."""
 
 import pytest
 
@@ -79,15 +80,13 @@ class TestScaleUp:
         sizes = [len(m.assigned) for m in cache.masters.values()]
         assert max(sizes) - min(sizes) <= 1
 
-    def test_membership_listener_and_scale_events(self):
+    def test_scale_up_joins_masters_and_mesh(self):
         dep, cache, clients, files, index = setup_cache()
-        seen = []
-        cache.add_membership_listener(lambda e, n: seen.append((e, tuple(n))))
+        v0 = cache.membership_version
         dep.run(cache.scale_up(joiners(dep, [2])))
-        assert seen == [("scale_up", ("joiner100",))]
-        assert len(cache.scale_events) == 1
-        t, event, names = cache.scale_events[0]
-        assert event == "scale_up" and names == ("joiner100",)
+        assert cache.membership_version == v0 + 1
+        assert cache.masters[dep.client_nodes[2].name].client.name == "joiner100"
+        assert cache.connection_count() == cache.expected_connection_count()
 
     def test_clients_on_existing_nodes_join_without_new_masters(self):
         dep, cache, clients, files, index = setup_cache()
@@ -98,13 +97,31 @@ class TestScaleUp:
         assert len(cache.masters) == 2
         dep.run(read_all(cache, extra[0], files, index))
 
-    def test_cold_scale_up_falls_back_to_server_reads(self):
+    def test_reads_succeed_while_the_warm_is_in_flight(self):
+        """A moved chunk read before its copy lands on the new owner
+        falls through to the server (Fig 4), never an error."""
         dep, cache, clients, files, index = setup_cache()
-        res = dep.run(cache.scale_up(joiners(dep, [2]), warm=False))
-        assert res["moved_chunks"] > 0
-        assert res["warmed_chunks"] == 0
-        # Unwarmed moved chunks are served from the backend, not errors.
-        dep.run(read_all(cache, clients[0], files, index))
+        reader = clients[1]
+        local = cache.masters[reader.node.name]
+
+        def read_moved():
+            yield dep.env.timeout(0)  # the steal has run, no pull landed
+            cid = {p: index.lookup(p).chunk_id.encode() for p in files}
+            moved = {
+                p: data for p, data in files.items()
+                if cache.owner_of(cid[p]).client in new
+                and not local.has_chunk(cid[p])
+            }
+            assert moved
+            yield from read_all(cache, reader, moved, index)
+
+        new = joiners(dep, [2, 3])
+        file_reads = dep.server.stats.file_reads
+        dep.env.process(cache.scale_up(new), name="grow")
+        dep.env.process(read_moved(), name="reader")
+        dep.env.run()
+        assert cache.stats.scale_ups == 1
+        assert dep.server.stats.file_reads > file_reads
 
     def test_validation(self):
         dep, cache, clients, files, index = setup_cache()
@@ -205,24 +222,22 @@ class TestScaleDown:
             dep.run(cache.scale_down([dep.client_nodes[0],
                                       dep.client_nodes[1]]))
 
-    def test_no_drain_flips_ownership_and_serves_from_backend(self):
+    def test_scale_down_leaves_masters_and_mesh(self):
         dep, cache, clients, files, index = self.grown()
-        res = dep.run(cache.scale_down([dep.client_nodes[2]], drain=False))
-        assert res["drained_chunks"] == 0
-        dep.run(read_all(cache, clients[0], files, index))
-
-    def test_listener_sees_node_names(self):
-        dep, cache, clients, files, index = self.grown()
-        seen = []
-        cache.add_membership_listener(lambda e, n: seen.append((e, tuple(n))))
-        dep.run(cache.scale_down([dep.client_nodes[2]]))
-        assert seen == [("scale_down", (dep.client_nodes[2].name,))]
+        gone, v0 = dep.client_nodes[2].name, cache.membership_version
+        dep.run(cache.scale_down([gone]))
+        assert cache.membership_version == v0 + 1
+        assert gone not in cache.masters
+        assert all(c.node.name != gone for c in cache.clients)
+        assert cache.connection_count() == cache.expected_connection_count()
 
 
-class TestClientRepinOnMembership:
-    """An attached DieselClient re-steers its live pipeline on scale."""
+class TestClientAcrossMembership:
+    """An attached DieselClient's live pipeline reads on across a scale
+    event: its plan stays as drawn, each fetch resolves against the
+    chunk's owner at fetch time."""
 
-    def test_scale_up_repins_the_active_prefetcher(self):
+    def test_scale_up_mid_pipeline_reads_every_file(self):
         dep, cache, clients, files, index = setup_cache()
         from repro.core.config import DieselConfig
 
@@ -231,10 +246,10 @@ class TestClientRepinOnMembership:
         dl.attach_cache(cache)
         dl.enable_shuffle(group_size=2)
         plan = dl.epoch_file_list(seed=1)
-        assert dl.prefetcher is not None and dl.prefetcher.active
+        pipeline = dl.prefetcher
+        assert pipeline is not None and pipeline.active
         dep.run(cache.scale_up(joiners(dep, [2, 3])))
-        assert dl.stats.membership_repins == 1
-        assert dl.prefetcher.repins == 1
+        assert dl.prefetcher is pipeline
 
         def consume():
             for path in plan.files:
@@ -242,22 +257,7 @@ class TestClientRepinOnMembership:
                 assert data == files[path]
 
         dep.run(consume())
-
-    def test_no_pipeline_means_no_repin(self):
-        dep, cache, clients, files, index = setup_cache()
-        dl = dep.new_client("ds")
-        dep.load_meta(dl)
-        dl.attach_cache(cache)
-        dep.run(cache.scale_up(joiners(dep, [2])))
-        assert dl.stats.membership_repins == 0
-
-    def test_attach_is_idempotent(self):
-        dep, cache, clients, files, index = setup_cache()
-        dl = dep.new_client("ds")
-        dl.attach_cache(cache)
-        dl.attach_cache(cache)  # must not double-register the listener
-        dep.run(cache.scale_up(joiners(dep, [2])))
-        assert len(cache._membership_listeners) == 1
+        assert cache.stats.degraded_reads == 0
 
 
 class TestSupervisorMembership:

@@ -5,12 +5,9 @@ delete-then-append of the same path, and ``files_by_chunk`` consistency
 after in-place delta application.
 """
 
-import random
-
 import pytest
 
 from repro.core.meta_journal import MetaJournal, journal_key, read_entry
-from repro.core.shuffle import tail_extend
 from repro.core.snapshot import SnapshotIndex
 from repro.errors import DeltaConflictError, DieselError, JournalFormatError
 
@@ -222,34 +219,3 @@ class TestApplyEdges:
         assert len(patched) > n_groups  # new chunk groups appeared
         fresh = SnapshotIndex(dep.server.build_snapshot("ds"))
         assert patched == fresh.files_by_chunk()
-
-
-class TestOnlineIngest:
-    def test_tail_extend_preserves_committed_order(self):
-        dep = build_deployment()
-        client = loaded_client(dep, n=64)
-        client.enable_shuffle(group_size=2)
-        plan = client.epoch_file_list(seed=7)
-        committed = plan.files[: len(plan.files) // 2]
-        # Mid-epoch, new data lands and the client picks up the delta.
-        append_files(dep, client, small_files(32, prefix="/late"))
-        dep.run(client.refresh_meta())
-        extended = tail_extend(
-            plan, client.index.files_by_chunk(), 2, random.Random(11)
-        )
-        # Committed reads keep their exact order; the whole of the old
-        # plan is a strict prefix of the extended one.
-        assert extended.files[: len(plan.files)] == plan.files
-        assert extended.files[: len(committed)] == committed
-        # Every late file joined the tail; nothing was lost or doubled.
-        assert sorted(extended.files) == sorted(client.index.all_paths())
-
-    def test_tail_extend_without_new_chunks_is_identity(self):
-        dep = build_deployment()
-        client = loaded_client(dep, n=16)
-        client.enable_shuffle(group_size=2)
-        plan = client.epoch_file_list(seed=3)
-        same = tail_extend(
-            plan, client.index.files_by_chunk(), 2, random.Random(5)
-        )
-        assert same is plan

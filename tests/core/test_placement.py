@@ -246,22 +246,22 @@ class TestLocalityRecovery:
 
         assert dep.run(proc()) == len(files)
 
-    def test_orphan_prefers_survivor_with_replica(self):
+    def test_orphans_dealt_round_robin_over_survivors(self):
         dep, cache, clients, files, index = setup_cache(n_nodes=3)
         dep.run(cache.register())
         dep.run(cache.wait_warm())
         victim = sorted(cache.masters)[0]
         survivors = sorted(n for n in cache.masters if n != victim)
-        cid = cache.masters[victim].assigned[0]
-        # Round-robin would hand the victim's first chunk to
-        # survivors[0]; plant a replica of it on survivors[1], as a
-        # scale-up donor leaves one behind.
+        orphans = list(cache.masters[victim].assigned)
+        # A copy of the first orphan on survivors[1] (as a scale-up donor
+        # leaves one behind) does not steer it: the deal ignores copies.
         holder = cache.masters[survivors[1]]
-        dep.run(holder.pull([cid]))
-        assert holder.has_chunk(cid)
+        dep.run(holder.pull([orphans[0]]))
+        assert holder.has_chunk(orphans[0])
         next(n for n in dep.client_nodes if n.name == victim).kill()
         dep.run(cache.recover(fanout=2))
-        assert cache.chunk_owner_node(cid) == survivors[1]
+        assert [cache.chunk_owner_node(c) for c in orphans] == [
+            survivors[i % 2] for i in range(len(orphans))]
 
 
 def test_placement_is_the_one_ownership_seam():

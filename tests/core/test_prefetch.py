@@ -209,61 +209,6 @@ class TestPrefetcher:
             client.start_prefetch(plan, depth=2)
 
 
-class TestRepin:
-    """Elastic steering: skip schedule entries that became node-local."""
-
-    def _started(self, deployment, depth=2):
-        client, files = loaded_client(
-            deployment, config=DieselConfig(prefetch_depth=depth)
-        )
-        client.enable_shuffle(group_size=2)
-        plan = client.epoch_file_list(seed=1)
-        return client, files, plan
-
-    def test_now_local_tail_entries_are_dropped(self, deployment):
-        client, files, plan = self._started(deployment, depth=2)
-        prefetcher = client.prefetcher
-        issued = prefetcher._next
-        tail = len(prefetcher._schedule) - issued
-        assert tail > 0
-        skipped = prefetcher.repin(lambda enc: client.node.name)
-        assert skipped == tail
-        assert len(prefetcher._schedule) == issued
-        assert prefetcher.repins == 1
-        assert prefetcher.repin_skipped == tail
-
-    def test_remote_owned_entries_are_kept(self, deployment):
-        client, files, plan = self._started(deployment)
-        prefetcher = client.prefetcher
-        before = len(prefetcher._schedule)
-        skipped = prefetcher.repin(lambda enc: "somewhere-else")
-        assert skipped == 0
-        assert len(prefetcher._schedule) == before
-        assert prefetcher.repins == 1
-
-    def test_skipped_chunks_still_read_without_miss_penalty(self, deployment):
-        client, files, plan = self._started(deployment, depth=2)
-        client.prefetcher.repin(lambda enc: client.node.name)
-
-        def consume():
-            for path in plan.files:
-                data = yield from client.get(path)
-                assert data == files[path]
-
-        deployment.run(consume())
-        # Unscheduled chunks neither score a prefetch miss nor count as
-        # wasted pipeline work — they are plain demand reads now.
-        assert client.stats.prefetch_misses == 0
-        assert client.stats.prefetch_wasted == 0
-
-    def test_inactive_pipeline_is_a_noop(self, deployment):
-        client, files, plan = self._started(deployment)
-        prefetcher = client.prefetcher
-        client.cancel_prefetch()
-        assert prefetcher.repin(lambda enc: client.node.name) == 0
-        assert prefetcher.repins == 0
-
-
 class TestEpochSeedMixing:
     def test_fixed_seed_epochs_differ(self, deployment):
         """A fixed seed must still give different successive epochs."""

@@ -110,7 +110,7 @@ def test_task_life_conserves_memory_refs_and_bytes(config, ram_chunks, seed):
         dep.run(c.wait_warm())
     step()
     joiners = [CacheClient(f"t0j{i}", nodes[3 + i], 10 + i) for i in range(2)]
-    step(cache.scale_up(joiners, warm=bool(seed % 4)))
+    step(cache.scale_up(joiners))
     step(cache.scale_down([rng.choice(sorted(cache.masters))]))
     victim = cache.masters[rng.choice(sorted(cache.masters))]
     victim.node.kill()

@@ -129,56 +129,6 @@ class TestEpochPlan:
         assert plan.file_count == 42
 
 
-class TestEpochPlanRepin:
-    def owners(self, data, mapping):
-        cids = sorted(data)
-        table = {cid: mapping.get(i) for i, cid in enumerate(cids)}
-        return lambda cid: table.get(cid)
-
-    def test_repin_retags_without_reordering(self):
-        data = make_dataset(n_chunks=6, files_per_chunk=4)
-        plan = chunkwise_shuffle(
-            data, 2, random.Random(0),
-            owner_of=self.owners(data, {i: "old" for i in range(6)}),
-        )
-        assert all(g.owner == "old" for g in plan.groups)
-        new = plan.repin(self.owners(data, {i: "new" for i in range(6)}))
-        # Read order is committed: same files, same groups — only tags.
-        assert new.files == plan.files
-        assert [g.chunk_ids for g in new.groups] == [
-            g.chunk_ids for g in plan.groups
-        ]
-        assert all(g.owner == "new" for g in new.groups)
-
-    def test_unchanged_groups_are_reused(self):
-        data = make_dataset(n_chunks=4, files_per_chunk=3)
-        same = self.owners(data, {i: "m0" for i in range(4)})
-        plan = chunkwise_shuffle(data, 2, random.Random(0), owner_of=same)
-        new = plan.repin(same)
-        assert all(a is b for a, b in zip(new.groups, plan.groups))
-
-    def test_majority_owner_wins(self):
-        data = make_dataset(n_chunks=3, files_per_chunk=2)
-        plan = chunkwise_shuffle(data, 3, random.Random(0))
-        (group,) = plan.groups
-        table = {
-            group.chunk_ids[0]: "a",
-            group.chunk_ids[1]: "b",
-            group.chunk_ids[2]: "b",
-        }
-        new = plan.repin(lambda cid: table[cid])
-        assert new.groups[0].owner == "b"
-
-    def test_unknown_ownership_tags_none(self):
-        data = make_dataset(n_chunks=2, files_per_chunk=2)
-        plan = chunkwise_shuffle(
-            data, 2, random.Random(0),
-            owner_of=self.owners(data, {0: "m0", 1: "m0"}),
-        )
-        new = plan.repin(lambda cid: None)
-        assert all(g.owner is None for g in new.groups)
-
-
 class TestShuffleQuality:
     def test_sequential_order_scores_low(self):
         data = make_dataset(n_chunks=10, files_per_chunk=10)

@@ -28,7 +28,6 @@ from repro.cluster.node import Node
 from repro.core.config import DieselConfig
 from repro.core.prefetch import WINDOW_HIT_S
 from repro.core.shared_cache import SharedCacheRegistry
-from repro.dlt.readers import EpochScheduler
 from repro.dlt.trainer import run_training
 
 from tests.invariants import check_invariants, check_window
@@ -231,11 +230,11 @@ class TestFaults:
         victim = cache.masters[victim_name]
         reported = []
 
-        class Listener:
+        class Supervisor:
             def report_failure(self, master):
                 reported.append(master)
 
-        cache.failure_listener = Listener()
+        cache.supervisor = Supervisor()
         # Time a warm one-hop chunk fetch, then kill the owner halfway
         # through the next one.
         t0 = tb.env.now
@@ -262,47 +261,29 @@ class TestFaults:
         assert cache.stats.degraded_reads == len(paths)
         assert cache.stats.degraded_reads == len(paths)
 
-    def test_scale_down_mid_epoch_serves_on_and_repins(self):
+    def test_scale_down_mid_epoch_reads_every_file_once(self):
+        """A node leaves a quarter into the epoch: the shards drawn
+        before the change still read every file once, each read
+        resolving against the chunk's owner at read time."""
         tb, cache, readers, files, index = make_task(
             group_size=2, n_files=180)
-        reader = readers[0]
         leaving = readers[2].cache_client.node
         seen = []
 
-        def epoch():
+        def worker(reader, scales):
             order = yield from reader.begin_epoch(0)
-            half = len(order) // 4
-            for path in order[:half]:
+            for i, path in enumerate(order):
+                if scales and i == len(order) // 4:
+                    yield from cache.scale_down([leaving])
                 seen.append((path, (yield from reader.read(path))))
-            resident = list(reader.window.chunks.entries)
-            pipeline = reader.window.prefetcher
-            yield from cache.scale_down([leaving])
-            # The window keeps serving its (aliased) chunks, and the live
-            # pipeline was steered at the new chunk→master map.
-            kept = [k for k in resident if k in reader.window.chunks.entries]
-            assert kept
-            fetches = cache.stats.chunk_fetches
-            again = next(
-                p for p in order
-                if index.lookup(p).chunk_id.encode() == kept[-1]
-            )
-            assert (yield from reader.read(again)) == files[again]
-            assert cache.stats.chunk_fetches == fetches
-            assert reader.window.prefetcher is pipeline
-            assert pipeline.repins == 1
-            for path in order[half:]:
-                seen.append((path, (yield from reader.read(path))))
-                assert len(reader.window.chunks.entries) <= 4
+                window = reader.window
+                assert len(window.chunks.entries) <= window.capacity()
 
-        tb.run(epoch())
+        tb.run_all([worker(r, r is readers[0]) for r in readers])
         assert leaving.name not in cache.masters
         assert all(data == files[path] for path, data in seen)
-        assert len(seen) == len(reader.last_plan.files)
+        assert sorted(path for path, _ in seen) == sorted(files)
         assert cache.stats.degraded_reads == 0
-        # What is still in flight is epoch 1's read-ahead, and it lands.
-        assert set(reader.window.chunks.flights) <= reader.window.prefetcher._ahead
-        tb.env.run()
-        assert reader.window.chunks.flights == {}
 
     def test_cancelled_training_cancels_read_ahead(self):
         tb, cache, readers, files, index = make_task(
@@ -558,28 +539,29 @@ class TestRollover:
         tb.env.run()
         assert reader.window.chunks.flights == {} and sum(fetched.values()) == n
 
-    def test_scale_down_between_epochs_serves_a_rebuilt_plan(self):
-        """Epoch 1 was drawn only to read ahead, so a scale event before
-        it begins builds it afresh for the new members, as a new
-        scheduler would, instead of re-pinning the old deal."""
+    def test_scale_down_between_epochs_reads_every_file_once(self):
+        """Epoch 1 was drawn to read ahead before a node left: it is
+        served as drawn, and its shards still read every file once."""
         tb, cache, readers, files, index = make_task(
             placement="locality", group_size=2, n_files=120)
-        reader, sched = readers[0], readers[0].scheduler
         leaving = readers[2].cache_client.node
-        self._read_epoch(tb, reader, files, 0)
-        pipeline = reader.window.prefetcher
-        continuation = pipeline.then
+        seen = []
+
+        def worker(reader, epoch):
+            order = yield from reader.begin_epoch(epoch)
+            for path in order:
+                seen.append((path, (yield from reader.read(path))))
+                window = reader.window
+                assert len(window.chunks.entries) <= window.capacity()
+
+        tb.run_all([worker(r, 0) for r in readers])
+        continuation = readers[0].window.prefetcher.then
         tb.run(cache.scale_down([leaving]))
-        self._read_epoch(tb, reader, files, 1)
-        served = reader.last_plan
-        fresh = EpochScheduler(
-            sched._files_by_chunk, sched.group_size, sched._worker_nodes,
-            cache=cache, seed=sched._seed)
-        assert sched.repins == 0 and served is not continuation
-        assert served.files == fresh.shard(1, 0).files
-        assert reader.window.prefetcher is not pipeline
-        owners = {g.owner for g in served.groups}
-        assert owners == {reader.cache_client.node.name}
+        seen.clear()
+        tb.run_all([worker(r, 1) for r in readers])
+        assert readers[0].last_plan is continuation
+        assert all(data == files[path] for path, data in seen)
+        assert sorted(path for path, _ in seen) == sorted(files)
         assert cache.stats.degraded_reads == 0
 
 

@@ -56,78 +56,6 @@ class TestEpochScheduler:
         assert 0 not in sched._shards and 1 not in sched._shards
         assert 5 in sched._shards
 
-    def test_cached_plan_repins_after_membership_change(self):
-        class FakeCache:
-            def __init__(self, owners):
-                self.owners = dict(owners)
-                self.membership_version = 0
-                self.affinity_owner_of = self.chunk_owner_node
-
-            def chunk_owner_node(self, cid):
-                return self.owners.get(cid)
-
-        data = make_dataset(n_chunks=8)
-        cids = sorted(data)
-        cache = FakeCache({cid: "n0" for cid in cids})
-        sched = EpochScheduler(data, 2, ["n0", "n1"], cache=cache)
-        before = [sched.shard(0, w) for w in range(2)]
-        assert sched.repins == 0
-        # A scale event moves half the chunks to the new node n1.
-        for cid in cids[::2]:
-            cache.owners[cid] = "n1"
-        cache.membership_version += 1
-        after = [sched.shard(0, w) for w in range(2)]
-        assert sched.repins == 1
-        # Read order is committed — only the owner tags refresh.
-        for b, a in zip(before, after):
-            assert a.files == b.files
-            assert [g.chunk_ids for g in a.groups] == [
-                g.chunk_ids for g in b.groups
-            ]
-        owners = {
-            g.owner for plan in after for g in plan.groups if g.owner
-        }
-        assert "n1" in owners
-        # Same version: the re-pinned plan is served from cache.
-        assert sched.shard(0, 0) is after[0]
-        assert sched.repins == 1
-        # A fresh epoch builds against the current map — no repin needed.
-        sched.shard(1, 0)
-        assert sched.repins == 1
-
-    def test_plan_drawn_ahead_is_rebuilt_after_membership_change(self):
-        class FakeCache:
-            membership_version = 0
-
-            def __init__(self):
-                self.owners = {}
-
-            def affinity_owner_of(self, cid):
-                return self.owners.get(cid, "n0")
-
-            chunk_owner_node = affinity_owner_of
-
-        data = make_dataset(n_chunks=8)
-        cache = FakeCache()
-        sched = EpochScheduler(data, 2, ["n0", "n1"], cache=cache)
-        sched.shard(0, 0)
-        ahead = sched.shard(1, 0, ahead=True)
-        assert sched.shard(1, 0, ahead=True) is ahead
-        # A scale event moves half the chunks to n1 before epoch 1 begins.
-        for cid in sorted(data)[::2]:
-            cache.owners[cid] = "n1"
-        cache.membership_version += 1
-        begun = sched.shard(1, 0)
-        fresh = EpochScheduler(data, 2, ["n0", "n1"], cache=cache)
-        assert begun is not ahead and sched.repins == 0
-        assert [g.chunk_ids for g in begun.groups] == [
-            g.chunk_ids for g in fresh.shard(1, 0).groups]
-        assert {g.owner for g in begun.groups} == {"n0"}
-        # Begun, it is re-pinned, not redrawn, by the next change.
-        cache.membership_version += 1
-        assert sched.shard(1, 0).files == begun.files
-        assert sched.repins == 1
-
     def test_epochs_differ_but_are_deterministic(self):
         data = make_dataset()
         a = EpochScheduler(data, 2, ["n0", "n1"], seed=3)

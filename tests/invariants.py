@@ -19,8 +19,9 @@ come with them), the chunk windows and the server stores.
   (``node.memory.level`` + every tier's RAM == capacity), each tenant's
   usage == Σ nbytes of the chunks it references, and its ``refs`` ==
   Σ ``len(_held)`` over the live masters admitting through it;
-* ownership: every chunk has exactly one owner, an up master whose
-  ``assigned`` lists it, and the mesh is the paper's p×(n−1).
+* ownership: every chunk has exactly one owner, a master whose
+  ``assigned`` lists it, and the mesh is the paper's p×(n−1); right
+  after a membership change every owner is up (``live``).
 
 :func:`check_stations` and :func:`check_journals` look past the caches
 at a whole testbed, at a quiescent point:
@@ -105,11 +106,16 @@ def check_node_tier(tier, masters, quiescent=True):
                 assert tier.refcount(m.dataset, cid) >= 1
 
 
-def check_ownership(cache):
-    """One owner per chunk, listed once, and the p×(n−1) mesh."""
+def check_ownership(cache, live=False):
+    """One owner per chunk, listed once, and the p×(n−1) mesh; with
+    ``live``, every owner is up as well — true right after a membership
+    change, when the dead have left, but not between a crash and its
+    recovery."""
     listed = {cid: m for m in cache.masters.values() for cid in m.assigned}
     assert len(listed) == sum(len(m.assigned) for m in cache.masters.values())
     assert listed == cache._owner_of
+    if live:
+        assert all(m.up for m in set(listed.values())), "a dead master owns chunks"
     assert cache.connection_count() == cache.expected_connection_count()
 
 

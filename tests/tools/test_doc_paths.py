@@ -11,6 +11,7 @@ rest.  ``CHANGES.md``, ``EXPERIMENTS.md`` and ``ROADMAP.md`` are history
 and are skipped.
 """
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -104,4 +105,73 @@ def test_a_deleted_symbol_is_caught():
             "`repro.ft.detector` exist")
     assert unresolved(text) == [
         "repro.ft.gone_module.f", "repro.ft.FailureDetector.gone",
+    ]
+
+
+_CLASS_ATTR = re.compile(r"(?<![\w.])([A-Z]\w*)\.([\w*]+)")
+
+
+def class_members():
+    """``{class name: names it defines}`` for every class in
+    ``src/repro``, with each in-tree base's names folded in: its defs,
+    class-level assignments and dataclass fields, and ``self.attr``
+    stores.  Classes sharing a name pool their names."""
+    own, bases = {}, {}
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = own.setdefault(cls.name, set())
+            bases.setdefault(cls.name, set()).update(
+                b.id if isinstance(b, ast.Name) else b.attr
+                for b in cls.bases if isinstance(b, (ast.Name, ast.Attribute)))
+            for stmt in cls.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    names.add(stmt.name)
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target] if isinstance(stmt, ast.AnnAssign)
+                           else [])
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+            names.update(
+                node.attr for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+    def folded(name, seen):
+        seen.add(name)
+        out = set(own[name])
+        for base in bases[name]:
+            if base in own and base not in seen:
+                out |= folded(base, seen)
+        return out
+
+    return {name: folded(name, set()) for name in own}
+
+
+def unknown_members(text, members):
+    """Backticked ``Class.attr`` names in ``text`` whose class is defined
+    in ``src/repro`` but defines no such attr (a ``*`` glob is
+    skipped)."""
+    return [f"{cls}.{attr}" for span in _SPAN.findall(text)
+            for cls, attr in _CLASS_ATTR.findall(span)
+            if cls in members and "*" not in attr and attr not in members[cls]]
+
+
+def test_docs_name_only_class_members_that_exist():
+    members = class_members()
+    problems = [f"{doc.name}: {name}" for doc in DOCS
+                for name in unknown_members(doc.read_text(), members)]
+    assert problems == []
+
+
+def test_a_deleted_class_member_is_caught():
+    text = ("`TaskCache.gone_hook`, `EpochPlan.repin(owner_of)`; "
+            "`TaskCache.supervisor`, `TaskCache.read_chunk` (a base's def), "
+            "`TaskCacheStats.local_hits` (a field), `ShardedKV.local_*`, "
+            "`ChunkWindow.prefetcher` and `NotAClass.gone` exist or are "
+            "skipped")
+    assert unknown_members(text, class_members()) == [
+        "TaskCache.gone_hook", "EpochPlan.repin",
     ]
