@@ -32,14 +32,13 @@ from repro.bench.setups import (
 )
 from repro.calibration import DEFAULT, KB, MB, MODEL_ZOO, ModelProfile
 from repro.core.config import DieselConfig
-from repro.core.dist_cache import CacheClient
 from repro.core.fuse import FuseMount
 from repro.core.server import ServerStats
 from repro.core.shared_cache import SharedCacheRegistry
 from repro.core.shuffle import full_shuffle
 from repro.cluster.devices import Device
 from repro.cluster.node import Node
-from repro.dlt.readers import EpochScheduler, FuseReader, LustreReader
+from repro.dlt.readers import FuseReader, LustreReader
 from repro.dlt.sgd import SoftmaxClassifier, train_with_orders
 from repro.dlt.synthetic import SyntheticDataset
 from repro.dlt.trainer import run_training
@@ -2155,37 +2154,21 @@ def fig_elastic(
     n_files: int = 192,
     file_size: int = 8 * KB,
     chunk_size: int = 64 * KB,
-    group_size: int = 2,
-    churn_cycles: int = 2,
-    churn_passes: int = 4,
     crowd_tasks: int = 16,
 ) -> ExperimentResult:
-    """Elastic membership + hostile-world chaos (scale, churn, crowds).
+    """Flash crowd: many tasks stampede one dataset at once.
 
-    Three phases, each on a fresh testbed:
-
-    1. **Scale-up mid-epoch** — a locality-placed task cache on 2 of 4
-       nodes serves an affinity-scheduled epoch; halfway through,
-       ``scale_up`` adds masters on the idle nodes, which warm-admit
-       their stolen partitions peer-to-peer (zero backend fetches — no
-       cold restart).  The committed epoch finishes untouched; the next
-       epoch is owner-bucketed over all 4 masters and reaches
-       steady-state node-local reads.
-    2. **Churn drain** — a :class:`~repro.cluster.failure.ChaosSchedule`
-       churn loop repeatedly drains one node out (``scale_down``) and
-       re-admits it (``scale_up``) while readers hammer the dataset.
-       Every drained chunk lands on a successor before ownership flips:
-       0 lost chunks, 0 failed reads.
-    3. **Flash crowd** — ``crowd_tasks`` tasks stampede one dataset
-       simultaneously (``ChaosSchedule.flash_crowd``) through the
-       shared chunk tier: cross-task admission + single-flight keep
-       backend fetches within 1.2× of a single task's.
+    ``crowd_tasks`` tasks register, warm and read one dataset
+    simultaneously (``ChaosSchedule.flash_crowd``) through the shared
+    chunk tier, on a fresh testbed beside a single-task baseline:
+    cross-task admission + single-flight keep backend fetches within
+    1.2× of a single task's.
     """
     from repro.cluster.failure import ChaosSchedule
 
     result = ExperimentResult(
-        "elastic & hostile worlds",
-        "live scale-up/down, churn drains, flash crowds",
+        "flash crowd",
+        "many tasks stampeding one dataset through the shared chunk tier",
     )
     files = {
         f"/ds/f{i:05d}.jpg": bytes([i % 251]) * file_size
@@ -2193,142 +2176,6 @@ def fig_elastic(
     }
 
     with timer(result):
-        # ------------------------------- phase 1: scale-up mid-epoch
-        tb = deploy(4, "ds", files, chunk_size, n_servers=1)
-        task = warmed_task(
-            tb, "ds", tb.compute_nodes[:2], "el", placement="locality"
-        )
-        cache, index = task.cache, task.index
-        worker_nodes = [n.name for n in tb.compute_nodes]
-        scheduler = EpochScheduler(
-            index.files_by_chunk(), group_size, worker_nodes,
-            cache=cache, seed=7,
-        )
-        joiners = [
-            CacheClient(f"el{r}", tb.compute_nodes[r], r) for r in (2, 3)
-        ]
-        read_ccs = cache.clients + joiners
-        scale_rows: List[dict] = []
-
-        def worker(epoch, w):
-            shard = scheduler.shard(epoch, w)
-            for path in shard.files:
-                yield from cache.read_file(read_ccs[w], index.lookup(path))
-
-        def controller():
-            # Trigger once the epoch is ~half served (a workload-progress
-            # trigger, not a sim time).
-            while cache.stats.local_hits + cache.stats.remote_hits < n_files // 2:
-                yield tb.env.timeout(1e-4)
-            before = tb.diesel.stats.chunk_reads
-            res = yield from cache.scale_up(joiners)
-            res["backend_fetches_during_scale"] = (
-                tb.diesel.stats.chunk_reads - before
-            )
-            scale_rows.append(res)
-
-        epoch0_s = tb.timed([worker(0, w) for w in range(4)] + [controller()])
-        stats = cache.stats
-        served0 = stats.local_hits + stats.remote_hits
-        local0 = stats.local_hits
-        scale = scale_rows[0]
-        result.add(
-            event="scale_up", nodes_before=2, nodes_after=4,
-            moved_chunks=scale["moved_chunks"],
-            warmed_chunks=scale["warmed_chunks"],
-            peer_warmed=scale["peer_warmed"],
-            backend_fetches_during_scale=
-                scale["backend_fetches_during_scale"],
-            membership_version=scale["membership_version"],
-        )
-        result.note(
-            f"scale-up mid-epoch: {scale['moved_chunks']} chunks "
-            f"re-partitioned, {scale['peer_warmed']} warm-admitted from "
-            f"peers, {scale['backend_fetches_during_scale']} backend "
-            "fetches (no cold restart)"
-        )
-        fetches_before = tb.diesel.stats.chunk_reads
-        epoch1_s = tb.timed(worker(1, w) for w in range(4))
-        stats = cache.stats
-        served1 = (stats.local_hits + stats.remote_hits) - served0
-        local1 = stats.local_hits - local0
-        local_frac0 = local0 / served0 if served0 else 0.0
-        local_frac1 = local1 / served1 if served1 else 0.0
-        result.add(
-            event="epoch", epoch=0, workers=2, epoch_read_s=epoch0_s,
-            local_frac=local_frac0,
-        )
-        result.add(
-            event="epoch", epoch=1, workers=4, epoch_read_s=epoch1_s,
-            local_frac=local_frac1,
-            epoch_backend_fetches=
-                tb.diesel.stats.chunk_reads - fetches_before,
-        )
-        result.note(
-            f"epoch after scale-up: {local_frac1:.0%} local reads over "
-            f"4 workers (was {local_frac0:.0%} over 2), "
-            f"{epoch1_s * 1e3:.2f}ms vs {epoch0_s * 1e3:.2f}ms"
-        )
-
-        # ----------------------------------- phase 2: churn drain loop
-        tb = deploy(4, "ds", files, chunk_size, n_servers=1)
-        task = warmed_task(tb, "ds", tb.compute_nodes, "ch")
-        cache, index = task.cache, task.index
-        churn_node = tb.compute_nodes[3]
-        losses: List[int] = []
-        rejoin = {"n": 0}
-
-        def down():
-            def run():
-                res = yield from cache.scale_down([churn_node])
-                losses.append(res["lost_chunks"])
-            return run()
-
-        def up():
-            rejoin["n"] += 1
-            cc = CacheClient(
-                f"ch3r{rejoin['n']}", churn_node, 100 + rejoin["n"]
-            )
-            def run():
-                yield from cache.scale_up([cc])
-            return run()
-
-        chaos = ChaosSchedule(tb.env).churn(
-            at=1e-4, cycles=churn_cycles, dwell_s=5e-4,
-            down=down, up=up, label="node3-churn",
-        )
-        chaos.start()
-        failed = [0]
-
-        def reader(w):
-            cc = cache.clients[w]
-            for _ in range(churn_passes):
-                for path, expected in files.items():
-                    data = yield from cache.read_file(
-                        cc, index.lookup(path)
-                    )
-                    if data != expected:
-                        failed[0] += 1
-
-        tb.run_all([reader(0), reader(1)])
-        tb.env.run()  # drain any still-running churn cycle
-        stats = cache.stats
-        result.add(
-            event="churn", cycles=churn_cycles,
-            reads=2 * churn_passes * n_files,
-            failed_reads=failed[0], lost_chunks=sum(losses),
-            **stats_row(stats, ["drained_chunks", "scale_downs", "scale_ups"]),
-            membership_version=cache.membership_version,
-            chaos_events=len(chaos.log),
-        )
-        result.note(
-            f"churn: {churn_cycles} leave/rejoin cycles under "
-            f"{2 * churn_passes * n_files} live reads — "
-            f"{stats.drained_chunks} chunks drained, "
-            f"{sum(losses)} lost, {failed[0]} failed reads"
-        )
-
-        # ----------------------------------- phase 3: flash crowd
         def crowd_run(n_tasks: int) -> tuple:
             tb = deploy(4, "ds", files, chunk_size, n_servers=1)
             registry = SharedCacheRegistry(tb.env)

@@ -4,8 +4,8 @@ The paper's failure experiments (Fig 6, Fig 11b, §4.2) kill cache
 instances mid-run; :class:`ChaosSchedule` declares such adversity up
 front and goes beyond clean crashes into the *hostile world*: timed
 windows of slow nodes and latency spikes, flash-crowd read bursts
-against one hot dataset, churn loops (repeated scale-down/scale-up),
-and arbitrary actions (a node kill) at a given time.  ``start()`` arms
+against one hot dataset, and arbitrary actions (a node kill) at a
+given time.  ``start()`` arms
 the scenarios, and every applied/reverted action lands in one ordered
 log so experiments can show what the cluster was suffering at any
 instant.  All timing and randomness run on the sim
@@ -22,10 +22,10 @@ from repro.sim.engine import Environment
 
 
 class ChaosSchedule:
-    """Declarative adversity: timed degradations, bursts, and churn.
+    """Declarative adversity: timed degradations and bursts.
 
     Declare scenarios with the ``slow_node`` / ``latency_spikes`` /
-    ``flash_crowd`` / ``churn`` / ``at`` builders
+    ``flash_crowd`` / ``at`` builders
     (each returns ``self`` for chaining), then call :meth:`start`.  One
     sim process per scenario applies it at its scheduled time and — for
     windowed scenarios — reverts it after ``duration_s``.
@@ -121,38 +121,6 @@ class ChaosSchedule:
             ]
             if procs:
                 yield sched.env.all_of(procs)
-
-        return self._add(at, label, body)
-
-    def churn(
-        self,
-        at: float,
-        cycles: int,
-        dwell_s: float,
-        down: Callable[[], Optional[Generator]],
-        up: Callable[[], Optional[Generator]],
-        label: str = "churn",
-    ) -> "ChaosSchedule":
-        """A membership churn loop: ``cycles`` rounds of ``down()`` then,
-        ``dwell_s`` later, ``up()``, with ``dwell_s`` between rounds.
-        The callables may return a generator (driven inline, e.g. a
-        ``TaskCache.scale_down`` drain) or act immediately and return
-        ``None``."""
-        if cycles < 1:
-            raise ValueError("cycles must be >= 1")
-
-        def body(sched: "ChaosSchedule"):
-            for cycle in range(cycles):
-                gen = down()
-                if gen is not None:
-                    yield from gen
-                sched.log.append((sched.env.now, "churn_down", f"{label}#{cycle}"))
-                yield sched.env.timeout(dwell_s)
-                gen = up()
-                if gen is not None:
-                    yield from gen
-                sched.log.append((sched.env.now, "churn_up", f"{label}#{cycle}"))
-                yield sched.env.timeout(dwell_s)
 
         return self._add(at, label, body)
 

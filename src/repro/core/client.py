@@ -484,8 +484,11 @@ class DieselClient:
 
         Served from the shuffle working set when the chunk is resident;
         otherwise a server range read (only the requested bytes move).
-        Reads past EOF are clamped like read(2).
+        Reads past EOF are clamped like read(2); a negative ``offset``
+        or ``length`` is rejected on either path, before any cost.
         """
+        if offset < 0 or length < 0:
+            raise DieselError("offset and length must be non-negative")
         self._check_open()
         path = normalize(path)
         self.stats.gets += 1

@@ -4,7 +4,7 @@ Each DLT task caches *its own* dataset across *its own* worker nodes,
 behind one face, :class:`TaskCache`, with one module per decision:
 :mod:`.master` (a master per node, holding references into the node's
 chunk tier, :mod:`repro.core.shared_cache`), :mod:`.placement` (who
-owns each chunk), :mod:`.membership` (who is in the task: scale moves
+owns each chunk), :mod:`.membership` (who is in the task: election
 and recovery, Fig 11b) and :mod:`.reads` (the Fig 4 read chain).
 ``oneshot`` warms every partition at registration; ``on-demand`` pulls
 a chunk the first time one of its files misses.  A task-private cache
@@ -65,13 +65,6 @@ class TaskCacheStats(Counters):
     readahead_misses: int = 0
     readahead_wasted: int = 0
     coalesced_pulls: int = 0
-    #: Elastic-membership counters: live scale events survived and
-    #: chunks drained peer-to-peer (scale-down) or warm-admitted from a
-    #: peer instead of the backend (scale-up).
-    scale_ups: int = 0
-    scale_downs: int = 0
-    drained_chunks: int = 0
-    peer_warmed_chunks: int = 0
 
 
 class TaskCache(ReadChain, Membership, Placement):
@@ -145,8 +138,7 @@ class TaskCache(ReadChain, Membership, Placement):
         self.readahead = WindowStats()
         #: On-demand background pulls dropped because the master died.
         self.dropped_pulls = 0
-        #: Bumped on every live membership change (scale_up, scale_down,
-        #: recover).
+        #: Bumped on every membership change (``recover``).
         self.membership_version = 0
         #: Which layer served the most recent read_file — published for
         #: the client's span attribution (only updated while a recorder
@@ -263,8 +255,7 @@ class TaskCache(ReadChain, Membership, Placement):
         return p * n - p  # each master's self-connection is not counted
 
     def cached_chunks(self) -> int:
-        """Chunks held over every master (scale-up donors' copies
-        included)."""
+        """Chunks held over every master."""
         return sum(m.cached_chunk_count for m in self.masters.values())
 
     def hit_ratio(self) -> float:

@@ -1,7 +1,8 @@
 """Cache masters (§4.2, Fig 7): per node, the client holding the task's
 chunks as references into the node's chunk tier, serving its peers and
-running every pull.  Which chunks it owns (``assigned``) is
-:mod:`.placement`'s to write."""
+running every pull, always from the backend.  Which chunks it owns
+(``assigned``) is :mod:`.placement`'s to write; it holds only chunks it
+owns (``_held`` ⊆ ``assigned``)."""
 
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ class CacheMasterStats(Counters):
     bytes_cached: int = 0
     #: Chunks left uncached because the node's memory budget ran out.
     skipped_no_memory: int = 0
-    #: Most bulk pulls (warm-up, recovery, scale moves) ever concurrently
+    #: Most bulk pulls (warm-up, recovery) ever concurrently
     #: in flight on this master — at most its node's ingress channels.
     pull_inflight_hwm: int = hwm()
     #: Pull requests that joined an in-flight fetch instead of issuing
@@ -161,136 +162,87 @@ class CacheMaster:
         return chunk if path is None else chunk.payload(path, verify=False)
 
     def _fetch(
-        self,
-        cids: Sequence[str],
-        donor: Optional["CacheMaster"],
-        from_peer: List[str],
+        self, cids: Sequence[str]
     ) -> Generator[Event, Any, List[Tuple[Chunk, int]]]:
-        """Bring cold chunks to this node: from ``donor`` (a peer master
-        still holding them — the elastic-membership source, so scale
-        events never re-read the object store for resident data) with
-        the backend behind it, else straight from the backend in one
-        vectorized ``call_batch`` of ``get_chunk``s.  Cids the donor
-        served are appended to ``from_peer``.
-        """
-        got: Dict[str, Tuple[Chunk, int]] = {}
-        if donor is not None and donor.up:
-            for cid in cids:
-                nbytes = donor.nbytes_of(cid)
-                try:
-                    chunk = yield from donor.endpoint.call(
-                        self.node, "get_chunk", cid,
-                        response_bytes=nbytes or None,
-                    )
-                except (NodeDownError, CachePeerDownError):
-                    break
-                if chunk is not None:
-                    got[cid] = (chunk, nbytes)
-                    from_peer.append(cid)
-        backend = [cid for cid in cids if cid not in got]
-        if backend:
-            blobs = yield from self.server.call_batch(
-                self.node,
-                [("get_chunk", self.dataset, cid) for cid in backend],
-            )
-            for cid, blob in zip(backend, blobs):
-                got[cid] = (Chunk.decode(blob), len(blob))
-        return [got[cid] for cid in cids]
+        """Bring cold chunks to this node from the backend, in one
+        vectorized ``call_batch`` of ``get_chunk``s."""
+        blobs = yield from self.server.call_batch(
+            self.node, [("get_chunk", self.dataset, cid) for cid in cids]
+        )
+        return [(Chunk.decode(blob), len(blob)) for blob in blobs]
 
-    def pull(
-        self, cids: Sequence[str], donor: Optional["CacheMaster"] = None
-    ) -> Generator[Event, Any, Tuple[int, int]]:
+    def pull(self, cids: Sequence[str]) -> Generator[Event, Any, int]:
         """Admit ``cids`` through the node tier and record the
         references granted — the one way this master comes to hold a
-        chunk (warmup, recovery, on-demand fill, scale-event
-        warm/drain).
+        chunk (warmup, recovery, on-demand fill).
 
         The tier owns single-flight (n clients faulting a chunk at
         once, warmup racing an on-demand fill, another task's pull —
         late arrivals wait and count as ``coalesced_pulls``), quota and
         placement; a chunk it refuses stays server-resident
         (reads for it fall through, Fig 4) and counts as
-        ``skipped_no_memory``.  Returns ``(held, from_peer)``: how many
-        of ``cids`` are now held, and how many of those ``donor``
-        supplied instead of the backend.
+        ``skipped_no_memory``.  Returns how many of ``cids`` are now
+        held.
         """
         missing = [cid for cid in cids if cid not in self._held]
-        if missing:
-            from_peer: List[str] = []
-            admitted = yield from self.tier.admit(
-                self, missing,
-                lambda cold: self._fetch(cold, donor, from_peer),
-            )
-            for cid, nbytes in admitted.items():
-                if cid in self._held:
-                    continue  # a concurrent pull of ours landed it first
-                self._held[cid] = nbytes
-                self.stats.chunks_loaded += 1
-                self.stats.bytes_cached += nbytes
-            self.stats.skipped_no_memory += len(missing) - len(admitted)
-            held = len(cids) - len(missing) + len(admitted)
-            return held, sum(cid in admitted for cid in from_peer)
-        return len(cids), 0
+        if not missing:
+            return len(cids)
+        admitted = yield from self.tier.admit(self, missing, self._fetch)
+        for cid, nbytes in admitted.items():
+            if cid in self._held:
+                continue  # a concurrent pull of ours landed it first
+            self._held[cid] = nbytes
+            self.stats.chunks_loaded += 1
+            self.stats.bytes_cached += nbytes
+        self.stats.skipped_no_memory += len(missing) - len(admitted)
+        return len(cids) - len(missing) + len(admitted)
 
     def _handle_pull(self, cids: Sequence[str]) -> Generator[Event, Any, int]:
         """A peer's ``pull_chunk`` (the on-demand fill); a dead node
         pulls nothing."""
         if not self.node.alive:
             return 0
-        held, _ = yield from self.pull(cids)
-        return held
+        return (yield from self.pull(cids))
 
     def _note_pull_inflight(self, n: int) -> None:
         if n > self.stats.pull_inflight_hwm:
             self.stats.pull_inflight_hwm = n
 
-    def _bring(
-        self, cid: str, donor: Optional["CacheMaster"], landed
-    ) -> Generator[Event, Any, Tuple[int, int]]:
+    def _bring(self, cid: str) -> Generator[Event, Any, int]:
         """One :meth:`pull_all` worker.  A chunk that cannot be brought
-        — this node, the donor and the backend behind it, or the server
-        died — is simply not held: reads for it fall through (Fig 4)."""
-        got = (0, 0)
-        if self.node.alive:
-            try:
-                got = yield from self.pull([cid], donor)
-            except (NodeDownError, CachePeerDownError, DieselError):
-                pass
-        if landed is not None:
-            landed(cid)
-        return got
+        — this node or the server died — is simply not held: reads for
+        it fall through (Fig 4)."""
+        if not self.node.alive:
+            return 0
+        try:
+            return (yield from self.pull([cid]))
+        except (NodeDownError, CachePeerDownError, DieselError):
+            return 0
 
     def pull_all(
-        self,
-        moves: Sequence[Tuple[str, Optional["CacheMaster"]]],
-        op: str,
-        width: Optional[int] = None,
-        landed=None,
-    ) -> Generator[Event, Any, Tuple[int, int]]:
-        """The bulk-pull pipeline: bring ``moves`` — ``(cid, donor)``
-        pairs, ``donor`` as in :meth:`pull` — to this node, as many in
-        flight as the node can receive.  Warm-up, recovery and both
-        scale moves all go through here.
+        self, cids: Sequence[str], op: str, width: Optional[int] = None
+    ) -> Generator[Event, Any, int]:
+        """The bulk-pull pipeline: bring ``cids`` to this node, as many
+        in flight as the node can receive.  Warm-up and recovery both
+        go through here.
 
         The width is this node's ingress channel count: a chunk more
         than that in flight would only queue at the NIC.  ``width``
         replaces it for a caller measuring the shape (the Fig 11b
-        sweep).  ``landed(cid)`` runs after each chunk's own pull, held
-        or not — the drain's per-chunk ownership flip.  Returns
-        ``(held, from_peer)`` summed over ``moves``.
+        sweep).  Returns how many of ``cids`` are now held.
         """
-        if not moves:
-            return 0, 0
+        if not cids:
+            return 0
         if width is None:
             width = self.node.ingress.channels
         results = yield from fan_out(
             self.env,
-            [self._bring(cid, donor, landed) for cid, donor in moves],
-            min(width, len(moves)),
+            [self._bring(cid) for cid in cids],
+            min(width, len(cids)),
             name=f"{op}:{self.client.name}",
             watermark=self._note_pull_inflight,
         )
-        return sum(r[0] for r in results), sum(r[1] for r in results)
+        return sum(results)
 
     def fill(
         self, op: str, width: Optional[int] = None
@@ -302,8 +254,8 @@ class CacheMaster:
         """
         rec = self.recorder
         t0 = self.env.now if rec is not None else 0.0
-        loaded, _ = yield from self.pull_all(
-            [(cid, None) for cid in self.assigned if cid not in self._held],
+        loaded = yield from self.pull_all(
+            [cid for cid in self.assigned if cid not in self._held],
             op, width,
         )
         if rec is not None:

@@ -4,13 +4,13 @@ Ownership is one map seen two ways — ``TaskCache._owner_of`` (cid →
 master) and each master's ``assigned`` — and only this module writes
 either or reads the placement policy: the deal at registration (the
 ``hash`` ring, or ``locality`` slices the affinity scheduler aligns
-workers with), the successor rule for masters that leave (``recover``
-and ``scale_down``), the scale-up steal and the per-chunk move.
+workers with), the successor rule for dead masters (``recover``) and
+the per-chunk move.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.dist_cache.master import CacheMaster
 from repro.errors import DieselError
@@ -22,8 +22,8 @@ PLACEMENTS = ("hash", "locality")
 #: spilling the rest of the node's slice to the ring (§4.2).
 LOCALITY_SPILL_RATIO = 0.9
 
-#: ``{successor or new owner: [(encoded cid, master it comes from), …]}``
-Moves = Dict[CacheMaster, List[Tuple[str, CacheMaster]]]
+#: ``{successor: [encoded cid, …]}``
+Moves = Dict[CacheMaster, List[str]]
 
 
 class Placement:
@@ -67,8 +67,8 @@ class Placement:
         owner.assigned.append(encoded_cid)
 
     def _rehome_all(self, moves: Moves) -> None:
-        for owner, items in moves.items():
-            for encoded_cid, _ in items:
+        for owner, cids in moves.items():
+            for encoded_cid in cids:
                 self._rehome(owner, encoded_cid)
 
     def _deal(
@@ -136,41 +136,18 @@ class Placement:
             assign(k, encoded_cid)
 
     def _successors(
-        self, leaving: Sequence[CacheMaster], survivors: Sequence[CacheMaster]
+        self, dead: Sequence[CacheMaster], survivors: Sequence[CacheMaster]
     ) -> Moves:
-        """The successor rule for masters that leave, dead or departing.
+        """The successor rule for dead masters.
 
-        ``leaving``'s chunks are dealt round-robin over ``survivors``
+        ``dead``'s chunks are dealt round-robin over ``survivors``
         (sorted by node name) — survivors' own partitions are untouched,
-        so their nodes keep reading locally.  A plan only: ``leaving``
-        own their chunks until the caller moves each with
-        :meth:`_rehome` — at once, or once its copy lands.
+        so their nodes keep reading locally.  A plan only: ``dead``
+        own their chunks until the caller moves them
+        (:meth:`_rehome_all`).
         """
         moves: Moves = {}
-        orphans = [(cid, m) for m in leaving for cid in m.assigned]
-        for i, item in enumerate(orphans):
-            moves.setdefault(survivors[i % len(survivors)], []).append(item)
-        return moves
-
-    def _steal(
-        self, new_masters: Sequence[CacheMaster], donors: Sequence[CacheMaster]
-    ) -> Moves:
-        """Scale-up's rebalance: each new master takes an equal share
-        stolen from the tails of the largest ``donors``' partitions —
-        minimal movement, everything else stays put.  Ownership moves
-        now; the donors keep their copies to warm the new owners from.
-        """
-        moves: Moves = {}
-        target = len(self._owner_of) // len(self.masters)
-        for nm in new_masters:
-            items = []
-            for _ in range(target):
-                donor = max(donors, key=lambda m: len(m.assigned))
-                if len(donor.assigned) <= target:
-                    break
-                encoded_cid = donor.assigned[-1]
-                self._rehome(nm, encoded_cid)
-                items.append((encoded_cid, donor))
-            if items:
-                moves[nm] = items
+        orphans = [cid for m in dead for cid in m.assigned]
+        for i, cid in enumerate(orphans):
+            moves.setdefault(survivors[i % len(survivors)], []).append(cid)
         return moves

@@ -1,8 +1,10 @@
 """The read chain (Fig 4): a file (``read_file``) or a whole chunk
 (``read_chunk``, behind a §4.3 chunk window) resolves from the reader's
-own node (no RPC), else in one hop from the owning master (one call),
-else from the DIESEL server — the cache never blocks the training loop.
-Under ``on-demand`` a miss pulls the chunk in the background.
+own node (no RPC: the owning master when it is local, else the node's
+tier), else in one hop from the owning master (one call), else from
+the DIESEL server — the cache never blocks the training loop.  A
+master holds only chunks it owns, so no other master is asked.  Under
+``on-demand`` a miss pulls the chunk in the background.
 """
 
 from __future__ import annotations
@@ -133,33 +135,24 @@ class ReadChain:
     ) -> Generator[Event, Any, Tuple[Optional[Chunk], str]]:
         """The node-local head of the Fig 4 chain, RAM before disk.
 
-        The reader's own node's master (its partition, or a scale-up
-        donor's copy) serves a chunk it holds from memory with no RPC hop;
-        anything else resident in the node's tier — demoted to its
-        disk tier (a device read + decompress, promoting when memory
-        allows), or admitted by another task — serves from there.
-        ``path`` restricts a hit to chunks holding that file.  Returns
+        The owning master, when it is on the reader's node, serves a
+        chunk it holds from memory with no RPC hop; anything else
+        resident in the node's tier — demoted to its disk tier (a
+        device read + decompress, promoting when memory allows), or
+        admitted by another task — serves from there.  ``path``
+        restricts a hit to chunks holding that file.  Returns
         ``(chunk, tier)`` or ``(None, "")``; the caller charges the
         intra-node copy.
         """
-        local = self.masters.get(client.node.name)
-        serving = master
-        if (
-            local is not None
-            and local is not master
-            and local.up
-            and local.has_chunk(encoded_cid)
-        ):
-            serving = local
         mine = (
-            serving.node is client.node
-            and serving.up
-            and serving.has_chunk(encoded_cid)
+            master.node is client.node
+            and master.up
+            and master.has_chunk(encoded_cid)
         )
         if mine:
-            chunk = serving._ram_chunk(encoded_cid)
+            chunk = master._ram_chunk(encoded_cid)
             if chunk is not None and (path is None or path in chunk):
-                serving.stats.hits += 1
+                master.stats.hits += 1
                 return chunk, "local_hits"
         if client.node.alive:
             node_tier = self.shared.for_node(client.node)
@@ -174,7 +167,7 @@ class ReadChain:
                 tier = "disk_hits"
             if chunk is not None and (path is None or path in chunk):
                 if mine:  # this task's own chunk, off the disk tier
-                    serving.stats.hits += 1
+                    master.stats.hits += 1
                 else:
                     node_tier.note_cross_task_read()
                 return chunk, tier

@@ -26,6 +26,9 @@ from repro.sim.engine import Event
 
 @dataclass(slots=True)
 class FuseStats(Counters):
+    """A mount's counters: reads (one per handle read, one per file of
+    a batch), kernel↔daemon crossings, getattrs and readdirs."""
+
     reads: int = 0
     crossings: int = 0
     getattrs: int = 0
@@ -95,6 +98,7 @@ class FuseFile:
         return data
 
     def close(self) -> None:
+        """close(2): later calls on this handle raise."""
         self._closed = True
 
 
@@ -119,6 +123,7 @@ class FuseMount:
 
     @property
     def env(self):
+        """The simulation clock the pooled clients share."""
         return self.clients[0].env
 
     def unmount(self) -> None:
@@ -205,6 +210,7 @@ class FuseMount:
         return info
 
     def readdir(self, path: str) -> Generator[Event, Any, list[str]]:
+        """readdir(3): the entries under ``path``, one crossing."""
         client = self._client()
         yield self.env.timeout(self.cal.fuse.crossing_s)
         entries = yield from client.ls(path)
@@ -232,6 +238,7 @@ class FuseMount:
         return count
 
     def exists(self, path: str) -> Generator[Event, Any, bool]:
+        """Whether a getattr of ``path`` succeeds (one crossing)."""
         try:
             yield from self.getattr(path)
             return True

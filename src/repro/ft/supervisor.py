@@ -77,11 +77,12 @@ class CacheSupervisor:
         self.detector.report_failure(self._watch_name(master))
 
     def sync_watches(self) -> None:
-        """Keep the detector's watches equal to the cache's masters;
-        called by ``TaskCache`` on every membership change.  Masters
-        added by ``scale_up`` start being probed; ones that left through
-        ``scale_down`` or ``recover`` stop (a drained master must not
-        linger as a phantom DEAD entry that trips healing)."""
+        """Keep the detector's watches equal to the cache's masters:
+        at construction, and on every membership change (``recover``),
+        after which the departed masters stop being probed — a dead
+        master that left must not linger as a phantom DEAD entry that
+        trips healing again.  Watches other supervisors hold on a
+        shared detector are left alone."""
         live = {self._watch_name(m): m for m in self.cache.masters.values()}
         for wname in self._watching.keys() - live.keys():
             self.detector.unwatch(wname)

@@ -68,30 +68,25 @@ class TestActions:
         assert sorted(i for i, _ in starts) == list(range(8))
         assert all(t == 2.0 for _, t in starts)
 
-    def test_churn_drives_generator_actions_inline(self):
-        env, (node, _), chaos = rig()
-        log = []
-
-        def down():
-            yield env.timeout(0.05)  # a drain takes time
-            log.append(("down", env.now))
-
-        def up():
-            log.append(("up", env.now))
-            return None
-
-        chaos.churn(at=0.0, cycles=2, dwell_s=0.1, down=down, up=up).start()
-        env.run()
-        assert [a for a, _ in log] == ["down", "up", "down", "up"]
-        churn_marks = [a for _, a, _ in chaos.log if a.startswith("churn")]
-        assert churn_marks == ["churn_down", "churn_up"] * 2
-
     def test_at_escape_hatch_runs_once(self):
         env, nodes, chaos = rig()
         fired = []
         chaos.at(1.5, lambda: fired.append(env.now), label="poke").start()
         env.run()
         assert fired == [1.5]
+
+    def test_at_drives_a_generator_action_inline(self):
+        env, nodes, chaos = rig()
+
+        def action():
+            yield env.timeout(0.5)  # e.g. a recovery that takes time
+            fired.append(env.now)
+
+        fired = []
+        chaos.at(1.0, action, label="slow").start()
+        env.run()
+        assert fired == [1.5]
+        assert chaos.log == [(1.0, "apply", "slow"), (1.5, "revert", "slow")]
 
     def test_log_records_apply_and_revert(self):
         env, (node, _), chaos = rig()
@@ -117,6 +112,3 @@ class TestLifecycle:
             chaos.slow_node(node, 2.0, at=-1.0, duration_s=0.1)
         with pytest.raises(ValueError):
             chaos.latency_spikes([node], 0.01, at=0.0, duration_s=1.0, spikes=0)
-        with pytest.raises(ValueError):
-            chaos.churn(at=0.0, cycles=0, dwell_s=0.1,
-                        down=lambda: None, up=lambda: None)

@@ -72,6 +72,23 @@ class TestGetRange:
         with pytest.raises(DieselError):
             deployment.run(proc())
 
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("offset,length", [(-8, 4), (4, -2)])
+    def test_negative_args_rejected_before_any_cost(
+        self, deployment, shuffle, offset, length
+    ):
+        """The shuffle path rejects what the server path rejects: a
+        negative offset must not slice from the end, nor a negative
+        length return ``b""``."""
+        client = setup(deployment)
+        if shuffle:
+            client.enable_shuffle(group_size=1)
+            client.epoch_file_list()
+        gets, now = client.stats.gets, deployment.env.now
+        with pytest.raises(DieselError, match="non-negative"):
+            deployment.run(client.get_range("/f/data.bin", offset, length))
+        assert (client.stats.gets, deployment.env.now) == (gets, now)
+
     def test_range_read_moves_fewer_bytes_than_full_read(self, deployment):
         client = setup(deployment, snapshot=False)
         before = deployment.store.device.stats.read_bytes
@@ -196,6 +213,25 @@ class TestFuseHandles:
         piece, pos = deployment.run(proc())
         assert piece == PAYLOAD[1000:1016]
         assert pos == 7
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_pread_negative_offset_rejected(self, deployment, shuffle):
+        client = setup(deployment)
+        if shuffle:
+            client.enable_shuffle(group_size=1)
+            client.epoch_file_list()
+        m = mount([client])
+
+        def proc():
+            fh = yield from m.open("/f/data.bin")
+            fh.seek(7)
+            try:
+                yield from fh.pread(4, -8)
+            finally:
+                assert fh.pos == 7
+
+        with pytest.raises(DieselError, match="non-negative"):
+            deployment.run(proc())
 
     def test_closed_handle_rejected(self, deployment):
         m = self._mount(deployment)

@@ -4,7 +4,7 @@ Every cache master holds references into its node's chunk tier, so the
 same conservation laws must hold for a task-private cache (a tier the
 task built for itself), a tiered tier used by one task, and a tiered
 tier two tasks share — through a whole task life: register → reads →
-scale_up → scale_down → master crash + recover → deregister.  After
+master crash + recover → deregister.  After
 every step, :func:`tests.invariants.check_invariants` holds on every
 node — memory, references, tenant usage, the store's books, empty
 single-flight maps, one owner per chunk, the p×(n−1) mesh — and every
@@ -26,7 +26,7 @@ from tests.core.conftest import build_deployment, small_files, write_dataset
 from tests.invariants import check_invariants
 
 CHUNK = 8 * 1024
-N_NODES = 5  # three start in the task, two join via scale_up
+N_NODES = 3
 #: (passed-in tiered registry?, tasks sharing it)
 CONFIGS = {"own-ram": (False, 1), "solo-tiered": (True, 1),
            "shared-tiered": (True, 2)}
@@ -56,7 +56,7 @@ def build(config, ram_chunks, seed):
         TaskCache(
             dep.server, "ds",
             [CacheClient(f"t{t}c{i}", node, i)
-             for i, node in enumerate(nodes[:3])],
+             for i, node in enumerate(nodes)],
             shared=registry, tenant=f"tenant{t}",
             placement="locality" if seed % 3 == 0 else "hash",
         )
@@ -109,9 +109,6 @@ def test_task_life_conserves_memory_refs_and_bytes(config, ram_chunks, seed):
         dep.run(c.register())
         dep.run(c.wait_warm())
     step()
-    joiners = [CacheClient(f"t0j{i}", nodes[3 + i], 10 + i) for i in range(2)]
-    step(cache.scale_up(joiners))
-    step(cache.scale_down([rng.choice(sorted(cache.masters))]))
     victim = cache.masters[rng.choice(sorted(cache.masters))]
     victim.node.kill()
 

@@ -54,7 +54,7 @@ def resident(tier, cid):
 def acquire(master, cid):
     """Pull one chunk through ``master``'s tier: the bytes now held, or
     ``None`` when the tier refused the admission."""
-    held, _ = yield from master.pull([cid])
+    held = yield from master.pull([cid])
     return master.nbytes_of(cid) if held else None
 
 

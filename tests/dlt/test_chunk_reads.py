@@ -6,8 +6,8 @@
   stays within 2 × group size, no epoch's plan fetches a chunk twice,
   only the next epoch's read-ahead is left in flight, and every read
   lands in exactly one tier counter;
-* faults: owner death mid-``get_chunk``, ``scale_down`` mid-epoch, a
-  cancelled training process;
+* faults: owner death mid-``get_chunk``, a master death + ``recover``
+  mid-epoch and between epochs, a cancelled training process;
 * the window budget, over both window owners: resident and in-flight
   chunks each stay within ``group + depth``, no chunk has two transfers
   at once, and read-ahead waits while demand fetches fill the budget;
@@ -261,29 +261,34 @@ class TestFaults:
         assert cache.stats.degraded_reads == len(paths)
         assert cache.stats.degraded_reads == len(paths)
 
-    def test_scale_down_mid_epoch_reads_every_file_once(self):
-        """A node leaves a quarter into the epoch: the shards drawn
-        before the change still read every file once, each read
-        resolving against the chunk's owner at read time."""
+    def test_master_death_mid_epoch_reads_every_file_once(self):
+        """A node dies a quarter into the epoch and the task recovers:
+        the shards drawn before the change still read every file once,
+        each read resolving against the chunk's owner at read time."""
         tb, cache, readers, files, index = make_task(
             group_size=2, n_files=180)
-        leaving = readers[2].cache_client.node
+        dying = readers[2]
+        node = dying.cache_client.node
         seen = []
 
-        def worker(reader, scales):
+        def worker(reader, crashes=False):
             order = yield from reader.begin_epoch(0)
             for i, path in enumerate(order):
-                if scales and i == len(order) // 4:
-                    yield from cache.scale_down([leaving])
+                if crashes and i == len(order) // 4:
+                    node.kill()
+                    yield from cache.recover()
                 seen.append((path, (yield from reader.read(path))))
                 window = reader.window
                 assert len(window.chunks.entries) <= window.capacity()
 
-        tb.run_all([worker(r, r is readers[0]) for r in readers])
-        assert leaving.name not in cache.masters
+        # The dying node's worker is through its shard before it goes.
+        tb.run(worker(dying))
+        dying.cancel_epoch()
+        tb.run_all([worker(r, r is readers[0]) for r in readers[:2]])
+        assert node.name not in cache.masters
+        assert all(m.up for m in cache.masters.values())
         assert all(data == files[path] for path, data in seen)
         assert sorted(path for path, _ in seen) == sorted(files)
-        assert cache.stats.degraded_reads == 0
 
     def test_cancelled_training_cancels_read_ahead(self):
         tb, cache, readers, files, index = make_task(
@@ -539,12 +544,13 @@ class TestRollover:
         tb.env.run()
         assert reader.window.chunks.flights == {} and sum(fetched.values()) == n
 
-    def test_scale_down_between_epochs_reads_every_file_once(self):
-        """Epoch 1 was drawn to read ahead before a node left: it is
-        served as drawn, and its shards still read every file once."""
+    def test_master_death_between_epochs_reads_every_file_once(self):
+        """Epoch 1 was drawn to read ahead before a node died: it is
+        served as drawn, and its shards — the restarted node's too —
+        still read every file once."""
         tb, cache, readers, files, index = make_task(
             placement="locality", group_size=2, n_files=120)
-        leaving = readers[2].cache_client.node
+        node = readers[2].cache_client.node
         seen = []
 
         def worker(reader, epoch):
@@ -555,11 +561,15 @@ class TestRollover:
                 assert len(window.chunks.entries) <= window.capacity()
 
         tb.run_all([worker(r, 0) for r in readers])
+        tb.env.run()  # the read-ahead into epoch 1 lands
         continuation = readers[0].window.prefetcher.then
-        tb.run(cache.scale_down([leaving]))
+        node.kill()
+        tb.run(cache.recover())
+        node.restore()  # the machine is back; its master is not
         seen.clear()
         tb.run_all([worker(r, 1) for r in readers])
         assert readers[0].last_plan is continuation
+        assert node.name not in cache.masters
         assert all(data == files[path] for path, data in seen)
         assert sorted(path for path, _ in seen) == sorted(files)
         assert cache.stats.degraded_reads == 0

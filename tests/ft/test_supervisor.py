@@ -190,10 +190,11 @@ class TestSharedTierRecovery:
                     + r["shared_warm_admissions"]
                     >= r["chunks_reloaded"])
 
-    def test_scale_down_keeps_the_other_tasks_watches(self):
+    def test_recover_keeps_the_other_tasks_watches(self):
         dep, registry, caches, sups, files, index, det = self.shared_rig()
-        dep.run(caches[0].scale_down([dep.client_nodes[0]]))
-        det.stop()
+        det.stop()  # no probe notices the crash: only task 0 recovers
+        dep.client_nodes[0].kill()
+        dep.run(caches[0].recover())
         # Only task 0's departed master is unwatched; task 1 keeps all.
         assert sorted(det._watches) == [
             "cache:t0cc1", "cache:t0cc2",

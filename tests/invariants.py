@@ -20,8 +20,9 @@ come with them), the chunk windows and the server stores.
   usage == Σ nbytes of the chunks it references, and its ``refs`` ==
   Σ ``len(_held)`` over the live masters admitting through it;
 * ownership: every chunk has exactly one owner, a master whose
-  ``assigned`` lists it, and the mesh is the paper's p×(n−1); right
-  after a membership change every owner is up (``live``).
+  ``assigned`` lists it, a master holds only chunks it owns, and the
+  mesh is the paper's p×(n−1); right after a membership change every
+  owner is up (``live``).
 
 :func:`check_stations` and :func:`check_journals` look past the caches
 at a whole testbed, at a quiescent point:
@@ -107,13 +108,15 @@ def check_node_tier(tier, masters, quiescent=True):
 
 
 def check_ownership(cache, live=False):
-    """One owner per chunk, listed once, and the p×(n−1) mesh; with
-    ``live``, every owner is up as well — true right after a membership
-    change, when the dead have left, but not between a crash and its
-    recovery."""
+    """One owner per chunk, listed once, holdings within the partition,
+    and the p×(n−1) mesh; with ``live``, every owner is up as well —
+    true right after a membership change, when the dead have left, but
+    not between a crash and its recovery."""
     listed = {cid: m for m in cache.masters.values() for cid in m.assigned}
     assert len(listed) == sum(len(m.assigned) for m in cache.masters.values())
     assert listed == cache._owner_of
+    for m in cache.masters.values():
+        assert set(m._held) <= set(m.assigned), m.client.name
     if live:
         assert all(m.up for m in set(listed.values())), "a dead master owns chunks"
     assert cache.connection_count() == cache.expected_connection_count()
