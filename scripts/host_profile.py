@@ -7,7 +7,9 @@ functions the samples land in (self) and pass through (cumulative).
 A 1 ms interval timer samples the Python stack while the workload's
 blocks 1..n run — the fixture, block 0 (task start) and the benchmark's
 reference loops are outside the sampled region, so the shares are of
-the program's steady-state work only.  ``ITIMER_REAL`` rather than
+the program's steady-state work only.  ``--setup`` samples one set-up
+pass instead, the region perfbench's ``setup_s`` times (deployment,
+bulk load, snapshot loads).  ``ITIMER_REAL`` rather than
 ``ITIMER_PROF``: the latter only fires at 250 Hz on this kernel
 (perfbench/trace.py made the same choice).
 
@@ -25,7 +27,7 @@ name and file, not line, so an edit above one does not split its row.
 
 Usage::
 
-    python scripts/host_profile.py ingest_meta [--seed N] [--scale tiny] [--top K] [--json OUT]
+    python scripts/host_profile.py ingest_meta [--seed N] [--scale tiny] [--setup] [--top K] [--json OUT]
     python scripts/host_profile.py --diff A.json B.json [--top K]
 """
 
@@ -144,7 +146,8 @@ def diff(before: dict, after: dict, top: int) -> list[str]:
     the ``top`` largest moves of self share first."""
     lines = [
         f"{side}: {p['workload']} seed {p['seed']} scale {p['scale']}, "
-        f"{p['samples']} samples over {p['ops']} ops"
+        f"{p['samples']} samples over "
+        + ("one set-up pass" if p.get("setup") else f"{p['ops']} ops")
         for side, p in (("before", before), ("after", after))
     ]
     total_a, total_b = before["samples"] or 1, after["samples"] or 1
@@ -175,6 +178,8 @@ def main(argv: list[str]) -> int:
     ap.add_argument("workload", nargs="?", choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--scale", default="full", choices=("full", "tiny"))
+    ap.add_argument("--setup", action="store_true",
+                    help="sample one set-up pass instead of blocks 1..n")
     ap.add_argument("--top", type=int, default=25,
                     help="functions listed per ranking (default: 25)")
     ap.add_argument("--json", metavar="OUT", type=Path,
@@ -191,24 +196,33 @@ def main(argv: list[str]) -> int:
 
     wl = WORKLOADS[args.workload](args.seed, args.scale)
     wl.make_inputs()
-    wl.setup()
-    log = OpLog(wl.tb.env, NoTicks(), wl.ops_per_loop)
-    wl.run_block(0, log)
-    warm_ops = log.attempted
     sampler = Sampler()
-    for b in range(1, wl.n_blocks):
+    header = {"workload": args.workload, "seed": args.seed,
+              "scale": args.scale, "setup": args.setup, "ops": 0}
+    failed, errors = 0, []
+    if args.setup:
         with sampler:
-            wl.run_block(b, log)
+            wl.setup()
+        region = "one set-up pass"
+    else:
+        wl.setup()
+        log = OpLog(wl.tb.env, NoTicks(), wl.ops_per_loop)
+        wl.run_block(0, log)
+        warm_ops = log.attempted
+        for b in range(1, wl.n_blocks):
+            with sampler:
+                wl.run_block(b, log)
+        header["ops"] = log.attempted - warm_ops
+        failed, errors = log.failed, log.errors
+        region = (f"blocks 1..{wl.n_blocks - 1} ({header['ops']} ops, "
+                  f"{failed} failed)")
     print(f"{args.workload} seed {args.seed} scale {args.scale}: "
           f"{sampler.samples} samples at {SAMPLE_INTERVAL_S * 1e3:g} ms over "
-          f"blocks 1..{wl.n_blocks - 1} ({log.attempted - warm_ops} ops, "
-          f"{log.failed} failed)")
-    print("\n".join(log.errors + report(sampler, args.top)))
+          f"{region}")
+    print("\n".join(errors + report(sampler, args.top)))
     if args.json:
-        header = {"workload": args.workload, "seed": args.seed,
-                  "scale": args.scale, "ops": log.attempted - warm_ops}
         args.json.write_text(json.dumps(to_json(sampler, header), indent=1))
-    return 1 if log.failed else 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

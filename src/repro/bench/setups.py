@@ -15,6 +15,7 @@ phase spends simulated time.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -191,15 +192,31 @@ def deploy(
 
 
 # ---------------------------------------------------------------- population
+#: Dataset bytes from which :func:`bulk_load_diesel` collects garbage
+#: before it loads.
+COLLECT_BEFORE_LOAD_BYTES = 64 * 1024 * 1024
+
+
 def bulk_load_diesel(
     tb: Testbed,
     dataset: str,
     files: Dict[str, bytes],
     chunk_size: int = 4 * 1024 * 1024,
 ) -> List[Chunk]:
-    """Populate DIESEL outside measured time (fixture setup)."""
+    """Populate DIESEL outside measured time (fixture setup).
+
+    A simulated cluster is a web of reference cycles (endpoints hold
+    their owners' handlers, nodes their NICs and back), so a testbed
+    dropped before this one is freed only by a full collection, which
+    CPython defers while a large heap grows by few objects.  A load of
+    at least :data:`COLLECT_BEFORE_LOAD_BYTES` collects first, so
+    testbeds built back to back keep one such dataset resident, not two;
+    a smaller one is not worth the collection's tens of milliseconds.
+    """
     if tb.store is None:
         raise RuntimeError("call add_diesel() first")
+    if sum(map(len, files.values())) >= COLLECT_BEFORE_LOAD_BYTES:
+        gc.collect()
     builder = ChunkBuilder(
         sim_id_generator(f"bulkload:{dataset}", clock=lambda: tb.env.now),
         chunk_size=chunk_size,

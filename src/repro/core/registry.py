@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterator, Optional, Tuple
 
+from repro.kvstore.kv import check_limit
 from repro.kvstore.sharded import ShardedKV
 from repro.util.hashing import stable_hash
 
@@ -99,12 +100,15 @@ class DatasetRegistry:
     ) -> Tuple[list[str], Optional[str]]:
         """One globally name-sorted page of dataset names.
 
-        ``cursor`` is the last name of the previous page; the per-shard
-        streams fetch at most ``limit`` names ahead and are k-way merged
-        lazily, so a page over a million-dataset registry touches
-        O(shards × limit) keys.  Returns ``(names, next_cursor)``.
+        ``cursor`` is the last name of the previous page and ``limit``
+        (at least 1; ``None`` = every name) the page size.  Each registry
+        shard's stream fetches one KV page of at most ``limit`` names,
+        which reads at most ``limit`` keys plus one per KV shard, and the
+        streams are k-way merged lazily: a page over a million-dataset
+        registry touches O(registry shards × (limit + KV shards)) keys.
+        Returns ``(names, next_cursor)``.
         """
-        page = limit if limit is not None else 1024
+        page = check_limit(limit) or 1024
         streams = [
             self._shard_names(s, cursor, page) for s in range(self.n_shards)
         ]

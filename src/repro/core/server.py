@@ -24,6 +24,7 @@ Responsibilities implemented here:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, Union
 
@@ -55,7 +56,7 @@ from repro.objectstore.tiered import TieredStore
 from repro.rpc.endpoint import RpcEndpoint
 from repro.sim.engine import Environment, Event
 from repro.util.bitmap import Bitmap
-from repro.util.hashing import FNV_OFFSET, fnv1a_64, fnv1a_64_many
+from repro.util.hashing import FNV_OFFSET, fnv1a_64_many
 from repro.util.ids import ChunkId, decode_chunk_id, sim_id_generator
 from repro.util.pathutil import normalize
 
@@ -173,6 +174,9 @@ class DieselServer:
         self._kv_batch = 128  # records per pipelined KV round trip
         # One generator per server so purge-minted chunk IDs never collide.
         self._idgen = sim_id_generator(self.name, clock=lambda: env.now)
+        #: Dataset -> the KV write count when its last snapshot was
+        #: assembled, and a weak reference to that snapshot.
+        self._snapshots: dict[str, tuple[int, weakref.ref]] = {}
 
     @property
     def recorder(self):
@@ -290,21 +294,26 @@ class DieselServer:
         key once, in the order that per-file expansion would first have
         written it, its KV slot hashed from the state its directory's
         keys share, all the chunk's keys in one batch (docs/METADATA.md
-        "Write path").
+        "Write path").  Two hash passes: one over the new directories'
+        key prefixes, one over the keys.
         """
         cid_raw = cid.raw
         ndeleted = bitmap.count()
         file_prefix = meta.file_key_prefix(dataset)
-        #: Path up to its last "/" -> (FNV state of the file keys under
-        #: it, key prefix of its file entries, that prefix's FNV state).
-        dirs: dict[str, tuple[int, str, int]] = {}
+        #: Path up to its last "/" -> (index in ``heads`` of the file
+        #: key prefix under it, key prefix of its file entries).
+        dirs: dict[str, tuple[int, str]] = {}
+        #: Key prefixes to hash, each directory's file key prefix then
+        #: its file entry prefix; the empty head leaves ``FNV_OFFSET``,
+        #: the state a whole key is hashed from.
+        heads: list[bytes] = [b""]
         linked: set[str] = set()  # directories already linked into their parent
-        #: key, value, the key's tail still to hash, the FNV state of
-        #: the head before it.
+        #: key, value, the key's tail still to hash, the index in
+        #: ``heads`` of the head before it.
         rows: list[tuple[str, bytes, bytes, int]] = []
         records: list[bytes] = []
         implied = 2
-        pack, fnv, add = meta.FileRecord.pack, fnv1a_64, rows.append
+        pack, add = meta.FileRecord.pack, rows.append
         for i, (path, offset, length, crc) in enumerate(entries):
             if ndeleted and bitmap.get(i):
                 continue  # tombstoned files must not resurrect on rescan
@@ -317,19 +326,18 @@ class DieselServer:
             fresh = carried is None
             if fresh:
                 prefix = meta.dir_scan_prefix(dataset, head[:-1] or "/", "f")
-                carried = dirs[head] = (
-                    fnv(file_prefix + head), prefix, fnv(prefix)
-                )
-            file_state, prefix, entry_state = carried
+                carried = dirs[head] = (len(heads), prefix)
+                heads += ((file_prefix + head).encode(), prefix.encode())
+            file_head, prefix = carried
             leaf = name or path
-            add((file_prefix + path, blob, name.encode(), file_state))
-            add((prefix + leaf, b"", leaf.encode(), entry_state))
+            add((file_prefix + path, blob, name.encode(), file_head))
+            add((prefix + leaf, b"", leaf.encode(), file_head + 1))
             parent = head[:-1] if fresh else ""
             while parent and parent not in linked:
                 linked.add(parent)
                 parent, _, child = parent.rpartition("/")
                 key = meta.dir_entry_key(dataset, parent or "/", child, True)
-                add((key, b"", key.encode(), FNV_OFFSET))
+                add((key, b"", key.encode(), 0))
         ds_key = meta.dataset_key(dataset)
         old = self.kv.local_get_or_none(ds_key)
         if old is None:
@@ -340,10 +348,13 @@ class DieselServer:
             cid, ts, data_size, len(entries), ndeleted, bitmap.copy()
         )
         ck_key = meta.chunk_key(dataset, cid)
-        add((ck_key, crec.encode(), ck_key.encode(), FNV_OFFSET))
-        add((ds_key, dsrec, ds_key.encode(), FNV_OFFSET))
-        keys, values, tails, states = zip(*rows)
-        self.kv.local_put_hashed(keys, values, fnv1a_64_many(tails, states))
+        add((ck_key, crec.encode(), ck_key.encode(), 0))
+        add((ds_key, dsrec, ds_key.encode(), 0))
+        keys, values, tails, at = zip(*rows)
+        states = fnv1a_64_many(heads, [FNV_OFFSET] * len(heads))
+        self.kv.local_put_hashed(
+            keys, values, fnv1a_64_many(tails, states[list(at)])
+        )
         n_journal = self.journal.record_encoded(
             dataset, ts, chunk_entry(ts, records, cid_raw)
         )
@@ -572,9 +583,19 @@ class DieselServer:
         """Assemble the snapshot from KV (no simulated cost; see save_meta).
 
         File records stream in via paginated pscan so assembling a huge
-        dataset's snapshot holds one page per shard at a time, not the
-        whole keyspace slice.
+        dataset's snapshot holds one page at a time, not the whole
+        keyspace slice.  A snapshot is immutable: while no KV write has
+        happened since this server last assembled one for ``dataset``
+        and some holder still references it, that one is returned
+        again.  It is held weakly, so the last holder frees it.
         """
+        self.kv.check_up()
+        writes = self.kv.writes
+        held = self._snapshots.get(dataset)
+        if held is not None and held[0] == writes:
+            snapshot = held[1]()
+            if snapshot is not None:
+                return snapshot
         dsrec = self._dataset_record(dataset)
         # Every file of a chunk points at the dataset record's ChunkId.
         chunk_ids = {cid.raw: cid for cid in dsrec.chunk_ids}
@@ -585,7 +606,11 @@ class DieselServer:
             files.extend(
                 meta.FileRecord.decode(blob, chunk_ids) for _, blob in page
             )
-        return build_snapshot(dataset, dsrec.update_ts, files, dsrec.chunk_ids)
+        snapshot = build_snapshot(
+            dataset, dsrec.update_ts, files, dsrec.chunk_ids
+        )
+        self._snapshots[dataset] = (writes, weakref.ref(snapshot))
+        return snapshot
 
     def _op_load_meta_delta(
         self, dataset: str, from_ts: int

@@ -93,6 +93,10 @@ class MetadataSnapshot:
 
     @classmethod
     def deserialize(cls, blob: bytes) -> "MetadataSnapshot":
+        """The snapshot :meth:`serialize` wrote into ``blob``.
+
+        A malformed blob raises :class:`ChunkFormatError`.
+        """
         if blob[:4] != MAGIC:
             raise ChunkFormatError("bad snapshot magic")
         pos = 4
@@ -134,6 +138,7 @@ class MetadataSnapshot:
 
     @property
     def file_count(self) -> int:
+        """Number of file records."""
         return len(self.files)
 
 
@@ -163,9 +168,19 @@ class SnapshotIndex:
         self._files: dict[str, FileRecord] = {
             rec.path: rec for rec in snapshot.files
         }
-        self._dirs: dict[str, set[str]] = {"/": set()}
+        # Each file joins its directory; then each distinct directory is
+        # linked up its ancestor chain once, not once per file under it.
+        dirs: dict[str, set[str]] = {"/": set()}
         for path in self._files:
-            self._link(path)
+            parent = path.rpartition("/")[0] or "/"
+            children = dirs.get(parent)
+            if children is None:
+                children = dirs[parent] = set()
+            children.add(path)
+        self._dirs = dirs
+        for path in list(dirs):
+            if path != "/":
+                self._link(path)
         self._by_chunk: Optional[dict[ChunkId, list[str]]] = None
 
     def _link(self, path: str) -> None:
@@ -185,6 +200,7 @@ class SnapshotIndex:
 
     @property
     def dataset(self) -> str:
+        """Name of the dataset the snapshot describes."""
         return self.snapshot.dataset
 
     @property
@@ -194,9 +210,11 @@ class SnapshotIndex:
 
     @property
     def file_count(self) -> int:
+        """Number of live files, applied deltas included."""
         return len(self._files)
 
     def __contains__(self, path: str) -> bool:
+        """Whether ``path`` (normalised) is a live file."""
         return path in self._files or normalize(path) in self._files
 
     def lookup(self, path: str) -> FileRecord:
@@ -234,9 +252,12 @@ class SnapshotIndex:
         raise FileNotFoundInDatasetError(path)
 
     def is_dir(self, path: str) -> bool:
+        """Whether ``path`` (normalised) is a directory."""
         return normalize(path) in self._dirs
 
     def readdir(self, path: str) -> list[str]:
+        """Full paths of the directory's entries, sorted; a path that is
+        no directory raises :class:`FileNotFoundInDatasetError`."""
         path = normalize(path)
         try:
             return sorted(self._dirs[path])
@@ -254,6 +275,7 @@ class SnapshotIndex:
                     stack.append(child)
 
     def all_paths(self) -> list[str]:
+        """Every live file path."""
         return list(self._files)
 
     def files_by_chunk(self) -> dict[ChunkId, list[str]]:
@@ -269,6 +291,7 @@ class SnapshotIndex:
         return self._by_chunk
 
     def chunk_ids(self) -> tuple[ChunkId, ...]:
+        """The dataset's chunk ids, sorted, applied deltas included."""
         return tuple(self._chunk_ids)
 
     # ------------------------------------------------------------- deltas

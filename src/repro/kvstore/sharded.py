@@ -3,40 +3,19 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Generator, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Any, Generator, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ShardUnavailableError
 from repro.cluster.node import Node
-from repro.kvstore.kv import KVInstance
+from repro.kvstore.kv import KVInstance, check_limit
 from repro.sim.engine import Event
 from repro.util.hashing import mix64_many, stable_hash
 
 #: Redis cluster uses 16384 hash slots; we keep the same constant.
 NUM_SLOTS = 16384
-
-
-def _merge_page(
-    parts: Sequence[Sequence[tuple[str, bytes]]], limit: Optional[int]
-) -> Tuple[list[tuple[str, bytes]], Optional[str]]:
-    """Streaming k-way merge of per-shard sorted pages.
-
-    Merges on the full (key, value) pair so the page order never depends
-    on which shards contributed, truncates to ``limit``, and derives the
-    resume cursor: the last key of a full page (a short page means every
-    shard was drained, so the scan is complete).
-    """
-    merged = heapq.merge(*parts)
-    if limit is None:
-        return list(merged), None
-    page: list[tuple[str, bytes]] = []
-    for pair in merged:
-        page.append(pair)
-        if len(page) >= limit:
-            break
-    next_cursor = page[-1][0] if len(page) >= limit else None
-    return page, next_cursor
 
 
 class ShardedKV:
@@ -64,12 +43,21 @@ class ShardedKV:
 
     @property
     def instances(self) -> tuple[KVInstance, ...]:
+        """The shards, in routing order."""
         return tuple(self._instances)
 
+    @property
+    def writes(self) -> int:
+        """Mutations of any shard so far (:attr:`KVTable.writes` summed):
+        unchanged between two reads means no pair changed in between."""
+        return sum(inst.table.writes for inst in self._instances)
+
     def slot(self, key: str) -> int:
+        """The key's hash slot in ``[0, NUM_SLOTS)``."""
         return stable_hash(key, NUM_SLOTS)
 
     def owner(self, key: str) -> KVInstance:
+        """The shard that holds ``key``, up or not."""
         return self._instances[self.slot(key) % len(self._instances)]
 
     def _live_owner(self, key: str) -> KVInstance:
@@ -82,27 +70,31 @@ class ShardedKV:
 
     # -- simulated operations (generators; run inside a process) ----------
     def get(self, client: Node, key: str) -> Generator[Event, Any, bytes]:
+        """RPC get of ``key`` from its owner (generator)."""
         result = yield from self._call_inst(client, self.owner(key), "get", key)
         return result
 
     def get_or_none(
         self, client: Node, key: str
     ) -> Generator[Event, Any, Optional[bytes]]:
+        """RPC get of ``key``, ``None`` if absent (generator)."""
         result = yield from self._call_inst(
             client, self.owner(key), "get_or_none", key
         )
         return result
 
     def put(self, client: Node, key: str, value: bytes) -> Generator[Event, Any, None]:
+        """RPC put of ``(key, value)`` to the key's owner (generator)."""
         yield from self._call_inst(
             client, self.owner(key), "put", key, value,
             request_bytes=64 + len(key) + len(value),
         )
 
     def delete(self, client: Node, key: str) -> Generator[Event, Any, None]:
+        """RPC delete of ``key`` at its owner (generator)."""
         yield from self._call_inst(client, self.owner(key), "delete", key)
 
-    def _check_all_up(self) -> None:
+    def check_up(self) -> None:
         """A scan needs every shard: name all the dead ones at once."""
         down = [i.name for i in self._instances if not i.up]
         if down:
@@ -120,7 +112,7 @@ class ShardedKV:
         raises on a shard it could have checked for free.  A shard
         dying *mid-scan* raises too: a scan is complete or it fails.
         """
-        self._check_all_up()
+        self.check_up()
         merged: list[tuple[str, bytes]] = []
         for inst in self._instances:
             part = yield from self._call_inst(client, inst, "pscan", prefix)
@@ -131,6 +123,17 @@ class ShardedKV:
         merged.sort()
         return merged
 
+    def _merged_scan(
+        self, prefix: str, cursor: Optional[str] = None
+    ) -> Iterator[tuple[str, bytes]]:
+        """The shards' lazy scans past ``cursor``, k-way merged on the
+        full (key, value) pair, so the order never depends on which
+        shards contributed; liveness is checked as in :meth:`pscan`."""
+        self.check_up()
+        return heapq.merge(
+            *(inst.table.scan(prefix, cursor) for inst in self._instances)
+        )
+
     def local_pscan_page(
         self,
         prefix: str,
@@ -140,20 +143,20 @@ class ShardedKV:
         """One bounded page of a cross-shard prefix scan, at zero sim
         cost (co-located server logic).
 
-        Each shard returns at most ``limit`` pairs past ``cursor``; the
-        per-shard pages (already sorted) are k-way merged and truncated
-        to ``limit``, so neither the shards nor the caller ever
-        materialize the full prefix range.  Returns ``(pairs,
-        next_cursor)``; pass ``next_cursor`` back to fetch the following
-        page (``None`` = the scan is complete).  Liveness is checked as
-        in :meth:`pscan`.
+        The shards' lazy scans past ``cursor`` are k-way merged on the
+        full (key, value) pair, so the page order never depends on which
+        shards contributed, and the merge stops at ``limit`` (at least
+        1; ``None`` = the whole range): a page reads at most ``limit``
+        plus one key per shard.  Returns ``(pairs, next_cursor)``:
+        ``next_cursor`` is the last key of a full page, to pass back for
+        the following page, or ``None`` when the scan is complete.
+        Liveness is checked as in :meth:`pscan`.
         """
-        self._check_all_up()
-        parts = [
-            inst.table.pscan(prefix, limit, cursor)
-            for inst in self._instances
-        ]
-        return _merge_page(parts, limit)
+        check_limit(limit)
+        page = list(islice(self._merged_scan(prefix, cursor), limit))
+        if limit is not None and len(page) == limit:
+            return page, page[-1][0]
+        return page, None
 
     def local_pscan_iter(self, prefix: str, page_size: int):
         """Iterate a prefix range page by page (zero-cost, bounded RAM).
@@ -176,7 +179,7 @@ class ShardedKV:
 
     def local_pcount(self, prefix: str) -> int:
         """Count keys under ``prefix`` without materializing any pair."""
-        self._check_all_up()
+        self.check_up()
         return sum(inst.table.pcount(prefix) for inst in self._instances)
 
     # -- direct (zero-cost) access for co-located server logic ------------
@@ -210,25 +213,24 @@ class ShardedKV:
             table.put(key, value)
 
     def local_get(self, key: str) -> bytes:
+        """Zero-cost get; the owner must be up."""
         return self._live_owner(key).table.get(key)
 
     def local_get_or_none(self, key: str) -> Optional[bytes]:
+        """Zero-cost get, ``None`` if absent; the owner must be up."""
         return self._live_owner(key).table.get_or_none(key)
 
     def local_delete(self, key: str) -> None:
+        """Zero-cost delete; the owner must be up."""
         self._live_owner(key).table.delete(key)
 
     def local_pscan(self, prefix: str) -> list[tuple[str, bytes]]:
         """Zero-cost prefix scan; same up-front liveness validation as
         :meth:`pscan`."""
-        self._check_all_up()
-        merged: list[tuple[str, bytes]] = []
-        for inst in self._instances:
-            merged.extend(inst.table.pscan(prefix))
-        merged.sort()  # full-pair sort: order must not depend on shard order
-        return merged
+        return list(self._merged_scan(prefix))
 
     def total_keys(self) -> int:
+        """Keys held over all shards, up or not."""
         return sum(len(i.table) for i in self._instances)
 
     # -- §4.1.2 failure scenarios -----------------------------------------

@@ -1,10 +1,13 @@
 """Tests for the scenario kit (``repro.bench.setups``)."""
 
 import ast
+import gc
+import weakref
 from pathlib import Path
 
 import pytest
 
+from repro.bench import setups
 from repro.bench.setups import (
     add_diesel,
     add_lustre,
@@ -113,6 +116,23 @@ class TestBulkLoads:
             assert chunk.encode() == blob
             for path in chunk.paths:
                 assert chunk.payload(path) == files[path]
+
+    @pytest.mark.parametrize("threshold,freed", [(1024, True), (1 << 30, False)])
+    def test_a_large_load_frees_a_dropped_testbed(
+        self, monkeypatch, threshold, freed
+    ):
+        # A testbed is cyclic: once dropped, only a full collection frees
+        # it.  A load of at least the threshold runs one; a smaller does not.
+        monkeypatch.setattr(setups, "COLLECT_BEFORE_LOAD_BYTES", threshold)
+        gc.collect()
+        gc.disable()
+        try:
+            store = weakref.ref(deploy(1, "old", FILES, 4096).store)
+            assert store() is not None
+            deploy(1, "new", FILES, 4096)
+            assert (store() is None) is freed
+        finally:
+            gc.enable()
 
     def test_snapshot_client_preloaded(self):
         tb = deploy(1, "ds", {"/a": b"123"})

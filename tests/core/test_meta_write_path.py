@@ -194,13 +194,14 @@ class TestWorkIsCountedNotTimed:
             hashed[0] += sum(map(len, tails))
             return fnv_many(tails, states)
 
+        monkeypatch.setattr(hashing, "fnv1a_64", counted)
         for module in (hashing, server_module):
-            monkeypatch.setattr(module, "fnv1a_64", counted)
             monkeypatch.setattr(module, "fnv1a_64_many", counted_many)
         puts = counting(monkeypatch, KVTable, "put")
         dep.server.ingest_metadata(DS, chunk)
-        # The chunk's keys are hashed in one kernel call, not key by key.
-        assert batches[0] == 1
+        # Two kernel calls, not a hash per key or per directory: one over
+        # the new directories' key prefixes, one over the chunk's keys.
+        assert batches[0] == 2
         # Two keys per file (its record, its directory entry) are hashed
         # for their KV slot over the basename alone, each continuing a
         # state its directory's keys share; every directory — the eight

@@ -76,6 +76,12 @@ class TestListing:
                     break
             assert walked == sorted(names)
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_is_rejected(self, limit):
+        _, reg, _ = self.populated()
+        with pytest.raises(ValueError):
+            reg.list_page(limit=limit)
+
     def test_page_is_globally_sorted_across_shards(self):
         _, reg, names = self.populated(n=40, n_shards=16)
         page, _ = reg.list_page(limit=10)

@@ -1,6 +1,9 @@
 """Tests for the DIESEL server: ingest, reads, request executor,
 housekeeping."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import meta
@@ -12,6 +15,7 @@ from repro.errors import (
     DatasetNotFoundError,
     DieselError,
     FileNotFoundInDatasetError,
+    ShardUnavailableError,
 )
 from repro.util.ids import ChunkIdGenerator
 
@@ -436,3 +440,87 @@ class TestMultiServer:
         assert read_via(0, path) == files[path]
         assert read_via(1, path) == files[path]
         assert read_via(2, path) == files[path]
+
+
+class TestSnapshotReuse:
+    """``build_snapshot`` hands back the snapshot it last assembled for a
+    dataset while no KV write has happened since and a holder still
+    references it; anything else assembles a fresh one."""
+
+    def loaded(self):
+        dep = build_deployment()
+        write_dataset(dep, "ds", small_files(20))
+        return dep
+
+    @staticmethod
+    def paths(snapshot):
+        return {f.path for f in snapshot.files}
+
+    def test_unchanged_dataset_shares_one_snapshot(self):
+        dep = self.loaded()
+        first = dep.server.build_snapshot("ds")
+        assert dep.server.build_snapshot("ds") is first
+
+    def test_ingest_between_builds_yields_a_fresh_snapshot(self):
+        dep = self.loaded()
+        first = dep.server.build_snapshot("ds")
+        write_dataset(dep, "ds", {"/extra/new.jpg": b"n" * 64})
+        second = dep.server.build_snapshot("ds")
+        assert second.update_ts > first.update_ts
+        assert self.paths(second) == self.paths(first) | {"/extra/new.jpg"}
+
+    def test_kv_delete_between_builds_yields_a_fresh_snapshot(self):
+        dep = self.loaded()
+        first = dep.server.build_snapshot("ds")
+        victim = first.files[0].path
+        dep.kv.local_delete(meta.file_key("ds", victim))
+        second = dep.server.build_snapshot("ds")
+        assert self.paths(second) == self.paths(first) - {victim}
+
+    def test_lost_and_restarted_shard_yields_a_fresh_snapshot(self):
+        dep = self.loaded()
+        first = dep.server.build_snapshot("ds")
+        ds_owner = dep.kv.owner(meta.dataset_key("ds"))
+        lost = next(
+            dep.kv.owner(meta.file_key("ds", f.path))
+            for f in first.files
+            if dep.kv.owner(meta.file_key("ds", f.path)) is not ds_owner
+        )
+        dep.kv.lose_instance(dep.kv.instances.index(lost))
+        lost.restart()
+        second = dep.server.build_snapshot("ds")
+        assert self.paths(second) < self.paths(first)
+        assert self.paths(second) == {
+            f.path for f in first.files
+            if dep.kv.owner(meta.file_key("ds", f.path)) is not lost
+        }
+
+    def test_down_shard_raises_on_a_would_be_hit(self):
+        dep = self.loaded()
+        first = dep.server.build_snapshot("ds")
+        dep.kv.instances[1].node.kill()
+        with pytest.raises(ShardUnavailableError):
+            dep.server.build_snapshot("ds")
+        assert first.files
+
+    def test_last_holder_frees_the_snapshot(self):
+        dep = self.loaded()
+        snapshot = dep.server.build_snapshot("ds")
+        files = snapshot.files
+        ref = weakref.ref(snapshot)
+        del snapshot
+        gc.collect()
+        assert ref() is None
+        again = dep.server.build_snapshot("ds")
+        assert again.files == files
+
+
+class TestListDatasets:
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_is_rejected(self, limit):
+        dep = build_deployment()
+        write_dataset(dep, "ds", small_files(4))
+        with pytest.raises(ValueError):
+            dep.run(dep.server.call(
+                dep.client_nodes[0], "list_datasets", None, limit
+            ))

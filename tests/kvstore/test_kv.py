@@ -25,6 +25,18 @@ class TestKVTable:
         with pytest.raises(KeyNotFoundError):
             t.delete("a")
 
+    def test_every_mutation_counts_as_a_write(self):
+        t = KVTable()
+        t.put("a", b"1")
+        t.put("a", b"1")  # an overwrite with the same value still counts
+        t.get("a")
+        t.pscan("")
+        assert t.writes == 2
+        t.delete("a")
+        assert t.writes == 3
+        t.clear()
+        assert t.writes == 4
+
     def test_get_or_none(self):
         t = KVTable()
         assert t.get_or_none("missing") is None

@@ -1,6 +1,10 @@
 """Cursor-based paginated pscan: per-table and sharded."""
 
+import heapq
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kvstore import KVTable
 
@@ -139,3 +143,101 @@ class TestSkipDeadDeterminism:
             if cursor is None:
                 break
         assert walked == kv.local_pscan("k/")
+
+
+class TestLimitAtLeastOne:
+    """A page holds one pair or more: ``limit < 1`` is an error, not a
+    page of one pair plus a cursor."""
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_table_rejects(self, limit):
+        t = KVTable()
+        t.put("a1", b"")
+        with pytest.raises(ValueError):
+            t.pscan("a", limit)
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_sharded_page_rejects(self, limit):
+        _, kv, _ = TestShardedPages().populated(10)
+        with pytest.raises(ValueError):
+            kv.local_pscan_page("k/", limit=limit)
+
+
+def eager_page(kv, prefix, cursor, limit):
+    """The eager page algorithm, kept as the reference: every shard
+    materializes up to ``limit`` pairs past ``cursor``, the pages are
+    merged on the full pair and truncated, and a full page's last key
+    is the cursor."""
+    parts = []
+    for inst in kv.instances:
+        keys = sorted(
+            k for k in inst.table.keys()
+            if k.startswith(prefix) and (cursor is None or k > cursor)
+        )
+        parts.append([(k, inst.table.get(k)) for k in keys[:limit]])
+    page = list(heapq.merge(*parts))[:limit]
+    return page, (page[-1][0] if len(page) >= limit else None)
+
+
+class CountingDict(dict):
+    """A table's pair store that counts the values read out of it."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+class TestOnePassPage:
+    """``local_pscan_page`` merges the shards' lazy scans and stops at
+    ``limit``: the same pages and cursors as the eager algorithm, each
+    page read in one pass."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        keys=st.sets(st.text(alphabet="ab/", max_size=5), max_size=40),
+        n_shards=st.integers(1, 16),
+        limit=st.integers(1, 9),
+        prefix=st.sampled_from(["", "a", "b/", "ab"]),
+        start=st.one_of(st.none(), st.text(alphabet="ab/", max_size=4)),
+        dup=st.integers(0, 15),
+    )
+    def test_pages_equal_the_eager_reference(
+        self, keys, n_shards, limit, prefix, start, dup
+    ):
+        _, _, kv, _ = build_cluster(n_instances=n_shards)
+        for key in sorted(keys):
+            kv.local_put(key, key.encode()[::-1])
+        if keys and n_shards > 1:
+            # One key on a second shard too, its value sorting first.
+            key = sorted(keys)[dup % len(keys)]
+            other = kv.instances[
+                (kv.instances.index(kv.owner(key)) + 1) % n_shards
+            ]
+            other.table.put(key, b"")
+        cursor = start  # a mid-scan cursor that need not be a key
+        while True:
+            page, next_cursor = kv.local_pscan_page(prefix, cursor, limit)
+            assert (page, next_cursor) == eager_page(kv, prefix, cursor, limit)
+            if next_cursor is None:
+                break
+            cursor = next_cursor
+
+    @pytest.mark.parametrize("n_shards,limit", [(1, 4), (4, 8), (8, 5), (16, 3)])
+    def test_each_page_reads_at_most_limit_plus_shards(self, n_shards, limit):
+        _, _, kv, _ = build_cluster(n_instances=n_shards)
+        fill(kv, 400, kv.local_put)
+        stores = []
+        for inst in kv.instances:
+            inst.table._data = CountingDict(inst.table._data)
+            stores.append(inst.table._data)
+        cursor, pages = None, 0
+        while True:
+            before = sum(d.reads for d in stores)
+            page, cursor = kv.local_pscan_page("k/", cursor, limit)
+            assert sum(d.reads for d in stores) - before <= limit + n_shards
+            pages += 1
+            if cursor is None:
+                break
+        assert pages == 400 // limit + 1
