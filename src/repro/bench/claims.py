@@ -365,20 +365,14 @@ def _faults(r: Result) -> Claims:
 
 
 def _locality(r: Result) -> Claims:
-    loc, hsh = r.one(placement="locality"), r.one(placement="hash")
-    storm = r.one(event="pull_storm")
-    epoch = (loc["epoch_read_s"], hsh["epoch_read_s"])
-    local = (loc["span_local"], loc["cache_local_hits"])
+    hsh, storm = r.rows[0], r.one(event="pull_storm")
+    local = (hsh["span_local"], hsh["cache_local_hits"])
     remote = (hsh["span_remote"], hsh["cache_remote_hits"])
     coalesced, dup = storm["coalesced_pulls"], storm["duplicate_backend_fetches"]
     return _claims(
-        ("locality placement: >= 90% of epoch hits node-local",
-         loc["local_frac"] >= 0.9, loc["local_frac"]),
         ("hash placement: node-local hits ~1/nodes",
-         hsh["local_frac"] <= 1.5 / loc["nodes"], hsh["local_frac"]),
-        ("skipping the network hop makes the epoch faster", epoch[0] < epoch[1],
-         epoch),
-        ("spans attribute every local hit (locality)", local[0] == local[1], local),
+         hsh["local_frac"] <= 1.5 / hsh["nodes"], hsh["local_frac"]),
+        ("spans attribute every local hit (hash)", local[0] == local[1], local),
         ("spans attribute every remote hit (hash)", remote[0] == remote[1], remote),
         ("pull storm: pulls coalesce in flight", coalesced > 0, coalesced),
         ("pull storm: one backend fetch per chunk", dup == 0, dup),

@@ -1577,17 +1577,15 @@ def fig_locality(
     group_size: int = 2,
     storm_clients: int = 6,
 ) -> ExperimentResult:
-    """Locality-aware placement vs the hash ring (§4.2, Hoard layout).
+    """Node-local hits under the hash ring, and a pull storm (§4.2).
 
     Two phases on a balanced multi-node task:
 
-    1. **Placement** — the same warmed task cache under ``hash`` and
-       ``locality`` placement serves one affinity-scheduled epoch from
-       p workers (one per node).  Under ``hash`` every node owns ~1/p
-       of the chunks, so ~(p−1)/p of hits pay the cross-node RPC hop;
-       under ``locality`` each worker's shard is co-located with its
-       own master and hits are node-local memory copies.  Reports the
-       local-hit fraction and the epoch read time for both.
+    1. **Ring reads** — a warmed task cache serves one scheduled epoch
+       from p workers (one per node).  The ring deals every node ~1/p
+       of the chunks, so ~1/p of hits are node-local memory copies and
+       the rest pay the one-hop peer RPC.  Reports the local-hit
+       fraction and the epoch read time.
     2. **Pull storm** — n clients fault every chunk of a cold
        on-demand cache concurrently; the per-master single-flight map
        coalesces them so the backend sees exactly one fetch per chunk
@@ -1595,46 +1593,40 @@ def fig_locality(
     """
 
     result = ExperimentResult(
-        "locality-aware cache placement",
-        "§4.2 placement + affinity scheduling + pull coalescing",
+        "hash-ring cache placement",
+        "§4.2 hash-ring placement + pull coalescing",
     )
     files = {
         f"/ds/f{i:05d}.jpg": b"\x3c" * file_size for i in range(n_files)
     }
     with timer(result):
-        # ---------------------------------------- phase 1: placement
-        epoch_elapsed = {}
-        for placement in ("hash", "locality"):
-            tb = deploy(n_nodes, "ds", files, chunk_size, n_servers=1)
-            task = warmed_task(
-                tb, "ds", tb.compute_nodes, f"{placement}-c",
-                placement=placement, group_size=group_size, seed=7,
-            )
-            cache = task.cache
-            recorder = SpanRecorder.attach(cache)
-            scheduler = task.scheduler()
-            elapsed = epoch_elapsed[placement] = tb.timed(
-                task.read(w, scheduler.shard(0, w).files) for w in range(n_nodes)
-            )
-            stats = cache.stats
-            served = stats.local_hits + stats.remote_hits
-            local_frac = stats.local_hits / served if served else 0.0
-            spans = recorder.to_dict()
-            result.add(
-                placement=placement, nodes=n_nodes, files=len(files),
-                epoch_read_s=elapsed, local_frac=local_frac,
-                span_local=spans.get("cache_read_local_master_n", 0),
-                span_remote=spans.get("cache_read_task_cache_n", 0),
-                **stats_row(stats, prefix="cache_"),
-            )
-            result.note(
-                f"{placement}: {stats.local_hits}/{served} local hits "
-                f"({local_frac:.0%}), epoch read {elapsed * 1e3:.2f}ms"
-            )
+        # ---------------------------------------- phase 1: ring reads
+        tb = deploy(n_nodes, "ds", files, chunk_size, n_servers=1)
+        task = warmed_task(
+            tb, "ds", tb.compute_nodes, "hash-c",
+            group_size=group_size, seed=7,
+        )
+        cache = task.cache
+        recorder = SpanRecorder.attach(cache)
+        scheduler = task.scheduler()
+        elapsed = tb.timed(
+            task.read(w, scheduler.shard(0, w).files) for w in range(n_nodes)
+        )
+        stats = cache.stats
+        served = stats.local_hits + stats.remote_hits
+        local_frac = stats.local_hits / served if served else 0.0
+        spans = recorder.to_dict()
+        result.add(
+            **{"placement": "hash"},  # the row's label: the ring is the one deal
+            nodes=n_nodes, files=len(files),
+            epoch_read_s=elapsed, local_frac=local_frac,
+            span_local=spans.get("cache_read_local_master_n", 0),
+            span_remote=spans.get("cache_read_task_cache_n", 0),
+            **stats_row(stats, prefix="cache_"),
+        )
         result.note(
-            "locality epoch read time at "
-            f"{epoch_elapsed['locality'] / epoch_elapsed['hash']:.0%} "
-            "of hash placement"
+            f"hash: {stats.local_hits}/{served} local hits "
+            f"({local_frac:.0%}), epoch read {elapsed * 1e3:.2f}ms"
         )
 
         # --------------------------------------- phase 2: pull storm
@@ -1642,7 +1634,7 @@ def fig_locality(
         task = make_task(
             tb, "ds",
             [tb.compute_nodes[c % n_nodes] for c in range(storm_clients)], "s",
-            policy="on-demand", placement="locality",
+            policy="on-demand",
         )
         cache, storm = task.cache, task.clients
         warm(tb, [task], wait_warm=False)

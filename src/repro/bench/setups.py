@@ -281,7 +281,7 @@ def make_task(
     ``<name><i>`` of rank ``i`` per entry (a node may repeat), one
     :class:`TaskCache` spanning them with the caller's ``cache``
     keywords (:func:`build_sweep_task`'s ``group_size`` / ``seed``; the
-    rest — ``policy``, ``placement``, ``shared``, ``tenant`` — go to
+    rest — ``policy``, ``shared``, ``tenant`` — go to
     :class:`TaskCache`).
     ``task.clients`` / ``task.cache.clients`` are the DIESEL clients and
     their cache identities, in ``nodes`` order."""

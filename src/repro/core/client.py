@@ -784,13 +784,8 @@ class DieselClient:
             raise DieselError("call enable_shuffle() first")
         rng = random.Random(self._epoch_seed(seed))
         self._epoch += 1
-        # Under locality placement, build owner-aligned groups so the
-        # affinity scheduler can pin each group to its co-located worker.
-        cache = self._cache
-        owner_of = cache.affinity_owner_of if cache is not None else None
         plan = chunkwise_shuffle(
-            self.index.files_by_chunk(), self._window.group_size, rng,
-            owner_of=owner_of,
+            self.index.files_by_chunk(), self._window.group_size, rng
         )
         if self.config.prefetch_depth > 0:
             self.start_prefetch(plan)

@@ -19,9 +19,7 @@ from typing import Any, Dict, Generator, Optional, Sequence
 
 from repro.core.dist_cache.master import CacheClient, CacheMaster, CacheMasterStats
 from repro.core.dist_cache.membership import Membership
-from repro.core.dist_cache.placement import (
-    LOCALITY_SPILL_RATIO, PLACEMENTS, Placement,
-)
+from repro.core.dist_cache.placement import Placement
 from repro.core.dist_cache.reads import ReadChain
 from repro.core.prefetch import WindowStats
 from repro.core.server import DieselServer
@@ -79,7 +77,6 @@ class TaskCache(ReadChain, Membership, Placement):
         dataset: str,
         clients: Sequence[CacheClient],
         policy: str = "oneshot",
-        placement: str = "hash",
         shared=None,
         tenant: str = "default",
     ) -> None:
@@ -87,8 +84,6 @@ class TaskCache(ReadChain, Membership, Placement):
             raise DieselError("a task cache needs at least one client")
         if policy not in ("oneshot", "on-demand"):
             raise DieselError(f"unknown cache policy {policy!r}")
-        if placement not in PLACEMENTS:
-            raise DieselError(f"unknown cache placement {placement!r}")
         names = [c.name for c in clients]
         if len(set(names)) != len(names):
             raise DieselError("client names must be unique")
@@ -97,10 +92,6 @@ class TaskCache(ReadChain, Membership, Placement):
         self.server = server
         self.dataset = dataset
         self.policy = policy
-        #: Chunk-placement policy: ``hash`` (round-robin ring) or
-        #: ``locality`` (co-located contiguous slices, ring spill);
-        #: only :mod:`.placement` reads it.
-        self.placement = placement
         #: Node chunk-tier registry every master of this task admits
         #: through (:class:`~repro.core.shared_cache.SharedCacheRegistry`).
         #: A task given none builds its own — one tenant, one task, RAM
@@ -202,10 +193,7 @@ class TaskCache(ReadChain, Membership, Placement):
         summary = yield from self.server.call(leader.node, "register", self.dataset)
         self.task_key = self.shared.next_task_id()
         master_list = self._elect_masters(self.clients)
-        self._deal(
-            summary["chunk_ids"], master_list,
-            summary.get("chunk_sizes") or {},
-        )
+        self._deal(summary["chunk_ids"], master_list)
         self._mesh()
         if self.policy == "oneshot":
             for m in master_list:

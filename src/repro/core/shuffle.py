@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from repro.util.ids import ChunkId
 
@@ -36,22 +36,10 @@ def full_shuffle(paths: Sequence[str], rng: random.Random) -> list[str]:
 
 @dataclass(frozen=True)
 class ShuffleGroup:
-    """One group of the epoch plan: its chunks and its shuffled files.
-
-    ``owner`` names the cache-master node holding every chunk of the
-    group when the plan was built owner-bucketed (locality placement);
-    ``None`` means the group spans owners (or ownership is unknown) and
-    carries no scheduling affinity.
-    """
+    """One group of the epoch plan: its chunks and its shuffled files."""
 
     chunk_ids: tuple[ChunkId, ...]
     files: tuple[str, ...]
-    owner: Optional[str] = None
-
-    def working_set_bytes(self, chunk_sizes: Mapping[ChunkId, int]) -> int:
-        """Bytes the group's chunks occupy: a reader's §4.3 working set
-        while it drains this group."""
-        return sum(chunk_sizes[c] for c in self.chunk_ids)
 
 
 @dataclass(frozen=True)
@@ -61,9 +49,8 @@ class EpochPlan:
     ``files`` is the flat read order handed to the training framework;
     ``groups`` drives the client's chunk prefetch/evict schedule.
     Only :func:`chunkwise_shuffle` and :meth:`partition` build one, and
-    a drawn plan is never rewritten: a membership change leaves its
-    ``owner`` tags stale (affinity only), never its reads — each read
-    resolves against whoever owns the chunk at read time.
+    a drawn plan is never rewritten: each read resolves against whoever
+    owns the chunk at read time.
     """
 
     groups: tuple[ShuffleGroup, ...]
@@ -88,31 +75,22 @@ class EpochPlan:
         return sum(len(g.files) for g in self.groups)
 
     def partition(
-        self,
-        n_workers: int,
-        rng: random.Random,
-        affinity: Optional[Mapping[str, int]] = None,
+        self, n_workers: int, rng: random.Random
     ) -> list["EpochPlan"]:
         """Split the epoch's groups across ``n_workers`` concurrent readers.
 
-        ``affinity`` maps a group owner (cache-master node name) to a
-        worker index: owned groups are pinned to that worker, so under
-        locality placement each worker reads the chunks its own node's
-        master holds.  Groups without a mapped owner are dealt to the
-        least-loaded worker (by file count, deterministic tie-break).
-        Every worker's group order is then permuted with ``rng`` — the
-        per-epoch randomness that keeps the Fig 13 shuffle contract even
-        though the group→worker mapping is ownership-driven.
+        Groups are dealt in plan order to the least-loaded worker (by
+        file count, deterministic tie-break), and every worker's group
+        order is then permuted with ``rng``.  The plan is drawn afresh
+        each epoch, so each worker's shard is a new file set every epoch
+        (the §4.3 shuffle contract).
         """
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        affinity = affinity or {}
         shards: list[list[ShuffleGroup]] = [[] for _ in range(n_workers)]
         loads = [0] * n_workers
         for g in self.groups:
-            w = affinity.get(g.owner) if g.owner is not None else None
-            if w is None or not 0 <= w < n_workers:
-                w = min(range(n_workers), key=lambda i: (loads[i], i))
+            w = min(range(n_workers), key=lambda i: (loads[i], i))
             shards[w].append(g)
             loads[w] += len(g.files)
         for shard in shards:
@@ -124,55 +102,25 @@ def chunkwise_shuffle(
     files_by_chunk: Mapping[ChunkId, Sequence[str]],
     group_size: int,
     rng: random.Random,
-    owner_of: Optional[Callable[[ChunkId], Optional[str]]] = None,
 ) -> EpochPlan:
     """Generate one epoch's chunk-wise shuffled order (Fig 8).
 
     ``files_by_chunk`` maps each chunk to its *live* file paths (deleted
     files excluded by the caller).  Chunks with no live files are skipped.
-
-    ``owner_of`` (locality placement) maps a chunk to the cache-master
-    node holding it.  When given, step 1 shuffles chunk IDs *within each
-    owner's bucket* so every group's chunks share one owner (recorded as
-    :attr:`ShuffleGroup.owner`), and the global group order is shuffled
-    afterwards.  File order within groups and group order across the
-    epoch stay random — only the group↔owner alignment is constrained,
-    which is what lets the affinity scheduler land each group's reads on
-    its local master.
     """
     if group_size < 1:
         raise ValueError("group_size must be >= 1")
     chunk_ids = [cid for cid, files in files_by_chunk.items() if files]
     chunk_ids.sort()  # deterministic base order before shuffling
-    if owner_of is None:
-        rng.shuffle(chunk_ids)  # step 1: shuffle chunk IDs
-        buckets = [(None, chunk_ids)]
-    else:
-        by_owner: dict[Optional[str], list[ChunkId]] = {}
-        for cid in chunk_ids:
-            by_owner.setdefault(owner_of(cid), []).append(cid)
-        # Deterministic bucket order (None last), shuffled within.
-        keys = sorted((k for k in by_owner if k is not None))
-        if None in by_owner:
-            keys.append(None)
-        buckets = []
-        for key in keys:
-            bucket = by_owner[key]
-            rng.shuffle(bucket)  # step 1, per owner
-            buckets.append((key, bucket))
+    rng.shuffle(chunk_ids)  # step 1: shuffle chunk IDs
     groups: list[ShuffleGroup] = []
-    for owner, bucket in buckets:
-        for start in range(0, len(bucket), group_size):  # step 2: split
-            group_chunks = bucket[start : start + group_size]
-            pooled: list[str] = []
-            for cid in group_chunks:
-                pooled.extend(files_by_chunk[cid])
-            rng.shuffle(pooled)  # step 3: shuffle files within the group
-            groups.append(
-                ShuffleGroup(tuple(group_chunks), tuple(pooled), owner)
-            )
-    if owner_of is not None:
-        rng.shuffle(groups)  # owner buckets must not imply epoch order
+    for start in range(0, len(chunk_ids), group_size):  # step 2: split
+        group_chunks = chunk_ids[start : start + group_size]
+        pooled: list[str] = []
+        for cid in group_chunks:
+            pooled.extend(files_by_chunk[cid])
+        rng.shuffle(pooled)  # step 3: shuffle files within the group
+        groups.append(ShuffleGroup(tuple(group_chunks), tuple(pooled)))
     return EpochPlan(tuple(groups))
 
 

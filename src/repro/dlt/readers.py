@@ -36,56 +36,37 @@ SHUFFLE_PER_FILE_S = 60e-9
 
 
 class EpochScheduler:
-    """Task-wide affinity epoch scheduler (§4.3 meets §4.2 placement).
+    """Task-wide epoch scheduler (§4.3 over the §4.2 ring).
 
     A multi-worker task draws **one** chunk-wise plan per epoch and
-    splits it into per-worker shards.  With a locality-placed
-    :class:`~repro.core.dist_cache.TaskCache` attached, the plan is
-    owner-bucketed and each shuffle group is pinned to the worker
-    co-located with the master owning its chunks — so steady-state
-    reads are node-local memory copies — while the group order inside
-    every shard is still permuted per epoch (the Fig 13 shuffle
-    contract).  Without a cache (or under hash placement) shards are
-    dealt least-loaded, reproducing a plain balanced split.
-
-    Shards are built lazily per epoch and cached, so workers may call
-    :meth:`shard` out of order; ``worker_nodes[i]`` names the node
-    worker *i* runs on (the affinity key).  A shard is built once: a
-    membership change after it was drawn stales only its affinity.
+    splits it into per-worker shards, dealt least-loaded: each epoch's
+    shards partition the live files, and a fresh draw gives each worker
+    a new file set every epoch (the Fig 13 shuffle contract).  Shards
+    are built lazily per epoch and kept as drawn, so workers may call
+    :meth:`shard` out of order.
     """
 
     def __init__(
         self,
         files_by_chunk: Mapping,
         group_size: int,
-        worker_nodes: Sequence[str],
-        cache=None,
+        n_workers: int,
         seed: int = 0,
     ) -> None:
         if group_size < 1:
             raise DieselError("group_size must be >= 1")
-        if not worker_nodes:
-            raise DieselError("need at least one worker node")
+        if n_workers < 1:
+            raise DieselError("need at least one worker")
         self._files_by_chunk = dict(files_by_chunk)
         self._group_size = group_size
-        self._worker_nodes = list(worker_nodes)
-        self._cache = cache
+        self.n_workers = n_workers
         self._seed = seed
         self._shards: Dict[int, List[EpochPlan]] = {}
-
-    @property
-    def n_workers(self) -> int:
-        """Workers the plan is split over, one shard each."""
-        return len(self._worker_nodes)
 
     @property
     def group_size(self) -> int:
         """Chunks per shuffle group — a reader's §4.3 working set."""
         return self._group_size
-
-    def affinity(self) -> Dict[str, int]:
-        """Owner-node → worker-index map for ``EpochPlan.partition``."""
-        return {name: i for i, name in enumerate(self._worker_nodes)}
 
     def shard(self, epoch: int, worker: int) -> EpochPlan:
         """This worker's slice of the epoch's shared plan, built the
@@ -103,13 +84,8 @@ class EpochScheduler:
         # Seed mixing mirrors DieselClient._epoch_seed: the epoch
         # sequence is reproducible, successive epochs differ.
         rng = random.Random(hash((self._seed, epoch)))
-        cache = self._cache
-        owner_of = cache.affinity_owner_of if cache is not None else None
-        affinity = self.affinity() if owner_of is not None else None
-        plan = chunkwise_shuffle(
-            self._files_by_chunk, self._group_size, rng, owner_of=owner_of
-        )
-        return plan.partition(self.n_workers, rng, affinity=affinity)
+        plan = chunkwise_shuffle(self._files_by_chunk, self._group_size, rng)
+        return plan.partition(self.n_workers, rng)
 
 
 class CacheReader:
@@ -117,8 +93,7 @@ class CacheReader:
 
     Epoch order comes from the shared
     :class:`EpochScheduler` — this worker's shard
-    of the task-wide plan, affinity-pinned to the co-located cache
-    master under locality placement.  §4.2 and §4.3 compose here: files
+    of the task-wide plan.  §4.2 and §4.3 compose here: files
     are served out of a :class:`~repro.core.prefetch.ChunkWindow` holding
     the current shuffle group's chunks plus one group of look-ahead
     (≤ 2 × group size chunks), filled through

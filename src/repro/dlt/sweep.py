@@ -47,14 +47,11 @@ class SweepTask:
         return self.clients[0].index
 
     def scheduler(self) -> EpochScheduler:
-        """The task's affinity scheduler: one owner-aligned shard per
-        worker per epoch (requires a registered cache)."""
+        """The task's epoch scheduler: one shard per worker per epoch,
+        drawn afresh each epoch."""
         return EpochScheduler(
-            self.index.files_by_chunk(),
-            self.group_size,
-            [c.node.name for c in self.clients],
-            cache=self.cache,
-            seed=self.seed,
+            self.index.files_by_chunk(), self.group_size,
+            len(self.clients), self.seed,
         )
 
     def read(self, w: int, paths) -> Generator[Event, Any, None]:
@@ -91,7 +88,7 @@ def build_sweep_task(
     ``clients`` are :class:`~repro.core.client.DieselClient` instances
     with the dataset snapshot loaded (one per worker).  ``cache`` is
     passed to :class:`~repro.core.dist_cache.TaskCache` as is
-    (``policy``, ``placement``, ``shared`` — the sweep-wide
+    (``policy``, ``shared`` — the sweep-wide
     :class:`~repro.core.shared_cache.SharedCacheRegistry`, None =
     task-private caches — and ``tenant``).  The cache is attached to
     every client so their ``DL_get`` path resolves through it.  ``env``

@@ -168,7 +168,7 @@ def run_task_training(
 ) -> Generator[Event, Any, List[TrainingResult]]:
     """Run one pipelined training job per task worker, concurrently.
 
-    The multi-worker execution model behind affinity epoch scheduling:
+    The multi-worker execution model behind task-wide epoch scheduling:
     each reader (typically a :class:`~repro.dlt.readers.CacheReader`
     bound to one worker's shard of the shared
     :class:`~repro.dlt.readers.EpochScheduler` plan) drives its own

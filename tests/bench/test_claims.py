@@ -26,7 +26,7 @@ PERTURB = {
     "faults": (1, "failed_reads", 1),
     "ingest": (0, "server_ingests", 23),
     "latency": (0, "get_server_n", 2),
-    "locality": (2, "duplicate_backend_fetches", 1),
+    "locality": (1, "duplicate_backend_fetches", 1),
     "metaplane": (1, "bit_identical", False),
     "prefetch": (3, "prefetch_misses", 1),
     "scale": (1, "reads", 999_999),

@@ -201,12 +201,11 @@ def _probe_nodes(tb):
 
 
 @pytest.mark.parametrize("nodes_of, registry_kwargs, specs", [
-    (_compute, None, [("c", dict(placement="hash"))]),
-    (_compute, None, [("c", dict(placement="locality"))]),
+    (_compute, None, [("c", {})]),
     (_compute, {}, [("c", dict(tenant="t0"))]),
     (_probe_nodes, dict(store="tiered", chunk_compression=True), [("p", {})]),
     (_compute, {}, [("a", dict(tenant="t0")), ("b", dict(tenant="t1"))]),
-], ids=["hash", "locality", "registry", "probe-nodes", "racing"])
+], ids=["hash", "registry", "probe-nodes", "racing"])
 def test_kit_task_equals_hand_assembly(nodes_of, registry_kwargs, specs):
     books = []
     for build in (_by_hand, _by_kit):
@@ -222,7 +221,7 @@ def test_kit_task_equals_hand_assembly(nodes_of, registry_kwargs, specs):
 
 def test_warmed_task_is_registered_warm_and_attached():
     tb = deploy(2, "ds", FILES, chunk_size=4096)
-    task = warmed_task(tb, "ds", tb.compute_nodes, "w", placement="locality")
+    task = warmed_task(tb, "ds", tb.compute_nodes, "w")
     assert task.cache.cached_chunks() == len(tb.chunks)
     assert [c.name for c in task.clients] == ["w0", "w1"]
     assert tb.run(task.clients[1].get("/f007")) == FILES["/f007"]

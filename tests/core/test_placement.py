@@ -1,22 +1,20 @@
-"""Tests for chunk-placement policies, pull coalescing and the successor
-rule."""
+"""Tests for the hash-ring chunk placement, pull coalescing and the
+successor rule."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-from repro.cluster import Node
-from repro.core.dist_cache import LOCALITY_SPILL_RATIO, CacheClient, TaskCache
+from repro.core.dist_cache import CacheClient, TaskCache
 from repro.errors import DieselError
 
-from tests.core.conftest import build_deployment, small_files, write_dataset
+from tests.core.conftest import build_deployment
 from tests.core.test_dist_cache import setup_cache as setup_dist_cache
 
 
-def setup_cache(n_nodes=3, placement="locality", **kw):
-    return setup_dist_cache(n_nodes, clients_per_node=1, placement=placement,
-                            **kw)
+def setup_cache(n_nodes=3, **kw):
+    return setup_dist_cache(n_nodes, clients_per_node=1, **kw)
 
 
 def paths_owned_by(cache, index, node_name):
@@ -30,14 +28,8 @@ def paths_owned_by(cache, index, node_name):
 
 
 class TestLocalityPlacement:
-    def test_contiguous_slices_per_master(self):
-        """Each master owns one contiguous run of the chunk list."""
-        dep, cache, *_ = setup_cache()
-        summary = dep.run(cache.register())
-        order = {cid: i for i, cid in enumerate(summary["chunk_ids"])}
-        for master in cache.masters.values():
-            idx = sorted(order[c] for c in master.assigned)
-            assert idx == list(range(idx[0], idx[0] + len(idx)))
+    """Read locality under the ring: a chunk its reader's own master
+    holds is a node-local copy, any other pays the one-hop peer RPC."""
 
     def test_every_chunk_has_one_owner(self):
         dep, cache, *_ = setup_cache()
@@ -45,16 +37,6 @@ class TestLocalityPlacement:
         for cid in summary["chunk_ids"]:
             assert cache.owner_of(cid) is cache._owner_of[cid]
             assert cache.chunk_owner_node(cid) == cache.owner_of(cid).node.name
-
-    def test_chunk_owner_node_accepts_chunk_ids(self):
-        dep, cache, _, _, index = setup_cache()
-        dep.run(cache.register())
-        for cid in index.files_by_chunk():
-            # ChunkId object and encoded string resolve identically.
-            assert cache.chunk_owner_node(cid) == cache.chunk_owner_node(
-                cid.encode()
-            )
-        assert cache.chunk_owner_node("nonexistent") is None
 
     def test_local_read_bypasses_the_network_hop(self):
         dep, cache, clients, files, index = setup_cache()
@@ -111,55 +93,7 @@ class TestLocalityPlacement:
         dep = build_deployment()
         c = CacheClient("x", dep.client_nodes[0], 0)
         with pytest.raises(DieselError):
-            TaskCache(dep.server, "ds", [c], placement="bogus")
-
-
-class TestLocalitySpill:
-    def _tight_setup(self, memory_bytes):
-        """Two client nodes, the first memory-tight; locality placement."""
-        dep = build_deployment(n_client_nodes=1)
-        tight = dep.fabric.add_node(
-            Node(dep.env, "aa-tight", memory_bytes=memory_bytes)
-        )
-        files = small_files(32, size=2048)
-        writer = write_dataset(dep, "ds", files, chunk_size=8 * 1024)
-        dep.load_meta(writer)
-        clients = [
-            CacheClient("c0", tight, 0),
-            CacheClient("c1", dep.client_nodes[0], 1),
-        ]
-        cache = TaskCache(dep.server, "ds", clients, placement="locality")
-        summary = dep.run(cache.register())
-        return dep, cache, summary
-
-    def test_spill_respects_memory_budget(self):
-        dep, cache, summary = self._tight_setup(memory_bytes=18 * 1024)
-        tight_master = cache.masters["aa-tight"]
-        budget = int(18 * 1024 * LOCALITY_SPILL_RATIO)
-        sizes = summary["chunk_sizes"]
-        assert sum(sizes[c] for c in tight_master.assigned) <= budget
-        # The overflow landed on the roomy node; nothing was dropped.
-        owned = {c for m in cache.masters.values() for c in m.assigned}
-        assert owned == set(summary["chunk_ids"])
-
-    def test_spill_is_deterministic(self):
-        """Two identical builds spill the same chunk *positions* the same way.
-
-        Chunk IDs are generation-unique, so compare by position in the
-        registration chunk list rather than by literal ID.
-        """
-
-        def shape(setup):
-            _, cache, summary = setup
-            order = {cid: i for i, cid in enumerate(summary["chunk_ids"])}
-            return {
-                node: sorted(order[c] for c in m.assigned)
-                for node, m in cache.masters.items()
-            }
-
-        a = shape(self._tight_setup(memory_bytes=18 * 1024))
-        b = shape(self._tight_setup(memory_bytes=18 * 1024))
-        assert a == b
+            TaskCache(dep.server, "ds", [c], policy="bogus")
 
 
 class TestPullCoalescing:
@@ -223,7 +157,6 @@ class TestLocalityRecovery:
     def test_survivor_partitions_are_untouched(self):
         (dep, cache, _, _, _, victim_chunks,
          survivor_slices, reloaded) = self._kill_and_recover()
-        assert cache.placement == "locality"
         assert reloaded == len(victim_chunks)
         for node, old_slice in survivor_slices.items():
             assert cache.masters[node].assigned[: len(old_slice)] == old_slice
@@ -259,8 +192,7 @@ class TestLocalityRecovery:
 
 
 def test_placement_is_the_one_ownership_seam():
-    """Outside ``core/dist_cache/placement.py`` nothing in ``src`` reads
-    the placement policy (compares against ``"locality"``) or writes
+    """Outside ``core/dist_cache/placement.py`` nothing in ``src`` writes
     ownership (``_owner_of`` / ``.assigned``) but an ``__init__``
     declaring the field."""
     src = Path(__file__).resolve().parents[2] / "src"
@@ -276,10 +208,8 @@ def test_placement_is_the_one_ownership_seam():
         declared = {id(n) for f in ast.walk(tree)
                     if getattr(f, "name", "") == "__init__" for n in f.body}
         for n in ast.walk(tree):
-            if isinstance(n, ast.Compare):
-                bad = "locality" in {getattr(c, "value", 0) for c in ast.walk(n)}
-            elif isinstance(n, (ast.Assign, ast.AnnAssign, ast.AugAssign,
-                                ast.Delete)):
+            if isinstance(n, (ast.Assign, ast.AnnAssign, ast.AugAssign,
+                              ast.Delete)):
                 targets = getattr(n, "targets", None) or [n.target]
                 bad = id(n) not in declared and any(map(owned, targets))
             else:

@@ -58,7 +58,6 @@ def build(config, ram_chunks, seed):
             [CacheClient(f"t{t}c{i}", node, i)
              for i, node in enumerate(nodes)],
             shared=registry, tenant=f"tenant{t}",
-            placement="locality" if seed % 3 == 0 else "hash",
         )
         for t in range(n_tasks)
     ]

@@ -120,7 +120,8 @@ class TestEpochPlan:
         chunk_sizes = {cid: 4_000_000 for cid in data}
         for group_size in (1, 5, 10):
             plan = chunkwise_shuffle(data, group_size, random.Random(0))
-            peak = max(g.working_set_bytes(chunk_sizes) for g in plan.groups)
+            peak = max(sum(chunk_sizes[c] for c in g.chunk_ids)
+                       for g in plan.groups)
             assert peak <= group_size * 4_000_000
 
     def test_file_count(self):
@@ -193,58 +194,7 @@ class TestMemoizedFiles:
         assert plan.files == [f for g in plan.groups for f in g.files]
 
 
-class TestOwnerBucketedShuffle:
-    def owner_of(self, cid):
-        # Deterministic 2-node ownership by chunk id parity.
-        return f"node{int(cid.encode()[-1], 32) % 2}"
-
-    def test_groups_are_single_owner(self):
-        data = make_dataset(n_chunks=12, files_per_chunk=4)
-        plan = chunkwise_shuffle(data, 3, random.Random(0),
-                                 owner_of=self.owner_of)
-        for g in plan.groups:
-            owners = {self.owner_of(c) for c in g.chunk_ids}
-            assert owners == {g.owner}
-
-    def test_still_a_permutation(self):
-        data = make_dataset(n_chunks=12, files_per_chunk=4)
-        plan = chunkwise_shuffle(data, 3, random.Random(0),
-                                 owner_of=self.owner_of)
-        assert sorted(plan.files) == sorted(
-            f for files in data.values() for f in files
-        )
-
-    def test_unknown_owner_groups_carry_none(self):
-        data = make_dataset(n_chunks=6, files_per_chunk=2)
-        plan = chunkwise_shuffle(data, 2, random.Random(0),
-                                 owner_of=lambda cid: None)
-        assert all(g.owner is None for g in plan.groups)
-
-    def test_without_owner_hook_groups_have_no_owner(self):
-        data = make_dataset(n_chunks=6, files_per_chunk=2)
-        plan = chunkwise_shuffle(data, 2, random.Random(0))
-        assert all(g.owner is None for g in plan.groups)
-
-    def test_epochs_differ_under_bucketing(self):
-        data = make_dataset(n_chunks=12, files_per_chunk=4)
-        p1 = chunkwise_shuffle(data, 3, random.Random(1),
-                               owner_of=self.owner_of).files
-        p2 = chunkwise_shuffle(data, 3, random.Random(2),
-                               owner_of=self.owner_of).files
-        assert p1 != p2
-
-
 class TestPartition:
-    def test_affinity_pins_owned_groups(self):
-        owner_of = TestOwnerBucketedShuffle().owner_of
-        data = make_dataset(n_chunks=12, files_per_chunk=4)
-        plan = chunkwise_shuffle(data, 3, random.Random(0), owner_of=owner_of)
-        affinity = {"node0": 0, "node1": 1}
-        shards = plan.partition(2, random.Random(0), affinity=affinity)
-        for w, shard in enumerate(shards):
-            for g in shard.groups:
-                assert affinity[g.owner] == w
-
     def test_partition_is_a_partition(self):
         data = make_dataset(n_chunks=10, files_per_chunk=5)
         plan = chunkwise_shuffle(data, 2, random.Random(0))

@@ -45,7 +45,7 @@ def make_files(seed, n=60, sizes=(600, 1500)):
     }
 
 
-def make_task(seed=0, placement="hash", store="ram", group_size=2,
+def make_task(seed=0, store="ram", group_size=2,
               n_nodes=3, n_files=60, file_sizes=(600, 1500),
               chunk_size=CHUNK):
     """A warmed task cache with one CacheReader per node.
@@ -69,7 +69,7 @@ def make_task(seed=0, placement="hash", store="ram", group_size=2,
         registry = SharedCacheRegistry(
             tb.env, store="tiered", chunk_compression=True)
     task = warmed_task(
-        tb, "ds", nodes, placement=placement, shared=registry,
+        tb, "ds", nodes, shared=registry,
         group_size=group_size, seed=seed,
     )
     return tb, task.cache, task.make_readers(), files, task.index
@@ -97,14 +97,11 @@ class TestWindowEpoch:
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
-        placement=st.sampled_from(["hash", "locality"]),
         store=st.sampled_from(["ram", "tiered"]),
         group_size=st.integers(1, 4),
     )
-    def test_epoch_matches_read_file(self, seed, placement, store,
-                                     group_size):
-        tb, cache, readers, files, index = make_task(
-            seed, placement, store, group_size)
+    def test_epoch_matches_read_file(self, seed, store, group_size):
+        tb, cache, readers, files, index = make_task(seed, store, group_size)
         # (client name, encoded cid, epoch) -> read_chunk calls.  A fetch
         # the read-ahead starts for the next epoch's shard counts there.
         fetched, current = {}, [0]
@@ -164,21 +161,6 @@ class TestWindowEpoch:
 
         tb.run(oracle())
 
-    def test_locality_epoch_is_all_node_local(self):
-        tb, cache, readers, files, index = make_task(placement="locality")
-
-        def epoch(reader):
-            order = yield from reader.begin_epoch(0)
-            for path in order:
-                yield from reader.read(path)
-
-        procs = [tb.env.process(epoch(r)) for r in readers]
-        tb.env.run(until=tb.env.all_of(procs))
-        assert cache.stats.local_hits == len(files)
-        assert cache.stats.remote_hits == 0
-        assert all(m.endpoint.stats.calls == 0
-                   for m in cache.masters.values())
-
     def test_out_of_plan_read_demand_fetches(self):
         tb, cache, readers, files, index = make_task()
         reader = readers[0]
@@ -197,7 +179,7 @@ class TestWindowEpoch:
         reader = readers[0]
         cid = next(
             c for c in index.chunk_ids()
-            if cache.chunk_owner_node(c) != reader.cache_client.node.name
+            if cache.chunk_owner_node(c.encode()) != reader.cache_client.node.name
         )
         owner = cache.owner_of(cid.encode())
         moved = tb.fabric.stats.bytes_moved
@@ -216,7 +198,7 @@ def remote_chunks(cache, reader, index):
     node = reader.cache_client.node.name
     by_owner = {}
     for cid in index.chunk_ids():
-        owner = cache.chunk_owner_node(cid)
+        owner = cache.chunk_owner_node(cid.encode())
         if owner != node:
             by_owner.setdefault(owner, []).append(cid.encode())
     return max(by_owner.items(), key=lambda kv: len(kv[1]))
@@ -548,8 +530,7 @@ class TestRollover:
         """Epoch 1 was drawn to read ahead before a node died: it is
         served as drawn, and its shards — the restarted node's too —
         still read every file once."""
-        tb, cache, readers, files, index = make_task(
-            placement="locality", group_size=2, n_files=120)
+        tb, cache, readers, files, index = make_task(group_size=2, n_files=120)
         node = readers[2].cache_client.node
         seen = []
 

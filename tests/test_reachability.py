@@ -63,8 +63,8 @@ KEEP = {
     "ChaosSchedule.slow_node": "(iii) fault injection",
     "ChaosSchedule.latency_spikes": "(iii) fault injection",
     "ShardedKV.lose_instance": "(iii) fault injection",
-    # (iv) the next benchmark's figure (ROADMAP item 3a)
-    "shuffle_quality": "(iv) ROADMAP item 3a names it as the figure to report",
+    # (iv) the next benchmark's figure (ROADMAP item 1)
+    "shuffle_quality": "(iv) ROADMAP item 1 names it as the figure to report",
 }
 
 
