@@ -555,22 +555,13 @@ class DieselServer:
         return self.access_keys.get(user) == key
 
     def _op_register(self, dataset: str) -> dict:
-        """Task registration: returns dataset summary for cache planning.
-
-        ``chunk_sizes`` lets capacity-aware placement (locality policy)
-        budget each node's partition in bytes rather than chunk counts.
-        """
+        """Task registration: returns dataset summary for cache planning."""
         rec = self._dataset_record(dataset)
-        sizes = {
-            c.encode(): self._chunk_record(dataset, c).size
-            for c in rec.chunk_ids
-        }
         self.stats.registrations += 1
         return {
             "dataset": dataset,
             "update_ts": rec.update_ts,
             "chunk_ids": [c.encode() for c in rec.chunk_ids],
-            "chunk_sizes": sizes,
         }
 
     def _op_save_meta(self, dataset: str) -> Generator[Event, Any, bytes]:
