@@ -405,27 +405,15 @@ def _sharing(r: Result) -> Claims:
                                            warm["chunks"])
     fetches = tuple(r.one(event="sweep", tasks=n)["backend_chunk_fetches"]
                     for n in (16, 1))
-    cap = r.one(event="quota_pressure")
-    usage = (cap["tenant_usage_bytes"], cap["quota_bytes"])
     return _claims(
         ("a warm register takes < 25% of the cold warmup", ratio < 0.25, ratio),
         ("every warm admission is a refcount bump, no backend I/O",
          admitted[0] == admitted[1], admitted),
         ("16 tasks fetch <= 1.2x one task's chunks",
          fetches[0] <= 1.2 * fetches[1], fetches),
-        ("every sweep within quota", all(x["quota_ok"] for x in sweep),
-         _col(sweep, "quota_ok")),
-        ("every sweep's node usage <= quota",
-         all(x["max_node_usage_bytes"] <= x["quota_bytes"] for x in sweep),
-         _col(sweep, "max_node_usage_bytes")),
         ("refcounts track every task: tasks x chunks refs",
          all(x["shared_refs"] == x["tasks"] * x["chunks"] for x in sweep),
          _col(sweep, "shared_refs")),
-        ("the capped tenant is refused past its quota",
-         cap["shared_quota_rejections"] > 0, cap["shared_quota_rejections"]),
-        ("the capped tenant stays within quota", cap["quota_ok"], cap["quota_ok"]),
-        ("the capped tenant's usage never crosses its quota", usage[0] <= usage[1],
-         usage),
     )
 
 

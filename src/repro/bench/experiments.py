@@ -1872,7 +1872,6 @@ def model_selection(
     n_nodes: int = 4,
     chunk_size: int = 64 * KB,
     task_counts: Sequence[int] = (1, 2, 4, 8, 16),
-    constrained_fraction: float = 0.5,
 ) -> ExperimentResult:
     """Cross-task shared chunk tier under a model-selection sweep.
 
@@ -1881,7 +1880,7 @@ def model_selection(
     through one node-level
     :class:`~repro.core.shared_cache.SharedCacheRegistry`, so the
     dataset is fetched from the object store once per (node, chunk) no
-    matter how many tasks run.  Three phases:
+    matter how many tasks run.  Two phases:
 
     1. **Warm register** — task A warms the dataset cold, then task B
        registers the same dataset: B's warmup admits from A's resident
@@ -1890,31 +1889,23 @@ def model_selection(
     2. **Sweep scaling** — for each N in ``task_counts``, N concurrent
        tasks register and train one epoch.  Backend chunk fetches stay
        ~constant in N (cross-task admission + cross-task single-flight
-       on the racing warmups); per-tenant usage is reported against a
-       quota sized to the dataset, which is never exceeded.
-    3. **Tenant quota pressure** — one tenant constrained to a fraction
-       of the dataset's bytes: admissions beyond the quota are refused
-       (``quota_rejections``), resident usage never crosses the line,
-       and the task's reads past the quota fall through to the server
-       instead of failing.
+       on the racing warmups), and every task holds a reference to
+       every chunk.
     """
     from repro.dlt.sweep import run_sweep
 
     result = ExperimentResult(
         "cross-task shared cache (model selection)",
-        "shared chunk tier: N trainers × 1 dataset, quotas",
+        "shared chunk tier: N trainers × 1 dataset",
     )
     files = {
         f"/ds/f{i:05d}.jpg": b"\x5a" * file_size for i in range(n_files)
     }
     model = ModelProfile("sweep-toy", compute_s=1e-4)
 
-    def build_sweep(tb, registry, n_tasks, tenant_of):
+    def build_sweep(tb, registry, n_tasks):
         return [
-            make_task(
-                tb, "ds", tb.compute_nodes, f"t{t}c", shared=registry,
-                tenant=tenant_of(t),
-            )
+            make_task(tb, "ds", tb.compute_nodes, f"t{t}c", shared=registry)
             for t in range(n_tasks)
         ]
 
@@ -1922,11 +1913,8 @@ def model_selection(
         # ------------------------------------ phase 1: warm register
         tb = deploy(n_nodes, "ds", files, chunk_size, n_servers=1)
         chunks = tb.chunks
-        dataset_bytes = sum(len(c.encode()) for c in chunks)
         registry = SharedCacheRegistry(tb.env)
-        cold_task, warm_task = build_sweep(
-            tb, registry, 2, lambda t: f"tenant{t}"
-        )
+        cold_task, warm_task = build_sweep(tb, registry, 2)
         cold_s = warm(tb, [cold_task])
         warm_s = warm(tb, [warm_task])
         warm_ratio = warm_s / cold_s if cold_s else 0.0
@@ -1948,29 +1936,14 @@ def model_selection(
         for n_tasks in task_counts:
             tb = deploy(n_nodes, "ds", files, chunk_size, n_servers=1)
             registry = SharedCacheRegistry(tb.env)
-            # Two tenant accounts (search jobs vs retrains), each with
-            # headroom for the whole dataset.
-            for tenant in ("search", "retrain"):
-                registry.set_quota(tenant, dataset_bytes)
-            tasks = build_sweep(
-                tb, registry, n_tasks,
-                lambda t: "search" if t % 2 == 0 else "retrain",
-            )
+            tasks = build_sweep(tb, registry, n_tasks)
             fetches_before = tb.diesel.stats.chunk_reads
-            elapsed = tb.timed(
-                [run_sweep(tb.env, tasks, model, epochs=1, batch_size=8)]
-            )
-            rows = registry.tenant_rows()
+            elapsed = tb.timed([run_sweep(tb.env, tasks, model)])
             result.add(
                 event="sweep", tasks=n_tasks, chunks=len(chunks),
                 backend_chunk_fetches=tb.diesel.stats.chunk_reads - fetches_before,
                 fetch_ratio_vs_single=None,  # relative to the first sweep, below
                 sweep_s=elapsed,
-                quota_ok=all(r["within_quota"] for r in rows),
-                max_node_usage_bytes=max(
-                    r["max_node_usage_bytes"] for r in rows
-                ),
-                quota_bytes=dataset_bytes,
                 **stats_row(registry.stats, prefix="shared_"),
             )
         sweeps = result.where(event="sweep")
@@ -1982,34 +1955,9 @@ def model_selection(
                 f"{row['tasks']:>2} task(s): {row['backend_chunk_fetches']} "
                 f"backend fetches ({row['fetch_ratio_vs_single']:.2f}x "
                 f"single-task), {row['shared_warm_admissions']} warm "
-                f"admissions, {row['shared_coalesced_pulls']} coalesced, quota "
-                f"{'respected' if row['quota_ok'] else 'EXCEEDED'}"
+                f"admissions, {row['shared_coalesced_pulls']} coalesced"
             )
 
-        # ---------------------------- phase 3: tenant quota pressure
-        tb = deploy(1, "ds", files, chunk_size, n_servers=1)
-        registry = SharedCacheRegistry(tb.env)
-        quota = int(dataset_bytes * constrained_fraction)
-        registry.set_quota("capped", quota)
-        (task,) = build_sweep(tb, registry, 1, lambda t: "capped")
-        warm(tb, [task])
-        tb.run(task.read(0, task.index.all_paths()))
-        usage = max(
-            tier.tenant_usage("capped") for tier in registry.node_caches
-        )
-        s = registry.stats
-        result.add(
-            event="quota_pressure", chunks=len(chunks),
-            quota_bytes=quota, tenant_usage_bytes=usage,
-            quota_ok=usage <= quota,
-            **stats_row(s, prefix="shared_"),
-        )
-        result.note(
-            f"capped tenant (quota {quota} B over {dataset_bytes} B of "
-            f"chunks): {s.quota_rejections} admissions refused, peak "
-            f"usage {usage} B ({'within' if usage <= quota else 'OVER'} "
-            "quota); refused chunks served by server fall-through"
-        )
     return result
 
 

@@ -3,7 +3,7 @@
 one (``SharedCacheRegistry(store="ram" | "tiered")``), both holding the
 tier's reference entries as values.
 
-* **RAM — budget:** ``node.memory``.  **Admission** (tenant quota) and
+* **RAM — budget:** ``node.memory``.  **Admission** and
   **protection** are the node tier's; :meth:`ChunkStore.put` files a
   chunk here when memory covers it.
 * **Disk — budget:** ``capacity_bytes`` of *stored* bytes (0 =

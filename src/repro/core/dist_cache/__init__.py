@@ -78,7 +78,6 @@ class TaskCache(ReadChain, Membership, Placement):
         clients: Sequence[CacheClient],
         policy: str = "oneshot",
         shared=None,
-        tenant: str = "default",
     ) -> None:
         if not clients:
             raise DieselError("a task cache needs at least one client")
@@ -94,15 +93,12 @@ class TaskCache(ReadChain, Membership, Placement):
         self.policy = policy
         #: Node chunk-tier registry every master of this task admits
         #: through (:class:`~repro.core.shared_cache.SharedCacheRegistry`).
-        #: A task given none builds its own — one tenant, one task, RAM
-        #: store — and that is the whole of "task-private": the one
-        #: difference is lifetime (:meth:`_retire`).  For a private
-        #: tiered cache, pass a ``store="tiered"`` registry no other
-        #: task uses.  ``tenant`` names the quota account this task's
-        #: resident bytes charge.
+        #: A task given none builds its own — one task, RAM store — and
+        #: that is the whole of "task-private": the one difference is
+        #: lifetime (:meth:`_retire`).  For a private tiered cache, pass
+        #: a ``store="tiered"`` registry no other task uses.
         self.shared = shared or SharedCacheRegistry(server.env)
         self._owns_tier = self.shared is not shared
-        self.tenant = tenant
         #: Registry-issued key the tier refcounts this task under
         #: (assigned at register()).
         self.task_key: Optional[str] = None

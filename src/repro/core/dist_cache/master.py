@@ -53,9 +53,8 @@ class CacheMaster:
     :class:`~repro.core.shared_cache.SharedChunkCache` (``tier``) and
     the store behind it; the master only records which chunks its task
     references there (``_held``: encoded cid → nbytes).  ``task`` is
-    the registry-issued key the tier refcounts under; ``tenant`` names
-    the quota account it charges.  The clock, fabric and calibration
-    are the ``server``'s.
+    the registry-issued key the tier refcounts under.  The clock,
+    fabric and calibration are the ``server``'s.
     """
 
     def __init__(
@@ -65,7 +64,6 @@ class CacheMaster:
         dataset: str,
         tier,
         task: str,
-        tenant: str = "default",
     ) -> None:
         self.env = server.env
         self.client = client
@@ -74,7 +72,6 @@ class CacheMaster:
         self.dataset = dataset
         self.tier = tier
         self.task = task
-        self.tenant = tenant
         self.assigned: List[str] = []  # encoded chunk ids
         self._held: Dict[str, int] = {}
         self.stats = CacheMasterStats()
@@ -178,7 +175,7 @@ class CacheMaster:
 
         The tier owns single-flight (n clients faulting a chunk at
         once, warmup racing an on-demand fill, another task's pull —
-        late arrivals wait and count as ``coalesced_pulls``), quota and
+        late arrivals wait and count as ``coalesced_pulls``) and
         placement; a chunk it refuses stays server-resident
         (reads for it fall through, Fig 4) and counts as
         ``skipped_no_memory``.  Returns how many of ``cids`` are now
@@ -267,5 +264,5 @@ class CacheMaster:
         """Drop every reference this master holds.  The chunks stay
         resident at refcount 0; what becomes of them is the tier
         owner's call (``TaskCache._retire``)."""
-        self.tier.release_task(self.task, self.tenant)
+        self.tier.release_task(self.task)
         self._held.clear()

@@ -50,7 +50,7 @@ class Membership:
             master = CacheMaster(
                 client, self.server, self.dataset,
                 self.shared.for_node(client.node),
-                self.task_key, self.tenant,
+                self.task_key,
             )
             master.recorder = master.endpoint.recorder = self._recorder
             self.masters[node_name] = master

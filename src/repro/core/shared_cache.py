@@ -7,8 +7,7 @@ their reference entries live in a
 
 * **Budget:** ``node.memory``, then the store's disk tier.
 * **Admission:** a resident chunk is a warm ref-bump, a cold one is
-  fetched once across tasks; either is charged to the tenant's per-node
-  byte quota (0 = unlimited; exactly the quota is allowed).
+  fetched once across tasks.
 * **Protection:** a chunk any task references is never displaced; the
   refcount-0 warm pool is displaced LRU-first, demoted to disk when the
   store has one, else evicted.
@@ -55,8 +54,10 @@ class SharedCacheStats(Counters):
     #: Refcount-0 chunks reclaimed to make room for a new admission, off
     #: RAM or (the store's ``disk_evictions``) off the disk tier.
     evictions: int = 0
-    #: Admissions refused because they would push the tenant past its
-    #: byte quota on this node.
+    #: Always 0: the tier has no quota.  Kept only because perfbench's
+    #: ``core.shared_cache.quota_rejections`` row reads it
+    #: (``perfbench/layers.py``); ROADMAP item 1 drops that row, then
+    #: this field.
     quota_rejections: int = 0
     #: Admissions refused because the node's memory could not cover the
     #: chunk even after every evictable chunk was reclaimed.
@@ -77,10 +78,6 @@ class _Entry:
     chunk: Chunk
     #: Task keys currently holding a reference.
     tasks: set = field(default_factory=set)
-    #: Tenant → number of that tenant's tasks referencing this chunk
-    #: (quota is charged on the tenant's first ref, released on its
-    #: last).
-    tenants: Dict[str, int] = field(default_factory=dict)
 
 
 class SharedChunkCache:
@@ -96,8 +93,6 @@ class SharedChunkCache:
             env, node, registry.store, registry.disk_tier_bytes,
             registry.chunk_compression,
         )
-        #: Tenant → resident bytes the tenant references on this node.
-        self._tenant_usage: Dict[str, int] = {}
         self._stats = SharedCacheStats()
         #: The registry's observability recorder (the store's too).
         self.recorder = None
@@ -126,6 +121,7 @@ class SharedChunkCache:
         )
 
     def refcount(self, dataset: str, encoded_cid: str) -> int:
+        """How many tasks reference the chunk (0 when not resident)."""
         got = self.store.lookup(self._key(dataset, encoded_cid))
         return len(got[0].tasks) if got is not None else 0
 
@@ -133,10 +129,6 @@ class SharedChunkCache:
         """Encoded size of a resident chunk (0 when not resident)."""
         got = self.store.lookup(self._key(dataset, encoded_cid))
         return got[1] if got is not None else 0
-
-    def tenant_usage(self, tenant: str) -> int:
-        """Resident bytes ``tenant`` currently references on this node."""
-        return self._tenant_usage.get(tenant, 0)
 
     def peek(self, dataset: str, encoded_cid: str) -> Optional[Chunk]:
         """The RAM-resident chunk, whoever admitted it: no ref taken, no
@@ -159,33 +151,11 @@ class SharedChunkCache:
         return got[0].chunk if got is not None else None
 
     def note_cross_task_read(self) -> None:
+        """Count one file read served from a chunk only other tasks
+        reference (after a :meth:`peek` hit)."""
         self._stats.cross_task_reads += 1
 
     # -------------------------------------------------------------- admission
-    def _quota_room(self, tenant: str, nbytes: int) -> bool:
-        quota = self.registry.quota_of(tenant)
-        if quota <= 0:
-            return True
-        return self._tenant_usage.get(tenant, 0) + nbytes <= quota
-
-    def _charge_ref(
-        self, entry: _Entry, nbytes: int, task: str, tenant: str
-    ) -> bool:
-        """Add ``task``'s reference; False iff the tenant quota refuses."""
-        if task in entry.tasks:
-            return True
-        first_for_tenant = tenant not in entry.tenants
-        if first_for_tenant and not self._quota_room(tenant, nbytes):
-            self._stats.quota_rejections += 1
-            return False
-        entry.tasks.add(task)
-        entry.tenants[tenant] = entry.tenants.get(tenant, 0) + 1
-        if first_for_tenant:
-            self._tenant_usage[tenant] = (
-                self._tenant_usage.get(tenant, 0) + nbytes
-            )
-        return True
-
     def _place(
         self, key: str, entry: _Entry, nbytes: int
     ) -> Generator[Event, Any, Optional[str]]:
@@ -226,18 +196,17 @@ class SharedChunkCache:
         becomes resident on this node.
 
         ``holder`` is the admitting
-        :class:`~repro.core.dist_cache.CacheMaster` (``dataset``,
-        ``task``, ``tenant``; its ``stats.coalesced_pulls``
-        moves with the tier's).  ``fetch(cold_cids)`` yields one
-        ``(chunk, nbytes)`` per cold cid, in order: it only says where
-        the bytes come from.  Each round, a resident cid is ref-bumped, a
-        cid another fetch is bringing is waited for and looked at again,
-        and the cold ones are fetched together, then quota-checked and
-        placed (:meth:`_place`).  Returns ``{cid: nbytes}`` for the
-        chunks the task now references; a refused cid stays
-        server-resident (Fig 4).
+        :class:`~repro.core.dist_cache.CacheMaster` (``dataset`` and
+        ``task``; its ``stats.coalesced_pulls`` moves with the tier's).
+        ``fetch(cold_cids)`` yields one ``(chunk, nbytes)`` per cold cid,
+        in order: it only says where the bytes come from.  Each round, a
+        resident cid is ref-bumped, a cid another fetch is bringing is
+        waited for and looked at again, and the cold ones are fetched
+        together, then placed (:meth:`_place`).  Returns ``{cid:
+        nbytes}`` for the chunks the task now references; a refused cid
+        stays server-resident (Fig 4).
         """
-        task, tenant = holder.task, holder.tenant
+        task = holder.task
         keys = {cid: self._key(holder.dataset, cid) for cid in cids}
         store, rec = self.store, self.recorder
         ram = store.ram  # its flights are the admissions in flight
@@ -251,12 +220,12 @@ class SharedChunkCache:
                 got = store.lookup(key)
                 if got is not None:
                     entry, nbytes = got
-                    if self._charge_ref(entry, nbytes, task, tenant):
-                        ram.get(key)
-                        self._stats.warm_admissions += 1
-                        if rec is not None:
-                            rec.count("shared_warm_admit", "shared_tier")
-                        held[cid] = nbytes
+                    entry.tasks.add(task)
+                    ram.get(key)
+                    self._stats.warm_admissions += 1
+                    if rec is not None:
+                        rec.count("shared_warm_admit", "shared_tier")
+                    held[cid] = nbytes
                 elif ram.claim(key) is not None:
                     self._stats.coalesced_pulls += 1
                     holder.stats.coalesced_pulls += 1
@@ -266,18 +235,11 @@ class SharedChunkCache:
             try:
                 fetched = (yield from fetch(cold)) if cold else ()
                 for cid, (chunk, nbytes) in zip(cold, fetched):
-                    if not self._quota_room(tenant, nbytes):
-                        self._stats.quota_rejections += 1
-                        continue
                     entry = _Entry(chunk)
                     tier = yield from self._place(keys[cid], entry, nbytes)
                     if tier is None:
                         continue
                     entry.tasks.add(task)
-                    entry.tenants[tenant] = 1
-                    self._tenant_usage[tenant] = (
-                        self._tenant_usage.get(tenant, 0) + nbytes
-                    )
                     self._stats.cold_admissions += 1
                     if rec is not None:
                         rec.count("shared_cold_admit", "shared_tier")
@@ -293,24 +255,15 @@ class SharedChunkCache:
         return held
 
     # ---------------------------------------------------------------- release
-    def release_task(self, task: str, tenant: str) -> int:
+    def release_task(self, task: str) -> int:
         """Drop every reference ``task`` holds; returns how many.  The
         chunks stay warm (refcount-0 chunks are reclaimed by eviction,
         not by release)."""
         released = 0
-        for entry, nbytes in self._resident():
-            if task not in entry.tasks:
-                continue
-            entry.tasks.discard(task)
-            left = entry.tenants.get(tenant, 0) - 1
-            if left <= 0:
-                entry.tenants.pop(tenant, None)
-                self._tenant_usage[tenant] = (
-                    self._tenant_usage.get(tenant, 0) - nbytes
-                )
-            else:
-                entry.tenants[tenant] = left
-            released += 1
+        for entry, _ in self._resident():
+            if task in entry.tasks:
+                entry.tasks.discard(task)
+                released += 1
         self._stats.released_refs += released
         return released
 
@@ -321,7 +274,6 @@ class SharedChunkCache:
         :class:`~repro.core.dist_cache.TaskCache`) — never for one other
         tasks still reference."""
         self.store.clear()
-        self._tenant_usage.clear()
 
     def purge_crashed(self) -> int:
         """Node died: forget RAM residency without returning memory (the
@@ -335,13 +287,11 @@ class SharedChunkCache:
         lost = self.store.crash()
         for entry, _ in self._resident():
             entry.tasks.clear()
-            entry.tenants.clear()
-        self._tenant_usage.clear()
         return lost
 
 
 class SharedCacheRegistry:
-    """The handle tasks are given: per-node chunk tiers + quotas.
+    """The handle tasks are given: the per-node chunk tiers.
 
     The store keyword arguments say what every lazily created node
     tier keeps its chunks in; :class:`~repro.core.chunk_store.ChunkStore`
@@ -361,7 +311,6 @@ class SharedCacheRegistry:
         self.disk_tier_bytes = disk_tier_bytes
         self.chunk_compression = chunk_compression
         self._caches: Dict[str, SharedChunkCache] = {}  # node name → cache
-        self._quotas: Dict[str, int] = {}  # tenant → per-node byte quota
         self._next_task = 0
         self._recorder = None
 
@@ -376,50 +325,13 @@ class SharedCacheRegistry:
 
     @property
     def node_caches(self) -> List[SharedChunkCache]:
+        """Every node tier created so far, in node-name order."""
         return [self._caches[k] for k in sorted(self._caches)]
 
     def next_task_id(self) -> str:
         """A deterministic unique key for a registering task."""
         self._next_task += 1
         return f"task{self._next_task}"
-
-    # ----------------------------------------------------------------- quotas
-    def set_quota(self, tenant: str, quota_bytes: int) -> None:
-        """Per-node resident-byte quota for ``tenant`` (0 = unlimited)."""
-        if quota_bytes < 0:
-            raise ValueError("tenant quota must be >= 0")
-        self._quotas[tenant] = quota_bytes
-
-    def quota_of(self, tenant: str) -> int:
-        return self._quotas.get(tenant, 0)
-
-    def tenants(self) -> List[str]:
-        """Every tenant with a quota or resident usage, sorted."""
-        names = set(self._quotas)
-        for cache in self._caches.values():
-            names.update(cache._tenant_usage)
-        return sorted(names)
-
-    def tenant_rows(self) -> List[dict]:
-        """Per-tenant usage summary (the ``sharing`` bench rows).
-
-        ``max_node_usage_bytes`` is the enforcement-relevant number:
-        quotas bound each node independently, so the busiest node is the
-        one that can violate them.
-        """
-        rows = []
-        for tenant in self.tenants():
-            usages = [c.tenant_usage(tenant) for c in self.node_caches]
-            quota = self.quota_of(tenant)
-            peak = max(usages, default=0)
-            rows.append({
-                "tenant": tenant,
-                "quota_bytes": quota,
-                "max_node_usage_bytes": peak,
-                "total_usage_bytes": sum(usages),
-                "within_quota": quota <= 0 or peak <= quota,
-            })
-        return rows
 
     # ------------------------------------------------------------------ stats
     @property
@@ -449,6 +361,7 @@ class SharedCacheRegistry:
 
     @recorder.setter
     def recorder(self, value) -> None:
+        """Attach ``value`` to the registry and every node tier."""
         self._recorder = value
         for cache in self._caches.values():
             cache.recorder = cache.store.recorder = value

@@ -19,7 +19,7 @@ pipelined training loop per task worker via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Sequence
+from typing import Any, Dict, Generator, List, Sequence
 
 from repro.calibration import ModelProfile
 from repro.core.dist_cache import TaskCache
@@ -27,6 +27,14 @@ from repro.dlt.readers import CacheReader, EpochScheduler
 from repro.dlt.trainer import TrainingResult, run_task_training
 from repro.errors import DieselError
 from repro.sim.engine import Environment, Event
+
+#: How :func:`run_sweep` trains every task: one epoch of ``BATCH_SIZE``
+#: files per iteration, each worker with ``IO_WORKERS`` loader reading
+#: ``PREFETCH_DEPTH`` batches ahead.
+EPOCHS = 1
+BATCH_SIZE = 8
+IO_WORKERS = 1
+PREFETCH_DEPTH = 2
 
 
 @dataclass
@@ -88,9 +96,9 @@ def build_sweep_task(
     ``clients`` are :class:`~repro.core.client.DieselClient` instances
     with the dataset snapshot loaded (one per worker).  ``cache`` is
     passed to :class:`~repro.core.dist_cache.TaskCache` as is
-    (``policy``, ``shared`` — the sweep-wide
+    (``policy`` and ``shared`` — the sweep-wide
     :class:`~repro.core.shared_cache.SharedCacheRegistry`, None =
-    task-private caches — and ``tenant``).  The cache is attached to
+    task-private caches).  The cache is attached to
     every client so their ``DL_get`` path resolves through it.  ``env``
     and ``fabric`` are the ``server``'s, which the cache takes them
     from.
@@ -136,32 +144,25 @@ def run_sweep(
     env: Environment,
     tasks: Sequence[SweepTask],
     model: ModelProfile,
-    epochs: int = 1,
-    batch_size: int = 8,
-    io_workers: int = 1,
-    prefetch_depth: int = 2,
-    register: bool = True,
-    model_name: Optional[str] = None,
 ) -> Generator[Event, Any, Dict[str, List[TrainingResult]]]:
-    """Run every sweep task's training concurrently; results by task.
+    """Register every sweep task, then run their training concurrently;
+    results by task.
 
-    Registration (when ``register`` is True) and the per-task training
-    loops all overlap in simulated time — the contention pattern a real
-    model-selection sweep puts on the storage tier.  Returns
-    ``{task name: [TrainingResult per worker]}``.
+    The registrations overlap in simulated time, and so do the
+    per-task training loops — the contention pattern a real
+    model-selection sweep puts on the storage tier.  Returns ``{task
+    name: [TrainingResult per worker]}``, each job named after its task.
     """
     if not tasks:
         raise DieselError("run_sweep needs at least one task")
-    if register:
-        yield from register_sweep(env, tasks)
+    yield from register_sweep(env, tasks)
     procs = []
     for t in tasks:
         readers = t.make_readers()
         procs.append(env.process(
             run_task_training(
-                env, readers, model, epochs, batch_size,
-                io_workers, prefetch_depth,
-                model_name=model_name or t.name,
+                env, readers, model, EPOCHS, BATCH_SIZE,
+                IO_WORKERS, PREFETCH_DEPTH, model_name=t.name,
             ),
             name=f"sweep:{t.name}",
         ))

@@ -31,8 +31,8 @@ report where the time went — ``stats`` as an aligned per-(op, layer)
 percentile table, ``trace`` as a Chrome trace-event file viewable in
 ``chrome://tracing`` (see docs/OBSERVABILITY.md).
 
-Simulated-cluster scenarios (placement, tenants, tiers, chaos, engine
-scale) are experiments, run by ``python -m repro.bench.runner <id>``.
+Simulated-cluster scenarios (placement, shared caches, tiers, chaos,
+engine scale) are experiments, run by ``python -m repro.bench.runner <id>``.
 
 Run:  python -m repro.tools.dlcmd --help
 """

@@ -202,9 +202,9 @@ def _probe_nodes(tb):
 
 @pytest.mark.parametrize("nodes_of, registry_kwargs, specs", [
     (_compute, None, [("c", {})]),
-    (_compute, {}, [("c", dict(tenant="t0"))]),
+    (_compute, {}, [("c", {})]),
     (_probe_nodes, dict(store="tiered", chunk_compression=True), [("p", {})]),
-    (_compute, {}, [("a", dict(tenant="t0")), ("b", dict(tenant="t1"))]),
+    (_compute, {}, [("a", {}), ("b", {})]),
 ], ids=["hash", "registry", "probe-nodes", "racing"])
 def test_kit_task_equals_hand_assembly(nodes_of, registry_kwargs, specs):
     books = []

@@ -6,7 +6,7 @@ task built for itself), a tiered tier used by one task, and a tiered
 tier two tasks share — through a whole task life: register → reads →
 master crash + recover → deregister.  After
 every step, :func:`tests.invariants.check_invariants` holds on every
-node — memory, references, tenant usage, the store's books, empty
+node — memory, references, the store's books, empty
 single-flight maps, one owner per chunk, the p×(n−1) mesh — and every
 read returned the ingested bytes.  The one place the three
 configurations differ is the end: an own tier is emptied with its task,
@@ -57,7 +57,7 @@ def build(config, ram_chunks, seed):
             dep.server, "ds",
             [CacheClient(f"t{t}c{i}", node, i)
              for i, node in enumerate(nodes)],
-            shared=registry, tenant=f"tenant{t}",
+            shared=registry,
         )
         for t in range(n_tasks)
     ]

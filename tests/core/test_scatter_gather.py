@@ -269,7 +269,7 @@ def assert_nothing_left_held(dep, nodes, caches):
 class TestWarmupRecoveryFanout:
     def test_width_is_derived_not_configured(self):
         params = list(inspect.signature(TaskCache.__init__).parameters)[1:]
-        assert len(params) == 6
+        assert len(params) == 5
         assert not {"warmup_fanout", "admission_batch"} & set(params)
         dep, nodes, (cache,) = setup_cache()
         warm(dep, [cache])

@@ -1,7 +1,7 @@
 """Tests for the node-level shared chunk tier (DESIGN §11).
 
 Cross-task refcounting, warm admission, cross-task single-flight,
-per-tenant quotas, warm-pool eviction and deregistration semantics —
+warm-pool eviction and deregistration semantics —
 both at the :class:`SharedChunkCache` unit level (bare masters against
 the real server) and through full :class:`TaskCache` integration.
 """
@@ -17,8 +17,8 @@ from tests.core.conftest import build_deployment, small_files, write_dataset
 from tests.invariants import check_node_tier
 
 
-def shared_rig(n_nodes=2, n_files=24, n_tasks=2, tenants=None,
-               policy="oneshot", chunk_size=8 * 1024):
+def shared_rig(n_nodes=2, n_files=24, n_tasks=2, policy="oneshot",
+               chunk_size=8 * 1024):
     """A deployment + registry + ``n_tasks`` TaskCaches over one dataset."""
     dep = build_deployment(n_client_nodes=n_nodes)
     files = small_files(n_files, size=2048)
@@ -33,16 +33,15 @@ def shared_rig(n_nodes=2, n_files=24, n_tasks=2, tenants=None,
         ]
         caches.append(TaskCache(
             dep.server, "ds", clients, policy=policy, shared=registry,
-            tenant=tenants[t] if tenants else "default",
         ))
     return dep, registry, caches, files, writer.index
 
 
-def fake_master(dep, tier, task, tenant="default"):
+def fake_master(dep, tier, task):
     """A bare CacheMaster (no TaskCache around it) for unit-driving one
     node tier's admission as task ``task``."""
     return CacheMaster(CacheClient(f"m-{task}", tier.node, 0), dep.server,
-                       "ds", tier, task, tenant)
+                       "ds", tier, task)
 
 
 def resident(tier, cid):
@@ -205,66 +204,6 @@ class TestDeregistration:
             c0.deregister()
 
 
-class TestTenantQuotas:
-    def _admit_all(self, dep, tier, index, task, tenant):
-        cids = [c.encode() for c in index.chunk_ids()]
-        master = fake_master(dep, tier, task, tenant=tenant)
-
-        def admit():
-            for cid in cids:
-                yield from acquire(master, cid)
-
-        dep.run(admit())
-        return cids
-
-    def test_tenant_exactly_at_quota_is_admitted(self):
-        dep, registry, _, files, index = shared_rig(n_tasks=0)
-        # Measure the dataset's exact resident bytes on a probe node.
-        probe = dep.fabric.add_node(Node(dep.env, "probe"))
-        self._admit_all(dep, registry.for_node(probe), index, "p", "probe")
-        exact = registry.for_node(probe).tenant_usage("probe")
-        # A tenant whose quota is *exactly* the dataset admits everything.
-        registry.set_quota("exact", exact)
-        node = dep.client_nodes[0]
-        tier = registry.for_node(node)
-        self._admit_all(dep, tier, index, "t", "exact")
-        assert tier.tenant_usage("exact") == exact
-        assert tier.stats.quota_rejections == 0
-        assert tier.stats.chunks_resident == len(index.chunk_ids())
-
-    def test_one_byte_under_quota_rejects_the_last_chunk(self):
-        dep, registry, _, files, index = shared_rig(n_tasks=0)
-        probe = dep.fabric.add_node(Node(dep.env, "probe"))
-        self._admit_all(dep, registry.for_node(probe), index, "p", "probe")
-        exact = registry.for_node(probe).tenant_usage("probe")
-        registry.set_quota("capped", exact - 1)
-        node = dep.client_nodes[1]
-        tier = registry.for_node(node)
-        self._admit_all(dep, tier, index, "t", "capped")
-        assert tier.stats.quota_rejections >= 1
-        assert tier.tenant_usage("capped") <= exact - 1
-        rows = {r["tenant"]: r for r in registry.tenant_rows()}
-        assert rows["capped"]["within_quota"]
-
-    def test_warm_ref_bump_also_charges_the_quota(self):
-        """A second tenant at quota 0-room cannot ref an existing chunk."""
-        dep, registry, _, files, index = shared_rig(n_tasks=0)
-        node = dep.client_nodes[0]
-        tier = registry.for_node(node)
-        cid = index.chunk_ids()[0].encode()
-        self._admit_all(dep, tier, index, "rich-task", "rich")
-        registry.set_quota("poor", 1)  # one byte: nothing fits
-        master = fake_master(dep, tier, "poor-task", tenant="poor")
-
-        def admit():
-            return (yield from acquire(master, cid))
-
-        assert dep.run(admit()) is None
-        assert tier.stats.quota_rejections == 1
-        assert tier.tenant_usage("poor") == 0
-        assert tier.refcount("ds", cid) == 1  # only the rich task's ref
-
-
 class TestWarmPoolEviction:
     def _tiny_node_rig(self):
         """A node drained so cold admissions must evict to fit."""
@@ -289,7 +228,7 @@ class TestWarmPoolEviction:
             return (yield from acquire(master, cid))
 
         assert dep.run(admit(first, cids[0])) is not None
-        tier.release_task("t1", "default")  # leave a warm pool
+        tier.release_task("t1")  # leave a warm pool
         assert tier.refcount("ds", cids[0]) == 0
         self._drain(dep, node)
         assert dep.run(admit(second, cids[1])) is not None
@@ -329,11 +268,11 @@ class TestLruEvictionOrder:
         # Insertion order: c0 then c1; both left refcount-0 (warm).
         assert dep.run(admit(warmer, cids[0])) is not None
         assert dep.run(admit(warmer, cids[1])) is not None
-        tier.release_task("warmer", "default")
+        tier.release_task("warmer")
         # Re-reading c0 must refresh its recency: LRU is now [c1, c0].
         toucher = fake_master(dep, tier, "toucher")
         assert dep.run(admit(toucher, cids[0])) is not None
-        tier.release_task("toucher", "default")
+        tier.release_task("toucher")
 
         def sip():
             yield node.memory.get(node.memory.level - 64)
@@ -392,7 +331,7 @@ class TestTieredSharedTier:
         # cids[1] is a refcount-0 warm chunk.
         assert dep.run(admit(holder, cids[0])) is not None
         assert dep.run(admit(batch, cids[1])) is not None
-        tier.release_task("bq", "default")
+        tier.release_task("bq")
         self._drain(dep, node)
         # The admission demotes the warm chunk to disk instead of
         # forgetting it — and never touches the pinned one.
@@ -428,7 +367,7 @@ class TestTieredSharedTier:
             return (yield from acquire(master, cid))
 
         assert dep.run(admit(batch, cids[0])) is not None
-        tier.release_task("bq", "default")
+        tier.release_task("bq")
         self._drain(dep, node)
         # The pressure demotes cids[0]; the node dies during its write.
         device, write = tier.store.device, tier.store.device.write

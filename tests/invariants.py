@@ -16,9 +16,9 @@ come with them), the chunk windows and the server stores.
 * a node tier: no chunk on both tiers, a bounded disk tier's
   ``disk.bytes + _reserved ≤ capacity_bytes`` (no claim left at a
   quiescent point), memory conserved on a live node
-  (``node.memory.level`` + every tier's RAM == capacity), each tenant's
-  usage == Σ nbytes of the chunks it references, and its ``refs`` ==
-  Σ ``len(_held)`` over the live masters admitting through it;
+  (``node.memory.level`` + every tier's RAM == capacity), and its
+  ``refs`` == Σ ``len(_held)`` over the live masters admitting through
+  it;
 * ownership: every chunk has exactly one owner, a master whose
   ``assigned`` lists it, a master holds only chunks it owns, and the
   mesh is the paper's p×(n−1); right after a membership change every
@@ -79,7 +79,7 @@ def check_server_tier(store, quiescent=True):
 
 def check_node_tier(tier, masters, quiescent=True):
     """A node chunk tier: its store's two residencies hold one entry per
-    chunk, and the tenant and reference books agree with them."""
+    chunk, and the reference book agrees with them."""
     store = tier.store
     check_residency(store.ram, quiescent)
     check_residency(store.disk, quiescent)
@@ -94,12 +94,6 @@ def check_node_tier(tier, masters, quiescent=True):
     stats = tier.stats
     assert stats.chunks_resident == len(resident)
     assert stats.bytes_resident == sum(n for _, n in resident)
-    tenants = set(tier._tenant_usage).union(
-        *(entry.tenants for entry, _ in resident))
-    for tenant in tenants:
-        assert tier.tenant_usage(tenant) == sum(
-            n for entry, n in resident if tenant in entry.tenants
-        ), (tier.node.name, tenant)
     if tier.node.alive:
         assert stats.refs == sum(len(m._held) for m in masters)
         for m in masters:
