@@ -55,7 +55,6 @@ class Testbed:
     kv: Optional[ShardedKV] = None
     store: Optional[object] = None  # ObjectStore or TieredStore
     diesel_servers: List[DieselServer] = field(default_factory=list)
-    config_store: Optional[object] = None  # core.config.ConfigStore
     #: The fixture dataset :func:`deploy` loaded, in written order.
     chunks: List[Chunk] = field(default_factory=list)
 
@@ -131,20 +130,14 @@ def add_diesel(
 
     ``tiered=True`` puts chunks on the HDD pool with the SSD pool as the
     server-side cache tier (the Fig 4 "fast object-storage" path);
-    otherwise chunks live directly on the SSD pool.  The deployment's
-    configuration is published through an ETCD-like config store, which
-    servers read at startup.
+    otherwise chunks live directly on the SSD pool.  Every server is
+    handed the one frozen ``config`` (Fig 2's ETCD).
     """
     from repro.cluster.devices import Device as _Device
-    from repro.core.config import ConfigStore
     from repro.objectstore import TieredStore
 
     cal = tb.cal
     config = config or DieselConfig()
-    # ETCD (Fig 2): system configuration all components read at startup.
-    tb.config_store = ConfigStore()
-    tb.config_store.put("diesel/config", config)
-    tb.config_store.put("diesel/n_servers", n_servers)
     # Redis cluster: 16 instances across four storage nodes (Table 4).
     instances = []
     for i in range(n_kv):
@@ -165,7 +158,7 @@ def add_diesel(
         DieselServer(
             tb.env, tb.fabric, tb.storage_nodes[i % len(tb.storage_nodes)],
             tb.kv, tb.store,
-            config=tb.config_store.get("diesel/config"),
+            config=config,
             calibration=cal, name=f"diesel{i}",
         )
         for i in range(n_servers)

@@ -17,13 +17,13 @@ Subpackages/modules:
 * :mod:`repro.core.shuffle` — chunk-wise shuffle (§4.3, Fig 8);
 * :mod:`repro.core.prefetch` — pipelined chunk prefetch over epoch plans;
 * :mod:`repro.core.fuse` — FUSE-style POSIX facade;
-* :mod:`repro.core.config` — system configuration + ETCD-like store.
+* :mod:`repro.core.config` — system configuration (Fig 2's ETCD).
 """
 
 from repro.core.chunk import Chunk, ChunkFile
 from repro.core.chunk_builder import ChunkBuilder
 from repro.core.client import DieselClient
-from repro.core.config import ConfigStore, DieselConfig
+from repro.core.config import DieselConfig
 from repro.core.dist_cache import TaskCache
 from repro.core.fuse import FuseMount
 from repro.core.prefetch import ChunkPrefetcher
@@ -36,7 +36,6 @@ __all__ = [
     "ChunkBuilder",
     "ChunkFile",
     "ChunkPrefetcher",
-    "ConfigStore",
     "DieselClient",
     "DieselConfig",
     "DieselServer",

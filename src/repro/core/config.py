@@ -1,16 +1,14 @@
-"""System configuration + the ETCD-like config store (Fig 2).
+"""System configuration (Fig 2's ETCD).
 
 The paper stores system configuration in an ETCD server; DIESEL servers
-and clients read it at startup.  :class:`ConfigStore` is a minimal
-strongly-consistent key-value config service with watch callbacks;
-:class:`DieselConfig` is the typed bundle the DIESEL components consume.
+and clients read it at startup.  Here that is one frozen
+:class:`DieselConfig`, handed to every server at deploy and to each
+client.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List
-
 from repro.core.chunk import DEFAULT_CHUNK_SIZE
 
 
@@ -35,6 +33,7 @@ class DieselConfig:
     read_fanout: int = 1
 
     def __post_init__(self) -> None:
+        """Reject an invalid value at construction, never later at use."""
         if self.chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         if self.shuffle_group_size < 1:
@@ -45,42 +44,3 @@ class DieselConfig:
             raise ValueError("ingest_pipeline_depth must be >= 1")
         if self.read_fanout < 1:
             raise ValueError("read_fanout must be >= 1")
-
-
-class ConfigStore:
-    """A tiny ETCD stand-in: versioned keys + watch callbacks."""
-
-    def __init__(self) -> None:
-        self._data: Dict[str, Any] = {}
-        self._versions: Dict[str, int] = {}
-        self._watchers: Dict[str, List[Callable[[str, Any], None]]] = {}
-
-    def put(self, key: str, value: Any) -> int:
-        """Set a key; returns its new version; fires watchers."""
-        self._data[key] = value
-        version = self._versions.get(key, 0) + 1
-        self._versions[key] = version
-        for cb in self._watchers.get(key, ()):
-            cb(key, value)
-        return version
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self._data.get(key, default)
-
-    def version(self, key: str) -> int:
-        return self._versions.get(key, 0)
-
-    def delete(self, key: str) -> bool:
-        if key not in self._data:
-            return False
-        del self._data[key]
-        self._versions[key] = self._versions.get(key, 0) + 1
-        for cb in self._watchers.get(key, ()):
-            cb(key, None)
-        return True
-
-    def watch(self, key: str, callback: Callable[[str, Any], None]) -> None:
-        self._watchers.setdefault(key, []).append(callback)
-
-    def keys(self, prefix: str = "") -> list[str]:
-        return sorted(k for k in self._data if k.startswith(prefix))

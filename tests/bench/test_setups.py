@@ -70,12 +70,11 @@ class TestAddServices:
     def test_add_diesel_tiered(self):
         assert isinstance(deploy(1, tiered=True).store, TieredStore)
 
-    def test_config_published_to_etcd(self):
+    def test_config_handed_to_every_server(self):
         from repro.core.config import DieselConfig
 
-        tb = deploy(1, config=DieselConfig(shuffle_group_size=7))
-        assert tb.config_store.get("diesel/config").shuffle_group_size == 7
-        assert tb.diesel.config.shuffle_group_size == 7
+        tb = deploy(1, n_servers=2, config=DieselConfig(shuffle_group_size=7))
+        assert [s.config.shuffle_group_size for s in tb.diesel_servers] == [7, 7]
 
     def test_add_lustre_and_memcached(self):
         tb = make_testbed(n_compute=4)

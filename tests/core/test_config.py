@@ -1,4 +1,4 @@
-"""Tests for DieselConfig and the ETCD-like ConfigStore."""
+"""Tests for DieselConfig."""
 
 import ast
 from dataclasses import fields
@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core.config import ConfigStore, DieselConfig
+from repro.core.config import DieselConfig
 
 
 class TestDieselConfig:
@@ -49,42 +49,3 @@ class TestDieselConfig:
                 ):
                     read.add(node.attr)
         assert {f.name for f in fields(DieselConfig)} <= read
-
-
-class TestConfigStore:
-    def test_put_get(self):
-        store = ConfigStore()
-        assert store.get("k") is None
-        assert store.get("k", "fallback") == "fallback"
-        v1 = store.put("k", {"a": 1})
-        assert v1 == 1
-        assert store.get("k") == {"a": 1}
-        assert store.put("k", 2) == 2
-        assert store.version("k") == 2
-
-    def test_delete(self):
-        store = ConfigStore()
-        store.put("k", 1)
-        assert store.delete("k")
-        assert store.get("k") is None
-        assert not store.delete("k")
-        # deletion still bumps the version once
-        assert store.version("k") == 2
-
-    def test_watch_fires_on_put_and_delete(self):
-        store = ConfigStore()
-        seen = []
-        store.watch("cfg", lambda k, v: seen.append((k, v)))
-        store.put("cfg", "a")
-        store.put("other", "ignored")
-        store.put("cfg", "b")
-        store.delete("cfg")
-        assert seen == [("cfg", "a"), ("cfg", "b"), ("cfg", None)]
-
-    def test_keys_prefix(self):
-        store = ConfigStore()
-        store.put("diesel/chunk_size", 1)
-        store.put("diesel/policy", 2)
-        store.put("lustre/mds", 3)
-        assert store.keys("diesel/") == ["diesel/chunk_size", "diesel/policy"]
-        assert len(store.keys()) == 3

@@ -128,11 +128,6 @@ class TestTieredServerCache:
                  for i in range(40)}
         return deploy(1, "ds", files, chunk_size=32 * 1024, tiered=True), files
 
-    def test_config_store_published(self):
-        tb, _ = self._setup()
-        assert tb.config_store.get("diesel/config") is not None
-        assert tb.config_store.get("diesel/n_servers") == 1
-
     def test_second_epoch_hits_ssd_tier(self):
         tb, files = self._setup()
         node = tb.compute_nodes[0]
