@@ -27,6 +27,12 @@ A chunk is sealed once: :meth:`Chunk.pack` joins the header and the
 payloads into one blob whose tail is the chunk's data section, a decoded
 chunk keeps the blob it came from, and :meth:`Chunk.encode` returns that
 blob instead of copying the data section into a new one.
+
+In memory a chunk is one file table, path → ``(offset, length,
+crc32)``, filled by one walk of the header (or as :meth:`Chunk.pack`
+CRCs each payload); a file read is one lookup and one slice of the
+blob, and no :class:`ChunkFile` is built unless :attr:`Chunk.files` is
+read.
 """
 
 from __future__ import annotations
@@ -55,23 +61,27 @@ _BITMAP_AT = len(MAGIC) + CHUNK_ID_BYTES + _U32.size
 def _seal(
     chunk_id: ChunkId,
     bitmap: Bitmap,
-    files: Sequence[ChunkFile],
+    table: Iterable[tuple[str, tuple[int, int, int]]],
     payloads: Sequence["bytes | memoryview"],
 ) -> tuple[bytes, int]:
     """``(blob, header size)``: the encoded chunk of a file table and the
-    data section's parts, joined in one copy."""
+    data section's parts, joined in one copy.
+
+    ``table`` yields ``(path, (offset, length, crc32))`` in file order,
+    as many as ``bitmap`` has bits (the header's file count).
+    """
     header = bytearray(MAGIC)
     header += chunk_id.raw
-    header += _U32.pack(len(files))
+    header += _U32.pack(len(bitmap))
     header += bitmap.to_bytes()
     u16, tail = _U16.pack, _ENTRY_TAIL.pack
-    for f in files:
-        name = f.path.encode("utf-8")
+    for path, entry in table:
+        name = path.encode("utf-8")
         if len(name) > 0xFFFF:
-            raise ChunkFormatError(f"path too long: {f.path!r}")
+            raise ChunkFormatError(f"path too long: {path!r}")
         header += u16(len(name))
         header += name
-        header += tail(f.offset, f.length, f.crc32)
+        header += tail(*entry)
     header += _U32.pack(zlib.crc32(header))
     return b"".join([header, *payloads]), len(header)
 
@@ -80,6 +90,99 @@ def _truncated(blob) -> ChunkFormatError:
     return ChunkFormatError(
         f"truncated chunk: header runs past its {len(blob)} bytes"
     )
+
+
+def _past_end(table: dict, data_size: int) -> ChunkFormatError:
+    """The error naming the first file of ``table`` that ends past a
+    data section of ``data_size`` bytes (one does)."""
+    path, (offset, length, _) = next(
+        (p, e) for p, e in table.items() if e[0] + e[1] > data_size
+    )
+    return ChunkFormatError(
+        f"file {path!r} extends past data section "
+        f"({offset}+{length} > {data_size})"
+    )
+
+
+def _checksum_error(blob) -> ChunkChecksumError:
+    cid = ChunkId(bytes(blob[len(MAGIC) : len(MAGIC) + CHUNK_ID_BYTES]))
+    return ChunkChecksumError(f"header checksum mismatch in chunk {cid.encode()}")
+
+
+def _read_table(
+    blob: "bytes | bytearray | memoryview",
+) -> tuple[ChunkId, Bitmap, dict[str, tuple[int, int, int]], int]:
+    """One walk of an encoded chunk's header: ``(chunk_id, bitmap,
+    table, data_offset)``, ``table`` mapping each path to its
+    ``(offset, length, crc32)`` in file order.
+
+    Checks, in this order and with :meth:`Chunk.read_header`'s and the
+    constructor's errors: the magic, truncation, the header checksum, no
+    duplicate path, every file inside the data section.  The extent
+    check tracks the largest file end; a file is named only on the
+    error path.
+    """
+    view = memoryview(blob)
+    if view[: len(MAGIC)] != MAGIC:
+        raise ChunkFormatError("bad chunk magic")
+    u16, tail, tail_size = (
+        _U16.unpack_from, _ENTRY_TAIL.unpack_from, _ENTRY_TAIL.size,
+    )
+    table: dict[str, tuple[int, int, int]] = {}
+    end = 0
+    try:
+        (nfiles,) = _U32.unpack_from(view, _BITMAP_AT - _U32.size)
+        pos = _BITMAP_AT + (nfiles + 7) // 8
+        if pos > len(view):
+            raise _truncated(view)
+        bitmap = Bitmap.from_bytes(bytes(view[_BITMAP_AT:pos]), nfiles)
+        for _ in range(nfiles):
+            name_end = pos + 2 + u16(view, pos)[0]
+            entry = tail(view, name_end)
+            table[str(view[pos + 2 : name_end], "utf-8")] = entry
+            stop = entry[0] + entry[1]
+            if stop > end:
+                end = stop
+            pos = name_end + tail_size
+        (stored_crc,) = _U32.unpack_from(view, pos)
+    except struct.error:
+        raise _truncated(view) from None
+    if zlib.crc32(view[:pos]) != stored_crc:
+        raise _checksum_error(view)
+    if len(table) != nfiles:
+        raise ChunkFormatError("duplicate paths within one chunk")
+    data_offset = pos + _U32.size
+    if end > len(view) - data_offset:
+        raise _past_end(table, len(view) - data_offset)
+    chunk_id = ChunkId(bytes(view[len(MAGIC) : len(MAGIC) + CHUNK_ID_BYTES]))
+    return chunk_id, bitmap, table, data_offset
+
+
+def _skim(blob: bytes, want: "bytes | None") -> tuple[int, int]:
+    """``(index, header_size)`` of an encoded chunk, from a walk of its
+    file table's name lengths: ``index`` is the first entry named
+    ``want``, else -1.  Checks the magic, truncation and the header
+    checksum; decodes no path.
+    """
+    if blob[: len(MAGIC)] != MAGIC:
+        raise ChunkFormatError("bad chunk magic")
+    index = -1
+    size = -1 if want is None else len(want)
+    try:
+        (nfiles,) = _U32.unpack_from(blob, _BITMAP_AT - _U32.size)
+        pos = _BITMAP_AT + (nfiles + 7) // 8
+        step = 2 + _ENTRY_TAIL.size
+        for i in range(nfiles):
+            name_len = blob[pos] << 8 | blob[pos + 1]
+            if name_len == size and index < 0 and blob.startswith(want, pos + 2):
+                index = i
+            pos += name_len + step
+        (stored_crc,) = _U32.unpack_from(blob, pos)
+    except (struct.error, IndexError):
+        raise _truncated(blob) from None
+    if zlib.crc32(memoryview(blob)[:pos]) != stored_crc:
+        raise _checksum_error(blob)
+    return index, pos + _U32.size
 
 
 @dataclass(frozen=True)
@@ -92,6 +195,7 @@ class ChunkFile:
     crc32: int
 
     def __post_init__(self) -> None:
+        """Refuse a negative offset or length."""
         if self.offset < 0 or self.length < 0:
             raise ChunkFormatError(
                 f"negative offset/length for {self.path!r}: "
@@ -100,7 +204,12 @@ class ChunkFile:
 
 
 class Chunk:
-    """A decoded chunk: file table + data section, with integrity checks."""
+    """A decoded chunk: file table + data section, with integrity checks.
+
+    The file table is one dict, path → ``(offset, length, crc32)`` in
+    file order; :attr:`files`, :attr:`paths` and :meth:`rows` are views
+    of it built on demand.
+    """
 
     def __init__(
         self,
@@ -109,31 +218,32 @@ class Chunk:
         data: "bytes | bytearray | memoryview",
         deletion_bitmap: Bitmap | None = None,
     ) -> None:
-        self.chunk_id = chunk_id
-        self.files = tuple(files)
-        #: The encoded chunk ``data`` views, when it was packed or
-        #: decoded from one (:meth:`encode` returns it).
-        self._blob: bytes | None = None
-        # Held as a memoryview so decode can alias the wire blob's data
-        # section instead of copying 4 MB per chunk on the read hot path.
-        self.data = data if isinstance(data, memoryview) else memoryview(data)
-        self.deletion_bitmap = (
+        files = tuple(files)
+        view = data if isinstance(data, memoryview) else memoryview(data)
+        bitmap = (
             deletion_bitmap if deletion_bitmap is not None else Bitmap(len(files))
         )
-        if len(self.deletion_bitmap) != len(self.files):
+        if len(bitmap) != len(files):
             raise ChunkFormatError(
-                f"bitmap size {len(self.deletion_bitmap)} != file count "
-                f"{len(self.files)}"
+                f"bitmap size {len(bitmap)} != file count {len(files)}"
             )
-        self._by_path = {f.path: i for i, f in enumerate(self.files)}
-        if len(self._by_path) != len(self.files):
+        table = {f.path: (f.offset, f.length, f.crc32) for f in files}
+        if len(table) != len(files):
             raise ChunkFormatError("duplicate paths within one chunk")
-        for f in self.files:
-            if f.offset + f.length > len(self.data):
-                raise ChunkFormatError(
-                    f"file {f.path!r} extends past data section "
-                    f"({f.offset}+{f.length} > {len(self.data)})"
-                )
+        if any(f.offset + f.length > len(view) for f in files):
+            raise _past_end(table, len(view))
+        self.chunk_id = chunk_id
+        self.deletion_bitmap = bitmap
+        self._table = table
+        self._files: tuple[ChunkFile, ...] | None = files
+        # Held as a memoryview so decode can alias the wire blob's data
+        # section instead of copying 4 MB per chunk on the read hot path.
+        self.data = view
+        #: The encoded chunk ``data`` views, when it was packed or
+        #: decoded from one (:meth:`encode` returns it, :meth:`payload`
+        #: slices it from ``_base`` on).
+        self._blob: bytes | None = None
+        self._base = 0
 
     # -- construction --------------------------------------------------------
     @classmethod
@@ -149,82 +259,116 @@ class Chunk:
     ) -> "Chunk":
         """:meth:`build` for paths that are canonical already (the chunk
         builder normalised them as they were added)."""
-        files: list[ChunkFile] = []
+        table: dict[str, tuple[int, int, int]] = {}
         payloads: list[bytes] = []
         offset = 0
+        crc32 = zlib.crc32
         for path, payload in items:
             payload = bytes(payload)
-            files.append(
-                ChunkFile(path, offset, len(payload), zlib.crc32(payload))
-            )
+            table[path] = (offset, len(payload), crc32(payload))
             payloads.append(payload)
             offset += len(payload)
-        if not files:
+        if not payloads:
             raise ChunkFormatError("a chunk must contain at least one file")
-        bitmap = Bitmap(len(files))
-        blob, header_size = _seal(chunk_id, bitmap, files, payloads)
-        return cls._viewing(blob, chunk_id, files, header_size, bitmap)
+        if len(table) != len(payloads):
+            raise ChunkFormatError("duplicate paths within one chunk")
+        bitmap = Bitmap(len(payloads))
+        blob, header_size = _seal(chunk_id, bitmap, table.items(), payloads)
+        return cls._viewing(blob, chunk_id, table, header_size, bitmap)
 
     @classmethod
     def _viewing(
         cls,
-        blob: bytes,
+        blob: "bytes | bytearray | memoryview",
         chunk_id: ChunkId,
-        files: Sequence[ChunkFile],
+        table: dict[str, tuple[int, int, int]],
         data_offset: int,
         bitmap: Bitmap,
     ) -> "Chunk":
-        """The chunk whose data section is a view of ``blob`` from
-        ``data_offset`` on; :meth:`encode` returns ``blob`` itself."""
-        chunk = cls(chunk_id, files, memoryview(blob)[data_offset:], bitmap)
+        """The chunk of a checked file table whose data section is a view
+        of ``blob`` from ``data_offset`` on; :meth:`encode` returns
+        ``blob`` itself, and :meth:`payload` slices it, when it is
+        ``bytes``."""
+        chunk = cls.__new__(cls)
+        chunk.chunk_id = chunk_id
+        chunk.deletion_bitmap = bitmap
+        chunk._table = table
+        chunk._files = None
+        chunk.data = memoryview(blob)[data_offset:]
         if type(blob) is bytes:
-            chunk._blob = blob
+            chunk._blob, chunk._base = blob, data_offset
+        else:
+            chunk._blob, chunk._base = None, 0
         return chunk
 
     # -- queries --------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.files)
+        """The file count."""
+        return len(self._table)
 
     def __contains__(self, path: str) -> bool:
-        return path in self._by_path
+        """Whether the file table holds ``path``."""
+        return path in self._table
+
+    @property
+    def files(self) -> tuple[ChunkFile, ...]:
+        """The file table as :class:`ChunkFile` entries in file order,
+        built on first access."""
+        if self._files is None:
+            self._files = tuple(
+                [ChunkFile(path, *entry) for path, entry in self._table.items()]
+            )
+        return self._files
 
     @property
     def paths(self) -> tuple[str, ...]:
-        return tuple(f.path for f in self.files)
+        """Every file's path, in file order."""
+        return tuple(self._table)
 
-    def index_of(self, path: str) -> int:
-        try:
-            return self._by_path[path]
-        except KeyError:
-            raise ChunkFormatError(f"path not in chunk: {path!r}") from None
-
-    def entry(self, path: str) -> ChunkFile:
-        return self.files[self.index_of(path)]
+    def rows(self) -> list[tuple[str, int, int, int]]:
+        """The file table as ``(path, offset, length, crc32)`` rows in
+        file order: what ingest writes."""
+        return [(path, *entry) for path, entry in self._table.items()]
 
     def payload(self, path: str, verify: bool = True) -> bytes:
         """Extract one file's bytes, optionally verifying its checksum.
 
-        Slices the data-section view, so only the file's own bytes are
-        copied out — never the surrounding chunk.
+        One table lookup and one ``bytes`` slice of the blob the chunk
+        was packed or decoded from, so only the file's own bytes are
+        copied out — never the surrounding chunk.  A chunk over any
+        other buffer copies the file out of its data-section view.
         """
-        f = self.entry(path)
-        raw = bytes(self.data[f.offset : f.offset + f.length])
-        if verify and zlib.crc32(raw) != f.crc32:
+        try:
+            offset, length, crc = self._table[path]
+        except KeyError:
+            raise ChunkFormatError(f"path not in chunk: {path!r}") from None
+        blob = self._blob
+        if blob is None:
+            raw = bytes(self.data[offset : offset + length])
+        else:
+            offset += self._base
+            raw = blob[offset : offset + length]
+        if verify and zlib.crc32(raw) != crc:
             raise ChunkChecksumError(
-                f"payload checksum mismatch for {f.path!r} in chunk "
+                f"payload checksum mismatch for {path!r} in chunk "
                 f"{self.chunk_id.encode()}"
             )
         return raw
 
     def is_deleted(self, path: str) -> bool:
-        return self.deletion_bitmap.get(self.index_of(path))
+        """Whether ``path``'s bit is set in the deletion bitmap."""
+        if path not in self._table:
+            raise ChunkFormatError(f"path not in chunk: {path!r}")
+        return self.deletion_bitmap.get(self.paths.index(path))
 
     @property
     def deleted_count(self) -> int:
+        """How many bits the deletion bitmap has set."""
         return self.deletion_bitmap.count()
 
     @property
     def data_size(self) -> int:
+        """The data section's size in bytes."""
         return len(self.data)
 
     # -- codec ----------------------------------------------------------------
@@ -234,7 +378,8 @@ class Chunk:
         if self._blob is not None:
             return self._blob
         return _seal(
-            self.chunk_id, self.deletion_bitmap, self.files, [self.data]
+            self.chunk_id, self.deletion_bitmap, self._table.items(),
+            [self.data],
         )[0]
 
     @staticmethod
@@ -272,9 +417,7 @@ class Chunk:
         except struct.error:
             raise _truncated(view) from None
         if zlib.crc32(view[:pos]) != stored_crc:
-            raise ChunkChecksumError(
-                f"header checksum mismatch in chunk {chunk_id.encode()}"
-            )
+            raise _checksum_error(view)
         return chunk_id, bitmap, entries, pos + _U32.size
 
     @classmethod
@@ -304,55 +447,39 @@ class Chunk:
         data_offset).  The returned chunk has ``data=b''`` — use
         :meth:`decode` for the full object.  Recovery uses this to rebuild
         metadata without touching payload bytes.
+
+        Checks what :meth:`decode` checks, extents against ``blob``'s
+        data section included.
         """
-        chunk_id, bitmap, entries, data_offset = cls.read_header(blob)
-        shell = cls.__new__(cls)
-        shell.chunk_id = chunk_id
-        shell.files = tuple([ChunkFile(*e) for e in entries])
-        shell.data = memoryview(b"")
-        shell._blob = None
-        shell.deletion_bitmap = bitmap
-        shell._by_path = {f.path: i for i, f in enumerate(shell.files)}
+        chunk_id, bitmap, table, data_offset = _read_table(blob)
+        # Not ``b""``: the shell's encode() seals its table, never
+        # returns an empty blob.
+        shell = cls._viewing(memoryview(b""), chunk_id, table, 0, bitmap)
         return shell, data_offset
+
+    @staticmethod
+    def header_size(blob: bytes) -> int:
+        """Where an encoded chunk's data section starts: its header's
+        size.
+
+        Walks only the file table's name lengths, yet checks the magic,
+        truncation and the header checksum.
+        """
+        return _skim(blob, None)[1]
 
     @staticmethod
     def find_in_header(blob: bytes, path: str) -> tuple[int, int]:
         """``(index, header_size)`` of ``path`` in an encoded chunk's file
         table, for a tombstone.
 
-        Walks the table without building anything per file, yet checks
-        what :meth:`decode_header` checks of the bytes it passes: the
-        magic and the header checksum.  A path the table does not hold is
-        a :class:`ChunkFormatError`.
+        The :meth:`header_size` walk, comparing each name of ``path``'s
+        length as it passes.  A path the table does not hold is a
+        :class:`ChunkFormatError`.
         """
-        if blob[: len(MAGIC)] != MAGIC:
-            raise ChunkFormatError("bad chunk magic")
-        want = path.encode("utf-8")
-        index = -1
-        try:
-            (nfiles,) = _U32.unpack_from(blob, _BITMAP_AT - _U32.size)
-            pos = _BITMAP_AT + (nfiles + 7) // 8
-            step = 2 + _ENTRY_TAIL.size
-            for i in range(nfiles):
-                name_len = blob[pos] << 8 | blob[pos + 1]
-                if (
-                    name_len == len(want)
-                    and index < 0
-                    and blob.startswith(want, pos + 2)
-                ):
-                    index = i
-                pos += name_len + step
-            (stored_crc,) = _U32.unpack_from(blob, pos)
-        except (struct.error, IndexError):
-            raise _truncated(blob) from None
-        if zlib.crc32(memoryview(blob)[:pos]) != stored_crc:
-            raise ChunkChecksumError(
-                "header checksum mismatch in chunk "
-                + ChunkId(blob[len(MAGIC) : len(MAGIC) + CHUNK_ID_BYTES]).encode()
-            )
+        index, size = _skim(blob, path.encode("utf-8"))
         if index < 0:
             raise ChunkFormatError(f"path not in chunk: {path!r}")
-        return index, pos + _U32.size
+        return index, size
 
     @staticmethod
     def with_bitmap(blob: bytes, bitmap: Bitmap, header_size: int) -> bytes:
@@ -379,17 +506,16 @@ class Chunk:
     def decode(cls, blob: bytes) -> "Chunk":
         """Parse a full chunk, validating structure and header checksum.
 
-        The returned chunk's data section is a zero-copy view over
-        ``blob`` (which therefore stays alive as long as the chunk does).
+        One walk of the header fills the file table.  The returned
+        chunk's data section is a zero-copy view over ``blob`` (which
+        therefore stays alive as long as the chunk does).
         """
-        chunk_id, bitmap, entries, data_offset = cls.read_header(blob)
-        return cls._viewing(
-            blob, chunk_id, [ChunkFile(*e) for e in entries], data_offset,
-            bitmap,
-        )
+        chunk_id, bitmap, table, data_offset = _read_table(blob)
+        return cls._viewing(blob, chunk_id, table, data_offset, bitmap)
 
     def __repr__(self) -> str:
+        """``Chunk(<id>, files=<count>, bytes=<data size>)``."""
         return (
-            f"Chunk({self.chunk_id.encode()}, files={len(self.files)}, "
+            f"Chunk({self.chunk_id.encode()}, files={len(self._table)}, "
             f"bytes={len(self.data)})"
         )

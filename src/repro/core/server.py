@@ -272,7 +272,7 @@ class DieselServer:
         """
         return self._ingest_entries(
             dataset, chunk.chunk_id, chunk.deletion_bitmap,
-            [(f.path, f.offset, f.length, f.crc32) for f in chunk.files],
+            chunk.rows(),
             data_size if data_size is not None else chunk.data_size,
         )
 
@@ -409,8 +409,7 @@ class DieselServer:
     def _header_size(self, chunk_bytes_key: str) -> int:
         # Range reads address the data section; its start is where the
         # header ends.
-        *_, data_offset = Chunk.read_header(self.store.peek(chunk_bytes_key))
-        return data_offset
+        return Chunk.header_size(self.store.peek(chunk_bytes_key))
 
     def _op_get_file(
         self, dataset: str, path: str
@@ -692,8 +691,8 @@ class DieselServer:
             blob = yield from self.store.get(key)
             old_chunk = Chunk.decode(blob)
             live = [
-                (f.path, old_chunk.payload(f.path))
-                for i, f in enumerate(old_chunk.files)
+                (path, old_chunk.payload(path))
+                for i, path in enumerate(old_chunk.paths)
                 if not crec.bitmap.get(i)
             ]
             if live:

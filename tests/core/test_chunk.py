@@ -166,7 +166,8 @@ class TestCodec:
 
 def encoded(files, data):
     """Header + data as given: what ``Chunk(...)`` would refuse to build."""
-    return _seal(GEN.next(), Bitmap(len(files)), files, [data])[0]
+    table = [(f.path, (f.offset, f.length, f.crc32)) for f in files]
+    return _seal(GEN.next(), Bitmap(len(files)), table, [data])[0]
 
 
 class TestReadEntries:
@@ -224,6 +225,169 @@ class TestReadEntries:
         for read in (Chunk.decode, Chunk.read_entries):
             with pytest.raises(ChunkFormatError, match=match):
                 read(blob)
+
+
+NAMES = ["/a", "/a/b", "/données/été.bin", "/火/x", "/.git", "/e"]
+
+
+@st.composite
+def file_tables(draw):
+    """``(rows, data, bitmap)``: a file table as the header can hold it —
+    duplicate paths, empty payloads, non-ASCII paths, extents past the
+    data section, wrong checksums — and a data section."""
+    data = draw(st.binary(max_size=48))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        offset = draw(st.integers(0, len(data)))
+        length = draw(st.integers(0, len(data) - offset + 2))
+        good = zlib.crc32(data[offset : offset + length])
+        crc = draw(st.sampled_from([good, good ^ 1]))
+        rows.append((draw(st.sampled_from(NAMES)), offset, length, crc))
+    bitmap = Bitmap(len(rows))
+    for i in draw(st.sets(st.integers(0, max(len(rows) - 1, 0)))):
+        if rows:
+            bitmap.set(i)
+    return rows, data, bitmap
+
+
+def reference_decode(blob):
+    """:meth:`Chunk.read_header` plus the rules decode has always added
+    (no duplicate path; every file inside the data section, the first
+    that is not named): ``(chunk_id, bitmap, files, payloads)``."""
+    chunk_id, bitmap, entries, data_offset = Chunk.read_header(blob)
+    data_size = len(blob) - data_offset
+    if len({e[0] for e in entries}) != len(entries):
+        raise ChunkFormatError("duplicate paths within one chunk")
+    for path, offset, length, _ in entries:
+        if offset + length > data_size:
+            raise ChunkFormatError(
+                f"file {path!r} extends past data section "
+                f"({offset}+{length} > {data_size})"
+            )
+    start = data_offset
+    payloads = {
+        e[0]: bytes(blob[start + e[1] : start + e[1] + e[2]]) for e in entries
+    }
+    return chunk_id, bitmap, [ChunkFile(*e) for e in entries], payloads
+
+
+def through_decode(blob):
+    """What :meth:`Chunk.decode` gives, in :func:`reference_decode`'s
+    shape."""
+    c = Chunk.decode(blob)
+    payloads = {p: c.payload(p, verify=False) for p in c.paths}
+    return c.chunk_id, c.deletion_bitmap, list(c.files), payloads
+
+
+def outcome(read, blob):
+    """``("ok", read(blob))``, or ``("error", type, message)`` of what
+    it raised."""
+    try:
+        return "ok", read(blob)
+    except (ChunkFormatError, ChunkChecksumError) as e:
+        return "error", type(e), str(e)
+
+
+class TestOneTable:
+    """``decode`` fills one path → (offset, length, crc32) table in one
+    header walk, ``payload`` is a slice of the blob, and neither builds
+    a ``ChunkFile``; differential against ``read_header`` and the rules
+    the per-file decoder kept."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(file_tables())
+    def test_decode_agrees_with_read_header_and_the_rules(self, table):
+        rows, data, bitmap = table
+        cid = GEN.next()
+        blob = _seal(cid, bitmap, [(r[0], r[1:]) for r in rows], [data])[0]
+        expect = outcome(reference_decode, blob)
+        assert outcome(through_decode, blob) == expect
+        # The header-only decode checks the same, against the blob's data
+        # section, and the name-length walk agrees on the header's size.
+        header = outcome(Chunk.decode_header, blob)
+        data_offset = len(blob) - len(data)
+        if expect[0] == "ok":
+            shell, at = header[1]
+            assert list(shell.files) == expect[1][2] and at == data_offset
+            c = Chunk.decode(blob)
+            assert c.rows() == [tuple(r) for r in rows]
+            assert (len(c), c.paths) == (len(rows), tuple(r[0] for r in rows))
+            for path, offset, length, crc in rows:
+                if zlib.crc32(data[offset : offset + length]) == crc:
+                    assert c.payload(path) == data[offset : offset + length]
+                else:
+                    with pytest.raises(ChunkChecksumError):
+                        c.payload(path)
+            # encode round-trips byte-equal: the blob itself, and a seal
+            # of the table from a copy of the data section.
+            assert c.encode() is blob
+            assert Chunk.decode(bytearray(blob)).encode() == blob
+            rebuilt = Chunk(c.chunk_id, c.files, bytes(c.data), c.deletion_bitmap)
+            assert rebuilt.encode() == blob
+        else:
+            assert header == expect
+        assert Chunk.header_size(blob) == data_offset
+        names = [r[0] for r in rows]
+        for path in names:
+            assert Chunk.find_in_header(blob, path) == (
+                names.index(path), data_offset
+            )
+        # A cut anywhere — in the header or the data section — fails, or
+        # succeeds, as the reference does, with its error and message;
+        # the header-size walk raises read_header's error, message too.
+        for cut in range(len(blob)):
+            short = blob[:cut]
+            assert outcome(through_decode, short) == outcome(
+                reference_decode, short
+            )
+            if cut < data_offset:
+                assert outcome(Chunk.header_size, short) == outcome(
+                    Chunk.read_header, short
+                )
+
+    def test_a_corrupted_resident_byte_is_caught(self):
+        c = make_chunk()
+        flipped = bytes([ord("z") ^ 0x5A])
+        # A byte flipped in the blob before decode: the slice reads it.
+        blob = bytearray(c.encode())
+        blob[-1] ^= 0x5A
+        restored = Chunk.decode(bytes(blob))
+        with pytest.raises(ChunkChecksumError):
+            restored.payload("/b/z")
+        assert restored.payload("/b/z", verify=False) == b"zzzzz" + flipped
+        # A byte flipped in a decoded chunk's buffer after decode: the
+        # read sees it, so it reads the buffer, not a copy taken earlier.
+        blob = bytearray(c.encode())
+        resident = Chunk.decode(blob)
+        assert resident.payload("/b/z") == b"zzzzzz"
+        blob[-1] ^= 0x5A
+        with pytest.raises(ChunkChecksumError):
+            resident.payload("/b/z")
+        assert resident.payload("/b/z", verify=False) == b"zzzzz" + flipped
+        assert resident.payload("/a/x") == b"xxxx"
+
+    def test_the_read_path_builds_no_chunk_file(self, monkeypatch):
+        items = [(f"/d{i % 3}/f{i}", bytes([i]) * i) for i in range(20)]
+        blob = Chunk.build(GEN.next(), items).encode()
+        built = [0]
+
+        def count(self):
+            built[0] += 1
+
+        monkeypatch.setattr(ChunkFile, "__post_init__", count)
+        packed = Chunk.pack(GEN.next(), items)
+        chunk = Chunk.decode(blob)
+        for path, data in items:
+            assert path in chunk
+            assert chunk.payload(path) == data
+            assert chunk.payload(path, verify=False) == data
+        assert len(chunk) == len(packed) == 20 and chunk.rows()
+        Chunk.decode_header(blob)
+        Chunk.header_size(blob)
+        packed.encode()
+        assert built[0] == 0
+        # The counter does see the lazy build, once, on first access.
+        assert chunk.files is chunk.files and built[0] == 20
 
 
 class TestDeletion:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core import meta
 from repro.core import meta_journal as mj
 from repro.core import server as server_module
-from repro.core.chunk import Chunk
+from repro.core.chunk import Chunk, ChunkFile
 from repro.core.server import object_key
 from repro.errors import ChunkChecksumError, ChunkFormatError
 from repro.kvstore.kv import KVTable
@@ -216,6 +216,14 @@ class TestWorkIsCountedNotTimed:
         assert puts[0] == dep.kv.total_keys()
         assert puts[0] == 2 * self.N_FILES + directories + 2 + 2 + 1
 
+    def test_ingest_metadata_builds_no_chunk_file(self, monkeypatch):
+        dep = build_deployment()
+        chunk = depth3_chunk(ChunkIdGenerator(b"\x0d" * 6, 9).next(), 16, 2)
+        built = counting(monkeypatch, ChunkFile, "__post_init__")
+        dep.server.ingest_metadata(DS, chunk)
+        assert built[0] == 0
+        assert len(chunk.files) == 16 and built[0] == 16  # the counter sees it
+
     def test_load_meta_delta_builds_no_journal_op(self, monkeypatch):
         dep = build_deployment()
         gen = ChunkIdGenerator(b"\x0c" * 6, 8)
@@ -285,7 +293,7 @@ class TestTombstonePatch:
         written = dep.store.device.stats.write_bytes
         dep.run(delete(dep, victim))
         bitmap = Bitmap(len(before.files))
-        bitmap.set(before.index_of(victim))
+        bitmap.set(before.paths.index(victim))
         expected = Chunk(before.chunk_id, before.files, before.data, bitmap)
         stored = dep.store.peek(key)
         assert stored == expected.encode()
@@ -320,6 +328,21 @@ class TestTombstonePatch:
         # Nothing was tombstoned on the way to the error.
         cid = dep.server.dataset_info(DS).chunk_ids[0]
         assert dep.server._chunk_record(DS, cid).ndeleted == 0
+
+    def test_flipped_header_byte_fails_a_read(self, one_chunk):
+        """A file read finds the data section with the name-length walk,
+        which still checks the header checksum."""
+        dep, key, files = one_chunk
+        path = list(files)[2]
+        read = ("get_file", DS, path)
+        assert dep.run(dep.server.call(dep.client_nodes[0], *read)) == files[path]
+        blob = bytearray(dep.store.peek(key))
+        blob[30] ^= 0x40  # a byte of the first entry's path
+        dep.store.load([(key, bytes(blob))])
+        for call in (read, ("get_files", DS, [path]),
+                     ("get_file_range", DS, path, 0, 10)):
+            with pytest.raises(ChunkChecksumError):
+                dep.run(dep.server.call(dep.client_nodes[0], *call))
 
     def test_bad_magic_and_truncation_are_format_errors(self, one_chunk):
         dep, key, files = one_chunk
@@ -359,7 +382,7 @@ class TestTombstonePatch:
         target = data.draw(st.sampled_from(paths))
         dead = data.draw(st.sets(st.integers(0, len(paths) - 1)))
         index, header_size = Chunk.find_in_header(blob, target)
-        assert index == chunk.index_of(target)
+        assert index == chunk.paths.index(target)
         assert header_size == len(blob) - chunk.data_size
         marked = tombstoned(chunk, dead)
         assert Chunk.with_bitmap(
