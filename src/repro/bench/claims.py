@@ -443,13 +443,6 @@ def _capacity(r: Result) -> Claims:
     )
 
 
-def _elastic(r: Result) -> Claims:
-    crowd = r.one(event="flash_crowd")["fetch_ratio_vs_single"]
-    return _claims(
-        ("a flash crowd fetches <= 1.2x one task's chunks", crowd <= 1.2, crowd),
-    )
-
-
 def _metaplane(r: Result) -> Claims:
     delta, page = r.one(event="delta_reload"), r.one(event="pagination")
     grown = r.one(event="registry_scale", datasets=1_000_000)
@@ -480,5 +473,5 @@ CLAIMS: Dict[str, Callable[[Result], Claims]] = {
     "prefetch": _prefetch, "ingest": _ingest, "fanout": _fanout,
     "latency": _latency, "faults": _faults, "locality": _locality,
     "scale": _scale, "sharing": _sharing, "capacity": _capacity,
-    "elastic": _elastic, "metaplane": _metaplane,
+    "metaplane": _metaplane,
 }

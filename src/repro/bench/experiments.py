@@ -31,6 +31,7 @@ from repro.bench.setups import (
     warmed_task,
 )
 from repro.calibration import DEFAULT, KB, MB, MODEL_ZOO, ModelProfile
+from repro.core import meta
 from repro.core.config import DieselConfig
 from repro.core.fuse import FuseMount
 from repro.core.server import ServerStats
@@ -2090,72 +2091,6 @@ def capacity(
     return result
 
 
-def fig_elastic(
-    n_files: int = 192,
-    file_size: int = 8 * KB,
-    chunk_size: int = 64 * KB,
-    crowd_tasks: int = 16,
-) -> ExperimentResult:
-    """Flash crowd: many tasks stampede one dataset at once.
-
-    ``crowd_tasks`` tasks register, warm and read one dataset
-    simultaneously (``ChaosSchedule.flash_crowd``) through the shared
-    chunk tier, on a fresh testbed beside a single-task baseline:
-    cross-task admission + single-flight keep backend fetches within
-    1.2× of a single task's.
-    """
-    from repro.cluster.failure import ChaosSchedule
-
-    result = ExperimentResult(
-        "flash crowd",
-        "many tasks stampeding one dataset through the shared chunk tier",
-    )
-    files = {
-        f"/ds/f{i:05d}.jpg": bytes([i % 251]) * file_size
-        for i in range(n_files)
-    }
-
-    with timer(result):
-        def crowd_run(n_tasks: int) -> tuple:
-            tb = deploy(4, "ds", files, chunk_size, n_servers=1)
-            registry = SharedCacheRegistry(tb.env)
-            tasks = [
-                make_task(tb, "ds", tb.compute_nodes, f"fc{t}w", shared=registry)
-                for t in range(n_tasks)
-            ]
-
-            def stampede(task):
-                yield from task.cache.register()
-                yield from task.cache.wait_warm()
-                yield from task.read(0, task.index.all_paths())
-
-            fetches_before = tb.diesel.stats.chunk_reads
-            chaos = ChaosSchedule(tb.env).flash_crowd(
-                0.0, lambda: [stampede(t) for t in tasks],
-                label=f"crowd{n_tasks}",
-            )
-            chaos.start()
-            tb.env.run()
-            return tb.diesel.stats.chunk_reads - fetches_before, registry
-
-        single_fetches, _ = crowd_run(1)
-        crowd_fetches, registry = crowd_run(crowd_tasks)
-        ratio = crowd_fetches / max(1, single_fetches)
-        result.add(
-            event="flash_crowd", tasks=crowd_tasks,
-            backend_chunk_fetches=crowd_fetches,
-            single_task_fetches=single_fetches,
-            fetch_ratio_vs_single=ratio,
-            **stats_row(registry.stats, prefix="shared_"),
-        )
-        result.note(
-            f"flash crowd: {crowd_tasks} tasks stampeding one dataset → "
-            f"{crowd_fetches} backend fetches "
-            f"({ratio:.2f}x single-task)"
-        )
-    return result
-
-
 def fig_metaplane(
     n_files: int = 5000,
     file_size: int = 512,
@@ -2165,7 +2100,7 @@ def fig_metaplane(
     registry_sizes: Sequence[int] = (1_000, 1_000_000),
     probe_stats: int = 50,
 ) -> ExperimentResult:
-    """The delta metadata plane: journal deltas, pagination, registry scale.
+    """The delta metadata plane: journal deltas, pagination, namespace scale.
 
     Three phases, each on a fresh testbed:
 
@@ -2177,15 +2112,15 @@ def fig_metaplane(
     2. **Pagination** — the same keyspace walked with cursor-paginated
        ``pscan`` at ``page_limit``: the paged union must be
        bit-identical to the unpaginated scan.
-    3. **Registry scale** — the dataset registry grows from
-       ``registry_sizes[0]`` to ``registry_sizes[-1]`` roots while one
-       real dataset's per-client metadata costs (server stat,
-       save+load_meta, one registry page) are measured at each size:
-       namespace growth must not tax per-dataset operations.
+    3. **Namespace scale** — the KV's dataset records grow from
+       ``registry_sizes[0]`` to ``registry_sizes[-1]`` while one real
+       dataset's per-client metadata costs (server stat,
+       save+load_meta, one ``list_datasets`` page) are measured at each
+       size: namespace growth must not tax per-dataset operations.
     """
     result = ExperimentResult(
         "delta metadata plane",
-        "incremental snapshots, paginated pscan, sharded registry "
+        "incremental snapshots, paginated pscan "
         "(§4.1.3 / §4.1.1 at namespace scale)",
     )
     files = {
@@ -2249,18 +2184,17 @@ def fig_metaplane(
             f"{page_limit} — union bit-identical: {paged == flat}"
         )
 
-        # ------------------------------------- phase 3: registry scale
+        # ------------------------------------ phase 3: namespace scale
         probe_files = {
             f"/p/img{i:04d}.jpg": bytes([i % 251]) * file_size
             for i in range(200)
         }
         tb = deploy(2, "probe-ds", probe_files, chunk_size, n_servers=1)
-        registry = tb.diesel.registry
         probe_paths = sorted(probe_files)[:probe_stats]
         node = tb.compute_nodes[0]
 
         def probe_round():
-            """Per-client metadata costs at the registry's current size."""
+            """Per-client metadata costs at the namespace's current size."""
 
             def stats():
                 for p in probe_paths:
@@ -2289,14 +2223,13 @@ def fig_metaplane(
 
         grown = 0
         for size in registry_sizes:
-            while grown < size - 1:  # probe-ds itself occupies one slot
-                registry.add(f"reg-ds-{grown:07d}")
+            while grown < size - 1:  # probe-ds itself is one dataset
+                name = f"reg-ds-{grown:07d}"
+                tb.kv.local_put(
+                    meta.dataset_key(name), meta.DatasetRecord(name, 1).encode()
+                )
                 grown += 1
-            result.add(
-                event="registry_scale", datasets=size, **probe_round(),
-                shards=registry.n_shards,
-                max_shard_occupancy=max(registry.occupancy()),
-            )
+            result.add(event="registry_scale", datasets=size, **probe_round())
         add_relative(
             result, result.where(event="registry_scale")[0],
             {"stat_ratio": "stat_s", "load_meta_ratio": "load_meta_s"},
@@ -2333,6 +2266,5 @@ ALL_EXPERIMENTS = {
     "scale": scale_engine,
     "sharing": model_selection,
     "capacity": capacity,
-    "elastic": fig_elastic,
     "metaplane": fig_metaplane,
 }

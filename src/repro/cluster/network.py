@@ -29,8 +29,6 @@ class FabricStats(Counters):
     transfers: int = 0
     bytes_moved: int = 0
     intra_node: int = 0
-    #: Transfers that touched a chaos-degraded NIC.
-    degraded_transfers: int = 0
 
 
 class NetworkFabric:
@@ -48,6 +46,7 @@ class NetworkFabric:
         self.local_latency_s = 0.5e-6
 
     def add_node(self, node: Node) -> Node:
+        """Attach ``node`` to the fabric under its unique name."""
         if node.name in self._nodes:
             raise ClusterError(f"duplicate node name: {node.name!r}")
         self._nodes[node.name] = node
@@ -55,16 +54,19 @@ class NetworkFabric:
         return node
 
     def node(self, name: str) -> Node:
+        """The attached node called ``name``."""
         try:
             return self._nodes[name]
         except KeyError:
             raise ClusterError(f"unknown node: {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
+        """Whether a node called ``name`` is attached."""
         return name in self._nodes
 
     @property
     def nodes(self) -> tuple[Node, ...]:
+        """Every attached node, in attach order."""
         return tuple(self._nodes.values())
 
     def _check_alive(self, node: Node) -> None:
@@ -90,19 +92,7 @@ class NetworkFabric:
             self.stats.intra_node += 1
             self.stats.bytes_moved += nbytes
             return
-        serialize = nbytes / self.profile.bandwidth_bps
-        latency = self.profile.latency_s
-        # Chaos degradation: a straggling endpoint slows the whole
-        # transfer (the path is only as fast as its worst NIC) and adds
-        # its extra latency.  Neutral nodes leave timing untouched.
-        slow = src.nic_slow_factor
-        if dst.nic_slow_factor > slow:
-            slow = dst.nic_slow_factor
-        extra = src.nic_extra_latency_s + dst.nic_extra_latency_s
-        if slow != 1.0 or extra:
-            serialize *= slow
-            latency += extra
-            self.stats.degraded_transfers += 1
+        duration = self.profile.latency_s + nbytes / self.profile.bandwidth_bps
         # Ordered acquisition: egress first, then ingress (deadlock-free).
         egress_req = src.egress._station.acquire()
         try:
@@ -118,7 +108,7 @@ class NetworkFabric:
                 dst.ingress._station.abandon(ingress_req)
                 raise
             try:
-                yield self.env.timeout(latency + serialize)
+                yield self.env.timeout(duration)
             finally:
                 dst.ingress._station.release(ingress_req)
         finally:

@@ -55,33 +55,11 @@ class Node:
         self._alive = True
         self._on_fail: list = []
         self.fabric: "NetworkFabric | None" = None
-        # Degradation state (chaos harness): a straggling-but-alive node.
-        # ``nic_slow_factor`` multiplies serialization time of transfers
-        # touching this node; ``nic_extra_latency_s`` is added per
-        # transfer.  Defaults are neutral, so an untouched cluster's
-        # timing is bit-identical to pre-chaos traces.
-        self.nic_slow_factor = 1.0
-        self.nic_extra_latency_s = 0.0
 
     @property
     def alive(self) -> bool:
+        """Whether the node is up (not killed since its last restore)."""
         return self._alive
-
-    def degrade(
-        self, slow_factor: float = 1.0, extra_latency_s: float = 0.0
-    ) -> None:
-        """Apply NIC degradation (replacing any previous degradation)."""
-        if slow_factor < 1.0:
-            raise ValueError("slow_factor must be >= 1")
-        if extra_latency_s < 0.0:
-            raise ValueError("extra_latency_s must be >= 0")
-        self.nic_slow_factor = slow_factor
-        self.nic_extra_latency_s = extra_latency_s
-
-    def undegrade(self) -> None:
-        """Clear NIC degradation back to neutral."""
-        self.nic_slow_factor = 1.0
-        self.nic_extra_latency_s = 0.0
 
     def on_fail(self, callback) -> None:
         """Register ``callback()`` to run when this node is killed."""
@@ -96,10 +74,13 @@ class Node:
             cb()
 
     def restore(self) -> None:
+        """Bring a killed node back up; its services stay down until
+        restarted."""
         if self._alive:
             raise ClusterError(f"node {self.name!r} is already up")
         self._alive = True
 
     def __repr__(self) -> str:
+        """``Node(<name>, up|DOWN)``."""
         state = "up" if self._alive else "DOWN"
         return f"Node({self.name!r}, {state})"

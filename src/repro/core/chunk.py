@@ -421,27 +421,6 @@ class Chunk:
         return chunk_id, bitmap, entries, pos + _U32.size
 
     @classmethod
-    def read_entries(
-        cls, blob: bytes
-    ) -> tuple[ChunkId, Bitmap, list[tuple[str, int, int, int]], int]:
-        """:meth:`read_header` of a whole chunk with the rest of what
-        :meth:`decode` checks — no duplicate paths, every file inside the
-        data section — and the data section's size in place of its
-        offset: what ingest needs, with no object per file.
-        """
-        chunk_id, bitmap, entries, data_offset = cls.read_header(blob)
-        data_size = len(blob) - data_offset
-        if len({e[0] for e in entries}) != len(entries):
-            raise ChunkFormatError("duplicate paths within one chunk")
-        for path, offset, length, _ in entries:
-            if offset + length > data_size:
-                raise ChunkFormatError(
-                    f"file {path!r} extends past data section "
-                    f"({offset}+{length} > {data_size})"
-                )
-        return chunk_id, bitmap, entries, data_size
-
-    @classmethod
     def decode_header(cls, blob: bytes) -> tuple["Chunk", int]:
         """Parse a header from ``blob``; returns (chunk-with-empty-data,
         data_offset).  The returned chunk has ``data=b''`` — use

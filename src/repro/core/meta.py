@@ -48,8 +48,12 @@ _CHUNK_REC_HEAD = struct.Struct(f">{CHUNK_ID_BYTES}sQQII")  # cid, ts, size, nfi
 
 
 # -- key builders -------------------------------------------------------------
+#: Every dataset record's key starts with it: the dataset index.
+DATASET_PREFIX = "ds:"
+
+
 def dataset_key(dataset: str) -> str:
-    return f"ds:{dataset}"
+    return f"{DATASET_PREFIX}{dataset}"
 
 
 def chunk_key(dataset: str, chunk_id: ChunkId) -> str:

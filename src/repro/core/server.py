@@ -39,7 +39,6 @@ from repro.core.meta_journal import (
     MetaJournal,
     chunk_entry,
 )
-from repro.core.registry import DatasetRegistry
 from repro.core.snapshot import MetadataSnapshot, build_snapshot
 from repro.errors import (
     ChunkFormatError,
@@ -55,7 +54,6 @@ from repro.objectstore.store import ObjectStore
 from repro.objectstore.tiered import TieredStore
 from repro.rpc.endpoint import RpcEndpoint
 from repro.sim.engine import Environment, Event
-from repro.util.bitmap import Bitmap
 from repro.util.hashing import FNV_OFFSET, fnv1a_64_many
 from repro.util.ids import ChunkId, decode_chunk_id, sim_id_generator
 from repro.util.pathutil import normalize
@@ -69,8 +67,6 @@ META_JOURNAL_HORIZON = 256
 #: Keys per page of the server's paginated prefix scans (``ls``,
 #: snapshot assembly, dataset-removal sweeps; §4.1.1 readdir).
 PSCAN_PAGE_SIZE = 1024
-#: Shards the dataset registry spreads the namespace over.
-REGISTRY_SHARDS = 16
 
 #: Methods that are pure metadata (charged at the metadata service rate).
 _META_METHODS = frozenset(
@@ -91,6 +87,7 @@ def object_key(dataset: str, chunk_id: ChunkId) -> str:
 
 
 def parse_object_key(key: str) -> tuple[str, ChunkId]:
+    """The ``(dataset, chunk id)`` an :func:`object_key` names."""
     dataset, _, encoded = key.rpartition("/")
     return dataset, decode_chunk_id(encoded)
 
@@ -143,10 +140,9 @@ class DieselServer:
         self.cal = calibration
         self.name = name
         self.stats = ServerStats()
-        # Delta metadata plane: both live in the shared KV, so every
-        # stateless server sees the same journal and registry.
+        # Delta metadata plane: the journal lives in the shared KV, so
+        # every stateless server sees the same one.
         self.journal = MetaJournal(kv, META_JOURNAL_HORIZON)
-        self.registry = DatasetRegistry(kv, REGISTRY_SHARDS)
         #: Optional user→key credentials checked by DL_connect; None
         #: means open access (the default in trusted-cluster deployments).
         self.access_keys = access_keys
@@ -269,23 +265,6 @@ class DieselServer:
         :meth:`_kv_pipeline_cost` for it.  ``data_size`` overrides the
         chunk's payload size when ingesting from a header-only decode
         (recovery scans read headers, not payloads).
-        """
-        return self._ingest_entries(
-            dataset, chunk.chunk_id, chunk.deletion_bitmap,
-            chunk.rows(),
-            data_size if data_size is not None else chunk.data_size,
-        )
-
-    def _ingest_entries(
-        self,
-        dataset: str,
-        cid: ChunkId,
-        bitmap: Bitmap,
-        entries: Sequence[Tuple[str, int, int, int]],
-        data_size: int,
-    ) -> int:
-        """:meth:`ingest_metadata` of a chunk given as its id, deletion
-        bitmap and ``(path, offset, length, crc32)`` file table.
 
         The count is what the chunk *implies*: per live file its record
         plus one directory entry per path component
@@ -297,6 +276,10 @@ class DieselServer:
         "Write path").  Two hash passes: one over the new directories'
         key prefixes, one over the keys.
         """
+        cid = chunk.chunk_id
+        bitmap = chunk.deletion_bitmap
+        if data_size is None:
+            data_size = chunk.data_size
         cid_raw = cid.raw
         ndeleted = bitmap.count()
         file_prefix = meta.file_key_prefix(dataset)
@@ -314,7 +297,7 @@ class DieselServer:
         records: list[bytes] = []
         implied = 2
         pack, add = meta.FileRecord.pack, rows.append
-        for i, (path, offset, length, crc) in enumerate(entries):
+        for i, (path, offset, length, crc) in enumerate(chunk.rows()):
             if ndeleted and bitmap.get(i):
                 continue  # tombstoned files must not resurrect on rescan
             blob = pack(path, cid_raw, offset, length, crc)
@@ -345,7 +328,7 @@ class DieselServer:
         else:
             ts, dsrec = meta.DatasetRecord.bump(old, add=cid)
         crec = meta.ChunkRecord(
-            cid, ts, data_size, len(entries), ndeleted, bitmap.copy()
+            cid, ts, data_size, len(chunk), ndeleted, bitmap.copy()
         )
         ck_key = meta.chunk_key(dataset, cid)
         add((ck_key, crec.encode(), ck_key.encode(), 0))
@@ -358,8 +341,6 @@ class DieselServer:
         n_journal = self.journal.record_encoded(
             dataset, ts, chunk_entry(ts, records, cid_raw)
         )
-        if old is None:
-            self.registry.add(dataset)
         return implied + n_journal
 
     # ------------------------------------------------------------ operations
@@ -376,18 +357,19 @@ class DieselServer:
         """
         rec = self._recorder
         t0 = self.env.now if rec is not None else 0.0
-        cid, bitmap, entries, data_size = Chunk.read_entries(chunk_bytes)
+        chunk = Chunk.decode(chunk_bytes)
         # The header's paths become keys as they are: hold the sender to
         # the canonical form its chunk builder writes.
-        if any(normalize(e[0]) != e[0] for e in entries):
+        if any(normalize(p) != p for p in chunk.paths):
             raise ChunkFormatError("chunk header holds a non-canonical path")
+        cid = chunk.chunk_id
         key = object_key(dataset, cid)
         yield self.env.timeout(
             len(chunk_bytes) / self.cal.diesel.ingest_journal_bps
         )
         flush = self.store.put_journaled(key, chunk_bytes)
         self.env.process(flush, name=f"flush:{cid.encode()[:8]}")
-        n_pairs = self._ingest_entries(dataset, cid, bitmap, entries, data_size)
+        n_pairs = self.ingest_metadata(dataset, chunk)
         yield self.env.timeout(self._kv_pipeline_cost(n_pairs))
         self.stats.ingests += 1
         if rec is not None:
@@ -435,12 +417,6 @@ class DieselServer:
         however many of its files the batch asks for, so a shuffled
         mini-batch that shares chunks costs a handful of large reads.
         """
-        out = yield from self._batched_read(dataset, paths)
-        return out
-
-    def _batched_read(
-        self, dataset: str, paths: Sequence[str]
-    ) -> Generator[Event, Any, Dict[str, bytes]]:
         records = [
             (p, self._file_record(dataset, normalize(p))) for p in paths
         ]
@@ -628,8 +604,20 @@ class DieselServer:
     def _op_list_datasets(
         self, cursor: Optional[str] = None, limit: Optional[int] = None
     ) -> Generator[Event, Any, Tuple[list[str], Optional[str]]]:
-        """One page of the sharded dataset registry (name-sorted)."""
-        names, next_cursor = self.registry.list_page(cursor, limit)
+        """One name-sorted page of the dataset records (``ds:<name>``).
+
+        ``cursor`` is the last name of the previous page and ``limit``
+        (at least 1; ``None`` = every name) the page size.  Returns
+        ``(names, next_cursor)``: the KV's one-pass merged page of the
+        ``ds:`` range, so a page reads at most ``limit`` keys plus one
+        per KV shard however many datasets exist.
+        """
+        prefix = meta.DATASET_PREFIX
+        pairs, last = self.kv.local_pscan_page(
+            prefix, None if cursor is None else prefix + cursor, limit
+        )
+        names = [key[len(prefix):] for key, _ in pairs]
+        next_cursor = None if last is None else last[len(prefix):]
         yield self.env.timeout(self._kv_pipeline_cost(max(1, len(names))))
         return names, next_cursor
 
@@ -736,17 +724,18 @@ class DieselServer:
                 for key, _ in page:
                     self.kv.local_delete(key)
         self.journal.drop(dataset)
-        self.registry.remove(dataset)
         self.kv.local_delete(meta.dataset_key(dataset))
         yield self.env.timeout(self._kv_pipeline_cost(max(1, n)))
         return n
 
     # ----------------------------------------------------------- inspection
     def datasets(self) -> list[str]:
-        """Every dataset name, via the sharded registry (sorted)."""
-        return self.registry.dataset_names()
+        """Every dataset name, sorted: the ``ds:`` records' names."""
+        prefix = meta.DATASET_PREFIX
+        return [key[len(prefix):] for key, _ in self.kv.local_pscan(prefix)]
 
     def dataset_info(self, dataset: str) -> meta.DatasetRecord:
+        """The dataset's record: version and chunk ids."""
         return self._dataset_record(dataset)
 
 

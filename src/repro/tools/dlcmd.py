@@ -31,7 +31,7 @@ report where the time went — ``stats`` as an aligned per-(op, layer)
 percentile table, ``trace`` as a Chrome trace-event file viewable in
 ``chrome://tracing`` (see docs/OBSERVABILITY.md).
 
-Simulated-cluster scenarios (placement, shared caches, tiers, chaos,
+Simulated-cluster scenarios (placement, shared caches, tiers, faults,
 engine scale) are experiments, run by ``python -m repro.bench.runner <id>``.
 
 Run:  python -m repro.tools.dlcmd --help
@@ -44,6 +44,7 @@ import sys
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from repro.core.meta import DATASET_PREFIX
 from repro.errors import ReproError
 from repro.tools.workspace import DieselWorkspace
 from repro.util.units import format_bytes
@@ -116,8 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "meta",
-        help="metadata-plane summary: per-dataset snapshot version and "
-             "journal depth/span, plus registry shard occupancy "
+        help="metadata-plane summary: the dataset count, plus "
+             "per-dataset snapshot version and journal depth/span "
              "(see docs/METADATA.md)",
     )
     return parser
@@ -283,22 +284,18 @@ def cmd_verify(ws: DieselWorkspace, dataset: str, args) -> str:
 
 
 def cmd_meta(ws: DieselWorkspace, dataset: str, args) -> str:
-    """Metadata-plane summary: journal, snapshot versions, registry.
+    """Metadata-plane summary: dataset count, journal, snapshot versions.
 
     Reads the same counters the ``metaplane`` experiment asserts on —
-    per-dataset snapshot version (``update_ts``), retained journal
-    depth and version span (what a delta ``refresh_meta`` can span
-    before falling back to a full reload), and how the dataset
-    registry's names spread across its hash shards.
+    how many dataset records the KV holds, per-dataset snapshot version
+    (``update_ts``), and retained journal depth and version span (what
+    a delta ``refresh_meta`` can span before falling back to a full
+    reload).
     """
     server = ws.server
-    reg = server.registry
-    occ = reg.occupancy()
-    occupied = sum(1 for n in occ if n)
     lines = [
-        f"registry:         {reg.count()} dataset(s) on "
-        f"{occupied}/{reg.n_shards} shards "
-        f"(max {max(occ, default=0)} per shard)",
+        f"registry:         {server.kv.local_pcount(DATASET_PREFIX)} "
+        f"dataset(s)",
         f"journal horizon:  {server.journal.horizon} "
         f"version(s) retained per dataset",
     ]

@@ -44,7 +44,6 @@ SMOKE = {
     "capacity": dict(ram_bytes=256 * KB, file_size=8 * KB,
                      chunk_size=64 * KB, ratios=(0.5, 4.0),
                      disk_tier_bytes=4 * 256 * KB),
-    "elastic": dict(n_files=64, crowd_tasks=4),
     "metaplane": dict(n_files=400, registry_sizes=(200, 5000),
                       page_limit=100, probe_stats=10),
 }

@@ -21,7 +21,6 @@ ROOT = Path(__file__).resolve().parents[2]
 #: id -> (row index, column, value) that breaks one of its claims.
 PERTURB = {
     "capacity": (0, "lost_chunks", 1),
-    "elastic": (0, "fetch_ratio_vs_single", 1.5),
     "fanout": (0, "duplicate_reads", 1),
     "faults": (1, "failed_reads", 1),
     "ingest": (0, "server_ingests", 23),

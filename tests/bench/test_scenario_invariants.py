@@ -32,8 +32,8 @@ from tests.invariants import (
 )
 
 #: The scenarios whose committed ``BENCH_*.json`` the rows gate diffs.
-SCENARIOS = ("sharing", "capacity", "elastic", "locality", "faults",
-             "prefetch", "ingest", "fanout", "latency", "metaplane")
+SCENARIOS = ("sharing", "capacity", "locality", "faults", "prefetch",
+             "ingest", "fanout", "latency", "metaplane")
 
 
 @pytest.fixture

@@ -5,9 +5,13 @@ dies mid-call must land on the DIESEL server instead of erroring, and
 an on-demand background fill must tolerate the master dying mid-pull.
 """
 
-from repro.cluster.failure import ChaosSchedule
-
 from tests.core.test_dist_cache import setup_cache
+
+
+def kill_after(env, delay_s, node):
+    """A process body that kills ``node`` ``delay_s`` from now."""
+    yield env.timeout(delay_s)
+    node.kill()
 
 
 def warm_rig(policy="oneshot", chunk_size=8 * 1024):
@@ -40,8 +44,7 @@ class TestMidFlightDegradation:
         assert cache.stats.degraded_reads == 0
 
         # Kill the owner halfway through the next, identical call.
-        ChaosSchedule(dep.env).at(
-            dep.env.now + hit_s / 2, victim_node.kill, "kill").start()
+        dep.env.process(kill_after(dep.env, hit_s / 2, victim_node))
         data = dep.run(cache.read_file(reader, record))
         assert data == files[path]  # served by the server, not an error
         assert cache.stats.degraded_reads == 1
@@ -69,8 +72,7 @@ class TestTolerantBackgroundPull:
         assert data == files[path]  # miss: fell through to the server
         # The on-demand fill is still in flight.
         assert not victim.has_chunk(record.chunk_id.encode())
-        ChaosSchedule(dep.env).at(
-            dep.env.now + 1e-6, victim_node.kill, "kill").start()
+        dep.env.process(kill_after(dep.env, 1e-6, victim_node))
         dep.env.run()  # drain: the orphan pull must not blow up the sim
         assert cache.dropped_pulls == 1
         assert not victim.has_chunk(record.chunk_id.encode())

@@ -206,15 +206,15 @@ class TestWorkIsCountedNotTimed:
         # for their KV slot over the basename alone, each continuing a
         # state its directory's keys share; every directory — the eight
         # leaves, /r000 — costs its two key prefixes, its own hash and
-        # its link's key; the chunk, dataset, journal and registry keys
-        # are a constant.  (The parent commit fed 2 × Σ len(key) ≈ 16 kB.)
+        # its link's key; the chunk, dataset and journal keys are a
+        # constant.  (The parent commit fed 2 × Σ len(key) ≈ 16 kB.)
         basenames = sum(len(f.path.rpartition("/")[2]) for f in chunk.files)
         directories = self.N_DIRS + 1
         assert 2 * basenames <= hashed[0]
         assert hashed[0] <= 2 * basenames + 128 * directories + 256
         # Nothing is written twice: one put per key the store now holds.
         assert puts[0] == dep.kv.total_keys()
-        assert puts[0] == 2 * self.N_FILES + directories + 2 + 2 + 1
+        assert puts[0] == 2 * self.N_FILES + directories + 2 + 2
 
     def test_ingest_metadata_builds_no_chunk_file(self, monkeypatch):
         dep = build_deployment()

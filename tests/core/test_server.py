@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from repro.core import meta
+from repro.core import meta, recovery
 from repro.core.chunk import Chunk
 from repro.core.server import object_key, parse_object_key
 from repro.errors import (
@@ -515,7 +515,48 @@ class TestSnapshotReuse:
         assert again.files == files
 
 
+def written(dep):
+    """The datasets as written."""
+    return DATASETS
+
+
+def one_deleted(dep):
+    """``delete_dataset`` takes its name off the listing."""
+    dep.run(dep.server.call(dep.client_nodes[0], "delete_dataset", "b-1"))
+    return [name for name in DATASETS if name != "b-1"]
+
+
+def rebuilt(dep):
+    """After a loss of every KV pair, a rebuild from the chunks (§4.1.2)
+    lists every name again."""
+    dep.kv.lose_all()
+    assert dep.server.datasets() == []
+    dep.run(recovery.rebuild_all(dep.server))
+    return DATASETS
+
+
+DATASETS = ["a", "b-1", "b-2", "c", "zz"]
+
+
 class TestListDatasets:
+    @pytest.mark.parametrize("limit", [1, 2, None])
+    @pytest.mark.parametrize("change", [written, one_deleted, rebuilt])
+    def test_pages_list_the_live_dataset_records(self, change, limit):
+        dep = build_deployment(n_kv=2)
+        for name in reversed(DATASETS):
+            write_dataset(dep, name, small_files(2))
+        live = change(dep)
+        names, cursor = [], None
+        while True:
+            page, cursor = dep.run(dep.server.call(
+                dep.client_nodes[0], "list_datasets", cursor, limit
+            ))
+            assert len(page) <= (limit or len(DATASETS))
+            names += page
+            if cursor is None:
+                break
+        assert names == live == dep.server.datasets()
+
     @pytest.mark.parametrize("limit", [0, -1])
     def test_limit_below_one_is_rejected(self, limit):
         dep = build_deployment()

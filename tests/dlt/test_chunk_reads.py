@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.bench.setups import deploy, diesel_client_with_snapshot, warmed_task
 from repro.calibration import ModelProfile
-from repro.cluster.failure import ChaosSchedule
 from repro.cluster.node import Node
 from repro.core.config import DieselConfig
 from repro.core.prefetch import WINDOW_HIT_S
@@ -223,8 +222,11 @@ class TestFaults:
         _, tier = tb.run(cache.read_chunk(reader.cache_client, cids[0]))
         assert tier == "remote_hits"
         hop_s = tb.env.now - t0
-        ChaosSchedule(tb.env).at(
-            tb.env.now + hop_s / 2, victim.node.kill, "kill").start()
+        def kill():
+            yield tb.env.timeout(hop_s / 2)
+            victim.node.kill()
+
+        tb.env.process(kill())
         backend = tb.diesel.stats.chunk_reads
         target = cids[1]
         paths = [

@@ -68,8 +68,7 @@ def test_experiment_registry_covers_every_artifact():
         "table2", "fig6", "fig9", "fig10a", "fig10b", "fig10c",
         "fig11a", "fig11b", "fig12", "fig13", "fig14", "fig15",
         "prefetch", "ingest", "fanout", "latency", "faults",
-        "locality", "scale", "sharing", "capacity", "elastic",
-        "metaplane",
+        "locality", "scale", "sharing", "capacity", "metaplane",
     }
 
 

@@ -52,6 +52,7 @@ KEEP = {
     "SharedChunkCache.refcount": "(ii) pin-count invariant of the shared tier",
     "Chunk.is_deleted": "(ii) tombstone probe of the chunk codec",
     "Chunk.deleted_count": "(ii) bitmap/record consistency probe",
+    "Chunk.read_header": "(ii) oracle of the codec's one header walk",
     "Semaphore.queue_length": "(ii) bounded-wait-queue probe (no pinned waiters)",
     "verify_file": "(ii) embedded-CRC read-back check of generated payloads",
     "run_sync": "(ii) the driver every differential test runs both sides with",
@@ -60,8 +61,6 @@ KEEP = {
     "ChunkId.counter": "(ii) Table 1 field decoder the id tests compare against",
     # (iii) task-lifecycle and fault-injection verbs (ROADMAP item 2)
     "TaskCache.deregister": "(iii) teardown half of the _retire lifetime rule",
-    "ChaosSchedule.slow_node": "(iii) fault injection",
-    "ChaosSchedule.latency_spikes": "(iii) fault injection",
     "ShardedKV.lose_instance": "(iii) fault injection",
     # (iv) the next benchmark's figure (ROADMAP item 1)
     "shuffle_quality": "(iv) ROADMAP item 1 names it as the figure to report",
