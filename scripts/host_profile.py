@@ -19,23 +19,34 @@ none: the tick that fell inside it is delivered at the ``RESUME`` of the
 next Python function called.  A sample whose innermost frame has not run
 past that first instruction is therefore charged to the caller.
 
+``--exact`` profiles the same region deterministically instead, with
+``cProfile``: every call is timed, so C-level work is charged to the
+function that ran it and a per-function figure does not depend on where
+a tick happened to land.  It prints each function's ``tottime`` (self)
+and ``cumtime`` (cumulative) in milliseconds with their shares of the
+region's total; the profiler's own per-call cost inflates cheap Python
+calls, so read its shares beside the sampler's, not instead of them.
+
 Drives ``perfbench.workloads`` through perfbench's own op proxy,
 read-only; nothing is written but the ``--json`` file.  ``--diff`` reads
-two such files — a parent clone's and the change's — and prints the
-per-function before/after table: functions are matched by qualified
-name and file, not line, so an edit above one does not split its row.
+two such files of one kind — a parent clone's and the change's — and
+prints the per-function before/after table: functions are matched by
+qualified name and file, not line, so an edit above one does not split
+its row.
 
 Usage::
 
-    python scripts/host_profile.py ingest_meta [--seed N] [--scale tiny] [--setup] [--top K] [--json OUT]
+    python scripts/host_profile.py ingest_meta [--seed N] [--scale tiny] [--setup] [--exact] [--top K] [--json OUT]
     python scripts/host_profile.py --diff A.json B.json [--top K]
 """
 
 from __future__ import annotations
 
 import argparse
+import cProfile
 import json
 import opcode
+import re
 import signal
 import sys
 from collections import Counter
@@ -107,8 +118,41 @@ class Sampler:
         signal.signal(signal.SIGALRM, signal.SIG_DFL)
 
 
+class ExactProfile:
+    """``cProfile`` over the same region as :class:`Sampler`, in the same
+    shape: ``self_hits`` / ``cum_hits`` hold each function's ``tottime``
+    / ``cumtime`` in microseconds and ``samples`` their total (the sum
+    of every ``tottime``), so :func:`report`, :func:`to_json` and
+    :func:`diff` read either."""
+
+    unit = "us"
+
+    def __init__(self) -> None:
+        self.self_hits: Counter = Counter()
+        self.cum_hits: Counter = Counter()
+        self.samples = 0
+        self._profile = cProfile.Profile()
+
+    def __enter__(self) -> "ExactProfile":
+        self._profile.enable()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._profile.disable()
+        self.self_hits.clear()
+        self.cum_hits.clear()
+        for entry in self._profile.getstats():
+            code = entry.code  # a code object, or a built-in's name
+            key = (code, "") if not isinstance(code, str) else (code, "builtin")
+            self.self_hits[key] = round(entry.inlinetime * 1e6)
+            self.cum_hits[key] = round(entry.totaltime * 1e6)
+        self.samples = sum(self.self_hits.values())
+
+
 def _where(key, line: bool = True) -> str:
     code, owner = key
+    if owner == "builtin":  # a built-in's name, its address dropped
+        return re.sub(r" at 0x[0-9a-f]+", "", code)
     name = getattr(code, "co_qualname", code.co_name)
     if owner:
         return f"{owner}.{code.co_name}  (generated)"
@@ -121,19 +165,24 @@ def _where(key, line: bool = True) -> str:
     return f"{name}  ({at})"
 
 
-def report(sampler: Sampler, top: int) -> list[str]:
+def report(sampler, top: int) -> list[str]:
+    """The ``top`` functions by self and by cumulative share."""
     total = sampler.samples or 1
+    exact = isinstance(sampler, ExactProfile)
     lines = []
     for title, hits in (("self", sampler.self_hits),
                         ("cumulative", sampler.cum_hits)):
-        lines.append(f"\n{'share':>7}  {'samples':>7}  by {title}")
+        column = "ms" if exact else "samples"
+        lines.append(f"\n{'share':>7}  {column:>9}  by {title}")
         for key, n in hits.most_common(top):
-            lines.append(f"{n / total:7.1%}  {n:7d}  {_where(key)}")
+            count = f"{n / 1e3:9.1f}" if exact else f"{n:9d}"
+            lines.append(f"{n / total:7.1%}  {count}  {_where(key)}")
     return lines
 
 
-def to_json(sampler: Sampler, header: dict) -> dict:
-    """The whole profile, keyed for ``--diff``: ``{function: [self, cum]}``."""
+def to_json(sampler, header: dict) -> dict:
+    """The whole profile, keyed for ``--diff``: ``{function: [self, cum]}``
+    (samples, or microseconds when ``header["exact"]``)."""
     functions: dict[str, list[int]] = {}
     for column, hits in enumerate((sampler.self_hits, sampler.cum_hits)):
         for key, n in hits.items():
@@ -144,9 +193,12 @@ def to_json(sampler: Sampler, header: dict) -> dict:
 def diff(before: dict, after: dict, top: int) -> list[str]:
     """Before/after shares of each function's self and cumulative samples,
     the ``top`` largest moves of self share first."""
+    if bool(before.get("exact")) != bool(after.get("exact")):
+        raise SystemExit("--diff: one profile is --exact, the other sampled")
+    unit = "us (exact)" if before.get("exact") else "samples"
     lines = [
         f"{side}: {p['workload']} seed {p['seed']} scale {p['scale']}, "
-        f"{p['samples']} samples over "
+        f"{p['samples']} {unit} over "
         + ("one set-up pass" if p.get("setup") else f"{p['ops']} ops")
         for side, p in (("before", before), ("after", after))
     ]
@@ -180,6 +232,9 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--scale", default="full", choices=("full", "tiny"))
     ap.add_argument("--setup", action="store_true",
                     help="sample one set-up pass instead of blocks 1..n")
+    ap.add_argument("--exact", action="store_true",
+                    help="profile the region with cProfile (tottime and "
+                         "cumtime per function) instead of sampling it")
     ap.add_argument("--top", type=int, default=25,
                     help="functions listed per ranking (default: 25)")
     ap.add_argument("--json", metavar="OUT", type=Path,
@@ -196,9 +251,10 @@ def main(argv: list[str]) -> int:
 
     wl = WORKLOADS[args.workload](args.seed, args.scale)
     wl.make_inputs()
-    sampler = Sampler()
+    sampler = ExactProfile() if args.exact else Sampler()
     header = {"workload": args.workload, "seed": args.seed,
-              "scale": args.scale, "setup": args.setup, "ops": 0}
+              "scale": args.scale, "setup": args.setup, "ops": 0,
+              "exact": args.exact}
     failed, errors = 0, []
     if args.setup:
         with sampler:
@@ -216,8 +272,10 @@ def main(argv: list[str]) -> int:
         failed, errors = log.failed, log.errors
         region = (f"blocks 1..{wl.n_blocks - 1} ({header['ops']} ops, "
                   f"{failed} failed)")
-    print(f"{args.workload} seed {args.seed} scale {args.scale}: "
-          f"{sampler.samples} samples at {SAMPLE_INTERVAL_S * 1e3:g} ms over "
+    how = (f"{sampler.samples / 1e3:.1f} ms profiled exactly"
+           if args.exact else
+           f"{sampler.samples} samples at {SAMPLE_INTERVAL_S * 1e3:g} ms")
+    print(f"{args.workload} seed {args.seed} scale {args.scale}: {how} over "
           f"{region}")
     print("\n".join(errors + report(sampler, args.top)))
     if args.json:

@@ -40,6 +40,8 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from repro.errors import ChunkChecksumError, ChunkFormatError
@@ -68,22 +70,34 @@ def _seal(
     data section's parts, joined in one copy.
 
     ``table`` yields ``(path, (offset, length, crc32))`` in file order,
-    as many as ``bitmap`` has bits (the header's file count).
+    as many as ``bitmap`` has bits (the header's file count).  The
+    header is one join of its parts, one struct pack per entry.
     """
-    header = bytearray(MAGIC)
-    header += chunk_id.raw
-    header += _U32.pack(len(bitmap))
-    header += bitmap.to_bytes()
-    u16, tail = _U16.pack, _ENTRY_TAIL.pack
-    for path, entry in table:
-        name = path.encode("utf-8")
-        if len(name) > 0xFFFF:
-            raise ChunkFormatError(f"path too long: {path!r}")
-        header += u16(len(name))
-        header += name
-        header += tail(*entry)
-    header += _U32.pack(zlib.crc32(header))
-    return b"".join([header, *payloads]), len(header)
+    rows = list(table)
+    names = [path.encode("utf-8") for path, _ in rows]
+    sizes = list(map(len, names))
+    if sizes and max(sizes) > 0xFFFF:
+        path = rows[next(i for i, n in enumerate(sizes) if n > 0xFFFF)][0]
+        raise ChunkFormatError(f"path too long: {path!r}")
+    packers = {n: _entry_struct(n).pack for n in set(sizes)}
+    header = b"".join([
+        MAGIC, chunk_id.raw, _U32.pack(len(bitmap)), bitmap.to_bytes(),
+        *[
+            packers[n](n, name, offset, length, crc)
+            for n, name, (_, (offset, length, crc)) in zip(sizes, names, rows)
+        ],
+    ])
+    return (
+        b"".join([header, _U32.pack(zlib.crc32(header)), *payloads]),
+        len(header) + _U32.size,
+    )
+
+
+@lru_cache(maxsize=1024)
+def _entry_struct(name_len: int) -> struct.Struct:
+    """The packer of a file-table entry whose UTF-8 path is ``name_len``
+    bytes."""
+    return struct.Struct(f">H{name_len}s{_ENTRY_TAIL.format[1:]}")
 
 
 def _truncated(blob) -> ChunkFormatError:
@@ -259,17 +273,15 @@ class Chunk:
     ) -> "Chunk":
         """:meth:`build` for paths that are canonical already (the chunk
         builder normalised them as they were added)."""
-        table: dict[str, tuple[int, int, int]] = {}
-        payloads: list[bytes] = []
-        offset = 0
-        crc32 = zlib.crc32
-        for path, payload in items:
-            payload = bytes(payload)
-            table[path] = (offset, len(payload), crc32(payload))
-            payloads.append(payload)
-            offset += len(payload)
-        if not payloads:
+        rows = list(items)
+        if not rows:
             raise ChunkFormatError("a chunk must contain at least one file")
+        paths, payloads = zip(*rows)
+        payloads = list(map(bytes, payloads))
+        sizes = list(map(len, payloads))
+        table = dict(zip(paths, zip(
+            accumulate(sizes, initial=0), sizes, map(zlib.crc32, payloads)
+        )))
         if len(table) != len(payloads):
             raise ChunkFormatError("duplicate paths within one chunk")
         bitmap = Bitmap(len(payloads))
@@ -325,10 +337,10 @@ class Chunk:
         """Every file's path, in file order."""
         return tuple(self._table)
 
-    def rows(self) -> list[tuple[str, int, int, int]]:
-        """The file table as ``(path, offset, length, crc32)`` rows in
-        file order: what ingest writes."""
-        return [(path, *entry) for path, entry in self._table.items()]
+    def columns(self) -> tuple[list[str], list[tuple[int, int, int]]]:
+        """The file table as two columns in file order, the paths and
+        their ``(offset, length, crc32)``: what ingest writes."""
+        return list(self._table), list(self._table.values())
 
     def payload(self, path: str, verify: bool = True) -> bytes:
         """Extract one file's bytes, optionally verifying its checksum.

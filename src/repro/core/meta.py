@@ -33,7 +33,7 @@ import bisect
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from repro.errors import DieselError
 from repro.util.bitmap import Bitmap
@@ -53,22 +53,27 @@ DATASET_PREFIX = "ds:"
 
 
 def dataset_key(dataset: str) -> str:
+    """Key of the dataset's :class:`DatasetRecord`."""
     return f"{DATASET_PREFIX}{dataset}"
 
 
 def chunk_key(dataset: str, chunk_id: ChunkId) -> str:
+    """Key of one chunk's :class:`ChunkRecord`."""
     return f"ck:{dataset}:{chunk_id.encode()}"
 
 
 def chunk_key_prefix(dataset: str) -> str:
+    """Prefix every chunk record key of the dataset starts with."""
     return f"ck:{dataset}:"
 
 
 def file_key(dataset: str, path: str) -> str:
+    """Key of the :class:`FileRecord` of the file at canonical ``path``."""
     return f"f:{dataset}:{path}"
 
 
 def file_key_prefix(dataset: str) -> str:
+    """Prefix every file record key of the dataset starts with."""
     return f"f:{dataset}:"
 
 
@@ -83,6 +88,8 @@ def dir_hash(path: str) -> str:
 
 
 def dir_entry_key(dataset: str, parent: str, name: str, is_dir: bool) -> str:
+    """Key of the entry ``name`` (a subdirectory when ``is_dir``, else a
+    file) in directory ``parent``."""
     kind = "d" if is_dir else "f"
     return f"dir:{dataset}:{dir_hash(parent)}/{kind}:{name}"
 
@@ -95,9 +102,13 @@ def dir_scan_prefix(dataset: str, parent: str, kind: str) -> str:
 
 
 # -- records -------------------------------------------------------------------
-@dataclass(frozen=True)
-class FileRecord:
-    """Where one file lives: chunk, offset within its data section, length."""
+class FileRecord(NamedTuple):
+    """Where one file lives: chunk, offset within its data section, length.
+
+    A named tuple: a record costs one tuple to build (the decoders below
+    and the snapshot's build it with ``tuple.__new__``), compares and
+    hashes by its fields, and is immutable.
+    """
 
     path: str
     chunk_id: ChunkId
@@ -106,6 +117,7 @@ class FileRecord:
     crc32: int
 
     def encode(self) -> bytes:
+        """The packed record: the value of its ``f:`` key."""
         return self.pack(
             self.path, self.chunk_id.raw, self.offset, self.length, self.crc32
         )
@@ -114,17 +126,27 @@ class FileRecord:
     def pack(
         path: str, cid_raw: bytes, offset: int, length: int, crc32: int
     ) -> bytes:
-        """:meth:`encode` from bare fields (ingest builds no instances)."""
+        """:meth:`encode` from bare fields."""
         name = path.encode("utf-8")
-        return b"".join((
-            _U32.pack(len(name)), name,
-            _FILE_REC.pack(cid_raw, offset, length, crc32),
-        ))
+        return _record_struct(len(name)).pack(
+            len(name), name, cid_raw, offset, length, crc32
+        )
 
     @staticmethod
-    def packed_path(blob: bytes) -> bytes:
-        """The UTF-8 path inside a packed record, undecoded."""
-        return blob[_U32.size : -_FILE_REC.size]
+    def pack_many(
+        paths: Sequence[bytes],
+        cid_raw: bytes,
+        entries: Iterable[tuple[int, int, int]],
+    ) -> list[bytes]:
+        """:meth:`pack` of each UTF-8 path of ``paths`` with its
+        ``(offset, length, crc32)`` of ``entries``, all in one chunk:
+        one struct pack per record (ingest builds no instances)."""
+        lengths = list(map(len, paths))
+        packers = {n: _record_struct(n).pack for n in set(lengths)}
+        return [
+            packers[n](n, path, cid_raw, offset, length, crc)
+            for n, path, (offset, length, crc) in zip(lengths, paths, entries)
+        ]
 
     @classmethod
     def decode(
@@ -142,7 +164,16 @@ class FileRecord:
             cid = chunk_ids.get(cid_raw)
             if cid is None:
                 cid = chunk_ids[cid_raw] = ChunkId(cid_raw)
-        return cls(name, cid, offset, length, crc)
+        return _new_tuple(cls, (name, cid, offset, length, crc))
+
+
+_new_tuple = tuple.__new__
+
+
+@lru_cache(maxsize=1024)
+def _record_struct(name_len: int) -> struct.Struct:
+    """The packer of a record whose UTF-8 path is ``name_len`` bytes."""
+    return struct.Struct(f">I{name_len}s{_FILE_REC.format[1:]}")
 
 
 @dataclass(frozen=True)
@@ -157,6 +188,8 @@ class ChunkRecord:
     bitmap: Bitmap
 
     def __post_init__(self) -> None:
+        """Refuse a bitmap whose size or population disagrees with the
+        counts."""
         if len(self.bitmap) != self.nfiles:
             raise DieselError(
                 f"chunk record bitmap size {len(self.bitmap)} != nfiles "
@@ -166,6 +199,7 @@ class ChunkRecord:
             raise DieselError("ndeleted disagrees with bitmap population")
 
     def encode(self) -> bytes:
+        """The packed record: the value of its ``ck:`` key."""
         head = _CHUNK_REC_HEAD.pack(
             self.chunk_id.raw, self.update_ts, self.size, self.nfiles, self.ndeleted
         )
@@ -173,6 +207,7 @@ class ChunkRecord:
 
     @classmethod
     def decode(cls, blob: bytes) -> "ChunkRecord":
+        """The record :meth:`encode` packed into ``blob``."""
         cid_raw, ts, size, nfiles, ndeleted = _CHUNK_REC_HEAD.unpack_from(blob, 0)
         bitmap = Bitmap.from_bytes(blob[_CHUNK_REC_HEAD.size :], nfiles)
         return cls(ChunkId(cid_raw), ts, size, nfiles, ndeleted, bitmap)
@@ -198,6 +233,7 @@ class DatasetRecord:
     chunk_ids: tuple[ChunkId, ...] = field(default_factory=tuple)
 
     def encode(self) -> bytes:
+        """The packed record: the value of its ``ds:`` key."""
         name = self.name.encode("utf-8")
         out = bytearray()
         out += _U32.pack(len(name))
@@ -210,6 +246,7 @@ class DatasetRecord:
 
     @classmethod
     def decode(cls, blob: bytes) -> "DatasetRecord":
+        """The record :meth:`encode` packed into ``blob``."""
         (name_len,) = _U32.unpack_from(blob, 0)
         pos = 4
         name = blob[pos : pos + name_len].decode("utf-8")
@@ -248,10 +285,13 @@ class DatasetRecord:
         return ts, b"".join((blob[: 4 + name_len], _U64.pack(ts), count, ids))
 
     def with_chunks(self, new_ids: Sequence[ChunkId], ts: int) -> "DatasetRecord":
+        """A copy at version ``ts`` with ``new_ids`` merged into the sorted
+        id list."""
         merged = tuple(sorted(set(self.chunk_ids) | set(new_ids)))
         return DatasetRecord(self.name, ts, merged)
 
     def without_chunks(self, gone: Sequence[ChunkId], ts: int) -> "DatasetRecord":
+        """A copy at version ``ts`` without the ids of ``gone``."""
         removed = set(gone)
         kept = tuple(c for c in self.chunk_ids if c not in removed)
         return DatasetRecord(self.name, ts, kept)

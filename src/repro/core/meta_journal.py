@@ -27,15 +27,19 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.core.meta import FileRecord
 from repro.errors import DieselError, JournalFormatError
 from repro.kvstore.sharded import ShardedKV
+from repro.util.ids import CHUNK_ID_BYTES
 
 _ENTRY_HEAD = struct.Struct(">QI")  # ts, op count
 _OP_HEAD = struct.Struct(">BII")  # kind, path len, payload len
 _META = struct.Struct(">QQI")  # oldest ts, newest ts, count
+#: A packed :class:`FileRecord`'s bytes beside its path's.
+_RECORD_FIXED = len(FileRecord.pack("", bytes(CHUNK_ID_BYTES), 0, 0, 0))
 
 #: Upsert one file record (payload = encoded FileRecord).
 OP_APPEND = 0
@@ -55,10 +59,12 @@ def journal_key(dataset: str, ts: int) -> str:
 
 
 def journal_prefix(dataset: str) -> str:
+    """Prefix every journal-entry key of the dataset starts with."""
     return f"jr:{dataset}:"
 
 
 def journal_meta_key(dataset: str) -> str:
+    """Key of the dataset's journal meta: oldest ts, newest ts, count."""
     return f"jrm:{dataset}"
 
 
@@ -71,6 +77,7 @@ class JournalOp:
     payload: bytes = b""
 
     def __post_init__(self) -> None:
+        """Refuse an unknown op kind."""
         if self.kind not in _KINDS:
             raise DieselError(f"unknown journal op kind {self.kind!r}")
 
@@ -88,6 +95,8 @@ class JournalEntry:
     ops: Tuple[JournalOp, ...]
 
     def encode(self) -> bytes:
+        """The entry as stored under its ``jr:`` key: the head, then each
+        op's head, path and payload."""
         parts = [_ENTRY_HEAD.pack(self.ts, len(self.ops))]
         for op in self.ops:
             path = op.path.encode("utf-8")
@@ -98,6 +107,8 @@ class JournalEntry:
 
     @classmethod
     def decode(cls, blob: bytes) -> "JournalEntry":
+        """The entry :meth:`encode` wrote into ``blob``, every op built;
+        a malformed blob raises as :func:`read_entry` does."""
         ts, ops = read_entry(blob)
         return cls(ts, tuple(JournalOp(*op) for op in ops))
 
@@ -137,20 +148,27 @@ def _iter_ops(blob: bytes, n_ops: int) -> Iterator[tuple[int, str, bytes]]:
         raise JournalFormatError(f"{end - pos} bytes follow the entry's last op")
 
 
-def chunk_entry(ts: int, records: Sequence[bytes], cid_raw: bytes) -> bytes:
+def chunk_entry(
+    ts: int, paths: Sequence[bytes], records: Sequence[bytes], cid_raw: bytes
+) -> bytes:
     """The encoded entry of one chunk ingest: an ``OP_APPEND`` per packed
-    :class:`FileRecord` of ``records``, then the ``OP_CHUNK_ADD``.
+    :class:`FileRecord` of ``records``, whose UTF-8 path is the same
+    item of ``paths``, then the ``OP_CHUNK_ADD``.
 
     Byte-equal to ``JournalEntry(ts, ops).encode()`` of those ops, built
-    from the blobs the KV pairs already hold with no op materialised.
+    from the blobs the KV pairs already hold with no op materialised:
+    one join, an op head per distinct record size.
     """
-    head = _OP_HEAD.pack
-    parts = [_ENTRY_HEAD.pack(ts, len(records) + 1)]
-    for rec in records:
-        path = FileRecord.packed_path(rec)
-        parts += (head(OP_APPEND, len(path), len(rec)), path, rec)
-    parts += (head(OP_CHUNK_ADD, 0, len(cid_raw)), cid_raw)
-    return b"".join(parts)
+    sizes = list(map(len, records))
+    heads = {
+        n: _OP_HEAD.pack(OP_APPEND, n - _RECORD_FIXED, n) for n in set(sizes)
+    }
+    return b"".join([
+        _ENTRY_HEAD.pack(ts, len(records) + 1),
+        *chain.from_iterable(zip(map(heads.__getitem__, sizes), paths, records)),
+        _OP_HEAD.pack(OP_CHUNK_ADD, 0, len(cid_raw)),
+        cid_raw,
+    ])
 
 
 class MetaJournal:

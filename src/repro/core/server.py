@@ -26,7 +26,10 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from operator import add, methodcaller
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.calibration import Calibration, DEFAULT
 from repro.core import meta
@@ -54,7 +57,7 @@ from repro.objectstore.store import ObjectStore
 from repro.objectstore.tiered import TieredStore
 from repro.rpc.endpoint import RpcEndpoint
 from repro.sim.engine import Environment, Event
-from repro.util.hashing import FNV_OFFSET, fnv1a_64_many
+from repro.util.hashing import FNV_OFFSET, fnv1a_64, fnv1a_64_many
 from repro.util.ids import ChunkId, decode_chunk_id, sim_id_generator
 from repro.util.pathutil import normalize
 
@@ -64,8 +67,8 @@ AnyStore = Union[ObjectStore, TieredStore]
 #: extension): a client at most this many versions behind refreshes by
 #: delta, an older one falls back to a full snapshot reload.
 META_JOURNAL_HORIZON = 256
-#: Keys per page of the server's paginated prefix scans (``ls``,
-#: snapshot assembly, dataset-removal sweeps; §4.1.1 readdir).
+#: Keys per page of the server's paginated prefix scans (snapshot
+#: assembly, dataset-removal sweeps).
 PSCAN_PAGE_SIZE = 1024
 
 #: Methods that are pure metadata (charged at the metadata service rate).
@@ -75,6 +78,39 @@ _META_METHODS = frozenset(
         "auth", "load_meta_delta", "list_datasets",
     }
 )
+
+
+_SPLIT = methodcaller("rpartition", "/")
+#: Bound of the memo of FNV-1a states that ingest keeps: directory key
+#: prefixes, directory link keys and dataset keys.  A dataset has few
+#: directories; past the bound the memo starts over.
+PREFIX_MEMO_SIZE = 4096
+_PREFIX_STATES: dict[str, int] = {}
+
+
+def _prefix_states(prefixes: Sequence[str]) -> list[int]:
+    """The FNV-1a state of each of ``prefixes`` (a key that starts with
+    one is hashed on from it), from the bounded memo: the misses are
+    hashed in one kernel call and kept, the memo emptied first if they
+    would overflow it."""
+    memo = _PREFIX_STATES
+    states = list(map(memo.get, prefixes))
+    if None in states:
+        missing = list(dict.fromkeys(
+            p for p, state in zip(prefixes, states) if state is None
+        ))
+        fresh = dict(zip(missing, fnv1a_64_many(
+            [p.encode() for p in missing], [FNV_OFFSET] * len(missing)
+        ).tolist()))
+        states = [
+            fresh[p] if state is None else state
+            for p, state in zip(prefixes, states)
+        ]
+        if len(memo) + len(fresh) > PREFIX_MEMO_SIZE:
+            memo.clear()
+        if len(fresh) <= PREFIX_MEMO_SIZE:
+            memo.update(fresh)
+    return states
 
 
 def object_key(dataset: str, chunk_id: ChunkId) -> str:
@@ -272,9 +308,11 @@ class DieselServer:
         records, the journal keys.  What is *written* is each distinct
         key once, in the order that per-file expansion would first have
         written it, its KV slot hashed from the state its directory's
-        keys share, all the chunk's keys in one batch (docs/METADATA.md
-        "Write path").  Two hash passes: one over the new directories'
-        key prefixes, one over the keys.
+        keys share, all the chunk's keys in one batch, each shard's in
+        one put (docs/METADATA.md "Write path").  The work is by column:
+        each name is encoded once, each directory once, and one hash
+        kernel call covers every key but those whose states the prefix
+        memo holds.
         """
         cid = chunk.chunk_id
         bitmap = chunk.deletion_bitmap
@@ -282,46 +320,81 @@ class DieselServer:
             data_size = chunk.data_size
         cid_raw = cid.raw
         ndeleted = bitmap.count()
+        paths, entries = chunk.columns()
+        if ndeleted:  # tombstoned files must not resurrect on rescan
+            live = [i for i in range(len(paths)) if not bitmap.get(i)]
+            paths = [paths[i] for i in live]
+            entries = [entries[i] for i in live]
+        n = len(paths)
+        dirs, _, names = zip(*map(_SPLIT, paths)) if n else ((), (), ())
+        leaves = names
+        if "" in names:  # a path ending in "/" is its own entry's name
+            leaves = [name or path for name, path in zip(names, paths)]
         file_prefix = meta.file_key_prefix(dataset)
-        #: Path up to its last "/" -> (index in ``heads`` of the file
-        #: key prefix under it, key prefix of its file entries).
-        dirs: dict[str, tuple[int, str]] = {}
-        #: Key prefixes to hash, each directory's file key prefix then
-        #: its file entry prefix; the empty head leaves ``FNV_OFFSET``,
-        #: the state a whole key is hashed from.
-        heads: list[bytes] = [b""]
+        #: Per directory, in first-seen order: its position there, its
+        #: file entries' key prefix, its path with a trailing "/" in
+        #: UTF-8, the links into its ancestors that this chunk writes.
+        pos: dict[str, int] = {}
+        entry_prefix: dict[str, str] = {}
+        head_bytes: dict[str, bytes] = {}
+        links: list[list[str]] = []
+        #: Key prefixes (each directory's file key prefix, then its file
+        #: entry prefix), then whole keys, whose states the memo keeps.
+        prefixes: list[str] = []
         linked: set[str] = set()  # directories already linked into their parent
-        #: key, value, the key's tail still to hash, the index in
-        #: ``heads`` of the head before it.
-        rows: list[tuple[str, bytes, bytes, int]] = []
-        records: list[bytes] = []
-        implied = 2
-        pack, add = meta.FileRecord.pack, rows.append
-        for i, (path, offset, length, crc) in enumerate(chunk.rows()):
-            if ndeleted and bitmap.get(i):
-                continue  # tombstoned files must not resurrect on rescan
-            blob = pack(path, cid_raw, offset, length, crc)
-            records.append(blob)
-            implied += 1 + path.count("/")
-            head = path[: path.rfind("/") + 1]
-            name = path[len(head) :]
-            carried = dirs.get(head)
-            fresh = carried is None
-            if fresh:
-                prefix = meta.dir_scan_prefix(dataset, head[:-1] or "/", "f")
-                carried = dirs[head] = (len(heads), prefix)
-                heads += ((file_prefix + head).encode(), prefix.encode())
-            file_head, prefix = carried
-            leaf = name or path
-            add((file_prefix + path, blob, name.encode(), file_head))
-            add((prefix + leaf, b"", leaf.encode(), file_head + 1))
-            parent = head[:-1] if fresh else ""
+        for d in dict.fromkeys(dirs):
+            pos[d] = len(pos)
+            prefix = entry_prefix[d] = meta.dir_scan_prefix(dataset, d or "/", "f")
+            head_bytes[d] = (d + "/").encode()
+            prefixes += (f"{file_prefix}{d}/", prefix)
+            chain: list[str] = []
+            parent = d
             while parent and parent not in linked:
                 linked.add(parent)
                 parent, _, child = parent.rpartition("/")
-                key = meta.dir_entry_key(dataset, parent or "/", child, True)
-                add((key, b"", key.encode(), 0))
+                chain.append(meta.dir_entry_key(dataset, parent or "/", child, True))
+            links.append(chain)
+        link_keys = [key for chain in links for key in chain]
         ds_key = meta.dataset_key(dataset)
+        ck_key = meta.chunk_key(dataset, cid)
+        states = _prefix_states([*prefixes, *link_keys, ds_key])
+        name_bytes = list(map(str.encode, names))
+        path_bytes = list(map(add, map(head_bytes.__getitem__, dirs), name_bytes))
+        records = meta.FileRecord.pack_many(path_bytes, cid_raw, entries)
+        # One kernel call: every file key over its basename from its
+        # directory's file key prefix, every file entry key over its
+        # leaf from the entry prefix.  The chunk key, longer than any
+        # basename, is hashed alone rather than widen every column.
+        at = np.array(list(map(pos.__getitem__, dirs)), np.intp) * 2
+        heads = np.array(states[: len(prefixes)], np.uint64)
+        tails = name_bytes + (
+            name_bytes if leaves is names else list(map(str.encode, leaves))
+        )
+        hashed = fnv1a_64_many(
+            tails, np.concatenate((heads[at], heads[at + 1]))
+        )
+        # Interleave as the per-file expansion writes: each file's record
+        # and entry, a directory's links after its first file's pair.
+        keys: list = [None] * (2 * n)
+        keys[0::2] = map(file_prefix.__add__, paths)
+        keys[1::2] = map(add, map(entry_prefix.__getitem__, dirs), leaves)
+        values: list[bytes] = [b""] * (2 * n)
+        values[0::2] = records
+        hashes = np.empty(2 * n, np.uint64)
+        hashes[0::2] = hashed[:n]
+        hashes[1::2] = hashed[n : 2 * n]
+        if link_keys:
+            first = dict(zip(reversed(dirs), range(n - 1, -1, -1)))
+            after = [
+                (2 * first[d] + 2, chain) for d, chain in zip(pos, links) if chain
+            ]
+            hashes = np.insert(
+                hashes, [slot for slot, chain in after for _ in chain],
+                states[len(prefixes) : -1],
+            )
+            for slot, chain in reversed(after):
+                keys[slot:slot] = chain
+                values[slot:slot] = [b""] * len(chain)
         old = self.kv.local_get_or_none(ds_key)
         if old is None:
             ts, dsrec = 1, meta.DatasetRecord(dataset, 1, (cid,)).encode()
@@ -330,17 +403,16 @@ class DieselServer:
         crec = meta.ChunkRecord(
             cid, ts, data_size, len(chunk), ndeleted, bitmap.copy()
         )
-        ck_key = meta.chunk_key(dataset, cid)
-        add((ck_key, crec.encode(), ck_key.encode(), 0))
-        add((ds_key, dsrec, ds_key.encode(), 0))
-        keys, values, tails, at = zip(*rows)
-        states = fnv1a_64_many(heads, [FNV_OFFSET] * len(heads))
-        self.kv.local_put_hashed(
-            keys, values, fnv1a_64_many(tails, states[list(at)])
+        keys += (ck_key, ds_key)
+        values += (crec.encode(), dsrec)
+        hashes = np.append(
+            hashes, np.array((fnv1a_64(ck_key), states[-1]), np.uint64)
         )
+        self.kv.local_put_hashed(keys, values, hashes)
         n_journal = self.journal.record_encoded(
-            dataset, ts, chunk_entry(ts, records, cid_raw)
+            dataset, ts, chunk_entry(ts, path_bytes, records, cid_raw)
         )
+        implied = 2 + n + "".join(paths).count("/")
         return implied + n_journal
 
     # ------------------------------------------------------------ operations
@@ -505,16 +577,16 @@ class DieselServer:
     def _op_ls(self, dataset: str, path: str) -> list[str]:
         """readdir = pscan hash(dir)/d ∪ pscan hash(dir)/f (§4.1.1).
 
-        Scans page by page (``PSCAN_PAGE_SIZE``) so a directory with
-        millions of entries never materializes per-shard intermediate
-        lists larger than one page.
+        Each shard's range of each prefix is read as one slice of its
+        key index; the names are sorted once.
         """
         names: list[str] = []
         for kind in ("d", "f"):
             prefix = meta.dir_scan_prefix(dataset, path, kind)
-            for page in self.kv.local_pscan_iter(prefix, PSCAN_PAGE_SIZE):
-                names.extend(key[len(prefix):] for key, _ in page)
-        return sorted(names)
+            cut = len(prefix)
+            names += [key[cut:] for key in self.kv.local_keys(prefix)]
+        names.sort()
+        return names
 
     def _op_exists(self, dataset: str, path: str) -> bool:
         key = meta.file_key(dataset, normalize(path))
@@ -565,13 +637,12 @@ class DieselServer:
         dsrec = self._dataset_record(dataset)
         # Every file of a chunk points at the dataset record's ChunkId.
         chunk_ids = {cid.raw: cid for cid in dsrec.chunk_ids}
+        decode = meta.FileRecord.decode
         files: list[meta.FileRecord] = []
         for page in self.kv.local_pscan_iter(
             meta.file_key_prefix(dataset), PSCAN_PAGE_SIZE
         ):
-            files.extend(
-                meta.FileRecord.decode(blob, chunk_ids) for _, blob in page
-            )
+            files += [decode(blob, chunk_ids) for _, blob in page]
         snapshot = build_snapshot(
             dataset, dsrec.update_ts, files, dsrec.chunk_ids
         )

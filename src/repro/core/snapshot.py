@@ -128,8 +128,9 @@ class MetadataSnapshot:
             )
         pos += paths_len
         entries_end = pos + n_files * _FILE_ENTRY.size
+        new = tuple.__new__  # a record at tuple cost
         files = [
-            FileRecord(path, chunk_ids[ci], offset, length, crc)
+            new(FileRecord, (path, chunk_ids[ci], offset, length, crc))
             for path, (ci, offset, length, crc) in zip(
                 paths, _FILE_ENTRY.iter_unpack(blob[pos:entries_end])
             )

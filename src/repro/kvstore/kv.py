@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import bisect
-from itertools import islice
-from typing import Any, Generator, Iterable, Iterator, Optional
+from itertools import filterfalse
+from typing import Any, Generator, Iterable, Iterator, Optional, Sequence
 
 from repro.calibration import RedisProfile
 from repro.errors import KeyNotFoundError
@@ -18,11 +18,24 @@ class KVTable:
     """An in-memory ordered-scan key-value table (keys: str, values: bytes).
 
     ``pscan`` (scan-with-prefix, §4.1.1) returns matching pairs in key
-    order; the sorted key index is rebuilt lazily so bulk loads stay
-    O(n log n) overall instead of O(n²).  :attr:`writes` counts every
-    put, delete and clear, so a reader can tell that nothing changed
-    since it last looked.
+    order from a sorted key index that is kept across writes: the keys
+    put and deleted since it was last built wait in two sets (an O(1)
+    step per write), and the next scan folds them in, the deleted ones
+    filtered out and the new ones sorted and merged as a second run,
+    into a *new* list.  :attr:`writes` counts every put, delete and
+    clear, so a reader can tell that nothing changed since it last
+    looked.
     """
+
+    #: Keys added / removed since ``_sorted_keys`` was built; ``None``
+    #: when there are none (class-level, so a new table allocates
+    #: nothing more than before).
+    _added: Optional[set[str]] = None
+    _removed: Optional[set[str]] = None
+    #: Lazy scans (:meth:`scan`) started on ``_data`` and not finished:
+    #: while there are any, a write first copies ``_data``, so each
+    #: scan reads the pairs it started on.
+    _pins = 0
 
     def __init__(self) -> None:
         self._data: dict[str, bytes] = {}
@@ -38,16 +51,57 @@ class KVTable:
         """Whether ``key`` is held."""
         return key in self._data
 
+    def _writable(self) -> dict[str, bytes]:
+        """``_data``, copied first if a running scan reads it."""
+        if self._pins:
+            self._data = dict(self._data)
+            self._pins = 0
+        return self._data
+
     def put(self, key: str, value: bytes) -> None:
         """Store ``value`` under ``key``, replacing any old value."""
         if not isinstance(key, str):
             raise TypeError(f"key must be str, got {type(key).__name__}")
         if not isinstance(value, (bytes, bytearray, memoryview)):
             raise TypeError(f"value must be bytes, got {type(value).__name__}")
-        if key not in self._data:
-            self._sorted_keys = None
-        self._data[key] = bytes(value)
+        data = self._writable()
+        if self._sorted_keys is not None and key not in data:
+            removed = self._removed
+            if removed and key in removed:
+                removed.discard(key)
+            elif self._added is None:
+                self._added = {key}
+            else:
+                self._added.add(key)
+        data[key] = bytes(value)
         self.writes += 1
+
+    def put_many(self, keys: Sequence[str], values: Sequence[bytes]) -> None:
+        """:meth:`put` of each ``(keys[i], values[i])``, in order.
+
+        One dict update when every key is a ``str`` and every value a
+        ``bytes``; otherwise pair by pair, so a pair :meth:`put` refuses
+        raises its error with the pairs ahead of it written.
+        """
+        if not (set(map(type, keys)) <= _STR and set(map(type, values)) <= _BYTES):
+            for key, value in zip(keys, values):
+                self.put(key, value)
+            return
+        data = self._writable()
+        if self._sorted_keys is not None:
+            new = set(keys).difference(data)
+            removed = self._removed
+            if new and removed:  # deleted since the build: indexed still
+                back = new & removed
+                removed -= back
+                new -= back
+            if new:
+                if self._added is None:
+                    self._added = new
+                else:
+                    self._added |= new
+        data.update(zip(keys, values))
+        self.writes += len(keys)
 
     def get(self, key: str) -> bytes:
         """The value under ``key``; :class:`KeyNotFoundError` if absent."""
@@ -62,34 +116,57 @@ class KVTable:
 
     def delete(self, key: str) -> None:
         """Remove ``key``; :class:`KeyNotFoundError` if absent."""
-        try:
-            del self._data[key]
-        except KeyError:
-            raise KeyNotFoundError(key) from None
-        self._sorted_keys = None
+        if key not in self._data:
+            raise KeyNotFoundError(key)
+        del self._writable()[key]
+        if self._sorted_keys is not None:
+            added = self._added
+            if added and key in added:
+                added.discard(key)
+            elif self._removed is None:
+                self._removed = {key}
+            else:
+                self._removed.add(key)
         self.writes += 1
 
     def _index(self) -> list[str]:
-        if self._sorted_keys is None:
-            self._sorted_keys = sorted(self._data)
-        return self._sorted_keys
+        """The sorted key index, with the writes since its last build
+        folded in: a new list whenever it changes."""
+        index = self._sorted_keys
+        if index is None:
+            index = self._sorted_keys = sorted(self._data)
+        elif self._added or self._removed:
+            removed, added = self._removed, self._added
+            if removed:
+                index = list(filterfalse(removed.__contains__, index))
+            if added:
+                index = index + sorted(added)
+                index.sort()  # two sorted runs: one merge
+            self._sorted_keys = index
+            self._added = self._removed = None
+        return index
 
-    def _bounds(self, prefix: str) -> tuple[int, int]:
-        """The index range ``[lo, hi)`` of the keys under ``prefix``."""
+    def _range(
+        self, prefix: str, cursor: Optional[str] = None
+    ) -> tuple[list[str], int, int]:
+        """``(index, lo, hi)``: ``index[lo:hi]`` are the keys under
+        ``prefix``, past ``cursor`` when one is given."""
         index = self._index()
         lo = bisect.bisect_left(index, prefix)
+        if cursor is not None:
+            lo = max(lo, bisect.bisect_right(index, cursor))
         if not prefix:
-            return lo, len(index)
+            return index, lo, len(index)
         # Upper bound: the smallest string greater than every key that
         # starts with the prefix (bump the last character).
         last = prefix[-1]
         if ord(last) < 0x10FFFF:
             hi = bisect.bisect_left(index, prefix[:-1] + chr(ord(last) + 1))
-            return lo, hi
+            return index, lo, hi
         hi = lo  # pragma: no cover - exotic prefix
         while hi < len(index) and index[hi].startswith(prefix):
             hi += 1
-        return lo, hi
+        return index, lo, hi
 
     def scan(
         self, prefix: str, cursor: Optional[str] = None
@@ -98,17 +175,20 @@ class KVTable:
         read only when the consumer asks for it.
 
         ``cursor`` resumes a paginated scan: only keys strictly greater
-        than it are yielded.  The key range is fixed when the scan
-        starts, so the table must not change while one is consumed.
+        than it are yielded.  The pairs are those held when the scan
+        starts (its first pair is asked for): a write while it runs
+        changes the table, not what the scan yields.
         """
-        index = self._index()
-        lo, hi = self._bounds(prefix)
-        if cursor is not None:
-            lo = max(lo, bisect.bisect_right(index, cursor))
+        index, lo, hi = self._range(prefix, cursor)
         data = self._data
-        for i in range(lo, hi):
-            key = index[i]
-            yield key, data[key]
+        self._pins += 1
+        try:
+            for i in range(lo, hi):
+                key = index[i]
+                yield key, data[key]
+        finally:
+            if self._data is data:
+                self._pins -= 1
 
     def pscan(
         self,
@@ -118,32 +198,46 @@ class KVTable:
     ) -> list[tuple[str, bytes]]:
         """Scan keys with ``prefix`` in sorted order (the paper's *pscan*).
 
-        :meth:`scan` cut at ``limit`` (``None`` = no cut; it must be at
-        least 1), so passing the last key of one page as ``cursor``
-        yields the next page, and a bounded scan reads no more than
-        ``limit`` pairs however large the prefix range is.
+        The pairs :meth:`scan` yields, cut at ``limit`` (``None`` = no
+        cut; it must be at least 1), read as one slice of the index:
+        passing the last key of one page as ``cursor`` yields the next
+        page, and a bounded scan reads no more than ``limit`` pairs
+        however large the prefix range is.
         """
-        return list(islice(self.scan(prefix, cursor), check_limit(limit)))
+        check_limit(limit)
+        index, lo, hi = self._range(prefix, cursor)
+        if limit is not None:
+            hi = min(hi, lo + limit)
+        data = self._data
+        return [(key, data[key]) for key in index[lo:hi]]
 
     def pcount(self, prefix: str) -> int:
         """Number of keys under ``prefix``, without materializing them."""
-        lo, hi = self._bounds(prefix)
+        _, lo, hi = self._range(prefix)
         return hi - lo
 
-    def keys(self) -> list[str]:
-        """Every key, sorted."""
-        return list(self._index())
+    def keys(self, prefix: str = "") -> list[str]:
+        """Every key under ``prefix`` (default: every key), sorted: one
+        slice of the index."""
+        index, lo, hi = self._range(prefix)
+        return index[lo:hi]
 
     def clear(self) -> None:
         """Drop every pair."""
-        self._data.clear()
+        self._data = {}
+        self._pins = 0
         self._sorted_keys = None
+        self._added = self._removed = None
         self.writes += 1
 
     def load(self, pairs: Iterable[tuple[str, bytes]]) -> None:
         """:meth:`put` each ``(key, value)`` of ``pairs``, in order."""
         for k, v in pairs:
             self.put(k, v)
+
+
+_STR = frozenset({str})
+_BYTES = frozenset({bytes})
 
 
 def check_limit(limit: Optional[int]) -> Optional[int]:

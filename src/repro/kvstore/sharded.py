@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import islice
+from operator import itemgetter
 from typing import Any, Generator, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -200,17 +201,30 @@ class ShardedKV:
         given ``hashes[i] == fnv1a_64(keys[i])`` (a uint64 array).
 
         Every slot is ``hashes`` mixed and reduced as :meth:`slot` does
-        it, in one vectorised step.  No sim time passes in here, so each
+        it, in one vectorised step, and each shard's pairs go in one
+        :meth:`KVTable.put_many <repro.kvstore.kv.KVTable.put_many>`, in
+        their order in ``keys``.  No sim time passes in here, so each
         shard's liveness is read once, and a dead shard still leaves
         exactly the pairs ahead of its first key written.
         """
         tables = [inst.table if inst.up else None for inst in self._instances]
-        shards = (mix64_many(hashes) % NUM_SLOTS % len(tables)).tolist()
-        for key, value, shard in zip(keys, values, shards):
-            table = tables[shard]
-            if table is None:
-                self._live_owner(key)  # raises, naming the shard and the key
-            table.put(key, value)
+        shards = mix64_many(hashes) % NUM_SLOTS % len(tables)
+        if None in tables:
+            dead = np.array([t is None for t in tables])[shards]
+            if dead.any():
+                first = int(dead.argmax())
+                self.local_put_hashed(keys[:first], values[:first], hashes[:first])
+                self._live_owner(keys[first])  # raises, naming the shard and the key
+        order = np.argsort(shards, kind="stable").tolist()
+        start = 0
+        for table, n in zip(tables, np.bincount(shards, minlength=len(tables)).tolist()):
+            if n:
+                pick = itemgetter(*order[start : start + n])
+                start += n
+                if n == 1:
+                    table.put(pick(keys), pick(values))
+                else:
+                    table.put_many(pick(keys), pick(values))
 
     def local_get(self, key: str) -> bytes:
         """Zero-cost get; the owner must be up."""
@@ -225,9 +239,25 @@ class ShardedKV:
         self._live_owner(key).table.delete(key)
 
     def local_pscan(self, prefix: str) -> list[tuple[str, bytes]]:
-        """Zero-cost prefix scan; same up-front liveness validation as
-        :meth:`pscan`."""
-        return list(self._merged_scan(prefix))
+        """Zero-cost prefix scan, sorted on the full (key, value) pair:
+        one slice per shard, one sort.  Same up-front liveness
+        validation as :meth:`pscan`."""
+        self.check_up()
+        pairs: list[tuple[str, bytes]] = []
+        for inst in self._instances:
+            pairs += inst.table.pscan(prefix)
+        pairs.sort()
+        return pairs
+
+    def local_keys(self, prefix: str) -> list[str]:
+        """Zero-cost, sorted: every key under ``prefix``, one slice of
+        each shard's index.  Same liveness validation as :meth:`pscan`."""
+        self.check_up()
+        keys: list[str] = []
+        for inst in self._instances:
+            keys += inst.table.keys(prefix)
+        keys.sort()
+        return keys
 
     def total_keys(self) -> int:
         """Keys held over all shards, up or not."""

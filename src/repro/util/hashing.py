@@ -67,7 +67,7 @@ def fnv1a_64_many(tails: Sequence[bytes], states: Sequence[int]) -> np.ndarray:
     masks out the padding below it.
     """
     n = len(tails)
-    h = np.fromiter(states, np.uint64, n)
+    h = np.array(states, np.uint64)
     if not n:
         return h
     lengths = np.fromiter(map(len, tails), np.intp, n)

@@ -195,7 +195,8 @@ class TestReadEntries:
         assert (cid, bits, len(blob) - data_offset) == (
             chunk.chunk_id, chunk.deletion_bitmap, chunk.data_size
         )
-        assert chunk.rows() == entries == [
+        paths, table = chunk.columns()
+        assert [(p, *e) for p, e in zip(paths, table)] == entries == [
             (f.path, f.offset, f.length, f.crc32) for f in chunk.files
         ]
 
@@ -308,7 +309,9 @@ class TestOneTable:
             shell, at = header[1]
             assert list(shell.files) == expect[1][2] and at == data_offset
             c = Chunk.decode(blob)
-            assert c.rows() == [tuple(r) for r in rows]
+            assert c.columns() == (
+                [r[0] for r in rows], [tuple(r[1:]) for r in rows]
+            )
             assert (len(c), c.paths) == (len(rows), tuple(r[0] for r in rows))
             for path, offset, length, crc in rows:
                 if zlib.crc32(data[offset : offset + length]) == crc:
@@ -379,7 +382,7 @@ class TestOneTable:
             assert path in chunk
             assert chunk.payload(path) == data
             assert chunk.payload(path, verify=False) == data
-        assert len(chunk) == len(packed) == 20 and chunk.rows()
+        assert len(chunk) == len(packed) == 20 and chunk.columns()
         Chunk.decode_header(blob)
         Chunk.header_size(blob)
         packed.encode()

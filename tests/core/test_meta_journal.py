@@ -91,7 +91,8 @@ class TestEntryCodec:
             ops = [
                 JournalOp(OP_APPEND, FileRecord.decode(r).path, r) for r in recs
             ] + [JournalOp(OP_CHUNK_ADD, "", cid.raw)]
-            assert chunk_entry(5, recs, cid.raw) == JournalEntry(
+            paths = [FileRecord.decode(r).path.encode() for r in recs]
+            assert chunk_entry(5, paths, recs, cid.raw) == JournalEntry(
                 5, tuple(ops)
             ).encode()
 

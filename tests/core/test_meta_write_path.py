@@ -20,7 +20,6 @@ from repro.core import server as server_module
 from repro.core.chunk import Chunk, ChunkFile
 from repro.core.server import object_key
 from repro.errors import ChunkChecksumError, ChunkFormatError
-from repro.kvstore.kv import KVTable
 from repro.util import hashing
 from repro.util.bitmap import Bitmap
 from repro.util.ids import ChunkId, ChunkIdGenerator
@@ -152,6 +151,182 @@ class TestAgainstThePerFileExpansion:
         )
 
 
+# Depth 1–4: a file at the root, or up to three directories above it.
+depth_path = st.lists(component, min_size=1, max_size=4).map(
+    lambda parts: "/" + "/".join(parts)
+)
+
+
+class TestColumnsAgainstThePerFileReference:
+    """``ingest_metadata`` works by column; the reference is per file."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        first=st.lists(depth_path, min_size=1, max_size=10, unique=True),
+        second=st.lists(depth_path, min_size=1, max_size=10, unique=True),
+        dead=st.sets(st.integers(0, 9)),
+        cold=st.booleans(),
+    )
+    def test_every_pair_slot_write_count_and_journal_entry(
+        self, first, second, dead, cold
+    ):
+        # Six shards: a count that does not divide NUM_SLOTS.  The second
+        # chunk shares the first's directories where the draws overlap,
+        # so a warm memo serves some prefixes and hashes the rest.
+        dep = build_deployment(n_kv=6)
+        server = dep.server
+        ids = list(ChunkIdGenerator(machine=b"\x0e" * 6, pid=10).take(2))
+        held: dict[str, bytes] = {}
+        for ts, (cid, paths) in enumerate(zip(ids, (first, second)), start=1):
+            chunk = tombstoned(
+                Chunk.build(cid, [(p, p.encode("utf-8") * 2) for p in paths]),
+                {i for i in dead if i < len(paths)},
+            )
+            if cold:
+                server_module._PREFIX_STATES.clear()
+            pairs, count = reference_pairs(chunk, ts, ids[:ts])
+            ops = [
+                mj.JournalOp(
+                    mj.OP_APPEND, f.path,
+                    meta.FileRecord(
+                        f.path, cid, f.offset, f.length, f.crc32
+                    ).encode(),
+                )
+                for i, f in enumerate(chunk.files)
+                if not chunk.deletion_bitmap.get(i)
+            ]
+            ops.append(mj.JournalOp(mj.OP_CHUNK_ADD, "", cid.raw))
+            writes = dep.kv.writes
+            # The count the chunk implies, journal keys included.
+            assert server.ingest_metadata(DS, chunk) == count + 2
+            # Each distinct key once, then the journal entry and its meta.
+            assert dep.kv.writes - writes == len(pairs) + 2
+            held.update(pairs)
+            # Every pair on the shard the scalar router names, and only
+            # there: a wrong carried state would strand a key elsewhere.
+            # Each table took its new keys in the order the per-file
+            # expansion first wrote them.
+            for inst in dep.kv.instances:
+                mine = {
+                    k: v for k, v in held.items() if dep.kv.owner(k) is inst
+                }
+                assert metadata_pairs_of(inst.table) == mine
+                assert [
+                    k for k in inst.table._data
+                    if not k.startswith(("jr:", "jrm:"))
+                ] == list(mine)
+            (entry,) = server.journal.entries_since(DS, ts - 1)
+            assert entry == mj.JournalEntry(ts, tuple(ops)).encode()
+
+
+def metadata_pairs_of(table):
+    return {
+        k: v for k, v in table.pscan("") if not k.startswith(("jr:", "jrm:"))
+    }
+
+
+class TestPrefixMemo:
+    def test_it_stays_within_its_bound_and_serves_warm_ingests(
+        self, monkeypatch
+    ):
+        bound = 16
+        monkeypatch.setattr(server_module, "PREFIX_MEMO_SIZE", bound)
+        monkeypatch.setattr(server_module, "_PREFIX_STATES", {})
+        memo = server_module._PREFIX_STATES
+        calls = counting(monkeypatch, server_module, "fnv1a_64_many")
+        dep = build_deployment()
+        gen = ChunkIdGenerator(b"\x0f" * 6, 11)
+
+        def ingest(top, n_dirs):
+            dep.server.ingest_metadata(DS, Chunk.build(gen.next(), [
+                (f"/{top}/d{i}/f{j}", b"x") for i in range(n_dirs)
+                for j in range(2)
+            ]))
+            assert len(memo) <= bound
+
+        # Four directories: 8 prefixes, 5 link keys, the dataset key.
+        ingest("a", 4)
+        assert len(memo) == 14 and calls[0] == 2
+        ingest("a", 4)  # all warm: one kernel call, over the basenames
+        assert len(memo) == 14 and calls[0] == 3
+        ingest("b", 4)  # 13 new states overflow the bound: start over
+        assert len(memo) == 13
+        ingest("c", 12)  # more new states than the bound: none kept
+        assert memo == {}
+        for inst in dep.kv.instances:
+            assert all(dep.kv.owner(k) is inst for k in inst.table.keys())
+
+
+class TestRecordsAtTupleCost:
+    """``FileRecord`` is a named tuple; the decoders build it with
+    ``tuple.__new__``, never through its Python-level constructor."""
+
+    def test_the_decoders_call_no_constructor(self, monkeypatch):
+        from repro.core.snapshot import (
+            MetadataSnapshot, SnapshotIndex, build_snapshot,
+        )
+
+        cid = ChunkIdGenerator(b"\x10" * 6, 12).next()
+        recs = [meta.FileRecord(f"/é/{i}", cid, i, 1, i) for i in range(4)]
+        blob = build_snapshot(DS, 1, recs, [cid]).serialize()
+        entry = mj.JournalEntry(2, (
+            mj.JournalOp(mj.OP_APPEND, "/é/9", recs[0]._replace(
+                path="/é/9").encode()),
+        )).encode()
+        built = counting(monkeypatch, meta.FileRecord, "__new__")
+        snap = MetadataSnapshot.deserialize(blob)
+        index = SnapshotIndex(snap)
+        index.apply_delta([entry])
+        decoded = meta.FileRecord.decode(recs[1].encode())
+        assert built[0] == 0
+        assert list(snap.files) == recs and decoded == recs[1]
+        assert index.lookup("/é/9") == recs[0]._replace(path="/é/9")
+        meta.FileRecord("/x", cid, 0, 0, 0)
+        assert built[0] == 1  # the counter does see a constructor call
+
+    def test_fields_equality_and_hash(self):
+        cid = ChunkIdGenerator(b"\x11" * 6, 13).next()
+        rec = meta.FileRecord("/a/b", cid, 7, 9, 11)
+        again = meta.FileRecord.decode(rec.encode())
+        assert again == rec and hash(again) == hash(rec)
+        assert hash(rec) == hash(("/a/b", cid, 7, 9, 11))
+        assert rec != rec._replace(crc32=12)
+        assert (rec.path, rec.chunk_id, rec.offset, rec.length, rec.crc32) == (
+            "/a/b", cid, 7, 9, 11
+        )
+        with pytest.raises(AttributeError):
+            rec.offset = 8
+
+    def test_no_rpc_carries_one(self, monkeypatch):
+        """``RpcEndpoint._sizeof`` sizes a tuple field by field, so a
+        record in a response would change the bytes charged."""
+        from repro.rpc.endpoint import RpcEndpoint
+
+        sizeof = RpcEndpoint._sizeof
+        sized = []
+
+        def checked(value):
+            assert not isinstance(value, meta.FileRecord)
+            sized.append(value)
+            return sizeof(value)
+
+        monkeypatch.setattr(RpcEndpoint, "_sizeof", staticmethod(checked))
+        dep = build_deployment()
+        files = {f"/t/d{i % 2}/f{i}": bytes([i]) * 50 for i in range(6)}
+        write_dataset(dep, DS, files)
+        node = dep.client_nodes[0]
+        for call in (
+            ("stat", DS, "/t/d0/f0"), ("stat", DS, "/t"), ("ls", DS, "/t"),
+            ("exists", DS, "/t/d1/f1"), ("register", DS),
+            ("get_file", DS, "/t/d0/f2"), ("get_files", DS, list(files)),
+            ("get_file_range", DS, "/t/d1/f3", 1, 9),
+            ("save_meta", DS), ("load_meta_delta", DS, 0),
+            ("list_datasets",), ("delete_file", DS, "/t/d0/f4"),
+        ):
+            dep.run(dep.server.call(node, *call))
+        assert sized
+
+
 def depth3_chunk(cid, n_files=256, n_dirs=8):
     return Chunk.build(cid, [
         (f"/r000/d{i % n_dirs}/f{i:05d}.bin", b"x" * 16) for i in range(n_files)
@@ -181,6 +356,7 @@ class TestWorkIsCountedNotTimed:
         chunk = depth3_chunk(ChunkIdGenerator(b"\x09" * 6, 5).next(),
                              self.N_FILES, self.N_DIRS)
         meta.dir_hash.cache_clear()
+        monkeypatch.setattr(server_module, "_PREFIX_STATES", {})  # a cold memo
         hashed = [0]  # bytes fed to the hash: calls no longer bound the work
         batches = [0]  # calls of the batch kernel
         fnv, fnv_many = hashing.fnv1a_64, hashing.fnv1a_64_many
@@ -194,11 +370,13 @@ class TestWorkIsCountedNotTimed:
             hashed[0] += sum(map(len, tails))
             return fnv_many(tails, states)
 
-        monkeypatch.setattr(hashing, "fnv1a_64", counted)
+        for module in (hashing, server_module):
+            monkeypatch.setattr(module, "fnv1a_64", counted)
         for module in (hashing, server_module):
             monkeypatch.setattr(module, "fnv1a_64_many", counted_many)
-        puts = counting(monkeypatch, KVTable, "put")
+        writes = dep.kv.writes
         dep.server.ingest_metadata(DS, chunk)
+        puts = [dep.kv.writes - writes]  # pairs written, batched or not
         # Two kernel calls, not a hash per key or per directory: one over
         # the new directories' key prefixes, one over the chunk's keys.
         assert batches[0] == 2

@@ -75,3 +75,31 @@ def test_a_frame_past_its_first_instruction_keeps_its_sample():
     finally:
         signal.signal(signal.SIGALRM, before)
     assert [code.co_name for code, _ in sampler.self_hits] == ["busy"]
+
+
+def test_exact_mode_times_every_call_and_diffs_only_its_own_kind():
+    hp = load_script()
+    profile = hp.ExactProfile()
+
+    def copies():
+        blob = bytes(4 << 20)
+        for _ in range(20):
+            blob[1:]  # a C-level copy inside one bytecode: no call event
+
+    with profile:
+        copies()
+    rows = {hp._where(key): us for key, us in profile.self_hits.items()}
+    (mine,) = [us for name, us in rows.items() if ".copies  (" in name]
+    assert mine >= 0.9 * profile.samples  # the copy is charged to its caller
+    assert profile.cum_hits.most_common(1)[0][1] >= mine
+    header = {"workload": "w", "seed": 0, "scale": "tiny", "setup": False,
+              "ops": 1, "exact": True}
+    exact = hp.to_json(profile, header)
+    assert "us (exact)" in "\n".join(hp.diff(exact, exact, 5))
+    sampled = {**exact, "exact": False}
+    try:
+        hp.diff(exact, sampled, 5)
+    except SystemExit as exc:
+        assert "exact" in str(exc)
+    else:
+        raise AssertionError("--diff mixed an exact and a sampled profile")
