@@ -81,36 +81,11 @@ _META_METHODS = frozenset(
 
 
 _SPLIT = methodcaller("rpartition", "/")
-#: Bound of the memo of FNV-1a states that ingest keeps: directory key
-#: prefixes, directory link keys and dataset keys.  A dataset has few
-#: directories; past the bound the memo starts over.
+#: Bound of each server's memo of FNV-1a states: directory key
+#: prefixes, directory link keys and dataset keys.  Every perfbench
+#: workload writes at most 373 of them; past the bound the memo starts
+#: over.
 PREFIX_MEMO_SIZE = 4096
-_PREFIX_STATES: dict[str, int] = {}
-
-
-def _prefix_states(prefixes: Sequence[str]) -> list[int]:
-    """The FNV-1a state of each of ``prefixes`` (a key that starts with
-    one is hashed on from it), from the bounded memo: the misses are
-    hashed in one kernel call and kept, the memo emptied first if they
-    would overflow it."""
-    memo = _PREFIX_STATES
-    states = list(map(memo.get, prefixes))
-    if None in states:
-        missing = list(dict.fromkeys(
-            p for p, state in zip(prefixes, states) if state is None
-        ))
-        fresh = dict(zip(missing, fnv1a_64_many(
-            [p.encode() for p in missing], [FNV_OFFSET] * len(missing)
-        ).tolist()))
-        states = [
-            fresh[p] if state is None else state
-            for p, state in zip(prefixes, states)
-        ]
-        if len(memo) + len(fresh) > PREFIX_MEMO_SIZE:
-            memo.clear()
-        if len(fresh) <= PREFIX_MEMO_SIZE:
-            memo.update(fresh)
-    return states
 
 
 def object_key(dataset: str, chunk_id: ChunkId) -> str:
@@ -209,6 +184,9 @@ class DieselServer:
         #: Dataset -> the KV write count when its last snapshot was
         #: assembled, and a weak reference to that snapshot.
         self._snapshots: dict[str, tuple[int, weakref.ref]] = {}
+        #: Key prefix or whole key -> its FNV-1a state, for ingest: a
+        #: dataset's chunks share directories (``PREFIX_MEMO_SIZE``).
+        self._fnv_states: dict[str, int] = {}
 
     @property
     def recorder(self):
@@ -357,7 +335,7 @@ class DieselServer:
         link_keys = [key for chain in links for key in chain]
         ds_key = meta.dataset_key(dataset)
         ck_key = meta.chunk_key(dataset, cid)
-        states = _prefix_states([*prefixes, *link_keys, ds_key])
+        states = self._prefix_states([*prefixes, *link_keys, ds_key])
         name_bytes = list(map(str.encode, names))
         path_bytes = list(map(add, map(head_bytes.__getitem__, dirs), name_bytes))
         records = meta.FileRecord.pack_many(path_bytes, cid_raw, entries)
@@ -414,6 +392,30 @@ class DieselServer:
         )
         implied = 2 + n + "".join(paths).count("/")
         return implied + n_journal
+
+    def _prefix_states(self, prefixes: Sequence[str]) -> list[int]:
+        """The FNV-1a state of each of ``prefixes`` (a key that starts with
+        one is hashed on from it), from the bounded memo: the misses are
+        hashed in one kernel call and kept, the memo emptied first if they
+        would overflow it."""
+        memo = self._fnv_states
+        states = list(map(memo.get, prefixes))
+        if None in states:
+            missing = list(dict.fromkeys(
+                p for p, state in zip(prefixes, states) if state is None
+            ))
+            fresh = dict(zip(missing, fnv1a_64_many(
+                [p.encode() for p in missing], [FNV_OFFSET] * len(missing)
+            ).tolist()))
+            states = [
+                fresh[p] if state is None else state
+                for p, state in zip(prefixes, states)
+            ]
+            if len(memo) + len(fresh) > PREFIX_MEMO_SIZE:
+                memo.clear()
+            if len(fresh) <= PREFIX_MEMO_SIZE:
+                memo.update(fresh)
+        return states
 
     # ------------------------------------------------------------ operations
     def _op_ingest_chunk(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import heapq
 from itertools import islice
-from operator import itemgetter
 from typing import Any, Generator, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -219,12 +218,9 @@ class ShardedKV:
         start = 0
         for table, n in zip(tables, np.bincount(shards, minlength=len(tables)).tolist()):
             if n:
-                pick = itemgetter(*order[start : start + n])
+                picked = order[start : start + n]
                 start += n
-                if n == 1:
-                    table.put(pick(keys), pick(values))
-                else:
-                    table.put_many(pick(keys), pick(values))
+                table.put_many([keys[i] for i in picked], [values[i] for i in picked])
 
     def local_get(self, key: str) -> bytes:
         """Zero-cost get; the owner must be up."""

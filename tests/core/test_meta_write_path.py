@@ -183,7 +183,7 @@ class TestColumnsAgainstThePerFileReference:
                 {i for i in dead if i < len(paths)},
             )
             if cold:
-                server_module._PREFIX_STATES.clear()
+                server._fnv_states.clear()
             pairs, count = reference_pairs(chunk, ts, ids[:ts])
             ops = [
                 mj.JournalOp(
@@ -231,10 +231,9 @@ class TestPrefixMemo:
     ):
         bound = 16
         monkeypatch.setattr(server_module, "PREFIX_MEMO_SIZE", bound)
-        monkeypatch.setattr(server_module, "_PREFIX_STATES", {})
-        memo = server_module._PREFIX_STATES
         calls = counting(monkeypatch, server_module, "fnv1a_64_many")
         dep = build_deployment()
+        memo = dep.server._fnv_states
         gen = ChunkIdGenerator(b"\x0f" * 6, 11)
 
         def ingest(top, n_dirs):
@@ -356,7 +355,6 @@ class TestWorkIsCountedNotTimed:
         chunk = depth3_chunk(ChunkIdGenerator(b"\x09" * 6, 5).next(),
                              self.N_FILES, self.N_DIRS)
         meta.dir_hash.cache_clear()
-        monkeypatch.setattr(server_module, "_PREFIX_STATES", {})  # a cold memo
         hashed = [0]  # bytes fed to the hash: calls no longer bound the work
         batches = [0]  # calls of the batch kernel
         fnv, fnv_many = hashing.fnv1a_64, hashing.fnv1a_64_many
