@@ -17,7 +17,6 @@ from repro.bench.experiments import PAPER
 from repro.bench.harness import ExperimentResult as Result
 from repro.bench.reporting import format_value
 from repro.calibration import KB, MB
-from repro.ft.detector import FAILURE_TIMEOUT_S, HEARTBEAT_S
 
 
 class Claim(NamedTuple):
@@ -346,13 +345,11 @@ def _latency(r: Result) -> Claims:
 
 def _faults(r: Result) -> Claims:
     c, kv = r.one(event="cache_master_killed"), r.one(event="kv_shards_killed")
-    detect, reloaded = c["detection_s"], c["chunks_reloaded"]
+    reloaded = c["chunks_reloaded"]
     recovery, degraded, post = c["recovery_s"], c["degraded_reads"], c["post_over_pre"]
     problems, scanned, failed = (kv[k] for k in (
         "verify_problems", "chunks_scanned", "failed_reads"))
     return _claims(
-        ("detected within timeout + one heartbeat of the kill",
-         0 < detect <= FAILURE_TIMEOUT_S + HEARTBEAT_S + 1e-9, detect),
         ("healing re-streams the orphaned chunks", reloaded > 0, reloaded),
         ("recovery takes simulated time", recovery > 0, recovery),
         ("the server serves degraded reads meanwhile", degraded > 0, degraded),

@@ -1432,25 +1432,31 @@ def fig_faults(
     window_s: float = 0.2,
     pace_s: float = 2e-4,
 ) -> ExperimentResult:
-    """Self-healing under injected failures (§4.1.2 scenario (a), Fig 4).
+    """Scripted recovery under injected failures (§4.1.2 scenario (a), Fig 4).
 
-    A warmed task cache serves a paced reader while two failures are
-    injected with **no operator intervention**: first a cache-master
-    node dies mid-run (the detector fires, the supervisor re-partitions
-    and reloads its chunks; reads degrade to the server meanwhile), then
-    a KV storage node takes its Redis shards down (auto-restarted cold
-    and healed via ``rebuild_dataset(from_timestamp)``).  Reports
-    detection latency, recovery time, per-window throughput around each
-    event, and the ``verify_rebuild`` discrepancy count.  The headline
-    criteria: zero failed client reads across both episodes, and
-    steady-state throughput back within 10% of the pre-kill window.
+    A warmed task cache serves a paced reader while a killer process
+    injects two failures and runs the recovery an operator would: a
+    cache-master node dies mid-run and, 30 ms later,
+    ``TaskCache.recover()`` re-partitions and reloads its chunks (reads
+    degrade to the server meanwhile); then a KV storage node takes its
+    Redis shards down, they restart cold, and
+    ``rebuild_dataset(from_timestamp)`` replays the lost metadata.
+    Reports recovery time, per-window throughput around each event, and
+    the ``verify_rebuild`` discrepancy count.  The headline criteria:
+    zero failed client reads across both episodes, and steady-state
+    throughput back within 10% of the pre-kill window.
     """
-    from repro.core.recovery import verify_rebuild
-    from repro.ft import CacheSupervisor, FailureDetector, KVSupervisor
-    from repro.ft.supervisor import RESTART_DELAY_S
+    from repro.core.recovery import rebuild_dataset, verify_rebuild
+
+    # Seconds from each kill to its recovery call.  They keep the
+    # timeline this scenario has always had: a 40 ms failure timeout
+    # counted from the last 10 ms heartbeat, which fell 10 ms before
+    # each kill, then a 50 ms restart and one more heartbeat for the
+    # KV shards.
+    recover_after_s, rebuild_after_s = 0.03, 0.09
 
     result = ExperimentResult(
-        "self-healing fault tolerance", "§4.1.2 failure scenarios"
+        "scripted fault recovery", "§4.1.2 failure scenarios"
     )
     files = {
         f"/ds/f{i:05d}.jpg": b"\x5a" * file_size for i in range(n_files)
@@ -1460,16 +1466,9 @@ def fig_faults(
         tb = deploy(n_nodes, "ds", files, chunk_size, n_servers=1, n_kv=8)
         task = warmed_task(tb, "ds", tb.compute_nodes)
         cache, clients = task.cache, task.clients
-        recorder = SpanRecorder.attach(cache)
-        detector = FailureDetector(tb.env, recorder=recorder)
-        cache_sup = CacheSupervisor(detector, cache, recorder=recorder)
-        kv_sup = KVSupervisor(detector, tb.diesel, tb.kv, ["ds"],
-                              recorder=recorder)
-        detector.start()
 
         # The victim master lives on compute0; the reader on compute1.
         cache_victim_node = tb.compute_nodes[0]
-        victim_master = cache.masters[cache_victim_node.name]
         reader_cc = next(
             m.client for n, m in cache.masters.items()
             if n != cache_victim_node.name
@@ -1499,61 +1498,68 @@ def fig_faults(
                 yield tb.env.timeout(pace_s)
 
         def killer():
+            start = tb.env.now
             yield tb.env.timeout(kill_cache_at)
             cache_victim_node.kill()
-            yield tb.env.timeout(kill_kv_at - kill_cache_at)
+            yield tb.env.timeout(recover_after_s)
+            recovered_at = tb.env.now
+            reloaded = yield from cache.recover()
+            recovery_s = tb.env.now - recovered_at
+            yield tb.env.timeout(start + kill_kv_at - tb.env.now)
             kv_victim_node.kill()
+            yield tb.env.timeout(rebuild_after_s)
+            kv_victim_node.restore()
+            for inst in kv_victims:
+                inst.restart()
+            t0 = tb.env.now
+            scanned = yield from rebuild_dataset(
+                tb.diesel, "ds", from_timestamp=int(kill_kv_at)
+            )
+            return (recovered_at, recovery_s, reloaded,
+                    tb.env.now - t0, scanned)
 
-        tb.env.process(killer(), name="faults:killer")
+        script = tb.env.process(killer(), name="faults:killer")
         tb.run(reader())
-        detector.stop()
-        tb.env.run()  # drain supervisors: heal + restart + rebuild
+        recovered_at, recovery_s, reloaded, rebuild_s, scanned = script.value
 
         def tput(lo: float, hi: float) -> float:
             n = sum(1 for t in completions if lo <= t < hi)
             return n / (hi - lo) if hi > lo else 0.0
 
-        watch = f"cache:{victim_master.client.name}"
-        detection_s = detector.detection_latency_s(watch)
-        recovery = cache_sup.recoveries[0]
-        recovered_at = recovery["at"]
         pre = tput(kill_cache_at - window_s, kill_cache_at)
         degraded = tput(kill_cache_at, recovered_at)
         post = tput(recovered_at, recovered_at + window_s)
         result.add(
             event="cache_master_killed", at_s=kill_cache_at,
-            detection_s=detection_s,
-            recovery_s=recovery["elapsed_s"],
-            chunks_reloaded=recovery["chunks_reloaded"],
+            recovery_s=recovery_s,
+            chunks_reloaded=reloaded,
             degraded_reads=cache.stats.degraded_reads,
             pre_reads_per_s=pre, degraded_reads_per_s=degraded,
             post_reads_per_s=post, post_over_pre=post / pre,
         )
-        rebuild = kv_sup.rebuilds[0]
         problems = verify_rebuild(
             tb.diesel, "ds", {p: len(b) for p, b in files.items()}
         )
         result.add(
             event="kv_shards_killed", at_s=kill_kv_at,
             shards_lost=len(kv_victims),
-            rebuild_elapsed_s=rebuild["elapsed_s"],
-            from_timestamp=rebuild["from_timestamp"],
-            chunks_scanned=rebuild["chunks_scanned"],
+            rebuild_elapsed_s=rebuild_s,
+            from_timestamp=int(kill_kv_at),
+            chunks_scanned=scanned,
             verify_problems=len(problems),
             failed_reads=failed_reads,
         )
         result.note(
-            f"cache master died at t={kill_cache_at:.2f}s: detected in "
-            f"{detection_s * 1e3:.1f}ms, healed in "
-            f"{recovery['elapsed_s'] * 1e3:.1f}ms "
-            f"({recovery['chunks_reloaded']} chunks re-streamed), "
+            f"cache master died at t={kill_cache_at:.2f}s: recover() "
+            f"{recover_after_s * 1e3:.0f}ms later healed it in "
+            f"{recovery_s * 1e3:.1f}ms ({reloaded} chunks re-streamed), "
             f"post-recovery throughput at {post / pre:.0%} of pre-kill"
         )
         result.note(
             f"{len(kv_victims)} Redis shards died at t={kill_kv_at:.2f}s: "
-            f"auto-restarted cold after {RESTART_DELAY_S:.2f}s, metadata "
-            f"replayed from t={rebuild['from_timestamp']} "
-            f"({rebuild['chunks_scanned']} chunks scanned), "
+            f"restarted cold {rebuild_after_s * 1e3:.0f}ms later, "
+            f"metadata replayed from t={int(kill_kv_at)} "
+            f"({scanned} chunks scanned), "
             f"verify_rebuild: {len(problems)} problems"
         )
         result.note(
@@ -1561,11 +1567,6 @@ def fig_faults(
             "failed (warm peers + Fig 4 server fall-through cover both "
             "failure windows)"
         )
-        ft_counts = {
-            f"{op}": n for (op, _layer), n in recorder.counts.items()
-            if op.startswith("ft_")
-        }
-        result.note(f"ft counters: {ft_counts}")
     return result
 
 

@@ -113,13 +113,6 @@ class TaskCache(ReadChain, Membership, Placement):
         self._registered = False
         self._prefetch_procs: list = []
         self._recorder = None
-        #: The task's one listener, a
-        #: :class:`~repro.ft.supervisor.CacheSupervisor` (None = none):
-        #: ``report_failure(master)`` when a peer read finds its owner
-        #: down or sees it die mid-call, so detection does not wait for
-        #: the next heartbeat, and ``sync_watches()`` on every
-        #: membership change.
-        self.supervisor = None
         #: The read-ahead accounting every reader's chunk window of this
         #: task shares.
         self.readahead = WindowStats()

@@ -5,10 +5,9 @@ go to survivors by the successor rule (:mod:`.placement`), the dead
 leave (:meth:`Membership._leave`), and the survivors re-stream.
 
 A change is published in one place, :meth:`Membership._notify_membership`:
-``membership_version`` bumps and the task's supervisor, if any, resyncs
-its watches.  Nothing outside the cache follows a change: epoch plans
-already drawn keep their order, and their reads resolve against
-whoever owns each chunk at read time.
+``membership_version`` bumps.  Nothing outside the cache follows a
+change: epoch plans already drawn keep their order, and their reads
+resolve against whoever owns each chunk at read time.
 """
 
 from __future__ import annotations
@@ -26,14 +25,11 @@ class Membership:
     """The membership of :class:`~repro.core.dist_cache.TaskCache`."""
 
     def _notify_membership(self) -> None:
-        """Publish a membership change: bump the version and tell the
-        supervisor, which keeps its watches equal to the masters."""
+        """Publish a membership change: bump the version."""
         self.membership_version += 1
         rec = self._recorder
         if rec is not None:
             rec.count("cache_recover", "task_cache")
-        if self.supervisor is not None:
-            self.supervisor.sync_watches()
 
     def _elect_masters(
         self, clients: Sequence[CacheClient]
@@ -79,7 +75,7 @@ class Membership:
         ``dead`` and every client on their nodes drop out of the task
         and the connection mesh, their counters fold into the task
         totals, and the change is published (``membership_version``,
-        the supervisor).  Their tier references went with their nodes
+        the recorder).  Their tier references went with their nodes
         (``purge_dead``)."""
         nodes = {m.node.name for m in dead}
         for m in dead:

@@ -186,19 +186,22 @@ class ReadChain:
 
         Returns ``(value, tier)``.  ``None`` sends the caller to the
         server: tier ``"degraded_reads"`` when the owner is down or died
-        mid-call (feeding the detector now collapses detection latency
-        to the first read that noticed), ``""`` for a clean miss —
-        ``on-demand`` then pulls the chunk in background.
+        mid-call (counted as ``ft_peer_failure`` on an attached
+        recorder), ``""`` for a clean miss — ``on-demand`` then pulls
+        the chunk in background.
         """
-        if not master.up:
-            self._note_peer_failure(master)
-            return None, "degraded_reads"
-        try:
-            value = yield from master.endpoint.call(
-                client.node, method, *args, response_bytes=response_bytes
-            )
-        except NodeDownError:
-            self._note_peer_failure(master)
+        down = not master.up
+        if not down:
+            try:
+                value = yield from master.endpoint.call(
+                    client.node, method, *args, response_bytes=response_bytes
+                )
+            except NodeDownError:
+                down = True
+        if down:
+            rec = self._recorder
+            if rec is not None:
+                rec.count("ft_peer_failure", "task_cache")
             return None, "degraded_reads"
         if value is None:
             if self.policy == "on-demand" and master.up:
@@ -211,13 +214,6 @@ class ReadChain:
         if master.node is client.node:
             return value, "local_hits"
         return value, "remote_hits"
-
-    def _note_peer_failure(self, master: CacheMaster) -> None:
-        if self.supervisor is not None:
-            self.supervisor.report_failure(master)
-        rec = self._recorder
-        if rec is not None:
-            rec.count("ft_peer_failure", "task_cache")
 
     def _background_pull(
         self, client: CacheClient, master: CacheMaster, encoded_cid: str
@@ -235,7 +231,7 @@ class ReadChain:
             )
         except (NodeDownError, CachePeerDownError):
             self.dropped_pulls += 1
-            self._note_peer_failure(master)
             rec = self._recorder
             if rec is not None:
+                rec.count("ft_peer_failure", "task_cache")
                 rec.count("ft_dropped_pull", "task_cache")

@@ -110,12 +110,17 @@ class JournalEntry:
         """The entry :meth:`encode` wrote into ``blob``, every op built;
         a malformed blob raises as :func:`read_entry` does."""
         ts, ops = read_entry(blob)
-        return cls(ts, tuple(JournalOp(*op) for op in ops))
+        return cls(ts, tuple(
+            JournalOp(kind, path.decode("utf-8"), payload)
+            for kind, path, payload in ops
+        ))
 
 
-def read_entry(blob: bytes) -> tuple[int, Iterator[tuple[int, str, bytes]]]:
+def read_entry(blob: bytes) -> tuple[int, Iterator[tuple[int, bytes, bytes]]]:
     """``(ts, ops)`` of an encoded entry, ``ops`` yielding each op's
-    ``(kind, path, payload)``.
+    ``(kind, path, payload)`` with ``path`` left as its UTF-8 bytes (an
+    append's record carries its own copy, so only a reader that needs
+    the op's path decodes it).
 
     Only the head is read here.  The iterator validates as it walks: an
     op whose extent leaves the blob, an unknown kind, or bytes left
@@ -128,7 +133,7 @@ def read_entry(blob: bytes) -> tuple[int, Iterator[tuple[int, str, bytes]]]:
     return ts, _iter_ops(blob, n_ops)
 
 
-def _iter_ops(blob: bytes, n_ops: int) -> Iterator[tuple[int, str, bytes]]:
+def _iter_ops(blob: bytes, n_ops: int) -> Iterator[tuple[int, bytes, bytes]]:
     pos, end = _ENTRY_HEAD.size, len(blob)
     for _ in range(n_ops):
         path_at = pos + _OP_HEAD.size
@@ -143,7 +148,7 @@ def _iter_ops(blob: bytes, n_ops: int) -> Iterator[tuple[int, str, bytes]]:
             )
         if kind not in _KINDS:
             raise JournalFormatError(f"unknown journal op kind {kind!r}")
-        yield kind, blob[path_at:payload_at].decode("utf-8"), blob[payload_at:pos]
+        yield kind, blob[path_at:payload_at], blob[payload_at:pos]
     if pos != end:
         raise JournalFormatError(f"{end - pos} bytes follow the entry's last op")
 

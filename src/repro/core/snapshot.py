@@ -317,13 +317,13 @@ class SnapshotIndex:
             ts, ops = mj.read_entry(blob)
             if ts != self._update_ts + 1:
                 raise DeltaConflictError(self.dataset, self._update_ts, ts)
-            for kind, path, payload in ops:
-                self._apply_op(kind, path, payload)
+            for kind, path_raw, payload in ops:
+                self._apply_op(kind, path_raw, payload)
                 applied += 1
             self._update_ts = ts
         return applied
 
-    def _apply_op(self, kind: int, path: str, payload: bytes) -> None:
+    def _apply_op(self, kind: int, path_raw: bytes, payload: bytes) -> None:
         if kind == mj.OP_APPEND:
             rec = FileRecord.decode(payload, self._cid_of)
             path = rec.path
@@ -342,6 +342,7 @@ class SnapshotIndex:
                     key=lambda p: self._files[p].offset,
                 )
         elif kind == mj.OP_DELETE:
+            path = path_raw.decode("utf-8")
             rec = self._files.pop(path, None)
             if rec is None:
                 raise DeltaConflictError(

@@ -14,15 +14,13 @@ breakdown first-class for the reproduction:
   ``chrome://tracing``; ``SpanRecorder.to_dict()`` merges, like every
   ``*Stats`` class on :mod:`repro.obs.counters`, into ``stats_row``.
 
-Fault tolerance reports through the same recorder under ``ft_*`` ops:
-detector transitions (``ft_alive`` /
-``ft_suspect`` / ``ft_dead``, ``ft_detect``), degraded-path events
-(``ft_peer_failure``, ``ft_dropped_pull``) and healing
-(``ft_recover``, ``ft_rebuild``).  Same zero-overhead contract: every
-site is one ``None`` check when no recorder is attached.
+The task cache's degraded path reports through the same recorder
+under ``ft_*`` ops (``ft_peer_failure``, ``ft_dropped_pull``).  Same
+zero-overhead contract: every site is one ``None`` check when no
+recorder is attached.
 
 See ``docs/OBSERVABILITY.md`` for the model and a worked example,
-``docs/FAULTS.md`` for the fault-tolerance ops.
+``docs/FAULTS.md`` for the failure scenarios.
 """
 
 from repro.obs.export import chrome_trace_events, write_chrome_trace

@@ -176,11 +176,6 @@ class SpanRecorder:
         """The ``(op, layer)`` latency histogram (empty one if unseen)."""
         return self._hist.get((op, layer)) or Histogram()
 
-    @property
-    def counts(self) -> Dict[Tuple[str, str], int]:
-        """All ``(op, layer)`` event counters."""
-        return dict(self._counts)
-
     def layers(self, op: str) -> Dict[str, int]:
         """Per-layer resolution counts for ``op`` (histogram ∪ counters)."""
         out: Dict[str, int] = {}

@@ -111,9 +111,9 @@ class RpcEndpoint:
         """Bring the service back after its node was restored.
 
         ``Node.restore`` models the *machine* coming back; the services
-        that died with it stay down until something restarts them — in
-        this codebase, the fault-tolerance supervisors
-        (:mod:`repro.ft.supervisor`) or a test doing it by hand.
+        that died with it stay down until something restarts them — a
+        scripted fault scenario (``fig_faults``) or a test doing it by
+        hand.
         """
         if not self.node.alive:
             raise NodeDownError(

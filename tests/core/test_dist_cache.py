@@ -224,19 +224,12 @@ class TestRecovery:
 
     def test_recover_is_a_membership_change(self):
         """The dead node's clients leave the task with its master: the
-        mesh, version, masters and supervisor all follow."""
+        mesh, version and masters all follow."""
         dep, cache, clients, files, index = setup_cache(
             n_nodes=4, clients_per_node=1)
         dep.run(cache.register())
         dep.run(cache.wait_warm())
         dep.run(read_all(cache, clients[1], files, index))
-        synced = []
-
-        class Supervisor:
-            def sync_watches(self):
-                synced.append(sorted(cache.masters))
-
-        cache.supervisor = Supervisor()
         victim, v0 = dep.client_nodes[0], cache.membership_version
         victim.kill()
         dep.run(cache.recover())
@@ -244,7 +237,39 @@ class TestRecovery:
         assert clients[0] not in cache.clients
         assert victim.name not in cache.masters
         assert cache.membership_version == v0 + 1
-        assert synced == [sorted(cache.masters)]
+
+    def test_reads_keep_succeeding_through_kill_and_recover(self):
+        """Sweeps over every file keep returning the right bytes while a
+        node dies and, 40 ms later, the task recovers around it."""
+        dep, cache, clients, files, index = setup_cache(clients_per_node=1)
+        dep.run(cache.register())
+        dep.run(cache.wait_warm())
+        victim_node = dep.client_nodes[0]
+        reader = next(c for c in clients if c.node is not victim_node)
+        ok = 0
+
+        def recover_later():
+            yield dep.env.timeout(0.04)
+            yield from cache.recover()
+
+        def read_loop():
+            nonlocal ok
+            for sweep in range(6):
+                if sweep == 1:
+                    victim_node.kill()
+                    dep.env.process(recover_later())
+                for path, expected in files.items():
+                    data = yield from cache.read_file(reader,
+                                                      index.lookup(path))
+                    assert data == expected
+                    ok += 1
+                yield dep.env.timeout(0.05)
+
+        dep.run(read_loop())
+        assert ok == 6 * len(files)
+        assert victim_node.name not in cache.masters
+        assert cache.stats.degraded_reads > 0
+        assert cache.cached_chunks() == len(index.chunk_ids())
 
     def test_recover_noop_when_healthy(self):
         dep, cache, *_ = setup_cache()

@@ -94,6 +94,10 @@ class TestRefreshMeta:
         dep.run(client.delete(victim))
         dep.run(client.refresh_meta())
         assert victim not in client.index
+        # Applied as a delta: a delete the walk mis-read would conflict
+        # and fall back to a full reload with the same end state.
+        assert client.stats.delta_reloads == 1
+        assert client.stats.full_reloads == 0
         fresh = SnapshotIndex(dep.server.build_snapshot("ds"))
         assert_index_equivalent(client.index, fresh)
 

@@ -151,6 +151,37 @@ class TestScenarioA:
         assert scanned == n_total - n_old
 
 
+    def test_lost_shard_restarts_cold_and_is_rebuilt(self, deployment):
+        """A KV node dies; once it is restored and its instance restarted
+        (empty), a rescan from the last second before the loss makes
+        the metadata whole again."""
+        files = small_files(30, size=1024)
+        write_dataset(deployment, "ds", files, chunk_size=8 * 1024)
+        victim = deployment.kv.instances[1]
+        keys_before = deployment.kv.total_keys()
+        deployment.env.run(until=deployment.env.now + 0.1)
+        last_good = int(deployment.env.now)
+        victim.node.kill()
+        assert not victim.up
+        victim.node.restore()
+        victim.restart()
+        assert victim.up
+        assert deployment.kv.total_keys() < keys_before  # restarted empty
+
+        def proc():
+            n = yield from recovery.rebuild_dataset(
+                deployment.server, "ds", from_timestamp=last_good
+            )
+            return n
+
+        assert last_good == 0
+        assert deployment.run(proc()) > 0
+        # Every pair replayed, nothing missing.
+        assert deployment.kv.total_keys() == keys_before
+        expected = {p: len(b) for p, b in files.items()}
+        assert recovery.verify_rebuild(deployment.server, "ds", expected) == []
+
+
 class TestDeletionPersistence:
     """Tombstones must survive a metadata rebuild (chunks stay
     self-contained, §4.1.1/§4.1.2)."""

@@ -422,6 +422,97 @@ class TestRecoveryRefcounts:
         dep.run(epoch(c1))
 
 
+    def test_concurrent_recoveries_fetch_each_dead_chunk_once(self):
+        """Both tasks recover at once: the dead node's chunks are
+        fetched cold exactly once, and the other task's recovery
+        warm-admits the same chunks."""
+        dep, registry, (c0, c1), files, index = shared_rig(n_nodes=3)
+        for cache in (c0, c1):
+            dep.run(cache.register())
+            dep.run(cache.wait_warm())
+        n_chunks = len(index.chunk_ids())
+        victim = dep.client_nodes[0]
+        dead_chunks = c0.masters[victim.name].cached_chunk_count
+        victim.kill()
+        fetches = dep.server.stats.chunk_reads
+        before = registry.stats
+        reloaded = []
+
+        def recover(cache):
+            reloaded.append((yield from cache.recover()))
+
+        procs = [dep.env.process(recover(c)) for c in (c0, c1)]
+        dep.env.run(until=dep.env.all_of(procs))
+        after = registry.stats
+        assert dep.server.stats.chunk_reads - fetches == dead_chunks
+        cold = after.cold_admissions - before.cold_admissions
+        warm = after.warm_admissions - before.warm_admissions
+        assert cold == warm == dead_chunks
+        assert all(cold + warm >= n for n in reloaded)
+        assert after.refs == 2 * n_chunks
+        assert after.chunks_resident == n_chunks
+
+
+class TestDiskTierRecovery:
+    def test_disk_tier_survives_crash_and_restart(self):
+        """A node whose chunks overflowed to its disk tier dies: the task
+        recovers around it, the crash keeps the disk residency, and a
+        fresh task over the restored node re-registers with zero
+        backend fetches and reads off that disk."""
+        dep = build_deployment(n_client_nodes=1)
+        files = small_files(24, size=2048)
+        writer = write_dataset(dep, "ds", files, chunk_size=8 * 1024)
+        dep.load_meta(writer)
+        index = writer.index
+        registry = SharedCacheRegistry(dep.env, store="tiered")
+        t0 = dep.fabric.add_node(Node(dep.env, "tier0"))
+        t1 = dep.fabric.add_node(Node(dep.env, "tier1"))
+
+        def drain():  # tier1 has no RAM to spare: admissions go to disk
+            yield t1.memory.get(t1.memory.level - 64)
+
+        dep.run(drain())
+        clients = [CacheClient("cc0", t0, 0), CacheClient("cc1", t1, 1)]
+        cache = TaskCache(dep.server, "ds", clients, shared=registry)
+        dep.run(cache.register())
+        dep.run(cache.wait_warm())
+        tier1 = registry.for_node(t1)
+        disk_before = tier1.store.stats.chunks_disk
+        assert disk_before > 0  # the drained node overflowed to disk
+
+        t1.kill()
+        dep.run(cache.recover())
+        assert t1.name not in cache.masters
+        # The crash forgot tier1's RAM residency but kept its disk tier.
+        assert tier1.store.stats.chunks_disk == disk_before
+        assert tier1.stats.chunks_resident == disk_before
+
+        # Node restarts; a fresh task re-registers over both nodes.
+        t1.restore()
+        clients2 = [CacheClient("r0", t0, 0), CacheClient("r1", t1, 1)]
+        cache2 = TaskCache(dep.server, "ds", clients2, shared=registry)
+        fetches = dep.server.stats.chunk_reads
+        dep.run(cache2.register())
+        dep.run(cache2.wait_warm())
+        # Every chunk was resident somewhere (tier0 RAM after the
+        # recovery, tier1 disk across the restart): no backend fetch.
+        assert dep.server.stats.chunk_reads == fetches
+        assert cache2.cached_chunks() == len(index.chunk_ids())
+
+        # Reads through the restarted node come off its disk tier.
+        hits_before = registry.store_stats.disk_hits
+
+        def epoch():
+            for path, expected in files.items():
+                data = yield from cache2.read_file(clients2[1],
+                                                   index.lookup(path))
+                assert data == expected
+
+        dep.run(epoch())
+        assert registry.store_stats.disk_hits > hits_before
+        assert cache2.stats.disk_hits > 0
+
+
 class TestClientSharedHitCredit:
     """``ClientStats.shared_hits`` is credited per read from the tier it
     resolved at — not inferred from the cache-wide counter, which a

@@ -28,6 +28,7 @@ from repro.core.config import DieselConfig
 from repro.core.prefetch import WINDOW_HIT_S
 from repro.core.shared_cache import SharedCacheRegistry
 from repro.dlt.trainer import run_training
+from repro.obs import SpanRecorder
 
 from tests.invariants import check_invariants, check_window
 
@@ -209,13 +210,7 @@ class TestFaults:
         reader = readers[0]
         victim_name, cids = remote_chunks(cache, reader, index)
         victim = cache.masters[victim_name]
-        reported = []
-
-        class Supervisor:
-            def report_failure(self, master):
-                reported.append(master)
-
-        cache.supervisor = Supervisor()
+        recorder = SpanRecorder.attach(cache)
         # Time a warm one-hop chunk fetch, then kill the owner halfway
         # through the next one.
         t0 = tb.env.now
@@ -240,7 +235,7 @@ class TestFaults:
                 assert data == files[path]
 
         tb.run(read_all())  # zero failed reads
-        assert reported == [victim]
+        assert recorder.layers("ft_peer_failure") == {"task_cache": 1}
         assert tb.diesel.stats.chunk_reads == backend + 1
         assert cache.stats.degraded_reads == len(paths)
         assert cache.stats.degraded_reads == len(paths)

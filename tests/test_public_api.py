@@ -15,7 +15,6 @@ PUBLIC_MODULES = [
     "repro.util",
     "repro.sim",
     "repro.obs",
-    "repro.ft",
     "repro.cluster",
     "repro.rpc",
     "repro.kvstore",

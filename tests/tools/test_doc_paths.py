@@ -99,12 +99,12 @@ def test_docs_name_only_symbols_that_exist():
 
 
 def test_a_deleted_symbol_is_caught():
-    text = ("`repro.ft.gone_module.f`, `repro.ft.FailureDetector.gone`, "
-            "`from repro.ft import Gone`; `repro.ft.FailureDetector.watch`, "
-            "`python -m repro.bench.runner --all`, `src/repro/ft/` and "
-            "`repro.ft.detector` exist")
+    text = ("`repro.kvstore.gone_module.f`, `repro.kvstore.ShardedKV.gone`, "
+            "`from repro.kvstore import Gone`; `repro.kvstore.ShardedKV.owner`, "
+            "`python -m repro.bench.runner --all`, `src/repro/kvstore/` and "
+            "`repro.kvstore.sharded` exist")
     assert unresolved(text) == [
-        "repro.ft.gone_module.f", "repro.ft.FailureDetector.gone",
+        "repro.kvstore.gone_module.f", "repro.kvstore.ShardedKV.gone",
     ]
 
 
@@ -168,7 +168,7 @@ def test_docs_name_only_class_members_that_exist():
 
 def test_a_deleted_class_member_is_caught():
     text = ("`TaskCache.gone_hook`, `EpochPlan.repin(owner_of)`; "
-            "`TaskCache.supervisor`, `TaskCache.read_chunk` (a base's def), "
+            "`TaskCache.dropped_pulls`, `TaskCache.read_chunk` (a base's def), "
             "`TaskCacheStats.local_hits` (a field), `ShardedKV.local_*`, "
             "`ChunkWindow.prefetcher` and `NotAClass.gone` exist or are "
             "skipped")
