@@ -83,9 +83,8 @@ def test_snapshot_load(benchmark):
 
 @pytest.mark.benchmark(group="micro-snapshot")
 def test_snapshot_deserialize(benchmark):
-    """The columnar decode path alone (no index build): one
-    ``iter_unpack`` sweep over the entry section, one split over the
-    NUL-joined path section."""
+    """The columnar decode path alone (no index build): one numpy view
+    of the entry section, one split over the NUL-joined path section."""
     blob = make_snapshot().serialize()
     snap = benchmark(MetadataSnapshot.deserialize, blob)
     assert snap.file_count == 20_000

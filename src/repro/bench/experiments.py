@@ -1498,39 +1498,45 @@ def fig_faults(
                 yield tb.env.timeout(pace_s)
 
         def killer():
+            # The kills fall at offsets from the killer's start, after
+            # warm-up; every window is timed from the instants they
+            # really fell at.
             start = tb.env.now
             yield tb.env.timeout(kill_cache_at)
             cache_victim_node.kill()
+            cache_killed_at = tb.env.now
             yield tb.env.timeout(recover_after_s)
             recovered_at = tb.env.now
             reloaded = yield from cache.recover()
             recovery_s = tb.env.now - recovered_at
             yield tb.env.timeout(start + kill_kv_at - tb.env.now)
             kv_victim_node.kill()
+            kv_killed_at = tb.env.now
             yield tb.env.timeout(rebuild_after_s)
             kv_victim_node.restore()
             for inst in kv_victims:
                 inst.restart()
             t0 = tb.env.now
             scanned = yield from rebuild_dataset(
-                tb.diesel, "ds", from_timestamp=int(kill_kv_at)
+                tb.diesel, "ds", from_timestamp=int(kv_killed_at)
             )
-            return (recovered_at, recovery_s, reloaded,
-                    tb.env.now - t0, scanned)
+            return (cache_killed_at, recovered_at, recovery_s, reloaded,
+                    kv_killed_at, tb.env.now - t0, scanned)
 
         script = tb.env.process(killer(), name="faults:killer")
         tb.run(reader())
-        recovered_at, recovery_s, reloaded, rebuild_s, scanned = script.value
+        (cache_killed_at, recovered_at, recovery_s, reloaded,
+         kv_killed_at, rebuild_s, scanned) = script.value
 
         def tput(lo: float, hi: float) -> float:
             n = sum(1 for t in completions if lo <= t < hi)
             return n / (hi - lo) if hi > lo else 0.0
 
-        pre = tput(kill_cache_at - window_s, kill_cache_at)
-        degraded = tput(kill_cache_at, recovered_at)
+        pre = tput(cache_killed_at - window_s, cache_killed_at)
+        degraded = tput(cache_killed_at, recovered_at)
         post = tput(recovered_at, recovered_at + window_s)
         result.add(
-            event="cache_master_killed", at_s=kill_cache_at,
+            event="cache_master_killed", at_s=cache_killed_at,
             recovery_s=recovery_s,
             chunks_reloaded=reloaded,
             degraded_reads=cache.stats.degraded_reads,
@@ -1541,24 +1547,24 @@ def fig_faults(
             tb.diesel, "ds", {p: len(b) for p, b in files.items()}
         )
         result.add(
-            event="kv_shards_killed", at_s=kill_kv_at,
+            event="kv_shards_killed", at_s=kv_killed_at,
             shards_lost=len(kv_victims),
             rebuild_elapsed_s=rebuild_s,
-            from_timestamp=int(kill_kv_at),
+            from_timestamp=int(kv_killed_at),
             chunks_scanned=scanned,
             verify_problems=len(problems),
             failed_reads=failed_reads,
         )
         result.note(
-            f"cache master died at t={kill_cache_at:.2f}s: recover() "
+            f"cache master died at t={cache_killed_at:.2f}s: recover() "
             f"{recover_after_s * 1e3:.0f}ms later healed it in "
             f"{recovery_s * 1e3:.1f}ms ({reloaded} chunks re-streamed), "
             f"post-recovery throughput at {post / pre:.0%} of pre-kill"
         )
         result.note(
-            f"{len(kv_victims)} Redis shards died at t={kill_kv_at:.2f}s: "
+            f"{len(kv_victims)} Redis shards died at t={kv_killed_at:.2f}s: "
             f"restarted cold {rebuild_after_s * 1e3:.0f}ms later, "
-            f"metadata replayed from t={int(kill_kv_at)} "
+            f"metadata replayed from t={int(kv_killed_at)} "
             f"({scanned} chunks scanned), "
             f"verify_rebuild: {len(problems)} problems"
         )

@@ -312,21 +312,22 @@ class DieselClient:
         rec = self.recorder
         t0 = self.env.now if rec is not None else 0.0
         yield self.env.timeout(self.cal.diesel.api_read_overhead_s)
-        record = self._record_for(path)
         # 1. Chunk-wise-shuffle working set (client-local memory).
-        if record is not None and self._shuffle_enabled:
+        if self._index is not None and self._shuffle_enabled:
+            encoded, path = self._index.locate(path)
             if rec is not None:
-                if record.chunk_id.encode() in self._window.chunks.entries:
+                if encoded in self._window.chunks.entries:
                     layer = "group_cache"
                 else:
                     layer = "server" if self._cache is None else "task_cache"
-            payload = yield from self._get_via_group_cache(record)
+            payload = yield from self._get_via_group_cache(encoded, path)
             self.stats.bytes_read += len(payload)
             if rec is not None:
                 rec.record("get", layer, self.env.now - t0,
                            actor=self.name, path=path)
                 rec.count("read", layer)
             return payload
+        record = self._record_for(path)
         # 2. Task-grained distributed cache (one-hop peer fetch), backed
         #    by the node chunk tier — where other tasks share it, a read
         #    can resolve from a chunk another task admitted.
@@ -379,15 +380,11 @@ class DieselClient:
         remote: list[str] = []
         if self._shuffle_enabled and self._index is not None:
             # Group the batch by chunk; resolve each chunk once.
-            by_chunk: Dict[str, list[FileRecord]] = {}
+            by_chunk: Dict[str, list[str]] = {}
+            locate = self._index.locate
             for path in paths:
-                record = self._record_for(path)
-                if record is None:
-                    remote.append(path)
-                else:
-                    by_chunk.setdefault(
-                        record.chunk_id.encode(), []
-                    ).append(record)
+                encoded, path = locate(path)
+                by_chunk.setdefault(encoded, []).append(path)
             # One walk: a resident chunk is served inline; a miss is
             # fetched inline at width 1, else deferred to one fan_out.
             # The width fork stays because deferring serves residents
@@ -395,8 +392,8 @@ class DieselClient:
             fanned = self.config.read_fanout > 1
             resolved: Dict[str, Optional[Chunk]] = {}
             missing: list[str] = []
-            for encoded, records in by_chunk.items():
-                n = len(records)
+            for encoded, group in by_chunk.items():
+                n = len(group)
                 chunk = self._window.access(encoded)
                 if chunk is not None:
                     self.stats.local_hits += n
@@ -425,9 +422,9 @@ class DieselClient:
                 )
                 resolved.update(zip(missing, chunks))
             for encoded, chunk in resolved.items():
-                for record in by_chunk[encoded]:
-                    payload = chunk.payload(record.path, verify=False)
-                    out[record.path] = payload
+                for path in by_chunk[encoded]:
+                    payload = chunk.payload(path, verify=False)
+                    out[path] = payload
                     self.stats.bytes_read += len(payload)
         elif self._cache is not None and self._index is not None:
             # Task-grained distributed cache: one-hop fetch per file
@@ -493,12 +490,14 @@ class DieselClient:
         path = normalize(path)
         self.stats.gets += 1
         yield self.env.timeout(self.cal.diesel.api_read_overhead_s)
-        record = self._record_for(path)
-        if record is not None and self._shuffle_enabled:
-            whole = yield from self._get_via_group_cache(record)
+        if self._index is not None and self._shuffle_enabled:
+            whole = yield from self._get_via_group_cache(
+                *self._index.locate(path)
+            )
             piece = whole[offset : offset + length]
             self.stats.bytes_read += len(piece)
             return piece
+        record = self._record_for(path)
         piece = yield from self._server().call(
             self.node,
             "get_file_range",
@@ -585,7 +584,7 @@ class DieselClient:
         return chunk
 
     def _get_via_group_cache(
-        self, record: FileRecord
+        self, encoded: str, path: str
     ) -> Generator[Event, Any, bytes]:
         """Serve from the per-group chunk working set, fetching whole chunks.
 
@@ -594,14 +593,13 @@ class DieselClient:
         paper's ImageNet-1K run vs the 150 GB dataset — plus the
         prefetch pipeline's ``prefetch_depth`` look-ahead when enabled.
         """
-        encoded = record.chunk_id.encode()
         chunk = self._window.access(encoded)
         if chunk is not None:
             self.stats.local_hits += 1
             yield self.env.timeout(WINDOW_HIT_S)
         else:
             chunk = yield from self._window.ensure(encoded)
-        return chunk.payload(record.path, verify=False)
+        return chunk.payload(path, verify=False)
 
     def working_set_bytes(self) -> int:
         return sum(len(c.data) for c, _ in self._window.chunks.entries.values())
@@ -667,7 +665,7 @@ class DieselClient:
             raise StaleSnapshotError(self.dataset, snapshot.update_ts, current_ts)
         # Building the in-memory index costs real work at load time.
         yield self.env.timeout(
-            len(snapshot.files) * self.cal.diesel.client_meta_lookup_s
+            snapshot.file_count * self.cal.diesel.client_meta_lookup_s
         )
         self._index = SnapshotIndex(snapshot)
         return self._index
@@ -717,7 +715,7 @@ class DieselClient:
         index = yield from self.load_meta(blob)
         if rec is not None:
             rec.record("refresh_meta", "full", self.env.now - t0,
-                       actor=self.name, ops=len(index.snapshot.files))
+                       actor=self.name, ops=index.file_count)
         return index
 
     # -------------------------------------------------------------- shuffle

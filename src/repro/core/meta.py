@@ -43,7 +43,9 @@ from repro.util.pathutil import normalize
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
-_FILE_REC = struct.Struct(f">{CHUNK_ID_BYTES}sQQI")  # cid, offset, length, crc
+#: The fixed bytes that end every packed :class:`FileRecord`, after its
+#: path: chunk id, offset, length, crc.
+RECORD_TAIL = struct.Struct(f">{CHUNK_ID_BYTES}sQQI")
 _CHUNK_REC_HEAD = struct.Struct(f">{CHUNK_ID_BYTES}sQQII")  # cid, ts, size, nfiles, ndeleted
 
 
@@ -157,7 +159,7 @@ class FileRecord(NamedTuple):
         memoised ``encode()``; an id it lacks is added."""
         (name_len,) = _U32.unpack_from(blob, 0)
         name = blob[4 : 4 + name_len].decode("utf-8")
-        cid_raw, offset, length, crc = _FILE_REC.unpack_from(blob, 4 + name_len)
+        cid_raw, offset, length, crc = RECORD_TAIL.unpack_from(blob, 4 + name_len)
         if chunk_ids is None:
             cid = ChunkId(cid_raw)
         else:
@@ -173,7 +175,7 @@ _new_tuple = tuple.__new__
 @lru_cache(maxsize=1024)
 def _record_struct(name_len: int) -> struct.Struct:
     """The packer of a record whose UTF-8 path is ``name_len`` bytes."""
-    return struct.Struct(f">I{name_len}s{_FILE_REC.format[1:]}")
+    return struct.Struct(f">I{name_len}s{RECORD_TAIL.format[1:]}")
 
 
 @dataclass(frozen=True)

@@ -35,11 +35,13 @@ from repro.errors import DieselError, JournalFormatError
 from repro.kvstore.sharded import ShardedKV
 from repro.util.ids import CHUNK_ID_BYTES
 
-_ENTRY_HEAD = struct.Struct(">QI")  # ts, op count
-_OP_HEAD = struct.Struct(">BII")  # kind, path len, payload len
+#: An encoded entry starts with it: ts, op count.
+ENTRY_HEAD = struct.Struct(">QI")
+#: Each op starts with it: kind, path length, payload length.
+OP_HEAD = struct.Struct(">BII")
 _META = struct.Struct(">QQI")  # oldest ts, newest ts, count
 #: A packed :class:`FileRecord`'s bytes beside its path's.
-_RECORD_FIXED = len(FileRecord.pack("", bytes(CHUNK_ID_BYTES), 0, 0, 0))
+RECORD_FIXED = len(FileRecord.pack("", bytes(CHUNK_ID_BYTES), 0, 0, 0))
 
 #: Upsert one file record (payload = encoded FileRecord).
 OP_APPEND = 0
@@ -97,10 +99,10 @@ class JournalEntry:
     def encode(self) -> bytes:
         """The entry as stored under its ``jr:`` key: the head, then each
         op's head, path and payload."""
-        parts = [_ENTRY_HEAD.pack(self.ts, len(self.ops))]
+        parts = [ENTRY_HEAD.pack(self.ts, len(self.ops))]
         for op in self.ops:
             path = op.path.encode("utf-8")
-            parts.append(_OP_HEAD.pack(op.kind, len(path), len(op.payload)))
+            parts.append(OP_HEAD.pack(op.kind, len(path), len(op.payload)))
             parts.append(path)
             parts.append(op.payload)
         return b"".join(parts)
@@ -127,19 +129,19 @@ def read_entry(blob: bytes) -> tuple[int, Iterator[tuple[int, bytes, bytes]]]:
     after the last op raise :class:`JournalFormatError` — a slice past
     the end would otherwise come back short and apply as a record.
     """
-    if len(blob) < _ENTRY_HEAD.size:
+    if len(blob) < ENTRY_HEAD.size:
         raise JournalFormatError(f"journal entry of {len(blob)} bytes has no head")
-    ts, n_ops = _ENTRY_HEAD.unpack_from(blob, 0)
+    ts, n_ops = ENTRY_HEAD.unpack_from(blob, 0)
     return ts, _iter_ops(blob, n_ops)
 
 
 def _iter_ops(blob: bytes, n_ops: int) -> Iterator[tuple[int, bytes, bytes]]:
-    pos, end = _ENTRY_HEAD.size, len(blob)
+    pos, end = ENTRY_HEAD.size, len(blob)
     for _ in range(n_ops):
-        path_at = pos + _OP_HEAD.size
+        path_at = pos + OP_HEAD.size
         if path_at > end:
             raise JournalFormatError(f"journal op head at {pos} leaves the entry")
-        kind, path_len, payload_len = _OP_HEAD.unpack_from(blob, pos)
+        kind, path_len, payload_len = OP_HEAD.unpack_from(blob, pos)
         payload_at = path_at + path_len
         pos = payload_at + payload_len
         if pos > end:
@@ -166,12 +168,12 @@ def chunk_entry(
     """
     sizes = list(map(len, records))
     heads = {
-        n: _OP_HEAD.pack(OP_APPEND, n - _RECORD_FIXED, n) for n in set(sizes)
+        n: OP_HEAD.pack(OP_APPEND, n - RECORD_FIXED, n) for n in set(sizes)
     }
     return b"".join([
-        _ENTRY_HEAD.pack(ts, len(records) + 1),
+        ENTRY_HEAD.pack(ts, len(records) + 1),
         *chain.from_iterable(zip(map(heads.__getitem__, sizes), paths, records)),
-        _OP_HEAD.pack(OP_CHUNK_ADD, 0, len(cid_raw)),
+        OP_HEAD.pack(OP_CHUNK_ADD, 0, len(cid_raw)),
         cid_raw,
     ])
 

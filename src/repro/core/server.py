@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from operator import add, methodcaller
+from operator import add, itemgetter, methodcaller
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -42,7 +42,7 @@ from repro.core.meta_journal import (
     MetaJournal,
     chunk_entry,
 )
-from repro.core.snapshot import MetadataSnapshot, build_snapshot
+from repro.core.snapshot import MetadataSnapshot
 from repro.errors import (
     ChunkFormatError,
     DatasetNotFoundError,
@@ -616,7 +616,7 @@ class DieselServer:
     def _op_save_meta(self, dataset: str) -> Generator[Event, Any, bytes]:
         """Materialize the dataset's metadata snapshot (§4.1.3)."""
         snapshot = self.build_snapshot(dataset)
-        yield self.env.timeout(self._kv_pipeline_cost(len(snapshot.files)))
+        yield self.env.timeout(self._kv_pipeline_cost(snapshot.file_count))
         return snapshot.serialize()
 
     def build_snapshot(self, dataset: str) -> MetadataSnapshot:
@@ -637,16 +637,19 @@ class DieselServer:
             if snapshot is not None:
                 return snapshot
         dsrec = self._dataset_record(dataset)
-        # Every file of a chunk points at the dataset record's ChunkId.
-        chunk_ids = {cid.raw: cid for cid in dsrec.chunk_ids}
-        decode = meta.FileRecord.decode
-        files: list[meta.FileRecord] = []
-        for page in self.kv.local_pscan_iter(
-            meta.file_key_prefix(dataset), PSCAN_PAGE_SIZE
-        ):
-            files += [decode(blob, chunk_ids) for _, blob in page]
-        snapshot = build_snapshot(
-            dataset, dsrec.update_ts, files, dsrec.chunk_ids
+        # A file's path is its key's tail; its chunk id, offset, length
+        # and crc are its record's tail.  Both are cut in C, per page.
+        prefix = meta.file_key_prefix(dataset)
+        path_of = itemgetter(slice(len(prefix), None))
+        tail_of = itemgetter(slice(-meta.RECORD_TAIL.size, None))
+        paths: list[str] = []
+        tails: list[bytes] = []
+        for page in self.kv.local_pscan_iter(prefix, PSCAN_PAGE_SIZE):
+            keys, blobs = zip(*page)
+            paths += map(path_of, keys)
+            tails += map(tail_of, blobs)
+        snapshot = MetadataSnapshot.from_record_tails(
+            dataset, dsrec.update_ts, dsrec.chunk_ids, paths, b"".join(tails)
         )
         self._snapshots[dataset] = (writes, weakref.ref(snapshot))
         return snapshot

@@ -144,8 +144,7 @@ class CacheReader:
     def read(self, path: str) -> Generator[Event, Any, bytes]:
         """One file out of its chunk in the window, fetching the chunk
         through the task cache's read chain when it is not resident."""
-        record = self.index.lookup(path)
-        encoded_cid = record.chunk_id.encode()
+        encoded_cid, path = self.index.locate(path)
         entry = self.window.access(encoded_cid)
         if entry is not None:
             yield self.cache.env.timeout(WINDOW_HIT_S)
@@ -153,7 +152,7 @@ class CacheReader:
             entry = yield from self.window.ensure(encoded_cid)
         chunk, tier = entry
         self.cache.credit_read(tier)
-        return chunk.payload(record.path, verify=False)
+        return chunk.payload(path, verify=False)
 
 
 class LustreReader:

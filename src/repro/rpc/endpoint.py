@@ -133,7 +133,16 @@ class RpcEndpoint:
         if isinstance(value, (bytes, bytearray, memoryview)):
             return len(value)
         if isinstance(value, str):
-            return len(value.encode("utf-8"))
+            return len(value) if value.isascii() else len(value.encode("utf-8"))
+        if isinstance(value, (list, tuple)) and value and isinstance(value[0], str):
+            # A name list (an ``ls`` reply): its UTF-8 bytes are its
+            # join's, so one join sizes it unless an item is no str.
+            try:
+                joined = "".join(value)
+            except TypeError:
+                pass
+            else:
+                return 16 + RpcEndpoint._sizeof(joined)
         if isinstance(value, (list, tuple, set, frozenset)):
             return 16 + sum(RpcEndpoint._sizeof(v) for v in value)
         if isinstance(value, dict):

@@ -1,5 +1,9 @@
 """Tests for metadata snapshots (§4.1.3)."""
 
+import gc
+import hashlib
+import types
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +14,14 @@ from repro.core.snapshot import (
     SnapshotIndex,
     build_snapshot,
 )
-from repro.errors import ChunkFormatError, FileNotFoundInDatasetError
-from repro.util.ids import ChunkIdGenerator
+from repro.errors import (
+    ChunkFormatError,
+    FileNotFoundInDatasetError,
+    JournalFormatError,
+)
+from repro.util.ids import ChunkId, ChunkIdGenerator
+
+from tests.core.conftest import build_deployment, write_dataset
 
 GEN = ChunkIdGenerator(machine=b"\x04" * 6, pid=3)
 
@@ -81,7 +91,7 @@ class TestIndex:
         exact = idx.lookup("/train/class0/img000.jpg")
         for spelling in ("train//class0/./img000.jpg",
                          "/train/class0//img000.jpg/"):
-            assert idx.lookup(spelling) is exact
+            assert idx.lookup(spelling) == exact
             assert spelling in idx
         assert "train//missing" not in idx
         with pytest.raises(FileNotFoundInDatasetError):
@@ -149,3 +159,146 @@ class TestBuildSnapshot:
         files = [FileRecord("/a", cids[1], 0, 1, 0), FileRecord("/b", cids[0], 0, 1, 0)]
         snap = build_snapshot("ds", 1, files)
         assert snap.chunk_ids == tuple(cids)
+
+
+def pinned_snapshot():
+    """Four chunks (the last with no live file), non-ASCII paths, and a
+    gap where every seventh file was deleted."""
+    machine = bytes(range(10, 16))
+    cids = [
+        ChunkId.from_parts(1_600_000_000 + i, machine, 77, i) for i in range(4)
+    ]
+    files = [
+        FileRecord(f"/données/класс{i % 4}/été_{i:03d}.bin", cids[i % 3],
+                   i * 4096, 1000 + 37 * i, (i * 2654435761) & 0xFFFFFFFF)
+        for i in range(40) if i % 7 != 3
+    ]
+    return build_snapshot("jeu-ü", 12_345_678_901, files, cids)
+
+
+def served_snapshot():
+    """A server's snapshot of 30 ingested files after four deletes."""
+    dep = build_deployment()
+    files = {
+        f"/été/d{i % 3}/f{i:02d}.bin": bytes([i]) * (100 + 13 * i)
+        for i in range(30)
+    }
+    client = write_dataset(dep, "ds", files, chunk_size=1024)
+    for i in (2, 5, 11, 29):
+        dep.run(client.delete(f"/été/d{i % 3}/f{i:02d}.bin"))
+    return dep.server.build_snapshot("ds")
+
+
+class TestWireFormat:
+    """The snapshot blob is a wire format: these digests were taken from
+    the record-at-a-time codec the columnar one replaced."""
+
+    @pytest.mark.parametrize("make, digest", [
+        (pinned_snapshot,
+         "39c03c6023ec6994b03df526cbe950b8b3fa9ac81279fe4ff83ebfbefc124ed1"),
+        (served_snapshot,
+         "c95df0a7f4891bb872d8d54ba2dd9e21eb00c02b34e76118a7152c05e115e0dc"),
+    ])
+    def test_snapshot_bytes_are_pinned(self, make, digest):
+        blob = make().serialize()
+        assert hashlib.sha256(blob).hexdigest() == digest
+        assert MetadataSnapshot.deserialize(blob).serialize() == blob
+
+
+def tracked_objects(root) -> int:
+    """GC-tracked objects reachable from ``root``, short of classes,
+    modules and functions."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or not gc.is_tracked(obj) or isinstance(
+            obj, (type, types.ModuleType, types.FunctionType)
+        ):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return len(seen)
+
+
+class TestColumns:
+    def test_tracked_objects_do_not_grow_with_files(self):
+        small, large = (make_snapshot(n_files=n) for n in (30, 3000))
+        assert tracked_objects(large) == tracked_objects(small)
+        assert tracked_objects(SnapshotIndex(large)) == tracked_objects(
+            SnapshotIndex(small)
+        )
+        decoded = MetadataSnapshot.deserialize(large.serialize())
+        assert tracked_objects(SnapshotIndex(decoded)) == tracked_objects(
+            SnapshotIndex(small)
+        )
+
+    def test_server_columns_equal_decoded_records(self):
+        """``build_snapshot`` cuts paths from keys and fields from record
+        tails; decoding each stored record is the reference."""
+        from repro.core import meta
+
+        dep = build_deployment()
+        files = {f"/é/d{i % 4}/f{i:03d}": bytes([i]) * (7 + i) for i in range(90)}
+        client = write_dataset(dep, "ds", files, chunk_size=1024)
+        for i in (3, 40, 89):
+            dep.run(client.delete(f"/é/d{i % 4}/f{i:03d}"))
+        snap = dep.server.build_snapshot("ds")
+        want = [
+            FileRecord.decode(blob)
+            for _, blob in dep.kv.local_pscan(meta.file_key_prefix("ds"))
+        ]
+        assert list(snap.files) == want and len(want) == 87
+        assert snap.chunk_ids == dep.server.dataset_info("ds").chunk_ids
+
+    def test_a_deleted_row_is_refilled_from_the_last(self):
+        from repro.core import meta_journal as mj
+
+        idx = SnapshotIndex(make_snapshot(n_files=5))
+        first, *_, last = idx.all_paths()
+        moved = idx.lookup(last)
+        entry = mj.JournalEntry(6, (mj.JournalOp(mj.OP_DELETE, first),))
+        assert idx.apply_delta([entry.encode()]) == 1
+        assert idx._paths[0] == last and len(idx._paths) == 4
+        assert idx.lookup(last) == moved and idx.locate(last) == (
+            moved.chunk_id.encode(), last
+        )
+        assert first not in idx and idx.file_count == 4
+
+    def test_a_delta_leaves_the_shared_snapshot_alone(self):
+        from repro.core import meta_journal as mj
+
+        snap = make_snapshot(n_files=6)
+        blob = snap.serialize()
+        patched, other = SnapshotIndex(snap), SnapshotIndex(snap)
+        first, last = snap.paths[0], snap.paths[-1]
+        rec = patched.lookup(last)._replace(path="/new", offset=9)
+        entry = mj.JournalEntry(6, (
+            mj.JournalOp(mj.OP_DELETE, first),
+            mj.JournalOp(mj.OP_APPEND, "/new", rec.encode()),
+        ))
+        patched.apply_delta([entry.encode()])
+        assert patched.lookup("/new") == rec and first not in patched
+        assert snap.serialize() == blob
+        assert other.all_paths() == snap.paths and "/new" not in other
+        assert other.lookup(last) == snap.files[-1]
+
+    @pytest.mark.parametrize("damage", [
+        lambda r: r[:-1], lambda r: r + b"x", lambda r: r[:3],
+    ])
+    def test_an_append_of_no_whole_record_is_a_format_error(self, damage):
+        from repro.core import meta_journal as mj
+
+        idx = SnapshotIndex(make_snapshot(n_files=3))
+        rec = idx.lookup(idx.all_paths()[0])._replace(path="/z")
+        entry = mj.JournalEntry(6, (
+            mj.JournalOp(mj.OP_APPEND, "/z", damage(rec.encode())),
+        ))
+        with pytest.raises(JournalFormatError):
+            idx.apply_delta([entry.encode()])
+
+    def test_the_tree_is_built_on_first_use(self):
+        idx = SnapshotIndex(make_snapshot())
+        idx.lookup("/train/class0/img000.jpg")
+        idx.stat("/train/class0/img000.jpg")
+        assert idx._dirs is None
+        assert idx.stat("/train")["is_dir"] and idx._dirs is not None

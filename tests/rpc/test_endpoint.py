@@ -1,6 +1,8 @@
 """Tests for the RPC layer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.calibration import NetworkProfile, RpcProfile
 from repro.cluster import NetworkFabric, Node
@@ -196,3 +198,54 @@ class TestConnectionTable:
             for b in names:
                 t.connect(a, b)
         assert t.count() == n * (n - 1)
+
+
+def recursive_sizeof(value):
+    """The oracle: the bytes ``RpcEndpoint._sizeof`` charges, as one
+    recursive walk over every item."""
+    if value is None:
+        return 16
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return len(value)
+    if isinstance(value, str):
+        return len(value.encode("utf-8"))
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return 16 + sum(recursive_sizeof(v) for v in value)
+    if isinstance(value, dict):
+        return 16 + sum(
+            recursive_sizeof(k) + recursive_sizeof(v) for k, v in value.items()
+        )
+    return 32
+
+
+names = st.text(max_size=12)
+leaves = st.none() | st.binary(max_size=8) | names | st.integers()
+payloads = st.recursive(
+    leaves,
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.lists(inner, max_size=5).map(tuple)
+        | st.dictionaries(names, inner, max_size=3)
+        | st.frozensets(names, max_size=3)
+    ),
+    max_leaves=20,
+)
+#: ``ls`` replies, and lists that start with a name but hold others.
+name_lists = (
+    st.lists(names, max_size=12)
+    | st.lists(names, min_size=1, max_size=6).map(tuple)
+    | st.tuples(names, st.lists(leaves, min_size=1, max_size=4)).map(
+        lambda t: [t[0], *t[1]]
+    )
+)
+
+
+class TestSizeof:
+    @settings(max_examples=300, deadline=None)
+    @given(payloads | name_lists)
+    def test_bytes_equal_the_recursive_walk(self, value):
+        assert RpcEndpoint._sizeof(value) == recursive_sizeof(value)
+
+    def test_non_ascii_names(self):
+        for value in ("été", ["/données", "/a", "名前"], ("x", "ü"), ["ü", b"b"]):
+            assert RpcEndpoint._sizeof(value) == recursive_sizeof(value)
