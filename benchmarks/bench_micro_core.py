@@ -2,7 +2,7 @@
 
 Unlike the registered experiments (which reproduce the paper's
 simulated figures behind ``python -m repro.bench.runner``), these measure the actual Python implementation: chunk
-encode/decode throughput, snapshot serialization, O(1) snapshot lookups,
+encode/decode throughput, a window read by extent, snapshot serialization, O(1) snapshot lookups,
 chunk-wise shuffle generation, consistent-hash lookups, KV prefix scans,
 and the server's metadata write path (chunk ingest, tombstone delete).
 They guard the data structures the simulation's fidelity rests on.
@@ -53,6 +53,24 @@ def test_chunk_decode(benchmark):
     blob = make_chunk().encode()
     chunk = benchmark(Chunk.decode, blob)
     assert len(chunk) == 256
+
+
+@pytest.mark.benchmark(group="micro-chunk")
+def test_window_chunk_read(benchmark):
+    """A window read: verify a fetched 128-file chunk's header (no file
+    table) and read every file by its snapshot extent."""
+    chunk = make_chunk(n_files=128)
+    blob, encoded = chunk.encode(), chunk.chunk_id.encode()
+    extents = [(f.offset, f.length) for f in chunk.files]
+
+    def read_all():
+        view = Chunk.fetched(blob, encoded)
+        return [view.extent(offset, length) for offset, length in extents]
+
+    payloads = benchmark(read_all)
+    assert payloads == [chunk.payload(p) for p in chunk.paths]
+    per_file = benchmark.stats["mean"] / 128
+    assert per_file < 2e-6, f"window read too slow: {per_file:.2e}s/file"
 
 
 @pytest.mark.benchmark(group="micro-chunk")

@@ -27,6 +27,13 @@ and ``cumtime`` (cumulative) in milliseconds with their shares of the
 region's total; the profiler's own per-call cost inflates cheap Python
 calls, so read its shares beside the sampler's, not instead of them.
 
+``--gc`` also times the cyclic garbage collector inside the region: a
+``gc.callbacks`` hook, registered only while the region runs, counts
+collections per generation and sums the time between each ``start`` and
+``stop``.  The collector's time is the program's and the profiler's
+alike (either one's allocations can trigger a collection), so read it
+beside an unprofiled run's figure when they disagree.
+
 Drives ``perfbench.workloads`` through perfbench's own op proxy,
 read-only; nothing is written but the ``--json`` file.  ``--diff`` reads
 two such files of one kind — a parent clone's and the change's — and
@@ -36,19 +43,22 @@ its row.
 
 Usage::
 
-    python scripts/host_profile.py ingest_meta [--seed N] [--scale tiny] [--setup] [--exact] [--top K] [--json OUT]
+    python scripts/host_profile.py ingest_meta [--seed N] [--scale tiny] [--setup] [--exact] [--gc] [--top K] [--json OUT]
     python scripts/host_profile.py --diff A.json B.json [--top K]
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import cProfile
+import gc
 import json
 import opcode
 import re
 import signal
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -149,6 +159,47 @@ class ExactProfile:
         self.samples = sum(self.self_hits.values())
 
 
+class GcTimer:
+    """Collector runs per generation and collector time while inside the
+    region (the hook is registered on entry, removed on exit; entering
+    again adds to the same totals)."""
+
+    def __init__(self) -> None:
+        self.runs = [0, 0, 0]
+        self.seconds = 0.0
+        self.collected = 0
+        self._t0: float | None = None
+
+    def _on_gc(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._t0 = time.perf_counter()
+        elif self._t0 is not None:  # a stop whose start was in the region
+            self.seconds += time.perf_counter() - self._t0
+            self.runs[info["generation"]] += 1
+            self.collected += info["collected"]
+            self._t0 = None
+
+    def __enter__(self) -> "GcTimer":
+        gc.callbacks.append(self._on_gc)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self._on_gc)
+        self._t0 = None
+
+    def to_json(self) -> dict:
+        return {"runs": list(self.runs), "ms": round(self.seconds * 1e3, 3),
+                "collected": self.collected}
+
+
+def gc_line(stats: dict) -> str:
+    """One line of ``GcTimer.to_json`` output."""
+    g0, g1, g2 = stats["runs"]
+    return (f"{sum(stats['runs'])} collections (gen0 {g0}, gen1 {g1}, "
+            f"gen2 {g2}), {stats['ms']:.1f} ms, {stats['collected']} "
+            f"objects freed")
+
+
 def _where(key, line: bool = True) -> str:
     code, owner = key
     if owner == "builtin":  # a built-in's name, its address dropped
@@ -209,6 +260,11 @@ def diff(before: dict, after: dict, top: int) -> list[str]:
             p["functions"].get(name, (0, 0)) for p in (before, after)
         )
         rows.append((abs(sa / total_a - sb / total_b), name, sa, sb, ca, cb))
+    if "gc" in before or "gc" in after:
+        lines += [
+            f"gc {side}: " + (gc_line(p["gc"]) if "gc" in p else "not recorded")
+            for side, p in (("before", before), ("after", after))
+        ]
     rows.sort(key=lambda r: (-r[0], r[1]))
     lines.append(f"\n{'self before -> after':>30}  {'cum before -> after':>30}")
     for _, name, sa, sb, ca, cb in rows[:top]:
@@ -235,6 +291,9 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--exact", action="store_true",
                     help="profile the region with cProfile (tottime and "
                          "cumtime per function) instead of sampling it")
+    ap.add_argument("--gc", action="store_true",
+                    help="also count collector runs per generation and "
+                         "time them inside the region")
     ap.add_argument("--top", type=int, default=25,
                     help="functions listed per ranking (default: 25)")
     ap.add_argument("--json", metavar="OUT", type=Path,
@@ -252,12 +311,13 @@ def main(argv: list[str]) -> int:
     wl = WORKLOADS[args.workload](args.seed, args.scale)
     wl.make_inputs()
     sampler = ExactProfile() if args.exact else Sampler()
+    gc_timer = GcTimer() if args.gc else contextlib.nullcontext()
     header = {"workload": args.workload, "seed": args.seed,
               "scale": args.scale, "setup": args.setup, "ops": 0,
               "exact": args.exact}
     failed, errors = 0, []
     if args.setup:
-        with sampler:
+        with sampler, gc_timer:
             wl.setup()
         region = "one set-up pass"
     else:
@@ -266,7 +326,7 @@ def main(argv: list[str]) -> int:
         wl.run_block(0, log)
         warm_ops = log.attempted
         for b in range(1, wl.n_blocks):
-            with sampler:
+            with sampler, gc_timer:
                 wl.run_block(b, log)
         header["ops"] = log.attempted - warm_ops
         failed, errors = log.failed, log.errors
@@ -277,6 +337,9 @@ def main(argv: list[str]) -> int:
            f"{sampler.samples} samples at {SAMPLE_INTERVAL_S * 1e3:g} ms")
     print(f"{args.workload} seed {args.seed} scale {args.scale}: {how} over "
           f"{region}")
+    if args.gc:
+        header["gc"] = gc_timer.to_json()
+        print(f"gc: {gc_line(header['gc'])}")
     print("\n".join(errors + report(sampler, args.top)))
     if args.json:
         args.json.write_text(json.dumps(to_json(sampler, header), indent=1))

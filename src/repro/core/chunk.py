@@ -32,7 +32,10 @@ In memory a chunk is one file table, path → ``(offset, length,
 crc32)``, filled by one walk of the header (or as :meth:`Chunk.pack`
 CRCs each payload); a file read is one lookup and one slice of the
 blob, and no :class:`ChunkFile` is built unless :attr:`Chunk.files` is
-read.
+read.  A chunk fetched for a reader that already knows each file's
+extent (:meth:`Chunk.fetched`) is checked by the name-length walk of
+:meth:`Chunk.header_size` and builds its table only if something asks
+for one; :meth:`Chunk.extent` reads a file by its ``(offset, length)``.
 """
 
 from __future__ import annotations
@@ -181,16 +184,20 @@ def _skim(blob: bytes, want: "bytes | None") -> tuple[int, int]:
     if blob[: len(MAGIC)] != MAGIC:
         raise ChunkFormatError("bad chunk magic")
     index = -1
-    size = -1 if want is None else len(want)
     try:
         (nfiles,) = _U32.unpack_from(blob, _BITMAP_AT - _U32.size)
         pos = _BITMAP_AT + (nfiles + 7) // 8
         step = 2 + _ENTRY_TAIL.size
-        for i in range(nfiles):
-            name_len = blob[pos] << 8 | blob[pos + 1]
-            if name_len == size and index < 0 and blob.startswith(want, pos + 2):
-                index = i
-            pos += name_len + step
+        if want is None:
+            for _ in range(nfiles):
+                pos += (blob[pos] << 8 | blob[pos + 1]) + step
+        else:
+            size = len(want)
+            for i in range(nfiles):
+                name_len = blob[pos] << 8 | blob[pos + 1]
+                if name_len == size and index < 0 and blob.startswith(want, pos + 2):
+                    index = i
+                pos += name_len + step
         (stored_crc,) = _U32.unpack_from(blob, pos)
     except (struct.error, IndexError):
         raise _truncated(blob) from None
@@ -221,8 +228,10 @@ class Chunk:
     """A decoded chunk: file table + data section, with integrity checks.
 
     The file table is one dict, path → ``(offset, length, crc32)`` in
-    file order; :attr:`files`, :attr:`paths` and :meth:`rows` are views
-    of it built on demand.
+    file order; :attr:`files`, :attr:`paths` and :meth:`columns` are
+    views of it built on demand.  A :meth:`fetched` chunk reads its
+    table (and deletion bitmap) from its blob on first use, with every
+    check :meth:`decode` makes; until then ``_table`` is ``None``.
     """
 
     def __init__(
@@ -247,8 +256,8 @@ class Chunk:
         if any(f.offset + f.length > len(view) for f in files):
             raise _past_end(table, len(view))
         self.chunk_id = chunk_id
-        self.deletion_bitmap = bitmap
-        self._table = table
+        self._bitmap: Bitmap | None = bitmap
+        self._table: dict[str, tuple[int, int, int]] | None = table
         self._files: tuple[ChunkFile, ...] | None = files
         # Held as a memoryview so decode can alias the wire blob's data
         # section instead of copying 4 MB per chunk on the read hot path.
@@ -289,21 +298,41 @@ class Chunk:
         return cls._viewing(blob, chunk_id, table, header_size, bitmap)
 
     @classmethod
+    def fetched(cls, blob: bytes, encoded_cid: str) -> "Chunk":
+        """The chunk a server sent for ``encoded_cid``, as a view of
+        ``blob`` for reads by extent (:meth:`extent`).
+
+        Checks what :meth:`header_size` checks — the magic, truncation
+        and the header checksum, by a walk of the name lengths — and
+        that the header names chunk ``encoded_cid``.  Decodes no path:
+        the file table and its checks wait for the first query that
+        needs them (:attr:`paths`, :meth:`payload`, :meth:`columns`).
+        """
+        data_offset = _skim(blob, None)[1]
+        chunk_id = ChunkId(blob[len(MAGIC) : _BITMAP_AT - _U32.size])
+        if chunk_id.encode() != encoded_cid:
+            raise ChunkFormatError(
+                f"asked for chunk {encoded_cid}, got {chunk_id.encode()}"
+            )
+        return cls._viewing(blob, chunk_id, None, data_offset, None)
+
+    @classmethod
     def _viewing(
         cls,
         blob: "bytes | bytearray | memoryview",
         chunk_id: ChunkId,
-        table: dict[str, tuple[int, int, int]],
+        table: dict[str, tuple[int, int, int]] | None,
         data_offset: int,
-        bitmap: Bitmap,
+        bitmap: Bitmap | None,
     ) -> "Chunk":
         """The chunk of a checked file table whose data section is a view
         of ``blob`` from ``data_offset`` on; :meth:`encode` returns
         ``blob`` itself, and :meth:`payload` slices it, when it is
-        ``bytes``."""
+        ``bytes``.  A ``None`` table and bitmap are read from ``blob``
+        (which is then ``bytes``) on first use."""
         chunk = cls.__new__(cls)
         chunk.chunk_id = chunk_id
-        chunk.deletion_bitmap = bitmap
+        chunk._bitmap = bitmap
         chunk._table = table
         chunk._files = None
         chunk.data = memoryview(blob)[data_offset:]
@@ -314,13 +343,30 @@ class Chunk:
         return chunk
 
     # -- queries --------------------------------------------------------------
+    def _entries(self) -> dict[str, tuple[int, int, int]]:
+        """The file table; a :meth:`fetched` chunk reads it (and its
+        bitmap) from its blob here, once, checked as :meth:`decode`
+        checks it."""
+        table = self._table
+        if table is None:
+            _, self._bitmap, table, _ = _read_table(self._blob)
+            self._table = table
+        return table
+
     def __len__(self) -> int:
         """The file count."""
-        return len(self._table)
+        return len(self._entries())
 
     def __contains__(self, path: str) -> bool:
         """Whether the file table holds ``path``."""
-        return path in self._table
+        return path in self._entries()
+
+    @property
+    def deletion_bitmap(self) -> Bitmap:
+        """The header's deletion bitmap (its at-write state)."""
+        if self._bitmap is None:
+            self._entries()
+        return self._bitmap
 
     @property
     def files(self) -> tuple[ChunkFile, ...]:
@@ -328,19 +374,48 @@ class Chunk:
         built on first access."""
         if self._files is None:
             self._files = tuple(
-                [ChunkFile(path, *entry) for path, entry in self._table.items()]
+                [ChunkFile(path, *entry) for path, entry in self._entries().items()]
             )
         return self._files
 
     @property
     def paths(self) -> tuple[str, ...]:
         """Every file's path, in file order."""
-        return tuple(self._table)
+        return tuple(self._entries())
 
     def columns(self) -> tuple[list[str], list[tuple[int, int, int]]]:
         """The file table as two columns in file order, the paths and
         their ``(offset, length, crc32)``: what ingest writes."""
-        return list(self._table), list(self._table.values())
+        table = self._entries()
+        return list(table), list(table.values())
+
+    def extent(
+        self, offset: int, length: int, start: int = 0, stop: int | None = None
+    ) -> bytes:
+        """The file at data-section extent ``(offset, length)`` — a
+        snapshot index's ``locate`` — or its bytes ``[start:stop]``,
+        clamped to the file as a slice is.
+
+        Reads no file table.  An extent that runs past the data section
+        is a :class:`ChunkFormatError`, never a short read; the bytes
+        are one slice of the blob, unverified (:meth:`payload` checks a
+        CRC).
+        """
+        end = offset + length
+        if offset < 0 or length < 0 or end > len(self.data):
+            raise ChunkFormatError(
+                f"extent {offset}+{length} runs past chunk "
+                f"{self.chunk_id.encode()}'s {len(self.data)}-byte data section"
+            )
+        if stop is not None and stop < length:
+            end = offset + stop
+        if start:
+            offset += min(start, length)
+        blob = self._blob
+        if blob is None:
+            return bytes(self.data[offset:end])
+        base = self._base
+        return blob[base + offset : base + end]
 
     def payload(self, path: str, verify: bool = True) -> bytes:
         """Extract one file's bytes, optionally verifying its checksum.
@@ -350,8 +425,11 @@ class Chunk:
         copied out — never the surrounding chunk.  A chunk over any
         other buffer copies the file out of its data-section view.
         """
+        table = self._table
+        if table is None:
+            table = self._entries()
         try:
-            offset, length, crc = self._table[path]
+            offset, length, crc = table[path]
         except KeyError:
             raise ChunkFormatError(f"path not in chunk: {path!r}") from None
         blob = self._blob
@@ -369,7 +447,7 @@ class Chunk:
 
     def is_deleted(self, path: str) -> bool:
         """Whether ``path``'s bit is set in the deletion bitmap."""
-        if path not in self._table:
+        if path not in self._entries():
             raise ChunkFormatError(f"path not in chunk: {path!r}")
         return self.deletion_bitmap.get(self.paths.index(path))
 
@@ -390,7 +468,7 @@ class Chunk:
         if self._blob is not None:
             return self._blob
         return _seal(
-            self.chunk_id, self.deletion_bitmap, self._table.items(),
+            self.chunk_id, self.deletion_bitmap, self._entries().items(),
             [self.data],
         )[0]
 
@@ -507,6 +585,6 @@ class Chunk:
     def __repr__(self) -> str:
         """``Chunk(<id>, files=<count>, bytes=<data size>)``."""
         return (
-            f"Chunk({self.chunk_id.encode()}, files={len(self._table)}, "
+            f"Chunk({self.chunk_id.encode()}, files={len(self)}, "
             f"bytes={len(self.data)})"
         )

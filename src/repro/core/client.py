@@ -306,27 +306,37 @@ class DieselClient:
 
     def get(self, path: str) -> Generator[Event, Any, bytes]:
         """DL_get: read one file through the Fig 4 resolution chain."""
-        self._check_open()
-        path = normalize(path)
-        self.stats.gets += 1
+        if self._closed:
+            self._check_open()
+        env, stats = self.env, self.stats
+        stats.gets += 1
         rec = self.recorder
-        t0 = self.env.now if rec is not None else 0.0
-        yield self.env.timeout(self.cal.diesel.api_read_overhead_s)
-        # 1. Chunk-wise-shuffle working set (client-local memory).
+        t0 = env.now if rec is not None else 0.0
+        yield env.timeout(self.cal.diesel.api_read_overhead_s)
+        # 1. Chunk-wise-shuffle working set (client-local memory), read
+        #    by the snapshot's extent; ``locate`` normalises on a miss.
+        #    The §4.3 working set holds at most ``shuffle_group_size``
+        #    chunks (group_size × chunk_size, ~2 GB for the paper's
+        #    ImageNet-1K run vs the 150 GB dataset), plus the prefetch
+        #    pipeline's ``prefetch_depth`` look-ahead when enabled.
         if self._index is not None and self._shuffle_enabled:
-            encoded, path = self._index.locate(path)
+            encoded, offset, length = self._index.locate(path)
+            chunk = self._window.access(encoded)
+            if chunk is not None:
+                layer = "group_cache"
+                stats.local_hits += 1
+                yield env.timeout(WINDOW_HIT_S)
+            else:
+                layer = "server" if self._cache is None else "task_cache"
+                chunk = yield from self._window.ensure(encoded)
+            payload = chunk.extent(offset, length)
+            stats.bytes_read += length
             if rec is not None:
-                if encoded in self._window.chunks.entries:
-                    layer = "group_cache"
-                else:
-                    layer = "server" if self._cache is None else "task_cache"
-            payload = yield from self._get_via_group_cache(encoded, path)
-            self.stats.bytes_read += len(payload)
-            if rec is not None:
-                rec.record("get", layer, self.env.now - t0,
-                           actor=self.name, path=path)
+                rec.record("get", layer, env.now - t0,
+                           actor=self.name, path=normalize(path))
                 rec.count("read", layer)
             return payload
+        path = normalize(path)
         record = self._record_for(path)
         # 2. Task-grained distributed cache (one-hop peer fetch), backed
         #    by the node chunk tier — where other tasks share it, a read
@@ -380,11 +390,11 @@ class DieselClient:
         remote: list[str] = []
         if self._shuffle_enabled and self._index is not None:
             # Group the batch by chunk; resolve each chunk once.
-            by_chunk: Dict[str, list[str]] = {}
+            by_chunk: Dict[str, list[tuple[str, int, int]]] = {}
             locate = self._index.locate
             for path in paths:
-                encoded, path = locate(path)
-                by_chunk.setdefault(encoded, []).append(path)
+                encoded, offset, length = locate(path)
+                by_chunk.setdefault(encoded, []).append((path, offset, length))
             # One walk: a resident chunk is served inline; a miss is
             # fetched inline at width 1, else deferred to one fan_out.
             # The width fork stays because deferring serves residents
@@ -422,10 +432,9 @@ class DieselClient:
                 )
                 resolved.update(zip(missing, chunks))
             for encoded, chunk in resolved.items():
-                for path in by_chunk[encoded]:
-                    payload = chunk.payload(path, verify=False)
-                    out[path] = payload
-                    self.stats.bytes_read += len(payload)
+                for path, offset, length in by_chunk[encoded]:
+                    out[path] = chunk.extent(offset, length)
+                    self.stats.bytes_read += length
         elif self._cache is not None and self._index is not None:
             # Task-grained distributed cache: one-hop fetch per file
             # from the owning master (already chunk-resident there).
@@ -479,24 +488,30 @@ class DieselClient:
     ) -> Generator[Event, Any, bytes]:
         """Read ``length`` bytes of a file at ``offset`` (pread semantics).
 
-        Served from the shuffle working set when the chunk is resident;
-        otherwise a server range read (only the requested bytes move).
-        Reads past EOF are clamped like read(2); a negative ``offset``
-        or ``length`` is rejected on either path, before any cost.
+        In shuffle mode the chunk comes through the working set as a
+        :meth:`get` would bring it, and only the range is copied out of
+        it; otherwise a server range read (only the requested bytes
+        move).  Reads past EOF are clamped like read(2); a negative
+        ``offset`` or ``length`` is rejected on either path, before any
+        cost.
         """
         if offset < 0 or length < 0:
             raise DieselError("offset and length must be non-negative")
         self._check_open()
-        path = normalize(path)
         self.stats.gets += 1
         yield self.env.timeout(self.cal.diesel.api_read_overhead_s)
         if self._index is not None and self._shuffle_enabled:
-            whole = yield from self._get_via_group_cache(
-                *self._index.locate(path)
-            )
-            piece = whole[offset : offset + length]
+            encoded, at, size = self._index.locate(path)
+            chunk = self._window.access(encoded)
+            if chunk is not None:
+                self.stats.local_hits += 1
+                yield self.env.timeout(WINDOW_HIT_S)
+            else:
+                chunk = yield from self._window.ensure(encoded)
+            piece = chunk.extent(at, size, offset, offset + length)
             self.stats.bytes_read += len(piece)
             return piece
+        path = normalize(path)
         record = self._record_for(path)
         piece = yield from self._server().call(
             self.node,
@@ -555,7 +570,9 @@ class DieselClient:
 
         A group-cache miss resolves through the task cache when one is
         attached and plans this chunk (node-local copy, one-hop peer, or
-        its own server fall-through); otherwise straight from a server.
+        its own server fall-through); otherwise straight from a server,
+        kept as a :meth:`Chunk.fetched` view: its header checked, its
+        file table never parsed, since reads go by the index's extent.
         """
         rec = self.recorder
         t0 = self.env.now if rec is not None else 0.0
@@ -575,31 +592,13 @@ class DieselClient:
                 encoded,
                 response_bytes=None,
             )
-            chunk = Chunk.decode(blob)
+            chunk = Chunk.fetched(blob, encoded)
             self.stats.server_reads += 1
             layer = "server"
         if rec is not None:
             rec.record("chunk_fetch", layer, self.env.now - t0,
                        actor=self.name, chunk=encoded[:12])
         return chunk
-
-    def _get_via_group_cache(
-        self, encoded: str, path: str
-    ) -> Generator[Event, Any, bytes]:
-        """Serve from the per-group chunk working set, fetching whole chunks.
-
-        The window holds at most ``shuffle_group_size`` chunks — exactly
-        the §4.3 memory bound (group_size × chunk_size), ~2 GB for the
-        paper's ImageNet-1K run vs the 150 GB dataset — plus the
-        prefetch pipeline's ``prefetch_depth`` look-ahead when enabled.
-        """
-        chunk = self._window.access(encoded)
-        if chunk is not None:
-            self.stats.local_hits += 1
-            yield self.env.timeout(WINDOW_HIT_S)
-        else:
-            chunk = yield from self._window.ensure(encoded)
-        return chunk.payload(path, verify=False)
 
     def working_set_bytes(self) -> int:
         return sum(len(c.data) for c, _ in self._window.chunks.entries.values())

@@ -264,6 +264,12 @@ class DieselServer:
             raise FileNotFoundInDatasetError(path)
         return meta.FileRecord.decode(blob)
 
+    def _is_current(self, dataset: str, path: str, cid: ChunkId) -> bool:
+        """Whether ``path``'s ``f:`` record names chunk ``cid``: whether
+        that chunk holds the file's current copy."""
+        blob = self.kv.local_get_or_none(meta.file_key(dataset, path))
+        return blob is not None and meta.FileRecord.decode(blob).chunk_id == cid
+
     def _chunk_record(self, dataset: str, cid: ChunkId) -> meta.ChunkRecord:
         blob = self.kv.local_get_or_none(meta.chunk_key(dataset, cid))
         if blob is None:
@@ -744,6 +750,11 @@ class DieselServer:
         For every chunk with tombstones, read it, repack only the live
         files into a fresh chunk (new ID), ingest the new chunk, and drop
         the old one.  Returns the number of chunks rewritten.
+
+        A live file is one whose bit is clear *and* whose ``f:`` record
+        still names this chunk: a plain ``put`` over a live path leaves
+        the old copy's bit clear, and repacking that copy would bring
+        the overwritten payload back over the newer record.
         """
         dsrec = self._dataset_record(dataset)
         rewritten = 0
@@ -757,7 +768,7 @@ class DieselServer:
             live = [
                 (path, old_chunk.payload(path))
                 for i, path in enumerate(old_chunk.paths)
-                if not crec.bitmap.get(i)
+                if not crec.bitmap.get(i) and self._is_current(dataset, path, cid)
             ]
             if live:
                 new_chunk = Chunk.build(self._idgen.next(), live)

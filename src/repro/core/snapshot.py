@@ -397,13 +397,14 @@ class SnapshotIndex:
             raise FileNotFoundInDatasetError(path)
         return row, canonical
 
-    def locate(self, path: str) -> tuple[str, str]:
-        """``(encoded chunk id, canonical path)`` of a live file: what a
-        window read needs, with no record built."""
+    def locate(self, path: str) -> tuple[str, int, int]:
+        """``(encoded chunk id, offset, length)`` of a live file: the
+        extent a window read slices out of its chunk
+        (:meth:`Chunk.extent`), with no record built."""
         row = self._files.get(path)
         if row is None:
-            row, path = self._miss(path)
-        return self._keys[self._chunk[row]], path
+            row = self._miss(path)[0]
+        return self._keys[self._chunk[row]], self._offset[row], self._length[row]
 
     def lookup(self, path: str) -> FileRecord:
         """O(1) file-record lookup (the Fig 10b fast path); the record

@@ -142,9 +142,10 @@ class CacheReader:
         self.window.cancel()
 
     def read(self, path: str) -> Generator[Event, Any, bytes]:
-        """One file out of its chunk in the window, fetching the chunk
-        through the task cache's read chain when it is not resident."""
-        encoded_cid, path = self.index.locate(path)
+        """One file out of its chunk in the window, by the snapshot's
+        extent, fetching the chunk through the task cache's read chain
+        when it is not resident."""
+        encoded_cid, offset, length = self.index.locate(path)
         entry = self.window.access(encoded_cid)
         if entry is not None:
             yield self.cache.env.timeout(WINDOW_HIT_S)
@@ -152,7 +153,7 @@ class CacheReader:
             entry = yield from self.window.ensure(encoded_cid)
         chunk, tier = entry
         self.cache.credit_read(tier)
-        return chunk.payload(path, verify=False)
+        return chunk.extent(offset, length)
 
 
 class LustreReader:

@@ -116,6 +116,61 @@ class TestGetRange:
         assert client.stats.local_hits >= 1
 
 
+class TestShuffleRangeMatchesTheServer:
+    """A shuffle-mode range read slices only ``[offset, offset + length)``
+    out of the resident chunk, and answers as the server's
+    ``get_file_range`` does: clamped past EOF, empty for zero length,
+    refused for a negative argument."""
+
+    def _both(self, deployment, offset, length):
+        """``(server, window)``: each range read's bytes, or its error."""
+        client = setup(deployment)
+        node = deployment.client_nodes[0]
+
+        def outcome(gen):
+            try:
+                return deployment.run(gen)
+            except DieselError as exc:
+                return type(exc), "non-negative" in str(exc)
+
+        server = outcome(deployment.server.call(
+            node, "get_file_range", "ds", "/f/data.bin", offset, length
+        ))
+        client.enable_shuffle(group_size=1)
+        window = outcome(client.get_range("/f/data.bin", offset, length))
+        return server, window
+
+    @pytest.mark.parametrize("offset,length", [
+        (0, 16), (100, 50), (2040, 100), (0, 5000),  # in file, clamped at EOF
+        (2048, 10), (10_000, 10),                     # at and past EOF
+        (0, 0), (500, 0), (2048, 0), (9_999, 0),      # zero length
+        (-1, 10), (10, -1), (-5, -5),                 # negative
+    ])
+    def test_same_answer(self, deployment, offset, length):
+        server, window = self._both(deployment, offset, length)
+        assert window == server
+        if isinstance(server, bytes):
+            assert server == PAYLOAD[offset : offset + length]
+
+    def test_copies_only_the_range(self, deployment, monkeypatch):
+        from repro.core.chunk import Chunk
+
+        client = setup(deployment)
+        client.enable_shuffle(group_size=1)
+        asked = []
+        extent = Chunk.extent
+
+        def spy(self, *args):
+            piece = extent(self, *args)
+            asked.append(len(piece))
+            return piece
+
+        monkeypatch.setattr(Chunk, "extent", spy)
+        monkeypatch.setattr(Chunk, "payload", None)  # no whole-file read
+        got = deployment.run(client.get_range("/f/data.bin", 100, 7))
+        assert got == PAYLOAD[100:107] and asked == [7]
+
+
 class TestOverwrite:
     def test_overwrite_replaces_content(self, deployment):
         client = setup(deployment, snapshot=False)

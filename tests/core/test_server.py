@@ -403,6 +403,28 @@ class TestHousekeeping:
 
         assert deployment.run(proc()) == 0
 
+    def test_purge_does_not_resurrect_an_overwritten_file(self, deployment):
+        """A plain put over a live path leaves the old copy's bit clear;
+        purging its chunk must not repack that copy over the new one."""
+        from repro.core.client import SyncDieselClient
+
+        client = SyncDieselClient(deployment.new_client("ds"))
+        client.put("/a/x", b"1" * 100)
+        client.put("/a/y", b"2" * 10)
+        client.flush()
+        held = client.load_meta(client.save_meta())
+        client.put("/a/x", b"3" * 50)
+        client.flush()
+        client.delete("/a/y")
+        assert client.purge() == 1
+        held = client.refresh_meta()
+        fresh = client.load_meta(client.save_meta())
+        for index in (held, fresh):
+            assert index.lookup("/a/x").length == 50
+            assert "/a/y" not in index
+        assert client.get("/a/x") == b"3" * 50
+        assert client.stat("/a/x")["size"] == 50
+
     def test_delete_dataset_removes_everything(self, deployment):
         write_dataset(deployment, "ds", small_files(10), chunk_size=8 * 1024)
 

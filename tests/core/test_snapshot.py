@@ -260,7 +260,7 @@ class TestColumns:
         assert idx.apply_delta([entry.encode()]) == 1
         assert idx._paths[0] == last and len(idx._paths) == 4
         assert idx.lookup(last) == moved and idx.locate(last) == (
-            moved.chunk_id.encode(), last
+            moved.chunk_id.encode(), moved.offset, moved.length
         )
         assert first not in idx and idx.file_count == 4
 
