@@ -294,8 +294,11 @@ def test_load_meta_delta_server_side(benchmark):
 
 @pytest.mark.benchmark(group="micro-metadata")
 def test_delete_file(benchmark):
-    """Tombstone deletes through the server RPC (KV chunk record, header
-    patch in place, dataset version bump, journal), 32 per round."""
+    """Tombstone deletes through the server RPC, 32 per round across 64
+    chunks: the KV chunk record's bit and count patched as bytes, the
+    file's index from the kept header table (or one header walk), a
+    header-sized patch held as the object's pending head, the dataset
+    version bump and the journal entry."""
     tb, chunks = make_metadata_server(n_chunks=64)
     victims = (f.path for chunk in chunks for f in chunk.files)
     node = tb.compute_nodes[0]
@@ -315,3 +318,33 @@ def test_delete_file(benchmark):
     assert sum(
         tb.diesel._chunk_record("bench", c.chunk_id).ndeleted for c in chunks
     ) == 20 * 32
+
+
+@pytest.mark.benchmark(group="micro-metadata")
+def test_delete_file_one_large_chunk(benchmark):
+    """100 tombstones into one 1 MiB, 256-file chunk: per delete, one
+    header walk at most (the first), no copy of the chunk and no record
+    decode; a fresh server each round."""
+    state = {}
+
+    def fresh():
+        tb, (chunk,) = make_metadata_server(n_chunks=1, file_size=4096)
+        state.update(tb=tb, chunk=chunk)
+        return (tb, iter(chunk.paths[:100])), {}
+
+    def delete_100(tb, victims):
+        def proc():
+            for path in victims:
+                yield from tb.diesel.call(
+                    tb.compute_nodes[0], "delete_file", "bench", path)
+
+        tb.run(proc())
+
+    benchmark.pedantic(delete_100, setup=fresh, rounds=10, iterations=1)
+    per_op = benchmark.stats["mean"] / 100
+    benchmark.extra_info["ops_per_s"] = round(1 / per_op)
+    assert per_op < 3e-4, f"delete_file into a 1 MiB chunk too slow: {per_op:.2e}s/op"
+    tb, chunk = state["tb"], state["chunk"]
+    assert chunk.data_size == 1 << 20
+    stored = Chunk.decode(tb.store.peek(object_key("bench", chunk.chunk_id)))
+    assert stored.deletion_bitmap.count() == 100

@@ -34,16 +34,28 @@ collections per generation and sums the time between each ``start`` and
 alike (either one's allocations can trigger a collection), so read it
 beside an unprofiled run's figure when they disagree.
 
-Drives ``perfbench.workloads`` through perfbench's own op proxy,
-read-only; nothing is written but the ``--json`` file.  ``--diff`` reads
+``--by-op`` splits the same region's host time by op kind instead of by
+function: the generator each op hands perfbench's op proxy
+(``DieselClient.put``, ``.delete``, ``.stat``, ``.ls``,
+``.refresh_meta``, ``CacheReader.read`` ...), timed on the host clock
+across every resumption, the server handler it runs inline included.
+Each kind gets its calls, milliseconds, microseconds per call and share
+of the region, and one row holds the time outside any op (background
+ingest flushes, prefetch, the event loop).  No sampler runs; the two
+clock reads per resumption are charged to the op.
+
+Drives ``perfbench.workloads`` through perfbench's own op proxy (a
+subclass of it for ``--by-op``), read-only; nothing is written but the
+``--json`` file.  ``--diff`` reads
 two such files of one kind — a parent clone's and the change's — and
 prints the per-function before/after table: functions are matched by
 qualified name and file, not line, so an edit above one does not split
-its row.
+its row.  Two ``--by-op`` files print the per-kind table instead.
 
 Usage::
 
     python scripts/host_profile.py ingest_meta [--seed N] [--scale tiny] [--setup] [--exact] [--gc] [--top K] [--json OUT]
+    python scripts/host_profile.py ingest_meta --by-op [--seed N] [--scale tiny] [--json OUT]
     python scripts/host_profile.py --diff A.json B.json [--top K]
 """
 
@@ -192,6 +204,110 @@ class GcTimer:
                 "collected": self.collected}
 
 
+def op_log_by_kind(OpLog):
+    """A subclass of perfbench's op proxy ``OpLog`` that also charges the
+    host time of every op to its kind (imported late, with perfbench)."""
+
+    class ByOpLog(OpLog):
+        """``OpLog`` whose ``timed`` drives each op through
+        :meth:`_clocked`; ``kinds`` maps the op generator's qualified
+        name to ``[calls, seconds]``."""
+
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            self.kinds: dict[str, list] = {}
+
+        def timed(self, gen, expect=None, nbytes: int = 0):
+            return super().timed(self._clocked(gen), expect, nbytes)
+
+        def _clocked(self, gen):
+            """``yield from gen``, with the host time of each of its
+            resumptions added to its kind's row."""
+            code = gen.gi_code
+            kind = getattr(code, "co_qualname", code.co_name)  # 3.11+
+            row = self.kinds.setdefault(kind, [0, 0.0])
+            row[0] += 1
+            clock = time.perf_counter
+            step, arg = gen.send, None
+            while True:
+                t0 = clock()
+                try:
+                    event = step(arg)
+                except StopIteration as stop:
+                    return stop.value
+                finally:
+                    row[1] += clock() - t0
+                try:
+                    arg, step = (yield event), gen.send
+                except GeneratorExit:
+                    gen.close()
+                    raise
+                except BaseException as exc:  # thrown into the op: pass it on
+                    arg, step = exc, gen.throw
+
+    return ByOpLog
+
+
+def by_op_json(kinds: dict, region_s: float, header: dict) -> dict:
+    """The per-kind table, keyed for ``--diff``: ``{kind: [calls, us]}``
+    and the region's total microseconds."""
+    return {**header, "by_op": True, "region_us": round(region_s * 1e6),
+            "kinds": {kind: [calls, round(seconds * 1e6)]
+                      for kind, (calls, seconds) in kinds.items()}}
+
+
+OUTSIDE = "(outside any op)"
+
+
+def _op_rows(table: dict) -> list[tuple[str, int, int]]:
+    """``(kind, calls, us)`` per kind, largest first, then the time
+    outside any op (calls 0)."""
+    rows = sorted(((kind, calls, us) for kind, (calls, us)
+                   in table["kinds"].items()), key=lambda r: (-r[2], r[0]))
+    inside = sum(us for _, _, us in rows)
+    return rows + [(OUTSIDE, 0, table["region_us"] - inside)]
+
+
+def report_by_op(table: dict) -> list[str]:
+    """Calls, share of calls, ms, µs per call and share of the region's
+    host time, per op kind."""
+    total_calls = sum(calls for calls, _ in table["kinds"].values()) or 1
+    total_us = table["region_us"] or 1
+    lines = [f"\n{'op':<32} {'calls':>7} {'calls%':>7} {'ms':>9} "
+             f"{'us/call':>9} {'share':>7}"]
+    for kind, calls, us in _op_rows(table):
+        per = f"{us / calls:9.2f}" if calls else f"{'-':>9}"
+        ncalls = f"{calls:7d} {calls / total_calls:7.1%}" if calls else (
+            f"{'-':>7} {'-':>7}")
+        lines.append(f"{kind:<32} {ncalls} {us / 1e3:9.1f} {per} "
+                     f"{us / total_us:7.1%}")
+    return lines
+
+
+def diff_by_op(before: dict, after: dict) -> list[str]:
+    """Before/after calls, µs per call and share of each op kind."""
+    lines = [
+        f"{side}: {p['workload']} seed {p['seed']} scale {p['scale']}, "
+        f"{p['region_us'] / 1e3:.1f} ms over {p['ops']} ops"
+        for side, p in (("before", before), ("after", after))
+    ]
+    rows_a = {kind: (calls, us) for kind, calls, us in _op_rows(before)}
+    rows_b = {kind: (calls, us) for kind, calls, us in _op_rows(after)}
+    total_a, total_b = before["region_us"] or 1, after["region_us"] or 1
+    lines.append(f"\n{'op':<32} {'calls before -> after':>22} "
+                 f"{'us/call before -> after':>24} {'share before -> after':>22}")
+    order = sorted(rows_a.keys() | rows_b.keys(),
+                   key=lambda k: (k == OUTSIDE, -max(rows_a.get(k, (0, 0))[1],
+                                                     rows_b.get(k, (0, 0))[1])))
+    for kind in order:
+        (ca, ua), (cb, ub) = rows_a.get(kind, (0, 0)), rows_b.get(kind, (0, 0))
+        per = (f"{ua / ca if ca else 0:10.2f} -> {ub / cb if cb else 0:10.2f}"
+               if kind != OUTSIDE else f"{'-':>24}")
+        lines.append(f"{kind:<32} {ca:9d} -> {cb:9d} {per} "
+                     f"{ua / total_a:9.1%} -> {ub / total_b:9.1%}")
+    return lines
+
+
 def gc_line(stats: dict) -> str:
     """One line of ``GcTimer.to_json`` output."""
     g0, g1, g2 = stats["runs"]
@@ -294,6 +410,9 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--gc", action="store_true",
                     help="also count collector runs per generation and "
                          "time them inside the region")
+    ap.add_argument("--by-op", action="store_true",
+                    help="split the timed blocks' host time by op kind "
+                         "instead of by function")
     ap.add_argument("--top", type=int, default=25,
                     help="functions listed per ranking (default: 25)")
     ap.add_argument("--json", metavar="OUT", type=Path,
@@ -303,13 +422,20 @@ def main(argv: list[str]) -> int:
     args = ap.parse_args(argv)
     if args.diff:
         before, after = (json.loads(path.read_text()) for path in args.diff)
-        print("\n".join(diff(before, after, args.top)))
+        if before.get("by_op") != after.get("by_op"):
+            raise SystemExit("--diff: one file is --by-op, the other not")
+        print("\n".join(diff_by_op(before, after) if before.get("by_op")
+                        else diff(before, after, args.top)))
         return 0
     if args.workload is None:
         ap.error("a workload is required unless --diff is given")
+    if args.by_op and (args.setup or args.exact or args.gc):
+        ap.error("--by-op times ops alone: no --setup, --exact or --gc")
 
     wl = WORKLOADS[args.workload](args.seed, args.scale)
     wl.make_inputs()
+    if args.by_op:
+        return main_by_op(wl, op_log_by_kind(OpLog), args)
     sampler = ExactProfile() if args.exact else Sampler()
     gc_timer = GcTimer() if args.gc else contextlib.nullcontext()
     header = {"workload": args.workload, "seed": args.seed,
@@ -344,6 +470,32 @@ def main(argv: list[str]) -> int:
     if args.json:
         args.json.write_text(json.dumps(to_json(sampler, header), indent=1))
     return 1 if failed else 0
+
+
+def main_by_op(wl, log_class, args) -> int:
+    """``--by-op``: the per-kind table of blocks 1..n (block 0 warms up
+    and is left out, as the sampler leaves it out)."""
+    wl.setup()
+    log = log_class(wl.tb.env, NoTicks(), wl.ops_per_loop)
+    wl.run_block(0, log)
+    warm_ops = log.attempted
+    log.kinds.clear()
+    region_s = 0.0
+    for b in range(1, wl.n_blocks):
+        t0 = time.perf_counter()
+        wl.run_block(b, log)
+        region_s += time.perf_counter() - t0
+    ops = log.attempted - warm_ops
+    header = {"workload": args.workload, "seed": args.seed,
+              "scale": args.scale, "ops": ops}
+    table = by_op_json(log.kinds, region_s, header)
+    print(f"{args.workload} seed {args.seed} scale {args.scale}: "
+          f"{region_s * 1e3:.1f} ms of host time over blocks "
+          f"1..{wl.n_blocks - 1} ({ops} ops, {log.failed} failed), by op")
+    print("\n".join(log.errors + report_by_op(table)))
+    if args.json:
+        args.json.write_text(json.dumps(table, indent=1))
+    return 1 if log.failed else 0
 
 
 if __name__ == "__main__":

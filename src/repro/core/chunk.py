@@ -45,7 +45,7 @@ import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.errors import ChunkChecksumError, ChunkFormatError
 from repro.util.bitmap import Bitmap
@@ -134,10 +134,10 @@ def _read_table(
     ``(offset, length, crc32)`` in file order.
 
     Checks, in this order and with :meth:`Chunk.read_header`'s and the
-    constructor's errors: the magic, truncation, the header checksum, no
-    duplicate path, every file inside the data section.  The extent
-    check tracks the largest file end; a file is named only on the
-    error path.
+    constructor's errors: the magic, truncation, the header checksum,
+    the bitmap's padding bits, no duplicate path, every file inside the
+    data section.  The extent check tracks the largest file end; a file
+    is named only on the error path.
     """
     view = memoryview(blob)
     if view[: len(MAGIC)] != MAGIC:
@@ -149,10 +149,9 @@ def _read_table(
     end = 0
     try:
         (nfiles,) = _U32.unpack_from(view, _BITMAP_AT - _U32.size)
-        pos = _BITMAP_AT + (nfiles + 7) // 8
+        pos = bitmap_end = _BITMAP_AT + (nfiles + 7) // 8
         if pos > len(view):
             raise _truncated(view)
-        bitmap = Bitmap.from_bytes(bytes(view[_BITMAP_AT:pos]), nfiles)
         for _ in range(nfiles):
             name_end = pos + 2 + u16(view, pos)[0]
             entry = tail(view, name_end)
@@ -166,6 +165,7 @@ def _read_table(
         raise _truncated(view) from None
     if zlib.crc32(view[:pos]) != stored_crc:
         raise _checksum_error(view)
+    bitmap = Bitmap.from_bytes(bytes(view[_BITMAP_AT:bitmap_end]), nfiles)
     if len(table) != nfiles:
         raise ChunkFormatError("duplicate paths within one chunk")
     data_offset = pos + _U32.size
@@ -175,35 +175,70 @@ def _read_table(
     return chunk_id, bitmap, table, data_offset
 
 
-def _skim(blob: bytes, want: "bytes | None") -> tuple[int, int]:
-    """``(index, header_size)`` of an encoded chunk, from a walk of its
-    file table's name lengths: ``index`` is the first entry named
-    ``want``, else -1.  Checks the magic, truncation and the header
+def _skim(blob: bytes) -> int:
+    """The header size of an encoded chunk, from a walk of its file
+    table's name lengths.  Checks the magic, truncation and the header
     checksum; decodes no path.
     """
     if blob[: len(MAGIC)] != MAGIC:
         raise ChunkFormatError("bad chunk magic")
-    index = -1
     try:
         (nfiles,) = _U32.unpack_from(blob, _BITMAP_AT - _U32.size)
         pos = _BITMAP_AT + (nfiles + 7) // 8
         step = 2 + _ENTRY_TAIL.size
-        if want is None:
-            for _ in range(nfiles):
-                pos += (blob[pos] << 8 | blob[pos + 1]) + step
-        else:
-            size = len(want)
-            for i in range(nfiles):
-                name_len = blob[pos] << 8 | blob[pos + 1]
-                if name_len == size and index < 0 and blob.startswith(want, pos + 2):
-                    index = i
-                pos += name_len + step
+        for _ in range(nfiles):
+            pos += (blob[pos] << 8 | blob[pos + 1]) + step
         (stored_crc,) = _U32.unpack_from(blob, pos)
     except (struct.error, IndexError):
         raise _truncated(blob) from None
     if zlib.crc32(memoryview(blob)[:pos]) != stored_crc:
         raise _checksum_error(blob)
-    return index, pos + _U32.size
+    return pos + _U32.size
+
+
+class HeaderTable(NamedTuple):
+    """One encoded chunk header's file table, walked once
+    (:meth:`walk`): what a tombstone needs of the header.
+
+    ``count`` and ``table`` are the header's file-count field and its
+    file table's bytes — the whole header but the magic, the chunk id,
+    the deletion bitmap and the checksum.  Another header whose two are
+    byte-equal to these has the same layout, so :meth:`Chunk.locate`
+    may answer for it from ``index`` without a walk.
+    """
+
+    count: bytes
+    table: bytes
+    #: The header's size: where the data section starts.
+    size: int
+    #: Each path's file index (the first, should a path repeat).
+    index: dict[str, int]
+
+    @classmethod
+    def walk(cls, head: "bytes | memoryview") -> "HeaderTable":
+        """The table of the header that ``head`` starts with, read by
+        :meth:`Chunk.read_header` and with its checks."""
+        _, _, entries, size = Chunk.read_header(head)
+        n = len(entries)
+        at = _BITMAP_AT + (n + 7) // 8
+        paths = [entry[0] for entry in reversed(entries)]
+        return cls(
+            bytes(head[_BITMAP_AT - _U32.size : _BITMAP_AT]),
+            bytes(head[at : size - _U32.size]),
+            size,
+            dict(zip(paths, range(n - 1, -1, -1))),
+        )
+
+    def describes(self, head: "bytes | memoryview") -> bool:
+        """Whether the header ``head`` starts with has this file count
+        and this file table: one compare each, no walk."""
+        size = self.size
+        return (
+            len(head) >= size
+            and head[_BITMAP_AT - _U32.size : _BITMAP_AT] == self.count
+            and head[size - _U32.size - len(self.table) : size - _U32.size]
+            == self.table
+        )
 
 
 @dataclass(frozen=True)
@@ -308,7 +343,7 @@ class Chunk:
         the file table and its checks wait for the first query that
         needs them (:attr:`paths`, :meth:`payload`, :meth:`columns`).
         """
-        data_offset = _skim(blob, None)[1]
+        data_offset = _skim(blob)
         chunk_id = ChunkId(blob[len(MAGIC) : _BITMAP_AT - _U32.size])
         if chunk_id.encode() != encoded_cid:
             raise ChunkFormatError(
@@ -479,8 +514,10 @@ class Chunk:
         """One pass over an encoded chunk's header: ``(chunk_id, bitmap,
         [(path, offset, length, crc32), ...], data_offset)``.
 
-        Checks the magic, truncation and the header checksum, and builds
-        nothing per file but its tuple.
+        Checks the magic, truncation and the header checksum, then the
+        bitmap's padding bits (so a flipped header byte is always a
+        :class:`ChunkChecksumError`), and builds nothing per file but its
+        tuple.
         """
         view = memoryview(blob)
         if view[: len(MAGIC)] != MAGIC:
@@ -491,11 +528,9 @@ class Chunk:
         entries: list[tuple[str, int, int, int]] = []
         try:
             (nfiles,) = _U32.unpack_from(view, _BITMAP_AT - _U32.size)
-            pos = _BITMAP_AT + (nfiles + 7) // 8
+            pos = bitmap_end = _BITMAP_AT + (nfiles + 7) // 8
             if pos > len(view):
                 raise _truncated(view)
-            chunk_id = ChunkId(bytes(view[len(MAGIC) : len(MAGIC) + CHUNK_ID_BYTES]))
-            bitmap = Bitmap.from_bytes(bytes(view[_BITMAP_AT:pos]), nfiles)
             for _ in range(nfiles):
                 name_end = pos + 2 + u16(view, pos)[0]
                 offset, length, crc = tail(view, name_end)
@@ -508,6 +543,8 @@ class Chunk:
             raise _truncated(view) from None
         if zlib.crc32(view[:pos]) != stored_crc:
             raise _checksum_error(view)
+        chunk_id = ChunkId(bytes(view[len(MAGIC) : len(MAGIC) + CHUNK_ID_BYTES]))
+        bitmap = Bitmap.from_bytes(bytes(view[_BITMAP_AT:bitmap_end]), nfiles)
         return chunk_id, bitmap, entries, pos + _U32.size
 
     @classmethod
@@ -534,42 +571,67 @@ class Chunk:
         Walks only the file table's name lengths, yet checks the magic,
         truncation and the header checksum.
         """
-        return _skim(blob, None)[1]
+        return _skim(blob)
 
     @staticmethod
-    def find_in_header(blob: bytes, path: str) -> tuple[int, int]:
-        """``(index, header_size)`` of ``path`` in an encoded chunk's file
-        table, for a tombstone.
+    def locate(
+        head: "bytes | memoryview", path: str, kept: "HeaderTable | None"
+    ) -> tuple[int, memoryview, HeaderTable]:
+        """``(index, header, table)`` for a tombstone of ``path``:
+        its index in the file table of the encoded chunk header that
+        ``head`` starts with, that header (a view of ``head``), and the
+        header's :class:`HeaderTable`.
 
-        The :meth:`header_size` walk, comparing each name of ``path``'s
-        length as it passes.  A path the table does not hold is a
+        ``kept`` — the table of the last header located — answers when
+        it :meth:`~HeaderTable.describes` this one, and is returned;
+        otherwise the header is walked, with every check
+        :meth:`read_header` makes.  Either way the magic and the header
+        checksum are verified, and a path the table does not hold is a
         :class:`ChunkFormatError`.
         """
-        index, size = _skim(blob, path.encode("utf-8"))
-        if index < 0:
+        if kept is None or not kept.describes(head):
+            kept = HeaderTable.walk(head)
+        else:
+            crc_at = kept.size - _U32.size
+            if head[: len(MAGIC)] != MAGIC:
+                raise ChunkFormatError("bad chunk magic")
+            if zlib.crc32(memoryview(head)[:crc_at]) != _U32.unpack_from(
+                head, crc_at
+            )[0]:
+                raise _checksum_error(head)
+        index = kept.index.get(path)
+        if index is None:
             raise ChunkFormatError(f"path not in chunk: {path!r}")
-        return index, size
+        return index, memoryview(head)[: kept.size], kept
 
     @staticmethod
-    def with_bitmap(blob: bytes, bitmap: Bitmap, header_size: int) -> bytes:
-        """The encoded chunk ``blob`` with ``bitmap`` as its header's
-        deletion bitmap and the header checksum rewritten.
+    def with_bitmap(
+        header: "bytes | memoryview", bits: bytes, nbits: int
+    ) -> bytes:
+        """The encoded chunk header ``header`` with ``bits`` — an
+        ``nbits``-bit deletion bitmap's bytes — as its bitmap and the
+        header checksum rewritten.
 
-        Byte-equal to re-encoding the decoded chunk with that bitmap, for
-        one copy of the blob; ``header_size`` is what
-        :meth:`find_in_header` returned for it.
+        Byte-equal to the header of the decoded chunk re-encoded with
+        that bitmap, for one header-sized copy.  ``header`` is the
+        header's bytes alone (what :meth:`locate` returns); a bitmap of
+        another size than the file count, or with a padding bit set, is
+        a :class:`ChunkFormatError`.
         """
-        (nfiles,) = _U32.unpack_from(blob, _BITMAP_AT - _U32.size)
-        if len(bitmap) != nfiles:
+        (nfiles,) = _U32.unpack_from(header, _BITMAP_AT - _U32.size)
+        if nbits != nfiles:
             raise ChunkFormatError(
-                f"bitmap size {len(bitmap)} != file count {nfiles}"
+                f"bitmap size {nbits} != file count {nfiles}"
             )
-        view = memoryview(blob)
-        bits = bitmap.to_bytes()
-        crc_at = header_size - _U32.size
+        if len(bits) != (nfiles + 7) // 8 or (nfiles % 8 and bits[-1] >> nfiles % 8):
+            raise ChunkFormatError(
+                f"{len(bits)} bitmap bytes do not hold {nfiles} bits"
+            )
+        view = memoryview(header)
+        crc_at = len(view) - _U32.size
         head, table = view[:_BITMAP_AT], view[_BITMAP_AT + len(bits) : crc_at]
         crc = zlib.crc32(table, zlib.crc32(bits, zlib.crc32(head)))
-        return b"".join((head, bits, table, _U32.pack(crc), view[header_size:]))
+        return b"".join((head, bits, table, _U32.pack(crc)))
 
     @classmethod
     def decode(cls, blob: bytes) -> "Chunk":

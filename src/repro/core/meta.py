@@ -214,16 +214,41 @@ class ChunkRecord:
         bitmap = Bitmap.from_bytes(blob[_CHUNK_REC_HEAD.size :], nfiles)
         return cls(ChunkId(cid_raw), ts, size, nfiles, ndeleted, bitmap)
 
-    def with_deleted(self, index: int) -> "ChunkRecord":
-        """A copy with file ``index`` tombstoned."""
-        bm = self.bitmap.copy()
-        if bm.get(index):
+    @staticmethod
+    def tombstone(blob: bytes, index: int) -> tuple[bytes, int, bytes]:
+        """The encoded record ``blob`` with file ``index`` (0 or more)
+        deleted: ``(blob', nfiles, bitmap bytes)``, its bit set and
+        ``ndeleted`` bumped where they sit.
+
+        Byte-equal to decoding the record, setting the bit in a copy of
+        its bitmap and encoding it again, with :meth:`decode`'s checks
+        and errors — the bitmap's length and padding bits, ``ndeleted``
+        against its population — and a double delete refused; builds no
+        record and no :class:`Bitmap`.
+        """
+        _, _, _, nfiles, ndeleted = _CHUNK_REC_HEAD.unpack_from(blob, 0)
+        at = _CHUNK_REC_HEAD.size
+        bits = blob[at:]
+        need = (nfiles + 7) // 8
+        if len(bits) != need:
+            raise ValueError(
+                f"bitmap payload is {len(bits)} bytes; size {nfiles} needs {need}"
+            )
+        if nfiles % 8 and bits and bits[-1] >> (nfiles % 8):
+            raise ValueError("bitmap has set bits beyond its declared size")
+        if ndeleted != int.from_bytes(bits, "little").bit_count():
+            raise DieselError("ndeleted disagrees with bitmap population")
+        if not 0 <= index < nfiles:
+            raise IndexError(
+                f"bit index {index} out of range for size {nfiles}"
+            )
+        byte, bit = at + (index >> 3), 1 << (index & 7)
+        if blob[byte] & bit:
             raise DieselError(f"file index {index} already deleted")
-        bm.set(index)
-        return ChunkRecord(
-            self.chunk_id, self.update_ts, self.size, self.nfiles,
-            self.ndeleted + 1, bm,
-        )
+        out = bytearray(blob)
+        _U32.pack_into(out, at - _U32.size, ndeleted + 1)
+        out[byte] |= bit
+        return bytes(out), nfiles, bytes(out[at:])
 
 
 @dataclass(frozen=True)

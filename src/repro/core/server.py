@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.calibration import Calibration, DEFAULT
 from repro.core import meta
-from repro.core.chunk import Chunk
+from repro.core.chunk import Chunk, HeaderTable
 from repro.core.config import DieselConfig
 from repro.core.meta_journal import (
     OP_CHUNK_DROP,
@@ -187,6 +187,9 @@ class DieselServer:
         #: Key prefix or whole key -> its FNV-1a state, for ingest: a
         #: dataset's chunks share directories (``PREFIX_MEMO_SIZE``).
         self._fnv_states: dict[str, int] = {}
+        #: The file table of the chunk header last tombstoned: a delete
+        #: into a header it describes walks nothing (``Chunk.locate``).
+        self._tombstone_table: Optional[HeaderTable] = None
 
     @property
     def recorder(self):
@@ -711,20 +714,28 @@ class DieselServer:
         The tombstone is written both to the KV chunk record and into the
         stored chunk's header bitmap, keeping chunks self-contained: a
         metadata rebuild from chunks (§4.1.2) must not resurrect deleted
-        files.
+        files.  Both are patched as bytes: the record's bit and count
+        where they sit, the header alone into the object store, the
+        file's index from the header table kept since the last delete
+        when it still describes the stored header (docs/METADATA.md).
         """
         path = normalize(path)
         cid = self._file_record(dataset, path).chunk_id
         key = object_key(dataset, cid)
-        blob = self.store.peek(key)
-        index, header_size = Chunk.find_in_header(blob, path)
-        crec = self._chunk_record(dataset, cid).with_deleted(index)
-        self.kv.local_put(meta.chunk_key(dataset, cid), crec.encode())
+        index, header, self._tombstone_table = Chunk.locate(
+            self.store.head(key), path, self._tombstone_table
+        )
+        ck_key = meta.chunk_key(dataset, cid)
+        ck_blob = self.kv.local_get_or_none(ck_key)
+        if ck_blob is None:
+            raise DieselError(f"missing chunk record for {cid.encode()}")
+        crec, nbits, bits = meta.ChunkRecord.tombstone(ck_blob, index)
+        self.kv.local_put(ck_key, crec)
         # Rewrite the stored header's bitmap in place (a header-sized
         # write) from the KV record's: that one already holds the bit of
         # a delete still waiting on its own write to this chunk.
         yield from self.store.patch(
-            key, Chunk.with_bitmap(blob, crec.bitmap, header_size), header_size
+            key, Chunk.with_bitmap(header, bits, nbits)
         )
         self.kv.local_delete(meta.file_key(dataset, path))
         parent, _, name = path.rpartition("/")

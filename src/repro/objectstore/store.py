@@ -15,12 +15,21 @@ class ObjectStore:
     Keys list in sorted order — combined with DIESEL's order-preserving
     chunk-ID encoding, ``list_keys()`` returns chunks in written order,
     which metadata recovery depends on (§4.1.2).
+
+    A :meth:`patch` rewrites an object's first bytes (a tombstone's
+    chunk header).  The new bytes wait beside the object as its pending
+    head until something reads the whole object (:meth:`get`,
+    :meth:`get_range`, :meth:`peek`), which splices them in once; so a
+    run of tombstones into one chunk copies the chunk once, not once
+    each.  :meth:`head` and :meth:`object_size` splice nothing.
     """
 
     def __init__(self, device: Device, name: str = "objectstore") -> None:
         self.device = device
         self.name = name
         self._objects: dict[str, bytes] = {}
+        #: Patched first bytes not yet spliced into their object.
+        self._heads: dict[str, bytes] = {}
         self._sorted: Optional[list[str]] = None
 
     def __len__(self) -> int:
@@ -38,9 +47,7 @@ class ObjectStore:
         if not isinstance(data, (bytes, bytearray, memoryview)):
             raise TypeError(f"object data must be bytes, got {type(data).__name__}")
         yield from self.device.write(len(data))
-        if key not in self._objects:
-            self._sorted = None
-        self._objects[key] = bytes(data)
+        self._store(key, data)
 
     def put_journaled(self, key: str, data: bytes):
         """Write-back put: the object becomes visible immediately (the
@@ -54,10 +61,14 @@ class ObjectStore:
         """
         if not isinstance(data, (bytes, bytearray, memoryview)):
             raise TypeError(f"object data must be bytes, got {type(data).__name__}")
+        self._store(key, data)
+        return self.device.write(len(data))
+
+    def _store(self, key: str, data) -> None:
         if key not in self._objects:
             self._sorted = None
         self._objects[key] = bytes(data)
-        return self.device.write(len(data))
+        self._heads.pop(key, None)
 
     def get(self, key: str) -> Generator[Event, Any, bytes]:
         """Read a whole object."""
@@ -79,35 +90,57 @@ class ObjectStore:
         return data[offset : offset + length]
 
     def delete(self, key: str) -> Generator[Event, Any, None]:
-        self._peek(key)
+        self._blob(key)
         yield from self.device.write(0)  # metadata update
         del self._objects[key]
+        self._heads.pop(key, None)
         self._sorted = None
 
-    def patch(
-        self, key: str, data: bytes, rewritten: int
-    ) -> Generator[Event, Any, None]:
-        """Replace an object whose bytes changed in place in ``rewritten``
-        of them (a tombstone's header): charges one device write of that
-        many bytes, then swaps the object.
+    def patch(self, key: str, head: bytes) -> Generator[Event, Any, None]:
+        """Replace the object's first ``len(head)`` bytes (a tombstone's
+        chunk header): charges one device write of that many bytes, then
+        holds ``head`` as the object's pending head.
         """
-        yield from self.device.write(rewritten)
-        self._peek(key)
-        self._objects[key] = bytes(data)
+        yield from self.device.write(len(head))
+        size = len(self._blob(key))
+        if len(head) > size:
+            raise ValueError(
+                f"patch of {len(head)} bytes over an object of {size}"
+            )
+        pending = self._heads.get(key)
+        if pending is not None and len(pending) > len(head):
+            head = b"".join((head, pending[len(head) :]))
+        self._heads[key] = bytes(head)
 
     # -- zero-cost inspection ----------------------------------------------
-    def _peek(self, key: str) -> bytes:
+    def _blob(self, key: str) -> bytes:
+        """The object as last written, without its pending head."""
         try:
             return self._objects[key]
         except KeyError:
             raise ObjectNotFoundError(key) from None
 
+    def _peek(self, key: str) -> bytes:
+        """The whole object, its pending head spliced in (once)."""
+        data = self._blob(key)
+        head = self._heads.pop(key, None)
+        if head is not None:
+            data = self._objects[key] = b"".join((head, data[len(head) :]))
+        return data
+
     def peek(self, key: str) -> bytes:
         """Read object bytes without charging simulated time (tests/tools)."""
         return self._peek(key)
 
+    def head(self, key: str) -> bytes:
+        """The object's pending head, else the whole object: bytes that
+        start the object, for a reader of its first bytes only (a chunk
+        header).  Splices nothing and charges no simulated time."""
+        head = self._heads.get(key)
+        return head if head is not None else self._blob(key)
+
     def object_size(self, key: str) -> int:
-        return len(self._peek(key))
+        return len(self._blob(key))
 
     def list_keys(self, after: Optional[str] = None) -> list[str]:
         """All keys in sorted order, optionally strictly after ``after``."""
@@ -124,4 +157,5 @@ class ObjectStore:
         """Bulk-populate without simulated cost (fixture setup)."""
         for k, v in items:
             self._objects[k] = bytes(v)
+            self._heads.pop(k, None)
         self._sorted = None

@@ -90,6 +90,10 @@ class TieredStore:
     def peek(self, key: str) -> bytes:
         return self._base.peek(key)
 
+    def head(self, key: str) -> bytes:
+        """The base object's first bytes (see :meth:`ObjectStore.head`)."""
+        return self._base.head(key)
+
     def object_size(self, key: str) -> int:
         return self._base.object_size(key)
 
@@ -115,12 +119,11 @@ class TieredStore:
         self.cache.pop(key)
         return flush
 
-    def patch(
-        self, key: str, data: bytes, rewritten: int
-    ) -> Generator[Event, Any, None]:
-        """In-place rewrite on the base tier (see ObjectStore.patch); the
-        cached copy is dropped rather than rewritten."""
-        yield from self._base.patch(key, data, rewritten)
+    def patch(self, key: str, head: bytes) -> Generator[Event, Any, None]:
+        """In-place rewrite of the object's first bytes on the base tier
+        (see :meth:`ObjectStore.patch`); the cached copy is dropped
+        rather than rewritten."""
+        yield from self._base.patch(key, head)
         self.cache.pop(key)
 
     def delete(self, key: str) -> Generator[Event, Any, None]:

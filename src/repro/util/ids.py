@@ -46,6 +46,13 @@ MAX_IDS_PER_SECOND = 1 << (8 * _COUNTER_BYTES)
 #: Length of a base32hex-encoded 16-byte ID (no padding): ceil(16*8/5).
 ENCODED_LENGTH = 26
 
+_B32HEX = "0123456789ABCDEFGHIJKLMNOPQRSTUV"
+#: Every 10-bit group's two base32hex characters.
+_PAIRS = tuple(a + b for a in _B32HEX for b in _B32HEX)
+#: Where each of an id's 13 groups sits in its 130-bit, zero-padded
+#: integer, most significant first.
+_PAIR_SHIFTS = tuple(range(5 * ENCODED_LENGTH - 10, -1, -10))
+
 
 @dataclass(frozen=True, order=True)
 class ChunkId:
@@ -87,8 +94,11 @@ class ChunkId:
 
     @cached_property
     def _encoded(self) -> str:
-        # Memoised: every read resolves its chunk by this string.
-        return base64.b32hexencode(self.raw).decode("ascii").rstrip("=")
+        # Memoised: every read resolves its chunk by this string.  Equal
+        # to ``base64.b32hexencode(raw).rstrip("=")``, read two characters
+        # at a time from the id's integer.
+        n = int.from_bytes(self.raw, "big") << 2
+        return "".join([_PAIRS[n >> s & 0x3FF] for s in _PAIR_SHIFTS])
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.encode()

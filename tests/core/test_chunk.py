@@ -213,6 +213,33 @@ class TestReadEntries:
                 read(blob)
             assert type(caught.value) is error
 
+    def test_a_flipped_header_byte_fails_every_header_walk(self):
+        """Each header byte that no walk reads for the layout — chunk id,
+        bitmap, name, offset, length, crc — is caught by the header
+        checksum alone: by the name-length walk (``header_size``,
+        ``fetched``) and by a tombstone's ``locate``, whether it walks
+        or answers from a table kept for the unflipped header."""
+        c = make_chunk()
+        blob = c.encode()
+        size = len(blob) - c.data_size
+        structural = set(range(4)) | set(range(20, 24))  # magic, file count
+        pos = 24 + 1  # past the 3-file bitmap
+        for path in c.paths:
+            structural |= {pos, pos + 1}  # the name length
+            pos += 2 + len(path.encode()) + 20
+        assert pos + 4 == size
+        kept = Chunk.locate(blob, c.paths[0], None)[2]
+        cid = c.chunk_id.encode()
+        for at in sorted(set(range(size - 4)) - structural):
+            flipped = bytearray(blob)
+            flipped[at] ^= 0x10
+            flipped = bytes(flipped)
+            for read in (Chunk.header_size, lambda b: Chunk.fetched(b, cid),
+                         lambda b: Chunk.locate(b, c.paths[1], None),
+                         lambda b: Chunk.locate(b, c.paths[1], kept)):
+                with pytest.raises(ChunkChecksumError):
+                    read(flipped)
+
     @pytest.mark.parametrize("files,data,match", [
         ([ChunkFile("/a", 0, 2, 0), ChunkFile("/a", 2, 2, 0)], b"xxyy",
          "duplicate paths"),
@@ -329,10 +356,10 @@ class TestOneTable:
             assert header == expect
         assert Chunk.header_size(blob) == data_offset
         names = [r[0] for r in rows]
+        kept = None
         for path in names:
-            assert Chunk.find_in_header(blob, path) == (
-                names.index(path), data_offset
-            )
+            index, header, kept = Chunk.locate(blob, path, kept)
+            assert (index, len(header)) == (names.index(path), data_offset)
         # A cut anywhere — in the header or the data section — fails, or
         # succeeds, as the reference does, with its error and message;
         # the header-size walk raises read_header's error, message too.

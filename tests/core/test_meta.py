@@ -103,14 +103,16 @@ class TestChunkRecord:
         with pytest.raises(DieselError):
             meta.ChunkRecord(CID, 1, 10, 3, 1, Bitmap(3))  # count mismatch
 
-    def test_with_deleted(self):
+    def test_tombstone(self):
         rec = meta.ChunkRecord(CID, 1, 10, 3, 0, Bitmap(3))
-        rec2 = rec.with_deleted(1)
+        blob, nbits, bits = meta.ChunkRecord.tombstone(rec.encode(), 1)
+        rec2 = meta.ChunkRecord.decode(blob)
         assert rec2.ndeleted == 1
         assert rec2.bitmap.get(1)
+        assert (nbits, bits) == (3, rec2.bitmap.to_bytes())
         assert not rec.bitmap.get(1)  # original untouched
         with pytest.raises(DieselError):
-            rec2.with_deleted(1)  # double delete
+            meta.ChunkRecord.tombstone(blob, 1)  # double delete
 
 
 class TestDatasetRecord:

@@ -543,9 +543,11 @@ class TestTombstonePatch:
     def test_with_bitmap_checks_the_bitmap_size(self, one_chunk):
         dep, key, files = one_chunk
         blob = dep.store.peek(key)
-        _, header_size = Chunk.find_in_header(blob, list(files)[0])
+        _, header, _ = Chunk.locate(blob, list(files)[0], None)
         with pytest.raises(ChunkFormatError):
-            Chunk.with_bitmap(blob, Bitmap(len(files) + 1), header_size)
+            Chunk.with_bitmap(
+                header, Bitmap(len(files) + 1).to_bytes(), len(files) + 1
+            )
 
     @settings(max_examples=40, deadline=None)
     @given(paths=path_sets, data=st.data())
@@ -557,10 +559,11 @@ class TestTombstonePatch:
         blob = chunk.encode()
         target = data.draw(st.sampled_from(paths))
         dead = data.draw(st.sets(st.integers(0, len(paths) - 1)))
-        index, header_size = Chunk.find_in_header(blob, target)
+        index, header, table = Chunk.locate(blob, target, None)
         assert index == chunk.paths.index(target)
-        assert header_size == len(blob) - chunk.data_size
+        assert table.size == len(header) == len(blob) - chunk.data_size
         marked = tombstoned(chunk, dead)
-        assert Chunk.with_bitmap(
-            blob, marked.deletion_bitmap, header_size
+        bits = marked.deletion_bitmap.to_bytes()
+        assert Chunk.with_bitmap(header, bits, len(paths)) + bytes(
+            chunk.data
         ) == marked.encode()

@@ -52,7 +52,6 @@ KEEP = {
     "SharedChunkCache.refcount": "(ii) pin-count invariant of the shared tier",
     "Chunk.is_deleted": "(ii) tombstone probe of the chunk codec",
     "Chunk.deleted_count": "(ii) bitmap/record consistency probe",
-    "Chunk.read_header": "(ii) oracle of the codec's one header walk",
     "Semaphore.queue_length": "(ii) bounded-wait-queue probe (no pinned waiters)",
     "verify_file": "(ii) embedded-CRC read-back check of generated payloads",
     "run_sync": "(ii) the driver every differential test runs both sides with",
