@@ -154,6 +154,41 @@ def test_snapshot_apply_delta(benchmark):
 
 
 @pytest.mark.benchmark(group="micro-snapshot")
+def test_snapshot_apply_delta_chunk_entries(benchmark):
+    """A refresh's delta on an ingesting dataset: 30 chunk ingests'
+    entries of 250 new paths each (and each one's chunk add), applied
+    to a 20k-file index — the shape ``refresh_meta`` meets on
+    ``ingest_meta``.  A fresh index each round, one that has already
+    copied the columns it shared with its snapshot (a copy the first
+    delta makes once)."""
+    from repro.core.meta_journal import chunk_entry
+
+    base = make_snapshot()
+    bodies = []
+    for e in range(30):
+        cid = GEN.next()
+        paths = [f"/ds/late{e}/d{i % 10}/img{i:05d}.jpg".encode()
+                 for i in range(250)]
+        records = FileRecord.pack_many(
+            paths, cid.raw, [(i * 4096, 4096, i) for i in range(250)]
+        )
+        bodies.append(chunk_entry(base.update_ts + 1 + e, paths, records, cid.raw))
+
+    def fresh():
+        index = SnapshotIndex(base)
+        index.apply_delta([])
+        return (index,), {}
+
+    def apply(index):
+        return index.apply_delta(bodies)
+
+    benchmark.pedantic(apply, setup=fresh, rounds=30, iterations=1)
+    per_op = benchmark.stats["median"] / (30 * 251)
+    benchmark.extra_info["us_per_op"] = round(per_op * 1e6, 3)
+    assert per_op < 3e-6, f"chunk entry apply too slow: {per_op:.2e}s/op"
+
+
+@pytest.mark.benchmark(group="micro-snapshot")
 def test_snapshot_lookup(benchmark):
     """The Fig 10b hot path: must be well under 2µs per lookup."""
     index = SnapshotIndex(make_snapshot())
@@ -202,6 +237,46 @@ def test_kv_pscan(benchmark):
 
     result = benchmark(table.pscan, "f:ds:/class042/")
     assert len(result) == 500
+
+
+@pytest.mark.benchmark(group="micro-kv")
+def test_kv_pscan_after_writes(benchmark):
+    """A narrow scan between writes, as ``ls`` meets one on an ingesting
+    dataset: a 12k-key table of 120 directories' entries, and before
+    each scan of one directory 100 new keys across all of them and 3
+    deletes.  ``test_kv_pscan`` builds its index before timing, so it
+    cannot see what the writes since the last scan cost the next one."""
+    from repro.core import meta
+
+    table = KVTable()
+    dirs = [f"/r{d // 10:03d}/d{d % 10}" for d in range(120)]
+    table.put_many(
+        [meta.dir_entry_key("ds", d, f"f{i:05d}.bin", False)
+         for i in range(100) for d in dirs],
+        [b""] * 12_000,
+    )
+    table.keys()  # the index exists, as it does after a set-up's scans
+    rng = random.Random(0)
+    rounds = iter(range(10**6))
+
+    def writes():
+        r = next(rounds)
+        new = [meta.dir_entry_key("ds", rng.choice(dirs), f"n{r}-{i}.bin", False)
+               for i in range(100)]
+        prefix = meta.dir_scan_prefix("ds", rng.choice(dirs), "f")
+        return (new, rng.sample(new, 3), prefix), {}
+
+    def write_then_scan(new, gone, prefix):
+        table.put_many(new, [b""] * 100)
+        for key in gone:
+            table.delete(key)
+        return table.pscan(prefix)
+
+    benchmark.pedantic(write_then_scan, setup=writes, rounds=200, iterations=1)
+    # The median: a round that merges runs costs a few times the rest.
+    per_scan = benchmark.stats["median"]
+    benchmark.extra_info["us_per_round"] = round(per_scan * 1e6, 1)
+    assert per_scan < 2e-4, f"scan after writes too slow: {per_scan:.2e}s"
 
 
 def make_metadata_server(n_chunks=64, n_files=256, file_size=64):
@@ -290,6 +365,30 @@ def test_load_meta_delta_server_side(benchmark):
     assert resp["mode"] == "delta" and len(resp["entries"]) == 16
     per_entry = benchmark.stats["mean"] / 16
     assert per_entry < 1e-4, f"delta serve too slow: {per_entry:.2e}s/entry"
+
+
+@pytest.mark.benchmark(group="micro-metadata")
+def test_stat_file(benchmark):
+    """Server ``stat`` of a file through the metadata RPC, 64 per round
+    across a 64-chunk dataset: one routed KV point get and the record's
+    tail read."""
+    tb, chunks = make_metadata_server(n_chunks=64)
+    rng = random.Random(0)
+    paths = [f.path for chunk in chunks for f in chunk.files]
+    node = tb.compute_nodes[0]
+
+    def stat_batch():
+        def proc():
+            for path in rng.sample(paths, 64):
+                st = yield from tb.diesel.call(node, "stat", "bench", path)
+                assert st["size"] == 64
+
+        tb.run(proc())
+
+    benchmark.pedantic(stat_batch, rounds=20, iterations=1)
+    per_op = benchmark.stats["mean"] / 64
+    benchmark.extra_info["ops_per_s"] = round(1 / per_op)
+    assert per_op < 1e-4, f"stat too slow: {per_op:.2e}s/op"
 
 
 @pytest.mark.benchmark(group="micro-metadata")

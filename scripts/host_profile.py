@@ -32,7 +32,10 @@ calls, so read its shares beside the sampler's, not instead of them.
 collections per generation and sums the time between each ``start`` and
 ``stop``.  The collector's time is the program's and the profiler's
 alike (either one's allocations can trigger a collection), so read it
-beside an unprofiled run's figure when they disagree.
+beside an unprofiled run's figure when they disagree.  With ``--by-op``
+each collection's runs and time are also charged to the op kind whose
+resumption was running when it started, or to the time outside any op;
+that time is already inside the row's own microseconds.
 
 ``--by-op`` splits the same region's host time by op kind instead of by
 function: the generator each op hands perfbench's op proxy
@@ -55,7 +58,7 @@ its row.  Two ``--by-op`` files print the per-kind table instead.
 Usage::
 
     python scripts/host_profile.py ingest_meta [--seed N] [--scale tiny] [--setup] [--exact] [--gc] [--top K] [--json OUT]
-    python scripts/host_profile.py ingest_meta --by-op [--seed N] [--scale tiny] [--json OUT]
+    python scripts/host_profile.py ingest_meta --by-op [--gc] [--seed N] [--scale tiny] [--json OUT]
     python scripts/host_profile.py --diff A.json B.json [--top K]
 """
 
@@ -174,22 +177,35 @@ class ExactProfile:
 class GcTimer:
     """Collector runs per generation and collector time while inside the
     region (the hook is registered on entry, removed on exit; entering
-    again adds to the same totals)."""
+    again adds to the same totals).  Given ``kind_of``, a callable naming
+    the op kind running now (``None`` outside any op), each collection is
+    also charged to the kind running when it started: ``by_kind`` maps
+    it to ``[runs, seconds]``."""
 
-    def __init__(self) -> None:
+    def __init__(self, kind_of=None) -> None:
         self.runs = [0, 0, 0]
         self.seconds = 0.0
         self.collected = 0
+        self.by_kind: dict[str, list] = {}
+        self._kind_of = kind_of
         self._t0: float | None = None
+        self._kind: str | None = None
 
     def _on_gc(self, phase: str, info: dict) -> None:
         if phase == "start":
             self._t0 = time.perf_counter()
+            if self._kind_of is not None:
+                self._kind = self._kind_of() or OUTSIDE
         elif self._t0 is not None:  # a stop whose start was in the region
-            self.seconds += time.perf_counter() - self._t0
+            elapsed = time.perf_counter() - self._t0
+            self.seconds += elapsed
             self.runs[info["generation"]] += 1
             self.collected += info["collected"]
-            self._t0 = None
+            if self._kind is not None:
+                row = self.by_kind.setdefault(self._kind, [0, 0.0])
+                row[0] += 1
+                row[1] += elapsed
+            self._t0 = self._kind = None
 
     def __enter__(self) -> "GcTimer":
         gc.callbacks.append(self._on_gc)
@@ -200,8 +216,12 @@ class GcTimer:
         self._t0 = None
 
     def to_json(self) -> dict:
-        return {"runs": list(self.runs), "ms": round(self.seconds * 1e3, 3),
-                "collected": self.collected}
+        out = {"runs": list(self.runs), "ms": round(self.seconds * 1e3, 3),
+               "collected": self.collected}
+        if self._kind_of is not None:
+            out["by_op"] = {kind: [runs, round(seconds * 1e6)]
+                            for kind, (runs, seconds) in self.by_kind.items()}
+        return out
 
 
 def op_log_by_kind(OpLog):
@@ -211,11 +231,13 @@ def op_log_by_kind(OpLog):
     class ByOpLog(OpLog):
         """``OpLog`` whose ``timed`` drives each op through
         :meth:`_clocked`; ``kinds`` maps the op generator's qualified
-        name to ``[calls, seconds]``."""
+        name to ``[calls, seconds]``, and ``current`` names the kind of
+        the resumption running now (``None`` between them)."""
 
         def __init__(self, *args) -> None:
             super().__init__(*args)
             self.kinds: dict[str, list] = {}
+            self.current: str | None = None
 
         def timed(self, gen, expect=None, nbytes: int = 0):
             return super().timed(self._clocked(gen), expect, nbytes)
@@ -230,6 +252,7 @@ def op_log_by_kind(OpLog):
             clock = time.perf_counter
             step, arg = gen.send, None
             while True:
+                self.current = kind
                 t0 = clock()
                 try:
                     event = step(arg)
@@ -237,6 +260,7 @@ def op_log_by_kind(OpLog):
                     return stop.value
                 finally:
                     row[1] += clock() - t0
+                    self.current = None
                 try:
                     arg, step = (yield event), gen.send
                 except GeneratorExit:
@@ -268,19 +292,30 @@ def _op_rows(table: dict) -> list[tuple[str, int, int]]:
     return rows + [(OUTSIDE, 0, table["region_us"] - inside)]
 
 
+def _gc_cells(table: dict, kind: str) -> str:
+    """The collector's runs and ms charged to ``kind`` (``--by-op --gc``),
+    or nothing when the table holds no collector figures."""
+    if "gc" not in table:
+        return ""
+    runs, us = table["gc"]["by_op"].get(kind, (0, 0))
+    return f" {runs:8d} {us / 1e3:8.1f}"
+
+
 def report_by_op(table: dict) -> list[str]:
     """Calls, share of calls, ms, µs per call and share of the region's
-    host time, per op kind."""
+    host time, per op kind; with ``--gc``, the collector's runs and ms
+    charged to each."""
     total_calls = sum(calls for calls, _ in table["kinds"].values()) or 1
     total_us = table["region_us"] or 1
+    gc_head = f" {'gc runs':>8} {'gc ms':>8}" if "gc" in table else ""
     lines = [f"\n{'op':<32} {'calls':>7} {'calls%':>7} {'ms':>9} "
-             f"{'us/call':>9} {'share':>7}"]
+             f"{'us/call':>9} {'share':>7}{gc_head}"]
     for kind, calls, us in _op_rows(table):
         per = f"{us / calls:9.2f}" if calls else f"{'-':>9}"
         ncalls = f"{calls:7d} {calls / total_calls:7.1%}" if calls else (
             f"{'-':>7} {'-':>7}")
         lines.append(f"{kind:<32} {ncalls} {us / 1e3:9.1f} {per} "
-                     f"{us / total_us:7.1%}")
+                     f"{us / total_us:7.1%}{_gc_cells(table, kind)}")
     return lines
 
 
@@ -305,6 +340,19 @@ def diff_by_op(before: dict, after: dict) -> list[str]:
                if kind != OUTSIDE else f"{'-':>24}")
         lines.append(f"{kind:<32} {ca:9d} -> {cb:9d} {per} "
                      f"{ua / total_a:9.1%} -> {ub / total_b:9.1%}")
+    if "gc" in before or "gc" in after:
+        lines.append(f"\n{'collector by op':<32} {'runs before -> after':>22} "
+                     f"{'ms before -> after':>24}")
+        for side, p in (("before", before), ("after", after)):
+            if "gc" not in p:
+                lines.append(f"gc {side}: not recorded")
+        by_a, by_b = (p["gc"]["by_op"] if "gc" in p else {}
+                      for p in (before, after))
+        for kind in sorted(by_a.keys() | by_b.keys(),
+                           key=lambda k: (k == OUTSIDE, k)):
+            (ra, ga), (rb, gb) = by_a.get(kind, (0, 0)), by_b.get(kind, (0, 0))
+            lines.append(f"{kind:<32} {ra:9d} -> {rb:9d} "
+                         f"{ga / 1e3:10.1f} -> {gb / 1e3:10.1f}")
     return lines
 
 
@@ -429,8 +477,8 @@ def main(argv: list[str]) -> int:
         return 0
     if args.workload is None:
         ap.error("a workload is required unless --diff is given")
-    if args.by_op and (args.setup or args.exact or args.gc):
-        ap.error("--by-op times ops alone: no --setup, --exact or --gc")
+    if args.by_op and (args.setup or args.exact):
+        ap.error("--by-op times ops alone: no --setup or --exact")
 
     wl = WORKLOADS[args.workload](args.seed, args.scale)
     wl.make_inputs()
@@ -480,18 +528,25 @@ def main_by_op(wl, log_class, args) -> int:
     wl.run_block(0, log)
     warm_ops = log.attempted
     log.kinds.clear()
+    gc_timer = (GcTimer(lambda: log.current) if args.gc
+                else contextlib.nullcontext())
     region_s = 0.0
     for b in range(1, wl.n_blocks):
-        t0 = time.perf_counter()
-        wl.run_block(b, log)
-        region_s += time.perf_counter() - t0
+        with gc_timer:
+            t0 = time.perf_counter()
+            wl.run_block(b, log)
+            region_s += time.perf_counter() - t0
     ops = log.attempted - warm_ops
     header = {"workload": args.workload, "seed": args.seed,
               "scale": args.scale, "ops": ops}
+    if args.gc:
+        header["gc"] = gc_timer.to_json()
     table = by_op_json(log.kinds, region_s, header)
     print(f"{args.workload} seed {args.seed} scale {args.scale}: "
           f"{region_s * 1e3:.1f} ms of host time over blocks "
           f"1..{wl.n_blocks - 1} ({ops} ops, {log.failed} failed), by op")
+    if args.gc:
+        print(f"gc: {gc_line(header['gc'])}")
     print("\n".join(log.errors + report_by_op(table)))
     if args.json:
         args.json.write_text(json.dumps(table, indent=1))

@@ -32,7 +32,9 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.core.meta import FileRecord
 from repro.errors import DieselError, JournalFormatError
+from repro.kvstore.kv import KVInstance
 from repro.kvstore.sharded import ShardedKV
+from repro.util.hashing import fnv1a_64
 from repro.util.ids import CHUNK_ID_BYTES
 
 #: An encoded entry starts with it: ts, op count.
@@ -53,6 +55,9 @@ OP_CHUNK_ADD = 2
 OP_CHUNK_DROP = 3
 
 _KINDS = frozenset({OP_APPEND, OP_DELETE, OP_CHUNK_ADD, OP_CHUNK_DROP})
+#: Bound of each journal's memo of key-head FNV-1a states: two heads
+#: per journaled dataset; past the bound the memo starts over.
+HEAD_MEMO_SIZE = 64
 
 
 def journal_key(dataset: str, ts: int) -> str:
@@ -178,6 +183,15 @@ def chunk_entry(
     ])
 
 
+def delete_entry(ts: int, path: bytes) -> bytes:
+    """The encoded entry of one file delete: one ``OP_DELETE`` of the
+    UTF-8 ``path``.  Byte-equal to ``JournalEntry(ts, (JournalOp(
+    OP_DELETE, path.decode()),)).encode()``, with no op built."""
+    return b"".join((
+        ENTRY_HEAD.pack(ts, 1), OP_HEAD.pack(OP_DELETE, len(path), 0), path,
+    ))
+
+
 class MetaJournal:
     """KV-backed mutation journal with horizon compaction.
 
@@ -191,10 +205,26 @@ class MetaJournal:
             raise ValueError("journal horizon must be >= 0")
         self.kv = kv
         self.horizon = horizon
+        #: Key head -> its FNV-1a state (``HEAD_MEMO_SIZE``).
+        self._heads: dict[str, int] = {}
+
+    def _owner(self, key: str) -> KVInstance:
+        """The KV shard of journal ``key``, routed from the FNV-1a state
+        of its head (all but its last four characters) carried over the
+        rest: a dataset's entry keys share one head for 10,000
+        versions, and its meta key keeps one."""
+        head = key[:-4]
+        state = self._heads.get(head)
+        if state is None:
+            if len(self._heads) >= HEAD_MEMO_SIZE:
+                self._heads.clear()
+            state = self._heads[head] = fnv1a_64(head)
+        return self.kv.owner(key, fnv1a_64(key[-4:], state))
 
     # ----------------------------------------------------------- recording
     def _meta(self, dataset: str) -> Optional[Tuple[int, int, int]]:
-        blob = self.kv.local_get_or_none(journal_meta_key(dataset))
+        key = journal_meta_key(dataset)
+        blob = self.kv.local_get_or_none(key, self._owner(key))
         if blob is None:
             return None
         return _META.unpack(blob)
@@ -215,7 +245,10 @@ class MetaJournal:
         written (0 when journaling is disabled, i.e. ``horizon == 0``)."""
         if self.horizon == 0:
             return 0
-        meta = self._meta(dataset)
+        meta_key = journal_meta_key(dataset)
+        meta_owner = self._owner(meta_key)  # read and written: routed once
+        blob = self.kv.local_get_or_none(meta_key, meta_owner)
+        meta = None if blob is None else _META.unpack(blob)
         if meta is None:
             oldest, count = ts, 1
         else:
@@ -226,14 +259,14 @@ class MetaJournal:
                     f"cannot record ts {ts}"
                 )
             count += 1
-        self.kv.local_put(journal_key(dataset, ts), entry)
+        key = journal_key(dataset, ts)
+        self.kv.local_put(key, entry, self._owner(key))
         while count > self.horizon:
-            self.kv.local_delete(journal_key(dataset, oldest))
+            key = journal_key(dataset, oldest)
+            self.kv.local_delete(key, self._owner(key))
             oldest += 1
             count -= 1
-        self.kv.local_put(
-            journal_meta_key(dataset), _META.pack(oldest, ts, count)
-        )
+        self.kv.local_put(meta_key, _META.pack(oldest, ts, count), meta_owner)
         return 2
 
     def drop(self, dataset: str) -> int:
@@ -301,7 +334,8 @@ class MetaJournal:
             return None  # horizon passed: the gap is unrecoverable
         entries = []
         for ts in range(from_ts + 1, newest + 1):
-            blob = self.kv.local_get_or_none(journal_key(dataset, ts))
+            key = journal_key(dataset, ts)
+            blob = self.kv.local_get_or_none(key, self._owner(key))
             if blob is None or read_entry(blob)[0] != ts:
                 return None  # hole (concurrent compaction): full reload
             entries.append(blob)

@@ -37,10 +37,10 @@ from repro.core.chunk import Chunk, HeaderTable
 from repro.core.config import DieselConfig
 from repro.core.meta_journal import (
     OP_CHUNK_DROP,
-    OP_DELETE,
     JournalOp,
     MetaJournal,
     chunk_entry,
+    delete_entry,
 )
 from repro.core.snapshot import MetadataSnapshot
 from repro.errors import (
@@ -51,6 +51,7 @@ from repro.errors import (
 )
 from repro.cluster.network import NetworkFabric
 from repro.cluster.node import Node
+from repro.kvstore.kv import KVInstance
 from repro.kvstore.sharded import ShardedKV
 from repro.obs.counters import Counters
 from repro.objectstore.store import ObjectStore
@@ -566,24 +567,43 @@ class DieselServer:
         return blob
 
     def _op_stat(self, dataset: str, path: str) -> dict:
+        """A file's length and chunk from its record's tail (no record
+        built; its ``f:`` key routed as :meth:`_file_key` does), else a
+        directory probe."""
         path = normalize(path)
-        blob = self.kv.local_get_or_none(meta.file_key(dataset, path))
+        key, owner = self._file_key(dataset, path)
+        blob = self.kv.local_get_or_none(key, owner)
         if blob is not None:
-            rec = meta.FileRecord.decode(blob)
+            raw, _, length, _ = meta.RECORD_TAIL.unpack_from(
+                blob, len(blob) - meta.RECORD_TAIL.size
+            )
+            cid = ChunkId(raw)
             return {
                 "path": path,
                 "is_dir": False,
-                "size": rec.length,
-                "chunk_id": rec.chunk_id.encode(),
+                "size": length,
+                "chunk_id": cid.encode(),
                 # Table 3: DL_stat returns "file size, upload time, etc.";
                 # the upload second is embedded in the chunk ID (Table 1).
-                "upload_time": rec.chunk_id.timestamp,
+                "upload_time": cid.timestamp,
             }
         # Directory probe: any entries under it?
         if path == "/" or self._op_ls(dataset, path):
             return {"path": path, "is_dir": True, "size": 0,
                     "chunk_id": None, "upload_time": None}
         raise FileNotFoundInDatasetError(path)
+
+    def _file_key(self, dataset: str, path: str) -> tuple[str, KVInstance]:
+        """The ``f:`` key of canonical ``path`` and its KV shard, routed
+        from the memo's FNV-1a state of its directory's file key prefix
+        carried over the basename, as ingest routes it."""
+        parent, _, name = path.rpartition("/")
+        prefix = f"{meta.file_key_prefix(dataset)}{parent}/"
+        state = self._fnv_states.get(prefix)
+        if state is None:
+            state = self._prefix_states([prefix])[0]
+        key = prefix + name
+        return key, self.kv.owner(key, fnv1a_64(name, state))
 
     def _op_ls(self, dataset: str, path: str) -> list[str]:
         """readdir = pscan hash(dir)/d ∪ pscan hash(dir)/f (§4.1.1).
@@ -720,38 +740,50 @@ class DieselServer:
         when it still describes the stored header (docs/METADATA.md).
         """
         path = normalize(path)
-        cid = self._file_record(dataset, path).chunk_id
+        kv = self.kv
+        # Each distinct key is routed once, the file's two and the
+        # dataset's from the memo's prefix states as ingest routes them.
+        parent, _, name = path.rpartition("/")
+        entry_prefix = meta.dir_scan_prefix(dataset, parent or "/", "f")
+        ds_key = meta.dataset_key(dataset)
+        entry_state, ds_state = self._prefix_states([entry_prefix, ds_key])
+        f_key, f_owner = self._file_key(dataset, path)
+        blob = kv.local_get_or_none(f_key, f_owner)
+        if blob is None:
+            raise FileNotFoundInDatasetError(path)
+        cid = ChunkId(meta.RECORD_TAIL.unpack_from(
+            blob, len(blob) - meta.RECORD_TAIL.size
+        )[0])
         key = object_key(dataset, cid)
         index, header, self._tombstone_table = Chunk.locate(
             self.store.head(key), path, self._tombstone_table
         )
         ck_key = meta.chunk_key(dataset, cid)
-        ck_blob = self.kv.local_get_or_none(ck_key)
+        ck_owner = kv.owner(ck_key)
+        ck_blob = kv.local_get_or_none(ck_key, ck_owner)
         if ck_blob is None:
             raise DieselError(f"missing chunk record for {cid.encode()}")
         crec, nbits, bits = meta.ChunkRecord.tombstone(ck_blob, index)
-        self.kv.local_put(ck_key, crec)
+        kv.local_put(ck_key, crec, ck_owner)
         # Rewrite the stored header's bitmap in place (a header-sized
         # write) from the KV record's: that one already holds the bit of
         # a delete still waiting on its own write to this chunk.
         yield from self.store.patch(
             key, Chunk.with_bitmap(header, bits, nbits)
         )
-        self.kv.local_delete(meta.file_key(dataset, path))
-        parent, _, name = path.rpartition("/")
-        self.kv.local_delete(
-            meta.dir_entry_key(dataset, parent or "/", name, False)
-        )
+        kv.local_delete(f_key, f_owner)
+        entry_key = entry_prefix + name
+        kv.local_delete(entry_key, kv.owner(entry_key, fnv1a_64(name, entry_state)))
         # Version the dataset record as it stands *now*: a chunk ingested
         # during the device write above must stay in its id list.
-        ds_key = meta.dataset_key(dataset)
-        old = self.kv.local_get_or_none(ds_key)
+        ds_owner = kv.owner(ds_key, ds_state)
+        old = kv.local_get_or_none(ds_key, ds_owner)
         if old is None:
             raise DatasetNotFoundError(dataset)
         ts, dsrec = meta.DatasetRecord.bump(old)
-        self.kv.local_put(ds_key, dsrec)
-        n_journal = self.journal.record(
-            dataset, ts, [JournalOp(OP_DELETE, path)]
+        kv.local_put(ds_key, dsrec, ds_owner)
+        n_journal = self.journal.record_encoded(
+            dataset, ts, delete_entry(ts, path.encode())
         )
         yield self.env.timeout(self._kv_pipeline_cost(4 + n_journal))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import heapq
 from itertools import filterfalse
 from typing import Any, Generator, Iterable, Iterator, Optional, Sequence
 
@@ -18,18 +19,24 @@ class KVTable:
     """An in-memory ordered-scan key-value table (keys: str, values: bytes).
 
     ``pscan`` (scan-with-prefix, §4.1.1) returns matching pairs in key
-    order from a sorted key index that is kept across writes: the keys
-    put and deleted since it was last built wait in two sets (an O(1)
-    step per write), and the next scan folds them in, the deleted ones
-    filtered out and the new ones sorted and merged as a second run,
-    into a *new* list.  :attr:`writes` counts every put, delete and
-    clear, so a reader can tell that nothing changed since it last
-    looked.
+    order from a sorted key index that is kept across writes.  The index
+    is a few sorted *runs* of keys, the eldest and largest first (a
+    small log-structured merge): a key put since the last scan waits in
+    a set, and the next scan sorts those keys into a new youngest run,
+    merging each run into its elder while it is at least half as large.
+    A key deleted since it was indexed stays in its run and waits in a
+    second set: each scan drops such keys from the slice it reads, and
+    they are cut out only when every run has merged into one (or they
+    grow to a quarter of it).  Each write is an O(1) step; a scan reads
+    one slice per run, so a narrow scan after writes costs the sort of
+    the keys written since, not a fold of the whole index.
+    :attr:`writes` counts every put, delete and clear, so a reader can
+    tell that nothing changed since it last looked.
     """
 
-    #: Keys added / removed since ``_sorted_keys`` was built; ``None``
-    #: when there are none (class-level, so a new table allocates
-    #: nothing more than before).
+    #: Keys put since the last scan, in no run yet; keys deleted since
+    #: their run was sorted.  ``None`` when there are none (class-level,
+    #: so a new table allocates nothing more than before).
     _added: Optional[set[str]] = None
     _removed: Optional[set[str]] = None
     #: Lazy scans (:meth:`scan`) started on ``_data`` and not finished:
@@ -39,7 +46,10 @@ class KVTable:
 
     def __init__(self) -> None:
         self._data: dict[str, bytes] = {}
-        self._sorted_keys: Optional[list[str]] = None
+        #: The index's sorted runs, eldest first; ``None`` until the
+        #: first scan.  A run is never changed once published (a merge
+        #: makes a new list), so a running scan keeps reading its own.
+        self._runs: Optional[list[list[str]]] = None
         #: Mutations so far (put, delete, clear); never decreases.
         self.writes = 0
 
@@ -65,7 +75,7 @@ class KVTable:
         if not isinstance(value, (bytes, bytearray, memoryview)):
             raise TypeError(f"value must be bytes, got {type(value).__name__}")
         data = self._writable()
-        if self._sorted_keys is not None and key not in data:
+        if self._runs is not None and key not in data:
             removed = self._removed
             if removed and key in removed:
                 removed.discard(key)
@@ -88,10 +98,10 @@ class KVTable:
                 self.put(key, value)
             return
         data = self._writable()
-        if self._sorted_keys is not None:
+        if self._runs is not None:
             new = set(keys).difference(data)
             removed = self._removed
-            if new and removed:  # deleted since the build: indexed still
+            if new and removed:  # deleted since indexed: in a run still
                 back = new & removed
                 removed -= back
                 new -= back
@@ -119,7 +129,7 @@ class KVTable:
         if key not in self._data:
             raise KeyNotFoundError(key)
         del self._writable()[key]
-        if self._sorted_keys is not None:
+        if self._runs is not None:
             added = self._added
             if added and key in added:
                 added.discard(key)
@@ -129,44 +139,74 @@ class KVTable:
                 self._removed.add(key)
         self.writes += 1
 
-    def _index(self) -> list[str]:
-        """The sorted key index, with the writes since its last build
-        folded in: a new list whenever it changes."""
-        index = self._sorted_keys
-        if index is None:
-            index = self._sorted_keys = sorted(self._data)
-        elif self._added or self._removed:
-            removed, added = self._removed, self._added
-            if removed:
-                index = list(filterfalse(removed.__contains__, index))
-            if added:
-                index = index + sorted(added)
-                index.sort()  # two sorted runs: one merge
-            self._sorted_keys = index
-            self._added = self._removed = None
-        return index
+    def _index(self) -> list[list[str]]:
+        """The index's runs, the keys put since the last scan sorted in
+        as the youngest, merged as the class docstring says."""
+        runs = self._runs
+        if runs is None:
+            runs = self._runs = [sorted(self._data)]
+            return runs
+        removed = self._removed
+        crowded = bool(removed) and 4 * len(removed) >= len(runs[0])
+        if not self._added and not crowded:
+            return runs
+        runs = runs[:]  # the container changes; the published runs do not
+        if self._added:
+            runs.append(sorted(self._added))
+            self._added = None
+        while len(runs) > 1 and (crowded or 2 * len(runs[-1]) >= len(runs[-2])):
+            young = runs.pop()
+            merged = runs.pop() + young
+            merged.sort()  # two sorted runs: one merge
+            runs.append(merged)
+        if len(runs) == 1 and removed:
+            runs[0] = _without(runs[0], removed)
+            self._removed = None
+        self._runs = runs
+        return runs
 
-    def _range(
+    def _slices(
         self, prefix: str, cursor: Optional[str] = None
-    ) -> tuple[list[str], int, int]:
-        """``(index, lo, hi)``: ``index[lo:hi]`` are the keys under
-        ``prefix``, past ``cursor`` when one is given."""
-        index = self._index()
-        lo = bisect.bisect_left(index, prefix)
-        if cursor is not None:
-            lo = max(lo, bisect.bisect_right(index, cursor))
-        if not prefix:
-            return index, lo, len(index)
-        # Upper bound: the smallest string greater than every key that
-        # starts with the prefix (bump the last character).
-        last = prefix[-1]
-        if ord(last) < 0x10FFFF:
-            hi = bisect.bisect_left(index, prefix[:-1] + chr(ord(last) + 1))
-            return index, lo, hi
-        hi = lo  # pragma: no cover - exotic prefix
-        while hi < len(index) and index[hi].startswith(prefix):
-            hi += 1
-        return index, lo, hi
+    ) -> list[tuple[list[str], int, int]]:
+        """``(run, lo, hi)`` per run whose ``run[lo:hi]`` holds keys under
+        ``prefix`` (past ``cursor`` when one is given); deleted keys
+        still in a run are among them."""
+        bound = _upper_bound(prefix)
+        slices = []
+        for run in self._index():
+            lo = bisect.bisect_left(run, prefix)
+            if cursor is not None:
+                lo = max(lo, bisect.bisect_right(run, cursor))
+            hi = len(run) if bound is None else bisect.bisect_left(run, bound, lo)
+            if lo < hi:
+                slices.append((run, lo, hi))
+        return slices
+
+    def _keys_in(
+        self,
+        prefix: str,
+        cursor: Optional[str] = None,
+        limit: Optional[int] = None,
+    ) -> list[str]:
+        """The held keys under ``prefix`` past ``cursor``, sorted, the
+        first ``limit`` of them: read from one slice per run, no longer
+        than ``limit`` plus the deleted keys still in a run."""
+        slices = self._slices(prefix, cursor)
+        removed = self._removed
+        if limit is not None:
+            most = limit + len(removed or ())
+            slices = [(run, lo, min(hi, lo + most)) for run, lo, hi in slices]
+        if len(slices) == 1:
+            run, lo, hi = slices[0]
+            keys = run[lo:hi]
+        else:
+            keys = []
+            for run, lo, hi in slices:
+                keys += run[lo:hi]
+            keys.sort()  # one sorted run per slice
+        if removed:
+            keys = list(filterfalse(removed.__contains__, keys))
+        return keys if limit is None else keys[:limit]
 
     def scan(
         self, prefix: str, cursor: Optional[str] = None
@@ -179,12 +219,15 @@ class KVTable:
         starts (its first pair is asked for): a write while it runs
         changes the table, not what the scan yields.
         """
-        index, lo, hi = self._range(prefix, cursor)
+        slices = self._slices(prefix, cursor)
         data = self._data
         self._pins += 1
         try:
-            for i in range(lo, hi):
-                key = index[i]
+            runs = [map(run.__getitem__, range(lo, hi)) for run, lo, hi in slices]
+            keys = runs[0] if len(runs) == 1 else heapq.merge(*runs)
+            if self._removed:  # ``data`` is pinned: it holds what is live
+                keys = filter(data.__contains__, keys)
+            for key in keys:
                 yield key, data[key]
         finally:
             if self._data is data:
@@ -199,34 +242,34 @@ class KVTable:
         """Scan keys with ``prefix`` in sorted order (the paper's *pscan*).
 
         The pairs :meth:`scan` yields, cut at ``limit`` (``None`` = no
-        cut; it must be at least 1), read as one slice of the index:
-        passing the last key of one page as ``cursor`` yields the next
-        page, and a bounded scan reads no more than ``limit`` pairs
-        however large the prefix range is.
+        cut; it must be at least 1), read as one slice of each run of
+        the index: passing the last key of one page as ``cursor`` yields
+        the next page, and a bounded scan reads no more than ``limit``
+        pairs (and the deleted keys a run still holds) however large the
+        prefix range is.
         """
         check_limit(limit)
-        index, lo, hi = self._range(prefix, cursor)
-        if limit is not None:
-            hi = min(hi, lo + limit)
         data = self._data
-        return [(key, data[key]) for key in index[lo:hi]]
+        return [(key, data[key]) for key in self._keys_in(prefix, cursor, limit)]
 
     def pcount(self, prefix: str) -> int:
         """Number of keys under ``prefix``, without materializing them."""
-        _, lo, hi = self._range(prefix)
-        return hi - lo
+        held = sum(hi - lo for _, lo, hi in self._slices(prefix))
+        removed = self._removed
+        if removed:
+            held -= sum(1 for key in removed if key.startswith(prefix))
+        return held
 
     def keys(self, prefix: str = "") -> list[str]:
         """Every key under ``prefix`` (default: every key), sorted: one
-        slice of the index."""
-        index, lo, hi = self._range(prefix)
-        return index[lo:hi]
+        slice of each run of the index."""
+        return self._keys_in(prefix)
 
     def clear(self) -> None:
         """Drop every pair."""
         self._data = {}
         self._pins = 0
-        self._sorted_keys = None
+        self._runs = None
         self._added = self._removed = None
         self.writes += 1
 
@@ -234,6 +277,33 @@ class KVTable:
         """:meth:`put` each ``(key, value)`` of ``pairs``, in order."""
         for k, v in pairs:
             self.put(k, v)
+
+
+_MAX_CHAR = chr(0x10FFFF)
+
+
+def _upper_bound(prefix: str) -> Optional[str]:
+    """The least string above every string that starts with ``prefix``,
+    ``None`` when there is none: the prefix with its trailing
+    ``U+10FFFF`` dropped and its last character bumped."""
+    stem = prefix.rstrip(_MAX_CHAR)
+    if not stem:
+        return None
+    return stem[:-1] + chr(ord(stem[-1]) + 1)
+
+
+def _without(run: list[str], gone: set[str]) -> list[str]:
+    """Sorted ``run`` less the keys of ``gone``, each of which it holds:
+    cut at each one's place when they are few, else filtered."""
+    if 32 * len(gone) > len(run):
+        return list(filterfalse(gone.__contains__, run))
+    kept: list[str] = []
+    start = 0
+    for at in sorted(bisect.bisect_left(run, key) for key in gone):
+        kept += run[start:at]
+        start = at + 1
+    kept += run[start:]
+    return kept
 
 
 _STR = frozenset({str})

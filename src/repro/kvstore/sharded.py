@@ -12,7 +12,7 @@ from repro.errors import ShardUnavailableError
 from repro.cluster.node import Node
 from repro.kvstore.kv import KVInstance, check_limit
 from repro.sim.engine import Event
-from repro.util.hashing import mix64_many, stable_hash
+from repro.util.hashing import mix64, mix64_many, stable_hash
 
 #: Redis cluster uses 16384 hash slots; we keep the same constant.
 NUM_SLOTS = 16384
@@ -56,12 +56,22 @@ class ShardedKV:
         """The key's hash slot in ``[0, NUM_SLOTS)``."""
         return stable_hash(key, NUM_SLOTS)
 
-    def owner(self, key: str) -> KVInstance:
-        """The shard that holds ``key``, up or not."""
-        return self._instances[self.slot(key) % len(self._instances)]
+    def owner(self, key: str, state: Optional[int] = None) -> KVInstance:
+        """The shard that holds ``key``, up or not.
 
-    def _live_owner(self, key: str) -> KVInstance:
-        inst = self.owner(key)
+        ``state``, when given, must be ``fnv1a_64(key)``: a caller that
+        carried the FNV-1a state of the key's prefix over its tail (as
+        :meth:`local_put_hashed`'s callers do) routes it without the
+        scalar hash of the whole key.  The shard is the same either way.
+        """
+        if state is None:
+            return self._instances[self.slot(key) % len(self._instances)]
+        return self._instances[mix64(state) % NUM_SLOTS % len(self._instances)]
+
+    def _live_owner(
+        self, key: str, owner: Optional[KVInstance] = None
+    ) -> KVInstance:
+        inst = self.owner(key) if owner is None else owner
         if not inst.up:
             raise ShardUnavailableError(
                 f"shard {inst.name!r} for key {key!r} is down"
@@ -186,9 +196,13 @@ class ShardedKV:
     # These bypass the RPC *cost* (the DIESEL server's service rate
     # already accounts for the KV round trip) but never the shard's
     # *liveness*: a dead Redis instance is dead however you reach it.
-    def local_put(self, key: str, value: bytes) -> None:
+    # ``owner``, when given, is ``owner(key)`` as the caller routed it
+    # once for several ops on the key; its liveness is read every time.
+    def local_put(
+        self, key: str, value: bytes, owner: Optional[KVInstance] = None
+    ) -> None:
         """Write bypassing RPC cost; for processes co-located with the shard."""
-        self._live_owner(key).table.put(key, value)
+        self._live_owner(key, owner).table.put(key, value)
 
     def local_put_hashed(
         self,
@@ -226,13 +240,15 @@ class ShardedKV:
         """Zero-cost get; the owner must be up."""
         return self._live_owner(key).table.get(key)
 
-    def local_get_or_none(self, key: str) -> Optional[bytes]:
+    def local_get_or_none(
+        self, key: str, owner: Optional[KVInstance] = None
+    ) -> Optional[bytes]:
         """Zero-cost get, ``None`` if absent; the owner must be up."""
-        return self._live_owner(key).table.get_or_none(key)
+        return self._live_owner(key, owner).table.get_or_none(key)
 
-    def local_delete(self, key: str) -> None:
+    def local_delete(self, key: str, owner: Optional[KVInstance] = None) -> None:
         """Zero-cost delete; the owner must be up."""
-        self._live_owner(key).table.delete(key)
+        self._live_owner(key, owner).table.delete(key)
 
     def local_pscan(self, prefix: str) -> list[tuple[str, bytes]]:
         """Zero-cost prefix scan, sorted on the full (key, value) pair:

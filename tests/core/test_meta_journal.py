@@ -1,5 +1,7 @@
 """Tests for the KV-backed per-dataset mutation journal."""
 
+import hashlib
+
 import pytest
 
 from repro.core.meta_journal import (
@@ -18,6 +20,7 @@ from repro.core.meta import FileRecord
 from repro.errors import DieselError, JournalFormatError
 from repro.util.ids import ChunkIdGenerator
 
+from tests.core.conftest import build_deployment, write_dataset
 from tests.kvstore.test_kv import build_cluster
 
 
@@ -210,3 +213,46 @@ class TestLifecycle:
         assert j.reset("ds") == 3  # prefix sweep still finds them
         assert kv.local_pscan("jr:ds:") == []
         assert j.depth("ds") == 0
+
+
+def pinned_chunk_entry() -> bytes:
+    """One chunk ingest's entry: non-ASCII paths, one path twice (an
+    overwrite inside the entry), records of two path lengths."""
+    cid = ChunkIdGenerator(machine=b"\x07" * 6, pid=11).next()
+    paths = ["/données/été/ü.bin", "/a/b", "/données/été/ü.bin", "/x"]
+    records = [
+        FileRecord(p, cid, 100 * i, 7 + i, 0xC0FFEE + i).encode()
+        for i, p in enumerate(paths)
+    ]
+    return chunk_entry(41, [p.encode() for p in paths], records, cid.raw)
+
+
+def served_delete_entry() -> bytes:
+    """The journal entry a server stores for one file delete."""
+    dep = build_deployment()
+    client = write_dataset(dep, "ds", {
+        "/données/été/ü.bin": b"u" * 300, "/a/b": b"b" * 200,
+    })
+    dep.run(client.delete("/données/été/ü.bin"))
+    kv, journal = dep.kv, dep.server.journal
+    return kv.local_get(journal_key("ds", journal.span("ds")[1]))
+
+
+class TestWireFormat:
+    """Journal entries are a wire format: clients apply what any server
+    stored.  These digests were taken from the op-at-a-time encoder
+    (``JournalEntry.encode``) before the delta path was rewritten."""
+
+    @pytest.mark.parametrize("make, digest", [
+        (pinned_chunk_entry,
+         "e038330d80fd1c30930577b86256cbc0490e0edb08767f20dd4fbc9899030df9"),
+        (lambda: JournalEntry(
+            42, (JournalOp(OP_DELETE, "/données/été/ü.bin"),)).encode(),
+         "68c4ec360a82aa5aaf2443b602ad1d46f233fbb65abdf70ab54226c71b066231"),
+        (served_delete_entry,
+         "15557b152a2ac76661a5cac4e01dc377af81c90e8d917f8e7ba011db8eb9e58c"),
+    ])
+    def test_entry_bytes_are_pinned(self, make, digest):
+        blob = make()
+        assert hashlib.sha256(blob).hexdigest() == digest
+        assert JournalEntry.decode(blob).encode() == blob

@@ -447,6 +447,47 @@ class TestWorkIsCountedNotTimed:
         assert small <= 4
 
 
+    def test_a_stat_and_a_delete_hash_the_basename(self, monkeypatch):
+        """``stat`` and ``delete_file`` route a file's keys from the
+        states of its directory's key prefixes, as ingest does, each
+        distinct key of a delete once; the journal's keys from its memo
+        of their heads.  (The parent commit hashed every key of every
+        point op whole: ~40 bytes for a stat, ~330 for a delete.)"""
+        dep = build_deployment()
+        chunk = depth3_chunk(ChunkIdGenerator(b"\x0e" * 6, 10).next(), 32, 4)
+        dep.store.load([(object_key(DS, chunk.chunk_id), chunk.encode())])
+        dep.server.ingest_metadata(DS, chunk)
+        dep.server.journal.span(DS)  # the journal's heads are memoised
+        hashed = [0]
+        fnv = hashing.fnv1a_64
+
+        def counted(data, *state):
+            hashed[0] += len(data.encode("utf-8") if isinstance(data, str) else data)
+            return fnv(data, *state)
+
+        for module in (hashing, server_module, mj):
+            monkeypatch.setattr(module, "fnv1a_64", counted)
+        records = counting(monkeypatch, meta.FileRecord, "decode")
+        ops = counting(monkeypatch, mj.JournalOp, "__post_init__")
+        path = chunk.paths[5]
+        name = path.rpartition("/")[2]
+        node = dep.client_nodes[0]
+        st = dep.run(dep.server.call(node, "stat", DS, path))
+        assert st["size"] == 16 and st["chunk_id"] == chunk.chunk_id.encode()
+        assert hashed[0] == len(name)
+        hashed[0] = 0
+        dep.run(dep.server.call(node, "delete_file", DS, path))
+        ck_key = meta.chunk_key(DS, chunk.chunk_id)
+        # The file's record and entry over the basename, the chunk
+        # record's key whole, the journal's entry and meta keys over
+        # their last four characters (it is within its horizon: no
+        # entry is compacted); the dataset key's state is the memo's.
+        assert hashed[0] == 2 * len(name) + len(ck_key) + 2 * 4
+        assert records[0] == ops[0] == 0
+        for inst in dep.kv.instances:
+            assert all(dep.kv.owner(k) is inst for k in inst.table.keys())
+
+
 @pytest.fixture
 def one_chunk():
     """A deployment holding one six-file chunk; ``(dep, key, files)``."""

@@ -302,3 +302,65 @@ class TestColumns:
         idx.stat("/train/class0/img000.jpg")
         assert idx._dirs is None
         assert idx.stat("/train")["is_dir"] and idx._dirs is not None
+
+
+class TestAppendRuns:
+    """A run of appends goes in by column when every path is new and
+    none repeats, else op by op; either way the index must answer as a
+    fresh load of the records the run leaves."""
+
+    BASE = make_snapshot(n_files=12)
+
+    def records(self, paths, cids):
+        cids = list(cids)
+        return [
+            FileRecord(p, cids[i % len(cids)], 64 * i, 7 + i, 0xE0 + i)
+            for i, p in enumerate(paths)
+        ]
+
+    def apply(self, records, grown=False):
+        from repro.core import meta_journal as mj
+
+        index = SnapshotIndex(self.BASE)
+        if grown:  # the tree and the grouping are kept up by the delta
+            index.readdir("/")
+            index.files_by_chunk()
+        entry = mj.JournalEntry(self.BASE.update_ts + 1, tuple(
+            mj.JournalOp(mj.OP_APPEND, r.path, r.encode()) for r in records
+        ))
+        assert index.apply_delta([entry.encode()]) == len(records)
+        want = {r.path: r for r in self.BASE.files}
+        want.update((r.path, r) for r in records)
+        fresh = SnapshotIndex(build_snapshot(
+            "imagenet", index.update_ts, list(want.values()),
+            self.BASE.chunk_ids,
+        ))
+        for path, record in want.items():
+            assert index.lookup(path) == record
+            assert index.locate(path) == fresh.locate(path)
+        assert sorted(index.all_paths()) == sorted(want)
+        if grown:
+            assert index.files_by_chunk() == fresh.files_by_chunk()
+            for d in fresh.walk():
+                assert index.readdir(d) == fresh.readdir(d)
+        return index
+
+    @pytest.mark.parametrize("grown", [False, True])
+    def test_new_paths_over_two_chunks(self, grown):
+        from repro.core.snapshot import COLUMN_RUN
+
+        new = [f"/nouveau/é{i:02d}.bin" for i in range(COLUMN_RUN + 4)]
+        index = self.apply(self.records(new, GEN.take(2)), grown)
+        assert index.file_count == 12 + len(new)
+
+    @pytest.mark.parametrize("grown", [False, True])
+    def test_an_overwrite_or_a_repeat_goes_op_by_op(self, grown):
+        from repro.core.snapshot import COLUMN_RUN
+
+        live = self.BASE.paths[3]
+        new = [f"/nouveau/f{i:02d}" for i in range(COLUMN_RUN + 4)]
+        for paths in (new[:5] + [live] + new[5:], new + [new[2]]):
+            self.apply(self.records(paths, GEN.take(2)), grown)
+
+    def test_a_short_run(self):
+        self.apply(self.records(["/short/a", self.BASE.paths[0]], GEN.take(1)))

@@ -9,6 +9,12 @@ and must answer ``lookup``, ``locate``, ``stat``, ``all_paths``,
 ``build_snapshot`` does.  The directory tree and the chunk grouping are
 built lazily, so each is first queried at a random step and from then
 on kept up to date by the deltas.
+
+A fresh load shares the server's write path with the journal, so both
+are also checked against a spec the rules keep by themselves: each live
+path's length and chunk, and the dataset's chunk list.  A rule learns a
+chunk's id and files from the chunk objects it made appear in the
+store, decoded by the chunk codec, never from the metadata plane.
 """
 
 from hypothesis import HealthCheck, settings
@@ -20,6 +26,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.core.chunk import Chunk
 from repro.core.snapshot import SnapshotIndex
 
 from tests.core.conftest import build_deployment, write_dataset
@@ -43,6 +50,27 @@ class SnapshotMachine(RuleBasedStateMachine):
         )
         self.held = SnapshotIndex(self.dep.server.build_snapshot(DS))
         self.tree = self.groups = False
+        #: The spec: path -> (length, chunk id) of every live file; the
+        #: dataset's chunks; the chunks holding a tombstone.
+        self.model: dict = {}
+        self.chunks: set = set()
+        self.holed: set = set()
+        self.seen: set = set()
+        self._new_chunks(lambda path, chunk: len(chunk.payload(path)))
+
+    def _new_chunks(self, length_of):
+        """Fold the chunks that appeared in the store since the last call
+        into the spec, oldest first: each listed, each of its paths at
+        ``length_of(path, chunk)`` in it."""
+        store = self.dep.store
+        for key in store.list_keys():
+            if key in self.seen:
+                continue
+            self.seen.add(key)
+            chunk = Chunk.decode(store.peek(key))
+            self.chunks.add(chunk.chunk_id)
+            for path in chunk.paths:
+                self.model[path] = (length_of(path, chunk), chunk.chunk_id)
 
     @rule(
         names=st.lists(st.sampled_from(PATHS), min_size=1, max_size=5,
@@ -58,16 +86,23 @@ class SnapshotMachine(RuleBasedStateMachine):
             yield from client.flush()
 
         self.dep.run(writer())
+        self._new_chunks(lambda path, chunk: size)
 
     @precondition(lambda self: self.held.file_count)
     @rule(data=st.data())
     def delete(self, data):
         path = data.draw(st.sampled_from(sorted(self.held.all_paths())))
         self.dep.run(self.client.delete(path))
+        self.holed.add(self.model.pop(path)[1])
 
     @rule()
     def purge(self):
         self.dep.run(self.client.purge())
+        # Every chunk with a tombstone goes; its live files move, at
+        # their lengths, into the chunks the purge wrote.
+        self.chunks -= self.holed
+        self.holed.clear()
+        self._new_chunks(lambda path, chunk: self.model[path][0])
 
     @rule()
     def query_tree(self):
@@ -78,6 +113,20 @@ class SnapshotMachine(RuleBasedStateMachine):
     def query_groups(self):
         self.held.files_by_chunk()
         self.groups = True
+
+    @invariant()
+    def answers_as_the_spec(self):
+        server, held, model = self.dep.server, self.held, self.model
+        held.apply_delta(server.journal.entries_since(DS, held.update_ts))
+        assert held.file_count == len(model)
+        assert sorted(held.all_paths()) == sorted(model)
+        assert held.chunk_ids() == tuple(sorted(self.chunks))
+        for path, (length, cid) in model.items():
+            record = held.lookup(path)
+            assert (record.length, record.chunk_id) == (length, cid)
+            assert held.locate(path)[::2] == (cid.encode(), length)
+        for path in PATHS:
+            assert (path in held) == (path in model)
 
     @invariant()
     def answers_as_a_fresh_load(self):

@@ -128,7 +128,7 @@ TestKeptIndex = IndexMachine.TestCase
 
 def test_a_new_table_allocates_no_pending_sets():
     table = KVTable()
-    assert vars(table).keys() == {"_data", "_sorted_keys", "writes"}
+    assert vars(table).keys() == {"_data", "_runs", "writes"}
 
 
 def test_put_many_refuses_what_put_refuses_with_the_pairs_ahead_written():
@@ -141,3 +141,29 @@ def test_put_many_refuses_what_put_refuses_with_the_pairs_ahead_written():
         raise AssertionError("put_many took an int key")
     assert table.pscan("") == [("a", b"1"), ("b", b"2")]
     assert type(table.get("b")) is bytes and table.writes == 2
+
+
+def test_a_scan_after_writes_sorts_the_new_keys_alone():
+    """Keys put since the last scan become a young run of their own and
+    a deleted key is dropped from the slice read: the eldest run, the
+    whole index but those keys, is neither copied nor re-sorted."""
+    table = KVTable()
+    table.put_many([f"d{i % 10}/k{i:04d}" for i in range(1000)], [b""] * 1000)
+    table.keys()
+    (base,) = table._runs
+    table.put_many([f"d3/n{i}" for i in range(5)], [b"new"] * 5)
+    table.delete("d3/k0003")
+    table.delete("d3/n0")
+    names = [key for key, _ in table.pscan("d3/")]
+    assert names == sorted(
+        [f"d3/k{i:04d}" for i in range(13, 1000, 10)] + [f"d3/n{i}" for i in range(1, 5)]
+    )
+    assert table._runs[0] is base and len(table._runs) == 2
+    assert table._removed == {"d3/k0003"}
+    assert table.pcount("d3/") == len(names)
+    # Writes that reach half the eldest run's size merge into it, and
+    # the deleted keys are cut out then.
+    table.put_many([f"e/{i:04d}" for i in range(600)], [b""] * 600)
+    assert table.pcount("d3/") == len(names)
+    (merged,) = table._runs
+    assert len(merged) == len(table) and table._removed is None
