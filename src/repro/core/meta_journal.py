@@ -34,7 +34,6 @@ from repro.core.meta import FileRecord
 from repro.errors import DieselError, JournalFormatError
 from repro.kvstore.kv import KVInstance
 from repro.kvstore.sharded import ShardedKV
-from repro.util.hashing import fnv1a_64
 from repro.util.ids import CHUNK_ID_BYTES
 
 #: An encoded entry starts with it: ts, op count.
@@ -55,9 +54,6 @@ OP_CHUNK_ADD = 2
 OP_CHUNK_DROP = 3
 
 _KINDS = frozenset({OP_APPEND, OP_DELETE, OP_CHUNK_ADD, OP_CHUNK_DROP})
-#: Bound of each journal's memo of key-head FNV-1a states: two heads
-#: per journaled dataset; past the bound the memo starts over.
-HEAD_MEMO_SIZE = 64
 
 
 def journal_key(dataset: str, ts: int) -> str:
@@ -205,21 +201,13 @@ class MetaJournal:
             raise ValueError("journal horizon must be >= 0")
         self.kv = kv
         self.horizon = horizon
-        #: Key head -> its FNV-1a state (``HEAD_MEMO_SIZE``).
-        self._heads: dict[str, int] = {}
 
     def _owner(self, key: str) -> KVInstance:
-        """The KV shard of journal ``key``, routed from the FNV-1a state
-        of its head (all but its last four characters) carried over the
-        rest: a dataset's entry keys share one head for 10,000
-        versions, and its meta key keeps one."""
-        head = key[:-4]
-        state = self._heads.get(head)
-        if state is None:
-            if len(self._heads) >= HEAD_MEMO_SIZE:
-                self._heads.clear()
-            state = self._heads[head] = fnv1a_64(head)
-        return self.kv.owner(key, fnv1a_64(key[-4:], state))
+        """The KV shard of journal ``key``, routed from the KV's prefix
+        memo by its head (all but its last four characters): a
+        dataset's entry keys share one head for 10,000 versions, and
+        its meta key keeps one."""
+        return self.kv.owner_of(key[:-4], key[-4:])
 
     # ----------------------------------------------------------- recording
     def _meta(self, dataset: str) -> Optional[Tuple[int, int, int]]:

@@ -58,7 +58,7 @@ from repro.objectstore.store import ObjectStore
 from repro.objectstore.tiered import TieredStore
 from repro.rpc.endpoint import RpcEndpoint
 from repro.sim.engine import Environment, Event
-from repro.util.hashing import FNV_OFFSET, fnv1a_64, fnv1a_64_many
+from repro.util.hashing import fnv1a_64, fnv1a_64_many
 from repro.util.ids import ChunkId, decode_chunk_id, sim_id_generator
 from repro.util.pathutil import normalize
 
@@ -82,11 +82,6 @@ _META_METHODS = frozenset(
 
 
 _SPLIT = methodcaller("rpartition", "/")
-#: Bound of each server's memo of FNV-1a states: directory key
-#: prefixes, directory link keys and dataset keys.  Every perfbench
-#: workload writes at most 373 of them; past the bound the memo starts
-#: over.
-PREFIX_MEMO_SIZE = 4096
 
 
 def object_key(dataset: str, chunk_id: ChunkId) -> str:
@@ -185,9 +180,6 @@ class DieselServer:
         #: Dataset -> the KV write count when its last snapshot was
         #: assembled, and a weak reference to that snapshot.
         self._snapshots: dict[str, tuple[int, weakref.ref]] = {}
-        #: Key prefix or whole key -> its FNV-1a state, for ingest: a
-        #: dataset's chunks share directories (``PREFIX_MEMO_SIZE``).
-        self._fnv_states: dict[str, int] = {}
         #: The file table of the chunk header last tombstoned: a delete
         #: into a header it describes walks nothing (``Chunk.locate``).
         self._tombstone_table: Optional[HeaderTable] = None
@@ -345,7 +337,7 @@ class DieselServer:
         link_keys = [key for chain in links for key in chain]
         ds_key = meta.dataset_key(dataset)
         ck_key = meta.chunk_key(dataset, cid)
-        states = self._prefix_states([*prefixes, *link_keys, ds_key])
+        states = self.kv.prefix_states([*prefixes, *link_keys, ds_key])
         name_bytes = list(map(str.encode, names))
         path_bytes = list(map(add, map(head_bytes.__getitem__, dirs), name_bytes))
         records = meta.FileRecord.pack_many(path_bytes, cid_raw, entries)
@@ -402,30 +394,6 @@ class DieselServer:
         )
         implied = 2 + n + "".join(paths).count("/")
         return implied + n_journal
-
-    def _prefix_states(self, prefixes: Sequence[str]) -> list[int]:
-        """The FNV-1a state of each of ``prefixes`` (a key that starts with
-        one is hashed on from it), from the bounded memo: the misses are
-        hashed in one kernel call and kept, the memo emptied first if they
-        would overflow it."""
-        memo = self._fnv_states
-        states = list(map(memo.get, prefixes))
-        if None in states:
-            missing = list(dict.fromkeys(
-                p for p, state in zip(prefixes, states) if state is None
-            ))
-            fresh = dict(zip(missing, fnv1a_64_many(
-                [p.encode() for p in missing], [FNV_OFFSET] * len(missing)
-            ).tolist()))
-            states = [
-                fresh[p] if state is None else state
-                for p, state in zip(prefixes, states)
-            ]
-            if len(memo) + len(fresh) > PREFIX_MEMO_SIZE:
-                memo.clear()
-            if len(fresh) <= PREFIX_MEMO_SIZE:
-                memo.update(fresh)
-        return states
 
     # ------------------------------------------------------------ operations
     def _op_ingest_chunk(
@@ -599,11 +567,7 @@ class DieselServer:
         carried over the basename, as ingest routes it."""
         parent, _, name = path.rpartition("/")
         prefix = f"{meta.file_key_prefix(dataset)}{parent}/"
-        state = self._fnv_states.get(prefix)
-        if state is None:
-            state = self._prefix_states([prefix])[0]
-        key = prefix + name
-        return key, self.kv.owner(key, fnv1a_64(name, state))
+        return prefix + name, self.kv.owner_of(prefix, name)
 
     def _op_ls(self, dataset: str, path: str) -> list[str]:
         """readdir = pscan hash(dir)/d ∪ pscan hash(dir)/f (§4.1.1).
@@ -742,11 +706,7 @@ class DieselServer:
         path = normalize(path)
         kv = self.kv
         # Each distinct key is routed once, the file's two and the
-        # dataset's from the memo's prefix states as ingest routes them.
-        parent, _, name = path.rpartition("/")
-        entry_prefix = meta.dir_scan_prefix(dataset, parent or "/", "f")
-        ds_key = meta.dataset_key(dataset)
-        entry_state, ds_state = self._prefix_states([entry_prefix, ds_key])
+        # dataset's from the KV's prefix memo as ingest routes them.
         f_key, f_owner = self._file_key(dataset, path)
         blob = kv.local_get_or_none(f_key, f_owner)
         if blob is None:
@@ -772,11 +732,13 @@ class DieselServer:
             key, Chunk.with_bitmap(header, bits, nbits)
         )
         kv.local_delete(f_key, f_owner)
-        entry_key = entry_prefix + name
-        kv.local_delete(entry_key, kv.owner(entry_key, fnv1a_64(name, entry_state)))
+        parent, _, name = path.rpartition("/")
+        entry_prefix = meta.dir_scan_prefix(dataset, parent or "/", "f")
+        kv.local_delete(entry_prefix + name, kv.owner_of(entry_prefix, name))
         # Version the dataset record as it stands *now*: a chunk ingested
         # during the device write above must stay in its id list.
-        ds_owner = kv.owner(ds_key, ds_state)
+        ds_key = meta.dataset_key(dataset)
+        ds_owner = kv.owner_of(ds_key, "")
         old = kv.local_get_or_none(ds_key, ds_owner)
         if old is None:
             raise DatasetNotFoundError(dataset)

@@ -57,9 +57,6 @@ assert array("I").itemsize == 4 and array("Q").itemsize == 8
 _COLUMNS = (("chunk", "I"), ("offset", "Q"), ("length", "Q"), ("crc32", "I"))
 
 _new_record = tuple.__new__  # a record at tuple cost
-#: Appends in one run from which :meth:`SnapshotIndex.apply_delta` goes
-#: by column: below it, setting the columns up costs more than it saves.
-COLUMN_RUN = 8
 
 
 def _column(values: np.ndarray, typecode: str) -> array:
@@ -500,8 +497,9 @@ class SnapshotIndex:
         return row
 
     def apply_delta(self, entries: Sequence[bytes]) -> int:
-        """Patch the index in place from encoded journal ``entries``;
-        O(delta), with no op or record built.
+        """Patch the index in place from encoded journal ``entries``,
+        walking each blob's ops in one pass with no op or record built;
+        O(delta).
 
         ``entries`` must be the contiguous run of mutations immediately
         following this index's version — the first entry at
@@ -509,159 +507,135 @@ class SnapshotIndex:
         (a gap past the journal horizon, or re-applying an already
         applied delta) raises :class:`DeltaConflictError` instead of
         silently corrupting the index; a malformed blob raises
-        :class:`~repro.errors.JournalFormatError` (the checks of
-        :func:`~repro.core.meta_journal.read_entry`, and an append whose
-        payload is not exactly one record of the op's path length).
-        Either leaves an index only a full reload repairs.
-
-        Each entry is walked once to find and check its ops' bounds,
-        then applied: a run of appends by column (:meth:`_append_run`),
-        every other op on its own.  Updates the columns, and the tree
-        and the ``files_by_chunk`` grouping where built, in place — no
-        rebuild.  Returns the number of ops applied.
+        :class:`~repro.errors.JournalFormatError` where the walk meets it
+        (the checks of :func:`~repro.core.meta_journal.read_entry`, and
+        an append whose payload is not exactly one record of the op's
+        path length), and like a
+        conflict leaves an index only a full reload repairs.  Updates
+        the columns, and the tree and the ``files_by_chunk`` grouping
+        where built, in place — no rebuild.  Returns the number of ops
+        applied.
         """
         if self._loaded is not None:  # copy what the snapshot shares
             self._loaded = None
             self._paths, self._files = list(self._paths), dict(self._files)
             self._chunk, self._offset = self._chunk[:], self._offset[:]
             self._length, self._crc = self._length[:], self._crc[:]
+        files, paths, cids, chunk_row = (
+            self._files, self._paths, self._cids, self._chunk_row
+        )
+        chunk, offset, length, crc = (
+            self._chunk, self._offset, self._length, self._crc
+        )
+        dirs, by_chunk = self._dirs, self._by_chunk
+        entry_head, op_head, tail = mj.ENTRY_HEAD, mj.OP_HEAD, RECORD_TAIL
         applied = 0
         for blob in entries:
-            ts, n_ops, ops = _walk_entry(blob)
+            end = len(blob)
+            if end < entry_head.size:
+                raise JournalFormatError(
+                    f"journal entry of {end} bytes has no head"
+                )
+            ts, n_ops = entry_head.unpack_from(blob, 0)
             if ts != self._update_ts + 1:
                 raise DeltaConflictError(self.dataset, self._update_ts, ts)
-            for kind, starts, ends in ops:
+            pos = entry_head.size
+            for _ in range(n_ops):
+                path_at = pos + op_head.size
+                if path_at > end:
+                    raise JournalFormatError(
+                        f"journal op head at {pos} leaves the entry"
+                    )
+                kind, path_len, payload_len = op_head.unpack_from(blob, pos)
+                payload_at = path_at + path_len
+                pos = payload_at + payload_len
+                if pos > end:
+                    raise JournalFormatError(
+                        f"journal op at {path_at} runs to {pos}, "
+                        f"entry ends at {end}"
+                    )
                 if kind == mj.OP_APPEND:
-                    self._append_run(blob, starts, ends)
+                    # The payload is one packed record of the op's path:
+                    # its name and tail sit at fixed places.
+                    if payload_len != path_len + mj.RECORD_FIXED:
+                        raise JournalFormatError(
+                            f"journal append at {payload_at} is not one "
+                            f"record of a {path_len}-byte path"
+                        )
+                    tail_at = pos - tail.size
+                    path = blob[payload_at + _U32.size : tail_at].decode("utf-8")
+                    raw, off, n, check = tail.unpack_from(blob, tail_at)
+                    crow = chunk_row.get(raw)
+                    if crow is None:
+                        crow = self._intern(raw)
+                    new = len(paths)
+                    row = files.setdefault(path, new)
+                    if row == new:  # a new path takes a new last row
+                        paths.append(path)
+                        chunk.append(crow)
+                        offset.append(off)
+                        length.append(n)
+                        crc.append(check)
+                        if dirs is not None:
+                            self._link(path)
+                        if by_chunk is not None:
+                            self._regroup(path, None, crow)
+                    else:
+                        old = chunk[row]
+                        chunk[row], offset[row] = crow, off
+                        length[row], crc[row] = n, check
+                        if by_chunk is not None:
+                            self._regroup(path, old, crow)
                 elif kind == mj.OP_DELETE:
-                    self._delete(blob[starts:ends].decode("utf-8"))
+                    path = blob[path_at:payload_at].decode("utf-8")
+                    row = files.pop(path, None)
+                    if row is None:
+                        raise DeltaConflictError(
+                            self.dataset, self._update_ts,
+                            self._update_ts + 1,
+                            detail=f"delete of unknown path {path!r}",
+                        )
+                    cid = cids[chunk[row]]
+                    last = len(paths) - 1
+                    if row != last:  # refill the row from the last one
+                        moved = paths[row] = paths[last]
+                        files[moved] = row
+                        chunk[row], offset[row] = chunk[last], offset[last]
+                        length[row], crc[row] = length[last], crc[last]
+                    paths.pop()
+                    chunk.pop()
+                    offset.pop()
+                    length.pop()
+                    crc.pop()
+                    if dirs is not None:
+                        self._unlink(path)
+                    if by_chunk is not None:
+                        self._ungroup(path, cid)
                 elif kind == mj.OP_CHUNK_ADD:
-                    cid = self._cids[self._intern(blob[starts:ends])]
+                    cid = cids[self._intern(blob[payload_at:pos])]
                     i = bisect.bisect_left(self._chunk_ids, cid)
                     if i == len(self._chunk_ids) or self._chunk_ids[i] != cid:
                         self._chunk_ids.insert(i, cid)
-                else:  # OP_CHUNK_DROP
-                    raw = blob[starts:ends]
+                elif kind == mj.OP_CHUNK_DROP:
+                    raw = blob[payload_at:pos]
                     cid = ChunkId(raw)
                     i = bisect.bisect_left(self._chunk_ids, cid)
                     if i < len(self._chunk_ids) and self._chunk_ids[i] == cid:
                         del self._chunk_ids[i]
-                    self._chunk_row.pop(raw, None)
-                    if self._by_chunk is not None:
-                        self._by_chunk.pop(cid, None)
+                    chunk_row.pop(raw, None)
+                    if by_chunk is not None:
+                        by_chunk.pop(cid, None)
+                else:
+                    raise JournalFormatError(
+                        f"unknown journal op kind {kind!r}"
+                    )
+            if pos != end:
+                raise JournalFormatError(
+                    f"{end - pos} bytes follow the entry's last op"
+                )
             applied += n_ops
             self._update_ts = ts
         return applied
-
-    def _append_run(
-        self, blob: bytes, names: list[int], tails: list[int]
-    ) -> None:
-        """Upsert the files of consecutive appends of ``blob``, the i-th
-        one's path at ``blob[names[i]:tails[i]]`` and its record tail
-        (:data:`~repro.core.meta.RECORD_TAIL`) at ``tails[i]``.
-
-        A run of at least ``COLUMN_RUN`` new paths, none repeated — a
-        chunk ingest's entry — goes in by column: each path takes the
-        next row in one ``setdefault`` pass, and the tails, joined, are
-        read as one numpy array and extend each column at once.  Any
-        other run goes op by op, in order, an overwrite rewriting its
-        row."""
-        paths = [blob[a:t].decode("utf-8") for a, t in zip(names, tails)]
-        files = self._files
-        first = len(self._paths)
-        rows = range(first, first + len(paths))
-        if len(paths) >= COLUMN_RUN:
-            taken = list(map(files.setdefault, paths, rows))
-            if taken == list(rows):  # every path new, none repeated
-                ends = [at + RECORD_TAIL.size for at in tails]
-                self._extend(paths, b"".join(
-                    map(blob.__getitem__, map(slice, tails, ends))
-                ))
-                return
-            for path, got, row in zip(paths, taken, rows):
-                if got == row:  # new here: the op walk below adds it
-                    del files[path]
-        unpack, intern = RECORD_TAIL.unpack_from, self._intern
-        for path, at in zip(paths, tails):
-            raw, off, length, check = unpack(blob, at)
-            self._upsert(path, intern(raw), off, length, check)
-
-    def _extend(self, paths: list[str], tails: bytes) -> None:
-        """Fill the rows ``_files`` already gives the new ``paths`` (the
-        next ones, in order) from their joined record ``tails``."""
-        cols = np.frombuffer(tails, _TAIL)
-        raws = np.frombuffer(tails, np.uint8).reshape(len(paths), -1)
-        raws = raws[:, :CHUNK_ID_BYTES]
-        if (raws == raws[0]).all():  # one chunk's files
-            chunks = array("I", [self._intern(raws[0].tobytes())]) * len(paths)
-        else:
-            uniq, inverse = np.unique(cols["cid"], return_inverse=True)
-            rows = np.array([self._intern(raw.tobytes()) for raw in uniq])
-            chunks = _column(rows[inverse], "I")
-        self._paths += paths
-        self._chunk += chunks
-        self._offset.frombytes(cols["offset"].astype("Q").tobytes())
-        self._length.frombytes(cols["length"].astype("Q").tobytes())
-        self._crc.frombytes(cols["crc32"].astype("I").tobytes())
-        if self._dirs is not None:
-            for path in paths:
-                self._link(path)
-        if self._by_chunk is not None:
-            for path, crow in zip(paths, chunks):
-                self._regroup(path, None, crow)
-
-    def _upsert(
-        self, path: str, crow: int, off: int, n: int, check: int
-    ) -> None:
-        """One append: a new path takes a new last row, a live one has
-        its row rewritten."""
-        new = len(self._paths)
-        row = self._files.setdefault(path, new)
-        if row == new:
-            self._paths.append(path)
-            self._chunk.append(crow)
-            self._offset.append(off)
-            self._length.append(n)
-            self._crc.append(check)
-            if self._dirs is not None:
-                self._link(path)
-            if self._by_chunk is not None:
-                self._regroup(path, None, crow)
-        else:
-            old = self._chunk[row]
-            self._chunk[row], self._offset[row] = crow, off
-            self._length[row], self._crc[row] = n, check
-            if self._by_chunk is not None:
-                self._regroup(path, old, crow)
-
-    def _delete(self, path: str) -> None:
-        """Drop a live file, its row refilled from the last row."""
-        files, paths = self._files, self._paths
-        chunk, offset, length, crc = (
-            self._chunk, self._offset, self._length, self._crc
-        )
-        row = files.pop(path, None)
-        if row is None:
-            raise DeltaConflictError(
-                self.dataset, self._update_ts, self._update_ts + 1,
-                detail=f"delete of unknown path {path!r}",
-            )
-        cid = self._cids[chunk[row]]
-        last = len(paths) - 1
-        if row != last:  # refill the row from the last one
-            moved = paths[row] = paths[last]
-            files[moved] = row
-            chunk[row], offset[row] = chunk[last], offset[last]
-            length[row], crc[row] = length[last], crc[last]
-        paths.pop()
-        chunk.pop()
-        offset.pop()
-        length.pop()
-        crc.pop()
-        if self._dirs is not None:
-            self._unlink(path)
-        if self._by_chunk is not None:
-            self._ungroup(path, cid)
 
     def _ungroup(self, path: str, cid: ChunkId) -> None:
         """Take ``path`` out of chunk ``cid``'s group; an emptied group
@@ -683,66 +657,6 @@ class SnapshotIndex:
             path,
             key=lambda p: offset[files[p]],
         )
-
-
-def _walk_entry(blob: bytes) -> tuple[int, int, list[tuple]]:
-    """``(ts, op count, ops)`` of an encoded journal entry, every op's
-    bounds checked as :func:`~repro.core.meta_journal.read_entry` checks
-    them and each append's payload as one record of its path.
-
-    ``ops`` holds ``(kind, start, end)`` per op but an append, whose
-    payload bytes are ``blob[start:end]``; consecutive appends are one
-    ``(OP_APPEND, names, tails)``: the offsets where each record's path
-    starts and where its tail does.
-    """
-    end = len(blob)
-    if end < mj.ENTRY_HEAD.size:
-        raise JournalFormatError(f"journal entry of {end} bytes has no head")
-    ts, n_ops = mj.ENTRY_HEAD.unpack_from(blob, 0)
-    unpack, head_size, append = mj.OP_HEAD.unpack_from, mj.OP_HEAD.size, mj.OP_APPEND
-    # An append's payload is one packed record of the op's path: its
-    # name starts past the record's length field, its tail ends it.
-    fixed, name_skip, tail_skip = mj.RECORD_FIXED, _U32.size, RECORD_TAIL.size
-    ops: list[tuple] = []
-    names: list[int] = []
-    tails: list[int] = []
-    add_name, add_tail = names.append, tails.append
-    run = 0  # where the appends not yet in ``ops`` start in ``names``
-    pos = mj.ENTRY_HEAD.size
-    for _ in range(n_ops):
-        if pos + head_size > end:
-            raise JournalFormatError(f"journal op head at {pos} leaves the entry")
-        kind, path_len, payload_len = unpack(blob, pos)
-        payload_at = pos + head_size + path_len
-        pos = payload_at + payload_len
-        if kind == append and payload_len == path_len + fixed and pos <= end:
-            add_name(payload_at + name_skip)
-            add_tail(pos - tail_skip)
-            continue
-        if pos > end:
-            raise JournalFormatError(
-                f"journal op at {payload_at - path_len} runs to {pos}, "
-                f"entry ends at {end}"
-            )
-        if kind == append:
-            raise JournalFormatError(
-                f"journal append at {payload_at} is not one record of "
-                f"a {path_len}-byte path"
-            )
-        if run < len(names):
-            ops.append((append, names[run:], tails[run:]))
-            run = len(names)
-        if kind == mj.OP_DELETE:
-            ops.append((kind, payload_at - path_len, payload_at))
-        elif kind in (mj.OP_CHUNK_ADD, mj.OP_CHUNK_DROP):
-            ops.append((kind, payload_at, pos))
-        else:
-            raise JournalFormatError(f"unknown journal op kind {kind!r}")
-    if pos != end:
-        raise JournalFormatError(f"{end - pos} bytes follow the entry's last op")
-    if run < len(names):
-        ops.append((append, names[run:], tails[run:]))
-    return ts, n_ops, ops
 
 
 def build_snapshot(

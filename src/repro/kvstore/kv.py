@@ -160,7 +160,7 @@ class KVTable:
             merged.sort()  # two sorted runs: one merge
             runs.append(merged)
         if len(runs) == 1 and removed:
-            runs[0] = _without(runs[0], removed)
+            runs[0] = list(filterfalse(removed.__contains__, runs[0]))
             self._removed = None
         self._runs = runs
         return runs
@@ -290,20 +290,6 @@ def _upper_bound(prefix: str) -> Optional[str]:
     if not stem:
         return None
     return stem[:-1] + chr(ord(stem[-1]) + 1)
-
-
-def _without(run: list[str], gone: set[str]) -> list[str]:
-    """Sorted ``run`` less the keys of ``gone``, each of which it holds:
-    cut at each one's place when they are few, else filtered."""
-    if 32 * len(gone) > len(run):
-        return list(filterfalse(gone.__contains__, run))
-    kept: list[str] = []
-    start = 0
-    for at in sorted(bisect.bisect_left(run, key) for key in gone):
-        kept += run[start:at]
-        start = at + 1
-    kept += run[start:]
-    return kept
 
 
 _STR = frozenset({str})

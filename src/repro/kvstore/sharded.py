@@ -12,10 +12,22 @@ from repro.errors import ShardUnavailableError
 from repro.cluster.node import Node
 from repro.kvstore.kv import KVInstance, check_limit
 from repro.sim.engine import Event
-from repro.util.hashing import mix64, mix64_many, stable_hash
+from repro.util.hashing import (
+    FNV_OFFSET,
+    fnv1a_64,
+    fnv1a_64_many,
+    mix64,
+    mix64_many,
+    stable_hash,
+)
 
 #: Redis cluster uses 16384 hash slots; we keep the same constant.
 NUM_SLOTS = 16384
+#: Bound of each cluster's memo of FNV-1a prefix states: directory key
+#: prefixes, directory link and dataset keys, journal key heads.  Every
+#: perfbench workload routes from a few hundred of them; past the bound
+#: the memo starts over.
+PREFIX_MEMO_SIZE = 4096
 
 
 class ShardedKV:
@@ -30,6 +42,10 @@ class ShardedKV:
         if not instances:
             raise ValueError("ShardedKV needs at least one instance")
         self._instances = list(instances)
+        #: Key prefix or whole key -> its FNV-1a state
+        #: (``PREFIX_MEMO_SIZE``): the keys of a dataset's files share
+        #: their directories' prefixes, its journal's keys their heads.
+        self._prefix_memo: dict[str, int] = {}
 
     def _call_inst(
         self, client: Node, inst: KVInstance, method: str, *args: Any,
@@ -56,17 +72,43 @@ class ShardedKV:
         """The key's hash slot in ``[0, NUM_SLOTS)``."""
         return stable_hash(key, NUM_SLOTS)
 
-    def owner(self, key: str, state: Optional[int] = None) -> KVInstance:
-        """The shard that holds ``key``, up or not.
+    def owner(self, key: str) -> KVInstance:
+        """The shard that holds ``key``, up or not."""
+        return self._instances[self.slot(key) % len(self._instances)]
 
-        ``state``, when given, must be ``fnv1a_64(key)``: a caller that
-        carried the FNV-1a state of the key's prefix over its tail (as
-        :meth:`local_put_hashed`'s callers do) routes it without the
-        scalar hash of the whole key.  The shard is the same either way.
-        """
+    def owner_of(self, prefix: str, tail: str) -> KVInstance:
+        """:meth:`owner` of ``prefix + tail``, routed from the memo's
+        FNV-1a state of ``prefix`` carried over ``tail`` alone (the
+        same shard, without the scalar hash of the whole key)."""
+        state = self._prefix_memo.get(prefix)
         if state is None:
-            return self._instances[self.slot(key) % len(self._instances)]
-        return self._instances[mix64(state) % NUM_SLOTS % len(self._instances)]
+            state = self.prefix_states([prefix])[0]
+        slot = mix64(fnv1a_64(tail, state)) % NUM_SLOTS
+        return self._instances[slot % len(self._instances)]
+
+    def prefix_states(self, prefixes: Sequence[str]) -> list[int]:
+        """The FNV-1a state of each of ``prefixes`` (a key that starts with
+        one is hashed on from it), from the bounded memo: the misses are
+        hashed in one kernel call and kept, the memo emptied first if they
+        would overflow it."""
+        memo = self._prefix_memo
+        states = list(map(memo.get, prefixes))
+        if None in states:
+            missing = list(dict.fromkeys(
+                p for p, state in zip(prefixes, states) if state is None
+            ))
+            fresh = dict(zip(missing, fnv1a_64_many(
+                [p.encode() for p in missing], [FNV_OFFSET] * len(missing)
+            ).tolist()))
+            states = [
+                fresh[p] if state is None else state
+                for p, state in zip(prefixes, states)
+            ]
+            if len(memo) + len(fresh) > PREFIX_MEMO_SIZE:
+                memo.clear()
+            if len(fresh) <= PREFIX_MEMO_SIZE:
+                memo.update(fresh)
+        return states
 
     def _live_owner(
         self, key: str, owner: Optional[KVInstance] = None

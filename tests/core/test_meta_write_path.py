@@ -19,6 +19,7 @@ from repro.core import meta_journal as mj
 from repro.core import server as server_module
 from repro.core.chunk import Chunk, ChunkFile
 from repro.core.server import object_key
+from repro.kvstore import sharded as sharded_module
 from repro.errors import ChunkChecksumError, ChunkFormatError
 from repro.util import hashing
 from repro.util.bitmap import Bitmap
@@ -183,7 +184,7 @@ class TestColumnsAgainstThePerFileReference:
                 {i for i in dead if i < len(paths)},
             )
             if cold:
-                server._fnv_states.clear()
+                dep.kv._prefix_memo.clear()
             pairs, count = reference_pairs(chunk, ts, ids[:ts])
             ops = [
                 mj.JournalOp(
@@ -230,10 +231,11 @@ class TestPrefixMemo:
         self, monkeypatch
     ):
         bound = 16
-        monkeypatch.setattr(server_module, "PREFIX_MEMO_SIZE", bound)
-        calls = counting(monkeypatch, server_module, "fnv1a_64_many")
+        monkeypatch.setattr(sharded_module, "PREFIX_MEMO_SIZE", bound)
+        misses = counting(monkeypatch, sharded_module, "fnv1a_64_many")
+        tails = counting(monkeypatch, server_module, "fnv1a_64_many")
         dep = build_deployment()
-        memo = dep.server._fnv_states
+        memo = dep.kv._prefix_memo
         gen = ChunkIdGenerator(b"\x0f" * 6, 11)
 
         def ingest(top, n_dirs):
@@ -243,15 +245,16 @@ class TestPrefixMemo:
             ]))
             assert len(memo) <= bound
 
-        # Four directories: 8 prefixes, 5 link keys, the dataset key.
+        # Four directories: 8 prefixes, 5 link keys, the dataset key in
+        # one kernel call; then the journal's meta and entry key heads.
         ingest("a", 4)
-        assert len(memo) == 14 and calls[0] == 2
+        assert len(memo) == 16 and misses[0] == 3 and tails[0] == 1
         ingest("a", 4)  # all warm: one kernel call, over the basenames
-        assert len(memo) == 14 and calls[0] == 3
+        assert len(memo) == 16 and misses[0] == 3 and tails[0] == 2
         ingest("b", 4)  # 13 new states overflow the bound: start over
-        assert len(memo) == 13
+        assert len(memo) == 13 + 2
         ingest("c", 12)  # more new states than the bound: none kept
-        assert memo == {}
+        assert len(memo) == 2  # but the journal's heads, asked for after
         for inst in dep.kv.instances:
             assert all(dep.kv.owner(k) is inst for k in inst.table.keys())
 
@@ -368,16 +371,17 @@ class TestWorkIsCountedNotTimed:
             hashed[0] += sum(map(len, tails))
             return fnv_many(tails, states)
 
-        for module in (hashing, server_module):
+        for module in (hashing, server_module, sharded_module):
             monkeypatch.setattr(module, "fnv1a_64", counted)
-        for module in (hashing, server_module):
+        for module in (hashing, server_module, sharded_module):
             monkeypatch.setattr(module, "fnv1a_64_many", counted_many)
         writes = dep.kv.writes
         dep.server.ingest_metadata(DS, chunk)
         puts = [dep.kv.writes - writes]  # pairs written, batched or not
         # Two kernel calls, not a hash per key or per directory: one over
-        # the new directories' key prefixes, one over the chunk's keys.
-        assert batches[0] == 2
+        # the new directories' key prefixes, one over the chunk's keys;
+        # then one per journal key head, the dataset's first entry.
+        assert batches[0] == 2 + 2
         # Two keys per file (its record, its directory entry) are hashed
         # for their KV slot over the basename alone, each continuing a
         # state its directory's keys share; every directory — the eight
@@ -450,8 +454,8 @@ class TestWorkIsCountedNotTimed:
     def test_a_stat_and_a_delete_hash_the_basename(self, monkeypatch):
         """``stat`` and ``delete_file`` route a file's keys from the
         states of its directory's key prefixes, as ingest does, each
-        distinct key of a delete once; the journal's keys from its memo
-        of their heads.  (The parent commit hashed every key of every
+        distinct key of a delete once; the journal's keys from the same
+        memo by their heads.  (The parent commit hashed every key of every
         point op whole: ~40 bytes for a stat, ~330 for a delete.)"""
         dep = build_deployment()
         chunk = depth3_chunk(ChunkIdGenerator(b"\x0e" * 6, 10).next(), 32, 4)
@@ -465,7 +469,7 @@ class TestWorkIsCountedNotTimed:
             hashed[0] += len(data.encode("utf-8") if isinstance(data, str) else data)
             return fnv(data, *state)
 
-        for module in (hashing, server_module, mj):
+        for module in (hashing, server_module, sharded_module):
             monkeypatch.setattr(module, "fnv1a_64", counted)
         records = counting(monkeypatch, meta.FileRecord, "decode")
         ops = counting(monkeypatch, mj.JournalOp, "__post_init__")
@@ -481,7 +485,8 @@ class TestWorkIsCountedNotTimed:
         # The file's record and entry over the basename, the chunk
         # record's key whole, the journal's entry and meta keys over
         # their last four characters (it is within its horizon: no
-        # entry is compacted); the dataset key's state is the memo's.
+        # entry is compacted); the dataset key's state is the memo's,
+        # carried over no tail.
         assert hashed[0] == 2 * len(name) + len(ck_key) + 2 * 4
         assert records[0] == ops[0] == 0
         for inst in dep.kv.instances:

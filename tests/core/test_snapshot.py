@@ -304,10 +304,10 @@ class TestColumns:
         assert idx.stat("/train")["is_dir"] and idx._dirs is not None
 
 
-class TestAppendRuns:
-    """A run of appends goes in by column when every path is new and
-    none repeats, else op by op; either way the index must answer as a
-    fresh load of the records the run leaves."""
+class TestAppendsInADelta:
+    """Overwrites and repeats of a path in one entry, re-appends across
+    entries: the index must answer as a fresh load of the records the
+    delta leaves."""
 
     BASE = make_snapshot(n_files=12)
 
@@ -346,21 +346,43 @@ class TestAppendRuns:
         return index
 
     @pytest.mark.parametrize("grown", [False, True])
-    def test_new_paths_over_two_chunks(self, grown):
-        from repro.core.snapshot import COLUMN_RUN
-
-        new = [f"/nouveau/é{i:02d}.bin" for i in range(COLUMN_RUN + 4)]
-        index = self.apply(self.records(new, GEN.take(2)), grown)
-        assert index.file_count == 12 + len(new)
-
-    @pytest.mark.parametrize("grown", [False, True])
-    def test_an_overwrite_or_a_repeat_goes_op_by_op(self, grown):
-        from repro.core.snapshot import COLUMN_RUN
-
+    def test_an_overwrite_or_a_repeat(self, grown):
         live = self.BASE.paths[3]
-        new = [f"/nouveau/f{i:02d}" for i in range(COLUMN_RUN + 4)]
+        new = [f"/nouveau/f{i:02d}" for i in range(12)]
         for paths in (new[:5] + [live] + new[5:], new + [new[2]]):
             self.apply(self.records(paths, GEN.take(2)), grown)
 
-    def test_a_short_run(self):
-        self.apply(self.records(["/short/a", self.BASE.paths[0]], GEN.take(1)))
+    @pytest.mark.parametrize("grown", [False, True])
+    def test_one_file_entries_in_a_row_and_a_delete_between(self, grown):
+        """A later entry may append a path an earlier one deleted."""
+        from repro.core import meta_journal as mj
+
+        index = SnapshotIndex(self.BASE)
+        if grown:
+            index.readdir("/")
+            index.files_by_chunk()
+        gone = self.BASE.paths[0]
+        records = self.records(
+            [f"/solo/s{i}" for i in range(4)] + [gone, "/solo/s9"],
+            GEN.take(2),
+        )
+        ops = [[mj.JournalOp(mj.OP_APPEND, r.path, r.encode())]
+               for r in records]
+        ops.insert(2, [mj.JournalOp(mj.OP_DELETE, gone)])
+        ts = self.BASE.update_ts
+        entries = [mj.JournalEntry(ts + 1 + i, tuple(o)).encode()
+                   for i, o in enumerate(ops)]
+        assert index.apply_delta(entries) == len(entries)
+        want = {r.path: r for r in self.BASE.files}
+        want.update((r.path, r) for r in records)
+        fresh = SnapshotIndex(build_snapshot(
+            "imagenet", index.update_ts, list(want.values()),
+            self.BASE.chunk_ids,
+        ))
+        assert sorted(index.all_paths()) == sorted(want)
+        for path, record in want.items():
+            assert index.locate(path) == fresh.locate(path)
+        if grown:
+            assert index.files_by_chunk() == fresh.files_by_chunk()
+            for d in fresh.walk():
+                assert index.readdir(d) == fresh.readdir(d)
