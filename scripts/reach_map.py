@@ -2,7 +2,8 @@
 """Which scenario reaches each def of ``src/repro``: a measured reach map.
 
 Runs every registered experiment (``ALL_EXPERIMENTS``, at its default
-size), each perfbench workload at ``--scale tiny`` (through
+size) and judges its claims (``CLAIMS[id]`` on its result, as the
+runner does), each perfbench workload at ``--scale tiny`` (through
 ``perfbench.harness.run_workload``) and each ``examples/*.py`` under a
 ``sys.setprofile`` hook that notes the code object of every Python
 call, deduplicated per scenario.  The defs of ``src/repro`` files are
@@ -138,13 +139,21 @@ def import_all() -> None:
         importlib.import_module(mod.name)
 
 
+def run_and_judge(experiment: str) -> None:
+    """Run one experiment and judge its claims on the result."""
+    from repro.bench.claims import CLAIMS
+    from repro.bench.experiments import ALL_EXPERIMENTS
+
+    CLAIMS[experiment](ALL_EXPERIMENTS[experiment]())
+
+
 def scenarios() -> dict:
     """Scenario name → a no-argument callable that runs it."""
     from perfbench.harness import run_workload
     from perfbench.workloads import WORKLOADS
     from repro.bench.experiments import ALL_EXPERIMENTS
 
-    out = dict(ALL_EXPERIMENTS)
+    out = {name: partial(run_and_judge, name) for name in ALL_EXPERIMENTS}
     for name in WORKLOADS:
         out[name] = partial(run_workload, name, seed=0, seconds=1, scale="tiny")
     for path in sorted((ROOT / "examples").glob("*.py")):

@@ -1166,7 +1166,7 @@ def ingest_pipeline(
                 sim_id_generator("ingest", clock=lambda: tb.env.now),
                 chunk_size=chunk_size,
             )
-            chunks = builder.build_all(items)  # zero simulated cost
+            chunks = list(builder.build_stream(items))  # zero simulated cost
 
             def ship():
                 if depth <= 1:

@@ -142,10 +142,7 @@ def add_diesel(
     instances = []
     for i in range(n_kv):
         node = tb.storage_nodes[i % len(tb.storage_nodes)]
-        instances.append(
-            KVInstance(tb.env, tb.fabric, node, f"redis{i}",
-                       qps=cal.redis.cluster_qps / n_kv)
-        )
+        instances.append(KVInstance(tb.env, tb.fabric, node, f"redis{i}"))
     tb.kv = ShardedKV(instances)
     if tiered:
         hdd = _Device(tb.env, "hdd-pool", cal.hdd.per_op_s,

@@ -163,17 +163,12 @@ class RedisProfile:
     """Redis-cluster metadata store (§6.1, §6.3).
 
     The paper's 16-instance Redis cluster saturates at ~0.97 M QPS
-    (measured with memtier_benchmark).  We model per-instance capacity as
-    cluster cap / 16.
+    (measured with memtier_benchmark).  The server charges its KV work
+    at that aggregate rate (``DieselServer._kv_pipeline_cost``).
     """
 
     cluster_qps: float = 970_000.0
     instances: int = 16
-    latency_s: float = 20e-6
-
-    @property
-    def instance_qps(self) -> float:
-        return self.cluster_qps / self.instances
 
 
 @dataclass(frozen=True)

@@ -75,22 +75,14 @@ class ChunkBuilder:
             self._on_seal(chunk)
         return chunk
 
-    def build_all(
-        self, items, chunk_size: Optional[int] = None
-    ) -> list[Chunk]:
-        """Convenience: pack an iterable of (path, bytes) into chunks."""
-        if chunk_size is not None:
-            self.chunk_size = chunk_size
-        return list(self.build_stream(items))
-
     def build_stream(
         self, items: Iterable[tuple[str, bytes]]
     ) -> Iterator[Chunk]:
         """Lazily seal chunks for an iterable of (path, bytes) pairs.
 
-        The async-sink twin of :meth:`build_all`: chunks come out as
-        they seal (final flush included), so a :class:`ChunkPipeline`
-        can ship each one while later files are still being packed.
+        Chunks come out as they seal (final flush included), so a
+        :class:`ChunkPipeline` can ship each one while later files are
+        still being packed; ``list()`` of it packs a whole batch.
         """
         for path, payload in items:
             sealed = self.add(path, payload)

@@ -6,11 +6,15 @@ provides:
 
 * :class:`KVTable` — the pure data structure (bytes → bytes with prefix
   scan), usable without simulation;
-* :class:`KVInstance` — one KV server process bound to a cluster node,
-  fronted by an RPC endpoint with a calibrated service rate;
-* :class:`ShardedKV` — slot-based sharding across instances, plus the two
+* :class:`KVInstance` — one KV server process bound to a cluster node:
+  its table, up while its node is;
+* :class:`ShardedKV` — slot-based sharding across instances, reached
+  in-process by the co-located server (``local_*``), plus the two
   §4.1.2 failure scenarios (lose one instance's recent writes / lose
   everything).
+
+No KV operation charges sim time: the server charges the cluster's
+closed-form cost (Table 4's ``cluster_qps``) for the KV work it does.
 """
 
 from repro.kvstore.kv import KVInstance, KVTable

@@ -1,18 +1,17 @@
-"""A single key-value instance: data structure + simulated service."""
+"""A single key-value instance: the table and the shard that holds it."""
 
 from __future__ import annotations
 
 import bisect
 import heapq
 from itertools import filterfalse
-from typing import Any, Generator, Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from repro.calibration import RedisProfile
 from repro.errors import KeyNotFoundError
 from repro.cluster.network import NetworkFabric
 from repro.cluster.node import Node
 from repro.rpc.endpoint import RpcEndpoint
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment
 
 
 class KVTable:
@@ -273,11 +272,6 @@ class KVTable:
         self._added = self._removed = None
         self.writes += 1
 
-    def load(self, pairs: Iterable[tuple[str, bytes]]) -> None:
-        """:meth:`put` each ``(key, value)`` of ``pairs``, in order."""
-        for k, v in pairs:
-            self.put(k, v)
-
 
 _MAX_CHAR = chr(0x10FFFF)
 
@@ -305,73 +299,27 @@ def check_limit(limit: Optional[int]) -> Optional[int]:
 
 
 class KVInstance:
-    """One KV server (e.g. one Redis instance) attached to a node."""
+    """One KV server (e.g. one Redis instance) attached to a node.
+
+    The server reaches the table in-process (``ShardedKV.local_*``) and
+    charges the cluster's closed-form cost itself; ``endpoint`` carries
+    no call.  It is the instance's liveness: it goes down with its node
+    and comes back with :meth:`restart`.
+    """
 
     def __init__(
-        self,
-        env: Environment,
-        fabric: NetworkFabric,
-        node: Node,
-        name: str,
-        qps: float | None = None,
-        latency_s: float | None = None,
+        self, env: Environment, fabric: NetworkFabric, node: Node, name: str
     ) -> None:
         self.env = env
         self.node = node
         self.name = name
         self.table = KVTable()
-        profile = RedisProfile()
-        qps = qps if qps is not None else profile.instance_qps
-        latency_s = latency_s if latency_s is not None else profile.latency_s
-        if qps <= 0:
-            raise ValueError("qps must be positive")
-        # Aggregate capacity `qps` with unloaded service latency
-        # `latency_s` (workers derived via Little's law).
-        self.endpoint = RpcEndpoint.for_capacity(
-            env, fabric, node, name,
-            handler=self._handle, qps=qps, latency_s=latency_s,
-        )
-
-    @property
-    def recorder(self):
-        """Attached observability recorder (None = disabled)."""
-        return self.endpoint.recorder
-
-    @recorder.setter
-    def recorder(self, value) -> None:
-        """Forward the recorder to the RPC endpoint, which times every
-        KV call as queue vs service (``rpc_get``, ``rpc_pscan``, ...)."""
-        self.endpoint.recorder = value
-
-    def _handle(self, method: str, *args: Any) -> Any:
-        if method == "get":
-            return self.table.get(args[0])
-        if method == "get_or_none":
-            return self.table.get_or_none(args[0])
-        if method == "put":
-            self.table.put(args[0], args[1])
-            return None
-        if method == "delete":
-            self.table.delete(args[0])
-            return None
-        if method == "pscan":
-            return self.table.pscan(args[0], *args[1:])
-        if method == "pcount":
-            return self.table.pcount(args[0])
-        if method == "size":
-            return len(self.table)
-        raise ValueError(f"unknown KV method: {method!r}")
+        self.endpoint = RpcEndpoint(env, fabric, node, name, handler=None)
 
     @property
     def up(self) -> bool:
         """Whether the instance's endpoint is serving."""
         return self.endpoint.up
-
-    def call(
-        self, client: Node, method: str, *args: Any, **kw: Any
-    ) -> Generator[Event, Any, Any]:
-        """RPC into this instance from ``client`` (generator)."""
-        return self.endpoint.call(client, method, *args, **kw)
 
     def crash_and_lose_data(self) -> None:
         """Simulate an instance crash that loses its in-memory contents."""

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import heapq
 from itertools import islice
-from typing import Any, Generator, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ShardUnavailableError
-from repro.cluster.node import Node
 from repro.kvstore.kv import KVInstance, check_limit
-from repro.sim.engine import Event
 from repro.util.hashing import (
     FNV_OFFSET,
     fnv1a_64,
@@ -34,8 +32,10 @@ class ShardedKV:
     """Routes keys to KV instances by hash slot.
 
     Mirrors how a Redis cluster (or twemproxy'd pool) spreads a keyspace.
-    ``pscan`` fans out to every shard and merges, since a prefix may
-    span shards.
+    Every operation is in-process and charges no sim time: the server
+    co-located with the cluster charges the closed-form cost of its KV
+    work itself (``DieselServer._kv_pipeline_cost``).  A prefix scan
+    fans out to every shard and merges, since a prefix may span shards.
     """
 
     def __init__(self, instances: Sequence[KVInstance]) -> None:
@@ -46,16 +46,6 @@ class ShardedKV:
         #: (``PREFIX_MEMO_SIZE``): the keys of a dataset's files share
         #: their directories' prefixes, its journal's keys their heads.
         self._prefix_memo: dict[str, int] = {}
-
-    def _call_inst(
-        self, client: Node, inst: KVInstance, method: str, *args: Any,
-        **kw: Any,
-    ) -> Generator[Event, Any, Any]:
-        """One shard RPC; a shard already down fails before any cost."""
-        if not inst.up:
-            raise ShardUnavailableError(f"shard {inst.name!r} is down")
-        result = yield from inst.call(client, method, *args, **kw)
-        return result
 
     @property
     def instances(self) -> tuple[KVInstance, ...]:
@@ -120,67 +110,21 @@ class ShardedKV:
             )
         return inst
 
-    # -- simulated operations (generators; run inside a process) ----------
-    def get(self, client: Node, key: str) -> Generator[Event, Any, bytes]:
-        """RPC get of ``key`` from its owner (generator)."""
-        result = yield from self._call_inst(client, self.owner(key), "get", key)
-        return result
-
-    def get_or_none(
-        self, client: Node, key: str
-    ) -> Generator[Event, Any, Optional[bytes]]:
-        """RPC get of ``key``, ``None`` if absent (generator)."""
-        result = yield from self._call_inst(
-            client, self.owner(key), "get_or_none", key
-        )
-        return result
-
-    def put(self, client: Node, key: str, value: bytes) -> Generator[Event, Any, None]:
-        """RPC put of ``(key, value)`` to the key's owner (generator)."""
-        yield from self._call_inst(
-            client, self.owner(key), "put", key, value,
-            request_bytes=64 + len(key) + len(value),
-        )
-
-    def delete(self, client: Node, key: str) -> Generator[Event, Any, None]:
-        """RPC delete of ``key`` at its owner (generator)."""
-        yield from self._call_inst(client, self.owner(key), "delete", key)
-
     def check_up(self) -> None:
-        """A scan needs every shard: name all the dead ones at once."""
+        """A scan needs every shard: name all the dead ones at once,
+        before any shard is read, so a scan is complete or it fails."""
         down = [i.name for i in self._instances if not i.up]
         if down:
             raise ShardUnavailableError(
                 f"shards down: {', '.join(sorted(down))}"
             )
 
-    def pscan(
-        self, client: Node, prefix: str
-    ) -> Generator[Event, Any, list[tuple[str, bytes]]]:
-        """Prefix scan across all shards, merged in key order.
-
-        Liveness is validated **up front**, before any shard is charged
-        RPC cost — a scan never pays for half the cluster and then
-        raises on a shard it could have checked for free.  A shard
-        dying *mid-scan* raises too: a scan is complete or it fails.
-        """
-        self.check_up()
-        merged: list[tuple[str, bytes]] = []
-        for inst in self._instances:
-            part = yield from self._call_inst(client, inst, "pscan", prefix)
-            merged.extend(part)
-        # Sort the full (key, value) pair, not the key alone: a stable
-        # key-only sort leaves a key held by two shards in
-        # shard-iteration order.  The pair sort is shard-order-free.
-        merged.sort()
-        return merged
-
     def _merged_scan(
         self, prefix: str, cursor: Optional[str] = None
     ) -> Iterator[tuple[str, bytes]]:
         """The shards' lazy scans past ``cursor``, k-way merged on the
         full (key, value) pair, so the order never depends on which
-        shards contributed; liveness is checked as in :meth:`pscan`."""
+        shards contributed; liveness is checked by :meth:`check_up`."""
         self.check_up()
         return heapq.merge(
             *(inst.table.scan(prefix, cursor) for inst in self._instances)
@@ -192,8 +136,7 @@ class ShardedKV:
         cursor: Optional[str] = None,
         limit: Optional[int] = None,
     ) -> Tuple[list[tuple[str, bytes]], Optional[str]]:
-        """One bounded page of a cross-shard prefix scan, at zero sim
-        cost (co-located server logic).
+        """One bounded page of a cross-shard prefix scan.
 
         The shards' lazy scans past ``cursor`` are k-way merged on the
         full (key, value) pair, so the page order never depends on which
@@ -202,7 +145,7 @@ class ShardedKV:
         plus one key per shard.  Returns ``(pairs, next_cursor)``:
         ``next_cursor`` is the last key of a full page, to pass back for
         the following page, or ``None`` when the scan is complete.
-        Liveness is checked as in :meth:`pscan`.
+        Liveness is checked by :meth:`check_up`.
         """
         check_limit(limit)
         page = list(islice(self._merged_scan(prefix, cursor), limit))
@@ -211,7 +154,7 @@ class ShardedKV:
         return page, None
 
     def local_pscan_iter(self, prefix: str, page_size: int):
-        """Iterate a prefix range page by page (zero-cost, bounded RAM).
+        """Iterate a prefix range page by page (bounded RAM).
 
         Yields lists of at most ``page_size`` pairs in global key order;
         the seam behind ``ls -lR`` and snapshot builds, which must not
@@ -234,16 +177,15 @@ class ShardedKV:
         self.check_up()
         return sum(inst.table.pcount(prefix) for inst in self._instances)
 
-    # -- direct (zero-cost) access for co-located server logic ------------
-    # These bypass the RPC *cost* (the DIESEL server's service rate
-    # already accounts for the KV round trip) but never the shard's
-    # *liveness*: a dead Redis instance is dead however you reach it.
+    # -- point and scan operations for co-located server logic ------------
+    # No sim time passes in here, but a dead Redis instance is dead
+    # however you reach it: every op reads its shard's liveness.
     # ``owner``, when given, is ``owner(key)`` as the caller routed it
     # once for several ops on the key; its liveness is read every time.
     def local_put(
         self, key: str, value: bytes, owner: Optional[KVInstance] = None
     ) -> None:
-        """Write bypassing RPC cost; for processes co-located with the shard."""
+        """Store ``value`` under ``key``; the owner must be up."""
         self._live_owner(key, owner).table.put(key, value)
 
     def local_put_hashed(
@@ -279,23 +221,22 @@ class ShardedKV:
                 table.put_many([keys[i] for i in picked], [values[i] for i in picked])
 
     def local_get(self, key: str) -> bytes:
-        """Zero-cost get; the owner must be up."""
+        """The value under ``key``; the owner must be up."""
         return self._live_owner(key).table.get(key)
 
     def local_get_or_none(
         self, key: str, owner: Optional[KVInstance] = None
     ) -> Optional[bytes]:
-        """Zero-cost get, ``None`` if absent; the owner must be up."""
+        """The value under ``key``, ``None`` if absent; the owner must be up."""
         return self._live_owner(key, owner).table.get_or_none(key)
 
     def local_delete(self, key: str, owner: Optional[KVInstance] = None) -> None:
-        """Zero-cost delete; the owner must be up."""
+        """Remove ``key``; the owner must be up."""
         self._live_owner(key, owner).table.delete(key)
 
     def local_pscan(self, prefix: str) -> list[tuple[str, bytes]]:
-        """Zero-cost prefix scan, sorted on the full (key, value) pair:
-        one slice per shard, one sort.  Same up-front liveness
-        validation as :meth:`pscan`."""
+        """Prefix scan, sorted on the full (key, value) pair: one slice
+        per shard, one sort.  Liveness is checked by :meth:`check_up`."""
         self.check_up()
         pairs: list[tuple[str, bytes]] = []
         for inst in self._instances:
@@ -304,8 +245,8 @@ class ShardedKV:
         return pairs
 
     def local_keys(self, prefix: str) -> list[str]:
-        """Zero-cost, sorted: every key under ``prefix``, one slice of
-        each shard's index.  Same liveness validation as :meth:`pscan`."""
+        """Every key under ``prefix``, sorted: one slice of each shard's
+        index.  Liveness is checked by :meth:`check_up`."""
         self.check_up()
         keys: list[str] = []
         for inst in self._instances:

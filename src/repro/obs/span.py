@@ -92,8 +92,8 @@ class SpanRecorder:
 
         The sim clock is taken from the first component's ``env``.  Each
         component's ``recorder`` attribute is assigned; components whose
-        ``recorder`` is a propagating property (servers, task caches, KV
-        instances) forward the assignment to their internal endpoints.
+        ``recorder`` is a propagating property (servers, task caches)
+        forward the assignment to their internal endpoints.
         """
         if not components:
             raise ValueError("attach needs at least one component")

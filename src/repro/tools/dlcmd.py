@@ -226,9 +226,7 @@ def _traced_sample_reads(ws: DieselWorkspace, dataset: str, limit: int):
     if limit < 1:
         raise ReproError("--sample must be >= 1")
     sync = ws.client(dataset)
-    recorder = SpanRecorder.attach(
-        sync.client, ws.server, *ws.tb.kv.instances
-    )
+    recorder = SpanRecorder.attach(sync.client, ws.server)
     index = sync.load_meta(sync.save_meta())
     paths = index.all_paths()
     if not paths:

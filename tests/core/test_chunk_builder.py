@@ -66,10 +66,8 @@ class TestBuilder:
         assert b.sealed_count == 2
 
     def test_build_all(self):
-        b = builder()
-        chunks = b.build_all(
-            ((f"/f{i}", b"z" * 30) for i in range(10)), chunk_size=100
-        )
+        b = builder(chunk_size=100)
+        chunks = list(b.build_stream((f"/f{i}", b"z" * 30) for i in range(10)))
         assert sum(len(c) for c in chunks) == 10
         # every chunk except possibly the last reaches the threshold
         for c in chunks[:-1]:

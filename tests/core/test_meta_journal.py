@@ -25,7 +25,7 @@ from tests.kvstore.test_kv import build_cluster
 
 
 def make_journal(horizon=8):
-    _, _, kv, _ = build_cluster(n_instances=4)
+    kv = build_cluster(n_instances=4)
     return kv, MetaJournal(kv, horizon)
 
 

@@ -184,3 +184,81 @@ def test_model_state_survives_recovery(ops):
                 pass
 
     dep.run(audit())
+
+
+def test_tiered_write_face_round_trip():
+    """The server's write face on a tiered deployment (``put_journaled``,
+    ``head``, ``patch``, ``put``, ``delete``, ``list_keys``): every read
+    matches a path -> bytes spec, and no patched, replaced or deleted
+    chunk keeps an SSD copy until it is read again."""
+    from repro.bench.setups import deploy, diesel_client
+    from repro.core import recovery
+    from repro.core.server import object_key
+    from repro.util.ids import decode_chunk_id
+
+    files = {f"/t/d{i % 3}/f{i}": bytes([i]) * (300 + i) for i in range(24)}
+    tb = deploy(2, "ds", files, chunk_size=1024, tiered=True)
+    store = tb.store
+    client = diesel_client(tb, "ds", tb.compute_nodes[0], "c",
+                           config=DieselConfig(chunk_size=1024))
+    spec = dict(files)
+    every_path = set(files)
+
+    def check_reads():
+        for path in sorted(every_path):
+            if path in spec:
+                assert tb.run(client.get(path)) == spec[path], path
+            else:
+                with pytest.raises(FileNotFoundInDatasetError):
+                    tb.run(client.get(path))
+
+    def warm():
+        check_reads()
+        tb.env.run()  # the fills behind the misses
+        assert all(store.in_ssd(key) for key in store.list_keys())
+
+    def chunk_key(path):
+        cid = tb.run(client.stat(path))["chunk_id"]
+        return object_key("ds", decode_chunk_id(cid))
+
+    def cold_after(op):
+        """Run ``op``; every key it wrote, patched or removed has no SSD
+        copy; then reads match the spec and warm the tier again."""
+        before = set(store.list_keys())
+        touched = op()
+        after = set(store.list_keys())
+        for key in touched | (after ^ before):
+            assert not store.in_ssd(key), key
+        warm()
+
+    warm()
+
+    def dl_put():
+        tb.run(client.put("/t/new/a", b"n" * 700))
+        tb.run(client.flush())
+        spec["/t/new/a"] = b"n" * 700
+        every_path.add("/t/new/a")
+        return set()
+
+    def delete_file():
+        key = chunk_key("/t/d0/f3")
+        tb.run(client.delete("/t/d0/f3"))
+        del spec["/t/d0/f3"]
+        return {key}
+
+    def put_overwrite():
+        key = chunk_key("/t/d1/f4")
+        tb.run(client.put_overwrite("/t/d1/f4", b"o" * 500))
+        spec["/t/d1/f4"] = b"o" * 500
+        return {key}
+
+    def purge():
+        assert tb.run(client.purge()) > 0
+        return set()
+
+    for op in (dl_put, delete_file, put_overwrite, purge):
+        cold_after(op)
+
+    tb.kv.lose_all()
+    tb.run(recovery.rebuild_dataset(tb.diesel, "ds"))
+    check_reads()

@@ -25,7 +25,7 @@ CHUNK = 16 * 1024
 def build_chunks(files, chunk_size=CHUNK):
     gen = ChunkIdGenerator(machine=b"\x09" * 6, pid=9)
     builder = ChunkBuilder(gen, chunk_size)
-    return builder.build_all(list(files.items()))
+    return list(builder.build_stream(files.items()))
 
 
 class TestIngestPipeline:

@@ -63,12 +63,12 @@ class TestTableCursor:
 
 class TestShardedPages:
     def populated(self, n=60, n_instances=4):
-        env, _, kv, clients = build_cluster(n_instances=n_instances)
+        kv = build_cluster(n_instances=n_instances)
         fill(kv, n, kv.local_put)
-        return env, kv, clients[0]
+        return kv
 
     def test_local_page_walk_equals_unpaginated(self):
-        _, kv, _ = self.populated()
+        kv = self.populated()
         for page_size in (1, 7, 64, 1000):
             walked, cursor = [], None
             while True:
@@ -81,7 +81,7 @@ class TestShardedPages:
             assert walked == kv.local_pscan("k/")
 
     def test_no_limit_returns_everything_with_no_cursor(self):
-        _, kv, _ = self.populated(20)
+        kv = self.populated(20)
         page, cursor = kv.local_pscan_page("k/")
         assert page == kv.local_pscan("k/")
         assert cursor is None
@@ -89,14 +89,14 @@ class TestShardedPages:
     def test_exact_boundary_final_page(self):
         # n divisible by the page size: the last full page returns a
         # cursor, and the extra fetch comes back empty with cursor=None.
-        _, kv, _ = self.populated(20)
+        kv = self.populated(20)
         page, cursor = kv.local_pscan_page("k/", limit=20)
         assert len(page) == 20 and cursor is not None
         tail, cursor = kv.local_pscan_page("k/", cursor=cursor, limit=20)
         assert tail == [] and cursor is None
 
     def test_pscan_iter_streams_nonempty_pages(self):
-        _, kv, _ = self.populated(10)
+        kv = self.populated(10)
         pages = list(kv.local_pscan_iter("k/", 4))
         assert [len(p) for p in pages] == [4, 4, 2]
         assert [kv for p in pages for kv in p] == kv.local_pscan("k/")
@@ -104,7 +104,7 @@ class TestShardedPages:
             next(kv.local_pscan_iter("k/", 0))
 
     def test_local_pcount_sums_shards(self):
-        _, kv, _ = self.populated(33)
+        kv = self.populated(33)
         assert kv.local_pcount("k/") == 33
         assert kv.local_pcount("zz/") == 0
 
@@ -119,23 +119,23 @@ class TestSkipDeadDeterminism:
     """
 
     def duplicated(self):
-        env, _, kv, clients = build_cluster(n_instances=3)
+        kv = build_cluster(n_instances=3)
         fill(kv, 12, kv.local_put)
         # Plant the same key on two specific shards, with values sorting
         # *against* shard enumeration order: a key-only stable sort
         # would emit them in shard order and miss the regression.
         kv.instances[0].table.put("k/dup", b"z-from-shard-0")
         kv.instances[2].table.put("k/dup", b"a-from-shard-2")
-        return env, kv, clients[0]
+        return kv
 
     def test_duplicate_keys_order_by_full_pair(self):
-        _, kv, _ = self.duplicated()
+        kv = self.duplicated()
         out = kv.local_pscan("k/")
         dups = [v for k, v in out if k == "k/dup"]
         assert dups == [b"a-from-shard-2", b"z-from-shard-0"]
 
     def test_paged_merge_preserves_duplicate_order(self):
-        _, kv, _ = self.duplicated()
+        kv = self.duplicated()
         walked, cursor = [], None
         while True:
             page, cursor = kv.local_pscan_page("k/", cursor=cursor, limit=3)
@@ -158,7 +158,7 @@ class TestLimitAtLeastOne:
 
     @pytest.mark.parametrize("limit", [0, -3])
     def test_sharded_page_rejects(self, limit):
-        _, kv, _ = TestShardedPages().populated(10)
+        kv = TestShardedPages().populated(10)
         with pytest.raises(ValueError):
             kv.local_pscan_page("k/", limit=limit)
 
@@ -206,7 +206,7 @@ class TestOnePassPage:
     def test_pages_equal_the_eager_reference(
         self, keys, n_shards, limit, prefix, start, dup
     ):
-        _, _, kv, _ = build_cluster(n_instances=n_shards)
+        kv = build_cluster(n_instances=n_shards)
         for key in sorted(keys):
             kv.local_put(key, key.encode()[::-1])
         if keys and n_shards > 1:
@@ -226,7 +226,7 @@ class TestOnePassPage:
 
     @pytest.mark.parametrize("n_shards,limit", [(1, 4), (4, 8), (8, 5), (16, 3)])
     def test_each_page_reads_at_most_limit_plus_shards(self, n_shards, limit):
-        _, _, kv, _ = build_cluster(n_instances=n_shards)
+        kv = build_cluster(n_instances=n_shards)
         fill(kv, 400, kv.local_put)
         stores = []
         for inst in kv.instances:

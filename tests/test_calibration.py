@@ -77,10 +77,6 @@ class TestRedisAnchor:
     def test_cluster_cap_from_memtier(self):
         assert cal.RedisProfile().cluster_qps == pytest.approx(970_000)
 
-    def test_instance_share(self):
-        p = cal.RedisProfile()
-        assert p.instance_qps * p.instances == pytest.approx(p.cluster_qps)
-
 
 class TestDieselAnchor:
     def test_snapshot_lookup_from_fig10b(self):

@@ -29,6 +29,8 @@ def test_one_id_attributes_what_it_ran(tmp_path):
     defs = reach["defs"]
     assert defs["repro/bench/experiments.py::latency_breakdown"] == ["latency"]
     assert defs["repro/core/client.py::DieselClient.get"] == ["latency"]
+    # The id's claims are judged on its result, as the runner judges them.
+    assert defs["repro/bench/claims.py::_latency"] == ["latency"]
     # Known by the AST walk, run by no scenario named.
     assert defs["repro/bench/experiments.py::fig_faults"] == []
     assert "repro/bench/experiments.py::fig_faults" in reach["unreached"]
