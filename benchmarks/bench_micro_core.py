@@ -321,41 +321,22 @@ def test_ingest_metadata(benchmark):
 @pytest.mark.benchmark(group="micro-metadata")
 def test_kv_slots_for_a_chunk(benchmark):
     """KV slots for a 256-file depth-3 chunk: the two keys of each file
-    (record, directory entry) routed as the write path routes them — the
-    FNV state of each directory's two key prefixes carried over the
-    basename, every tail in one ``fnv1a_64_many`` call, every slot in one
-    ``mix64_many``.  Hashing both keys in full (``kv.slot``, the
-    reference the result is checked against) costs ~8 us/file."""
+    (record, directory entry) routed as ``ShardedKV.local_put_many``
+    routes them — ``kv.slots``, Redis's CRC16 of each key mod the slot
+    count in one pass of C-level maps.  Checked against ``kv.slot`` of
+    each key."""
     from repro.core import meta
-    from repro.kvstore.sharded import NUM_SLOTS
-    from repro.util.hashing import fnv1a_64, fnv1a_64_many, mix64_many
 
     tb = deploy(1)
-    paths = [f"/late/d{i % 8}/f{i:05d}.bin" for i in range(256)]
-
-    def slots():
-        tails, states, carried = [], [], {}
-        for path in paths:
-            parent, _, name = path.rpartition("/")
-            pair = carried.get(parent)
-            if pair is None:
-                pair = carried[parent] = (
-                    fnv1a_64(meta.file_key("bench", parent + "/")),
-                    fnv1a_64(meta.dir_scan_prefix("bench", parent, "f")),
-                )
-            tail = name.encode()
-            tails += (tail, tail)
-            states += pair
-        return (mix64_many(fnv1a_64_many(tails, states)) % NUM_SLOTS).tolist()
-
-    assert benchmark(slots) == [
-        tb.kv.slot(key) for path in paths for key in (
-            meta.file_key("bench", path),
-            meta.dir_entry_key("bench", *path.rpartition("/")[::2], False),
+    keys = [
+        key for i in range(256) for key in (
+            meta.file_key("bench", f"/late/d{i % 8}/f{i:05d}.bin"),
+            meta.dir_entry_key("bench", f"/late/d{i % 8}", f"f{i:05d}.bin", False),
         )
     ]
+    assert benchmark(tb.kv.slots, keys) == list(map(tb.kv.slot, keys))
     per_file = benchmark.stats["mean"] / 256
-    assert per_file < 5.5e-6, f"carried KV slots too slow: {per_file:.2e}s/file"
+    assert per_file < 5.5e-6, f"KV slots too slow: {per_file:.2e}s/file"
 
 
 @pytest.mark.benchmark(group="micro-metadata")

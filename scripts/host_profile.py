@@ -47,6 +47,15 @@ of the region, and one row holds the time outside any op (background
 ingest flushes, prefetch, the event loop).  No sampler runs; the two
 clock reads per resumption are charged to the op.
 
+``--census`` counts the kernel's deliveries in the same region instead
+of timing anything: each event the loop pops is named by kind — a
+timeout, a semaphore grant, a process start, a process end, a condition
+(an all-of) or other (a plain event: an interrupt, a hand-made wake-up)
+— and printed per op.  It wraps ``repro.sim.engine.heappop``, the
+loop's one pop per delivered event, in this process only; no file of
+``src/`` changes.  An order-preserving kernel change leaves it
+identical.
+
 Drives ``perfbench.workloads`` through perfbench's own op proxy (a
 subclass of it for ``--by-op``), read-only; nothing is written but the
 ``--json`` file.  ``--diff`` reads
@@ -59,6 +68,7 @@ Usage::
 
     python scripts/host_profile.py ingest_meta [--seed N] [--scale tiny] [--setup] [--exact] [--gc] [--top K] [--json OUT]
     python scripts/host_profile.py ingest_meta --by-op [--gc] [--seed N] [--scale tiny] [--json OUT]
+    python scripts/host_profile.py ingest_meta --census [--seed N] [--scale tiny] [--json OUT]
     python scripts/host_profile.py --diff A.json B.json [--top K]
 """
 
@@ -222,6 +232,63 @@ class GcTimer:
             out["by_op"] = {kind: [runs, round(seconds * 1e6)]
                             for kind, (runs, seconds) in self.by_kind.items()}
         return out
+
+
+class Census:
+    """Kernel deliveries by kind while inside the region: the engine's
+    module-level ``heappop`` is wrapped on entry (and restored on exit),
+    and each popped event counted under :attr:`KINDS`.  A grant is an
+    event a :class:`~repro.sim.engine.Semaphore` granted a slot with; a
+    grant released before its delivery counts as other."""
+
+    KINDS = ("timeout", "semaphore grant", "process start", "process end",
+             "condition", "other")
+
+    def __init__(self) -> None:
+        from repro.sim import engine
+
+        self.counts: Counter = Counter()
+        self._engine = engine
+        self._pop = engine.heappop
+
+    def kind(self, event) -> str:
+        """The :attr:`KINDS` entry ``event`` counts under."""
+        engine = self._engine
+        if isinstance(event, engine.Timeout):
+            return "timeout"
+        if isinstance(event, engine._Initialize):
+            return "process start"
+        if isinstance(event, engine.Process):
+            return "process end"
+        if isinstance(event, engine._Condition):
+            return "condition"
+        if getattr(event, "_granted", False):
+            return "semaphore grant"
+        return "other"
+
+    def __enter__(self) -> "Census":
+        pop, counts, kind = self._pop, self.counts, self.kind
+
+        def counted(heap):
+            entry = pop(heap)
+            counts[kind(entry[2])] += 1
+            return entry
+
+        self._engine.heappop = counted
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._engine.heappop = self._pop
+
+    def report(self, ops: int) -> list[str]:
+        """Events, events per op and share, per kind, then the total."""
+        total = sum(self.counts.values())
+        lines = [f"\n{'event kind':<16} {'events':>9} {'per op':>9} {'share':>7}"]
+        for kind in (*self.KINDS, "total"):
+            n = total if kind == "total" else self.counts[kind]
+            lines.append(f"{kind:<16} {n:9d} {n / max(ops, 1):9.3f} "
+                         f"{n / max(total, 1):7.1%}")
+        return lines
 
 
 def op_log_by_kind(OpLog):
@@ -461,6 +528,9 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--by-op", action="store_true",
                     help="split the timed blocks' host time by op kind "
                          "instead of by function")
+    ap.add_argument("--census", action="store_true",
+                    help="count the kernel's deliveries per op by event "
+                         "kind instead of timing anything")
     ap.add_argument("--top", type=int, default=25,
                     help="functions listed per ranking (default: 25)")
     ap.add_argument("--json", metavar="OUT", type=Path,
@@ -479,11 +549,16 @@ def main(argv: list[str]) -> int:
         ap.error("a workload is required unless --diff is given")
     if args.by_op and (args.setup or args.exact):
         ap.error("--by-op times ops alone: no --setup or --exact")
+    if args.census and (args.setup or args.exact or args.by_op or args.gc):
+        ap.error("--census counts events alone: no --setup, --exact, "
+                 "--by-op or --gc")
 
     wl = WORKLOADS[args.workload](args.seed, args.scale)
     wl.make_inputs()
     if args.by_op:
         return main_by_op(wl, op_log_by_kind(OpLog), args)
+    if args.census:
+        return main_census(wl, OpLog, args)
     sampler = ExactProfile() if args.exact else Sampler()
     gc_timer = GcTimer() if args.gc else contextlib.nullcontext()
     header = {"workload": args.workload, "seed": args.seed,
@@ -550,6 +625,30 @@ def main_by_op(wl, log_class, args) -> int:
     print("\n".join(log.errors + report_by_op(table)))
     if args.json:
         args.json.write_text(json.dumps(table, indent=1))
+    return 1 if log.failed else 0
+
+
+def main_census(wl, OpLog, args) -> int:
+    """``--census``: the kernel's deliveries by kind over blocks 1..n
+    (block 0 warms up and is left out, as the sampler leaves it out)."""
+    wl.setup()
+    log = OpLog(wl.tb.env, NoTicks(), wl.ops_per_loop)
+    wl.run_block(0, log)
+    warm_ops = log.attempted
+    census = Census()
+    for b in range(1, wl.n_blocks):
+        with census:
+            wl.run_block(b, log)
+    ops = log.attempted - warm_ops
+    print(f"{args.workload} seed {args.seed} scale {args.scale}: kernel "
+          f"events over blocks 1..{wl.n_blocks - 1} ({ops} ops, "
+          f"{log.failed} failed), by kind")
+    print("\n".join(log.errors + census.report(ops)))
+    if args.json:
+        args.json.write_text(json.dumps(
+            {"workload": args.workload, "seed": args.seed,
+             "scale": args.scale, "ops": ops, "census": dict(census.counts)},
+            indent=1))
     return 1 if log.failed else 0
 
 

@@ -32,7 +32,6 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.core.meta import FileRecord
 from repro.errors import DieselError, JournalFormatError
-from repro.kvstore.kv import KVInstance
 from repro.kvstore.sharded import ShardedKV
 from repro.util.ids import CHUNK_ID_BYTES
 
@@ -202,17 +201,9 @@ class MetaJournal:
         self.kv = kv
         self.horizon = horizon
 
-    def _owner(self, key: str) -> KVInstance:
-        """The KV shard of journal ``key``, routed from the KV's prefix
-        memo by its head (all but its last four characters): a
-        dataset's entry keys share one head for 10,000 versions, and
-        its meta key keeps one."""
-        return self.kv.owner_of(key[:-4], key[-4:])
-
     # ----------------------------------------------------------- recording
     def _meta(self, dataset: str) -> Optional[Tuple[int, int, int]]:
-        key = journal_meta_key(dataset)
-        blob = self.kv.local_get_or_none(key, self._owner(key))
+        blob = self.kv.local_get_or_none(journal_meta_key(dataset))
         if blob is None:
             return None
         return _META.unpack(blob)
@@ -234,8 +225,7 @@ class MetaJournal:
         if self.horizon == 0:
             return 0
         meta_key = journal_meta_key(dataset)
-        meta_owner = self._owner(meta_key)  # read and written: routed once
-        blob = self.kv.local_get_or_none(meta_key, meta_owner)
+        blob = self.kv.local_get_or_none(meta_key)
         meta = None if blob is None else _META.unpack(blob)
         if meta is None:
             oldest, count = ts, 1
@@ -247,14 +237,12 @@ class MetaJournal:
                     f"cannot record ts {ts}"
                 )
             count += 1
-        key = journal_key(dataset, ts)
-        self.kv.local_put(key, entry, self._owner(key))
+        self.kv.local_put(journal_key(dataset, ts), entry)
         while count > self.horizon:
-            key = journal_key(dataset, oldest)
-            self.kv.local_delete(key, self._owner(key))
+            self.kv.local_delete(journal_key(dataset, oldest))
             oldest += 1
             count -= 1
-        self.kv.local_put(meta_key, _META.pack(oldest, ts, count), meta_owner)
+        self.kv.local_put(meta_key, _META.pack(oldest, ts, count))
         return 2
 
     def drop(self, dataset: str) -> int:
@@ -322,8 +310,7 @@ class MetaJournal:
             return None  # horizon passed: the gap is unrecoverable
         entries = []
         for ts in range(from_ts + 1, newest + 1):
-            key = journal_key(dataset, ts)
-            blob = self.kv.local_get_or_none(key, self._owner(key))
+            blob = self.kv.local_get_or_none(journal_key(dataset, ts))
             if blob is None or read_entry(blob)[0] != ts:
                 return None  # hole (concurrent compaction): full reload
             entries.append(blob)

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from operator import add, itemgetter, methodcaller
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.calibration import Calibration, DEFAULT
 from repro.core import meta
 from repro.core.chunk import Chunk, HeaderTable
@@ -51,14 +49,12 @@ from repro.errors import (
 )
 from repro.cluster.network import NetworkFabric
 from repro.cluster.node import Node
-from repro.kvstore.kv import KVInstance
 from repro.kvstore.sharded import ShardedKV
 from repro.obs.counters import Counters
 from repro.objectstore.store import ObjectStore
 from repro.objectstore.tiered import TieredStore
 from repro.rpc.endpoint import RpcEndpoint
 from repro.sim.engine import Environment, Event
-from repro.util.hashing import fnv1a_64, fnv1a_64_many
 from repro.util.ids import ChunkId, decode_chunk_id, sim_id_generator
 from repro.util.pathutil import normalize
 
@@ -287,12 +283,10 @@ class DieselServer:
         (:func:`meta.directory_entry_pairs`), the chunk and dataset
         records, the journal keys.  What is *written* is each distinct
         key once, in the order that per-file expansion would first have
-        written it, its KV slot hashed from the state its directory's
-        keys share, all the chunk's keys in one batch, each shard's in
-        one put (docs/METADATA.md "Write path").  The work is by column:
-        each name is encoded once, each directory once, and one hash
-        kernel call covers every key but those whose states the prefix
-        memo holds.
+        written it, all the chunk's keys in one
+        :meth:`ShardedKV.local_put_many` (docs/METADATA.md "Write
+        path").  The work is by column: each name is encoded once, each
+        directory once.
         """
         cid = chunk.chunk_id
         bitmap = chunk.deletion_bitmap
@@ -311,22 +305,16 @@ class DieselServer:
         if "" in names:  # a path ending in "/" is its own entry's name
             leaves = [name or path for name, path in zip(names, paths)]
         file_prefix = meta.file_key_prefix(dataset)
-        #: Per directory, in first-seen order: its position there, its
-        #: file entries' key prefix, its path with a trailing "/" in
-        #: UTF-8, the links into its ancestors that this chunk writes.
-        pos: dict[str, int] = {}
+        #: Per directory, in first-seen order: its file entries' key
+        #: prefix, its path with a trailing "/" in UTF-8, the links into
+        #: its ancestors that this chunk writes.
         entry_prefix: dict[str, str] = {}
         head_bytes: dict[str, bytes] = {}
         links: list[list[str]] = []
-        #: Key prefixes (each directory's file key prefix, then its file
-        #: entry prefix), then whole keys, whose states the memo keeps.
-        prefixes: list[str] = []
         linked: set[str] = set()  # directories already linked into their parent
         for d in dict.fromkeys(dirs):
-            pos[d] = len(pos)
-            prefix = entry_prefix[d] = meta.dir_scan_prefix(dataset, d or "/", "f")
+            entry_prefix[d] = meta.dir_scan_prefix(dataset, d or "/", "f")
             head_bytes[d] = (d + "/").encode()
-            prefixes += (f"{file_prefix}{d}/", prefix)
             chain: list[str] = []
             parent = d
             while parent and parent not in linked:
@@ -334,25 +322,10 @@ class DieselServer:
                 parent, _, child = parent.rpartition("/")
                 chain.append(meta.dir_entry_key(dataset, parent or "/", child, True))
             links.append(chain)
-        link_keys = [key for chain in links for key in chain]
-        ds_key = meta.dataset_key(dataset)
-        ck_key = meta.chunk_key(dataset, cid)
-        states = self.kv.prefix_states([*prefixes, *link_keys, ds_key])
-        name_bytes = list(map(str.encode, names))
-        path_bytes = list(map(add, map(head_bytes.__getitem__, dirs), name_bytes))
+        path_bytes = list(map(
+            add, map(head_bytes.__getitem__, dirs), map(str.encode, names)
+        ))
         records = meta.FileRecord.pack_many(path_bytes, cid_raw, entries)
-        # One kernel call: every file key over its basename from its
-        # directory's file key prefix, every file entry key over its
-        # leaf from the entry prefix.  The chunk key, longer than any
-        # basename, is hashed alone rather than widen every column.
-        at = np.array(list(map(pos.__getitem__, dirs)), np.intp) * 2
-        heads = np.array(states[: len(prefixes)], np.uint64)
-        tails = name_bytes + (
-            name_bytes if leaves is names else list(map(str.encode, leaves))
-        )
-        hashed = fnv1a_64_many(
-            tails, np.concatenate((heads[at], heads[at + 1]))
-        )
         # Interleave as the per-file expansion writes: each file's record
         # and entry, a directory's links after its first file's pair.
         keys: list = [None] * (2 * n)
@@ -360,21 +333,16 @@ class DieselServer:
         keys[1::2] = map(add, map(entry_prefix.__getitem__, dirs), leaves)
         values: list[bytes] = [b""] * (2 * n)
         values[0::2] = records
-        hashes = np.empty(2 * n, np.uint64)
-        hashes[0::2] = hashed[:n]
-        hashes[1::2] = hashed[n : 2 * n]
-        if link_keys:
+        if any(links):
             first = dict(zip(reversed(dirs), range(n - 1, -1, -1)))
             after = [
-                (2 * first[d] + 2, chain) for d, chain in zip(pos, links) if chain
+                (2 * first[d] + 2, chain)
+                for d, chain in zip(entry_prefix, links) if chain
             ]
-            hashes = np.insert(
-                hashes, [slot for slot, chain in after for _ in chain],
-                states[len(prefixes) : -1],
-            )
-            for slot, chain in reversed(after):
-                keys[slot:slot] = chain
-                values[slot:slot] = [b""] * len(chain)
+            for at, chain in reversed(after):
+                keys[at:at] = chain
+                values[at:at] = [b""] * len(chain)
+        ds_key = meta.dataset_key(dataset)
         old = self.kv.local_get_or_none(ds_key)
         if old is None:
             ts, dsrec = 1, meta.DatasetRecord(dataset, 1, (cid,)).encode()
@@ -383,12 +351,9 @@ class DieselServer:
         crec = meta.ChunkRecord(
             cid, ts, data_size, len(chunk), ndeleted, bitmap.copy()
         )
-        keys += (ck_key, ds_key)
+        keys += (meta.chunk_key(dataset, cid), ds_key)
         values += (crec.encode(), dsrec)
-        hashes = np.append(
-            hashes, np.array((fnv1a_64(ck_key), states[-1]), np.uint64)
-        )
-        self.kv.local_put_hashed(keys, values, hashes)
+        self.kv.local_put_many(keys, values)
         n_journal = self.journal.record_encoded(
             dataset, ts, chunk_entry(ts, path_bytes, records, cid_raw)
         )
@@ -536,11 +501,9 @@ class DieselServer:
 
     def _op_stat(self, dataset: str, path: str) -> dict:
         """A file's length and chunk from its record's tail (no record
-        built; its ``f:`` key routed as :meth:`_file_key` does), else a
-        directory probe."""
+        built), else a directory probe."""
         path = normalize(path)
-        key, owner = self._file_key(dataset, path)
-        blob = self.kv.local_get_or_none(key, owner)
+        blob = self.kv.local_get_or_none(meta.file_key(dataset, path))
         if blob is not None:
             raw, _, length, _ = meta.RECORD_TAIL.unpack_from(
                 blob, len(blob) - meta.RECORD_TAIL.size
@@ -560,14 +523,6 @@ class DieselServer:
             return {"path": path, "is_dir": True, "size": 0,
                     "chunk_id": None, "upload_time": None}
         raise FileNotFoundInDatasetError(path)
-
-    def _file_key(self, dataset: str, path: str) -> tuple[str, KVInstance]:
-        """The ``f:`` key of canonical ``path`` and its KV shard, routed
-        from the memo's FNV-1a state of its directory's file key prefix
-        carried over the basename, as ingest routes it."""
-        parent, _, name = path.rpartition("/")
-        prefix = f"{meta.file_key_prefix(dataset)}{parent}/"
-        return prefix + name, self.kv.owner_of(prefix, name)
 
     def _op_ls(self, dataset: str, path: str) -> list[str]:
         """readdir = pscan hash(dir)/d ∪ pscan hash(dir)/f (§4.1.1).
@@ -705,10 +660,8 @@ class DieselServer:
         """
         path = normalize(path)
         kv = self.kv
-        # Each distinct key is routed once, the file's two and the
-        # dataset's from the KV's prefix memo as ingest routes them.
-        f_key, f_owner = self._file_key(dataset, path)
-        blob = kv.local_get_or_none(f_key, f_owner)
+        f_key = meta.file_key(dataset, path)
+        blob = kv.local_get_or_none(f_key)
         if blob is None:
             raise FileNotFoundInDatasetError(path)
         cid = ChunkId(meta.RECORD_TAIL.unpack_from(
@@ -719,31 +672,28 @@ class DieselServer:
             self.store.head(key), path, self._tombstone_table
         )
         ck_key = meta.chunk_key(dataset, cid)
-        ck_owner = kv.owner(ck_key)
-        ck_blob = kv.local_get_or_none(ck_key, ck_owner)
+        ck_blob = kv.local_get_or_none(ck_key)
         if ck_blob is None:
             raise DieselError(f"missing chunk record for {cid.encode()}")
         crec, nbits, bits = meta.ChunkRecord.tombstone(ck_blob, index)
-        kv.local_put(ck_key, crec, ck_owner)
+        kv.local_put(ck_key, crec)
         # Rewrite the stored header's bitmap in place (a header-sized
         # write) from the KV record's: that one already holds the bit of
         # a delete still waiting on its own write to this chunk.
         yield from self.store.patch(
             key, Chunk.with_bitmap(header, bits, nbits)
         )
-        kv.local_delete(f_key, f_owner)
+        kv.local_delete(f_key)
         parent, _, name = path.rpartition("/")
-        entry_prefix = meta.dir_scan_prefix(dataset, parent or "/", "f")
-        kv.local_delete(entry_prefix + name, kv.owner_of(entry_prefix, name))
+        kv.local_delete(meta.dir_entry_key(dataset, parent or "/", name, False))
         # Version the dataset record as it stands *now*: a chunk ingested
         # during the device write above must stay in its id list.
         ds_key = meta.dataset_key(dataset)
-        ds_owner = kv.owner_of(ds_key, "")
-        old = kv.local_get_or_none(ds_key, ds_owner)
+        old = kv.local_get_or_none(ds_key)
         if old is None:
             raise DatasetNotFoundError(dataset)
         ts, dsrec = meta.DatasetRecord.bump(old)
-        kv.local_put(ds_key, dsrec, ds_owner)
+        kv.local_put(ds_key, dsrec)
         n_journal = self.journal.record_encoded(
             dataset, ts, delete_entry(ts, path.encode())
         )

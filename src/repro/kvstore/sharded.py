@@ -3,29 +3,16 @@
 from __future__ import annotations
 
 import heapq
-from itertools import islice
-from typing import Iterator, Optional, Sequence, Tuple
-
-import numpy as np
+from binascii import crc_hqx
+from itertools import groupby, islice, repeat
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import ShardUnavailableError
 from repro.kvstore.kv import KVInstance, check_limit
-from repro.util.hashing import (
-    FNV_OFFSET,
-    fnv1a_64,
-    fnv1a_64_many,
-    mix64,
-    mix64_many,
-    stable_hash,
-)
 
 #: Redis cluster uses 16384 hash slots; we keep the same constant.
 NUM_SLOTS = 16384
-#: Bound of each cluster's memo of FNV-1a prefix states: directory key
-#: prefixes, directory link and dataset keys, journal key heads.  Every
-#: perfbench workload routes from a few hundred of them; past the bound
-#: the memo starts over.
-PREFIX_MEMO_SIZE = 4096
 
 
 class ShardedKV:
@@ -42,10 +29,6 @@ class ShardedKV:
         if not instances:
             raise ValueError("ShardedKV needs at least one instance")
         self._instances = list(instances)
-        #: Key prefix or whole key -> its FNV-1a state
-        #: (``PREFIX_MEMO_SIZE``): the keys of a dataset's files share
-        #: their directories' prefixes, its journal's keys their heads.
-        self._prefix_memo: dict[str, int] = {}
 
     @property
     def instances(self) -> tuple[KVInstance, ...]:
@@ -58,52 +41,26 @@ class ShardedKV:
         unchanged between two reads means no pair changed in between."""
         return sum(inst.table.writes for inst in self._instances)
 
-    def slot(self, key: str) -> int:
-        """The key's hash slot in ``[0, NUM_SLOTS)``."""
-        return stable_hash(key, NUM_SLOTS)
+    @staticmethod
+    def slot(key: str) -> int:
+        """The key's hash slot in ``[0, NUM_SLOTS)``: Redis Cluster's
+        ``HASH_SLOT``, CRC-16/XMODEM of the UTF-8 key mod ``NUM_SLOTS``
+        (no hash tags)."""
+        return crc_hqx(key.encode(), 0) % NUM_SLOTS
+
+    @staticmethod
+    def slots(keys: Iterable[str]) -> list[int]:
+        """:meth:`slot` of each of ``keys``, in one pass of C-level maps."""
+        return list(map(NUM_SLOTS.__rmod__, map(
+            crc_hqx, map(str.encode, keys), repeat(0)
+        )))
 
     def owner(self, key: str) -> KVInstance:
         """The shard that holds ``key``, up or not."""
         return self._instances[self.slot(key) % len(self._instances)]
 
-    def owner_of(self, prefix: str, tail: str) -> KVInstance:
-        """:meth:`owner` of ``prefix + tail``, routed from the memo's
-        FNV-1a state of ``prefix`` carried over ``tail`` alone (the
-        same shard, without the scalar hash of the whole key)."""
-        state = self._prefix_memo.get(prefix)
-        if state is None:
-            state = self.prefix_states([prefix])[0]
-        slot = mix64(fnv1a_64(tail, state)) % NUM_SLOTS
-        return self._instances[slot % len(self._instances)]
-
-    def prefix_states(self, prefixes: Sequence[str]) -> list[int]:
-        """The FNV-1a state of each of ``prefixes`` (a key that starts with
-        one is hashed on from it), from the bounded memo: the misses are
-        hashed in one kernel call and kept, the memo emptied first if they
-        would overflow it."""
-        memo = self._prefix_memo
-        states = list(map(memo.get, prefixes))
-        if None in states:
-            missing = list(dict.fromkeys(
-                p for p, state in zip(prefixes, states) if state is None
-            ))
-            fresh = dict(zip(missing, fnv1a_64_many(
-                [p.encode() for p in missing], [FNV_OFFSET] * len(missing)
-            ).tolist()))
-            states = [
-                fresh[p] if state is None else state
-                for p, state in zip(prefixes, states)
-            ]
-            if len(memo) + len(fresh) > PREFIX_MEMO_SIZE:
-                memo.clear()
-            if len(fresh) <= PREFIX_MEMO_SIZE:
-                memo.update(fresh)
-        return states
-
-    def _live_owner(
-        self, key: str, owner: Optional[KVInstance] = None
-    ) -> KVInstance:
-        inst = self.owner(key) if owner is None else owner
+    def _live_owner(self, key: str) -> KVInstance:
+        inst = self.owner(key)
         if not inst.up:
             raise ShardUnavailableError(
                 f"shard {inst.name!r} for key {key!r} is down"
@@ -180,59 +137,48 @@ class ShardedKV:
     # -- point and scan operations for co-located server logic ------------
     # No sim time passes in here, but a dead Redis instance is dead
     # however you reach it: every op reads its shard's liveness.
-    # ``owner``, when given, is ``owner(key)`` as the caller routed it
-    # once for several ops on the key; its liveness is read every time.
-    def local_put(
-        self, key: str, value: bytes, owner: Optional[KVInstance] = None
-    ) -> None:
+    def local_put(self, key: str, value: bytes) -> None:
         """Store ``value`` under ``key``; the owner must be up."""
-        self._live_owner(key, owner).table.put(key, value)
+        self._live_owner(key).table.put(key, value)
 
-    def local_put_hashed(
-        self,
-        keys: Sequence[str],
-        values: Sequence[bytes],
-        hashes: np.ndarray,
+    def local_put_many(
+        self, keys: Sequence[str], values: Sequence[bytes]
     ) -> None:
-        """:meth:`local_put` of each ``(keys[i], values[i])``, in order,
-        given ``hashes[i] == fnv1a_64(keys[i])`` (a uint64 array).
+        """:meth:`local_put` of each ``(keys[i], values[i])``, in order.
 
-        Every slot is ``hashes`` mixed and reduced as :meth:`slot` does
-        it, in one vectorised step, and each shard's pairs go in one
-        :meth:`KVTable.put_many <repro.kvstore.kv.KVTable.put_many>`, in
-        their order in ``keys``.  No sim time passes in here, so each
-        shard's liveness is read once, and a dead shard still leaves
-        exactly the pairs ahead of its first key written.
+        Every key's shard is its :meth:`slots` entry reduced as
+        :meth:`owner` does it; the pairs are sorted by shard
+        (a stable sort, so each shard's keep their order in ``keys``)
+        and each shard's go in one :meth:`KVTable.put_many
+        <repro.kvstore.kv.KVTable.put_many>`.  No sim time passes in
+        here, so each shard's liveness is read once, and a dead shard
+        still leaves exactly the pairs ahead of its first key written.
         """
         tables = [inst.table if inst.up else None for inst in self._instances]
-        shards = mix64_many(hashes) % NUM_SLOTS % len(tables)
+        shards = list(map(len(tables).__rmod__, self.slots(keys)))
         if None in tables:
-            dead = np.array([t is None for t in tables])[shards]
-            if dead.any():
-                first = int(dead.argmax())
-                self.local_put_hashed(keys[:first], values[:first], hashes[:first])
+            dead = {i for i, table in enumerate(tables) if table is None}
+            first = next((i for i, s in enumerate(shards) if s in dead), None)
+            if first is not None:
+                self.local_put_many(keys[:first], values[:first])
                 self._live_owner(keys[first])  # raises, naming the shard and the key
-        order = np.argsort(shards, kind="stable").tolist()
-        start = 0
-        for table, n in zip(tables, np.bincount(shards, minlength=len(tables)).tolist()):
-            if n:
-                picked = order[start : start + n]
-                start += n
-                table.put_many([keys[i] for i in picked], [values[i] for i in picked])
+        by_shard = itemgetter(0)
+        pairs = sorted(zip(shards, keys, values), key=by_shard)
+        for shard, run in groupby(pairs, by_shard):
+            _, run_keys, run_values = zip(*run)
+            tables[shard].put_many(run_keys, run_values)
 
     def local_get(self, key: str) -> bytes:
         """The value under ``key``; the owner must be up."""
         return self._live_owner(key).table.get(key)
 
-    def local_get_or_none(
-        self, key: str, owner: Optional[KVInstance] = None
-    ) -> Optional[bytes]:
+    def local_get_or_none(self, key: str) -> Optional[bytes]:
         """The value under ``key``, ``None`` if absent; the owner must be up."""
-        return self._live_owner(key, owner).table.get_or_none(key)
+        return self._live_owner(key).table.get_or_none(key)
 
-    def local_delete(self, key: str, owner: Optional[KVInstance] = None) -> None:
+    def local_delete(self, key: str) -> None:
         """Remove ``key``; the owner must be up."""
-        self._live_owner(key, owner).table.delete(key)
+        self._live_owner(key).table.delete(key)
 
     def local_pscan(self, prefix: str) -> list[tuple[str, bytes]]:
         """Prefix scan, sorted on the full (key, value) pair: one slice

@@ -32,9 +32,11 @@ class RpcEndpoint:
     """A named service bound to a node.
 
     ``handler(method, *args)`` executes the service's real logic and
-    returns ``(result, response_bytes)``; if it returns a bare value the
-    response size is estimated from it.  ``service_time(method, nbytes)``
-    gives the server-side CPU cost per call (defaults to a constant).
+    returns the result, or a generator the worker drives to it; ``call``
+    returns that result as it is.  The response's size is the caller's
+    ``response_bytes`` when given, else estimated from the result
+    (:meth:`_sizeof`).  ``service_s`` — a constant, or a callable of
+    ``(method, response_bytes)`` — is the server-side CPU cost per call.
     """
 
     def __init__(
@@ -105,6 +107,8 @@ class RpcEndpoint:
 
     @property
     def up(self) -> bool:
+        """Whether the service runs: not stopped by a node failure since
+        its last :meth:`restart`, and its node alive."""
         return self._up and self.node.alive
 
     def restart(self) -> None:
@@ -312,4 +316,5 @@ class RpcEndpoint:
         return results
 
     def __repr__(self) -> str:
+        """The endpoint's name and its node's."""
         return f"RpcEndpoint({self.name!r} on {self.node.name!r})"

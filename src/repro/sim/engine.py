@@ -10,12 +10,20 @@ Entries carry a monotonically increasing ``seq`` and compare
 ``(time, seq)``, so events scheduled for the same instant fire in
 creation order (same-tick FIFO).
 
+Delivery is one loop, ``Environment._deliver``: pop the heap's head,
+advance the clock to it, run its callbacks, recycle it if it is a free
+timeout.  :meth:`Environment.run` runs that loop itself in each of its
+three modes — until the queue drains, until an event triggers, until a
+deadline — and :meth:`Environment.step` runs it for one event, so no
+event costs a call of its own.
+
 The hot path is deliberately low-churn: ``Environment.timeout`` recycles
 :class:`Timeout` objects through a free list (an event is returned to the
-pool only when ``step`` can prove, by refcount, that nobody else holds
+pool only when the loop can prove, by refcount, that nobody else holds
 it); a process resuming on an already-processed event continues inline
-instead of allocating a bridge event; and ``step`` has no observability
-branch at all — ``run`` pre-binds it once per call.
+instead of allocating a bridge event, and parks with the one bound
+``_resume`` it made at its start; and the loop has no observability
+branch at all.
 """
 
 from __future__ import annotations
@@ -57,16 +65,21 @@ class Event:
 
     @property
     def triggered(self) -> bool:
+        """Whether ``succeed`` or ``fail`` was called (it may not have
+        been delivered yet)."""
         return self._value is not _PENDING
 
     @property
     def ok(self) -> bool:
+        """Whether the event succeeded; raises before it is triggered."""
         if self._value is _PENDING:
             raise SimulationError("event has not been triggered yet")
         return bool(self._ok)
 
     @property
     def value(self) -> Any:
+        """The success value or the failure's exception; raises before
+        the event is triggered."""
         if self._value is _PENDING:
             raise SimulationError("event has not been triggered yet")
         return self._value
@@ -92,6 +105,7 @@ class Event:
         return self
 
     def __repr__(self) -> str:
+        """The class and its state: pending, ok or failed."""
         state = (
             "pending"
             if not self.triggered
@@ -129,14 +143,14 @@ class _Initialize(Event):
         super().__init__(env)
         self._ok = True
         self._value = None
-        self.callbacks.append(process._resume)
+        self.callbacks.append(process._wake)
         env._schedule(self)
 
 
 class Process(Event):
     """A running generator; also an event that triggers when it finishes."""
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_target", "name", "_wake")
 
     def __init__(
         self,
@@ -152,10 +166,15 @@ class Process(Event):
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
+        #: ``_resume`` bound once: the callback every park appends.
+        #: Dropped when the process ends, so a finished process holds
+        #: no cycle through it.
+        self._wake = self._resume
         _Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:
+        """Whether the generator has not finished yet."""
         return self._value is _PENDING
 
     def interrupt(self, cause: Any = None) -> None:
@@ -177,7 +196,7 @@ class Process(Event):
         target = self._target
         if target is not None and target.callbacks is not None:
             try:
-                target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._wake)
             except ValueError:
                 pass
         self._target = None
@@ -201,12 +220,12 @@ class Process(Event):
                     next_evt = generator.throw(event._value)
             except StopIteration as stop:
                 env._active_process = None
-                self._target = None
+                self._target = self._wake = None
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
                 env._active_process = None
-                self._target = None
+                self._target = self._wake = None
                 if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                     raise
                 self.fail(exc)
@@ -218,7 +237,7 @@ class Process(Event):
                     f"process {self.name!r} yielded a non-event: {next_evt!r}"
                 )
                 generator.close()
-                self._target = None
+                self._target = self._wake = None
                 self.fail(exc)
                 return
             if next_evt.callbacks is None:
@@ -226,11 +245,12 @@ class Process(Event):
                 event = next_evt
                 continue
             self._target = next_evt
-            next_evt.callbacks.append(self._resume)
+            next_evt.callbacks.append(self._wake)
             env._active_process = None
             return
 
     def __repr__(self) -> str:
+        """The process's name and whether it is alive."""
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'done'}>"
 
 
@@ -345,6 +365,8 @@ class Semaphore:
         return evt
 
     def release(self, evt: Event) -> None:
+        """Free the slot ``evt`` holds, handing it straight to the next
+        waiter still queued; raises if ``evt`` holds none."""
         if not getattr(evt, "_granted", False):
             raise SimulationError("releasing a slot that is not held")
         evt._granted = False
@@ -454,6 +476,17 @@ def fan_out(
 _TIMEOUT_POOL_MAX = 4096
 
 
+class _Never:
+    """The ``until`` of a delivery loop that no event stops: its value
+    stays pending."""
+
+    __slots__ = ()
+    _value = _PENDING
+
+
+_NEVER = _Never()
+
+
 @dataclass(slots=True)
 class EngineStats(Counters):
     """Kernel throughput snapshot; ``events_per_sec`` is derived."""
@@ -464,6 +497,7 @@ class EngineStats(Counters):
     peak_occupancy: int
 
     def __post_init__(self) -> None:
+        """Derive ``events_per_sec`` (0 when no wall time was spent)."""
         wall = self.run_wall_s
         self.events_per_sec = self.sim_events / wall if wall > 0 else 0.0
 
@@ -505,6 +539,7 @@ class Environment:
 
     @property
     def active_process(self) -> Optional[Process]:
+        """The process whose generator is running now, if any."""
         return self._active_process
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
@@ -517,6 +552,7 @@ class Environment:
 
     # -- public factories -------------------------------------------------
     def event(self) -> Event:
+        """A new pending :class:`Event`."""
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
@@ -546,34 +582,53 @@ class Environment:
     def process(
         self, generator: Generator[Event, Any, Any], name: str = ""
     ) -> Process:
+        """Start ``generator`` as a :class:`Process` on the current tick."""
         return Process(self, generator, name=name)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
+        """An :class:`AllOf` over ``events``."""
         return AllOf(self, events)
 
     # -- execution ---------------------------------------------------------
+    def _deliver(self, until: Any, deadline: float, once: bool = False) -> None:
+        """The delivery loop: deliver the heap's head, in ``(time, seq)``
+        order, while the queue holds one due by ``deadline`` and
+        ``until`` has not triggered — one event only when ``once``.
+
+        The head is re-read after *every* event: a callback may schedule
+        new work at exactly the deadline, and it must still run.
+        """
+        heap = self._heap
+        pool = self._tpool
+        n = 0
+        try:
+            while heap and until._value is _PENDING and heap[0][0] <= deadline:
+                t, _, event = heappop(heap)
+                if t < self._now:
+                    raise SimulationError("scheduled time is in the past")
+                self._now = t
+                n += 1
+                callbacks = event.callbacks
+                event.callbacks = None
+                event._processed = True
+                for cb in callbacks:
+                    cb(event)
+                # Recycle delivered timeouts nobody else holds: the only
+                # live references are our local and getrefcount's argument.
+                if (event.__class__ is Timeout and getrefcount(event) == 2
+                        and len(pool) < _TIMEOUT_POOL_MAX):
+                    event._value = None
+                    pool.append(event)
+                if once:
+                    break
+        finally:
+            self._nevents += n
+
     def step(self) -> None:
         """Process the next scheduled event."""
-        try:
-            t, _, event = heappop(self._heap)
-        except IndexError:
-            raise DeadlockError("event queue is empty") from None
-        if t < self._now:
-            raise SimulationError("scheduled time is in the past")
-        self._now = t
-        self._nevents += 1
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._processed = True
-        for cb in callbacks:
-            cb(event)
-        # Recycle delivered timeouts nobody else holds: the only live
-        # references are our local and getrefcount's argument.
-        if event.__class__ is Timeout and getrefcount(event) == 2:
-            pool = self._tpool
-            if len(pool) < _TIMEOUT_POOL_MAX:
-                event._value = None
-                pool.append(event)
+        if not self._heap:
+            raise DeadlockError("event queue is empty")
+        self._deliver(_NEVER, _INF, once=True)
 
     def peek(self) -> float:
         """Time of the next event, or ``float('inf')`` if none."""
@@ -601,34 +656,26 @@ class Environment:
         t0 = perf_counter()
         n0 = self._nevents
         try:
-            step = self.step
-            heap = self._heap
             if until is None:
-                while heap:
-                    step()
+                self._deliver(_NEVER, _INF)
                 return None
             if isinstance(until, Event):
-                sentinel = until
-                while not sentinel.triggered:
-                    if not heap:
-                        raise DeadlockError(
-                            f"simulation ran dry before {sentinel!r} triggered"
-                        )
-                    step()
-                if sentinel._ok:
-                    return sentinel._value
-                raise sentinel._value
+                self._deliver(until, _INF)
+                if until._value is _PENDING:
+                    raise DeadlockError(
+                        f"simulation ran dry before {until!r} triggered"
+                    )
+                if until._ok:
+                    return until._value
+                raise until._value
             deadline = float(until)
             if deadline < self._now:
                 raise SimulationError(
                     f"run(until={deadline}) is in the past (now={self._now})"
                 )
-            peek = self.peek
-            # Re-check the queue head after *every* step: a callback in
-            # the final step may schedule new work at exactly the
-            # deadline, and it must still run before the clock pins.
-            while peek() <= deadline:
-                step()
+            self._deliver(_NEVER, deadline)
+            if deadline == _INF:  # never reached: the queue ran dry first
+                raise DeadlockError("event queue is empty")
             self._now = deadline
             return None
         finally:

@@ -5,10 +5,8 @@ paper, Karger et al. STOC'97); the DIESEL metadata schema uses stable
 directory hashes for prefix scans (§4.1.1).  Python's built-in ``hash``
 is salted per process, so everything here is built on FNV-1a, which is
 deterministic across runs — a requirement for reproducible experiments.
-
-:func:`fnv1a_64_many` and :func:`mix64_many` are the same two functions
-over a batch of keys as ``numpy.uint64`` arrays: uint64 arithmetic wraps
-mod 2**64, so each value is bit-identical to the scalar one.
+(The KV cluster routes by Redis Cluster's own CRC16 slot instead:
+:meth:`repro.kvstore.sharded.ShardedKV.slot`.)
 """
 
 from __future__ import annotations
@@ -16,16 +14,11 @@ from __future__ import annotations
 import bisect
 from typing import Iterable, Sequence
 
-import numpy as np
-
 FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-#: The prime as a numpy scalar: the kernel's loop multiplies by it once
-#: per byte column, and a Python int operand is converted every time.
-_PRIME = np.uint64(_FNV_PRIME)
 
 
 def fnv1a_64(data: bytes | str, state: int = FNV_OFFSET) -> int:
@@ -53,46 +46,6 @@ def mix64(h: int) -> int:
     h = (h * _MIX1) & _MASK64
     h ^= h >> 27
     h = (h * _MIX2) & _MASK64
-    h ^= h >> 31
-    return h
-
-
-def fnv1a_64_many(tails: Sequence[bytes], states: Sequence[int]) -> np.ndarray:
-    """``[fnv1a_64(t, s) for t, s in zip(tails, states)]`` as a uint64
-    array, in one pass per byte column.
-
-    The tails are padded to the longest and the rows ordered longest
-    first, so the rows still folding at column ``j`` (those longer than
-    ``j``) are a prefix of the column: each column folds that prefix and
-    masks out the padding below it.
-    """
-    n = len(tails)
-    h = np.array(states, np.uint64)
-    if not n:
-        return h
-    lengths = np.fromiter(map(len, tails), np.intp, n)
-    order = np.argsort(-lengths)
-    width = int(lengths[order[0]])
-    padded = b"".join([t.ljust(width, b"\0") for t in tails])
-    columns = np.ascontiguousarray(
-        np.frombuffer(padded, np.uint8).reshape(n, width)[order].T, np.uint64
-    )
-    live = np.searchsorted(-lengths[order], -np.arange(width)).tolist()
-    folded = h[order]
-    for column, k in zip(columns, live):
-        rows = folded[:k]
-        rows ^= column[:k]
-        rows *= _PRIME
-    h[order] = folded
-    return h
-
-
-def mix64_many(h: np.ndarray) -> np.ndarray:
-    """:func:`mix64` of each value of a uint64 array."""
-    h = h ^ (h >> 30)
-    h *= _MIX1
-    h ^= h >> 27
-    h *= _MIX2
     h ^= h >> 31
     return h
 
@@ -127,16 +80,21 @@ class ConsistentHashRing:
             self.add(node)
 
     def __len__(self) -> int:
+        """Number of nodes on the ring."""
         return len(self._nodes)
 
     def __contains__(self, node: str) -> bool:
+        """Whether ``node`` is on the ring."""
         return node in self._nodes
 
     @property
     def nodes(self) -> frozenset[str]:
+        """The nodes on the ring."""
         return frozenset(self._nodes)
 
     def add(self, node: str) -> None:
+        """Place ``node``'s ``replicas`` virtual points on the ring;
+        :class:`ValueError` if it is there already."""
         if node in self._nodes:
             raise ValueError(f"node already in ring: {node!r}")
         self._nodes.add(node)
@@ -152,6 +110,8 @@ class ConsistentHashRing:
             self._hashes.insert(idx, point)
 
     def remove(self, node: str) -> None:
+        """Take ``node`` and all its points off the ring; only the keys
+        it owned move; :class:`KeyError` if it is not there."""
         if node not in self._nodes:
             raise KeyError(f"node not in ring: {node!r}")
         self._nodes.remove(node)

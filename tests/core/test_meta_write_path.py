@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.core import meta
 from repro.core import meta_journal as mj
-from repro.core import server as server_module
 from repro.core.chunk import Chunk, ChunkFile
 from repro.core.server import object_key
 from repro.kvstore import sharded as sharded_module
@@ -26,6 +25,7 @@ from repro.util.bitmap import Bitmap
 from repro.util.ids import ChunkId, ChunkIdGenerator
 
 from tests.core.conftest import build_deployment, write_dataset
+from tests.invariants import check_kv_routing
 
 DS = "ds"
 
@@ -166,14 +166,12 @@ class TestColumnsAgainstThePerFileReference:
         first=st.lists(depth_path, min_size=1, max_size=10, unique=True),
         second=st.lists(depth_path, min_size=1, max_size=10, unique=True),
         dead=st.sets(st.integers(0, 9)),
-        cold=st.booleans(),
     )
     def test_every_pair_slot_write_count_and_journal_entry(
-        self, first, second, dead, cold
+        self, first, second, dead
     ):
         # Six shards: a count that does not divide NUM_SLOTS.  The second
-        # chunk shares the first's directories where the draws overlap,
-        # so a warm memo serves some prefixes and hashes the rest.
+        # chunk shares the first's directories where the draws overlap.
         dep = build_deployment(n_kv=6)
         server = dep.server
         ids = list(ChunkIdGenerator(machine=b"\x0e" * 6, pid=10).take(2))
@@ -183,8 +181,6 @@ class TestColumnsAgainstThePerFileReference:
                 Chunk.build(cid, [(p, p.encode("utf-8") * 2) for p in paths]),
                 {i for i in dead if i < len(paths)},
             )
-            if cold:
-                dep.kv._prefix_memo.clear()
             pairs, count = reference_pairs(chunk, ts, ids[:ts])
             ops = [
                 mj.JournalOp(
@@ -224,39 +220,6 @@ def metadata_pairs_of(table):
     return {
         k: v for k, v in table.pscan("") if not k.startswith(("jr:", "jrm:"))
     }
-
-
-class TestPrefixMemo:
-    def test_it_stays_within_its_bound_and_serves_warm_ingests(
-        self, monkeypatch
-    ):
-        bound = 16
-        monkeypatch.setattr(sharded_module, "PREFIX_MEMO_SIZE", bound)
-        misses = counting(monkeypatch, sharded_module, "fnv1a_64_many")
-        tails = counting(monkeypatch, server_module, "fnv1a_64_many")
-        dep = build_deployment()
-        memo = dep.kv._prefix_memo
-        gen = ChunkIdGenerator(b"\x0f" * 6, 11)
-
-        def ingest(top, n_dirs):
-            dep.server.ingest_metadata(DS, Chunk.build(gen.next(), [
-                (f"/{top}/d{i}/f{j}", b"x") for i in range(n_dirs)
-                for j in range(2)
-            ]))
-            assert len(memo) <= bound
-
-        # Four directories: 8 prefixes, 5 link keys, the dataset key in
-        # one kernel call; then the journal's meta and entry key heads.
-        ingest("a", 4)
-        assert len(memo) == 16 and misses[0] == 3 and tails[0] == 1
-        ingest("a", 4)  # all warm: one kernel call, over the basenames
-        assert len(memo) == 16 and misses[0] == 3 and tails[0] == 2
-        ingest("b", 4)  # 13 new states overflow the bound: start over
-        assert len(memo) == 13 + 2
-        ingest("c", 12)  # more new states than the bound: none kept
-        assert len(memo) == 2  # but the journal's heads, asked for after
-        for inst in dep.kv.instances:
-            assert all(dep.kv.owner(k) is inst for k in inst.table.keys())
 
 
 class TestRecordsAtTupleCost:
@@ -335,6 +298,20 @@ def depth3_chunk(cid, n_files=256, n_dirs=8):
     ])
 
 
+def fnv_bytes(monkeypatch):
+    """Count the bytes fed to ``fnv1a_64`` from here on; returns the
+    counter."""
+    hashed = [0]
+    fnv = hashing.fnv1a_64
+
+    def counted(data, *state):
+        hashed[0] += len(data.encode("utf-8") if isinstance(data, str) else data)
+        return fnv(data, *state)
+
+    monkeypatch.setattr(hashing, "fnv1a_64", counted)
+    return hashed
+
+
 def counting(monkeypatch, owner, attr):
     """Count calls of ``owner.attr`` from here on; returns the counter."""
     calls = [0]
@@ -358,43 +335,24 @@ class TestWorkIsCountedNotTimed:
         chunk = depth3_chunk(ChunkIdGenerator(b"\x09" * 6, 5).next(),
                              self.N_FILES, self.N_DIRS)
         meta.dir_hash.cache_clear()
-        hashed = [0]  # bytes fed to the hash: calls no longer bound the work
-        batches = [0]  # calls of the batch kernel
-        fnv, fnv_many = hashing.fnv1a_64, hashing.fnv1a_64_many
-
-        def counted(data, *state):
-            hashed[0] += len(data.encode("utf-8") if isinstance(data, str) else data)
-            return fnv(data, *state)
-
-        def counted_many(tails, states):
-            batches[0] += 1
-            hashed[0] += sum(map(len, tails))
-            return fnv_many(tails, states)
-
-        for module in (hashing, server_module, sharded_module):
-            monkeypatch.setattr(module, "fnv1a_64", counted)
-        for module in (hashing, server_module, sharded_module):
-            monkeypatch.setattr(module, "fnv1a_64_many", counted_many)
+        hashed = fnv_bytes(monkeypatch)
+        routed = counting(monkeypatch, sharded_module, "crc_hqx")
+        batches = counting(monkeypatch, dep.kv, "local_put_many")
         writes = dep.kv.writes
         dep.server.ingest_metadata(DS, chunk)
-        puts = [dep.kv.writes - writes]  # pairs written, batched or not
-        # Two kernel calls, not a hash per key or per directory: one over
-        # the new directories' key prefixes, one over the chunk's keys;
-        # then one per journal key head, the dataset's first entry.
-        assert batches[0] == 2 + 2
-        # Two keys per file (its record, its directory entry) are hashed
-        # for their KV slot over the basename alone, each continuing a
-        # state its directory's keys share; every directory — the eight
-        # leaves, /r000 — costs its two key prefixes, its own hash and
-        # its link's key; the chunk, dataset and journal keys are a
-        # constant.  (The parent commit fed 2 × Σ len(key) ≈ 16 kB.)
-        basenames = sum(len(f.path.rpartition("/")[2]) for f in chunk.files)
-        directories = self.N_DIRS + 1
-        assert 2 * basenames <= hashed[0]
-        assert hashed[0] <= 2 * basenames + 128 * directories + 256
+        puts = dep.kv.writes - writes  # pairs written, batched or not
+        # One batch and one CRC16 per key: the chunk's keys, then the
+        # dataset record's read and the journal's meta read, entry put
+        # and meta put.
+        assert batches[0] == 1
+        assert routed[0] == (puts - 2) + 1 + 3
+        # FNV-1a hashes no key: only each directory's path, once, for its
+        # ``dir_hash`` — the eight leaves, /r000 and the root.
+        directories = [f"/r000/d{i}" for i in range(self.N_DIRS)] + ["/r000"]
+        assert hashed[0] == sum(map(len, directories)) + len("/")
         # Nothing is written twice: one put per key the store now holds.
-        assert puts[0] == dep.kv.total_keys()
-        assert puts[0] == 2 * self.N_FILES + directories + 2 + 2
+        assert puts == dep.kv.total_keys()
+        assert puts == 2 * self.N_FILES + len(directories) + 2 + 2
 
     def test_ingest_metadata_builds_no_chunk_file(self, monkeypatch):
         dep = build_deployment()
@@ -451,46 +409,32 @@ class TestWorkIsCountedNotTimed:
         assert small <= 4
 
 
-    def test_a_stat_and_a_delete_hash_the_basename(self, monkeypatch):
-        """``stat`` and ``delete_file`` route a file's keys from the
-        states of its directory's key prefixes, as ingest does, each
-        distinct key of a delete once; the journal's keys from the same
-        memo by their heads.  (The parent commit hashed every key of every
-        point op whole: ~40 bytes for a stat, ~330 for a delete.)"""
+    def test_a_stat_and_a_delete_route_by_crc16(self, monkeypatch):
+        """``stat`` and ``delete_file`` route each KV op by its own key's
+        CRC16 and FNV-hash nothing: the file's directory hash is
+        ``dir_hash``'s memo's since ingest."""
         dep = build_deployment()
         chunk = depth3_chunk(ChunkIdGenerator(b"\x0e" * 6, 10).next(), 32, 4)
         dep.store.load([(object_key(DS, chunk.chunk_id), chunk.encode())])
         dep.server.ingest_metadata(DS, chunk)
-        dep.server.journal.span(DS)  # the journal's heads are memoised
-        hashed = [0]
-        fnv = hashing.fnv1a_64
-
-        def counted(data, *state):
-            hashed[0] += len(data.encode("utf-8") if isinstance(data, str) else data)
-            return fnv(data, *state)
-
-        for module in (hashing, server_module, sharded_module):
-            monkeypatch.setattr(module, "fnv1a_64", counted)
+        hashed = fnv_bytes(monkeypatch)
+        routed = counting(monkeypatch, sharded_module, "crc_hqx")
         records = counting(monkeypatch, meta.FileRecord, "decode")
         ops = counting(monkeypatch, mj.JournalOp, "__post_init__")
         path = chunk.paths[5]
-        name = path.rpartition("/")[2]
         node = dep.client_nodes[0]
         st = dep.run(dep.server.call(node, "stat", DS, path))
         assert st["size"] == 16 and st["chunk_id"] == chunk.chunk_id.encode()
-        assert hashed[0] == len(name)
-        hashed[0] = 0
+        assert routed[0] == 1 and hashed[0] == 0
+        routed[0] = 0
         dep.run(dep.server.call(node, "delete_file", DS, path))
-        ck_key = meta.chunk_key(DS, chunk.chunk_id)
-        # The file's record and entry over the basename, the chunk
-        # record's key whole, the journal's entry and meta keys over
-        # their last four characters (it is within its horizon: no
-        # entry is compacted); the dataset key's state is the memo's,
-        # carried over no tail.
-        assert hashed[0] == 2 * len(name) + len(ck_key) + 2 * 4
+        # The file's record (read, deleted), the chunk record (read,
+        # written), the file's entry (deleted), the dataset record
+        # (read, written), the journal's meta (read, written) and entry
+        # (written): it is within its horizon, no entry is compacted.
+        assert routed[0] == 10 and hashed[0] == 0
         assert records[0] == ops[0] == 0
-        for inst in dep.kv.instances:
-            assert all(dep.kv.owner(k) is inst for k in inst.table.keys())
+        check_kv_routing(dep.kv)
 
 
 @pytest.fixture

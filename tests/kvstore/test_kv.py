@@ -9,7 +9,6 @@ from repro.cluster import NetworkFabric, Node
 from repro.errors import KeyNotFoundError, ShardUnavailableError
 from repro.kvstore import KVInstance, KVTable, ShardedKV
 from repro.sim import Environment
-from repro.util.hashing import FNV_OFFSET, fnv1a_64_many
 
 
 class TestKVTable:
@@ -178,6 +177,16 @@ class TestShardedKV:
         kv.lose_all()
         assert kv.total_keys() == 0
 
+    @pytest.mark.parametrize("key,slot", [
+        ("somekey", 11058),  # the CLUSTER KEYSLOT documentation example
+        ("foo", 12182),
+        ("123456789", 12739),  # CRC-16/XMODEM check value 0x31C3
+    ])
+    def test_slot_is_redis_cluster_keyslot(self, key, slot):
+        kv = build_cluster(n_instances=3)
+        assert kv.slot(key) == slot
+        assert kv.owner(key) is kv.instances[slot % 3]
+
 
 class TestShardFailover:
     """_live_owner routing when one shard's node dies (§4.1.2 scenario a)."""
@@ -214,11 +223,10 @@ class TestShardFailover:
                 assert kv.local_get(k) == k.encode()
 
     def test_hashed_batch_is_the_per_key_loop(self):
-        """Same pairs written, same error, whichever shard is dead — and
-        with none dead."""
+        """``local_put_many``: same pairs written, same error, whichever
+        shard is dead — and with none dead."""
         pairs = [(f"f:ds:/d{i % 3}/n{i}", bytes([i])) for i in range(40)]
         keys, values = zip(*pairs)
-        hashes = fnv1a_64_many([k.encode() for k in keys], [FNV_OFFSET] * len(keys))
 
         def state_after(write, victim):
             kv = build_cluster(n_instances=4)
@@ -240,7 +248,7 @@ class TestShardFailover:
         for victim in (None, 0, 1, 2, 3):
             looped = state_after(loop, victim)
             assert state_after(
-                lambda kv: kv.local_put_hashed(keys, values, hashes), victim
+                lambda kv: kv.local_put_many(keys, values), victim
             ) == looped
             written = sum(len(t) for t in looped[0])
             assert (looped[1] is None) == (victim is None) == (written == len(pairs))

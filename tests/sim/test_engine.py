@@ -22,14 +22,38 @@ def _first_of(env, events):
     return first
 
 
-def _run_workload(seed: int) -> tuple:
-    """One randomized mixed workload; returns its full observable trace.
+def _drain(env, procs):
+    env.run()
+
+
+def _until_each_process(env, procs):
+    for proc in procs:
+        env.run(until=proc)
+    env.run()  # what outlives the last process
+
+
+def _until_each_deadline(env, procs):
+    # At most a second at a time, and exactly to the next event when it
+    # is nearer: the clock ends where a plain run() leaves it.
+    while env.peek() < float("inf"):
+        env.run(until=min(env.peek(), env.now + 1.0))
+
+
+def _step_by_step(env, procs):
+    while env.peek() < float("inf"):
+        env.step()
+
+
+def _run_workload(seed: int, drive=_drain) -> tuple:
+    """One randomized mixed workload, driven to the end by ``drive(env,
+    processes)``; returns its full observable trace.
 
     ``TestPinnedTrace`` pins the trace's digest, so any edit here (even
     the interrupt cause) changes every pinned value."""
     rng = random.Random(seed)
     env = Environment()
     trace = []
+    procs = []
 
     def sleeper(env, tag, delay):
         try:
@@ -68,15 +92,20 @@ def _run_workload(seed: int) -> tuple:
                                 rng.uniform(0, 1.0),
                                 rng.uniform(0, 500.0)])
             victim = env.process(sleeper(env, tag, delay))
+            procs.append(victim)
             if rng.random() < 0.3:
-                env.process(killer(env, victim, rng.uniform(0, 500.0)))
+                procs.append(
+                    env.process(killer(env, victim, rng.uniform(0, 500.0)))
+                )
         elif kind == 1:
             delays = [rng.uniform(0, 50) for _ in range(rng.randint(1, 5))]
             mode = rng.choice(["all", "any"])
-            env.process(condition_waiter(env, tag, delays, mode))
+            procs.append(env.process(condition_waiter(env, tag, delays, mode)))
         else:
-            env.process(sem_user(env, tag, sem, rng.uniform(0.01, 20)))
-    env.run()
+            procs.append(
+                env.process(sem_user(env, tag, sem, rng.uniform(0.01, 20)))
+            )
+    drive(env, procs)
     stats = env.engine_stats()
     return tuple(trace), env.now, stats.sim_events, sem.high_water
 
@@ -84,17 +113,27 @@ def _run_workload(seed: int) -> tuple:
 class TestPinnedTrace:
     """Delivery order is pinned: the digest of a randomized workload's
     trace (timeouts, interrupts, all-of and first-of waits, a semaphore)
-    must not move."""
+    must not move, however the loop is driven."""
 
-    @pytest.mark.parametrize("seed,digest", [
+    DIGESTS = [
         (0, "1f1577cdcfad80b7"),
         (1, "2ee02d85a6be24ef"),
         (2, "cb44ffbe529a5d55"),
         (3, "bfd37cc60200573e"),
         (42, "ce7769c57d815e16"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("seed,digest", DIGESTS)
     def test_trace_digest(self, seed, digest):
         result = _run_workload(seed)
+        assert hashlib.sha256(repr(result).encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("drive", [
+        _until_each_process, _until_each_deadline, _step_by_step,
+    ])
+    @pytest.mark.parametrize("seed,digest", DIGESTS)
+    def test_every_mode_of_the_loop_gives_the_digest(self, seed, digest, drive):
+        result = _run_workload(seed, drive)
         assert hashlib.sha256(repr(result).encode()).hexdigest()[:16] == digest
 
 

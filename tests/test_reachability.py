@@ -55,6 +55,7 @@ KEEP = {
     "Semaphore.queue_length": "(ii) bounded-wait-queue probe (no pinned waiters)",
     "verify_file": "(ii) embedded-CRC read-back check of generated payloads",
     "run_sync": "(ii) the driver every differential test runs both sides with",
+    "Environment.step": "(ii) one-event driver the pinned trace checks run's loop against",
     "SpanRecorder.layers": "(ii) per-layer resolution probe of the span recorder",
     "ChunkId.machine": "(ii) Table 1 field decoder the id tests compare against",
     "ChunkId.counter": "(ii) Table 1 field decoder the id tests compare against",

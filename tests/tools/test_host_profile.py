@@ -103,3 +103,38 @@ def test_exact_mode_times_every_call_and_diffs_only_its_own_kind():
         assert "exact" in str(exc)
     else:
         raise AssertionError("--diff mixed an exact and a sampled profile")
+
+
+def test_census_names_each_delivery_by_kind():
+    from repro.sim import Environment, Semaphore
+
+    hp = load_script()
+    env = Environment()
+    sem = Semaphore(env, 1)
+    wake = env.event()
+
+    def child():
+        yield env.timeout(1)
+
+    def parent():
+        slot = sem.acquire()  # free: an immediate grant
+        yield slot
+        yield env.all_of([env.timeout(2), env.timeout(3)])
+        sem.release(slot)
+        wake.succeed()
+        yield wake
+        yield env.process(child())
+
+    with hp.Census() as census:
+        env.process(parent())
+        env.run()
+    assert census.counts == {
+        "timeout": 3, "semaphore grant": 1, "process start": 2,
+        "process end": 2, "condition": 1, "other": 1,
+    }
+    assert env.engine_stats().sim_events == 10
+    lines = census.report(ops=5)
+    assert lines[-1].split() == ["total", "10", "2.000", "100.0%"]
+    env.process(child())
+    env.run()  # outside the region: not counted
+    assert sum(census.counts.values()) == 10

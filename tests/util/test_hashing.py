@@ -1,21 +1,12 @@
 """Tests for stable hashing and the consistent-hash ring."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.meta import dir_hash
-from repro.kvstore.sharded import NUM_SLOTS
-from repro.util.hashing import (
-    FNV_OFFSET,
-    ConsistentHashRing,
-    fnv1a_64,
-    fnv1a_64_many,
-    mix64,
-    mix64_many,
-    stable_hash,
-)
+from repro.kvstore.sharded import NUM_SLOTS, ShardedKV
+from repro.util.hashing import ConsistentHashRing, fnv1a_64, mix64, stable_hash
 from repro.util.pathutil import normalize
 
 
@@ -62,9 +53,10 @@ class TestFnv:
             stable_hash("x", 0)
 
 
-#: ``stable_hash`` and ``ShardedKV.slot`` of each key, computed at the
-#: commit before the metadata write path was rebuilt (PR 20).  KV slots
-#: and ring points feed every workload's sim figures: these never move.
+#: ``stable_hash`` of each key, whole and mod ``NUM_SLOTS`` (the KV slot
+#: until the KV routed by Redis's CRC16), computed before the metadata
+#: write path was rebuilt.  Ring points and directory hashes feed every
+#: workload's sim figures: these never move.
 PINNED = {
     "": (0xF52A15E9A9B5E89B, 10395),
     "/": (0x7FACE396AE054C7D, 3197),
@@ -129,52 +121,29 @@ class TestPinnedValues:
             dir_hash(7)
 
 
-#: A tail as the write path hashes one: raw bytes, or a UTF-8 name.
-tails = st.one_of(
-    st.binary(max_size=24),
-    st.text(max_size=10).map(lambda t: t.encode("utf-8")),
-    st.sampled_from([b"", b"\0", b"a\0\0", "données/été".encode(), "火🙂".encode()]),
-)
-#: A 64-bit state, high bit set as often as not.
-states = st.one_of(
-    st.integers(0, 2**64 - 1),
-    st.integers(2**63, 2**64 - 1),
-    st.just(FNV_OFFSET),
-)
+#: Slots Redis itself gives: the ``CLUSTER KEYSLOT`` documentation
+#: example, ``foo``, and the CRC-16/XMODEM check value 0x31C3.
+REDIS_SLOTS = {"somekey": 11058, "foo": 12182, "123456789": 12739}
 
 
 class TestBatchKernel:
-    """``fnv1a_64_many`` / ``mix64_many`` against the scalar functions."""
+    """``ShardedKV.slots``, the batch route of a chunk's keys, against
+    the scalar ``ShardedKV.slot``."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(tails, states), max_size=40))
-    def test_fnv1a_64_many_is_the_scalar_loop(self, rows):
-        got = fnv1a_64_many([t for t, _ in rows], [s for _, s in rows])
-        assert got.dtype == np.uint64 and got.shape == (len(rows),)
-        assert got.tolist() == [fnv1a_64(t, s) for t, s in rows]
-
-    @pytest.mark.parametrize("rows", [
+    @pytest.mark.parametrize("keys", [
         [],
-        [(b"", FNV_OFFSET)],
-        [(b"", 2**64 - 1), (b"", 0)],
-        [("é".encode(), 2**63)],
-        [(b"x" * 30, 1), (b"", 2**64 - 1), ("名前".encode(), 2**63 + 5)],
+        [""],
+        ["", "", ""],
+        ["é"],
+        ["x" * 30, "", "名前", "f:ds:/données/été"],
     ], ids=["empty-batch", "one-empty-tail", "all-empty", "one", "ragged"])
-    def test_edges(self, rows):
-        got = fnv1a_64_many([t for t, _ in rows], [s for _, s in rows])
-        assert got.tolist() == [fnv1a_64(t, s) for t, s in rows]
-
-    @given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
-    def test_mix64_many_is_the_scalar(self, values):
-        h = np.array(values, dtype=np.uint64)
-        assert mix64_many(h).tolist() == [mix64(v) for v in values]
-        assert h.tolist() == values  # the input array is left as it was
+    def test_edges(self, keys):
+        slots = ShardedKV.slots(keys)
+        assert slots == [ShardedKV.slot(key) for key in keys]
+        assert all(0 <= slot < NUM_SLOTS for slot in slots)
 
     def test_pinned_slots_through_the_kernel(self):
-        keys = [k.encode("utf-8") for k in PINNED]
-        mixed = mix64_many(fnv1a_64_many(keys, [FNV_OFFSET] * len(keys)))
-        assert mixed.tolist() == [full for full, _ in PINNED.values()]
-        assert (mixed % NUM_SLOTS).tolist() == [s for _, s in PINNED.values()]
+        assert ShardedKV.slots(REDIS_SLOTS) == list(REDIS_SLOTS.values())
 
 
 class TestRing:
