@@ -58,6 +58,14 @@ def main() -> None:
         sh(ws, "rm", "/train/dog/000.jpg")
         sh(ws, "purge")
         sh(ws, "info")
+        sh(ws, "datasets")
+
+        # The workspace checks: metadata against chunks, the metadata
+        # plane, and where sample reads spend their time.
+        sh(ws, "verify")
+        sh(ws, "meta")
+        sh(ws, "stats", "-n", "8")
+        sh(ws, "trace", str(tmp / "reads.trace.json"), "-n", "8")
 
         print(f"workspace file: {ws.stat().st_size} bytes "
               f"(chunks only — metadata rebuilds from their headers)")

@@ -2,8 +2,9 @@
 """Which scenario reaches each def of ``src/repro``: a measured reach map.
 
 Runs every registered experiment (``ALL_EXPERIMENTS``, at its default
-size) and judges its claims (``CLAIMS[id]`` on its result, as the
-runner does), each perfbench workload at ``--scale tiny`` (through
+size) through the runner CLI (``repro.bench.runner.main`` with ``--csv``
+and ``--json``, so its claims are judged and its rows written), each
+perfbench workload at ``--scale tiny`` (through
 ``perfbench.harness.run_workload``) and each ``examples/*.py`` under a
 ``sys.setprofile`` hook that notes the code object of every Python
 call, deduplicated per scenario.  The defs of ``src/repro`` files are
@@ -35,7 +36,10 @@ hook comes off, so a generator's ``finally`` that runs when the
 collector frees a suspended process counts for that scenario every
 time (``Semaphore.abandon`` under ``fig9``).
 
-Blind spots: a def counts only when a Python frame runs its code.  An
+Blind spots: the workloads run at ``--scale tiny``, so a def that only
+a full-scale run reaches reads (c); check a deletion candidate against
+``scripts/host_profile.py <workload> --exact`` at full scale.  A def
+counts only when a Python frame runs its code.  An
 ``__init__`` that the fast path bypasses reads as unreached although
 its class is in use: ``Chunk.__init__`` (``Chunk`` objects are built
 with ``cls.__new__``) and ``Timeout.__init__`` (the environment hands
@@ -63,6 +67,7 @@ import pkgutil
 import re
 import runpy
 import sys
+import tempfile
 import time
 from functools import partial
 from pathlib import Path
@@ -140,11 +145,13 @@ def import_all() -> None:
 
 
 def run_and_judge(experiment: str) -> None:
-    """Run one experiment and judge its claims on the result."""
-    from repro.bench.claims import CLAIMS
-    from repro.bench.experiments import ALL_EXPERIMENTS
+    """Run one experiment through the runner CLI, as an operator does:
+    its table printed, its claims judged, its rows written as CSV and
+    JSON."""
+    from repro.bench.runner import main
 
-    CLAIMS[experiment](ALL_EXPERIMENTS[experiment]())
+    with tempfile.TemporaryDirectory() as out:
+        main([experiment, "--csv", out, "--json", out])
 
 
 def scenarios() -> dict:

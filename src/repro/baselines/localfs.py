@@ -85,7 +85,3 @@ class LocalXfs:
                 if entry in self._dirs:
                     stack.append(entry)
         return count
-
-    @property
-    def file_count(self) -> int:
-        return len(self._files)

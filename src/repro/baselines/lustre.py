@@ -67,13 +67,6 @@ class _Namespace:
         except KeyError:
             raise FileNotFoundInDatasetError(path) from None
 
-    def unlink(self, path: str) -> None:
-        path = pathutil.normalize(path)
-        if path not in self._files:
-            raise FileNotFoundInDatasetError(path)
-        del self._files[path]
-        self._dirs[pathutil.dirname(path)].discard(path)
-
     def is_file(self, path: str) -> bool:
         return pathutil.normalize(path) in self._files
 
@@ -99,10 +92,6 @@ class _Namespace:
             for child in sorted(self._dirs.get(d, ()), reverse=True):
                 if child in self._dirs:
                     stack.append(child)
-
-    @property
-    def file_count(self) -> int:
-        return len(self._files)
 
 
 class LustreFS:
@@ -157,9 +146,6 @@ class LustreFS:
             return True
         if method == "readdir":
             return self.ns.list_dir(args[0])
-        if method == "unlink":
-            self.ns.unlink(args[0])
-            return None
         if method == "noop":
             return None
         raise ValueError(f"unknown MDS method {method!r}")
@@ -209,10 +195,6 @@ class LustreFS:
         data = self.ns.read_file(path)
         yield from self.oss.read(len(data))
         return data
-
-    def unlink(self, client: Node, path: str) -> Generator[Event, Any, None]:
-        yield self.env.timeout(self.profile.client_posix_s)
-        yield from self._mds_call(client, path, "unlink", path, ops=1.0)
 
     def readdir(self, client: Node, path: str) -> Generator[Event, Any, list[str]]:
         """List one directory.

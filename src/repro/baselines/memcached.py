@@ -69,16 +69,11 @@ class MemcachedNode:
         if method == "set":
             self._data[args[0]] = args[1]
             return True
-        if method == "delete":
-            return self._data.pop(args[0], None) is not None
         raise ValueError(f"unknown memcached method {method!r}")
 
     @property
     def up(self) -> bool:
         return self.endpoint.up
-
-    def flush(self) -> None:
-        self._data.clear()
 
 
 class MemcachedCluster:
@@ -155,13 +150,6 @@ class MemcachedCluster:
             response_bytes=8,
         )
         return True
-
-    def delete(self, client: Node, key: str) -> Generator[Event, Any, bool]:
-        server = self.server_for(key)
-        if not server.up:
-            return False
-        result = yield from server.endpoint.call(client, "delete", key)
-        return result
 
     def kill_server(self, name: str) -> None:
         """Disable one memcached instance (its node stays up)."""

@@ -2044,8 +2044,8 @@ def capacity(
 
         fetches_before = tb.diesel.stats.chunk_reads
         epoch_s = tb.timed(worker(w) for w in range(n_nodes))
-        rows = registry.tier_rows()
-        resident = sum(r["chunks_ram"] + r["chunks_disk"] for r in rows)
+        ram = [c.store.stats.ram_bytes for c in registry.node_caches]
+        tier = registry.store_stats
         return {
             "event": "run",
             "ratio": ratio,
@@ -2058,14 +2058,12 @@ def capacity(
             "epoch_s": epoch_s,
             "read_throughput_bps": dataset_bytes / epoch_s,
             "failed_reads": failed[0],
-            "lost_chunks": len(chunks) - resident,
+            "lost_chunks": len(chunks) - tier.chunks_ram - tier.chunks_disk,
             "epoch_backend_fetches":
                 tb.diesel.stats.chunk_reads - fetches_before,
-            "ram_bound_ok": all(
-                r["ram_bytes"] <= ram_bytes for r in rows
-            ),
-            "max_ram_bytes": max(r["ram_bytes"] for r in rows),
-            **stats_row(registry.store_stats, prefix="tier_"),
+            "ram_bound_ok": max(ram) <= ram_bytes,
+            "max_ram_bytes": max(ram),
+            **stats_row(tier, prefix="tier_"),
         }
 
     with timer(result):

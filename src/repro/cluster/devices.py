@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Generator
 
-from repro.calibration import HddProfile, NvmeProfile
+from repro.calibration import NvmeProfile
 from repro.errors import NodeDownError
 from repro.obs.counters import Counters
 from repro.sim.engine import Environment, Event, Semaphore
@@ -61,11 +61,6 @@ class Device:
     @classmethod
     def nvme(cls, env: Environment, name: str = "nvme", profile: NvmeProfile | None = None) -> "Device":
         p = profile or NvmeProfile()
-        return cls(env, name, p.per_op_s, p.bandwidth_bps, p.queue_depth)
-
-    @classmethod
-    def hdd(cls, env: Environment, name: str = "hdd", profile: HddProfile | None = None) -> "Device":
-        p = profile or HddProfile()
         return cls(env, name, p.per_op_s, p.bandwidth_bps, p.queue_depth)
 
     @property

@@ -60,15 +60,6 @@ class NetworkFabric:
         except KeyError:
             raise ClusterError(f"unknown node: {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        """Whether a node called ``name`` is attached."""
-        return name in self._nodes
-
-    @property
-    def nodes(self) -> tuple[Node, ...]:
-        """Every attached node, in attach order."""
-        return tuple(self._nodes.values())
-
     def _check_alive(self, node: Node) -> None:
         if not node.alive:
             raise NodeDownError(node.name)

@@ -162,11 +162,15 @@ class CacheMaster:
         self, cids: Sequence[str]
     ) -> Generator[Event, Any, List[Tuple[Chunk, int]]]:
         """Bring cold chunks to this node from the backend, in one
-        vectorized ``call_batch`` of ``get_chunk``s."""
+        vectorized ``call_batch`` of ``get_chunk``s; each is kept as a
+        :meth:`Chunk.fetched` view, so a blob under another chunk's id
+        is refused."""
         blobs = yield from self.server.call_batch(
             self.node, [("get_chunk", self.dataset, cid) for cid in cids]
         )
-        return [(Chunk.decode(blob), len(blob)) for blob in blobs]
+        return [
+            (Chunk.fetched(blob, cid), len(blob)) for cid, blob in zip(cids, blobs)
+        ]
 
     def pull(self, cids: Sequence[str]) -> Generator[Event, Any, int]:
         """Admit ``cids`` through the node tier and record the

@@ -119,7 +119,7 @@ class ReadChain:
                     client.node, "get_chunk", self.dataset, encoded_cid,
                     response_bytes=None,
                 )
-                chunk = Chunk.decode(blob)
+                chunk = Chunk.fetched(blob, encoded_cid)
         if rec is not None:
             rec.record("chunk_fetch", self._LAYER_OF.get(tier, "server"),
                        self.env.now - t0, actor=client.name,

@@ -20,15 +20,8 @@ from typing import Any, Dict, Generator, Iterator, List, Optional, Sequence, Tup
 
 from repro.core.chunk import Chunk
 from repro.core.chunk_store import ChunkStore, ChunkStoreStats
-from repro.obs.counters import Counters, stats_row
+from repro.obs.counters import Counters
 from repro.sim.engine import Environment, Event
-
-#: ``tier_rows`` columns after the node and store kind: residency
-#: gauges, then read traffic.
-_TIER_COLUMNS = (
-    "chunks_ram", "chunks_disk", "ram_bytes", "disk_bytes",
-    "disk_stored_bytes", "ram_hits", "disk_hits", "promotions", "demotions",
-)
 
 
 @dataclass(slots=True)
@@ -345,14 +338,6 @@ class SharedCacheRegistry:
         return ChunkStoreStats.total(
             c.store.stats for c in self._caches.values()
         )
-
-    def tier_rows(self) -> List[dict]:
-        """Per-node tier residency summary (the ``capacity`` bench rows)."""
-        return [
-            {"node": c.node.name, "store": c.store.kind,
-             **stats_row(c.store.stats, _TIER_COLUMNS)}
-            for c in self.node_caches
-        ]
 
     @property
     def recorder(self):

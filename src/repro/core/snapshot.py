@@ -439,10 +439,6 @@ class SnapshotIndex:
                     "chunk_id": None, "upload_time": None}
         raise FileNotFoundInDatasetError(path)
 
-    def is_dir(self, path: str) -> bool:
-        """Whether ``path`` (normalised) is a directory."""
-        return normalize(path) in self._tree()
-
     def readdir(self, path: str) -> list[str]:
         """Full paths of the directory's entries, sorted; a path that is
         no directory raises :class:`FileNotFoundInDatasetError`."""

@@ -56,10 +56,6 @@ class KVTable:
         """Number of keys held."""
         return len(self._data)
 
-    def __contains__(self, key: str) -> bool:
-        """Whether ``key`` is held."""
-        return key in self._data
-
     def _writable(self) -> dict[str, bytes]:
         """``_data``, copied first if a running scan reads it."""
         if self._pins:

@@ -125,10 +125,6 @@ class Histogram:
             "max": self.max if self.count else 0.0,
         }
 
-    def __len__(self) -> int:
-        """Number of recorded samples."""
-        return self.count
-
     def __repr__(self) -> str:
         """Debug form with count and key percentiles."""
         return (

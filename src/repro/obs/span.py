@@ -114,10 +114,6 @@ class SpanRecorder:
             comp.recorder = None
 
     # ------------------------------------------------------------ recording
-    def now(self) -> float:
-        """Current sim time as seen by this recorder."""
-        return self._clock()
-
     def start(self, op: str, actor: str = "") -> Span:
         """Open a span for ``op`` at the current sim time."""
         return Span(op, actor, self._clock())
@@ -167,10 +163,6 @@ class SpanRecorder:
     def spans(self) -> list:
         """Finished spans still in the retained window (oldest first)."""
         return list(self._spans)
-
-    def __len__(self) -> int:
-        """Number of retained spans."""
-        return len(self._spans)
 
     def histogram(self, op: str, layer: str = "") -> Histogram:
         """The ``(op, layer)`` latency histogram (empty one if unseen)."""

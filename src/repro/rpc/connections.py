@@ -35,8 +35,5 @@ class ConnectionTable:
     def count(self) -> int:
         return len(self._conns)
 
-    def __contains__(self, pair: tuple[str, str]) -> bool:
-        return pair in self._conns
-
     def __repr__(self) -> str:
         return f"ConnectionTable({self.count()} connections)"

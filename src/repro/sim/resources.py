@@ -93,15 +93,6 @@ class Store:
         self._getters: Deque[Event] = deque()
         self._putters: Deque[tuple[Event, Any]] = deque()
 
-    def __len__(self) -> int:
-        """Items queued right now."""
-        return len(self._items)
-
-    @property
-    def items(self) -> tuple[Any, ...]:
-        """The queued items, oldest first (a snapshot)."""
-        return tuple(self._items)
-
     def put(self, item: Any) -> Event:
         """Event that fires once ``item`` is queued (at once below capacity)."""
         evt = Event(self.env)

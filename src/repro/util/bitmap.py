@@ -34,26 +34,13 @@ class Bitmap:
         idx = self._check(idx)
         self._bits[idx >> 3] |= 1 << (idx & 7)
 
-    def clear(self, idx: int) -> None:
-        idx = self._check(idx)
-        self._bits[idx >> 3] &= ~(1 << (idx & 7)) & 0xFF
-
     def get(self, idx: int) -> bool:
         idx = self._check(idx)
         return bool(self._bits[idx >> 3] & (1 << (idx & 7)))
 
-    def __getitem__(self, idx: int) -> bool:
-        return self.get(idx)
-
     def count(self) -> int:
         """Number of set bits."""
         return sum(byte.bit_count() for byte in self._bits)
-
-    def any(self) -> bool:
-        return any(self._bits)
-
-    def all(self) -> bool:
-        return self.count() == self._size
 
     def to_bytes(self) -> bytes:
         return bytes(self._bits)
@@ -78,12 +65,11 @@ class Bitmap:
         return bm
 
     def __eq__(self, other: object) -> bool:
+        # Defining __eq__ alone leaves __hash__ None: a mutable bitmap
+        # is unhashable.
         if not isinstance(other, Bitmap):
             return NotImplemented
         return self._size == other._size and self._bits == other._bits
-
-    def __hash__(self) -> int:  # bitmaps are mutable; forbid hashing
-        raise TypeError("Bitmap is unhashable")
 
     def __repr__(self) -> str:
         return f"Bitmap(size={self._size}, set={self.count()})"

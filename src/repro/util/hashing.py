@@ -79,19 +79,6 @@ class ConsistentHashRing:
         for node in nodes:
             self.add(node)
 
-    def __len__(self) -> int:
-        """Number of nodes on the ring."""
-        return len(self._nodes)
-
-    def __contains__(self, node: str) -> bool:
-        """Whether ``node`` is on the ring."""
-        return node in self._nodes
-
-    @property
-    def nodes(self) -> frozenset[str]:
-        """The nodes on the ring."""
-        return frozenset(self._nodes)
-
     def add(self, node: str) -> None:
         """Place ``node``'s ``replicas`` virtual points on the ring;
         :class:`ValueError` if it is there already."""

@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import os
 import threading
-import uuid
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -81,10 +79,6 @@ class ChunkId:
         return self.raw[4:10]
 
     @property
-    def pid(self) -> int:
-        return int.from_bytes(self.raw[10:13], "big")
-
-    @property
     def counter(self) -> int:
         return int.from_bytes(self.raw[13:16], "big")
 
@@ -134,41 +128,17 @@ def decode_chunk_id(encoded: str) -> ChunkId:
     return ChunkId(raw)
 
 
-def _local_machine_id() -> bytes:
-    """Best-effort 6-byte machine identifier (MAC via uuid.getnode)."""
-    return uuid.getnode().to_bytes(6, "big")
-
-
-_instance_counter = 0
-_instance_lock = threading.Lock()
-
-
-def _next_default_pid() -> int:
-    """A unique default 'process id' per generator instance.
-
-    Real DIESEL runs one generator per OS process, so os.getpid() is
-    unique.  Inside one simulation many *simulated* processes share the
-    interpreter's pid; mixing in a per-instance counter preserves the
-    Table 1 uniqueness guarantee across simulated writers.
-    """
-    global _instance_counter
-    with _instance_lock:
-        _instance_counter += 1
-        return (os.getpid() + _instance_counter) % (1 << (8 * _PID_BYTES))
-
-
 def sim_id_generator(
     name: str, clock: "callable[[], float] | None" = None
 ) -> "ChunkIdGenerator":
     """A :class:`ChunkIdGenerator` whose machine/pid derive from ``name``.
 
-    The default generator identifies the writer by host MAC and OS pid —
-    correct for real deployments, but it makes chunk IDs (and anything
-    hashed from them, e.g. per-chunk compression ratios) vary from one
-    interpreter run to the next.  Simulated writers have a stable name
-    instead, so hashing the name into the machine/pid fields keeps the
-    Table 1 uniqueness guarantee across writers *and* makes every sim
-    run bit-identical.
+    A real deployment identifies the writer by host MAC and OS pid,
+    which vary from one interpreter run to the next, and so would chunk
+    IDs (and anything hashed from them, e.g. per-chunk compression
+    ratios).  Simulated writers have a stable name instead, so hashing
+    the name into the machine/pid fields keeps the Table 1 uniqueness
+    guarantee across writers *and* makes every sim run bit-identical.
     """
     digest = hashlib.blake2b(name.encode("utf-8"), digest_size=9).digest()
     return ChunkIdGenerator(
@@ -189,13 +159,12 @@ class ChunkIdGenerator:
 
     def __init__(
         self,
-        machine: bytes | None = None,
-        pid: int | None = None,
+        machine: bytes,
+        pid: int,
         clock: "callable[[], float] | None" = None,
     ) -> None:
-        self._machine = machine if machine is not None else _local_machine_id()
-        raw_pid = pid if pid is not None else _next_default_pid()
-        self._pid = raw_pid % (1 << (8 * _PID_BYTES))
+        self._machine = machine
+        self._pid = pid % (1 << (8 * _PID_BYTES))
         self._clock = clock
         self._lock = threading.Lock()
         self._last_second = -1

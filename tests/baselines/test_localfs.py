@@ -81,9 +81,3 @@ class TestLocalXfs:
         t_plain = run_sync(env, timed(env, False))
         t_sizes = run_sync(env, timed(env, True))
         assert t_sizes > t_plain
-
-    def test_file_count(self):
-        env, fs = make_fs()
-        fs.write_file("/a", b"")
-        fs.write_file("/b/c", b"")
-        assert fs.file_count == 2

@@ -50,16 +50,6 @@ class TestFunctional:
         with pytest.raises(FileNotFoundInDatasetError):
             run_sync(env, proc(env))
 
-    def test_unlink(self):
-        env, fs, client = make_lustre()
-
-        def proc(env):
-            yield from fs.write_file(client, "/a", b"1")
-            yield from fs.unlink(client, "/a")
-            return fs.ns.is_file("/a")
-
-        assert run_sync(env, proc(env)) is False
-
     def test_readdir_lists_children(self):
         env, fs, client = make_lustre()
 

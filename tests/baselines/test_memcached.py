@@ -44,18 +44,6 @@ class TestMemcached:
 
         assert run_sync(env, proc(env)) is None
 
-    def test_delete(self):
-        env, mc, client = make_cluster()
-
-        def proc(env):
-            yield from mc.set(client, "k", b"v")
-            removed = yield from mc.delete(client, "k")
-            v = yield from mc.get(client, "k")
-            return removed, v
-
-        removed, v = run_sync(env, proc(env))
-        assert removed is True and v is None
-
     def test_keys_spread(self):
         env, mc, client = make_cluster(n_servers=4)
 

@@ -40,8 +40,8 @@ class TestMakeTestbed:
 
     def test_nodes_registered_on_fabric(self):
         tb = make_testbed(n_compute=3, n_storage=2)
-        assert "compute2" in tb.fabric
-        assert "storage1" in tb.fabric
+        assert tb.fabric.node("compute2") is tb.compute_nodes[2]
+        assert tb.fabric.node("storage1") is tb.storage_nodes[1]
 
     def test_run_helpers(self):
         tb = make_testbed(n_compute=1)

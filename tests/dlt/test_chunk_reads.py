@@ -26,8 +26,10 @@ from repro.calibration import ModelProfile
 from repro.cluster.node import Node
 from repro.core.config import DieselConfig
 from repro.core.prefetch import WINDOW_HIT_S
+from repro.core.server import object_key
 from repro.core.shared_cache import SharedCacheRegistry
 from repro.dlt.trainer import run_training
+from repro.errors import ChunkFormatError
 from repro.obs import SpanRecorder
 
 from tests.invariants import check_invariants, check_window
@@ -59,11 +61,7 @@ def make_task(seed=0, store="ram", group_size=2,
     ram = 256 * 2**30
     if store != "ram":
         ram = sum(c.data_size for c in tb.chunks) // (2 * n_nodes)
-    nodes = [
-        tb.fabric.add_node(
-            Node(tb.env, f"w{i}", memory_bytes=ram, nic_channels=8))
-        for i in range(n_nodes)
-    ]
+    nodes = workers(tb, n_nodes, ram)
     registry = None
     if store == "tiered":
         registry = SharedCacheRegistry(
@@ -73,6 +71,15 @@ def make_task(seed=0, store="ram", group_size=2,
         group_size=group_size, seed=seed,
     )
     return tb, task.cache, task.make_readers(), files, task.index
+
+
+def workers(tb, n, ram=2**30):
+    """``n`` worker nodes ``w0``… on ``tb``'s fabric, 8 NIC channels each."""
+    return [
+        tb.fabric.add_node(
+            Node(tb.env, f"w{i}", memory_bytes=ram, nic_channels=8))
+        for i in range(n)
+    ]
 
 
 def count_fetches(cache):
@@ -283,7 +290,7 @@ class TestFaults:
         unread = len(pipeline._outstanding)
         proc.interrupt("job cancelled")
         tb.env.run()
-        assert not proc.ok
+        assert not proc._ok
         assert reader.window.prefetcher is None and not pipeline.active
         assert reader.window.chunks.flights == {}
         assert cache.stats.readahead_wasted == unread
@@ -607,6 +614,46 @@ def test_own_disk_hit_is_a_master_hit_not_a_cross_task_read():
     assert set(tiers) == {"local_hits", "disk_hits"}
     assert cache.shared.stats.cross_task_reads == 0
     assert sum(m.stats.hits for m in cache.masters.values()) == len(tiers)
+
+
+def test_a_chunk_only_another_task_holds_is_a_cross_task_read():
+    """A task that has pulled nothing reads a chunk only another task's
+    master holds: on the owner's node out of its tier (``_local_chunk``),
+    and from another node through the owner (``CacheMaster._serve``)."""
+    files = make_files(0)
+    tb = deploy(1, "ds", files, CHUNK, n_servers=1)
+    nodes = workers(tb, 2)
+    registry = SharedCacheRegistry(tb.env)
+    first = warmed_task(tb, "ds", nodes, "a", shared=registry)
+    second = warmed_task(tb, "ds", nodes, "b", shared=registry, policy="on-demand")
+    cache = second.cache
+    path = next(iter(files))
+    cid = second.index.lookup(path).chunk_id.encode()
+    owner = cache.owner_of(cid)
+    assert owner.node is first.cache.owner_of(cid).node  # one ring, one deal
+    assert not owner.has_chunk(cid) and first.cache.owner_of(cid).has_chunk(cid)
+    here, there = sorted(cache.clients, key=lambda c: c.node is not owner.node)
+    chunk, tier = tb.run(cache.read_chunk(here, cid))
+    assert (chunk.payload(path), tier) == (files[path], "shared_hits")
+    chunk, tier = tb.run(cache.read_chunk(there, cid))
+    assert (chunk.payload(path), tier) == (files[path], "remote_hits")
+    assert registry.stats.cross_task_reads == 2
+    assert tb.diesel.stats.chunk_reads == len(tb.chunks)  # first's warm-up only
+
+
+def test_a_chunk_under_another_id_is_refused_by_the_pull_and_the_read():
+    """The task cache keeps what it fetches as ``Chunk.fetched`` views:
+    a blob the server returns under another chunk's id is neither held
+    by a master nor handed to a reader."""
+    files = make_files(0)
+    tb = deploy(1, "ds", files, CHUNK, n_servers=1)
+    a, b = (c.chunk_id for c in tb.chunks[:2])
+    tb.store.load([(object_key("ds", a), tb.store.peek(object_key("ds", b)))])
+    task = warmed_task(tb, "ds", workers(tb, 2))
+    cid = a.encode()
+    assert not any(m.has_chunk(cid) for m in task.cache.masters.values())
+    with pytest.raises(ChunkFormatError, match="asked for chunk"):
+        tb.run(task.cache.read_chunk(task.cache.clients[0], cid))
 
 
 def test_recorder_reaches_an_own_tier_but_not_a_passed_in_one():

@@ -14,7 +14,7 @@ class TestEmpty:
         assert h.p50 == 0.0
         assert h.p99 == 0.0
         assert h.mean == 0.0
-        assert len(h) == 0
+        assert h.count == 0
 
     def test_empty_to_dict(self):
         d = Histogram().to_dict()

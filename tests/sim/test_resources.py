@@ -286,15 +286,6 @@ class TestStore:
         env.process(consumer(env, store))
         assert run_sync(env, producer(env, store)) == 4
 
-    def test_len_and_items(self):
-        env = Environment()
-        store = Store(env)
-        store.put("x")
-        store.put("y")
-        env.run()
-        assert len(store) == 2
-        assert store.items == ("x", "y")
-
     def test_capacity_validation(self):
         env = Environment()
         with pytest.raises(SimulationError):

@@ -12,16 +12,13 @@ class TestBasics:
         bm = Bitmap(10)
         assert len(bm) == 10
         assert bm.count() == 0
-        assert not bm.any()
 
     def test_set_get_clear(self):
         bm = Bitmap(16)
         bm.set(3)
         assert bm.get(3)
-        assert bm[3]
-        assert not bm[4]
-        bm.clear(3)
-        assert not bm.get(3)
+        assert not bm.get(4)
+        assert bm.count() == 1
 
     def test_negative_index(self):
         bm = Bitmap(8)
@@ -38,8 +35,7 @@ class TestBasics:
     def test_zero_size(self):
         bm = Bitmap(0)
         assert len(bm) == 0
-        assert not bm.any()
-        assert bm.all()  # vacuous truth
+        assert bm.count() == 0
         assert bm.to_bytes() == b""
 
     def test_negative_size_rejected(self):
@@ -50,7 +46,8 @@ class TestBasics:
         bm = Bitmap(9)
         for i in range(9):
             bm.set(i)
-        assert bm.all()
+        assert bm.count() == len(bm)
+        assert bm.to_bytes() == b"\xff\x01"
 
     def test_equality_and_copy(self):
         a = Bitmap(12)

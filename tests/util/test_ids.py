@@ -26,7 +26,6 @@ class TestChunkIdLayout:
         cid = ChunkId.from_parts(0x01020304, MACHINE, 0x0A0B0C, 0x112233)
         assert cid.timestamp == 0x01020304
         assert cid.machine == MACHINE
-        assert cid.pid == 0x0A0B0C
         assert cid.counter == 0x112233
         # Field byte ranges per Table 1.
         assert cid.raw[0:4] == bytes.fromhex("01020304")
@@ -143,7 +142,7 @@ class TestGenerator:
 
     def test_pid_wraps_to_3_bytes(self):
         gen = ChunkIdGenerator(machine=MACHINE, pid=(1 << 24) + 7)
-        assert gen.next().pid == 7
+        assert gen.next().raw[10:13] == bytes.fromhex("000007")
 
     def test_take(self):
         gen = ChunkIdGenerator(machine=MACHINE, pid=1)
