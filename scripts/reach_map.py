@@ -147,11 +147,12 @@ def import_all() -> None:
 def run_and_judge(experiment: str) -> None:
     """Run one experiment through the runner CLI, as an operator does:
     its table printed, its claims judged, its rows written as CSV and
-    JSON."""
+    JSON.  A failed claim or a raised error fails the scenario."""
     from repro.bench.runner import main
 
     with tempfile.TemporaryDirectory() as out:
-        main([experiment, "--csv", out, "--json", out])
+        if main([experiment, "--csv", out, "--json", out]):
+            raise RuntimeError(f"{experiment} failed under the runner")
 
 
 def scenarios() -> dict:

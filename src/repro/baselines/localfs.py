@@ -27,15 +27,11 @@ class LocalXfs:
         node: Node,
         readdir_entry_s: float = 6e-6,
         stat_s: float = 17e-6,
-        open_read_s: float = 30e-6,
-        bandwidth_bps: float = 3.0 * 2**30,
     ) -> None:
         self.env = env
         self.node = node
         self.readdir_entry_s = readdir_entry_s
         self.stat_s = stat_s
-        self.open_read_s = open_read_s
-        self.bandwidth_bps = bandwidth_bps
         self._files: dict[str, bytes] = {}
         self._dirs: dict[str, set[str]] = {"/": set()}
 
@@ -49,11 +45,6 @@ class LocalXfs:
             self._dirs[pathutil.dirname(d)].add(d)
         self._files[path] = bytes(data)
         self._dirs[pathutil.dirname(path)].add(path)
-
-    def read_file(self, path: str) -> Generator[Event, Any, bytes]:
-        data = self._files[pathutil.normalize(path)]
-        yield self.env.timeout(self.open_read_s + len(data) / self.bandwidth_bps)
-        return data
 
     def readdir(self, path: str) -> Generator[Event, Any, list[str]]:
         entries = sorted(self._dirs[pathutil.normalize(path)])

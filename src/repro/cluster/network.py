@@ -60,6 +60,11 @@ class NetworkFabric:
         except KeyError:
             raise ClusterError(f"unknown node: {name!r}") from None
 
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        """Every attached node, in attach order."""
+        return tuple(self._nodes.values())
+
     def _check_alive(self, node: Node) -> None:
         if not node.alive:
             raise NodeDownError(node.name)

@@ -123,6 +123,11 @@ class ChunkPipeline:
         self.submitted = 0
         self.shipped = 0
 
+    @property
+    def in_flight(self) -> int:
+        """Sends currently holding a pipeline slot."""
+        return self._sem.in_flight
+
     def submit(self, chunk: Chunk) -> Generator[Event, Any, None]:
         """Wait for a free slot, then ship ``chunk`` in the background."""
         slot = self._sem.acquire()

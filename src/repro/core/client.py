@@ -729,6 +729,11 @@ class DieselClient:
             self._window.group_size = group_size
         self._shuffle_enabled = True
 
+    @property
+    def prefetcher(self) -> Optional[ChunkPrefetcher]:
+        """The active chunk prefetch pipeline, if any."""
+        return self._window.prefetcher
+
     def start_prefetch(
         self, plan: EpochPlan, depth: Optional[int] = None
     ) -> ChunkPrefetcher:

@@ -70,6 +70,13 @@ class Event:
         return self._value is not _PENDING
 
     @property
+    def ok(self) -> bool:
+        """Whether the event succeeded; raises before it is triggered."""
+        if self._value is _PENDING:
+            raise SimulationError("event has not been triggered yet")
+        return bool(self._ok)
+
+    @property
     def value(self) -> Any:
         """The success value or the failure's exception; raises before
         the event is triggered."""

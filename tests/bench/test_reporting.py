@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.bench.harness import ExperimentResult
 from repro.bench.reporting import (
     format_result,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.client import connect
-from repro.core.server import DieselServer
 from repro.errors import AuthError
 
 from tests.core.conftest import build_deployment, small_files, write_dataset

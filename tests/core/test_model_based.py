@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import DieselConfig
-from repro.core.client import DieselClient
 from repro.errors import FileNotFoundInDatasetError
 from repro.util.pathutil import dirname
 

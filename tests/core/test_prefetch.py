@@ -91,7 +91,7 @@ class TestSingleFlight:
         p2 = deployment.env.process(waiter())
         e1 = deployment.env.process(evictor())
         deployment.env.run()
-        assert p1._ok and p2._ok and e1._ok
+        assert p1.ok and p2.ok and e1.ok
         # Chunk A was transferred at most twice (initial + one re-fetch
         # shared by all late waiters) and chunk B once — never one
         # transfer per waiter.
@@ -110,9 +110,9 @@ class TestPrefetcher:
     def test_epoch_plan_starts_pipeline(self, deployment):
         client, _ = self._pipelined(deployment, depth=2)
         plan = client.epoch_file_list(seed=1)
-        assert client._window.prefetcher is not None
-        assert client._window.prefetcher.active
-        assert len(client._window.prefetcher._schedule) == len(
+        assert client.prefetcher is not None
+        assert client.prefetcher.active
+        assert len(client.prefetcher._schedule) == len(
             client.index.chunk_ids()
         )
 
@@ -177,7 +177,7 @@ class TestPrefetcher:
     def test_close_cancels_pipeline(self, deployment):
         client, _ = self._pipelined(deployment, depth=2)
         client.epoch_file_list(seed=1)
-        prefetcher = client._window.prefetcher
+        prefetcher = client.prefetcher
         client.close()
         assert not prefetcher.active
         deployment.env.run()
@@ -188,7 +188,7 @@ class TestPrefetcher:
     def test_new_epoch_replaces_pipeline(self, deployment):
         client, files = self._pipelined(deployment, depth=2)
         plan1 = client.epoch_file_list(seed=1)
-        p1 = client._window.prefetcher
+        p1 = client.prefetcher
 
         def consume(plan):
             for path in plan.files:
@@ -196,7 +196,7 @@ class TestPrefetcher:
 
         deployment.run(consume(plan1))
         plan2 = client.epoch_file_list(seed=1)
-        assert client._window.prefetcher is not p1
+        assert client.prefetcher is not p1
         assert not p1.active
         deployment.run(consume(plan2))
 

@@ -117,7 +117,7 @@ class TestIngestPipeline:
 
         dep.run(run())
         assert pipe.submitted == pipe.shipped == len(chunks)
-        assert pipe._sem.in_flight == 0
+        assert pipe.in_flight == 0
         assert pipe.cancel() == 0  # nothing left to cancel after drain
 
 
@@ -259,7 +259,7 @@ def assert_nothing_left_held(dep, nodes, caches):
     """No NIC channel, RPC worker slot or single-flight entry outlives
     the pulls that took it — whatever died underneath them."""
     dep.env.run()
-    for node in dep.fabric._nodes.values():
+    for node in dep.fabric.nodes:
         assert node.ingress._station.in_flight == 0, node.name
         assert node.egress._station.in_flight == 0, node.name
     assert dep.server.endpoint._pool.in_flight == 0

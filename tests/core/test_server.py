@@ -330,7 +330,7 @@ class TestHousekeeping:
         )
         env.run(until=env.all_of([delete, ingest]))
         # The race actually happened: the ingest landed mid-delete.
-        assert ingest._ok and delete._ok
+        assert ingest.ok and delete.ok
         dsrec = server.dataset_info("ds")
         assert late.chunk_id in dsrec.chunk_ids
         assert len(dsrec.chunk_ids) == 2

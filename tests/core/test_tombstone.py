@@ -110,9 +110,9 @@ class Model:
         self.dep.env.run()
         for proc, error in zip(procs, expected):
             if error is None:
-                assert proc._ok, proc.value
+                assert proc.ok, proc.value
             else:
-                assert not proc._ok and type(proc.value) is error
+                assert not proc.ok and type(proc.value) is error
         self.check_records()
 
     def check_records(self):

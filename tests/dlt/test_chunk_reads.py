@@ -290,7 +290,7 @@ class TestFaults:
         unread = len(pipeline._outstanding)
         proc.interrupt("job cancelled")
         tb.env.run()
-        assert not proc._ok
+        assert not proc.ok
         assert reader.window.prefetcher is None and not pipeline.active
         assert reader.window.chunks.flights == {}
         assert cache.stats.readahead_wasted == unread

@@ -122,14 +122,14 @@ class TestFuseReader:
             tb.env, reader, ModelProfile("slow", 5e-3), epochs=1,
             batch_size=8))
         tb.env.run(until=tb.env.now + 1e-3)
-        unread = len(client._window.prefetcher._outstanding)
+        unread = len(client.prefetcher._outstanding)
         assert unread > 0
         proc.interrupt("job cancelled")
         reads = tb.diesel.stats.chunk_reads
         tb.env.run(until=tb.env.now + 1.0)
-        assert not proc._ok
+        assert not proc.ok
         # Nothing keeps fetching for a job that is gone ...
         assert tb.diesel.stats.chunk_reads == reads
         # ... and what it fetched ahead but never read is waste.
         assert client.stats.prefetch_wasted == unread
-        assert client._window.prefetcher is None
+        assert client.prefetcher is None

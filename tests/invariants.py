@@ -148,7 +148,7 @@ def check_invariants(nodes=(), caches=(), windows=(), stores=(),
 def _stations(tb, caches):
     """``(name, semaphore)`` of every NIC direction, device and RPC
     worker pool on ``tb`` and behind ``caches``."""
-    for node in tb.fabric._nodes.values():
+    for node in tb.fabric.nodes:
         yield f"{node.name}.egress", node.egress._station
         yield f"{node.name}.ingress", node.ingress._station
     store = tb.store

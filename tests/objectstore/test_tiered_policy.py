@@ -351,7 +351,7 @@ class TierMachine(RuleBasedStateMachine):
     def books_balance(self):
         store = self.store
         for proc in self.procs:
-            if proc.triggered and not proc._ok:
+            if proc.triggered and not proc.ok:
                 raise proc.value
         check_invariants(stores=[store], quiescent=False)
         resident = store.cache.entries

@@ -23,7 +23,7 @@ class TestAttach:
     def test_attach_sets_recorder_and_clock(self):
         env, comp, rec = make_recorder()
         assert comp.recorder is rec
-        assert rec._clock() == env.now
+        assert rec.start("op").start == env.now
 
     def test_attach_many(self):
         env = Environment()

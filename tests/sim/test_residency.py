@@ -141,7 +141,7 @@ class ResidencyMachine(RuleBasedStateMachine):
     @invariant()
     def books_balance(self):
         for proc in self.callers:
-            if proc.triggered and not proc._ok:
+            if proc.triggered and not proc.ok:
                 raise proc.value
         check_residency(self.res, quiescent=False)
         assert list(self.res.entries) == self.order
@@ -204,5 +204,5 @@ def test_a_failed_fetch_ends_its_flight():
 
     proc = env.process(res.ensure("k", fetch))
     env.run()
-    assert not proc._ok and isinstance(proc.value, KeyError)
+    assert not proc.ok and isinstance(proc.value, KeyError)
     assert res.flights == {} and res.entries == {}

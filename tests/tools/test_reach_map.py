@@ -7,6 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.bench import runner
+
 ROOT = Path(__file__).resolve().parents[2]
 SCRIPT = ROOT / "scripts" / "reach_map.py"
 
@@ -38,6 +42,12 @@ def test_one_id_attributes_what_it_ran(tmp_path):
     assert defs["repro/bench/experiments.py::fig_faults"] == []
     assert "repro/bench/experiments.py::fig_faults" in reach["unreached"]
     assert "(b)" in run.stdout and "(c)" in run.stdout
+
+
+def test_a_failed_run_fails_the_scenario(monkeypatch):
+    monkeypatch.setattr(runner, "main", lambda argv: 1)
+    with pytest.raises(RuntimeError, match="latency failed under the runner"):
+        load_script().run_and_judge("latency")
 
 
 def test_classes_follow_the_scenario_kinds():
