@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.bench.setups import deploy
+from repro.bench.setups import deploy, warmed_task
 from repro.core.chunk import Chunk
 from repro.core.meta import FileRecord
 from repro.core.server import object_key
@@ -71,6 +71,38 @@ def test_window_chunk_read(benchmark):
     assert payloads == [chunk.payload(p) for p in chunk.paths]
     per_file = benchmark.stats["mean"] / 128
     assert per_file < 2e-6, f"window read too slow: {per_file:.2e}s/file"
+
+
+@pytest.mark.benchmark(group="micro-chunk")
+def test_window_hit_read(benchmark):
+    """A window hit through the kernel: ``CacheReader.read`` of a file
+    whose chunk the §4.3 window holds (the index's extent, one window
+    lookup, the tier's credit, one ``WINDOW_HIT_S`` timeout, the extent
+    copy), for each of a resident group's files, in one process."""
+    files = {f"/w/f{i:04d}": bytes([i % 256]) * 1024 for i in range(512)}
+    tb = deploy(1, "bench", files, 64 * 1024, n_storage=1)
+    task = warmed_task(tb, "bench", tb.compute_nodes, "w", group_size=4)
+    reader = task.make_readers()[0]
+    env = tb.env
+    order = env.run(until=env.process(reader.begin_epoch(0)))
+    paths = order[:len(reader.last_plan.groups[0].files)]
+
+    def read_all():
+        def proc():
+            for path in paths:
+                yield from reader.read(path)
+
+        env.run(until=env.process(proc()))
+
+    read_all()  # the group's first accesses: its chunks come in
+    resident = reader.window.chunks.entries
+    assert all(task.index.locate(p)[0] in resident for p in paths)
+    scored = task.cache.readahead.to_dict()
+    benchmark.pedantic(read_all, rounds=50, iterations=1)
+    assert task.cache.readahead.to_dict() == scored  # repeats score nothing
+    per_file = benchmark.stats["mean"] / len(paths)
+    benchmark.extra_info["us_per_file"] = round(per_file * 1e6, 3)
+    assert per_file < 4e-6, f"window hit too slow: {per_file:.2e}s/file"
 
 
 @pytest.mark.benchmark(group="micro-chunk")
@@ -217,6 +249,8 @@ def test_chunkwise_shuffle_generation(benchmark):
 
     plan = benchmark(chunkwise_shuffle, grouping, 8, random.Random(0))
     assert plan.file_count == 20_000
+    per_file = benchmark.stats["mean"] / 20_000
+    assert per_file < 2e-7, f"shuffle too slow: {per_file:.2e}s/file"
 
 
 @pytest.mark.benchmark(group="micro-hash")

@@ -260,7 +260,7 @@ class Census:
             return "process start"
         if isinstance(event, engine.Process):
             return "process end"
-        if isinstance(event, engine._Condition):
+        if isinstance(event, engine.AllOf):
             return "condition"
         if getattr(event, "_granted", False):
             return "semaphore grant"

@@ -42,8 +42,7 @@ a full-scale run reaches reads (c); check a deletion candidate against
 counts only when a Python frame runs its code.  An
 ``__init__`` that the fast path bypasses reads as unreached although
 its class is in use: ``Chunk.__init__`` (``Chunk`` objects are built
-with ``cls.__new__``) and ``Timeout.__init__`` (the environment hands
-out timeouts from a free list).  Two defs with one qualified name (a
+with ``cls.__new__``).  Two defs with one qualified name (a
 property's getter and setter) share one entry.  Python 3.11 has no
 ``sys.monitoring``, so the hook also sees every C call; only ``call``
 events are kept.

@@ -53,32 +53,21 @@ class NetworkFabric:
         node.fabric = self
         return node
 
-    def node(self, name: str) -> Node:
-        """The attached node called ``name``."""
-        try:
-            return self._nodes[name]
-        except KeyError:
-            raise ClusterError(f"unknown node: {name!r}") from None
-
     @property
     def nodes(self) -> tuple[Node, ...]:
         """Every attached node, in attach order."""
         return tuple(self._nodes.values())
 
-    def _check_alive(self, node: Node) -> None:
-        if not node.alive:
-            raise NodeDownError(node.name)
-
     def transfer(
-        self, src: Node | str, dst: Node | str, nbytes: int
+        self, src: Node, dst: Node, nbytes: int
     ) -> Generator[Event, Any, None]:
         """Move ``nbytes`` from ``src`` to ``dst`` in simulated time."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        src = self.node(src) if isinstance(src, str) else src
-        dst = self.node(dst) if isinstance(dst, str) else dst
-        self._check_alive(src)
-        self._check_alive(dst)
+        if not src.alive:
+            raise NodeDownError(src.name)
+        if not dst.alive:
+            raise NodeDownError(dst.name)
         if src is dst:
             # Intra-node move: shared memory, no NIC involvement.
             yield self.env.timeout(

@@ -96,10 +96,9 @@ class ChunkWindow:
         value, or ``None`` when the caller has to :meth:`ensure` it."""
         chunks = self.chunks
         item = chunks.entries.get(encoded)
-        if self.prefetcher is not None:
-            self.prefetcher.on_access(
-                encoded, item is not None, encoded in chunks.flights
-            )
+        pf = self.prefetcher
+        if pf is not None and encoded in pf.unscored:
+            pf.on_access(encoded, item is not None, encoded in chunks.flights)
         if item is None:
             return None
         chunks.entries.move_to_end(encoded)
@@ -190,6 +189,9 @@ class ChunkPrefetcher:
         self._ahead: Set[str] = set()
         self._ahead_n = 0
         self._outstanding: Set[str] = set()
+        #: Planned chunks whose first access is not scored yet: the
+        #: window calls :meth:`on_access` for these only.
+        self.unscored: Set[str] = set()
 
     # ----------------------------------------------------------- pipeline
     def roll(self, then: Optional[EpochPlan]) -> None:
@@ -197,11 +199,10 @@ class ChunkPrefetcher:
         epoch's issued-but-unconsumed chunks, and ``then`` the next one."""
         self._waste(len(self._outstanding - self._ahead))
         self._schedule = self._then_order
-        self._scheduled = set(self._schedule)
+        self.unscored = set(self._schedule)
         self._next = self._ahead_n  # next schedule index to issue
         #: Issued but not yet consumed (bounds the pipeline window).
         self._outstanding = self._ahead
-        self._consumed: Set[str] = set()
         self.then, self._then_order = then, _chunk_order(then)
         #: Continuation chunks issued and not evicted; ``_ahead_n`` of
         #: them were issued, a prefix of ``_then_order``.
@@ -222,7 +223,7 @@ class ChunkPrefetcher:
             if self._next < len(self._schedule):
                 encoded = self._schedule[self._next]
                 self._next += 1
-                if encoded in self._consumed:
+                if encoded not in self.unscored:
                     continue  # demand path beat us to it
                 self._outstanding.add(encoded)
             elif self._ahead_n < len(self._then_order):
@@ -259,18 +260,16 @@ class ChunkPrefetcher:
 
     # ------------------------------------------------------ window hooks
     def on_access(self, encoded: str, resident: bool, in_flight: bool) -> None:
-        """Consumer is about to read a file of chunk ``encoded``.
+        """Consumer is about to read a file of chunk ``encoded``, one of
+        :attr:`unscored`: its first access in the plan.
 
         Called by :meth:`ChunkWindow.access` *before* the chunk is
         resolved, so ``resident``/``in_flight`` reflect what the
-        pipeline achieved.  First access to each chunk scores the
-        pipeline (hit vs miss) and frees one window slot.
+        pipeline achieved.  It scores the pipeline (hit vs miss) and
+        frees one window slot.  Repeat and out-of-plan reads (e.g. a
+        stray get()) and reads after :meth:`cancel` never get here.
         """
-        if not self.active or encoded in self._consumed:
-            return
-        if encoded not in self._scheduled:
-            return  # out-of-plan read (e.g. a stray get()); not ours
-        self._consumed.add(encoded)
+        self.unscored.discard(encoded)
         stats = self.window.stats
         if encoded in self._outstanding:
             self._outstanding.discard(encoded)
@@ -328,3 +327,4 @@ class ChunkPrefetcher:
         self._outstanding.clear()
         self._ahead.clear()
         self._issue_ts.clear()
+        self.unscored.clear()

@@ -27,10 +27,32 @@ from typing import Mapping, Sequence
 from repro.util.ids import ChunkId
 
 
+def shuffle(items: list, rng: random.Random) -> None:
+    """Shuffle ``items`` in place exactly as ``rng.shuffle(items)`` does.
+
+    It makes the same ``rng.getrandbits(k)`` calls in the same order, so
+    the permutation and ``rng.getstate()`` afterwards are the same.
+    ``Random.shuffle`` draws each index through ``_randbelow(i + 1)``, a
+    Python frame per item that recomputes ``k = (i + 1).bit_length()``;
+    here ``k`` is held over each run of bounds that share it.
+    """
+    getrandbits = rng.getrandbits
+    n = len(items)  # the bound of the next draw: an index below n
+    while n > 1:
+        k = n.bit_length()
+        low = 1 << (k - 1)  # the least bound of this bit length
+        for i in range(n - 1, low - 2, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            items[i], items[j] = items[j], items[i]
+        n = low - 1
+
+
 def full_shuffle(paths: Sequence[str], rng: random.Random) -> list[str]:
     """Uniform permutation of all paths (the baseline *shuffle dataset*)."""
     order = list(paths)
-    rng.shuffle(order)
+    shuffle(order, rng)
     return order
 
 
@@ -94,7 +116,7 @@ class EpochPlan:
             shards[w].append(g)
             loads[w] += len(g.files)
         for shard in shards:
-            rng.shuffle(shard)
+            shuffle(shard, rng)
         return [EpochPlan(tuple(shard)) for shard in shards]
 
 
@@ -112,14 +134,14 @@ def chunkwise_shuffle(
         raise ValueError("group_size must be >= 1")
     chunk_ids = [cid for cid, files in files_by_chunk.items() if files]
     chunk_ids.sort()  # deterministic base order before shuffling
-    rng.shuffle(chunk_ids)  # step 1: shuffle chunk IDs
+    shuffle(chunk_ids, rng)  # step 1: shuffle chunk IDs
     groups: list[ShuffleGroup] = []
     for start in range(0, len(chunk_ids), group_size):  # step 2: split
         group_chunks = chunk_ids[start : start + group_size]
         pooled: list[str] = []
         for cid in group_chunks:
             pooled.extend(files_by_chunk[cid])
-        rng.shuffle(pooled)  # step 3: shuffle files within the group
+        shuffle(pooled, rng)  # step 3: shuffle files within the group
         groups.append(ShuffleGroup(tuple(group_chunks), tuple(pooled)))
     return EpochPlan(tuple(groups))
 

@@ -114,6 +114,10 @@ class CacheReader:
         #: Shard served by the most recent ``begin_epoch`` (for tests
         #: and working-set accounting).
         self.last_plan = None
+        self._env = cache.env
+        #: The task's counters :meth:`TaskCache.credit_read` moves,
+        #: credited here in the read's own frame.
+        self._tally = cache._stats
         #: ``encoded cid -> (chunk, tier)``, shared by the I/O workers.
         self.window = ChunkWindow(
             cache.env, self._fetch, scheduler.group_size, cache.readahead,
@@ -148,11 +152,13 @@ class CacheReader:
         encoded_cid, offset, length = self.index.locate(path)
         entry = self.window.access(encoded_cid)
         if entry is not None:
-            yield self.cache.env.timeout(WINDOW_HIT_S)
+            yield self._env.timeout(WINDOW_HIT_S)
         else:
             entry = yield from self.window.ensure(encoded_cid)
         chunk, tier = entry
-        self.cache.credit_read(tier)
+        if tier:
+            tally = self._tally
+            setattr(tally, tier, getattr(tally, tier) + 1)
         return chunk.extent(offset, length)
 
 

@@ -60,8 +60,12 @@ class ShardedKV:
         return self._instances[self.slot(key) % len(self._instances)]
 
     def _live_owner(self, key: str) -> KVInstance:
-        inst = self.owner(key)
-        if not inst.up:
+        """:meth:`owner`, which must be up (:attr:`KVInstance.up`), in
+        one frame: the point ops' routing and liveness read inline."""
+        instances = self._instances
+        inst = instances[crc_hqx(key.encode(), 0) % NUM_SLOTS % len(instances)]
+        endpoint = inst.endpoint
+        if not (endpoint._up and endpoint.node._alive):
             raise ShardUnavailableError(
                 f"shard {inst.name!r} for key {key!r} is down"
             )

@@ -54,14 +54,14 @@ class Event:
     shared holder set on the common path.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_processed", "_granted")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_granted")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
+        #: ``None`` once the loop has delivered the event (*processed*).
         self.callbacks: Optional[list[Callable[[Event], None]]] = []
         self._value: Any = _PENDING
         self._ok: Optional[bool] = None
-        self._processed = False
 
     @property
     def triggered(self) -> bool:
@@ -122,13 +122,12 @@ class Timeout(Event):
     allocates.
     """
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(env)
-        self.delay = delay
         self._ok = True
         self._value = value
         env._schedule(self, delay)
@@ -254,8 +253,9 @@ class Process(Event):
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'done'}>"
 
 
-class _Condition(Event):
-    """Base for composite events (:class:`AllOf`)."""
+class AllOf(Event):
+    """Triggers when every child event has been delivered (fails fast on
+    error); its value maps each child to its value."""
 
     __slots__ = ("events", "_remaining")
 
@@ -280,16 +280,8 @@ class _Condition(Event):
     def _collect(self) -> dict[Event, Any]:
         # Only *processed* events count: a Timeout carries its value from
         # creation, but it has not "happened" until the loop delivers it.
-        return {e: e._value for e in self.events if e._processed and e._ok}
-
-    def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Triggers when every child event has triggered (fails fast on error)."""
-
-    __slots__ = ()
+        return {e: e._value for e in self.events
+                if e.callbacks is None and e._ok}
 
     def _on_child(self, event: Event) -> None:
         if self.triggered:
@@ -558,19 +550,14 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """A :class:`Timeout` from the free list (allocates only when the
         pool is dry)."""
+        pool = self._tpool
+        if not pool:
+            return Timeout(self, delay, value)
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        pool = self._tpool
-        if pool:
-            evt = pool.pop()
-        else:
-            evt = Timeout.__new__(Timeout)
-            evt.env = self
-            evt._ok = True
+        evt = pool.pop()
         evt.callbacks = []
         evt._value = value
-        evt._processed = False
-        evt.delay = delay
         seq = self._seq
         self._seq = seq + 1
         heap = self._heap
@@ -610,7 +597,6 @@ class Environment:
                 n += 1
                 callbacks = event.callbacks
                 event.callbacks = None
-                event._processed = True
                 for cb in callbacks:
                     cb(event)
                 # Recycle delivered timeouts nobody else holds: the only

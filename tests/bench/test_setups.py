@@ -40,8 +40,9 @@ class TestMakeTestbed:
 
     def test_nodes_registered_on_fabric(self):
         tb = make_testbed(n_compute=3, n_storage=2)
-        assert tb.fabric.node("compute2") is tb.compute_nodes[2]
-        assert tb.fabric.node("storage1") is tb.storage_nodes[1]
+        nodes = tb.fabric.nodes
+        assert tb.compute_nodes[2] in nodes and tb.storage_nodes[1] in nodes
+        assert all(node.fabric is tb.fabric for node in nodes)
 
     def test_run_helpers(self):
         tb = make_testbed(n_compute=1)

@@ -26,19 +26,22 @@ class TestFabric:
         elapsed = run_sync(env, proc(env))
         assert elapsed == pytest.approx(1e-3 + 1e-3)
 
-    def test_transfer_by_name(self):
+    def test_transfer_between_attached_nodes(self):
         env, fabric, _ = make_fabric(2)
+        a, b = fabric.nodes
 
         def proc(env):
-            yield from fabric.transfer("n0", "n1", 100)
+            yield from fabric.transfer(a, b, 100)
             return True
 
         assert run_sync(env, proc(env))
+        assert fabric.stats.bytes_moved == 100
 
     def test_unknown_node(self):
-        env, fabric, _ = make_fabric(1)
-        with pytest.raises(ClusterError):
-            fabric.node("ghost")
+        env, fabric, (n0,) = make_fabric(1)
+        ghost = Node(env, "ghost")
+        assert fabric.nodes == (n0,)
+        assert n0.fabric is fabric and ghost.fabric is None
 
     def test_duplicate_node_rejected(self):
         env, fabric, _ = make_fabric(1)

@@ -12,7 +12,11 @@ Covers the three layers of the pipelined read path:
 import pytest
 
 from repro.core.config import DieselConfig
+from repro.core.prefetch import ChunkWindow, WindowStats
+from repro.core.shuffle import EpochPlan, ShuffleGroup
 from repro.errors import ClosedError, DieselError
+from repro.sim.engine import Environment
+from repro.util.ids import ChunkIdGenerator
 
 from tests.core.conftest import build_deployment, small_files, write_dataset
 
@@ -207,6 +211,78 @@ class TestPrefetcher:
         plan = plan_source.epoch_file_list(seed=1)
         with pytest.raises(DieselError):
             client.start_prefetch(plan, depth=2)
+
+
+class TestFirstAccessScoring:
+    """Only a planned chunk's first access scores the pipeline: repeat
+    reads, reads outside the plan and reads after a cancel leave
+    ``prefetch_hits`` / ``prefetch_misses`` / ``prefetch_wasted`` where
+    they are."""
+
+    CIDS = sorted(ChunkIdGenerator(machine=b"\x0c" * 6, pid=12).take(9))
+    ENC = [c.encode() for c in CIDS]
+
+    def _plan(self, order):
+        return EpochPlan(tuple(
+            ShuffleGroup(tuple(self.CIDS[i] for i in order[s:s + 2]), ())
+            for s in range(0, len(order), 2)
+        ))
+
+    def test_scripted_plan(self):
+        env = Environment()
+        fetched = []
+
+        def fetch(encoded):
+            fetched.append(self.ENC.index(encoded))
+            yield env.timeout(1.0)
+            return encoded
+
+        stats = WindowStats()
+        window = ChunkWindow(env, fetch, group_size=2, stats=stats)
+        first = self._plan([0, 1, 2, 3, 4, 5])
+        second = self._plan([5, 4, 3, 2, 1, 0])
+        scores = []
+
+        def read(i):
+            if window.access(self.ENC[i]) is None:
+                yield from window.ensure(self.ENC[i])
+            else:
+                yield env.timeout(0.1)
+            scores.append((i, stats.prefetch_hits, stats.prefetch_misses,
+                           stats.prefetch_wasted))
+
+        def consumer():
+            window.start(first, 2, then=second)
+            yield from read(0)  # issued, its fetch not started: a miss
+            yield from read(0)  # repeat
+            yield from read(8)  # outside the plan
+            yield env.timeout(3)
+            yield from read(1)  # resident: a hit
+            yield from read(1)  # repeat
+            yield from read(5)  # not issued yet: a miss
+            yield from read(3)
+            yield env.timeout(5)
+            window.start(second, 2)  # the continuation, rolled
+            yield from read(5)  # read last epoch, first access in this one
+            yield from read(4)
+            yield from read(7)  # outside the plan
+            yield from read(4)  # repeat
+            window.prefetcher.cancel()  # stopped under the window
+            yield from read(3)  # planned and resident, after the cancel
+            yield from read(0)  # planned, not resident, after the cancel
+            window.cancel()
+            yield from read(1)
+
+        env.process(consumer())
+        env.run()
+        assert scores == [
+            (0, 0, 1, 0), (0, 0, 1, 0), (8, 0, 1, 0), (1, 1, 1, 0),
+            (1, 1, 1, 0), (5, 1, 2, 0), (3, 2, 2, 0), (5, 3, 2, 2),
+            (4, 4, 2, 2), (7, 4, 2, 2), (4, 4, 2, 2), (3, 4, 2, 4),
+            (0, 4, 2, 4), (1, 4, 2, 4),
+        ]
+        assert stats.prefetch_issued == 9
+        assert fetched == [0, 1, 2, 8, 3, 5, 4, 7, 0, 1]
 
 
 class TestEpochSeedMixing:

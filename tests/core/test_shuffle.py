@@ -11,6 +11,7 @@ from repro.core.shuffle import (
     chunk_adjacency,
     chunkwise_shuffle,
     full_shuffle,
+    shuffle,
     shuffle_quality,
 )
 from repro.util.ids import ChunkIdGenerator
@@ -23,6 +24,42 @@ def make_dataset(n_chunks=10, files_per_chunk=8):
         cid: [f"/c{ci:03d}/f{fi}" for fi in range(files_per_chunk)]
         for ci, cid in enumerate(GEN.take(n_chunks))
     }
+
+
+#: 2^k and 2^k ± 1 up to 600: where the draws' bit count changes.
+POWER_EDGES = sorted({
+    n for k in range(10) for n in (2**k - 1, 2**k, 2**k + 1) if n <= 600
+})
+
+
+class TestShuffleDraws:
+    """``shuffle`` is ``random.Random.shuffle`` draw for draw: the same
+    permutation, and the generator left in the same state."""
+
+    @staticmethod
+    def _both(n, seed):
+        expected, got = list(range(n)), list(range(n))
+        reference, rng = random.Random(seed), random.Random(seed)
+        reference.shuffle(expected)
+        shuffle(got, rng)
+        return expected, got, reference.getstate(), rng.getstate()
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.one_of(st.integers(0, 600), st.sampled_from(POWER_EDGES)),
+        seed=st.integers(0, 2**64),
+    )
+    def test_matches_random_shuffle(self, n, seed):
+        expected, got, reference_state, state = self._both(n, seed)
+        assert got == expected
+        assert state == reference_state
+
+    def test_every_length_to_600(self):
+        for n in range(601):
+            for seed in (0, n + 1):
+                expected, got, reference_state, state = self._both(n, seed)
+                assert got == expected, (n, seed)
+                assert state == reference_state, (n, seed)
 
 
 class TestFullShuffle:

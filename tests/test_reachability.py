@@ -53,6 +53,7 @@ KEEP = {
     "Chunk.is_deleted": "(ii) tombstone probe of the chunk codec",
     "Chunk.deleted_count": "(ii) bitmap/record consistency probe",
     "Semaphore.queue_length": "(ii) bounded-wait-queue probe (no pinned waiters)",
+    "ShardedKV.owner": "(ii) the key → shard routing check_kv_routing holds the point ops to",
     "verify_file": "(ii) embedded-CRC read-back check of generated payloads",
     "run_sync": "(ii) the driver every differential test runs both sides with",
     "Environment.step": "(ii) one-event driver the pinned trace checks run's loop against",
